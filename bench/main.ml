@@ -50,8 +50,8 @@ let batch_i = ref 0
 
 (* Batched receive fixture: the decap mirror of the sealing batch.  One
    pre-sealed wire per warm flow (repeat receives stay fresh — the
-   fixture engines run with strict replay off), rotated through a
-   [Batch_rx] sized to auto-flush exactly when every lane is occupied,
+   fixture engines run with strict replay off), rotated through the open
+   lane of a [Batch] sized to auto-flush exactly when every lane is occupied,
    so the per-call cost is the amortized per-datagram cost of the
    cross-flow bitsliced open: 62 prologue+enqueues plus one 63-chain
    sweep-and-verify flush. *)
@@ -69,7 +69,7 @@ let rx_batch_wires =
     batch_attrs
 
 let rx_batch =
-  Fbsr_fbs.Engine.Batch_rx.create batch_pair.Fbsr_experiments.Fixture.receiver
+  Fbsr_fbs.Engine.Batch.create batch_pair.Fbsr_experiments.Fixture.receiver
 
 let rx_batch_i = ref 0
 
@@ -225,7 +225,8 @@ let fbs_tests =
         (stage (fun () ->
              let i = !batch_i in
              batch_i := if i + 1 = Array.length batch_attrs then 0 else i + 1;
-             Fbsr_fbs.Engine.send_batched send_batch ~now:60.0
+             Fbsr_fbs.Engine.send ~batch:send_batch
+               batch_pair.Fbsr_experiments.Fixture.sender ~now:60.0
                ~attrs:(Array.unsafe_get batch_attrs i) ~secret:true ~payload:datagram
                (fun _ -> ())));
       Test.make ~name:"send-des+md5-scalar-1460B"
@@ -243,7 +244,8 @@ let fbs_tests =
         (stage (fun () ->
              let i = !rx_batch_i in
              rx_batch_i := if i + 1 = Array.length rx_batch_wires then 0 else i + 1;
-             Fbsr_fbs.Engine.receive_batched rx_batch ~now:60.0
+             Fbsr_fbs.Engine.receive ~batch:rx_batch
+               batch_pair.Fbsr_experiments.Fixture.receiver ~now:60.0
                ~src:batch_pair.Fbsr_experiments.Fixture.src
                ~wire:(Array.unsafe_get rx_batch_wires i)
                (fun _ -> ())));
@@ -489,7 +491,8 @@ let telemetry_bench () =
     let p, attrs =
       Fbsr_experiments.Fixture.warm_flows ~suite:suite_paper ?flowstats ()
     in
-    (p, Fbsr_fbs.Engine.Batch.create p.Fbsr_experiments.Fixture.sender, attrs)
+    let e = p.Fbsr_experiments.Fixture.sender in
+    (p, (e, Fbsr_fbs.Engine.Batch.create e), attrs)
   in
   let _, base_batch, base_attrs = mk None in
   let tel_flowstats = Fbsr_fbs.Flowstats.create () in
@@ -505,8 +508,8 @@ let telemetry_bench () =
   in
   let tel_health = Fbsr_fbs.Health.create ~ts:tel_ts () in
   let tel_now = ref 60.0 in
-  let send batch attrs i =
-    Fbsr_fbs.Engine.send_batched batch ~now:60.0
+  let send (e, batch) attrs i =
+    Fbsr_fbs.Engine.send ~batch e ~now:60.0
       ~attrs:(Array.unsafe_get attrs (i mod Array.length attrs))
       ~secret:true ~payload:datagram
       (fun _ -> ())

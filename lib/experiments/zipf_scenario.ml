@@ -24,6 +24,14 @@ type result = {
   flowstats : Fbsr_fbs.Flowstats.t;
 }
 
+(* The send side's engine counters, summed over its shards: a registry
+   holding only the tx dispatcher (the rx engines would add their own
+   flow-key computations). *)
+let tx_counters (p : Fixture.sharded) =
+  let m = Fbsr_util.Metrics.create () in
+  Fbsr_fbs.Sharded.register_metrics p.Fixture.tx m;
+  m
+
 (* Round-trip [datagrams] Zipf datagrams through a sharded pair in
    batches.  The simulated clock advances ~10 ms per batch: far inside
    the replay window over the whole run, far enough to exercise
@@ -127,9 +135,9 @@ let run ?(flows = 1_000_000) ?(datagrams = 1_000_000) ?(batch = 4096)
             i allocs d;
         { shard = i; datagrams = d; allocs_per_datagram = apd })
   in
-  let agg = Fbsr_fbs.Sharded.aggregate_counters p.Fixture.tx in
-  if agg.Fbsr_fbs.Engine.sends <> datagrams then
-    failf "aggregate sends %d <> offered %d" agg.Fbsr_fbs.Engine.sends datagrams;
+  let tx = tx_counters p in
+  let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
+  if sends <> datagrams then failf "aggregate sends %d <> offered %d" sends datagrams;
   let fam_stats = Fbsr_fbs.Fam.stats (Fbsr_fbs.Sharded.fam p.Fixture.tx) in
   {
     flows;
@@ -140,9 +148,9 @@ let run ?(flows = 1_000_000) ?(datagrams = 1_000_000) ?(batch = 4096)
     elapsed_s = elapsed;
     datagrams_per_sec =
       (if elapsed > 0.0 then Float.of_int datagrams /. elapsed else 0.0);
-    flow_key_computations = agg.Fbsr_fbs.Engine.flow_key_computations;
-    keysched_hits = agg.Fbsr_fbs.Engine.keysched_hits;
-    keysched_misses = agg.Fbsr_fbs.Engine.keysched_misses;
+    flow_key_computations = Fbsr_util.Metrics.get tx "fbs.engine.flow_key_computations";
+    keysched_hits = Fbsr_util.Metrics.get tx "fbs.engine.keysched.hits";
+    keysched_misses = Fbsr_util.Metrics.get tx "fbs.engine.keysched.misses";
     rows;
     failures = List.rev !failures;
     ok = !failures = [];
@@ -303,10 +311,10 @@ let miss_curve ?(points = default_points) ?(datagrams = 200_000) ?(batch = 4096)
         in
         let t = totals p.Fixture.tx Fbsr_fbs.Engine.tfkc in
         let r = totals p.Fixture.rx Fbsr_fbs.Engine.rfkc in
-        let agg = Fbsr_fbs.Sharded.aggregate_counters p.Fixture.tx in
-        if agg.Fbsr_fbs.Engine.sends <> datagrams then
-          failf "point %d: aggregate sends %d <> offered %d" flows
-            agg.Fbsr_fbs.Engine.sends datagrams;
+        let tx = tx_counters p in
+        let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
+        if sends <> datagrams then
+          failf "point %d: aggregate sends %d <> offered %d" flows sends datagrams;
         {
           offered_flows = flows;
           active_flows = Fbsr_traffic.Zipf_workload.touched wl;
@@ -315,7 +323,7 @@ let miss_curve ?(points = default_points) ?(datagrams = 200_000) ?(batch = 4096)
           rfkc_accesses = fst r;
           rfkc_miss_rate = rate r;
           point_flow_key_computations =
-            agg.Fbsr_fbs.Engine.flow_key_computations;
+            Fbsr_util.Metrics.get tx "fbs.engine.flow_key_computations";
         })
       points
   in
@@ -521,10 +529,11 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
             (List.init n (fun i -> i))
         in
         let fam_stats = Fbsr_fbs.Fam.stats fam in
-        let agg = Fbsr_fbs.Sharded.aggregate_counters p.Fixture.tx in
-        if agg.Fbsr_fbs.Engine.sends <> datagrams then
-          failf "cadence %.2f: aggregate sends %d <> offered %d" cadence
-            agg.Fbsr_fbs.Engine.sends datagrams;
+        let tx = tx_counters p in
+        let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
+        if sends <> datagrams then
+          failf "cadence %.2f: aggregate sends %d <> offered %d" cadence sends
+            datagrams;
         let touched = Fbsr_traffic.Zipf_workload.touched wl in
         {
           cadence_s = cadence;
@@ -537,7 +546,7 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
           sw_tfkc_miss_rate =
             (if acc_tot = 0 then 0.0
              else Float.of_int miss_tot /. Float.of_int acc_tot);
-          sw_flow_keys = agg.Fbsr_fbs.Engine.flow_key_computations;
+          sw_flow_keys = Fbsr_util.Metrics.get tx "fbs.engine.flow_key_computations";
           miss_series;
         })
       cadences

@@ -5,7 +5,9 @@
    produces opaque byte strings plus the attributes the FAM policy needs,
    and assumes only an insecure datagram transport underneath.  The IP
    mapping in [Fbsr_fbs_ip] embeds its output between the IPv4 header and
-   the transport payload; tests drive it directly.
+   the transport payload; tests drive it directly.  There is one send path
+   and one receive path; an optional cross-flow batch only decides where
+   the body transform runs.
 
    One pseudo-code ambiguity resolved: Figure 4 computes the MAC over
    P.body *before* encryption on the send side (S6 precedes S8-9) but shows
@@ -81,10 +83,11 @@ type counters = Armor.counters = {
      suites and evict together but miss independently. *)
   mutable mac_midstate_hits : int;
   mutable mac_midstate_misses : int;
-  (* Receive-batch accounting: [rx_batch_deferred] counts receives whose
-     body open was parked in a Batch_rx queue (the scalar prologue ran at
-     enqueue; decrypt and MAC verify at flush); [rx_batch_flushes] counts
-     kernel flushes.  Both stay 0 on the scalar receive path. *)
+  (* Open-lane accounting: [rx_batch_deferred] counts receives whose body
+     open was parked in a batch's open lane (the prologue ran at enqueue;
+     decrypt and MAC verify at flush); [rx_batch_flushes] counts flushes
+     that found the open lane non-empty.  Seal-lane work counts in
+     neither; both stay 0 on the inline receive path. *)
   mutable rx_batch_deferred : int;
   mutable rx_batch_flushes : int;
 }
@@ -383,31 +386,190 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
               ~master:(Keying.last_resolution t.keying);
             k (Ok entry))
 
-(* Steps S4-S10 of Figure 4, given the flow key: confounder, timestamp,
-   MAC, optional encryption, header insertion.  Exposed so the Section 7.2
-   combined FST+TFKC fast path can supply (sfl, flow key) from its own
-   table and skip the separate FAM and TFKC lookups.
+(* Cross-flow batching — the feed for the bitsliced DES kernel: a queue
+   bound to one engine, with a lane per direction.  CBC serializes blocks
+   {e within} a flow but not {e across} flows, and CBC decryption has no
+   cross-block dependency at all, so a secret datagram whose armor has a
+   batched kernel parks its body transform here: the seal lane holds fully
+   assembled wires whose encryption is pending, the open lane holds
+   frames that passed the receive prologue and whose decryption (and
+   hence MAC verify) is pending.  [flush] runs each lane's jobs in
+   lockstep and only then completes the datagrams, in enqueue order, so
+   a caller never observes a half-sealed or half-opened datagram.
+   Everything else seals and opens inline, on the very same call. *)
+module Batch = struct
+  type engine = t
+
+  (* A parked datagram: its pending kernel job, and what finishes it once
+     the job has run — the deferred seal span and the sender's
+     continuation on the seal lane; MAC verify and the verdict on the
+     open lane. *)
+  type pending = { job : Armor.job; enqueued_at : float; complete : unit -> unit }
+
+  type t = {
+    engine : engine;
+    threshold : int;
+    capacity : int;
+    linger : float;
+    run_seal : threshold:int -> Armor.job array -> int * int;
+    run_open : threshold:int -> Armor.job array -> int * int;
+    seals : pending Queue.t;
+    opens : pending Queue.t;
+    mutable on_park : unit -> unit;
+        (* fires on every enqueue that leaves the datagram parked (no
+           capacity flush) — including late enqueues from a resumed keying
+           continuation, which the caller cannot observe synchronously *)
+  }
+
+  (* Only reached for an empty lane: jobs enqueue through the armor's ops. *)
+  let no_kernel ~threshold:_ (_ : Armor.job array) = (0, 0)
+
+  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
+      ?(linger = 0.001) (engine : engine) =
+    if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
+    if linger < 0. then invalid_arg "Engine.Batch.create: negative linger";
+    let module A = (val engine.armor : Armor.S) in
+    {
+      engine;
+      threshold;
+      capacity;
+      linger;
+      run_seal = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
+      run_open =
+        (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_kernel);
+      seals = Queue.create ();
+      opens = Queue.create ();
+      on_park = ignore;
+    }
+
+  let set_on_park b f = b.on_park <- f
+
+  (* A batch runs its own engine's armor kernels and counts on its own
+     engine: refuse one handed to another engine. *)
+  let check_owner t = function
+    | Some b when b.engine != t -> invalid_arg "Engine: batch bound to another engine"
+    | _ -> ()
+
+  let pending b = Queue.length b.seals + Queue.length b.opens
+
+  (* Run every job of one lane (bitsliced when at least [threshold] jobs
+     share a kernel group, per-datagram otherwise), then complete the
+     datagrams in enqueue order.  Returns the kernel's
+     (bitsliced_blocks, scalar_blocks) split. *)
+  let drain b q run =
+    if Queue.is_empty q then (0, 0)
+    else begin
+      (* Explicit drain: [Array.init]'s evaluation order is unspecified,
+         and delivery order must be enqueue order. *)
+      let ps = Array.make (Queue.length q) (Queue.peek q) in
+      for i = 0 to Array.length ps - 1 do
+        ps.(i) <- Queue.pop q
+      done;
+      let counts = run ~threshold:b.threshold (Array.map (fun p -> p.job) ps) in
+      Array.iter (fun p -> p.complete ()) ps;
+      counts
+    end
+
+  let flush b =
+    let c = b.engine.counters in
+    if not (Queue.is_empty b.opens) then
+      c.rx_batch_flushes <- c.rx_batch_flushes + 1;
+    let bs, ss = drain b b.seals b.run_seal in
+    let bo, so = drain b b.opens b.run_open in
+    (bs + bo, ss + so)
+
+  let oldest q =
+    match Queue.peek_opt q with Some p -> p.enqueued_at | None -> Float.infinity
+
+  (* Time-based flush: a partial batch older than [linger] stops waiting
+     for lanes and ships.  Call from the event loop / timer wheel. *)
+  let tick b ~now =
+    if now -. Float.min (oldest b.seals) (oldest b.opens) >= b.linger then
+      Some (flush b)
+    else None
+
+  (* Park a datagram in lane [q]: flush when the lane fills, else tell the
+     owner.  When the keying layer suspended, this runs in the resumed
+     continuation's event, after the caller's synchronous code — without
+     the hook nothing would arm a linger flush and the datagram could
+     park forever. *)
+  let enqueue b q p =
+    Queue.add p q;
+    if Queue.length q >= b.capacity then ignore (flush b : int * int)
+    else b.on_park ()
+end
+
+(* What a seal does beyond writing the payload: whether the body is
+   secret, the batch its transform may park in, and a caller-drawn
+   confounder.  The send path carries this as one value across the
+   keying step, and the two inline plans are shared constants, so an
+   unbatched send captures and allocates no more than a bare [secret]
+   flag would. *)
+type seal_plan = { secret : bool; batch : Batch.t option; confounder : int option }
+
+let plain = { secret = false; batch = None; confounder = None }
+let secret_inline = { plain with secret = true }
+
+let seal_plan ?batch ?confounder secret =
+  match (batch, confounder) with
+  | None, None -> if secret then secret_inline else plain
+  | _ -> { secret; batch; confounder }
+
+(* The ["engine.seal"] span's detail: wire size, secrecy, and the
+   key-schedule and MAC-midstate cache deltas since the seal began (the
+   counters were [ksh0] ... at entry), for cost attribution. *)
+let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
+  let c = t.counters in
+  let deltas =
+    [
+      ("keysched_hits", Fbsr_util.Json.Int (c.keysched_hits - ksh0));
+      ("keysched_misses", Fbsr_util.Json.Int (c.keysched_misses - ksm0));
+      ("macmid_hits", Fbsr_util.Json.Int (c.mac_midstate_hits - mmh0));
+      ("macmid_misses", Fbsr_util.Json.Int (c.mac_midstate_misses - mmm0));
+    ]
+  in
+  ("bytes", Fbsr_util.Json.Int (String.length wire))
+  :: ("secret", Fbsr_util.Json.Bool secret)
+  :: (if batched then ("batched", Fbsr_util.Json.Bool true) :: deltas else deltas)
+
+(* Steps S4-S10 of Figure 4, given the flow entry: confounder, timestamp,
+   MAC, optional encryption, header insertion.  Returns the wire when the
+   seal completed inline.  A datagram that parks in the plan's batch
+   returns [""] instead (a sealed wire is never empty: it carries at
+   least the fixed header) and its wire goes to [k] from the flush; [k]
+   is not called on the inline return, so the direct [seal] path pays
+   for no continuation.
 
    Zero-copy assembly: the wire size is known up front (fixed header +
    suite MAC length + armor body length), so header, MAC and body are
    written into one exact-capacity buffer which [finalize] steals — one
    allocation per sealed datagram.  Everything algorithm-specific — MAC
    construction, body sizing, the body transform itself — is the armor's
-   business; the engine only assembles. *)
-let seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload =
+   business; the engine only assembles.
+
+   With a [batch], a secret datagram whose armor has a batch kernel
+   leaves its body to the seal lane: the armor reserves the body region
+   and returns the pending job that will fill it (accounting the
+   encryption as the inline path would).  The wire is finalized with the
+   region still unwritten and ALIASES the job's destination buffer
+   ([finalize] shares storage at exact capacity), so the ciphertext lands
+   in the already-issued string when the lane runs — which is why the
+   continuation only fires from the flush.  The seal span finishes there
+   too, covering queue residence: the real seal latency under batching.
+
+   A plan's [confounder] overrides the engine's generator: the sharded
+   dispatcher pre-draws confounders in input order so the wire bytes are
+   independent of the shard count. *)
+let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
+    (k : (string, error) result -> unit) : string =
   let module A = (val t.armor : Armor.S) in
   let stm =
     if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
     else None
   in
-  (* Key-schedule and MAC-midstate cache deltas over this seal, for span
-     cost attribution. *)
   let ksh0 = t.counters.keysched_hits and ksm0 = t.counters.keysched_misses in
   let mmh0 = t.counters.mac_midstate_hits
   and mmm0 = t.counters.mac_midstate_misses in
-  (* The sharded dispatcher pre-draws confounders in input order so the
-     wire bytes are independent of the shard count; a lone engine draws
-     from its own generator as before. *)
   let confounder =
     match confounder with
     | Some c -> c
@@ -435,26 +597,50 @@ let seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload =
   (* Writing the MAC through [substring] also performs the suite's
      truncation (Section 5.3) without an intermediate string. *)
   Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
-  A.seal_body t.actx entry ~secret ~confounder ~payload w;
-  let wire = Fbsr_util.Byte_writer.finalize w in
-  (match stm with
-  | Some tm ->
-      Fbsr_util.Span.finish t.spans tm "engine.seal"
-        ~detail:
-          [
-            ("bytes", Fbsr_util.Json.Int (String.length wire));
-            ("secret", Fbsr_util.Json.Bool secret);
-            ( "keysched_hits",
-              Fbsr_util.Json.Int (t.counters.keysched_hits - ksh0) );
-            ( "keysched_misses",
-              Fbsr_util.Json.Int (t.counters.keysched_misses - ksm0) );
-            ( "macmid_hits",
-              Fbsr_util.Json.Int (t.counters.mac_midstate_hits - mmh0) );
-            ( "macmid_misses",
-              Fbsr_util.Json.Int (t.counters.mac_midstate_misses - mmm0) );
-          ]
-  | None -> ());
-  wire
+  match (batch, A.batch) with
+  | Some b, Some ops when secret ->
+      let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
+      let wire = Fbsr_util.Byte_writer.finalize w in
+      (* The flush runs under another event's ambient id: capture ours. *)
+      let id, detail =
+        match stm with
+        | Some _ ->
+            ( Fbsr_util.Span.current (),
+              seal_detail t ~batched:true ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 )
+        | None -> (0L, [])
+      in
+      Batch.enqueue b b.Batch.seals
+        {
+          Batch.job;
+          enqueued_at = now;
+          complete =
+            (fun () ->
+              match stm with
+              | Some tm ->
+                  Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
+                  Fbsr_util.Span.with_current id (fun () -> k (Ok wire))
+              | None -> k (Ok wire));
+        };
+      ""
+  | _ ->
+      A.seal_body t.actx entry ~secret ~confounder ~payload w;
+      let wire = Fbsr_util.Byte_writer.finalize w in
+      (match stm with
+      | Some tm ->
+          Fbsr_util.Span.finish t.spans tm "engine.seal"
+            ~detail:
+              (seal_detail t ~batched:false ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0)
+      | None -> ());
+      wire
+
+(* The continuation of a seal without a batch: never called. *)
+let no_flush (_ : (string, error) result) = ()
+
+(* [seal_entry] for a continuation-passing caller. *)
+let seal_then t plan ~now ~sfl ~entry ~payload k =
+  match seal_entry t plan ~now ~sfl ~entry ~payload k with
+  | "" -> ()
+  | wire -> k (Ok wire)
 
 (* Flow entry for a caller-supplied raw flow key (the combined-path
    [seal]/[send_sealed] API): a one-entry memo keyed on the flow key
@@ -468,8 +654,12 @@ let entry_of_flow_key t flow_key =
       t.seal_memo <- Some e;
       e
 
+(* Exposed so the Section 7.2 combined FST+TFKC fast path can supply
+   (sfl, flow key) from its own table and skip the separate FAM and TFKC
+   lookups.  Without a batch the seal completes inline. *)
 let seal t ~now ~sfl ~flow_key ~secret ~payload =
-  seal_entry t ~now ~sfl ~entry:(entry_of_flow_key t flow_key) ~secret ~payload
+  seal_entry t (seal_plan secret) ~now ~sfl ~entry:(entry_of_flow_key t flow_key)
+    ~payload no_flush
 
 (* Derive the flow key outside the TFKC path — used by the combined fast
    path on a table miss. *)
@@ -480,45 +670,24 @@ let derive_flow_key t ~sfl ~src ~dst (k : (string, error) result -> unit) =
         t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
         k (Ok (Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst)))
 
-(* FBSSend(), Figure 4 S1-S10 with the Figure 6 TFKC fast path.  [now] is
-   supplied by the caller (the datagram layer knows the time); the result
-   is the wire representation: FBS header followed by the (possibly
-   encrypted) body. *)
-let send t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
-  t.counters.sends <- t.counters.sends + 1;
-  (* Each datagram entering the send path opens a new trace: a fresh
-     64-bit id in the ambient sidecar context.  Everything downstream —
-     seal, link transit, the receiver's whole pipeline — attributes its
-     spans to this id.  [tm] also captures the id so continuations that
-     resume in a later scheduler event (certificate fetch in flight)
-     still record under it. *)
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
-  let sfl, decision = Fam.classify t.fam ~now attrs in
-  let src = attrs.Fam.src and dst = attrs.Fam.dst in
-  (match tm with
-  | Some (stm, id) ->
-      Fbsr_util.Span.finish t.spans stm ~id "fam.classify"
-        ~detail:
-          [
-            ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-            ( "decision",
-              Fbsr_util.Json.String
-                (if decision = Fam.Fresh then "fresh" else "established") );
-          ]
-  | None -> ());
-  if decision = Fam.Fresh && Fbsr_util.Trace.enabled t.trace then
-    Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.flow.setup"
-      [
-        ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-        ("src", Fbsr_util.Json.String (Principal.to_string src));
-        ("dst", Fbsr_util.Json.String (Principal.to_string dst));
-      ];
+(* Each datagram entering the send path opens a new trace: a fresh 64-bit
+   id in the ambient sidecar context.  Everything downstream — seal, link
+   transit, the receiver's whole pipeline — attributes its spans to this
+   id.  The timer also captures the id so continuations that resume in a
+   later scheduler event (certificate fetch in flight) still record under
+   it. *)
+let open_send_trace t =
+  if Fbsr_util.Span.enabled t.spans then begin
+    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
+    Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
+  end
+  else None
+
+(* FBSSend() from the TFKC lookup on (Figure 4 S3-S10 with the Figure 6
+   fast path), for a datagram whose flow is known and whose trace [tm]
+   is open. *)
+let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
+    (k : (string, error) result -> unit) =
   flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
     | Error e ->
         (* The datagram dies on the sender: terminal span here (the
@@ -536,203 +705,29 @@ let send t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
                transmit hook — the continuation may be running under a
                later event's ambient context. *)
             Fbsr_util.Span.with_current id (fun () ->
-                k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload)))
-        | None -> k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload))))
+                seal_then t plan ~now ~sfl ~entry ~payload k)
+        | None -> seal_then t plan ~now ~sfl ~entry ~payload k))
 
-(* [send] for a datagram whose flow is already classified: the sharded
-   dispatcher runs FAM once, up front, because the sfl *determines* the
-   owning shard — classification cannot move inside the shard without a
-   circularity.  Identical to [send] minus the classify span and the
-   flow-setup trace event (both belong to the dispatcher). *)
-let send_classified ?confounder t ~now ~sfl ~src ~dst ~secret ~payload
-    (k : (string, error) result -> unit) =
+(* [send] for a datagram already classified: the sharded dispatcher runs
+   FAM once, up front, because the sfl *determines* the owning shard —
+   classification cannot move inside the shard without a circularity.
+   The classify span and the flow-setup trace event belong to the
+   dispatcher. *)
+let send_classified ?batch ?confounder t ~now ~sfl ~src ~dst ~secret ~payload k =
+  Batch.check_owner t batch;
   t.counters.sends <- t.counters.sends + 1;
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Error e ->
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
-        | None -> ());
-        k (Error e)
-    | Ok entry -> (
-        match tm with
-        | Some (_, id) ->
-            Fbsr_util.Span.with_current id (fun () ->
-                k (Ok (seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload)))
-        | None ->
-            k (Ok (seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload))))
+  send_flow t (open_send_trace t)
+    (seal_plan ?batch ?confounder secret)
+    ~now ~sfl ~src ~dst ~payload k
 
-(* The combined-path sibling of [send]: counts the datagram but leaves flow
-   association and key lookup to the caller. *)
-let send_sealed t ~now ~sfl ~flow_key ~secret ~payload =
+(* FBSSend(), Figure 4 S1-S10: FAM classification, then [send_classified]'s
+   path.  [now] is supplied by the caller (the datagram layer knows the
+   time); the result is the wire representation: FBS header followed by
+   the (possibly encrypted) body. *)
+let send ?batch t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
+  Batch.check_owner t batch;
   t.counters.sends <- t.counters.sends + 1;
-  if Fbsr_util.Span.enabled t.spans then
-    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-  seal t ~now ~sfl ~flow_key ~secret ~payload
-
-(* The deferred-seal core for the cross-flow batch: steps S4-S10 minus
-   the body encryption, which comes back as a pending CBC job.  The wire
-   string is finalized with the body region still unwritten and ALIASES
-   the job's destination buffer ([Byte_writer.finalize] shares storage at
-   exact capacity), so when the batch later runs the job, the ciphertext
-   lands in the already-issued string.  Callers must not hand the wire
-   out before the job has run — [Batch] delivers continuations only
-   after its flush.  Only called for DES-CBC + secret + non-NOP.
-
-   The seal span timer (and the datagram's trace id) are captured here
-   but finished at flush, so the span covers queue residence — the real
-   seal latency under batching. *)
-let seal_entry_deferred t ~(ops : Armor.batch_ops) ~now ~sfl ~entry ~payload =
-  let module A = (val t.armor : Armor.S) in
-  let stm =
-    if Fbsr_util.Span.enabled t.spans then
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    else None
-  in
-  let ksh0 = t.counters.keysched_hits and ksm0 = t.counters.keysched_misses in
-  let mmh0 = t.counters.mac_midstate_hits
-  and mmm0 = t.counters.mac_midstate_misses in
-  let confounder = Fbsr_util.Lcg.next_u32 t.confounder_gen in
-  let timestamp = Replay.minutes_of_seconds now in
-  let payload_len = String.length payload in
-  if Flowstats.enabled t.flowstats then begin
-    let key = Sfl.to_int64 sfl in
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.datagrams key 1;
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.bytes key payload_len
-  end;
-  let mac =
-    A.seal_mac t.actx entry ~secret:true ~confounder ~timestamp
-      ~payload:(Fbsr_util.Slice.of_string payload)
-  in
-  let body_len = A.sealed_body_len ~secret:true payload_len in
-  let w =
-    Fbsr_util.Byte_writer.create
-      ~capacity:(Header.fixed_size + t.suite.Suite.mac_length + body_len)
-      ()
-  in
-  t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-  Header.encode_fields_into w ~sfl ~suite:t.suite ~secret:true ~confounder ~timestamp;
-  Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
-  (* The armor reserves the body region and returns the pending job that
-     will fill it (accounting the encryption as the inline path would). *)
-  let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
-  let wire = Fbsr_util.Byte_writer.finalize w in
-  let detail =
-    [
-      ("bytes", Fbsr_util.Json.Int (String.length wire));
-      ("secret", Fbsr_util.Json.Bool true);
-      ("batched", Fbsr_util.Json.Bool true);
-      ("keysched_hits", Fbsr_util.Json.Int (t.counters.keysched_hits - ksh0));
-      ( "keysched_misses",
-        Fbsr_util.Json.Int (t.counters.keysched_misses - ksm0) );
-      ("macmid_hits", Fbsr_util.Json.Int (t.counters.mac_midstate_hits - mmh0));
-      ( "macmid_misses",
-        Fbsr_util.Json.Int (t.counters.mac_midstate_misses - mmm0) );
-    ]
-  in
-  (wire, job, stm, detail)
-
-(* Cross-flow seal batching — the bitsliced-DES feed.  CBC serializes
-   blocks {e within} a flow but not {e across} flows, so DES-CBC secret
-   sends defer their body encryption: the datagram is fully assembled
-   (header, MAC, reserved body region) and its pending chain queued;
-   [flush] advances every queued chain in lockstep through
-   {!Fbsr_crypto.Des_bitslice} and only then hands each wire to its
-   continuation, so callers never observe a half-sealed datagram.
-   Sends the kernel cannot help (non-secret, NOP suite, other ciphers)
-   seal and deliver immediately with [send] semantics. *)
-module Batch = struct
-  type pending = {
-    job : Armor.job;
-    wire : string; (* aliases the job's destination; complete after flush *)
-    deliver : (string, error) result -> unit;
-    enqueued_at : float;
-    seal_tm : (Fbsr_util.Span.timer * int64) option;
-    seal_detail : (string * Fbsr_util.Json.t) list;
-  }
-
-  type batch = {
-    engine : t;
-    threshold : int;
-    capacity : int;
-    linger : float;
-    queue : pending Queue.t;
-  }
-
-  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      ?(linger = 0.001) engine =
-    if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
-    if linger < 0. then invalid_arg "Engine.Batch.create: negative linger";
-    { engine; threshold; capacity; linger; queue = Queue.create () }
-
-  let pending b = Queue.length b.queue
-
-  (* Run every queued chain (bitsliced when at least [threshold] jobs
-     share a kernel group, scalar otherwise), then deliver the completed
-     wires in enqueue order, each under its datagram's trace id.
-     Returns the kernel's (bitsliced_blocks, scalar_blocks) split. *)
-  let flush b =
-    if Queue.is_empty b.queue then (0, 0)
-    else begin
-      let t = b.engine in
-      let n = Queue.length b.queue in
-      (* Explicit drain: [Array.init]'s evaluation order is unspecified,
-         and delivery order must be enqueue order. *)
-      let ps = Array.make n (Queue.peek b.queue) in
-      for i = 0 to n - 1 do
-        ps.(i) <- Queue.pop b.queue
-      done;
-      let counts =
-        let module A = (val t.armor : Armor.S) in
-        match A.batch with
-        | Some ops -> ops.Armor.run ~threshold:b.threshold (Array.map (fun p -> p.job) ps)
-        | None -> assert false (* jobs only enqueue through the armor's ops *)
-      in
-      Array.iter
-        (fun p ->
-          match p.seal_tm with
-          | Some (tm, id) ->
-              Fbsr_util.Span.finish t.spans tm ~id "engine.seal"
-                ~detail:p.seal_detail;
-              Fbsr_util.Span.with_current id (fun () -> p.deliver (Ok p.wire))
-          | None -> p.deliver (Ok p.wire))
-        ps;
-      counts
-    end
-
-  (* Time-based flush: a partial batch older than [linger] stops waiting
-     for lanes and ships.  Call from the event loop / timer wheel. *)
-  let tick b ~now =
-    match Queue.peek_opt b.queue with
-    | Some p when now -. p.enqueued_at >= b.linger -> Some (flush b)
-    | _ -> None
-end
-
-(* [send] with the body encryption routed through a batch.  Semantics
-   match [send] except that for deferrable datagrams (secret, non-NOP,
-   DES-CBC) the continuation fires from [Batch.flush] — immediately
-   below when the enqueue fills the batch, else at a later [flush]/
-   [tick].  Everything else — counters, spans, trace events, the TFKC
-   path — is identical, datagram for datagram. *)
-let send_batched (b : Batch.batch) ~now ~attrs ~secret ~payload
-    (k : (string, error) result -> unit) =
-  let t = b.Batch.engine in
-  t.counters.sends <- t.counters.sends + 1;
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
+  let tm = open_send_trace t in
   let sfl, decision = Fam.classify t.fam ~now attrs in
   let src = attrs.Fam.src and dst = attrs.Fam.dst in
   (match tm with
@@ -753,57 +748,21 @@ let send_batched (b : Batch.batch) ~now ~attrs ~secret ~payload
         ("src", Fbsr_util.Json.String (Principal.to_string src));
         ("dst", Fbsr_util.Json.String (Principal.to_string dst));
       ];
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Error e ->
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
-        | None -> ());
-        k (Error e)
-    | Ok entry ->
-        let deferrable =
-          let module A = (val t.armor : Armor.S) in
-          if secret then A.batch else None
-        in
-        let run () =
-          match deferrable with
-          | None -> k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload))
-          | Some ops ->
-            let wire, job, seal_tm, seal_detail =
-              seal_entry_deferred t ~ops ~now ~sfl ~entry ~payload
-            in
-            Queue.add
-              {
-                Batch.job;
-                wire;
-                deliver = k;
-                enqueued_at = now;
-                seal_tm;
-                seal_detail;
-              }
-              b.Batch.queue;
-            if Queue.length b.Batch.queue >= b.Batch.capacity then
-              ignore (Batch.flush b)
-        in
-        (match tm with
-        | Some (_, id) -> Fbsr_util.Span.with_current id run
-        | None -> run ()))
+  send_flow t tm (seal_plan ?batch secret) ~now ~sfl ~src ~dst ~payload k
+
+(* The combined-path sibling of [send]: counts the datagram but leaves flow
+   association and key lookup to the caller. *)
+let send_sealed t ~now ~sfl ~flow_key ~secret ~payload =
+  t.counters.sends <- t.counters.sends + 1;
+  if Fbsr_util.Span.enabled t.spans then
+    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
+  seal t ~now ~sfl ~flow_key ~secret ~payload
 
 type accepted = {
   header : Header.t;
   payload : string; (* plaintext body *)
   peer : Principal.t;
 }
-
-(* Decrypt a body slice into a fresh exact-size plaintext string (the one
-   allocation a received secret datagram needs) — the armor's
-   [open_body], with its unit error mapped to the engine's. *)
-let decrypt_body_slice t ~entry ~confounder ~(body : Fbsr_util.Slice.t) =
-  let module A = (val t.armor : Armor.S) in
-  match A.open_body t.actx entry ~confounder ~body with
-  | Ok plaintext -> Ok plaintext
-  | Error () -> Error Decrypt_error
 
 (* Terminal span of the receive pipeline: exactly one per received
    datagram, carrying the verdict — "delivered" or "drop:<cause>", the
@@ -816,12 +775,12 @@ let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
   | Some (stm, id) ->
       Fbsr_util.Span.finish t.spans stm ~id ~outcome "engine.receive"
 
-(* The scalar receive prologue — header decode, suite enforcement, replay
-   check (Figure 4 R1-R5) — shared verbatim by the inline and batched
-   receive paths, so a frame is accepted or refused at the same stage
-   with the same counters, traces and spans on both.  An [Error] has
-   already been fully accounted (counter, flow-drop attribution, trace
-   event, terminal span); the caller just delivers it. *)
+(* The receive prologue — header decode, suite enforcement, replay check
+   (Figure 4 R1-R5).  It always runs at arrival, in arrival order, so
+   replay registration and every early refusal are the same whether or
+   not the body open is later deferred.  An [Error] has already been
+   fully accounted (counter, flow-drop attribution, trace event, terminal
+   span); the caller just delivers it. *)
 let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
   | Error e ->
@@ -893,216 +852,107 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
             Error Duplicate
         | Replay.Fresh -> Ok v)
 
-(* R6-R12 once the flow entry is in hand: decrypt (inline), verify the
-   MAC, deliver — the tail of the scalar path, also the fallback of the
-   batched path for frames whose open cannot be deferred. *)
-let finish_scalar t ~now ~src ~(v : Header.view) ~entry tm
-    (k : (accepted, error) result -> unit) =
-  (* [plaintext] borrows either the wire buffer (non-secret / NOP) or
-     the decrypted string; [materialize] copies it out only on
-     acceptance. *)
+(* R7-R12 over the opened body: verify the MAC, deliver.  [plaintext]
+   borrows either the wire buffer (non-secret / NOP) or the decrypted
+   string; [materialize] copies it out only on acceptance. *)
+let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
+    (k : (accepted, error) result -> unit) (plaintext : Fbsr_util.Slice.t)
+    materialize =
   let module A = (val t.armor : Armor.S) in
-  let finish (plaintext : Fbsr_util.Slice.t) materialize =
-    if
-      A.verify_mac t.actx entry ~secret:v.Header.v_secret
-        ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-        ~payload:plaintext ~expected:v.Header.v_mac
-    then begin
-      t.counters.accepted <- t.counters.accepted + 1;
-      track_inbound t ~now ~sfl:v.Header.v_sfl ~peer:src
-        ~bytes:(Fbsr_util.Slice.length plaintext);
-      conclude_receive t tm "delivered";
-      let accepted =
-        Ok { header = Header.to_header v; payload = materialize (); peer = src }
-      in
-      match tm with
-      | Some (_, id) ->
-          (* Deliver under the datagram's id even when the keying
-             continuation resumed in a later event; an acknowledgement
-             sent from the handler opens its own trace and this scope
-             restores ours. *)
-          Fbsr_util.Span.with_current id (fun () -> k accepted)
-      | None -> k accepted
-    end
-    else begin
-      t.counters.errors_mac <- t.counters.errors_mac + 1;
-      note_flow_drop t v.Header.v_sfl;
-      conclude_receive t tm "drop:mac";
-      k (Error Bad_mac)
-    end
-  in
+  if
+    A.verify_mac t.actx entry ~secret:v.Header.v_secret
+      ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
+      ~payload:plaintext ~expected:v.Header.v_mac
+  then begin
+    t.counters.accepted <- t.counters.accepted + 1;
+    track_inbound t ~now ~sfl:v.Header.v_sfl ~peer:src
+      ~bytes:(Fbsr_util.Slice.length plaintext);
+    conclude_receive t tm "delivered";
+    let accepted =
+      Ok { header = Header.to_header v; payload = materialize (); peer = src }
+    in
+    match tm with
+    | Some (_, id) ->
+        (* Deliver under the datagram's id even when the keying
+           continuation resumed in a later event (or the batch flushed
+           in one); an acknowledgement sent from the handler opens its
+           own trace and this scope restores ours. *)
+        Fbsr_util.Span.with_current id (fun () -> k accepted)
+    | None -> k accepted
+  end
+  else begin
+    t.counters.errors_mac <- t.counters.errors_mac + 1;
+    note_flow_drop t v.Header.v_sfl;
+    conclude_receive t tm "drop:mac";
+    k (Error Bad_mac)
+  end
+
+let refuse_decrypt t ~(v : Header.view) tm (k : (accepted, error) result -> unit) =
+  t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
+  note_flow_drop t v.Header.v_sfl;
+  conclude_receive t tm "drop:decrypt";
+  k (Error Decrypt_error)
+
+(* R6-R12 once the flow entry is in hand: open the body, verify, deliver.
+   With a [batch], a secret body whose armor has a batched decrypt kernel
+   is opened in the batch's open lane instead: the armor validates the
+   ciphertext now (a frame it refuses — bad length, corrupt padding — is
+   refused here, at the same stage as inline) and returns the pending job
+   plus the plaintext string it will fill, allocated now so the datagram
+   still pays exactly one allocation.  That string is write-once-at-flush
+   and the wire is borrowed until then: nothing reads either before the
+   lane has run. *)
+let open_entry ?batch t ~now ~src ~(v : Header.view) ~entry tm
+    (k : (accepted, error) result -> unit) =
+  let module A = (val t.armor : Armor.S) in
   let body = v.Header.v_body in
-  if v.Header.v_secret && A.encrypts then
-    match decrypt_body_slice t ~entry ~confounder:v.Header.v_confounder ~body with
-    | Ok plaintext ->
-        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-        (* Already a fresh exact-size string: hand it out as-is, no
-           further copy. *)
-        finish (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)
-    | Error e ->
-        t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
-        note_flow_drop t v.Header.v_sfl;
-        conclude_receive t tm "drop:decrypt";
-        k (Error e)
-  else
+  let confounder = v.Header.v_confounder in
+  if not (v.Header.v_secret && A.encrypts) then
     (* Plaintext body stays in the wire buffer until the datagram is
        accepted; only then is it copied out (the slice must not outlive
        the wire buffer). *)
-    finish body (fun () ->
+    verify_and_deliver t ~now ~src ~v ~entry tm k body (fun () ->
         t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
         t.counters.bytes_copied <-
           t.counters.bytes_copied + Fbsr_util.Slice.length body;
         Fbsr_util.Slice.to_string body)
+  else
+    match (batch, A.batch_rx) with
+    | Some b, Some ops -> (
+        match ops.Armor.defer_open t.actx entry ~confounder ~body with
+        | Error () -> refuse_decrypt t ~v tm k
+        | Ok (job, plaintext) ->
+            t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
+            t.counters.rx_batch_deferred <- t.counters.rx_batch_deferred + 1;
+            Batch.enqueue b b.Batch.opens
+              {
+                Batch.job;
+                enqueued_at = now;
+                complete =
+                  (fun () ->
+                    verify_and_deliver t ~now ~src ~v ~entry tm k
+                      (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext));
+              })
+    | _ -> (
+        match A.open_body t.actx entry ~confounder ~body with
+        | Ok plaintext ->
+            t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
+            (* Already a fresh exact-size string: hand it out as-is, no
+               further copy. *)
+            verify_and_deliver t ~now ~src ~v ~entry tm k
+              (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)
+        | Error () -> refuse_decrypt t ~v tm k)
 
-(* FBSReceive(), Figure 4 R1-R12 with the RFKC fast path.  The wire is a
-   borrowed slice: the header is parsed as a view, the MAC is verified
-   against the wire bytes in place, and only an accepted datagram
-   materializes a header record and payload string. *)
-let receive_slice t ~now ~src ~(wire : Fbsr_util.Slice.t)
-    (k : (accepted, error) result -> unit) =
+(* FBSReceive(), Figure 4 R1-R12 with the RFKC fast path.  The header is
+   parsed as a view of the wire, the MAC is verified against the wire
+   bytes in place, and only an accepted datagram materializes a header
+   record and payload string. *)
+let receive ?batch t ~now ~src ~wire (k : (accepted, error) result -> unit) =
+  Batch.check_owner t batch;
   t.counters.receives <- t.counters.receives + 1;
   (* The ambient id was restored by the delivery path (netsim) from the
      sender's transmit-time capture — this is where the receive-side
      chain joins the sender's trace. *)
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    else None
-  in
-  match receive_prologue t ~now tm ~wire with
-  | Error e -> k (Error e)
-  | Ok v ->
-      let dst = local t in
-      flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst (function
-        | Error e ->
-            t.counters.errors_keying <- t.counters.errors_keying + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:keying";
-            k (Error e)
-        | Ok entry -> finish_scalar t ~now ~src ~v ~entry tm k)
-
-let receive t ~now ~src ~wire (k : (accepted, error) result -> unit) =
-  receive_slice t ~now ~src ~wire:(Fbsr_util.Slice.of_string wire) k
-
-(* Cross-flow receive batching — the decrypt-side mirror of [Batch].
-   The scalar prologue (header decode, suite check, replay check, RFKC
-   probe) runs at enqueue, in arrival order — so replay registration,
-   drop counters and every early-refusal verdict are identical to the
-   scalar path, frame for frame.  Only the body open and the MAC verify
-   are deferred: [flush] runs one bitsliced decrypt pass over all queued
-   frames, then verifies and delivers in enqueue order, so per-flow
-   delivery order is preserved and a caller never observes a
-   half-opened datagram. *)
-module Batch_rx = struct
-  type pending = {
-    job : Armor.job;
-    entry : flow_entry;
-    header : Header.t; (* materialized at enqueue; the wire is borrowed *)
-    expected_mac : Fbsr_util.Slice.t; (* borrows the wire until flush *)
-    plaintext : string; (* aliases the job's output; complete after flush *)
-    peer : Principal.t;
-    deliver : (accepted, error) result -> unit;
-    enqueued_at : float;
-    tm : (Fbsr_util.Span.timer * int64) option;
-  }
-
-  type batch = {
-    engine : t;
-    threshold : int;
-    capacity : int;
-    linger : float;
-    queue : pending Queue.t;
-    mutable on_park : (unit -> unit) option;
-        (* fires on every enqueue that leaves the frame parked (no
-           capacity flush) — including late enqueues from a resumed
-           keying continuation, which the caller of [receive_batched]
-           cannot observe synchronously *)
-  }
-
-  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      ?(linger = 0.001) engine =
-    if capacity < 1 then invalid_arg "Engine.Batch_rx.create: capacity < 1";
-    if linger < 0. then invalid_arg "Engine.Batch_rx.create: negative linger";
-    { engine; threshold; capacity; linger; queue = Queue.create (); on_park = None }
-
-  let set_on_park b f = b.on_park <- Some f
-  let pending b = Queue.length b.queue
-
-  (* Run every queued open (bitsliced when at least [threshold] jobs
-     share a kernel group), then verify each frame's MAC over its now-
-     complete plaintext and deliver verdicts in enqueue order, each
-     under its datagram's trace id.  Returns the kernel's
-     (bitsliced_blocks, scalar_blocks) split. *)
-  let flush b =
-    if Queue.is_empty b.queue then (0, 0)
-    else begin
-      let t = b.engine in
-      let n = Queue.length b.queue in
-      let ps = Array.make n (Queue.peek b.queue) in
-      for i = 0 to n - 1 do
-        ps.(i) <- Queue.pop b.queue
-      done;
-      t.counters.rx_batch_flushes <- t.counters.rx_batch_flushes + 1;
-      let counts =
-        let module A = (val t.armor : Armor.S) in
-        match A.batch_rx with
-        | Some ops ->
-            ops.Armor.run_rx ~threshold:b.threshold
-              (Array.map (fun p -> p.job) ps)
-        | None -> assert false (* jobs only enqueue through the armor's ops *)
-      in
-      let module A = (val t.armor : Armor.S) in
-      Array.iter
-        (fun p ->
-          let h = p.header in
-          let fin () =
-            if
-              A.verify_mac t.actx p.entry ~secret:h.Header.secret
-                ~confounder:h.Header.confounder ~timestamp:h.Header.timestamp
-                ~payload:(Fbsr_util.Slice.of_string p.plaintext)
-                ~expected:p.expected_mac
-            then begin
-              t.counters.accepted <- t.counters.accepted + 1;
-              track_inbound t ~now:p.enqueued_at ~sfl:h.Header.sfl ~peer:p.peer
-                ~bytes:(String.length p.plaintext);
-              conclude_receive t p.tm "delivered";
-              p.deliver (Ok { header = h; payload = p.plaintext; peer = p.peer })
-            end
-            else begin
-              t.counters.errors_mac <- t.counters.errors_mac + 1;
-              note_flow_drop t h.Header.sfl;
-              conclude_receive t p.tm "drop:mac";
-              p.deliver (Error Bad_mac)
-            end
-          in
-          match p.tm with
-          | Some (_, id) -> Fbsr_util.Span.with_current id fin
-          | None -> fin ())
-        ps;
-      counts
-    end
-
-  (* Time-based flush: a partial batch older than [linger] stops waiting
-     for lanes and ships.  Call from the event loop / timer wheel. *)
-  let tick b ~now =
-    match Queue.peek_opt b.queue with
-    | Some p when now -. p.enqueued_at >= b.linger -> Some (flush b)
-    | _ -> None
-end
-
-(* [receive] with the body open routed through a batch.  Semantics match
-   [receive] except that for deferrable frames (secret, encrypting
-   armor with a batched decrypt kernel) the continuation fires from
-   [Batch_rx.flush] — immediately below when the enqueue fills the
-   batch, else at a later [flush]/[tick].  The wire string is borrowed
-   by the pending job until that flush.  Every prologue refusal
-   (header, suite, replay, keying) and every frame the kernel cannot
-   help (non-secret, NOP suite, other ciphers, corrupt padding)
-   resolves inline with [receive] semantics, counter for counter. *)
-let receive_batched (b : Batch_rx.batch) ~now ~src ~(wire : string)
-    (k : (accepted, error) result -> unit) =
-  let t = b.Batch_rx.engine in
-  t.counters.receives <- t.counters.receives + 1;
   let tm =
     if Fbsr_util.Span.enabled t.spans then
       Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
@@ -1118,56 +968,7 @@ let receive_batched (b : Batch_rx.batch) ~now ~src ~(wire : string)
             note_flow_drop t v.Header.v_sfl;
             conclude_receive t tm "drop:keying";
             k (Error e)
-        | Ok entry -> (
-            let module A = (val t.armor : Armor.S) in
-            let deferrable =
-              if v.Header.v_secret && A.encrypts then A.batch_rx else None
-            in
-            match deferrable with
-            | None -> finish_scalar t ~now ~src ~v ~entry tm k
-            | Some ops -> (
-                match
-                  ops.Armor.defer_open t.actx entry
-                    ~confounder:v.Header.v_confounder ~body:v.Header.v_body
-                with
-                | Error () ->
-                    (* Rejected at the same stage, with the same verdict,
-                       as the inline open would have rejected it. *)
-                    t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
-                    note_flow_drop t v.Header.v_sfl;
-                    conclude_receive t tm "drop:decrypt";
-                    k (Error Decrypt_error)
-                | Ok (job, plaintext) ->
-                    t.counters.datapath_allocs <-
-                      t.counters.datapath_allocs + 1;
-                    t.counters.rx_batch_deferred <-
-                      t.counters.rx_batch_deferred + 1;
-                    Queue.add
-                      {
-                        Batch_rx.job;
-                        entry;
-                        header = Header.to_header v;
-                        expected_mac = v.Header.v_mac;
-                        plaintext;
-                        peer = src;
-                        deliver = k;
-                        enqueued_at = now;
-                        tm;
-                      }
-                      b.Batch_rx.queue;
-                    if Queue.length b.Batch_rx.queue >= b.Batch_rx.capacity
-                    then ignore (Batch_rx.flush b)
-                    else
-                      (* The frame stays parked.  Notify here — at actual
-                         enqueue time — rather than leaving the caller to
-                         infer a park from [pending], because when the
-                         keying layer suspended above, this enqueue runs
-                         in a later event, after the caller's synchronous
-                         check: without the hook nothing would arm a
-                         linger flush and the frame could park forever. *)
-                      match b.Batch_rx.on_park with
-                      | Some f -> f ()
-                      | None -> ())))
+        | Ok entry -> open_entry ?batch t ~now ~src ~v ~entry tm k)
 
 (* Synchronous conveniences for callers whose resolver completes inline. *)
 

@@ -58,11 +58,12 @@ type counters = Armor.counters = {
           recomputation after eviction. *)
   mutable rx_batch_deferred : int;
       (** Received datagrams whose body open was deferred into a
-          {!Batch_rx} queue (each still pays its one plaintext
-          allocation, counted in [datapath_allocs] at enqueue). *)
+          {!Batch}'s open lane (each still pays its one plaintext
+          allocation, counted in [datapath_allocs] at enqueue).  Seal-lane
+          work is not counted. *)
   mutable rx_batch_flushes : int;
-      (** Non-empty {!Batch_rx.flush} passes (one bitsliced kernel sweep
-          each). *)
+      (** {!Batch.flush} passes that found the open lane non-empty (one
+          bitsliced decrypt sweep each). *)
 }
 
 val drops_by_cause : counters -> (string * int) list
@@ -99,7 +100,7 @@ val create :
     {!send} opens a fresh trace id in the {!Fbsr_util.Span} sidecar
     context and records ["fam.classify"], ["keying.derive"] (with
     TFKC/RFKC hit-or-miss and MKC/PVC/fetch attribution) and
-    ["engine.seal"]; each {!receive_slice} records ["replay.check"] and a
+    ["engine.seal"]; each {!receive} records ["replay.check"] and a
     terminal ["engine.receive"] span whose outcome is ["delivered"] or
     ["drop:<cause>"] with causes mirroring {!drops_by_cause} (a send-side
     keying failure terminates as ["engine.send"]/["drop:keying"]).  With
@@ -148,7 +149,86 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     Pass [Metrics.sub m "host.<addr>"] for a per-host view; registering
     several engines on one registry sums them. *)
 
+(** Cross-flow batching: the feed for the bitsliced DES kernel, one queue
+    with two lanes.
+
+    CBC serializes cipher blocks within a flow but not across flows, and
+    CBC decryption has no cross-block dependency at all.  So when a
+    {!send} or {!receive} is given a batch, a {e secret} datagram whose
+    armor has a batched kernel (the DES-CBC suites) parks its body
+    transform here instead of running it inline:
+    - the {b seal lane} holds fully assembled wires (header, MAC,
+      reserved body region) whose encryption is pending;
+    - the {b open lane} holds frames that passed the receive prologue —
+      header decode, suite check, replay check (which registers the
+      frame) and the RFKC probe, all at arrival, in arrival order — and
+      whose decryption and MAC verify are pending.
+    Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, refusals,
+    ciphertexts rejected up front) resolves inline on the same call.
+
+    {!flush} runs each lane's jobs in lockstep through
+    {!Fbsr_crypto.Des_bitslice} and then completes the datagrams in
+    enqueue order, each under its own trace id — so per-flow order holds
+    and a caller never observes a half-sealed or half-opened datagram.
+    Wires, verdicts, payload bytes, counters (beyond the open lane's
+    [rx_batch_*] pair) and span terminals are identical to the inline
+    path, datagram for datagram; the deferred ["engine.seal"] and
+    ["engine.receive"] spans finish at the flush and so cover queue
+    residence.
+
+    The contract, for both lanes:
+    - ownership: a batch is bound to the engine it was created for, and
+      only that engine's {!send}/{!send_classified}/{!receive} may be
+      given it ([Invalid_argument] otherwise) — its kernels come from
+      that engine's armor and its counters are that engine's.
+    - [threshold] (default 24): minimum jobs per kernel group to take the
+      bitsliced path; smaller flushes run each job on the per-datagram
+      kernel (identical bytes).
+    - [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): an enqueue
+      that fills its lane flushes the batch before returning.
+    - [linger] (default 1 ms): {!tick} flushes a batch whose oldest
+      datagram has waited at least this long.
+    - park: an enqueue that does not flush runs the {!set_on_park} hook.
+      A datagram whose keying suspended (cold flow) enqueues {e later},
+      from the resumed continuation's event, after the {!send}/{!receive}
+      call has returned — so [pending] will not have grown when that call
+      returns, and a caller that arms its linger flush only on a
+      synchronous [pending] check would never flush such a datagram.
+      Arm it from the hook, which always runs in the event that
+      enqueued.
+    - A parked datagram's continuation fires only from a flush.  Until
+      then the queue borrows the receive wire, and a deferred plaintext
+      string (the one {!Armor.batch_rx_ops.defer_open} returned) is not
+      yet stable: its bytes are written by the kernel pass inside
+      {!flush}, so nothing may read, hash or compare it before. *)
+module Batch : sig
+  type engine := t
+
+  type t
+  (** A two-lane pending-transform queue bound to one engine. *)
+
+  val create : ?threshold:int -> ?capacity:int -> ?linger:float -> engine -> t
+
+  val set_on_park : t -> (unit -> unit) -> unit
+  (** Install the hook run after every enqueue that leaves a datagram
+      parked (replacing any previous one). *)
+
+  val pending : t -> int
+  (** Datagrams currently parked, both lanes. *)
+
+  val flush : t -> int * int
+  (** Run every parked job, seal lane first, and complete the datagrams
+      in enqueue order.  Returns the kernel's
+      [(bitsliced_blocks, scalar_blocks)] split, summed over the lanes —
+      [(0, 0)] when the queue was empty. *)
+
+  val tick : t -> now:float -> (int * int) option
+  (** Flush iff the oldest parked datagram has waited at least [linger];
+      [Some counts] when a flush ran.  Call from the event loop. *)
+end
+
 val send :
+  ?batch:Batch.t ->
   t ->
   now:float ->
   attrs:Fam.attrs ->
@@ -156,10 +236,14 @@ val send :
   payload:string ->
   ((string, error) result -> unit) ->
   unit
-(** Classify into a flow, derive/cache the flow key, MAC, optionally
-    encrypt; the continuation receives the wire bytes. *)
+(** FBSSend(): classify into a flow, then {!send_classified}'s path —
+    derive/cache the flow key, MAC, optionally encrypt; the continuation
+    receives the wire bytes.  With [batch], a deferrable datagram's
+    continuation fires from {!Batch.flush} (immediately when this enqueue
+    fills the lane, else at a later [flush]/[tick]). *)
 
 val send_classified :
+  ?batch:Batch.t ->
   ?confounder:int ->
   t ->
   now:float ->
@@ -173,10 +257,10 @@ val send_classified :
 (** {!send} for a datagram already classified by the caller's FAM — the
     sharded dispatcher's entry point ({!Sharded}), where the sfl must be
     known before a shard can be chosen.  Skips classification (and its
-    span/trace events); everything from the TFKC lookup on is identical
-    to {!send}.  [confounder] overrides the engine's own generator so a
-    dispatcher can draw confounders in input order, making sharded wire
-    output byte-identical to a single engine's. *)
+    span/trace events); everything from the TFKC lookup on is {!send}'s.
+    [confounder] overrides the engine's own generator, inline or
+    batched, so a dispatcher can draw confounders in input order, making
+    sharded wire output byte-identical to a single engine's. *)
 
 val seal :
   t -> now:float -> sfl:Sfl.t -> flow_key:string -> secret:bool -> payload:string ->
@@ -190,59 +274,6 @@ val send_sealed :
   string
 (** [seal] plus send accounting. *)
 
-(** Cross-flow seal batching: the feed for the bitsliced DES kernel.
-
-    CBC serializes cipher blocks within a flow but not across flows, so
-    secret DES-CBC sends through a batch defer their body encryption:
-    each datagram is fully assembled (header, MAC, reserved body region)
-    and its pending CBC chain queued; {!Batch.flush} advances all queued
-    chains in lockstep through {!Fbsr_crypto.Des_bitslice} and only then
-    fires the senders' continuations, so a caller never observes a
-    half-sealed datagram.  Results are byte-identical to the unbatched
-    {!send}, datagram for datagram. *)
-module Batch : sig
-  type batch
-  (** A pending-seal queue bound to one engine. *)
-
-  val create :
-    ?threshold:int -> ?capacity:int -> ?linger:float -> t -> batch
-  (** [threshold] (default 24): minimum jobs per kernel group to take
-      the bitsliced path; smaller flushes run scalar (identical bytes).
-      [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): enqueue
-      auto-flushes when the queue reaches this size.  [linger] (default
-      1 ms): {!tick} flushes a partial batch older than this. *)
-
-  val pending : batch -> int
-  (** Datagrams currently queued. *)
-
-  val flush : batch -> int * int
-  (** Run every queued chain and deliver the completed wires in enqueue
-      order (each under its datagram's captured trace id; the deferred
-      ["engine.seal"] span finishes here, covering queue residence).
-      Returns the kernel's [(bitsliced_blocks, scalar_blocks)] split —
-      [(0, 0)] when the queue was empty. *)
-
-  val tick : batch -> now:float -> (int * int) option
-  (** Flush iff the oldest queued datagram has waited at least [linger];
-      [Some counts] when a flush ran.  Call from the event loop. *)
-end
-
-val send_batched :
-  Batch.batch ->
-  now:float ->
-  attrs:Fam.attrs ->
-  secret:bool ->
-  payload:string ->
-  ((string, error) result -> unit) ->
-  unit
-(** {!send} with body encryption routed through the batch.  For
-    deferrable datagrams (secret, non-NOP suite, DES-CBC cipher) the
-    continuation fires from {!Batch.flush} — immediately when this
-    enqueue fills the batch, else at a later [flush]/[tick]; everything
-    else seals and delivers inline with {!send} semantics.  Counters,
-    spans and trace events match {!send} datagram for datagram (the
-    encryption is counted at enqueue; the seal span finishes at flush). *)
-
 val derive_flow_key :
   t ->
   sfl:Sfl.t ->
@@ -255,104 +286,21 @@ val derive_flow_key :
 type accepted = { header : Header.t; payload : string; peer : Principal.t }
 
 val receive :
+  ?batch:Batch.t ->
   t ->
   now:float ->
   src:Principal.t ->
   wire:string ->
   ((accepted, error) result -> unit) ->
   unit
-(** [receive_slice] over the whole string (zero-cost wrapper). *)
-
-val receive_slice :
-  t ->
-  now:float ->
-  src:Principal.t ->
-  wire:Fbsr_util.Slice.t ->
-  ((accepted, error) result -> unit) ->
-  unit
-(** Zero-copy receive: parses the header as a borrowed view, verifies the
-    MAC against the wire bytes in place, and allocates only the plaintext
-    of an accepted secret datagram (plus the payload copy of an accepted
-    non-secret one).  The slice is only borrowed for the duration of the
-    call; [accepted] owns its bytes. *)
-
-(** Cross-flow receive batching: the decrypt-side mirror of {!Batch}.
-
-    CBC decryption has no cross-block dependency at all, so secret
-    DES-CBC receives through a batch defer their body open: the scalar
-    prologue (header decode, suite enforcement, replay check — which
-    registers the frame — and the RFKC probe) runs at enqueue in arrival
-    order, so every early-refusal verdict, replay registration and drop
-    counter is identical to the scalar {!receive}, frame for frame.
-    {!Batch_rx.flush} then advances all queued opens in lockstep through
-    {!Fbsr_crypto.Des_bitslice}, verifies each frame's MAC over the
-    completed plaintext and delivers verdicts in enqueue order — so
-    per-flow delivery order is preserved and a caller never observes a
-    half-opened datagram.  Accept/drop verdicts and payload bytes are
-    identical to the unbatched {!receive}, frame for frame. *)
-module Batch_rx : sig
-  type batch
-  (** A pending-open queue bound to one engine. *)
-
-  val create :
-    ?threshold:int -> ?capacity:int -> ?linger:float -> t -> batch
-  (** [threshold] (default 24): minimum jobs per kernel group to take
-      the cross-flow bitsliced path; smaller flushes run each job on the
-      per-datagram kernel (identical bytes).  [capacity] (default
-      {!Fbsr_crypto.Des_bitslice.lanes}): enqueue auto-flushes when the
-      queue reaches this size.  [linger] (default 1 ms): {!tick} flushes
-      a partial batch older than this. *)
-
-  val set_on_park : batch -> (unit -> unit) -> unit
-  (** [set_on_park b f] installs [f] to run after every enqueue that
-      leaves a frame parked (i.e. that did not trigger a capacity
-      flush).  Deferrable frames whose keying suspended enqueue {e
-      later}, when the continuation resumes in another event — after
-      {!receive_batched} has already returned — so a caller that arms
-      its linger flush only when it observes {!pending} grow
-      synchronously would never flush such a frame.  Install the
-      flush-arming logic here instead; the hook always runs in the
-      event that performed the enqueue. *)
-
-  val pending : batch -> int
-  (** Frames currently queued.  A queued frame's plaintext string (the
-      one {!Armor.batch_rx_ops.defer_open} returned) is not yet stable:
-      its bytes are written by the kernel pass inside {!flush}.  Nothing
-      may read, hash or compare a deferred payload until the flush that
-      delivers it has run. *)
-
-  val flush : batch -> int * int
-  (** Run every queued open, then verify and deliver in enqueue order
-      (each under its datagram's captured trace id; the terminal
-      ["engine.receive"] span finishes here, covering queue residence).
-      Returns the kernel's [(bitsliced_blocks, scalar_blocks)] split —
-      [(0, 0)] when the queue was empty. *)
-
-  val tick : batch -> now:float -> (int * int) option
-  (** Flush iff the oldest queued frame has waited at least [linger];
-      [Some counts] when a flush ran.  Call from the event loop. *)
-end
-
-val receive_batched :
-  Batch_rx.batch ->
-  now:float ->
-  src:Principal.t ->
-  wire:string ->
-  ((accepted, error) result -> unit) ->
-  unit
-(** {!receive} with the body open routed through the batch.  For
-    deferrable frames (secret, encrypting armor with a batched decrypt
-    kernel — DES-CBC suites) the continuation fires from
-    {!Batch_rx.flush} — immediately when this enqueue fills the batch,
-    else at a later [flush]/[tick]; the wire string is borrowed by the
-    queue until that flush.  When the keying layer suspends (cold flow),
-    the enqueue itself is deferred to the resumed continuation's event —
-    use {!Batch_rx.set_on_park} to learn of it, since [pending] will not
-    have grown when this call returns.  Everything else — prologue
-    refusals,
-    non-secret bodies, NOP and non-DES-CBC suites, frames whose
-    ciphertext is rejected up front (bad length, corrupt padding) —
-    resolves inline with {!receive} semantics, counter for counter. *)
+(** FBSReceive(), zero-copy: parses the header as a view of the wire,
+    verifies the MAC against the wire bytes in place, and allocates only
+    the plaintext of an accepted secret datagram (plus the payload copy
+    of an accepted non-secret one); [accepted] owns its bytes.  With
+    [batch], a deferrable frame's body open runs in the batch's open lane
+    and its verdict arrives from {!Batch.flush}; prologue and keying
+    refusals, and ciphertexts rejected up front (bad length, corrupt
+    padding), still resolve inline, counter for counter. *)
 
 val send_sync :
   t -> now:float -> attrs:Fam.attrs -> secret:bool -> payload:string ->

@@ -11,10 +11,10 @@ type t = {
   nshards : int;
   requested_shards : int;
   engines : Engine.t array;
-  (* One receive batch per shard: a shard's bucket enqueues its frames
-     (scalar prologue in input order) and flushes before the join, so
-     every deferred open of a batch resolves on the shard's own domain. *)
-  rx_batches : Engine.Batch_rx.batch array;
+  (* One batch per shard: a receive bucket parks its deferrable opens
+     there in input order and flushes before the join, so every deferred
+     body open resolves on the shard's own domain. *)
+  batches : Engine.Batch.t array;
   fam : Fam.t;
   confounders : Fbsr_util.Lcg.t;
   (* Telemetry tick: runs on the dispatching domain after each batch
@@ -35,7 +35,7 @@ let create ?nshards ?(confounder_seed = 0x5eed) ~engine ~fam () =
     nshards = n;
     requested_shards = requested;
     engines;
-    rx_batches = Array.map (fun e -> Engine.Batch_rx.create e) engines;
+    batches = Array.map (fun e -> Engine.Batch.create e) engines;
     fam;
     confounders = Fbsr_util.Lcg.create confounder_seed;
     on_tick = (fun ~now:_ -> ());
@@ -73,9 +73,11 @@ let buckets_of t shard_of n =
 
 (* Fan non-empty buckets out to domains.  Each thunk writes disjoint
    slots of [results]; the joins in parallel_run publish them back.
-   [after] runs on the shard's domain once its bucket is drained —
-   the receive path's end-of-bucket batch flush. *)
-let run_buckets ?(after = fun (_ : int) -> ()) t buckets per_index =
+   A bucket may park datagrams in its shard's batch (one cross-flow
+   bitsliced sweep per flush; the queue auto-flushes at capacity); the
+   remainder flushes on the shard's domain once the bucket is drained,
+   so every result is in before the join. *)
+let run_buckets t buckets per_index =
   let thunks =
     Array.of_list
       (List.filter_map
@@ -85,7 +87,7 @@ let run_buckets ?(after = fun (_ : int) -> ()) t buckets per_index =
              Some
                (fun () ->
                  Array.iter (per_index s) buckets.(s);
-                 after s))
+                 ignore (Engine.Batch.flush t.batches.(s) : int * int)))
          (List.init t.nshards Fun.id))
   in
   ignore (Fbsr_util.Domain_shim.parallel_run thunks : unit array)
@@ -109,6 +111,11 @@ let send_all t ~now ~secret jobs =
   done;
   let buckets = buckets_of t (fun i -> shard_of_sfl t sfls.(i)) n in
   let results = Array.make n None in
+  (* Seals run inline.  Parking them in the shard's seal lane would buy
+     the bitsliced kernel but stretch every datagram's [engine.seal] span
+     over the bucket's queue residence, which the bench's gated 4-shard
+     seal p99 cannot absorb until deferred spans report their CPU time
+     apart from residence.  Passing [~batch] is then the whole change. *)
   run_buckets t buckets (fun s i ->
       let attrs, payload = jobs.(i) in
       Engine.send_classified ~confounder:confs.(i) t.engines.(s) ~now
@@ -128,14 +135,8 @@ let receive_all t ~now ~src wires =
   in
   let buckets = buckets_of t shard_of n in
   let results = Array.make n None in
-  (* Each shard's bucket feeds its receive batch: prologue per frame in
-     input order, one cross-flow bitsliced decrypt sweep per flush (the
-     queue auto-flushes at capacity; the end-of-bucket flush drains the
-     remainder), verdicts identical to scalar [Engine.receive]. *)
-  run_buckets t buckets
-    ~after:(fun s -> ignore (Engine.Batch_rx.flush t.rx_batches.(s) : int * int))
-    (fun s i ->
-      Engine.receive_batched t.rx_batches.(s) ~now ~src ~wire:wires.(i)
+  run_buckets t buckets (fun s i ->
+      Engine.receive ~batch:t.batches.(s) t.engines.(s) ~now ~src ~wire:wires.(i)
         (fun r -> results.(i) <- Some r));
   t.on_tick ~now;
   Array.map (settled "receive_all") results
@@ -146,58 +147,3 @@ let register_metrics t m =
       Engine.register_metrics e m;
       Engine.register_metrics e (Fbsr_util.Metrics.sub m (Printf.sprintf "shard.%d" i)))
     t.engines
-
-let aggregate_counters t =
-  let z : Engine.counters =
-    {
-      sends = 0;
-      receives = 0;
-      accepted = 0;
-      flow_key_computations = 0;
-      flow_key_recoveries = 0;
-      macs_computed = 0;
-      encryptions = 0;
-      decryptions = 0;
-      errors_header = 0;
-      errors_stale = 0;
-      errors_duplicate = 0;
-      errors_keying = 0;
-      errors_mac = 0;
-      errors_decrypt = 0;
-      bytes_copied = 0;
-      datapath_allocs = 0;
-      keysched_hits = 0;
-      keysched_misses = 0;
-      mac_midstate_hits = 0;
-      mac_midstate_misses = 0;
-      rx_batch_deferred = 0;
-      rx_batch_flushes = 0;
-    }
-  in
-  Array.iter
-    (fun e ->
-      let c = Engine.counters e in
-      z.sends <- z.sends + c.Engine.sends;
-      z.receives <- z.receives + c.Engine.receives;
-      z.accepted <- z.accepted + c.Engine.accepted;
-      z.flow_key_computations <- z.flow_key_computations + c.Engine.flow_key_computations;
-      z.flow_key_recoveries <- z.flow_key_recoveries + c.Engine.flow_key_recoveries;
-      z.macs_computed <- z.macs_computed + c.Engine.macs_computed;
-      z.encryptions <- z.encryptions + c.Engine.encryptions;
-      z.decryptions <- z.decryptions + c.Engine.decryptions;
-      z.errors_header <- z.errors_header + c.Engine.errors_header;
-      z.errors_stale <- z.errors_stale + c.Engine.errors_stale;
-      z.errors_duplicate <- z.errors_duplicate + c.Engine.errors_duplicate;
-      z.errors_keying <- z.errors_keying + c.Engine.errors_keying;
-      z.errors_mac <- z.errors_mac + c.Engine.errors_mac;
-      z.errors_decrypt <- z.errors_decrypt + c.Engine.errors_decrypt;
-      z.bytes_copied <- z.bytes_copied + c.Engine.bytes_copied;
-      z.datapath_allocs <- z.datapath_allocs + c.Engine.datapath_allocs;
-      z.keysched_hits <- z.keysched_hits + c.Engine.keysched_hits;
-      z.keysched_misses <- z.keysched_misses + c.Engine.keysched_misses;
-      z.mac_midstate_hits <- z.mac_midstate_hits + c.Engine.mac_midstate_hits;
-      z.mac_midstate_misses <- z.mac_midstate_misses + c.Engine.mac_midstate_misses;
-      z.rx_batch_deferred <- z.rx_batch_deferred + c.Engine.rx_batch_deferred;
-      z.rx_batch_flushes <- z.rx_batch_flushes + c.Engine.rx_batch_flushes)
-    t.engines;
-  z

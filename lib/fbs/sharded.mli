@@ -77,6 +77,10 @@ val send_all :
     and return per-datagram results in input order.  Within a shard,
     datagrams are processed in input order — so per-flow order is
     globally preserved.
+
+    Each shard seals inline with the dispatcher's pre-drawn confounders
+    ({!Engine.send_classified}[ ~confounder]), so wires are
+    byte-identical to a single engine's {!Engine.send}.
     @raise Invalid_argument if an engine's keying resolver defers. *)
 
 val receive_all :
@@ -89,20 +93,18 @@ val receive_all :
     bytes; short wires go to shard 0, whose header decode rejects them),
     run the shards in parallel, return results in input order.
 
-    Within a shard the bucket drains through the engine's
-    {!Engine.Batch_rx} queue: the scalar receive prologue runs per
-    frame in input order, deferred body opens run in cross-flow
-    bitsliced sweeps, and the bucket flushes its queue before the
-    domains join — verdicts, payload bytes and counters (beyond the
-    [rx_batch_*] pair) are identical to scalar {!Engine.receive},
-    frame for frame. *)
+    Within a shard the bucket drains through a per-shard
+    {!Engine.Batch}: the receive prologue runs per frame in input order,
+    deferred body opens run in cross-flow bitsliced sweeps, and the
+    bucket flushes its batch before the domains join — verdicts, payload
+    bytes and counters (beyond the [rx_batch_*] pair) are identical to
+    inline {!Engine.receive}, frame for frame. *)
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 (** Register every shard engine on [m] twice: once at the root — probes
     registered under one name sum on read, so the bare [fbs.*] tree
     becomes the aggregate view — and once under [shard.<i>.] for the
     per-shard view.  The differential suite checks the per-shard
-    [shard.<i>.fbs.*] probes sum to the aggregate. *)
-
-val aggregate_counters : t -> Engine.counters
-(** Field-wise sum of every shard engine's counters. *)
+    [shard.<i>.fbs.*] probes sum to the aggregate.  For one dispatcher's
+    summed counters, read [fbs.engine.*] with {!Fbsr_util.Metrics.get}
+    from a registry holding only that dispatcher. *)

@@ -51,7 +51,7 @@ type config = {
           workable only while the header fits the 40-byte option budget. *)
   batched_rx : bool;
       (** Route receive-side body opens through an
-          {!Fbsr_fbs.Engine.Batch_rx} queue: frames arriving within
+          {!Fbsr_fbs.Engine.Batch} (its open lane): frames arriving within
           [rx_linger] of each other decrypt in one cross-flow bitsliced
           sweep, delivered in arrival order via the parked-datagram
           upcall.  Verdicts and bytes are identical to the inline path;
@@ -106,7 +106,7 @@ type t = {
   spans : Fbsr_util.Span.t;
   policy_state : Fbsr_fbs.Policy_five_tuple.t;
   fast_path : Fast_path.t option; (* combined FST+TFKC, when configured *)
-  rx_batch : Fbsr_fbs.Engine.Batch_rx.batch option; (* when batched_rx *)
+  rx_batch : Fbsr_fbs.Engine.Batch.t option; (* when batched_rx *)
   mutable rx_flush_scheduled : bool;
       (* one pending linger-flush event at a time; re-armed on the next
          enqueue after it fires *)
@@ -181,10 +181,11 @@ let encap t (h : Ipv4.header) wire =
    does not carry FBS in the configured way.  Shim mode borrows the
    payload as-is (zero-copy); option mode rejoins header and payload in
    the reused assembly buffer — one allocation instead of the old
-   sub + concat splice. *)
-let decap t (h : Ipv4.header) payload : (Ipv4.header * Fbsr_util.Slice.t) option =
+   sub + concat splice.  Either way the wire is a whole string the
+   engine (and a receive batch, until its flush) may borrow. *)
+let decap t (h : Ipv4.header) payload : (Ipv4.header * string) option =
   match t.config.encapsulation with
-  | `Shim -> Some (h, Fbsr_util.Slice.of_string payload)
+  | `Shim -> Some (h, payload)
   | `Ip_option ->
       let opts = h.Ipv4.options in
       if String.length opts >= 2 && Char.code opts.[0] = fbs_option_type then begin
@@ -195,9 +196,7 @@ let decap t (h : Ipv4.header) payload : (Ipv4.header * Fbsr_util.Slice.t) option
           Fbsr_util.Byte_writer.reset w;
           Fbsr_util.Byte_writer.substring w opts 2 (len - 2);
           Fbsr_util.Byte_writer.bytes w payload;
-          Some
-            ( { h with Ipv4.options = "" },
-              Fbsr_util.Slice.of_string (Fbsr_util.Byte_writer.contents w) )
+          Some ({ h with Ipv4.options = "" }, Fbsr_util.Byte_writer.contents w)
         end
         else None
       end
@@ -330,13 +329,14 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
           ~detail:
             [
               ("ok", Fbsr_util.Json.Bool true);
-              ("bytes", Fbsr_util.Json.Int (Fbsr_util.Slice.length wire));
+              ("bytes", Fbsr_util.Json.Int (String.length wire));
             ]
     | None -> ());
     let now = Host.now t.host in
     let src = principal_of_addr h.src in
     let sync_result = ref None in
     let completed_sync = ref true in
+    let parked0 = t.counters.rx_batched in
     let batch_parked = ref false in
     let k r =
       if !completed_sync then sync_result := Some r
@@ -359,34 +359,15 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
         | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
       end
     in
-    (match t.rx_batch with
-    | None -> Fbsr_fbs.Engine.receive_slice t.engine ~now ~src ~wire k
-    | Some b ->
-        let before = Fbsr_fbs.Engine.Batch_rx.pending b in
-        (* The queue borrows the wire until its flush, so it needs the
-           whole backing string.  Both decap modes already hand out a
-           slice spanning a fresh-or-owned heap string (shim borrows the
-           IP payload, option mode a fresh rejoin), so this is
-           allocation-free. *)
-        let wire_s =
-          if
-            wire.Fbsr_util.Slice.off = 0
-            && wire.Fbsr_util.Slice.len = String.length wire.Fbsr_util.Slice.base
-          then wire.Fbsr_util.Slice.base
-          else Fbsr_util.Slice.to_string wire
-        in
-        Fbsr_fbs.Engine.receive_batched b ~now ~src ~wire:wire_s k;
-        (* Queued synchronously (not refused inline, not delivered by a
-           capacity flush).  The linger flush is armed by the batch's
-           on-park hook (see [install]), not here: a frame that suspends
-           on the receive-side master-key fetch enqueues later, from the
-           resumed keying continuation's event, where no synchronous
-           check in this hook could observe it — arming only from here
-           would park such a frame indefinitely. *)
-        if
-          Option.is_none !sync_result
-          && Fbsr_fbs.Engine.Batch_rx.pending b = before + 1
-        then batch_parked := true);
+    Fbsr_fbs.Engine.receive ?batch:t.rx_batch t.engine ~now ~src ~wire k;
+    (* Parked synchronously in the receive batch (not refused inline, not
+       delivered by a capacity flush): the batch's on-park hook (see
+       [install]) counted it and armed the linger flush.  A frame that
+       suspends on the receive-side master-key fetch parks later, from
+       the resumed keying continuation's event — the hook covers that
+       too, where no synchronous check here could observe it. *)
+    if Option.is_none !sync_result && t.counters.rx_batched > parked0 then
+      batch_parked := true;
     completed_sync := false;
     match !sync_result with
     | Some (Ok acc) ->
@@ -463,7 +444,7 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
       fast_path;
       rx_batch =
         (if config.batched_rx then
-           Some (Fbsr_fbs.Engine.Batch_rx.create ~linger:config.rx_linger engine)
+           Some (Fbsr_fbs.Engine.Batch.create ~linger:config.rx_linger engine)
          else None);
       rx_flush_scheduled = false;
       asm = Fbsr_util.Byte_writer.create ~capacity:64 ();
@@ -478,14 +459,14 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
   (match t.rx_batch with
   | None -> ()
   | Some b ->
-      Fbsr_fbs.Engine.Batch_rx.set_on_park b (fun () ->
+      Fbsr_fbs.Engine.Batch.set_on_park b (fun () ->
           t.counters.rx_batched <- t.counters.rx_batched + 1;
           if not t.rx_flush_scheduled then begin
             t.rx_flush_scheduled <- true;
             Engine.schedule (Host.engine t.host) ~delay:t.config.rx_linger
               (fun () ->
                 t.rx_flush_scheduled <- false;
-                ignore (Fbsr_fbs.Engine.Batch_rx.flush b : int * int))
+                ignore (Fbsr_fbs.Engine.Batch.flush b : int * int))
           end));
   (match config.encapsulation with
   | `Shim -> ()

@@ -27,8 +27,8 @@ type config = {
           implementation).  [`Ip_option]: header carried as an IPv4 option
           — workable only while it fits the 40-byte budget. *)
   batched_rx : bool;
-      (** Route receive-side body opens through an
-          {!Fbsr_fbs.Engine.Batch_rx} queue (default [false]): frames
+      (** Route receive-side body opens through the open lane of an
+          {!Fbsr_fbs.Engine.Batch} (default [false]): frames
           arriving within [rx_linger] of each other decrypt in one
           cross-flow bitsliced sweep and are delivered in arrival order
           through the parked-datagram upcall.  Verdicts and bytes are

@@ -315,7 +315,8 @@ let test_batched_wires_over_drop_reorder_link () =
   let got = Array.make (flows * rounds) None in
   for i = 0 to (flows * rounds) - 1 do
     let f = i mod flows and r = i / flows in
-    FEngine.send_batched batch ~now:60.0 ~attrs:batched_attrs.(f) ~secret:true
+    FEngine.send ~batch batched_pair.Fixture.sender ~now:60.0
+      ~attrs:batched_attrs.(f) ~secret:true
       ~payload:(payload f r) (fun w -> got.(i) <- Some w)
   done;
   let bs, _sc = FEngine.Batch.flush batch in
@@ -376,7 +377,7 @@ let test_batch_tick_linger_flush () =
   let batch = FEngine.Batch.create ~linger:0.001 p.Fixture.sender in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    FEngine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+    FEngine.send ~batch p.Fixture.sender ~now:60.0 ~attrs:attrs.(i) ~secret:true
       ~payload:"linger" (function
       | Ok _ -> incr delivered
       | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
@@ -408,7 +409,7 @@ let test_batched_span_accounting () =
   let batch = FEngine.Batch.create p.Fixture.sender in
   let wires = ref [] in
   for i = 0 to 4 do
-    FEngine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+    FEngine.send ~batch p.Fixture.sender ~now:60.0 ~attrs:attrs.(i) ~secret:true
       ~payload:(Printf.sprintf "span %d" i) (function
       | Ok w -> wires := w :: !wires
       | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
@@ -465,7 +466,7 @@ let test_batched_span_accounting () =
    must produce exactly the verdicts, counters and span terminals of the
    scalar receive — drop for drop, cause for cause.  Twin identically
    seeded worlds seal identical wires; one opens them scalar, the other
-   through a [Batch_rx] that never reaches capacity (the flush is
+   through a batch that never reaches capacity (the flush is
    explicit), so refusals resolve in the prologue and the survivors
    cross the batched kernel. *)
 let test_batched_rx_faulty_frames_partial_batch () =
@@ -519,17 +520,16 @@ let test_batched_rx_faulty_frames_partial_batch () =
              ~src:sp.Fixture.src ~wire))
       (schedule sw)
   in
-  let batch = FEngine.Batch_rx.create bp.Fixture.receiver in
+  let batch = FEngine.Batch.create bp.Fixture.receiver in
   let got = Array.make n None in
   Array.iteri
     (fun i wire ->
-      FEngine.receive_batched batch ~now:60.0 ~src:bp.Fixture.src ~wire
+      FEngine.receive ~batch bp.Fixture.receiver ~now:60.0 ~src:bp.Fixture.src ~wire
         (fun r -> got.(i) <- Some r))
     (schedule bw);
   check Alcotest.bool "batch stayed partial until the explicit flush" true
-    (FEngine.Batch_rx.pending batch > 0
-    && FEngine.Batch_rx.pending batch < n);
-  ignore (FEngine.Batch_rx.flush batch : int * int);
+    (FEngine.Batch.pending batch > 0 && FEngine.Batch.pending batch < n);
+  ignore (FEngine.Batch.flush batch : int * int);
   Array.iteri
     (fun i r ->
       match r with

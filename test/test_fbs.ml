@@ -984,14 +984,14 @@ let test_fam_stats () =
 
 (* --- Engine --- *)
 
-let make_engines ?(suite = Suite.paper_md5_des) ?(strict_replay = false) () =
+let make_engines ?(suite = Suite.paper_md5_des) ?(strict_replay = false) ?spans () =
   let _, _, _, clock, enroll, _, keying_for = make_world () in
   let s, s_priv, _ = enroll "10.0.0.1" in
   let d, d_priv, _ = enroll "10.0.0.2" in
   let engine_for p priv seed =
     let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
     let fam = Fam.create (Policy_five_tuple.policy ~alloc ()) in
-    Engine.create ~suite ~strict_replay ~keying:(keying_for p priv) ~fam ()
+    Engine.create ~suite ~strict_replay ?spans ~keying:(keying_for p priv) ~fam ()
   in
   (clock, s, d, engine_for s s_priv 1, engine_for d d_priv 2)
 
@@ -1180,89 +1180,289 @@ let test_engine_midstate_seal_byte_equal () =
         (Fbsr_util.Hex.encode (String.sub reference 0 mac_len))
         (Fbsr_util.Hex.encode h.Header.mac)
 
-let test_engine_send_batched_byte_equal () =
-  (* Two engines built from identically-seeded worlds are twins: the same
-     sequence of sends drains the same confounder stream.  Route one
-     through [send] and the other through a batch (scalar flush below
-     threshold, then bitsliced with threshold 1) — every wire must match
-     byte for byte, and the batched wires must be accepted downstream. *)
-  let clock, s, d, es_scalar, _ = make_engines ~suite:Suite.paper_md5_des () in
-  let _, s2, d2, es_batched, ed2 = make_engines ~suite:Suite.paper_md5_des () in
-  let flows = 10 in
-  let attrs_for src_port s d =
-    Fam.attrs ~protocol:17 ~src_port ~dst_port:2 ~src:s ~dst:d ()
+(* --- Batched ≡ inline: one table-driven differential ---
+
+   The same datagrams go through [send]/[receive] with no batch, and
+   through a batch at capacity 1 (every enqueue flushes) and capacity 63
+   (everything parks until the linger tick), at kernel thresholds 1
+   (bitsliced) and 24 (per-datagram fallback), for every registered
+   armor.  Each row runs in its own identically seeded world, so the
+   confounder streams agree and a row must reproduce the inline row's
+   wires, verdicts, payload bytes, counters and span terminals exactly.
+   Armors without a batch kernel for the direction (3DES, SHA1-CTR, NOP)
+   and non-secret datagrams must never park. *)
+
+type batch_row = Inline | Batched of { capacity : int; threshold : int }
+
+(* (capacity, threshold) of every batched row. *)
+let batched_rows =
+  List.concat_map (fun capacity -> List.map (fun threshold -> (capacity, threshold)) [ 1; 24 ])
+    [ 1; 63 ]
+
+let batch_row_name = function
+  | Inline -> "inline"
+  | Batched { capacity; threshold } -> Printf.sprintf "cap %d t%d" capacity threshold
+
+(* Two datagrams on each of six flows, secret and not, empty to multi-block. *)
+let batch_frames =
+  List.concat_map
+    (fun round ->
+      List.mapi
+        (fun flow (secret, payload) -> (flow, secret, payload ^ round))
+        [
+          (true, "batch differential ");
+          (true, "");
+          (false, "auth-only rides the same call ");
+          (true, String.make 2000 'z');
+          (true, "short");
+          (false, "");
+        ])
+    [ "r0"; "r1" ]
+
+(* Every counter except the open lane's rx_batch_* pair, which counts the
+   batching itself rather than datapath behaviour. *)
+let datapath_counters (c : Engine.counters) =
+  [
+    c.Engine.sends; c.Engine.receives; c.Engine.accepted;
+    c.Engine.flow_key_computations; c.Engine.flow_key_recoveries;
+    c.Engine.macs_computed; c.Engine.encryptions; c.Engine.decryptions;
+    c.Engine.errors_header; c.Engine.errors_stale; c.Engine.errors_duplicate;
+    c.Engine.errors_keying; c.Engine.errors_mac; c.Engine.errors_decrypt;
+    c.Engine.bytes_copied; c.Engine.datapath_allocs; c.Engine.keysched_hits;
+    c.Engine.keysched_misses; c.Engine.mac_midstate_hits;
+    c.Engine.mac_midstate_misses;
+  ]
+
+(* Stage and outcome of every span, order-free: deferred spans finish at
+   the flush, and trace ids differ between worlds. *)
+let span_terminals spans =
+  List.sort compare
+    (List.map
+       (fun (s : Fbsr_util.Span.span) ->
+         (s.Fbsr_util.Span.stage, s.Fbsr_util.Span.outcome))
+       (Fbsr_util.Span.spans spans))
+
+let verdict_str = function
+  | Ok (acc : Engine.accepted) -> "ok:" ^ acc.Engine.payload
+  | Error e -> Format.asprintf "err:%a" Engine.pp_error e
+
+(* What one row observed. *)
+type batch_run = {
+  parked : int; (* pending after every call returned, before the flush *)
+  lane_traffic : int;
+      (* datagrams that went through the lane, capacity flushes included:
+         batched seal spans (seal lane), rx_batch_deferred (open lane) *)
+  kernel : (int * int) option; (* the linger flush's (bitsliced, scalar) split *)
+  wires : string list; (* send direction only *)
+  verdicts : string list;
+  counters : int list; (* the engine under test *)
+  rx_pair : int * int; (* its rx_batch_deferred, rx_batch_flushes *)
+  spans : (string * string) list;
+}
+
+(* Offer [n] datagrams through [call ?batch i k], check the parked ones
+   are undelivered, drain the batch by its linger tick, and return the
+   parked count, the tick's kernel split and every delivered result. *)
+let offer_through ~now row engine n call =
+  let batch =
+    match row with
+    | Inline -> None
+    | Batched { capacity; threshold } ->
+        Some (Engine.Batch.create ~capacity ~threshold engine)
   in
-  let payload i = Printf.sprintf "batched datagram %02d " i ^ String.make (20 * i) 'p' in
-  let run_batched ~threshold =
-    let batch = Engine.Batch.create ~threshold es_batched in
-    let got = Array.make flows None in
-    for i = 0 to flows - 1 do
-      Engine.send_batched batch ~now:!clock ~attrs:(attrs_for (1000 + i) s2 d2)
-        ~secret:true ~payload:(payload i) (fun r -> got.(i) <- Some r)
-    done;
-    (* Deferred: nothing delivered before the flush. *)
-    check Alcotest.int "all queued" flows (Engine.Batch.pending batch);
-    Array.iter (fun r -> check Alcotest.bool "not delivered yet" true (r = None)) got;
-    let bs, sc = Engine.Batch.flush batch in
-    check Alcotest.int "queue drained" 0 (Engine.Batch.pending batch);
-    (bs, sc, Array.map (function
-       | Some (Ok w) -> w
-       | Some (Error e) -> Alcotest.failf "batched send: %a" Engine.pp_error e
-       | None -> Alcotest.fail "flush did not deliver") got)
+  let got = Array.make n None in
+  for i = 0 to n - 1 do
+    call ?batch i (fun r ->
+        if got.(i) <> None then Alcotest.failf "datagram %d completed twice" i;
+        got.(i) <- Some r)
+  done;
+  let parked = match batch with Some b -> Engine.Batch.pending b | None -> 0 in
+  let undelivered = Array.fold_left (fun n r -> if r = None then n + 1 else n) 0 got in
+  check Alcotest.int "exactly the parked datagrams are undelivered" parked undelivered;
+  let kernel =
+    match batch with
+    | Some b when parked > 0 ->
+        (match Engine.Batch.tick b ~now with
+        | None -> ()
+        | Some _ -> Alcotest.fail "tick flushed before the linger deadline");
+        let split =
+          match Engine.Batch.tick b ~now:(now +. 1.0) with
+          | None -> Alcotest.fail "tick did not flush past the linger deadline"
+          | Some split -> split
+        in
+        check Alcotest.int "drained" 0 (Engine.Batch.pending b);
+        (match Engine.Batch.tick b ~now:(now +. 60.0) with
+        | None -> ()
+        | Some _ -> Alcotest.fail "tick flushed an empty queue");
+        Some split
+    | _ -> None
   in
-  let scalar_wires =
-    Array.init flows (fun i ->
-        match
-          Engine.send_sync es_scalar ~now:!clock ~attrs:(attrs_for (1000 + i) s d)
-            ~secret:true ~payload:(payload i)
-        with
+  ( parked,
+    kernel,
+    Array.to_list
+      (Array.map
+         (function Some r -> r | None -> Alcotest.fail "flush did not deliver")
+         got) )
+
+let batch_world ~suite =
+  let spans = Fbsr_util.Span.create ~capacity:4096 () in
+  let clock, s, d, es, ed = make_engines ~spans ~suite () in
+  let attrs flow =
+    Fam.attrs ~protocol:17 ~src_port:(4000 + flow) ~dst_port:2 ~src:s ~dst:d ()
+  in
+  (spans, clock, s, es, ed, attrs)
+
+let rx_pair (c : Engine.counters) =
+  (c.Engine.rx_batch_deferred, c.Engine.rx_batch_flushes)
+
+(* Seals that went through the seal lane: their span carries the
+   ["batched"] mark. *)
+let batched_seals spans =
+  List.length
+    (List.filter
+       (fun (s : Fbsr_util.Span.span) ->
+         s.Fbsr_util.Span.stage = "engine.seal"
+         && List.mem_assoc "batched" s.Fbsr_util.Span.detail)
+       (Fbsr_util.Span.spans spans))
+
+let run_seal_row ~suite row =
+  let spans, clock, s, es, ed, attrs = batch_world ~suite in
+  let frames = Array.of_list batch_frames in
+  (* Odd datagrams take the dispatcher's route: classified by the caller,
+     with a caller-drawn confounder — the override must hold batched too. *)
+  let now = !clock in
+  let call ?batch i k =
+    let flow, secret, payload = frames.(i) in
+    let attrs = attrs flow in
+    if i mod 2 = 0 then Engine.send ?batch es ~now ~attrs ~secret ~payload k
+    else
+      let sfl, _ = Fam.classify (Engine.fam es) ~now attrs in
+      Engine.send_classified ?batch ~confounder:(0x5eed0 + i) es ~now ~sfl
+        ~src:attrs.Fam.src ~dst:attrs.Fam.dst ~secret ~payload k
+  in
+  let parked, kernel, results = offer_through ~now row es (Array.length frames) call in
+  let lane_traffic = batched_seals spans in
+  let wires =
+    List.map
+      (function
+        | Ok w -> w | Error e -> Alcotest.failf "send: %a" Engine.pp_error e)
+      results
+  in
+  let verdicts =
+    List.map (fun wire -> verdict_str (Engine.receive_sync ed ~now ~src:s ~wire)) wires
+  in
+  let c = Engine.counters es in
+  { parked; lane_traffic; kernel; wires; verdicts; counters = datapath_counters c;
+    rx_pair = rx_pair c; spans = span_terminals spans }
+
+let run_open_row ~suite row =
+  let spans, clock, s, es, ed, attrs = batch_world ~suite in
+  let sealed =
+    List.map
+      (fun (flow, secret, payload) ->
+        match Engine.send_sync es ~now:!clock ~attrs:(attrs flow) ~secret ~payload with
         | Ok w -> w
-        | Error e -> Alcotest.failf "scalar send: %a" Engine.pp_error e)
+        | Error e -> Alcotest.failf "send: %a" Engine.pp_error e)
+      batch_frames
   in
-  (* Round 1: 10 jobs < default threshold 24, so the flush runs scalar. *)
-  let bs1, sc1, batched_wires = run_batched ~threshold:24 in
-  check Alcotest.int "below threshold: no bitsliced blocks" 0 bs1;
-  check Alcotest.bool "below threshold: scalar blocks ran" true (sc1 > 0);
-  Array.iteri
-    (fun i w ->
-      check Alcotest.string (Printf.sprintf "wire %d (scalar flush)" i)
-        (Fbsr_util.Hex.encode scalar_wires.(i))
-        (Fbsr_util.Hex.encode w);
-      match Engine.receive_sync ed2 ~now:!clock ~src:s2 ~wire:w with
-      | Ok acc ->
-          check Alcotest.string "payload roundtrips" (payload i) acc.Engine.payload
-      | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e)
-    batched_wires;
-  (* Round 2: same flows again, threshold 1 forces the bitsliced kernel;
-     the twin sends the same round so the confounder streams stay in step. *)
-  let scalar_wires2 =
-    Array.init flows (fun i ->
-        match
-          Engine.send_sync es_scalar ~now:!clock ~attrs:(attrs_for (1000 + i) s d)
-            ~secret:true ~payload:(payload i)
-        with
-        | Ok w -> w
-        | Error e -> Alcotest.failf "scalar send: %a" Engine.pp_error e)
+  (* Plus two faulty copies of the multi-block secret wire: a flipped
+     last byte (CBC tail garbled: padding refusal) and a truncation to
+     half (no whole number of cipher blocks).  Deferring an open checks
+     the length and decrypts the padding block up front, so neither
+     parks. *)
+  let long = List.nth sealed 3 in
+  let flipped =
+    let b = Bytes.of_string long in
+    let n = Bytes.length b - 1 in
+    Bytes.set b n (Char.chr (Char.code (Bytes.get b n) lxor 0x10));
+    Bytes.to_string b
   in
-  let bs2, sc2, batched_wires2 = run_batched ~threshold:1 in
-  check Alcotest.bool "bitsliced blocks ran" true (bs2 > 0);
-  check Alcotest.int "no scalar spill" 0 sc2;
-  Array.iteri
-    (fun i w ->
-      check Alcotest.string (Printf.sprintf "wire %d (bitsliced flush)" i)
-        (Fbsr_util.Hex.encode scalar_wires2.(i))
-        (Fbsr_util.Hex.encode w))
-    batched_wires2
+  let truncated = String.sub long 0 (String.length long / 2) in
+  let wires = Array.of_list (sealed @ [ flipped; truncated ]) in
+  Fbsr_util.Span.clear spans;
+  let now = !clock in
+  let call ?batch i k = Engine.receive ?batch ed ~now ~src:s ~wire:wires.(i) k in
+  let parked, kernel, results = offer_through ~now row ed (Array.length wires) call in
+  let c = Engine.counters ed in
+  { parked; lane_traffic = c.Engine.rx_batch_deferred; kernel; wires = [];
+    verdicts = List.map verdict_str results; counters = datapath_counters c;
+    rx_pair = rx_pair c; spans = span_terminals spans }
+
+let batch_differential ~lane () =
+  Armors.ensure ();
+  let secret_frames =
+    List.length (List.filter (fun (_, secret, _) -> secret) batch_frames)
+  in
+  List.iter
+    (fun armor ->
+      let module A = (val armor : Armor.S) in
+      let suite = A.suite in
+      (* How many datagrams every batched row must send through the lane:
+         each secret one, when the armor has a kernel for the direction. *)
+      let expected, run =
+        match lane with
+        | `Seal -> ((if A.batch <> None then secret_frames else 0), run_seal_row)
+        | `Open ->
+            ((if A.encrypts && A.batch_rx <> None then secret_frames else 0), run_open_row)
+      in
+      let inline = run ~suite Inline in
+      List.iter
+        (fun (capacity, threshold) ->
+          let row = Batched { capacity; threshold } in
+          let r = run ~suite row in
+          let what fmt =
+            Printf.ksprintf
+              (fun m ->
+                Printf.sprintf "%s %s: %s" (Suite.name suite) (batch_row_name row) m)
+              fmt
+          in
+          check (Alcotest.list Alcotest.string) (what "wires") inline.wires r.wires;
+          check (Alcotest.list Alcotest.string) (what "verdicts and payloads")
+            inline.verdicts r.verdicts;
+          check (Alcotest.list Alcotest.int) (what "counters") inline.counters r.counters;
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+            (what "span terminals") inline.spans r.spans;
+          check Alcotest.int (what "inline row used no lane") 0 inline.lane_traffic;
+          check Alcotest.int (what "exactly the secret datagrams took the lane")
+            expected r.lane_traffic;
+          (* Capacity 1 flushes on every enqueue; 63 holds the lot. *)
+          check Alcotest.int (what "parked until the tick")
+            (if capacity = 1 then 0 else expected)
+            r.parked;
+          check Alcotest.(pair int int) (what "open-lane counters")
+            (match lane with
+            | `Seal -> (0, 0)
+            | `Open when capacity = 1 -> (expected, expected)
+            | `Open -> (expected, if expected > 0 then 1 else 0))
+            r.rx_pair;
+          match (r.kernel, lane) with
+          | None, _ -> ()
+          | Some (bs, sc), `Seal when threshold = 1 ->
+              check Alcotest.bool (what "threshold 1: bitsliced blocks ran") true (bs > 0);
+              check Alcotest.int (what "threshold 1: no scalar spill") 0 sc
+          | Some (bs, sc), `Seal ->
+              (* [expected] < 24 jobs: the per-datagram fallback runs. *)
+              check Alcotest.int (what "below threshold: no bitsliced blocks") 0 bs;
+              check Alcotest.bool (what "below threshold: scalar blocks ran") true (sc > 0)
+          | Some (bs, _), `Open when threshold = 1 ->
+              check Alcotest.bool (what "threshold 1: bitsliced blocks ran") true (bs > 0)
+          | Some _, `Open ->
+              (* The decrypt kernel lane-slices long ciphertexts even below
+                 the job threshold: its split is not pinned there. *)
+              ())
+        batched_rows)
+    (Armor.all ())
 
 let test_engine_batch_capacity_autoflush () =
-  (* Filling the batch to capacity flushes without an explicit call; a
-     non-deferrable datagram (here: not secret) bypasses the queue and
+  (* Filling the seal lane to capacity flushes without an explicit call;
+     a non-deferrable datagram (here: not secret) bypasses the queue and
      delivers inline. *)
-  let clock, s, d, es, _ = make_engines ~suite:Suite.paper_md5_des () in
+  let clock, s, d, es, ed = make_engines ~suite:Suite.paper_md5_des () in
   let batch = Engine.Batch.create ~capacity:4 es in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    Engine.send_batched batch ~now:!clock
+    Engine.send ~batch es ~now:!clock
       ~attrs:(Fam.attrs ~protocol:17 ~src_port:(3000 + i) ~dst_port:2 ~src:s ~dst:d ())
       ~secret:true ~payload:"autoflush" (function
       | Ok _ -> incr delivered
@@ -1271,125 +1471,26 @@ let test_engine_batch_capacity_autoflush () =
   check Alcotest.int "capacity reached: everything delivered" 4 !delivered;
   check Alcotest.int "queue empty after autoflush" 0 (Engine.Batch.pending batch);
   let inline = ref false in
-  Engine.send_batched batch ~now:!clock
+  Engine.send ~batch es ~now:!clock
     ~attrs:(Fam.attrs ~protocol:17 ~src_port:3999 ~dst_port:2 ~src:s ~dst:d ())
     ~secret:false ~payload:"inline" (function
     | Ok _ -> inline := true
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e);
   check Alcotest.bool "non-secret delivers inline" true !inline;
-  check Alcotest.int "non-secret never queues" 0 (Engine.Batch.pending batch)
-
-(* Receive-side twin of the batched-seal differential: the same wires
-   opened through scalar [receive] and through a [Batch_rx] must produce
-   identical verdicts, payload bytes and receiver counters — suite by
-   suite, for both flush kernels (scalar fallback above the job
-   threshold, bitsliced at threshold 1).  Suites without a batchable
-   cipher (3DES, the CTR-mode leaf, nop) and non-secret datagrams must
-   deliver inline through the very same calls. *)
-let test_engine_receive_batched_equals_scalar () =
-  let frames =
-    [
-      (true, "batched receive differential 0");
-      (true, "");
-      (false, "auth-only rides the same call");
-      (true, String.make 2000 'z');
-      (true, "short");
-      (false, "");
-    ]
-  in
-  (* Every counter except the rx_batch_* pair, which is the knob under
-     test, not datapath behaviour. *)
-  let counters_line (c : Engine.counters) =
-    [
-      c.Engine.sends; c.Engine.receives; c.Engine.accepted;
-      c.Engine.flow_key_computations; c.Engine.flow_key_recoveries;
-      c.Engine.macs_computed; c.Engine.encryptions; c.Engine.decryptions;
-      c.Engine.errors_header; c.Engine.errors_stale; c.Engine.errors_duplicate;
-      c.Engine.errors_keying; c.Engine.errors_mac; c.Engine.errors_decrypt;
-      c.Engine.bytes_copied; c.Engine.datapath_allocs; c.Engine.keysched_hits;
-      c.Engine.keysched_misses; c.Engine.mac_midstate_hits;
-      c.Engine.mac_midstate_misses;
-    ]
-  in
-  let result_str = function
-    | Ok (acc : Engine.accepted) -> "ok:" ^ acc.Engine.payload
-    | Error e -> Format.asprintf "err:%a" Engine.pp_error e
-  in
-  List.iter
-    (fun (suite, batchable) ->
-      List.iter
-        (fun threshold ->
-          let clock, s, d, es, ed_scalar = make_engines ~suite () in
-          let _, _, _, _, ed_batched = make_engines ~suite () in
-          let wires =
-            List.mapi
-              (fun i (secret, payload) ->
-                let attrs =
-                  Fam.attrs ~protocol:17 ~src_port:(4000 + i) ~dst_port:2 ~src:s
-                    ~dst:d ()
-                in
-                match Engine.send_sync es ~now:!clock ~attrs ~secret ~payload with
-                | Ok w -> (secret, w)
-                | Error e -> Alcotest.failf "send: %a" Engine.pp_error e)
-              frames
-          in
-          let scalar_results =
-            List.map
-              (fun (_, w) ->
-                result_str
-                  (Engine.receive_sync ed_scalar ~now:!clock ~src:s ~wire:w))
-              wires
-          in
-          let n = List.length wires in
-          let got = Array.make n None in
-          let b = Engine.Batch_rx.create ~threshold ed_batched in
-          List.iteri
-            (fun i (_, w) ->
-              Engine.receive_batched b ~now:!clock ~src:s ~wire:w (fun r ->
-                  got.(i) <- Some r))
-            wires;
-          let deferrable =
-            if batchable then
-              List.length (List.filter (fun (secret, _) -> secret) wires)
-            else 0
-          in
-          check Alcotest.int
-            (Printf.sprintf "%s t%d: exactly the secret frames deferred"
-               (Suite.name suite) threshold)
-            deferrable (Engine.Batch_rx.pending b);
-          let bs, _sc = Engine.Batch_rx.flush b in
-          if batchable && threshold = 1 then
-            check Alcotest.bool "threshold 1 flush ran bitsliced" true (bs > 0);
-          check Alcotest.int "queue drained" 0 (Engine.Batch_rx.pending b);
-          let batched_results =
-            Array.to_list
-              (Array.map
-                 (function
-                   | Some r -> result_str r
-                   | None -> Alcotest.fail "flush did not deliver")
-                 got)
-          in
-          check
-            (Alcotest.list Alcotest.string)
-            (Printf.sprintf "%s threshold %d: verdicts and bytes equal"
-               (Suite.name suite) threshold)
-            scalar_results batched_results;
-          check
-            (Alcotest.list Alcotest.int)
-            (Printf.sprintf "%s threshold %d: receiver counters equal"
-               (Suite.name suite) threshold)
-            (counters_line (Engine.counters ed_scalar))
-            (counters_line (Engine.counters ed_batched)))
-        [ 1; 24 ])
-    [
-      (Suite.paper_md5_des, true); (Suite.des_mac_des, true);
-      (Suite.md5_des3, false); (Suite.hmac_sha1_ctr, false); (Suite.nop, false);
-    ]
+  check Alcotest.int "non-secret never queues" 0 (Engine.Batch.pending batch);
+  let c = Engine.counters es in
+  check Alcotest.(pair int int) "seal lane leaves the open-lane counters idle"
+    (0, 0) (c.Engine.rx_batch_deferred, c.Engine.rx_batch_flushes);
+  (* A batch belongs to the engine it was created for. *)
+  Alcotest.check_raises "another engine's batch refused"
+    (Invalid_argument "Engine: batch bound to another engine") (fun () ->
+      Engine.receive ~batch ed ~now:!clock ~src:s ~wire:"" (fun _ ->
+          Alcotest.fail "a foreign batch reached the datapath"))
 
 let test_engine_batch_rx_capacity_autoflush () =
-  (* Filling the receive batch to capacity flushes without an explicit
-     call; a non-deferrable frame (here: not secret) bypasses the queue
-     and delivers inline. *)
+  (* Filling the open lane to capacity flushes without an explicit call;
+     a non-deferrable frame (here: not secret) bypasses the queue and
+     delivers inline. *)
   let clock, s, d, es, ed = make_engines ~suite:Suite.paper_md5_des () in
   let wire_for i secret =
     let attrs =
@@ -1402,10 +1503,10 @@ let test_engine_batch_rx_capacity_autoflush () =
     | Ok w -> w
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
   in
-  let b = Engine.Batch_rx.create ~capacity:4 ed in
+  let batch = Engine.Batch.create ~capacity:4 ed in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    Engine.receive_batched b ~now:!clock ~src:s ~wire:(wire_for i true) (function
+    Engine.receive ~batch ed ~now:!clock ~src:s ~wire:(wire_for i true) (function
       | Ok acc ->
           check Alcotest.string "payload roundtrips"
             (Printf.sprintf "rx autoflush %d" i)
@@ -1414,19 +1515,19 @@ let test_engine_batch_rx_capacity_autoflush () =
       | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e)
   done;
   check Alcotest.int "capacity reached: everything delivered" 4 !delivered;
-  check Alcotest.int "queue empty after autoflush" 0 (Engine.Batch_rx.pending b);
+  check Alcotest.int "queue empty after autoflush" 0 (Engine.Batch.pending batch);
   let inline = ref false in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire:(wire_for 9 false) (function
+  Engine.receive ~batch ed ~now:!clock ~src:s ~wire:(wire_for 9 false) (function
     | Ok _ -> inline := true
     | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e);
   check Alcotest.bool "non-secret delivers inline" true !inline;
-  check Alcotest.int "non-secret never queues" 0 (Engine.Batch_rx.pending b);
+  check Alcotest.int "non-secret never queues" 0 (Engine.Batch.pending batch);
   let c = Engine.counters ed in
   check Alcotest.int "deferrals counted" 4 c.Engine.rx_batch_deferred;
   check Alcotest.int "one flush counted" 1 c.Engine.rx_batch_flushes
 
 let test_engine_batch_rx_tick_linger () =
-  (* A partial receive batch flushes on the linger timeout, not only at
+  (* A partial open lane flushes on the linger timeout, not only at
      capacity: [tick] before the deadline is a no-op, after it the queue
      drains and the continuation fires. *)
   let clock, s, d, es, ed = make_engines ~suite:Suite.paper_md5_des () in
@@ -1438,31 +1539,94 @@ let test_engine_batch_rx_tick_linger () =
     | Ok w -> w
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
   in
-  let b = Engine.Batch_rx.create ~linger:0.5 ed in
+  let batch = Engine.Batch.create ~linger:0.5 ed in
   let got = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> got := Some r);
-  check Alcotest.int "queued" 1 (Engine.Batch_rx.pending b);
-  (match Engine.Batch_rx.tick b ~now:(!clock +. 0.2) with
+  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> got := Some r);
+  check Alcotest.int "queued" 1 (Engine.Batch.pending batch);
+  (match Engine.Batch.tick batch ~now:(!clock +. 0.2) with
   | None -> ()
   | Some _ -> Alcotest.fail "tick flushed before the linger deadline");
   check Alcotest.bool "not delivered yet" true (!got = None);
-  (match Engine.Batch_rx.tick b ~now:(!clock +. 0.6) with
+  (match Engine.Batch.tick batch ~now:(!clock +. 0.6) with
   | Some (bs, sc) -> check Alcotest.bool "blocks ran" true (bs + sc > 0)
   | None -> Alcotest.fail "tick did not flush past the linger deadline");
-  check Alcotest.int "drained" 0 (Engine.Batch_rx.pending b);
+  check Alcotest.int "drained" 0 (Engine.Batch.pending batch);
   (match !got with
   | Some (Ok acc) ->
       check Alcotest.string "payload roundtrips" "rx linger" acc.Engine.payload
   | Some (Error e) -> Alcotest.failf "receive: %a" Engine.pp_error e
   | None -> Alcotest.fail "tick flush did not deliver");
-  match Engine.Batch_rx.tick b ~now:(!clock +. 60.0) with
+  match Engine.Batch.tick batch ~now:(!clock +. 60.0) with
   | None -> ()
   | Some _ -> Alcotest.fail "tick flushed an empty queue"
 
+(* The send-lane mirror of the stack's lone cold-flow regression: a
+   secret send whose keying suspends enqueues into the seal lane from the
+   resumed keying continuation — a later event, after [send] returned —
+   so the park hook must fire from that enqueue, and the linger tick must
+   then deliver exactly one result. *)
+let test_engine_batch_seal_lane_late_park () =
+  let rng = Fbsr_util.Rng.create 33 in
+  let group = Lazy.force Fbsr_crypto.Dh.test_group in
+  let ca = Fbsr_cert.Authority.create ~rng ~bits:512 () in
+  let enroll name =
+    let priv = Fbsr_crypto.Dh.gen_private group rng in
+    let pub = Fbsr_crypto.Dh.public group priv in
+    ignore
+      (Fbsr_cert.Authority.enroll ca ~now:0.0 ~subject:name
+         ~group:group.Fbsr_crypto.Dh.name
+         ~public_value:(Fbsr_crypto.Dh.public_to_bytes group pub));
+    (Principal.of_string name, priv)
+  in
+  let s, s_priv = enroll "10.0.0.1" in
+  let d, _ = enroll "10.0.0.2" in
+  let fetch = ref None in
+  let keying =
+    Keying.create ~local:s ~group ~private_value:s_priv
+      ~ca_public:(Fbsr_cert.Authority.public ca) ~ca_hash:(Fbsr_cert.Authority.hash ca)
+      ~resolver:(fun peer k -> fetch := Some (peer, k))
+      ~clock:(fun () -> 0.0)
+      ()
+  in
+  let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create 3) in
+  let fam = Fam.create (Policy_five_tuple.policy ~alloc ()) in
+  let es = Engine.create ~keying ~fam () in
+  let batch = Engine.Batch.create es in
+  let parks = ref 0 in
+  Engine.Batch.set_on_park batch (fun () -> incr parks);
+  let results = ref [] in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  Engine.send ~batch es ~now:60.0 ~attrs ~secret:true ~payload:"cold flow" (fun r ->
+      results := r :: !results);
+  check Alcotest.int "suspended on the fetch: nothing parked yet" 0
+    (Engine.Batch.pending batch);
+  check Alcotest.int "no park before the fetch completes" 0 !parks;
+  (match !fetch with
+  | Some (peer, k) ->
+      k (Ok (Option.get (Fbsr_cert.Authority.lookup ca (Principal.to_string peer))))
+  | None -> Alcotest.fail "resolver not consulted");
+  check Alcotest.int "enqueued from the resumed continuation" 1
+    (Engine.Batch.pending batch);
+  check Alcotest.int "park hook fired in that event" 1 !parks;
+  check Alcotest.int "not delivered before a flush" 0 (List.length !results);
+  (match Engine.Batch.tick batch ~now:61.0 with
+  | Some _ -> ()
+  | None -> Alcotest.fail "tick did not flush the parked seal");
+  (match !results with
+  | [ Ok wire ] -> (
+      match Header.decode wire with
+      | Ok (h, _) -> check Alcotest.bool "sealed secret" true h.Header.secret
+      | Error _ -> Alcotest.fail "delivered wire undecodable")
+  | [ Error e ] -> Alcotest.failf "send: %a" Engine.pp_error e
+  | rs -> Alcotest.failf "%d results delivered, want exactly 1" (List.length rs));
+  check Alcotest.bool "nothing left to tick" true
+    (Engine.Batch.tick batch ~now:120.0 = None);
+  check Alcotest.int "still exactly one result" 1 (List.length !results)
+
 let test_engine_batch_rx_replay_at_enqueue () =
-  (* The replay check runs in the scalar prologue at enqueue, so under
+  (* The replay check runs in the receive prologue at enqueue, so under
      strict replay a duplicate of a still-queued frame is refused
-     synchronously — exactly where scalar [receive] refuses it — while
+     synchronously — exactly where inline [receive] refuses it — while
      the first copy still delivers at flush. *)
   let clock, s, d, es, ed = make_engines ~strict_replay:true () in
   let attrs = Fam.attrs ~protocol:17 ~src_port:7000 ~dst_port:2 ~src:s ~dst:d () in
@@ -1473,18 +1637,18 @@ let test_engine_batch_rx_replay_at_enqueue () =
     | Ok w -> w
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
   in
-  let b = Engine.Batch_rx.create ed in
+  let batch = Engine.Batch.create ed in
   let first = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> first := Some r);
-  check Alcotest.int "first copy queued" 1 (Engine.Batch_rx.pending b);
+  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> first := Some r);
+  check Alcotest.int "first copy queued" 1 (Engine.Batch.pending batch);
   let second = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> second := Some r);
+  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> second := Some r);
   (match !second with
   | Some (Error Engine.Duplicate) -> ()
   | Some _ -> Alcotest.fail "duplicate not refused as Duplicate"
   | None -> Alcotest.fail "duplicate verdict deferred past the prologue");
-  check Alcotest.int "duplicate never queues" 1 (Engine.Batch_rx.pending b);
-  ignore (Engine.Batch_rx.flush b : int * int);
+  check Alcotest.int "duplicate never queues" 1 (Engine.Batch.pending batch);
+  ignore (Engine.Batch.flush batch : int * int);
   match !first with
   | Some (Ok acc) ->
       check Alcotest.string "first copy delivers at flush" "replayed"
@@ -2087,15 +2251,17 @@ let () =
           Alcotest.test_case "midstate seal byte-equal to prefix MAC" `Quick
             test_engine_midstate_seal_byte_equal;
           Alcotest.test_case "batched seal byte-equal to scalar seal" `Quick
-            test_engine_send_batched_byte_equal;
+            (batch_differential ~lane:`Seal);
           Alcotest.test_case "batch capacity autoflush + inline bypass" `Quick
             test_engine_batch_capacity_autoflush;
           Alcotest.test_case "batched receive = scalar receive (suites x kernels)"
-            `Quick test_engine_receive_batched_equals_scalar;
+            `Quick (batch_differential ~lane:`Open);
           Alcotest.test_case "rx batch capacity autoflush + inline bypass" `Quick
             test_engine_batch_rx_capacity_autoflush;
           Alcotest.test_case "rx batch linger tick" `Quick
             test_engine_batch_rx_tick_linger;
+          Alcotest.test_case "seal-lane park from a resumed keying continuation"
+            `Quick test_engine_batch_seal_lane_late_park;
           Alcotest.test_case "rx batch replay refused at enqueue" `Quick
             test_engine_batch_rx_replay_at_enqueue;
           Alcotest.test_case "ciphertext hides plaintext" `Quick

@@ -202,10 +202,9 @@ let test_metrics_sum () =
       "fbs.engine.datapath.allocs";
       "fbs.cache.tfkc.misses.total";
     ];
-  (* And the aggregate counter record agrees with the dispatcher's view. *)
-  let agg = Fbsr_fbs.Sharded.aggregate_counters p.Fixture.tx in
+  (* And the aggregate agrees with the dispatcher's view. *)
   check Alcotest.int "aggregate sends = offered" (Array.length jobs)
-    agg.Fbsr_fbs.Engine.sends
+    (Fbsr_util.Metrics.get m "fbs.engine.sends")
 
 (* --- Compat clamp + per-shard allocs --- *)
 

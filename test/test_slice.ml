@@ -423,16 +423,14 @@ let differential_roundtrip ~suite ~secret ~payload () =
   | Ok (_, pt) -> check Alcotest.string "reference opens engine wire" (hex payload) (hex pt)
   | Error _ -> Alcotest.fail "reference rejected engine wire");
   (* 3. The engine accepts the engine's wire (and hence the reference's,
-     which is the same bytes) — including through a nonzero-offset slice. *)
-  let framed = "\xaa\xbb\xcc" ^ wire ^ "\xdd" in
+     which is the same bytes). *)
   let got = ref None in
-  Fbsr_fbs.Engine.receive_slice p.Fbsr_experiments.Fixture.receiver ~now:60.0
-    ~src:p.Fbsr_experiments.Fixture.src
-    ~wire:(Slice.v ~off:3 ~len:(String.length wire) framed)
+  Fbsr_fbs.Engine.receive p.Fbsr_experiments.Fixture.receiver ~now:60.0
+    ~src:p.Fbsr_experiments.Fixture.src ~wire
     (fun r -> got := Some r);
   match !got with
   | Some (Ok acc) ->
-      check Alcotest.string "engine accepts (offset slice)" (hex payload)
+      check Alcotest.string "engine accepts" (hex payload)
         (hex acc.Fbsr_fbs.Engine.payload);
       check Alcotest.bool "accepted header matches" true
         (header_eq acc.Fbsr_fbs.Engine.header h)
@@ -522,7 +520,7 @@ let test_datapath_accounting_batched () =
       let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
       let wires = ref [] in
       for i = 0 to flows - 1 do
-        Fbsr_fbs.Engine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+        Fbsr_fbs.Engine.send ~batch es ~now:60.0 ~attrs:attrs.(i) ~secret:true
           ~payload:(String.make 1000 'q') (function
           | Ok w -> wires := w :: !wires
           | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e)
@@ -548,7 +546,7 @@ let test_datapath_accounting_batched () =
     [ 1; 24 ]
 
 let test_datapath_accounting_batched_rx () =
-  (* The receive mirror: deferring the body open into a [Batch_rx] keeps
+  (* The receive mirror: deferring the body open into a batch keeps
      the round trip at exactly two allocations (wire at seal, plaintext
      at enqueue) and zero extra copies — on both flush kernels. *)
   List.iter
@@ -557,7 +555,7 @@ let test_datapath_accounting_batched_rx () =
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
       let es = p.Fbsr_experiments.Fixture.sender
       and ed = p.Fbsr_experiments.Fixture.receiver in
-      let batch = Fbsr_fbs.Engine.Batch_rx.create ~threshold ed in
+      let batch = Fbsr_fbs.Engine.Batch.create ~threshold ed in
       let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
       let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
@@ -567,13 +565,13 @@ let test_datapath_accounting_batched_rx () =
             ~payload:(String.make 1000 'q')
         with
         | Ok wire ->
-            Fbsr_fbs.Engine.receive_batched batch ~now:60.0
+            Fbsr_fbs.Engine.receive ~batch ed ~now:60.0
               ~src:p.Fbsr_experiments.Fixture.src ~wire (function
               | Ok _ -> ()
               | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
         | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e
       done;
-      ignore (Fbsr_fbs.Engine.Batch_rx.flush batch);
+      ignore (Fbsr_fbs.Engine.Batch.flush batch);
       let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
       check Alcotest.int
