@@ -11,7 +11,11 @@
    Classification follows the standard methodology: a miss on a never-seen
    key is *cold*; a miss on a key that a fully-associative LRU cache of the
    same total capacity would still hold is *conflict*; otherwise it is
-   *capacity*.  The shadow fully-associative cache is maintained alongside.
+   *capacity*.  The shadow fully-associative cache is maintained alongside,
+   as an index-linked list with O(1) touch.  "Never seen" is answered by a
+   set of 60-bit key fingerprints in an open-addressing [Bytes] table: no
+   key object is retained, so each key that ever missed costs one 8-byte
+   slot at load at most 1/2, which the GC does not scan.
 
    The cache is soft state by construction: any entry may be dropped at any
    time and the protocol merely recomputes — correctness never depends on
@@ -47,9 +51,19 @@ type ('k, 'v) t = {
   mutable tick : int;
   stats : stats;
   (* Shadow state for miss classification. *)
-  seen : ('k, unit) Hashtbl.t;
-  shadow : ('k, int) Hashtbl.t; (* key -> last use tick in the shadow LRU *)
-  mutable classify : bool;
+  classify : bool;
+  mutable seen : Bytes.t; (* fingerprint set: 8-byte slots, 0 = empty *)
+  mutable seen_count : int;
+  shadow : ('k, int) Hashtbl.t; (* key -> its node in the shadow LRU list *)
+  (* Nodes 1..shadow_used, at most capacity; node 0 is the sentinel, so
+     next.(0) is the MRU and prev.(0) the LRU.  The arrays double up to
+     capacity + 1 as nodes are taken, so a cache that only ever sees a few
+     keys pays for a few nodes (the key array starts empty, for want of a
+     key to fill it). *)
+  mutable shadow_keys : 'k array;
+  mutable shadow_prev : int array;
+  mutable shadow_next : int array;
+  mutable shadow_used : int;
   name : string; (* observability label, e.g. "tfkc" *)
   trace : Fbsr_util.Trace.t;
 }
@@ -76,9 +90,14 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     slots = Array.make (sets * assoc) None;
     tick = 0;
     stats = new_stats ();
-    seen = Hashtbl.create 64;
-    shadow = Hashtbl.create 64;
     classify;
+    seen = Bytes.make (if classify then 8 * 8 else 0) '\000';
+    seen_count = 0;
+    shadow = Hashtbl.create 16;
+    shadow_keys = [||];
+    shadow_prev = [| 0 |];
+    shadow_next = [| 0 |];
+    shadow_used = 0;
     name;
     trace;
   }
@@ -113,40 +132,112 @@ let miss_rate t =
 
 let set_base t key = t.hash key mod t.sets * t.assoc
 
-(* Shadow fully-associative LRU of the same capacity. *)
+(* Shadow fully-associative LRU of the same capacity: a doubly linked
+   list over node indices, so a touch is O(1) (amortised over the
+   arrays' doubling) and, when the key is already there (every hit),
+   allocates nothing.  The tail is the node touched least recently, the
+   same victim as a minimum-tick scan. *)
+let shadow_unlink t i =
+  let p = t.shadow_prev.(i) and n = t.shadow_next.(i) in
+  t.shadow_next.(p) <- n;
+  t.shadow_prev.(n) <- p
+
+let shadow_push_front t i =
+  let head = t.shadow_next.(0) in
+  t.shadow_prev.(i) <- 0;
+  t.shadow_next.(i) <- head;
+  t.shadow_prev.(head) <- i;
+  t.shadow_next.(0) <- i
+
+let shadow_new_node t key =
+  let i = t.shadow_used + 1 in
+  if i = Array.length t.shadow_prev then begin
+    let n = min (capacity t + 1) (2 * i) in
+    let grow a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.shadow_keys <- grow t.shadow_keys key;
+    t.shadow_prev <- grow t.shadow_prev 0;
+    t.shadow_next <- grow t.shadow_next 0
+  end;
+  t.shadow_used <- i;
+  i
+
 let shadow_touch t key =
-  if t.classify then begin
-    Hashtbl.replace t.shadow key t.tick;
-    if Hashtbl.length t.shadow > capacity t then begin
-      (* Evict the least recently used shadow entry. *)
-      let victim =
-        Hashtbl.fold
-          (fun k tick acc ->
-            match acc with
-            | Some (_, best) when best <= tick -> acc
-            | _ -> Some (k, tick))
-          t.shadow None
-      in
-      match victim with Some (k, _) -> Hashtbl.remove t.shadow k | None -> ()
-    end
+  if t.classify then
+    match Hashtbl.find t.shadow key with
+    | i ->
+        shadow_unlink t i;
+        shadow_push_front t i
+    | exception Not_found ->
+        let i =
+          if t.shadow_used < capacity t then shadow_new_node t key
+          else begin
+            let lru = t.shadow_prev.(0) in
+            shadow_unlink t lru;
+            Hashtbl.remove t.shadow t.shadow_keys.(lru);
+            lru
+          end
+        in
+        t.shadow_keys.(i) <- key;
+        Hashtbl.add t.shadow key i;
+        shadow_push_front t i
+
+(* The fingerprint set.  A fingerprint is 60 bits from two seeded
+   polymorphic hashes (30 bits each), independent of the caller's [hash]
+   (which may be weak or even constant), and never 0, the empty-slot
+   marker.  Slots are read and written as native-endian int64, which the
+   compiler keeps unboxed. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let slot table i = Int64.to_int (get64 table (8 * i))
+let set_slot table i fp = set64 table (8 * i) (Int64.of_int fp)
+
+let fingerprint key =
+  let fp = (Hashtbl.seeded_hash 0x5eed1 key lsl 30) lor Hashtbl.seeded_hash 0x5eed2 key in
+  if fp = 0 then 1 else fp
+
+(* Linear probing from [fp]'s low bits: the slot holding [fp], or else the
+   empty slot where it belongs. *)
+let rec probe table mask fp i =
+  let v = slot table i in
+  if v = 0 || v = fp then i else probe table mask fp ((i + 1) land mask)
+
+let seen_slot table fp =
+  let mask = (Bytes.length table / 8) - 1 in
+  probe table mask fp (fp land mask)
+
+(* Double the table by rehashing the stored fingerprints themselves. *)
+let seen_grow t =
+  let old = t.seen in
+  let table = Bytes.make (2 * Bytes.length old) '\000' in
+  for i = 0 to (Bytes.length old / 8) - 1 do
+    let fp = slot old i in
+    if fp <> 0 then set_slot table (seen_slot table fp) fp
+  done;
+  t.seen <- table
+
+(* Record [key] as seen; [true] iff it was not seen before. *)
+let mark_seen t key =
+  let fp = fingerprint key in
+  let i = seen_slot t.seen fp in
+  if slot t.seen i = fp then false
+  else begin
+    set_slot t.seen i fp;
+    t.seen_count <- t.seen_count + 1;
+    if 2 * t.seen_count > Bytes.length t.seen / 8 then seen_grow t;
+    true
   end
 
 let classify_miss t key =
   if not t.classify then t.stats.misses_capacity <- t.stats.misses_capacity + 1
-  else if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
-    t.stats.misses_cold <- t.stats.misses_cold + 1
-  end
+  else if mark_seen t key then t.stats.misses_cold <- t.stats.misses_cold + 1
   else if Hashtbl.mem t.shadow key then
     t.stats.misses_conflict <- t.stats.misses_conflict + 1
   else t.stats.misses_capacity <- t.stats.misses_capacity + 1
-
-(* Has this key ever missed in this cache?  (Population happens on first
-   miss, so for find-before-insert access patterns this means "ever
-   accessed".)  Survives {!clear}: it is the memory that lets a caller
-   distinguish a compulsory first computation from a *recomputation* after
-   soft-state loss.  Always false when classification is disabled. *)
-let was_seen t key = Hashtbl.mem t.seen key
 
 let find t key =
   t.tick <- t.tick + 1;
@@ -230,9 +321,15 @@ let invalidate t key =
     | Some _ | None -> ()
   done
 
+(* The fingerprint set survives: it is what tells a recomputation after
+   soft-state loss from a first contact. *)
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) None;
-  Hashtbl.reset t.shadow
+  Hashtbl.reset t.shadow;
+  t.shadow_keys <- [||];
+  t.shadow_prev <- [| 0 |];
+  t.shadow_next <- [| 0 |];
+  t.shadow_used <- 0
 
 let iter t f =
   Array.iter (function Some slot -> f slot.key slot.value | None -> ()) t.slots

@@ -1,5 +1,27 @@
 (** Generic soft-state cache: set-associative, LRU-within-set, pluggable
-    randomising hash, three-C's miss classification (paper Section 5.3). *)
+    randomising hash, three-C's miss classification (paper Section 5.3).
+
+    {b Classifier cost.}  With [classify] on (the default), every access
+    also touches a shadow fully-associative LRU of the same capacity, in
+    amortised O(1) time and without allocating when the key is already in
+    it.
+    Whether a missing key is cold is answered by a set of 60-bit key
+    fingerprints (two seeded [Hashtbl.seeded_hash] calls, independent of
+    the [hash] given to {!create}) in an open-addressing [Bytes] table
+    that doubles at load 1/2: 16 to 32 bytes per distinct key ever
+    missed, no key object retained, nothing for the GC to scan.  The set
+    is never shrunk, and it survives {!clear}, so a miss after [clear] on
+    a key seen before is classified as a capacity or conflict miss, not a
+    cold one.
+
+    {b Collisions.}  Two distinct keys with equal fingerprints make the
+    second one's first miss count as capacity or conflict instead of
+    cold.  For [n] distinct keys per cache the probability of any such
+    collision is at most [n{^2}/2{^61}] (about [4e-7] at [n = 10{^6}]),
+    for keys small enough that the polymorphic hash reads all of them (at
+    most 10 meaningful words, e.g. a tuple of an [int64] and two
+    strings).  Only the statistics can change: no lookup, eviction or
+    stored value depends on the classifier. *)
 
 type stats = {
   mutable hits : int;
@@ -45,10 +67,6 @@ val capacity : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but does not touch statistics or LRU state. *)
-
-val was_seen : ('k, 'v) t -> 'k -> bool
-(** Whether this key has ever missed here (never cleared, soft-state-loss
-    detector; always [false] when [classify:false]). *)
 
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 val invalidate : ('k, 'v) t -> 'k -> unit

@@ -342,21 +342,24 @@ let finish_derive t (tm : (Fbsr_util.Span.timer * int64) option) ~cache ~hit
 
 let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result -> unit) =
   let key = (Sfl.to_int64 sfl, Principal.to_string peer, Principal.to_string (local t)) in
-  (* Captured before [find], which registers the key as seen: a miss on a
-     previously-seen key means the entry was evicted or invalidated and we
-     are recovering by recomputation — the soft-state guarantee at work. *)
-  let revisit = Cache.was_seen cache key in
   let tm =
     if Fbsr_util.Span.enabled t.spans then
       Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
     else None
   in
+  let stats = Cache.stats cache in
+  let cold_before = stats.Cache.misses_cold in
   match Cache.find cache key with
   | Some entry ->
-      finish_derive t tm ~cache:(Cache.name cache) ~hit:true ~revisit
+      finish_derive t tm ~cache:(Cache.name cache) ~hit:true ~revisit:false
         ~master:"cached";
       k (Ok entry)
   | None ->
+      (* A miss that is not cold (TFKC and RFKC always classify) is on a
+         key this cache has seen before: its entry was evicted or
+         invalidated and we are recovering by recomputation, the
+         soft-state guarantee at work. *)
+      let revisit = stats.Cache.misses_cold = cold_before in
       Keying.get_master t.keying peer (function
         | Error e ->
             finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit

@@ -93,13 +93,15 @@ val create :
 (** [trace] (default disabled) receives structured events from the engine
     and its caches: ["fbs.engine.flow.setup"] per fresh flow,
     ["fbs.engine.key.derive"] per flow-key computation (with a [recovered]
-    flag for post-eviction recomputation), ["fbs.engine.replay.reject"]
+    flag: the cache miss was not cold, so this recomputes a key lost to
+    eviction, invalidation or [Cache.clear]), ["fbs.engine.replay.reject"]
     per stale/duplicate rejection, and ["fbs.cache.evict"] per eviction.
 
     [spans] (default disabled) receives per-datagram causal spans.  Each
     {!send} opens a fresh trace id in the {!Fbsr_util.Span} sidecar
     context and records ["fam.classify"], ["keying.derive"] (with
-    TFKC/RFKC hit-or-miss and MKC/PVC/fetch attribution) and
+    TFKC/RFKC hit-or-miss, MKC/PVC/fetch attribution, and [recovered],
+    false on every hit) and
     ["engine.seal"]; each {!receive} records ["replay.check"] and a
     terminal ["engine.receive"] span whose outcome is ["delivered"] or
     ["drop:<cause>"] with causes mirroring {!drops_by_cause} (a send-side

@@ -466,14 +466,15 @@ let prop_cache_find_after_insert =
 (* The 3-C classification against a from-scratch reference model: a
    byte-for-byte reimplementation of the documented semantics (tick on
    every find and insert, shadow fully-associative LRU touched by both,
-   seen-set grown on first miss, per-set LRU replacement).  Random
-   find/insert/invalidate workloads must produce identical statistics,
-   and the counters must add up: every find is exactly one of
-   hit/cold/capacity/conflict. *)
+   seen-set grown on first miss and kept across [clear], per-set LRU
+   replacement).  Random find/insert/invalidate/clear workloads must
+   produce identical statistics, and the counters must add up: every
+   find is exactly one of hit/cold/capacity/conflict.  [clear] is one op
+   in 21, so the shadow still fills and evicts between clears. *)
 let prop_cache_classification_matches_reference =
   QCheck.Test.make ~name:"3-C classification = brute-force reference" ~count:200
     QCheck.(
-      list_of_size (Gen.int_range 1 300) (pair (int_bound 5) (int_bound 40)))
+      list_of_size (Gen.int_range 1 300) (pair (int_bound 20) (int_bound 40)))
     (fun ops ->
       let sets = 4 and assoc = 2 in
       let cache = Cache.create ~assoc ~sets ~hash:(fun k -> k) ~equal:Int.equal () in
@@ -560,18 +561,28 @@ let prop_cache_classification_matches_reference =
           | _ -> ()
         done
       in
+      let ref_clear () =
+        Array.fill slots 0 capacity None;
+        Hashtbl.reset shadow
+      in
       List.iter
         (fun (op, key) ->
-          match op with
-          | 0 | 1 | 2 ->
-              ref_find key;
-              ignore (Cache.find cache key)
-          | 3 | 4 ->
-              ref_insert key;
-              Cache.insert cache key (string_of_int key)
-          | _ ->
-              ref_invalidate key;
-              Cache.invalidate cache key)
+          if op < 10 then begin
+            ref_find key;
+            ignore (Cache.find cache key)
+          end
+          else if op < 17 then begin
+            ref_insert key;
+            Cache.insert cache key (string_of_int key)
+          end
+          else if op < 20 then begin
+            ref_invalidate key;
+            Cache.invalidate cache key
+          end
+          else begin
+            ref_clear ();
+            Cache.clear cache
+          end)
         ops;
       let s = Cache.stats cache in
       s.Cache.hits = !hits
@@ -591,6 +602,25 @@ let test_cache_occupancy_clear () =
   check Alcotest.bool "occupancy bounded" true (Cache.occupancy c <= 10);
   Cache.clear c;
   check Alcotest.int "cleared" 0 (Cache.occupancy c)
+
+(* The record of every key that ever missed is a set of 8-byte
+   fingerprints, not of keys: 200k distinct flow-key-shaped keys through
+   a 128-set cache cost at most 4 words each (one slot at load between
+   1/4 and 1/2), where a hash table of the keys themselves costs 12 or
+   more (tuple, boxed int64, bucket). *)
+let test_cache_classifier_memory () =
+  let c : (int64 * string * string, int) Cache.t =
+    Cache.create ~sets:128 ~hash:Hashtbl.hash ~equal:( = ) ()
+  in
+  let before = Obj.reachable_words (Obj.repr c) in
+  let n = 200_000 in
+  for i = 1 to n do
+    let key = (Int64.of_int i, "10.0.0.1", "10.0.0.2") in
+    match Cache.find c key with Some _ -> () | None -> Cache.insert c key i
+  done;
+  let per_key = float_of_int (Obj.reachable_words (Obj.repr c) - before) /. float_of_int n in
+  check Alcotest.bool (Printf.sprintf "%.2f words per key <= 4" per_key) true (per_key <= 4.0);
+  check Alcotest.int "every key a cold miss" n (Cache.stats c).Cache.misses_cold
 
 (* --- Keying --- *)
 
@@ -1819,6 +1849,69 @@ let test_engine_flow_key_recovery () =
   check Alcotest.int "still one recovery" 1
     (Engine.counters es).Engine.flow_key_recoveries
 
+(* The [recovered] flag of the ["keying.derive"] span: a first-contact
+   miss recomputes nothing it had before, a hit recomputes nothing at all,
+   and only a miss on a key the cache has seen (here after [clear]) is a
+   recovery. *)
+let test_engine_derive_recovered_flag () =
+  let spans = Fbsr_util.Span.create ~capacity:4096 () in
+  let clock, s, d, es, _ = make_engines ~spans () in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let recovered_on_send what =
+    Fbsr_util.Span.clear spans;
+    ignore (Result.get_ok (Engine.send_sync es ~now:!clock ~attrs ~secret:false ~payload:what));
+    match
+      List.filter
+        (fun (sp : Fbsr_util.Span.span) -> sp.Fbsr_util.Span.stage = "keying.derive")
+        (Fbsr_util.Span.spans spans)
+    with
+    | [ sp ] -> List.assoc "recovered" sp.Fbsr_util.Span.detail = Fbsr_util.Json.Bool true
+    | l -> Alcotest.failf "%s: %d keying.derive spans" what (List.length l)
+  in
+  check Alcotest.bool "first-contact miss" false (recovered_on_send "first");
+  check Alcotest.bool "hit" false (recovered_on_send "hit");
+  Cache.clear (Engine.tfkc es);
+  check Alcotest.bool "miss after clear" true (recovered_on_send "after clear");
+  check Alcotest.int "one recovery" 1 (Engine.counters es).Engine.flow_key_recoveries
+
+(* Forged datagrams under fresh sfls from an enrolled peer each cost the
+   receiver a flow-key derivation and a classifier entry.  They must all
+   drop as MAC failures, the classifier must stay a few words per forged
+   sfl (the RFKC itself is bounded by its geometry), and the real flow
+   must still be delivered afterwards. *)
+let test_engine_forged_sfls_bounded () =
+  let clock, s, d, es, ed = make_engines () in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let send payload =
+    Result.get_ok (Engine.send_sync es ~now:!clock ~attrs ~secret:false ~payload)
+  in
+  let deliver what wire =
+    match Engine.receive_sync ed ~now:!clock ~src:s ~wire with
+    | Ok acc -> check Alcotest.string what what acc.Engine.payload
+    | Error e -> Alcotest.failf "%s: %a" what Engine.pp_error e
+  in
+  let template = send "template" in
+  deliver "template" template;
+  let h, body = Result.get_ok (Header.decode template) in
+  let rfkc = Engine.rfkc ed in
+  let before = Obj.reachable_words (Obj.repr rfkc) in
+  let n = 50_000 in
+  for i = 1 to n do
+    let sfl = Sfl.of_int64 (Int64.logxor (Sfl.to_int64 h.Header.sfl) (Int64.of_int i)) in
+    let wire = Header.encode { h with Header.sfl } ^ body in
+    match Engine.receive_sync ed ~now:!clock ~src:s ~wire with
+    | Error Engine.Bad_mac -> ()
+    | Ok _ -> Alcotest.failf "forged datagram %d accepted" i
+    | Error e -> Alcotest.failf "forged datagram %d: %a" i Engine.pp_error e
+  done;
+  check Alcotest.int "every forgery a MAC drop" n (Engine.counters ed).Engine.errors_mac;
+  let per_sfl =
+    float_of_int (Obj.reachable_words (Obj.repr rfkc) - before) /. float_of_int n
+  in
+  check Alcotest.bool (Printf.sprintf "RFKC grew %.2f words per forged sfl <= 4" per_sfl)
+    true (per_sfl <= 4.0);
+  deliver "after the forgeries" (send "after the forgeries")
+
 let test_engine_header_garbage () =
   let clock, s, _, _, ed = make_engines () in
   ignore clock;
@@ -2201,6 +2294,8 @@ let () =
           Alcotest.test_case "LRU within set" `Quick test_cache_assoc_lru;
           Alcotest.test_case "miss classification" `Quick test_cache_miss_classification;
           Alcotest.test_case "occupancy + clear" `Quick test_cache_occupancy_clear;
+          Alcotest.test_case "classifier memory per key" `Quick
+            test_cache_classifier_memory;
           Alcotest.test_case "replacement policies" `Quick
             test_cache_replacement_policies;
           qtest prop_cache_find_after_insert;
@@ -2274,6 +2369,10 @@ let () =
           Alcotest.test_case "caches amortize" `Quick test_engine_caches_amortize;
           Alcotest.test_case "flow key recovery counted" `Quick
             test_engine_flow_key_recovery;
+          Alcotest.test_case "derive span recovered flag" `Quick
+            test_engine_derive_recovered_flag;
+          Alcotest.test_case "forged sfls: MAC drops, bounded RFKC" `Quick
+            test_engine_forged_sfls_bounded;
           Alcotest.test_case "garbage wire" `Quick test_engine_header_garbage;
           Alcotest.test_case "suite mismatch refused" `Quick test_engine_suite_mismatch;
           Alcotest.test_case "async send" `Quick test_engine_async_send;
