@@ -63,7 +63,7 @@ let payload_for seq = Printf.sprintf "D%08d|%s" seq (String.make 64 'x')
    ARQ sophistication. *)
 let run ?(seed = 11) ?(messages = 200) ?(max_attempts = 8) ?(rto = 0.5)
     ?(spacing = 0.05) ?(strict_replay = true) ?(batched_rx = false) ?faults
-    ?metrics ?trace ?(span_capacity = 0) ?span_cost_clock ?(span_sample = 1)
+    ?metrics ?(span_capacity = 0) ?span_cost_clock ?(span_sample = 1)
     ?telemetry_cadence () =
   let config =
     Stack.default_config ~strict_replay ~batched_rx ~keying_fetch_retries:2 ()
@@ -74,8 +74,8 @@ let run ?(seed = 11) ?(messages = 200) ?(max_attempts = 8) ?(rto = 0.5)
     { Mkd.default_config with Mkd.timeout = 0.25; max_attempts = 6 }
   in
   let tb =
-    Testbed.create ~seed ~config ~mkd_config ?faults ?metrics ?trace
-      ~span_capacity ?span_cost_clock ~span_sample ()
+    Testbed.create ~seed ~config ~mkd_config ?faults ?metrics ~span_capacity
+      ?span_cost_clock ~span_sample ()
   in
   (* Telemetry plane: a flight recorder over the site registry plus the
      health monitor, ticked on the simulated clock.  The tick events are
@@ -89,8 +89,7 @@ let run ?(seed = 11) ?(messages = 200) ?(max_attempts = 8) ?(rto = 0.5)
           Fbsr_util.Timeseries.create ~cadence:cad ~host:"faults"
             ~metrics:(Testbed.metrics tb) ()
         in
-        let health = Fbsr_fbs.Health.create ?trace ~ts () in
-        (ts, health)
+        (ts, Fbsr_fbs.Health.create ~ts ())
   in
   let sender = Testbed.add_host tb ~name:"sender" ~addr:"10.0.0.1" in
   let receiver = Testbed.add_host tb ~name:"receiver" ~addr:"10.0.0.2" in

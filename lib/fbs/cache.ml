@@ -65,7 +65,6 @@ type ('k, 'v) t = {
   mutable shadow_next : int array;
   mutable shadow_used : int;
   name : string; (* observability label, e.g. "tfkc" *)
-  trace : Fbsr_util.Trace.t;
 }
 
 let new_stats () =
@@ -79,7 +78,7 @@ let new_stats () =
   }
 
 let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache")
-    ?(trace = Fbsr_util.Trace.none) ~sets ~hash ~equal () =
+    ~sets ~hash ~equal () =
   if sets <= 0 || assoc <= 0 then invalid_arg "Cache.create: bad geometry";
   {
     sets;
@@ -99,7 +98,6 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     shadow_next = [| 0 |];
     shadow_used = 0;
     name;
-    trace;
   }
 
 let capacity t = t.sets * t.assoc
@@ -300,12 +298,6 @@ let insert t key value =
     | None, Some i -> i
     | None, None ->
         t.stats.evictions <- t.stats.evictions + 1;
-        if Fbsr_util.Trace.enabled t.trace then
-          Fbsr_util.Trace.emit t.trace "fbs.cache.evict"
-            [
-              ("cache", Fbsr_util.Json.String t.name);
-              ("evictions", Fbsr_util.Json.Int t.stats.evictions);
-            ];
         victim_index t base
   in
   t.slots.(idx) <- Some { key; value; last_used = t.tick; inserted = t.tick };

@@ -43,7 +43,6 @@ val create :
   ?classify:bool ->
   ?replacement:replacement ->
   ?name:string ->
-  ?trace:Fbsr_util.Trace.t ->
   sets:int ->
   hash:('k -> int) ->
   equal:('k -> 'k -> bool) ->
@@ -51,8 +50,7 @@ val create :
   ('k, 'v) t
 (** [classify:false] disables the shadow-LRU bookkeeping (faster; all
     non-cold misses count as capacity).  Default replacement is [Lru].
-    [name] labels the cache in metrics/trace output; [trace] (default
-    disabled) receives an ["fbs.cache.evict"] event per eviction. *)
+    [name] labels the cache in metrics output. *)
 
 val name : ('k, 'v) t -> string
 

@@ -144,7 +144,6 @@ type t = {
   replay : Replay.t;
   confounder_gen : Fbsr_util.Lcg.t;
   counters : counters;
-  trace : Fbsr_util.Trace.t;
   spans : Fbsr_util.Span.t;
   (* Per-flow heavy-hitter attribution (sfl-keyed sketches); [Flowstats.none]
      keeps the datapath at one branch per quantity. *)
@@ -167,9 +166,8 @@ let triple_equal (a1, b1, c1) (a2, b2, c2) =
 
 let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     ?(cache_assoc = 1) ?(replay_window_minutes = 2) ?(strict_replay = false)
-    ?(confounder_seed = 0x5eed) ?(trace = Fbsr_util.Trace.none)
-    ?(spans = Fbsr_util.Span.none) ?(flowstats = Flowstats.none) ~keying ~fam
-    () =
+    ?(confounder_seed = 0x5eed) ?(spans = Fbsr_util.Span.none)
+    ?(flowstats = Flowstats.none) ~keying ~fam () =
   (* Force the built-in armor manifest before consulting the registry:
      linking semantics drop unreferenced archive members, so the
      instances' registrations must be reachable from here. *)
@@ -208,20 +206,19 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     actx = Armor.make_ctx counters;
     tfkc =
       Cache.create ~assoc:cache_assoc ~sets:tfkc_sets ~hash:triple_hash
-        ~equal:triple_equal ~name:"tfkc" ~trace ();
+        ~equal:triple_equal ~name:"tfkc" ();
     rfkc =
       Cache.create ~assoc:cache_assoc ~sets:rfkc_sets ~hash:triple_hash
-        ~equal:triple_equal ~name:"rfkc" ~trace ();
+        ~equal:triple_equal ~name:"rfkc" ();
     inbound =
       Cache.create ~assoc:2 ~classify:false ~sets:rfkc_sets
         ~hash:(fun (sfl, peer) ->
           Fbsr_util.Crc32.update (Fbsr_util.Crc32.update_int64 0 sfl) peer 0
             (String.length peer))
         ~equal:(fun (s1, p1) (s2, p2) -> Int64.equal s1 s2 && String.equal p1 p2)
-        ~name:"inbound" ~trace ();
+        ~name:"inbound" ();
     replay = Replay.create ~window_minutes:replay_window_minutes ~strict:strict_replay ();
     confounder_gen = Fbsr_util.Lcg.create confounder_seed;
-    trace;
     spans;
     flowstats;
     seal_memo = None;
@@ -373,13 +370,6 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
                  recomputed after eviction — attribute it to the flow. *)
               note_flow_degraded t sfl
             end;
-            if Fbsr_util.Trace.enabled t.trace then
-              Fbsr_util.Trace.emit t.trace "fbs.engine.key.derive"
-                [
-                  ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-                  ("cache", Fbsr_util.Json.String (Cache.name cache));
-                  ("recovered", Fbsr_util.Json.Bool revisit);
-                ];
             let fk =
               Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst
             in
@@ -744,13 +734,6 @@ let send ?batch t ~now ~attrs ~secret ~payload (k : (string, error) result -> un
                 (if decision = Fam.Fresh then "fresh" else "established") );
           ]
   | None -> ());
-  if decision = Fam.Fresh && Fbsr_util.Trace.enabled t.trace then
-    Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.flow.setup"
-      [
-        ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-        ("src", Fbsr_util.Json.String (Principal.to_string src));
-        ("dst", Fbsr_util.Json.String (Principal.to_string dst));
-      ];
   send_flow t tm (seal_plan ?batch secret) ~now ~sfl ~src ~dst ~payload k
 
 (* The combined-path sibling of [send]: counts the datagram but leaves flow
@@ -782,8 +765,8 @@ let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
    (Figure 4 R1-R5).  It always runs at arrival, in arrival order, so
    replay registration and every early refusal are the same whether or
    not the body open is later deferred.  An [Error] has already been
-   fully accounted (counter, flow-drop attribution, trace event, terminal
-   span); the caller just delivers it. *)
+   fully accounted (counter, flow-drop attribution, terminal span); the
+   caller just delivers it. *)
 let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
   | Error e ->
@@ -814,27 +797,23 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
             let id = match tm with Some (_, id) -> id | None -> 0L in
             Fbsr_util.Span.finish t.spans stm ~id "replay.check"
               ~detail:
-                [
-                  ( "verdict",
-                    Fbsr_util.Json.String
-                      (match verdict with
-                      | Replay.Fresh -> "fresh"
-                      | Replay.Stale -> "stale"
-                      | Replay.Duplicate -> "duplicate") );
-                ]
+                (match verdict with
+                | Replay.Fresh -> [ ("verdict", Fbsr_util.Json.String "fresh") ]
+                | Replay.Duplicate ->
+                    [ ("verdict", Fbsr_util.Json.String "duplicate") ]
+                | Replay.Stale ->
+                    (* The same values the [Stale] error carries. *)
+                    [
+                      ("verdict", Fbsr_util.Json.String "stale");
+                      ("timestamp", Fbsr_util.Json.Int v.Header.v_timestamp);
+                      ( "now_minutes",
+                        Fbsr_util.Json.Int (Replay.minutes_of_seconds now) );
+                    ])
         | None -> ());
         match verdict with
         | Replay.Stale ->
             t.counters.errors_stale <- t.counters.errors_stale + 1;
             note_flow_drop t v.Header.v_sfl;
-            if Fbsr_util.Trace.enabled t.trace then
-              Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.replay.reject"
-                [
-                  ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp v.Header.v_sfl));
-                  ("cause", Fbsr_util.Json.String "stale");
-                  ("timestamp", Fbsr_util.Json.Int v.Header.v_timestamp);
-                  ("now_minutes", Fbsr_util.Json.Int (Replay.minutes_of_seconds now));
-                ];
             conclude_receive t tm "drop:stale";
             Error
               (Stale
@@ -845,12 +824,6 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
         | Replay.Duplicate ->
             t.counters.errors_duplicate <- t.counters.errors_duplicate + 1;
             note_flow_drop t v.Header.v_sfl;
-            if Fbsr_util.Trace.enabled t.trace then
-              Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.replay.reject"
-                [
-                  ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp v.Header.v_sfl));
-                  ("cause", Fbsr_util.Json.String "duplicate");
-                ];
             conclude_receive t tm "drop:duplicate";
             Error Duplicate
         | Replay.Fresh -> Ok v)

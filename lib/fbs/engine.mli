@@ -83,26 +83,21 @@ val create :
   ?replay_window_minutes:int ->
   ?strict_replay:bool ->
   ?confounder_seed:int ->
-  ?trace:Fbsr_util.Trace.t ->
   ?spans:Fbsr_util.Span.t ->
   ?flowstats:Flowstats.t ->
   keying:Keying.t ->
   fam:Fam.t ->
   unit ->
   t
-(** [trace] (default disabled) receives structured events from the engine
-    and its caches: ["fbs.engine.flow.setup"] per fresh flow,
-    ["fbs.engine.key.derive"] per flow-key computation (with a [recovered]
-    flag: the cache miss was not cold, so this recomputes a key lost to
-    eviction, invalidation or [Cache.clear]), ["fbs.engine.replay.reject"]
-    per stale/duplicate rejection, and ["fbs.cache.evict"] per eviction.
-
-    [spans] (default disabled) receives per-datagram causal spans.  Each
+(** [spans] (default disabled) receives per-datagram causal spans.  Each
     {!send} opens a fresh trace id in the {!Fbsr_util.Span} sidecar
-    context and records ["fam.classify"], ["keying.derive"] (with
-    TFKC/RFKC hit-or-miss, MKC/PVC/fetch attribution, and [recovered],
-    false on every hit) and
-    ["engine.seal"]; each {!receive} records ["replay.check"] and a
+    context and records ["fam.classify"] (with [decision] ["fresh"] for a
+    new flow), ["keying.derive"] (with TFKC/RFKC hit-or-miss, MKC/PVC/fetch
+    attribution, and [recovered]: the cache miss was not cold, so this
+    recomputes a key lost to eviction, invalidation or [Cache.clear];
+    false on every hit) and ["engine.seal"]; each {!receive} records
+    ["replay.check"] (its [verdict]; a stale one also carries the
+    [timestamp] and [now_minutes] of the {!Stale} error) and a
     terminal ["engine.receive"] span whose outcome is ["delivered"] or
     ["drop:<cause>"] with causes mirroring {!drops_by_cause} (a send-side
     keying failure terminates as ["engine.send"]/["drop:keying"]).  With

@@ -3,7 +3,6 @@
    [last2] — O(rules + columns) per cadence, nothing on the datapath. *)
 
 module Ts = Fbsr_util.Timeseries
-module Trace = Fbsr_util.Trace
 module Json = Fbsr_util.Json
 
 type worst = { mutable at : float; mutable value : float; mutable detail : string }
@@ -17,7 +16,6 @@ type rule = {
 
 type t = {
   ts : Ts.t;
-  trace : Trace.t;
   min_events : int;
   rules : rule list;
   tfkc_miss : rule;
@@ -52,7 +50,6 @@ let none =
   in
   {
     ts = Ts.none;
-    trace = Trace.none;
     min_events = 32;
     rules;
     tfkc_miss;
@@ -65,14 +62,13 @@ let none =
     checks = 0;
   }
 
-let create ?(trace = Trace.none) ?(min_events = 32) ?(miss_rate_limit = 0.5)
-    ?(p99_limit = 0.01) ?(imbalance_factor = 4.0) ~ts () =
+let create ?(min_events = 32) ?(miss_rate_limit = 0.5) ?(p99_limit = 0.01)
+    ?(imbalance_factor = 4.0) ~ts () =
   let rules, tfkc_miss, rfkc_miss, forgery, replay, stage_p99, imbalance =
     make_rules ~miss_rate_limit ~p99_limit ~imbalance_factor
   in
   {
     ts;
-    trace;
     min_events;
     rules;
     tfkc_miss;
@@ -90,23 +86,15 @@ let checks t = t.checks
 let fired t = List.fold_left (fun a r -> a + r.rule_fired) 0 t.rules
 let ok t = fired t = 0
 
-let fire t rule ~now ~value ~detail =
+let fire rule ~now ~value ~detail =
   rule.rule_fired <- rule.rule_fired + 1;
-  (match rule.worst with
+  match rule.worst with
   | Some w when w.value >= value -> ()
   | Some w ->
       w.at <- now;
       w.value <- value;
       w.detail <- detail
-  | None -> rule.worst <- Some { at = now; value; detail });
-  if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:now
-      ("health." ^ rule.name)
-      [
-        ("value", Json.Float value);
-        ("threshold", Json.Float rule.threshold);
-        ("detail", Json.String detail);
-      ]
+  | None -> rule.worst <- Some { at = now; value; detail }
 
 let delta t name =
   let prev, last = Ts.last2 t.ts name in
@@ -121,7 +109,7 @@ let check_miss_rate t rule scope ~now =
   if lookups >= float_of_int t.min_events then begin
     let rate = misses /. lookups in
     if rate > rule.threshold then
-      fire t rule ~now ~value:rate
+      fire rule ~now ~value:rate
         ~detail:
           (Printf.sprintf "%s: %.0f misses / %.0f lookups this interval"
              scope misses lookups)
@@ -130,7 +118,7 @@ let check_miss_rate t rule scope ~now =
 let check_drop_delta t rule names ~now =
   let d = List.fold_left (fun a n -> a +. delta t n) 0.0 names in
   if d > rule.threshold then
-    fire t rule ~now ~value:d
+    fire rule ~now ~value:d
       ~detail:(Printf.sprintf "%.0f drops this interval" d)
 
 let has_suffix ~suffix s =
@@ -152,7 +140,7 @@ let check_stage_p99 t ~now =
       if has_suffix ~suffix:".p99" name && contains ~sub:".stage." name then begin
         let _, p99 = Ts.last2 t.ts name in
         if p99 > t.stage_p99.threshold then
-          fire t t.stage_p99 ~now ~value:p99
+          fire t.stage_p99 ~now ~value:p99
             ~detail:(Printf.sprintf "%s = %.6fs" name p99)
       end)
     (Ts.names t.ts)
@@ -179,7 +167,7 @@ let check_imbalance t ~now =
       in
       let mean = total /. float_of_int n in
       if mean > 0.0 && worst > t.imbalance.threshold *. mean then
-        fire t t.imbalance ~now
+        fire t.imbalance ~now
           ~value:(worst /. mean)
           ~detail:
             (Printf.sprintf "%s: %.0f sends vs mean %.1f" worst_name worst

@@ -19,12 +19,12 @@
       busiest shard's [shard.<i>.fbs.engine.sends] delta exceeded
       [imbalance_factor] times the per-shard mean.
 
-    Every firing emits a [health.<rule>] event on the attached trace and
-    updates the rule's worst-seen record; {!to_json} serializes the
-    whole monitor as the ["fbsr-health/1"] artifact section.  The
-    monitor is advisory: {!ok} reports whether any rule ever fired, and
-    scenario drivers decide what that means (a fault-injection run
-    {e expects} firings — they prove the monitor sees the faults). *)
+    Every firing updates the rule's fired count and worst-seen record;
+    {!to_json} serializes the whole monitor as the ["fbsr-health/1"]
+    artifact section.  The monitor is advisory: {!ok} reports whether any
+    rule ever fired, and scenario drivers decide what that means (a
+    fault-injection run {e expects} firings — they prove the monitor sees
+    the faults). *)
 
 type t
 
@@ -32,7 +32,6 @@ val none : t
 (** Shared disabled monitor: [check] is a single branch. *)
 
 val create :
-  ?trace:Fbsr_util.Trace.t ->
   ?min_events:int ->
   ?miss_rate_limit:float ->
   ?p99_limit:float ->
@@ -42,8 +41,7 @@ val create :
   t
 (** Defaults: [min_events] 32 interval samples before a rate/balance
     rule may fire, [miss_rate_limit] 0.5, [p99_limit] 0.01 s,
-    [imbalance_factor] 4.0.  [trace] (default disabled) receives one
-    [health.<rule>] event per firing. *)
+    [imbalance_factor] 4.0. *)
 
 val enabled : t -> bool
 

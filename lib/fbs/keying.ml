@@ -51,7 +51,6 @@ type t = {
          failure (MKD gave up, CA unreachable) is itself soft — retrying
          from the keying layer recovers once the network heals. *)
   clock : unit -> float;
-  trace : Fbsr_util.Trace.t;
   pvc : (string, Fbsr_cert.Certificate.t) Cache.t;
   (* MKC entries carry the expiry of the certificate they were computed
      from: "a certificate can be verified each time it is used" — caching
@@ -73,8 +72,7 @@ type t = {
 let principal_hash name = Fbsr_util.Crc32.string name
 
 let create ?(pvc_sets = 64) ?(mkc_sets = 64) ?(assoc = 2) ?(fetch_retries = 0)
-    ?(trace = Fbsr_util.Trace.none) ~local ~group ~private_value ~ca_public ~ca_hash
-    ~resolver ~clock () =
+    ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () =
   if fetch_retries < 0 then invalid_arg "Keying.create: negative fetch_retries";
   {
     local;
@@ -86,13 +84,12 @@ let create ?(pvc_sets = 64) ?(mkc_sets = 64) ?(assoc = 2) ?(fetch_retries = 0)
     resolver;
     fetch_retries;
     clock;
-    trace;
     pvc =
       Cache.create ~assoc ~sets:pvc_sets ~hash:principal_hash ~equal:String.equal
-        ~name:"pvc" ~trace ();
+        ~name:"pvc" ();
     mkc =
       Cache.create ~assoc ~sets:mkc_sets ~hash:principal_hash ~equal:String.equal
-        ~name:"mkc" ~trace ();
+        ~name:"mkc" ();
     counters =
       { master_key_computations = 0; certificate_fetches = 0;
         certificate_fetch_retries = 0; certificate_verifications = 0 };
@@ -181,12 +178,6 @@ let get_master t peer (k : (string, error) result -> unit) =
       let rec fetch attempts_left =
         t.last_resolution <- "fetch";
         t.counters.certificate_fetches <- t.counters.certificate_fetches + 1;
-        if Fbsr_util.Trace.enabled t.trace then
-          Fbsr_util.Trace.emit t.trace ~time:(t.clock ()) "fbs.keying.cert.fetch"
-            [
-              ("peer", Fbsr_util.Json.String name);
-              ("attempts_left", Fbsr_util.Json.Int attempts_left);
-            ];
         t.resolver peer (function
           | Error _ when attempts_left > 0 ->
               t.counters.certificate_fetch_retries <-

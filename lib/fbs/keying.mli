@@ -28,7 +28,6 @@ val create :
   ?mkc_sets:int ->
   ?assoc:int ->
   ?fetch_retries:int ->
-  ?trace:Fbsr_util.Trace.t ->
   local:Principal.t ->
   group:Fbsr_crypto.Dh.group ->
   private_value:Fbsr_crypto.Dh.private_value ->
@@ -39,9 +38,7 @@ val create :
   unit ->
   t
 (** [fetch_retries] (default 0) is the number of extra resolver attempts
-    after a failed certificate fetch before giving up on a keying request.
-    [trace] (default disabled) receives an ["fbs.keying.cert.fetch"] event
-    per resolver attempt, plus cache-eviction events from the PVC/MKC. *)
+    after a failed certificate fetch before giving up on a keying request. *)
 
 val local : t -> Principal.t
 val group : t -> Fbsr_crypto.Dh.group

@@ -61,7 +61,6 @@ type t = {
   mutable retransmissions : int;
   mutable failures : int;
   backoff_hist : Fbsr_util.Metrics.histogram; (* armed timeout spans, seconds *)
-  trace : Fbsr_util.Trace.t;
   spans : Fbsr_util.Span.t;
 }
 
@@ -90,17 +89,6 @@ let send_request_traced t p =
   | Some (_, id) ->
       Fbsr_util.Span.with_current id (fun () -> send_request t p.name)
   | None -> send_request t p.name
-
-(* One trace event per transmission (initial or retransmitted). *)
-let trace_attempt t name attempt =
-  if Fbsr_util.Trace.enabled t.trace then
-    Fbsr_util.Trace.emit t.trace
-      ~time:(Engine.now (Host.engine t.host))
-      "fbs_ip.mkd.fetch"
-      [
-        ("name", Fbsr_util.Json.String name);
-        ("attempt", Fbsr_util.Json.Int attempt);
-      ]
 
 let complete t name result =
   match Hashtbl.find_opt t.pending name with
@@ -144,7 +132,6 @@ let rec arm_timeout t p =
         else begin
           p.attempts <- p.attempts + 1;
           t.retransmissions <- t.retransmissions + 1;
-          trace_attempt t p.name p.attempts;
           send_request_traced t p;
           arm_timeout t p
         end
@@ -177,13 +164,11 @@ let fetch t name k =
         { name; continuations = [ k ]; attempts = 1; generation = 0; span }
       in
       Hashtbl.replace t.pending name p;
-      trace_attempt t name 1;
       send_request_traced t p;
       arm_timeout t p
 
 let create ?(local_port = 563) ?(config = default_config) ?(seed = 0xbac0ff) ?metrics
-    ?(trace = Fbsr_util.Trace.none) ?(spans = Fbsr_util.Span.none) ~ca_addr
-    ~ca_port host =
+    ?(spans = Fbsr_util.Span.none) ~ca_addr ~ca_port host =
   validate_config config;
   (* Without a caller-supplied registry the histogram lives in a private
      throwaway one: the observation code stays unconditional. *)
@@ -203,7 +188,6 @@ let create ?(local_port = 563) ?(config = default_config) ?(seed = 0xbac0ff) ?me
       retransmissions = 0;
       failures = 0;
       backoff_hist = Fbsr_util.Metrics.histogram m "backoff_seconds";
-      trace;
       spans;
     }
   in

@@ -23,7 +23,6 @@ val create :
   ?config:config ->
   ?seed:int ->
   ?metrics:Fbsr_util.Metrics.t ->
-  ?trace:Fbsr_util.Trace.t ->
   ?spans:Fbsr_util.Span.t ->
   ca_addr:Addr.t ->
   ca_port:int ->
@@ -33,9 +32,8 @@ val create :
     the jitter stream (mixed with the host address by default).
     [metrics] (scope it first, e.g. [Metrics.sub m "fbs_ip.mkd"]) receives
     [fetches]/[retransmissions]/[failures] probes and the owned
-    [backoff_seconds] histogram of armed retransmission timeouts; [trace]
-    (default disabled) receives one ["fbs_ip.mkd.fetch"] event per
-    transmission.  [spans] (default disabled) records one ["mkd.fetch"]
+    [backoff_seconds] histogram of armed retransmission timeouts.
+    [spans] (default disabled) records one ["mkd.fetch"]
     span per coalesced fetch, begin-to-completion across every
     retransmission, under a fresh trace id of its own; the request frames
     (and the CA's replies) travel the network under that id.

@@ -393,11 +393,11 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
   end
 
 let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
-    ?(trace = Fbsr_util.Trace.none) ?(spans = Fbsr_util.Span.none)
-    ~private_value ~group ~ca_public ~ca_hash ~resolver host =
+    ?(spans = Fbsr_util.Span.none) ~private_value ~group ~ca_public ~ca_hash
+    ~resolver host =
   let local = principal_of_addr (Host.addr host) in
   let keying =
-    Fbsr_fbs.Keying.create ~fetch_retries:config.keying_fetch_retries ~trace ~local
+    Fbsr_fbs.Keying.create ~fetch_retries:config.keying_fetch_retries ~local
       ~group ~private_value ~ca_public ~ca_hash ~resolver
       ~clock:(fun () -> Host.now host)
       ()
@@ -413,7 +413,7 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
     Fbsr_fbs.Engine.create ~suite:config.suite ~tfkc_sets:config.tfkc_sets
       ~rfkc_sets:config.rfkc_sets ~cache_assoc:config.cache_assoc
       ~replay_window_minutes:config.replay_window_minutes
-      ~strict_replay:config.strict_replay ~trace ~spans ~keying ~fam ()
+      ~strict_replay:config.strict_replay ~spans ~keying ~fam ()
   in
   let fast_path =
     if config.combined_fast_path then

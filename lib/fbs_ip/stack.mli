@@ -78,7 +78,6 @@ type t
 val install :
   ?config:config ->
   ?sfl_seed:int ->
-  ?trace:Fbsr_util.Trace.t ->
   ?spans:Fbsr_util.Span.t ->
   private_value:Fbsr_crypto.Dh.private_value ->
   group:Fbsr_crypto.Dh.group ->
@@ -87,9 +86,8 @@ val install :
   resolver:Fbsr_fbs.Keying.resolver ->
   Host.t ->
   t
-(** [trace] (default disabled) is threaded to the engine and keying layers
-    — see {!Fbsr_fbs.Engine.create}.  [spans] (default disabled) is the
-    host's per-datagram flight recorder: threaded to the engine for the
+(** [spans] (default disabled) is the host's per-datagram flight
+    recorder: threaded to the engine (see {!Fbsr_fbs.Engine.create}) for the
     classify/derive/seal/replay/receive stages, and used directly by the
     input hook for the ["stack.decap"] stage. *)
 

@@ -28,7 +28,6 @@ type t = {
   link_seed : int; (* base seed; each host's link derives from it *)
   mutable links : Link.t list;
   metrics : Fbsr_util.Metrics.t;
-  trace : Fbsr_util.Trace.t;
   span_capacity : int; (* 0 = causal tracing disabled *)
   span_cost_clock : (unit -> float) option;
   sampler : Fbsr_util.Span.sampler option; (* shared across all recorders *)
@@ -78,9 +77,8 @@ let attach_link t ~spans host =
       t.links <- link :: t.links
 
 let create ?(seed = 42) ?(bandwidth_bps = 10_000_000.0) ?(group_bits = 0) ?config
-    ?(mkd_config = Mkd.default_config) ?faults ?metrics
-    ?(trace = Fbsr_util.Trace.none) ?(span_capacity = 0) ?span_cost_clock
-    ?(span_sample = 1) () =
+    ?(mkd_config = Mkd.default_config) ?faults ?metrics ?(span_capacity = 0)
+    ?span_cost_clock ?(span_sample = 1) () =
   if span_capacity < 0 then invalid_arg "Testbed: negative span_capacity";
   if span_sample < 1 then invalid_arg "Testbed: span_sample must be >= 1";
   let sampler =
@@ -121,7 +119,6 @@ let create ?(seed = 42) ?(bandwidth_bps = 10_000_000.0) ?(group_bits = 0) ?confi
       links = [];
       metrics =
         (match metrics with Some m -> m | None -> Fbsr_util.Metrics.create ());
-      trace;
       span_capacity;
       span_cost_clock;
       sampler;
@@ -164,13 +161,13 @@ let add_host t ~name ~addr =
   let mkd =
     Mkd.create ~config:t.mkd_config
       ~metrics:(Fbsr_util.Metrics.sub t.metrics "fbs_ip.mkd")
-      ~trace:t.trace ~spans ~ca_addr:(ca_addr t)
+      ~spans ~ca_addr:(ca_addr t)
       ~ca_port:(Ca_server.port t.ca_server) host
   in
   Mkd.register_metrics mkd
     (Fbsr_util.Metrics.sub t.metrics (host_scope ^ ".fbs_ip.mkd"));
   let stack =
-    Stack.install ~config:(node_config t) ~trace:t.trace ~spans ~private_value
+    Stack.install ~config:(node_config t) ~spans ~private_value
       ~group:t.group
       ~ca_public:(Fbsr_cert.Authority.public t.authority)
       ~ca_hash:(Fbsr_cert.Authority.hash t.authority)
@@ -217,7 +214,6 @@ let link_stats t =
 let group t = t.group
 let authority t = t.authority
 let metrics t = t.metrics
-let trace t = t.trace
 let span_sampler t = t.sampler
 let span_recorders t = List.rev t.recorders
 let collect_spans t = Fbsr_util.Span.collect (List.rev t.recorders)

@@ -21,7 +21,6 @@ val create :
   ?mkd_config:Mkd.config ->
   ?faults:Link.profile ->
   ?metrics:Fbsr_util.Metrics.t ->
-  ?trace:Fbsr_util.Trace.t ->
   ?span_capacity:int ->
   ?span_cost_clock:(unit -> float) ->
   ?span_sample:int ->
@@ -39,7 +38,6 @@ val create :
     receives every component's counters twice: once at the bare site-wide
     names ("fbs.engine.sends", "netsim.link.corrupted", ... — summed
     across hosts) and once under a per-host "host.<addr>." prefix.
-    [trace] (default disabled) is threaded to every stack and MKD.
 
     [span_capacity] (default 0 = causal tracing disabled) gives every host
     — including the key server — a bounded per-datagram flight recorder of
@@ -83,8 +81,6 @@ val authority : t -> Fbsr_cert.Authority.t
 val metrics : t -> Fbsr_util.Metrics.t
 (** The site's registry (the one passed to {!create}, or the private
     default). *)
-
-val trace : t -> Fbsr_util.Trace.t
 
 val span_sampler : t -> Fbsr_util.Span.sampler option
 (** The shared adaptive sampler, when [span_sample > 1] was requested —

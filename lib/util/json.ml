@@ -1,5 +1,5 @@
 (* Minimal JSON: just enough for the observability layer's machine-readable
-   artifacts (Metrics/Trace serialization, BENCH_*.json emit and diff).
+   artifacts (Metrics/Span serialization, BENCH_*.json emit and diff).
 
    Deliberately dependency-free: the repo's toolchain does not bake in a
    JSON library, and the subset we need — objects, arrays, strings, bools,

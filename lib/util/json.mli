@@ -1,4 +1,4 @@
-(** Minimal dependency-free JSON for the observability layer: Metrics/Trace
+(** Minimal dependency-free JSON for the observability layer: Metrics/Span
     serialization, the [BENCH_*.json] artifacts and their differ.
 
     Integers and floats are kept distinct so counter values round-trip

@@ -1,7 +1,6 @@
-(* Per-datagram causal tracing.  See span.mli for the model; the shape
-   deliberately mirrors Trace: a bounded ring, a shared disabled value,
-   and an [enabled] predicate so instrumented code pays one branch when
-   tracing is off. *)
+(* Per-datagram causal tracing.  See span.mli for the model: a bounded
+   ring, a shared disabled value, and an [enabled] predicate so
+   instrumented code pays one branch when tracing is off. *)
 
 (* ---- Trace ids and the sidecar context ---------------------------------- *)
 

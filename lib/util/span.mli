@@ -1,13 +1,13 @@
 (** Per-datagram causal tracing: spans over the flow lifecycle.
 
-    Where {!Metrics} answers "how many" and {!Trace} "what happened, in
-    what order", [Span] answers "where did datagram #4711 spend its time,
-    and at which stage was it dropped?".  Each datagram entering the FBS
-    send path (and each MKD certificate fetch) is assigned a 64-bit trace
-    id; every instrumented stage — FAM classification, flow-key
-    derivation, sealing, link transit, decapsulation, receive processing,
-    the replay check — records a span (begin/end timestamps plus an
-    optional terminal outcome) into a bounded per-host flight recorder.
+    Where {!Metrics} answers "how many", [Span] answers "what happened, in
+    what order, where did datagram #4711 spend its time, and at which
+    stage was it dropped?".  Each datagram entering the FBS send path (and
+    each MKD certificate fetch) is assigned a 64-bit trace id; every
+    instrumented stage — FAM classification, flow-key derivation, sealing,
+    link transit, decapsulation, receive processing, the replay check —
+    records a span (begin/end timestamps plus an optional terminal
+    outcome) into a bounded per-host flight recorder.
 
     The trace id travels in a {e sidecar context}: a process-ambient
     current-id cell that the sender sets before handing the datagram down
@@ -17,9 +17,9 @@
     itself is simulated: delivery metadata lives in the scheduler closure,
     not in the frame.
 
-    Cost discipline mirrors {!Trace}: the shared {!none} recorder is
-    disabled, [enabled none = false], and instrumented code guards every
-    span construction with one branch —
+    Cost discipline: the shared {!none} recorder is disabled,
+    [enabled none = false], and instrumented code guards every span
+    construction with one branch —
 
     {[
       let tm = if Span.enabled sp then Some (Span.start sp) else None in

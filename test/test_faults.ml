@@ -193,8 +193,7 @@ let test_hostile_network_invariants () =
 let test_replayed_capture_rejected () =
   let config = Stack.default_config ~strict_replay:true () in
   let metrics = Fbsr_util.Metrics.create () in
-  let trace = Fbsr_util.Trace.create () in
-  let tb = Testbed.create ~seed:3 ~config ~metrics ~trace () in
+  let tb = Testbed.create ~seed:3 ~config ~metrics ~span_capacity:4096 () in
   let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
   let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
   let delivered = ref [] in
@@ -228,8 +227,16 @@ let test_replayed_capture_rejected () =
     >= 5);
   check Alcotest.bool "aggregate view agrees" true
     (Fbsr_util.Metrics.get metrics "fbs.engine.drops.duplicate" >= 5);
-  check Alcotest.bool "replay rejects were traced" true
-    (Fbsr_util.Trace.count trace "fbs.engine.replay.reject" >= 5)
+  (* Every duplicate drop ends its chain in exactly one terminal span. *)
+  let duplicate_terminals =
+    List.length
+      (List.filter
+         (fun s -> s.Fbsr_util.Span.outcome = "drop:duplicate")
+         (Testbed.collect_spans tb))
+  in
+  check Alcotest.int "one drop:duplicate terminal per duplicate drop"
+    (Fbsr_util.Metrics.get metrics "fbs.engine.drops.duplicate")
+    duplicate_terminals
 
 (* Wipe every piece of soft state mid-conversation — flow-key caches,
    master-key cache, certificate cache — and show the conversation

@@ -1748,6 +1748,34 @@ let test_engine_replay_window () =
   | Error (Engine.Stale _) -> ()
   | _ -> Alcotest.fail "stale replay accepted"
 
+(* A stale verdict's span carries the same clock readings as the [Stale]
+   error, so a drop can be explained from the recorder alone. *)
+let test_engine_stale_span_detail () =
+  let spans = Fbsr_util.Span.create ~capacity:4096 () in
+  let clock, s, d, es, ed = make_engines ~spans () in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let wire =
+    Result.get_ok (Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"x")
+  in
+  match Engine.receive_sync ed ~now:(!clock +. 600.0) ~src:s ~wire with
+  | Error (Engine.Stale { timestamp; now_minutes }) -> (
+      match
+        List.filter
+          (fun (sp : Fbsr_util.Span.span) -> sp.Fbsr_util.Span.stage = "replay.check")
+          (Fbsr_util.Span.spans spans)
+      with
+      | [ sp ] ->
+          let detail = sp.Fbsr_util.Span.detail in
+          check Alcotest.bool "verdict stale" true
+            (List.assoc_opt "verdict" detail = Some (Fbsr_util.Json.String "stale"));
+          check Alcotest.bool "timestamp matches the error" true
+            (List.assoc_opt "timestamp" detail = Some (Fbsr_util.Json.Int timestamp));
+          check Alcotest.bool "now_minutes matches the error" true
+            (List.assoc_opt "now_minutes" detail
+            = Some (Fbsr_util.Json.Int now_minutes))
+      | l -> Alcotest.failf "expected one replay.check span, got %d" (List.length l))
+  | _ -> Alcotest.fail "stale datagram not rejected as stale"
+
 let test_engine_strict_replay () =
   let clock, s, d, es, ed = make_engines ~strict_replay:true () in
   let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
@@ -2362,6 +2390,8 @@ let () =
           Alcotest.test_case "ciphertext hides plaintext" `Quick
             test_engine_ciphertext_hides_plaintext;
           Alcotest.test_case "replay window" `Quick test_engine_replay_window;
+          Alcotest.test_case "stale verdict span carries the clocks" `Quick
+            test_engine_stale_span_detail;
           Alcotest.test_case "strict replay" `Quick test_engine_strict_replay;
           Alcotest.test_case "spoofed source" `Quick test_engine_wrong_source_rejected;
           Alcotest.test_case "cross-flow splice" `Quick

@@ -1,6 +1,6 @@
 (* The observability layer itself: Metrics registry semantics (monotone
    counters, histogram bucket edges, probe summing, scoped views) and the
-   Trace ring (bounded retention, drop accounting), plus JSON round-trips
+   Span recorder, plus JSON round-trips
    through the hand-rolled parser — the same path the BENCH_*.json
    artifacts and bench_diff rely on. *)
 
@@ -158,6 +158,15 @@ let test_json_parse_roundtrip () =
     (Json.parse (Json.to_string doc) = doc);
   check Alcotest.bool "pretty form parses back equal" true
     (Json.parse (Json.to_string_pretty doc) = doc);
+  (* JSON has no nan/inf: they print as null, which Timeseries relies on
+     for its NaN grid anchor. *)
+  List.iter
+    (fun f ->
+      check Alcotest.bool
+        (Printf.sprintf "%h prints and parses back as null" f)
+        true
+        (Json.parse (Json.to_string (Json.Float f)) = Json.Null))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   match Json.parse "[1, 2] trailing" with
   | (_ : Json.t) -> Alcotest.fail "trailing garbage accepted"
   | exception Json.Parse_error _ -> ()
@@ -193,59 +202,6 @@ let test_to_text () =
   has "lat_bucket{le=\"+Inf\"} 3";
   has "lat_sum 55.5";
   has "lat_count 3"
-
-(* ------------------------------------------------------------------ *)
-(* Trace ring.                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_ring_bounds () =
-  let t = Trace.create ~capacity:4 () in
-  check Alcotest.bool "enabled" true (Trace.enabled t);
-  for i = 1 to 6 do
-    Trace.emit t ~time:(float_of_int i) "ev" [ ("i", Json.Int i) ]
-  done;
-  check Alcotest.int "retained bounded by capacity" 4 (Trace.length t);
-  check Alcotest.int "total counts everything" 6 (Trace.total t);
-  check Alcotest.int "dropped = total - retained" 2 (Trace.dropped t);
-  let seqs = List.map (fun e -> e.Trace.seq) (Trace.events t) in
-  check (Alcotest.list Alcotest.int) "oldest overwritten first" [ 2; 3; 4; 5 ]
-    seqs;
-  check Alcotest.int "count by name" 4 (Trace.count t "ev");
-  Trace.clear t;
-  check Alcotest.int "clear empties the ring" 0 (Trace.length t);
-  match Trace.create ~capacity:(-1) () with
-  | (_ : Trace.t) -> Alcotest.fail "negative capacity accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_trace_none_disabled () =
-  check Alcotest.bool "none is disabled" false (Trace.enabled Trace.none);
-  Trace.emit Trace.none "ev" [];
-  check Alcotest.int "emit on none is a no-op" 0 (Trace.total Trace.none)
-
-let test_trace_json () =
-  let t = Trace.create ~capacity:8 () in
-  Trace.emit t ~time:1.5 "fbs.engine.flow.setup" [ ("sfl", Json.String "ab") ];
-  match Json.parse (Json.to_string (Trace.to_json t)) with
-  | Json.List [ ev ] ->
-      check (Alcotest.option Alcotest.string) "event name survives"
-        (Some "fbs.engine.flow.setup")
-        (Option.bind (Json.member "event" ev) Json.to_string_opt);
-      check (Alcotest.option (Alcotest.float 0.0)) "event time survives"
-        (Some 1.5)
-        (Option.bind (Json.member "time" ev) Json.to_float_opt)
-  | _ -> Alcotest.fail "expected one event in trace JSON"
-
-(* Regression: an event emitted without ~time used to serialize its NaN
-   placeholder through Json.Float, which prints as null only by accident
-   of the printer; the "time" member must now be an explicit Json.Null. *)
-let test_trace_time_null () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.emit t "untimed" [];
-  match Json.parse (Json.to_string (Trace.to_json t)) with
-  | Json.List [ ev ] ->
-      check Alcotest.bool "time member present and null" true
-        (Json.member "time" ev = Some Json.Null)
-  | _ -> Alcotest.fail "expected one event in trace JSON"
 
 (* ------------------------------------------------------------------ *)
 (* Span recorder (causal tracing).                                     *)
@@ -834,15 +790,6 @@ let () =
             test_metrics_json_roundtrip;
           Alcotest.test_case "parser round-trip" `Quick
             test_json_parse_roundtrip;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "ring bounds and drops" `Quick
-            test_trace_ring_bounds;
-          Alcotest.test_case "none is disabled" `Quick test_trace_none_disabled;
-          Alcotest.test_case "to_json" `Quick test_trace_json;
-          Alcotest.test_case "default time serializes as null" `Quick
-            test_trace_time_null;
         ] );
       ( "span",
         [
