@@ -62,55 +62,26 @@ let run ?(seed = 7) ?(duration = 1800.0) ?(desktops = 6) ?(tfkc_sets = 64)
       | _ -> ())
     scenario.Fbsr_traffic.Scenario.records;
   Testbed.run tb;
-  (* Aggregate across all nodes. *)
-  let acc f = Hashtbl.fold (fun _ node acc -> acc + f node) nodes 0 in
-  let accf f init =
-    Hashtbl.fold (fun _ node (num, den) -> f node num den) nodes init
-  in
-  let flows_started =
-    acc (fun n ->
-        (Fbsr_fbs.Fam.stats (Fbsr_fbs.Engine.fam (Stack.engine n.Testbed.stack)))
-          .Fbsr_fbs.Fam.flows_started)
-  in
-  let mkd_fetches = acc (fun n -> (Mkd.stats n.Testbed.mkd).Mkd.fetches) in
-  let master_key_computations =
-    acc (fun n ->
-        (Fbsr_fbs.Keying.counters (Fbsr_fbs.Engine.keying (Stack.engine n.Testbed.stack)))
-          .Fbsr_fbs.Keying.master_key_computations)
-  in
-  let engine_counter f =
-    acc (fun n -> f (Fbsr_fbs.Engine.counters (Stack.engine n.Testbed.stack)))
-  in
-  let tfkc_num, tfkc_den =
-    accf
-      (fun n num den ->
-        let s = Fbsr_fbs.Cache.stats (Fbsr_fbs.Engine.tfkc (Stack.engine n.Testbed.stack)) in
-        (num + s.Fbsr_fbs.Cache.hits, den + Fbsr_fbs.Cache.accesses s))
-      (0, 0)
-  in
-  let rfkc_num, rfkc_den =
-    accf
-      (fun n num den ->
-        let s = Fbsr_fbs.Cache.stats (Fbsr_fbs.Engine.rfkc (Stack.engine n.Testbed.stack)) in
-        (num + s.Fbsr_fbs.Cache.hits, den + Fbsr_fbs.Cache.accesses s))
-      (0, 0)
+  (* Site-wide totals: the run owns a fresh registry on which every node
+     registered its components at the bare names, summed across hosts. *)
+  let get = Fbsr_util.Metrics.get (Testbed.metrics tb) in
+  let hit_rate cache =
+    let hits = get ("fbs.cache." ^ cache ^ ".hits") in
+    let accesses = hits + get ("fbs.cache." ^ cache ^ ".misses.total") in
+    if accesses = 0 then 1.0 else float_of_int hits /. float_of_int accesses
   in
   {
     datagrams_sent = !sent;
     datagrams_delivered = !delivered;
     hosts = Hashtbl.length nodes;
-    flows_started;
-    mkd_fetches;
-    master_key_computations;
-    flow_key_computations =
-      engine_counter (fun c -> c.Fbsr_fbs.Engine.flow_key_computations);
-    macs = engine_counter (fun c -> c.Fbsr_fbs.Engine.macs_computed);
-    tfkc_hit_rate =
-      (if tfkc_den = 0 then 1.0 else float_of_int tfkc_num /. float_of_int tfkc_den);
-    rfkc_hit_rate =
-      (if rfkc_den = 0 then 1.0 else float_of_int rfkc_num /. float_of_int rfkc_den);
+    flows_started = get "fbs.fam.flows_started";
+    mkd_fetches = get "fbs_ip.mkd.fetches";
+    master_key_computations = get "fbs.keying.master_key_computations";
+    flow_key_computations = get "fbs.engine.flow_key_computations";
+    macs = get "fbs.engine.macs_computed";
+    tfkc_hit_rate = hit_rate "tfkc";
+    rfkc_hit_rate = hit_rate "rfkc";
     replay_rejections =
-      engine_counter (fun c ->
-          c.Fbsr_fbs.Engine.errors_stale + c.Fbsr_fbs.Engine.errors_duplicate);
-    mac_failures = engine_counter (fun c -> c.Fbsr_fbs.Engine.errors_mac);
+      get "fbs.engine.drops.stale" + get "fbs.engine.drops.duplicate";
+    mac_failures = get "fbs.engine.drops.mac";
   }

@@ -24,13 +24,21 @@ type result = {
   flowstats : Fbsr_fbs.Flowstats.t;
 }
 
-(* The send side's engine counters, summed over its shards: a registry
-   holding only the tx dispatcher (the rx engines would add their own
-   flow-key computations). *)
-let tx_counters (p : Fixture.sharded) =
+(* One side's engine counters, summed over its shards: a registry holding
+   only that dispatcher (the other side's engines would add their own
+   flow-key computations and cache traffic). *)
+let side_counters side =
   let m = Fbsr_util.Metrics.create () in
-  Fbsr_fbs.Sharded.register_metrics p.Fixture.tx m;
+  Fbsr_fbs.Sharded.register_metrics side m;
   m
+
+let tx_counters (p : Fixture.sharded) = side_counters p.Fixture.tx
+let rx_counters (p : Fixture.sharded) = side_counters p.Fixture.rx
+
+(* A flow-key cache's [(accesses, misses)] totals from a side registry. *)
+let cache_totals m cache =
+  let misses = Fbsr_util.Metrics.get m ("fbs.cache." ^ cache ^ ".misses.total") in
+  (Fbsr_util.Metrics.get m ("fbs.cache." ^ cache ^ ".hits") + misses, misses)
 
 (* Round-trip [datagrams] Zipf datagrams through a sharded pair in
    batches.  The simulated clock advances ~10 ms per batch: far inside
@@ -290,28 +298,16 @@ let miss_curve ?(points = default_points) ?(datagrams = 200_000) ?(batch = 4096)
             ~src:p.Fixture.sh_src ~dst:p.Fixture.sh_dst ()
         in
         drive p wl ~datagrams ~batch (fun m -> failf "%s" m);
-        let n = Fbsr_fbs.Sharded.nshards p.Fixture.tx in
-        nshards_seen := n;
-        (* Sum each side's flow-key-cache statistics across its shards:
-           the aggregate behaves like one cache n times the size, which
-           is exactly what the sharded datapath presents to the site. *)
-        let totals side cache =
-          List.fold_left
-            (fun (a, m) i ->
-              let s =
-                Fbsr_fbs.Cache.stats (cache (Fbsr_fbs.Sharded.engine side i))
-              in
-              ( a + Fbsr_fbs.Cache.accesses s,
-                m + Fbsr_fbs.Cache.total_misses s ))
-            (0, 0)
-            (List.init n (fun i -> i))
-        in
+        nshards_seen := Fbsr_fbs.Sharded.nshards p.Fixture.tx;
         let rate (a, m) =
           if a = 0 then 0.0 else Float.of_int m /. Float.of_int a
         in
-        let t = totals p.Fixture.tx Fbsr_fbs.Engine.tfkc in
-        let r = totals p.Fixture.rx Fbsr_fbs.Engine.rfkc in
+        (* Each side's flow-key-cache totals, summed across its shards:
+           the aggregate behaves like one cache n times the size, which
+           is exactly what the sharded datapath presents to the site. *)
         let tx = tx_counters p in
+        let t = cache_totals tx "tfkc" in
+        let r = cache_totals (rx_counters p) "rfkc" in
         let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
         if sends <> datagrams then
           failf "point %d: aggregate sends %d <> offered %d" flows sends datagrams;
@@ -452,11 +448,10 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
             ~src:p.Fixture.sh_src ~dst:p.Fixture.sh_dst ()
         in
         nshards_seen := Fbsr_fbs.Sharded.nshards p.Fixture.tx;
-        let m = Fbsr_util.Metrics.create () in
-        Fbsr_fbs.Sharded.register_metrics p.Fixture.tx m;
+        let tx = tx_counters p in
         let ts =
           Fbsr_util.Timeseries.create ~capacity:2048 ~cadence:round_dt
-            ~host:"sweep-study" ~metrics:m ()
+            ~host:"sweep-study" ~metrics:tx ()
         in
         let fam = Fbsr_fbs.Sharded.fam p.Fixture.tx in
         let sent = ref 0 and round = ref 0 in
@@ -516,20 +511,8 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
               if acc <= 0.0 then None else Some (at, dm /. acc))
             (List.init (max 0 (Array.length misses - 1)) (fun i -> i + 1))
         in
-        let n = !nshards_seen in
-        let acc_tot, miss_tot =
-          List.fold_left
-            (fun (a, mi) i ->
-              let s =
-                Fbsr_fbs.Cache.stats
-                  (Fbsr_fbs.Engine.tfkc (Fbsr_fbs.Sharded.engine p.Fixture.tx i))
-              in
-              (a + Fbsr_fbs.Cache.accesses s, mi + Fbsr_fbs.Cache.total_misses s))
-            (0, 0)
-            (List.init n (fun i -> i))
-        in
+        let acc_tot, miss_tot = cache_totals tx "tfkc" in
         let fam_stats = Fbsr_fbs.Fam.stats fam in
-        let tx = tx_counters p in
         let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
         if sends <> datagrams then
           failf "cadence %.2f: aggregate sends %d <> offered %d" cadence sends

@@ -960,11 +960,10 @@ let receive_sync t ~now ~src ~wire =
 
 let header_overhead t = Header.size_for_suite t.suite
 
-(* Worst-case body growth when [secret]: the armor knows its padding. *)
-let max_body_growth t =
+(* Header plus worst-case body growth when [secret]: the armor knows its
+   padding. *)
+let wire_overhead t =
   let module A = (val t.armor : Armor.S) in
-  A.max_body_growth
-
-let wire_overhead t = header_overhead t + max_body_growth t
+  header_overhead t + A.max_body_growth
 
 let armor t = t.armor

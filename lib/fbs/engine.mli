@@ -309,12 +309,9 @@ val receive_sync :
 val header_overhead : t -> int
 (** Bytes the FBS header adds to every datagram. *)
 
-val max_body_growth : t -> int
-(** Worst-case padding growth of an encrypted body. *)
-
 val wire_overhead : t -> int
-(** [header_overhead + max_body_growth]: what the MSS calculation must
-    subtract (the tcp_output fix). *)
+(** [header_overhead] plus the worst-case padding growth of an encrypted
+    body: what the MSS calculation must subtract (the tcp_output fix). *)
 
 (** Receive-side flow view: the per-flow statistics the receiver
     accumulates while passively demultiplexing on the sfl.  Soft state,

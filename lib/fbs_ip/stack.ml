@@ -1,7 +1,7 @@
 (* The mapping of FBS to IP (paper, Section 7).
 
-   The FBS header is inserted between the IPv4 header and the transport
-   payload — "a short-cut form of IP encapsulation".  Send processing hooks
+   The FBS header is inserted as a shim between the IPv4 header and the
+   transport payload, a short cut of full IP-in-IP.  Send processing hooks
    between ip_output's bulk processing and fragmentation; receive
    processing hooks between reassembly and dispatch; both are transparent
    to IP (the host stack provides exactly those hook points).  tcp_output's
@@ -44,11 +44,6 @@ type config = {
   combined_fast_path : bool;
       (** Use the Section 7.2 combined FST+TFKC table on the send side
           (one probe instead of FAM classification + TFKC lookup). *)
-  encapsulation : [ `Shim | `Ip_option ];
-      (** [`Shim] (default): FBS header between the IP header and the
-          payload, the paper's implementation.  [`Ip_option]: carry the
-          FBS header as an IPv4 option — the paper's noted alternative,
-          workable only while the header fits the 40-byte option budget. *)
   batched_rx : bool;
       (** Route receive-side body opens through an
           {!Fbsr_fbs.Engine.Batch} (its open lane): frames arriving within
@@ -65,8 +60,7 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     ?(secret_policy = fun ~protocol:_ ~src_port:_ ~dst_port:_ -> true)
     ?(bypass = fun _ -> false) ?(tfkc_sets = 128) ?(rfkc_sets = 128) ?(cache_assoc = 1)
     ?max_flow_bytes ?max_flow_life ?(keying_fetch_retries = 0)
-    ?(combined_fast_path = false) ?(encapsulation = `Shim)
-    ?(batched_rx = false) ?(rx_linger = 0.001) () =
+    ?(combined_fast_path = false) ?(batched_rx = false) ?(rx_linger = 0.001) () =
   {
     suite;
     threshold;
@@ -82,7 +76,6 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     max_flow_life;
     keying_fetch_retries;
     combined_fast_path;
-    encapsulation;
     batched_rx;
     rx_linger;
   }
@@ -110,10 +103,6 @@ type t = {
   mutable rx_flush_scheduled : bool;
       (* one pending linger-flush event at a time; re-armed on the next
          enqueue after it fires *)
-  asm : Fbsr_util.Byte_writer.t;
-      (* Reusable assembly buffer for the IP-option encapsulation splices
-         (option build on send, option+payload rejoin on receive); reset
-         per datagram, so its contents never outlive one hook call. *)
 }
 
 let engine t = t.engine
@@ -152,111 +141,27 @@ let peek_ports ~protocol payload =
       (Char.code payload.[2] lsl 8) lor Char.code payload.[3] )
   else (0, 0)
 
-(* --- IP-option encapsulation (paper Section 7.2's alternative) --- *)
-
-let fbs_option_type = 0x9e (* copied flag set, experimental option number *)
-
-(* Split the engine's wire output (FBS header ^ body) into the chosen
-   on-the-wire carriage. *)
-let encap t (h : Ipv4.header) wire =
-  match t.config.encapsulation with
-  | `Shim -> (h, wire)
-  | `Ip_option ->
-      let hdr_len = Fbsr_fbs.Engine.header_overhead t.engine in
-      (* Assemble type | length | FBS header | zero padding in the
-         reused buffer: one allocation for the options string instead of
-         the old sub + sprintf + two concatenations. *)
-      let w = t.asm in
-      Fbsr_util.Byte_writer.reset w;
-      Fbsr_util.Byte_writer.u8 w fbs_option_type;
-      Fbsr_util.Byte_writer.u8 w (hdr_len + 2);
-      Fbsr_util.Byte_writer.substring w wire 0 hdr_len;
-      while Fbsr_util.Byte_writer.length w mod 4 <> 0 do
-        Fbsr_util.Byte_writer.u8 w 0
-      done;
-      ( { h with Ipv4.options = Fbsr_util.Byte_writer.contents w },
-        String.sub wire hdr_len (String.length wire - hdr_len) )
-
-(* Reconstruct the engine's wire form on receive; [None] when the datagram
-   does not carry FBS in the configured way.  Shim mode borrows the
-   payload as-is (zero-copy); option mode rejoins header and payload in
-   the reused assembly buffer — one allocation instead of the old
-   sub + concat splice.  Either way the wire is a whole string the
-   engine (and a receive batch, until its flush) may borrow. *)
-let decap t (h : Ipv4.header) payload : (Ipv4.header * string) option =
-  match t.config.encapsulation with
-  | `Shim -> Some (h, payload)
-  | `Ip_option ->
-      let opts = h.Ipv4.options in
-      if String.length opts >= 2 && Char.code opts.[0] = fbs_option_type then begin
-        (* Option length counts the type and length bytes themselves. *)
-        let len = Char.code opts.[1] in
-        if len >= 2 && len <= String.length opts then begin
-          let w = t.asm in
-          Fbsr_util.Byte_writer.reset w;
-          Fbsr_util.Byte_writer.substring w opts 2 (len - 2);
-          Fbsr_util.Byte_writer.bytes w payload;
-          Some ({ h with Ipv4.options = "" }, Fbsr_util.Byte_writer.contents w)
-        end
-        else None
-      end
-      else None
-
-(* Send processing via the combined table (Section 7.2): one probe yields
-   both the sfl and the flow key; a miss derives the key (possibly
-   suspending on an MKD fetch) and installs it. *)
-let output_via_fast_path t fp (h : Ipv4.header) payload ~src_port ~dst_port ~secret ~now
-    : Host.hook_result =
-  let src = Addr.to_string h.src and dst = Addr.to_string h.dst in
+(* Send processing via the combined table (Section 7.2), as a producer
+   of the wire form: one probe yields both the sfl and the flow key; a
+   miss derives the key (possibly suspending on an MKD fetch) and
+   installs it before sealing. *)
+let send_via_fast_path t fp (h : Ipv4.header) ~src_port ~dst_port ~secret ~now ~payload
+    k =
+  let seal sfl flow_key =
+    Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret ~payload
+  in
   match
-    Fast_path.lookup fp ~now ~protocol:h.protocol ~src ~src_port ~dst ~dst_port
+    Fast_path.lookup fp ~now ~protocol:h.protocol ~src:(Addr.to_string h.src)
+      ~src_port ~dst:(Addr.to_string h.dst) ~dst_port
   with
-  | Fast_path.Hit (sfl, flow_key) ->
-      t.counters.sent <- t.counters.sent + 1;
-      let h, p =
-        encap t h
-          (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret ~payload)
-      in
-      Host.Pass (h, p)
-  | Fast_path.Miss sfl -> (
-      let sync_result = ref None in
-      let completed_sync = ref true in
-      Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl
-        ~src:(Fbsr_fbs.Principal.of_string src)
-        ~dst:(Fbsr_fbs.Principal.of_string dst)
-        (fun r ->
-          (match r with
-          | Ok flow_key -> Fast_path.install_key fp ~sfl ~flow_key
-          | Error _ -> ());
-          if !completed_sync then sync_result := Some r
-          else
-            match r with
-            | Ok flow_key ->
-                t.counters.resumed <- t.counters.resumed + 1;
-                t.counters.sent <- t.counters.sent + 1;
-                let h, p =
-                  encap t h
-                    (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret
-                       ~payload)
-                in
-                Host.transmit_prepared t.host h p
-            | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1);
-      completed_sync := false;
-      match !sync_result with
-      | Some (Ok flow_key) ->
-          t.counters.sent <- t.counters.sent + 1;
-          let h, p =
-            encap t h
-              (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret
-                 ~payload)
-          in
-          Host.Pass (h, p)
-      | Some (Error _) ->
-          t.counters.dropped_error <- t.counters.dropped_error + 1;
-          Host.Drop "fbs send error"
-      | None ->
-          t.counters.suspended_out <- t.counters.suspended_out + 1;
-          Host.Drop "fbs awaiting master key")
+  | Fast_path.Hit (sfl, flow_key) -> k (Ok (seal sfl flow_key))
+  | Fast_path.Miss sfl ->
+      Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl ~src:(principal_of_addr h.src)
+        ~dst:(principal_of_addr h.dst) (function
+        | Ok flow_key ->
+            Fast_path.install_key fp ~sfl ~flow_key;
+            k (Ok (seal sfl flow_key))
+        | Error _ as e -> k e)
 
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
   if t.config.bypass h.dst then begin
@@ -265,36 +170,38 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
   end
   else begin
     let src_port, dst_port = peek_ports ~protocol:h.protocol payload in
-    let attrs =
-      Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
-        ~size:(String.length payload) ~src:(principal_of_addr h.src)
-        ~dst:(principal_of_addr h.dst) ()
-    in
     let secret = t.config.secret_policy ~protocol:h.protocol ~src_port ~dst_port in
     let now = Host.now t.host in
-    match t.fast_path with
-    | Some fp -> output_via_fast_path t fp h payload ~src_port ~dst_port ~secret ~now
-    | None ->
     let sync_result = ref None in
     let completed_sync = ref true in
-    Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload (fun r ->
-        if !completed_sync then sync_result := Some r
-        else begin
-          (* Late completion: the datagram was parked during an MKD fetch. *)
-          match r with
-          | Ok wire ->
-              t.counters.resumed <- t.counters.resumed + 1;
-              t.counters.sent <- t.counters.sent + 1;
-              let h, p = encap t h wire in
-              Host.transmit_prepared t.host h p
-          | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
-        end);
+    (* The one send completion, for both the generic and the combined
+       path. *)
+    let k r =
+      if !completed_sync then sync_result := Some r
+      else begin
+        (* Late completion: the datagram was parked during an MKD fetch. *)
+        match r with
+        | Ok wire ->
+            t.counters.resumed <- t.counters.resumed + 1;
+            t.counters.sent <- t.counters.sent + 1;
+            Host.transmit_prepared t.host h wire
+        | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
+      end
+    in
+    (match t.fast_path with
+    | Some fp -> send_via_fast_path t fp h ~src_port ~dst_port ~secret ~now ~payload k
+    | None ->
+        let attrs =
+          Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
+            ~size:(String.length payload) ~src:(principal_of_addr h.src)
+            ~dst:(principal_of_addr h.dst) ()
+        in
+        Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k);
     completed_sync := false;
     match !sync_result with
     | Some (Ok wire) ->
         t.counters.sent <- t.counters.sent + 1;
-        let h, p = encap t h wire in
-        Host.Pass (h, p)
+        Host.Pass (h, wire)
     | Some (Error _) ->
         t.counters.dropped_error <- t.counters.dropped_error + 1;
         Host.Drop "fbs send error"
@@ -309,29 +216,15 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
     Host.Pass (h, payload)
   end
   else begin
-    let dtm =
-      if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
-      else None
-    in
-    match decap t h payload with
-    | None ->
-        (match dtm with
-        | Some stm ->
-            Fbsr_util.Span.finish t.spans stm "stack.decap"
-              ~detail:[ ("ok", Fbsr_util.Json.Bool false) ]
-        | None -> ());
-        t.counters.dropped_error <- t.counters.dropped_error + 1;
-        Host.Drop "fbs: no security header in configured encapsulation"
-    | Some (h, wire) ->
-    (match dtm with
-    | Some stm ->
-        Fbsr_util.Span.finish t.spans stm "stack.decap"
-          ~detail:
-            [
-              ("ok", Fbsr_util.Json.Bool true);
-              ("bytes", Fbsr_util.Json.Int (String.length wire));
-            ]
-    | None -> ());
+    (* The shim carries the engine's wire form as the IP payload itself,
+       so the engine borrows it as-is (zero-copy). *)
+    if Fbsr_util.Span.enabled t.spans then
+      Fbsr_util.Span.finish t.spans (Fbsr_util.Span.start t.spans) "stack.decap"
+        ~detail:
+          [
+            ("ok", Fbsr_util.Json.Bool true);
+            ("bytes", Fbsr_util.Json.Int (String.length payload));
+          ];
     let now = Host.now t.host in
     let src = principal_of_addr h.src in
     let sync_result = ref None in
@@ -359,7 +252,7 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
         | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
       end
     in
-    Fbsr_fbs.Engine.receive ?batch:t.rx_batch t.engine ~now ~src ~wire k;
+    Fbsr_fbs.Engine.receive ?batch:t.rx_batch t.engine ~now ~src ~wire:payload k;
     (* Parked synchronously in the receive batch (not refused inline, not
        delivered by a capacity flush): the batch's on-park hook (see
        [install]) counted it and armed the linger flush.  A frame that
@@ -447,7 +340,6 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
            Some (Fbsr_fbs.Engine.Batch.create ~linger:config.rx_linger engine)
          else None);
       rx_flush_scheduled = false;
-      asm = Fbsr_util.Byte_writer.create ~capacity:64 ();
     }
   in
   (* Arm the rx linger flush from the batch's own enqueue, so every park
@@ -468,31 +360,11 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
                 t.rx_flush_scheduled <- false;
                 ignore (Fbsr_fbs.Engine.Batch.flush b : int * int))
           end));
-  (match config.encapsulation with
-  | `Shim -> ()
-  | `Ip_option ->
-      (* "An alternative is to implement it as an IP option, but the 40
-         byte maximum is fairly limiting": enforce the limit up front. *)
-      let need = Fbsr_fbs.Engine.header_overhead engine + 2 in
-      if need > Ipv4.max_options then
-        invalid_arg
-          (Printf.sprintf
-             "Stack.install: suite %s needs %d option bytes; IPv4 allows %d (the 40-byte maximum is fairly limiting)"
-             (Fbsr_fbs.Suite.name config.suite) need Ipv4.max_options));
   Host.set_output_hook host (output_hook t);
   Host.set_input_hook host (input_hook t);
   (* The paper's tcp_output fix: publish the per-datagram overhead so the
-     MSS calculation can subtract it.  In option mode the FBS header rides
-     in the (padded) IP options instead of the payload. *)
-  (let overhead =
-     match config.encapsulation with
-     | `Shim -> Fbsr_fbs.Engine.wire_overhead engine
-     | `Ip_option ->
-         let opt = Fbsr_fbs.Engine.header_overhead engine + 2 in
-         let padded = (opt + 3) land lnot 3 in
-         padded + Fbsr_fbs.Engine.max_body_growth engine
-   in
-   Minitcp.set_mss_reduction host overhead);
+     MSS calculation can subtract it. *)
+  Minitcp.set_mss_reduction host (Fbsr_fbs.Engine.wire_overhead engine);
   t
 
 (* The standalone sweeper of Figure 7: periodically scan the FST and

@@ -22,10 +22,6 @@ type config = {
       (** Extra keying-layer attempts after a failed certificate fetch
           (on top of the MKD's own retransmissions). *)
   combined_fast_path : bool;
-  encapsulation : [ `Shim | `Ip_option ];
-      (** [`Shim]: header between IP header and payload (the paper's
-          implementation).  [`Ip_option]: header carried as an IPv4 option
-          — workable only while it fits the 40-byte budget. *)
   batched_rx : bool;
       (** Route receive-side body opens through the open lane of an
           {!Fbsr_fbs.Engine.Batch} (default [false]): frames
@@ -54,7 +50,6 @@ val default_config :
   ?max_flow_life:float ->
   ?keying_fetch_retries:int ->
   ?combined_fast_path:bool ->
-  ?encapsulation:[ `Shim | `Ip_option ] ->
   ?batched_rx:bool ->
   ?rx_linger:float ->
   unit ->

@@ -188,6 +188,45 @@ let test_hostile_network_invariants () =
   check Alcotest.bool "acceptance still >= 99%" true
     (Fbsr_experiments.Faults.acceptance_rate r >= 0.99)
 
+(* Three views of the same link records must agree: the aggregated
+   [Testbed.link_stats], the site-wide "netsim.link.*" probe sums, and the
+   sum of every "host.<addr>.netsim.link.*" view. *)
+let test_link_totals_agree () =
+  let metrics = Fbsr_util.Metrics.create () in
+  let r =
+    Fbsr_experiments.Faults.run ~seed:23 ~messages:60
+      ~faults:Fbsr_experiments.Faults.hostile ~metrics ()
+  in
+  let l = r.Fbsr_experiments.Faults.link in
+  let names = Fbsr_util.Metrics.names metrics in
+  let host_views field =
+    let suffix = ".netsim.link." ^ field in
+    List.filter
+      (fun n -> String.starts_with ~prefix:"host." n && String.ends_with ~suffix n)
+      names
+  in
+  List.iter
+    (fun (field, v) ->
+      check Alcotest.int ("site-wide " ^ field) v
+        (Fbsr_util.Metrics.get metrics ("netsim.link." ^ field));
+      check Alcotest.int ("per-host sum " ^ field) v
+        (List.fold_left
+           (fun acc n -> acc + Fbsr_util.Metrics.get metrics n)
+           0 (host_views field)))
+    [
+      ("offered", l.Link.offered);
+      ("delivered", l.Link.delivered);
+      ("dropped", l.Link.dropped);
+      ("duplicated", l.Link.duplicated);
+      ("reordered", l.Link.reordered);
+      ("truncated", l.Link.truncated);
+      ("corrupted", l.Link.corrupted);
+    ];
+  check Alcotest.int "one view per host (key server, sender, receiver)" 3
+    (List.length (host_views "offered"));
+  check Alcotest.bool "the profile actually injected faults" true
+    (l.Link.dropped > 0 && l.Link.reordered > 0)
+
 (* A sniffing adversary replays every captured frame verbatim; with
    strict replay suppression the application sees nothing new. *)
 let test_replayed_capture_rejected () =
@@ -869,6 +908,8 @@ let () =
             test_loss_recovered_by_retransmission;
           Alcotest.test_case "hostile network invariants" `Quick
             test_hostile_network_invariants;
+          Alcotest.test_case "link totals agree across views" `Quick
+            test_link_totals_agree;
           Alcotest.test_case "replayed capture rejected" `Quick
             test_replayed_capture_rejected;
           Alcotest.test_case "soft-state wipe recovers" `Quick

@@ -392,6 +392,75 @@ let test_fast_path_threshold_rotation () =
   Testbed.run tb;
   check Alcotest.int "two distinct sfls" 2 (List.length !sfls)
 
+let test_fast_path_completion_counters () =
+  (* A cold flow on the combined path parks its first datagram across the
+     MKD fetch and resumes it; the rest hit the installed key. *)
+  let n = 6 in
+  let config = Stack.default_config ~combined_fast_path:true () in
+  let tb, a, b = make_pair ~config () in
+  let got = ref 0 in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
+  let send () =
+    Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host)
+      ~dst_port:7 "cold"
+  in
+  send ();
+  Engine.schedule (Testbed.engine tb) ~delay:1.0 (fun () ->
+      for _ = 2 to n do
+        send ()
+      done);
+  Testbed.run tb;
+  let c = Stack.counters a.Testbed.stack in
+  check Alcotest.int "one datagram parked" 1 c.Stack.suspended_out;
+  check Alcotest.int "one datagram resumed" 1 c.Stack.resumed;
+  check Alcotest.int "every datagram sent" n c.Stack.sent;
+  check Alcotest.int "no send errors" 0 c.Stack.dropped_error;
+  check Alcotest.int "every datagram delivered" n !got
+
+let test_fast_path_resolver_failure () =
+  (* A failed certificate fetch on the combined path's miss is counted in
+     [dropped_error] and nothing reaches the peer — whether the resolver
+     fails inline or after a simulated round trip. *)
+  let run ~late =
+    let tb, a, b = make_pair () in
+    Stack.uninstall a.Testbed.stack;
+    let resolver _ k =
+      if late then
+        Engine.schedule (Testbed.engine tb) ~delay:0.5 (fun () ->
+            k (Error "unreachable"))
+      else k (Error "unreachable")
+    in
+    let config =
+      Stack.default_config ~combined_fast_path:true
+        ~bypass:(fun ad -> Addr.equal ad (Testbed.ca_addr tb))
+        ()
+    in
+    let stack =
+      Stack.install ~config ~private_value:a.Testbed.private_value
+        ~group:(Testbed.group tb)
+        ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
+        ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
+        ~resolver a.Testbed.host
+    in
+    let got = ref 0 in
+    Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
+    Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host)
+      ~dst_port:7 "doomed";
+    Testbed.run tb;
+    (Stack.counters stack, !got)
+  in
+  let c, got = run ~late:false in
+  check Alcotest.int "sync: error counted" 1 c.Stack.dropped_error;
+  check Alcotest.int "sync: not parked" 0 c.Stack.suspended_out;
+  check Alcotest.int "sync: nothing sent" 0 c.Stack.sent;
+  check Alcotest.int "sync: nothing delivered" 0 got;
+  let c, got = run ~late:true in
+  check Alcotest.int "late: error counted" 1 c.Stack.dropped_error;
+  check Alcotest.int "late: parked" 1 c.Stack.suspended_out;
+  check Alcotest.int "late: not resumed" 0 c.Stack.resumed;
+  check Alcotest.int "late: nothing sent" 0 c.Stack.sent;
+  check Alcotest.int "late: nothing delivered" 0 got
+
 (* --- ICMP through FBS: raw IP as host-level flows (footnote 10) --- *)
 
 let test_icmp_through_fbs () =
@@ -531,100 +600,6 @@ let test_flow_label_spread () =
   (* Spread across the label space, not bunched in one region. *)
   let low = List.length (List.filter (fun l -> l < Ipv6.max_flow_label / 2) labels) in
   check Alcotest.bool "roughly balanced halves" true (low > 350 && low < 650)
-
-(* --- IP-option encapsulation (the paper's §7.2 alternative) --- *)
-
-let test_ip_option_encapsulation () =
-  let config = Stack.default_config ~encapsulation:`Ip_option () in
-  let tb, a, b = make_pair ~config () in
-  (* Observe the wire: the FBS header must ride in the IP options and the
-     payload must still be ciphertext. *)
-  let saw_option = ref false and leaked = ref false in
-  Medium.add_sniffer (Testbed.medium tb) (fun _ raw ->
-      match Ipv4.decode raw with
-      | h, payload ->
-          if
-            Addr.equal h.Ipv4.src (Host.addr a.Testbed.host)
-            && String.length h.Ipv4.options >= 2
-            && Char.code h.Ipv4.options.[0] = 0x9e
-          then saw_option := true;
-          if contains payload "OPTION-SECRET" then leaked := true
-      | exception Ipv4.Bad_packet _ -> ());
-  let got = ref [] in
-  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
-  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
-    "OPTION-SECRET payload";
-  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
-    "second datagram";
-  Testbed.run tb;
-  check Alcotest.int "delivered" 2 (List.length !got);
-  check Alcotest.bool "FBS header in IP options" true !saw_option;
-  check Alcotest.bool "payload still protected" false !leaked
-
-let test_ip_option_splice_reuses_buffer () =
-  (* Regression for the options-splice path: decap rebuilds
-     [FBS header | payload] in the stack's shared assembly buffer, which
-     is reset and reused across datagrams.  Drive many bidirectional
-     options-bearing packets of strongly varying sizes through one pair
-     of stacks so a stale splice (leftover bytes from a longer earlier
-     datagram, or aliasing of the reused buffer) would corrupt a later,
-     shorter one.  Secret mode so any corruption also breaks the MAC. *)
-  let config =
-    Stack.default_config ~encapsulation:`Ip_option
-      ~secret_policy:(fun ~protocol:_ ~src_port:_ ~dst_port:_ -> true)
-      ()
-  in
-  let tb, a, b = make_pair ~config () in
-  let payloads =
-    List.concat_map
-      (fun n -> [ String.make n (Char.chr (0x30 + (n mod 64))) ])
-      [ 700; 1; 0; 512; 3; 1200; 8; 64; 2; 300 ]
-  in
-  let got_b = ref [] and got_a = ref [] in
-  Udp_stack.listen b.Testbed.host ~port:9 (fun ~src:_ ~src_port:_ d ->
-      got_b := d :: !got_b);
-  Udp_stack.listen a.Testbed.host ~port:9 (fun ~src:_ ~src_port:_ d ->
-      got_a := d :: !got_a);
-  List.iter
-    (fun p ->
-      Udp_stack.send a.Testbed.host ~src_port:9 ~dst:(Host.addr b.Testbed.host)
-        ~dst_port:9 p;
-      Udp_stack.send b.Testbed.host ~src_port:9 ~dst:(Host.addr a.Testbed.host)
-        ~dst_port:9 p)
-    payloads;
-  Testbed.run tb;
-  let sorted l = List.sort compare l in
-  check Alcotest.int "all a->b delivered" (List.length payloads)
-    (List.length !got_b);
-  check Alcotest.int "all b->a delivered" (List.length payloads)
-    (List.length !got_a);
-  check Alcotest.bool "a->b payloads intact" true (sorted !got_b = sorted payloads);
-  check Alcotest.bool "b->a payloads intact" true (sorted !got_a = sorted payloads)
-
-let test_ip_option_budget_enforced () =
-  (* A hypothetical suite whose header exceeds the 40-byte option budget is
-     rejected at install time: "the 40 byte maximum is fairly limiting". *)
-  let fat_suite =
-    { Fbsr_fbs.Suite.paper_md5_des with Fbsr_fbs.Suite.id = 0; mac_length = 24 }
-  in
-  (* header = 18 fixed + 24 MAC = 42 > 40 - 2. *)
-  let config = Stack.default_config ~suite:fat_suite ~encapsulation:`Ip_option () in
-  let tb = Testbed.create () in
-  let host = Testbed.add_plain_host tb ~name:"x" ~addr:"10.0.0.9" in
-  let group = Testbed.group tb in
-  let rng = Fbsr_util.Rng.create 1 in
-  let private_value = Fbsr_crypto.Dh.gen_private group rng in
-  match
-    Stack.install ~config ~private_value ~group
-      ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
-      ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
-      ~resolver:(fun _ k -> k (Error "n/a"))
-      host
-  with
-  | _ -> Alcotest.fail "oversized suite accepted in option mode"
-  | exception Invalid_argument msg ->
-      check Alcotest.bool "mentions the limit" true
-        (String.length msg > 0 && contains msg "40")
 
 (* --- FBS across a forwarding router (the transparency claim) --- *)
 
@@ -967,6 +942,13 @@ let () =
           Alcotest.test_case "threshold rotation" `Quick
             test_fast_path_threshold_rotation;
         ] );
+      ( "fast-path-miss",
+        [
+          Alcotest.test_case "completion counters" `Quick
+            test_fast_path_completion_counters;
+          Alcotest.test_case "resolver failure dropped" `Quick
+            test_fast_path_resolver_failure;
+        ] );
       ( "icmp",
         [ Alcotest.test_case "raw IP host-level flows" `Quick test_icmp_through_fbs ]
       );
@@ -983,15 +965,6 @@ let () =
           Alcotest.test_case "roundtrip + label stability" `Quick
             test_ipv6_mapping_roundtrip;
           Alcotest.test_case "tamper rejected" `Quick test_ipv6_mapping_tamper;
-        ] );
-      ( "ip-option-mode",
-        [
-          Alcotest.test_case "end-to-end via options" `Quick
-            test_ip_option_encapsulation;
-          Alcotest.test_case "options splice reuses assembly buffer" `Quick
-            test_ip_option_splice_reuses_buffer;
-          Alcotest.test_case "40-byte budget enforced" `Quick
-            test_ip_option_budget_enforced;
         ] );
       ( "topology",
         [

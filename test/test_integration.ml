@@ -323,43 +323,33 @@ let test_wan_deployment () =
   check Alcotest.bool "reordering absorbed without window resends" true
     (Minitcp.retransmits c <= 5)
 
-(* --- Configuration matrix: every suite x path x encapsulation --- *)
+(* --- Configuration matrix: every suite x send path --- *)
 
 let test_configuration_matrix () =
   (* The same UDP exchange must work under every combination of algorithm
-     suite, send path (generic vs §7.2 combined) and encapsulation (shim
-     vs IP option). *)
+     suite and send path (generic vs §7.2 combined). *)
   List.iter
     (fun suite ->
       List.iter
         (fun combined ->
-          List.iter
-            (fun encapsulation ->
-              let label =
-                Printf.sprintf "%s/%s/%s" (Fbsr_fbs.Suite.name suite)
-                  (if combined then "combined" else "generic")
-                  (match encapsulation with `Shim -> "shim" | `Ip_option -> "option")
-              in
-              let config =
-                Stack.default_config ~suite ~combined_fast_path:combined
-                  ~encapsulation ()
-              in
-              let tb = Testbed.create ~config () in
-              let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
-              let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
-              let got = ref [] in
-              Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d ->
-                  got := d :: !got);
-              Udp_stack.send a.Testbed.host ~src_port:7
-                ~dst:(Host.addr b.Testbed.host) ~dst_port:7 ("ping " ^ label);
-              Udp_stack.send a.Testbed.host ~src_port:7
-                ~dst:(Host.addr b.Testbed.host) ~dst_port:7 ("pong " ^ label);
-              Testbed.run tb;
-              check Alcotest.int (label ^ ": delivered") 2 (List.length !got))
-            [ `Shim; `Ip_option ])
+          let label =
+            Printf.sprintf "%s/%s" (Fbsr_fbs.Suite.name suite)
+              (if combined then "combined" else "generic")
+          in
+          let config = Stack.default_config ~suite ~combined_fast_path:combined () in
+          let tb = Testbed.create ~config () in
+          let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+          let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+          let got = ref [] in
+          Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d ->
+              got := d :: !got);
+          Udp_stack.send a.Testbed.host ~src_port:7
+            ~dst:(Host.addr b.Testbed.host) ~dst_port:7 ("ping " ^ label);
+          Udp_stack.send a.Testbed.host ~src_port:7
+            ~dst:(Host.addr b.Testbed.host) ~dst_port:7 ("pong " ^ label);
+          Testbed.run tb;
+          check Alcotest.int (label ^ ": delivered") 2 (List.length !got))
         [ false; true ])
-    (* Every registered suite — including hmac-sha1/sha1-ctr, whose
-       40-byte option-mode header exactly fits the IPv4 option budget. *)
     Fbsr_fbs.Suite.all
 
 (* --- Failure injection: corrupted frames under load --- *)
@@ -403,7 +393,7 @@ let () =
           Alcotest.test_case "tcp over fbs over loss" `Quick test_tcp_fbs_lossy;
           Alcotest.test_case "trace replay through stacks" `Quick
             test_trace_replay_through_stacks;
-          Alcotest.test_case "configuration matrix (24 combos)" `Quick
+          Alcotest.test_case "configuration matrix (12 combos)" `Quick
             test_configuration_matrix;
           Alcotest.test_case "WAN deployment (T1 + jitter)" `Quick test_wan_deployment;
           Alcotest.test_case "live site (real stacks)" `Quick test_live_site_small;
