@@ -768,14 +768,14 @@ let datapath_json () =
     | Ok k -> flow_key := k
     | Error _ -> failwith "datapath bench: flow key derivation failed");
   let flow_key = !flow_key in
-  let rc = Reference.create_counters () in
+  let rc = Fbsr_oracles.Reference.create_counters () in
   let gr0 = allocated_bytes_exact () in
   for _ = 1 to n do
     let wire =
-      Reference.seal ~counters:rc ~suite ~flow_key ~sfl ~secret:true ~confounder
-        ~timestamp ~payload ()
+      Fbsr_oracles.Reference.seal ~counters:rc ~suite ~flow_key ~sfl ~secret:true
+        ~confounder ~timestamp ~payload ()
     in
-    match Reference.open_ ~counters:rc ~suite ~flow_key ~wire () with
+    match Fbsr_oracles.Reference.open_ ~counters:rc ~suite ~flow_key ~wire () with
     | Ok _ -> ()
     | Error _ -> failwith "datapath bench: reference open rejected own wire"
   done;
@@ -789,9 +789,10 @@ let datapath_json () =
       ("allocs_per_datagram", Fbsr_util.Json.Float (per (allocs1 - allocs0)));
       ("bytes_copied_per_datagram", Fbsr_util.Json.Float (per (copied1 - copied0)));
       ("gc_bytes_per_datagram", Fbsr_util.Json.Float (perf (g1 -. g0)));
-      ("allocs_per_datagram_reference", Fbsr_util.Json.Float (per rc.Reference.allocs));
+      ( "allocs_per_datagram_reference",
+        Fbsr_util.Json.Float (per rc.Fbsr_oracles.Reference.allocs) );
       ( "bytes_copied_per_datagram_reference",
-        Fbsr_util.Json.Float (per rc.Reference.bytes_copied) );
+        Fbsr_util.Json.Float (per rc.Fbsr_oracles.Reference.bytes_copied) );
       ("gc_bytes_per_datagram_reference", Fbsr_util.Json.Float (perf (gr1 -. gr0)));
     ]
 

@@ -9,8 +9,8 @@
    mode loops.  The mode loops keep a block in a single reused 2-element
    scratch array and load/store halves straight from the source/destination
    buffers, so steady-state encryption allocates nothing per block.  The
-   original bit-gather implementation survives as {!Des_ref}, the
-   differential-testing oracle. *)
+   original bit-gather implementation survives as
+   [Fbsr_oracles.Des_ref], the differential-testing oracle. *)
 
 exception Weak_key
 

@@ -85,7 +85,8 @@ let transpose32 (a : int array) =
 (* --- FIPS tables as 0-based word renamings --- *)
 
 (* E expansion (the scalar kernel fuses it into its SP tables, so it is
-   transcribed here; the differential battery pins it to Des_ref). *)
+   transcribed here; the differential battery pins it to
+   [Fbsr_oracles.Des_ref]). *)
 let e_table =
   [| 32;  1;  2;  3;  4;  5;  4;  5;  6;  7;  8;  9;
       8;  9; 10; 11; 12; 13; 12; 13; 14; 15; 16; 17;

@@ -6,8 +6,8 @@
     lockstep here; a single datagram's CBC {e decrypt} side has no
     cross-block dependency either, so receive slices one ciphertext
     across lanes.  Differentially pinned to {!Des} / {!Des_kernel} /
-    {!Des_ref} by test/test_crypto.ml; layout derivation in DESIGN.md
-    §6c.
+    [Fbsr_oracles.Des_ref] (a test-only library) by test/test_crypto.ml;
+    layout derivation in DESIGN.md §6c.
 
     Scratch is domain-local ({!Fbsr_util.Domain_shim.local_make}): each
     domain owns a private set of lane matrices, so the sharded engine's

@@ -1,7 +1,7 @@
 (* The fast DES kernel: table-driven, unboxed, shared by [Des], [Des3],
    [Mac] and [Fused].  Replaces the generic per-round bit-gather of the
-   seed implementation ([Des_ref], retained as the differential-testing
-   oracle) with the classic software-DES layout:
+   seed implementation ([Fbsr_oracles.Des_ref], retained as the
+   differential-testing oracle) with the classic software-DES layout:
 
    - The E expansion is folded into the SP-table indexing.  A 32-bit round
      input [r] is rotated twice (right 1 for the odd S-boxes, left 3 for

@@ -1,8 +1,9 @@
 (** The fast table-driven DES kernel shared by {!Des}, {!Des3}, {!Mac} and
     {!Fused}.  E-expansion fused into 8×64 SP tables, byte-indexed IP/FP,
     sixteen unrolled rounds on untagged native [int] halves.  See
-    DESIGN.md §6c "Cipher kernels" for the layout derivation; {!Des_ref}
-    is the slow oracle this kernel is differentially tested against.
+    DESIGN.md §6c "Cipher kernels" for the layout derivation;
+    [Fbsr_oracles.Des_ref] (a test-only library) is the slow oracle this
+    kernel is differentially tested against.
 
     This is a low-level internal module: blocks travel in caller-owned
     2-element scratch arrays and the load/store helpers skip bounds

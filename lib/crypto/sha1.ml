@@ -11,7 +11,7 @@
    w[i+16]) so its independent xor/rotate work hides behind the serial
    a→e dependency chain instead of running as a second sequential loop.
    The pre-rewrite Int32 implementation is retained verbatim as
-   [Sha1_ref], the oracle the differential battery in
+   [Fbsr_oracles.Sha1_ref], the oracle the differential battery in
    test/test_crypto.ml pins this kernel to. *)
 
 let digest_size = 20

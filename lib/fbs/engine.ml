@@ -397,13 +397,12 @@ module Batch = struct
      the job has run — the deferred seal span and the sender's
      continuation on the seal lane; MAC verify and the verdict on the
      open lane. *)
-  type pending = { job : Armor.job; enqueued_at : float; complete : unit -> unit }
+  type pending = { job : Armor.job; complete : unit -> unit }
 
   type t = {
     engine : engine;
     threshold : int;
     capacity : int;
-    linger : float;
     run_seal : threshold:int -> Armor.job array -> int * int;
     run_open : threshold:int -> Armor.job array -> int * int;
     seals : pending Queue.t;
@@ -418,15 +417,13 @@ module Batch = struct
   let no_kernel ~threshold:_ (_ : Armor.job array) = (0, 0)
 
   let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      ?(linger = 0.001) (engine : engine) =
+      (engine : engine) =
     if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
-    if linger < 0. then invalid_arg "Engine.Batch.create: negative linger";
     let module A = (val engine.armor : Armor.S) in
     {
       engine;
       threshold;
       capacity;
-      linger;
       run_seal = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
       run_open =
         (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_kernel);
@@ -471,21 +468,11 @@ module Batch = struct
     let bo, so = drain b b.opens b.run_open in
     (bs + bo, ss + so)
 
-  let oldest q =
-    match Queue.peek_opt q with Some p -> p.enqueued_at | None -> Float.infinity
-
-  (* Time-based flush: a partial batch older than [linger] stops waiting
-     for lanes and ships.  Call from the event loop / timer wheel. *)
-  let tick b ~now =
-    if now -. Float.min (oldest b.seals) (oldest b.opens) >= b.linger then
-      Some (flush b)
-    else None
-
   (* Park a datagram in lane [q]: flush when the lane fills, else tell the
      owner.  When the keying layer suspended, this runs in the resumed
      continuation's event, after the caller's synchronous code — without
-     the hook nothing would arm a linger flush and the datagram could
-     park forever. *)
+     the hook nothing would arm a flush and the datagram could park
+     forever. *)
   let enqueue b q p =
     Queue.add p q;
     if Queue.length q >= b.capacity then ignore (flush b : int * int)
@@ -605,7 +592,6 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
       Batch.enqueue b b.Batch.seals
         {
           Batch.job;
-          enqueued_at = now;
           complete =
             (fun () ->
               match stm with
@@ -761,12 +747,21 @@ let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
   | Some (stm, id) ->
       Fbsr_util.Span.finish t.spans stm ~id ~outcome "engine.receive"
 
-(* The receive prologue — header decode, suite enforcement, replay check
+(* A strict-replay duplicate: found by the prologue's probe, or by the
+   commit after the MAC verified. *)
+let refuse_duplicate t ~(v : Header.view) tm =
+  t.counters.errors_duplicate <- t.counters.errors_duplicate + 1;
+  note_flow_drop t v.Header.v_sfl;
+  conclude_receive t tm "drop:duplicate";
+  Duplicate
+
+(* The receive prologue — header decode, suite enforcement, replay probe
    (Figure 4 R1-R5).  It always runs at arrival, in arrival order, so
-   replay registration and every early refusal are the same whether or
-   not the body open is later deferred.  An [Error] has already been
-   fully accounted (counter, flow-drop attribution, terminal span); the
-   caller just delivers it. *)
+   every early refusal is the same whether or not the body open is later
+   deferred.  The probe records nothing: a datagram enters the replay
+   window only in [verify_and_deliver], once its MAC verified.  An
+   [Error] has already been fully accounted (counter, flow-drop
+   attribution, terminal span); the caller just delivers it. *)
 let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
   | Error e ->
@@ -789,7 +784,7 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
           else None
         in
         let verdict =
-          Replay.check t.replay ~now ~sfl:v.Header.v_sfl
+          Replay.probe t.replay ~now ~sfl:v.Header.v_sfl
             ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
         in
         (match rtm with
@@ -821,25 +816,36 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
                    timestamp = v.Header.v_timestamp;
                    now_minutes = Replay.minutes_of_seconds now;
                  })
-        | Replay.Duplicate ->
-            t.counters.errors_duplicate <- t.counters.errors_duplicate + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:duplicate";
-            Error Duplicate
+        | Replay.Duplicate -> Error (refuse_duplicate t ~v tm)
         | Replay.Fresh -> Ok v)
 
-(* R7-R12 over the opened body: verify the MAC, deliver.  [plaintext]
-   borrows either the wire buffer (non-secret / NOP) or the decrypted
-   string; [materialize] copies it out only on acceptance. *)
+(* R7-R12 over the opened body: verify the MAC, commit to the replay
+   window, deliver.  The commit re-tests for a duplicate, so of two
+   intact copies parked in one batch the first delivers and the second
+   ends as a duplicate, in enqueue order.  [plaintext] borrows either
+   the wire buffer (non-secret / NOP) or the decrypted string;
+   [materialize] copies it out only on acceptance. *)
 let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) (plaintext : Fbsr_util.Slice.t)
     materialize =
   let module A = (val t.armor : Armor.S) in
   if
-    A.verify_mac t.actx entry ~secret:v.Header.v_secret
-      ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-      ~payload:plaintext ~expected:v.Header.v_mac
+    not
+      (A.verify_mac t.actx entry ~secret:v.Header.v_secret
+         ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
+         ~payload:plaintext ~expected:v.Header.v_mac)
   then begin
+    t.counters.errors_mac <- t.counters.errors_mac + 1;
+    note_flow_drop t v.Header.v_sfl;
+    conclude_receive t tm "drop:mac";
+    k (Error Bad_mac)
+  end
+  else if
+    not
+      (Replay.commit t.replay ~sfl:v.Header.v_sfl ~confounder:v.Header.v_confounder
+         ~timestamp:v.Header.v_timestamp)
+  then k (Error (refuse_duplicate t ~v tm))
+  else begin
     t.counters.accepted <- t.counters.accepted + 1;
     track_inbound t ~now ~sfl:v.Header.v_sfl ~peer:src
       ~bytes:(Fbsr_util.Slice.length plaintext);
@@ -855,12 +861,6 @@ let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
            own trace and this scope restores ours. *)
         Fbsr_util.Span.with_current id (fun () -> k accepted)
     | None -> k accepted
-  end
-  else begin
-    t.counters.errors_mac <- t.counters.errors_mac + 1;
-    note_flow_drop t v.Header.v_sfl;
-    conclude_receive t tm "drop:mac";
-    k (Error Bad_mac)
   end
 
 let refuse_decrypt t ~(v : Header.view) tm (k : (accepted, error) result -> unit) =
@@ -903,7 +903,6 @@ let open_entry ?batch t ~now ~src ~(v : Header.view) ~entry tm
             Batch.enqueue b b.Batch.opens
               {
                 Batch.job;
-                enqueued_at = now;
                 complete =
                   (fun () ->
                     verify_and_deliver t ~now ~src ~v ~entry tm k

@@ -157,9 +157,9 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     - the {b seal lane} holds fully assembled wires (header, MAC,
       reserved body region) whose encryption is pending;
     - the {b open lane} holds frames that passed the receive prologue —
-      header decode, suite check, replay check (which registers the
-      frame) and the RFKC probe, all at arrival, in arrival order — and
-      whose decryption and MAC verify are pending.
+      header decode, suite check, replay probe (which records nothing)
+      and the RFKC probe, all at arrival, in arrival order — and whose
+      decryption, MAC verify and replay commit are pending.
     Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, refusals,
     ciphertexts rejected up front) resolves inline on the same call.
 
@@ -183,16 +183,15 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       kernel (identical bytes).
     - [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): an enqueue
       that fills its lane flushes the batch before returning.
-    - [linger] (default 1 ms): {!tick} flushes a batch whose oldest
-      datagram has waited at least this long.
     - park: an enqueue that does not flush runs the {!set_on_park} hook.
+      A batch keeps no clock: bounding a parked datagram's wait is the
+      caller's job, by a {!flush} it schedules from that hook.
       A datagram whose keying suspended (cold flow) enqueues {e later},
       from the resumed continuation's event, after the {!send}/{!receive}
       call has returned — so [pending] will not have grown when that call
-      returns, and a caller that arms its linger flush only on a
-      synchronous [pending] check would never flush such a datagram.
-      Arm it from the hook, which always runs in the event that
-      enqueued.
+      returns, and a caller that arms its flush only on a synchronous
+      [pending] check would never flush such a datagram.  Arm it from the
+      hook, which always runs in the event that enqueued.
     - A parked datagram's continuation fires only from a flush.  Until
       then the queue borrows the receive wire, and a deferred plaintext
       string (the one {!Armor.batch_rx_ops.defer_open} returned) is not
@@ -204,7 +203,7 @@ module Batch : sig
   type t
   (** A two-lane pending-transform queue bound to one engine. *)
 
-  val create : ?threshold:int -> ?capacity:int -> ?linger:float -> engine -> t
+  val create : ?threshold:int -> ?capacity:int -> engine -> t
 
   val set_on_park : t -> (unit -> unit) -> unit
   (** Install the hook run after every enqueue that leaves a datagram
@@ -218,10 +217,6 @@ module Batch : sig
       in enqueue order.  Returns the kernel's
       [(bitsliced_blocks, scalar_blocks)] split, summed over the lanes —
       [(0, 0)] when the queue was empty. *)
-
-  val tick : t -> now:float -> (int * int) option
-  (** Flush iff the oldest parked datagram has waited at least [linger];
-      [Some counts] when a flush ran.  Call from the event loop. *)
 end
 
 val send :
@@ -237,7 +232,7 @@ val send :
     derive/cache the flow key, MAC, optionally encrypt; the continuation
     receives the wire bytes.  With [batch], a deferrable datagram's
     continuation fires from {!Batch.flush} (immediately when this enqueue
-    fills the lane, else at a later [flush]/[tick]). *)
+    fills the lane, else at a later [flush]). *)
 
 val send_classified :
   ?batch:Batch.t ->

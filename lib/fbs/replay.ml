@@ -11,7 +11,13 @@
    complete replay protection can only be achieved in high-layer
    protocols"), [strict] mode additionally remembers (sfl, confounder,
    timestamp) triples seen inside the window and rejects exact duplicates.
-   The memory is bounded: entries die with the window. *)
+   The memory is bounded: entries die with the window.
+
+   The check is split around MAC verification: [probe] refuses stale and
+   already-seen datagrams before any crypto runs, and [commit] records a
+   triple only once its datagram verified.  A corrupted or forged copy
+   that arrives first therefore cannot make the genuine one a
+   "duplicate". *)
 
 let minutes_of_seconds s = int_of_float (s /. 60.0) land 0xffffffff
 
@@ -51,29 +57,42 @@ let gc t now_min =
     List.iter (Hashtbl.remove t.seen) dead
   end
 
-let check t ~now ~sfl ~confounder ~timestamp : verdict =
+(* The prologue half: runs before the MAC is checked, so it must not
+   change what a later datagram sees — it counts its rejections and
+   remembers nothing. *)
+let probe t ~now ~sfl ~confounder ~timestamp : verdict =
   let now_min = minutes_of_seconds now in
   gc t now_min;
   if abs (now_min - timestamp) > t.window_minutes then begin
     t.rejected_stale <- t.rejected_stale + 1;
     Stale
   end
-  else if t.strict then begin
+  else if t.strict && Hashtbl.mem t.seen (Sfl.to_int64 sfl, confounder, timestamp)
+  then begin
+    t.rejected_duplicate <- t.rejected_duplicate + 1;
+    Duplicate
+  end
+  else Fresh
+
+(* The accept half: runs once the MAC verified, so only genuine datagrams
+   enter [seen].  Membership is tested again because a copy may have
+   committed since this one's probe (two copies parked in one batch). *)
+let commit t ~sfl ~confounder ~timestamp =
+  if not t.strict then begin
+    t.accepted <- t.accepted + 1;
+    true
+  end
+  else
     let key = (Sfl.to_int64 sfl, confounder, timestamp) in
     if Hashtbl.mem t.seen key then begin
       t.rejected_duplicate <- t.rejected_duplicate + 1;
-      Duplicate
+      false
     end
     else begin
       Hashtbl.replace t.seen key timestamp;
       t.accepted <- t.accepted + 1;
-      Fresh
+      true
     end
-  end
-  else begin
-    t.accepted <- t.accepted + 1;
-    Fresh
-  end
 
 type stats = { accepted : int; rejected_stale : int; rejected_duplicate : int }
 

@@ -52,15 +52,18 @@ type config = {
           upcall.  Verdicts and bytes are identical to the inline path;
           delivery of a deferrable frame lags arrival by at most
           [rx_linger]. *)
-  rx_linger : float;  (** Max queue residence before a forced flush. *)
 }
+
+(* Max simulated-time residence of a frame in the receive batch: the
+   on-park hook schedules a flush this far ahead. *)
+let rx_linger = 0.001
 
 let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     ?(fst_size = 256) ?(replay_window_minutes = 2) ?(strict_replay = false)
     ?(secret_policy = fun ~protocol:_ ~src_port:_ ~dst_port:_ -> true)
     ?(bypass = fun _ -> false) ?(tfkc_sets = 128) ?(rfkc_sets = 128) ?(cache_assoc = 1)
     ?max_flow_bytes ?max_flow_life ?(keying_fetch_retries = 0)
-    ?(combined_fast_path = false) ?(batched_rx = false) ?(rx_linger = 0.001) () =
+    ?(combined_fast_path = false) ?(batched_rx = false) () =
   {
     suite;
     threshold;
@@ -77,7 +80,6 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     keying_fetch_retries;
     combined_fast_path;
     batched_rx;
-    rx_linger;
   }
 
 type counters = {
@@ -337,7 +339,7 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
       fast_path;
       rx_batch =
         (if config.batched_rx then
-           Some (Fbsr_fbs.Engine.Batch.create ~linger:config.rx_linger engine)
+           Some (Fbsr_fbs.Engine.Batch.create engine)
          else None);
       rx_flush_scheduled = false;
     }
@@ -355,7 +357,7 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
           t.counters.rx_batched <- t.counters.rx_batched + 1;
           if not t.rx_flush_scheduled then begin
             t.rx_flush_scheduled <- true;
-            Engine.schedule (Host.engine t.host) ~delay:t.config.rx_linger
+            Engine.schedule (Host.engine t.host) ~delay:rx_linger
               (fun () ->
                 t.rx_flush_scheduled <- false;
                 ignore (Fbsr_fbs.Engine.Batch.flush b : int * int))

@@ -25,14 +25,11 @@ type config = {
   batched_rx : bool;
       (** Route receive-side body opens through the open lane of an
           {!Fbsr_fbs.Engine.Batch} (default [false]): frames
-          arriving within [rx_linger] of each other decrypt in one
-          cross-flow bitsliced sweep and are delivered in arrival order
-          through the parked-datagram upcall.  Verdicts and bytes are
-          identical to the inline path; delivery of a deferrable frame
-          lags arrival by at most [rx_linger]. *)
-  rx_linger : float;
-      (** Max simulated-time queue residence before a forced flush
-          (default 1 ms). *)
+          arriving within 1 ms of simulated time of each other decrypt
+          in one cross-flow bitsliced sweep and are delivered in arrival
+          order through the parked-datagram upcall.  Verdicts and bytes
+          are identical to the inline path; delivery of a deferrable
+          frame lags arrival by at most 1 ms. *)
 }
 
 val default_config :
@@ -51,7 +48,6 @@ val default_config :
   ?keying_fetch_retries:int ->
   ?combined_fast_path:bool ->
   ?batched_rx:bool ->
-  ?rx_linger:float ->
   unit ->
   config
 

@@ -1,7 +1,8 @@
 (** Reference DES: the original generic bit-gather kernel, retained as the
     differential-testing oracle for the fast table-driven kernel in
-    {!Des_kernel}/{!Des}.  Bit-by-bit transliteration of FIPS 46/81 —
-    slow, auditable, and never called from a hot path. *)
+    {!Fbsr_crypto.Des_kernel}/{!Fbsr_crypto.Des}.  Bit-by-bit
+    transliteration of FIPS 46/81 — slow, auditable, and never called
+    from a hot path. *)
 
 val block_size : int
 val key_size : int

@@ -1,7 +1,7 @@
 (** MD5 reference implementation: the pre-kernel-rewrite streaming
     [Md5], retained verbatim as the differential oracle the test battery
     pins the unrolled kernel to (the [Des_ref] pattern).  Same interface
-    as {!Md5}; not used on any datapath. *)
+    as {!Fbsr_crypto.Md5}; not used on any datapath. *)
 
 val digest_size : int
 val block_size : int

@@ -1,7 +1,7 @@
 (** SHA-1 reference implementation: the pre-kernel-rewrite streaming
     [Sha1], retained verbatim as the differential oracle the test battery
     pins the unrolled native-int kernel to (the [Des_ref] pattern).  Same
-    interface as {!Sha1}; not used on any datapath. *)
+    interface as {!Fbsr_crypto.Sha1}; not used on any datapath. *)
 
 val digest_size : int
 val block_size : int

@@ -266,6 +266,8 @@ let test_des3_kat () =
    oracle.  The fast kernel must agree byte-for-byte on every key, block,
    mode, and length, in both directions. *)
 
+module Des_ref = Fbsr_oracles.Des_ref
+
 let ref_encrypt_block_bytes key pt =
   let b = ref 0L in
   String.iter
@@ -635,6 +637,9 @@ let prop_mac_midstate =
    over ragged lengths / split points / feed offsets, and the HMAC and
    hash-CTR keystream constructions on top against re-derivations built
    from the oracles alone. *)
+
+module Md5_ref = Fbsr_oracles.Md5_ref
+module Sha1_ref = Fbsr_oracles.Sha1_ref
 
 let test_hash_ref_kats () =
   List.iter

@@ -415,35 +415,6 @@ let test_batched_wires_over_drop_reorder_link () =
     delivered;
   check Alcotest.int "every delivered wire accepted" (List.length delivered) !accepted
 
-(* Partial batches flush on the linger timeout, not only at capacity:
-   [tick] before the deadline is a no-op, after it the queue drains on
-   the scalar path (below threshold) and every continuation fires. *)
-let test_batch_tick_linger_flush () =
-  let p, attrs = Fixture.warm_flows ~flows:4 () in
-  let batch = FEngine.Batch.create ~linger:0.001 p.Fixture.sender in
-  let delivered = ref 0 in
-  for i = 0 to 3 do
-    FEngine.send ~batch p.Fixture.sender ~now:60.0 ~attrs:attrs.(i) ~secret:true
-      ~payload:"linger" (function
-      | Ok _ -> incr delivered
-      | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
-  done;
-  check Alcotest.int "queued" 4 (FEngine.Batch.pending batch);
-  (match FEngine.Batch.tick batch ~now:60.0005 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "tick flushed before the linger deadline");
-  check Alcotest.int "still queued" 4 (FEngine.Batch.pending batch);
-  (match FEngine.Batch.tick batch ~now:60.002 with
-  | Some (bs, sc) ->
-      check Alcotest.int "partial batch below threshold runs scalar" 0 bs;
-      check Alcotest.bool "scalar blocks ran" true (sc > 0)
-  | None -> Alcotest.fail "tick did not flush past the linger deadline");
-  check Alcotest.int "drained" 0 (FEngine.Batch.pending batch);
-  check Alcotest.int "all continuations fired" 4 !delivered;
-  (match FEngine.Batch.tick batch ~now:61.0 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "tick flushed an empty queue")
-
 (* Deferred sealing must keep the exact-terminal span discipline: each
    batched datagram still records exactly one "engine.seal" span (under
    its own trace id, finished at flush, marked batched) and exactly one
@@ -919,8 +890,6 @@ let () =
         [
           Alcotest.test_case "batched wires over a drop+reorder link" `Quick
             test_batched_wires_over_drop_reorder_link;
-          Alcotest.test_case "partial batch flushes on linger timeout" `Quick
-            test_batch_tick_linger_flush;
           Alcotest.test_case "deferred seal keeps exact span accounting" `Quick
             test_batched_span_accounting;
           Alcotest.test_case "faulty frames in a partial rx batch = scalar"

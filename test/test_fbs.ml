@@ -234,10 +234,19 @@ let test_header_confounder_iv () =
 
 (* --- Replay --- *)
 
+(* What the engine does for a datagram whose MAC verifies: probe in the
+   prologue, commit on acceptance. *)
+let admit r ~now ~sfl ~confounder ~timestamp =
+  match Replay.probe r ~now ~sfl ~confounder ~timestamp with
+  | Replay.Fresh ->
+      if Replay.commit r ~sfl ~confounder ~timestamp then Replay.Fresh
+      else Replay.Duplicate
+  | v -> v
+
 let test_replay_window () =
   let r = Replay.create ~window_minutes:2 () in
   let sfl = Sfl.of_int64 1L in
-  let at now ts = Replay.check r ~now ~sfl ~confounder:1 ~timestamp:ts in
+  let at now ts = admit r ~now ~sfl ~confounder:1 ~timestamp:ts in
   let now = 600.0 in
   (* now = minute 10 *)
   check Alcotest.bool "current accepted" true (at now 10 = Replay.Fresh);
@@ -252,23 +261,35 @@ let test_replay_window () =
 let test_replay_strict_duplicates () =
   let r = Replay.create ~window_minutes:2 ~strict:true () in
   let sfl = Sfl.of_int64 9L in
-  let go conf = Replay.check r ~now:600.0 ~sfl ~confounder:conf ~timestamp:10 in
+  let go conf = admit r ~now:600.0 ~sfl ~confounder:conf ~timestamp:10 in
+  (* A probe alone records nothing: a datagram that fails its MAC after
+     the probe leaves no trace for the genuine copy to collide with. *)
+  let probe conf = Replay.probe r ~now:600.0 ~sfl ~confounder:conf ~timestamp:10 in
+  check Alcotest.bool "probe" true (probe 7 = Replay.Fresh);
+  check Alcotest.bool "probe again" true (probe 7 = Replay.Fresh);
   check Alcotest.bool "first" true (go 7 = Replay.Fresh);
   check Alcotest.bool "exact duplicate" true (go 7 = Replay.Duplicate);
+  (* Two copies that both passed the probe: the second commit loses. *)
+  check Alcotest.bool "probed copy" true (probe 8 = Replay.Fresh);
   check Alcotest.bool "different confounder ok" true (go 8 = Replay.Fresh);
+  check Alcotest.bool "late commit of the probed copy" false
+    (Replay.commit r ~sfl ~confounder:8 ~timestamp:10);
   (* A different flow with the same confounder is not a duplicate. *)
   check Alcotest.bool "different sfl ok" true
-    (Replay.check r ~now:600.0 ~sfl:(Sfl.of_int64 10L) ~confounder:7 ~timestamp:10
-     = Replay.Fresh)
+    (admit r ~now:600.0 ~sfl:(Sfl.of_int64 10L) ~confounder:7 ~timestamp:10
+     = Replay.Fresh);
+  let s = Replay.stats r in
+  check Alcotest.int "accepted counts commits" 3 s.Replay.accepted;
+  check Alcotest.int "duplicates from probe and commit" 2 s.Replay.rejected_duplicate
 
 let test_replay_strict_gc () =
   let r = Replay.create ~window_minutes:1 ~strict:true () in
   let sfl = Sfl.of_int64 2L in
-  ignore (Replay.check r ~now:60.0 ~sfl ~confounder:1 ~timestamp:1);
+  ignore (admit r ~now:60.0 ~sfl ~confounder:1 ~timestamp:1);
   (* Long after the window the entry is gone, and the timestamp is stale
      anyway: strict mode state cannot grow without bound. *)
   check Alcotest.bool "stale later" true
-    (Replay.check r ~now:6000.0 ~sfl ~confounder:1 ~timestamp:1 = Replay.Stale)
+    (admit r ~now:6000.0 ~sfl ~confounder:1 ~timestamp:1 = Replay.Stale)
 
 let test_replay_clock_skew () =
   (* Sender/receiver clock skew in either direction up to the window is
@@ -276,7 +297,7 @@ let test_replay_clock_skew () =
      100; the timestamp plays the part of the skewed sender clock. *)
   let r = Replay.create ~window_minutes:3 () in
   let at now ts =
-    Replay.check r ~now ~sfl:(Sfl.of_int64 4L) ~confounder:9 ~timestamp:ts
+    admit r ~now ~sfl:(Sfl.of_int64 4L) ~confounder:9 ~timestamp:ts
   in
   check Alcotest.bool "sender 3 min ahead" true (at 6000.0 103 = Replay.Fresh);
   check Alcotest.bool "sender 4 min ahead" true (at 6000.0 104 = Replay.Stale);
@@ -295,7 +316,7 @@ let test_replay_duplicate_after_eviction () =
      what makes it stale.  Eviction never re-opens acceptance. *)
   let r = Replay.create ~window_minutes:1 ~strict:true () in
   let go now ts =
-    Replay.check r ~now ~sfl:(Sfl.of_int64 3L) ~confounder:5 ~timestamp:ts
+    admit r ~now ~sfl:(Sfl.of_int64 3L) ~confounder:5 ~timestamp:ts
   in
   check Alcotest.bool "fresh at minute 10" true (go 600.0 10 = Replay.Fresh);
   check Alcotest.bool "duplicate at minute 11 (still in window)" true
@@ -942,15 +963,6 @@ let test_five_tuple_sweeper () =
   check Alcotest.int "sweeper expires idle" 2 (Policy_five_tuple.sweep p ~now:150.0);
   check Alcotest.int "active after sweep" 1 (Policy_five_tuple.active p ~now:150.0)
 
-let test_host_pair_policy () =
-  let alloc = mk_alloc () in
-  let p = Policy_host_pair.make ~threshold:1000.0 ~alloc () in
-  let s1, _ = Policy_host_pair.map p ~now:0.0 (attrs ~sp:1 ~dp:2 ()) in
-  let s2, _ = Policy_host_pair.map p ~now:0.0 (attrs ~sp:3 ~dp:4 ()) in
-  check Alcotest.bool "ports irrelevant: one flow per host" true (Sfl.equal s1 s2);
-  let s3, _ = Policy_host_pair.map p ~now:0.0 (attrs ~dst:pc ()) in
-  check Alcotest.bool "different host, different flow" false (Sfl.equal s1 s3)
-
 let test_app_policy () =
   let alloc = mk_alloc () in
   let p = Policy_app.make ~alloc () in
@@ -960,14 +972,6 @@ let test_app_policy () =
   let s3, _ = Policy_app.map p ~now:1.0 (a "audio") in
   check Alcotest.bool "same tag same flow" true (Sfl.equal s1 s2);
   check Alcotest.bool "different tag different flow" false (Sfl.equal s1 s3)
-
-let test_per_datagram_policy () =
-  let alloc = mk_alloc () in
-  let p = Policy_per_datagram.make ~alloc () in
-  let s1, d1 = Policy_per_datagram.map p ~now:0.0 (attrs ()) in
-  let s2, d2 = Policy_per_datagram.map p ~now:0.0 (attrs ()) in
-  check Alcotest.bool "always fresh" true (d1 = Fam.Fresh && d2 = Fam.Fresh);
-  check Alcotest.bool "never reused" false (Sfl.equal s1 s2)
 
 (* Model-based property: with a collision-free table, the five-tuple
    policy's flow partitioning must match a reference implementation (a map
@@ -1214,7 +1218,7 @@ let test_engine_midstate_seal_byte_equal () =
 
    The same datagrams go through [send]/[receive] with no batch, and
    through a batch at capacity 1 (every enqueue flushes) and capacity 63
-   (everything parks until the linger tick), at kernel thresholds 1
+   (everything parks until an explicit flush), at kernel thresholds 1
    (bitsliced) and 24 (per-datagram fallback), for every registered
    armor.  Each row runs in its own identically seeded world, so the
    confounder streams agree and a row must reproduce the inline row's
@@ -1282,7 +1286,7 @@ type batch_run = {
   lane_traffic : int;
       (* datagrams that went through the lane, capacity flushes included:
          batched seal spans (seal lane), rx_batch_deferred (open lane) *)
-  kernel : (int * int) option; (* the linger flush's (bitsliced, scalar) split *)
+  kernel : (int * int) option; (* the flush's (bitsliced, scalar) split *)
   wires : string list; (* send direction only *)
   verdicts : string list;
   counters : int list; (* the engine under test *)
@@ -1291,9 +1295,9 @@ type batch_run = {
 }
 
 (* Offer [n] datagrams through [call ?batch i k], check the parked ones
-   are undelivered, drain the batch by its linger tick, and return the
-   parked count, the tick's kernel split and every delivered result. *)
-let offer_through ~now row engine n call =
+   are undelivered, drain the batch by a flush, and return the parked
+   count, the flush's kernel split and every delivered result. *)
+let offer_through row engine n call =
   let batch =
     match row with
     | Inline -> None
@@ -1312,18 +1316,10 @@ let offer_through ~now row engine n call =
   let kernel =
     match batch with
     | Some b when parked > 0 ->
-        (match Engine.Batch.tick b ~now with
-        | None -> ()
-        | Some _ -> Alcotest.fail "tick flushed before the linger deadline");
-        let split =
-          match Engine.Batch.tick b ~now:(now +. 1.0) with
-          | None -> Alcotest.fail "tick did not flush past the linger deadline"
-          | Some split -> split
-        in
+        let split = Engine.Batch.flush b in
         check Alcotest.int "drained" 0 (Engine.Batch.pending b);
-        (match Engine.Batch.tick b ~now:(now +. 60.0) with
-        | None -> ()
-        | Some _ -> Alcotest.fail "tick flushed an empty queue");
+        check Alcotest.(pair int int) "an empty queue flushes no blocks" (0, 0)
+          (Engine.Batch.flush b);
         Some split
     | _ -> None
   in
@@ -1370,7 +1366,7 @@ let run_seal_row ~suite row =
       Engine.send_classified ?batch ~confounder:(0x5eed0 + i) es ~now ~sfl
         ~src:attrs.Fam.src ~dst:attrs.Fam.dst ~secret ~payload k
   in
-  let parked, kernel, results = offer_through ~now row es (Array.length frames) call in
+  let parked, kernel, results = offer_through row es (Array.length frames) call in
   let lane_traffic = batched_seals spans in
   let wires =
     List.map
@@ -1412,7 +1408,7 @@ let run_open_row ~suite row =
   Fbsr_util.Span.clear spans;
   let now = !clock in
   let call ?batch i k = Engine.receive ?batch ed ~now ~src:s ~wire:wires.(i) k in
-  let parked, kernel, results = offer_through ~now row ed (Array.length wires) call in
+  let parked, kernel, results = offer_through row ed (Array.length wires) call in
   let c = Engine.counters ed in
   { parked; lane_traffic = c.Engine.rx_batch_deferred; kernel; wires = [];
     verdicts = List.map verdict_str results; counters = datapath_counters c;
@@ -1457,7 +1453,7 @@ let batch_differential ~lane () =
           check Alcotest.int (what "exactly the secret datagrams took the lane")
             expected r.lane_traffic;
           (* Capacity 1 flushes on every enqueue; 63 holds the lot. *)
-          check Alcotest.int (what "parked until the tick")
+          check Alcotest.int (what "parked until the flush")
             (if capacity = 1 then 0 else expected)
             r.parked;
           check Alcotest.(pair int int) (what "open-lane counters")
@@ -1556,45 +1552,11 @@ let test_engine_batch_rx_capacity_autoflush () =
   check Alcotest.int "deferrals counted" 4 c.Engine.rx_batch_deferred;
   check Alcotest.int "one flush counted" 1 c.Engine.rx_batch_flushes
 
-let test_engine_batch_rx_tick_linger () =
-  (* A partial open lane flushes on the linger timeout, not only at
-     capacity: [tick] before the deadline is a no-op, after it the queue
-     drains and the continuation fires. *)
-  let clock, s, d, es, ed = make_engines ~suite:Suite.paper_md5_des () in
-  let attrs = Fam.attrs ~protocol:17 ~src_port:6000 ~dst_port:2 ~src:s ~dst:d () in
-  let wire =
-    match
-      Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"rx linger"
-    with
-    | Ok w -> w
-    | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
-  in
-  let batch = Engine.Batch.create ~linger:0.5 ed in
-  let got = ref None in
-  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> got := Some r);
-  check Alcotest.int "queued" 1 (Engine.Batch.pending batch);
-  (match Engine.Batch.tick batch ~now:(!clock +. 0.2) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "tick flushed before the linger deadline");
-  check Alcotest.bool "not delivered yet" true (!got = None);
-  (match Engine.Batch.tick batch ~now:(!clock +. 0.6) with
-  | Some (bs, sc) -> check Alcotest.bool "blocks ran" true (bs + sc > 0)
-  | None -> Alcotest.fail "tick did not flush past the linger deadline");
-  check Alcotest.int "drained" 0 (Engine.Batch.pending batch);
-  (match !got with
-  | Some (Ok acc) ->
-      check Alcotest.string "payload roundtrips" "rx linger" acc.Engine.payload
-  | Some (Error e) -> Alcotest.failf "receive: %a" Engine.pp_error e
-  | None -> Alcotest.fail "tick flush did not deliver");
-  match Engine.Batch.tick batch ~now:(!clock +. 60.0) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "tick flushed an empty queue"
-
 (* The send-lane mirror of the stack's lone cold-flow regression: a
    secret send whose keying suspends enqueues into the seal lane from the
    resumed keying continuation — a later event, after [send] returned —
-   so the park hook must fire from that enqueue, and the linger tick must
-   then deliver exactly one result. *)
+   so the park hook must fire from that enqueue, and a flush must then
+   deliver exactly one result. *)
 let test_engine_batch_seal_lane_late_park () =
   let rng = Fbsr_util.Rng.create 33 in
   let group = Lazy.force Fbsr_crypto.Dh.test_group in
@@ -1639,9 +1601,7 @@ let test_engine_batch_seal_lane_late_park () =
     (Engine.Batch.pending batch);
   check Alcotest.int "park hook fired in that event" 1 !parks;
   check Alcotest.int "not delivered before a flush" 0 (List.length !results);
-  (match Engine.Batch.tick batch ~now:61.0 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "tick did not flush the parked seal");
+  ignore (Engine.Batch.flush batch : int * int);
   (match !results with
   | [ Ok wire ] -> (
       match Header.decode wire with
@@ -1649,15 +1609,17 @@ let test_engine_batch_seal_lane_late_park () =
       | Error _ -> Alcotest.fail "delivered wire undecodable")
   | [ Error e ] -> Alcotest.failf "send: %a" Engine.pp_error e
   | rs -> Alcotest.failf "%d results delivered, want exactly 1" (List.length rs));
-  check Alcotest.bool "nothing left to tick" true
-    (Engine.Batch.tick batch ~now:120.0 = None);
+  check Alcotest.int "nothing left to flush" 0 (Engine.Batch.pending batch);
   check Alcotest.int "still exactly one result" 1 (List.length !results)
 
 let test_engine_batch_rx_replay_at_enqueue () =
-  (* The replay check runs in the receive prologue at enqueue, so under
-     strict replay a duplicate of a still-queued frame is refused
-     synchronously — exactly where inline [receive] refuses it — while
-     the first copy still delivers at flush. *)
+  (* Under strict replay the prologue's probe runs at enqueue but records
+     nothing; the replay window takes a datagram only at its MAC verify,
+     which for a parked frame happens at the flush.  So a duplicate of a
+     still-queued frame parks too and is refused at the flush, right after
+     the first copy delivers (enqueue order), while a duplicate of an
+     already-delivered frame is refused synchronously at enqueue —
+     exactly where inline [receive] refuses it. *)
   let clock, s, d, es, ed = make_engines ~strict_replay:true () in
   let attrs = Fam.attrs ~protocol:17 ~src_port:7000 ~dst_port:2 ~src:s ~dst:d () in
   let wire =
@@ -1668,23 +1630,24 @@ let test_engine_batch_rx_replay_at_enqueue () =
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
   in
   let batch = Engine.Batch.create ed in
-  let first = ref None in
-  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> first := Some r);
-  check Alcotest.int "first copy queued" 1 (Engine.Batch.pending batch);
-  let second = ref None in
-  Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r -> second := Some r);
-  (match !second with
-  | Some (Error Engine.Duplicate) -> ()
-  | Some _ -> Alcotest.fail "duplicate not refused as Duplicate"
-  | None -> Alcotest.fail "duplicate verdict deferred past the prologue");
-  check Alcotest.int "duplicate never queues" 1 (Engine.Batch.pending batch);
+  let got = ref [] in
+  let offer () =
+    Engine.receive ~batch ed ~now:!clock ~src:s ~wire (fun r ->
+        got := verdict_str r :: !got)
+  in
+  offer ();
+  offer ();
+  check Alcotest.int "both copies queued" 2 (Engine.Batch.pending batch);
+  check Alcotest.int "no verdict before the flush" 0 (List.length !got);
   ignore (Engine.Batch.flush batch : int * int);
-  match !first with
-  | Some (Ok acc) ->
-      check Alcotest.string "first copy delivers at flush" "replayed"
-        acc.Engine.payload
-  | Some (Error e) -> Alcotest.failf "first copy: %a" Engine.pp_error e
-  | None -> Alcotest.fail "flush did not deliver the first copy"
+  check (Alcotest.list Alcotest.string) "first delivers, second refused at flush"
+    [ "ok:replayed"; "err:duplicate datagram" ]
+    (List.rev !got);
+  got := [];
+  offer ();
+  check (Alcotest.list Alcotest.string) "a delivered frame's copy refused at enqueue"
+    [ "err:duplicate datagram" ] !got;
+  check Alcotest.int "that copy never queues" 0 (Engine.Batch.pending batch)
 
 let test_engine_ciphertext_hides_plaintext () =
   let clock, s, d, es, _ = make_engines () in
@@ -1788,6 +1751,55 @@ let test_engine_strict_replay () =
   match Engine.receive_sync ed ~now:(!clock +. 10.0) ~src:s ~wire with
   | Error Engine.Duplicate -> ()
   | _ -> Alcotest.fail "duplicate accepted in strict mode"
+
+(* Regression: with strict replay a corrupted copy that arrives before
+   the intact datagram must not make the intact one a duplicate — the
+   replay window records a datagram only once its MAC verifies.  Two
+   corruptions: a flipped last byte (CBC padding refused before the MAC)
+   and a flipped body byte in the middle (decrypts, then fails the MAC).
+   Checked inline and through a batch's open lane, where the corrupted
+   copy is still parked when the intact one arrives. *)
+let test_engine_strict_replay_corrupt_first () =
+  let corrupt wire pos =
+    let b = Bytes.of_string wire in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+    Bytes.to_string b
+  in
+  let payload = String.make 200 'g' in
+  let seal es ~now ~attrs =
+    Result.get_ok (Engine.send_sync es ~now ~attrs ~secret:true ~payload)
+  in
+  let run ~batched =
+    let clock, s, d, es, ed = make_engines ~strict_replay:true () in
+    let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+    (* Warm the flow on both sides. *)
+    ignore (Engine.receive_sync ed ~now:!clock ~src:s ~wire:(seal es ~now:!clock ~attrs));
+    let wire = seal es ~now:!clock ~attrs in
+    let n = String.length wire in
+    let batch = if batched then Some (Engine.Batch.create ed) else None in
+    let got = ref [] in
+    List.iter
+      (fun w ->
+        Engine.receive ?batch ed ~now:!clock ~src:s ~wire:w (fun r ->
+            got := verdict_str r :: !got))
+      [ corrupt wire (n - 1); corrupt wire (n - 40); wire; wire ];
+    Option.iter (fun b -> ignore (Engine.Batch.flush b : int * int)) batch;
+    let st = Replay.stats (Engine.replay ed) in
+    (List.rev !got, st.Replay.accepted, st.Replay.rejected_duplicate)
+  in
+  List.iter
+    (fun batched ->
+      let what = if batched then "batched" else "inline" in
+      let verdicts, accepted, duplicates = run ~batched in
+      check
+        (Alcotest.list Alcotest.string)
+        (what ^ ": corrupted copies refused, intact one delivered once")
+        [ "err:decryption failed"; "err:MAC verification failed"; "ok:" ^ payload;
+          "err:duplicate datagram" ]
+        verdicts;
+      check Alcotest.int (what ^ ": accepted counts verified datagrams") 2 accepted;
+      check Alcotest.int (what ^ ": one duplicate") 1 duplicates)
+    [ false; true ]
 
 let test_engine_wrong_source_rejected () =
   (* A datagram received with a claimed source that differs from the real
@@ -2355,9 +2367,7 @@ let () =
           Alcotest.test_case "rekey by bytes" `Quick test_five_tuple_rekey_bytes;
           Alcotest.test_case "rekey by lifetime" `Quick test_five_tuple_rekey_life;
           Alcotest.test_case "sweeper" `Quick test_five_tuple_sweeper;
-          Alcotest.test_case "host-pair policy" `Quick test_host_pair_policy;
           Alcotest.test_case "app-tag policy" `Quick test_app_policy;
-          Alcotest.test_case "per-datagram policy" `Quick test_per_datagram_policy;
           Alcotest.test_case "fam stats" `Quick test_fam_stats;
           qtest prop_five_tuple_matches_model;
         ] );
@@ -2381,8 +2391,6 @@ let () =
             `Quick (batch_differential ~lane:`Open);
           Alcotest.test_case "rx batch capacity autoflush + inline bypass" `Quick
             test_engine_batch_rx_capacity_autoflush;
-          Alcotest.test_case "rx batch linger tick" `Quick
-            test_engine_batch_rx_tick_linger;
           Alcotest.test_case "seal-lane park from a resumed keying continuation"
             `Quick test_engine_batch_seal_lane_late_park;
           Alcotest.test_case "rx batch replay refused at enqueue" `Quick
@@ -2393,6 +2401,8 @@ let () =
           Alcotest.test_case "stale verdict span carries the clocks" `Quick
             test_engine_stale_span_detail;
           Alcotest.test_case "strict replay" `Quick test_engine_strict_replay;
+          Alcotest.test_case "strict replay: corrupted copy first" `Quick
+            test_engine_strict_replay_corrupt_first;
           Alcotest.test_case "spoofed source" `Quick test_engine_wrong_source_rejected;
           Alcotest.test_case "cross-flow splice" `Quick
             test_engine_cross_flow_splice_rejected;

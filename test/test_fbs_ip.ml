@@ -568,39 +568,6 @@ let test_stack_sweeper () =
   check Alcotest.bool "sweeper did the expiry" true
     ((Fbsr_fbs.Policy_five_tuple.counters st).Fbsr_fbs.Policy_five_tuple.expirations >= 1)
 
-(* --- IPv6 flow-label bridging (the QoS-flow coincidence) --- *)
-
-let test_flow_label_bridge () =
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 5) in
-  let sfl1 = Fbsr_fbs.Sfl.fresh alloc in
-  let sfl2 = Fbsr_fbs.Sfl.fresh alloc in
-  let l1 = Flow_label.of_sfl sfl1 and l2 = Flow_label.of_sfl sfl2 in
-  check Alcotest.bool "20 bits" true (l1 >= 0 && l1 <= Ipv6.max_flow_label);
-  check Alcotest.bool "deterministic" true (l1 = Flow_label.of_sfl sfl1);
-  check Alcotest.bool "distinct flows, distinct labels" true (l1 <> l2);
-  let src = Ipv6.Addr6.of_string "2001:db8::1" in
-  let dst = Ipv6.Addr6.of_string "2001:db8::2" in
-  let h = Ipv6.make ~next_header:17 ~src ~dst ~payload_length:0 () in
-  let stamped = Flow_label.stamp_header ~sfl:sfl1 h in
-  check Alcotest.bool "stamped consistently" true (Flow_label.consistent ~sfl:sfl1 stamped);
-  check Alcotest.bool "wrong flow detected" false (Flow_label.consistent ~sfl:sfl2 stamped);
-  (* Survives the wire. *)
-  let h', _ = Ipv6.decode (Ipv6.encode stamped "") in
-  check Alcotest.bool "label survives encoding" true (Flow_label.consistent ~sfl:sfl1 h')
-
-let test_flow_label_spread () =
-  (* Sequential sfls must not produce clustered labels (RFC 1809 wants
-     router-hashable labels). *)
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 6) in
-  let labels =
-    List.init 1000 (fun _ -> Flow_label.of_sfl (Fbsr_fbs.Sfl.fresh alloc))
-  in
-  let distinct = List.sort_uniq compare labels in
-  check Alcotest.bool "nearly all distinct" true (List.length distinct > 990);
-  (* Spread across the label space, not bunched in one region. *)
-  let low = List.length (List.filter (fun l -> l < Ipv6.max_flow_label / 2) labels) in
-  check Alcotest.bool "roughly balanced halves" true (low > 350 && low < 650)
-
 (* --- FBS across a forwarding router (the transparency claim) --- *)
 
 let test_fbs_across_router () =
@@ -687,104 +654,6 @@ let test_clock_skew_end_to_end () =
   in
   check Alcotest.int "60s skew tolerated" 1 (run_with_skew (-60.0));
   check Alcotest.int "600s skew rejected" 0 (run_with_skew (-600.0))
-
-(* --- FBS over IPv6 (packet level) --- *)
-
-let make_v6_engines () =
-  (* Two FBS engines whose principals are IPv6 addresses, with a local
-     synchronous resolver. *)
-  let rng = Fbsr_util.Rng.create 66 in
-  let group = Lazy.force Fbsr_crypto.Dh.test_group in
-  let ca = Fbsr_cert.Authority.create ~rng ~bits:512 () in
-  let enroll name =
-    let priv = Fbsr_crypto.Dh.gen_private group rng in
-    let pub = Fbsr_crypto.Dh.public group priv in
-    ignore
-      (Fbsr_cert.Authority.enroll ca ~now:0.0 ~subject:name
-         ~group:group.Fbsr_crypto.Dh.name
-         ~public_value:(Fbsr_crypto.Dh.public_to_bytes group pub));
-    priv
-  in
-  let resolver peer k =
-    match Fbsr_cert.Authority.lookup ca (Fbsr_fbs.Principal.to_string peer) with
-    | Some c -> k (Ok c)
-    | None -> k (Error "unknown")
-  in
-  let mk name seed =
-    let priv = enroll name in
-    let keying =
-      Fbsr_fbs.Keying.create
-        ~local:(Fbsr_fbs.Principal.of_string name)
-        ~group ~private_value:priv
-        ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
-        ~resolver
-        ~clock:(fun () -> 0.0)
-        ()
-    in
-    let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
-    let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_five_tuple.policy ~alloc ()) in
-    Fbsr_fbs.Engine.create ~keying ~fam ()
-  in
-  let a6 = Ipv6.Addr6.of_string "2001:db8::1" in
-  let b6 = Ipv6.Addr6.of_string "2001:db8::2" in
-  (a6, b6, mk (Ipv6.Addr6.to_string a6) 1, mk (Ipv6.Addr6.to_string b6) 2)
-
-let test_ipv6_mapping_roundtrip () =
-  let a6, b6, es, ed = make_v6_engines () in
-  let sent = ref None in
-  Stack6.seal_packet es ~now:120.0 ~src:a6 ~dst:b6 ~next_header:17 ~src_port:1
-    ~dst_port:2 ~secret:true "v6 protected payload" (fun r -> sent := Some r);
-  let raw =
-    match !sent with
-    | Some (Ok raw) -> raw
-    | _ -> Alcotest.fail "seal did not complete"
-  in
-  (* The packet parses as IPv6 and carries an sfl-consistent flow label. *)
-  let h, _ = Ipv6.decode raw in
-  check Alcotest.bool "flow label stamped" true (h.Ipv6.flow_label <> 0);
-  let opened = ref None in
-  Stack6.open_packet ed ~now:120.0 raw (fun r -> opened := Some r);
-  (match !opened with
-  | Some (Ok o) ->
-      check Alcotest.string "payload" "v6 protected payload"
-        o.Stack6.accepted.Fbsr_fbs.Engine.payload;
-      check Alcotest.bool "label consistent with sfl" true o.Stack6.label_consistent
-  | _ -> Alcotest.fail "open failed");
-  (* Same conversation: second datagram keeps the same flow label. *)
-  let sent2 = ref None in
-  Stack6.seal_packet es ~now:121.0 ~src:a6 ~dst:b6 ~next_header:17 ~src_port:1
-    ~dst_port:2 ~secret:true "second" (fun r -> sent2 := Some r);
-  (match !sent2 with
-  | Some (Ok raw2) ->
-      let h2, _ = Ipv6.decode raw2 in
-      check Alcotest.int "stable label within the flow" h.Ipv6.flow_label
-        h2.Ipv6.flow_label
-  | _ -> Alcotest.fail "second seal failed");
-  (* A different conversation gets a different label. *)
-  let sent3 = ref None in
-  Stack6.seal_packet es ~now:121.0 ~src:a6 ~dst:b6 ~next_header:17 ~src_port:9
-    ~dst_port:2 ~secret:true "other flow" (fun r -> sent3 := Some r);
-  match !sent3 with
-  | Some (Ok raw3) ->
-      let h3, _ = Ipv6.decode raw3 in
-      check Alcotest.bool "different flow, different label" true
-        (h3.Ipv6.flow_label <> h.Ipv6.flow_label)
-  | _ -> Alcotest.fail "third seal failed"
-
-let test_ipv6_mapping_tamper () =
-  let a6, b6, es, ed = make_v6_engines () in
-  let sent = ref None in
-  Stack6.seal_packet es ~now:120.0 ~src:a6 ~dst:b6 ~next_header:17 ~secret:true
-    "tamper target" (fun r -> sent := Some r);
-  let raw = match !sent with Some (Ok r) -> r | _ -> Alcotest.fail "seal failed" in
-  let b = Bytes.of_string raw in
-  Bytes.set b (String.length raw - 1) 'X';
-  let opened = ref None in
-  Stack6.open_packet ed ~now:120.0 (Bytes.to_string b) (fun r -> opened := Some r);
-  match !opened with
-  | Some (Error (Stack6.Fbs _)) -> ()
-  | _ -> Alcotest.fail "tampered v6 packet accepted"
 
 (* --- Gateway-to-gateway FBS (Section 7.1 host/gateway granularity) --- *)
 
@@ -955,17 +824,6 @@ let () =
       ( "attacks",
         [ Alcotest.test_case "port reuse (Section 7.1)" `Quick test_port_reuse_attack ]
       );
-      ( "flow-label",
-        [
-          Alcotest.test_case "sfl -> IPv6 label bridge" `Quick test_flow_label_bridge;
-          Alcotest.test_case "labels spread uniformly" `Quick test_flow_label_spread;
-        ] );
-      ( "ipv6-mapping",
-        [
-          Alcotest.test_case "roundtrip + label stability" `Quick
-            test_ipv6_mapping_roundtrip;
-          Alcotest.test_case "tamper rejected" `Quick test_ipv6_mapping_tamper;
-        ] );
       ( "topology",
         [
           Alcotest.test_case "FBS across a router" `Quick test_fbs_across_router;

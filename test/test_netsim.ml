@@ -177,61 +177,6 @@ let test_seq_arithmetic_wraps () =
     (Tcp_seg.seq_cmp wrapped near_max > 0);
   check Alcotest.int "diff across wrap" 0x20 (Tcp_seg.seq_diff wrapped near_max)
 
-(* --- IPv6 --- *)
-
-let test_ipv6_addr_text_forms () =
-  List.iter
-    (fun (text, canonical) ->
-      let a = Ipv6.Addr6.of_string text in
-      check Alcotest.string text canonical (Ipv6.Addr6.to_string a))
-    [
-      ("::1", "::1");
-      ("::", "::");
-      ("fe80::1", "fe80::1");
-      ("2001:db8:0:0:1:0:0:1", "2001:db8::1:0:0:1");
-      ("2001:0db8:0000:0000:0000:0000:0000:0001", "2001:db8::1");
-      ("1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8");
-    ]
-
-let test_ipv6_addr_errors () =
-  List.iter
-    (fun s ->
-      match Ipv6.Addr6.of_string s with
-      | _ -> Alcotest.failf "accepted %S" s
-      | exception Invalid_argument _ -> ())
-    [ ""; "1.2.3.4"; "1:2:3"; "1:2:3:4:5:6:7:8:9"; "xyzzy::1" ]
-
-let prop_ipv6_addr_roundtrip =
-  QCheck.Test.make ~name:"ipv6 address text roundtrip" ~count:200
-    QCheck.(array_of_size (QCheck.Gen.return 8) (int_bound 0xffff))
-    (fun groups ->
-      let a = Ipv6.Addr6.of_groups groups in
-      Ipv6.Addr6.equal a (Ipv6.Addr6.of_string (Ipv6.Addr6.to_string a)))
-
-let prop_ipv6_header_roundtrip =
-  QCheck.Test.make ~name:"ipv6 header roundtrip" ~count:200
-    QCheck.(triple arbitrary_bytes (int_bound Ipv6.max_flow_label) (int_bound 255))
-    (fun (payload, flow_label, next_header) ->
-      QCheck.assume (String.length payload < 0xffff);
-      let src = Ipv6.Addr6.of_string "2001:db8::1" in
-      let dst = Ipv6.Addr6.of_string "2001:db8::2" in
-      let h =
-        Ipv6.make ~flow_label ~next_header ~src ~dst
-          ~payload_length:(String.length payload) ()
-      in
-      let h', payload' = Ipv6.decode (Ipv6.encode h payload) in
-      h'.Ipv6.flow_label = flow_label
-      && h'.Ipv6.next_header = next_header
-      && Ipv6.Addr6.equal h'.Ipv6.src src
-      && Ipv6.Addr6.equal h'.Ipv6.dst dst
-      && payload' = payload)
-
-let test_ipv6_rejects_v4 () =
-  let h4 = Ipv4.make ~protocol:17 ~src:addr_a ~dst:addr_b ~payload_length:0 () in
-  match Ipv6.decode (Ipv4.encode h4 "" ^ String.make 40 '\000') with
-  | _ -> Alcotest.fail "decoded an IPv4 packet as IPv6"
-  | exception Ipv6.Bad_packet _ -> ()
-
 (* --- Fragmentation / reassembly --- *)
 
 let test_fragment_shapes () =
@@ -933,14 +878,6 @@ let () =
         [
           Alcotest.test_case "seq wraparound" `Quick test_seq_arithmetic_wraps;
           qtest prop_tcp_seg_roundtrip;
-        ] );
-      ( "ipv6",
-        [
-          Alcotest.test_case "address text forms" `Quick test_ipv6_addr_text_forms;
-          Alcotest.test_case "address errors" `Quick test_ipv6_addr_errors;
-          Alcotest.test_case "rejects v4" `Quick test_ipv6_rejects_v4;
-          qtest prop_ipv6_addr_roundtrip;
-          qtest prop_ipv6_header_roundtrip;
         ] );
       ( "frag",
         [

@@ -6,7 +6,7 @@
    [Mac.compute_slices] vs their string flavours; [Des]/[Des3]
    sub-range CBC vs whole-string CBC; [Header.decode_view]/[encode_into]
    vs [decode]/[encode]; and the engine's one-allocation seal/receive vs
-   the pre-refactor reference datapath ([Fbsr_experiments.Reference]) —
+   the pre-refactor reference datapath ([Fbsr_oracles.Reference]) —
    including empty and MTU-sized payloads, cross-acceptance in both
    directions, and the datapath allocation accounting itself. *)
 
@@ -413,13 +413,13 @@ let differential_roundtrip ~suite ~secret ~payload () =
   let flow_key = flow_key_of p h.Fbsr_fbs.Header.sfl in
   (* 1. Byte-identical wires on identical inputs. *)
   let ref_wire =
-    Fbsr_experiments.Reference.seal ~suite ~flow_key ~sfl:h.Fbsr_fbs.Header.sfl
+    Fbsr_oracles.Reference.seal ~suite ~flow_key ~sfl:h.Fbsr_fbs.Header.sfl
       ~secret ~confounder:h.Fbsr_fbs.Header.confounder
       ~timestamp:h.Fbsr_fbs.Header.timestamp ~payload ()
   in
   check Alcotest.string "engine wire = reference wire" (hex ref_wire) (hex wire);
   (* 2. The reference opens the engine's wire. *)
-  (match Fbsr_experiments.Reference.open_ ~suite ~flow_key ~wire () with
+  (match Fbsr_oracles.Reference.open_ ~suite ~flow_key ~wire () with
   | Ok (_, pt) -> check Alcotest.string "reference opens engine wire" (hex payload) (hex pt)
   | Error _ -> Alcotest.fail "reference rejected engine wire");
   (* 3. The engine accepts the engine's wire (and hence the reference's,
