@@ -101,33 +101,6 @@ let es_des3, ed_des3, src_des3, attrs_des3, wire_des3 =
 let es_sha1ctr, ed_sha1ctr, src_sha1ctr, attrs_sha1ctr, wire_sha1ctr =
   fbs_fixture Fbsr_fbs.Suite.hmac_sha1_ctr ~secret:true
 
-(* Combined fast path fixture (Section 7.2): warm table + sealed sends. *)
-let fp_engine, fp_table, fp_flow_key =
-  let p = Fbsr_experiments.Fixture.engine_pair ~suite:suite_paper () in
-  let s = p.Fbsr_experiments.Fixture.src and d = p.Fbsr_experiments.Fixture.dst in
-  let es = p.Fbsr_experiments.Fixture.sender in
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 55) in
-  let fp = Fbsr_fbs_ip.Fast_path.create ~alloc () in
-  (* Prime one entry with a derived key. *)
-  let sfl =
-    match
-      Fbsr_fbs_ip.Fast_path.lookup fp ~now:60.0 ~protocol:17
-        ~src:(Fbsr_fbs.Principal.to_string s) ~src_port:1000
-        ~dst:(Fbsr_fbs.Principal.to_string d) ~dst_port:2000
-    with
-    | Fbsr_fbs_ip.Fast_path.Miss sfl -> sfl
-    | Fbsr_fbs_ip.Fast_path.Hit (sfl, _) -> sfl
-  in
-  let key = ref "" in
-  Fbsr_fbs.Engine.derive_flow_key es ~sfl ~src:s ~dst:d (function
-    | Ok k -> key := k
-    | Error _ -> failwith "bench fixture: derive failed");
-  Fbsr_fbs_ip.Fast_path.install_key fp ~sfl ~flow_key:!key;
-  (es, fp, !key)
-
-let fp_src = "10.9.0.1"
-let fp_dst = "10.9.0.2"
-
 (* Keying fixtures for the modexp benches. *)
 let dh_small = Lazy.force Fbsr_crypto.Dh.test_group
 let dh_1024 = Lazy.force Fbsr_crypto.Dh.oakley2
@@ -286,23 +259,6 @@ let fbs_tests =
         (stage (fun () ->
              Fbsr_fbs.Engine.receive_sync ed_sha1ctr ~now:60.0 ~src:src_sha1ctr
                ~wire:wire_sha1ctr));
-      (* Section 7.2's combined FST+TFKC probe vs the generic two-lookup
-         path (the rest of send processing is identical). *)
-      Test.make ~name:"fast-path-probe+seal-1460B"
-        (stage (fun () ->
-             match
-               Fbsr_fbs_ip.Fast_path.lookup fp_table ~now:60.0 ~protocol:17 ~src:fp_src
-                 ~src_port:1000 ~dst:fp_dst ~dst_port:2000
-             with
-             | Fbsr_fbs_ip.Fast_path.Hit (sfl, flow_key) ->
-                 Fbsr_fbs.Engine.send_sealed fp_engine ~now:60.0 ~sfl ~flow_key
-                   ~secret:true ~payload:datagram
-             | Fbsr_fbs_ip.Fast_path.Miss _ -> failwith "unexpected miss"));
-      Test.make ~name:"seal-only-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.seal fp_engine ~now:60.0
-               ~sfl:(Fbsr_fbs.Sfl.of_int64 42L) ~flow_key:fp_flow_key ~secret:true
-               ~payload:datagram));
       (* Figure 11's unit of work: a flow-key cache probe. *)
       Test.make ~name:"cache-hit"
         (stage (fun () -> Fbsr_fbs.Cache.find cache (42L, "10.9.0.2", "10.9.0.1")));
@@ -763,11 +719,16 @@ let datapath_json () =
     | Error _ -> failwith "datapath bench: warm wire undecodable"
   in
   ignore header;
-  let flow_key = ref "" in
-  Fbsr_fbs.Engine.derive_flow_key es ~sfl ~src:p.Fixture.src ~dst:p.Fixture.dst (function
-    | Ok k -> flow_key := k
-    | Error _ -> failwith "datapath bench: flow key derivation failed");
-  let flow_key = !flow_key in
+  let flow_key =
+    match
+      Fbsr_fbs.Cache.peek (Fbsr_fbs.Engine.tfkc es)
+        ( Fbsr_fbs.Sfl.to_int64 sfl,
+          Fbsr_fbs.Principal.to_string p.Fixture.dst,
+          Fbsr_fbs.Principal.to_string p.Fixture.src )
+    with
+    | Some e -> Fbsr_fbs.Engine.flow_entry_key e
+    | None -> failwith "datapath bench: flow key not in the sender's TFKC"
+  in
   let rc = Fbsr_oracles.Reference.create_counters () in
   let gr0 = allocated_bytes_exact () in
   for _ = 1 to n do

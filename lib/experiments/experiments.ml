@@ -67,7 +67,6 @@ type fig8_config = {
   security :
     [ `None
     | `Fbs of Fbsr_fbs.Suite.t * bool (* secret *)
-    | `Fbs_combined of Fbsr_fbs.Suite.t * bool (* Section 7.2 fast path *)
     | `Hostpair of Fbsr_baselines.Hostpair.variant
     | `Kdc
     | `Photuris ];
@@ -77,8 +76,8 @@ type fig8_config = {
    simulated bit/s (captures header overhead, MSS reduction, handshakes,
    MKD/KDC round trips, half-duplex ack traffic). *)
 let ttcp_run config ~bytes =
-  let tb_config ?(combined = false) secret suite =
-    Stack.default_config ~suite ~combined_fast_path:combined
+  let tb_config secret suite =
+    Stack.default_config ~suite
       ~secret_policy:(fun ~protocol ~src_port ~dst_port ->
         ignore (protocol, src_port, dst_port);
         secret)
@@ -87,8 +86,6 @@ let ttcp_run config ~bytes =
   let tb =
     match config.security with
     | `Fbs (suite, secret) -> Testbed.create ~config:(tb_config secret suite) ()
-    | `Fbs_combined (suite, secret) ->
-        Testbed.create ~config:(tb_config ~combined:true secret suite) ()
     | _ -> Testbed.create ()
   in
   let sender, receiver =
@@ -96,7 +93,7 @@ let ttcp_run config ~bytes =
     | `None | `Kdc | `Photuris ->
         ( Testbed.add_plain_host tb ~name:"sender" ~addr:"10.0.0.1",
           Testbed.add_plain_host tb ~name:"receiver" ~addr:"10.0.0.2" )
-    | `Fbs _ | `Fbs_combined _ ->
+    | `Fbs _ ->
         let a = Testbed.add_host tb ~name:"sender" ~addr:"10.0.0.1" in
         let b = Testbed.add_host tb ~name:"receiver" ~addr:"10.0.0.2" in
         (a.Testbed.host, b.Testbed.host)
@@ -188,7 +185,7 @@ let crypto_cost_per_byte ~rates config =
   fun security ->
     match security with
     | `None -> 0.0
-    | `Fbs (suite, secret) | `Fbs_combined (suite, secret) ->
+    | `Fbs (suite, secret) ->
         if Fbsr_fbs.Suite.is_nop suite then 0.0
         else (1.0 /. md5) +. (if secret then 1.0 /. des else 0.0)
     | `Hostpair _ -> (1.0 /. md5) +. (1.0 /. des)
@@ -204,10 +201,6 @@ let fig8 ?(bytes = 2_000_000) () =
       { label = "FBS NOP"; security = `Fbs (Fbsr_fbs.Suite.nop, true) };
       { label = "FBS MD5 (auth only)"; security = `Fbs (Fbsr_fbs.Suite.paper_md5_des, false) };
       { label = "FBS DES+MD5"; security = `Fbs (Fbsr_fbs.Suite.paper_md5_des, true) };
-      {
-        label = "FBS DES+MD5 (7.2 comb.)";
-        security = `Fbs_combined (Fbsr_fbs.Suite.paper_md5_des, true);
-      };
       { label = "Host-pair direct"; security = `Hostpair Fbsr_baselines.Hostpair.Direct };
       { label = "KDC session"; security = `Kdc };
       { label = "Photuris session"; security = `Photuris };

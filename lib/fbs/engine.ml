@@ -148,11 +148,6 @@ type t = {
   (* Per-flow heavy-hitter attribution (sfl-keyed sketches); [Flowstats.none]
      keeps the datapath at one branch per quantity. *)
   flowstats : Flowstats.t;
-  (* One-entry memo for the string-keyed [seal]/[send_sealed] path (the
-     combined FST+TFKC fast path supplies raw flow keys from its own
-     table): reuses the expanded schedules as long as consecutive calls
-     present the same flow key. *)
-  mutable seal_memo : flow_entry option;
 }
 
 let triple_hash (sfl, peer, local) =
@@ -221,7 +216,6 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     confounder_gen = Fbsr_util.Lcg.create confounder_seed;
     spans;
     flowstats;
-    seal_memo = None;
     counters;
   }
 
@@ -513,12 +507,9 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
   :: (if batched then ("batched", Fbsr_util.Json.Bool true) :: deltas else deltas)
 
 (* Steps S4-S10 of Figure 4, given the flow entry: confounder, timestamp,
-   MAC, optional encryption, header insertion.  Returns the wire when the
-   seal completed inline.  A datagram that parks in the plan's batch
-   returns [""] instead (a sealed wire is never empty: it carries at
-   least the fixed header) and its wire goes to [k] from the flush; [k]
-   is not called on the inline return, so the direct [seal] path pays
-   for no continuation.
+   MAC, optional encryption, header insertion.  The wire goes to [k]:
+   at once when the seal completes inline, from the flush when the
+   datagram parks in the plan's batch.
 
    Zero-copy assembly: the wire size is known up front (fixed header +
    suite MAC length + armor body length), so header, MAC and body are
@@ -541,7 +532,7 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    dispatcher pre-draws confounders in input order so the wire bytes are
    independent of the shard count. *)
 let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
-    (k : (string, error) result -> unit) : string =
+    (k : (string, error) result -> unit) =
   let module A = (val t.armor : Armor.S) in
   let stm =
     if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
@@ -599,8 +590,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
                   Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
                   Fbsr_util.Span.with_current id (fun () -> k (Ok wire))
               | None -> k (Ok wire));
-        };
-      ""
+        }
   | _ ->
       A.seal_body t.actx entry ~secret ~confounder ~payload w;
       let wire = Fbsr_util.Byte_writer.finalize w in
@@ -610,44 +600,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
             ~detail:
               (seal_detail t ~batched:false ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0)
       | None -> ());
-      wire
-
-(* The continuation of a seal without a batch: never called. *)
-let no_flush (_ : (string, error) result) = ()
-
-(* [seal_entry] for a continuation-passing caller. *)
-let seal_then t plan ~now ~sfl ~entry ~payload k =
-  match seal_entry t plan ~now ~sfl ~entry ~payload k with
-  | "" -> ()
-  | wire -> k (Ok wire)
-
-(* Flow entry for a caller-supplied raw flow key (the combined-path
-   [seal]/[send_sealed] API): a one-entry memo keyed on the flow key
-   keeps the expanded schedules across consecutive datagrams of the same
-   flow, which is the common pattern for the FST fast path. *)
-let entry_of_flow_key t flow_key =
-  match t.seal_memo with
-  | Some e when String.equal e.Armor.fk flow_key -> e
-  | _ ->
-      let e = flow_entry_of_key flow_key in
-      t.seal_memo <- Some e;
-      e
-
-(* Exposed so the Section 7.2 combined FST+TFKC fast path can supply
-   (sfl, flow key) from its own table and skip the separate FAM and TFKC
-   lookups.  Without a batch the seal completes inline. *)
-let seal t ~now ~sfl ~flow_key ~secret ~payload =
-  seal_entry t (seal_plan secret) ~now ~sfl ~entry:(entry_of_flow_key t flow_key)
-    ~payload no_flush
-
-(* Derive the flow key outside the TFKC path — used by the combined fast
-   path on a table miss. *)
-let derive_flow_key t ~sfl ~src ~dst (k : (string, error) result -> unit) =
-  Keying.get_master t.keying dst (function
-    | Error e -> k (Error (Keying_error e))
-    | Ok master ->
-        t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
-        k (Ok (Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst)))
+      k (Ok wire)
 
 (* Each datagram entering the send path opens a new trace: a fresh 64-bit
    id in the ambient sidecar context.  Everything downstream — seal, link
@@ -684,8 +637,8 @@ let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
                transmit hook — the continuation may be running under a
                later event's ambient context. *)
             Fbsr_util.Span.with_current id (fun () ->
-                seal_then t plan ~now ~sfl ~entry ~payload k)
-        | None -> seal_then t plan ~now ~sfl ~entry ~payload k))
+                seal_entry t plan ~now ~sfl ~entry ~payload k)
+        | None -> seal_entry t plan ~now ~sfl ~entry ~payload k))
 
 (* [send] for a datagram already classified: the sharded dispatcher runs
    FAM once, up front, because the sfl *determines* the owning shard —
@@ -721,14 +674,6 @@ let send ?batch t ~now ~attrs ~secret ~payload (k : (string, error) result -> un
           ]
   | None -> ());
   send_flow t tm (seal_plan ?batch secret) ~now ~sfl ~src ~dst ~payload k
-
-(* The combined-path sibling of [send]: counts the datagram but leaves flow
-   association and key lookup to the caller. *)
-let send_sealed t ~now ~sfl ~flow_key ~secret ~payload =
-  t.counters.sends <- t.counters.sends + 1;
-  if Fbsr_util.Span.enabled t.spans then
-    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-  seal t ~now ~sfl ~flow_key ~secret ~payload
 
 type accepted = {
   header : Header.t;

@@ -44,8 +44,8 @@ type counters = Armor.counters = {
           datagram (the wire buffer), one per received secret datagram
           (the plaintext). *)
   mutable keysched_hits : int;
-      (** Cipher/MAC key-schedule reuses from a flow entry (TFKC/RFKC or
-          the seal memo) — the expansion was skipped. *)
+      (** Cipher/MAC key-schedule reuses from a flow entry (TFKC/RFKC) — the
+          expansion was skipped. *)
   mutable keysched_misses : int;
       (** Key-schedule expansions paid: first use per flow entry, or
           recomputation after eviction. *)
@@ -253,27 +253,6 @@ val send_classified :
     [confounder] overrides the engine's own generator, inline or
     batched, so a dispatcher can draw confounders in input order, making
     sharded wire output byte-identical to a single engine's. *)
-
-val seal :
-  t -> now:float -> sfl:Sfl.t -> flow_key:string -> secret:bool -> payload:string ->
-  string
-(** Steps S4-S10 only (header construction, MAC, optional encryption),
-    for callers that manage flow association and keys themselves (the
-    Section 7.2 combined FST+TFKC fast path). *)
-
-val send_sealed :
-  t -> now:float -> sfl:Sfl.t -> flow_key:string -> secret:bool -> payload:string ->
-  string
-(** [seal] plus send accounting. *)
-
-val derive_flow_key :
-  t ->
-  sfl:Sfl.t ->
-  src:Principal.t ->
-  dst:Principal.t ->
-  ((string, error) result -> unit) ->
-  unit
-(** Flow-key derivation without consulting the TFKC (combined-path miss). *)
 
 type accepted = { header : Header.t; payload : string; peer : Principal.t }
 

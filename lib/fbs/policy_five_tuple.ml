@@ -165,24 +165,17 @@ let threshold t = t.threshold
 let iter_flows t f =
   Array.iter (fun e -> if e.valid then f ~sfl:e.sfl ~started:e.started ~last:e.last) t.table
 
-let policy ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc () : Fam.policy =
-  let t = make ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc () in
-  {
-    Fam.policy_name = "five-tuple";
-    map = (fun ~now a -> map t ~now a);
-    sweep = (fun ~now -> sweep t ~now);
-    active = (fun ~now -> active t ~now);
-  }
-
-(* Expose the state too, for tests and the flow monitor example. *)
+(* The FAM policy record over a fresh table, and the table itself (for
+   tests and the flow monitor example). *)
 let policy_with_state ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc () =
   let t = make ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc () in
-  let p =
-    {
+  ( {
       Fam.policy_name = "five-tuple";
       map = (fun ~now a -> map t ~now a);
       sweep = (fun ~now -> sweep t ~now);
       active = (fun ~now -> active t ~now);
-    }
-  in
-  (p, t)
+    },
+    t )
+
+let policy ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc () : Fam.policy =
+  fst (policy_with_state ?fst_size ?threshold ?max_flow_bytes ?max_flow_life ~alloc ())

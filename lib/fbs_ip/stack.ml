@@ -41,9 +41,6 @@ type config = {
   keying_fetch_retries : int;
       (** Extra keying-layer attempts after a failed certificate fetch
           (on top of the MKD's own retransmissions). *)
-  combined_fast_path : bool;
-      (** Use the Section 7.2 combined FST+TFKC table on the send side
-          (one probe instead of FAM classification + TFKC lookup). *)
   batched_rx : bool;
       (** Route receive-side body opens through an
           {!Fbsr_fbs.Engine.Batch} (its open lane): frames arriving within
@@ -63,7 +60,7 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     ?(secret_policy = fun ~protocol:_ ~src_port:_ ~dst_port:_ -> true)
     ?(bypass = fun _ -> false) ?(tfkc_sets = 128) ?(rfkc_sets = 128) ?(cache_assoc = 1)
     ?max_flow_bytes ?max_flow_life ?(keying_fetch_retries = 0)
-    ?(combined_fast_path = false) ?(batched_rx = false) () =
+    ?(batched_rx = false) () =
   {
     suite;
     threshold;
@@ -78,7 +75,6 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     max_flow_bytes;
     max_flow_life;
     keying_fetch_retries;
-    combined_fast_path;
     batched_rx;
   }
 
@@ -100,7 +96,6 @@ type t = {
   counters : counters;
   spans : Fbsr_util.Span.t;
   policy_state : Fbsr_fbs.Policy_five_tuple.t;
-  fast_path : Fast_path.t option; (* combined FST+TFKC, when configured *)
   rx_batch : Fbsr_fbs.Engine.Batch.t option; (* when batched_rx *)
   mutable rx_flush_scheduled : bool;
       (* one pending linger-flush event at a time; re-armed on the next
@@ -128,7 +123,6 @@ let register_metrics (t : t) m =
   register_probe s "rx_batched" (fun () -> c.rx_batched);
   Fbsr_fbs.Engine.register_metrics t.engine m
 let policy_state t = t.policy_state
-let fast_path t = t.fast_path
 let principal_of_addr addr = Fbsr_fbs.Principal.of_string (Addr.to_string addr)
 
 (* Peek transport ports just past the IP header (footnote 9's layering
@@ -143,28 +137,6 @@ let peek_ports ~protocol payload =
       (Char.code payload.[2] lsl 8) lor Char.code payload.[3] )
   else (0, 0)
 
-(* Send processing via the combined table (Section 7.2), as a producer
-   of the wire form: one probe yields both the sfl and the flow key; a
-   miss derives the key (possibly suspending on an MKD fetch) and
-   installs it before sealing. *)
-let send_via_fast_path t fp (h : Ipv4.header) ~src_port ~dst_port ~secret ~now ~payload
-    k =
-  let seal sfl flow_key =
-    Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret ~payload
-  in
-  match
-    Fast_path.lookup fp ~now ~protocol:h.protocol ~src:(Addr.to_string h.src)
-      ~src_port ~dst:(Addr.to_string h.dst) ~dst_port
-  with
-  | Fast_path.Hit (sfl, flow_key) -> k (Ok (seal sfl flow_key))
-  | Fast_path.Miss sfl ->
-      Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl ~src:(principal_of_addr h.src)
-        ~dst:(principal_of_addr h.dst) (function
-        | Ok flow_key ->
-            Fast_path.install_key fp ~sfl ~flow_key;
-            k (Ok (seal sfl flow_key))
-        | Error _ as e -> k e)
-
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
   if t.config.bypass h.dst then begin
     t.counters.bypassed <- t.counters.bypassed + 1;
@@ -176,8 +148,7 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
     let now = Host.now t.host in
     let sync_result = ref None in
     let completed_sync = ref true in
-    (* The one send completion, for both the generic and the combined
-       path. *)
+    (* The one send completion, synchronous or late. *)
     let k r =
       if !completed_sync then sync_result := Some r
       else begin
@@ -190,15 +161,12 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
         | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
       end
     in
-    (match t.fast_path with
-    | Some fp -> send_via_fast_path t fp h ~src_port ~dst_port ~secret ~now ~payload k
-    | None ->
-        let attrs =
-          Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
-            ~size:(String.length payload) ~src:(principal_of_addr h.src)
-            ~dst:(principal_of_addr h.dst) ()
-        in
-        Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k);
+    let attrs =
+      Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
+        ~size:(String.length payload) ~src:(principal_of_addr h.src)
+        ~dst:(principal_of_addr h.dst) ()
+    in
+    Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k;
     completed_sync := false;
     match !sync_result with
     | Some (Ok wire) ->
@@ -310,14 +278,6 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
       ~replay_window_minutes:config.replay_window_minutes
       ~strict_replay:config.strict_replay ~spans ~keying ~fam ()
   in
-  let fast_path =
-    if config.combined_fast_path then
-      Some
-        (Fast_path.create ~size:config.fst_size ~threshold:config.threshold
-           ~alloc:(Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create (sfl_seed lxor 0x77)))
-           ())
-    else None
-  in
   let t =
     {
       host;
@@ -336,7 +296,6 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
           rx_batched = 0;
         };
       policy_state;
-      fast_path;
       rx_batch =
         (if config.batched_rx then
            Some (Fbsr_fbs.Engine.Batch.create engine)
@@ -371,9 +330,9 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
 
 (* The standalone sweeper of Figure 7: periodically scan the FST and
    expire idle flows.  The paper's Section 7.2 implementation absorbs
-   sweeping into the mapping phase (which [Policy_five_tuple.map] and the
-   fast path both do); running the explicit sweeper as well bounds the
-   table's occupancy between packets, at a configurable period. *)
+   sweeping into the mapping phase (which [Policy_five_tuple.map] does);
+   running the explicit sweeper as well bounds the table's occupancy
+   between packets, at a configurable period. *)
 let start_sweeper ?(period = 60.0) t =
   let engine = Host.engine t.host in
   let rec tick () =

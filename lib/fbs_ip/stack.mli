@@ -21,7 +21,6 @@ type config = {
   keying_fetch_retries : int;
       (** Extra keying-layer attempts after a failed certificate fetch
           (on top of the MKD's own retransmissions). *)
-  combined_fast_path : bool;
   batched_rx : bool;
       (** Route receive-side body opens through the open lane of an
           {!Fbsr_fbs.Engine.Batch} (default [false]): frames
@@ -46,7 +45,6 @@ val default_config :
   ?max_flow_bytes:int ->
   ?max_flow_life:float ->
   ?keying_fetch_retries:int ->
-  ?combined_fast_path:bool ->
   ?batched_rx:bool ->
   unit ->
   config
@@ -94,7 +92,6 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 
 val host : t -> Host.t
 val policy_state : t -> Fbsr_fbs.Policy_five_tuple.t
-val fast_path : t -> Fast_path.t option
 val principal_of_addr : Addr.t -> Fbsr_fbs.Principal.t
 val peek_ports : protocol:int -> string -> int * int
 

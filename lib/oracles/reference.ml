@@ -124,9 +124,10 @@ let decrypt_body c (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
     | exception Invalid_argument _ -> Error `Decrypt
   end
 
-(* The old [Engine.seal], with the confounder and timestamp supplied by
-   the caller (the engine draws them from its own LCG/clock; passing them
-   in makes the two paths comparable on identical inputs). *)
+(* The engine's seal step (Figure 4 S4-S10) written the string-based
+   way, with the confounder and timestamp supplied by the caller (the
+   engine draws them from its own LCG/clock; passing them in makes the
+   two paths comparable on identical inputs). *)
 let seal ?counters:(c = create_counters ()) ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~sfl
     ~secret ~confounder ~timestamp ~payload () =
   let header0 =

@@ -316,88 +316,13 @@ let test_peek_ports () =
     "short payload" (0, 0)
     (Stack.peek_ports ~protocol:Ipv4.proto_udp "ab")
 
-(* --- The Section 7.2 combined fast path --- *)
+(* --- The shared send completion on a cold flow --- *)
 
-let test_fast_path_end_to_end () =
-  let config = Stack.default_config ~combined_fast_path:true () in
-  let tb, a, b = make_pair ~config () in
-  let got = ref [] in
-  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
-  (* First datagram starts the flow (MKD round trip); the rest ride the
-     combined table once the key is installed. *)
-  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
-    "msg 1";
-  Engine.schedule (Testbed.engine tb) ~delay:1.0 (fun () ->
-      for i = 2 to 10 do
-        Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host)
-          ~dst_port:7
-          (Printf.sprintf "msg %d" i)
-      done);
-  Testbed.run tb;
-  check Alcotest.int "all delivered" 10 (List.length !got);
-  match Stack.fast_path a.Testbed.stack with
-  | None -> Alcotest.fail "fast path not installed"
-  | Some fp ->
-      let c = Fast_path.counters fp in
-      check Alcotest.int "one miss (flow start)" 1 c.Fast_path.misses;
-      check Alcotest.int "nine hits" 9 c.Fast_path.hits;
-      (* The combined path bypasses the FAM and TFKC entirely. *)
-      let fam_stats =
-        Fbsr_fbs.Fam.stats (Fbsr_fbs.Engine.fam (Stack.engine a.Testbed.stack))
-      in
-      check Alcotest.int "FAM untouched" 0 fam_stats.Fbsr_fbs.Fam.datagrams
-
-let test_fast_path_equivalent_on_the_wire () =
-  (* A combined-path sender interoperates with a generic-path receiver:
-     the optimization is invisible on the wire. *)
-  let config = Stack.default_config ~combined_fast_path:true () in
-  let tb = Testbed.create ~config () in
-  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
-  (* Receiver uses the default (generic) configuration. *)
-  let tb_cfg_b = Stack.default_config () in
-  ignore tb_cfg_b;
-  let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
-  let got = ref "" in
-  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d);
-  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
-    "interop";
-  Testbed.run tb;
-  check Alcotest.string "delivered" "interop" !got
-
-let test_fast_path_threshold_rotation () =
-  let config = Stack.default_config ~combined_fast_path:true ~threshold:60.0 () in
-  let tb, a, b = make_pair ~config () in
-  let sfls = ref [] in
-  Medium.add_sniffer (Testbed.medium tb) (fun _ raw ->
-      match Ipv4.decode raw with
-      | h, payload
-        when Addr.equal h.Ipv4.src (Host.addr a.Testbed.host)
-             && h.Ipv4.protocol = Ipv4.proto_udp -> (
-          match Fbsr_fbs.Header.decode payload with
-          | Ok (fh, _) ->
-              let s = Fbsr_fbs.Sfl.to_int64 fh.Fbsr_fbs.Header.sfl in
-              if not (List.mem s !sfls) then sfls := s :: !sfls
-          | Error _ -> ())
-      | _ -> ()
-      | exception Ipv4.Bad_packet _ -> ());
-  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> ());
-  let send () =
-    Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host)
-      ~dst_port:7 "x"
-  in
-  send ();
-  Engine.schedule (Testbed.engine tb) ~delay:30.0 send;
-  (* Past the 60 s threshold since last use: new flow, new sfl. *)
-  Engine.schedule (Testbed.engine tb) ~delay:200.0 send;
-  Testbed.run tb;
-  check Alcotest.int "two distinct sfls" 2 (List.length !sfls)
-
-let test_fast_path_completion_counters () =
-  (* A cold flow on the combined path parks its first datagram across the
-     MKD fetch and resumes it; the rest hit the installed key. *)
+let test_cold_flow_completion_counters () =
+  (* A cold flow parks its first datagram across the MKD fetch and
+     resumes it; the rest hit the TFKC entry the fetch installed. *)
   let n = 6 in
-  let config = Stack.default_config ~combined_fast_path:true () in
-  let tb, a, b = make_pair ~config () in
+  let tb, a, b = make_pair () in
   let got = ref 0 in
   Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
   let send () =
@@ -417,10 +342,12 @@ let test_fast_path_completion_counters () =
   check Alcotest.int "no send errors" 0 c.Stack.dropped_error;
   check Alcotest.int "every datagram delivered" n !got
 
-let test_fast_path_resolver_failure () =
-  (* A failed certificate fetch on the combined path's miss is counted in
+let test_cold_flow_resolver_failure () =
+  (* A failed certificate fetch on a cold flow's TFKC miss is counted in
      [dropped_error] and nothing reaches the peer — whether the resolver
-     fails inline or after a simulated round trip. *)
+     fails inline or after a simulated round trip.  Either way the engine
+     counts the datagram as a send and records exactly one terminal span
+     for it: ["engine.send"] with outcome ["drop:keying"]. *)
   let run ~late =
     let tb, a, b = make_pair () in
     Stack.uninstall a.Testbed.stack;
@@ -431,12 +358,11 @@ let test_fast_path_resolver_failure () =
       else k (Error "unreachable")
     in
     let config =
-      Stack.default_config ~combined_fast_path:true
-        ~bypass:(fun ad -> Addr.equal ad (Testbed.ca_addr tb))
-        ()
+      Stack.default_config ~bypass:(fun ad -> Addr.equal ad (Testbed.ca_addr tb)) ()
     in
+    let spans = Fbsr_util.Span.create ~capacity:256 () in
     let stack =
-      Stack.install ~config ~private_value:a.Testbed.private_value
+      Stack.install ~config ~spans ~private_value:a.Testbed.private_value
         ~group:(Testbed.group tb)
         ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
         ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
@@ -447,19 +373,30 @@ let test_fast_path_resolver_failure () =
     Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host)
       ~dst_port:7 "doomed";
     Testbed.run tb;
-    (Stack.counters stack, !got)
+    let terminals =
+      List.filter_map
+        (fun sp ->
+          if sp.Fbsr_util.Span.stage = "engine.send" then Some sp.Fbsr_util.Span.outcome
+          else None)
+        (Fbsr_util.Span.spans spans)
+    in
+    (Stack.counters stack, (Fbsr_fbs.Engine.counters (Stack.engine stack)).sends, terminals, !got)
   in
-  let c, got = run ~late:false in
+  let c, sends, terminals, got = run ~late:false in
   check Alcotest.int "sync: error counted" 1 c.Stack.dropped_error;
   check Alcotest.int "sync: not parked" 0 c.Stack.suspended_out;
   check Alcotest.int "sync: nothing sent" 0 c.Stack.sent;
   check Alcotest.int "sync: nothing delivered" 0 got;
-  let c, got = run ~late:true in
+  check Alcotest.int "sync: engine counted the send" 1 sends;
+  check Alcotest.(list string) "sync: one drop:keying terminal" [ "drop:keying" ] terminals;
+  let c, sends, terminals, got = run ~late:true in
   check Alcotest.int "late: error counted" 1 c.Stack.dropped_error;
   check Alcotest.int "late: parked" 1 c.Stack.suspended_out;
   check Alcotest.int "late: not resumed" 0 c.Stack.resumed;
   check Alcotest.int "late: nothing sent" 0 c.Stack.sent;
-  check Alcotest.int "late: nothing delivered" 0 got
+  check Alcotest.int "late: nothing delivered" 0 got;
+  check Alcotest.int "late: engine counted the send" 1 sends;
+  check Alcotest.(list string) "late: one drop:keying terminal" [ "drop:keying" ] terminals
 
 (* --- ICMP through FBS: raw IP as host-level flows (footnote 10) --- *)
 
@@ -803,20 +740,12 @@ let () =
           Alcotest.test_case "key-server outage + recovery" `Quick
             test_ca_outage_recovery;
         ] );
-      ( "fast-path",
-        [
-          Alcotest.test_case "end-to-end" `Quick test_fast_path_end_to_end;
-          Alcotest.test_case "wire-equivalent" `Quick
-            test_fast_path_equivalent_on_the_wire;
-          Alcotest.test_case "threshold rotation" `Quick
-            test_fast_path_threshold_rotation;
-        ] );
-      ( "fast-path-miss",
+      ( "cold-flow-send",
         [
           Alcotest.test_case "completion counters" `Quick
-            test_fast_path_completion_counters;
+            test_cold_flow_completion_counters;
           Alcotest.test_case "resolver failure dropped" `Quick
-            test_fast_path_resolver_failure;
+            test_cold_flow_resolver_failure;
         ] );
       ( "icmp",
         [ Alcotest.test_case "raw IP host-level flows" `Quick test_icmp_through_fbs ]

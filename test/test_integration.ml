@@ -323,23 +323,40 @@ let test_wan_deployment () =
   check Alcotest.bool "reordering absorbed without window resends" true
     (Minitcp.retransmits c <= 5)
 
-(* --- Configuration matrix: every suite x send path --- *)
+(* --- Configuration matrix: every suite x secrecy --- *)
 
 let test_configuration_matrix () =
   (* The same UDP exchange must work under every combination of algorithm
-     suite and send path (generic vs §7.2 combined). *)
+     suite and secrecy (secret vs authentication-only), and every FBS
+     header on the wire must carry the secret bit the policy chose. *)
   List.iter
     (fun suite ->
       List.iter
-        (fun combined ->
+        (fun secret ->
           let label =
             Printf.sprintf "%s/%s" (Fbsr_fbs.Suite.name suite)
-              (if combined then "combined" else "generic")
+              (if secret then "secret" else "auth-only")
           in
-          let config = Stack.default_config ~suite ~combined_fast_path:combined () in
+          let config =
+            Stack.default_config ~suite
+              ~secret_policy:(fun ~protocol:_ ~src_port:_ ~dst_port:_ -> secret)
+              ()
+          in
           let tb = Testbed.create ~config () in
           let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
           let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+          let secret_bits = ref [] in
+          Medium.add_sniffer (Testbed.medium tb) (fun _ raw ->
+              match Ipv4.decode raw with
+              | h, payload
+                when Addr.equal h.Ipv4.src (Host.addr a.Testbed.host)
+                     && Addr.equal h.Ipv4.dst (Host.addr b.Testbed.host)
+                     && h.Ipv4.protocol = Ipv4.proto_udp -> (
+                  match Fbsr_fbs.Header.decode payload with
+                  | Ok (fh, _) -> secret_bits := fh.Fbsr_fbs.Header.secret :: !secret_bits
+                  | Error _ -> ())
+              | _ -> ()
+              | exception Ipv4.Bad_packet _ -> ());
           let got = ref [] in
           Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d ->
               got := d :: !got);
@@ -348,8 +365,16 @@ let test_configuration_matrix () =
           Udp_stack.send a.Testbed.host ~src_port:7
             ~dst:(Host.addr b.Testbed.host) ~dst_port:7 ("pong " ^ label);
           Testbed.run tb;
-          check Alcotest.int (label ^ ": delivered") 2 (List.length !got))
-        [ false; true ])
+          check
+            Alcotest.(list string)
+            (label ^ ": delivered")
+            [ "ping " ^ label; "pong " ^ label ]
+            (List.rev !got);
+          check
+            Alcotest.(list bool)
+            (label ^ ": secret bit on the wire")
+            [ secret; secret ] !secret_bits)
+        [ true; false ])
     Fbsr_fbs.Suite.all
 
 (* --- Failure injection: corrupted frames under load --- *)

@@ -379,14 +379,19 @@ let test_mac_prelude_bytes () =
 
 (* --- Engine vs the string-based reference datapath --- *)
 
+(* The flow key the sender sealed under: its TFKC entry, read without
+   touching the cache's statistics. *)
 let flow_key_of pair sfl =
-  let key = ref "" in
-  Fbsr_fbs.Engine.derive_flow_key pair.Fbsr_experiments.Fixture.sender ~sfl
-    ~src:pair.Fbsr_experiments.Fixture.src ~dst:pair.Fbsr_experiments.Fixture.dst
-    (function
-      | Ok k -> key := k
-      | Error _ -> Alcotest.fail "flow key derivation failed");
-  !key
+  let open Fbsr_experiments.Fixture in
+  match
+    Fbsr_fbs.Cache.peek
+      (Fbsr_fbs.Engine.tfkc pair.sender)
+      ( Fbsr_fbs.Sfl.to_int64 sfl,
+        Fbsr_fbs.Principal.to_string pair.dst,
+        Fbsr_fbs.Principal.to_string pair.src )
+  with
+  | Some e -> Fbsr_fbs.Engine.flow_entry_key e
+  | None -> Alcotest.fail "flow key not in the sender's TFKC"
 
 (* One engine send cross-checked against the reference seal/open on the
    same (confounder, timestamp, flow key), plus cross-acceptance of a
