@@ -149,7 +149,7 @@ let commands =
             & info [ "shards" ]
                 ~doc:
                   "Shard count (default: the runtime's recommended domain \
-                   count; clamped to 1 without Domains).")
+                   count; without Domains the shards run one after another).")
         $ Arg.(value & opt int 20260808 & info [ "seed" ] ~doc:"Workload seed.")
         $ Arg.(
             value & opt int 19

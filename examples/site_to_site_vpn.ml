@@ -14,9 +14,9 @@ open Fbsr_fbs_ip
 
 let () =
   let eng = Engine.create () in
-  let site_a = Medium.create ~seed:1 eng in
-  let site_b = Medium.create ~seed:2 eng in
-  let backbone = Medium.create ~seed:3 eng in
+  let site_a = Medium.create eng in
+  let site_b = Medium.create eng in
+  let backbone = Medium.create eng in
   (* Key infrastructure lives on the backbone. *)
   let rng = Fbsr_util.Rng.create 2026 in
   let group = Lazy.force Fbsr_crypto.Dh.test_group in

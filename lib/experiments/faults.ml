@@ -57,21 +57,24 @@ let acceptance_rate r =
    without defeating the MAC. *)
 let payload_for seq = Printf.sprintf "D%08d|%s" seq (String.make 64 'x')
 
-(* Stop-and-wait driver: each message is retransmitted on a fixed timeout
-   until acknowledged or out of attempts.  The transport is deliberately
-   dumb — the point is the network and the security layer under it, not
-   ARQ sophistication. *)
-let run ?(seed = 11) ?(messages = 200) ?(max_attempts = 8) ?(rto = 0.5)
-    ?(spacing = 0.05) ?(strict_replay = true) ?(batched_rx = false) ?faults
-    ?metrics ?(span_capacity = 0) ?span_cost_clock ?(span_sample = 1)
-    ?telemetry_cadence () =
-  let config =
-    Stack.default_config ~strict_replay ~batched_rx ~keying_fetch_retries:2 ()
-  in
+(* Stop-and-wait driver: each message is sent up to [max_attempts] times,
+   [rto] apart, until acknowledged; messages start [spacing] apart.  The
+   transport is deliberately dumb — the point is the network and the
+   security layer under it, not ARQ sophistication. *)
+let max_attempts = 8
+let rto = 0.5
+let spacing = 0.05
+
+let run ?(seed = 11) ?(messages = 200) ?(batched_rx = false) ?faults ?metrics
+    ?(span_capacity = 0) ?span_cost_clock ?(span_sample = 1) ?telemetry_cadence
+    () =
+  (* Strict replay: a copy the link duplicated dies at the receiver's
+     replay check (the report's "dup rej" column). *)
+  let config = Stack.default_config ~strict_replay:true ~batched_rx () in
   let mkd_config =
     (* Aggressive enough that keying completes within the experiment even
        when several fetch attempts are lost in a row. *)
-    { Mkd.default_config with Mkd.timeout = 0.25; max_attempts = 6 }
+    { Mkd.timeout = 0.25; max_attempts = 6 }
   in
   let tb =
     Testbed.create ~seed ~config ~mkd_config ?faults ?metrics ~span_capacity

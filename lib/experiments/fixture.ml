@@ -38,7 +38,7 @@ let engine_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
     | Some c -> k (Ok c)
     | None -> k (Error "unknown")
   in
-  let engine_for local priv sfl_seed =
+  let engine_for local priv alloc_seed =
     let keying =
       Fbsr_fbs.Keying.create ~local ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
@@ -47,7 +47,7 @@ let engine_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
         ~clock:(fun () -> 0.0)
         ()
     in
-    let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create sfl_seed) in
+    let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create alloc_seed) in
     let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_five_tuple.policy ~alloc ()) in
     Fbsr_fbs.Engine.create ~suite ~replay_window_minutes ~strict_replay ~spans
       ~flowstats:(flowstats ()) ~keying ~fam ()
@@ -98,7 +98,7 @@ let sharded_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
     | Some c -> k (Ok c)
     | None -> k (Error "unknown")
   in
-  let engine_for local priv peer sfl_seed shard =
+  let engine_for local priv peer alloc_seed shard =
     let keying =
       Fbsr_fbs.Keying.create ~local ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
@@ -113,7 +113,7 @@ let sharded_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
         failwith
           (Fmt.str "Fixture.sharded_pair: master derivation failed: %a"
              Fbsr_fbs.Keying.pp_error e));
-    let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create sfl_seed) in
+    let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create alloc_seed) in
     let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_five_tuple.policy ~alloc ()) in
     Fbsr_fbs.Engine.create ~suite ~replay_window_minutes ~strict_replay
       ~spans:(spans shard) ~flowstats:(flowstats shard) ~keying ~fam ()

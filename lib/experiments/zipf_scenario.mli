@@ -19,7 +19,7 @@ type shard_row = {
 type result = {
   flows : int;
   datagrams : int;
-  nshards : int;  (** effective (post-clamp) shard count *)
+  nshards : int;  (** shard count *)
   touched_flows : int;  (** distinct ranks the Zipf stream actually hit *)
   flows_started : int;  (** fresh classifications at the dispatcher FAM *)
   elapsed_s : float;

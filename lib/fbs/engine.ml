@@ -160,9 +160,8 @@ let triple_equal (a1, b1, c1) (a2, b2, c2) =
   Int64.equal a1 a2 && String.equal b1 b2 && String.equal c1 c2
 
 let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
-    ?(cache_assoc = 1) ?(replay_window_minutes = 2) ?(strict_replay = false)
-    ?(confounder_seed = 0x5eed) ?(spans = Fbsr_util.Span.none)
-    ?(flowstats = Flowstats.none) ~keying ~fam () =
+    ?(replay_window_minutes = 2) ?(strict_replay = false)
+    ?(spans = Fbsr_util.Span.none) ?(flowstats = Flowstats.none) ~keying ~fam () =
   (* Force the built-in armor manifest before consulting the registry:
      linking semantics drop unreferenced archive members, so the
      instances' registrations must be reachable from here. *)
@@ -199,11 +198,12 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     suite;
     armor = Armor.of_suite suite;
     actx = Armor.make_ctx counters;
+    (* Figure 6's flow-key caches are direct-mapped tables. *)
     tfkc =
-      Cache.create ~assoc:cache_assoc ~sets:tfkc_sets ~hash:triple_hash
+      Cache.create ~assoc:1 ~sets:tfkc_sets ~hash:triple_hash
         ~equal:triple_equal ~name:"tfkc" ();
     rfkc =
-      Cache.create ~assoc:cache_assoc ~sets:rfkc_sets ~hash:triple_hash
+      Cache.create ~assoc:1 ~sets:rfkc_sets ~hash:triple_hash
         ~equal:triple_equal ~name:"rfkc" ();
     inbound =
       Cache.create ~assoc:2 ~classify:false ~sets:rfkc_sets
@@ -213,7 +213,7 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
         ~equal:(fun (s1, p1) (s2, p2) -> Int64.equal s1 s2 && String.equal p1 p2)
         ~name:"inbound" ();
     replay = Replay.create ~window_minutes:replay_window_minutes ~strict:strict_replay ();
-    confounder_gen = Fbsr_util.Lcg.create confounder_seed;
+    confounder_gen = Fbsr_util.Lcg.create 0x5eed;
     spans;
     flowstats;
     counters;
@@ -707,7 +707,7 @@ let refuse_duplicate t ~(v : Header.view) tm =
    window only in [verify_and_deliver], once its MAC verified.  An
    [Error] has already been fully accounted (counter, flow-drop
    attribution, terminal span); the caller just delivers it. *)
-let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
+let receive_prologue t ~now ~src tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
   | Error e ->
       t.counters.errors_header <- t.counters.errors_header + 1;
@@ -729,7 +729,7 @@ let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
           else None
         in
         let verdict =
-          Replay.probe t.replay ~now ~sfl:v.Header.v_sfl
+          Replay.probe t.replay ~now ~sfl:v.Header.v_sfl ~peer:src
             ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
         in
         (match rtm with
@@ -787,8 +787,8 @@ let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
   end
   else if
     not
-      (Replay.commit t.replay ~sfl:v.Header.v_sfl ~confounder:v.Header.v_confounder
-         ~timestamp:v.Header.v_timestamp)
+      (Replay.commit t.replay ~sfl:v.Header.v_sfl ~peer:src
+         ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp)
   then k (Error (refuse_duplicate t ~v tm))
   else begin
     t.counters.accepted <- t.counters.accepted + 1;
@@ -878,7 +878,7 @@ let receive ?batch t ~now ~src ~wire (k : (accepted, error) result -> unit) =
       Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
     else None
   in
-  match receive_prologue t ~now tm ~wire:(Fbsr_util.Slice.of_string wire) with
+  match receive_prologue t ~now ~src tm ~wire:(Fbsr_util.Slice.of_string wire) with
   | Error e -> k (Error e)
   | Ok v ->
       let dst = local t in

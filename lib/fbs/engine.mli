@@ -79,17 +79,19 @@ val create :
   ?suite:Suite.t ->
   ?tfkc_sets:int ->
   ?rfkc_sets:int ->
-  ?cache_assoc:int ->
   ?replay_window_minutes:int ->
   ?strict_replay:bool ->
-  ?confounder_seed:int ->
   ?spans:Fbsr_util.Span.t ->
   ?flowstats:Flowstats.t ->
   keying:Keying.t ->
   fam:Fam.t ->
   unit ->
   t
-(** [spans] (default disabled) receives per-datagram causal spans.  Each
+(** The TFKC and RFKC are direct-mapped ([tfkc_sets]/[rfkc_sets] sets,
+    default 128 each), as in Figure 6, and every engine draws its
+    confounders from one fixed-seed generator.
+
+    [spans] (default disabled) receives per-datagram causal spans.  Each
     {!send} opens a fresh trace id in the {!Fbsr_util.Span} sidecar
     context and records ["fam.classify"] (with [decision] ["fresh"] for a
     new flow), ["keying.derive"] (with TFKC/RFKC hit-or-miss, MKC/PVC/fetch

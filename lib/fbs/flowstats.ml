@@ -18,12 +18,12 @@ let none =
     degraded = Sketch.none;
   }
 
-let create ?slots ?cm_depth ?cm_width () =
+let create () =
   {
-    datagrams = Sketch.create ?slots ?cm_depth ?cm_width ();
-    bytes = Sketch.create ?slots ?cm_depth ?cm_width ();
-    drops = Sketch.create ?slots ?cm_depth ?cm_width ();
-    degraded = Sketch.create ?slots ?cm_depth ?cm_width ();
+    datagrams = Sketch.create ();
+    bytes = Sketch.create ();
+    drops = Sketch.create ();
+    degraded = Sketch.create ();
   }
 
 let enabled t = Sketch.enabled t.datagrams

@@ -19,7 +19,8 @@ type t = {
 val none : t
 (** All four sketches disabled; the engine hot path pays one branch. *)
 
-val create : ?slots:int -> ?cm_depth:int -> ?cm_width:int -> unit -> t
+val create : unit -> t
+(** Four {!Fbsr_util.Sketch}es at their default sizes. *)
 
 val enabled : t -> bool
 

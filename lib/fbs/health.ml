@@ -14,9 +14,11 @@ type rule = {
   mutable worst : worst option;
 }
 
+(* Interval samples a rate or balance rule needs before it may fire. *)
+let min_samples = 32.0
+
 type t = {
   ts : Ts.t;
-  min_events : int;
   rules : rule list;
   tfkc_miss : rule;
   rfkc_miss : rule;
@@ -28,49 +30,17 @@ type t = {
   mutable checks : int;
 }
 
-let make_rules ~miss_rate_limit ~p99_limit ~imbalance_factor =
+let create ~ts () =
   let r name threshold = { name; threshold; rule_fired = 0; worst = None } in
-  let tfkc_miss = r "tfkc-miss-rate" miss_rate_limit in
-  let rfkc_miss = r "rfkc-miss-rate" miss_rate_limit in
+  let tfkc_miss = r "tfkc-miss-rate" 0.5 in
+  let rfkc_miss = r "rfkc-miss-rate" 0.5 in
   let forgery = r "forgery-drops" 0.0 in
   let replay = r "replay-drops" 0.0 in
-  let stage_p99 = r "stage-p99" p99_limit in
-  let imbalance = r "shard-imbalance" imbalance_factor in
-  ( [ tfkc_miss; rfkc_miss; forgery; replay; stage_p99; imbalance ],
-    tfkc_miss,
-    rfkc_miss,
-    forgery,
-    replay,
-    stage_p99,
-    imbalance )
-
-let none =
-  let rules, tfkc_miss, rfkc_miss, forgery, replay, stage_p99, imbalance =
-    make_rules ~miss_rate_limit:0.5 ~p99_limit:0.01 ~imbalance_factor:4.0
-  in
-  {
-    ts = Ts.none;
-    min_events = 32;
-    rules;
-    tfkc_miss;
-    rfkc_miss;
-    forgery;
-    replay;
-    stage_p99;
-    imbalance;
-    seen = 0;
-    checks = 0;
-  }
-
-let create ?(min_events = 32) ?(miss_rate_limit = 0.5) ?(p99_limit = 0.01)
-    ?(imbalance_factor = 4.0) ~ts () =
-  let rules, tfkc_miss, rfkc_miss, forgery, replay, stage_p99, imbalance =
-    make_rules ~miss_rate_limit ~p99_limit ~imbalance_factor
-  in
+  let stage_p99 = r "stage-p99" 0.01 in
+  let imbalance = r "shard-imbalance" 4.0 in
   {
     ts;
-    min_events;
-    rules;
+    rules = [ tfkc_miss; rfkc_miss; forgery; replay; stage_p99; imbalance ];
     tfkc_miss;
     rfkc_miss;
     forgery;
@@ -80,6 +50,10 @@ let create ?(min_events = 32) ?(miss_rate_limit = 0.5) ?(p99_limit = 0.01)
     seen = 0;
     checks = 0;
   }
+
+(* Never evaluated ([check] is one branch on a disabled recorder), so its
+   rules are never written and the value can be shared. *)
+let none = create ~ts:Ts.none ()
 
 let enabled t = Ts.enabled t.ts
 let checks t = t.checks
@@ -106,7 +80,7 @@ let check_miss_rate t rule scope ~now =
   let misses = delta t ("fbs.cache." ^ scope ^ ".misses.total") in
   let hits = delta t ("fbs.cache." ^ scope ^ ".hits") in
   let lookups = misses +. hits in
-  if lookups >= float_of_int t.min_events then begin
+  if lookups >= min_samples then begin
     let rate = misses /. lookups in
     if rate > rule.threshold then
       fire rule ~now ~value:rate
@@ -159,7 +133,7 @@ let check_imbalance t ~now =
   let n = List.length deltas in
   if n >= 2 then begin
     let total = List.fold_left (fun a (_, d) -> a +. d) 0.0 deltas in
-    if total >= float_of_int t.min_events then begin
+    if total >= min_samples then begin
       let worst_name, worst =
         List.fold_left
           (fun ((_, bd) as b) ((_, d) as x) -> if d > bd then x else b)

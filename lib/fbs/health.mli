@@ -6,18 +6,18 @@
 
     - [tfkc-miss-rate] / [rfkc-miss-rate]: the interval miss rate of the
       flow-key cache ([fbs.cache.{tfkc,rfkc}.misses.total] against
-      [.hits]) exceeded [miss_rate_limit] with at least [min_events]
-      lookups in the interval — the soft-state recovery storm of the
-      paper's Section 6, caught live.
+      [.hits]) exceeded 0.5 with at least 32 lookups in the interval —
+      the soft-state recovery storm of the paper's Section 6, caught
+      live.
     - [forgery-drops]: nonzero interval delta of [fbs.engine.drops.mac]
       — somebody's MACs are failing verification.
     - [replay-drops]: nonzero interval delta of
       [fbs.engine.drops.stale + fbs.engine.drops.duplicate].
     - [stage-p99]: any per-stage interval p99 column
-      ([*.stage.<stage>.p99]) exceeded [p99_limit] seconds.
-    - [shard-imbalance]: with at least [min_events] interval sends, the
-      busiest shard's [shard.<i>.fbs.engine.sends] delta exceeded
-      [imbalance_factor] times the per-shard mean.
+      ([*.stage.<stage>.p99]) exceeded 0.01 seconds.
+    - [shard-imbalance]: with at least 32 interval sends, the busiest
+      shard's [shard.<i>.fbs.engine.sends] delta exceeded 4 times the
+      per-shard mean.
 
     Every firing updates the rule's fired count and worst-seen record;
     {!to_json} serializes the whole monitor as the ["fbsr-health/1"]
@@ -31,17 +31,8 @@ type t
 val none : t
 (** Shared disabled monitor: [check] is a single branch. *)
 
-val create :
-  ?min_events:int ->
-  ?miss_rate_limit:float ->
-  ?p99_limit:float ->
-  ?imbalance_factor:float ->
-  ts:Fbsr_util.Timeseries.t ->
-  unit ->
-  t
-(** Defaults: [min_events] 32 interval samples before a rate/balance
-    rule may fire, [miss_rate_limit] 0.5, [p99_limit] 0.01 s,
-    [imbalance_factor] 4.0. *)
+val create : ts:Fbsr_util.Timeseries.t -> unit -> t
+(** A monitor over [ts] with the fixed rule set above. *)
 
 val enabled : t -> bool
 

@@ -34,7 +34,6 @@ type resolver = Principal.t -> (fetch_result -> unit) -> unit
 type counters = {
   mutable master_key_computations : int; (* modular exponentiations *)
   mutable certificate_fetches : int;
-  mutable certificate_fetch_retries : int; (* resolver failures retried *)
   mutable certificate_verifications : int;
 }
 
@@ -46,10 +45,6 @@ type t = {
   ca_public : Fbsr_crypto.Rsa.public_key;
   ca_hash : Fbsr_crypto.Hash.t;
   resolver : resolver;
-  fetch_retries : int;
-      (* Extra resolver attempts after a failed fetch: the resolver's own
-         failure (MKD gave up, CA unreachable) is itself soft — retrying
-         from the keying layer recovers once the network heals. *)
   clock : unit -> float;
   pvc : (string, Fbsr_cert.Certificate.t) Cache.t;
   (* MKC entries carry the expiry of the certificate they were computed
@@ -71,9 +66,11 @@ type t = {
 
 let principal_hash name = Fbsr_util.Crc32.string name
 
-let create ?(pvc_sets = 64) ?(mkc_sets = 64) ?(assoc = 2) ?(fetch_retries = 0)
-    ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () =
-  if fetch_retries < 0 then invalid_arg "Keying.create: negative fetch_retries";
+(* Both key-cache levels are 64 sets of 2 ways. *)
+let key_cache name =
+  Cache.create ~assoc:2 ~sets:64 ~hash:principal_hash ~equal:String.equal ~name ()
+
+let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () =
   {
     local;
     group;
@@ -82,17 +79,12 @@ let create ?(pvc_sets = 64) ?(mkc_sets = 64) ?(assoc = 2) ?(fetch_retries = 0)
     ca_public;
     ca_hash;
     resolver;
-    fetch_retries;
     clock;
-    pvc =
-      Cache.create ~assoc ~sets:pvc_sets ~hash:principal_hash ~equal:String.equal
-        ~name:"pvc" ();
-    mkc =
-      Cache.create ~assoc ~sets:mkc_sets ~hash:principal_hash ~equal:String.equal
-        ~name:"mkc" ();
+    pvc = key_cache "pvc";
+    mkc = key_cache "mkc";
     counters =
       { master_key_computations = 0; certificate_fetches = 0;
-        certificate_fetch_retries = 0; certificate_verifications = 0 };
+        certificate_verifications = 0 };
     pending = Hashtbl.create 8;
     last_resolution = "none";
   }
@@ -113,7 +105,6 @@ let register_metrics (t : t) m =
   let c = t.counters in
   register_probe m "master_key_computations" (fun () -> c.master_key_computations);
   register_probe m "certificate_fetches" (fun () -> c.certificate_fetches);
-  register_probe m "certificate_fetch_retries" (fun () -> c.certificate_fetch_retries);
   register_probe m "certificate_verifications" (fun () ->
       c.certificate_verifications)
 
@@ -172,17 +163,12 @@ let get_master t peer (k : (string, error) result -> unit) =
             complete (Ok key)
         | Error e -> complete (Error e)
       in
-      (* Fetch via the resolver, retrying a failed fetch up to
-         [t.fetch_retries] extra times: the resolver's failure is itself
-         soft state (an MKD that gave up, a momentarily unreachable CA). *)
-      let rec fetch attempts_left =
+      (* One resolver call per miss: the resolver (the MKD) owns the
+         retransmission policy, and its failure is final for the waiters. *)
+      let fetch () =
         t.last_resolution <- "fetch";
         t.counters.certificate_fetches <- t.counters.certificate_fetches + 1;
         t.resolver peer (function
-          | Error _ when attempts_left > 0 ->
-              t.counters.certificate_fetch_retries <-
-                t.counters.certificate_fetch_retries + 1;
-              fetch (attempts_left - 1)
           | Error m -> complete (Error (No_certificate m))
           | Ok cert ->
               Cache.insert t.pvc name cert;
@@ -199,8 +185,8 @@ let get_master t peer (k : (string, error) result -> unit) =
           | Some _ ->
               (* Cached certificate has expired: evict and refetch. *)
               Cache.invalidate t.pvc name;
-              fetch t.fetch_retries
-          | None -> fetch t.fetch_retries))
+              fetch ()
+          | None -> fetch ()))
 
 (* Synchronous variant: usable when the resolver completes inline (local
    directory / pinned certificates).  Returns an error if it would block. *)

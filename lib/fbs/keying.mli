@@ -15,19 +15,12 @@ type resolver = Principal.t -> (fetch_result -> unit) -> unit
 type counters = {
   mutable master_key_computations : int;
   mutable certificate_fetches : int;
-  mutable certificate_fetch_retries : int;
-      (** Resolver failures retried from the keying layer (see
-          [fetch_retries] in {!create}). *)
   mutable certificate_verifications : int;
 }
 
 type t
 
 val create :
-  ?pvc_sets:int ->
-  ?mkc_sets:int ->
-  ?assoc:int ->
-  ?fetch_retries:int ->
   local:Principal.t ->
   group:Fbsr_crypto.Dh.group ->
   private_value:Fbsr_crypto.Dh.private_value ->
@@ -37,8 +30,9 @@ val create :
   clock:(unit -> float) ->
   unit ->
   t
-(** [fetch_retries] (default 0) is the number of extra resolver attempts
-    after a failed certificate fetch before giving up on a keying request. *)
+(** The PVC and the MKC are 2-way caches of 64 sets each.  A miss calls
+    [resolver] once; its failure completes every waiter with
+    [No_certificate] (retransmission is the resolver's job). *)
 
 val local : t -> Principal.t
 val group : t -> Fbsr_crypto.Dh.group

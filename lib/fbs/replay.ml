@@ -9,13 +9,16 @@
 
    As a documented extension beyond the paper (Section 6.2 "ultimately,
    complete replay protection can only be achieved in high-layer
-   protocols"), [strict] mode additionally remembers (sfl, confounder,
-   timestamp) triples seen inside the window and rejects exact duplicates.
-   The memory is bounded: entries die with the window.
+   protocols"), [strict] mode additionally remembers the (sfl, peer,
+   confounder, timestamp) of every datagram accepted inside the window
+   and rejects exact duplicates.  The peer is part of the key because an
+   sfl is unique only per sender: two senders may pick the same sfl and
+   confounder, and neither datagram replays the other.  The memory is
+   bounded: entries die with the window.
 
    The check is split around MAC verification: [probe] refuses stale and
    already-seen datagrams before any crypto runs, and [commit] records a
-   triple only once its datagram verified.  A corrupted or forged copy
+   key only once its datagram verified.  A corrupted or forged copy
    that arrives first therefore cannot make the genuine one a
    "duplicate". *)
 
@@ -24,7 +27,8 @@ let minutes_of_seconds s = int_of_float (s /. 60.0) land 0xffffffff
 type t = {
   window_minutes : int; (* accept |ts - now| <= window_minutes *)
   strict : bool;
-  seen : (int64 * int * int, int) Hashtbl.t; (* (sfl,conf,ts) -> ts *)
+  seen : (int64 * string * int * int, int) Hashtbl.t;
+      (* (sfl, peer, confounder, ts) -> ts *)
   mutable last_gc : int;
   mutable accepted : int;
   mutable rejected_stale : int;
@@ -57,17 +61,20 @@ let gc t now_min =
     List.iter (Hashtbl.remove t.seen) dead
   end
 
+let seen_key ~sfl ~peer ~confounder ~timestamp =
+  (Sfl.to_int64 sfl, Principal.to_string peer, confounder, timestamp)
+
 (* The prologue half: runs before the MAC is checked, so it must not
    change what a later datagram sees — it counts its rejections and
    remembers nothing. *)
-let probe t ~now ~sfl ~confounder ~timestamp : verdict =
+let probe t ~now ~sfl ~peer ~confounder ~timestamp : verdict =
   let now_min = minutes_of_seconds now in
   gc t now_min;
   if abs (now_min - timestamp) > t.window_minutes then begin
     t.rejected_stale <- t.rejected_stale + 1;
     Stale
   end
-  else if t.strict && Hashtbl.mem t.seen (Sfl.to_int64 sfl, confounder, timestamp)
+  else if t.strict && Hashtbl.mem t.seen (seen_key ~sfl ~peer ~confounder ~timestamp)
   then begin
     t.rejected_duplicate <- t.rejected_duplicate + 1;
     Duplicate
@@ -77,13 +84,13 @@ let probe t ~now ~sfl ~confounder ~timestamp : verdict =
 (* The accept half: runs once the MAC verified, so only genuine datagrams
    enter [seen].  Membership is tested again because a copy may have
    committed since this one's probe (two copies parked in one batch). *)
-let commit t ~sfl ~confounder ~timestamp =
+let commit t ~sfl ~peer ~confounder ~timestamp =
   if not t.strict then begin
     t.accepted <- t.accepted + 1;
     true
   end
   else
-    let key = (Sfl.to_int64 sfl, confounder, timestamp) in
+    let key = seen_key ~sfl ~peer ~confounder ~timestamp in
     if Hashtbl.mem t.seen key then begin
       t.rejected_duplicate <- t.rejected_duplicate + 1;
       false

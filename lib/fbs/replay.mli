@@ -11,13 +11,22 @@ val window_minutes : t -> int
 
 type verdict = Fresh | Stale | Duplicate
 
-val probe : t -> now:float -> sfl:Sfl.t -> confounder:int -> timestamp:int -> verdict
+val probe :
+  t ->
+  now:float ->
+  sfl:Sfl.t ->
+  peer:Principal.t ->
+  confounder:int ->
+  timestamp:int ->
+  verdict
 (** The receive-prologue check, before the MAC: [Stale] outside the
-    window; in strict mode [Duplicate] for a triple already committed.
-    Counts its rejections and records nothing. *)
+    window; in strict mode [Duplicate] for an (sfl, peer, confounder,
+    timestamp) already committed.  [peer] is the sender: an sfl is unique
+    only per sender.  Counts its rejections and records nothing. *)
 
-val commit : t -> sfl:Sfl.t -> confounder:int -> timestamp:int -> bool
-(** Accept a datagram whose MAC verified.  In strict mode the triple is
+val commit :
+  t -> sfl:Sfl.t -> peer:Principal.t -> confounder:int -> timestamp:int -> bool
+(** Accept a datagram whose MAC verified.  In strict mode its key is
     tested again and recorded; [false] means a copy committed since the
     probe, counted as a duplicate.  [true] counts one [accepted]. *)
 

@@ -9,7 +9,6 @@
 
 type t = {
   nshards : int;
-  requested_shards : int;
   engines : Engine.t array;
   (* One batch per shard: a receive bucket parks its deferrable opens
      there in input order and flushes before the join, so every deferred
@@ -23,17 +22,15 @@ type t = {
 }
 
 let create ?nshards ?(confounder_seed = 0x5eed) ~engine ~fam () =
-  let requested =
+  let n =
     match nshards with
     | None -> Fbsr_util.Domain_shim.recommended_domain_count ()
     | Some n when n >= 1 -> n
     | Some n -> invalid_arg (Printf.sprintf "Sharded.create: nshards %d < 1" n)
   in
-  let n = if Fbsr_util.Domain_shim.parallelism_available then requested else 1 in
   let engines = Array.init n engine in
   {
     nshards = n;
-    requested_shards = requested;
     engines;
     batches = Array.map (fun e -> Engine.Batch.create e) engines;
     fam;
@@ -42,7 +39,6 @@ let create ?nshards ?(confounder_seed = 0x5eed) ~engine ~fam () =
   }
 
 let nshards t = t.nshards
-let requested_shards t = t.requested_shards
 let engine t i = t.engines.(i)
 let engines t = Array.copy t.engines
 let fam t = t.fam

@@ -16,9 +16,9 @@
     byte-identical whatever the shard count — the differential suite
     asserts sharded ≡ single-shard output.
 
-    On OCaml 4.14 (or under [FBSR_FORCE_SINGLE_SHARD], see
-    {!Fbsr_util.Domain_shim}) the shard count degrades to 1 and batches
-    run sequentially on the calling domain: same results, no Domains. *)
+    On OCaml 4.14 {!Fbsr_util.Domain_shim} runs the shards one after
+    another on the calling domain: same shard count, same results, no
+    Domains. *)
 
 type t
 
@@ -32,22 +32,15 @@ val create :
 (** [create ~engine ~fam ()] builds one engine per shard via [engine i]
     (each must have its own caches, scratch, keying and span recorder —
     shards share nothing) plus the dispatcher's [fam].  [nshards]
-    defaults to {!Fbsr_util.Domain_shim.recommended_domain_count};
-    whatever is requested is clamped to 1 when parallelism is
-    unavailable.  The per-shard engines' own confounder generators are
-    unused on this path (the dispatcher's, seeded from
-    [confounder_seed], replaces them).
+    defaults to {!Fbsr_util.Domain_shim.recommended_domain_count}.  The
+    per-shard engines' own confounder generators are unused on this path
+    (the dispatcher's, seeded from [confounder_seed], replaces them).
 
     The engines' keying resolvers must complete synchronously: a shard
     domain cannot park a datagram waiting for a certificate fetch.
     @raise Invalid_argument if [nshards < 1]. *)
 
 val nshards : t -> int
-(** Effective shard count (after the compat clamp). *)
-
-val requested_shards : t -> int
-(** The shard count asked of {!create}, before any clamp — equals
-    {!nshards} whenever parallelism is available. *)
 
 val engine : t -> int -> Engine.t
 val engines : t -> Engine.t array

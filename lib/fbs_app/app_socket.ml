@@ -80,14 +80,14 @@ let handle t ~src ~src_port raw =
         | Error _ -> t.counters.rejected <- t.counters.rejected + 1)
 
 let create ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
-    ?(replay_window_minutes = 2) ?(sfl_seed = 0xa11) ~host ~port ~local ~group
-    ~private_value ~ca_public ~ca_hash ~resolver () =
+    ?(replay_window_minutes = 2) ~host ~port ~local ~group ~private_value
+    ~ca_public ~ca_hash ~resolver () =
   let keying =
     Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver
       ~clock:(fun () -> Host.now host)
       ()
   in
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create sfl_seed) in
+  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 0xa11) in
   let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_app.policy ~threshold ~alloc ()) in
   let engine =
     Fbsr_fbs.Engine.create ~suite ~replay_window_minutes ~keying ~fam ()

@@ -25,7 +25,6 @@ val create :
   ?suite:Fbsr_fbs.Suite.t ->
   ?threshold:float ->
   ?replay_window_minutes:int ->
-  ?sfl_seed:int ->
   host:Host.t ->
   port:int ->
   local:Fbsr_fbs.Principal.t ->

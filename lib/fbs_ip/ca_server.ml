@@ -24,7 +24,8 @@ let serve t ~src ~src_port raw =
             Mkd_protocol.Certificate cert
         | None ->
             t.requests_failed <- t.requests_failed + 1;
-            Mkd_protocol.Failure ("no certificate for " ^ name)
+            Mkd_protocol.Failure
+              { subject = name; reason = "no certificate for " ^ name }
       in
       Udp_stack.send t.host ~src_port:t.port ~dst:src ~dst_port:src_port
         (Mkd_protocol.encode reply)

@@ -14,7 +14,10 @@
    link), the retransmission timer backs off exponentially with
    deterministic seeded jitter: timeout for attempt n is
 
-       min(max_timeout, timeout * backoff^(n-1)) * (1 +- jitter)
+       min(30 s, timeout * 2^(n-1)) * (1 +- 0.1)
+
+   With the default config (2 s, 3 attempts) a fetch through a dead
+   network is terminal after 2 + 4 + 8 = 14 s +- 10%.
 
    It implements the [Keying.resolver] interface, so a PVC miss suspends
    the datagram in the FBS stack until the continuation fires. *)
@@ -24,20 +27,19 @@ open Fbsr_netsim
 type config = {
   timeout : float;  (* first-attempt timeout, seconds *)
   max_attempts : int;  (* total transmissions before giving up *)
-  backoff : float;  (* timeout multiplier per retry (>= 1) *)
-  max_timeout : float;  (* ceiling on the backed-off timeout *)
-  jitter : float;  (* fractional +- spread on each timeout, in [0,1) *)
 }
 
-let default_config =
-  { timeout = 2.0; max_attempts = 3; backoff = 2.0; max_timeout = 30.0; jitter = 0.1 }
+let default_config = { timeout = 2.0; max_attempts = 3 }
+
+(* The retransmission schedule's fixed shape: timeout multiplier per
+   retry, ceiling on the backed-off timeout, fractional +- spread. *)
+let backoff = 2.0
+let timeout_ceiling = 30.0
+let jitter = 0.1
 
 let validate_config c =
   if c.timeout <= 0.0 then invalid_arg "Mkd: nonpositive timeout";
-  if c.max_attempts < 1 then invalid_arg "Mkd: max_attempts must be >= 1";
-  if c.backoff < 1.0 then invalid_arg "Mkd: backoff must be >= 1";
-  if c.max_timeout < c.timeout then invalid_arg "Mkd: max_timeout below timeout";
-  if c.jitter < 0.0 || c.jitter >= 1.0 then invalid_arg "Mkd: jitter not in [0,1)"
+  if c.max_attempts < 1 then invalid_arg "Mkd: max_attempts must be >= 1"
 
 type pending = {
   name : string;
@@ -110,15 +112,14 @@ let complete t name result =
       List.iter (fun k -> k result) (List.rev p.continuations)
 
 (* Timeout for the [attempt]-th transmission (1-based): exponential backoff
-   capped at [max_timeout], spread by +-jitter so coordinated fetches from
-   many hosts do not retransmit in lockstep. *)
+   capped at [timeout_ceiling], spread by +-jitter so coordinated fetches
+   from many hosts do not retransmit in lockstep. *)
 let attempt_timeout t attempt =
-  let c = t.config in
   let base =
-    Float.min c.max_timeout (c.timeout *. (c.backoff ** float_of_int (attempt - 1)))
+    Float.min timeout_ceiling
+      (t.config.timeout *. (backoff ** float_of_int (attempt - 1)))
   in
-  if c.jitter = 0.0 then base
-  else base *. (1.0 +. (c.jitter *. ((2.0 *. Fbsr_util.Rng.uniform t.rng) -. 1.0)))
+  base *. (1.0 +. (jitter *. ((2.0 *. Fbsr_util.Rng.uniform t.rng) -. 1.0)))
 
 let rec arm_timeout t p =
   let gen = p.generation in
@@ -142,12 +143,7 @@ let handle_response t raw =
   | exception Mkd_protocol.Bad_message _ -> ()
   | Mkd_protocol.Certificate cert ->
       complete t cert.Fbsr_cert.Certificate.subject (Ok cert)
-  | Mkd_protocol.Failure msg -> (
-      (* The failure does not name the subject; fail the oldest pending
-         request conservatively only if there is exactly one. *)
-      match Hashtbl.fold (fun _ p acc -> p :: acc) t.pending [] with
-      | [ p ] -> complete t p.name (Error msg)
-      | _ -> ())
+  | Mkd_protocol.Failure { subject; reason } -> complete t subject (Error reason)
   | Mkd_protocol.Request _ -> ()
 
 let fetch t name k =
@@ -167,7 +163,7 @@ let fetch t name k =
       send_request_traced t p;
       arm_timeout t p
 
-let create ?(local_port = 563) ?(config = default_config) ?(seed = 0xbac0ff) ?metrics
+let create ?(local_port = 563) ?(config = default_config) ?metrics
     ?(spans = Fbsr_util.Span.none) ~ca_addr ~ca_port host =
   validate_config config;
   (* Without a caller-supplied registry the histogram lives in a private
@@ -182,7 +178,7 @@ let create ?(local_port = 563) ?(config = default_config) ?(seed = 0xbac0ff) ?me
       ca_port;
       local_port;
       config;
-      rng = Fbsr_util.Rng.create (seed lxor Addr.to_int (Host.addr host));
+      rng = Fbsr_util.Rng.create (0xbac0ff lxor Addr.to_int (Host.addr host));
       pending = Hashtbl.create 8;
       fetches = 0;
       retransmissions = 0;

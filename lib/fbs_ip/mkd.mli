@@ -8,29 +8,30 @@ open Fbsr_netsim
 type config = {
   timeout : float;  (** first-attempt timeout, seconds *)
   max_attempts : int;  (** total transmissions before giving up *)
-  backoff : float;  (** timeout multiplier per retry (>= 1) *)
-  max_timeout : float;  (** ceiling on the backed-off timeout *)
-  jitter : float;  (** fractional +- spread on each timeout, in [0,1) *)
 }
+(** The timeout of transmission n is [min 30 (timeout * 2^(n-1))] seconds
+    spread by +-10% jitter; only the first timeout and the attempt budget
+    vary. *)
 
 val default_config : config
-(** 2 s initial timeout, 3 attempts, 2x backoff capped at 30 s, 10% jitter. *)
+(** 2 s initial timeout, 3 attempts: a fetch through a dead network fails
+    after 2 + 4 + 8 = 14 s +- 10% of simulated time. *)
 
 type t
 
 val create :
   ?local_port:int ->
   ?config:config ->
-  ?seed:int ->
   ?metrics:Fbsr_util.Metrics.t ->
   ?spans:Fbsr_util.Span.t ->
   ca_addr:Addr.t ->
   ca_port:int ->
   Host.t ->
   t
-(** The host must already have a UDP stack installed.  [seed] decorrelates
-    the jitter stream (mixed with the host address by default).
-    [metrics] (scope it first, e.g. [Metrics.sub m "fbs_ip.mkd"]) receives
+(** The host must already have a UDP stack installed.  The jitter stream
+    is seeded from the host address, so hosts do not retransmit in
+    lockstep.  A negative reply from the CA fails the fetch it names at
+    once.  [metrics] (scope it first, e.g. [Metrics.sub m "fbs_ip.mkd"]) receives
     [fetches]/[retransmissions]/[failures] probes and the owned
     [backoff_seconds] histogram of armed retransmission timeouts.
     [spans] (default disabled) records one ["mkd.fetch"]

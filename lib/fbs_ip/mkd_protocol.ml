@@ -8,19 +8,23 @@
    verified on receipt anyway.  These messages therefore travel through the
    secure flow *bypass*.
 
-   Request:  "FBSC" u8 version=1 u8 op=1 u16 name_len | name
-   Response: "FBSC" u8 version=1 u8 op=2 u16 cert_len | cert
-             "FBSC" u8 version=1 u8 op=3 u16 msg_len  | error message *)
+   Request:  "FBSC" u8 version=2 u8 op=1 u16 name_len | name
+   Response: "FBSC" u8 version=2 u8 op=2 u16 cert_len | cert
+             "FBSC" u8 version=2 u8 op=3 u16 name_len | name
+                                         u16 msg_len  | error message
+
+   A failure names the request it answers, so an MKD with several
+   fetches in flight fails the right one. *)
 
 open Fbsr_util
 
 let magic = "FBSC"
-let version = 1
+let version = 2
 
 type message =
   | Request of string (* principal name *)
   | Certificate of Fbsr_cert.Certificate.t
-  | Failure of string
+  | Failure of { subject : string; reason : string }
 
 let encode msg =
   let w = Byte_writer.create () in
@@ -36,10 +40,12 @@ let encode msg =
       Byte_writer.u8 w 2;
       Byte_writer.u16 w (String.length raw);
       Byte_writer.bytes w raw
-  | Failure msg ->
+  | Failure { subject; reason } ->
       Byte_writer.u8 w 3;
-      Byte_writer.u16 w (String.length msg);
-      Byte_writer.bytes w msg);
+      Byte_writer.u16 w (String.length subject);
+      Byte_writer.bytes w subject;
+      Byte_writer.u16 w (String.length reason);
+      Byte_writer.bytes w reason);
   Byte_writer.contents w
 
 exception Bad_message of string
@@ -58,7 +64,9 @@ let decode raw =
         match Fbsr_cert.Certificate.decode body with
         | cert -> Certificate cert
         | exception Fbsr_cert.Certificate.Bad_certificate m -> raise (Bad_message m))
-    | 3 -> Failure body
+    | 3 ->
+        let reason = Byte_reader.bytes r (Byte_reader.u16 r) in
+        Failure { subject = body; reason }
     | n -> raise (Bad_message (Printf.sprintf "unknown op %d" n))
   with Byte_reader.Truncated -> raise (Bad_message "truncated")
 

@@ -4,7 +4,8 @@
 type message =
   | Request of string
   | Certificate of Fbsr_cert.Certificate.t
-  | Failure of string
+  | Failure of { subject : string; reason : string }
+      (** The CA cannot answer the request for [subject]. *)
 
 val encode : message -> string
 

@@ -35,12 +35,8 @@ type config = {
   bypass : Addr.t -> bool;
   tfkc_sets : int;
   rfkc_sets : int;
-  cache_assoc : int;
   max_flow_bytes : int option;
   max_flow_life : float option;
-  keying_fetch_retries : int;
-      (** Extra keying-layer attempts after a failed certificate fetch
-          (on top of the MKD's own retransmissions). *)
   batched_rx : bool;
       (** Route receive-side body opens through an
           {!Fbsr_fbs.Engine.Batch} (its open lane): frames arriving within
@@ -58,9 +54,8 @@ let rx_linger = 0.001
 let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     ?(fst_size = 256) ?(replay_window_minutes = 2) ?(strict_replay = false)
     ?(secret_policy = fun ~protocol:_ ~src_port:_ ~dst_port:_ -> true)
-    ?(bypass = fun _ -> false) ?(tfkc_sets = 128) ?(rfkc_sets = 128) ?(cache_assoc = 1)
-    ?max_flow_bytes ?max_flow_life ?(keying_fetch_retries = 0)
-    ?(batched_rx = false) () =
+    ?(bypass = fun _ -> false) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
+    ?max_flow_bytes ?max_flow_life ?(batched_rx = false) () =
   {
     suite;
     threshold;
@@ -71,10 +66,8 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     bypass;
     tfkc_sets;
     rfkc_sets;
-    cache_assoc;
     max_flow_bytes;
     max_flow_life;
-    keying_fetch_retries;
     batched_rx;
   }
 
@@ -255,17 +248,17 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
         end
   end
 
-let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
-    ?(spans = Fbsr_util.Span.none) ~private_value ~group ~ca_public ~ca_hash
-    ~resolver host =
+let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
+    ~private_value ~group ~ca_public ~ca_hash ~resolver host =
   let local = principal_of_addr (Host.addr host) in
   let keying =
-    Fbsr_fbs.Keying.create ~fetch_retries:config.keying_fetch_retries ~local
-      ~group ~private_value ~ca_public ~ca_hash ~resolver
-      ~clock:(fun () -> Host.now host)
-      ()
+    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash
+      ~resolver ~clock:(fun () -> Host.now host) ()
   in
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create sfl_seed) in
+  (* Every stack seeds its sfl allocator alike: an sfl is unique only per
+     sender, which is why the RFKC and the strict replay window key on the
+     peer too. *)
+  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 0x5f1) in
   let policy, policy_state =
     Fbsr_fbs.Policy_five_tuple.policy_with_state ~fst_size:config.fst_size
       ~threshold:config.threshold ?max_flow_bytes:config.max_flow_bytes
@@ -274,7 +267,7 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
   let fam = Fbsr_fbs.Fam.create policy in
   let engine =
     Fbsr_fbs.Engine.create ~suite:config.suite ~tfkc_sets:config.tfkc_sets
-      ~rfkc_sets:config.rfkc_sets ~cache_assoc:config.cache_assoc
+      ~rfkc_sets:config.rfkc_sets
       ~replay_window_minutes:config.replay_window_minutes
       ~strict_replay:config.strict_replay ~spans ~keying ~fam ()
   in

@@ -15,12 +15,8 @@ type config = {
   bypass : Addr.t -> bool;
   tfkc_sets : int;
   rfkc_sets : int;
-  cache_assoc : int;
   max_flow_bytes : int option;
   max_flow_life : float option;
-  keying_fetch_retries : int;
-      (** Extra keying-layer attempts after a failed certificate fetch
-          (on top of the MKD's own retransmissions). *)
   batched_rx : bool;
       (** Route receive-side body opens through the open lane of an
           {!Fbsr_fbs.Engine.Batch} (default [false]): frames
@@ -41,10 +37,8 @@ val default_config :
   ?bypass:(Addr.t -> bool) ->
   ?tfkc_sets:int ->
   ?rfkc_sets:int ->
-  ?cache_assoc:int ->
   ?max_flow_bytes:int ->
   ?max_flow_life:float ->
-  ?keying_fetch_retries:int ->
   ?batched_rx:bool ->
   unit ->
   config
@@ -66,7 +60,6 @@ type t
 
 val install :
   ?config:config ->
-  ?sfl_seed:int ->
   ?spans:Fbsr_util.Span.t ->
   private_value:Fbsr_crypto.Dh.private_value ->
   group:Fbsr_crypto.Dh.group ->
@@ -75,7 +68,12 @@ val install :
   resolver:Fbsr_fbs.Keying.resolver ->
   Host.t ->
   t
-(** [spans] (default disabled) is the host's per-datagram flight
+(** Every stack seeds its sfl allocator with the same constant, so two
+    senders may pick the same sfl: receivers key per-flow state on
+    (sfl, peer).  A certificate miss calls [resolver] once; its
+    retransmissions are the resolver's (the MKD's) job.
+
+    [spans] (default disabled) is the host's per-datagram flight
     recorder: threaded to the engine (see {!Fbsr_fbs.Engine.create}) for the
     classify/derive/seal/replay/receive stages, and used directly by the
     input hook for the ["stack.decap"] stage. *)

@@ -88,7 +88,7 @@ let create ?(seed = 42) ?(bandwidth_bps = 10_000_000.0) ?(group_bits = 0) ?confi
   in
   let rng = Fbsr_util.Rng.create seed in
   let engine = Engine.create () in
-  let medium = Medium.create ~bandwidth_bps ~seed:(seed + 1) engine in
+  let medium = Medium.create ~bandwidth_bps engine in
   let group =
     (* Default: the fast 61-bit test group; ask for [group_bits] to pay for
        real group sizes (e.g. 1024 via Dh.oakley2-equivalent). *)

@@ -4,23 +4,19 @@
    The medium is half-duplex with a single serialization resource: a frame
    occupies the wire for (size + framing overhead) * 8 / bandwidth seconds
    starting no earlier than the previous frame finished, then propagates to
-   the destination station.  Loss, duplication and extra jitter are
-   configurable for robustness tests.  Sniffer taps observe every frame at
-   transmit time, exactly like tcpdump on the paper's LAN. *)
+   the destination station.  The medium injects no faults: drop,
+   duplicate, reorder, truncate and corrupt are the job of a
+   fault-injection {!Link} on the sending host.  Sniffer taps observe
+   every frame at transmit time, exactly like tcpdump on the paper's
+   LAN. *)
 
 type station = { addr : Addr.t; deliver : string -> unit }
 
 type t = {
   engine : Engine.t;
   bandwidth_bps : float;
-  propagation : float;
-  frame_overhead : int;
   mutable busy_until : float;
   mutable stations : station list;
-  mutable loss : float;
-  mutable dup : float;
-  mutable jitter : float;
-  rng : Fbsr_util.Rng.t;
   mutable sniffers : (float -> string -> unit) list;
   mutable frames_sent : int;
   mutable frames_dropped : int;
@@ -31,20 +27,15 @@ type t = {
 let ethernet_overhead = 38
 let ethernet_min_payload = 46
 
-let create ?(bandwidth_bps = 10_000_000.0) ?(propagation = 5e-6)
-    ?(frame_overhead = ethernet_overhead) ?(loss = 0.0) ?(dup = 0.0) ?(jitter = 0.0)
-    ?(seed = 1) engine =
+(* One LAN segment's propagation delay, seconds. *)
+let propagation = 5e-6
+
+let create ?(bandwidth_bps = 10_000_000.0) engine =
   {
     engine;
     bandwidth_bps;
-    propagation;
-    frame_overhead;
     busy_until = 0.0;
     stations = [];
-    loss;
-    dup;
-    jitter;
-    rng = Fbsr_util.Rng.create seed;
     sniffers = [];
     frames_sent = 0;
     frames_dropped = 0;
@@ -55,10 +46,6 @@ let attach t ~addr ~deliver = t.stations <- { addr; deliver } :: t.stations
 
 let add_sniffer t f = t.sniffers <- f :: t.sniffers
 
-let set_loss t p = t.loss <- p
-let set_dup t p = t.dup <- p
-let set_jitter t j = t.jitter <- j
-
 let station_for t addr =
   List.find_opt (fun s -> Addr.equal s.addr addr) t.stations
 
@@ -66,7 +53,7 @@ let station_for t addr =
    and the Ethernet minimum-frame rule. *)
 let tx_time t bytes =
   let payload = max bytes ethernet_min_payload in
-  float_of_int ((payload + t.frame_overhead) * 8) /. t.bandwidth_bps
+  float_of_int ((payload + ethernet_overhead) * 8) /. t.bandwidth_bps
 
 let transmit t ~dst (raw : string) =
   let now = Engine.now t.engine in
@@ -82,24 +69,13 @@ let transmit t ~dst (raw : string) =
      receiving stack processes the frame under the trace that sent it.
      The frame itself carries no trace bytes. *)
   let tid = Fbsr_util.Span.current () in
-  let deliver_once () =
-    match station_for t dst with
-    | None -> t.frames_dropped <- t.frames_dropped + 1
-    | Some s ->
-        let extra =
-          if t.jitter > 0.0 then Fbsr_util.Rng.float t.rng t.jitter else 0.0
-        in
-        let arrival = t.busy_until +. t.propagation +. extra -. now in
-        Engine.schedule t.engine ~delay:arrival (fun () ->
-            if Int64.equal tid 0L then s.deliver raw
-            else Fbsr_util.Span.with_current tid (fun () -> s.deliver raw))
-  in
-  if t.loss > 0.0 && Fbsr_util.Rng.uniform t.rng < t.loss then
-    t.frames_dropped <- t.frames_dropped + 1
-  else begin
-    deliver_once ();
-    if t.dup > 0.0 && Fbsr_util.Rng.uniform t.rng < t.dup then deliver_once ()
-  end
+  match station_for t dst with
+  | None -> t.frames_dropped <- t.frames_dropped + 1
+  | Some s ->
+      let arrival = t.busy_until +. propagation -. now in
+      Engine.schedule t.engine ~delay:arrival (fun () ->
+          if Int64.equal tid 0L then s.deliver raw
+          else Fbsr_util.Span.with_current tid (fun () -> s.deliver raw))
 
 type stats = { frames : int; dropped : int; bytes : int }
 
@@ -108,5 +84,5 @@ let stats t = { frames = t.frames_sent; dropped = t.frames_dropped; bytes = t.by
 let utilization t ~elapsed =
   if elapsed <= 0.0 then 0.0
   else
-    float_of_int ((t.bytes_sent + (t.frames_sent * t.frame_overhead)) * 8)
+    float_of_int ((t.bytes_sent + (t.frames_sent * ethernet_overhead)) * 8)
     /. t.bandwidth_bps /. elapsed

@@ -5,20 +5,16 @@
     module does not exist.  Dune selects one of two implementations at
     build time ([domain_shim_multicore.ml-in] on >= 5.0.0,
     [domain_shim_single.ml-in] otherwise), so everything above this
-    module is version-independent.
-
-    Setting the environment variable [FBSR_FORCE_SINGLE_SHARD] to a
-    non-empty value other than ["0"] forces the sequential path even on
-    OCaml 5 — CI uses this to prove the degraded single-shard behaviour
-    on a Domains-capable runtime. *)
+    module is version-independent.  The choice is fixed by the compiler:
+    nothing at run time changes it. *)
 
 val parallelism_available : bool
-(** [true] iff {!parallel_run} may actually run thunks concurrently.
-    [false] on OCaml 4.14 and under [FBSR_FORCE_SINGLE_SHARD]. *)
+(** Build-time constant: [true] iff {!parallel_run} may actually run
+    thunks concurrently ([true] on OCaml 5, [false] on 4.14). *)
 
 val recommended_domain_count : unit -> int
-(** [Domain.recommended_domain_count ()] on OCaml 5 (clamped to 1 when
-    parallelism is forced off); always [1] on 4.14. *)
+(** [Domain.recommended_domain_count ()] on OCaml 5; always [1] on
+    4.14. *)
 
 type 'a local
 (** Domain-local storage: one value per domain on OCaml 5 (via
@@ -35,8 +31,8 @@ val local_set : 'a local -> 'a -> unit
 val parallel_run : (unit -> 'a) array -> 'a array
 (** [parallel_run thunks] runs every thunk and returns their results in
     order.  On OCaml 5 thunk 0 runs on the calling domain and the rest
-    on freshly spawned domains; on 4.14 (or when parallelism is
-    unavailable, or with fewer than two thunks) they run sequentially.
+    on freshly spawned domains; on 4.14 (or with fewer than two thunks)
+    they run sequentially.
     If any thunk raises, every other thunk still runs to completion
     (domains are always joined) and the lowest-index exception is
     re-raised afterwards. *)

@@ -236,10 +236,10 @@ let test_header_confounder_iv () =
 
 (* What the engine does for a datagram whose MAC verifies: probe in the
    prologue, commit on acceptance. *)
-let admit r ~now ~sfl ~confounder ~timestamp =
-  match Replay.probe r ~now ~sfl ~confounder ~timestamp with
+let admit ?(peer = Principal.of_string "peer") r ~now ~sfl ~confounder ~timestamp =
+  match Replay.probe r ~now ~sfl ~peer ~confounder ~timestamp with
   | Replay.Fresh ->
-      if Replay.commit r ~sfl ~confounder ~timestamp then Replay.Fresh
+      if Replay.commit r ~sfl ~peer ~confounder ~timestamp then Replay.Fresh
       else Replay.Duplicate
   | v -> v
 
@@ -264,7 +264,10 @@ let test_replay_strict_duplicates () =
   let go conf = admit r ~now:600.0 ~sfl ~confounder:conf ~timestamp:10 in
   (* A probe alone records nothing: a datagram that fails its MAC after
      the probe leaves no trace for the genuine copy to collide with. *)
-  let probe conf = Replay.probe r ~now:600.0 ~sfl ~confounder:conf ~timestamp:10 in
+  let peer = Principal.of_string "peer" in
+  let probe conf =
+    Replay.probe r ~now:600.0 ~sfl ~peer ~confounder:conf ~timestamp:10
+  in
   check Alcotest.bool "probe" true (probe 7 = Replay.Fresh);
   check Alcotest.bool "probe again" true (probe 7 = Replay.Fresh);
   check Alcotest.bool "first" true (go 7 = Replay.Fresh);
@@ -273,13 +276,19 @@ let test_replay_strict_duplicates () =
   check Alcotest.bool "probed copy" true (probe 8 = Replay.Fresh);
   check Alcotest.bool "different confounder ok" true (go 8 = Replay.Fresh);
   check Alcotest.bool "late commit of the probed copy" false
-    (Replay.commit r ~sfl ~confounder:8 ~timestamp:10);
+    (Replay.commit r ~sfl ~peer ~confounder:8 ~timestamp:10);
   (* A different flow with the same confounder is not a duplicate. *)
   check Alcotest.bool "different sfl ok" true
     (admit r ~now:600.0 ~sfl:(Sfl.of_int64 10L) ~confounder:7 ~timestamp:10
      = Replay.Fresh);
+  (* Nor is another sender's datagram with the same sfl and confounder:
+     an sfl is unique only per sender. *)
+  check Alcotest.bool "different peer ok" true
+    (admit ~peer:(Principal.of_string "other") r ~now:600.0 ~sfl ~confounder:7
+       ~timestamp:10
+     = Replay.Fresh);
   let s = Replay.stats r in
-  check Alcotest.int "accepted counts commits" 3 s.Replay.accepted;
+  check Alcotest.int "accepted counts commits" 4 s.Replay.accepted;
   check Alcotest.int "duplicates from probe and commit" 2 s.Replay.rejected_duplicate
 
 let test_replay_strict_gc () =
@@ -749,12 +758,17 @@ let test_keying_refetches_after_expiry () =
     (Keying.counters ks).Keying.master_key_computations
 
 let test_keying_unknown_principal () =
-  let _, _, _, _, enroll, _, keying_for = make_world () in
+  let _, _, _, _, enroll, resolver_calls, keying_for = make_world () in
   let s, s_priv, _ = enroll "sender" in
   let ks = keying_for s s_priv in
-  match Keying.get_master_sync ks (Principal.of_string "stranger") with
+  (match Keying.get_master_sync ks (Principal.of_string "stranger") with
   | Error (Keying.No_certificate _) -> ()
-  | _ -> Alcotest.fail "unknown principal resolved"
+  | _ -> Alcotest.fail "unknown principal resolved");
+  (* The resolver's failure is final: keying asks it once, and its
+     retransmissions are its own business. *)
+  check Alcotest.int "one resolver call" 1 !resolver_calls;
+  check Alcotest.int "one fetch counted" 1
+    (Keying.counters ks).Keying.certificate_fetches
 
 let test_keying_wrong_subject () =
   (* A certificate for a different name must not satisfy a lookup, even if
@@ -813,58 +827,6 @@ let test_keying_coalesces () =
   check Alcotest.int "all continuations ran" 3 !results;
   check Alcotest.int "one DH computation" 1
     (Keying.counters ks).Keying.master_key_computations
-
-let test_keying_fetch_retries () =
-  (* A resolver that fails transiently: with [fetch_retries] the keying
-     layer re-asks and succeeds; the counters record both the total
-     fetches and how many were retries. *)
-  let _, _, ca, _, enroll, resolver_calls, _ = make_world () in
-  let s, s_priv, _ = enroll "sender" in
-  let d, _, _ = enroll "receiver" in
-  let group = Lazy.force Fbsr_crypto.Dh.test_group in
-  let failures_left = ref 2 in
-  let flaky peer k =
-    incr resolver_calls;
-    if !failures_left > 0 then begin
-      decr failures_left;
-      k (Error "fetch lost in transit")
-    end
-    else
-      match Fbsr_cert.Authority.lookup ca (Principal.to_string peer) with
-      | Some c -> k (Ok c)
-      | None -> k (Error "unknown principal")
-  in
-  let keying ~fetch_retries =
-    Keying.create ~fetch_retries ~local:s ~group ~private_value:s_priv
-      ~ca_public:(Fbsr_cert.Authority.public ca)
-      ~ca_hash:(Fbsr_cert.Authority.hash ca) ~resolver:flaky
-      ~clock:(fun () -> 1000.0)
-      ()
-  in
-  let ks = keying ~fetch_retries:2 in
-  (match Keying.get_master_sync ks d with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "retries did not recover: %a" Keying.pp_error e);
-  let c = Keying.counters ks in
-  check Alcotest.int "three fetches" 3 c.Keying.certificate_fetches;
-  check Alcotest.int "two were retries" 2 c.Keying.certificate_fetch_retries;
-  (* Without retries the same transient failure is fatal. *)
-  failures_left := 2;
-  let k0 = keying ~fetch_retries:0 in
-  (match Keying.get_master_sync k0 d with
-  | Error (Keying.No_certificate _) -> ()
-  | Ok _ -> Alcotest.fail "succeeded without the failing fetch being retried"
-  | Error e -> Alcotest.failf "unexpected error: %a" Keying.pp_error e);
-  check Alcotest.int "no retries recorded" 0
-    (Keying.counters k0).Keying.certificate_fetch_retries;
-  (* Retries are bounded: 1 retry cannot absorb 2 failures. *)
-  failures_left := 2;
-  let k1 = keying ~fetch_retries:1 in
-  match Keying.get_master_sync k1 d with
-  | Error (Keying.No_certificate _) ->
-      check Alcotest.int "single retry recorded" 1
-        (Keying.counters k1).Keying.certificate_fetch_retries
-  | _ -> Alcotest.fail "1 retry absorbed 2 failures"
 
 let test_flow_key_derivation () =
   let sfl = Sfl.of_int64 42L in
@@ -2359,7 +2321,6 @@ let () =
           Alcotest.test_case "unknown principal" `Quick test_keying_unknown_principal;
           Alcotest.test_case "wrong subject" `Quick test_keying_wrong_subject;
           Alcotest.test_case "coalesces concurrent fetches" `Quick test_keying_coalesces;
-          Alcotest.test_case "fetch retries" `Quick test_keying_fetch_retries;
           Alcotest.test_case "flow key derivation" `Quick test_flow_key_derivation;
         ] );
       ( "fam",

@@ -14,9 +14,11 @@ let test_mkd_protocol_roundtrip () =
   (match Mkd_protocol.decode (Mkd_protocol.encode req) with
   | Mkd_protocol.Request n -> check Alcotest.string "request" "10.0.0.9" n
   | _ -> Alcotest.fail "wrong message");
-  let fail_msg = Mkd_protocol.Failure "nope" in
+  let fail_msg = Mkd_protocol.Failure { subject = "10.0.0.9"; reason = "nope" } in
   (match Mkd_protocol.decode (Mkd_protocol.encode fail_msg) with
-  | Mkd_protocol.Failure m -> check Alcotest.string "failure" "nope" m
+  | Mkd_protocol.Failure { subject; reason } ->
+      check Alcotest.string "failure names its subject" "10.0.0.9" subject;
+      check Alcotest.string "failure reason" "nope" reason
   | _ -> Alcotest.fail "wrong message");
   (* Certificate roundtrip. *)
   let rng = Fbsr_util.Rng.create 1 in
@@ -36,7 +38,16 @@ let test_mkd_protocol_garbage () =
       match Mkd_protocol.decode raw with
       | _ -> Alcotest.failf "accepted %S" raw
       | exception Mkd_protocol.Bad_message _ -> ())
-    [ ""; "FBS"; "XXXX\x01\x01\x00\x01a"; "FBSC\x02\x01\x00\x01a"; "FBSC\x01\x09\x00\x01a" ]
+    [
+      "";
+      "FBS";
+      "XXXX\x02\x01\x00\x01a";
+      (* Version 1 failures did not name their subject. *)
+      "FBSC\x01\x03\x00\x04nope";
+      "FBSC\x02\x09\x00\x01a";
+      (* A failure whose reason is cut off. *)
+      "FBSC\x02\x03\x00\x01a\x00\x04no";
+    ]
 
 (* --- Testbed-level plumbing --- *)
 
@@ -73,6 +84,31 @@ let test_mkd_unknown_principal () =
   | Some (Error _) -> ()
   | _ -> Alcotest.fail "unknown principal resolved"
 
+(* The CA's negative reply names the request it answers, so concurrent
+   fetches of unknown names each fail at once instead of waiting out
+   their retransmissions. *)
+let test_mkd_unknown_names_fail_at_once () =
+  let tb, a, _ = make_pair () in
+  let resolver = Mkd.resolver a.Testbed.mkd in
+  let failed_at = ref [] in
+  List.iter
+    (fun name ->
+      resolver (Fbsr_fbs.Principal.of_string name) (function
+        | Error _ -> failed_at := Testbed.now tb :: !failed_at
+        | Ok _ -> Alcotest.fail "unknown principal resolved"))
+    [ "10.99.99.98"; "10.99.99.99" ];
+  Testbed.run tb;
+  check Alcotest.int "both failed" 2 (List.length !failed_at);
+  List.iter
+    (fun at ->
+      check Alcotest.bool "failed before the first timeout" true
+        (at < Mkd.default_config.Mkd.timeout))
+    !failed_at;
+  let st = Mkd.stats a.Testbed.mkd in
+  check Alcotest.int "fetches" 2 st.Mkd.fetches;
+  check Alcotest.int "no retransmissions" 0 st.Mkd.retransmissions;
+  check Alcotest.int "failures" 2 st.Mkd.failures
+
 let test_mkd_coalesces_requests () =
   let tb, a, b = make_pair () in
   let resolver = Mkd.resolver a.Testbed.mkd in
@@ -85,23 +121,33 @@ let test_mkd_coalesces_requests () =
   check Alcotest.int "all continuations" 3 !done_count;
   check Alcotest.int "one fetch" 1 (Mkd.stats a.Testbed.mkd).Mkd.fetches
 
+(* Under total loss the default schedule is fixed: 3 transmissions with
+   timeouts of 2, 4 and 8 s, each +-10%, so the fetch is terminal in
+   [12.6, 15.4] s of simulated time. *)
 let test_mkd_retransmits_on_loss () =
-  let tb = Testbed.create () in
+  let tb = Testbed.create ~faults:{ Link.perfect with Link.drop = 1.0 } () in
   let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
   let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
-  Medium.set_loss (Testbed.medium tb) 1.0;
   let resolver = Mkd.resolver a.Testbed.mkd in
   let got = ref None in
   resolver
     (Fbsr_fbs.Principal.of_string (Addr.to_string (Host.addr b.Testbed.host)))
-    (fun r -> got := Some r);
+    (fun r -> got := Some (r, Testbed.now tb));
   Testbed.run ~until:60.0 tb;
   (match !got with
-  | Some (Error _) -> () (* timed out after retries *)
-  | Some (Ok _) -> Alcotest.fail "fetch succeeded through a dead network"
+  | Some (Error _, at) ->
+      check Alcotest.bool
+        (Printf.sprintf "terminal at %.2f s, within [12.6, 15.4]" at)
+        true
+        (at >= 12.6 && at <= 15.4)
+  | Some (Ok _, _) -> Alcotest.fail "fetch succeeded through a dead network"
   | None -> Alcotest.fail "fetch never completed");
-  check Alcotest.bool "retransmissions happened" true
-    ((Mkd.stats a.Testbed.mkd).Mkd.retransmissions >= 1)
+  let st = Mkd.stats a.Testbed.mkd in
+  check Alcotest.int "one fetch" 1 st.Mkd.fetches;
+  check Alcotest.int "two retransmissions" 2 st.Mkd.retransmissions;
+  check Alcotest.int "one failure" 1 st.Mkd.failures;
+  check Alcotest.int "three armed timeouts" 3
+    (Fbsr_util.Metrics.get (Testbed.metrics tb) "fbs_ip.mkd.backoff_seconds")
 
 (* --- Stack end-to-end --- *)
 
@@ -120,6 +166,30 @@ let test_stack_udp_end_to_end () =
   check Alcotest.int "suspended on cold start" 3 sc.Stack.suspended_out;
   check Alcotest.int "all resumed" 3 sc.Stack.resumed;
   check Alcotest.int "one fetch" 1 (Mkd.stats a.Testbed.mkd).Mkd.fetches
+
+(* Every stack seeds its sfl allocator and its confounder generator
+   alike, so two senders' first datagrams to one receiver carry the same
+   sfl, confounder and timestamp.  Strict replay must key on the sender
+   too, or the second one dies as a "duplicate". *)
+let test_stack_strict_replay_two_senders () =
+  let tb = Testbed.create ~config:(Stack.default_config ~strict_replay:true ()) () in
+  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+  let c = Testbed.add_host tb ~name:"c" ~addr:"10.0.0.3" in
+  let got = ref [] in
+  Udp_stack.listen c.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  List.iter
+    (fun (n : Testbed.node) ->
+      Udp_stack.send n.Testbed.host ~src_port:7 ~dst:(Host.addr c.Testbed.host)
+        ~dst_port:7
+        ("from " ^ Addr.to_string (Host.addr n.Testbed.host)))
+    [ a; b ];
+  Testbed.run tb;
+  check Alcotest.(list string) "both delivered" [ "from 10.0.0.1"; "from 10.0.0.2" ]
+    (List.sort compare !got);
+  let ec = Fbsr_fbs.Engine.counters (Stack.engine c.Testbed.stack) in
+  check Alcotest.int "accepted" 2 ec.Fbsr_fbs.Engine.accepted;
+  check Alcotest.int "no duplicates" 0 ec.Fbsr_fbs.Engine.errors_duplicate
 
 (* Regression (review): in [batched_rx] mode a frame that suspends on the
    receive-side master-key fetch enqueues into the rx batch only when the
@@ -470,10 +540,17 @@ let test_ca_outage_recovery () =
   (* The key server is unreachable at first contact: the parked datagram
      is eventually dropped when the MKD exhausts its retries.  When the
      network heals, traffic flows (and only pays the fetch once). *)
-  let tb, a, b = make_pair () in
+  let tb = Testbed.create ~faults:Link.perfect () in
+  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+  let set_drop p =
+    List.iter
+      (fun l -> Link.set_profile l { Link.perfect with Link.drop = p })
+      (Testbed.links tb)
+  in
   let got = ref 0 in
   Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
-  Medium.set_loss (Testbed.medium tb) 1.0;
+  set_drop 1.0;
   Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
     "lost to the outage";
   Testbed.run ~until:30.0 tb;
@@ -483,7 +560,7 @@ let test_ca_outage_recovery () =
   check Alcotest.int "datagram dropped, not wedged" 1
     (Stack.counters a.Testbed.stack).Stack.dropped_error;
   (* Network heals. *)
-  Medium.set_loss (Testbed.medium tb) 0.0;
+  set_drop 0.0;
   Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
     "after recovery";
   Testbed.run tb;
@@ -514,8 +591,8 @@ let test_fbs_across_router () =
      static route — everything still verifies, even with the router
      re-fragmenting onto a smaller-MTU segment. *)
   let eng = Engine.create () in
-  let seg_a = Medium.create ~seed:31 eng in
-  let seg_b = Medium.create ~seed:32 eng in
+  let seg_a = Medium.create eng in
+  let seg_b = Medium.create eng in
   let router = Router.create ~name:"r" () in
   ignore (Router.attach router ~addr:(Addr.of_string "10.0.1.1") ~prefix:24 seg_a);
   ignore
@@ -599,9 +676,9 @@ let test_gateway_tunnel () =
      tunnel inter-site traffic through FBS.  Plaintext is visible on the
      trusted site segments, never on the backbone. *)
   let eng = Engine.create () in
-  let site_a = Medium.create ~seed:41 eng in
-  let site_b = Medium.create ~seed:42 eng in
-  let backbone = Medium.create ~seed:43 eng in
+  let site_a = Medium.create eng in
+  let site_b = Medium.create eng in
+  let backbone = Medium.create eng in
   (* Key infrastructure on the backbone. *)
   let rng = Fbsr_util.Rng.create 90 in
   let group = Lazy.force Fbsr_crypto.Dh.test_group in
@@ -719,12 +796,16 @@ let () =
         [
           Alcotest.test_case "fetch roundtrip" `Quick test_mkd_fetch_roundtrip;
           Alcotest.test_case "unknown principal" `Quick test_mkd_unknown_principal;
+          Alcotest.test_case "unknown names fail at once" `Quick
+            test_mkd_unknown_names_fail_at_once;
           Alcotest.test_case "coalesces" `Quick test_mkd_coalesces_requests;
           Alcotest.test_case "retransmits on loss" `Quick test_mkd_retransmits_on_loss;
         ] );
       ( "stack",
         [
           Alcotest.test_case "udp end-to-end" `Quick test_stack_udp_end_to_end;
+          Alcotest.test_case "strict replay keys on the sender" `Quick
+            test_stack_strict_replay_two_senders;
           Alcotest.test_case "batched rx: lone cold-flow datagram still delivered"
             `Quick test_stack_batched_rx_cold_flow_lone_datagram;
           Alcotest.test_case "wire is protected" `Quick test_stack_wire_is_protected;

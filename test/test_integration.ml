@@ -48,10 +48,9 @@ let test_all_pairs_mesh () =
 (* --- TCP through FBS over a lossy, reordering network --- *)
 
 let test_tcp_fbs_lossy () =
-  let tb = Testbed.create () in
+  let tb = Testbed.create ~faults:{ Link.perfect with Link.drop = 0.03 } () in
   let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
   let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
-  Medium.set_loss (Testbed.medium tb) 0.03;
   let payload = String.init 60_000 (fun i -> Char.chr ((i * 11) land 0xff)) in
   let received = Buffer.create 1000 in
   Minitcp.listen b.Testbed.host ~port:80 (fun conn ->
@@ -222,10 +221,9 @@ let test_rpc_over_fbs () =
      FBS-enabled hosts on a lossy network: the RPC layer's own retries
      handle loss, FBS supplies per-conversation protection, and neither
      interferes with the other — datagram semantics preserved end to end. *)
-  let tb = Testbed.create () in
+  let tb = Testbed.create ~faults:{ Link.perfect with Link.drop = 0.15 } () in
   let a = Testbed.add_host tb ~name:"client" ~addr:"10.0.0.1" in
   let b = Testbed.add_host tb ~name:"server" ~addr:"10.0.0.2" in
-  Medium.set_loss (Testbed.medium tb) 0.15;
   let server = Sunrpc.Server.install b.Testbed.host in
   Sunrpc.Server.register server ~prog:100003 ~proc:1 (fun arg -> "read:" ^ arg);
   let client = Sunrpc.create a.Testbed.host in
@@ -280,14 +278,18 @@ let test_wan_deployment () =
   let tb =
     Testbed.create ~bandwidth_bps:1_544_000.0 (* T1 *) ()
   in
-  Medium.set_jitter (Testbed.medium tb) 0.002;
   let a = Testbed.add_host tb ~name:"west" ~addr:"10.0.0.1" in
   let b = Testbed.add_host tb ~name:"east" ~addr:"10.0.0.2" in
-  (* Long propagation: schedule via a sniffer-free trick — the medium's
-     propagation is fixed at creation, so emulate WAN latency with clock
-     skew plus distance... simpler: use the jitter knob above and accept
-     the 5 us base.  The meaningful WAN stressors here are bandwidth and
-     the multi-ms jitter. *)
+  (* The medium's propagation is a fixed 5 us, so the WAN stressors here
+     are the bandwidth and up to 2 ms of extra delay on every frame east
+     sends, which reorders its ACKs.  West's full-size data frames take
+     7.9 ms each on the T1, so 2 ms of delay after the wire could not
+     reorder them; a hold-back on west's link sits before the wire, where
+     a delayed segment falls behind the whole queued window. *)
+  Host.set_link b.Testbed.host
+    (Link.create ~seed:5
+       ~profile:{ Link.perfect with Link.reorder = 1.0; reorder_delay = 0.002 }
+       (Testbed.engine tb));
   let first_delivery = ref None in
   let got = ref 0 in
   Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ ->
@@ -315,9 +317,9 @@ let test_wan_deployment () =
   check Alcotest.string "bulk intact over WAN" payload (Buffer.contents received);
   let goodput = float_of_int (String.length payload * 8) /. (!finish -. t0) in
   check Alcotest.bool "throughput bounded by T1" true (goodput < 1_544_000.0);
-  (* Multi-ms jitter reorders segments; the out-of-order reassembly
-     buffer absorbs that instead of forcing go-back-N style window
-     resends, so demand both robust progress and few retransmissions. *)
+  (* Multi-ms delay reorders the ACK stream; the sender absorbs that
+     instead of forcing go-back-N style window resends, so demand both
+     robust progress and few retransmissions. *)
   check Alcotest.bool "reasonable progress despite reordering" true
     (goodput > 200_000.0);
   check Alcotest.bool "reordering absorbed without window resends" true

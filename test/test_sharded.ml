@@ -1,7 +1,7 @@
 (* Shard invariants for the domain-sharded datapath: the differential
    suite (sharded ≡ single-shard, byte for byte), shard-locality of
-   replay state, per-shard metrics summing to the aggregate view, the
-   compat clamp, and the Domain_shim/Zipf substrate underneath. *)
+   replay state, per-shard metrics summing to the aggregate view, and
+   the Domain_shim/Zipf substrate underneath. *)
 
 open Fbsr_experiments
 
@@ -206,17 +206,7 @@ let test_metrics_sum () =
   check Alcotest.int "aggregate sends = offered" (Array.length jobs)
     (Fbsr_util.Metrics.get m "fbs.engine.sends")
 
-(* --- Compat clamp + per-shard allocs --- *)
-
-let test_clamp_without_parallelism () =
-  let p = Fixture.sharded_pair ~seed:3 ~nshards:8 () in
-  let expected =
-    if Fbsr_util.Domain_shim.parallelism_available then 8 else 1
-  in
-  check Alcotest.int "effective shards" expected
-    (Fbsr_fbs.Sharded.nshards p.Fixture.tx);
-  check Alcotest.int "requested preserved" 8
-    (Fbsr_fbs.Sharded.requested_shards p.Fixture.tx)
+(* --- Per-shard allocs --- *)
 
 let test_allocs_per_shard () =
   let r =
@@ -304,8 +294,6 @@ let () =
             test_replay_stays_on_shard;
           Alcotest.test_case "per-shard metrics sum to aggregate" `Quick
             test_metrics_sum;
-          Alcotest.test_case "clamps to one shard without Domains" `Quick
-            test_clamp_without_parallelism;
           Alcotest.test_case "allocs_per_datagram = 2.0 per shard" `Quick
             test_allocs_per_shard;
           Alcotest.test_case "flowstats JSON is shard-invariant" `Quick
