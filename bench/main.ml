@@ -111,6 +111,12 @@ let dh_1024_priv = Fbsr_crypto.Dh.gen_private dh_1024 bench_rng
 let dh_1024_pub = Fbsr_crypto.Dh.public dh_1024 dh_1024_priv
 let bbs = Fbsr_crypto.Bbs.create ~modulus_bits:256 bench_rng ~seed:"bench-bbs-seed"
 
+(* The CA's key size (RSA-768), from an rng of its own so that it leaves
+   the draws of the fixtures above alone. *)
+let rsa_768 = Fbsr_crypto.Rsa.generate (Fbsr_util.Rng.create 768) ~bits:768
+let rsa_768_msg = "bench certificate body"
+let rsa_768_sig = Fbsr_crypto.Rsa.sign rsa_768 ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg
+
 let triple_hash (sfl, a, b) =
   let open Fbsr_util.Crc32 in
   let h = update_int64 0 sfl in
@@ -169,6 +175,18 @@ let crypto_tests =
         (stage (fun () -> Fbsr_crypto.Dh.shared dh_small dh_small_priv dh_small_pub));
       Test.make ~name:"dh-shared-1024bit-oakley2"
         (stage (fun () -> Fbsr_crypto.Dh.shared dh_1024 dh_1024_priv dh_1024_pub));
+      (* Certificate signing and the verification every PVC miss pays. *)
+      Test.make ~name:"rsa-sign-768"
+        (stage (fun () ->
+             Fbsr_crypto.Rsa.sign rsa_768 ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg));
+      Test.make ~name:"rsa-verify-768"
+        (stage (fun () ->
+             Fbsr_crypto.Rsa.verify
+               (Fbsr_crypto.Rsa.public_key rsa_768)
+               ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg ~signature:rsa_768_sig));
+      (* Fixed-width encoding of a 1024-bit DH value (certificates, K_{S,D}). *)
+      Test.make ~name:"nat-to-bytes-1024bit"
+        (stage (fun () -> Fbsr_crypto.Dh.public_to_bytes dh_1024 dh_1024_pub));
       (* Per-datagram key generation under host-pair keying (Section 2.2). *)
       Test.make ~name:"bbs-8-bytes" (stage (fun () -> Fbsr_crypto.Bbs.bytes bbs 8));
       (* Confounder generation is nearly free (Section 5.3). *)

@@ -170,26 +170,95 @@ let shift_right (a : t) k : t =
     end
   end
 
-(* Binary long division.  O(bits(a) * limbs(b)); divisions are rare on hot
-   paths (modular exponentiation uses Montgomery reduction instead), so the
-   simple, obviously-correct algorithm wins over Knuth's Algorithm D. *)
+(* Division is on the keying path: [rem] reduces every RSA and BBS value,
+   [mod_inv] and [gcd] run Euclid on it, and [Mont.make] computes R^2 mod m
+   with it.  Single-limb divisors take one native division per limb;
+   longer ones use Knuth's Algorithm D (TAOCP vol. 2, 4.3.1), which
+   produces one quotient limb per step from a two-limb estimate. *)
+
+let divmod_limb (a : t) d : t * t =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let cur = (!r lsl limb_bits) lor a.(i) in
+    let qi = cur / d in
+    q.(i) <- qi;
+    r := cur - (qi * d)
+  done;
+  (normalize q, if !r = 0 then zero else [| !r |])
+
+(* Requires [Array.length b >= 2] and [a >= b]. *)
+let divmod_knuth (a : t) (b : t) : t * t =
+  let la = Array.length a and n = Array.length b in
+  (* D1: scale both operands by 2^s so the divisor's top limb has its high
+     bit set.  The quotient-limb estimate is then at most two too large,
+     and at most one after the D3 test. *)
+  let s = limb_bits - bit_length [| b.(n - 1) |] in
+  let scale src dst len =
+    for i = 0 to len - 1 do
+      let lo = if i = 0 then 0 else src.(i - 1) lsr (limb_bits - s) in
+      dst.(i) <- ((src.(i) lsl s) land limb_mask) lor lo
+    done
+  in
+  let v = Array.make n 0 and u = Array.make (la + 1) 0 in
+  scale b v n;
+  scale a u la;
+  u.(la) <- a.(la - 1) lsr (limb_bits - s);
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  let q = Array.make (la - n + 1) 0 in
+  for j = la - n downto 0 do
+    (* D3: estimate the quotient limb from the remainder's top two limbs,
+       then correct it with the divisor's second limb. *)
+    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) in
+    let rhat = ref (num - (!qhat * vtop)) in
+    while
+      !rhat < limb_base
+      && (!qhat >= limb_base
+         || !qhat * vnext > (!rhat lsl limb_bits) + u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* D4: u[j..j+n] -= qhat * v.  [k] carries the product's high limb
+       plus the borrow. *)
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let p = !qhat * v.(i) in
+      let t = u.(i + j) - !k - (p land limb_mask) in
+      u.(i + j) <- t land limb_mask;
+      k := (p lsr limb_bits) - (t asr limb_bits)
+    done;
+    let top = u.(j + n) - !k in
+    if top >= 0 then begin
+      q.(j) <- !qhat;
+      u.(j + n) <- top
+    end
+    else begin
+      (* D6: the estimate was one too large (probability about 2/2^26):
+         add the divisor back.  The carry out cancels the borrow. *)
+      q.(j) <- !qhat - 1;
+      let c = ref 0 in
+      for i = 0 to n - 1 do
+        let t = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- t land limb_mask;
+        c := t lsr limb_bits
+      done;
+      u.(j + n) <- top + !c
+    end
+  done;
+  (* D8: the remainder is u[0..n-1] scaled down by 2^s. *)
+  let r =
+    Array.init n (fun i ->
+        (u.(i) lsr s) lor ((u.(i + 1) lsl (limb_bits - s)) land limb_mask))
+  in
+  (normalize q, normalize r)
+
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
-  else begin
-    let bits_a = bit_length a in
-    let q = Array.make (Array.length a) 0 in
-    let r = ref zero in
-    for i = bits_a - 1 downto 0 do
-      r := shift_left !r 1;
-      if testbit a i then r := add !r one;
-      if compare !r b >= 0 then begin
-        r := sub !r b;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end
-    done;
-    (normalize q, !r)
-  end
+  else if Array.length b = 1 then divmod_limb a b.(0)
+  else divmod_knuth a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -198,10 +267,24 @@ let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
 (* Conversions. *)
 
+(* Both byte codecs are linear: a limb holds 26 bits of at most five
+   bytes, and a byte takes bits from at most two limbs. *)
 let of_bytes_be (s : string) : t =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nbits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !nbits);
+    nbits := !nbits + 8;
+    if !nbits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      nbits := !nbits - limb_bits;
+      incr k
+    end
+  done;
+  if !nbits > 0 then r.(!k) <- !acc;
+  normalize r
 
 let to_bytes_be ?length (a : t) : string =
   let nbytes = (bit_length a + 7) / 8 in
@@ -212,16 +295,14 @@ let to_bytes_be ?length (a : t) : string =
         if w < nbytes then invalid_arg "Nat.to_bytes_be: value too wide";
         w
   in
+  let la = Array.length a in
   let out = Bytes.make width '\000' in
-  let rec fill v i =
-    if not (is_zero v) && i >= 0 then begin
-      let q, r = (shift_right v 8, rem v (of_int 256)) in
-      let byte = match to_int_opt r with Some x -> x | None -> assert false in
-      Bytes.set out i (Char.chr byte);
-      fill q (i - 1)
-    end
-  in
-  fill a (width - 1);
+  for i = 0 to nbytes - 1 do
+    let l = 8 * i / limb_bits and off = 8 * i mod limb_bits in
+    let hi = if l + 1 < la then a.(l + 1) lsl (limb_bits - off) else 0 in
+    Bytes.unsafe_set out (width - 1 - i)
+      (Char.unsafe_chr (((a.(l) lsr off) lor hi) land 0xff))
+  done;
   Bytes.unsafe_to_string out
 
 let of_hex s = of_bytes_be (Fbsr_util.Hex.decode (if String.length s mod 2 = 1 then "0" ^ s else s))
@@ -265,9 +346,20 @@ module Mont = struct
     m : int array; (* modulus limbs, length n, m odd *)
     n : int;
     m' : int; (* -m^{-1} mod 2^26 *)
-    r2 : t; (* R^2 mod m, R = 2^(26n) *)
+    r2 : int array; (* R^2 mod m in n limbs, R = 2^(26n) *)
     m_nat : t;
   }
+
+  (* Residues inside this module are arrays of exactly [n] limbs holding a
+     value below m, so the product loop needs no bounds tests.  Having one
+     width, two residues are equal iff [equal] says so. *)
+  let pad n (a : t) =
+    if Array.length a = n then a
+    else begin
+      let r = Array.make n 0 in
+      Array.blit a 0 r 0 (Array.length a);
+      r
+    end
 
   (* Inverse of an odd value mod 2^26 by Newton/Hensel lifting. *)
   let inv_limb m0 =
@@ -283,83 +375,84 @@ module Mont = struct
     let n = Array.length m_nat in
     let m = Array.copy m_nat in
     let m' = limb_base - inv_limb m.(0) in
-    let r = shift_left one (limb_bits * n) in
-    let r2 = rem (mul r r) m_nat in
+    let r2 = pad n (rem (shift_left one (2 * limb_bits * n)) m_nat) in
     { m; n; m'; r2; m_nat }
 
-  (* Montgomery product: returns a*b*R^{-1} mod m.  Inputs are limb arrays
-     of length <= n (logical value < m). *)
+  (* Montgomery product a*b*R^{-1} mod m, coarsely integrated operand
+     scanning (CIOS): each outer step adds a_i*b and u*m in one pass over
+     the limbs and shifts down one limb as it stores.  Every sum stays
+     below 2^54: t_j < 2^26, both products < 2^52, the carry < 2^28.  The
+     running value stays below 2m, so one subtraction reduces it. *)
   let mont_mul ctx (a : int array) (b : int array) : int array =
-    let n = ctx.n in
-    let m = ctx.m and m' = ctx.m' in
-    let t = Array.make (n + 2) 0 in
-    let la = Array.length a and lb = Array.length b in
+    let n = ctx.n and m = ctx.m and m' = ctx.m' in
+    let t = Array.make (n + 1) 0 in
+    let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
     for i = 0 to n - 1 do
-      let ai = if i < la then a.(i) else 0 in
-      (* t += ai * b *)
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let bj = if j < lb then b.(j) else 0 in
-        let s = t.(j) + (ai * bj) + !c in
-        t.(j) <- s land limb_mask;
-        c := s lsr limb_bits
-      done;
-      let s = t.(n) + !c in
-      t.(n) <- s land limb_mask;
-      t.(n + 1) <- t.(n + 1) + (s lsr limb_bits);
-      (* u = t0 * m' mod base; t += u * m; t >>= limb_bits *)
-      let u = t.(0) * m' land limb_mask in
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let s = t.(j) + (u * m.(j)) + !c in
-        t.(j) <- s land limb_mask;
-        c := s lsr limb_bits
-      done;
-      let s = t.(n) + !c in
-      t.(n) <- s land limb_mask;
-      t.(n + 1) <- t.(n + 1) + (s lsr limb_bits);
-      (* shift down one limb; t.(0) is now zero by construction *)
-      for j = 0 to n do
-        t.(j) <- t.(j + 1)
-      done;
-      t.(n + 1) <- 0
-    done;
-    let res = normalize (Array.sub t 0 (n + 1)) in
-    if compare res ctx.m_nat >= 0 then sub res ctx.m_nat else res
-
-  let to_mont ctx a = mont_mul ctx a ctx.r2
-  let from_mont ctx a = mont_mul ctx a one
-
-  (* Left-to-right square-and-multiply with 4-bit windows. *)
-  let pow ctx (base : t) (e : t) : t =
-    if is_zero e then rem one ctx.m_nat
-    else begin
-      let base = rem base ctx.m_nat in
-      let bm = to_mont ctx base in
-      (* Precompute bm^0..bm^15 in Montgomery form. *)
-      let table = Array.make 16 [||] in
-      table.(0) <- to_mont ctx one;
-      for i = 1 to 15 do
-        table.(i) <- mont_mul ctx table.(i - 1) bm
-      done;
-      let bits = bit_length e in
-      (* Process exponent in 4-bit windows from the top. *)
-      let nwin = (bits + 3) / 4 in
-      let acc = ref table.(0) in
-      for w = nwin - 1 downto 0 do
-        for _ = 1 to 4 do
-          acc := mont_mul ctx !acc !acc
-        done;
-        let nib =
-          (if testbit e ((4 * w) + 3) then 8 else 0)
-          lor (if testbit e ((4 * w) + 2) then 4 else 0)
-          lor (if testbit e ((4 * w) + 1) then 2 else 0)
-          lor if testbit e (4 * w) then 1 else 0
+      let ai = Array.unsafe_get a i in
+      let s = Array.unsafe_get t 0 + (ai * b0) in
+      let u = (s land limb_mask) * m' land limb_mask in
+      let c = ref ((s + (u * m0)) lsr limb_bits) in
+      for j = 1 to n - 1 do
+        let s =
+          Array.unsafe_get t j
+          + (ai * Array.unsafe_get b j)
+          + (u * Array.unsafe_get m j)
+          + !c
         in
-        if nib <> 0 then acc := mont_mul ctx !acc table.(nib)
+        Array.unsafe_set t (j - 1) (s land limb_mask);
+        c := s lsr limb_bits
       done;
-      from_mont ctx !acc
+      let s = Array.unsafe_get t n + !c in
+      Array.unsafe_set t (n - 1) (s land limb_mask);
+      Array.unsafe_set t n (s lsr limb_bits)
+    done;
+    let rec below_m j =
+      j >= 0 && if t.(j) <> m.(j) then t.(j) < m.(j) else below_m (j - 1)
+    in
+    if t.(n) = 0 && below_m (n - 1) then Array.sub t 0 n
+    else begin
+      let r = Array.make n 0 and borrow = ref 0 in
+      for j = 0 to n - 1 do
+        let d = t.(j) - m.(j) - !borrow in
+        r.(j) <- d land limb_mask;
+        borrow := -(d asr limb_bits)
+      done;
+      r
     end
+
+  let to_mont ctx a = mont_mul ctx (pad ctx.n (rem a ctx.m_nat)) ctx.r2
+  let from_mont ctx a = normalize (mont_mul ctx a (pad ctx.n one))
+
+  (* base^e in Montgomery form, e > 0: left-to-right square-and-multiply
+     with 4-bit windows. *)
+  let pow_mont ctx (base : t) (e : t) : int array =
+    let bm = to_mont ctx base in
+    (* Precompute bm^0..bm^15 in Montgomery form. *)
+    let table = Array.make 16 [||] in
+    table.(0) <- to_mont ctx one;
+    for i = 1 to 15 do
+      table.(i) <- mont_mul ctx table.(i - 1) bm
+    done;
+    let bits = bit_length e in
+    (* Process exponent in 4-bit windows from the top. *)
+    let nwin = (bits + 3) / 4 in
+    let acc = ref table.(0) in
+    for w = nwin - 1 downto 0 do
+      for _ = 1 to 4 do
+        acc := mont_mul ctx !acc !acc
+      done;
+      let nib =
+        (if testbit e ((4 * w) + 3) then 8 else 0)
+        lor (if testbit e ((4 * w) + 2) then 4 else 0)
+        lor (if testbit e ((4 * w) + 1) then 2 else 0)
+        lor if testbit e (4 * w) then 1 else 0
+      in
+      if nib <> 0 then acc := mont_mul ctx !acc table.(nib)
+    done;
+    !acc
+
+  let pow ctx (base : t) (e : t) : t =
+    if is_zero e then rem one ctx.m_nat else from_mont ctx (pow_mont ctx base e)
 end
 
 let mod_pow base e m =
@@ -449,17 +542,20 @@ let is_probably_prime ?(rounds = 20) rng n =
       d := shift_right !d 1;
       incr s
     done;
+    (* The witness loop runs in the Montgomery domain, where 1 and n-1
+       have fixed images and squaring needs no division. *)
     let ctx = Mont.make n in
+    let one_m = Mont.to_mont ctx one and n1_m = Mont.to_mont ctx n1 in
     let witness a =
       (* true iff a witnesses compositeness *)
-      let x = ref (Mont.pow ctx a !d) in
-      if is_one !x || equal !x n1 then false
+      let x = ref (Mont.pow_mont ctx a !d) in
+      if equal !x one_m || equal !x n1_m then false
       else begin
         let composite = ref true in
         (try
            for _ = 1 to !s - 1 do
-             x := rem (mul !x !x) n;
-             if equal !x n1 then begin
+             x := Mont.mont_mul ctx !x !x;
+             if equal !x n1_m then begin
                composite := false;
                raise Exit
              end

@@ -41,7 +41,6 @@ type t = {
   local : Principal.t;
   group : Fbsr_crypto.Dh.group;
   private_value : Fbsr_crypto.Dh.private_value;
-  public_value : Fbsr_crypto.Dh.public_value;
   ca_public : Fbsr_crypto.Rsa.public_key;
   ca_hash : Fbsr_crypto.Hash.t;
   resolver : resolver;
@@ -75,7 +74,6 @@ let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () 
     local;
     group;
     private_value;
-    public_value = Fbsr_crypto.Dh.public group private_value;
     ca_public;
     ca_hash;
     resolver;
@@ -91,7 +89,6 @@ let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () 
 
 let local t = t.local
 let group t = t.group
-let public_value t = t.public_value
 let last_resolution t = t.last_resolution
 let counters t = t.counters
 let pvc t = t.pvc

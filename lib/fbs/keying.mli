@@ -36,7 +36,6 @@ val create :
 
 val local : t -> Principal.t
 val group : t -> Fbsr_crypto.Dh.group
-val public_value : t -> Fbsr_crypto.Dh.public_value
 val counters : t -> counters
 val pvc : t -> (string, Fbsr_cert.Certificate.t) Cache.t
 

@@ -1,8 +1,10 @@
 (* Tests for the arbitrary-precision naturals underlying Diffie-Hellman and
    RSA: ring laws, division invariants, Montgomery exponentiation, modular
-   inverse, primality. *)
+   inverse, primality, and the division, codec and Montgomery kernels
+   against the [Nat_ref] oracle at key sizes. *)
 
 open Fbsr_bignum
+module Nat_ref = Fbsr_oracles.Nat_ref
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -123,14 +125,6 @@ let prop_testbit =
 
 (* --- Modular exponentiation --- *)
 
-let naive_mod_pow base e m =
-  let result = ref (Nat.rem Nat.one m) in
-  for i = Nat.bit_length e - 1 downto 0 do
-    result := Nat.rem (Nat.mul !result !result) m;
-    if Nat.testbit e i then result := Nat.rem (Nat.mul !result base) m
-  done;
-  !result
-
 let prop_mod_pow_vs_naive =
   QCheck.Test.make ~name:"Montgomery mod_pow = naive" ~count:50
     QCheck.(triple arb_small arb_small arb_small)
@@ -138,7 +132,7 @@ let prop_mod_pow_vs_naive =
       QCheck.assume (Nat.compare m Nat.two > 0);
       (* Force odd modulus to exercise the Montgomery path. *)
       let m = if Nat.testbit m 0 then m else Nat.add m Nat.one in
-      Nat.equal (Nat.mod_pow base e m) (naive_mod_pow base e m))
+      Nat.equal (Nat.mod_pow base e m) (Nat_ref.mod_pow base e m))
 
 let prop_mod_pow_even_modulus =
   QCheck.Test.make ~name:"mod_pow handles even modulus" ~count:50
@@ -146,7 +140,7 @@ let prop_mod_pow_even_modulus =
     (fun (base, e, m) ->
       QCheck.assume (Nat.compare m Nat.two > 0);
       let m = if Nat.testbit m 0 then Nat.add m Nat.one else m in
-      Nat.equal (Nat.mod_pow base e m) (naive_mod_pow base e m))
+      Nat.equal (Nat.mod_pow base e m) (Nat_ref.mod_pow base e m))
 
 let test_fermat () =
   (* a^(p-1) = 1 mod p for prime p not dividing a. *)
@@ -158,11 +152,11 @@ let test_fermat () =
     [ 2; 3; 12345; 999999937 ]
 
 let test_mod_pow_large () =
-  (* 2^(2^16) mod a 128-bit odd modulus, cross-checked with the naive
+  (* 2^(2^16) mod a 128-bit odd modulus, cross-checked with the oracle's naive
      square-and-reduce loop. *)
   let m = Nat.of_hex "f0000000000000000000000000000001" in
   let e = Nat.shift_left Nat.one 16 in
-  check nat "large modexp" (naive_mod_pow Nat.two e m) (Nat.mod_pow Nat.two e m)
+  check nat "large modexp" (Nat_ref.mod_pow Nat.two e m) (Nat.mod_pow Nat.two e m)
 
 (* --- Modular inverse and gcd --- *)
 
@@ -230,6 +224,190 @@ let prop_random_below =
       let rng = Fbsr_util.Rng.create seed in
       Nat.compare (Nat.random_below rng bound) bound < 0)
 
+(* --- Differential: kernels vs the Nat_ref oracle at key sizes --- *)
+
+let limb_base = 1 lsl 26
+
+(* Build a value from little-endian 26-bit limbs with ring operations
+   only, so generated inputs do not depend on the codecs under test. *)
+let of_limbs limbs =
+  List.fold_right (fun l acc -> Nat.add (Nat.shift_left acc 26) (Nat.of_int l)) limbs
+    Nat.zero
+
+(* Limbs biased toward the values that stress quotient estimation and
+   carries: zero, one, the half-base bit and all ones. *)
+let gen_limb =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, int_bound (limb_base - 1));
+        (1, return 0);
+        (1, return 1);
+        (1, return (limb_base / 2));
+        (1, return (limb_base - 1));
+      ])
+
+(* A value of exactly [n] limbs (top limb nonzero). *)
+let gen_limbs n =
+  QCheck.Gen.(
+    map2 (fun low top -> of_limbs (low @ [ top ])) (list_repeat (n - 1) gen_limb)
+      (map (fun l -> max l 1) gen_limb))
+
+(* A value of at most [bits] bits. *)
+let gen_bits bits =
+  QCheck.Gen.(
+    map
+      (fun v -> Nat.shift_right v ((((bits + 25) / 26) * 26) - bits))
+      (gen_limbs ((bits + 25) / 26)))
+
+let print_pair (a, b) = Nat.to_hex a ^ " / " ^ Nat.to_hex b
+
+let agrees_with_oracle a b =
+  let q, r = Nat.divmod a b and q', r' = Nat_ref.divmod a b in
+  Nat.equal q q' && Nat.equal r r'
+
+(* Divisors of 1-80 limbs; dividends up to 2048 bits wider than the
+   divisor, so one- to many-limb quotients all occur. *)
+let arb_divmod =
+  QCheck.make ~print:print_pair
+    QCheck.Gen.(
+      int_range 1 80 >>= fun n ->
+      gen_limbs n >>= fun b ->
+      int_range 1 (Nat.bit_length b + 2048) >>= fun bits ->
+      map (fun a -> (a, b)) (gen_bits bits))
+
+let prop_divmod_vs_oracle =
+  QCheck.Test.make ~name:"divmod = bit-serial oracle (1-80 limbs)" ~count:300 arb_divmod
+    (fun (a, b) -> agrees_with_oracle a b)
+
+(* Vectors that force Algorithm D's add-back step.  The divisor v is
+   normalized (top limb >= 2^25) with n >= 3 limbs and low limb v0 > 0.
+   The partial remainder q*(v - v0) at limb k agrees with q*v in its top
+   limbs, so the two-limb estimate is q while the true quotient limb is
+   q - 1. *)
+let arb_add_back =
+  QCheck.make ~print:print_pair
+    QCheck.Gen.(
+      int_range 3 80 >>= fun n ->
+      list_repeat (n - 2) gen_limb >>= fun mid ->
+      int_range (limb_base / 2) (limb_base - 1) >>= fun top ->
+      int_range 1 (limb_base / 2) >>= fun v0 ->
+      int_range 2 (limb_base - 1) >>= fun q ->
+      int_range 0 3 >>= fun k ->
+      list_repeat k gen_limb >>= fun low ->
+      let v = of_limbs ((v0 :: mid) @ [ top ]) in
+      let head = Nat.mul (Nat.of_int q) (Nat.sub v (Nat.of_int v0)) in
+      return (Nat.add (Nat.shift_left head (26 * k)) (of_limbs low), v))
+
+let prop_divmod_add_back =
+  QCheck.Test.make ~name:"divmod add-back vectors = oracle" ~count:200 arb_add_back
+    (fun (a, b) -> agrees_with_oracle a b)
+
+let test_divmod_add_back_fixed () =
+  (* v = 2^77 + (2^26 - 1), u = (2^26 - 1) * (v - v0): the estimate is
+     2^26 - 1 and the quotient 2^26 - 2. *)
+  let v0 = limb_base - 1 in
+  let v = of_limbs [ v0; 0; limb_base / 2 ] in
+  let u = Nat.mul (Nat.of_int (limb_base - 1)) (Nat.sub v (Nat.of_int v0)) in
+  let q, r = Nat.divmod u v in
+  check nat "quotient" (Nat.of_int (limb_base - 2)) q;
+  check nat "remainder" (Nat.sub v (Nat.mul (Nat.of_int (limb_base - 1)) (Nat.of_int v0))) r;
+  check Alcotest.bool "oracle" true (agrees_with_oracle u v)
+
+(* Byte strings up to 256 bytes, with runs of leading zero bytes. *)
+let gen_bytes =
+  QCheck.Gen.(
+    map2 (fun zeros s -> String.make zeros '\000' ^ s) (int_range 0 4)
+      (string_size ~gen:char (int_range 0 252)))
+
+let prop_of_bytes_vs_oracle =
+  QCheck.Test.make ~name:"of_bytes_be = byte-at-a-time oracle" ~count:300
+    (QCheck.make ~print:Fbsr_util.Hex.encode gen_bytes) (fun s ->
+      Nat.equal (Nat.of_bytes_be s) (Nat_ref.of_bytes_be s))
+
+(* The oracle's codec divides once per byte, so it runs on values up to
+   the 1024-bit DH width; the round trip runs up to 2048 bits. *)
+let arb_padded max_bits =
+  QCheck.make
+    ~print:(fun (a, pad) -> Printf.sprintf "%s +%d" (Nat.to_hex a) pad)
+    QCheck.Gen.(pair (int_range 1 max_bits >>= gen_bits) (int_range 0 9))
+
+let prop_to_bytes_vs_oracle =
+  QCheck.Test.make ~name:"to_bytes_be (~length) = oracle" ~count:60 (arb_padded 1024)
+    (fun (a, pad) ->
+      let width = ((Nat.bit_length a + 7) / 8) + pad in
+      String.equal (Nat.to_bytes_be ~length:width a) (Nat_ref.to_bytes_be ~length:width a)
+      && String.equal (Nat.to_bytes_be a) (Nat_ref.to_bytes_be a))
+
+let prop_bytes_roundtrip_wide =
+  QCheck.Test.make ~name:"to_bytes_be ~length round-trips (2048 bits)" ~count:300
+    (arb_padded 2048) (fun (a, pad) ->
+      let width = ((Nat.bit_length a + 7) / 8) + pad in
+      let s = Nat.to_bytes_be ~length:width a in
+      String.length s = width
+      && String.for_all (Char.equal '\000') (String.sub s 0 pad)
+      && Nat.equal a (Nat.of_bytes_be s))
+
+let test_to_bytes_widths () =
+  check Alcotest.string "zero" "00" (Fbsr_util.Hex.encode (Nat.to_bytes_be Nat.zero));
+  check Alcotest.string "zero padded" "000000"
+    (Fbsr_util.Hex.encode (Nat.to_bytes_be ~length:3 Nat.zero));
+  check Alcotest.string "zero width" "" (Nat.to_bytes_be ~length:0 Nat.zero);
+  (* 2^208 - 1: 26 bytes, exactly 8 limbs. *)
+  let v = Nat.sub (Nat.shift_left Nat.one 208) Nat.one in
+  check Alcotest.string "limb-aligned" (String.make 26 '\255') (Nat.to_bytes_be v);
+  check Alcotest.string "limb-aligned padded"
+    ("\000\000" ^ String.make 26 '\255')
+    (Nat.to_bytes_be ~length:28 v);
+  check nat "leading zeros ignored" v (Nat.of_bytes_be ("\000\000" ^ String.make 26 '\255'))
+
+(* Odd moduli of exactly [bits] bits; bases up to a limb wider than the
+   modulus, so [pow] reduces them first; exponents 0, 1 or up to 128 bits,
+   which keeps the oracle's bit-serial reductions affordable. *)
+let arb_mont bits =
+  let top = Nat.shift_left Nat.one (bits - 1) in
+  QCheck.make
+    ~print:(fun (m, b, e) -> String.concat " " (List.map Nat.to_hex [ m; b; e ]))
+    QCheck.Gen.(
+      triple
+        (map
+           (fun m ->
+             let m = if Nat.testbit m (bits - 1) then m else Nat.add m top in
+             if Nat.testbit m 0 then m else Nat.add m Nat.one)
+           (gen_bits bits))
+        (int_range 1 (bits + 26) >>= gen_bits)
+        (frequency
+           [ (1, return Nat.zero); (1, return Nat.one); (6, int_range 1 128 >>= gen_bits) ]))
+
+let prop_mont_pow_vs_oracle bits count =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "Mont.pow = oracle (%d-bit modulus)" bits)
+    ~count (arb_mont bits) (fun (m, b, e) ->
+      Nat.equal (Nat.Mont.pow (Nat.Mont.make m) b e) (Nat_ref.mod_pow b e m))
+
+let test_mont_pow_known_moduli () =
+  (* 2^61 - 1 and the Oakley group 2 prime; Fermat's little theorem
+     checks a full-width exponent. *)
+  let m61 = Nat.of_hex "1fffffffffffffff" in
+  let e61 = Nat.of_hex "1234567890abcdef" in
+  check nat "mersenne 61" (Nat_ref.mod_pow (Nat.of_int 3) e61 m61)
+    (Nat.Mont.pow (Nat.Mont.make m61) (Nat.of_int 3) e61);
+  let p =
+    Nat.of_hex
+      ("ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd1"
+     ^ "29024e088a67cc74020bbea63b139b22514a08798e3404dd"
+     ^ "ef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245"
+     ^ "e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+     ^ "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece65381"
+     ^ "ffffffffffffffff")
+  in
+  let b = Nat.of_hex "deadbeefcafef00d0123456789" in
+  let e = Nat.shift_right p 768 in
+  check nat "oakley2 256-bit exponent" (Nat_ref.mod_pow b e p)
+    (Nat.Mont.pow (Nat.Mont.make p) b e);
+  check nat "oakley2 fermat" Nat.one
+    (Nat.Mont.pow (Nat.Mont.make p) b (Nat.sub p Nat.one))
+
 let () =
   Alcotest.run "bignum"
     [
@@ -270,6 +448,22 @@ let () =
           Alcotest.test_case "no inverse" `Quick test_mod_inv_no_inverse;
           qtest prop_mod_inv;
           qtest prop_gcd;
+        ] );
+      ( "vs-oracle",
+        [
+          qtest prop_divmod_vs_oracle;
+          qtest prop_divmod_add_back;
+          Alcotest.test_case "divmod add-back (fixed vector)" `Quick
+            test_divmod_add_back_fixed;
+          qtest prop_of_bytes_vs_oracle;
+          qtest prop_to_bytes_vs_oracle;
+          qtest prop_bytes_roundtrip_wide;
+          Alcotest.test_case "to_bytes_be widths" `Quick test_to_bytes_widths;
+          qtest (prop_mont_pow_vs_oracle 61 100);
+          qtest (prop_mont_pow_vs_oracle 384 30);
+          qtest (prop_mont_pow_vs_oracle 768 15);
+          qtest (prop_mont_pow_vs_oracle 1024 10);
+          Alcotest.test_case "Mont.pow on known moduli" `Quick test_mont_pow_known_moduli;
         ] );
       ( "primality",
         [

@@ -1116,6 +1116,44 @@ let prop_rsa_crt_consistent =
       let m = Fbsr_bignum.Nat.of_int m in
       Fbsr_bignum.Nat.equal m (Rsa.public_op (Rsa.public_key key) (Rsa.private_op key m)))
 
+(* --- Pinned outputs ---
+   Byte-exact outputs of the keying primitives, recorded before the bignum
+   kernels were rewritten: a faster division, codec or Montgomery product
+   must not change a single key, certificate or signature. *)
+
+let md5_hex s = hex (Md5.digest s)
+
+let pinned_key = lazy (Rsa.generate (Fbsr_util.Rng.create 19) ~bits:768)
+
+let test_pinned_rsa_generate () =
+  let pub = Rsa.public_key (Lazy.force pinned_key) in
+  check Alcotest.string "modulus md5" "776e3149e3aea2e74bcc99cc8b01af55"
+    (md5_hex (Fbsr_bignum.Nat.to_bytes_be pub.Rsa.n))
+
+let test_pinned_rsa_sign () =
+  let key = Lazy.force pinned_key in
+  let s = Rsa.sign key ~hash:Hash.md5 "pinned message" in
+  check Alcotest.string "signature md5" "e4509eeb28833c3c4d46b8e014519604" (md5_hex s);
+  check Alcotest.bool "verifies" true
+    (Rsa.verify (Rsa.public_key key) ~hash:Hash.md5 "pinned message" ~signature:s)
+
+let test_pinned_testbed_ca () =
+  let tb = Fbsr_fbs_ip.Testbed.create () in
+  let ca = Fbsr_cert.Authority.public (Fbsr_fbs_ip.Testbed.authority tb) in
+  check Alcotest.string "CA modulus md5" "ae7de10292d5627a9178de4b0ac31d87"
+    (md5_hex (Fbsr_bignum.Nat.to_bytes_be ca.Rsa.n))
+
+let test_pinned_dh_shared () =
+  let g = Lazy.force Dh.oakley2 in
+  let rng = Fbsr_util.Rng.create 29 in
+  let a = Dh.gen_private g rng and b = Dh.gen_private g rng in
+  check Alcotest.string "oakley2 shared md5" "fc48f6ba54bc927314acc79986a8389a"
+    (md5_hex (Dh.shared_bytes g a (Dh.public g b)))
+
+let test_pinned_bbs () =
+  let bbs = Bbs.create ~modulus_bits:256 (Fbsr_util.Rng.create 31) ~seed:"pinned seed" in
+  check Alcotest.string "16 bytes" "5ab19631ebbe4fcf1e9e427d556c9fb5" (hex (Bbs.bytes bbs 16))
+
 let () =
   Alcotest.run "crypto"
     [
@@ -1235,6 +1273,14 @@ let () =
           Alcotest.test_case "rejects bad public values" `Quick test_dh_rejects_bad_public;
           Alcotest.test_case "generated safe-prime group" `Quick test_dh_generated_group;
           Alcotest.test_case "public bytes roundtrip" `Quick test_dh_public_bytes_roundtrip;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "Rsa.generate 768 modulus" `Quick test_pinned_rsa_generate;
+          Alcotest.test_case "Rsa.sign 768" `Quick test_pinned_rsa_sign;
+          Alcotest.test_case "Testbed CA key" `Quick test_pinned_testbed_ca;
+          Alcotest.test_case "Dh.shared_bytes oakley2" `Quick test_pinned_dh_shared;
+          Alcotest.test_case "Bbs.bytes" `Quick test_pinned_bbs;
         ] );
       ( "rsa",
         [
