@@ -86,6 +86,11 @@ let bs_jobs =
 
 let des_ct_1460 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram
 
+(* The imix 576-byte datagram as FBS encrypts it: 576 payload bytes
+   behind an 8-byte UDP header pad to 74 blocks, so 73 go to lanes (one
+   full pass and a 10-lane tail). *)
+let des_ct_576 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key (String.sub datagram 0 584)
+
 let es_nop, _, _, attrs_nop, _ = fbs_fixture suite_nop ~secret:true
 
 let es_auth, ed_auth, src_auth, attrs_auth, wire_auth =
@@ -163,6 +168,13 @@ let crypto_tests =
         (stage (fun () ->
              Fbsr_crypto.Des_bitslice.decrypt_cbc_sub ~iv des_key ~src:des_ct_1460
                ~pos:0 ~len:(String.length des_ct_1460)));
+      Test.make ~name:"des-bitsliced-decrypt-576B"
+        (stage (fun () ->
+             Fbsr_crypto.Des_bitslice.decrypt_cbc_sub ~iv des_key ~src:des_ct_576
+               ~pos:0 ~len:(String.length des_ct_576)));
+      (* The expansion every TFKC/RFKC miss pays under the DES suites. *)
+      Test.make ~name:"des-key-schedule"
+        (stage (fun () -> Fbsr_crypto.Des.of_string "k3yk3yk3"));
       Test.make ~name:"sha1-1460B" (stage (fun () -> Fbsr_crypto.Sha1.digest datagram));
       Test.make ~name:"prefix-mac-md5-1460B"
         (stage (fun () ->

@@ -555,7 +555,12 @@ let encrypt_cbc_jobs ?(threshold = default_threshold) jobs =
 (* --- CBC decrypt primitives (shared by the single-ciphertext and
        cross-flow batched paths) --- *)
 
-let decrypt_threshold = 16
+(* A bitsliced pass costs about the same at any occupancy (the four
+   transposes and sixteen gate-network rounds run over every lane), so
+   it pays only once it replaces at least [pass cost / scalar block
+   cost] table-driven blocks: 7.9-11.7 us against 0.215-0.26 us on a
+   2-core x86-64 box, a quotient of 37-45 (DESIGN.md §6c). *)
+let break_even_lanes = 44
 
 (* Scalar-decrypt the final block of the [nb]-block ciphertext at
    [src/pos], xor with the preceding ciphertext block (the IV words for
@@ -599,35 +604,66 @@ let write_final_tail out ~off lh ll ~padding =
     Bytes.unsafe_set out (off + j) (Char.unsafe_chr b)
   done
 
-(* Decrypt full blocks 0..nfull-1 of the ciphertext at [src/pos] across
-   lanes (keys already loaded into [s], typically broadcast), xoring
-   each result with its predecessor ciphertext block (the IV words for
-   block 0) into [out].  Decrypt has no cross-block dependency, so lanes
-   are consecutive blocks of one ciphertext. *)
-let dec_blocks_lanes s ~src ~pos ~iv_hi ~iv_lo ~nfull ~(out : Bytes.t) =
+(* Decrypt full blocks [first..last] of the ciphertext at [src/pos]
+   with the table-driven kernel, xoring each with its predecessor
+   ciphertext block (the IV words for block 0) into [out]. *)
+let dec_blocks_scalar io kd ~src ~pos ~iv_hi ~iv_lo ~first ~last ~(out : Bytes.t) =
+  for i = first to last do
+    let sp = pos + (i * 8) in
+    io.(0) <- Des_kernel.read32 src sp;
+    io.(1) <- Des_kernel.read32 src (sp + 4);
+    Des_kernel.ip io;
+    Des_kernel.rounds kd io;
+    Des_kernel.fp io;
+    let ph, pl =
+      if i = 0 then (iv_hi, iv_lo)
+      else (Des_kernel.read32 src (sp - 8), Des_kernel.read32 src (sp - 4))
+    in
+    Des_kernel.write32 out (i * 8) (io.(0) lxor ph);
+    Des_kernel.write32 out ((i * 8) + 4) (io.(1) lxor pl)
+  done
+
+(* Decrypt full blocks 0..nfull-1 of the ciphertext at [src/pos] under
+   the decrypt schedule [kd], in passes of up to [lanes] consecutive
+   blocks (decrypt has no cross-block dependency).  A pass that fills at
+   least [min_lanes] lanes runs bitsliced under the broadcast key, loaded
+   before the first such pass; a shorter one (only ever the last) runs
+   its blocks scalar.  Returns the number of blocks decrypted
+   bitsliced. *)
+let dec_blocks_lanes s kd ~min_lanes ~src ~pos ~iv_hi ~iv_lo ~nfull
+    ~(out : Bytes.t) =
+  let bitsliced = ref 0 in
   let base = ref 0 in
   while !base < nfull do
     let b0 = !base in
     let g = min lanes (nfull - b0) in
-    clear_lanes s;
-    for l = 0 to g - 1 do
-      let sp = pos + ((b0 + l) * 8) in
-      set_lane s l (Des_kernel.read32 src sp) (Des_kernel.read32 src (sp + 4))
-    done;
-    des_pass s;
-    for l = 0 to g - 1 do
-      let i = b0 + l in
-      let ph, pl =
-        if i = 0 then (iv_hi, iv_lo)
-        else
-          let pp = pos + ((i - 1) * 8) in
-          (Des_kernel.read32 src pp, Des_kernel.read32 src (pp + 4))
-      in
-      Des_kernel.write32 out (i * 8) (lane_hi s l lxor ph);
-      Des_kernel.write32 out ((i * 8) + 4) (lane_lo s l lxor pl)
-    done;
+    if g < min_lanes then
+      dec_blocks_scalar s.io2 kd ~src ~pos ~iv_hi ~iv_lo ~first:b0
+        ~last:(b0 + g - 1) ~out
+    else begin
+      if !bitsliced = 0 then load_keys_broadcast s kd;
+      clear_lanes s;
+      for l = 0 to g - 1 do
+        let sp = pos + ((b0 + l) * 8) in
+        set_lane s l (Des_kernel.read32 src sp) (Des_kernel.read32 src (sp + 4))
+      done;
+      des_pass s;
+      for l = 0 to g - 1 do
+        let i = b0 + l in
+        let ph, pl =
+          if i = 0 then (iv_hi, iv_lo)
+          else
+            let pp = pos + ((i - 1) * 8) in
+            (Des_kernel.read32 src pp, Des_kernel.read32 src (pp + 4))
+        in
+        Des_kernel.write32 out (i * 8) (lane_hi s l lxor ph);
+        Des_kernel.write32 out ((i * 8) + 4) (lane_lo s l lxor pl)
+      done;
+      bitsliced := !bitsliced + g
+    end;
     base := b0 + g
-  done
+  done;
+  !bitsliced
 
 (* --- Cross-flow batched CBC decrypt --- *)
 
@@ -718,38 +754,17 @@ let run_dec_group s (jobs : dec_job array) p g =
   done;
   !total
 
-(* Per-job fallback for under-threshold batches: long ciphertexts still
-   go lane-parallel (blocks as lanes, broadcast key), short ones through
-   the table-driven kernel.  Matches what scalar receive would have done
-   for the same datagram, so a sparse batch never regresses below the
-   unbatched path.  Returns (bitsliced, scalar) block counts. *)
+(* Per-job fallback for under-threshold batches: the job's own blocks
+   as lanes under its broadcast key, each pass bitsliced or scalar by
+   [break_even_lanes] — what scalar receive would have done for the same
+   datagram, so a sparse batch never regresses below the unbatched path.
+   Returns (bitsliced, scalar) block counts. *)
 let run_dec_scalar s (j : dec_job) =
-  if j.nfull = 0 then (0, 0)
-  else if j.nfull >= decrypt_threshold then begin
-    load_keys_broadcast s j.kd;
-    dec_blocks_lanes s ~src:j.d_src ~pos:j.d_pos ~iv_hi:j.div_hi
-      ~iv_lo:j.div_lo ~nfull:j.nfull ~out:j.out;
-    (j.nfull, 0)
-  end
-  else begin
-    let io = s.io2 in
-    for i = 0 to j.nfull - 1 do
-      let sp = j.d_pos + (i * 8) in
-      io.(0) <- Des_kernel.read32 j.d_src sp;
-      io.(1) <- Des_kernel.read32 j.d_src (sp + 4);
-      Des_kernel.ip io;
-      Des_kernel.rounds j.kd io;
-      Des_kernel.fp io;
-      let ph, pl =
-        if i = 0 then (j.div_hi, j.div_lo)
-        else
-          (Des_kernel.read32 j.d_src (sp - 8), Des_kernel.read32 j.d_src (sp - 4))
-      in
-      Des_kernel.write32 j.out (i * 8) (io.(0) lxor ph);
-      Des_kernel.write32 j.out ((i * 8) + 4) (io.(1) lxor pl)
-    done;
-    (0, j.nfull)
-  end
+  let bs =
+    dec_blocks_lanes s j.kd ~min_lanes:break_even_lanes ~src:j.d_src
+      ~pos:j.d_pos ~iv_hi:j.div_hi ~iv_lo:j.div_lo ~nfull:j.nfull ~out:j.out
+  in
+  (bs, j.nfull - bs)
 
 let decrypt_cbc_jobs ?(threshold = default_threshold) jobs =
   let s = Fbsr_util.Domain_shim.local_get scratch in
@@ -772,13 +787,15 @@ let decrypt_cbc_jobs ?(threshold = default_threshold) jobs =
 
 (* --- Single-ciphertext CBC decrypt, blocks as lanes --- *)
 
-let decrypt_cbc_sub ?(threshold = decrypt_threshold) ~iv key ~src ~pos ~len =
+let decrypt_cbc_sub ?(threshold = break_even_lanes) ~iv key ~src ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length src - len then
     invalid_arg "Des_bitslice.decrypt_cbc_sub: bad source range";
   if len = 0 || len mod 8 <> 0 then
     invalid_arg "Des_bitslice.decrypt_cbc_sub: bad length";
   let nb = len / 8 in
-  if nb < threshold || nb < 2 then Des.decrypt_cbc_sub ~iv key ~src ~pos ~len
+  (* No pass would fill [threshold] lanes: the whole ciphertext is the
+     scalar kernel's. *)
+  if nb < 2 || nb - 1 < threshold then Des.decrypt_cbc_sub ~iv key ~src ~pos ~len
   else begin
     if String.length iv <> 8 then
       invalid_arg "Des_bitslice.decrypt_cbc_sub: IV must be 8 bytes";
@@ -789,8 +806,10 @@ let decrypt_cbc_sub ?(threshold = decrypt_threshold) ~iv key ~src ~pos ~len =
        Des.decrypt_cbc_sub so the two paths are drop-in equivalent). *)
     let lh, ll, padding = dec_final_block s.io2 kd ~src ~pos ~nb ~iv_hi ~iv_lo in
     let out = Bytes.create (len - padding) in
-    load_keys_broadcast s kd;
-    dec_blocks_lanes s ~src ~pos ~iv_hi ~iv_lo ~nfull:(nb - 1) ~out;
+    let (_ : int) =
+      dec_blocks_lanes s kd ~min_lanes:threshold ~src ~pos ~iv_hi ~iv_lo
+        ~nfull:(nb - 1) ~out
+    in
     write_final_tail out ~off:((nb - 1) * 8) lh ll ~padding;
     Bytes.unsafe_to_string out
   end

@@ -17,6 +17,12 @@
 val lanes : int
 (** Lanes per pass: 63. *)
 
+val break_even_lanes : int
+(** The fewest lanes a single-key decrypt pass must fill to run
+    bitsliced: a pass costs about the same at any occupancy, so below
+    [pass cost / scalar block cost] lanes the table-driven kernel is
+    cheaper.  Derivation in DESIGN.md §6c. *)
+
 (** {1 Single-block lanes}
 
     Differential-testing entry points: lane [i] processes [blocks.(i)]
@@ -89,13 +95,14 @@ val decrypt_cbc_jobs : ?threshold:int -> dec_job array -> int * int
     {!Des.decrypt_cbc_sub} per job.  Jobs are cut into groups of
     ≤[lanes]; a group of at least [threshold] (default 24) advances
     bitsliced in lockstep under per-lane key schedules.  Smaller groups
-    fall back per job to what scalar receive would have done: long
-    ciphertexts slice their own blocks across broadcast-key lanes,
-    short ones run the table-driven kernel — so a sparse batch never
+    fall back per job to what {!decrypt_cbc_sub} would have done: the
+    job's blocks in passes of ≤[lanes], a pass of at least
+    {!break_even_lanes} bitsliced under the broadcast key and a shorter
+    one through the table-driven kernel — so a sparse batch never
     regresses below the unbatched path.  Returns
-    [(bitsliced_blocks, scalar_blocks)]; final blocks (decrypted at
-    construction) are not counted, so the sum over a run equals the
-    total of per-job full blocks. *)
+    [(bitsliced_blocks, scalar_blocks)], the blocks each kernel ran;
+    final blocks (decrypted at construction) are not counted, so the
+    sum over a run equals the total of per-job full blocks. *)
 
 (** {1 Single-ciphertext CBC decryption} *)
 
@@ -109,6 +116,10 @@ val decrypt_cbc_sub :
   string
 (** Drop-in equivalent of {!Des.decrypt_cbc_sub} (same results, same
     [Invalid_argument] on corrupt padding): decrypts the last block
-    scalar to learn the padding, then slices the remaining blocks
-    across lanes under a broadcast key schedule.  Ciphertexts below
-    [threshold] blocks (default 16) delegate to the scalar kernel. *)
+    scalar to learn the padding, then cuts the remaining blocks into
+    passes of ≤[lanes].  A pass that fills at least [threshold] lanes
+    (default {!break_even_lanes}) runs bitsliced under a broadcast key
+    schedule, loaded once and only if some pass runs; the blocks of a
+    shorter pass run through the table-driven kernel.  A ciphertext
+    with fewer than [threshold] blocks besides the last delegates to
+    {!Des.decrypt_cbc_sub} whole. *)

@@ -15,7 +15,7 @@
      byte position, byte value), ORed over the eight input bytes — 16
      lookups per permutation instead of 64 single-bit gathers.
    - Everything runs on untagged native [int]s holding 32-bit halves; the
-     only [Int64]s left are in the one-time key-schedule derivation.
+     only [Int64]s left are in the module-init table construction.
 
    A block lives in a caller-provided 2-element scratch array [io]
    (io.(0) = high/left word, io.(1) = low/right word), so the mode loops
@@ -103,8 +103,8 @@ let sboxes =
          7; 11;  4;  1;  9; 12; 14;  2;  0;  6; 10; 13; 15;  3;  5;  8;
          2;  1; 14;  7;  4; 10;  8; 13; 15; 12;  9;  0;  3;  5;  6; 11 |] |]
 
-(* Generic bit gather over int64, used only at table-construction and
-   key-schedule time (never per block). *)
+(* Generic bit gather over int64, used only at table-construction time
+   (never per block or per key). *)
 let permute (v : int64) ~width table =
   let out = ref 0L in
   let n = Array.length table in
@@ -224,36 +224,94 @@ let rounds (ks : int array) (io : int array) =
   Array.unsafe_set io 0 r;
   Array.unsafe_set io 1 l
 
-(* Key schedule: PC-1/PC-2 via the generic gather (once per key — the
-   engine caches the result per flow), then each 48-bit subkey packed
-   into the two round words at the feistel shifts. *)
+(* Key schedule, table-driven like the data path.  C||D lives in one
+   56-bit int (C in bits 55..28, D in 27..0).
+
+   - PC-1 is byte-indexed like IP/FP: row [p*256 + v] is the C||D
+     contribution of key byte [p] holding [v] (parity bits never
+     appear in PC-1, so they select nothing).
+   - PC-2 is chunk-indexed: row [j*128 + v] is what C||D bits
+     7j..7j+6 (MSB first) holding [v] contribute to the round's two
+     packed subkey words, pre-shifted to the feistel fields.  One row
+     carries both words, the odd-S-box word in bits 0..31 and the
+     even-S-box word lifted by [kb_lift] (its lowest used bit is 2, so
+     the lifted word spans bits 32..61 and never meets the first;
+     unpacking masks off the first word's bits 30..31, which the shift
+     back down brings into bits 0..1).
+
+   A key costs 8 lookups for PC-1 and 8 per round, against 56 and 48
+   single-bit gathers with the generic permute
+   ([Fbsr_oracles.Des_sched_ref] keeps that version as the oracle). *)
+let kb_lift = 30
+
+let pc1_bytes =
+  let t = Array.make (8 * 256) 0 in
+  Array.iteri
+    (fun i src ->
+      let s = src - 1 in
+      let p = s / 8 and bit = 7 - (s mod 8) in
+      for v = 0 to 255 do
+        if (v lsr bit) land 1 = 1 then
+          t.((p * 256) + v) <- t.((p * 256) + v) lor (1 lsl (55 - i))
+      done)
+    pc1_table;
+  t
+
+let pc2_chunks =
+  let t = Array.make (8 * 128) 0 in
+  Array.iteri
+    (fun i src ->
+      (* subkey bit [i] = C||D bit [src - 1]; it lands in 6-bit chunk
+         [i / 6] of the packed words (see the subkey layout above) *)
+      let s = src - 1 in
+      let j = s / 7 and bit = 6 - (s mod 7) in
+      let chunk = i / 6 in
+      let pos = 26 - (8 * (chunk lsr 1)) + 5 - (i mod 6) in
+      let pos = if chunk land 1 = 0 then pos else pos + kb_lift in
+      for v = 0 to 127 do
+        if (v lsr bit) land 1 = 1 then
+          t.((j * 128) + v) <- t.((j * 128) + v) lor (1 lsl pos)
+      done)
+    pc2_table;
+  t
+
 let schedule (key : string) : int array * int array =
   if String.length key <> 8 then invalid_arg "Des: key must be 8 bytes";
-  let k64 = ref 0L in
-  String.iter
-    (fun c -> k64 := Int64.logor (Int64.shift_left !k64 8) (Int64.of_int (Char.code c)))
-    key;
-  let k56 = permute !k64 ~width:64 pc1_table in
-  let c = ref (Int64.to_int (Int64.shift_right_logical k56 28)) in
-  let d = ref (Int64.to_int (Int64.logand k56 0xfffffffL)) in
-  let rot28 v n = ((v lsl n) lor (v lsr (28 - n))) land 0xfffffff in
-  let ke = Array.make 32 0 in
+  let b i = Char.code (String.unsafe_get key i) in
+  let t = pc1_bytes in
+  let cd =
+    Array.unsafe_get t (b 0)
+    lor Array.unsafe_get t (256 + b 1)
+    lor Array.unsafe_get t (512 + b 2)
+    lor Array.unsafe_get t (768 + b 3)
+    lor Array.unsafe_get t (1024 + b 4)
+    lor Array.unsafe_get t (1280 + b 5)
+    lor Array.unsafe_get t (1536 + b 6)
+    lor Array.unsafe_get t (1792 + b 7)
+  in
+  let c = ref (cd lsr 28) and d = ref (cd land 0xfffffff) in
+  let ke = Array.make 32 0 and kd = Array.make 32 0 in
+  let t = pc2_chunks in
   for round = 0 to 15 do
-    let n = key_shifts.(round) in
-    c := rot28 !c n;
-    d := rot28 !d n;
-    let cd = Int64.logor (Int64.shift_left (Int64.of_int !c) 28) (Int64.of_int !d) in
-    let sk = permute cd ~width:56 pc2_table in
-    let chunk j = Int64.to_int (Int64.shift_right_logical sk (42 - (6 * j))) land 0x3f in
-    ke.(2 * round) <-
-      (chunk 0 lsl 26) lor (chunk 2 lsl 18) lor (chunk 4 lsl 10) lor (chunk 6 lsl 2);
-    ke.((2 * round) + 1) <-
-      (chunk 1 lsl 26) lor (chunk 3 lsl 18) lor (chunk 5 lsl 10) lor (chunk 7 lsl 2)
-  done;
-  let kd = Array.make 32 0 in
-  for round = 0 to 15 do
-    kd.(2 * round) <- ke.(2 * (15 - round));
-    kd.((2 * round) + 1) <- ke.((2 * (15 - round)) + 1)
+    let n = Array.unsafe_get key_shifts round in
+    c := ((!c lsl n) lor (!c lsr (28 - n))) land 0xfffffff;
+    d := ((!d lsl n) lor (!d lsr (28 - n))) land 0xfffffff;
+    let cd = (!c lsl 28) lor !d in
+    let w =
+      Array.unsafe_get t ((cd lsr 49) land 0x7f)
+      lor Array.unsafe_get t (128 + ((cd lsr 42) land 0x7f))
+      lor Array.unsafe_get t (256 + ((cd lsr 35) land 0x7f))
+      lor Array.unsafe_get t (384 + ((cd lsr 28) land 0x7f))
+      lor Array.unsafe_get t (512 + ((cd lsr 21) land 0x7f))
+      lor Array.unsafe_get t (640 + ((cd lsr 14) land 0x7f))
+      lor Array.unsafe_get t (768 + ((cd lsr 7) land 0x7f))
+      lor Array.unsafe_get t (896 + (cd land 0x7f))
+    in
+    let ka = w land 0xffffffff and kb = (w lsr kb_lift) land 0xfffffffc in
+    Array.unsafe_set ke (2 * round) ka;
+    Array.unsafe_set ke ((2 * round) + 1) kb;
+    Array.unsafe_set kd (2 * (15 - round)) ka;
+    Array.unsafe_set kd ((2 * (15 - round)) + 1) kb
   done;
   (ke, kd)
 

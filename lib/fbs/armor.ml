@@ -57,12 +57,6 @@ let make_ctx counters =
 
 (* --- shared per-flow lazy state, with the exact hit/miss accounting --- *)
 
-let des_key_of_flow_key flow_key =
-  (* DES wants 8 key bytes; the flow key is a 16-byte (MD5) or 20-byte
-     (SHA-1) digest.  Take the first 8 bytes with adjusted parity, as the
-     paper's CryptoLib-based implementation does. *)
-  Fbsr_crypto.Des.adjust_parity (String.sub flow_key 0 8)
-
 let des3_key_of_flow_key flow_key =
   (* 3DES wants 24 key bytes; expand the flow key by hashing (standard
      KDF-by-rehash) and force odd parity on every byte.  Assembled in an
@@ -83,7 +77,12 @@ let des_sched ctx entry =
       k
   | None ->
       ctx.counters.keysched_misses <- ctx.counters.keysched_misses + 1;
-      let k = Fbsr_crypto.Des.of_string (des_key_of_flow_key entry.fk) in
+      (* DES wants 8 key bytes; the flow key is a 16-byte (MD5) or
+         20-byte (SHA-1) digest.  The paper's CryptoLib-based
+         implementation takes the first 8 with adjusted parity; the
+         schedule never reads parity bits, so the adjustment is skipped
+         and the key is the same. *)
+      let k = Fbsr_crypto.Des.of_string (String.sub entry.fk 0 8) in
       entry.des_sched <- Some k;
       k
 

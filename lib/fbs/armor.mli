@@ -83,10 +83,6 @@ val make_ctx : counters -> ctx
     accounting, shared by armor instances so hit/miss bookkeeping stays
     uniform across suites. *)
 
-val des_key_of_flow_key : string -> string
-(** First 8 flow-key bytes, parity-adjusted (the paper's CryptoLib
-    convention). *)
-
 val des3_key_of_flow_key : string -> Fbsr_crypto.Des3.key
 (** 24 key bytes by KDF-rehash of the flow key, parity-adjusted. *)
 

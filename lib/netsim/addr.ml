@@ -20,9 +20,24 @@ let of_string s =
       with Failure _ -> invalid_arg ("Addr.of_string: " ^ s))
   | _ -> invalid_arg ("Addr.of_string: " ^ s)
 
+(* Dotted quad without [Printf]: the FBS stack formats addresses per
+   datagram to name principals. *)
 let to_string v =
-  Printf.sprintf "%d.%d.%d.%d" ((v lsr 24) land 0xff) ((v lsr 16) land 0xff)
-    ((v lsr 8) land 0xff) (v land 0xff)
+  let b = Bytes.create 15 in
+  let n = ref 0 in
+  let put c =
+    Bytes.unsafe_set b !n c;
+    incr n
+  in
+  let digit d = put (Char.unsafe_chr (48 + d)) in
+  for shift = 3 downto 0 do
+    let o = (v lsr (8 * shift)) land 0xff in
+    if o >= 100 then digit (o / 100);
+    if o >= 10 then digit (o / 10 mod 10);
+    digit (o mod 10);
+    if shift > 0 then put '.'
+  done;
+  Bytes.sub_string b 0 !n
 
 let compare = Stdlib.compare
 let equal (a : t) (b : t) = a = b

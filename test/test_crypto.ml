@@ -317,6 +317,68 @@ let prop_differential_into_sub =
            ~src:(Bytes.to_string dst) ~pos:dst_pad ~len:wrote
          = msg)
 
+(* --- Key schedule: table-driven PC-1/PC-2 vs the bit-gather oracle --- *)
+
+(* The four weak keys (self-inverse schedules: E_k = D_k) and the six
+   semi-weak pairs (E_k1 = D_k2): key-bit patterns random keys
+   essentially never produce. *)
+let weak_keys =
+  [ "0101010101010101"; "fefefefefefefefe"; "1f1f1f1f0e0e0e0e"; "e0e0e0e0f1f1f1f1" ]
+
+let semiweak_pairs =
+  [
+    ("01fe01fe01fe01fe", "fe01fe01fe01fe01");
+    ("1fe01fe00ef10ef1", "e01fe01ff10ef10e");
+    ("01e001e001f101f1", "e001e001f101f101");
+    ("1ffe1ffe0efe0efe", "fe1ffe1ffe0efe0e");
+    ("011f011f010e010e", "1f011f010e010e01");
+    ("e0fee0fef1fef1fe", "fee0fee0fef1fef1");
+  ]
+
+module Des_sched_ref = Fbsr_oracles.Des_sched_ref
+
+let prop_schedule_oracle =
+  QCheck.Test.make ~name:"table-driven schedule = bit-gather oracle (random keys)"
+    ~count:500 key8 (fun key -> Des_kernel.schedule key = Des_sched_ref.schedule key)
+
+let test_schedule_oracle_special_keys () =
+  (* The weak and semi-weak keys, all-zero and all-one keys, and every
+     single-bit key: each key bit reaches C||D through exactly one PC-1
+     row, so the single-bit keys check every table row in isolation
+     (the parity bits, which PC-1 drops, must give the zero key's
+     schedule). *)
+  let keys =
+    List.map unhex
+      (weak_keys
+      @ List.concat_map (fun (a, b) -> [ a; b ]) semiweak_pairs
+      @ [ "0000000000000000"; "ffffffffffffffff" ])
+    @ List.init 64 (fun bit ->
+          String.init 8 (fun i ->
+              if i = bit / 8 then Char.chr (0x80 lsr (bit mod 8)) else '\000'))
+  in
+  List.iter
+    (fun key ->
+      let ke, kd = Des_kernel.schedule key and ke', kd' = Des_sched_ref.schedule key in
+      check Alcotest.(array int) (hex key ^ " encrypt words") ke' ke;
+      check Alcotest.(array int) (hex key ^ " decrypt words") kd' kd)
+    keys
+
+let prop_schedule_ignores_parity =
+  (* PC-1 never reads the low bit of a key byte, so flipping any subset
+     of parity bits is the same DES key — why the armor schedules flow
+     keys without [Des.adjust_parity]. *)
+  QCheck.Test.make ~name:"parity bits never change Des.of_string's schedule"
+    ~count:300
+    QCheck.(pair key8 (int_bound 255))
+    (fun (key, flips) ->
+      let flipped =
+        String.mapi
+          (fun i c -> Char.chr (Char.code c lxor ((flips lsr i) land 1)))
+          key
+      in
+      let k = Des.of_string key and k' = Des.of_string flipped in
+      Des.sched_e k = Des.sched_e k' && Des.sched_d k = Des.sched_d k')
+
 (* --- Bitsliced kernel differential battery ---
 
    [Des_bitslice] re-derives the entire cipher (generated s-box circuits,
@@ -368,23 +430,9 @@ let test_bitslice_kat_tables () =
     pts
 
 let test_bitslice_weak_keys () =
-  (* The four weak keys (self-inverse schedules: E_k = D_k) and the six
-     semi-weak pairs (E_k1 = D_k2).  The degenerate schedules hit key-bit
-     patterns random keys essentially never produce, and the structural
-     properties must survive the transposed schedule load. *)
-  let weak =
-    [ "0101010101010101"; "fefefefefefefefe"; "1f1f1f1f0e0e0e0e"; "e0e0e0e0f1f1f1f1" ]
-  in
-  let semiweak =
-    [
-      ("01fe01fe01fe01fe", "fe01fe01fe01fe01");
-      ("1fe01fe00ef10ef1", "e01fe01ff10ef10e");
-      ("01e001e001f101f1", "e001e001f101f101");
-      ("1ffe1ffe0efe0efe", "fe1ffe1ffe0efe0e");
-      ("011f011f010e010e", "1f011f010e010e01");
-      ("e0fee0fef1fef1fe", "fee0fee0fef1fef1");
-    ]
-  in
+  (* The degenerate schedules' structural properties must survive the
+     transposed schedule load. *)
+  let weak = weak_keys and semiweak = semiweak_pairs in
   let block = unhex "0123456789abcdef" in
   List.iter
     (fun wk ->
@@ -477,10 +525,73 @@ let prop_bitslice_decrypt_sub =
       let buf = String.make pad '\xaa' ^ ct ^ String.make pad '\xbb' in
       Des_bitslice.decrypt_cbc_sub ~iv k ~src:buf ~pos:pad ~len:(String.length ct)
       = msg
-      (* Low threshold forces the bitsliced path even for short inputs. *)
-      && Des_bitslice.decrypt_cbc_sub ~threshold:2 ~iv k ~src:buf ~pos:pad
+      (* A one-lane threshold forces every pass bitsliced, even for
+         short inputs. *)
+      && Des_bitslice.decrypt_cbc_sub ~threshold:1 ~iv k ~src:buf ~pos:pad
            ~len:(String.length ct)
          = msg)
+
+(* The outcome of a decrypt as a comparable value: the plaintext or the
+   exception message. *)
+let decrypt_outcome f =
+  match f () with pt -> Ok pt | exception Invalid_argument m -> Error m
+
+let test_bitslice_decrypt_every_length () =
+  (* Every block count 1..256 reaches every ragged final pass of 1..62
+     lanes after 0..3 full ones; each runs under the default break-even
+     and with every pass forced bitsliced.  A copy with the padding
+     byte's predecessor ciphertext byte flipped (the IV's, for one
+     block, so the last byte itself there) must fail exactly as the
+     scalar kernel does. *)
+  let k = Des.of_string "fl0wk3y!" and iv = "ivivivIV" in
+  for nb = 1 to 256 do
+    let msg = String.init ((8 * nb) - 1 - (nb mod 8)) (fun i -> Char.chr ((i * 131) land 0xff)) in
+    let ct = Des.encrypt_cbc ~iv k msg in
+    assert (String.length ct = 8 * nb);
+    let at = if nb = 1 then 7 else (8 * nb) - 9 in
+    let flipped =
+      String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor 0x5a) else c) ct
+    in
+    List.iter
+      (fun (what, src) ->
+        let len = String.length src in
+        let expected = decrypt_outcome (fun () -> Des.decrypt_cbc_sub ~iv k ~src ~pos:0 ~len) in
+        List.iter
+          (fun threshold ->
+            let got =
+              decrypt_outcome (fun () ->
+                  Des_bitslice.decrypt_cbc_sub ?threshold ~iv k ~src ~pos:0 ~len)
+            in
+            check
+              Alcotest.(result string string)
+              (Printf.sprintf "%d blocks, %s, threshold %s" nb what
+                 (match threshold with None -> "default" | Some t -> string_of_int t))
+              expected got)
+          [ None; Some 1 ])
+      [ ("intact", ct); ("padding corrupted", flipped) ]
+  done
+
+let test_bitslice_dec_jobs_fallback_split () =
+  (* A lone job is under any threshold above 1, so it takes the per-job
+     fallback: its full blocks run in passes of [lanes], and a pass runs
+     bitsliced exactly when it fills [break_even_lanes].  The returned
+     split must be that pass-by-pass count, not "all bitsliced". *)
+  let k = Des.of_string "spl1tk3y" and iv = "0123abcd" in
+  let lanes = Des_bitslice.lanes and be = Des_bitslice.break_even_lanes in
+  for nfull = 0 to (3 * lanes) + 5 do
+    let msg = String.init ((8 * nfull) + 3) (fun i -> Char.chr (i land 0xff)) in
+    let ct = Des.encrypt_cbc ~iv k msg in
+    let job = Des_bitslice.dec_job ~key:k ~iv ~src:ct ~src_pos:0 ~src_len:(String.length ct) in
+    let passes = List.init ((nfull + lanes - 1) / lanes) (fun p -> min lanes (nfull - (p * lanes))) in
+    let want_bs = List.fold_left (fun acc g -> if g >= be then acc + g else acc) 0 passes in
+    let bs, sc = Des_bitslice.decrypt_cbc_jobs ~threshold:2 [| job |] in
+    check
+      Alcotest.(pair int int)
+      (Printf.sprintf "%d full blocks split" nfull)
+      (want_bs, nfull - want_bs) (bs, sc);
+    check Alcotest.string (Printf.sprintf "%d full blocks plaintext" nfull) msg
+      (Bytes.to_string (Des_bitslice.dec_job_out job))
+  done
 
 let prop_bitslice_dec_jobs =
   QCheck.Test.make
@@ -1191,6 +1302,10 @@ let () =
           qtest prop_differential_block;
           qtest prop_differential_modes;
           qtest prop_differential_into_sub;
+          qtest prop_schedule_oracle;
+          Alcotest.test_case "schedule = oracle (weak, semi-weak, single-bit keys)"
+            `Quick test_schedule_oracle_special_keys;
+          qtest prop_schedule_ignores_parity;
         ] );
       ( "des-bitslice",
         [
@@ -1205,6 +1320,10 @@ let () =
           qtest prop_bitslice_dec_jobs;
           Alcotest.test_case "dec_job corrupt padding" `Quick
             test_bitslice_dec_job_corrupt_padding;
+          Alcotest.test_case "decrypt_cbc_sub = scalar at 1..256 blocks" `Quick
+            test_bitslice_decrypt_every_length;
+          Alcotest.test_case "dec jobs fallback split = kernels run" `Quick
+            test_bitslice_dec_jobs_fallback_split;
         ] );
       ( "midstates",
         [

@@ -75,6 +75,28 @@ let prop_addr_roundtrip =
       let addr = Addr.of_octets a b c d in
       Addr.equal addr (Addr.of_string (Addr.to_string addr)))
 
+let test_addr_to_string () =
+  List.iter
+    (fun (a, b, c, d, want) ->
+      let addr = Addr.of_octets a b c d in
+      check Alcotest.string want want (Addr.to_string addr);
+      check Alcotest.bool (want ^ " round trips") true
+        (Addr.equal addr (Addr.of_string (Addr.to_string addr))))
+    [
+      (0, 0, 0, 0, "0.0.0.0");
+      (255, 255, 255, 255, "255.255.255.255");
+      (10, 0, 1, 7, "10.0.1.7");
+    ];
+  (* Every octet value in every position, against the dotted-quad
+     format the direct formatter replaced. *)
+  for o = 0 to 255 do
+    List.iter
+      (fun (a, b, c, d) ->
+        check Alcotest.string "octet" (Printf.sprintf "%d.%d.%d.%d" a b c d)
+          (Addr.to_string (Addr.of_octets a b c d)))
+      [ (o, 1, 2, 3); (4, o, 5, 6); (7, 8, o, 9); (10, 11, 12, o) ]
+  done
+
 let test_addr_errors () =
   List.iter
     (fun s ->
@@ -845,6 +867,7 @@ let () =
       ( "addr",
         [
           Alcotest.test_case "errors" `Quick test_addr_errors;
+          Alcotest.test_case "to_string" `Quick test_addr_to_string;
           Alcotest.test_case "subnet" `Quick test_addr_subnet;
           qtest prop_addr_roundtrip;
         ] );
