@@ -41,9 +41,6 @@ let parse_id s =
   | Some id when not (Int64.equal id 0L) -> id
   | _ -> fail "--flow wants a 16-hex-digit trace id, got %S" s
 
-let is_drop outcome =
-  String.length outcome >= 5 && String.sub outcome 0 5 = "drop:"
-
 (* Chains whose terminal span carries a drop:* outcome, in full — every
    span of a dropped datagram's life, not just the terminal one. *)
 let drop_chains spans =
@@ -51,7 +48,7 @@ let drop_chains spans =
   let dropped = Tbl.create 64 in
   List.iter
     (fun (s : Fbsr_util.Span.span) ->
-      if is_drop s.outcome then Tbl.replace dropped s.id ())
+      if Fbsr_util.Span.is_drop s.outcome then Tbl.replace dropped s.id ())
     spans;
   List.filter (fun (s : Fbsr_util.Span.span) -> Tbl.mem dropped s.id) spans
 
@@ -67,7 +64,7 @@ let print_stats spans =
   let drops = Hashtbl.create 16 in
   List.iter
     (fun (s : Fbsr_util.Span.span) ->
-      if is_drop s.outcome then
+      if Fbsr_util.Span.is_drop s.outcome then
         Hashtbl.replace drops s.outcome
           (1 + Option.value ~default:0 (Hashtbl.find_opt drops s.outcome)))
     spans;

@@ -69,7 +69,9 @@ let () =
   Printf.printf "after +10 min replay: %d (stale timestamp REJECTED)\n"
     (List.length !deliveries);
   let err =
-    (Fbsr_fbs.Engine.counters (Stack.engine bob.Testbed.stack)).Fbsr_fbs.Engine.errors_stale
+    Fbsr_fbs.Engine.drop_count
+      (Fbsr_fbs.Engine.counters (Stack.engine bob.Testbed.stack))
+      Fbsr_fbs.Engine.Stale
   in
   Printf.printf "bob's stale-timestamp rejections: %d\n\n" err;
 
@@ -102,8 +104,9 @@ let () =
           Attacks.inject (Testbed.medium tb) forged;
           Testbed.run tb;
           let mac_errs =
-            (Fbsr_fbs.Engine.counters (Stack.engine bob.Testbed.stack))
-              .Fbsr_fbs.Engine.errors_mac
+            Fbsr_fbs.Engine.drop_count
+              (Fbsr_fbs.Engine.counters (Stack.engine bob.Testbed.stack))
+              Fbsr_fbs.Engine.Mac
           in
           Printf.printf "spliced packet: %s (MAC errors at bob: %d)\n\n"
             (if List.length !deliveries = before then "REJECTED — per-flow keys"

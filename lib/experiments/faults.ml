@@ -173,6 +173,7 @@ let run ?(seed = 11) ?(messages = 200) ?(batched_rx = false) ?faults ?metrics
       0
       [ sender; receiver ]
   in
+  let drops cause = c (fun x -> Fbsr_fbs.Engine.drop_count x cause) in
   let mkd tap =
     List.fold_left
       (fun acc (node : Testbed.node) -> acc + tap (Mkd.stats node.Testbed.mkd))
@@ -185,11 +186,11 @@ let run ?(seed = 11) ?(messages = 200) ?(batched_rx = false) ?faults ?metrics
     transmissions = !transmissions;
     duplicates_delivered = !duplicates_delivered;
     forgeries_accepted = !forgeries_accepted;
-    mac_failures = c (fun x -> x.Fbsr_fbs.Engine.errors_mac);
-    header_failures = c (fun x -> x.Fbsr_fbs.Engine.errors_header);
-    stale_rejections = c (fun x -> x.Fbsr_fbs.Engine.errors_stale);
-    duplicate_rejections = c (fun x -> x.Fbsr_fbs.Engine.errors_duplicate);
-    decrypt_failures = c (fun x -> x.Fbsr_fbs.Engine.errors_decrypt);
+    mac_failures = drops Fbsr_fbs.Engine.Mac;
+    header_failures = drops Fbsr_fbs.Engine.Header;
+    stale_rejections = drops Fbsr_fbs.Engine.Stale;
+    duplicate_rejections = drops Fbsr_fbs.Engine.Duplicate;
+    decrypt_failures = drops Fbsr_fbs.Engine.Decrypt;
     flow_key_recoveries = c (fun x -> x.Fbsr_fbs.Engine.flow_key_recoveries);
     mkd_fetches = mkd (fun s -> s.Mkd.fetches);
     mkd_retransmissions = mkd (fun s -> s.Mkd.retransmissions);

@@ -82,6 +82,7 @@ let run ?(seed = 7) ?(duration = 1800.0) ?(desktops = 6) ?(tfkc_sets = 64)
     tfkc_hit_rate = hit_rate "tfkc";
     rfkc_hit_rate = hit_rate "rfkc";
     replay_rejections =
-      get "fbs.engine.drops.stale" + get "fbs.engine.drops.duplicate";
-    mac_failures = get "fbs.engine.drops.mac";
+      get (Fbsr_fbs.Engine.drop_metric Fbsr_fbs.Engine.Stale)
+      + get (Fbsr_fbs.Engine.drop_metric Fbsr_fbs.Engine.Duplicate);
+    mac_failures = get (Fbsr_fbs.Engine.drop_metric Fbsr_fbs.Engine.Mac);
   }

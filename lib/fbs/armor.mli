@@ -31,12 +31,7 @@ type counters = {
   mutable macs_computed : int;
   mutable encryptions : int;
   mutable decryptions : int;
-  mutable errors_header : int;
-  mutable errors_stale : int;
-  mutable errors_duplicate : int;
-  mutable errors_keying : int;
-  mutable errors_mac : int;
-  mutable errors_decrypt : int;
+  drops : int array;
   mutable bytes_copied : int;
   mutable datapath_allocs : int;
   mutable keysched_hits : int;

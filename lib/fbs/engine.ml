@@ -16,6 +16,24 @@
    send side — the MAC covers the plaintext body — and the receiver
    decrypts first, then verifies.  DESIGN.md records this choice. *)
 
+(* Why a received datagram was refused, one cause per refusal of Figure
+   4's receiver.  [cause_index] is its slot in the counters' [drops] and
+   in [cause_names], its name in metrics and span outcomes (spelled once
+   in [drop_outcomes], so a traced drop allocates no string): a new cause
+   is a constructor, an index and a name, with no edit at any exit.
+   Defined before [error], whose [Stale] and [Duplicate] win wherever
+   the type is not known. *)
+type cause = Header | Stale | Duplicate | Keying | Mac | Decrypt
+
+let causes = [ Header; Stale; Duplicate; Keying; Mac; Decrypt ]
+
+let cause_index (c : cause) =
+  match c with Header -> 0 | Stale -> 1 | Duplicate -> 2 | Keying -> 3 | Mac -> 4 | Decrypt -> 5
+
+let cause_names = [| "header"; "stale"; "duplicate"; "keying"; "mac"; "decrypt" |]
+let cause_name c = cause_names.(cause_index c)
+let drop_outcomes = Array.map Fbsr_util.Span.drop_outcome cause_names
+
 type error =
   | Header_error of Header.error
   | Stale of { timestamp : int; now_minutes : int }
@@ -35,17 +53,21 @@ let pp_error ppf = function
   | Bad_mac -> Fmt.string ppf "MAC verification failed"
   | Decrypt_error -> Fmt.string ppf "decryption failed"
 
-(* Drops are counted by cause so graceful degradation is observable: under
-   an adversarial network the split between MAC failures (corruption or
-   forgery), duplicates (replay), and keying errors (certificate fetch
-   lost) tells the operator *why* datagrams are being refused.
-   [flow_key_recoveries] counts flow keys recomputed for a key the cache
-   had seen before — i.e. successful soft-state recovery after eviction or
-   invalidation, never a hidden hard failure.
+let cause_of_error (e : error) : cause =
+  match e with
+  | Header_error _ -> Header
+  | Stale _ -> Stale
+  | Duplicate -> Duplicate
+  | Keying_error _ -> Keying
+  | Bad_mac -> Mac
+  | Decrypt_error -> Decrypt
 
-   The record itself lives in [Armor] (armor instances account their
-   work on it directly); re-exported here field for field so existing
-   consumers keep reading [c.Engine.sends] etc. unchanged. *)
+(* Drops are counted by cause so graceful degradation is observable: the
+   split between MAC failures (corruption or forgery), duplicates
+   (replay) and keying errors (certificate fetch lost) tells the operator
+   *why* datagrams are refused.  The record lives in [Armor] (armors
+   account their work on it directly) and is re-exported here field for
+   field; engine.mli documents every field. *)
 type counters = Armor.counters = {
   mutable sends : int;
   mutable receives : int;
@@ -55,54 +77,21 @@ type counters = Armor.counters = {
   mutable macs_computed : int;
   mutable encryptions : int;
   mutable decryptions : int;
-  mutable errors_header : int;
-  mutable errors_stale : int;
-  mutable errors_duplicate : int;
-  mutable errors_keying : int;
-  mutable errors_mac : int;
-  mutable errors_decrypt : int;
-  (* Datapath accounting for the zero-copy refactor: [bytes_copied]
-     counts payload bytes moved between buffers (beyond the single
-     mandatory write into the wire/plaintext buffer); [datapath_allocs]
-     counts buffers allocated per datagram on the seal/receive paths.
-     The target steady state is one allocation per sealed datagram and
-     one per received secret datagram. *)
+  drops : int array;
   mutable bytes_copied : int;
   mutable datapath_allocs : int;
-  (* Key-schedule cache accounting: a hit reuses an expanded cipher/MAC
-     schedule stored in the flow entry; a miss pays the expansion (and
-     populates the entry).  With the table-driven kernel the expansion
-     is a visible fraction of per-datagram cost, so the cache is worth
-     observing in its own right. *)
   mutable keysched_hits : int;
   mutable keysched_misses : int;
-  (* MAC-midstate cache accounting: a hit resumes the per-flow frozen
-     MAC precomputation (keyed-prefix hash state, HMAC inner state, or
-     CBC-MAC schedule); a miss builds and caches it.  Split from the
-     cipher-schedule counters because the two caches cover different
-     suites and evict together but miss independently. *)
   mutable mac_midstate_hits : int;
   mutable mac_midstate_misses : int;
-  (* Open-lane accounting: [rx_batch_deferred] counts receives whose body
-     open was parked in a batch's open lane (the prologue ran at enqueue;
-     decrypt and MAC verify at flush); [rx_batch_flushes] counts flushes
-     that found the open lane non-empty.  Seal-lane work counts in
-     neither; both stay 0 on the inline receive path. *)
   mutable rx_batch_deferred : int;
   mutable rx_batch_flushes : int;
 }
 
-let drops_by_cause c =
-  [
-    ("header", c.errors_header);
-    ("stale", c.errors_stale);
-    ("duplicate", c.errors_duplicate);
-    ("keying", c.errors_keying);
-    ("mac", c.errors_mac);
-    ("decrypt", c.errors_decrypt);
-  ]
-
-let drops c = List.fold_left (fun acc (_, n) -> acc + n) 0 (drops_by_cause c)
+let drop_count c cause = c.drops.(cause_index cause)
+let drops_by_cause c = List.map (fun cause -> (cause_name cause, drop_count c cause)) causes
+let drops c = List.fold_left (fun acc cause -> acc + drop_count c cause) 0 causes
+let drop_metric cause = "fbs.engine.drops." ^ cause_name cause
 
 (* Receive-side demultiplexing record: the receiver "passively
    demultiplexes a datagram, based on its flow assignment, into the
@@ -176,12 +165,7 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
       macs_computed = 0;
       encryptions = 0;
       decryptions = 0;
-      errors_header = 0;
-      errors_stale = 0;
-      errors_duplicate = 0;
-      errors_keying = 0;
-      errors_mac = 0;
-      errors_decrypt = 0;
+      drops = Array.make (Array.length cause_names) 0;
       bytes_copied = 0;
       datapath_allocs = 0;
       keysched_hits = 0;
@@ -230,17 +214,6 @@ let counters t = t.counters
 let spans t = t.spans
 let flowstats t = t.flowstats
 
-(* Receive-side drop attribution: called on every drop verdict where the
-   sfl made it out of the header (header-decode failures have no flow to
-   attribute to). *)
-let note_flow_drop t sfl =
-  if Flowstats.enabled t.flowstats then
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.drops (Sfl.to_int64 sfl) 1
-
-let note_flow_degraded t sfl =
-  if Flowstats.enabled t.flowstats then
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.degraded (Sfl.to_int64 sfl) 1
-
 (* Register the whole fbs.* subtree for this engine: its own counters
    (including drops.<cause>), all five cache levels, replay and FAM
    bookkeeping, and the keying counters.  Names are relative to the
@@ -259,12 +232,9 @@ let register_metrics (t : t) m =
   register_probe e "macs_computed" (fun () -> c.macs_computed);
   register_probe e "encryptions" (fun () -> c.encryptions);
   register_probe e "decryptions" (fun () -> c.decryptions);
-  register_probe e "drops.header" (fun () -> c.errors_header);
-  register_probe e "drops.stale" (fun () -> c.errors_stale);
-  register_probe e "drops.duplicate" (fun () -> c.errors_duplicate);
-  register_probe e "drops.keying" (fun () -> c.errors_keying);
-  register_probe e "drops.mac" (fun () -> c.errors_mac);
-  register_probe e "drops.decrypt" (fun () -> c.errors_decrypt);
+  List.iter
+    (fun cause -> register_probe m (drop_metric cause) (fun () -> drop_count c cause))
+    causes;
   register_probe e "drops.total" (fun () -> drops c);
   register_probe e "datapath.bytes_copied" (fun () -> c.bytes_copied);
   register_probe e "datapath.allocs" (fun () -> c.datapath_allocs);
@@ -362,7 +332,8 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
               t.counters.flow_key_recoveries <- t.counters.flow_key_recoveries + 1;
               (* Soft-state degradation: the flow's key material had to be
                  recomputed after eviction — attribute it to the flow. *)
-              note_flow_degraded t sfl
+              if Flowstats.enabled t.flowstats then
+                Fbsr_util.Sketch.observe t.flowstats.Flowstats.degraded (Sfl.to_int64 sfl) 1
             end;
             let fk =
               Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst
@@ -623,11 +594,12 @@ let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
   flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
     | Error e ->
         (* The datagram dies on the sender: terminal span here (the
-           receive-side terminal stage never runs). *)
+           receive-side terminal stage never runs).  No drop counter:
+           those count received datagrams; the caller counts the error. *)
         (match tm with
         | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
+            Fbsr_util.Span.finish t.spans stm ~id
+              ~outcome:drop_outcomes.(cause_index Keying) "engine.send"
         | None -> ());
         k (Error e)
     | Ok entry -> (
@@ -681,88 +653,96 @@ type accepted = {
   peer : Principal.t;
 }
 
-(* Terminal span of the receive pipeline: exactly one per received
-   datagram, carrying the verdict — "delivered" or "drop:<cause>", the
-   causes mirroring [drops_by_cause].  A top-level function taking the
-   optional timer keeps the disabled path a constant [None] with no
-   closure allocation at the exit points. *)
-let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
+(* How a received datagram ends: handed up, or refused for one cause. *)
+type verdict = Delivered | Drop of cause
+
+(* The receive terminal: every received datagram reaches it exactly once,
+   so counters, flowstats and span terminals agree by construction.  A
+   drop bumps its cause's counter and is attributed to [sfl], unless it
+   is a header drop: that sfl was never accepted, or never decoded.  A
+   delivery counts as accepted and adds [bytes] of plaintext to the
+   inbound view of ([sfl], [src]).  Then the ["engine.receive"] span ends
+   with the verdict's outcome.  Taking the optional timer keeps the exits
+   free of closure allocation. *)
+let conclude t (tm : (Fbsr_util.Span.timer * int64) option) ~now ~src ~sfl ~bytes
+    verdict =
+  let c = t.counters in
+  (match verdict with
+  | Delivered ->
+      c.accepted <- c.accepted + 1;
+      track_inbound t ~now ~sfl ~peer:src ~bytes
+  | Drop cause ->
+      let i = cause_index cause in
+      c.drops.(i) <- c.drops.(i) + 1;
+      if cause <> Header && Flowstats.enabled t.flowstats then
+        Fbsr_util.Sketch.observe t.flowstats.Flowstats.drops (Sfl.to_int64 sfl) 1);
   match tm with
   | None -> ()
   | Some (stm, id) ->
+      let outcome =
+        match verdict with
+        | Delivered -> "delivered"
+        | Drop cause -> drop_outcomes.(cause_index cause)
+      in
       Fbsr_util.Span.finish t.spans stm ~id ~outcome "engine.receive"
 
-(* A strict-replay duplicate: found by the prologue's probe, or by the
-   commit after the MAC verified. *)
-let refuse_duplicate t ~(v : Header.view) tm =
-  t.counters.errors_duplicate <- t.counters.errors_duplicate + 1;
-  note_flow_drop t v.Header.v_sfl;
-  conclude_receive t tm "drop:duplicate";
-  Duplicate
+(* The sfl of a datagram refused at its header: never read (see [conclude]). *)
+let no_flow = Sfl.of_int64 0L
 
 (* The receive prologue — header decode, suite enforcement, replay probe
    (Figure 4 R1-R5).  It always runs at arrival, in arrival order, so
    every early refusal is the same whether or not the body open is later
    deferred.  The probe records nothing: a datagram enters the replay
    window only in [verify_and_deliver], once its MAC verified.  An
-   [Error] has already been fully accounted (counter, flow-drop
-   attribution, terminal span); the caller just delivers it. *)
+   [Error] has already been concluded; the caller just delivers it.
+
+   The suite is taken from the header only to the extent we accept it: a
+   receiver enforces its own configured suite to prevent
+   algorithm-downgrade games (the paper leaves this open). *)
 let receive_prologue t ~now ~src tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
-  | Error e ->
-      t.counters.errors_header <- t.counters.errors_header + 1;
-      conclude_receive t tm "drop:header";
-      Error (Header_error e)
-  | Ok v -> (
-      (* The suite is taken from the header only to the extent we accept
-         it: a receiver enforces its own configured suite to prevent
-         algorithm-downgrade games (the paper leaves this open). *)
-      if v.Header.v_suite.Suite.id <> t.suite.Suite.id then begin
-        t.counters.errors_header <- t.counters.errors_header + 1;
-        conclude_receive t tm "drop:header";
-        Error (Header_error (Header.Unknown_suite v.Header.v_suite.Suite.id))
-      end
-      else
-        let rtm =
-          if Fbsr_util.Span.enabled t.spans then
-            Some (Fbsr_util.Span.start t.spans)
-          else None
-        in
-        let verdict =
-          Replay.probe t.replay ~now ~sfl:v.Header.v_sfl ~peer:src
-            ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-        in
-        (match rtm with
-        | Some stm ->
-            let id = match tm with Some (_, id) -> id | None -> 0L in
-            Fbsr_util.Span.finish t.spans stm ~id "replay.check"
-              ~detail:
-                (match verdict with
-                | Replay.Fresh -> [ ("verdict", Fbsr_util.Json.String "fresh") ]
-                | Replay.Duplicate ->
-                    [ ("verdict", Fbsr_util.Json.String "duplicate") ]
-                | Replay.Stale ->
-                    (* The same values the [Stale] error carries. *)
-                    [
-                      ("verdict", Fbsr_util.Json.String "stale");
-                      ("timestamp", Fbsr_util.Json.Int v.Header.v_timestamp);
-                      ( "now_minutes",
-                        Fbsr_util.Json.Int (Replay.minutes_of_seconds now) );
-                    ])
-        | None -> ());
-        match verdict with
-        | Replay.Stale ->
-            t.counters.errors_stale <- t.counters.errors_stale + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:stale";
-            Error
-              (Stale
-                 {
-                   timestamp = v.Header.v_timestamp;
-                   now_minutes = Replay.minutes_of_seconds now;
-                 })
-        | Replay.Duplicate -> Error (refuse_duplicate t ~v tm)
-        | Replay.Fresh -> Ok v)
+  | Ok v when v.Header.v_suite.Suite.id = t.suite.Suite.id -> (
+      let sfl = v.Header.v_sfl and timestamp = v.Header.v_timestamp in
+      let rtm =
+        if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
+        else None
+      in
+      let verdict =
+        Replay.probe t.replay ~now ~sfl ~peer:src ~confounder:v.Header.v_confounder
+          ~timestamp
+      in
+      (match rtm with
+      | Some stm ->
+          let id = match tm with Some (_, id) -> id | None -> 0L in
+          Fbsr_util.Span.finish t.spans stm ~id "replay.check"
+            ~detail:
+              (match verdict with
+              | Replay.Fresh -> [ ("verdict", Fbsr_util.Json.String "fresh") ]
+              | Replay.Duplicate -> [ ("verdict", Fbsr_util.Json.String "duplicate") ]
+              | Replay.Stale ->
+                  (* The same values the [Stale] error carries. *)
+                  [
+                    ("verdict", Fbsr_util.Json.String "stale");
+                    ("timestamp", Fbsr_util.Json.Int timestamp);
+                    ( "now_minutes",
+                      Fbsr_util.Json.Int (Replay.minutes_of_seconds now) );
+                  ])
+      | None -> ());
+      match verdict with
+      | Replay.Stale ->
+          conclude t tm ~now ~src ~sfl ~bytes:0 (Drop Stale);
+          Error (Stale { timestamp; now_minutes = Replay.minutes_of_seconds now })
+      | Replay.Duplicate ->
+          conclude t tm ~now ~src ~sfl ~bytes:0 (Drop Duplicate);
+          Error Duplicate
+      | Replay.Fresh -> Ok v)
+  | decoded ->
+      conclude t tm ~now ~src ~sfl:no_flow ~bytes:0 (Drop Header);
+      Error
+        (Header_error
+           (match decoded with
+           | Error e -> e
+           | Ok v -> Header.Unknown_suite v.Header.v_suite.Suite.id))
 
 (* R7-R12 over the opened body: verify the MAC, commit to the replay
    window, deliver.  The commit re-tests for a duplicate, so of two
@@ -774,45 +754,34 @@ let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) (plaintext : Fbsr_util.Slice.t)
     materialize =
   let module A = (val t.armor : Armor.S) in
-  if
-    not
-      (A.verify_mac t.actx entry ~secret:v.Header.v_secret
-         ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-         ~payload:plaintext ~expected:v.Header.v_mac)
-  then begin
-    t.counters.errors_mac <- t.counters.errors_mac + 1;
-    note_flow_drop t v.Header.v_sfl;
-    conclude_receive t tm "drop:mac";
-    k (Error Bad_mac)
-  end
-  else if
-    not
-      (Replay.commit t.replay ~sfl:v.Header.v_sfl ~peer:src
-         ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp)
-  then k (Error (refuse_duplicate t ~v tm))
-  else begin
-    t.counters.accepted <- t.counters.accepted + 1;
-    track_inbound t ~now ~sfl:v.Header.v_sfl ~peer:src
-      ~bytes:(Fbsr_util.Slice.length plaintext);
-    conclude_receive t tm "delivered";
-    let accepted =
-      Ok { header = Header.to_header v; payload = materialize (); peer = src }
-    in
-    match tm with
-    | Some (_, id) ->
-        (* Deliver under the datagram's id even when the keying
-           continuation resumed in a later event (or the batch flushed
-           in one); an acknowledgement sent from the handler opens its
-           own trace and this scope restores ours. *)
-        Fbsr_util.Span.with_current id (fun () -> k accepted)
-    | None -> k accepted
-  end
-
-let refuse_decrypt t ~(v : Header.view) tm (k : (accepted, error) result -> unit) =
-  t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
-  note_flow_drop t v.Header.v_sfl;
-  conclude_receive t tm "drop:decrypt";
-  k (Error Decrypt_error)
+  let sfl = v.Header.v_sfl and confounder = v.Header.v_confounder in
+  let timestamp = v.Header.v_timestamp in
+  let verdict =
+    if
+      not
+        (A.verify_mac t.actx entry ~secret:v.Header.v_secret ~confounder ~timestamp
+           ~payload:plaintext ~expected:v.Header.v_mac)
+    then Drop Mac
+    else if not (Replay.commit t.replay ~sfl ~peer:src ~confounder ~timestamp) then
+      Drop Duplicate
+    else Delivered
+  in
+  conclude t tm ~now ~src ~sfl ~bytes:(Fbsr_util.Slice.length plaintext) verdict;
+  match verdict with
+  | Drop Mac -> k (Error Bad_mac)
+  | Drop _ (* the commit's duplicate *) -> k (Error Duplicate)
+  | Delivered -> (
+      let accepted =
+        Ok { header = Header.to_header v; payload = materialize (); peer = src }
+      in
+      match tm with
+      | Some (_, id) ->
+          (* Deliver under the datagram's id even when the keying
+             continuation resumed in a later event (or the batch flushed
+             in one); an acknowledgement sent from the handler opens its
+             own trace and this scope restores ours. *)
+          Fbsr_util.Span.with_current id (fun () -> k accepted)
+      | None -> k accepted)
 
 (* R6-R12 once the flow entry is in hand: open the body, verify, deliver.
    With a [batch], a secret body whose armor has a batched decrypt kernel
@@ -841,7 +810,9 @@ let open_entry ?batch t ~now ~src ~(v : Header.view) ~entry tm
     match (batch, A.batch_rx) with
     | Some b, Some ops -> (
         match ops.Armor.defer_open t.actx entry ~confounder ~body with
-        | Error () -> refuse_decrypt t ~v tm k
+        | Error () ->
+            conclude t tm ~now ~src ~sfl:v.Header.v_sfl ~bytes:0 (Drop Decrypt);
+            k (Error Decrypt_error)
         | Ok (job, plaintext) ->
             t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
             t.counters.rx_batch_deferred <- t.counters.rx_batch_deferred + 1;
@@ -861,7 +832,9 @@ let open_entry ?batch t ~now ~src ~(v : Header.view) ~entry tm
                further copy. *)
             verify_and_deliver t ~now ~src ~v ~entry tm k
               (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)
-        | Error () -> refuse_decrypt t ~v tm k)
+        | Error () ->
+            conclude t tm ~now ~src ~sfl:v.Header.v_sfl ~bytes:0 (Drop Decrypt);
+            k (Error Decrypt_error))
 
 (* FBSReceive(), Figure 4 R1-R12 with the RFKC fast path.  The header is
    parsed as a view of the wire, the MAC is verified against the wire
@@ -884,9 +857,7 @@ let receive ?batch t ~now ~src ~wire (k : (accepted, error) result -> unit) =
       let dst = local t in
       flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst (function
         | Error e ->
-            t.counters.errors_keying <- t.counters.errors_keying + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:keying";
+            conclude t tm ~now ~src ~sfl:v.Header.v_sfl ~bytes:0 (Drop Keying);
             k (Error e)
         | Ok entry -> open_entry ?batch t ~now ~src ~v ~entry tm k)
 

@@ -7,6 +7,21 @@
     continuation-passing; [_sync] variants serve callers whose resolver
     completes inline. *)
 
+(** Why a received datagram was refused.  Defined before {!error}, whose
+    [Stale] and [Duplicate] win wherever the type is not known. *)
+type cause =
+  | Header  (** undecodable header or suite mismatch *)
+  | Stale  (** timestamp outside the freshness window *)
+  | Duplicate  (** strict-mode duplicate suppression *)
+  | Keying  (** certificate fetch / verification failed *)
+  | Mac  (** MAC verification failed *)
+  | Decrypt  (** ciphertext would not decrypt *)
+
+val causes : cause list
+
+val cause_name : cause -> string
+(** Its name in metrics ({!drop_metric}) and span outcomes. *)
+
 type error =
   | Header_error of Header.error
   | Stale of { timestamp : int; now_minutes : int }
@@ -16,6 +31,9 @@ type error =
   | Decrypt_error
 
 val pp_error : Format.formatter -> error -> unit
+
+val cause_of_error : error -> cause
+(** The cause a receive error is counted under. *)
 
 type counters = Armor.counters = {
   mutable sends : int;
@@ -29,12 +47,9 @@ type counters = Armor.counters = {
   mutable macs_computed : int;
   mutable encryptions : int;
   mutable decryptions : int;
-  mutable errors_header : int;  (** undecodable header or suite mismatch *)
-  mutable errors_stale : int;  (** timestamp outside the freshness window *)
-  mutable errors_duplicate : int;  (** strict-mode duplicate suppression *)
-  mutable errors_keying : int;  (** certificate fetch / verification failed *)
-  mutable errors_mac : int;  (** MAC verification failed *)
-  mutable errors_decrypt : int;  (** ciphertext would not decrypt *)
+  drops : int array;
+      (** Received datagrams refused, one slot per {!cause}: read it with
+          {!drop_count}.  A send-side keying failure is not counted. *)
   mutable bytes_copied : int;
       (** Payload bytes moved between buffers beyond the single mandatory
           write into the wire (or plaintext) buffer — the zero-copy
@@ -66,12 +81,17 @@ type counters = Armor.counters = {
           bitsliced decrypt sweep each). *)
 }
 
+val drop_count : counters -> cause -> int
+(** Received datagrams refused for [cause]. *)
+
 val drops_by_cause : counters -> (string * int) list
-(** Receive-side rejections as [(cause, count)] pairs, one per
-    [errors_*] counter, in a fixed order. *)
+(** [(cause_name, count)] for every {!cause}, in {!causes} order. *)
 
 val drops : counters -> int
 (** Total receive-side rejections (sum of {!drops_by_cause}). *)
+
+val drop_metric : cause -> string
+(** The cause's registered count: [drop_metric Mac = "fbs.engine.drops.mac"]. *)
 
 type t
 
@@ -99,11 +119,12 @@ val create :
     recomputes a key lost to eviction, invalidation or [Cache.clear];
     false on every hit) and ["engine.seal"]; each {!receive} records
     ["replay.check"] (its [verdict]; a stale one also carries the
-    [timestamp] and [now_minutes] of the {!Stale} error) and a
-    terminal ["engine.receive"] span whose outcome is ["delivered"] or
-    ["drop:<cause>"] with causes mirroring {!drops_by_cause} (a send-side
-    keying failure terminates as ["engine.send"]/["drop:keying"]).  With
-    spans disabled the datapath pays one branch per stage and allocates
+    [timestamp] and [now_minutes] of the {!Stale} error) and exactly one
+    terminal ["engine.receive"] span: ["delivered"], or the
+    [Fbsr_util.Span.drop_outcome] of the {!cause_name} it was counted
+    under.  A send-side keying failure ends its ["engine.send"] span
+    with [Keying]'s outcome and bumps no drop counter.  With spans
+    disabled the datapath pays one branch per stage and allocates
     nothing. *)
 
 val local : t -> Principal.t
@@ -135,13 +156,13 @@ val spans : t -> Fbsr_util.Span.t
 val flowstats : t -> Flowstats.t
 (** Per-flow heavy-hitter attribution ({!Flowstats.none} when disabled).
     The seal paths observe one datagram and [payload] bytes per sealed
-    datagram under the flow's sfl; receive-side drop verdicts that carry
-    an sfl (everything but header-decode failures) observe one drop; a
+    datagram under the flow's sfl; every receive-side drop but a
+    [Header] one observes one drop; a
     post-eviction flow-key recomputation observes one degradation. *)
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 (** Register the engine's whole [fbs.*] subtree on [m]: its counters under
-    [fbs.engine.] (drop causes as [fbs.engine.drops.<cause>]), all five
+    [fbs.engine.] (each cause as its {!drop_metric}), all five
     cache levels under [fbs.cache.{tfkc,rfkc,inbound,pvc,mkc}.], replay
     under [fbs.replay.], FAM under [fbs.fam.] and keying under
     [fbs.keying.].  All pull-probes — zero cost on the protocol paths.

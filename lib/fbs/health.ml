@@ -157,9 +157,10 @@ let check t ~now =
       t.checks <- t.checks + 1;
       check_miss_rate t t.tfkc_miss "tfkc" ~now;
       check_miss_rate t t.rfkc_miss "rfkc" ~now;
-      check_drop_delta t t.forgery [ "fbs.engine.drops.mac" ] ~now;
+      (* Columns named from the cause: a renamed cause cannot disarm a rule. *)
+      check_drop_delta t t.forgery [ Engine.drop_metric Engine.Mac ] ~now;
       check_drop_delta t t.replay
-        [ "fbs.engine.drops.stale"; "fbs.engine.drops.duplicate" ]
+        [ Engine.drop_metric Engine.Stale; Engine.drop_metric Engine.Duplicate ]
         ~now;
       check_stage_p99 t ~now;
       check_imbalance t ~now

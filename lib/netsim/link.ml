@@ -157,7 +157,8 @@ let transmit t ~deliver raw =
     match tm with
     | Some stm ->
         (* Terminal: the datagram's life ends on this link. *)
-        Fbsr_util.Span.finish t.spans stm ~id:tid ~outcome:"drop:link"
+        Fbsr_util.Span.finish t.spans stm ~id:tid
+          ~outcome:(Fbsr_util.Span.drop_outcome "link")
           "netsim.link"
           ~detail:[ ("verdict", Fbsr_util.Json.String "drop") ]
     | None -> ()

@@ -156,11 +156,15 @@ let record t s =
   t.ring.(t.recorded mod t.cap) <- Some s;
   t.recorded <- t.recorded + 1
 
+(* The one spelling of a drop terminal, for every layer. *)
+let drop_outcome cause = "drop:" ^ cause
+let is_drop outcome = String.starts_with ~prefix:"drop:" outcome
+
 (* The tail-keep predicate: any span that ends a chain in a drop, a
    forgery/replay verdict, or that carries a degradation mark makes the
    whole chain worth keeping regardless of the head-sampling decision. *)
 let is_anomaly s =
-  (String.length s.outcome >= 5 && String.sub s.outcome 0 5 = "drop:")
+  is_drop s.outcome
   || s.outcome = "forged" || s.outcome = "replay"
   || List.mem_assoc "degraded" s.detail
 

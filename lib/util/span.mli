@@ -108,6 +108,12 @@ val sampled_in : sampler -> int64 -> bool
 (** The head-sampling decision for a trace id (pure hash, identical on
     every recorder sharing the sampler). *)
 
+val drop_outcome : string -> string
+(** Every layer's drop terminal: [drop_outcome "mac" = "drop:mac"]. *)
+
+val is_drop : string -> bool
+(** Whether an outcome was made by {!drop_outcome}. *)
+
 val is_anomaly : span -> bool
 (** The tail-keep predicate: a [drop:*] or forgery/replay outcome, or a
     ["degraded"] detail mark, makes the whole chain worth keeping

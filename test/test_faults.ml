@@ -560,16 +560,17 @@ let test_batched_rx_faulty_frames_partial_batch () =
   let cs = FEngine.counters sp.Fixture.receiver in
   let cb = FEngine.counters bp.Fixture.receiver in
   check Alcotest.int "accepted equal" cs.FEngine.accepted cb.FEngine.accepted;
-  check Alcotest.int "mac drops equal" cs.FEngine.errors_mac cb.FEngine.errors_mac;
-  check Alcotest.int "decrypt drops equal" cs.FEngine.errors_decrypt
-    cb.FEngine.errors_decrypt;
-  check Alcotest.int "header drops equal" cs.FEngine.errors_header
-    cb.FEngine.errors_header;
-  check Alcotest.int "duplicate drops equal" cs.FEngine.errors_duplicate
-    cb.FEngine.errors_duplicate;
+  let drops c cause = FEngine.drop_count c cause in
+  check Alcotest.int "mac drops equal" (drops cs FEngine.Mac) (drops cb FEngine.Mac);
+  check Alcotest.int "decrypt drops equal" (drops cs FEngine.Decrypt)
+    (drops cb FEngine.Decrypt);
+  check Alcotest.int "header drops equal" (drops cs FEngine.Header)
+    (drops cb FEngine.Header);
+  check Alcotest.int "duplicate drops equal" (drops cs FEngine.Duplicate)
+    (drops cb FEngine.Duplicate);
   check Alcotest.bool "the fault schedule actually dropped something" true
-    (cs.FEngine.errors_mac + cs.FEngine.errors_decrypt
-     + cs.FEngine.errors_header > 0);
+    (drops cs FEngine.Mac + drops cs FEngine.Decrypt + drops cs FEngine.Header
+     > 0);
   (* And the span chains agree terminal for terminal. *)
   let terminals spans =
     List.filter_map
@@ -724,6 +725,105 @@ let test_span_terminal_accounting () =
           s.Span.stage)
     spans
 
+(* The drop causes, written out: a cause dropped from the code fails the
+   check below instead of silently leaving its loop. *)
+let expected_causes = [ "header"; "stale"; "duplicate"; "keying"; "mac"; "decrypt" ]
+
+(* One check over all six causes, keying included: over the hostile run,
+   each cause's site-wide engine counter equals the number of
+   ["engine.receive"] spans with that cause's outcome.  The cause list,
+   [drops_by_cause] and the registered [fbs.engine.drops.*] probes all
+   name the causes above, in order. *)
+let test_span_terminal_accounting_every_cause () =
+  let metrics = Fbsr_util.Metrics.create () in
+  let r =
+    Fbsr_experiments.Faults.run ~seed:23 ~messages:120 ~metrics
+      ~faults:Fbsr_experiments.Faults.hostile ~span_capacity:65536 ()
+  in
+  check
+    Alcotest.(list string)
+    "cause names, in order" expected_causes
+    (List.map FEngine.cause_name FEngine.causes);
+  let p = Fixture.engine_pair () in
+  check
+    Alcotest.(list string)
+    "drops_by_cause names, in order" expected_causes
+    (List.map fst (FEngine.drops_by_cause (FEngine.counters p.Fixture.receiver)));
+  let probe_names = List.map (fun name -> "fbs.engine.drops." ^ name) expected_causes in
+  check
+    Alcotest.(list string)
+    "drop metric names, in order" probe_names
+    (List.map FEngine.drop_metric FEngine.causes);
+  check
+    Alcotest.(list string)
+    "registered drop probes" (List.sort compare ("fbs.engine.drops.total" :: probe_names))
+    (List.filter
+       (fun n -> String.starts_with ~prefix:"fbs.engine.drops." n)
+       (Fbsr_util.Metrics.names metrics));
+  let receive_terminals outcome =
+    List.length
+      (List.filter
+         (fun (s : Span.span) ->
+           String.equal s.Span.stage "engine.receive"
+           && String.equal s.Span.outcome outcome)
+         (spans_of r))
+  in
+  List.iter
+    (fun cause ->
+      let name = FEngine.cause_name cause in
+      check Alcotest.int
+        ("every " ^ name ^ " drop is one engine.receive terminal")
+        (Fbsr_util.Metrics.get metrics (FEngine.drop_metric cause))
+        (receive_terminals (Span.drop_outcome name)))
+    FEngine.causes;
+  check Alcotest.int "the registry's mac drops are the run's" r.mac_failures
+    (Fbsr_util.Metrics.get metrics (FEngine.drop_metric FEngine.Mac))
+
+(* A health rule's firing count and worst value, read from the monitor's
+   artifact section. *)
+let health_rule (r : Fbsr_experiments.Faults.result) name =
+  let open Fbsr_util.Json in
+  let field k = function Obj fs -> List.assoc k fs | _ -> Alcotest.fail "not an object" in
+  let rules =
+    match field "rules" (Fbsr_fbs.Health.to_json r.Fbsr_experiments.Faults.health) with
+    | List rules -> rules
+    | _ -> Alcotest.fail "health rules are not a list"
+  in
+  match List.find_opt (fun rule -> field "rule" rule = String name) rules with
+  | None -> Alcotest.failf "no health rule %s" name
+  | Some rule -> (
+      let fired = match field "fired" rule with Int n -> n | _ -> -1 in
+      match field "worst" rule with
+      | Obj _ as w -> (fired, match field "value" w with Float v -> Some v | _ -> None)
+      | _ -> (fired, None))
+
+(* The health monitor over the fault-injection site: bit flips make MACs
+   fail, so [forgery-drops] fires, and no interval's delta exceeds the
+   run's MAC failures.  On a clean network neither drop rule fires. *)
+let test_health_drop_rules () =
+  let run faults =
+    Fbsr_experiments.Faults.run ~seed:11 ?faults ~telemetry_cadence:0.5 ()
+  in
+  let corrupt = run (Some Fbsr_experiments.Faults.corrupting) in
+  check Alcotest.bool "the corrupting run failed some MACs" true
+    (corrupt.Fbsr_experiments.Faults.mac_failures > 0);
+  check Alcotest.bool "the monitor ran" true
+    (Fbsr_fbs.Health.checks corrupt.Fbsr_experiments.Faults.health > 0);
+  (match health_rule corrupt "forgery-drops" with
+  | fired, Some worst ->
+      check Alcotest.bool "forgery-drops fired" true (fired > 0);
+      check Alcotest.bool "worst interval within the run's MAC failures" true
+        (worst <= float_of_int corrupt.Fbsr_experiments.Faults.mac_failures)
+  | _, None -> Alcotest.fail "forgery-drops never fired under bit flips");
+  let clean = run None in
+  check Alcotest.bool "the monitor ran on the clean run" true
+    (Fbsr_fbs.Health.checks clean.Fbsr_experiments.Faults.health > 0);
+  List.iter
+    (fun rule ->
+      check Alcotest.int (rule ^ " silent on a clean network") 0
+        (fst (health_rule clean rule)))
+    [ "forgery-drops"; "replay-drops" ]
+
 (* The same exact-terminal discipline must survive the batched receive
    pipeline: with the stack deferring body opens into the linger-flushed
    cross-flow batch, every counted drop still appears as exactly one
@@ -796,10 +896,7 @@ let test_span_sampling_drop_retention () =
   let chain id =
     List.filter (fun (s : Span.span) -> Int64.equal s.Span.id id) spans
   in
-  let is_drop (s : Span.span) =
-    String.length s.Span.outcome >= 5
-    && String.equal (String.sub s.Span.outcome 0 5) "drop:"
-  in
+  let is_drop (s : Span.span) = Span.is_drop s.Span.outcome in
   let anomalous id = List.exists Span.is_anomaly (chain id) in
   List.iter
     (fun id ->
@@ -911,5 +1008,9 @@ let () =
             test_span_sampling_drop_retention;
           Alcotest.test_case "tracing does not perturb the run" `Quick
             test_span_tracing_is_transparent;
+          Alcotest.test_case "terminal accounting, every cause" `Quick
+            test_span_terminal_accounting_every_cause;
         ] );
+      ( "health",
+        [ Alcotest.test_case "drop rules fire on faults only" `Quick test_health_drop_rules ] );
     ]

@@ -980,14 +980,16 @@ let test_fam_stats () =
 
 (* --- Engine --- *)
 
-let make_engines ?(suite = Suite.paper_md5_des) ?(strict_replay = false) ?spans () =
+let make_engines ?(suite = Suite.paper_md5_des) ?(strict_replay = false) ?spans
+    ?flowstats () =
   let _, _, _, clock, enroll, _, keying_for = make_world () in
   let s, s_priv, _ = enroll "10.0.0.1" in
   let d, d_priv, _ = enroll "10.0.0.2" in
   let engine_for p priv seed =
     let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
     let fam = Fam.create (Policy_five_tuple.policy ~alloc ()) in
-    Engine.create ~suite ~strict_replay ?spans ~keying:(keying_for p priv) ~fam ()
+    Engine.create ~suite ~strict_replay ?spans ?flowstats ~keying:(keying_for p priv)
+      ~fam ()
   in
   (clock, s, d, engine_for s s_priv 1, engine_for d d_priv 2)
 
@@ -1226,12 +1228,13 @@ let datapath_counters (c : Engine.counters) =
     c.Engine.sends; c.Engine.receives; c.Engine.accepted;
     c.Engine.flow_key_computations; c.Engine.flow_key_recoveries;
     c.Engine.macs_computed; c.Engine.encryptions; c.Engine.decryptions;
-    c.Engine.errors_header; c.Engine.errors_stale; c.Engine.errors_duplicate;
-    c.Engine.errors_keying; c.Engine.errors_mac; c.Engine.errors_decrypt;
-    c.Engine.bytes_copied; c.Engine.datapath_allocs; c.Engine.keysched_hits;
-    c.Engine.keysched_misses; c.Engine.mac_midstate_hits;
-    c.Engine.mac_midstate_misses;
   ]
+  @ List.map (Engine.drop_count c) Engine.causes
+  @ [
+      c.Engine.bytes_copied; c.Engine.datapath_allocs; c.Engine.keysched_hits;
+      c.Engine.keysched_misses; c.Engine.mac_midstate_hits;
+      c.Engine.mac_midstate_misses;
+    ]
 
 (* Stage and outcome of every span, order-free: deferred spans finish at
    the flush, and trace ids differ between worlds. *)
@@ -1910,7 +1913,8 @@ let test_engine_forged_sfls_bounded () =
     | Ok _ -> Alcotest.failf "forged datagram %d accepted" i
     | Error e -> Alcotest.failf "forged datagram %d: %a" i Engine.pp_error e
   done;
-  check Alcotest.int "every forgery a MAC drop" n (Engine.counters ed).Engine.errors_mac;
+  check Alcotest.int "every forgery a MAC drop" n
+    (Engine.drop_count (Engine.counters ed) Engine.Mac);
   let per_sfl =
     float_of_int (Obj.reachable_words (Obj.repr rfkc) - before) /. float_of_int n
   in
@@ -1947,6 +1951,88 @@ let test_engine_suite_mismatch () =
   | Error (Engine.Header_error (Header.Unknown_suite 255)) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Engine.pp_error e
   | Ok _ -> Alcotest.fail "downgrade accepted"
+
+(* One datagram refused for each cause, then one delivered, through a
+   receiver with spans and flowstats on.  Each ends in exactly one
+   ["engine.receive"] terminal of its cause and bumps exactly its cause's
+   counter; the error handed back maps to that cause; every drop but the
+   header one is attributed to a flow.  A send-side keying failure ends
+   in an ["engine.send"] terminal and bumps no drop counter. *)
+let test_engine_every_cause_concludes_once () =
+  let spans = Fbsr_util.Span.create ~capacity:4096 () in
+  let flowstats = Flowstats.create () in
+  let clock, s, d, es, ed = make_engines ~strict_replay:true ~spans ~flowstats () in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let seal secret =
+    Result.get_ok (Engine.send_sync es ~now:!clock ~attrs ~secret ~payload:"every cause")
+  in
+  let flip_last wire =
+    let b = Bytes.of_string wire in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    Bytes.to_string b
+  in
+  let fresh = seal true in
+  let stranger = Principal.of_string "stranger" in
+  (* The stale one goes last: a receive ten minutes on ages the strict
+     replay window's record of [fresh]. *)
+  let cases =
+    [
+      (Engine.Header, !clock, s, "too short");
+      (Engine.Duplicate, !clock, s, fresh);
+      (Engine.Keying, !clock, stranger, seal true);
+      (Engine.Mac, !clock, s, flip_last (seal false));
+      (Engine.Decrypt, !clock, s, flip_last (seal true));
+      (Engine.Stale, !clock +. 600.0, s, seal true);
+    ]
+  in
+  (match Engine.receive_sync ed ~now:!clock ~src:s ~wire:fresh with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "fresh datagram refused: %a" Engine.pp_error e);
+  List.iter
+    (fun (cause, now, src, wire) ->
+      let name = Engine.cause_name cause in
+      match Engine.receive_sync ed ~now ~src ~wire with
+      | Ok _ -> Alcotest.failf "%s datagram accepted" name
+      | Error e ->
+          check Alcotest.string ("error of the " ^ name ^ " drop") name
+            (Engine.cause_name (Engine.cause_of_error e)))
+    cases;
+  let c = Engine.counters ed in
+  let terminals stage outcome =
+    List.length
+      (List.filter
+         (fun (sp : Fbsr_util.Span.span) ->
+           sp.Fbsr_util.Span.stage = stage && sp.Fbsr_util.Span.outcome = outcome)
+         (Fbsr_util.Span.spans spans))
+  in
+  List.iter
+    (fun cause ->
+      let name = Engine.cause_name cause in
+      check Alcotest.int ("one " ^ name ^ " drop") 1 (Engine.drop_count c cause);
+      check Alcotest.int ("one " ^ name ^ " terminal") 1
+        (terminals "engine.receive" (Fbsr_util.Span.drop_outcome name)))
+    Engine.causes;
+  check Alcotest.int "one delivery" 1 c.Engine.accepted;
+  check Alcotest.int "one delivered terminal" 1 (terminals "engine.receive" "delivered");
+  check Alcotest.int "every datagram received concluded once"
+    c.Engine.receives
+    (List.length
+       (List.filter
+          (fun (sp : Fbsr_util.Span.span) -> sp.Fbsr_util.Span.stage = "engine.receive")
+          (Fbsr_util.Span.spans spans)));
+  check Alcotest.int "drops attributed to flows: all but the header drop"
+    (Engine.drops c - 1)
+    (Fbsr_util.Sketch.total flowstats.Flowstats.drops);
+  (* Send side: the keying failure has its terminal, and no counter. *)
+  let to_stranger = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:stranger () in
+  (match Engine.send_sync es ~now:!clock ~attrs:to_stranger ~secret:true ~payload:"x" with
+  | Error (Engine.Keying_error _) -> ()
+  | _ -> Alcotest.fail "send to an unknown principal did not fail in keying");
+  check Alcotest.int "send-side keying terminal" 1
+    (terminals "engine.send" (Fbsr_util.Span.drop_outcome "keying"));
+  check Alcotest.int "send-side keying bumps no drop counter" 0
+    (Engine.drops (Engine.counters es))
 
 let test_engine_async_send () =
   (* With a deferred resolver, send completes only when the certificate
@@ -2380,6 +2466,8 @@ let () =
             test_engine_forged_sfls_bounded;
           Alcotest.test_case "garbage wire" `Quick test_engine_header_garbage;
           Alcotest.test_case "suite mismatch refused" `Quick test_engine_suite_mismatch;
+          Alcotest.test_case "every cause concludes once" `Quick
+            test_engine_every_cause_concludes_once;
           Alcotest.test_case "async send" `Quick test_engine_async_send;
           Alcotest.test_case "async receive" `Quick test_engine_async_receive;
           Alcotest.test_case "confounder hides repetition" `Quick

@@ -189,7 +189,8 @@ let test_stack_strict_replay_two_senders () =
     (List.sort compare !got);
   let ec = Fbsr_fbs.Engine.counters (Stack.engine c.Testbed.stack) in
   check Alcotest.int "accepted" 2 ec.Fbsr_fbs.Engine.accepted;
-  check Alcotest.int "no duplicates" 0 ec.Fbsr_fbs.Engine.errors_duplicate
+  check Alcotest.int "no duplicates" 0
+    (Fbsr_fbs.Engine.drop_count ec Fbsr_fbs.Engine.Duplicate)
 
 (* Regression (review): in [batched_rx] mode a frame that suspends on the
    receive-side master-key fetch enqueues into the rx batch only when the
@@ -646,7 +647,9 @@ let test_fbs_across_router () =
   check Alcotest.bool "router re-fragmented FBS traffic" true
     ((Router.stats router).Router.fragmented > 0);
   check Alcotest.int "no verification errors" 0
-    (Fbsr_fbs.Engine.counters (Stack.engine stack_b)).Fbsr_fbs.Engine.errors_mac
+    (Fbsr_fbs.Engine.drop_count
+       (Fbsr_fbs.Engine.counters (Stack.engine stack_b))
+       Fbsr_fbs.Engine.Mac)
 
 (* --- Clock skew end-to-end (loose time synchronization) --- *)
 
