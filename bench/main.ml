@@ -53,8 +53,8 @@ let batch_i = ref 0
    fixture engines run with strict replay off), rotated through the open
    lane of a [Batch] sized to auto-flush exactly when every lane is occupied,
    so the per-call cost is the amortized per-datagram cost of the
-   cross-flow bitsliced open: 62 prologue+enqueues plus one 63-chain
-   sweep-and-verify flush. *)
+   deferred open: 62 prologue+enqueues plus one flush that decrypts and
+   verifies 63 frames. *)
 let rx_batch_wires =
   Array.map
     (fun attrs ->
@@ -73,8 +73,8 @@ let rx_batch =
 
 let rx_batch_i = ref 0
 
-(* Bitsliced-kernel fixtures: one full flush of [lanes] MTU chains under
-   distinct keys, and one MTU ciphertext for the receive-side slicing. *)
+(* Bitsliced-kernel fixture: one full flush of [lanes] MTU chains under
+   distinct keys. *)
 let bs_jobs =
   let n = Fbsr_crypto.Des_bitslice.lanes in
   let padded = Fbsr_crypto.Des.padded_length (String.length datagram) in
@@ -84,11 +84,11 @@ let bs_jobs =
         ~src_len:(String.length datagram)
         ~dst:(Bytes.create padded) ~dst_pos:0)
 
+(* Receive-side ciphertexts: an MTU body, and the imix 576-byte datagram
+   as FBS encrypts it (576 payload bytes behind an 8-byte UDP header pad
+   to 74 blocks). *)
 let des_ct_1460 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram
 
-(* The imix 576-byte datagram as FBS encrypts it: 576 payload bytes
-   behind an 8-byte UDP header pad to 74 blocks, so 73 go to lanes (one
-   full pass and a 10-lane tail). *)
 let des_ct_576 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key (String.sub datagram 0 584)
 
 let es_nop, _, _, attrs_nop, _ = fbs_fixture suite_nop ~secret:true
@@ -160,18 +160,18 @@ let crypto_tests =
         (stage (fun () -> Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram));
       Test.make ~name:"md5-1460B" (stage (fun () -> Fbsr_crypto.Md5.digest datagram));
       (* Bitsliced kernel (DESIGN.md §6c): a full 63-chain lockstep flush
-         (divide by [lanes] for the per-datagram cost) and the
-         single-ciphertext decrypt that slices one chain across lanes. *)
+         (divide by [lanes] for the per-datagram cost). *)
       Test.make ~name:"des-bitsliced-cbc-63x1460B"
         (stage (fun () -> Fbsr_crypto.Des_bitslice.encrypt_cbc_jobs bs_jobs));
-      Test.make ~name:"des-bitsliced-decrypt-1460B"
+      (* The receive side's decrypt: the scalar two-block kernel. *)
+      Test.make ~name:"des-cbc-decrypt-1460B"
         (stage (fun () ->
-             Fbsr_crypto.Des_bitslice.decrypt_cbc_sub ~iv des_key ~src:des_ct_1460
-               ~pos:0 ~len:(String.length des_ct_1460)));
-      Test.make ~name:"des-bitsliced-decrypt-576B"
+             Fbsr_crypto.Des.decrypt_cbc_sub ~iv des_key ~src:des_ct_1460 ~pos:0
+               ~len:(String.length des_ct_1460)));
+      Test.make ~name:"des-cbc-decrypt-576B"
         (stage (fun () ->
-             Fbsr_crypto.Des_bitslice.decrypt_cbc_sub ~iv des_key ~src:des_ct_576
-               ~pos:0 ~len:(String.length des_ct_576)));
+             Fbsr_crypto.Des.decrypt_cbc_sub ~iv des_key ~src:des_ct_576 ~pos:0
+               ~len:(String.length des_ct_576)));
       (* The expansion every TFKC/RFKC miss pays under the DES suites. *)
       Test.make ~name:"des-key-schedule"
         (stage (fun () -> Fbsr_crypto.Des.of_string "k3yk3yk3"));
@@ -242,7 +242,7 @@ let fbs_tests =
                ~wire:wire_paper));
       (* The receive-side twin of the batched send row: each call runs
          the scalar prologue and defers the body open; every 63rd call
-         flushes one cross-flow bitsliced sweep over all lanes. *)
+         flushes all 63 opens. *)
       Test.make ~name:"receive-des+md5-batched-1460B"
         (stage (fun () ->
              let i = !rx_batch_i in

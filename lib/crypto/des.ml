@@ -3,14 +3,15 @@
    confounder in the FBS header is the IV for CBC/CFB/OFB, and in ECB mode
    it is XORed with every plaintext block before encryption (Section 5.2).
 
-   The block kernel lives in {!Des_kernel}: fused SP tables, byte-indexed
-   IP/FP, sixteen unrolled rounds on untagged native [int] halves.  This
-   module owns key handling (schedules, parity, weak keys) and the FIPS 81
-   mode loops.  The mode loops keep a block in a single reused 2-element
-   scratch array and load/store halves straight from the source/destination
-   buffers, so steady-state encryption allocates nothing per block.  The
-   original bit-gather implementation survives as
-   [Fbsr_oracles.Des_ref], the differential-testing oracle. *)
+   The block kernel lives in {!Des_kernel}: one fused SP table,
+   byte-indexed IP/FP, sixteen unrolled rounds on untagged native [int]
+   halves, and the CBC drivers ([Des_kernel.cbc_encrypt] keeps the chain
+   in registers, [Des_kernel.cbc_decrypt] runs two blocks at a time).
+   This module owns key handling (schedules, parity, weak keys) and the
+   FIPS 81 mode loops, which load/store halves straight from the
+   source/destination buffers, so steady-state encryption allocates
+   nothing per block.  The original bit-gather implementation survives
+   as [Fbsr_oracles.Des_ref], the differential-testing oracle. *)
 
 exception Weak_key
 
@@ -52,12 +53,6 @@ let adjust_parity key =
       done;
       Char.chr (b lor if !ones land 1 = 0 then 1 else 0))
 
-(* One full DES pass over the scratch block. *)
-let[@inline] crypt_io ks io =
-  Des_kernel.ip io;
-  Des_kernel.rounds ks io;
-  Des_kernel.fp io
-
 (* Byte [j] (0..7, MSB first) of the block held as two 32-bit halves. *)
 let[@inline] blk_byte h l j =
   if j < 4 then (h lsr (24 - (8 * j))) land 0xff else (l lsr (56 - (8 * j))) land 0xff
@@ -68,7 +63,7 @@ let crypt_block_i64 ks (block : int64) : int64 =
   let io = Array.make 2 0 in
   io.(0) <- Int64.to_int (Int64.shift_right_logical block 32);
   io.(1) <- Int64.to_int (Int64.logand block 0xffffffffL);
-  crypt_io ks io;
+  Des_kernel.crypt ks io;
   Int64.logor (Int64.shift_left (Int64.of_int io.(0)) 32) (Int64.of_int io.(1))
 
 let encrypt_block key pt = crypt_block_i64 key.ke pt
@@ -135,7 +130,7 @@ let encrypt_ecb ?(confounder = String.make 8 '\000') key pt =
     let pos = i * 8 in
     io.(0) <- Des_kernel.read32 data pos lxor cfh;
     io.(1) <- Des_kernel.read32 data (pos + 4) lxor cfl;
-    crypt_io key.ke io;
+    Des_kernel.crypt key.ke io;
     Des_kernel.write32 out pos io.(0);
     Des_kernel.write32 out (pos + 4) io.(1)
   done;
@@ -152,26 +147,11 @@ let decrypt_ecb ?(confounder = String.make 8 '\000') key ct =
     let pos = i * 8 in
     io.(0) <- Des_kernel.read32 ct pos;
     io.(1) <- Des_kernel.read32 ct (pos + 4);
-    crypt_io key.kd io;
+    Des_kernel.crypt key.kd io;
     Des_kernel.write32 out pos (io.(0) lxor cfh);
     Des_kernel.write32 out (pos + 4) (io.(1) lxor cfl)
   done;
   unpad (Bytes.unsafe_to_string out)
-
-(* The CBC inner loop: encrypt [n] whole blocks of [src] starting at
-   [src_pos] into [dst] at [dst_pos], chaining through [io]'s current
-   contents (the previous ciphertext block or IV), leaving the last
-   ciphertext block in [io].  Shared by the string, incremental and
-   into-buffer entry points; no allocation, no bounds checks. *)
-let cbc_blocks ks (io : int array) src src_pos n dst dst_pos =
-  for i = 0 to n - 1 do
-    let sp = src_pos + (i * 8) and dp = dst_pos + (i * 8) in
-    io.(0) <- io.(0) lxor Des_kernel.read32 src sp;
-    io.(1) <- io.(1) lxor Des_kernel.read32 src (sp + 4);
-    crypt_io ks io;
-    Des_kernel.write32 dst dp io.(0);
-    Des_kernel.write32 dst (dp + 4) io.(1)
-  done
 
 let encrypt_cbc ~iv key pt =
   check_iv iv;
@@ -181,7 +161,7 @@ let encrypt_cbc ~iv key pt =
   let io = Array.make 2 0 in
   io.(0) <- Des_kernel.read32 iv 0;
   io.(1) <- Des_kernel.read32 iv 4;
-  cbc_blocks key.ke io data 0 n out 0;
+  Des_kernel.cbc_encrypt key.ke io data 0 n out 0;
   Bytes.unsafe_to_string out
 
 let decrypt_cbc ~iv key ct =
@@ -189,19 +169,8 @@ let decrypt_cbc ~iv key ct =
   let n = String.length ct in
   if n = 0 || n mod 8 <> 0 then invalid_arg "Des.decrypt_cbc: bad length";
   let out = Bytes.create n in
-  let io = Array.make 2 0 in
-  let ph = ref (Des_kernel.read32 iv 0) and pl = ref (Des_kernel.read32 iv 4) in
-  for i = 0 to (n / 8) - 1 do
-    let pos = i * 8 in
-    let ch = Des_kernel.read32 ct pos and cl = Des_kernel.read32 ct (pos + 4) in
-    io.(0) <- ch;
-    io.(1) <- cl;
-    crypt_io key.kd io;
-    Des_kernel.write32 out pos (io.(0) lxor !ph);
-    Des_kernel.write32 out (pos + 4) (io.(1) lxor !pl);
-    ph := ch;
-    pl := cl
-  done;
+  Des_kernel.cbc_decrypt key.kd ~ivh:(Des_kernel.read32 iv 0)
+    ~ivl:(Des_kernel.read32 iv 4) ct 0 (n / 8) out 0;
   unpad (Bytes.unsafe_to_string out)
 
 (* Ciphertext length of a padded-mode (CBC/ECB) encryption: the padding
@@ -217,7 +186,7 @@ let cbc_final_block ks (io : int array) src src_pos r dst dst_pos =
   let bl = (byte 4 lsl 24) lor (byte 5 lsl 16) lor (byte 6 lsl 8) lor byte 7 in
   io.(0) <- io.(0) lxor bh;
   io.(1) <- io.(1) lxor bl;
-  crypt_io ks io;
+  Des_kernel.crypt ks io;
   Des_kernel.write32 dst dst_pos io.(0);
   Des_kernel.write32 dst (dst_pos + 4) io.(1)
 
@@ -237,7 +206,7 @@ let encrypt_cbc_into ~iv key ~src ~src_pos ~src_len ~dst ~dst_pos =
   io.(0) <- Des_kernel.read32 iv 0;
   io.(1) <- Des_kernel.read32 iv 4;
   let whole = src_len land lnot 7 in
-  cbc_blocks key.ke io src src_pos (whole / 8) dst dst_pos;
+  Des_kernel.cbc_encrypt key.ke io src src_pos (whole / 8) dst dst_pos;
   cbc_final_block key.ke io src (src_pos + whole) (src_len - whole) dst (dst_pos + whole);
   out_len
 
@@ -245,21 +214,23 @@ let encrypt_cbc_into ~iv key ~src ~src_pos ~src_len ~dst ~dst_pos =
    its surrounding buffer first, allocating only the exact plaintext.
    CBC decryption is position-independent (each block needs only its
    ciphertext predecessor), so the last block is decrypted first to
-   learn the padding length, then the output is sized exactly. *)
-let decrypt_cbc_sub ~iv key ~src ~pos ~len =
+   learn the padding length, then the output is sized exactly.
+   [cbc_open_final] is that first step: it checks the padding, allocates
+   the plaintext and writes the final block's surviving bytes, leaving
+   the [len/8 - 1] blocks before it to [Des_kernel.cbc_decrypt]. *)
+let cbc_open_final ~iv key ~src ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length src - len then
     invalid_arg "Des.decrypt_cbc_sub: bad source range";
   if len = 0 || len mod 8 <> 0 then invalid_arg "Des.decrypt_cbc_sub: bad length";
   check_iv iv;
-  let ivh = Des_kernel.read32 iv 0 and ivl = Des_kernel.read32 iv 4 in
   let n = len / 8 in
+  let last = pos + ((n - 1) * 8) in
+  let lph = if n = 1 then Des_kernel.read32 iv 0 else Des_kernel.read32 src (last - 8) in
+  let lpl = if n = 1 then Des_kernel.read32 iv 4 else Des_kernel.read32 src (last - 4) in
   let io = Array.make 2 0 in
-  let lp_pos = pos + ((n - 2) * 8) in
-  let lph = if n = 1 then ivh else Des_kernel.read32 src lp_pos in
-  let lpl = if n = 1 then ivl else Des_kernel.read32 src (lp_pos + 4) in
-  io.(0) <- Des_kernel.read32 src (pos + ((n - 1) * 8));
-  io.(1) <- Des_kernel.read32 src (pos + ((n - 1) * 8) + 4);
-  crypt_io key.kd io;
+  io.(0) <- Des_kernel.read32 src last;
+  io.(1) <- Des_kernel.read32 src (last + 4);
+  Des_kernel.crypt key.kd io;
   let lh = io.(0) lxor lph and ll = io.(1) lxor lpl in
   let padding = ll land 0xff in
   if padding < 1 || padding > 8 then invalid_arg "Des.decrypt_cbc_sub: corrupt padding";
@@ -267,21 +238,15 @@ let decrypt_cbc_sub ~iv key ~src ~pos ~len =
     if blk_byte lh ll j <> padding then invalid_arg "Des.decrypt_cbc_sub: corrupt padding"
   done;
   let out = Bytes.create (len - padding) in
-  let ph = ref ivh and pl = ref ivl in
-  for i = 0 to n - 2 do
-    let sp = pos + (i * 8) in
-    let ch = Des_kernel.read32 src sp and cl = Des_kernel.read32 src (sp + 4) in
-    io.(0) <- ch;
-    io.(1) <- cl;
-    crypt_io key.kd io;
-    Des_kernel.write32 out (i * 8) (io.(0) lxor !ph);
-    Des_kernel.write32 out ((i * 8) + 4) (io.(1) lxor !pl);
-    ph := ch;
-    pl := cl
-  done;
   for j = 0 to 7 - padding do
-    Bytes.set out (((n - 1) * 8) + j) (Char.chr (blk_byte lh ll j))
+    Bytes.unsafe_set out (((n - 1) * 8) + j) (Char.unsafe_chr (blk_byte lh ll j))
   done;
+  out
+
+let decrypt_cbc_sub ~iv key ~src ~pos ~len =
+  let out = cbc_open_final ~iv key ~src ~pos ~len in
+  Des_kernel.cbc_decrypt key.kd ~ivh:(Des_kernel.read32 iv 0)
+    ~ivl:(Des_kernel.read32 iv 4) src pos ((len / 8) - 1) out 0;
   Bytes.unsafe_to_string out
 
 (* Incremental CBC: lets callers interleave encryption with other
@@ -303,7 +268,7 @@ let cbc_encrypt_blocks ctx data =
   (* data length must be a multiple of 8 *)
   let n = String.length data / 8 in
   let out = Bytes.create (n * 8) in
-  cbc_blocks ctx.cbc_key.ke ctx.chain data 0 n out 0;
+  Des_kernel.cbc_encrypt ctx.cbc_key.ke ctx.chain data 0 n out 0;
   Bytes.unsafe_to_string out
 
 let cbc_update ctx data =
@@ -325,7 +290,7 @@ let cbc_finish ctx =
   cbc_final_block ctx.cbc_key.ke ctx.chain rest 0 r out 0;
   Bytes.unsafe_to_string out
 
-(* Zero-allocation incremental CBC over whole blocks straight into a
+(* Allocation-free incremental CBC over whole blocks straight into a
    caller buffer — the [Fused] single-pass MAC+encrypt loop.  [chain] is
    a 2-element scratch holding the running ciphertext block (seed it with
    [cbc_seed_chain]); [cbc_blocks_into] consumes [nblocks] whole blocks,
@@ -342,7 +307,7 @@ let cbc_blocks_into key chain ~src ~src_pos ~nblocks ~dst ~dst_pos =
     invalid_arg "Des.cbc_blocks_into: bad source range";
   if dst_pos < 0 || dst_pos > Bytes.length dst - (nblocks * 8) then
     invalid_arg "Des.cbc_blocks_into: destination too short";
-  cbc_blocks key.ke chain src src_pos nblocks dst dst_pos
+  Des_kernel.cbc_encrypt key.ke chain src src_pos nblocks dst dst_pos
 
 let cbc_tail_into key chain ~src ~src_pos ~src_len ~dst ~dst_pos =
   if src_pos < 0 || src_len < 0 || src_len > 7 || src_pos > String.length src - src_len
@@ -362,7 +327,7 @@ let cfb_transform ~iv ~decrypt key input =
   while !i < n do
     io.(0) <- !sh;
     io.(1) <- !sl;
-    crypt_io key.ke io;
+    Des_kernel.crypt key.ke io;
     let take = min 8 (n - !i) in
     (* Gather the input block, a short final block aligned to the top. *)
     let bh = ref 0 and bl = ref 0 in
@@ -401,7 +366,7 @@ let ofb_transform ~iv key input =
   io.(1) <- Des_kernel.read32 iv 4;
   let i = ref 0 in
   while !i < n do
-    crypt_io key.ke io;
+    Des_kernel.crypt key.ke io;
     let take = min 8 (n - !i) in
     for j = 0 to take - 1 do
       let ks = blk_byte io.(0) io.(1) j in

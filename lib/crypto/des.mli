@@ -127,6 +127,13 @@ val decrypt : mode:mode -> iv:string -> key -> string -> string
 (**/**)
 
 (* Internal: the packed {!Des_kernel} schedules, for sibling modules
-   ([Des3], [Mac], [Fused]) that drive the kernel directly. *)
+   ([Des3], [Mac], [Des_bitslice]) that drive the kernel directly. *)
 val sched_e : key -> int array
 val sched_d : key -> int array
+
+(* Internal: the first half of [decrypt_cbc_sub] (same checks, same
+   exceptions): decrypt the final block, check its padding, allocate the
+   exact plaintext and write that block's surviving bytes.  The
+   [len/8 - 1] blocks before it are left to [Des_kernel.cbc_decrypt];
+   [Des_bitslice.dec_job] defers them to a batch flush. *)
+val cbc_open_final : iv:string -> key -> src:string -> pos:int -> len:int -> Bytes.t

@@ -26,10 +26,10 @@
 
    All scratch lives in a per-domain record behind
    [Fbsr_util.Domain_shim.local_make]: the sharded engine runs one
-   receive pipeline per domain and each calls [decrypt_cbc_sub]
-   concurrently, so the lane matrices cannot be module-global.  Each
-   public entry point fetches its domain's scratch once and threads it
-   through the helpers. *)
+   pipeline, with its own batch, per domain, and any of them may run a
+   lockstep pass concurrently, so the lane matrices cannot be
+   module-global.  Each public entry point fetches its domain's scratch
+   once and threads it through the helpers. *)
 
 let lanes = 63
 
@@ -161,7 +161,6 @@ type scratch = {
   full_scratch : int array;
   fin_hi : int array;
   fin_lo : int array;
-  io2 : int array; (* 2-word block for the scalar Des_kernel fallbacks *)
 }
 
 let make_scratch () =
@@ -196,7 +195,6 @@ let make_scratch () =
     full_scratch = Array.make lanes 0;
     fin_hi = Array.make lanes 0;
     fin_lo = Array.make lanes 0;
-    io2 = Array.make 2 0;
   }
 
 let scratch = Fbsr_util.Domain_shim.local_make make_scratch
@@ -279,21 +277,6 @@ let load_keys s ke_of n =
         Array.unsafe_set kw (ko + Array.unsafe_get ki t)
           (Array.unsafe_get ka b lor (Array.unsafe_get kb b lsl 31))
       done
-    done
-  done
-
-(* Same-key broadcast (used by the single-datagram decrypt path): a set
-   subkey bit becomes the all-lanes mask ([-1] = every logical bit). *)
-let load_keys_broadcast s ke =
-  let kw = s.kw in
-  for rnd = 0 to 15 do
-    let ko = rnd * 48 in
-    let w0 = Array.unsafe_get ke (2 * rnd)
-    and w1 = Array.unsafe_get ke ((2 * rnd) + 1) in
-    for i = 0 to 47 do
-      let w = if Array.unsafe_get kb_word i = 0 then w0 else w1 in
-      Array.unsafe_set kw (ko + i)
-        (-((w lsr Array.unsafe_get kb_shift i) land 1))
     done
   done
 
@@ -533,9 +516,14 @@ let run_scalar (j : cbc_job) =
   in
   job_blocks j
 
-let default_threshold = 24
+(* A lockstep pass costs about the same at any occupancy, so a group
+   pays only once it replaces at least [pass cost / scalar chain cost]
+   chains: for 1418-byte jobs 0.89-0.98 ms against 24-25 us a chain on
+   a 2-core x86-64 box, crossing between 36 and 38 jobs in interleaved
+   runs (DESIGN.md §6c). *)
+let break_even_jobs = 37
 
-let encrypt_cbc_jobs ?(threshold = default_threshold) jobs =
+let encrypt_cbc_jobs ?(threshold = break_even_jobs) jobs =
   let s = Fbsr_util.Domain_shim.local_get scratch in
   let n = Array.length jobs in
   let bitsliced = ref 0 and scalar = ref 0 in
@@ -552,120 +540,13 @@ let encrypt_cbc_jobs ?(threshold = default_threshold) jobs =
   done;
   (!bitsliced, !scalar)
 
-(* --- CBC decrypt primitives (shared by the single-ciphertext and
-       cross-flow batched paths) --- *)
+(* --- Deferred CBC decryption ---
 
-(* A bitsliced pass costs about the same at any occupancy (the four
-   transposes and sixteen gate-network rounds run over every lane), so
-   it pays only once it replaces at least [pass cost / scalar block
-   cost] table-driven blocks: 7.9-11.7 us against 0.215-0.26 us on a
-   2-core x86-64 box, a quotient of 37-45 (DESIGN.md §6c). *)
-let break_even_lanes = 44
-
-(* Scalar-decrypt the final block of the [nb]-block ciphertext at
-   [src/pos], xor with the preceding ciphertext block (the IV words for
-   a one-block message), and validate PKCS#7 padding.  Returns the
-   plaintext words and padding length; raises on corrupt padding with
-   the same message as [Des.decrypt_cbc_sub] so callers classify the
-   failure identically regardless of path. *)
-let dec_final_block io kd ~src ~pos ~nb ~iv_hi ~iv_lo =
-  io.(0) <- Des_kernel.read32 src (pos + ((nb - 1) * 8));
-  io.(1) <- Des_kernel.read32 src (pos + ((nb - 1) * 8) + 4);
-  Des_kernel.ip io;
-  Des_kernel.rounds kd io;
-  Des_kernel.fp io;
-  let ph, pl =
-    if nb = 1 then (iv_hi, iv_lo)
-    else
-      let pp = pos + ((nb - 2) * 8) in
-      (Des_kernel.read32 src pp, Des_kernel.read32 src (pp + 4))
-  in
-  let lh = io.(0) lxor ph and ll = io.(1) lxor pl in
-  let padding = ll land 0xff in
-  if padding < 1 || padding > 8 then
-    invalid_arg "Des.decrypt_cbc_sub: corrupt padding";
-  let blk_byte j =
-    if j < 4 then (lh lsr (24 - (8 * j))) land 0xff
-    else (ll lsr (56 - (8 * j))) land 0xff
-  in
-  for j = 8 - padding to 7 do
-    if blk_byte j <> padding then
-      invalid_arg "Des.decrypt_cbc_sub: corrupt padding"
-  done;
-  (lh, ll, padding)
-
-(* Write the surviving bytes of a validated final block into [out]. *)
-let write_final_tail out ~off lh ll ~padding =
-  for j = 0 to 7 - padding do
-    let b =
-      if j < 4 then (lh lsr (24 - (8 * j))) land 0xff
-      else (ll lsr (56 - (8 * j))) land 0xff
-    in
-    Bytes.unsafe_set out (off + j) (Char.unsafe_chr b)
-  done
-
-(* Decrypt full blocks [first..last] of the ciphertext at [src/pos]
-   with the table-driven kernel, xoring each with its predecessor
-   ciphertext block (the IV words for block 0) into [out]. *)
-let dec_blocks_scalar io kd ~src ~pos ~iv_hi ~iv_lo ~first ~last ~(out : Bytes.t) =
-  for i = first to last do
-    let sp = pos + (i * 8) in
-    io.(0) <- Des_kernel.read32 src sp;
-    io.(1) <- Des_kernel.read32 src (sp + 4);
-    Des_kernel.ip io;
-    Des_kernel.rounds kd io;
-    Des_kernel.fp io;
-    let ph, pl =
-      if i = 0 then (iv_hi, iv_lo)
-      else (Des_kernel.read32 src (sp - 8), Des_kernel.read32 src (sp - 4))
-    in
-    Des_kernel.write32 out (i * 8) (io.(0) lxor ph);
-    Des_kernel.write32 out ((i * 8) + 4) (io.(1) lxor pl)
-  done
-
-(* Decrypt full blocks 0..nfull-1 of the ciphertext at [src/pos] under
-   the decrypt schedule [kd], in passes of up to [lanes] consecutive
-   blocks (decrypt has no cross-block dependency).  A pass that fills at
-   least [min_lanes] lanes runs bitsliced under the broadcast key, loaded
-   before the first such pass; a shorter one (only ever the last) runs
-   its blocks scalar.  Returns the number of blocks decrypted
-   bitsliced. *)
-let dec_blocks_lanes s kd ~min_lanes ~src ~pos ~iv_hi ~iv_lo ~nfull
-    ~(out : Bytes.t) =
-  let bitsliced = ref 0 in
-  let base = ref 0 in
-  while !base < nfull do
-    let b0 = !base in
-    let g = min lanes (nfull - b0) in
-    if g < min_lanes then
-      dec_blocks_scalar s.io2 kd ~src ~pos ~iv_hi ~iv_lo ~first:b0
-        ~last:(b0 + g - 1) ~out
-    else begin
-      if !bitsliced = 0 then load_keys_broadcast s kd;
-      clear_lanes s;
-      for l = 0 to g - 1 do
-        let sp = pos + ((b0 + l) * 8) in
-        set_lane s l (Des_kernel.read32 src sp) (Des_kernel.read32 src (sp + 4))
-      done;
-      des_pass s;
-      for l = 0 to g - 1 do
-        let i = b0 + l in
-        let ph, pl =
-          if i = 0 then (iv_hi, iv_lo)
-          else
-            let pp = pos + ((i - 1) * 8) in
-            (Des_kernel.read32 src pp, Des_kernel.read32 src (pp + 4))
-        in
-        Des_kernel.write32 out (i * 8) (lane_hi s l lxor ph);
-        Des_kernel.write32 out ((i * 8) + 4) (lane_lo s l lxor pl)
-      done;
-      bitsliced := !bitsliced + g
-    end;
-    base := b0 + g
-  done;
-  !bitsliced
-
-(* --- Cross-flow batched CBC decrypt --- *)
+   The receive batch parks a frame's body open until its flush.  CBC
+   decryption has no chain to serialise it, so the scalar kernel's
+   two-block loop ([Des_kernel.cbc_decrypt]) matches or beats a
+   bitsliced pass at every occupancy (DESIGN.md §6c), and each parked
+   open runs there. *)
 
 type dec_job = {
   kd : int array; (* packed decrypt schedule *)
@@ -678,138 +559,27 @@ type dec_job = {
 }
 
 let dec_job ~key ~iv ~src ~src_pos ~src_len =
-  if String.length iv <> 8 then
-    invalid_arg "Des_bitslice.dec_job: IV must be 8 bytes";
-  if src_pos < 0 || src_len < 0 || src_pos > String.length src - src_len then
-    invalid_arg "Des_bitslice.dec_job: bad source range";
-  if src_len = 0 || src_len mod 8 <> 0 then
-    invalid_arg "Des_bitslice.dec_job: bad length";
-  let s = Fbsr_util.Domain_shim.local_get scratch in
-  let kd = Des.sched_d key in
-  let nb = src_len / 8 in
-  let iv_hi = Des_kernel.read32 iv 0 and iv_lo = Des_kernel.read32 iv 4 in
-  (* The final block decrypts scalar at construction: its padding byte
-     sizes the output buffer, and a corrupt-padding frame must fail
-     here — before it occupies a batch lane — so batched and scalar
-     receive reject at the same point with the same exception. *)
-  let lh, ll, padding =
-    dec_final_block s.io2 kd ~src ~pos:src_pos ~nb ~iv_hi ~iv_lo
-  in
-  let out = Bytes.create (src_len - padding) in
-  write_final_tail out ~off:((nb - 1) * 8) lh ll ~padding;
+  (* The final block decrypts at construction: its padding byte sizes
+     the output buffer, and a corrupt-padding frame must fail here, so
+     batched and inline receive reject at the same point with the same
+     exception. *)
+  let out = Des.cbc_open_final ~iv key ~src ~pos:src_pos ~len:src_len in
   {
-    kd;
-    div_hi = iv_hi;
-    div_lo = iv_lo;
+    kd = Des.sched_d key;
+    div_hi = Des_kernel.read32 iv 0;
+    div_lo = Des_kernel.read32 iv 4;
     d_src = src;
     d_pos = src_pos;
-    nfull = nb - 1;
+    nfull = (src_len / 8) - 1;
     out;
   }
 
 let dec_job_out j = j.out
 
-(* Advance one ≤63-lane group of decrypt jobs in lockstep.  Unlike the
-   encrypt side there is no chain state to carry: each lane's xor source
-   is read back out of its own ciphertext.  Returns blocks decrypted. *)
-let run_dec_group s (jobs : dec_job array) p g =
-  let { nb_scratch; _ } = s in
-  load_keys s (fun l -> jobs.(p + l).kd) g;
-  clear_lanes s;
-  let max_nf = ref 0 in
-  for l = 0 to g - 1 do
-    let nf = jobs.(p + l).nfull in
-    nb_scratch.(l) <- nf;
-    if nf > !max_nf then max_nf := nf
-  done;
-  let total = ref 0 in
-  for step = 0 to !max_nf - 1 do
-    for l = 0 to g - 1 do
-      let nf = Array.unsafe_get nb_scratch l in
-      if step < nf then begin
-        let j = Array.unsafe_get jobs (p + l) in
-        let sp = j.d_pos + (step * 8) in
-        set_lane s l (Des_kernel.read32 j.d_src sp)
-          (Des_kernel.read32 j.d_src (sp + 4))
-      end
-      else if step = nf then
-        (* job finished last step: retire the lane to all-zero input *)
-        set_lane s l 0 0
-    done;
-    des_pass s;
-    for l = 0 to g - 1 do
-      if step < Array.unsafe_get nb_scratch l then begin
-        let j = Array.unsafe_get jobs (p + l) in
-        let ph, pl =
-          if step = 0 then (j.div_hi, j.div_lo)
-          else
-            let pp = j.d_pos + ((step - 1) * 8) in
-            (Des_kernel.read32 j.d_src pp, Des_kernel.read32 j.d_src (pp + 4))
-        in
-        Des_kernel.write32 j.out (step * 8) (lane_hi s l lxor ph);
-        Des_kernel.write32 j.out ((step * 8) + 4) (lane_lo s l lxor pl);
-        incr total
-      end
-    done
-  done;
-  !total
-
-(* Per-job fallback for under-threshold batches: the job's own blocks
-   as lanes under its broadcast key, each pass bitsliced or scalar by
-   [break_even_lanes] — what scalar receive would have done for the same
-   datagram, so a sparse batch never regresses below the unbatched path.
-   Returns (bitsliced, scalar) block counts. *)
-let run_dec_scalar s (j : dec_job) =
-  let bs =
-    dec_blocks_lanes s j.kd ~min_lanes:break_even_lanes ~src:j.d_src
-      ~pos:j.d_pos ~iv_hi:j.div_hi ~iv_lo:j.div_lo ~nfull:j.nfull ~out:j.out
-  in
-  (bs, j.nfull - bs)
-
-let decrypt_cbc_jobs ?(threshold = default_threshold) jobs =
-  let s = Fbsr_util.Domain_shim.local_get scratch in
-  let n = Array.length jobs in
-  let bitsliced = ref 0 and scalar = ref 0 in
-  let pos = ref 0 in
-  while !pos < n do
-    let p = !pos in
-    let g = min lanes (n - p) in
-    if g >= threshold then bitsliced := !bitsliced + run_dec_group s jobs p g
-    else
-      for l = p to p + g - 1 do
-        let bs, sc = run_dec_scalar s jobs.(l) in
-        bitsliced := !bitsliced + bs;
-        scalar := !scalar + sc
-      done;
-    pos := p + g
-  done;
-  (!bitsliced, !scalar)
-
-(* --- Single-ciphertext CBC decrypt, blocks as lanes --- *)
-
-let decrypt_cbc_sub ?(threshold = break_even_lanes) ~iv key ~src ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length src - len then
-    invalid_arg "Des_bitslice.decrypt_cbc_sub: bad source range";
-  if len = 0 || len mod 8 <> 0 then
-    invalid_arg "Des_bitslice.decrypt_cbc_sub: bad length";
-  let nb = len / 8 in
-  (* No pass would fill [threshold] lanes: the whole ciphertext is the
-     scalar kernel's. *)
-  if nb < 2 || nb - 1 < threshold then Des.decrypt_cbc_sub ~iv key ~src ~pos ~len
-  else begin
-    if String.length iv <> 8 then
-      invalid_arg "Des_bitslice.decrypt_cbc_sub: IV must be 8 bytes";
-    let kd = Des.sched_d key in
-    let s = Fbsr_util.Domain_shim.local_get scratch in
-    let iv_hi = Des_kernel.read32 iv 0 and iv_lo = Des_kernel.read32 iv 4 in
-    (* Last block first, scalar, to learn the padding length (mirrors
-       Des.decrypt_cbc_sub so the two paths are drop-in equivalent). *)
-    let lh, ll, padding = dec_final_block s.io2 kd ~src ~pos ~nb ~iv_hi ~iv_lo in
-    let out = Bytes.create (len - padding) in
-    let (_ : int) =
-      dec_blocks_lanes s kd ~min_lanes:threshold ~src ~pos ~iv_hi ~iv_lo
-        ~nfull:(nb - 1) ~out
-    in
-    write_final_tail out ~off:((nb - 1) * 8) lh ll ~padding;
-    Bytes.unsafe_to_string out
-  end
+let decrypt_cbc_jobs jobs =
+  Array.fold_left
+    (fun blocks j ->
+      Des_kernel.cbc_decrypt j.kd ~ivh:j.div_hi ~ivl:j.div_lo j.d_src j.d_pos
+        j.nfull j.out 0;
+      blocks + j.nfull)
+    0 jobs

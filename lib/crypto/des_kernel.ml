@@ -1,33 +1,45 @@
 (* The fast DES kernel: table-driven, unboxed, shared by [Des], [Des3],
    [Mac] and [Fused].  Replaces the generic per-round bit-gather of the
    seed implementation ([Fbsr_oracles.Des_ref], retained as the
-   differential-testing oracle) with the classic software-DES layout:
+   differential-testing oracle) with a software-DES layout shaped for
+   latency: CBC encryption is one serial chain of rounds, so what counts
+   is the length of a round's dependency chain, not its operation count.
 
-   - The E expansion is folded into the SP-table indexing.  A 32-bit round
-     input [r] is rotated twice (right 1 for the odd S-boxes, left 3 for
-     the even ones) so that each 6-bit E-group lands on a fixed shift
-     (26/18/10/2) of one of the two rotated words; the per-round work is
-     then two rotates, two subkey XORs and eight table lookups — no
-     48-iteration permute.
-   - Each SP table entry is the S-box output already pushed through the P
-     permutation, so the round function is a pure OR of eight lookups.
+   - Shifted-doubled halves.  A 32-bit half [x] is carried as
+     [x' = (x lor (x lsl 32)) lsr 1]: bits 0..30 hold x's bits 1..31 and
+     bits 31..61 hold x's bits 0..30.  Its low 32 bits are [x] rotated
+     right by 1, and bits 28..59 are [x] rotated left by 3, the two
+     rotations that line the E-expansion's 6-bit groups up at fixed
+     shifts.  So a round needs no rotate at all: the odd S-boxes read
+     [r' lxor ka] at shifts 26/18/10/2 and the even ones
+     [r' lxor (kb lsl 28)] at 54/46/38/30, where the subkey shift
+     depends only on the schedule and stays off the chain.  The form is
+     bitwise linear, so XOR keeps it: IP emits it, the SP entries are
+     stored in it, and FP reads it back ([x' lsr 30] is [x] rotated left
+     by 1, which the FP tables absorb).
+   - One SP table.  Entry [64 * box + six] is S-box [box]'s output for
+     the 6-bit group [six], pushed through P and doubled, so a round is
+     two XORs, eight masked lookups into one 512-entry table, and a
+     three-level OR tree.
    - IP and FP are byte-indexed: one precomputed table row per (input
-     byte position, byte value), ORed over the eight input bytes — 16
-     lookups per permutation instead of 64 single-bit gathers.
-   - Everything runs on untagged native [int]s holding 32-bit halves; the
-     only [Int64]s left are in the module-init table construction.
+     byte position, byte value), ORed over the eight input bytes.
+   - Everything runs on untagged native [int]s; the only [Int64]s left
+     are in the module-init table construction.
 
-   A block lives in a caller-provided 2-element scratch array [io]
-   (io.(0) = high/left word, io.(1) = low/right word), so the mode loops
-   in [Des]/[Des3] allocate nothing per block.  [rounds] maps the post-IP
-   halves to the FIPS "preoutput" (R16, L16) — feeding its output straight
-   back into [rounds] is exactly the FP-then-IP cancellation EDE3 needs,
-   which is how [Des3] runs three passes with a single IP/FP pair.
+   The drivers keep blocks in locals.  [cbc_encrypt] carries the CBC
+   chain in IP space (IP is linear, and IP undoes the FP that produced
+   the previous ciphertext block), so the chain itself never passes
+   through a permutation, and [cbc_decrypt] runs two independent blocks
+   per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
+   modes and [Des3]: [rounds] maps the post-IP halves to the FIPS
+   preoutput (R16, L16), and feeding its output straight back into
+   [rounds] is exactly the FP-then-IP cancellation EDE3 needs, which is
+   how [Des3] runs three passes with a single IP/FP pair.
 
    Subkey layout: two words per round.  Word [2i] carries the 6-bit
-   subkey chunks for S1/S3/S5/S7 at shifts 26/18/10/2 (matching the
-   rotate-right-1 word), word [2i+1] the chunks for S2/S4/S6/S8
-   (matching rotate-left-3). *)
+   subkey chunks for S1/S3/S5/S7 at shifts 26/18/10/2, word [2i+1] the
+   chunks for S2/S4/S6/S8 at the same shifts (the round lifts it by
+   28). *)
 
 (* --- FIPS tables (1-based source bit positions, MSB first) --- *)
 
@@ -115,25 +127,20 @@ let permute (v : int64) ~width table =
   done;
   !out
 
-(* SP tables, one flat 64-entry int array per S-box: entry [six] is the
-   P-permuted S-box output for the 6-bit E-group value [six] (row = bits
+(* The shifted-doubled form of a 32-bit word (see the header). *)
+let dbl x = (x lor (x lsl 32)) lsr 1
+
+(* The SP table: entry [64 * box + six] is the P-permuted, doubled
+   output of S-box [box] for the 6-bit E-group value [six] (row = bits
    1 and 6, column = bits 2-5, FIPS numbering). *)
-let sp_table box =
-  Array.init 64 (fun six ->
+let sp =
+  Array.init 512 (fun i ->
+      let box = i lsr 6 and six = i land 0x3f in
       let row = ((six lsr 4) land 2) lor (six land 1) in
       let col = (six lsr 1) land 0xf in
       let s = sboxes.(box).((row * 16) + col) in
       let word = Int64.of_int (s lsl (28 - (4 * box))) in
-      Int64.to_int (permute word ~width:32 p_table))
-
-let sp1 = sp_table 0
-let sp2 = sp_table 1
-let sp3 = sp_table 2
-let sp4 = sp_table 3
-let sp5 = sp_table 4
-let sp6 = sp_table 5
-let sp7 = sp_table 6
-let sp8 = sp_table 7
+      dbl (Int64.to_int (permute word ~width:32 p_table)))
 
 (* Byte-indexed tables for a 64->64 permutation: row [p*256 + v] is the
    contribution of input byte [p] holding value [v] to the high (resp.
@@ -156,8 +163,17 @@ let byte_tables table =
   done;
   (hi, lo)
 
-let ip_hi, ip_lo = byte_tables ip_table
-let fp_hi, fp_lo = byte_tables fp_table
+(* IP emits doubled halves. *)
+let ip_hi, ip_lo =
+  let hi, lo = byte_tables ip_table in
+  (Array.map dbl hi, Array.map dbl lo)
+
+(* FP reads [x' lsr 30], each half rotated left by 1: FIPS source bit
+   [s] of a half sits one position further left, the half's first bit
+   wrapping to its last. *)
+let fp_hi, fp_lo =
+  byte_tables
+    (Array.map (fun s -> if (s - 1) mod 32 = 0 then s + 31 else s - 1) fp_table)
 
 (* OR of the eight byte rows of [tab] selected by the bytes of (hi, lo). *)
 let[@inline] gather (tab : int array) hi lo =
@@ -170,59 +186,142 @@ let[@inline] gather (tab : int array) hi lo =
   lor Array.unsafe_get tab (1536 + ((lo lsr 8) land 0xff))
   lor Array.unsafe_get tab (1792 + (lo land 0xff))
 
+(* FP of the doubled preoutput halves (x', y'): the high and low output
+   words. *)
+let[@inline] fp_word tab x y = gather tab (x lsr 30) (y lsr 30)
+
+(* One Feistel round: [l] XOR f([r], round [o]'s subkey words), all in
+   doubled form.  The lookups are ORed as a tree so the chain from [r]
+   to the result is one XOR, a shift and mask, a load and three ORs. *)
+let[@inline] round (ks : int array) o l r =
+  let a = r lxor Array.unsafe_get ks o
+  and b = r lxor (Array.unsafe_get ks (o + 1) lsl 28) in
+  let odd =
+    (Array.unsafe_get sp ((a lsr 26) land 0x3f)
+    lor Array.unsafe_get sp (128 + ((a lsr 18) land 0x3f)))
+    lor (Array.unsafe_get sp (256 + ((a lsr 10) land 0x3f))
+        lor Array.unsafe_get sp (384 + ((a lsr 2) land 0x3f)))
+  and even =
+    (Array.unsafe_get sp (64 + ((b lsr 54) land 0x3f))
+    lor Array.unsafe_get sp (192 + ((b lsr 46) land 0x3f)))
+    lor (Array.unsafe_get sp (320 + ((b lsr 38) land 0x3f))
+        lor Array.unsafe_get sp (448 + ((b lsr 30) land 0x3f)))
+  in
+  l lxor (odd lor even)
+
 let ip (io : int array) =
   let hi = Array.unsafe_get io 0 and lo = Array.unsafe_get io 1 in
   Array.unsafe_set io 0 (gather ip_hi hi lo);
   Array.unsafe_set io 1 (gather ip_lo hi lo)
 
 let fp (io : int array) =
-  let hi = Array.unsafe_get io 0 and lo = Array.unsafe_get io 1 in
-  Array.unsafe_set io 0 (gather fp_hi hi lo);
-  Array.unsafe_set io 1 (gather fp_lo hi lo)
+  let x = Array.unsafe_get io 0 and y = Array.unsafe_get io 1 in
+  Array.unsafe_set io 0 (fp_word fp_hi x y);
+  Array.unsafe_set io 1 (fp_word fp_lo x y)
 
-(* The round function.  [r] is the 32-bit round input; [ka] covers the odd
-   S-boxes (S1/S3/S5/S7, aligned with r rotated right by 1), [kb] the even
-   ones (S2/S4/S6/S8, aligned with r rotated left by 3).  Each E-group
-   sits at a fixed 6-bit field (shifts 26/18/10/2) of the rotated word. *)
-let[@inline] feistel r ka kb =
-  let a = (((r lsr 1) lor (r lsl 31)) land 0xffffffff) lxor ka in
-  let b = (((r lsl 3) lor (r lsr 29)) land 0xffffffff) lxor kb in
-  Array.unsafe_get sp1 ((a lsr 26) land 0x3f)
-  lor Array.unsafe_get sp3 ((a lsr 18) land 0x3f)
-  lor Array.unsafe_get sp5 ((a lsr 10) land 0x3f)
-  lor Array.unsafe_get sp7 ((a lsr 2) land 0x3f)
-  lor Array.unsafe_get sp2 ((b lsr 26) land 0x3f)
-  lor Array.unsafe_get sp4 ((b lsr 18) land 0x3f)
-  lor Array.unsafe_get sp6 ((b lsr 10) land 0x3f)
-  lor Array.unsafe_get sp8 ((b lsr 2) land 0x3f)
-
-(* The sixteen rounds, fully unrolled, two per step with the half-swap
-   folded into the alternation (no per-round shuffle).  Input: io holds
-   the post-IP halves (L0, R0); output: io holds the FIPS preoutput
-   (R16, L16).  Because FP and IP are inverses, feeding the output of one
-   [rounds] call directly into another composes complete DES passes with
-   the interior FP/IP pairs cancelled — the EDE3 fast path. *)
+(* The sixteen rounds, unrolled with let-shadowing (two per line, the
+   half-swap folded into the alternation).  Input: io holds the post-IP
+   halves (L0, R0); output: the FIPS preoutput (R16, L16). *)
 let rounds (ks : int array) (io : int array) =
-  let k i = Array.unsafe_get ks i in
   let l = Array.unsafe_get io 0 and r = Array.unsafe_get io 1 in
-  let l = l lxor feistel r (k 0) (k 1) in
-  let r = r lxor feistel l (k 2) (k 3) in
-  let l = l lxor feistel r (k 4) (k 5) in
-  let r = r lxor feistel l (k 6) (k 7) in
-  let l = l lxor feistel r (k 8) (k 9) in
-  let r = r lxor feistel l (k 10) (k 11) in
-  let l = l lxor feistel r (k 12) (k 13) in
-  let r = r lxor feistel l (k 14) (k 15) in
-  let l = l lxor feistel r (k 16) (k 17) in
-  let r = r lxor feistel l (k 18) (k 19) in
-  let l = l lxor feistel r (k 20) (k 21) in
-  let r = r lxor feistel l (k 22) (k 23) in
-  let l = l lxor feistel r (k 24) (k 25) in
-  let r = r lxor feistel l (k 26) (k 27) in
-  let l = l lxor feistel r (k 28) (k 29) in
-  let r = r lxor feistel l (k 30) (k 31) in
+  let l = round ks 0 l r in let r = round ks 2 r l in
+  let l = round ks 4 l r in let r = round ks 6 r l in
+  let l = round ks 8 l r in let r = round ks 10 r l in
+  let l = round ks 12 l r in let r = round ks 14 r l in
+  let l = round ks 16 l r in let r = round ks 18 r l in
+  let l = round ks 20 l r in let r = round ks 22 r l in
+  let l = round ks 24 l r in let r = round ks 26 r l in
+  let l = round ks 28 l r in let r = round ks 30 r l in
   Array.unsafe_set io 0 r;
   Array.unsafe_set io 1 l
+
+let crypt ks io =
+  ip io;
+  rounds ks io;
+  fp io
+
+(* Big-endian 32-bit loads/stores for the mode loops, via the stdlib's
+   word-at-a-time primitives (one load/store plus a byte swap; the
+   intermediate [int32] never escapes the expression, so it stays
+   unboxed even without flambda).  [Int32.to_int] sign-extends, hence
+   the mask on the load. *)
+let[@inline] read32 (s : string) pos =
+  Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
+
+let[@inline] write32 (b : Bytes.t) pos v =
+  Bytes.set_int32_be b pos (Int32.of_int v)
+
+(* CBC encryption of [n] whole blocks, chaining from the ciphertext
+   block in [chain] and leaving the last one there.  The chain runs in
+   IP space: IP(p xor c) = IP(p) xor IP(c), and IP(c) for a block this
+   loop produced is its preoutput, so the next block starts from the
+   preoutput XOR IP(p) and only the output store pays for FP. *)
+let cbc_encrypt (ks : int array) (chain : int array) src src_pos n dst dst_pos =
+  if n > 0 then begin
+    let ch = Array.unsafe_get chain 0 and cl = Array.unsafe_get chain 1 in
+    let cx = ref (gather ip_hi ch cl) and cy = ref (gather ip_lo ch cl) in
+    for i = 0 to n - 1 do
+      let si = src_pos + (i * 8) and di = dst_pos + (i * 8) in
+      let h = read32 src si and lo = read32 src (si + 4) in
+      let l = !cx lxor gather ip_hi h lo and r = !cy lxor gather ip_lo h lo in
+      let l = round ks 0 l r in let r = round ks 2 r l in
+      let l = round ks 4 l r in let r = round ks 6 r l in
+      let l = round ks 8 l r in let r = round ks 10 r l in
+      let l = round ks 12 l r in let r = round ks 14 r l in
+      let l = round ks 16 l r in let r = round ks 18 r l in
+      let l = round ks 20 l r in let r = round ks 22 r l in
+      let l = round ks 24 l r in let r = round ks 26 r l in
+      let l = round ks 28 l r in let r = round ks 30 r l in
+      cx := r;
+      cy := l;
+      write32 dst di (fp_word fp_hi r l);
+      write32 dst (di + 4) (fp_word fp_lo r l)
+    done;
+    Array.unsafe_set chain 0 (fp_word fp_hi !cx !cy);
+    Array.unsafe_set chain 1 (fp_word fp_lo !cx !cy)
+  end
+
+(* CBC decryption of [n] whole blocks, chaining from the ciphertext
+   block (ivh, ivl).  No block depends on another's plaintext, so two
+   run per iteration as independent chains the CPU overlaps; an odd
+   final block runs as both chains and is stored once. *)
+let cbc_decrypt (ks : int array) ~ivh ~ivl src pos n dst dst_pos =
+  let ph = ref ivh and pl = ref ivl in
+  let i = ref 0 in
+  while !i < n do
+    let s1 = pos + (!i * 8) and di = dst_pos + (!i * 8) in
+    let pair = !i + 1 < n in
+    let s2 = if pair then s1 + 8 else s1 in
+    let h1 = read32 src s1 and lo1 = read32 src (s1 + 4) in
+    let h2 = read32 src s2 and lo2 = read32 src (s2 + 4) in
+    let l1 = gather ip_hi h1 lo1 and r1 = gather ip_lo h1 lo1 in
+    let l2 = gather ip_hi h2 lo2 and r2 = gather ip_lo h2 lo2 in
+    let l1 = round ks 0 l1 r1 and l2 = round ks 0 l2 r2 in
+    let r1 = round ks 2 r1 l1 and r2 = round ks 2 r2 l2 in
+    let l1 = round ks 4 l1 r1 and l2 = round ks 4 l2 r2 in
+    let r1 = round ks 6 r1 l1 and r2 = round ks 6 r2 l2 in
+    let l1 = round ks 8 l1 r1 and l2 = round ks 8 l2 r2 in
+    let r1 = round ks 10 r1 l1 and r2 = round ks 10 r2 l2 in
+    let l1 = round ks 12 l1 r1 and l2 = round ks 12 l2 r2 in
+    let r1 = round ks 14 r1 l1 and r2 = round ks 14 r2 l2 in
+    let l1 = round ks 16 l1 r1 and l2 = round ks 16 l2 r2 in
+    let r1 = round ks 18 r1 l1 and r2 = round ks 18 r2 l2 in
+    let l1 = round ks 20 l1 r1 and l2 = round ks 20 l2 r2 in
+    let r1 = round ks 22 r1 l1 and r2 = round ks 22 r2 l2 in
+    let l1 = round ks 24 l1 r1 and l2 = round ks 24 l2 r2 in
+    let r1 = round ks 26 r1 l1 and r2 = round ks 26 r2 l2 in
+    let l1 = round ks 28 l1 r1 and l2 = round ks 28 l2 r2 in
+    let r1 = round ks 30 r1 l1 and r2 = round ks 30 r2 l2 in
+    write32 dst di (fp_word fp_hi r1 l1 lxor !ph);
+    write32 dst (di + 4) (fp_word fp_lo r1 l1 lxor !pl);
+    if pair then begin
+      write32 dst (di + 8) (fp_word fp_hi r2 l2 lxor h1);
+      write32 dst (di + 12) (fp_word fp_lo r2 l2 lxor lo1)
+    end;
+    ph := h2;
+    pl := lo2;
+    i := !i + 2
+  done
 
 (* Key schedule, table-driven like the data path.  C||D lives in one
    56-bit int (C in bits 55..28, D in 27..0).
@@ -314,14 +413,3 @@ let schedule (key : string) : int array * int array =
     Array.unsafe_set kd ((2 * (15 - round)) + 1) kb
   done;
   (ke, kd)
-
-(* Big-endian 32-bit loads/stores for the mode loops, via the stdlib's
-   word-at-a-time primitives (one load/store plus a byte swap; the
-   intermediate [int32] never escapes the expression, so it stays
-   unboxed even without flambda).  [Int32.to_int] sign-extends, hence
-   the mask on the load. *)
-let[@inline] read32 (s : string) pos =
-  Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
-
-let[@inline] write32 (b : Bytes.t) pos v =
-  Bytes.set_int32_be b pos (Int32.of_int v)

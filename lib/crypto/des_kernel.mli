@@ -1,14 +1,15 @@
 (** The fast table-driven DES kernel shared by {!Des}, {!Des3}, {!Mac} and
-    {!Fused}.  E-expansion fused into 8×64 SP tables, byte-indexed IP/FP,
-    sixteen unrolled rounds on untagged native [int] halves.  See
+    {!Fused}.  Halves are carried in a shifted-doubled form whose two
+    windows are the E-expansion's two rotations, so a round is two XORs,
+    eight lookups into one fused SP table and an OR tree; IP/FP are
+    byte-indexed; everything runs on untagged native [int]s.  See
     DESIGN.md §6c "Cipher kernels" for the layout derivation;
     [Fbsr_oracles.Des_ref] (a test-only library) is the slow oracle this
     kernel is differentially tested against.
 
-    This is a low-level internal module: blocks travel in caller-owned
-    2-element scratch arrays and the load/store helpers skip bounds
-    checks.  Callers (the mode loops in [Des]/[Des3]) validate ranges
-    once per call. *)
+    This is a low-level internal module: the load/store helpers and the
+    CBC drivers skip bounds checks.  Callers (the mode loops in
+    [Des]/[Des3]) validate ranges once per call.  Nothing here allocates. *)
 
 val schedule : string -> int array * int array
 (** [schedule key] expands an 8-byte key into [(encrypt, decrypt)]
@@ -19,19 +20,39 @@ val schedule : string -> int array * int array
     a key (DESIGN.md §6c); the engine still caches the result per
     flow.  Parity bits (the low bit of each byte) are ignored. *)
 
+val cbc_encrypt :
+  int array -> int array -> string -> int -> int -> Bytes.t -> int -> unit
+(** [cbc_encrypt ks chain src src_pos n dst dst_pos] CBC-encrypts the [n]
+    whole blocks at [src_pos] into [dst] at [dst_pos], chaining from the
+    ciphertext block in [chain] ([chain.(0)] high word, [chain.(1)] low
+    word) and leaving the last ciphertext block there.  The chain stays in
+    registers, in IP space, between the first and last block. *)
+
+val cbc_decrypt :
+  int array -> ivh:int -> ivl:int -> string -> int -> int -> Bytes.t -> int -> unit
+(** [cbc_decrypt kd ~ivh ~ivl src pos n dst dst_pos] CBC-decrypts the [n]
+    whole blocks at [pos] into [dst] at [dst_pos] under the decrypt
+    schedule [kd], the first block chained from [(ivh, ivl)].  Two blocks
+    run per iteration as independent chains. *)
+
+val crypt : int array -> int array -> unit
+(** [crypt ks io] is one full DES pass (IP, sixteen rounds, FP) in place
+    on [io.(0)] (high word) and [io.(1)] (low word). *)
+
 val ip : int array -> unit
-(** Initial permutation, in place: [io.(0)] (high word) and [io.(1)] (low
-    word) become the post-IP (L0, R0) halves.  16 table lookups. *)
+(** Initial permutation, in place: the 32-bit words [io.(0)], [io.(1)]
+    become the post-IP (L0, R0) halves, in the kernel's doubled form. *)
 
 val fp : int array -> unit
-(** Final permutation, inverse of {!ip}, same convention. *)
+(** Final permutation, inverse of {!ip}: doubled preoutput halves back to
+    the two 32-bit output words. *)
 
 val rounds : int array -> int array -> unit
 (** [rounds ks io] runs the sixteen Feistel rounds with the packed
     schedule [ks] (from {!schedule}).  Input: post-IP (L0, R0); output:
-    FIPS preoutput (R16, L16).  Chaining [rounds] calls back-to-back
-    composes full DES passes with interior FP/IP cancelled — how [Des3]
-    does EDE3 under a single IP/FP pair. *)
+    FIPS preoutput (R16, L16), both doubled.  Chaining [rounds] calls
+    back-to-back composes full DES passes with interior FP/IP cancelled —
+    how [Des3] does EDE3 under a single IP/FP pair. *)
 
 val read32 : string -> int -> int
 (** Big-endian 32-bit load; no bounds check. *)

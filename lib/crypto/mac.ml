@@ -69,7 +69,7 @@ let des_cbc ~key parts =
 
 (* Streaming CBC fold over slice parts: the CBC state is one cipher block
    (two native-int halves in a scratch array, fed straight to the
-   {!Des_kernel} rounds) plus a <8-byte carry, so the MAC needs no
+   {!Des_kernel.crypt}) plus a <8-byte carry, so the MAC needs no
    concatenation and no ciphertext buffer at all — only the final block
    survives.  Byte-identical to [des_cbc] over the same byte stream. *)
 let des_cbc_slices_keyed des_key parts =
@@ -83,9 +83,7 @@ let des_cbc_slices_keyed des_key parts =
   let eat_block hi lo =
     io.(0) <- io.(0) lxor hi;
     io.(1) <- io.(1) lxor lo;
-    Des_kernel.ip io;
-    Des_kernel.rounds ks io;
-    Des_kernel.fp io
+    Des_kernel.crypt ks io
   in
   let eat_carry () =
     eat_block (Des_kernel.read32 carry_view 0) (Des_kernel.read32 carry_view 4);

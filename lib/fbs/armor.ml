@@ -153,7 +153,7 @@ type batch_rx_ops = {
     confounder:int ->
     body:Fbsr_util.Slice.t ->
     (job * string, unit) result;
-  run_rx : threshold:int -> job array -> int * int;
+  run_rx : job array -> int;
 }
 
 module type S = sig

@@ -163,9 +163,8 @@ type batch_rx_ops = {
           never deliver it from a job that was dropped without running.
           Bumps [decryptions] and key-schedule hit/miss like the inline
           path. *)
-  run_rx : threshold:int -> job array -> int * int;
-      (** Run every pending open; returns the kernel's
-          [(batched, scalar)] block split. *)
+  run_rx : job array -> int;
+      (** Run every pending open; returns the blocks decrypted. *)
 }
 
 (** The armor interface proper. *)

@@ -4,7 +4,8 @@
    bump for counter bump — the twin-engine differential suite holds the
    instances to the retained string reference. *)
 
-(* The pending cross-flow CBC chain / open for the bitsliced kernel. *)
+(* The pending cross-flow CBC chain (bitsliced kernel) and the pending
+   CBC open (scalar two-block kernel, run at the flush). *)
 type Armor.job +=
   | Des_cbc_chain of Fbsr_crypto.Des_bitslice.cbc_job
   | Des_cbc_open of Fbsr_crypto.Des_bitslice.dec_job
@@ -65,8 +66,8 @@ let des_cbc_batch_rx : Armor.batch_rx_ops =
            family the inline path maps to a decrypt error. *)
         | exception Invalid_argument _ -> Error ());
     run_rx =
-      (fun ~threshold jobs ->
-        Fbsr_crypto.Des_bitslice.decrypt_cbc_jobs ~threshold
+      (fun jobs ->
+        Fbsr_crypto.Des_bitslice.decrypt_cbc_jobs
           (Array.map
              (function
                | Des_cbc_open j -> j
@@ -163,13 +164,7 @@ let make (suite : Suite.t) : Armor.armor =
       match
         match suite.Suite.cipher with
         | Suite.Des_cbc ->
-            let key = Armor.des_sched ctx entry in
-            (* CBC decryption has no cross-block dependency, so one large
-               ciphertext slices across bitslice lanes; short bodies stay
-               on the scalar kernel (the dispatch threshold lives in
-               [Des_bitslice]).  Byte- and error-identical to
-               [Des.decrypt_cbc_sub]. *)
-            Fbsr_crypto.Des_bitslice.decrypt_cbc_sub ~iv key
+            Fbsr_crypto.Des.decrypt_cbc_sub ~iv (Armor.des_sched ctx entry)
               ~src:body.Fbsr_util.Slice.base ~pos:body.Fbsr_util.Slice.off
               ~len:body.Fbsr_util.Slice.len
         | Suite.Des3_cbc ->

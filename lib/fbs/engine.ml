@@ -346,14 +346,14 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
 
 (* Cross-flow batching — the feed for the bitsliced DES kernel: a queue
    bound to one engine, with a lane per direction.  CBC serializes blocks
-   {e within} a flow but not {e across} flows, and CBC decryption has no
-   cross-block dependency at all, so a secret datagram whose armor has a
-   batched kernel parks its body transform here: the seal lane holds fully
-   assembled wires whose encryption is pending, the open lane holds
-   frames that passed the receive prologue and whose decryption (and
-   hence MAC verify) is pending.  [flush] runs each lane's jobs in
-   lockstep and only then completes the datagrams, in enqueue order, so
-   a caller never observes a half-sealed or half-opened datagram.
+   {e within} a flow but not {e across} flows, so a secret datagram whose
+   armor has a batched kernel parks its body transform here: the seal
+   lane holds fully assembled wires whose encryption is pending, the
+   open lane holds frames that passed the receive prologue and whose
+   decryption (and hence MAC verify) is pending.  [flush] runs the seal
+   lane's jobs in lockstep and the open lane's one by one, and only then
+   completes the datagrams, in enqueue order, so a caller never observes
+   a half-sealed or half-opened datagram.
    Everything else seals and opens inline, on the very same call. *)
 module Batch = struct
   type engine = t
@@ -369,7 +369,7 @@ module Batch = struct
     threshold : int;
     capacity : int;
     run_seal : threshold:int -> Armor.job array -> int * int;
-    run_open : threshold:int -> Armor.job array -> int * int;
+    run_open : Armor.job array -> int;
     seals : pending Queue.t;
     opens : pending Queue.t;
     mutable on_park : unit -> unit;
@@ -380,8 +380,10 @@ module Batch = struct
 
   (* Only reached for an empty lane: jobs enqueue through the armor's ops. *)
   let no_kernel ~threshold:_ (_ : Armor.job array) = (0, 0)
+  let no_open_kernel (_ : Armor.job array) = 0
 
-  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
+  let create ?(threshold = Fbsr_crypto.Des_bitslice.break_even_jobs)
+      ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
       (engine : engine) =
     if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
     let module A = (val engine.armor : Armor.S) in
@@ -391,7 +393,7 @@ module Batch = struct
       capacity;
       run_seal = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
       run_open =
-        (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_kernel);
+        (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_open_kernel);
       seals = Queue.create ();
       opens = Queue.create ();
       on_park = ignore;
@@ -407,12 +409,10 @@ module Batch = struct
 
   let pending b = Queue.length b.seals + Queue.length b.opens
 
-  (* Run every job of one lane (bitsliced when at least [threshold] jobs
-     share a kernel group, per-datagram otherwise), then complete the
-     datagrams in enqueue order.  Returns the kernel's
-     (bitsliced_blocks, scalar_blocks) split. *)
-  let drain b q run =
-    if Queue.is_empty q then (0, 0)
+  (* Run every job of one lane through [run] ([empty] when the lane is
+     empty), then complete the datagrams in enqueue order. *)
+  let drain q run ~empty =
+    if Queue.is_empty q then empty
     else begin
       (* Explicit drain: [Array.init]'s evaluation order is unspecified,
          and delivery order must be enqueue order. *)
@@ -420,18 +420,21 @@ module Batch = struct
       for i = 0 to Array.length ps - 1 do
         ps.(i) <- Queue.pop q
       done;
-      let counts = run ~threshold:b.threshold (Array.map (fun p -> p.job) ps) in
+      let counts = run (Array.map (fun p -> p.job) ps) in
       Array.iter (fun p -> p.complete ()) ps;
       counts
     end
 
+  (* The seal lane runs bitsliced when at least [threshold] jobs share a
+     kernel group, per-datagram otherwise; the open lane always runs per
+     datagram, so its blocks count as scalar. *)
   let flush b =
     let c = b.engine.counters in
     if not (Queue.is_empty b.opens) then
       c.rx_batch_flushes <- c.rx_batch_flushes + 1;
-    let bs, ss = drain b b.seals b.run_seal in
-    let bo, so = drain b b.opens b.run_open in
-    (bs + bo, ss + so)
+    let bs, ss = drain b.seals (b.run_seal ~threshold:b.threshold) ~empty:(0, 0) in
+    let so = drain b.opens b.run_open ~empty:0 in
+    (bs, ss + so)
 
   (* Park a datagram in lane [q]: flush when the lane fills, else tell the
      owner.  When the keying layer suspended, this runs in the resumed

@@ -77,8 +77,7 @@ type counters = Armor.counters = {
           allocation, counted in [datapath_allocs] at enqueue).  Seal-lane
           work is not counted. *)
   mutable rx_batch_flushes : int;
-      (** {!Batch.flush} passes that found the open lane non-empty (one
-          bitsliced decrypt sweep each). *)
+      (** {!Batch.flush} passes that found the open lane non-empty. *)
 }
 
 val drop_count : counters -> cause -> int
@@ -186,9 +185,9 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, refusals,
     ciphertexts rejected up front) resolves inline on the same call.
 
-    {!flush} runs each lane's jobs in lockstep through
-    {!Fbsr_crypto.Des_bitslice} and then completes the datagrams in
-    enqueue order, each under its own trace id — so per-flow order holds
+    {!flush} runs the seal lane's jobs in lockstep through
+    {!Fbsr_crypto.Des_bitslice}, the open lane's one by one on the scalar
+    two-block decrypt, and then completes the datagrams in enqueue order, each under its own trace id — so per-flow order holds
     and a caller never observes a half-sealed or half-opened datagram.
     Wires, verdicts, payload bytes, counters (beyond the open lane's
     [rx_batch_*] pair) and span terminals are identical to the inline
@@ -201,9 +200,10 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       only that engine's {!send}/{!send_classified}/{!receive} may be
       given it ([Invalid_argument] otherwise) — its kernels come from
       that engine's armor and its counters are that engine's.
-    - [threshold] (default 24): minimum jobs per kernel group to take the
-      bitsliced path; smaller flushes run each job on the per-datagram
-      kernel (identical bytes).
+    - [threshold] (default {!Fbsr_crypto.Des_bitslice.break_even_jobs}):
+      minimum seal jobs per kernel group to take the bitsliced path;
+      smaller flushes run each job on the per-datagram kernel (identical
+      bytes).  The open lane ignores it.
     - [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): an enqueue
       that fills its lane flushes the batch before returning.
     - park: an enqueue that does not flush runs the {!set_on_park} hook.
@@ -238,8 +238,9 @@ module Batch : sig
   val flush : t -> int * int
   (** Run every parked job, seal lane first, and complete the datagrams
       in enqueue order.  Returns the kernel's
-      [(bitsliced_blocks, scalar_blocks)] split, summed over the lanes —
-      [(0, 0)] when the queue was empty. *)
+      [(bitsliced_blocks, scalar_blocks)] split, summed over the lanes
+      (every open-lane block is scalar) — [(0, 0)] when the queue was
+      empty. *)
 end
 
 val send :

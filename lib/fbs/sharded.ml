@@ -69,8 +69,8 @@ let buckets_of t shard_of n =
 
 (* Fan non-empty buckets out to domains.  Each thunk writes disjoint
    slots of [results]; the joins in parallel_run publish them back.
-   A bucket may park datagrams in its shard's batch (one cross-flow
-   bitsliced sweep per flush; the queue auto-flushes at capacity); the
+   A bucket may park datagrams in its shard's batch (the queue
+   auto-flushes at capacity); the
    remainder flushes on the shard's domain once the bucket is drained,
    so every result is in before the join. *)
 let run_buckets t buckets per_index =

@@ -88,8 +88,8 @@ val receive_all :
 
     Within a shard the bucket drains through a per-shard
     {!Engine.Batch}: the receive prologue runs per frame in input order,
-    deferred body opens run in cross-flow bitsliced sweeps, and the
-    bucket flushes its batch before the domains join — verdicts, payload
+    deferred body opens run at the batch's flushes, and the bucket
+    flushes its batch before the domains join — verdicts, payload
     bytes and counters (beyond the [rx_batch_*] pair) are identical to
     inline {!Engine.receive}, frame for frame. *)
 

@@ -40,9 +40,9 @@ type config = {
   batched_rx : bool;
       (** Route receive-side body opens through an
           {!Fbsr_fbs.Engine.Batch} (its open lane): frames arriving within
-          [rx_linger] of each other decrypt in one cross-flow bitsliced
-          sweep, delivered in arrival order via the parked-datagram
-          upcall.  Verdicts and bytes are identical to the inline path;
+          [rx_linger] of each other decrypt at one flush, delivered in
+          arrival order via the parked-datagram upcall.  Verdicts and
+          bytes are identical to the inline path;
           delivery of a deferrable frame lags arrival by at most
           [rx_linger]. *)
 }

@@ -21,8 +21,8 @@ type config = {
       (** Route receive-side body opens through the open lane of an
           {!Fbsr_fbs.Engine.Batch} (default [false]): frames
           arriving within 1 ms of simulated time of each other decrypt
-          in one cross-flow bitsliced sweep and are delivered in arrival
-          order through the parked-datagram upcall.  Verdicts and bytes
+          at one flush and are delivered in arrival order through the
+          parked-datagram upcall.  Verdicts and bytes
           are identical to the inline path; delivery of a deferrable
           frame lags arrival by at most 1 ms. *)
 }

@@ -513,36 +513,26 @@ let prop_bitslice_cbc_jobs =
              Bytes.equal dsts.(i) expected)
            (Array.init njobs (fun i -> i)))
 
-let prop_bitslice_decrypt_sub =
-  QCheck.Test.make ~name:"bitslice decrypt_cbc_sub = Des.decrypt_cbc_sub" ~count:60
-    QCheck.(triple key8 key8 (pair (int_bound 300) (int_bound 10)))
-    (fun (key, iv, (msg_len, pad)) ->
-      let k = Des.of_string key in
-      let msg = String.init msg_len (fun i -> Char.chr ((i * 37) land 0xff)) in
-      let ct = Des.encrypt_cbc ~iv k msg in
-      (* Embed the ciphertext at an offset inside a larger buffer so the
-         sub-range gather is exercised, not just pos = 0. *)
-      let buf = String.make pad '\xaa' ^ ct ^ String.make pad '\xbb' in
-      Des_bitslice.decrypt_cbc_sub ~iv k ~src:buf ~pos:pad ~len:(String.length ct)
-      = msg
-      (* A one-lane threshold forces every pass bitsliced, even for
-         short inputs. *)
-      && Des_bitslice.decrypt_cbc_sub ~threshold:1 ~iv k ~src:buf ~pos:pad
-           ~len:(String.length ct)
-         = msg)
-
 (* The outcome of a decrypt as a comparable value: the plaintext or the
    exception message. *)
 let decrypt_outcome f =
   match f () with pt -> Ok pt | exception Invalid_argument m -> Error m
 
+(* The deferred open of [len] ciphertext bytes at [src/pos]: a lone
+   [dec_job] run through [decrypt_cbc_jobs], or its construction-time
+   exception. *)
+let deferred_open ~iv k ~src ~pos ~len =
+  let job = Des_bitslice.dec_job ~key:k ~iv ~src ~src_pos:pos ~src_len:len in
+  let (_ : int) = Des_bitslice.decrypt_cbc_jobs [| job |] in
+  Bytes.to_string (Des_bitslice.dec_job_out job)
+
 let test_bitslice_decrypt_every_length () =
-  (* Every block count 1..256 reaches every ragged final pass of 1..62
-     lanes after 0..3 full ones; each runs under the default break-even
-     and with every pass forced bitsliced.  A copy with the padding
-     byte's predecessor ciphertext byte flipped (the IV's, for one
-     block, so the last byte itself there) must fail exactly as the
-     scalar kernel does. *)
+  (* Every block count 1..256, so the two-block loop meets both parities
+     of the [nb - 1] blocks it owes after the final one.  The deferred
+     open must equal [Des.decrypt_cbc_sub] byte for byte, on the intact
+     ciphertext and on a copy with the padding byte's predecessor
+     ciphertext byte flipped (the IV's, for one block, so the last byte
+     itself there), which must fail with the same message. *)
   let k = Des.of_string "fl0wk3y!" and iv = "ivivivIV" in
   for nb = 1 to 256 do
     let msg = String.init ((8 * nb) - 1 - (nb mod 8)) (fun i -> Char.chr ((i * 131) land 0xff)) in
@@ -556,40 +546,30 @@ let test_bitslice_decrypt_every_length () =
       (fun (what, src) ->
         let len = String.length src in
         let expected = decrypt_outcome (fun () -> Des.decrypt_cbc_sub ~iv k ~src ~pos:0 ~len) in
-        List.iter
-          (fun threshold ->
-            let got =
-              decrypt_outcome (fun () ->
-                  Des_bitslice.decrypt_cbc_sub ?threshold ~iv k ~src ~pos:0 ~len)
-            in
-            check
-              Alcotest.(result string string)
-              (Printf.sprintf "%d blocks, %s, threshold %s" nb what
-                 (match threshold with None -> "default" | Some t -> string_of_int t))
-              expected got)
-          [ None; Some 1 ])
+        check
+          Alcotest.(result string string)
+          (Printf.sprintf "%d blocks, %s" nb what)
+          expected
+          (decrypt_outcome (fun () -> deferred_open ~iv k ~src ~pos:0 ~len)))
       [ ("intact", ct); ("padding corrupted", flipped) ]
   done
 
 let test_bitslice_dec_jobs_fallback_split () =
-  (* A lone job is under any threshold above 1, so it takes the per-job
-     fallback: its full blocks run in passes of [lanes], and a pass runs
-     bitsliced exactly when it fills [break_even_lanes].  The returned
-     split must be that pass-by-pass count, not "all bitsliced". *)
+  (* A lone job at 0..(3 lanes + 5) full blocks: the run reports exactly
+     the job's full blocks, all on the scalar two-block kernel, and its
+     plaintext equals [Des.decrypt_cbc_sub] of the same ciphertext. *)
   let k = Des.of_string "spl1tk3y" and iv = "0123abcd" in
-  let lanes = Des_bitslice.lanes and be = Des_bitslice.break_even_lanes in
-  for nfull = 0 to (3 * lanes) + 5 do
+  for nfull = 0 to (3 * Des_bitslice.lanes) + 5 do
     let msg = String.init ((8 * nfull) + 3) (fun i -> Char.chr (i land 0xff)) in
     let ct = Des.encrypt_cbc ~iv k msg in
-    let job = Des_bitslice.dec_job ~key:k ~iv ~src:ct ~src_pos:0 ~src_len:(String.length ct) in
-    let passes = List.init ((nfull + lanes - 1) / lanes) (fun p -> min lanes (nfull - (p * lanes))) in
-    let want_bs = List.fold_left (fun acc g -> if g >= be then acc + g else acc) 0 passes in
-    let bs, sc = Des_bitslice.decrypt_cbc_jobs ~threshold:2 [| job |] in
-    check
-      Alcotest.(pair int int)
-      (Printf.sprintf "%d full blocks split" nfull)
-      (want_bs, nfull - want_bs) (bs, sc);
-    check Alcotest.string (Printf.sprintf "%d full blocks plaintext" nfull) msg
+    let len = String.length ct in
+    let job = Des_bitslice.dec_job ~key:k ~iv ~src:ct ~src_pos:0 ~src_len:len in
+    check Alcotest.int
+      (Printf.sprintf "%d full blocks run" nfull)
+      nfull
+      (Des_bitslice.decrypt_cbc_jobs [| job |]);
+    check Alcotest.string (Printf.sprintf "%d full blocks plaintext" nfull)
+      (Des.decrypt_cbc_sub ~iv k ~src:ct ~pos:0 ~len)
       (Bytes.to_string (Des_bitslice.dec_job_out job))
   done
 
@@ -602,7 +582,7 @@ let prop_bitslice_dec_jobs =
       let rng = Fbsr_util.Rng.create seed in
       let rand n = String.init n (fun _ -> Char.chr (Fbsr_util.Rng.int rng 256)) in
       (* Distinct keys, IVs, lengths and embedding offsets per job, so
-         the lockstep gather mixes padding shapes and sub-ranges. *)
+         one run mixes padding shapes and sub-ranges. *)
       let specs =
         Array.init njobs (fun _ ->
             let key = Des.of_string (rand 8) in
@@ -611,31 +591,31 @@ let prop_bitslice_dec_jobs =
             let ct = Des.encrypt_cbc ~iv key msg in
             let pad = Fbsr_util.Rng.int rng 10 in
             let buf = rand pad ^ ct ^ rand pad in
-            (key, iv, msg, buf, pad, String.length ct))
+            (key, iv, buf, pad, String.length ct))
       in
       let jobs =
         Array.map
-          (fun (key, iv, _, buf, pad, len) ->
+          (fun (key, iv, buf, pad, len) ->
             Des_bitslice.dec_job ~key ~iv ~src:buf ~src_pos:pad ~src_len:len)
           specs
       in
-      let threshold = 1 + Fbsr_util.Rng.int rng 30 in
-      let bs, sc = Des_bitslice.decrypt_cbc_jobs ~threshold jobs in
+      let blocks = Des_bitslice.decrypt_cbc_jobs jobs in
       let full_blocks =
-        Array.fold_left (fun acc (_, _, _, _, _, len) -> acc + ((len / 8) - 1)) 0 specs
+        Array.fold_left (fun acc (_, _, _, _, len) -> acc + ((len / 8) - 1)) 0 specs
       in
-      bs + sc = full_blocks
+      blocks = full_blocks
       && Array.for_all
            (fun i ->
-             let _, _, msg, _, _, _ = specs.(i) in
-             Bytes.to_string (Des_bitslice.dec_job_out jobs.(i)) = msg)
+             let key, iv, buf, pad, len = specs.(i) in
+             Bytes.to_string (Des_bitslice.dec_job_out jobs.(i))
+             = Des.decrypt_cbc_sub ~iv key ~src:buf ~pos:pad ~len)
            (Array.init njobs (fun i -> i)))
 
 let test_bitslice_dec_job_corrupt_padding () =
   let k = Des.of_string "abcdefgh" in
   let iv = "12345678" in
   (* Corrupt padding must be rejected at job construction — before the
-     frame occupies a batch lane — with the scalar path's exception. *)
+     frame occupies a batch slot — with the scalar path's exception. *)
   let bogus = String.make 160 '\x00' in
   Alcotest.check_raises "corrupt padding at dec_job construction"
     (Invalid_argument "Des.decrypt_cbc_sub: corrupt padding") (fun () ->
@@ -647,19 +627,116 @@ let test_bitslice_decrypt_corrupt_padding () =
   let k = Des.of_string "abcdefgh" in
   let iv = "12345678" in
   (* A long all-zero "ciphertext" decrypts to garbage whose last byte is
-     essentially never valid padding; both kernels must raise the same
-     exception, on both the scalar and bitsliced paths. *)
+     essentially never valid padding; the inline open and the deferred
+     one must raise the same exception. *)
   let bogus = String.make 160 '\x00' in
+  let len = String.length bogus in
   List.iter
-    (fun threshold ->
+    (fun (what, f) ->
       Alcotest.check_raises
-        (Printf.sprintf "corrupt padding (threshold %d)" threshold)
+        (Printf.sprintf "corrupt padding (%s)" what)
         (Invalid_argument "Des.decrypt_cbc_sub: corrupt padding")
-        (fun () ->
-          ignore
-            (Des_bitslice.decrypt_cbc_sub ~threshold ~iv k ~src:bogus ~pos:0
-               ~len:(String.length bogus))))
-    [ 2; 1000 ]
+        (fun () -> ignore (f () : string)))
+    [
+      ("Des.decrypt_cbc_sub", fun () -> Des.decrypt_cbc_sub ~iv k ~src:bogus ~pos:0 ~len);
+      ("deferred open", fun () -> deferred_open ~iv k ~src:bogus ~pos:0 ~len);
+    ]
+
+(* --- The scalar kernel's CBC drivers ---
+
+   [Des_kernel.cbc_encrypt] carries the chain in IP space and
+   [Des_kernel.cbc_decrypt] runs blocks in pairs, so both are pinned to
+   the bit-gather oracle at every block count 1..64 (odd counts leave
+   the pair loop a single tail block), and the block loops must not
+   allocate. *)
+
+let test_kernel_cbc_every_count () =
+  for nb = 1 to 64 do
+    let k = Des.of_string (Printf.sprintf "kc%06d" nb) and rk = Des_ref.of_string (Printf.sprintf "kc%06d" nb) in
+    let iv = Printf.sprintf "iv%06d" (nb * 7) in
+    let what fmt = Printf.ksprintf (fun m -> Printf.sprintf "%d blocks: %s" nb m) fmt in
+    (* [nb] blocks after padding, the tail length varying with [nb]. *)
+    let msg = String.init ((8 * (nb - 1)) + (nb mod 8)) (fun i -> Char.chr (((i * 89) + nb) land 0xff)) in
+    let ct = Des_ref.encrypt_cbc ~iv rk msg in
+    check Alcotest.int (what "ciphertext length") (8 * nb) (String.length ct);
+    check Alcotest.string (what "encrypt_cbc") (hex ct) (hex (Des.encrypt_cbc ~iv k msg));
+    let dst = Bytes.make (String.length ct + 5) '\xee' in
+    let wrote =
+      Des.encrypt_cbc_into ~iv k ~src:msg ~src_pos:0 ~src_len:(String.length msg) ~dst
+        ~dst_pos:5
+    in
+    check Alcotest.string (what "encrypt_cbc_into") (hex ct) (hex (Bytes.sub_string dst 5 wrote));
+    (* Whole blocks through the incremental entry point, split after
+       block [nb / 2]: the chain must survive the hand-off. *)
+    let padded = Des.pad msg and chain = Array.make 2 0 in
+    Des.cbc_seed_chain ~iv chain;
+    let out = Bytes.create (8 * nb) and half = nb / 2 in
+    Des.cbc_blocks_into k chain ~src:padded ~src_pos:0 ~nblocks:half ~dst:out ~dst_pos:0;
+    Des.cbc_blocks_into k chain ~src:padded ~src_pos:(8 * half) ~nblocks:(nb - half) ~dst:out
+      ~dst_pos:(8 * half);
+    check Alcotest.string (what "cbc_blocks_into") (hex ct) (hex (Bytes.to_string out));
+    (* The two-block decrypt over all [nb] blocks (decrypt_cbc) and over
+       the [nb - 1] before the final one (decrypt_cbc_sub, embedded). *)
+    check Alcotest.string (what "decrypt_cbc") msg (Des.decrypt_cbc ~iv k ct);
+    let buf = "\x5a\x5a\x5a" ^ ct ^ "\xa5" in
+    check Alcotest.string (what "decrypt_cbc_sub") msg
+      (Des.decrypt_cbc_sub ~iv k ~src:buf ~pos:3 ~len:(8 * nb));
+    check Alcotest.string (what "oracle decrypt") msg (Des_ref.decrypt_cbc ~iv rk ct);
+    (* Corrupting the padding byte's predecessor ciphertext byte (the
+       IV's for one block) must fail with the parent's exact text. *)
+    let bad_iv, bad_buf =
+      if nb = 1 then (String.mapi (fun i c -> if i = 7 then Char.chr (Char.code c lxor 0x3c) else c) iv, buf)
+      else
+        (iv, String.mapi (fun i c -> if i = 3 + (8 * nb) - 9 then Char.chr (Char.code c lxor 0x3c) else c) buf)
+    in
+    check
+      Alcotest.(result string string)
+      (what "corrupt padding text")
+      (Error "Des.decrypt_cbc_sub: corrupt padding")
+      (decrypt_outcome (fun () -> Des.decrypt_cbc_sub ~iv:bad_iv k ~src:bad_buf ~pos:3 ~len:(8 * nb)))
+  done
+
+let prop_kernel_decrypt_embedded =
+  QCheck.Test.make ~name:"two-block decrypt_cbc_sub = reference (embedded)" ~count:60
+    QCheck.(triple key8 key8 (pair (int_bound 300) (int_bound 10)))
+    (fun (key, iv, (msg_len, pad)) ->
+      let msg = String.init msg_len (fun i -> Char.chr ((i * 37) land 0xff)) in
+      let ct = Des_ref.encrypt_cbc ~iv (Des_ref.of_string key) msg in
+      (* Embedded at an offset inside a larger buffer so the sub-range
+         loads are exercised, not just pos = 0. *)
+      let buf = String.make pad '\xaa' ^ ct ^ String.make pad '\xbb' in
+      Des.decrypt_cbc_sub ~iv (Des.of_string key) ~src:buf ~pos:pad ~len:(String.length ct)
+      = msg)
+
+(* Minor-heap words [f] allocates, net of the measurement's own. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_kernel_allocation () =
+  let k = Des.of_string "n0all0c!" and iv = "ivivivIV" in
+  let src = String.init 1456 (fun i -> Char.chr (i land 0xff)) in
+  let dst = Bytes.create 1464 and chain = Array.make 2 0 in
+  let ct = Des.encrypt_cbc ~iv k src in
+  let blocks () =
+    Des.cbc_blocks_into k chain ~src ~src_pos:0 ~nblocks:182 ~dst ~dst_pos:0
+  in
+  let into () =
+    ignore
+      (Des.encrypt_cbc_into ~iv k ~src ~src_pos:0 ~src_len:1456 ~dst ~dst_pos:0 : int)
+  in
+  let sub () = ignore (Des.decrypt_cbc_sub ~iv k ~src:ct ~pos:0 ~len:1464 : string) in
+  let none () = () in
+  List.iter (fun f -> f ()) [ blocks; into; sub; none ];
+  let base = minor_words_of none in
+  check (Alcotest.float 0.) "cbc_blocks_into, 182 blocks: no minor words" 0.
+    (minor_words_of blocks -. base);
+  let w = minor_words_of into -. base in
+  if w > 16. then Alcotest.failf "encrypt_cbc_into: %.0f minor words, want <= 16" w;
+  (* The plaintext (1456 bytes: 182 words and a header) plus a few. *)
+  let w = minor_words_of sub -. base in
+  if w > 200. then Alcotest.failf "decrypt_cbc_sub, 1464 B: %.0f minor words, want <= 200" w
 
 (* --- Hash and MAC midstates ---
 
@@ -1307,6 +1384,13 @@ let () =
             `Quick test_schedule_oracle_special_keys;
           qtest prop_schedule_ignores_parity;
         ] );
+      ( "des-kernel",
+        [
+          Alcotest.test_case "CBC = oracle at 1..64 blocks" `Quick
+            test_kernel_cbc_every_count;
+          qtest prop_kernel_decrypt_embedded;
+          Alcotest.test_case "block loops do not allocate" `Quick test_kernel_allocation;
+        ] );
       ( "des-bitslice",
         [
           Alcotest.test_case "NBS KAT tables as one batch" `Quick
@@ -1316,7 +1400,6 @@ let () =
             test_bitslice_decrypt_corrupt_padding;
           qtest prop_bitslice_block_lanes;
           qtest prop_bitslice_cbc_jobs;
-          qtest prop_bitslice_decrypt_sub;
           qtest prop_bitslice_dec_jobs;
           Alcotest.test_case "dec_job corrupt padding" `Quick
             test_bitslice_dec_job_corrupt_padding;
