@@ -39,11 +39,12 @@ let fbs_fixture suite ~secret =
 let es_paper, ed_paper, src_paper, attrs_paper, wire_paper =
   fbs_fixture suite_paper ~secret:true
 
-(* Cross-flow batched sealing fixture: one sender with [Des_bitslice.lanes]
-   warm flows (distinct source ports) and a batch sized to auto-flush
-   exactly when every lane is occupied.  The bench rotates through the
-   flows, so the measured per-call cost is the amortized per-datagram cost
-   of the bitsliced path: 62 enqueues plus one 63-chain lockstep flush. *)
+(* Cross-flow batched sealing fixture: one sender with
+   [Engine.Batch.default_capacity] warm flows (distinct source ports) and
+   a batch that auto-flushes when its seal lane fills.  The bench rotates
+   through the flows, so the measured per-call cost is the amortized
+   per-datagram cost of the batched path: 62 enqueues plus one flush that
+   runs 63 chains, paired on the two-chain kernel. *)
 let batch_pair, batch_attrs = Fbsr_experiments.Fixture.warm_flows ~suite:suite_paper ()
 let send_batch = Fbsr_fbs.Engine.Batch.create batch_pair.Fbsr_experiments.Fixture.sender
 let batch_i = ref 0
@@ -73,16 +74,25 @@ let rx_batch =
 
 let rx_batch_i = ref 0
 
-(* Bitsliced-kernel fixture: one full flush of [lanes] MTU chains under
-   distinct keys. *)
-let bs_jobs =
-  let n = Fbsr_crypto.Des_bitslice.lanes in
+(* Batched-seal kernel fixtures: [n] MTU chains under distinct keys, as
+   one flush of the seal lane runs them.  A job snapshots its IV and
+   carries its chain, so each run builds fresh jobs over the same
+   buffers; the job records are part of the measured cost, as they are
+   of a flush. *)
+let cbc_jobs n =
   let padded = Fbsr_crypto.Des.padded_length (String.length datagram) in
-  Array.init n (fun i ->
-      let key = Fbsr_crypto.Des.of_string (Printf.sprintf "bskey%03d" i) in
-      Fbsr_crypto.Des_bitslice.cbc_job ~key ~iv ~src:datagram ~src_pos:0
-        ~src_len:(String.length datagram)
-        ~dst:(Bytes.create padded) ~dst_pos:0)
+  let keys =
+    Array.init n (fun i -> Fbsr_crypto.Des.of_string (Printf.sprintf "bskey%03d" i))
+  in
+  let dsts = Array.init n (fun _ -> Bytes.create padded) in
+  fun () ->
+    Fbsr_crypto.Des.encrypt_cbc_jobs
+      (Array.init n (fun i ->
+           Fbsr_crypto.Des.cbc_job ~key:keys.(i) ~iv ~src:datagram ~src_pos:0
+             ~src_len:(String.length datagram) ~dst:dsts.(i) ~dst_pos:0))
+
+let cbc_jobs_63 = cbc_jobs Fbsr_fbs.Engine.Batch.default_capacity
+let cbc_jobs_2 = cbc_jobs 2
 
 (* Receive-side ciphertexts: an MTU body, and the imix 576-byte datagram
    as FBS encrypts it (576 payload bytes behind an 8-byte UDP header pad
@@ -159,10 +169,11 @@ let crypto_tests =
       Test.make ~name:"des-cbc-1460B"
         (stage (fun () -> Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram));
       Test.make ~name:"md5-1460B" (stage (fun () -> Fbsr_crypto.Md5.digest datagram));
-      (* Bitsliced kernel (DESIGN.md §6c): a full 63-chain lockstep flush
-         (divide by [lanes] for the per-datagram cost). *)
-      Test.make ~name:"des-bitsliced-cbc-63x1460B"
-        (stage (fun () -> Fbsr_crypto.Des_bitslice.encrypt_cbc_jobs bs_jobs));
+      (* The seal lane's kernel (DESIGN.md §6c): a full 63-chain flush
+         and one two-chain pair (divide by the job count for the
+         per-datagram cost). *)
+      Test.make ~name:"des-cbc-jobs-63x1460B" (stage cbc_jobs_63);
+      Test.make ~name:"des-cbc-jobs-2x1460B" (stage cbc_jobs_2);
       (* The receive side's decrypt: the scalar two-block kernel. *)
       Test.make ~name:"des-cbc-decrypt-1460B"
         (stage (fun () ->
@@ -221,8 +232,9 @@ let fbs_tests =
       (* Figure 8 FBS rows: per-datagram send/receive on the warm path.
          The send row goes through cross-flow batched sealing (the
          production gateway path): rotating over 63 warm flows, each call
-         enqueues one deferred chain and every 63rd triggers the bitsliced
-         flush, so the OLS slope is the amortized per-datagram cost.  The
+         enqueues one deferred chain and every 63rd flushes the lane, which
+         pairs the chains on the two-chain kernel, so the OLS slope is the
+         amortized per-datagram cost.  The
          [-scalar-] row keeps the unbatched measurement for continuity. *)
       Test.make ~name:"send-des+md5-1460B"
         (stage (fun () ->
@@ -470,7 +482,7 @@ let sharded_bench () =
    the artifact's "telemetry" object carries the paired numbers for
    bench_diff's same-run 5% overhead gate. *)
 let telemetry_rounds = 24
-let telemetry_block = 63 * 8 (* whole bitsliced flushes per round *)
+let telemetry_block = 63 * 8 (* whole seal-lane flushes per round *)
 
 let telemetry_bench () =
   let mk flowstats =
@@ -634,7 +646,7 @@ let detect_rev () =
   with _ -> "dev"
 
 (* "crypto/..." row names carry the byte count the closure processes
-   ("-1460B"; "-63x1460B" for the whole-flush lockstep row), so ns/byte
+   ("-1460B"; "-63x1460B" for a whole 63-job flush), so ns/byte
    is derivable — surfacing it as its own column lets artifact consumers
    compare primitive throughput (the Section 7.2 kB/s table) without
    re-parsing row names.  Rows without a byte suffix (modexp, PRNG

@@ -6,7 +6,8 @@
    The block kernel lives in {!Des_kernel}: one fused SP table,
    byte-indexed IP/FP, sixteen unrolled rounds on untagged native [int]
    halves, and the CBC drivers ([Des_kernel.cbc_encrypt] keeps the chain
-   in registers, [Des_kernel.cbc_decrypt] runs two blocks at a time).
+   in registers, [Des_kernel.cbc_encrypt2] runs two datagrams' chains side
+   by side, [Des_kernel.cbc_decrypt] runs two blocks at a time).
    This module owns key handling (schedules, parity, weak keys) and the
    FIPS 81 mode loops, which load/store halves straight from the
    source/destination buffers, so steady-state encryption allocates
@@ -248,6 +249,96 @@ let decrypt_cbc_sub ~iv key ~src ~pos ~len =
   Des_kernel.cbc_decrypt key.kd ~ivh:(Des_kernel.read32 iv 0)
     ~ivl:(Des_kernel.read32 iv 4) src pos ((len / 8) - 1) out 0;
   Bytes.unsafe_to_string out
+
+(* --- Deferred CBC jobs ---
+
+   A batch of datagrams parks its body transforms as jobs and runs them
+   at one flush.  Encryption pairs the jobs in enqueue order on the
+   two-chain kernel, [Des_kernel.cbc_encrypt2]: one CBC chain is serial,
+   but two chains from two datagrams are independent, and the second
+   fills the issue slots the first leaves idle (DESIGN.md §6c).  An odd
+   job out runs alone.  Decryption has no chain to serialise it, so each
+   parked open runs on its own on the two-block decrypt loop. *)
+
+type cbc_job = {
+  sched : int array; (* packed encrypt schedule *)
+  chain : int array; (* the IV, then the running ciphertext block *)
+  src : string; (* borrowed until the run; not copied *)
+  src_pos : int;
+  src_len : int;
+  dst : Bytes.t;
+  dst_pos : int;
+}
+
+let cbc_job ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos =
+  check_iv iv;
+  if src_pos < 0 || src_len < 0 || src_pos > String.length src - src_len then
+    invalid_arg "Des.cbc_job: bad source range";
+  if dst_pos < 0 || dst_pos > Bytes.length dst - padded_length src_len then
+    invalid_arg "Des.cbc_job: bad destination range";
+  let chain = Array.make 2 0 in
+  chain.(0) <- Des_kernel.read32 iv 0;
+  chain.(1) <- Des_kernel.read32 iv 4;
+  { sched = key.ke; chain; src; src_pos; src_len; dst; dst_pos }
+
+(* The padded final block of a job whose whole blocks have run. *)
+let finish_job j =
+  let whole = j.src_len land lnot 7 in
+  cbc_final_block j.sched j.chain j.src (j.src_pos + whole) (j.src_len - whole) j.dst
+    (j.dst_pos + whole);
+  (whole / 8) + 1
+
+let encrypt_cbc_jobs jobs =
+  let n = Array.length jobs in
+  let blocks = ref 0 in
+  for p = 0 to (n / 2) - 1 do
+    let a = jobs.(2 * p) and b = jobs.((2 * p) + 1) in
+    Des_kernel.cbc_encrypt2 a.sched a.chain a.src a.src_pos a.dst a.dst_pos (a.src_len / 8)
+      b.sched b.chain b.src b.src_pos b.dst b.dst_pos (b.src_len / 8);
+    blocks := !blocks + finish_job a + finish_job b
+  done;
+  if n land 1 = 1 then begin
+    let j = jobs.(n - 1) in
+    Des_kernel.cbc_encrypt j.sched j.chain j.src j.src_pos (j.src_len / 8) j.dst j.dst_pos;
+    blocks := !blocks + finish_job j
+  end;
+  !blocks
+
+type dec_job = {
+  kd : int array; (* packed decrypt schedule *)
+  div_hi : int;
+  div_lo : int;
+  d_src : string; (* borrowed until the run; not copied *)
+  d_pos : int;
+  nfull : int; (* full plaintext blocks still owed by the run *)
+  out : Bytes.t; (* exact-size plaintext; tail already written *)
+}
+
+let dec_job ~key ~iv ~src ~src_pos ~src_len =
+  (* The final block decrypts at construction: its padding byte sizes
+     the output buffer, and a corrupt-padding frame must fail here, so
+     batched and inline receive reject at the same point with the same
+     exception. *)
+  let out = cbc_open_final ~iv key ~src ~pos:src_pos ~len:src_len in
+  {
+    kd = key.kd;
+    div_hi = Des_kernel.read32 iv 0;
+    div_lo = Des_kernel.read32 iv 4;
+    d_src = src;
+    d_pos = src_pos;
+    nfull = (src_len / 8) - 1;
+    out;
+  }
+
+let dec_job_out j = j.out
+
+let decrypt_cbc_jobs jobs =
+  Array.fold_left
+    (fun blocks j ->
+      Des_kernel.cbc_decrypt j.kd ~ivh:j.div_hi ~ivl:j.div_lo j.d_src j.d_pos j.nfull
+        j.out 0;
+      blocks + j.nfull)
+    0 jobs
 
 (* Incremental CBC: lets callers interleave encryption with other
    data-touching work (Section 5.3 of the paper: "the MAC computation and

@@ -29,8 +29,9 @@
    The drivers keep blocks in locals.  [cbc_encrypt] carries the CBC
    chain in IP space (IP is linear, and IP undoes the FP that produced
    the previous ciphertext block), so the chain itself never passes
-   through a permutation, and [cbc_decrypt] runs two independent blocks
-   per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
+   through a permutation; [cbc_encrypt2] runs two such chains, from two
+   datagrams, side by side; and [cbc_decrypt] runs two independent
+   blocks per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
    modes and [Des3]: [rounds] maps the post-IP halves to the FIPS
    preoutput (R16, L16), and feeding its output straight back into
    [rounds] is exactly the FP-then-IP cancellation EDE3 needs, which is
@@ -280,6 +281,61 @@ let cbc_encrypt (ks : int array) (chain : int array) src src_pos n dst dst_pos =
     Array.unsafe_set chain 0 (fp_word fp_hi !cx !cy);
     Array.unsafe_set chain 1 (fp_word fp_lo !cx !cy)
   end
+
+(* Two independent CBC encryptions in one loop: chain [a] encrypts [na]
+   whole blocks at [sa]/[pa] into [da]/[qa] under [ka], chain [b] [nb]
+   blocks at [sb]/[pb] into [db]/[qb] under [kb].  Each block of a chain
+   depends on the one before, so one chain leaves most of the core's
+   issue slots idle waiting on table loads; a second chain's round fills
+   them.  Both chains advance block for block while both have blocks
+   left, then the longer one finishes on [cbc_encrypt]. *)
+let cbc_encrypt2 (ka : int array) (cha : int array) sa pa da qa na
+    (kb : int array) (chb : int array) sb pb db qb nb =
+  let n = if na < nb then na else nb in
+  if n > 0 then begin
+    let h = Array.unsafe_get cha 0 and lo = Array.unsafe_get cha 1 in
+    let ax = ref (gather ip_hi h lo) and ay = ref (gather ip_lo h lo) in
+    let h = Array.unsafe_get chb 0 and lo = Array.unsafe_get chb 1 in
+    let bx = ref (gather ip_hi h lo) and by = ref (gather ip_lo h lo) in
+    for i = 0 to n - 1 do
+      let o = i * 8 in
+      let h1 = read32 sa (pa + o) and lo1 = read32 sa (pa + o + 4) in
+      let h2 = read32 sb (pb + o) and lo2 = read32 sb (pb + o + 4) in
+      let l1 = !ax lxor gather ip_hi h1 lo1 and r1 = !ay lxor gather ip_lo h1 lo1 in
+      let l2 = !bx lxor gather ip_hi h2 lo2 and r2 = !by lxor gather ip_lo h2 lo2 in
+      let l1 = round ka 0 l1 r1 and l2 = round kb 0 l2 r2 in
+      let r1 = round ka 2 r1 l1 and r2 = round kb 2 r2 l2 in
+      let l1 = round ka 4 l1 r1 and l2 = round kb 4 l2 r2 in
+      let r1 = round ka 6 r1 l1 and r2 = round kb 6 r2 l2 in
+      let l1 = round ka 8 l1 r1 and l2 = round kb 8 l2 r2 in
+      let r1 = round ka 10 r1 l1 and r2 = round kb 10 r2 l2 in
+      let l1 = round ka 12 l1 r1 and l2 = round kb 12 l2 r2 in
+      let r1 = round ka 14 r1 l1 and r2 = round kb 14 r2 l2 in
+      let l1 = round ka 16 l1 r1 and l2 = round kb 16 l2 r2 in
+      let r1 = round ka 18 r1 l1 and r2 = round kb 18 r2 l2 in
+      let l1 = round ka 20 l1 r1 and l2 = round kb 20 l2 r2 in
+      let r1 = round ka 22 r1 l1 and r2 = round kb 22 r2 l2 in
+      let l1 = round ka 24 l1 r1 and l2 = round kb 24 l2 r2 in
+      let r1 = round ka 26 r1 l1 and r2 = round kb 26 r2 l2 in
+      let l1 = round ka 28 l1 r1 and l2 = round kb 28 l2 r2 in
+      let r1 = round ka 30 r1 l1 and r2 = round kb 30 r2 l2 in
+      ax := r1;
+      ay := l1;
+      bx := r2;
+      by := l2;
+      write32 da (qa + o) (fp_word fp_hi r1 l1);
+      write32 da (qa + o + 4) (fp_word fp_lo r1 l1);
+      write32 db (qb + o) (fp_word fp_hi r2 l2);
+      write32 db (qb + o + 4) (fp_word fp_lo r2 l2)
+    done;
+    Array.unsafe_set cha 0 (fp_word fp_hi !ax !ay);
+    Array.unsafe_set cha 1 (fp_word fp_lo !ax !ay);
+    Array.unsafe_set chb 0 (fp_word fp_hi !bx !by);
+    Array.unsafe_set chb 1 (fp_word fp_lo !bx !by)
+  end;
+  let o = n * 8 in
+  if na > n then cbc_encrypt ka cha sa (pa + o) (na - n) da (qa + o)
+  else if nb > n then cbc_encrypt kb chb sb (pb + o) (nb - n) db (qb + o)
 
 (* CBC decryption of [n] whole blocks, chaining from the ciphertext
    block (ivh, ivl).  No block depends on another's plaintext, so two

@@ -28,6 +28,19 @@ val cbc_encrypt :
     word) and leaving the last ciphertext block there.  The chain stays in
     registers, in IP space, between the first and last block. *)
 
+val cbc_encrypt2 :
+  int array -> int array -> string -> int -> Bytes.t -> int -> int ->
+  int array -> int array -> string -> int -> Bytes.t -> int -> int -> unit
+(** [cbc_encrypt2 ka cha sa pa da qa na kb chb sb pb db qb nb] is
+    [cbc_encrypt ka cha sa pa na da qa] and
+    [cbc_encrypt kb chb sb pb nb db qb] run as two independent chains in
+    one loop, each with its own schedule, chain, source and destination.
+    One CBC chain is a serial run of table lookups that leaves most issue
+    slots idle; the second chain's rounds fill them.  The chains advance
+    block for block while both have blocks left; the longer one then
+    finishes on the one-lane loop.  The two destination regions must not
+    overlap either source region (DESIGN.md §6c). *)
+
 val cbc_decrypt :
   int array -> ivh:int -> ivl:int -> string -> int -> int -> Bytes.t -> int -> unit
 (** [cbc_decrypt kd ~ivh ~ivl src pos n dst dst_pos] CBC-decrypts the [n]
@@ -59,19 +72,3 @@ val read32 : string -> int -> int
 
 val write32 : Bytes.t -> int -> int -> unit
 (** Big-endian 32-bit store; no bounds check. *)
-
-(** {1 FIPS permutation tables}
-
-    1-based source-bit tables (FIPS 46 numbering, bit 1 = MSB), exported
-    for {!Des_bitslice}: in the bitsliced domain every permutation is a
-    pure renaming of bit-vector words, so the kernels share one table
-    transcription instead of each risking its own typo. *)
-
-val ip_table : int array
-(** Initial permutation (64 entries). *)
-
-val fp_table : int array
-(** Final permutation, inverse of {!ip_table} (64 entries). *)
-
-val p_table : int array
-(** Round-function P permutation over the 32 S-box output bits. *)

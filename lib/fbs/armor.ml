@@ -143,7 +143,7 @@ type batch_ops = {
     payload:string ->
     Fbsr_util.Byte_writer.t ->
     job;
-  run : threshold:int -> job array -> int * int;
+  run : job array -> int;
 }
 
 type batch_rx_ops = {

@@ -137,9 +137,8 @@ type batch_ops = {
       (** Reserve the body region in the writer and return the pending
           job that will fill it; accounts the encryption exactly as the
           inline path would ([encryptions], key-schedule hit/miss). *)
-  run : threshold:int -> job array -> int * int;
-      (** Run every job to completion; returns the kernel's
-          [(batched, scalar)] block split. *)
+  run : job array -> int;
+      (** Run every job to completion; returns the blocks encrypted. *)
 }
 
 (** The receive-side mirror of {!batch_ops}: deferring a body {e open}

@@ -4,11 +4,12 @@
    bump for counter bump — the twin-engine differential suite holds the
    instances to the retained string reference. *)
 
-(* The pending cross-flow CBC chain (bitsliced kernel) and the pending
-   CBC open (scalar two-block kernel, run at the flush). *)
+(* The pending CBC seal (paired with its neighbour on the two-chain
+   kernel) and the pending CBC open (two-block decrypt), both run at the
+   flush. *)
 type Armor.job +=
-  | Des_cbc_chain of Fbsr_crypto.Des_bitslice.cbc_job
-  | Des_cbc_open of Fbsr_crypto.Des_bitslice.dec_job
+  | Des_cbc_chain of Fbsr_crypto.Des.cbc_job
+  | Des_cbc_open of Fbsr_crypto.Des.dec_job
 
 let des_cbc_batch : Armor.batch_ops =
   {
@@ -24,11 +25,11 @@ let des_cbc_batch : Armor.batch_ops =
         (* The job snapshots [iv] (ctx scratch, rewritten by the next
            seal) and borrows [payload]/[dst] until it runs. *)
         Des_cbc_chain
-          (Fbsr_crypto.Des_bitslice.cbc_job ~key ~iv ~src:payload ~src_pos:0
+          (Fbsr_crypto.Des.cbc_job ~key ~iv ~src:payload ~src_pos:0
              ~src_len:payload_len ~dst ~dst_pos));
     run =
-      (fun ~threshold jobs ->
-        Fbsr_crypto.Des_bitslice.encrypt_cbc_jobs ~threshold
+      (fun jobs ->
+        Fbsr_crypto.Des.encrypt_cbc_jobs
           (Array.map
              (function
                | Des_cbc_chain j -> j
@@ -47,7 +48,7 @@ let des_cbc_batch_rx : Armor.batch_rx_ops =
         let key = Armor.des_sched ctx entry in
         let iv = Armor.iv_of_confounder ctx ~confounder in
         match
-          Fbsr_crypto.Des_bitslice.dec_job ~key ~iv
+          Fbsr_crypto.Des.dec_job ~key ~iv
             ~src:body.Fbsr_util.Slice.base ~src_pos:body.Fbsr_util.Slice.off
             ~src_len:body.Fbsr_util.Slice.len
         with
@@ -60,14 +61,14 @@ let des_cbc_batch_rx : Armor.batch_rx_ops =
                the flush, nor deliver it from a dropped job. *)
             Ok
               ( Des_cbc_open job,
-                Bytes.unsafe_to_string (Fbsr_crypto.Des_bitslice.dec_job_out job)
+                Bytes.unsafe_to_string (Fbsr_crypto.Des.dec_job_out job)
               )
         (* Bad length or corrupt padding — the same [Invalid_argument]
            family the inline path maps to a decrypt error. *)
         | exception Invalid_argument _ -> Error ());
     run_rx =
       (fun jobs ->
-        Fbsr_crypto.Des_bitslice.decrypt_cbc_jobs
+        Fbsr_crypto.Des.decrypt_cbc_jobs
           (Array.map
              (function
                | Des_cbc_open j -> j

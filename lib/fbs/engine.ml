@@ -344,60 +344,82 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
               ~master:(Keying.last_resolution t.keying);
             k (Ok entry))
 
-(* Cross-flow batching — the feed for the bitsliced DES kernel: a queue
-   bound to one engine, with a lane per direction.  CBC serializes blocks
-   {e within} a flow but not {e across} flows, so a secret datagram whose
-   armor has a batched kernel parks its body transform here: the seal
-   lane holds fully assembled wires whose encryption is pending, the
-   open lane holds frames that passed the receive prologue and whose
-   decryption (and hence MAC verify) is pending.  [flush] runs the seal
-   lane's jobs in lockstep and the open lane's one by one, and only then
-   completes the datagrams, in enqueue order, so a caller never observes
-   a half-sealed or half-opened datagram.
+(* A vacated batch-lane slot: holds no job, so the flushed ones can be
+   freed. *)
+type Armor.job += Vacant
+
+(* Cross-flow batching: a queue bound to one engine, with a lane per
+   direction.  A secret datagram whose armor has a batched kernel parks
+   its body transform here: the seal lane holds fully assembled wires
+   whose encryption is pending, the open lane holds frames that passed
+   the receive prologue and whose decryption (and hence MAC verify) is
+   pending.  [flush] runs the seal lane's jobs side by side (the DES-CBC
+   kernel pairs independent chains) and the open lane's one by one, and
+   only then completes the datagrams, in enqueue order, so a caller never
+   observes a half-sealed or half-opened datagram.
    Everything else seals and opens inline, on the very same call. *)
 module Batch = struct
   type engine = t
 
-  (* A parked datagram: its pending kernel job, and what finishes it once
-     the job has run — the deferred seal span and the sender's
-     continuation on the seal lane; MAC verify and the verdict on the
-     open lane. *)
-  type pending = { job : Armor.job; complete : unit -> unit }
+  (* A lane of parked datagrams, in enqueue order: each one's pending
+     kernel job, and what finishes it once the job has run — the
+     deferred seal span and the sender's continuation on the seal lane;
+     MAC verify and the verdict on the open lane.  The arrays are reused
+     from flush to flush. *)
+  type lane = {
+    mutable jobs : Armor.job array;
+    mutable completes : (unit -> unit) array;
+    mutable parked : int;
+  }
 
   type t = {
     engine : engine;
-    threshold : int;
     capacity : int;
-    run_seal : threshold:int -> Armor.job array -> int * int;
+    run_seal : Armor.job array -> int;
     run_open : Armor.job array -> int;
-    seals : pending Queue.t;
-    opens : pending Queue.t;
+    seals : lane;
+    opens : lane;
     mutable on_park : unit -> unit;
         (* fires on every enqueue that leaves the datagram parked (no
            capacity flush) — including late enqueues from a resumed keying
            continuation, which the caller cannot observe synchronously *)
+    mutable sealing : seal_plan; (* this batch's secret seals, built once *)
   }
 
-  (* Only reached for an empty lane: jobs enqueue through the armor's ops. *)
-  let no_kernel ~threshold:_ (_ : Armor.job array) = (0, 0)
-  let no_open_kernel (_ : Armor.job array) = 0
+  (* What a seal does beyond writing the payload: whether the body is
+     secret, the batch its transform may park in, and a caller-drawn
+     confounder.  The send path carries this as one value across the
+     keying step, and the common plans are shared values (the inline
+     ones constants, a batch's secret one built with the batch), so a
+     send captures and allocates no more than a bare [secret] flag
+     would. *)
+  and seal_plan = { secret : bool; batch : t option; confounder : int option }
 
-  let create ?(threshold = Fbsr_crypto.Des_bitslice.break_even_jobs)
-      ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      (engine : engine) =
+  let default_capacity = 63
+
+  (* Only reached for an empty lane: jobs enqueue through the armor's ops. *)
+  let no_kernel (_ : Armor.job array) = 0
+
+  let lane () = { jobs = [||]; completes = [||]; parked = 0 }
+
+  let create ?(capacity = default_capacity) (engine : engine) =
     if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
     let module A = (val engine.armor : Armor.S) in
-    {
-      engine;
-      threshold;
-      capacity;
-      run_seal = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
-      run_open =
-        (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_open_kernel);
-      seals = Queue.create ();
-      opens = Queue.create ();
-      on_park = ignore;
-    }
+    let b =
+      {
+        engine;
+        capacity;
+        run_seal = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
+        run_open =
+          (match A.batch_rx with Some ops -> ops.Armor.run_rx | None -> no_kernel);
+        seals = lane ();
+        opens = lane ();
+        on_park = ignore;
+        sealing = { secret = true; batch = None; confounder = None };
+      }
+    in
+    b.sealing <- { secret = true; batch = Some b; confounder = None };
+    b
 
   let set_on_park b f = b.on_park <- f
 
@@ -407,53 +429,53 @@ module Batch = struct
     | Some b when b.engine != t -> invalid_arg "Engine: batch bound to another engine"
     | _ -> ()
 
-  let pending b = Queue.length b.seals + Queue.length b.opens
+  let pending b = b.seals.parked + b.opens.parked
 
-  (* Run every job of one lane through [run] ([empty] when the lane is
-     empty), then complete the datagrams in enqueue order. *)
-  let drain q run ~empty =
-    if Queue.is_empty q then empty
+  (* Run every job of one lane through [run], then complete the
+     datagrams in enqueue order.  Returns the blocks the kernel ran.
+     The lane is emptied first, so a completion may park again. *)
+  let drain l run =
+    let n = l.parked in
+    if n = 0 then 0
     else begin
-      (* Explicit drain: [Array.init]'s evaluation order is unspecified,
-         and delivery order must be enqueue order. *)
-      let ps = Array.make (Queue.length q) (Queue.peek q) in
-      for i = 0 to Array.length ps - 1 do
-        ps.(i) <- Queue.pop q
-      done;
-      let counts = run (Array.map (fun p -> p.job) ps) in
-      Array.iter (fun p -> p.complete ()) ps;
-      counts
+      let jobs = Array.sub l.jobs 0 n and completes = Array.sub l.completes 0 n in
+      Array.fill l.jobs 0 n Vacant;
+      Array.fill l.completes 0 n ignore;
+      l.parked <- 0;
+      let blocks = run jobs in
+      Array.iter (fun complete -> complete ()) completes;
+      blocks
     end
 
-  (* The seal lane runs bitsliced when at least [threshold] jobs share a
-     kernel group, per-datagram otherwise; the open lane always runs per
-     datagram, so its blocks count as scalar. *)
   let flush b =
     let c = b.engine.counters in
-    if not (Queue.is_empty b.opens) then
-      c.rx_batch_flushes <- c.rx_batch_flushes + 1;
-    let bs, ss = drain b.seals (b.run_seal ~threshold:b.threshold) ~empty:(0, 0) in
-    let so = drain b.opens b.run_open ~empty:0 in
-    (bs, ss + so)
+    if b.opens.parked > 0 then c.rx_batch_flushes <- c.rx_batch_flushes + 1;
+    let sealed = drain b.seals b.run_seal in
+    sealed + drain b.opens b.run_open
 
-  (* Park a datagram in lane [q]: flush when the lane fills, else tell the
+  (* Park a datagram in lane [l]: flush when the lane fills, else tell the
      owner.  When the keying layer suspended, this runs in the resumed
      continuation's event, after the caller's synchronous code — without
      the hook nothing would arm a flush and the datagram could park
      forever. *)
-  let enqueue b q p =
-    Queue.add p q;
-    if Queue.length q >= b.capacity then ignore (flush b : int * int)
-    else b.on_park ()
+  let enqueue b l job complete =
+    let n = l.parked in
+    if n = Array.length l.jobs then begin
+      let size = max 8 (2 * n) in
+      l.jobs <- Array.append l.jobs (Array.make (size - n) Vacant);
+      l.completes <- Array.append l.completes (Array.make (size - n) ignore)
+    end;
+    l.jobs.(n) <- job;
+    l.completes.(n) <- complete;
+    l.parked <- n + 1;
+    if l.parked >= b.capacity then ignore (flush b : int) else b.on_park ()
 end
 
-(* What a seal does beyond writing the payload: whether the body is
-   secret, the batch its transform may park in, and a caller-drawn
-   confounder.  The send path carries this as one value across the
-   keying step, and the two inline plans are shared constants, so an
-   unbatched send captures and allocates no more than a bare [secret]
-   flag would. *)
-type seal_plan = { secret : bool; batch : Batch.t option; confounder : int option }
+type seal_plan = Batch.seal_plan = {
+  secret : bool;
+  batch : Batch.t option;
+  confounder : int option;
+}
 
 let plain = { secret = false; batch = None; confounder = None }
 let secret_inline = { plain with secret = true }
@@ -461,6 +483,7 @@ let secret_inline = { plain with secret = true }
 let seal_plan ?batch ?confounder secret =
   match (batch, confounder) with
   | None, None -> if secret then secret_inline else plain
+  | Some b, None -> if secret then b.Batch.sealing else plain
   | _ -> { secret; batch; confounder }
 
 (* The ["engine.seal"] span's detail: wire size, secrecy, and the
@@ -546,25 +569,21 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
   | Some b, Some ops when secret ->
       let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
       let wire = Fbsr_util.Byte_writer.finalize w in
-      (* The flush runs under another event's ambient id: capture ours. *)
-      let id, detail =
+      let complete =
         match stm with
-        | Some _ ->
-            ( Fbsr_util.Span.current (),
-              seal_detail t ~batched:true ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 )
-        | None -> (0L, [])
+        | None -> fun () -> k (Ok wire)
+        | Some tm ->
+            (* The flush runs under another event's ambient id: capture
+               ours, and the cache deltas as they stand now. *)
+            let id = Fbsr_util.Span.current () in
+            let detail =
+              seal_detail t ~batched:true ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0
+            in
+            fun () ->
+              Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
+              Fbsr_util.Span.apply_with_current id k (Ok wire)
       in
-      Batch.enqueue b b.Batch.seals
-        {
-          Batch.job;
-          complete =
-            (fun () ->
-              match stm with
-              | Some tm ->
-                  Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
-                  Fbsr_util.Span.with_current id (fun () -> k (Ok wire))
-              | None -> k (Ok wire));
-        }
+      Batch.enqueue b b.Batch.seals job complete
   | _ ->
       A.seal_body t.actx entry ~secret ~confounder ~payload w;
       let wire = Fbsr_util.Byte_writer.finalize w in
@@ -819,14 +838,9 @@ let open_entry ?batch t ~now ~src ~(v : Header.view) ~entry tm
         | Ok (job, plaintext) ->
             t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
             t.counters.rx_batch_deferred <- t.counters.rx_batch_deferred + 1;
-            Batch.enqueue b b.Batch.opens
-              {
-                Batch.job;
-                complete =
-                  (fun () ->
-                    verify_and_deliver t ~now ~src ~v ~entry tm k
-                      (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext));
-              })
+            Batch.enqueue b b.Batch.opens job (fun () ->
+                verify_and_deliver t ~now ~src ~v ~entry tm k
+                  (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)))
     | _ -> (
         match A.open_body t.actx entry ~confounder ~body with
         | Ok plaintext ->

@@ -168,8 +168,8 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     Pass [Metrics.sub m "host.<addr>"] for a per-host view; registering
     several engines on one registry sums them. *)
 
-(** Cross-flow batching: the feed for the bitsliced DES kernel, one queue
-    with two lanes.
+(** Cross-flow batching: one queue with two lanes, where datagrams park
+    their body transforms until a {!Batch.flush} runs them together.
 
     CBC serializes cipher blocks within a flow but not across flows, and
     CBC decryption has no cross-block dependency at all.  So when a
@@ -185,11 +185,13 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, refusals,
     ciphertexts rejected up front) resolves inline on the same call.
 
-    {!flush} runs the seal lane's jobs in lockstep through
-    {!Fbsr_crypto.Des_bitslice}, the open lane's one by one on the scalar
-    two-block decrypt, and then completes the datagrams in enqueue order, each under its own trace id — so per-flow order holds
-    and a caller never observes a half-sealed or half-opened datagram.
-    Wires, verdicts, payload bytes, counters (beyond the open lane's
+    {!Batch.flush} runs the seal lane's jobs through
+    {!Fbsr_crypto.Des.encrypt_cbc_jobs}, which pairs them in enqueue
+    order on the two-chain CBC kernel, and the open lane's one by one on
+    the two-block decrypt.  It then completes the datagrams in enqueue
+    order, each under its own trace id, so per-flow order holds and a
+    caller never observes a half-sealed or half-opened datagram.  Wires,
+    verdicts, payload bytes, counters (beyond the open lane's
     [rx_batch_*] pair) and span terminals are identical to the inline
     path, datagram for datagram; the deferred ["engine.seal"] and
     ["engine.receive"] spans finish at the flush and so cover queue
@@ -200,33 +202,32 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       only that engine's {!send}/{!send_classified}/{!receive} may be
       given it ([Invalid_argument] otherwise) — its kernels come from
       that engine's armor and its counters are that engine's.
-    - [threshold] (default {!Fbsr_crypto.Des_bitslice.break_even_jobs}):
-      minimum seal jobs per kernel group to take the bitsliced path;
-      smaller flushes run each job on the per-datagram kernel (identical
-      bytes).  The open lane ignores it.
-    - [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): an enqueue
-      that fills its lane flushes the batch before returning.
-    - park: an enqueue that does not flush runs the {!set_on_park} hook.
-      A batch keeps no clock: bounding a parked datagram's wait is the
-      caller's job, by a {!flush} it schedules from that hook.
-      A datagram whose keying suspended (cold flow) enqueues {e later},
-      from the resumed continuation's event, after the {!send}/{!receive}
-      call has returned — so [pending] will not have grown when that call
-      returns, and a caller that arms its flush only on a synchronous
-      [pending] check would never flush such a datagram.  Arm it from the
-      hook, which always runs in the event that enqueued.
+    - [capacity] (default {!Batch.default_capacity}): an enqueue that
+      fills its lane flushes the batch before returning.
+    - park: an enqueue that does not flush runs the {!Batch.set_on_park}
+      hook.  A batch keeps no clock: bounding a parked datagram's wait is
+      the caller's job, by a {!Batch.flush} it runs or schedules from that
+      hook.  A datagram whose keying suspended (cold flow) enqueues
+      {e later}, from the resumed continuation's event, after the
+      {!send}/{!receive} call has returned — so [pending] will not have
+      grown when that call returns, and a caller that arms its flush only
+      on a synchronous [pending] check would never flush such a datagram.
+      Arm it from the hook, which always runs in the event that enqueued.
     - A parked datagram's continuation fires only from a flush.  Until
       then the queue borrows the receive wire, and a deferred plaintext
       string (the one {!Armor.batch_rx_ops.defer_open} returned) is not
       yet stable: its bytes are written by the kernel pass inside
-      {!flush}, so nothing may read, hash or compare it before. *)
+      {!Batch.flush}, so nothing may read, hash or compare it before. *)
 module Batch : sig
   type engine := t
 
   type t
   (** A two-lane pending-transform queue bound to one engine. *)
 
-  val create : ?threshold:int -> ?capacity:int -> engine -> t
+  val default_capacity : int
+  (** 63 datagrams per lane. *)
+
+  val create : ?capacity:int -> engine -> t
 
   val set_on_park : t -> (unit -> unit) -> unit
   (** Install the hook run after every enqueue that leaves a datagram
@@ -235,12 +236,11 @@ module Batch : sig
   val pending : t -> int
   (** Datagrams currently parked, both lanes. *)
 
-  val flush : t -> int * int
+  val flush : t -> int
   (** Run every parked job, seal lane first, and complete the datagrams
-      in enqueue order.  Returns the kernel's
-      [(bitsliced_blocks, scalar_blocks)] split, summed over the lanes
-      (every open-lane block is scalar) — [(0, 0)] when the queue was
-      empty. *)
+      in enqueue order.  Returns the blocks the kernels ran (a sealed
+      body's padding block included, an opened body's final block, which
+      decrypts at enqueue, not) — [0] when the queue was empty. *)
 end
 
 val send :

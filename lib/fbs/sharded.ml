@@ -83,7 +83,7 @@ let run_buckets t buckets per_index =
              Some
                (fun () ->
                  Array.iter (per_index s) buckets.(s);
-                 ignore (Engine.Batch.flush t.batches.(s) : int * int)))
+                 ignore (Engine.Batch.flush t.batches.(s) : int)))
          (List.init t.nshards Fun.id))
   in
   ignore (Fbsr_util.Domain_shim.parallel_run thunks : unit array)
@@ -108,7 +108,7 @@ let send_all t ~now ~secret jobs =
   let buckets = buckets_of t (fun i -> shard_of_sfl t sfls.(i)) n in
   let results = Array.make n None in
   (* Seals run inline.  Parking them in the shard's seal lane would buy
-     the bitsliced kernel but stretch every datagram's [engine.seal] span
+     the two-chain kernel but stretch every datagram's [engine.seal] span
      over the bucket's queue residence, which the bench's gated 4-shard
      seal p99 cannot absorb until deferred spans report their CPU time
      apart from residence.  Passing [~batch] is then the whole change. *)

@@ -17,11 +17,19 @@
    bypass" of Figure 5): securing certificate fetches would be circular,
    and certificates are verified on receipt.
 
+   Sending runs in output bursts ([Host.burst]; a TCP send window is
+   one, every lone [ip_output] another).  Each datagram of a burst takes
+   the next slot of an ordered outbox; a secret seal parks its
+   encryption in the stack's batch, whose flush at burst end pairs the
+   burst's CBC chains on the two-chain kernel; then the outbox transmits
+   in call order.  Bypassed and inline-sealed datagrams wait in their
+   slots too, so the wire order is the call order.
+
    When a datagram needs a master key that is not cached, its processing
-   suspends while the MKD round-trips the network; the datagram is parked
-   and finishes through [Host.transmit_prepared] / [Host.deliver_up] when
-   the key arrives — the simulator's analogue of the paper's blocking
-   Upcall(). *)
+   suspends while the MKD round-trips the network; the datagram leaves
+   its burst and finishes through [Host.transmit_prepared] /
+   [Host.deliver_up] when the key arrives — the simulator's analogue of
+   the paper's blocking Upcall(). *)
 
 open Fbsr_netsim
 
@@ -82,6 +90,22 @@ type counters = {
   mutable rx_batched : int; (* frames parked in the receive batch *)
 }
 
+(* One datagram of the current output burst.  Slots are reused from
+   burst to burst; [ticket] tells a seal completion whether its slot is
+   still its own (else the datagram left its burst on a keying fetch).
+   A [Dropped] slot keeps its place but transmits nothing: a hook can
+   run nested inside another (an MKD fetch sends from within a seal), so
+   the slot that leaves is not always the last one. *)
+type state = Waiting | Sealed | Dropped
+
+type slot = {
+  mutable h : Ipv4.header;
+  mutable wire : string;
+  mutable state : state;
+  mutable trace : int64; (* the span trace id to transmit under *)
+  mutable ticket : int;
+}
+
 type t = {
   host : Host.t;
   engine : Fbsr_fbs.Engine.t;
@@ -89,6 +113,11 @@ type t = {
   counters : counters;
   spans : Fbsr_util.Span.t;
   policy_state : Fbsr_fbs.Policy_five_tuple.t;
+  tx_batch : Fbsr_fbs.Engine.Batch.t; (* its seal lane holds the burst's seals *)
+  tx_seals : Fbsr_fbs.Engine.Batch.t option; (* [Some tx_batch], wrapped once *)
+  mutable outbox : slot array;
+  mutable queued : int; (* slots of the open burst, in call order *)
+  mutable tickets : int;
   rx_batch : Fbsr_fbs.Engine.Batch.t option; (* when batched_rx *)
   mutable rx_flush_scheduled : bool;
       (* one pending linger-flush event at a time; re-armed on the next
@@ -130,47 +159,111 @@ let peek_ports ~protocol payload =
       (Char.code payload.[2] lsl 8) lor Char.code payload.[3] )
   else (0, 0)
 
+let no_header =
+  Ipv4.make ~protocol:0 ~src:Addr.any ~dst:Addr.any ~payload_length:0 ()
+
+(* The next outbox slot, for a datagram with header [h]. *)
+let claim t h =
+  if t.queued = Array.length t.outbox then
+    t.outbox <-
+      Array.init
+        (max 8 (2 * t.queued))
+        (fun i ->
+          if i < t.queued then t.outbox.(i)
+          else { h = no_header; wire = ""; state = Waiting; trace = 0L; ticket = -1 });
+  let s = t.outbox.(t.queued) in
+  t.queued <- t.queued + 1;
+  t.tickets <- t.tickets + 1;
+  s.h <- h;
+  s.state <- Waiting;
+  s.ticket <- t.tickets;
+  s
+
+(* The datagram leaves its burst: refused, or waiting on keying. *)
+let release s =
+  s.state <- Dropped;
+  s.ticket <- -1
+
+(* The one send completion.  While its slot is still its own, the seal
+   waits there for the burst's end; a seal that resumed after a keying
+   fetch (its burst long over) transmits at once. *)
+let complete t s ticket h r =
+  let mine = s.ticket = ticket in
+  match r with
+  | Ok wire ->
+      t.counters.sent <- t.counters.sent + 1;
+      if mine then begin
+        s.wire <- wire;
+        s.state <- Sealed;
+        s.trace <- Fbsr_util.Span.current ()
+      end
+      else begin
+        t.counters.resumed <- t.counters.resumed + 1;
+        Host.transmit_prepared t.host h wire
+      end
+  | Error _ ->
+      t.counters.dropped_error <- t.counters.dropped_error + 1;
+      if mine then release s
+
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
+  let s = claim t h in
   if t.config.bypass h.dst then begin
     t.counters.bypassed <- t.counters.bypassed + 1;
-    Host.Pass (h, payload)
+    s.wire <- payload;
+    s.state <- Sealed;
+    s.trace <- Fbsr_util.Span.current ();
+    Host.Held
   end
   else begin
     let src_port, dst_port = peek_ports ~protocol:h.protocol payload in
     let secret = t.config.secret_policy ~protocol:h.protocol ~src_port ~dst_port in
-    let now = Host.now t.host in
-    let sync_result = ref None in
-    let completed_sync = ref true in
-    (* The one send completion, synchronous or late. *)
-    let k r =
-      if !completed_sync then sync_result := Some r
-      else begin
-        (* Late completion: the datagram was parked during an MKD fetch. *)
-        match r with
-        | Ok wire ->
-            t.counters.resumed <- t.counters.resumed + 1;
-            t.counters.sent <- t.counters.sent + 1;
-            Host.transmit_prepared t.host h wire
-        | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
-      end
-    in
     let attrs =
       Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
         ~size:(String.length payload) ~src:(principal_of_addr h.src)
         ~dst:(principal_of_addr h.dst) ()
     in
-    Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k;
-    completed_sync := false;
-    match !sync_result with
-    | Some (Ok wire) ->
-        t.counters.sent <- t.counters.sent + 1;
-        Host.Pass (h, wire)
-    | Some (Error _) ->
-        t.counters.dropped_error <- t.counters.dropped_error + 1;
-        Host.Drop "fbs send error"
-    | None ->
+    let parked0 = Fbsr_fbs.Engine.Batch.pending t.tx_batch in
+    Fbsr_fbs.Engine.send ?batch:t.tx_seals t.engine ~now:(Host.now t.host) ~attrs
+      ~secret ~payload (complete t s s.ticket h);
+    match s.state with
+    | Sealed -> Host.Held
+    | Waiting when Fbsr_fbs.Engine.Batch.pending t.tx_batch > parked0 -> Host.Held
+    | Dropped -> Host.Drop "fbs send error"
+    | Waiting ->
+        release s;
         t.counters.suspended_out <- t.counters.suspended_out + 1;
         Host.Drop "fbs awaiting master key"
+  end
+
+(* Transmit the sealed slots of [i, n) in call order, each under its
+   own trace id.  A [Send_error] (DF set, datagram too big) does not
+   strand the slots behind it: they go out first, then the first error
+   is raised. *)
+let rec transmit_slots t i n =
+  if i < n then begin
+    let s = t.outbox.(i) in
+    let wire = s.wire in
+    s.wire <- "";
+    Fbsr_util.Span.set_current s.trace;
+    match if s.state = Sealed then Host.transmit_prepared t.host s.h wire with
+    | () -> transmit_slots t (i + 1) n
+    | exception e ->
+        (try transmit_slots t (i + 1) n with Host.Send_error _ -> ());
+        raise e
+  end
+
+(* Burst end: seal everything parked, then transmit the outbox. *)
+let end_burst t =
+  if t.queued > 0 then begin
+    ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
+    let n = t.queued in
+    t.queued <- 0;
+    let ambient = Fbsr_util.Span.current () in
+    match transmit_slots t 0 n with
+    | () -> Fbsr_util.Span.set_current ambient
+    | exception e ->
+        Fbsr_util.Span.set_current ambient;
+        raise e
   end
 
 let input_hook t (h : Ipv4.header) payload : Host.hook_result =
@@ -271,6 +364,7 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
       ~replay_window_minutes:config.replay_window_minutes
       ~strict_replay:config.strict_replay ~spans ~keying ~fam ()
   in
+  let tx_batch = Fbsr_fbs.Engine.Batch.create engine in
   let t =
     {
       host;
@@ -289,6 +383,11 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
           rx_batched = 0;
         };
       policy_state;
+      tx_batch;
+      tx_seals = Some tx_batch;
+      outbox = [||];
+      queued = 0;
+      tickets = 0;
       rx_batch =
         (if config.batched_rx then
            Some (Fbsr_fbs.Engine.Batch.create engine)
@@ -312,9 +411,15 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
             Engine.schedule (Host.engine t.host) ~delay:rx_linger
               (fun () ->
                 t.rx_flush_scheduled <- false;
-                ignore (Fbsr_fbs.Engine.Batch.flush b : int * int))
+                ignore (Fbsr_fbs.Engine.Batch.flush b : int))
           end));
+  (* A seal parks from inside [output_hook] (its burst's end flushes it)
+     or, when its keying suspended, from the resumed continuation's
+     event, with no burst open: then it flushes at once. *)
+  Fbsr_fbs.Engine.Batch.set_on_park t.tx_batch (fun () ->
+      if t.queued = 0 then ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int));
   Host.set_output_hook host (output_hook t);
+  Host.set_burst_end host (fun () -> end_burst t);
   Host.set_input_hook host (input_hook t);
   (* The paper's tcp_output fix: publish the per-datagram overhead so the
      MSS calculation can subtract it. *)

@@ -1,7 +1,9 @@
 (** The FBS-to-IP mapping (paper Section 7): FBS header between the IPv4
     header and the transport payload, ip_output/ip_input hooks, 5-tuple +
     THRESHOLD flow policy, secure flow bypass, MSS fix, and datagram
-    parking across MKD fetches. *)
+    parking across MKD fetches.  Each output burst ({!Fbsr_netsim.Host.burst})
+    is sealed together, its DES-CBC chains paired on the two-chain kernel,
+    and transmitted in call order when it ends. *)
 
 open Fbsr_netsim
 

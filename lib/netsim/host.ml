@@ -12,10 +12,19 @@
    higher-layer protocol.  The FBS receive hook runs between parts 2 and 3.
 
    A hook takes the header and payload, and may transform them (FBS header
-   insertion/removal), pass them through unchanged, or drop the packet. *)
+   insertion/removal), pass them through unchanged, hold them, or drop the
+   packet.
+
+   Output runs in bursts: [burst] brackets a run of [ip_output] calls (a
+   TCP send window, say), and every [ip_output] is a burst of its own,
+   nested bursts counting as one.  An output hook may hold a datagram
+   and finish it through [transmit_prepared] before the outermost burst
+   ends, which is what lets a security layer seal a burst's datagrams
+   together and still transmit them in call order. *)
 
 type hook_result =
   | Pass of Ipv4.header * string
+  | Held (* the hook owns the datagram and finishes it itself *)
   | Drop of string (* reason, counted in stats *)
 
 type hook = Ipv4.header -> string -> hook_result
@@ -61,6 +70,8 @@ type t = {
   protocols : (int, t -> Ipv4.header -> string -> unit) Hashtbl.t;
   mutable output_hook : hook option;
   mutable input_hook : hook option;
+  mutable burst_depth : int; (* open [burst] brackets *)
+  mutable burst_end : unit -> unit; (* runs when the outermost one closes *)
   reassembler : Frag.t;
   mutable next_ident : int;
   mutable clock_offset : float;
@@ -88,6 +99,8 @@ let create ~name ~addr ?(mtu = 1500) engine =
     protocols = Hashtbl.create 8;
     output_hook = None;
     input_hook = None;
+    burst_depth = 0;
+    burst_end = ignore;
     reassembler = Frag.create ();
     next_ident = 1;
     clock_offset = 0.0;
@@ -124,9 +137,12 @@ let link t = t.link
 
 let set_output_hook t h = t.output_hook <- Some h
 let set_input_hook t h = t.input_hook <- Some h
+let set_burst_end t f = t.burst_end <- f
+
 let clear_hooks t =
   t.output_hook <- None;
-  t.input_hook <- None
+  t.input_hook <- None;
+  t.burst_end <- ignore
 
 let register_protocol t ~protocol handler =
   Hashtbl.replace t.protocols protocol handler
@@ -157,6 +173,7 @@ let rec ip_input t raw =
             in
             (match verdict with
             | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+            | Held -> ()
             | Pass (h, payload) -> dispatch t h payload)
       end
 
@@ -204,6 +221,35 @@ let fresh_ident t =
   t.next_ident <- (t.next_ident + 1) land 0xffff;
   id
 
+let end_burst t =
+  t.burst_depth <- t.burst_depth - 1;
+  if t.burst_depth = 0 then t.burst_end ()
+
+let burst t f =
+  t.burst_depth <- t.burst_depth + 1;
+  match f () with
+  | v ->
+      end_burst t;
+      v
+  | exception e ->
+      end_burst t;
+      raise e
+
+(* Part 1 and the send hook.  A held datagram's parts 2+3 run through
+   [transmit_prepared] before the burst that [ip_output] opens ends. *)
+let output t h payload =
+  (* FBS send hook: between part 1 and fragmentation. *)
+  let verdict =
+    match t.output_hook with None -> Pass (h, payload) | Some hook -> hook h payload
+  in
+  match verdict with
+  | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+  | Held -> ()
+  | Pass (h, payload) ->
+      (* The hook may have grown the payload: [fragment_and_transmit] fixes
+         the length (as FBSSend() fixes the IP header after insertion). *)
+      fragment_and_transmit t h payload
+
 let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
   if t.medium = None then raise (Send_error "host not attached to a network");
   (* Part 1: header construction (route selection is trivial: one medium). *)
@@ -211,16 +257,13 @@ let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
     Ipv4.make ~ident:(fresh_ident t) ~dont_fragment ~ttl ~protocol ~src:t.addr ~dst
       ~payload_length:(String.length payload) ()
   in
-  (* FBS send hook: between part 1 and fragmentation. *)
-  let verdict =
-    match t.output_hook with None -> Pass (h, payload) | Some hook -> hook h payload
-  in
-  match verdict with
-  | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
-  | Pass (h, payload) ->
-      (* The hook may have grown the payload: [fragment_and_transmit] fixes
-         the length (as FBSSend() fixes the IP header after insertion). *)
-      fragment_and_transmit t h payload
+  (* A burst of one, opened by hand: [burst] would take a closure. *)
+  t.burst_depth <- t.burst_depth + 1;
+  match output t h payload with
+  | () -> end_burst t
+  | exception e ->
+      end_burst t;
+      raise e
 
 (* Part 2+3 of output only: fragment and transmit a prepared header and
    payload, skipping the output hook.  Used by a security layer to finish

@@ -6,7 +6,14 @@
     and parts 2-3 on input — the exact insertion points of the paper's
     FBSSend()/FBSReceive() kernel hooks. *)
 
-type hook_result = Pass of Ipv4.header * string | Drop of string
+type hook_result =
+  | Pass of Ipv4.header * string
+      (** Carry on with this (possibly rewritten) header and payload. *)
+  | Held
+      (** The hook owns the datagram.  An output hook finishes it through
+          {!transmit_prepared} before the enclosing {!burst} ends; an
+          input hook through {!deliver_up}.  Not a drop: no stats move. *)
+  | Drop of string  (** Counted in [drops_hook]. *)
 
 type hook = Ipv4.header -> string -> hook_result
 
@@ -57,16 +64,34 @@ val link : t -> Link.t option
 
 val set_output_hook : t -> hook -> unit
 val set_input_hook : t -> hook -> unit
+
+val set_burst_end : t -> (unit -> unit) -> unit
+(** Install the function run when the outermost {!burst} ends — where an
+    output hook that returned [Held] finishes its datagrams. *)
+
 val clear_hooks : t -> unit
+(** Remove both hooks and the burst-end function. *)
 
 val register_protocol : t -> protocol:int -> (t -> Ipv4.header -> string -> unit) -> unit
 
 exception Send_error of string
 
+val burst : t -> (unit -> 'a) -> 'a
+(** [burst t f] runs [f] as one output burst: the datagrams its
+    {!ip_output} calls hand to the output hook may be held until [f]
+    returns (or raises), and then finish, in call order, before [burst]
+    returns.  Bursts nest; only the outermost one ends.  Simulated time
+    does not move inside [f], so a burst changes no timing, only when
+    within the event the frames reach the medium. *)
+
 val ip_output :
   t -> ?dont_fragment:bool -> ?ttl:int -> protocol:int -> dst:Addr.t -> string -> unit
-(** @raise Send_error if unattached, or if DF is set and the datagram
-    exceeds the MTU. *)
+(** A burst of one (see {!burst}): inside an enclosing burst a held
+    datagram transmits when that burst ends, else before [ip_output]
+    returns.
+    @raise Send_error if unattached, or if DF is set and the datagram
+    exceeds the MTU; for a datagram the output hook held, from the end
+    of the outermost burst. *)
 
 val ip_input : t -> string -> unit
 (** Entry point for raw packets from the medium (exposed for tests). *)

@@ -228,36 +228,41 @@ and retransmit_one c =
               (Fbsr_util.Byte_queue.read c.sendq ~off:0 ~len))
   | Closed -> ()
 
+(* The segments one call releases, FIN included, leave as one output
+   burst: a security hook may then seal them together (see
+   [Host.burst]), and they still reach the wire in sequence order. *)
 and try_output c =
   match c.state with
-  | Established | Close_wait ->
-      let effective_window = min c.window (min c.cwnd (max (conn_mss c) c.snd_wnd)) in
-      let in_flight = Tcp_seg.seq_diff c.snd_nxt c.snd_una in
-      let unsent = Fbsr_util.Byte_queue.length c.sendq - in_flight in
-      let budget = ref (min unsent (effective_window - in_flight)) in
-      while !budget > 0 do
-        let in_flight = Tcp_seg.seq_diff c.snd_nxt c.snd_una in
-        let len = min (conn_mss c) !budget in
-        let payload = Fbsr_util.Byte_queue.read c.sendq ~off:in_flight ~len in
-        emit c ~seq:c.snd_nxt ~flags:{ ack_flags with psh = len = !budget } payload;
-        c.snd_nxt <- Tcp_seg.seq_add c.snd_nxt len;
-        if c.rtt_probe = None then
-          c.rtt_probe <- Some (c.snd_nxt, Engine.now (Host.engine c.host));
-        budget := !budget - len;
-        arm_timer c
-      done;
-      (* Send FIN once all data is queued on the wire. *)
-      if
-        c.fin_pending && c.fin_seq = None
-        && Fbsr_util.Byte_queue.length c.sendq = Tcp_seg.seq_diff c.snd_nxt c.snd_una
-      then begin
-        c.fin_seq <- Some c.snd_nxt;
-        emit c ~seq:c.snd_nxt ~flags:{ ack_flags with fin = true } "";
-        c.snd_nxt <- Tcp_seg.seq_add c.snd_nxt 1;
-        c.state <- (if c.state = Close_wait then Last_ack else Fin_wait);
-        arm_timer c
-      end
+  | Established | Close_wait -> Host.burst c.host (fun () -> output_window c)
   | Syn_sent | Syn_received | Fin_wait | Last_ack | Closed -> ()
+
+and output_window c =
+  let effective_window = min c.window (min c.cwnd (max (conn_mss c) c.snd_wnd)) in
+  let in_flight = Tcp_seg.seq_diff c.snd_nxt c.snd_una in
+  let unsent = Fbsr_util.Byte_queue.length c.sendq - in_flight in
+  let budget = ref (min unsent (effective_window - in_flight)) in
+  while !budget > 0 do
+    let in_flight = Tcp_seg.seq_diff c.snd_nxt c.snd_una in
+    let len = min (conn_mss c) !budget in
+    let payload = Fbsr_util.Byte_queue.read c.sendq ~off:in_flight ~len in
+    emit c ~seq:c.snd_nxt ~flags:{ ack_flags with psh = len = !budget } payload;
+    c.snd_nxt <- Tcp_seg.seq_add c.snd_nxt len;
+    if c.rtt_probe = None then
+      c.rtt_probe <- Some (c.snd_nxt, Engine.now (Host.engine c.host));
+    budget := !budget - len;
+    arm_timer c
+  done;
+  (* Send FIN once all data is queued on the wire. *)
+  if
+    c.fin_pending && c.fin_seq = None
+    && Fbsr_util.Byte_queue.length c.sendq = Tcp_seg.seq_diff c.snd_nxt c.snd_una
+  then begin
+    c.fin_seq <- Some c.snd_nxt;
+    emit c ~seq:c.snd_nxt ~flags:{ ack_flags with fin = true } "";
+    c.snd_nxt <- Tcp_seg.seq_add c.snd_nxt 1;
+    c.state <- (if c.state = Close_wait then Last_ack else Fin_wait);
+    arm_timer c
+  end
 
 let destroy c =
   cancel_timer c;

@@ -28,16 +28,18 @@ let current () = Domain_shim.local_get current_id
 let set_current id = Domain_shim.local_set current_id id
 let clear_current () = Domain_shim.local_set current_id 0L
 
-let with_current id f =
+let apply_with_current id f x =
   let saved = Domain_shim.local_get current_id in
   Domain_shim.local_set current_id id;
-  match f () with
+  match f x with
   | v ->
       Domain_shim.local_set current_id saved;
       v
   | exception e ->
       Domain_shim.local_set current_id saved;
       raise e
+
+let with_current id f = apply_with_current id f ()
 
 (* ---- Spans and recorders ------------------------------------------------ *)
 

@@ -56,6 +56,10 @@ val with_current : int64 -> (unit -> 'a) -> 'a
     (which overwrites the scope with a fresh id) — is attributed
     correctly and the previous context is restored when the event ends. *)
 
+val apply_with_current : int64 -> ('a -> 'b) -> 'a -> 'b
+(** [apply_with_current id f x] is [with_current id (fun () -> f x)]
+    without building the thunk: for a per-datagram continuation. *)
+
 (** {1 Spans and recorders} *)
 
 type span = {

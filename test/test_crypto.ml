@@ -379,24 +379,54 @@ let prop_schedule_ignores_parity =
       let k = Des.of_string key and k' = Des.of_string flipped in
       Des.sched_e k = Des.sched_e k' && Des.sched_d k = Des.sched_d k')
 
-(* --- Bitsliced kernel differential battery ---
+(* --- Batched CBC jobs ---
 
-   [Des_bitslice] re-derives the entire cipher (generated s-box circuits,
-   transposed key schedules, lane scatter/gather), so it is pinned three
-   ways: against the published KAT tables, against the table-driven
-   [Des]/[Des_kernel] path, and — through that path's own differential
-   suite above — against the retained [Des_ref] seed kernel.  Batches are
-   deliberately ragged (1..130 lanes, so both the sub-[lanes] groups and
-   the chunked oversize case run) with a distinct key per lane. *)
+   The seal lane's kernel pairs jobs on [Des_kernel.cbc_encrypt2], two
+   chains with their own schedules, chains, sources and destinations in
+   one loop.  It is pinned against the published KAT tables (single-block
+   jobs, one key each), against the one-chain [Des] path, and against the
+   retained [Des_ref] seed kernel.  Batches are ragged: odd and even job
+   counts, so a lone last job runs too, and chains of unequal length, so
+   the longer of a pair finishes on the one-lane loop. *)
 
 let scalar_encrypt_lanes keys blocks =
   Array.map2 (fun k b -> Des.encrypt_block_bytes k b) keys blocks
 
+(* Each 8-byte block as its own job under a zero IV, all in one batch:
+   the first ciphertext block of a job is the block's encryption. *)
+let zero_iv = String.make 8 '\000'
+
+let job_encrypt_blocks keys blocks =
+  let dsts = Array.map (fun _ -> Bytes.create 16) blocks in
+  let jobs =
+    Array.mapi
+      (fun i b ->
+        Des.cbc_job ~key:keys.(i) ~iv:zero_iv ~src:b ~src_pos:0 ~src_len:8 ~dst:dsts.(i)
+          ~dst_pos:0)
+      blocks
+  in
+  let (_ : int) = Des.encrypt_cbc_jobs jobs in
+  Array.map (fun d -> Bytes.sub_string d 0 8) dsts
+
+(* The inverse, through deferred opens: each block followed by the
+   encryption of a full padding block chained from it is a 16-byte
+   ciphertext whose plaintext is the block's decryption. *)
+let job_decrypt_blocks keys blocks =
+  let jobs =
+    Array.mapi
+      (fun i b ->
+        let pad = Des.encrypt_cbc ~iv:b keys.(i) "" in
+        Des.dec_job ~key:keys.(i) ~iv:zero_iv ~src:(b ^ pad) ~src_pos:0 ~src_len:16)
+      blocks
+  in
+  let (_ : int) = Des.decrypt_cbc_jobs jobs in
+  Array.map (fun j -> Bytes.to_string (Des.dec_job_out j)) jobs
+
 let test_bitslice_kat_tables () =
-  (* Both NBS tables as one 16-lane batch, each lane under its own key:
+  (* Both NBS tables as one 16-job batch, each job under its own key:
      the variable-plaintext rows exercise every data-path bit, the
-     variable-key rows every key-schedule bit, and running them in one
-     call checks the lanes do not bleed into each other. *)
+     variable-key rows every key-schedule bit, and running them as eight
+     two-chain pairs checks the chains do not bleed into each other. *)
   let rows =
     [
       ("0101010101010101", "8000000000000000", "95f8a5e5dd31d900");
@@ -420,44 +450,51 @@ let test_bitslice_kat_tables () =
   let keys = Array.of_list (List.map (fun (k, _, _) -> Des.of_string (unhex k)) rows) in
   let pts = Array.of_list (List.map (fun (_, p, _) -> unhex p) rows) in
   let cts = Array.of_list (List.map (fun (_, _, c) -> unhex c) rows) in
-  let got = Des_bitslice.encrypt_block_lanes keys pts in
+  let got = job_encrypt_blocks keys pts in
   Array.iteri
     (fun i ct -> check Alcotest.string (Printf.sprintf "row %d encrypt" i) (hex ct) (hex got.(i)))
     cts;
-  let back = Des_bitslice.decrypt_block_lanes keys cts in
+  let back = job_decrypt_blocks keys cts in
   Array.iteri
     (fun i pt -> check Alcotest.string (Printf.sprintf "row %d decrypt" i) (hex pt) (hex back.(i)))
     pts
 
 let test_bitslice_weak_keys () =
-  (* The degenerate schedules' structural properties must survive the
-     transposed schedule load. *)
-  let weak = weak_keys and semiweak = semiweak_pairs in
+  (* The degenerate schedules' structural properties must hold on the
+     two-chain kernel, each key paired with a different one. *)
   let block = unhex "0123456789abcdef" in
+  let partner = Des.of_string "p4rtn3r!" in
+  (* [k]'s job runs as the first chain of a pair, then as the second. *)
+  let enc k b =
+    let a = job_encrypt_blocks [| k; partner |] [| b; b |]
+    and z = job_encrypt_blocks [| partner; k |] [| b; b |] in
+    check Alcotest.string "either chain of a pair" (hex a.(0)) (hex z.(1));
+    a.(0)
+  in
   List.iter
     (fun wk ->
       let k = Des.of_string (unhex wk) in
       check Alcotest.bool (wk ^ " flagged weak") true (Des.is_weak_key (unhex wk));
-      let ct = (Des_bitslice.encrypt_block_lanes [| k |] [| block |]).(0) in
+      let ct = enc k block in
       check Alcotest.string (wk ^ " = scalar") (hex (Des.encrypt_block_bytes k block))
         (hex ct);
       (* Weak key: encryption is an involution. *)
-      check Alcotest.string (wk ^ " involution") (hex block)
-        (hex (Des_bitslice.encrypt_block_lanes [| k |] [| ct |]).(0)))
-    weak;
+      check Alcotest.string (wk ^ " involution") (hex block) (hex (enc k ct)))
+    weak_keys;
   List.iter
     (fun (k1h, k2h) ->
       let k1 = Des.of_string (unhex k1h) and k2 = Des.of_string (unhex k2h) in
-      let ct = (Des_bitslice.encrypt_block_lanes [| k1 |] [| block |]).(0) in
+      let ct = enc k1 block in
       check Alcotest.string (k1h ^ " = scalar") (hex (Des.encrypt_block_bytes k1 block))
         (hex ct);
       (* Semi-weak pair: E_{k2} undoes E_{k1}. *)
       check Alcotest.string (k1h ^ "/" ^ k2h ^ " pair inverse") (hex block)
-        (hex (Des_bitslice.encrypt_block_lanes [| k2 |] [| ct |]).(0)))
-    semiweak
+        (hex (enc k2 ct)))
+    semiweak_pairs
 
 let prop_bitslice_block_lanes =
-  QCheck.Test.make ~name:"bitslice lanes = scalar kernel (ragged, distinct keys)"
+  QCheck.Test.make
+    ~name:"bitslice lanes = scalar kernel: single-block two-chain jobs, distinct keys"
     ~count:60
     QCheck.(pair (int_range 1 130) int)
     (fun (n, seed) ->
@@ -465,12 +502,40 @@ let prop_bitslice_block_lanes =
       let rand8 () = String.init 8 (fun _ -> Char.chr (Fbsr_util.Rng.int rng 256)) in
       let keys = Array.init n (fun _ -> Des.of_string (rand8 ())) in
       let blocks = Array.init n (fun _ -> rand8 ()) in
-      let got = Des_bitslice.encrypt_block_lanes keys blocks in
-      got = scalar_encrypt_lanes keys blocks
-      && Des_bitslice.decrypt_block_lanes keys got = blocks)
+      let got = job_encrypt_blocks keys blocks in
+      got = scalar_encrypt_lanes keys blocks && job_decrypt_blocks keys got = blocks)
+
+(* Run [specs] (key, iv, message) as one batch of jobs, each embedded at
+   an offset of its own in source and destination buffers; returns the
+   kernel's block count and each job's ciphertext. *)
+let run_cbc_jobs rng specs =
+  let embedded =
+    Array.map
+      (fun (key, iv, msg) ->
+        let off = Fbsr_util.Rng.int rng 9 in
+        let dst = Bytes.make (off + Des.padded_length (String.length msg) + 3) '\xee' in
+        (key, iv, String.make off '\x5a' ^ msg ^ "\xa5", off, dst))
+      specs
+  in
+  let jobs =
+    Array.mapi
+      (fun i (key, iv, src, off, dst) ->
+        let _, _, msg = specs.(i) in
+        Des.cbc_job ~key ~iv ~src ~src_pos:off ~src_len:(String.length msg) ~dst
+          ~dst_pos:off)
+      embedded
+  in
+  let blocks = Des.encrypt_cbc_jobs jobs in
+  ( blocks,
+    Array.mapi
+      (fun i (_, _, _, off, dst) ->
+        let _, _, msg = specs.(i) in
+        Bytes.sub_string dst off (Des.padded_length (String.length msg)))
+      embedded )
 
 let prop_bitslice_cbc_jobs =
-  QCheck.Test.make ~name:"bitslice CBC jobs = Des.encrypt_cbc_into (ragged batches)"
+  QCheck.Test.make
+    ~name:"bitslice CBC jobs = Des.encrypt_cbc_into: two-chain pairs, ragged batches"
     ~count:40
     QCheck.(pair (int_range 1 70) int)
     (fun (njobs, seed) ->
@@ -478,40 +543,47 @@ let prop_bitslice_cbc_jobs =
       let rand n = String.init n (fun _ -> Char.chr (Fbsr_util.Rng.int rng 256)) in
       (* Distinct keys and lengths per job; lengths straddle block
          boundaries so every job ends in a different padding shape. *)
-      let jobs_spec =
+      let specs =
         Array.init njobs (fun _ ->
             (Des.of_string (rand 8), rand 8, rand (1 + Fbsr_util.Rng.int rng 200)))
       in
-      let dsts =
-        Array.map
-          (fun (_, _, msg) -> Bytes.make (Des.padded_length (String.length msg)) '\xee')
-          jobs_spec
-      in
-      let jobs =
-        Array.mapi
-          (fun i (key, iv, msg) ->
-            Des_bitslice.cbc_job ~key ~iv ~src:msg ~src_pos:0
-              ~src_len:(String.length msg) ~dst:dsts.(i) ~dst_pos:0)
-          jobs_spec
-      in
-      let threshold = 1 + Fbsr_util.Rng.int rng 30 in
-      let bs, sc = Des_bitslice.encrypt_cbc_jobs ~threshold jobs in
-      let total_blocks =
-        Array.fold_left
+      let blocks, cts = run_cbc_jobs rng specs in
+      blocks
+      = Array.fold_left
           (fun acc (_, _, msg) -> acc + (Des.padded_length (String.length msg) / 8))
-          0 jobs_spec
-      in
-      bs + sc = total_blocks
-      && Array.for_all
-           (fun i ->
-             let key, iv, msg = jobs_spec.(i) in
+          0 specs
+      && Array.for_all2
+           (fun (key, iv, msg) ct ->
              let expected = Bytes.make (Des.padded_length (String.length msg)) '\x00' in
              let (_ : int) =
                Des.encrypt_cbc_into ~iv key ~src:msg ~src_pos:0
                  ~src_len:(String.length msg) ~dst:expected ~dst_pos:0
              in
-             Bytes.equal dsts.(i) expected)
-           (Array.init njobs (fun i -> i)))
+             String.equal (Bytes.to_string expected) ct)
+           specs cts)
+
+let prop_cbc_jobs_oracle =
+  QCheck.Test.make ~name:"encrypt_cbc_jobs = Des_ref CBC per job" ~count:80
+    QCheck.(triple (int_range 0 9) bool int)
+    (fun (njobs, shared, seed) ->
+      let rng = Fbsr_util.Rng.create seed in
+      let rand n = String.init n (fun _ -> Char.chr (Fbsr_util.Rng.int rng 256)) in
+      let shared_key = rand 8 in
+      (* 0-64 whole blocks per job, with and without a partial final
+         block; one shared key or a distinct key per job. *)
+      let specs =
+        Array.init njobs (fun _ ->
+            let whole = Fbsr_util.Rng.int rng 65 in
+            let partial = if Fbsr_util.Rng.bool rng then 1 + Fbsr_util.Rng.int rng 7 else 0 in
+            let key = if shared then shared_key else rand 8 in
+            (key, rand 8, rand ((8 * whole) + partial)))
+      in
+      let _, cts =
+        run_cbc_jobs rng (Array.map (fun (k, iv, msg) -> (Des.of_string k, iv, msg)) specs)
+      in
+      Array.for_all2
+        (fun (k, iv, msg) ct -> String.equal (Des_ref.encrypt_cbc ~iv (Des_ref.of_string k) msg) ct)
+        specs cts)
 
 (* The outcome of a decrypt as a comparable value: the plaintext or the
    exception message. *)
@@ -522,9 +594,9 @@ let decrypt_outcome f =
    [dec_job] run through [decrypt_cbc_jobs], or its construction-time
    exception. *)
 let deferred_open ~iv k ~src ~pos ~len =
-  let job = Des_bitslice.dec_job ~key:k ~iv ~src ~src_pos:pos ~src_len:len in
-  let (_ : int) = Des_bitslice.decrypt_cbc_jobs [| job |] in
-  Bytes.to_string (Des_bitslice.dec_job_out job)
+  let job = Des.dec_job ~key:k ~iv ~src ~src_pos:pos ~src_len:len in
+  let (_ : int) = Des.decrypt_cbc_jobs [| job |] in
+  Bytes.to_string (Des.dec_job_out job)
 
 let test_bitslice_decrypt_every_length () =
   (* Every block count 1..256, so the two-block loop meets both parities
@@ -555,22 +627,22 @@ let test_bitslice_decrypt_every_length () =
   done
 
 let test_bitslice_dec_jobs_fallback_split () =
-  (* A lone job at 0..(3 lanes + 5) full blocks: the run reports exactly
-     the job's full blocks, all on the scalar two-block kernel, and its
-     plaintext equals [Des.decrypt_cbc_sub] of the same ciphertext. *)
+  (* A lone job at 0..194 full blocks: the run reports exactly the job's
+     full blocks, and its plaintext equals [Des.decrypt_cbc_sub] of the
+     same ciphertext. *)
   let k = Des.of_string "spl1tk3y" and iv = "0123abcd" in
-  for nfull = 0 to (3 * Des_bitslice.lanes) + 5 do
+  for nfull = 0 to (3 * 63) + 5 do
     let msg = String.init ((8 * nfull) + 3) (fun i -> Char.chr (i land 0xff)) in
     let ct = Des.encrypt_cbc ~iv k msg in
     let len = String.length ct in
-    let job = Des_bitslice.dec_job ~key:k ~iv ~src:ct ~src_pos:0 ~src_len:len in
+    let job = Des.dec_job ~key:k ~iv ~src:ct ~src_pos:0 ~src_len:len in
     check Alcotest.int
       (Printf.sprintf "%d full blocks run" nfull)
       nfull
-      (Des_bitslice.decrypt_cbc_jobs [| job |]);
+      (Des.decrypt_cbc_jobs [| job |]);
     check Alcotest.string (Printf.sprintf "%d full blocks plaintext" nfull)
       (Des.decrypt_cbc_sub ~iv k ~src:ct ~pos:0 ~len)
-      (Bytes.to_string (Des_bitslice.dec_job_out job))
+      (Bytes.to_string (Des.dec_job_out job))
   done
 
 let prop_bitslice_dec_jobs =
@@ -596,10 +668,10 @@ let prop_bitslice_dec_jobs =
       let jobs =
         Array.map
           (fun (key, iv, buf, pad, len) ->
-            Des_bitslice.dec_job ~key ~iv ~src:buf ~src_pos:pad ~src_len:len)
+            Des.dec_job ~key ~iv ~src:buf ~src_pos:pad ~src_len:len)
           specs
       in
-      let blocks = Des_bitslice.decrypt_cbc_jobs jobs in
+      let blocks = Des.decrypt_cbc_jobs jobs in
       let full_blocks =
         Array.fold_left (fun acc (_, _, _, _, len) -> acc + ((len / 8) - 1)) 0 specs
       in
@@ -607,7 +679,7 @@ let prop_bitslice_dec_jobs =
       && Array.for_all
            (fun i ->
              let key, iv, buf, pad, len = specs.(i) in
-             Bytes.to_string (Des_bitslice.dec_job_out jobs.(i))
+             Bytes.to_string (Des.dec_job_out jobs.(i))
              = Des.decrypt_cbc_sub ~iv key ~src:buf ~pos:pad ~len)
            (Array.init njobs (fun i -> i)))
 
@@ -620,7 +692,7 @@ let test_bitslice_dec_job_corrupt_padding () =
   Alcotest.check_raises "corrupt padding at dec_job construction"
     (Invalid_argument "Des.decrypt_cbc_sub: corrupt padding") (fun () ->
       ignore
-        (Des_bitslice.dec_job ~key:k ~iv ~src:bogus ~src_pos:0
+        (Des.dec_job ~key:k ~iv ~src:bogus ~src_pos:0
            ~src_len:(String.length bogus)))
 
 let test_bitslice_decrypt_corrupt_padding () =
@@ -737,6 +809,19 @@ let test_kernel_allocation () =
   (* The plaintext (1456 bytes: 182 words and a header) plus a few. *)
   let w = minor_words_of sub -. base in
   if w > 200. then Alcotest.failf "decrypt_cbc_sub, 1464 B: %.0f minor words, want <= 200" w
+
+let test_kernel_two_chain_allocation () =
+  (* The two-chain loop and the one-lane tail of the longer chain keep
+     every block in registers: 182 + 100 blocks, no minor words. *)
+  let ka = Des.sched_e (Des.of_string "ch41n0n3") and kb = Des.sched_e (Des.of_string "ch41nTw0") in
+  let sa = String.make 1456 'a' and sb = String.make 800 'b' in
+  let da = Bytes.create 1456 and db = Bytes.create 800 in
+  let cha = Array.make 2 0 and chb = Array.make 2 0 in
+  let pair () = Des_kernel.cbc_encrypt2 ka cha sa 0 da 0 182 kb chb sb 0 db 0 100 in
+  let none () = () in
+  List.iter (fun f -> f ()) [ pair; none ];
+  check (Alcotest.float 0.) "cbc_encrypt2, 182 + 100 blocks: no minor words" 0.
+    (minor_words_of pair -. minor_words_of none)
 
 (* --- Hash and MAC midstates ---
 
@@ -1390,6 +1475,8 @@ let () =
             test_kernel_cbc_every_count;
           qtest prop_kernel_decrypt_embedded;
           Alcotest.test_case "block loops do not allocate" `Quick test_kernel_allocation;
+          Alcotest.test_case "two-chain encrypt does not allocate" `Quick
+            test_kernel_two_chain_allocation;
         ] );
       ( "des-bitslice",
         [
@@ -1400,6 +1487,7 @@ let () =
             test_bitslice_decrypt_corrupt_padding;
           qtest prop_bitslice_block_lanes;
           qtest prop_bitslice_cbc_jobs;
+          qtest prop_cbc_jobs_oracle;
           qtest prop_bitslice_dec_jobs;
           Alcotest.test_case "dec_job corrupt padding" `Quick
             test_bitslice_dec_job_corrupt_padding;

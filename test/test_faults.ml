@@ -357,7 +357,7 @@ let test_batched_wires_over_drop_reorder_link () =
         | Ok w -> w
         | Error e -> Alcotest.failf "scalar send: %a" FEngine.pp_error e)
   in
-  let batch = FEngine.Batch.create ~threshold:8 batched_pair.Fixture.sender in
+  let batch = FEngine.Batch.create batched_pair.Fixture.sender in
   let got = Array.make (flows * rounds) None in
   for i = 0 to (flows * rounds) - 1 do
     let f = i mod flows and r = i / flows in
@@ -365,8 +365,14 @@ let test_batched_wires_over_drop_reorder_link () =
       ~attrs:batched_attrs.(f) ~secret:true
       ~payload:(payload f r) (fun w -> got.(i) <- Some w)
   done;
-  let bs, _sc = FEngine.Batch.flush batch in
-  check Alcotest.bool "flush ran bitsliced" true (bs > 0);
+  let blocks = FEngine.Batch.flush batch in
+  let body_blocks = ref 0 in
+  for i = 0 to (flows * rounds) - 1 do
+    let f = i mod flows and r = i / flows in
+    body_blocks :=
+      !body_blocks + (Fbsr_crypto.Des.padded_length (String.length (payload f r)) / 8)
+  done;
+  check Alcotest.int "flush sealed every body" !body_blocks blocks;
   let batched_wires =
     Array.map
       (function
@@ -546,7 +552,7 @@ let test_batched_rx_faulty_frames_partial_batch () =
     (schedule bw);
   check Alcotest.bool "batch stayed partial until the explicit flush" true
     (FEngine.Batch.pending batch > 0 && FEngine.Batch.pending batch < n);
-  ignore (FEngine.Batch.flush batch : int * int);
+  ignore (FEngine.Batch.flush batch : int);
   Array.iteri
     (fun i r ->
       match r with

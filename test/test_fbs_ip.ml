@@ -387,6 +387,145 @@ let test_peek_ports () =
     "short payload" (0, 0)
     (Stack.peek_ports ~protocol:Ipv4.proto_udp "ab")
 
+(* --- Output bursts ---
+
+   A burst's datagrams park their seals and wait in the stack's outbox
+   until the burst ends; these pin that the wire cannot tell.  The bug
+   class is the parked-forever datagram: a seal that parks where no
+   flush will ever come. *)
+
+(* What one site observed: the medium's frames in order, with their
+   times; the receiver's deliveries; the integer counters; and every
+   span's stage and outcome, order-free. *)
+let burst_site_run ~burst =
+  let tb = Testbed.create ~seed:11 ~faults:Fbsr_experiments.Faults.hostile ~span_capacity:8192 () in
+  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let b = Testbed.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+  let frames = ref [] and got = ref [] in
+  Medium.add_sniffer (Testbed.medium tb) (fun at raw -> frames := (at, raw) :: !frames);
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port d -> got := (src_port, d) :: !got);
+  (* Ten rounds of six datagrams on three flows, 1-1400 bytes, some to the
+     key server (bypassed); the first round's flows are cold. *)
+  for round = 0 to 9 do
+    Engine.schedule (Testbed.engine tb) ~delay:(0.5 *. float_of_int round) (fun () ->
+        let send () =
+          for i = 0 to 5 do
+            let dst =
+              if i = 4 then Testbed.ca_addr tb else Host.addr b.Testbed.host
+            in
+            Udp_stack.send a.Testbed.host ~src_port:(100 + (i mod 3)) ~dst ~dst_port:7
+              (Printf.sprintf "round %d datagram %d " round i
+              ^ String.make ((round * 131) + (i * 200)) 'p')
+          done
+        in
+        if burst then Host.burst a.Testbed.host send else send ())
+  done;
+  Testbed.run ~until:60.0 tb;
+  let counters =
+    List.filter_map
+      (function n, Fbsr_util.Metrics.Int v -> Some (n, v) | _ -> None)
+      (Fbsr_util.Metrics.snapshot (Testbed.metrics tb))
+  in
+  let terminals =
+    List.sort compare
+      (List.map
+         (fun (s : Fbsr_util.Span.span) -> (s.Fbsr_util.Span.stage, s.Fbsr_util.Span.outcome))
+         (Testbed.collect_spans tb))
+  in
+  (List.rev !frames, List.rev !got, counters, terminals)
+
+let test_burst_matches_one_at_a_time () =
+  let frames1, got1, counters1, spans1 = burst_site_run ~burst:false in
+  let frames, got, counters, spans = burst_site_run ~burst:true in
+  check Alcotest.bool "the run carried traffic" true (List.length got1 > 20);
+  check
+    Alcotest.(list (pair (float 0.) string))
+    "medium frames, in order, with their times" frames1 frames;
+  check Alcotest.(list (pair int string)) "deliveries" got1 got;
+  check Alcotest.(list (pair string int)) "counters" counters1 counters;
+  check Alcotest.(list (pair string string)) "span terminals" spans1 spans
+
+(* The frames from [src] to [dst] the medium carries from now on, with
+   their times, newest first. *)
+let frames_between tb src dst =
+  let seen = ref [] in
+  Medium.add_sniffer (Testbed.medium tb) (fun at raw ->
+      match Ipv4.decode raw with
+      | h, payload when Addr.equal h.Ipv4.src src && Addr.equal h.Ipv4.dst dst ->
+          seen := (at, payload) :: !seen
+      | _ -> ()
+      | exception Ipv4.Bad_packet _ -> ());
+  seen
+
+let test_burst_cold_flow_transmits_on_resume () =
+  let tb, a, b = make_pair () in
+  let got = ref [] in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  let data = frames_between tb (Host.addr a.Testbed.host) (Host.addr b.Testbed.host) in
+  (* The burst's only datagram suspends on the master-key fetch: no later
+     burst will ever come to flush the seal lane for it. *)
+  Host.burst a.Testbed.host (fun () ->
+      Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
+        "cold flow, lone datagram");
+  check Alcotest.int "nothing on the wire at burst end" 0 (List.length !data);
+  let sc = Stack.counters a.Testbed.stack in
+  check Alcotest.int "suspended" 1 sc.Stack.suspended_out;
+  Testbed.run tb;
+  check Alcotest.(list string) "delivered" [ "cold flow, lone datagram" ] !got;
+  check Alcotest.int "resumed" 1 sc.Stack.resumed;
+  check Alcotest.int "sent" 1 sc.Stack.sent;
+  match !data with
+  | [ (at, _) ] -> check Alcotest.bool "transmitted from the resumed event" true (at > 0.0)
+  | l -> Alcotest.failf "%d data frames, want 1" (List.length l)
+
+let test_burst_bypass_keeps_position () =
+  let tb, a, b = make_pair () in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> ());
+  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7 "warm";
+  Testbed.run tb;
+  let order = ref [] in
+  Medium.add_sniffer (Testbed.medium tb) (fun _ raw ->
+      match Ipv4.decode raw with
+      | h, _ when Addr.equal h.Ipv4.src (Host.addr a.Testbed.host) ->
+          order := h.Ipv4.dst :: !order
+      | _ -> ()
+      | exception Ipv4.Bad_packet _ -> ());
+  let ca = Testbed.ca_addr tb and bh = Host.addr b.Testbed.host in
+  let sc = Stack.counters a.Testbed.stack in
+  let bypassed0 = sc.Stack.bypassed in
+  Host.burst a.Testbed.host (fun () ->
+      Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "sealed, first";
+      Udp_stack.send a.Testbed.host ~src_port:9 ~dst:ca ~dst_port:9 "to the key server";
+      check Alcotest.int "held until the burst ends" 0 (List.length !order);
+      Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "sealed, last");
+  check
+    Alcotest.(list string)
+    "wire order is call order"
+    [ Addr.to_string bh; Addr.to_string ca; Addr.to_string bh ]
+    (List.rev_map Addr.to_string !order);
+  check Alcotest.int "one bypassed" 1 (sc.Stack.bypassed - bypassed0)
+
+let test_burst_df_too_big_escapes () =
+  let tb, a, b = make_pair () in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> ());
+  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7 "warm";
+  Testbed.run tb;
+  let big = String.make 1600 'x' and bh = Host.addr b.Testbed.host in
+  let too_big f =
+    match f () with
+    | () -> Alcotest.fail "no Send_error"
+    | exception Host.Send_error _ -> ()
+  in
+  too_big (fun () -> Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:17 ~dst:bh big);
+  (* Inside a burst it escapes the burst, after the rest went out. *)
+  let data = frames_between tb (Host.addr a.Testbed.host) bh in
+  too_big (fun () ->
+      Host.burst a.Testbed.host (fun () ->
+          Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:17 ~dst:bh big;
+          Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "behind it"));
+  check Alcotest.int "the datagram behind it went out" 1 (List.length !data);
+  check Alcotest.int "two send errors" 2 (Host.stats a.Testbed.host).Host.send_errors
+
 (* --- The shared send completion on a cold flow --- *)
 
 let test_cold_flow_completion_counters () =
@@ -823,6 +962,17 @@ let () =
           Alcotest.test_case "standalone sweeper (Figure 7)" `Quick test_stack_sweeper;
           Alcotest.test_case "key-server outage + recovery" `Quick
             test_ca_outage_recovery;
+        ] );
+      ( "stack-burst",
+        [
+          Alcotest.test_case "burst = one at a time under hostile faults" `Quick
+            test_burst_matches_one_at_a_time;
+          Alcotest.test_case "cold flow in a burst transmits on resume" `Quick
+            test_burst_cold_flow_transmits_on_resume;
+          Alcotest.test_case "key-server datagram keeps its position" `Quick
+            test_burst_bypass_keeps_position;
+          Alcotest.test_case "DF too big still raises Send_error" `Quick
+            test_burst_df_too_big_escapes;
         ] );
       ( "cold-flow-send",
         [

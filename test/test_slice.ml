@@ -511,15 +511,15 @@ let test_datapath_accounting_batched () =
   (* The batched seal path keeps the zero-copy invariant: deferring the
      body encryption into the cross-flow batch adds no buffer and no
      copy — the wire delivered at flush is the same single allocation,
-     encrypted in place.  Measured over a full batch so the flush (both
-     the scalar and the bitsliced kernel path) is inside the window. *)
+     encrypted in place.  Measured over a full batch so the flush is
+     inside the window, at an even job count (every seal paired on the
+     two-chain kernel) and an odd one (the last job runs alone). *)
   List.iter
-    (fun threshold ->
-      let flows = 8 in
+    (fun flows ->
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
       let es = p.Fbsr_experiments.Fixture.sender
       and ed = p.Fbsr_experiments.Fixture.receiver in
-      let batch = Fbsr_fbs.Engine.Batch.create ~threshold es in
+      let batch = Fbsr_fbs.Engine.Batch.create es in
       let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
       let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
@@ -543,24 +543,24 @@ let test_datapath_accounting_batched () =
       let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
       check Alcotest.int
-        (Printf.sprintf "2 allocations per batched round trip (threshold %d)" threshold)
+        (Printf.sprintf "2 allocations per batched round trip (%d flows)" flows)
         (2 * flows) (a1 - a0);
       check Alcotest.int
-        (Printf.sprintf "0 bytes copied per batched round trip (threshold %d)" threshold)
+        (Printf.sprintf "0 bytes copied per batched round trip (%d flows)" flows)
         0 (c1 - c0))
-    [ 1; 24 ]
+    [ 7; 8 ]
 
 let test_datapath_accounting_batched_rx () =
   (* The receive mirror: deferring the body open into a batch keeps
      the round trip at exactly two allocations (wire at seal, plaintext
-     at enqueue) and zero extra copies — on both flush kernels. *)
+     at enqueue) and zero extra copies, at an odd and an even job
+     count. *)
   List.iter
-    (fun threshold ->
-      let flows = 8 in
+    (fun flows ->
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
       let es = p.Fbsr_experiments.Fixture.sender
       and ed = p.Fbsr_experiments.Fixture.receiver in
-      let batch = Fbsr_fbs.Engine.Batch.create ~threshold ed in
+      let batch = Fbsr_fbs.Engine.Batch.create ed in
       let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
       let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
@@ -580,14 +580,12 @@ let test_datapath_accounting_batched_rx () =
       let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
       let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
       check Alcotest.int
-        (Printf.sprintf "2 allocations per batched-rx round trip (threshold %d)"
-           threshold)
+        (Printf.sprintf "2 allocations per batched-rx round trip (%d flows)" flows)
         (2 * flows) (a1 - a0);
       check Alcotest.int
-        (Printf.sprintf "0 bytes copied per batched-rx round trip (threshold %d)"
-           threshold)
+        (Printf.sprintf "0 bytes copied per batched-rx round trip (%d flows)" flows)
         0 (c1 - c0))
-    [ 1; 24 ]
+    [ 7; 8 ]
 
 let test_reference_key_expansion () =
   (* Satellite: the engine's writer-based 3DES key expansion must equal
