@@ -302,25 +302,17 @@ let () =
   end
   else if new_stages <> [] then
     Printf.printf "\nstage latencies present only in %s (not gated)\n" new_path;
-  (* Counters: informational, with two exceptions.  The MAC-midstate
+  (* Counters: informational, with one exception.  The MAC-midstate
      cache counters come from a deterministic adversarial-network run
      (fixed seed, fixed message count), so [fbs.engine.macmid.*] is an
      exact both-direction gate like [allocs_per_datagram]: any drift
      means the per-flow midstate cache changed shape — more misses says
      midstates stopped surviving in the flow entries, more hits says the
      workload (and thus the whole artifact) changed — and the committed
-     baseline must be re-examined, not absorbed.  [fbs.engine.rxbatch.*]
-     is gated the same way: the deferred/flush counts of the same
-     deterministic run pin the batched receive pipeline's shape — fewer
-     deferrals says frames stopped reaching the cross-flow sweep (a
-     silent fallback to scalar opens), more flushes says the batching
-     window fragmented — and neither direction is a timing matter. *)
+     baseline must be re-examined, not absorbed. *)
   let counter_exact name =
-    List.exists
-      (fun p ->
-        String.length name >= String.length p
-        && String.sub name 0 (String.length p) = p)
-      [ "fbs.engine.macmid."; "fbs.engine.rxbatch." ]
+    let p = "fbs.engine.macmid." in
+    String.length name >= String.length p && String.sub name 0 (String.length p) = p
   in
   let old_counters = obj_members "counters" old_doc in
   let new_counters = obj_members "counters" new_doc in

@@ -252,13 +252,12 @@ let decrypt_cbc_sub ~iv key ~src ~pos ~len =
 
 (* --- Deferred CBC jobs ---
 
-   A batch of datagrams parks its body transforms as jobs and runs them
-   at one flush.  Encryption pairs the jobs in enqueue order on the
+   A batch of datagrams parks its CBC encryptions as jobs and runs them
+   at one flush, pairing the jobs in enqueue order on the
    two-chain kernel, [Des_kernel.cbc_encrypt2]: one CBC chain is serial,
    but two chains from two datagrams are independent, and the second
    fills the issue slots the first leaves idle (DESIGN.md §6c).  An odd
-   job out runs alone.  Decryption has no chain to serialise it, so each
-   parked open runs on its own on the two-block decrypt loop. *)
+   job out runs alone. *)
 
 type cbc_job = {
   sched : int array; (* packed encrypt schedule *)
@@ -303,42 +302,6 @@ let encrypt_cbc_jobs jobs =
     blocks := !blocks + finish_job j
   end;
   !blocks
-
-type dec_job = {
-  kd : int array; (* packed decrypt schedule *)
-  div_hi : int;
-  div_lo : int;
-  d_src : string; (* borrowed until the run; not copied *)
-  d_pos : int;
-  nfull : int; (* full plaintext blocks still owed by the run *)
-  out : Bytes.t; (* exact-size plaintext; tail already written *)
-}
-
-let dec_job ~key ~iv ~src ~src_pos ~src_len =
-  (* The final block decrypts at construction: its padding byte sizes
-     the output buffer, and a corrupt-padding frame must fail here, so
-     batched and inline receive reject at the same point with the same
-     exception. *)
-  let out = cbc_open_final ~iv key ~src ~pos:src_pos ~len:src_len in
-  {
-    kd = key.kd;
-    div_hi = Des_kernel.read32 iv 0;
-    div_lo = Des_kernel.read32 iv 4;
-    d_src = src;
-    d_pos = src_pos;
-    nfull = (src_len / 8) - 1;
-    out;
-  }
-
-let dec_job_out j = j.out
-
-let decrypt_cbc_jobs jobs =
-  Array.fold_left
-    (fun blocks j ->
-      Des_kernel.cbc_decrypt j.kd ~ivh:j.div_hi ~ivl:j.div_lo j.d_src j.d_pos j.nfull
-        j.out 0;
-      blocks + j.nfull)
-    0 jobs
 
 (* Incremental CBC: lets callers interleave encryption with other
    data-touching work (Section 5.3 of the paper: "the MAC computation and

@@ -126,8 +126,8 @@ val decrypt : mode:mode -> iv:string -> key -> string -> string
 
 (** {1 Deferred CBC jobs}
 
-    A batch of datagrams parks its body transforms here and runs them
-    at one flush.  Encryption pairs the jobs in enqueue order on the
+    A batch of datagrams parks its CBC encryptions here and runs them
+    at one flush, pairing the jobs in enqueue order on the
     two-chain kernel {!Des_kernel.cbc_encrypt2}: two datagrams' CBC
     chains are independent, so the second fills the issue slots the
     first's serial chain leaves idle.  There is no occupancy threshold:
@@ -159,34 +159,6 @@ val encrypt_cbc_jobs : cbc_job array -> int
     per job.  Jobs [2i] and [2i+1] run as one two-chain pair; an odd last
     job runs alone.  Returns the blocks encrypted, padding blocks
     included. *)
-
-type dec_job
-(** One received frame's pending CBC decryption: decrypt schedule, IV
-    snapshot, a borrowed ciphertext substring and the exact-size
-    plaintext buffer the run fills in.  The ciphertext must stay valid
-    until {!decrypt_cbc_jobs} runs. *)
-
-val dec_job :
-  key:key -> iv:string -> src:string -> src_pos:int -> src_len:int -> dec_job
-(** Decrypts the {e final} block up front, with the checks and exceptions
-    of {!decrypt_cbc_sub}: its PKCS#7 padding byte sizes the plaintext
-    allocation (the job's single allocation), and a corrupt-padding frame
-    is rejected here, so batched and inline receive fail at the same
-    point with the same exception.  The remaining [src_len/8 - 1] full
-    blocks are owed by the run.
-    @raise Invalid_argument on bad ranges, bad IV length, a [src_len]
-    that is zero or not a multiple of 8, or corrupt padding (message
-    ["Des.decrypt_cbc_sub: corrupt padding"]). *)
-
-val dec_job_out : dec_job -> Bytes.t
-(** The job's plaintext buffer.  Fully valid only after
-    {!decrypt_cbc_jobs} has run over the job. *)
-
-val decrypt_cbc_jobs : dec_job array -> int
-(** Runs every job's remaining full blocks on the two-block decrypt
-    loop, byte-identical to {!decrypt_cbc_sub} per job.  Returns the
-    blocks decrypted: final blocks (decrypted at construction) are not
-    counted. *)
 
 (**/**)
 

@@ -65,12 +65,12 @@ let max_attempts = 8
 let rto = 0.5
 let spacing = 0.05
 
-let run ?(seed = 11) ?(messages = 200) ?(batched_rx = false) ?faults ?metrics
+let run ?(seed = 11) ?(messages = 200) ?faults ?metrics
     ?(span_capacity = 0) ?span_cost_clock ?(span_sample = 1) ?telemetry_cadence
     () =
   (* Strict replay: a copy the link duplicated dies at the receiver's
      replay check (the report's "dup rej" column). *)
-  let config = Stack.default_config ~strict_replay:true ~batched_rx () in
+  let config = Stack.default_config ~strict_replay:true () in
   let mkd_config =
     (* Aggressive enough that keying completes within the experiment even
        when several fetch attempts are lost in a row. *)

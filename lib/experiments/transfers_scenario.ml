@@ -64,12 +64,9 @@ let run ?(transfers = 200) ?(bytes_per_transfer = 32_768) ?(loss = 0.01)
     invalid_arg "Transfers_scenario.run: bytes_per_transfer < 1";
   let failures = ref [] in
   let failf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (* Batched receive: back-to-back segments of a delivery burst decrypt
-     at one flush (after at most 1 ms of simulated linger) — the
-     gateway-style decap path under a real closed-loop workload. *)
   let tb =
     Testbed.create ~seed
-      ~config:(Stack.default_config ~suite ~batched_rx:true ())
+      ~config:(Stack.default_config ~suite ())
       ~faults:{ Link.perfect with Link.drop = loss }
       ()
   in

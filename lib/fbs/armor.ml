@@ -19,8 +19,6 @@ type counters = {
   mutable keysched_misses : int;
   mutable mac_midstate_hits : int;
   mutable mac_midstate_misses : int;
-  mutable rx_batch_deferred : int;
-  mutable rx_batch_flushes : int;
 }
 
 type aux = ..
@@ -146,16 +144,6 @@ type batch_ops = {
   run : job array -> int;
 }
 
-type batch_rx_ops = {
-  defer_open :
-    ctx ->
-    flow_state ->
-    confounder:int ->
-    body:Fbsr_util.Slice.t ->
-    (job * string, unit) result;
-  run_rx : job array -> int;
-}
-
 module type S = sig
   val suite : Suite.t
   val auth_prefix_len : int
@@ -199,7 +187,6 @@ module type S = sig
     (string, unit) result
 
   val batch : batch_ops option
-  val batch_rx : batch_rx_ops option
 end
 
 type armor = (module S)

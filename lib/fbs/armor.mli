@@ -38,8 +38,6 @@ type counters = {
   mutable keysched_misses : int;
   mutable mac_midstate_hits : int;
   mutable mac_midstate_misses : int;
-  mutable rx_batch_deferred : int;
-  mutable rx_batch_flushes : int;
 }
 
 type aux = ..
@@ -120,11 +118,10 @@ val verify_mac :
 (** {1 Batching} *)
 
 type job = ..
-(** A deferred body-transformation job (either direction).  Armors that
-    support cross-flow batching extend this with their kernel's job
-    types; a batch only ever mixes jobs from one engine (hence one
-    armor), so the armor's [run]/[run_rx] may assume its own
-    constructors. *)
+(** A deferred body seal.  Armors that support cross-flow batching
+    extend this with their kernel's job type; a batch only ever mixes
+    jobs from one engine (hence one armor), so the armor's [run] may
+    assume its own constructor. *)
 
 type batch_ops = {
   defer :
@@ -139,31 +136,6 @@ type batch_ops = {
           inline path would ([encryptions], key-schedule hit/miss). *)
   run : job array -> int;
       (** Run every job to completion; returns the blocks encrypted. *)
-}
-
-(** The receive-side mirror of {!batch_ops}: deferring a body {e open}
-    instead of a body seal. *)
-type batch_rx_ops = {
-  defer_open :
-    ctx ->
-    flow_state ->
-    confounder:int ->
-    body:Fbsr_util.Slice.t ->
-    (job * string, unit) result;
-      (** Validate the ciphertext (exactly as the inline [open_body]
-          would — a frame the inline path rejects must return [Error]
-          here, with identical counter accounting) and return the
-          pending job plus the plaintext string the job will fill.  The
-          string's bytes are complete only after [run_rx]; the body
-          slice is borrowed by the job until then.  The string may alias
-          the job's mutable output buffer (an [unsafe_to_string] of it),
-          so it must be treated as write-once-at-flush: the queue owner
-          must not read, hash or compare it before [run_rx], and must
-          never deliver it from a job that was dropped without running.
-          Bumps [decryptions] and key-schedule hit/miss like the inline
-          path. *)
-  run_rx : job array -> int;
-      (** Run every pending open; returns the blocks decrypted. *)
 }
 
 (** The armor interface proper. *)
@@ -232,10 +204,6 @@ module type S = sig
   val batch : batch_ops option
   (** Cross-flow batching hook; [None] when the cipher has no batched
       kernel (or nothing to defer). *)
-
-  val batch_rx : batch_rx_ops option
-  (** Receive-side cross-flow batching hook; [None] when body opens
-      cannot be deferred. *)
 end
 
 type armor = (module S)

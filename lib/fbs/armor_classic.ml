@@ -4,12 +4,9 @@
    bump for counter bump — the twin-engine differential suite holds the
    instances to the retained string reference. *)
 
-(* The pending CBC seal (paired with its neighbour on the two-chain
-   kernel) and the pending CBC open (two-block decrypt), both run at the
-   flush. *)
-type Armor.job +=
-  | Des_cbc_chain of Fbsr_crypto.Des.cbc_job
-  | Des_cbc_open of Fbsr_crypto.Des.dec_job
+(* The pending CBC seal, paired with its neighbour on the two-chain
+   kernel at the flush. *)
+type Armor.job += Des_cbc_chain of Fbsr_crypto.Des.cbc_job
 
 let des_cbc_batch : Armor.batch_ops =
   {
@@ -34,45 +31,6 @@ let des_cbc_batch : Armor.batch_ops =
              (function
                | Des_cbc_chain j -> j
                | _ -> invalid_arg "Armor_classic: foreign job in DES-CBC batch")
-             jobs));
-  }
-
-let des_cbc_batch_rx : Armor.batch_rx_ops =
-  {
-    Armor.defer_open =
-      (fun ctx entry ~confounder ~(body : Fbsr_util.Slice.t) ->
-        let c = ctx.Armor.counters in
-        (* Counted before the attempt, exactly like the inline
-           [open_body]: a rejected frame still paid for a decryption. *)
-        c.Armor.decryptions <- c.Armor.decryptions + 1;
-        let key = Armor.des_sched ctx entry in
-        let iv = Armor.iv_of_confounder ctx ~confounder in
-        match
-          Fbsr_crypto.Des.dec_job ~key ~iv
-            ~src:body.Fbsr_util.Slice.base ~src_pos:body.Fbsr_util.Slice.off
-            ~src_len:body.Fbsr_util.Slice.len
-        with
-        | job ->
-            (* The returned string aliases the job's output buffer: its
-               bytes land when the batch runs, the same finalize-shares-
-               storage idiom as the deferred seal's wire.  Per the
-               [defer_open] contract this breaks string immutability
-               until [run_rx]: the queue owner must not read it before
-               the flush, nor deliver it from a dropped job. *)
-            Ok
-              ( Des_cbc_open job,
-                Bytes.unsafe_to_string (Fbsr_crypto.Des.dec_job_out job)
-              )
-        (* Bad length or corrupt padding — the same [Invalid_argument]
-           family the inline path maps to a decrypt error. *)
-        | exception Invalid_argument _ -> Error ());
-    run_rx =
-      (fun jobs ->
-        Fbsr_crypto.Des.decrypt_cbc_jobs
-          (Array.map
-             (function
-               | Des_cbc_open j -> j
-               | _ -> invalid_arg "Armor_classic: foreign job in DES-CBC rx batch")
              jobs));
   }
 
@@ -188,11 +146,6 @@ let make (suite : Suite.t) : Armor.armor =
 
     let batch =
       if encrypts && suite.Suite.cipher = Suite.Des_cbc then Some des_cbc_batch
-      else None
-
-    let batch_rx =
-      if encrypts && suite.Suite.cipher = Suite.Des_cbc then
-        Some des_cbc_batch_rx
       else None
   end in
   (module M : Armor.S)

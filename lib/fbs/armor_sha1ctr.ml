@@ -77,5 +77,4 @@ let armor : Armor.armor =
       Ok (Bytes.unsafe_to_string dst)
 
     let batch = None
-    let batch_rx = None
   end : Armor.S)

@@ -10,10 +10,6 @@
 type t = {
   nshards : int;
   engines : Engine.t array;
-  (* One batch per shard: a receive bucket parks its deferrable opens
-     there in input order and flushes before the join, so every deferred
-     body open resolves on the shard's own domain. *)
-  batches : Engine.Batch.t array;
   fam : Fam.t;
   confounders : Fbsr_util.Lcg.t;
   (* Telemetry tick: runs on the dispatching domain after each batch
@@ -28,11 +24,9 @@ let create ?nshards ?(confounder_seed = 0x5eed) ~engine ~fam () =
     | Some n when n >= 1 -> n
     | Some n -> invalid_arg (Printf.sprintf "Sharded.create: nshards %d < 1" n)
   in
-  let engines = Array.init n engine in
   {
     nshards = n;
-    engines;
-    batches = Array.map (fun e -> Engine.Batch.create e) engines;
+    engines = Array.init n engine;
     fam;
     confounders = Fbsr_util.Lcg.create confounder_seed;
     on_tick = (fun ~now:_ -> ());
@@ -68,22 +62,14 @@ let buckets_of t shard_of n =
   buckets
 
 (* Fan non-empty buckets out to domains.  Each thunk writes disjoint
-   slots of [results]; the joins in parallel_run publish them back.
-   A bucket may park datagrams in its shard's batch (the queue
-   auto-flushes at capacity); the
-   remainder flushes on the shard's domain once the bucket is drained,
-   so every result is in before the join. *)
+   slots of [results]; the joins in parallel_run publish them back. *)
 let run_buckets t buckets per_index =
   let thunks =
     Array.of_list
       (List.filter_map
          (fun s ->
            if Array.length buckets.(s) = 0 then None
-           else
-             Some
-               (fun () ->
-                 Array.iter (per_index s) buckets.(s);
-                 ignore (Engine.Batch.flush t.batches.(s) : int)))
+           else Some (fun () -> Array.iter (per_index s) buckets.(s)))
          (List.init t.nshards Fun.id))
   in
   ignore (Fbsr_util.Domain_shim.parallel_run thunks : unit array)
@@ -107,11 +93,11 @@ let send_all t ~now ~secret jobs =
   done;
   let buckets = buckets_of t (fun i -> shard_of_sfl t sfls.(i)) n in
   let results = Array.make n None in
-  (* Seals run inline.  Parking them in the shard's seal lane would buy
-     the two-chain kernel but stretch every datagram's [engine.seal] span
-     over the bucket's queue residence, which the bench's gated 4-shard
-     seal p99 cannot absorb until deferred spans report their CPU time
-     apart from residence.  Passing [~batch] is then the whole change. *)
+  (* Seals run inline.  A per-shard seal batch would buy the two-chain
+     kernel but stretch every datagram's [engine.seal] span over the
+     bucket's queue residence, which the bench's gated 4-shard seal p99
+     cannot absorb until deferred spans report their CPU time apart from
+     residence. *)
   run_buckets t buckets (fun s i ->
       let attrs, payload = jobs.(i) in
       Engine.send_classified ~confounder:confs.(i) t.engines.(s) ~now
@@ -132,7 +118,7 @@ let receive_all t ~now ~src wires =
   let buckets = buckets_of t shard_of n in
   let results = Array.make n None in
   run_buckets t buckets (fun s i ->
-      Engine.receive ~batch:t.batches.(s) t.engines.(s) ~now ~src ~wire:wires.(i)
+      Engine.receive t.engines.(s) ~now ~src ~wire:wires.(i)
         (fun r -> results.(i) <- Some r));
   t.on_tick ~now;
   Array.map (settled "receive_all") results

@@ -84,14 +84,10 @@ val receive_all :
   (Engine.accepted, Engine.error) result array
 (** Verify/decrypt a batch: route each wire by peeking the sfl (first 8
     bytes; short wires go to shard 0, whose header decode rejects them),
-    run the shards in parallel, return results in input order.
-
-    Within a shard the bucket drains through a per-shard
-    {!Engine.Batch}: the receive prologue runs per frame in input order,
-    deferred body opens run at the batch's flushes, and the bucket
-    flushes its batch before the domains join — verdicts, payload
-    bytes and counters (beyond the [rx_batch_*] pair) are identical to
-    inline {!Engine.receive}, frame for frame. *)
+    run the shards in parallel, return results in input order.  Within
+    a shard each frame runs {!Engine.receive} in input order, so
+    verdicts, payload bytes and counters are a single engine's, frame
+    for frame. *)
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 (** Register every shard engine on [m] twice: once at the root — probes

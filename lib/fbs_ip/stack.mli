@@ -19,14 +19,6 @@ type config = {
   rfkc_sets : int;
   max_flow_bytes : int option;
   max_flow_life : float option;
-  batched_rx : bool;
-      (** Route receive-side body opens through the open lane of an
-          {!Fbsr_fbs.Engine.Batch} (default [false]): frames
-          arriving within 1 ms of simulated time of each other decrypt
-          at one flush and are delivered in arrival order through the
-          parked-datagram upcall.  Verdicts and bytes
-          are identical to the inline path; delivery of a deferrable
-          frame lags arrival by at most 1 ms. *)
 }
 
 val default_config :
@@ -41,7 +33,6 @@ val default_config :
   ?rfkc_sets:int ->
   ?max_flow_bytes:int ->
   ?max_flow_life:float ->
-  ?batched_rx:bool ->
   unit ->
   config
 
@@ -53,9 +44,6 @@ type counters = {
   mutable resumed : int;
   mutable dropped_error : int;
   mutable bypassed : int;
-  mutable rx_batched : int;
-      (** Frames parked in the receive batch ([batched_rx] mode) and
-          delivered from its flush. *)
 }
 
 type t

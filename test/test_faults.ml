@@ -484,113 +484,6 @@ let test_batched_span_accounting () =
       then Alcotest.failf "unexpected drop terminal %S" s.Fbsr_util.Span.outcome)
     all
 
-(* The receive-side adversarial differential: corrupt, truncated and
-   duplicated frames interleaved into a partially-filled receive batch
-   must produce exactly the verdicts, counters and span terminals of the
-   scalar receive — drop for drop, cause for cause.  Twin identically
-   seeded worlds seal identical wires; one opens them scalar, the other
-   through a batch that never reaches capacity (the flush is
-   explicit), so refusals resolve in the prologue and the survivors
-   cross the batched kernel. *)
-let test_batched_rx_faulty_frames_partial_batch () =
-  let flows = 6 in
-  let scalar_spans = Fbsr_util.Span.create ~capacity:4096 () in
-  let batched_spans = Fbsr_util.Span.create ~capacity:4096 () in
-  let sp, sattrs = Fixture.warm_flows ~flows ~spans:scalar_spans () in
-  let bp, battrs = Fixture.warm_flows ~flows ~spans:batched_spans () in
-  let seal (p : Fixture.t) (attrs : _ array) i =
-    match
-      FEngine.send_sync p.Fixture.sender ~now:60.0 ~attrs:attrs.(i)
-        ~secret:true
-        ~payload:(Printf.sprintf "faulty rx batch frame %d payload" i)
-    with
-    | Ok w -> w
-    | Error e -> Alcotest.failf "seal: %a" FEngine.pp_error e
-  in
-  let sw = Array.init flows (seal sp sattrs) in
-  let bw = Array.init flows (seal bp battrs) in
-  Array.iteri
-    (fun i w ->
-      if not (String.equal sw.(i) w) then
-        Alcotest.failf "twin worlds sealed different wire %d" i)
-    bw;
-  (* Fault schedule over the wires, by index into the sealed array:
-     intact, last-byte bit flip (garbles the CBC tail: MAC or padding
-     refusal), intact, truncation to half, a duplicate of an already
-     delivered frame, intact. *)
-  let flip w =
-    let b = Bytes.of_string w in
-    let n = Bytes.length b - 1 in
-    Bytes.set b n (Char.chr (Char.code (Bytes.get b n) lxor 0x10));
-    Bytes.to_string b
-  in
-  let schedule w =
-    [| w.(0); flip w.(1); w.(2); String.sub w.(3) 0 (String.length w.(3) / 2);
-       w.(2); w.(4) |]
-  in
-  let n = Array.length (schedule sw) in
-  let verdict = function
-    | Ok (acc : FEngine.accepted) -> "ok:" ^ acc.FEngine.payload
-    | Error e -> Format.asprintf "err:%a" FEngine.pp_error e
-  in
-  Fbsr_util.Span.clear scalar_spans;
-  Fbsr_util.Span.clear batched_spans;
-  let scalar_verdicts =
-    Array.map
-      (fun wire ->
-        verdict
-          (FEngine.receive_sync sp.Fixture.receiver ~now:60.0
-             ~src:sp.Fixture.src ~wire))
-      (schedule sw)
-  in
-  let batch = FEngine.Batch.create bp.Fixture.receiver in
-  let got = Array.make n None in
-  Array.iteri
-    (fun i wire ->
-      FEngine.receive ~batch bp.Fixture.receiver ~now:60.0 ~src:bp.Fixture.src ~wire
-        (fun r -> got.(i) <- Some r))
-    (schedule bw);
-  check Alcotest.bool "batch stayed partial until the explicit flush" true
-    (FEngine.Batch.pending batch > 0 && FEngine.Batch.pending batch < n);
-  ignore (FEngine.Batch.flush batch : int);
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> Alcotest.failf "frame %d never resolved" i
-      | Some r ->
-          check Alcotest.string
-            (Printf.sprintf "frame %d verdict equals scalar" i)
-            scalar_verdicts.(i) (verdict r))
-    got;
-  (* Same drops for the same causes, counter for counter. *)
-  let cs = FEngine.counters sp.Fixture.receiver in
-  let cb = FEngine.counters bp.Fixture.receiver in
-  check Alcotest.int "accepted equal" cs.FEngine.accepted cb.FEngine.accepted;
-  let drops c cause = FEngine.drop_count c cause in
-  check Alcotest.int "mac drops equal" (drops cs FEngine.Mac) (drops cb FEngine.Mac);
-  check Alcotest.int "decrypt drops equal" (drops cs FEngine.Decrypt)
-    (drops cb FEngine.Decrypt);
-  check Alcotest.int "header drops equal" (drops cs FEngine.Header)
-    (drops cb FEngine.Header);
-  check Alcotest.int "duplicate drops equal" (drops cs FEngine.Duplicate)
-    (drops cb FEngine.Duplicate);
-  check Alcotest.bool "the fault schedule actually dropped something" true
-    (drops cs FEngine.Mac + drops cs FEngine.Decrypt + drops cs FEngine.Header
-     > 0);
-  (* And the span chains agree terminal for terminal. *)
-  let terminals spans =
-    List.filter_map
-      (fun (s : Fbsr_util.Span.span) ->
-        if String.equal s.Fbsr_util.Span.outcome "" then None
-        else Some s.Fbsr_util.Span.outcome)
-      (Fbsr_util.Span.spans spans)
-    |> List.sort compare
-  in
-  check
-    (Alcotest.list Alcotest.string)
-    "batched receive records the same span terminals as scalar"
-    (terminals scalar_spans) (terminals batched_spans)
-
 (* ------------------------------------------------------------------ *)
 (* Causal tracing across the adversarial network.                      *)
 (* ------------------------------------------------------------------ *)
@@ -830,46 +723,6 @@ let test_health_drop_rules () =
         (fst (health_rule clean rule)))
     [ "forgery-drops"; "replay-drops" ]
 
-(* The same exact-terminal discipline must survive the batched receive
-   pipeline: with the stack deferring body opens into the linger-flushed
-   cross-flow batch, every counted drop still appears as exactly one
-   terminal span of its cause, and nothing unknown leaks in. *)
-let test_span_terminal_accounting_batched_rx () =
-  let r =
-    Fbsr_experiments.Faults.run ~seed:23 ~messages:120 ~batched_rx:true
-      ~faults:Fbsr_experiments.Faults.hostile ~span_capacity:65536 ()
-  in
-  let spans = spans_of r in
-  let open Fbsr_experiments.Faults in
-  check Alcotest.int "every MAC failure is a drop:mac terminal"
-    r.mac_failures (terminal_count "drop:mac" spans);
-  check Alcotest.int "every header failure is a drop:header terminal"
-    r.header_failures (terminal_count "drop:header" spans);
-  check Alcotest.int "every stale rejection is a drop:stale terminal"
-    r.stale_rejections (terminal_count "drop:stale" spans);
-  check Alcotest.int "every duplicate rejection is a drop:duplicate terminal"
-    r.duplicate_rejections (terminal_count "drop:duplicate" spans);
-  check Alcotest.int "every decrypt failure is a drop:decrypt terminal"
-    r.decrypt_failures (terminal_count "drop:decrypt" spans);
-  check Alcotest.int "every link drop is a drop:link terminal"
-    r.link.Link.dropped (terminal_count "drop:link" spans);
-  check Alcotest.bool "delivered terminals exist" true
-    (terminal_count "delivered" spans > 0);
-  check Alcotest.int "the hostile network forged nothing" 0
-    r.forgeries_accepted;
-  let known =
-    [
-      ""; "delivered"; "drop:header"; "drop:stale"; "drop:duplicate";
-      "drop:keying"; "drop:mac"; "drop:decrypt"; "drop:link";
-    ]
-  in
-  List.iter
-    (fun (s : Span.span) ->
-      if not (List.mem s.Span.outcome known) then
-        Alcotest.failf "unknown span outcome %S on stage %s" s.Span.outcome
-          s.Span.stage)
-    spans
-
 (* At 1-in-64 head sampling the adaptive sampler must still retain every
    drop-terminated chain in full (tail-keep promotion), with its causal
    context, while normal delivered chains thin to the head-sampled
@@ -995,8 +848,6 @@ let () =
             test_batched_wires_over_drop_reorder_link;
           Alcotest.test_case "deferred seal keeps exact span accounting" `Quick
             test_batched_span_accounting;
-          Alcotest.test_case "faulty frames in a partial rx batch = scalar"
-            `Quick test_batched_rx_faulty_frames_partial_batch;
         ] );
       ( "tracing",
         [
@@ -1008,8 +859,6 @@ let () =
             test_span_monotone_under_reorder;
           Alcotest.test_case "terminal outcome accounting" `Quick
             test_span_terminal_accounting;
-          Alcotest.test_case "terminal accounting under batched receive" `Quick
-            test_span_terminal_accounting_batched_rx;
           Alcotest.test_case "1/64 sampling retains every drop chain" `Quick
             test_span_sampling_drop_retention;
           Alcotest.test_case "tracing does not perturb the run" `Quick

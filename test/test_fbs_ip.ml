@@ -192,18 +192,14 @@ let test_stack_strict_replay_two_senders () =
   check Alcotest.int "no duplicates" 0
     (Fbsr_fbs.Engine.drop_count ec Fbsr_fbs.Engine.Duplicate)
 
-(* Regression (review): in [batched_rx] mode a frame that suspends on the
-   receive-side master-key fetch enqueues into the rx batch only when the
-   keying continuation resumes — in a later scheduler event, after
-   [input_hook]'s synchronous parked-frame check has run.  The linger
-   flush must therefore be armed by the batch's on-park hook at actual
-   enqueue time; arming it only from [input_hook] would park the first
-   datagram of a cold flow forever when no follow-up traffic arrives.
-   One lone datagram on a cold flow is exactly that worst case: with the
-   bug, the event loop drains with the frame still queued. *)
-let test_stack_batched_rx_cold_flow_lone_datagram () =
-  let config = Stack.default_config ~batched_rx:true () in
-  let tb, a, b = make_pair ~config () in
+(* A lone datagram on a cold flow: the receiver has no master key for
+   the sender, so the receive suspends on the MKD fetch and [input_hook]
+   returns without a verdict.  The resumed keying continuation must open
+   the datagram inline and deliver it exactly once, through the parked-
+   datagram upcall, and the stack must count the suspension and the
+   resumption. *)
+let test_stack_cold_flow_receive_resumes () =
+  let tb, a, b = make_pair () in
   let got = ref [] in
   Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d ->
       got := d :: !got);
@@ -212,11 +208,12 @@ let test_stack_batched_rx_cold_flow_lone_datagram () =
   Testbed.run tb;
   check
     Alcotest.(list string)
-    "delivered despite the late park" [ "lone cold-flow datagram" ] !got;
+    "delivered exactly once after the fetch" [ "lone cold-flow datagram" ] !got;
   let sc = Stack.counters b.Testbed.stack in
   check Alcotest.int "suspended on the receive-side key fetch" 1
     sc.Stack.suspended_in;
-  check Alcotest.int "parked in the rx batch after the fetch" 1 sc.Stack.rx_batched;
+  check Alcotest.int "resumed once the key arrived" 1 sc.Stack.resumed;
+  check Alcotest.int "received" 1 sc.Stack.received;
   check Alcotest.int "nothing dropped" 0 sc.Stack.dropped_error
 
 let contains hay needle =
@@ -948,8 +945,8 @@ let () =
           Alcotest.test_case "udp end-to-end" `Quick test_stack_udp_end_to_end;
           Alcotest.test_case "strict replay keys on the sender" `Quick
             test_stack_strict_replay_two_senders;
-          Alcotest.test_case "batched rx: lone cold-flow datagram still delivered"
-            `Quick test_stack_batched_rx_cold_flow_lone_datagram;
+          Alcotest.test_case "cold-flow receive resumes and delivers once"
+            `Quick test_stack_cold_flow_receive_resumes;
           Alcotest.test_case "wire is protected" `Quick test_stack_wire_is_protected;
           Alcotest.test_case "auth-only policy" `Quick test_stack_auth_only_policy;
           Alcotest.test_case "fragmentation" `Quick

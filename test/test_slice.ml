@@ -550,43 +550,6 @@ let test_datapath_accounting_batched () =
         0 (c1 - c0))
     [ 7; 8 ]
 
-let test_datapath_accounting_batched_rx () =
-  (* The receive mirror: deferring the body open into a batch keeps
-     the round trip at exactly two allocations (wire at seal, plaintext
-     at enqueue) and zero extra copies, at an odd and an even job
-     count. *)
-  List.iter
-    (fun flows ->
-      let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
-      let es = p.Fbsr_experiments.Fixture.sender
-      and ed = p.Fbsr_experiments.Fixture.receiver in
-      let batch = Fbsr_fbs.Engine.Batch.create ed in
-      let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
-      let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-      let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
-      for i = 0 to flows - 1 do
-        match
-          Fbsr_fbs.Engine.send_sync es ~now:60.0 ~attrs:attrs.(i) ~secret:true
-            ~payload:(String.make 1000 'q')
-        with
-        | Ok wire ->
-            Fbsr_fbs.Engine.receive ~batch ed ~now:60.0
-              ~src:p.Fbsr_experiments.Fixture.src ~wire (function
-              | Ok _ -> ()
-              | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
-        | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e
-      done;
-      ignore (Fbsr_fbs.Engine.Batch.flush batch);
-      let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-      let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
-      check Alcotest.int
-        (Printf.sprintf "2 allocations per batched-rx round trip (%d flows)" flows)
-        (2 * flows) (a1 - a0);
-      check Alcotest.int
-        (Printf.sprintf "0 bytes copied per batched-rx round trip (%d flows)" flows)
-        0 (c1 - c0))
-    [ 7; 8 ]
-
 let test_reference_key_expansion () =
   (* Satellite: the engine's writer-based 3DES key expansion must equal
      the definitional [flow_key ^ Md5.digest flow_key] truncation — the
@@ -642,8 +605,6 @@ let () =
             test_datapath_accounting;
           Alcotest.test_case "batched path keeps the allocation invariant" `Quick
             test_datapath_accounting_batched;
-          Alcotest.test_case "batched receive keeps the allocation invariant"
-            `Quick test_datapath_accounting_batched_rx;
           Alcotest.test_case "3des key expansion differential" `Quick
             test_reference_key_expansion;
         ] );
