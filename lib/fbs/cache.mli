@@ -9,10 +9,13 @@
     fingerprints (two seeded [Hashtbl.seeded_hash] calls, independent of
     the [hash] given to {!create}) in an open-addressing [Bytes] table
     that doubles at load 1/2: 16 to 32 bytes per distinct key ever
-    missed, no key object retained, nothing for the GC to scan.  The set
-    is never shrunk, and it survives {!clear}, so a miss after [clear] on
-    a key seen before is classified as a capacity or conflict miss, not a
-    cold one.
+    inserted, no key object retained, nothing for the GC to scan.  A key
+    is marked by {!insert}, so a miss is cold until its key has been
+    cached once: a key that only ever missed (its value was never
+    inserted, or its fetch is still pending) stays cold and costs no
+    slot.  The set is never shrunk, and it survives {!clear}, so a miss
+    after [clear] on a key inserted before is classified as a capacity or
+    conflict miss, not a cold one.
 
     {b Collisions.}  Two distinct keys with equal fingerprints make the
     second one's first miss count as capacity or conflict instead of

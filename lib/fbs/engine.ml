@@ -78,8 +78,6 @@ type counters = Armor.counters = {
   mutable encryptions : int;
   mutable decryptions : int;
   drops : int array;
-  mutable bytes_copied : int;
-  mutable datapath_allocs : int;
   mutable keysched_hits : int;
   mutable keysched_misses : int;
   mutable mac_midstate_hits : int;
@@ -164,8 +162,6 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
       encryptions = 0;
       decryptions = 0;
       drops = Array.make (Array.length cause_names) 0;
-      bytes_copied = 0;
-      datapath_allocs = 0;
       keysched_hits = 0;
       keysched_misses = 0;
       mac_midstate_hits = 0;
@@ -232,23 +228,10 @@ let register_metrics (t : t) m =
     (fun cause -> register_probe m (drop_metric cause) (fun () -> drop_count c cause))
     causes;
   register_probe e "drops.total" (fun () -> drops c);
-  register_probe e "datapath.bytes_copied" (fun () -> c.bytes_copied);
-  register_probe e "datapath.allocs" (fun () -> c.datapath_allocs);
   register_probe e "keysched.hits" (fun () -> c.keysched_hits);
   register_probe e "keysched.misses" (fun () -> c.keysched_misses);
   register_probe e "macmid.hits" (fun () -> c.mac_midstate_hits);
   register_probe e "macmid.misses" (fun () -> c.mac_midstate_misses);
-  (* Per-datagram views of the same counters: the zero-copy invariant in
-     observable form (~1 alloc and ~0 extra copies per datagram).  Ratio
-     probes, not float probes: several engines registered under one name
-     (the sharded dispatcher's aggregate view, or one engine registered
-     at the root and under a scope) must fold the underlying tallies and
-     report the true combined ratio, not the sum of per-engine ratios. *)
-  let datagrams () = float_of_int (c.sends + c.receives) in
-  register_probe_ratio e "datapath.bytes_copied_per_datagram" (fun () ->
-      (float_of_int c.bytes_copied, datagrams ()));
-  register_probe_ratio e "datapath.allocs_per_datagram" (fun () ->
-      (float_of_int c.datapath_allocs, datagrams ()));
   Cache.register_metrics t.tfkc (sub m "fbs.cache.tfkc");
   Cache.register_metrics t.rfkc (sub m "fbs.cache.rfkc");
   Cache.register_metrics t.inbound (sub m "fbs.cache.inbound");
@@ -321,11 +304,10 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
       k (Cached entry)
   | None ->
       (* A miss that is not cold (TFKC and RFKC always classify) is on a
-         key this cache has seen before: its entry was evicted or
-         invalidated and we are recovering by recomputation, the
-         soft-state guarantee at work.  On the RFKC it may also be a key
-         whose every earlier datagram was refused, so it was never
-         cached; that counts as a recovery too. *)
+         key this cache held before: its entry was evicted or invalidated
+         and we are recovering by recomputation, the soft-state guarantee
+         at work.  A key never cached (on the RFKC, every earlier datagram
+         under it was refused) misses cold. *)
       let revisit = stats.Cache.misses_cold = cold_before in
       Keying.get_master t.keying peer (function
         | Error e ->
@@ -546,7 +528,6 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
       ~capacity:(Header.fixed_size + t.suite.Suite.mac_length + body_len)
       ()
   in
-  t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
   Header.encode_fields_into w ~sfl ~suite:t.suite ~secret ~confounder ~timestamp;
   (* Writing the MAC through [substring] also performs the suite's
      truncation (Section 5.3) without an intermediate string. *)
@@ -803,14 +784,10 @@ let open_entry t ~now ~src ~(v : Header.view) ~entry tm
        accepted; only then is it copied out (the slice must not outlive
        the wire buffer). *)
     verify_and_deliver t ~now ~src ~v ~entry tm k body (fun () ->
-        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-        t.counters.bytes_copied <-
-          t.counters.bytes_copied + Fbsr_util.Slice.length body;
         Fbsr_util.Slice.to_string body)
   else
     match A.open_body t.actx entry ~confounder:v.Header.v_confounder ~body with
     | Ok plaintext ->
-        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
         (* Already a fresh exact-size string: hand it out as-is, no
            further copy. *)
         verify_and_deliver t ~now ~src ~v ~entry tm k

@@ -41,25 +41,17 @@ type counters = Armor.counters = {
   mutable accepted : int;
   mutable flow_key_computations : int;
   mutable flow_key_recoveries : int;
-      (** Of the computations, those for a key the cache had seen before:
+      (** Of the computations, those for a key the cache had held before:
           recomputation after eviction/invalidation — soft-state recovery,
-          never a hidden hard failure.  A receive-side key whose earlier
-          datagrams were all refused was never cached, and its next
-          derivation counts here too. *)
+          never a hidden hard failure.  A key that was never cached (a
+          receive-side key whose earlier datagrams were all refused) is
+          not a recovery. *)
   mutable macs_computed : int;
   mutable encryptions : int;
   mutable decryptions : int;
   drops : int array;
       (** Received datagrams refused, one slot per {!cause}: read it with
           {!drop_count}.  A send-side keying failure is not counted. *)
-  mutable bytes_copied : int;
-      (** Payload bytes moved between buffers beyond the single mandatory
-          write into the wire (or plaintext) buffer — the zero-copy
-          datapath keeps this near zero for secret CBC traffic. *)
-  mutable datapath_allocs : int;
-      (** Buffers allocated on the seal/receive datapath: one per sealed
-          datagram (the wire buffer), one per received secret datagram
-          (the plaintext). *)
   mutable keysched_hits : int;
       (** Cipher/MAC key-schedule reuses from a flow entry (TFKC/RFKC) — the
           expansion was skipped. *)
@@ -271,9 +263,10 @@ val receive :
   ((accepted, error) result -> unit) ->
   unit
 (** FBSReceive(), zero-copy: parses the header as a view of the wire,
-    verifies the MAC against the wire bytes in place, and allocates only
-    the plaintext of an accepted secret datagram (plus the payload copy
-    of an accepted non-secret one); [accepted] owns its bytes.  On an
+    verifies the MAC against the wire bytes in place, and allocates no
+    buffer but the plaintext of an accepted secret datagram (or the
+    payload copy of an accepted non-secret one); [accepted] owns its
+    bytes.  On an
     RFKC miss the flow key is derived and the datagram verified under it;
     the entry is cached only if the datagram is delivered, so a datagram
     with a forged sfl costs a key derivation but never evicts another

@@ -9,7 +9,7 @@
     one).  Because every datagram of a flow carries the same sfl, a flow
     lives its whole life on one shard: per-flow datagram order, replay
     windows, cached key schedules and MAC midstates never cross shards,
-    and the exact allocs-per-datagram audit holds shard by shard.
+    and each shard's counters account exactly for its own flows.
 
     The dispatcher owns the confounder generator and draws one value per
     datagram in input order, so the wire bytes of a batch are

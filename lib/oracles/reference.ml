@@ -6,30 +6,15 @@
    - the differential property suite (test/test_slice.ml) checks that the
      engine's zero-copy seal/receive produce byte-identical wires and
      accept each other's output;
-   - the bench artifact measures this path next to the zero-copy one, so
-     the allocations-per-datagram reduction is visible inside a single
-     artifact instead of across baseline files.
-
-   Every explicit buffer allocation and payload copy is tallied in
-   [counters] — the same accounting the engine keeps for its own datapath
-   — so the two paths are comparable number-for-number. *)
-
-type counters = { mutable allocs : int; mutable bytes_copied : int }
-
-let create_counters () = { allocs = 0; bytes_copied = 0 }
-
-let tally c ~allocs ~copied =
-  c.allocs <- c.allocs + allocs;
-  c.bytes_copied <- c.bytes_copied + copied
+   - the bench artifact measures this path's GC allocation next to the
+     zero-copy one's, so the reduction is visible inside a single
+     artifact instead of across baseline files. *)
 
 (* MAC input exactly as the old [Engine.compute_mac] built it: three fresh
    header-field strings, the digest, and a truncation copy. *)
-let compute_mac c (suite : Fbsr_fbs.Suite.t) ~flow_key ~(header : Fbsr_fbs.Header.t)
+let compute_mac (suite : Fbsr_fbs.Suite.t) ~flow_key ~(header : Fbsr_fbs.Header.t)
     ~payload =
-  if Fbsr_fbs.Suite.is_nop suite then begin
-    tally c ~allocs:1 ~copied:0;
-    String.make suite.Fbsr_fbs.Suite.mac_length '\000'
-  end
+  if Fbsr_fbs.Suite.is_nop suite then String.make suite.Fbsr_fbs.Suite.mac_length '\000'
   else begin
     let parts =
       [
@@ -39,13 +24,11 @@ let compute_mac c (suite : Fbsr_fbs.Suite.t) ~flow_key ~(header : Fbsr_fbs.Heade
         payload;
       ]
     in
-    tally c ~allocs:3 ~copied:0;
     let mac =
       Fbsr_crypto.Mac.compute ~algorithm:suite.Fbsr_fbs.Suite.mac_algorithm
         suite.Fbsr_fbs.Suite.mac_hash ~key:flow_key parts
     in
     (* [Mac.truncate] is an unconditional [String.sub]. *)
-    tally c ~allocs:1 ~copied:0;
     Fbsr_crypto.Mac.truncate mac suite.Fbsr_fbs.Suite.mac_length
   end
 
@@ -56,33 +39,26 @@ let des3_key_of_flow_key flow_key =
   let material = flow_key ^ Fbsr_crypto.Md5.digest flow_key in
   Fbsr_crypto.Des3.of_string (Fbsr_crypto.Des.adjust_parity (String.sub material 0 24))
 
-(* [Header.confounder_iv]: confounder bytes allocated, then duplicated. *)
-let confounder_iv c header =
-  tally c ~allocs:2 ~copied:0;
-  Fbsr_fbs.Header.confounder_iv header
-
 (* The hmac-sha1/sha1-ctr body transform, string-at-a-time: the cleartext
    (but MACed) 4-byte prefix, then the SHA-1 counter keystream over the
    remainder.  Self-inverse.  Mirrors [Armor_sha1ctr] byte for byte. *)
 let sha1_ctr_prefix = 4
 
-let sha1_ctr_body c ~flow_key ~iv body =
+let sha1_ctr_body ~flow_key ~iv body =
   let len = String.length body in
   let p = min sha1_ctr_prefix len in
   (* Tail sub, keystream output buffer, prefix ^ tail concatenation. *)
-  tally c ~allocs:3 ~copied:len;
   let ks = Fbsr_crypto.Keystream.create Fbsr_crypto.Hash.sha1 ~key:flow_key in
   let tail = Fbsr_crypto.Keystream.transform ks ~iv (String.sub body p (len - p)) in
   String.sub body 0 p ^ tail
 
-let encrypt_body c (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~payload =
+let encrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~payload =
   if Fbsr_fbs.Suite.is_nop suite then payload
   else if suite.Fbsr_fbs.Suite.cipher = Fbsr_fbs.Suite.Sha1_ctr then
-    sha1_ctr_body c ~flow_key ~iv payload
+    sha1_ctr_body ~flow_key ~iv payload
   else begin
     (* [Des.pad] copies the payload into a padded buffer, then the cipher
        allocates the ciphertext. *)
-    tally c ~allocs:2 ~copied:(String.length payload);
     match suite.Fbsr_fbs.Suite.cipher with
     | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
     | Fbsr_fbs.Suite.Des3_cbc ->
@@ -98,13 +74,12 @@ let encrypt_body c (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~payload =
         | Fbsr_fbs.Suite.Des3_cbc | Fbsr_fbs.Suite.Sha1_ctr -> assert false)
   end
 
-let decrypt_body c (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
+let decrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
   if Fbsr_fbs.Suite.is_nop suite then Ok body
   else if suite.Fbsr_fbs.Suite.cipher = Fbsr_fbs.Suite.Sha1_ctr then
-    Ok (sha1_ctr_body c ~flow_key ~iv body)
+    Ok (sha1_ctr_body ~flow_key ~iv body)
   else begin
     (* Cipher output buffer, then [Des.unpad]'s exact-size copy. *)
-    tally c ~allocs:2 ~copied:(String.length body);
     match
       match suite.Fbsr_fbs.Suite.cipher with
       | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
@@ -128,47 +103,42 @@ let decrypt_body c (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
    way, with the confounder and timestamp supplied by the caller (the
    engine draws them from its own LCG/clock; passing them in makes the
    two paths comparable on identical inputs). *)
-let seal ?counters:(c = create_counters ()) ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~sfl
-    ~secret ~confounder ~timestamp ~payload () =
+let seal ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~sfl ~secret ~confounder ~timestamp ~payload () =
   let header0 =
     { Fbsr_fbs.Header.sfl; suite; secret; confounder; timestamp; mac = "" }
   in
-  let mac = compute_mac c suite ~flow_key ~header:header0 ~payload in
+  let mac = compute_mac suite ~flow_key ~header:header0 ~payload in
   let header = { header0 with Fbsr_fbs.Header.mac } in
   let body =
     if secret then
-      encrypt_body c suite ~flow_key ~iv:(confounder_iv c header) ~payload
+      encrypt_body suite ~flow_key ~iv:(Fbsr_fbs.Header.confounder_iv header) ~payload
     else payload
   in
   (* Header encode (writer buffer + contents copy) and the final
      header ^ body concatenation. *)
-  let encoded = Fbsr_fbs.Header.encode header in
-  tally c ~allocs:3 ~copied:(String.length encoded + String.length body);
-  encoded ^ body
+  Fbsr_fbs.Header.encode header ^ body
 
 type open_error = [ `Header of Fbsr_fbs.Header.error | `Bad_mac | `Decrypt ]
 
 (* The old receive-side datapath (decode, decrypt, MAC recomputation and
    comparison) without the engine's replay/keying machinery: the
    differential suite drives those through the engine itself. *)
-let open_ ?counters:(c = create_counters ()) ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~wire
-    () =
+let open_ ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~wire () =
   match Fbsr_fbs.Header.decode wire with
   | Error e -> Error (`Header e)
   | Ok (header, body) ->
       (* [decode] copies the MAC and the body out of the wire. *)
-      tally c ~allocs:2 ~copied:(String.length body);
       if header.Fbsr_fbs.Header.suite.Fbsr_fbs.Suite.id <> suite.Fbsr_fbs.Suite.id
       then Error (`Header (Fbsr_fbs.Header.Unknown_suite header.Fbsr_fbs.Header.suite.Fbsr_fbs.Suite.id))
       else
         let finish plaintext =
-          let mac' = compute_mac c suite ~flow_key ~header ~payload:plaintext in
+          let mac' = compute_mac suite ~flow_key ~header ~payload:plaintext in
           if Fbsr_crypto.Ct.equal mac' header.Fbsr_fbs.Header.mac then Ok (header, plaintext)
           else Error `Bad_mac
         in
         if header.Fbsr_fbs.Header.secret then
           match
-            decrypt_body c suite ~flow_key ~iv:(confounder_iv c header) ~body
+            decrypt_body suite ~flow_key ~iv:(Fbsr_fbs.Header.confounder_iv header) ~body
           with
           | Ok plaintext -> finish plaintext
           | Error `Decrypt -> Error `Decrypt

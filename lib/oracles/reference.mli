@@ -7,15 +7,7 @@
     timestamp taken from an engine-produced wire reproduces that wire
     exactly, and [open_] accepts engine output (and vice versa). *)
 
-type counters = { mutable allocs : int; mutable bytes_copied : int }
-(** Explicit datapath buffers allocated and payload bytes copied —
-    the same accounting {!Fbsr_fbs.Engine.counters} keeps for the
-    zero-copy path. *)
-
-val create_counters : unit -> counters
-
 val seal :
-  ?counters:counters ->
   suite:Fbsr_fbs.Suite.t ->
   flow_key:string ->
   sfl:Fbsr_fbs.Sfl.t ->
@@ -29,7 +21,6 @@ val seal :
 type open_error = [ `Header of Fbsr_fbs.Header.error | `Bad_mac | `Decrypt ]
 
 val open_ :
-  ?counters:counters ->
   suite:Fbsr_fbs.Suite.t ->
   flow_key:string ->
   wire:string ->

@@ -48,10 +48,6 @@ type cell =
   | Histogram of histogram
   | Probe of (unit -> int) list ref
   | Probe_f of (unit -> float) list ref
-  | Probe_ratio of (unit -> float * float) list ref
-      (* each probe yields (numerator, denominator); a read returns
-         Σnum / Σden, so N engines sharing one name report the true
-         combined ratio instead of the sum of N ratios *)
 
 type t = {
   prefix : string;
@@ -79,7 +75,6 @@ let kind_name = function
   | Histogram _ -> "histogram"
   | Probe _ -> "probe"
   | Probe_f _ -> "float probe"
-  | Probe_ratio _ -> "ratio probe"
 
 let clash full cell want =
   invalid_arg
@@ -213,23 +208,6 @@ let register_probe_f t name f =
   | Some cell -> clash full cell "float probe"
   | None -> Hashtbl.replace t.cells full (Probe_f (ref [ f ]))
 
-let register_probe_ratio t name f =
-  let full = t.prefix ^ name in
-  match Hashtbl.find_opt t.cells full with
-  | Some (Probe_ratio fs) -> fs := f :: !fs
-  | Some cell -> clash full cell "ratio probe"
-  | None -> Hashtbl.replace t.cells full (Probe_ratio (ref [ f ]))
-
-let ratio_value fs =
-  let num, den =
-    List.fold_left
-      (fun (n, d) f ->
-        let fn, fd = f () in
-        (n +. fn, d +. fd))
-      (0.0, 0.0) !fs
-  in
-  if den = 0.0 then 0.0 else num /. den
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -243,7 +221,6 @@ let read_int = function
   | Probe fs -> List.fold_left (fun acc f -> acc + f ()) 0 !fs
   | Probe_f fs ->
       int_of_float (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs)
-  | Probe_ratio fs -> int_of_float (ratio_value fs)
 
 let read_float = function
   | Counter c -> float_of_int c.count
@@ -251,7 +228,6 @@ let read_float = function
   | Histogram h -> h.sum
   | Probe fs -> float_of_int (List.fold_left (fun acc f -> acc + f ()) 0 !fs)
   | Probe_f fs -> List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs
-  | Probe_ratio fs -> ratio_value fs
 
 let get t name =
   match Hashtbl.find_opt t.cells (t.prefix ^ name) with
@@ -284,7 +260,6 @@ let snapshot t =
         | Some (Gauge g) -> Float g.value
         | Some (Probe_f fs) ->
             Float (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs)
-        | Some (Probe_ratio fs) -> Float (ratio_value fs)
         | Some (Histogram h) ->
             Hist { count = h.observations; sum = h.sum; buckets = histogram_buckets h }
         | Some cell -> Int (read_int cell)
@@ -306,7 +281,7 @@ let reset t =
             Array.fill h.counts 0 (Array.length h.counts) 0;
             h.observations <- 0;
             h.sum <- 0.0
-        | Probe _ | Probe_f _ | Probe_ratio _ -> ())
+        | Probe _ | Probe_f _ -> ())
     t.cells
 
 let to_json t =
@@ -420,9 +395,6 @@ let to_text t =
               line "%s %s" p
                 (prometheus_float
                    (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs))
-          | Probe_ratio fs ->
-              head name p "gauge";
-              line "%s %s" p (prometheus_float (ratio_value fs))
           | Histogram h ->
               (* Prometheus buckets are cumulative over 'le' upper bounds and
                  must end with +Inf; empty interior buckets are elided (any

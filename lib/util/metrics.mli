@@ -75,15 +75,6 @@ val histogram_buckets : histogram -> (float * float * int) list
 val register_probe : t -> string -> (unit -> int) -> unit
 val register_probe_f : t -> string -> (unit -> float) -> unit
 
-val register_probe_ratio : t -> string -> (unit -> float * float) -> unit
-(** A derived-ratio probe: the closure yields [(numerator, denominator)]
-    and a read returns [Σnum /. Σden] over every probe sharing the name
-    ([0.] when the denominators sum to zero).  Use for per-datagram
-    ratios: plain float probes SUM on shared names, so N shard engines
-    registered under one name would report N× the true ratio — a ratio
-    probe folds the underlying tallies first and keeps the invariant one
-    number whether it is read per shard, per engine, or site-wide. *)
-
 val describe : t -> string -> string -> unit
 (** [describe t name text] registers the [# HELP] text {!to_text} emits
     for [name] (resolved under this view's prefix).  Metrics without a

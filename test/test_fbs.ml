@@ -496,7 +496,7 @@ let prop_cache_find_after_insert =
 (* The 3-C classification against a from-scratch reference model: a
    byte-for-byte reimplementation of the documented semantics (tick on
    every find and insert, shadow fully-associative LRU touched by both,
-   seen-set grown on first miss and kept across [clear], per-set LRU
+   seen-set grown on insert and kept across [clear], per-set LRU
    replacement).  Random find/insert/invalidate/clear workloads must
    produce identical statistics, and the counters must add up: every
    find is exactly one of hit/cold/capacity/conflict.  [clear] is one op
@@ -547,10 +547,7 @@ let prop_cache_classification_matches_reference =
           | _ -> ()
         done;
         (if !hit then incr hits
-         else if not (Hashtbl.mem seen key) then begin
-           Hashtbl.replace seen key ();
-           incr cold
-         end
+         else if not (Hashtbl.mem seen key) then incr cold
          else if Hashtbl.mem shadow key then incr conf
          else incr cap);
         shadow_touch key
@@ -581,6 +578,7 @@ let prop_cache_classification_matches_reference =
               !best
         in
         slots.(idx) <- Some (key, !tick);
+        Hashtbl.replace seen key ();
         shadow_touch key
       in
       let ref_invalidate key =
@@ -633,7 +631,7 @@ let test_cache_occupancy_clear () =
   Cache.clear c;
   check Alcotest.int "cleared" 0 (Cache.occupancy c)
 
-(* The record of every key that ever missed is a set of 8-byte
+(* The record of every key ever inserted is a set of 8-byte
    fingerprints, not of keys: 200k distinct flow-key-shaped keys through
    a 128-set cache cost at most 4 words each (one slot at load between
    1/4 and 1/2), where a hash table of the keys themselves costs 12 or
@@ -1228,9 +1226,8 @@ let datapath_counters (c : Engine.counters) =
   ]
   @ List.map (Engine.drop_count c) Engine.causes
   @ [
-      c.Engine.bytes_copied; c.Engine.datapath_allocs; c.Engine.keysched_hits;
-      c.Engine.keysched_misses; c.Engine.mac_midstate_hits;
-      c.Engine.mac_midstate_misses;
+      c.Engine.keysched_hits; c.Engine.keysched_misses;
+      c.Engine.mac_midstate_hits; c.Engine.mac_midstate_misses;
     ]
 
 (* Stage and outcome of every span, order-free: deferred spans finish at
@@ -1615,6 +1612,33 @@ let test_engine_strict_replay_corrupt_first () =
     verdicts;
   check Alcotest.int "accepted counts verified datagrams" 2 st.Replay.accepted;
   check Alcotest.int "one duplicate" 1 st.Replay.rejected_duplicate
+
+(* A cold flow whose first copy is refused (strict replay, last byte
+   flipped: CBC padding refused) and whose intact copy then delivers.
+   The refused copy's key was never cached, so the intact copy's miss is
+   cold again: two derivations, neither a soft-state recovery. *)
+let test_engine_refused_cold_copy_not_recovery () =
+  let clock, s, d, es, ed = make_engines ~strict_replay:true () in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let wire =
+    Result.get_ok
+      (Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:(String.make 200 'c'))
+  in
+  let n = String.length wire in
+  let flipped =
+    String.mapi (fun i c -> if i = n - 1 then Char.chr (Char.code c lxor 0x01) else c) wire
+  in
+  (match Engine.receive_sync ed ~now:!clock ~src:s ~wire:flipped with
+  | Error Engine.Decrypt_error -> ()
+  | r -> Alcotest.failf "flipped copy: want a decrypt refusal, got %s" (verdict_str r));
+  (match Engine.receive_sync ed ~now:!clock ~src:s ~wire with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "intact copy: %a" Engine.pp_error e);
+  let c = Engine.counters ed and rfkc = Cache.stats (Engine.rfkc ed) in
+  check Alcotest.int "two derivations" 2 c.Engine.flow_key_computations;
+  check Alcotest.int "no recovery" 0 c.Engine.flow_key_recoveries;
+  check Alcotest.int "both RFKC misses cold" 2 rfkc.Cache.misses_cold;
+  check Alcotest.int "no RFKC conflict miss" 0 rfkc.Cache.misses_conflict
 
 (* A flood from the real source with forged sfls: every copy misses the
    RFKC, costs a key derivation and is refused (its body decrypts to bad
@@ -2395,6 +2419,8 @@ let () =
           Alcotest.test_case "strict replay" `Quick test_engine_strict_replay;
           Alcotest.test_case "strict replay: corrupted copy first" `Quick
             test_engine_strict_replay_corrupt_first;
+          Alcotest.test_case "refused cold copy is not a recovery" `Quick
+            test_engine_refused_cold_copy_not_recovery;
           Alcotest.test_case "forged-sfl flood keeps the real flow's RFKC entry"
             `Quick test_engine_forged_sfl_flood;
           qtest prop_engine_delivers_once;

@@ -5,10 +5,10 @@
    [Slice] laws vs [String.sub]; [Hash.digest_slices] and
    [Mac.compute_slices] vs their string flavours; [Des]/[Des3]
    sub-range CBC vs whole-string CBC; [Header.decode_view]/[encode_into]
-   vs [decode]/[encode]; and the engine's one-allocation seal/receive vs
+   vs [decode]/[encode]; and the engine's zero-copy seal/receive vs
    the pre-refactor reference datapath ([Fbsr_oracles.Reference]) —
    including empty and MTU-sized payloads, cross-acceptance in both
-   directions, and the datapath allocation accounting itself. *)
+   directions, and GC-measured bounds on the datapath's allocation. *)
 
 open Fbsr_util
 
@@ -461,93 +461,84 @@ let prop_differential_fuzzed_paper_suite =
       differential_roundtrip ~suite:Fbsr_fbs.Suite.paper_md5_des ~secret ~payload ();
       true)
 
+(* Minor-heap words [f] allocates. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_words what ~bound w =
+  if w > bound then Alcotest.failf "%s: %.1f minor words, want <= %.0f" what w bound
+
 let test_datapath_accounting () =
-  (* The headline invariant: a secret CBC round trip is one allocation on
-     seal, one on receive, zero extra payload copies. *)
-  let p, attrs, _ = Fbsr_experiments.Fixture.warm_pair ~secret:true () in
-  let es = p.Fbsr_experiments.Fixture.sender
-  and ed = p.Fbsr_experiments.Fixture.receiver in
-  let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
-  let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-  let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
+  (* The GC is the allocation measure: one warm 1000-byte round trip,
+     send + receive on both engines, in minor words.  The bounds sit 1.25x
+     over the measured 562 (secret) and 539 (auth-only) words; the wire
+     and the delivered payload are about 260 of them.  A closure
+     per DES block, say, adds about 1 000 words and fails them. *)
   let payload = String.make 1000 'q' in
-  (match Fbsr_fbs.Engine.send_sync es ~now:60.0 ~attrs ~secret:true ~payload with
-  | Ok wire -> (
-      match
-        Fbsr_fbs.Engine.receive_sync ed ~now:60.0 ~src:p.Fbsr_experiments.Fixture.src
-          ~wire
-      with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
-  | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e);
-  let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-  let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
-  check Alcotest.int "2 allocations per secret round trip" 2 (a1 - a0);
-  check Alcotest.int "0 bytes copied per secret round trip" 0 (c1 - c0);
-  (* Non-secret: the accepted payload is copied out of the wire buffer —
-     exactly once. *)
-  let p2, attrs2, _ = Fbsr_experiments.Fixture.warm_pair ~secret:false () in
-  let es2 = p2.Fbsr_experiments.Fixture.sender
-  and ed2 = p2.Fbsr_experiments.Fixture.receiver in
-  let cs2 = Fbsr_fbs.Engine.counters es2 and cr2 = Fbsr_fbs.Engine.counters ed2 in
-  let a0 = cs2.Fbsr_fbs.Engine.datapath_allocs + cr2.Fbsr_fbs.Engine.datapath_allocs in
-  let c0 = cs2.Fbsr_fbs.Engine.bytes_copied + cr2.Fbsr_fbs.Engine.bytes_copied in
-  (match Fbsr_fbs.Engine.send_sync es2 ~now:60.0 ~attrs:attrs2 ~secret:false ~payload with
-  | Ok wire -> (
-      match
-        Fbsr_fbs.Engine.receive_sync ed2 ~now:60.0
-          ~src:p2.Fbsr_experiments.Fixture.src ~wire
-      with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
-  | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e);
-  let a1 = cs2.Fbsr_fbs.Engine.datapath_allocs + cr2.Fbsr_fbs.Engine.datapath_allocs in
-  let c1 = cs2.Fbsr_fbs.Engine.bytes_copied + cr2.Fbsr_fbs.Engine.bytes_copied in
-  check Alcotest.int "2 allocations per auth-only round trip" 2 (a1 - a0);
-  check Alcotest.int "payload bytes copied once on accept" (String.length payload)
-    (c1 - c0)
+  List.iter
+    (fun (secret, bound) ->
+      let p, attrs, _ = Fbsr_experiments.Fixture.warm_pair ~secret () in
+      let es = p.Fbsr_experiments.Fixture.sender
+      and ed = p.Fbsr_experiments.Fixture.receiver in
+      let round_trip () =
+        match Fbsr_fbs.Engine.send_sync es ~now:60.0 ~attrs ~secret ~payload with
+        | Ok wire -> (
+            match
+              Fbsr_fbs.Engine.receive_sync ed ~now:60.0
+                ~src:p.Fbsr_experiments.Fixture.src ~wire
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
+        | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e
+      in
+      round_trip ();
+      check_words
+        (if secret then "secret round trip" else "auth-only round trip")
+        ~bound (minor_words_of round_trip))
+    [ (true, 702.); (false, 673.) ]
 
 let test_datapath_accounting_batched () =
-  (* The batched seal path keeps the zero-copy invariant: deferring the
-     body encryption into the cross-flow batch adds no buffer and no
-     copy — the wire delivered at flush is the same single allocation,
-     encrypted in place.  Measured over a full batch so the flush is
-     inside the window, at an even job count (every seal paired on the
-     two-chain kernel) and an odd one (the last job runs alone). *)
+  (* The batched seal path allocates no more than the inline one:
+     deferring the body encryption into the cross-flow batch adds no
+     buffer, the wire delivered at flush is encrypted in place.  Measured
+     over a full batch so the flush is inside the window, after a warm-up
+     batch has grown the lane arrays, at an even job count (every seal
+     paired on the two-chain kernel) and an odd one (the last job runs
+     alone).  The bound sits 1.25x over the measured 583 words per round
+     trip. *)
   List.iter
     (fun flows ->
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
       let es = p.Fbsr_experiments.Fixture.sender
       and ed = p.Fbsr_experiments.Fixture.receiver in
       let batch = Fbsr_fbs.Engine.Batch.create es in
-      let cs = Fbsr_fbs.Engine.counters es and cr = Fbsr_fbs.Engine.counters ed in
-      let a0 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-      let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
-      let wires = ref [] in
-      for i = 0 to flows - 1 do
-        Fbsr_fbs.Engine.send ~batch es ~now:60.0 ~attrs:attrs.(i) ~secret:true
-          ~payload:(String.make 1000 'q') (function
-          | Ok w -> wires := w :: !wires
-          | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e)
-      done;
-      ignore (Fbsr_fbs.Engine.Batch.flush batch);
-      List.iter
-        (fun wire ->
-          match
-            Fbsr_fbs.Engine.receive_sync ed ~now:60.0
-              ~src:p.Fbsr_experiments.Fixture.src ~wire
-          with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
-        !wires;
-      let a1 = cs.Fbsr_fbs.Engine.datapath_allocs + cr.Fbsr_fbs.Engine.datapath_allocs in
-      let c1 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
-      check Alcotest.int
-        (Printf.sprintf "2 allocations per batched round trip (%d flows)" flows)
-        (2 * flows) (a1 - a0);
-      check Alcotest.int
-        (Printf.sprintf "0 bytes copied per batched round trip (%d flows)" flows)
-        0 (c1 - c0))
+      let payload = String.make 1000 'q' in
+      let wires = Array.make flows "" in
+      let round () =
+        for i = 0 to flows - 1 do
+          Fbsr_fbs.Engine.send ~batch es ~now:60.0 ~attrs:attrs.(i) ~secret:true
+            ~payload (function
+            | Ok w -> wires.(i) <- w
+            | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e)
+        done;
+        ignore (Fbsr_fbs.Engine.Batch.flush batch);
+        Array.iter
+          (fun wire ->
+            match
+              Fbsr_fbs.Engine.receive_sync ed ~now:60.0
+                ~src:p.Fbsr_experiments.Fixture.src ~wire
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
+          wires
+      in
+      round ();
+      check_words
+        (Printf.sprintf "batched round trips (%d flows)" flows)
+        ~bound:(729. *. float_of_int flows)
+        (minor_words_of round))
     [ 7; 8 ]
 
 let test_reference_key_expansion () =
