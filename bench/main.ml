@@ -44,21 +44,20 @@ let fbs_fixture suite ~secret =
 let es_paper, ed_paper, src_paper, attrs_paper, wire_paper =
   fbs_fixture suite_paper ~secret:true
 
-(* Cross-flow batched sealing fixture: one sender with
-   [Engine.Batch.default_capacity] warm flows (distinct source ports) and
-   a batch that auto-flushes when it fills.  The bench rotates
-   through the flows, so the measured per-call cost is the amortized
-   per-datagram cost of the batched path: 62 enqueues plus one flush that
-   runs 63 chains, paired on the two-chain kernel. *)
+(* Cross-flow batched sealing fixture: one sender with 63 warm flows
+   (distinct source ports) and a seal batch.  The bench rotates through
+   the flows, so every other call parks its chain and the next runs both
+   on the two-chain kernel: the measured per-call cost is the amortized
+   per-datagram cost of the batched path. *)
 let batch_pair, batch_attrs = Fbsr_experiments.Fixture.warm_flows ~suite:suite_paper ()
 let send_batch = Fbsr_fbs.Engine.Batch.create batch_pair.Fbsr_experiments.Fixture.sender
 let batch_i = ref 0
 
-(* Batched-seal kernel fixtures: [n] MTU chains under distinct keys, as
-   one flush of a seal batch runs them.  A job snapshots its IV and
-   carries its chain, so each run builds fresh jobs over the same
-   buffers; the job records are part of the measured cost, as they are
-   of a flush. *)
+(* Batched-seal kernel fixtures: [n] MTU chains under distinct keys, run
+   in pairs on the two-chain kernel as a seal batch runs them.  A job
+   snapshots its IV and carries its chain, so each run builds fresh jobs
+   over the same buffers; the job records are part of the measured cost,
+   as they are of a batched seal. *)
 let cbc_jobs n =
   let padded = Fbsr_crypto.Des.padded_length (String.length datagram) in
   let keys =
@@ -71,7 +70,7 @@ let cbc_jobs n =
            Fbsr_crypto.Des.cbc_job ~key:keys.(i) ~iv ~src:datagram ~src_pos:0
              ~src_len:(String.length datagram) ~dst:dsts.(i) ~dst_pos:0))
 
-let cbc_jobs_63 = cbc_jobs Fbsr_fbs.Engine.Batch.default_capacity
+let cbc_jobs_63 = cbc_jobs 63
 let cbc_jobs_2 = cbc_jobs 2
 
 (* Receive-side ciphertexts: an MTU body, and the imix 576-byte datagram
@@ -92,7 +91,7 @@ let es_desmac, ed_desmac, src_desmac, attrs_desmac, wire_desmac =
 let es_des3, ed_des3, src_des3, attrs_des3, wire_des3 =
   fbs_fixture Fbsr_fbs.Suite.md5_des3 ~secret:true
 
-(* The non-DES leaf suite added through the armor registry alone. *)
+(* The non-DES leaf suite: one armor module plus its [Armors.all] entry. *)
 let es_sha1ctr, ed_sha1ctr, src_sha1ctr, attrs_sha1ctr, wire_sha1ctr =
   fbs_fixture Fbsr_fbs.Suite.hmac_sha1_ctr ~secret:true
 
@@ -149,9 +148,9 @@ let crypto_tests =
       Test.make ~name:"des-cbc-1460B"
         (stage (fun () -> Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram));
       Test.make ~name:"md5-1460B" (stage (fun () -> Fbsr_crypto.Md5.digest datagram));
-      (* The seal batch's kernel (DESIGN.md §6c): a full 63-chain flush
-         and one two-chain pair (divide by the job count for the
-         per-datagram cost). *)
+      (* The seal batch's kernel (DESIGN.md §6c): 63 chains run as 31
+         two-chain pairs and one lone chain, and one two-chain pair
+         (divide by the job count for the per-datagram cost). *)
       Test.make ~name:"des-cbc-jobs-63x1460B" (stage cbc_jobs_63);
       Test.make ~name:"des-cbc-jobs-2x1460B" (stage cbc_jobs_2);
       (* The receive side's decrypt: the scalar two-block kernel. *)
@@ -211,11 +210,11 @@ let fbs_tests =
     [
       (* Figure 8 FBS rows: per-datagram send/receive on the warm path.
          The send row goes through cross-flow batched sealing (the
-         production gateway path): rotating over 63 warm flows, each call
-         enqueues one deferred chain and every 63rd flushes the batch, which
-         pairs the chains on the two-chain kernel, so the OLS slope is the
-         amortized per-datagram cost.  The
-         [-scalar-] row keeps the unbatched measurement for continuity. *)
+         production gateway path): rotating over 63 warm flows, every
+         other call parks one deferred chain and the next runs both on the
+         two-chain kernel, so the OLS slope is the amortized per-datagram
+         cost.  The [-scalar-] row keeps the unbatched measurement for
+         continuity. *)
       Test.make ~name:"send-des+md5-1460B"
         (stage (fun () ->
              let i = !batch_i in
@@ -450,7 +449,7 @@ let sharded_bench () =
    the artifact's "telemetry" object carries the paired numbers for
    bench_diff's same-run 5% overhead gate. *)
 let telemetry_rounds = 24
-let telemetry_block = 63 * 8 (* whole seal-batch flushes per round *)
+let telemetry_block = 63 * 8 (* eight turns of the 63 warm flows per round *)
 
 let telemetry_bench () =
   let mk flowstats =
@@ -614,7 +613,7 @@ let detect_rev () =
   with _ -> "dev"
 
 (* "crypto/..." row names carry the byte count the closure processes
-   ("-1460B"; "-63x1460B" for a whole 63-job flush), so ns/byte
+   ("-1460B"; "-63x1460B" for 63 jobs of 1460 B), so ns/byte
    is derivable — surfacing it as its own column lets artifact consumers
    compare primitive throughput (the Section 7.2 kB/s table) without
    re-parsing row names.  Rows without a byte suffix (modexp, PRNG
@@ -816,6 +815,7 @@ let emit_json ~path ~spans_path ~rev ~quick ~sharded ~telemetry rows =
       [
         ("schema", Fbsr_util.Json.String "fbsr-bench/1");
         ("rev", Fbsr_util.Json.String rev);
+        ("ocaml_version", Fbsr_util.Json.String Sys.ocaml_version);
         ("quick", Fbsr_util.Json.Bool quick);
         ( "benchmarks",
           Fbsr_util.Json.Obj

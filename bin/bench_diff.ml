@@ -53,6 +53,14 @@ let schema j =
   | Some (Fbsr_util.Json.String s) -> s
   | _ -> "?"
 
+(* The compiler an artifact was built with: allocation and timing
+   columns depend on it, so a diff names both sides' (an artifact older
+   than the field has none). *)
+let ocaml_version j =
+  match Fbsr_util.Json.member "ocaml_version" j with
+  | Some (Fbsr_util.Json.String s) -> s
+  | _ -> "unrecorded"
+
 let () =
   let threshold = ref 0.25 in
   let strict_improvements = ref false in
@@ -89,6 +97,8 @@ let () =
       if schema d <> "fbsr-bench/1" then
         fail "%s: unexpected schema %S (want \"fbsr-bench/1\")" p (schema d))
     [ (old_path, old_doc); (new_path, new_doc) ];
+  Printf.printf "ocaml_version: %s %s, %s %s\n\n" old_path (ocaml_version old_doc) new_path
+    (ocaml_version new_doc);
   let old_benches = obj_members "benchmarks" old_doc in
   let new_benches = obj_members "benchmarks" new_doc in
   let regressions = ref 0 in

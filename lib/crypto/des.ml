@@ -252,12 +252,12 @@ let decrypt_cbc_sub ~iv key ~src ~pos ~len =
 
 (* --- Deferred CBC jobs ---
 
-   A batch of datagrams parks its CBC encryptions as jobs and runs them
-   at one flush, pairing the jobs in enqueue order on the
-   two-chain kernel, [Des_kernel.cbc_encrypt2]: one CBC chain is serial,
-   but two chains from two datagrams are independent, and the second
-   fills the issue slots the first leaves idle (DESIGN.md §6c).  An odd
-   job out runs alone. *)
+   A seal batch parks one datagram's CBC encryption as a job and runs it
+   beside the next one's on the two-chain kernel,
+   [Des_kernel.cbc_encrypt2]: one CBC chain is serial, but two chains
+   from two datagrams are independent, and the second fills the issue
+   slots the first leaves idle (DESIGN.md §6c).  A job with no partner
+   runs alone. *)
 
 type cbc_job = {
   sched : int array; (* packed encrypt schedule *)
@@ -287,20 +287,22 @@ let finish_job j =
     (j.dst_pos + whole);
   (whole / 8) + 1
 
+let encrypt_cbc_job j =
+  Des_kernel.cbc_encrypt j.sched j.chain j.src j.src_pos (j.src_len / 8) j.dst j.dst_pos;
+  finish_job j
+
+let encrypt_cbc_pair a b =
+  Des_kernel.cbc_encrypt2 a.sched a.chain a.src a.src_pos a.dst a.dst_pos (a.src_len / 8)
+    b.sched b.chain b.src b.src_pos b.dst b.dst_pos (b.src_len / 8);
+  finish_job a + finish_job b
+
 let encrypt_cbc_jobs jobs =
   let n = Array.length jobs in
   let blocks = ref 0 in
   for p = 0 to (n / 2) - 1 do
-    let a = jobs.(2 * p) and b = jobs.((2 * p) + 1) in
-    Des_kernel.cbc_encrypt2 a.sched a.chain a.src a.src_pos a.dst a.dst_pos (a.src_len / 8)
-      b.sched b.chain b.src b.src_pos b.dst b.dst_pos (b.src_len / 8);
-    blocks := !blocks + finish_job a + finish_job b
+    blocks := !blocks + encrypt_cbc_pair jobs.(2 * p) jobs.((2 * p) + 1)
   done;
-  if n land 1 = 1 then begin
-    let j = jobs.(n - 1) in
-    Des_kernel.cbc_encrypt j.sched j.chain j.src j.src_pos (j.src_len / 8) j.dst j.dst_pos;
-    blocks := !blocks + finish_job j
-  end;
+  if n land 1 = 1 then blocks := !blocks + encrypt_cbc_job jobs.(n - 1);
   !blocks
 
 (* Incremental CBC: lets callers interleave encryption with other

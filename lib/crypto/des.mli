@@ -126,13 +126,12 @@ val decrypt : mode:mode -> iv:string -> key -> string -> string
 
 (** {1 Deferred CBC jobs}
 
-    A batch of datagrams parks its CBC encryptions here and runs them
-    at one flush, pairing the jobs in enqueue order on the
-    two-chain kernel {!Des_kernel.cbc_encrypt2}: two datagrams' CBC
-    chains are independent, so the second fills the issue slots the
-    first's serial chain leaves idle.  There is no occupancy threshold:
-    a pair is never slower than its two chains one after the other
-    (DESIGN.md §6c). *)
+    A seal batch parks one datagram's CBC encryption here and runs it
+    beside the next one's on the two-chain kernel
+    {!Des_kernel.cbc_encrypt2}: two datagrams' CBC chains are
+    independent, so the second fills the issue slots the first's serial
+    chain leaves idle.  A pair is never slower than its two chains one
+    after the other (DESIGN.md §6c). *)
 
 type cbc_job
 (** One datagram's pending CBC encryption: key schedule, IV snapshot, a
@@ -150,15 +149,21 @@ val cbc_job :
   cbc_job
 (** Validates ranges and snapshots the 8-byte [iv] (the job keeps no
     reference to it, so callers may reuse IV scratch).  The source is
-    borrowed, not copied, until {!encrypt_cbc_jobs} runs.  A job runs
-    once: its chain advances as it does.
+    borrowed, not copied, until the job runs.  A job runs once: its
+    chain advances as it does.
     @raise Invalid_argument on bad ranges or IV length. *)
 
+val encrypt_cbc_job : cbc_job -> int
+(** Runs one job alone, byte-identical to {!encrypt_cbc_into}.  Returns
+    the blocks encrypted, the padding block included. *)
+
+val encrypt_cbc_pair : cbc_job -> cbc_job -> int
+(** Runs two jobs as one two-chain pair, each byte-identical to
+    {!encrypt_cbc_into}.  Returns the blocks encrypted by both. *)
+
 val encrypt_cbc_jobs : cbc_job array -> int
-(** Runs every job to completion, byte-identical to {!encrypt_cbc_into}
-    per job.  Jobs [2i] and [2i+1] run as one two-chain pair; an odd last
-    job runs alone.  Returns the blocks encrypted, padding blocks
-    included. *)
+(** Runs jobs [2i] and [2i+1] through {!encrypt_cbc_pair} and an odd
+    last job through {!encrypt_cbc_job}.  Returns the blocks encrypted. *)
 
 (**/**)
 

@@ -164,14 +164,14 @@ let warm_pair ?seed ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(secret = true)
         (Fmt.str "Fixture.warm_pair: receive failed: %a" Fbsr_fbs.Engine.pp_error e));
   (p, attrs, wire)
 
-(* Many-flow variant for the cross-flow batching work: a flush pairs
+(* Many-flow variant for the cross-flow batching work: a seal batch pairs
    chains from *distinct* flows, so benchmarks and tests need a sender
    whose TFKC already holds that many warm entries.  Flows differ only in
    source port — same principals, same suite — which is exactly the
    five-tuple split the paper's FAM policy produces for parallel
    connections. *)
 let warm_flows ?seed ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(secret = true)
-    ?(payload = mtu_payload) ?(flows = Fbsr_fbs.Engine.Batch.default_capacity) ?spans
+    ?(payload = mtu_payload) ?(flows = 63) ?spans
     ?flowstats () =
   let p = engine_pair ?seed ~suite ?spans ?flowstats () in
   let attrs =

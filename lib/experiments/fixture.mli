@@ -86,8 +86,8 @@ val warm_flows :
   unit ->
   t * Fbsr_fbs.Fam.attrs array
 (** {!engine_pair} plus one send/receive round trip per flow — [flows]
-    (default {!Fbsr_fbs.Engine.Batch.default_capacity}) five-tuple flows differing
-    only in source port — so the sender's TFKC holds that many warm
+    (default 63) five-tuple flows differing only in source port — so
+    the sender's TFKC holds that many warm
     entries.  The setup for cross-flow batched sealing.  [spans] and
     [flowstats] are forwarded to {!engine_pair}.
     @raise Failure if any warm-up round trip fails. *)

@@ -1,7 +1,7 @@
 (* Armor modules — first-class cipher-suite drivers.  See armor.mli for
    the design; this file holds the shared per-flow state, the counter
-   record (re-exported by Engine), the helper layer every instance
-   builds on, and the suite-id registry. *)
+   record (re-exported by Engine) and the helper layer every instance
+   builds on.  The table of instances is [Armors]. *)
 
 type counters = {
   mutable sends : int;
@@ -139,12 +139,11 @@ type batch_ops = {
     payload:string ->
     Fbsr_util.Byte_writer.t ->
     job;
-  run : job array -> int;
+  run : job -> job option -> int;
 }
 
 module type S = sig
   val suite : Suite.t
-  val auth_prefix_len : int
   val encrypts : bool
   val max_body_growth : int
   val sealed_body_len : secret:bool -> int -> int
@@ -188,28 +187,3 @@ module type S = sig
 end
 
 type armor = (module S)
-
-(* --- registry --- *)
-
-let registry : (int, armor) Hashtbl.t = Hashtbl.create 16
-
-let register (a : armor) =
-  let module A = (val a) in
-  Hashtbl.replace registry A.suite.Suite.id a
-
-let of_id id = Hashtbl.find_opt registry id
-
-let of_suite (suite : Suite.t) =
-  match of_id suite.Suite.id with
-  | Some a -> a
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Armor.of_suite: no armor registered for suite %d (%s)"
-           suite.Suite.id (Suite.name suite))
-
-let all () =
-  Hashtbl.fold (fun _ a acc -> a :: acc) registry []
-  |> List.sort (fun a b ->
-         let module A = (val (a : armor)) in
-         let module B = (val (b : armor)) in
-         compare A.suite.Suite.id B.suite.Suite.id)

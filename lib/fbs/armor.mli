@@ -3,12 +3,12 @@
     The paper's algorithm-identification field implies pluggable suites;
     an armor is the pluggable unit: everything algorithm-specific about
     sealing and opening a datagram body, packaged behind one module type
-    and selected through a registry keyed by suite id.  The engine keeps
-    the algorithm-independent machinery (FAM, keying, caches, replay,
-    header assembly, spans) and delegates MAC computation, body sizing
-    and body transformation to the armor of its configured suite — so a
-    new suite is a leaf change: a new module plus a registry entry, with
-    no edits to the engine's seal/receive paths.
+    and looked up by suite in the static table {!Armors.all}.  The engine
+    keeps the algorithm-independent machinery (FAM, keying, caches,
+    replay, header assembly, spans) and delegates MAC computation, body
+    sizing and body transformation to the armor of its configured suite
+    — so a new suite is a leaf change: a new module plus one entry in
+    that table, with no edits to the engine's seal/receive paths.
 
     The shape follows SST's [FlowArmor] ([txenc]/[rxdec] writing in
     place, plus an authenticate-only prefix for header words that must
@@ -74,15 +74,10 @@ val make_ctx : counters -> ctx
     accounting, shared by armor instances so hit/miss bookkeeping stays
     uniform across suites. *)
 
-val des3_key_of_flow_key : string -> Fbsr_crypto.Des3.key
-(** 24 key bytes by KDF-rehash of the flow key, parity-adjusted. *)
-
 val des_sched : ctx -> flow_state -> Fbsr_crypto.Des.key
-val des3_sched : ctx -> flow_state -> Fbsr_crypto.Des3.key
 
-val mac_midstate : ctx -> flow_state -> suite:Suite.t -> Fbsr_crypto.Mac.midstate
-(** The flow's frozen MAC precomputation, built on first use
-    ([mac_midstate_misses]) and resumed thereafter ([mac_midstate_hits]). *)
+val des3_sched : ctx -> flow_state -> Fbsr_crypto.Des3.key
+(** 24 key bytes by KDF-rehash of the flow key, parity-adjusted. *)
 
 val iv_of_confounder : ctx -> confounder:int -> string
 (** The duplicated-confounder IV, refreshed in [ctx.iv_scratch] and read
@@ -98,7 +93,8 @@ val compute_mac :
   payload:Fbsr_util.Slice.t ->
   string
 (** Untruncated MAC over prelude | payload, resumed from the flow's
-    midstate; bumps [macs_computed]. *)
+    frozen MAC precomputation (built on first use, [mac_midstate_misses];
+    resumed thereafter, [mac_midstate_hits]); bumps [macs_computed]. *)
 
 val verify_mac :
   ctx ->
@@ -117,7 +113,7 @@ val verify_mac :
 
 type job = ..
 (** A deferred body seal.  Armors that support cross-flow batching
-    extend this with their kernel's job type; a batch only ever mixes
+    extend this with their kernel's job type; a batch only ever holds
     jobs from one engine (hence one armor), so the armor's [run] may
     assume its own constructor. *)
 
@@ -132,18 +128,15 @@ type batch_ops = {
       (** Reserve the body region in the writer and return the pending
           job that will fill it; accounts the encryption exactly as the
           inline path would ([encryptions], key-schedule hit/miss). *)
-  run : job array -> int;
-      (** Run every job to completion; returns the blocks encrypted. *)
+  run : job -> job option -> int;
+      (** [run parked partner] runs the parked job beside its partner
+          (the next deferred seal), or alone when a flush finds it
+          without one; returns the blocks encrypted. *)
 }
 
 (** The armor interface proper. *)
 module type S = sig
   val suite : Suite.t
-
-  val auth_prefix_len : int
-  (** Leading payload bytes left cleartext (but MACed) when sealing
-      secret — the SST authenticate-only prefix.  0 for full-body
-      ciphers. *)
 
   val encrypts : bool
   (** Whether [secret] datagrams carry an encrypted body.  [false] for
@@ -197,8 +190,7 @@ module type S = sig
     (string, unit) result
   (** Recover the plaintext of a secret body (only called when
       [encrypts]).  Allocates no buffer but the returned string on the
-      success path (the CFB, OFB and ECB modes also copy the body out
-      first), and bumps [decryptions]. *)
+      success path, and bumps [decryptions]. *)
 
   val batch : batch_ops option
   (** Cross-flow batching hook; [None] when the cipher has no batched
@@ -206,15 +198,3 @@ module type S = sig
 end
 
 type armor = (module S)
-
-(** {1 Registry} *)
-
-val register : armor -> unit
-(** Keyed by [suite.id]; later registrations replace earlier ones. *)
-
-val of_id : int -> armor option
-val of_suite : Suite.t -> armor
-(** @raise Invalid_argument when no armor is registered for the suite. *)
-
-val all : unit -> armor list
-(** Registered armors, sorted by suite id. *)

@@ -4,8 +4,8 @@
    bump for counter bump — the twin-engine differential suite holds the
    instances to the retained string reference. *)
 
-(* The pending CBC seal, paired with its neighbour on the two-chain
-   kernel at the flush. *)
+(* The pending CBC seal, run beside the next one on the two-chain
+   kernel, or alone at a flush. *)
 type Armor.job += Des_cbc_chain of Fbsr_crypto.Des.cbc_job
 
 let des_cbc_batch : Armor.batch_ops =
@@ -25,13 +25,11 @@ let des_cbc_batch : Armor.batch_ops =
           (Fbsr_crypto.Des.cbc_job ~key ~iv ~src:payload ~src_pos:0
              ~src_len:payload_len ~dst ~dst_pos));
     run =
-      (fun jobs ->
-        Fbsr_crypto.Des.encrypt_cbc_jobs
-          (Array.map
-             (function
-               | Des_cbc_chain j -> j
-               | _ -> invalid_arg "Armor_classic: foreign job in DES-CBC batch")
-             jobs));
+      (fun parked partner ->
+        match (parked, partner) with
+        | Des_cbc_chain a, Some (Des_cbc_chain b) -> Fbsr_crypto.Des.encrypt_cbc_pair a b
+        | Des_cbc_chain a, None -> Fbsr_crypto.Des.encrypt_cbc_job a
+        | _ -> invalid_arg "Armor_classic: foreign job in DES-CBC batch");
   }
 
 let make (suite : Suite.t) : Armor.armor =
@@ -40,26 +38,15 @@ let make (suite : Suite.t) : Armor.armor =
   let encrypts = not nop in
   let module M = struct
     let suite = suite
-    let auth_prefix_len = 0
     let encrypts = encrypts
 
-    (* CBC/ECB padding always adds 1-8 bytes; stream modes add none.
-       Kept cipher-derived even for NOP (its descriptor says DES-CBC),
-       so [Engine.wire_overhead] is unchanged by the refactor. *)
-    let max_body_growth =
-      match suite.Suite.cipher with
-      | Suite.Des_cbc | Suite.Des_ecb | Suite.Des3_cbc -> 8
-      | Suite.Des_cfb | Suite.Des_ofb -> 0
-      | Suite.Sha1_ctr -> assert false (* not a classic cipher *)
+    (* CBC padding always adds 1-8 bytes.  Kept even for NOP (its
+       descriptor says DES-CBC), so its [Engine.wire_overhead] is the
+       DES-CBC suites'. *)
+    let max_body_growth = 8
 
     let sealed_body_len ~secret len =
-      if not (secret && encrypts) then len
-      else
-        match suite.Suite.cipher with
-        | Suite.Des_cbc | Suite.Des_ecb | Suite.Des3_cbc ->
-            Fbsr_crypto.Des.padded_length len
-        | Suite.Des_cfb | Suite.Des_ofb -> len
-        | Suite.Sha1_ctr -> assert false
+      if secret && encrypts then Fbsr_crypto.Des.padded_length len else len
 
     let seal_mac ctx entry ~secret ~confounder ~timestamp ~payload =
       if nop then nop_mac
@@ -99,18 +86,7 @@ let make (suite : Suite.t) : Armor.armor =
             ignore
               (Fbsr_crypto.Des3.encrypt_cbc_into ~iv key ~src:payload ~src_pos:0
                  ~src_len:payload_len ~dst ~dst_pos)
-        | (Suite.Des_cfb | Suite.Des_ofb | Suite.Des_ecb) as cipher ->
-            (* Stream/ECB modes still go through the string API: one
-               intermediate ciphertext, then a copy into the wire. *)
-            let key = Armor.des_sched ctx entry in
-            let ct =
-              match cipher with
-              | Suite.Des_cfb -> Fbsr_crypto.Des.encrypt_cfb ~iv key payload
-              | Suite.Des_ofb -> Fbsr_crypto.Des.encrypt_ofb ~iv key payload
-              | _ -> Fbsr_crypto.Des.encrypt_ecb ~confounder:iv key payload
-            in
-            Fbsr_util.Byte_writer.bytes w ct
-        | Suite.Sha1_ctr -> assert false
+        | Suite.Sha1_ctr -> assert false (* not a classic cipher *)
       end
 
     let open_body ctx entry ~confounder ~(body : Fbsr_util.Slice.t) =
@@ -127,13 +103,6 @@ let make (suite : Suite.t) : Armor.armor =
             Fbsr_crypto.Des3.decrypt_cbc_sub ~iv (Armor.des3_sched ctx entry)
               ~src:body.Fbsr_util.Slice.base ~pos:body.Fbsr_util.Slice.off
               ~len:body.Fbsr_util.Slice.len
-        | (Suite.Des_cfb | Suite.Des_ofb | Suite.Des_ecb) as cipher ->
-            let key = Armor.des_sched ctx entry in
-            let ct = Fbsr_util.Slice.to_string body in
-            (match cipher with
-            | Suite.Des_cfb -> Fbsr_crypto.Des.decrypt_cfb ~iv key ct
-            | Suite.Des_ofb -> Fbsr_crypto.Des.decrypt_ofb ~iv key ct
-            | _ -> Fbsr_crypto.Des.decrypt_ecb ~confounder:iv key ct)
         | Suite.Sha1_ctr -> assert false
       with
       | plaintext -> Ok plaintext
@@ -144,14 +113,3 @@ let make (suite : Suite.t) : Armor.armor =
       else None
   end in
   (module M : Armor.S)
-
-let instances =
-  List.map make
-    [
-      Suite.paper_md5_des;
-      Suite.hmac_md5_des;
-      Suite.sha1_des;
-      Suite.des_mac_des;
-      Suite.md5_des3;
-      Suite.nop;
-    ]

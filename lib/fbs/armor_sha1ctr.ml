@@ -32,7 +32,6 @@ let keystream_of ctx (entry : Armor.flow_state) =
 let armor : Armor.armor =
   (module struct
     let suite = suite
-    let auth_prefix_len = auth_prefix_len
     let encrypts = true
     let max_body_growth = 0 (* length-preserving keystream *)
     let sealed_body_len ~secret:_ len = len

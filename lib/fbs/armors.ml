@@ -1,14 +1,27 @@
-(* The armor manifest: every built-in instance registered in one place.
+(* The armor table: every built-in instance, one entry per suite.  A new
+   leaf suite adds its module to this list and touches nothing else. *)
 
-   Registration cannot live only in each instance's own module
-   initializer — an archive member nothing references is dropped at link
-   time, taking its [let () = register ...] side effect with it.  The
-   engine forces this module instead ([Armors.ensure] is called from
-   [Engine.create]), which transitively links and initializes every
-   listed instance.  A new leaf suite adds its module to this list and
-   touches nothing else. *)
+let all =
+  [
+    Armor_classic.make Suite.paper_md5_des;
+    Armor_classic.make Suite.hmac_md5_des;
+    Armor_classic.make Suite.sha1_des;
+    Armor_classic.make Suite.des_mac_des;
+    Armor_classic.make Suite.md5_des3;
+    Armor_sha1ctr.armor;
+    Armor_classic.make Suite.nop;
+  ]
 
-let () = List.iter Armor.register (Armor_classic.instances @ [ Armor_sha1ctr.armor ])
-
-(* Forcing this module's initialization is the call's only effect. *)
-let ensure () = ()
+let of_suite (suite : Suite.t) =
+  match
+    List.find_opt
+      (fun a ->
+        let module A = (val a : Armor.S) in
+        A.suite.Suite.id = suite.Suite.id)
+      all
+  with
+  | Some a -> a
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Armors.of_suite: no armor for suite %d (%s)" suite.Suite.id
+           (Suite.name suite))

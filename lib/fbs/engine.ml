@@ -89,17 +89,6 @@ let drops_by_cause c = List.map (fun cause -> (cause_name cause, drop_count c ca
 let drops c = List.fold_left (fun acc cause -> acc + drop_count c cause) 0 causes
 let drop_metric cause = "fbs.engine.drops." ^ cause_name cause
 
-(* Receive-side demultiplexing record: the receiver "passively
-   demultiplexes a datagram, based on its flow assignment, into the
-   individual flows" — this is the per-flow view it accumulates.  Soft
-   state, bounded by the cache it lives in. *)
-type inbound_flow = {
-  mutable packets : int;
-  mutable bytes : int;
-  mutable first_seen : float;
-  mutable last_seen : float;
-}
-
 (* A TFKC/RFKC entry: the derived flow key plus the expanded key
    schedules for whatever cipher/MAC the suite uses, populated lazily on
    first use.  The schedules are owned by the entry — they share its
@@ -116,7 +105,7 @@ type t = {
   keying : Keying.t;
   fam : Fam.t;
   suite : Suite.t;
-  armor : Armor.armor; (* the suite's driver, from the registry *)
+  armor : Armor.armor; (* the suite's driver, from [Armors] *)
   (* Armor-call context: the counters record (shared with [counters]
      below) plus the reusable per-engine scratch for the zero-copy
      datapath (MAC prelude, duplicated-confounder IV).  Scratch is read
@@ -125,7 +114,6 @@ type t = {
   actx : Armor.ctx;
   tfkc : (int64 * string * string, flow_entry) Cache.t; (* (sfl, peer, local) *)
   rfkc : (int64 * string * string, flow_entry) Cache.t;
-  inbound : (int64 * string, inbound_flow) Cache.t; (* (sfl, peer) *)
   replay : Replay.t;
   confounder_gen : Fbsr_util.Lcg.t;
   counters : counters;
@@ -147,10 +135,6 @@ let triple_equal (a1, b1, c1) (a2, b2, c2) =
 let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     ?(replay_window_minutes = 2) ?(strict_replay = false)
     ?(spans = Fbsr_util.Span.none) ?(flowstats = Flowstats.none) ~keying ~fam () =
-  (* Force the built-in armor manifest before consulting the registry:
-     linking semantics drop unreferenced archive members, so the
-     instances' registrations must be reachable from here. *)
-  Armors.ensure ();
   let counters =
     {
       sends = 0;
@@ -172,7 +156,7 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     keying;
     fam;
     suite;
-    armor = Armor.of_suite suite;
+    armor = Armors.of_suite suite;
     actx = Armor.make_ctx counters;
     (* Figure 6's flow-key caches are direct-mapped tables. *)
     tfkc =
@@ -181,13 +165,6 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     rfkc =
       Cache.create ~assoc:1 ~sets:rfkc_sets ~hash:triple_hash
         ~equal:triple_equal ~name:"rfkc" ();
-    inbound =
-      Cache.create ~assoc:2 ~classify:false ~sets:rfkc_sets
-        ~hash:(fun (sfl, peer) ->
-          Fbsr_util.Crc32.update (Fbsr_util.Crc32.update_int64 0 sfl) peer 0
-            (String.length peer))
-        ~equal:(fun (s1, p1) (s2, p2) -> Int64.equal s1 s2 && String.equal p1 p2)
-        ~name:"inbound" ();
     replay = Replay.create ~window_minutes:replay_window_minutes ~strict:strict_replay ();
     confounder_gen = Fbsr_util.Lcg.create 0x5eed;
     spans;
@@ -196,18 +173,16 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
   }
 
 let local t = Keying.local t.keying
-let suite t = t.suite
 let fam t = t.fam
 let keying t = t.keying
 let tfkc t = t.tfkc
 let rfkc t = t.rfkc
 let replay t = t.replay
 let counters t = t.counters
-let spans t = t.spans
 let flowstats t = t.flowstats
 
 (* Register the whole fbs.* subtree for this engine: its own counters
-   (including drops.<cause>), all five cache levels, replay and FAM
+   (including drops.<cause>), all four cache levels, replay and FAM
    bookkeeping, and the keying counters.  Names are relative to the
    registry's scope, so the root registry yields "fbs.engine.sends" while
    [Metrics.sub m "host.10.0.0.1"] yields a per-host view; registering
@@ -234,29 +209,11 @@ let register_metrics (t : t) m =
   register_probe e "macmid.misses" (fun () -> c.mac_midstate_misses);
   Cache.register_metrics t.tfkc (sub m "fbs.cache.tfkc");
   Cache.register_metrics t.rfkc (sub m "fbs.cache.rfkc");
-  Cache.register_metrics t.inbound (sub m "fbs.cache.inbound");
   Cache.register_metrics (Keying.pvc t.keying) (sub m "fbs.cache.pvc");
   Cache.register_metrics (Keying.mkc t.keying) (sub m "fbs.cache.mkc");
   Replay.register_metrics t.replay (sub m "fbs.replay");
   Fam.register_metrics t.fam (sub m "fbs.fam");
   Keying.register_metrics t.keying (sub m "fbs.keying")
-
-(* Snapshot of the inbound flows currently tracked: (sfl, peer, stats). *)
-let inbound_flows t =
-  Cache.fold t.inbound
-    (fun (sfl, peer) flow acc -> (Sfl.of_int64 sfl, Principal.of_string peer, flow) :: acc)
-    []
-
-let track_inbound t ~now ~sfl ~peer ~bytes =
-  let key = (Sfl.to_int64 sfl, Principal.to_string peer) in
-  match Cache.peek t.inbound key with
-  | Some flow ->
-      flow.packets <- flow.packets + 1;
-      flow.bytes <- flow.bytes + bytes;
-      flow.last_seen <- now
-  | None ->
-      Cache.insert t.inbound key
-        { packets = 1; bytes; first_seen = now; last_seen = now }
 
 (* Span bookkeeping for key derivation: the timer plus the trace id
    captured at stage entry (the continuation may resume in a later
@@ -330,36 +287,28 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
               ~master:(Keying.last_resolution t.keying);
             k (Derived (flow_entry_of_key fk)))
 
-(* A vacated batch slot: holds no job, so the flushed ones can be
-   freed. *)
-type Armor.job += Vacant
-
-(* Cross-flow batching of seals: a queue bound to one engine.  A secret
-   datagram whose armor has a batched kernel parks its body encryption
-   here as a fully assembled wire whose body region is still pending.
-   [flush] runs the parked jobs side by side (the DES-CBC kernel pairs
-   independent chains) and only then completes the datagrams, in enqueue
-   order, so a caller never observes a half-sealed datagram.  Everything
-   else seals inline, on the very same call, and every receive opens
-   inline. *)
+(* Cross-flow batching of seals, bound to one engine.  A secret datagram
+   whose armor has a batched kernel parks its body encryption here as a
+   fully assembled wire whose body region is still pending.  The next such
+   datagram runs beside it on the kernel (the DES-CBC kernel pairs two
+   independent chains), and only then do both complete, in enqueue order,
+   so a caller never observes a half-sealed datagram; [flush] runs a lone
+   parked one.  Everything else seals inline, on the very same call, and
+   every receive opens inline. *)
 module Batch = struct
   type engine = t
 
-  (* The parked datagrams, in enqueue order: each one's pending kernel
-     job, and what finishes it once the job has run (the deferred seal
-     span and the sender's continuation).  The arrays are reused from
-     flush to flush. *)
+  (* At most one parked datagram: its pending kernel job, and what
+     finishes it once the job has run (the deferred seal span and the
+     sender's continuation). *)
   type t = {
     engine : engine;
-    capacity : int;
-    run : Armor.job array -> int;
-    mutable jobs : Armor.job array;
-    mutable completes : (unit -> unit) array;
-    mutable parked : int;
+    kernel : Armor.batch_ops option; (* the engine's armor's; [None]: nothing parks *)
+    mutable parked : (Armor.job * (unit -> unit)) option;
     mutable on_park : unit -> unit;
-        (* fires on every enqueue that leaves the datagram parked (no
-           capacity flush) — including late enqueues from a resumed keying
-           continuation, which the caller cannot observe synchronously *)
+        (* fires on every enqueue that parks — including late enqueues from
+           a resumed keying continuation, which the caller cannot observe
+           synchronously *)
     mutable sealing : seal_plan; (* this batch's secret seals, built once *)
   }
 
@@ -372,22 +321,13 @@ module Batch = struct
      would. *)
   and seal_plan = { secret : bool; batch : t option; confounder : int option }
 
-  let default_capacity = 63
-
-  (* Only reached for an empty queue: jobs enqueue through the armor's ops. *)
-  let no_kernel (_ : Armor.job array) = 0
-
-  let create ?(capacity = default_capacity) (engine : engine) =
-    if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
+  let create (engine : engine) =
     let module A = (val engine.armor : Armor.S) in
     let b =
       {
         engine;
-        capacity;
-        run = (match A.batch with Some ops -> ops.Armor.run | None -> no_kernel);
-        jobs = [||];
-        completes = [||];
-        parked = 0;
+        kernel = A.batch;
+        parked = None;
         on_park = ignore;
         sealing = { secret = true; batch = None; confounder = None };
       }
@@ -403,40 +343,35 @@ module Batch = struct
     | Some b when b.engine != t -> invalid_arg "Engine: batch bound to another engine"
     | _ -> ()
 
-  let pending b = b.parked
+  let pending b = match b.parked with None -> 0 | Some _ -> 1
 
-  (* Run every parked job, then complete the datagrams in enqueue order.
-     Returns the blocks the kernel ran.  The queue is emptied first, so a
-     completion may park again. *)
+  (* Run the parked job alone and complete its datagram.  Returns the
+     blocks the kernel ran.  The slot is emptied first, here and in
+     [enqueue], so a completion may park again. *)
   let flush b =
-    let n = b.parked in
-    if n = 0 then 0
-    else begin
-      let jobs = Array.sub b.jobs 0 n and completes = Array.sub b.completes 0 n in
-      Array.fill b.jobs 0 n Vacant;
-      Array.fill b.completes 0 n ignore;
-      b.parked <- 0;
-      let blocks = b.run jobs in
-      Array.iter (fun complete -> complete ()) completes;
-      blocks
-    end
+    match (b.parked, b.kernel) with
+    | Some (job, complete), Some ops ->
+        b.parked <- None;
+        let blocks = ops.Armor.run job None in
+        complete ();
+        blocks
+    | _ -> 0
 
-  (* Park a datagram: flush when the queue fills, else tell the owner.
-     When the keying layer suspended, this runs in the resumed
-     continuation's event, after the caller's synchronous code — without
-     the hook nothing would arm a flush and the datagram could park
-     forever. *)
-  let enqueue b job complete =
-    let n = b.parked in
-    if n = Array.length b.jobs then begin
-      let size = max 8 (2 * n) in
-      b.jobs <- Array.append b.jobs (Array.make (size - n) Vacant);
-      b.completes <- Array.append b.completes (Array.make (size - n) ignore)
-    end;
-    b.jobs.(n) <- job;
-    b.completes.(n) <- complete;
-    b.parked <- n + 1;
-    if b.parked >= b.capacity then ignore (flush b : int) else b.on_park ()
+  (* Park a datagram in the empty slot and tell the owner, or run it
+     beside the parked one and complete both in enqueue order.  When the
+     keying layer suspended, this runs in the resumed continuation's
+     event, after the caller's synchronous code — without the hook
+     nothing would arm a flush and the datagram could park forever. *)
+  let enqueue b ops job complete =
+    match b.parked with
+    | None ->
+        b.parked <- Some (job, complete);
+        b.on_park ()
+    | Some (first, complete_first) ->
+        b.parked <- None;
+        ignore (ops.Armor.run first (Some job) : int);
+        complete_first ();
+        complete ()
 end
 
 type seal_plan = Batch.seal_plan = {
@@ -489,9 +424,10 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    encryption as the inline path would).  The wire is finalized with the
    region still unwritten and ALIASES the job's destination buffer
    ([finalize] shares storage at exact capacity), so the ciphertext lands
-   in the already-issued string when the batch runs — which is why the
-   continuation only fires from the flush.  The seal span finishes there
-   too, covering queue residence: the real seal latency under batching.
+   in the already-issued string when the batch runs the job — which is
+   why the continuation only fires from there.  The seal span finishes
+   there too, covering the wait in the slot: the real seal latency under
+   batching.
 
    A plan's [confounder] overrides the engine's generator: the sharded
    dispatcher pre-draws confounders in input order so the wire bytes are
@@ -532,8 +468,8 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
   (* Writing the MAC through [substring] also performs the suite's
      truncation (Section 5.3) without an intermediate string. *)
   Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
-  match (batch, A.batch) with
-  | Some b, Some ops when secret ->
+  match batch with
+  | Some ({ Batch.kernel = Some ops; _ } as b) when secret ->
       let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
       let wire = Fbsr_util.Byte_writer.finalize w in
       let complete =
@@ -550,7 +486,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
               Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
               Fbsr_util.Span.apply_with_current id k (Ok wire)
       in
-      Batch.enqueue b job complete
+      Batch.enqueue b ops job complete
   | _ ->
       A.seal_body t.actx entry ~secret ~confounder ~payload w;
       let wire = Fbsr_util.Byte_writer.finalize w in
@@ -654,17 +590,13 @@ type verdict = Delivered | Drop of cause
    so counters, flowstats and span terminals agree by construction.  A
    drop bumps its cause's counter and is attributed to [sfl], unless it
    is a header drop: that sfl was never accepted, or never decoded.  A
-   delivery counts as accepted and adds [bytes] of plaintext to the
-   inbound view of ([sfl], [src]).  Then the ["engine.receive"] span ends
+   delivery counts as accepted.  Then the ["engine.receive"] span ends
    with the verdict's outcome.  Taking the optional timer keeps the exits
    free of closure allocation. *)
-let conclude t (tm : (Fbsr_util.Span.timer * int64) option) ~now ~src ~sfl ~bytes
-    verdict =
+let conclude t (tm : (Fbsr_util.Span.timer * int64) option) ~sfl verdict =
   let c = t.counters in
   (match verdict with
-  | Delivered ->
-      c.accepted <- c.accepted + 1;
-      track_inbound t ~now ~sfl ~peer:src ~bytes
+  | Delivered -> c.accepted <- c.accepted + 1
   | Drop cause ->
       let i = cause_index cause in
       c.drops.(i) <- c.drops.(i) + 1;
@@ -722,14 +654,14 @@ let receive_prologue t ~now ~src tm ~(wire : Fbsr_util.Slice.t) =
       | None -> ());
       match verdict with
       | Replay.Stale ->
-          conclude t tm ~now ~src ~sfl ~bytes:0 (Drop Stale);
+          conclude t tm ~sfl (Drop Stale);
           Error (Stale { timestamp; now_minutes = Replay.minutes_of_seconds now })
       | Replay.Duplicate ->
-          conclude t tm ~now ~src ~sfl ~bytes:0 (Drop Duplicate);
+          conclude t tm ~sfl (Drop Duplicate);
           Error Duplicate
       | Replay.Fresh -> Ok v)
   | decoded ->
-      conclude t tm ~now ~src ~sfl:no_flow ~bytes:0 (Drop Header);
+      conclude t tm ~sfl:no_flow (Drop Header);
       Error
         (Header_error
            (match decoded with
@@ -740,7 +672,7 @@ let receive_prologue t ~now ~src tm ~(wire : Fbsr_util.Slice.t) =
    window, deliver.  [plaintext] borrows either the wire buffer
    (non-secret / NOP) or the decrypted string; [materialize] copies it
    out only on acceptance. *)
-let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
+let verify_and_deliver t ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) (plaintext : Fbsr_util.Slice.t)
     materialize =
   let module A = (val t.armor : Armor.S) in
@@ -756,7 +688,7 @@ let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
       Drop Duplicate
     else Delivered
   in
-  conclude t tm ~now ~src ~sfl ~bytes:(Fbsr_util.Slice.length plaintext) verdict;
+  conclude t tm ~sfl verdict;
   match verdict with
   | Drop Mac -> k (Error Bad_mac)
   | Drop _ (* the commit's duplicate *) -> k (Error Duplicate)
@@ -775,7 +707,7 @@ let verify_and_deliver t ~now ~src ~(v : Header.view) ~entry tm
 
 (* R6-R12 once the flow entry is in hand: open the body, verify,
    deliver. *)
-let open_entry t ~now ~src ~(v : Header.view) ~entry tm
+let open_entry t ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) =
   let module A = (val t.armor : Armor.S) in
   let body = v.Header.v_body in
@@ -783,17 +715,17 @@ let open_entry t ~now ~src ~(v : Header.view) ~entry tm
     (* Plaintext body stays in the wire buffer until the datagram is
        accepted; only then is it copied out (the slice must not outlive
        the wire buffer). *)
-    verify_and_deliver t ~now ~src ~v ~entry tm k body (fun () ->
+    verify_and_deliver t ~src ~v ~entry tm k body (fun () ->
         Fbsr_util.Slice.to_string body)
   else
     match A.open_body t.actx entry ~confounder:v.Header.v_confounder ~body with
     | Ok plaintext ->
         (* Already a fresh exact-size string: hand it out as-is, no
            further copy. *)
-        verify_and_deliver t ~now ~src ~v ~entry tm k
+        verify_and_deliver t ~src ~v ~entry tm k
           (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)
     | Error () ->
-        conclude t tm ~now ~src ~sfl:v.Header.v_sfl ~bytes:0 (Drop Decrypt);
+        conclude t tm ~sfl:v.Header.v_sfl (Drop Decrypt);
         k (Error Decrypt_error)
 
 (* FBSReceive(), Figure 4 R1-R12 with the RFKC fast path.  The header is
@@ -816,14 +748,14 @@ let receive t ~now ~src ~wire (k : (accepted, error) result -> unit) =
       let dst = local t in
       flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst (function
         | Failed e ->
-            conclude t tm ~now ~src ~sfl:v.Header.v_sfl ~bytes:0 (Drop Keying);
+            conclude t tm ~sfl:v.Header.v_sfl (Drop Keying);
             k (Error e)
-        | Cached entry -> open_entry t ~now ~src ~v ~entry tm k
+        | Cached entry -> open_entry t ~src ~v ~entry tm k
         | Derived entry ->
             (* The derived entry enters the RFKC only once a datagram
                verified under it: a forged sfl costs a key derivation,
                never a real flow's cache slot. *)
-            open_entry t ~now ~src ~v ~entry tm (fun r ->
+            open_entry t ~src ~v ~entry tm (fun r ->
                 (match r with
                 | Ok _ ->
                     Cache.insert t.rfkc (flow_cache_key t ~sfl:v.Header.v_sfl ~peer:src) entry
@@ -849,5 +781,3 @@ let header_overhead t = Header.size_for_suite t.suite
 let wire_overhead t =
   let module A = (val t.armor : Armor.S) in
   header_overhead t + A.max_body_growth
-
-let armor t = t.armor

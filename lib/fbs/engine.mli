@@ -113,13 +113,6 @@ val create :
     disabled the datapath pays one branch per stage and allocates
     nothing. *)
 
-val local : t -> Principal.t
-val suite : t -> Suite.t
-
-val armor : t -> Armor.armor
-(** The suite's registered driver — everything algorithm-specific the
-    engine delegates to ({!Armor.S}). *)
-
 val fam : t -> Fam.t
 val keying : t -> Keying.t
 type flow_entry
@@ -136,9 +129,6 @@ val rfkc : t -> (int64 * string * string, flow_entry) Cache.t
 val replay : t -> Replay.t
 val counters : t -> counters
 
-val spans : t -> Fbsr_util.Span.t
-(** The engine's span recorder ({!Fbsr_util.Span.none} when disabled). *)
-
 val flowstats : t -> Flowstats.t
 (** Per-flow heavy-hitter attribution ({!Flowstats.none} when disabled).
     The seal paths observe one datagram and [payload] bytes per sealed
@@ -148,74 +138,72 @@ val flowstats : t -> Flowstats.t
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 (** Register the engine's whole [fbs.*] subtree on [m]: its counters under
-    [fbs.engine.] (each cause as its {!drop_metric}), all five
-    cache levels under [fbs.cache.{tfkc,rfkc,inbound,pvc,mkc}.], replay
+    [fbs.engine.] (each cause as its {!drop_metric}), all four
+    cache levels under [fbs.cache.{tfkc,rfkc,pvc,mkc}.], replay
     under [fbs.replay.], FAM under [fbs.fam.] and keying under
     [fbs.keying.].  All pull-probes — zero cost on the protocol paths.
     Pass [Metrics.sub m "host.<addr>"] for a per-host view; registering
     several engines on one registry sums them. *)
 
-(** Cross-flow batching of seals: one queue where secret datagrams park
-    their body encryptions until a {!Batch.flush} runs them together.
+(** Cross-flow batching of seals: a one-datagram slot where a secret
+    datagram parks its body encryption until the next one runs beside it.
 
     CBC serializes cipher blocks within a flow but not across flows.  So
     when a {!send} is given a batch, a {e secret} datagram whose armor
-    has a batched kernel (the DES-CBC suites) parks here as a fully
-    assembled wire (header, MAC, reserved body region) whose encryption
-    is pending.  Every other datagram (non-secret, NOP, 3DES, SHA1-CTR,
-    keying refusals) seals inline on the same call, and every {!receive}
-    opens inline.
-
-    {!Batch.flush} runs the parked jobs through
-    {!Fbsr_crypto.Des.encrypt_cbc_jobs}, which pairs them in enqueue
-    order on the two-chain CBC kernel.  It then completes the datagrams
-    in enqueue order, each under its own trace id, so per-flow order
-    holds and a caller never observes a half-sealed datagram.  Wires,
-    counters and span terminals are identical to the inline path,
-    datagram for datagram; the deferred ["engine.seal"] span finishes at
-    the flush and so covers queue residence.
+    has a batched kernel (the DES-CBC suites) is assembled as a wire
+    (header, MAC, reserved body region) whose encryption is pending.
+    Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, keying
+    refusals) seals inline on the same call, and every {!receive} opens
+    inline.
 
     The contract:
+    - pairing: a pending seal that finds the slot empty parks there.  The
+      next one runs beside it at once on the two-chain CBC kernel
+      ({!Fbsr_crypto.Des.encrypt_cbc_pair}), and both datagrams complete
+      on that call, in enqueue order, each under its own trace id, so
+      per-flow order holds and a caller never observes a half-sealed
+      datagram.  {!Batch.flush} runs a lone parked datagram alone.  The
+      slot is emptied before any completion runs, so a completion may
+      send through the batch again (a pair that completes within it does
+      so before the outer pair's second datagram completes).  Wires,
+      counters and span terminals are identical to the inline path,
+      datagram for datagram; the deferred ["engine.seal"] span finishes
+      at completion and so covers the wait in the slot.
     - ownership: a batch is bound to the engine it was created for, and
       only that engine's {!send}/{!send_classified} may be given it
       ([Invalid_argument] otherwise) — its kernel comes from that
       engine's armor and its counters are that engine's.
-    - [capacity] (default {!Batch.default_capacity}): an enqueue that
-      fills the queue flushes it before returning.
-    - park: an enqueue that does not flush runs the {!Batch.set_on_park}
-      hook.  A batch keeps no clock: bounding a parked datagram's wait is
-      the caller's job, by a {!Batch.flush} it runs or schedules from that
+    - park: an enqueue that parks runs the {!Batch.set_on_park} hook.  A
+      batch keeps no clock: bounding a parked datagram's wait is the
+      caller's job, by a {!Batch.flush} it runs or schedules from that
       hook.  A datagram whose keying suspended (cold flow) enqueues
       {e later}, from the resumed continuation's event, after the
       {!send} call has returned — so [pending] will not have grown when
       that call returns, and a caller that arms its flush only on a
       synchronous [pending] check would never flush such a datagram.
       Arm it from the hook, which always runs in the event that enqueued.
-    - A parked datagram's continuation fires only from a flush.  Until
-      then the wire handed to it is not yet stable: its body bytes are
-      written by the kernel pass inside {!Batch.flush}. *)
+    - A parked datagram's continuation fires only when its job runs.
+      Until then the wire handed to it is not yet stable: its body bytes
+      are written by the kernel. *)
 module Batch : sig
   type engine := t
 
   type t
-  (** A pending-seal queue bound to one engine. *)
+  (** A pending-seal slot bound to one engine. *)
 
-  val default_capacity : int
-  (** 63 datagrams. *)
-
-  val create : ?capacity:int -> engine -> t
+  val create : engine -> t
 
   val set_on_park : t -> (unit -> unit) -> unit
   (** Install the hook run after every enqueue that leaves a datagram
       parked (replacing any previous one). *)
 
   val pending : t -> int
-  (** Datagrams currently parked. *)
+  (** Datagrams currently parked: 0 or 1. *)
 
   val flush : t -> int
-  (** Run every parked job and complete the datagrams in enqueue order.
-      Returns the blocks the kernel ran (a sealed body's padding block
-      included) — [0] when the queue was empty. *)
+  (** Run the parked job alone and complete its datagram.  Returns the
+      blocks the kernel ran (the sealed body's padding block included) —
+      [0] when the slot was empty. *)
 end
 
 val send :
@@ -230,8 +218,9 @@ val send :
 (** FBSSend(): classify into a flow, then {!send_classified}'s path —
     derive/cache the flow key, MAC, optionally encrypt; the continuation
     receives the wire bytes.  With [batch], a deferrable datagram's
-    continuation fires from {!Batch.flush} (immediately when this enqueue
-    fills the batch, else at a later [flush]). *)
+    continuation fires when its job runs: at once when this enqueue pairs
+    with a parked datagram, else from the next pairing enqueue or
+    {!Batch.flush}. *)
 
 val send_classified :
   ?batch:Batch.t ->
@@ -287,15 +276,3 @@ val header_overhead : t -> int
 val wire_overhead : t -> int
 (** [header_overhead] plus the worst-case padding growth of an encrypted
     body: what the MSS calculation must subtract (the tcp_output fix). *)
-
-(** Receive-side flow view: the per-flow statistics the receiver
-    accumulates while passively demultiplexing on the sfl.  Soft state,
-    bounded by an internal cache. *)
-type inbound_flow = {
-  mutable packets : int;
-  mutable bytes : int;
-  mutable first_seen : float;
-  mutable last_seen : float;
-}
-
-val inbound_flows : t -> (Sfl.t * Principal.t * inbound_flow) list

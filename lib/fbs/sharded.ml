@@ -94,10 +94,11 @@ let send_all t ~now ~secret jobs =
   let buckets = buckets_of t (fun i -> shard_of_sfl t sfls.(i)) n in
   let results = Array.make n None in
   (* Seals run inline.  A per-shard seal batch would buy the two-chain
-     kernel but stretch every datagram's [engine.seal] span over the
-     bucket's queue residence, which the bench's gated 4-shard seal p99
-     cannot absorb until deferred spans report their CPU time apart from
-     residence. *)
+     kernel, but a parked datagram's [engine.seal] span would then cover
+     its wait for a partner (one seal, or the rest of the bucket for an
+     odd one out).  The bench's gated 4-shard seal p99 rose 2.1 -> 17.8 ms
+     with a 63-deep queue; a batch goes in once deferred spans report
+     their CPU time apart from that wait. *)
   run_buckets t buckets (fun s i ->
       let attrs, payload = jobs.(i) in
       Engine.send_classified ~confounder:confs.(i) t.engines.(s) ~now

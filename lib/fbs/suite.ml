@@ -4,7 +4,7 @@
    the MAC construction and its hash, and the cipher mode for optional
    confidentiality. *)
 
-type cipher = Des_cbc | Des_cfb | Des_ofb | Des_ecb | Des3_cbc | Sha1_ctr
+type cipher = Des_cbc | Des3_cbc | Sha1_ctr
 
 type t = {
   id : int; (* wire identifier *)

@@ -1,7 +1,7 @@
 (** Algorithm suites selected by the FBS header's algorithm-identification
     field. *)
 
-type cipher = Des_cbc | Des_cfb | Des_ofb | Des_ecb | Des3_cbc | Sha1_ctr
+type cipher = Des_cbc | Des3_cbc | Sha1_ctr
 
 type t = {
   id : int;
@@ -26,8 +26,8 @@ val md5_des3 : t
 
 val hmac_sha1_ctr : t
 (** HMAC-SHA1 (160-bit tag) + SHA-1 counter-mode keystream with a 4-byte
-    authenticate-only payload prefix — the leaf suite added through the
-    armor registry with no engine edits (suite id 5). *)
+    authenticate-only payload prefix (suite id 5) — added as one armor
+    module plus one entry in [Armors.all], with no engine edits. *)
 
 val nop : t
 (** "Nullified" encryption and MAC, for the Figure 8 FBS NOP measurement. *)

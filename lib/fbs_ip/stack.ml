@@ -20,8 +20,9 @@
    Sending runs in output bursts ([Host.burst]; a TCP send window is
    one, every lone [ip_output] another).  Each datagram of a burst takes
    the next slot of an ordered outbox; a secret seal parks its
-   encryption in the stack's batch, whose flush at burst end pairs the
-   burst's CBC chains on the two-chain kernel; then the outbox transmits
+   encryption in the stack's one-slot batch, and the burst's next secret
+   seal runs both CBC chains as a pair on the two-chain kernel.  At
+   burst end the batch flushes an odd one out, then the outbox transmits
    in call order.  Bypassed and inline-sealed datagrams wait in their
    slots too, so the wire order is the call order.
 

@@ -63,15 +63,10 @@ let encrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~payload =
     | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
     | Fbsr_fbs.Suite.Des3_cbc ->
         Fbsr_crypto.Des3.encrypt_cbc ~iv (des3_key_of_flow_key flow_key) payload
-    | ( Fbsr_fbs.Suite.Des_cbc | Fbsr_fbs.Suite.Des_cfb | Fbsr_fbs.Suite.Des_ofb
-      | Fbsr_fbs.Suite.Des_ecb ) as cipher -> (
-        let key = Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key) in
-        match cipher with
-        | Fbsr_fbs.Suite.Des_cbc -> Fbsr_crypto.Des.encrypt_cbc ~iv key payload
-        | Fbsr_fbs.Suite.Des_cfb -> Fbsr_crypto.Des.encrypt_cfb ~iv key payload
-        | Fbsr_fbs.Suite.Des_ofb -> Fbsr_crypto.Des.encrypt_ofb ~iv key payload
-        | Fbsr_fbs.Suite.Des_ecb -> Fbsr_crypto.Des.encrypt_ecb ~confounder:iv key payload
-        | Fbsr_fbs.Suite.Des3_cbc | Fbsr_fbs.Suite.Sha1_ctr -> assert false)
+    | Fbsr_fbs.Suite.Des_cbc ->
+        Fbsr_crypto.Des.encrypt_cbc ~iv
+          (Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key))
+          payload
   end
 
 let decrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
@@ -85,15 +80,10 @@ let decrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
       | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
       | Fbsr_fbs.Suite.Des3_cbc ->
           Fbsr_crypto.Des3.decrypt_cbc ~iv (des3_key_of_flow_key flow_key) body
-      | ( Fbsr_fbs.Suite.Des_cbc | Fbsr_fbs.Suite.Des_cfb | Fbsr_fbs.Suite.Des_ofb
-        | Fbsr_fbs.Suite.Des_ecb ) as cipher -> (
-          let key = Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key) in
-          match cipher with
-          | Fbsr_fbs.Suite.Des_cbc -> Fbsr_crypto.Des.decrypt_cbc ~iv key body
-          | Fbsr_fbs.Suite.Des_cfb -> Fbsr_crypto.Des.decrypt_cfb ~iv key body
-          | Fbsr_fbs.Suite.Des_ofb -> Fbsr_crypto.Des.decrypt_ofb ~iv key body
-          | Fbsr_fbs.Suite.Des_ecb -> Fbsr_crypto.Des.decrypt_ecb ~confounder:iv key body
-          | Fbsr_fbs.Suite.Des3_cbc | Fbsr_fbs.Suite.Sha1_ctr -> assert false)
+      | Fbsr_fbs.Suite.Des_cbc ->
+          Fbsr_crypto.Des.decrypt_cbc ~iv
+            (Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key))
+            body
     with
     | plaintext -> Ok plaintext
     | exception Invalid_argument _ -> Error `Decrypt

@@ -333,20 +333,20 @@ module Fixture = Fbsr_experiments.Fixture
 
 (* Batched sealing must be invisible end to end: with twin engine pairs
    (same fixture seed, so the same flow keys and confounder streams), an
-   interleaved multi-round workload — several datagrams per flow, flows
-   interleaved within one batch — seals byte-identically through the
-   batch, and the batched wires survive a seeded drop+reorder link
-   exactly as well as any other wire: everything the link delivers is
-   accepted, everything it drops is simply absent, and no reordering can
-   break a chain because each datagram's CBC chain is sealed whole at
-   flush time. *)
+   interleaved multi-round workload — several datagrams per flow, each
+   paired with another flow's on the two-chain kernel — seals
+   byte-identically through the batch, and the batched wires survive a
+   seeded drop+reorder link exactly as well as any other wire:
+   everything the link delivers is accepted, everything it drops is
+   simply absent, and no reordering can break a chain because each
+   datagram's CBC chain is sealed whole before it completes. *)
 let test_batched_wires_over_drop_reorder_link () =
   let flows = 8 and rounds = 4 in
   let payload f r = Printf.sprintf "flow %d round %d " f r ^ String.make (40 * f) 'q' in
   let scalar_pair, scalar_attrs = Fixture.warm_flows ~flows () in
   let batched_pair, batched_attrs = Fixture.warm_flows ~flows () in
   (* Interleaved enqueue order: f0r0 f1r0 ... f7r0 f0r1 ... — every flow
-     has [rounds] datagrams in flight in the same batch. *)
+     has [rounds] datagrams through the same batch. *)
   let scalar_wires =
     Array.init (flows * rounds) (fun i ->
         let f = i mod flows and r = i / flows in
@@ -365,14 +365,7 @@ let test_batched_wires_over_drop_reorder_link () =
       ~attrs:batched_attrs.(f) ~secret:true
       ~payload:(payload f r) (fun w -> got.(i) <- Some w)
   done;
-  let blocks = FEngine.Batch.flush batch in
-  let body_blocks = ref 0 in
-  for i = 0 to (flows * rounds) - 1 do
-    let f = i mod flows and r = i / flows in
-    body_blocks :=
-      !body_blocks + (Fbsr_crypto.Des.padded_length (String.length (payload f r)) / 8)
-  done;
-  check Alcotest.int "flush sealed every body" !body_blocks blocks;
+  ignore (FEngine.Batch.flush batch : int);
   let batched_wires =
     Array.map
       (function
@@ -423,7 +416,7 @@ let test_batched_wires_over_drop_reorder_link () =
 
 (* Deferred sealing must keep the exact-terminal span discipline: each
    batched datagram still records exactly one "engine.seal" span (under
-   its own trace id, finished at flush, marked batched) and exactly one
+   its own trace id, finished when its job runs, marked batched) and exactly one
    terminal receive outcome downstream. *)
 let test_batched_span_accounting () =
   let spans = Fbsr_util.Span.create ~capacity:4096 () in
@@ -437,12 +430,16 @@ let test_batched_span_accounting () =
       | Ok w -> wires := w :: !wires
       | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
   done;
+  (* Pairs complete as the second seal enqueues: before the flush only
+     the parked fifth datagram lacks its seal span. *)
   let seals_before =
     List.filter
       (fun (s : Fbsr_util.Span.span) -> String.equal s.Fbsr_util.Span.stage "engine.seal")
       (Fbsr_util.Span.spans spans)
   in
-  check Alcotest.int "no seal span before the flush" 0 (List.length seals_before);
+  check Alcotest.int "only the parked fifth datagram lacks a seal span" 4
+    (List.length seals_before);
+  check Alcotest.int "the fifth is undelivered" 4 (List.length !wires);
   ignore (FEngine.Batch.flush batch);
   List.iter
     (fun wire ->

@@ -472,8 +472,8 @@ let check_words what ~bound w =
 
 let test_datapath_accounting () =
   (* The GC is the allocation measure: one warm 1000-byte round trip,
-     send + receive on both engines, in minor words.  The bounds sit 1.25x
-     over the measured 562 (secret) and 539 (auth-only) words; the wire
+     send + receive on both engines, in minor words.  The bounds sit about
+     1.25x over the measured 556 (secret) and 533 (auth-only) words; the wire
      and the delivered payload are about 260 of them.  A closure
      per DES block, say, adds about 1 000 words and fails them. *)
   let payload = String.make 1000 'q' in
@@ -502,12 +502,11 @@ let test_datapath_accounting () =
 let test_datapath_accounting_batched () =
   (* The batched seal path allocates no more than the inline one:
      deferring the body encryption into the cross-flow batch adds no
-     buffer, the wire delivered at flush is encrypted in place.  Measured
-     over a full batch so the flush is inside the window, after a warm-up
-     batch has grown the lane arrays, at an even job count (every seal
-     paired on the two-chain kernel) and an odd one (the last job runs
-     alone).  The bound sits 1.25x over the measured 583 words per round
-     trip. *)
+     buffer, the wire delivered from the batch is encrypted in place.
+     Measured over a round of sends and a flush, after a warm-up round,
+     at an even job count (every seal paired on the two-chain kernel) and
+     an odd one (the last job runs alone at the flush).  The bound sits
+     about 1.25x over the measured 577 words per round trip. *)
   List.iter
     (fun flows ->
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
