@@ -291,10 +291,10 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
    whose armor has a batched kernel parks its body encryption here as a
    fully assembled wire whose body region is still pending.  The next such
    datagram runs beside it on the kernel (the DES-CBC kernel pairs two
-   independent chains), and only then do both complete, in enqueue order,
+   independent chains), and only then do both complete, in call order,
    so a caller never observes a half-sealed datagram; [flush] runs a lone
-   parked one.  Everything else seals inline, on the very same call, and
-   every receive opens inline. *)
+   parked one.  Everything else seals inline, on the very same call,
+   after flushing a parked datagram, and every receive opens inline. *)
 module Batch = struct
   type engine = t
 
@@ -305,11 +305,12 @@ module Batch = struct
     engine : engine;
     kernel : Armor.batch_ops option; (* the engine's armor's; [None]: nothing parks *)
     mutable parked : (Armor.job * (unit -> unit)) option;
-    mutable on_park : unit -> unit;
-        (* fires on every enqueue that parks — including late enqueues from
-           a resumed keying continuation, which the caller cannot observe
-           synchronously *)
+    mutable calls : int;
+        (* send calls given this batch that have not returned: a seal
+           parks only inside one, so one resumed after a keying fetch
+           seals inline *)
     mutable sealing : seal_plan; (* this batch's secret seals, built once *)
+    mutable clear : seal_plan; (* ... and its non-secret ones *)
   }
 
   (* What a seal does beyond writing the payload: whether the body is
@@ -328,20 +329,24 @@ module Batch = struct
         engine;
         kernel = A.batch;
         parked = None;
-        on_park = ignore;
+        calls = 0;
         sealing = { secret = true; batch = None; confounder = None };
+        clear = { secret = false; batch = None; confounder = None };
       }
     in
     b.sealing <- { secret = true; batch = Some b; confounder = None };
+    b.clear <- { secret = false; batch = Some b; confounder = None };
     b
 
-  let set_on_park b f = b.on_park <- f
-
-  (* A batch runs its own engine's armor kernel and counts on its own
-     engine: refuse one handed to another engine. *)
-  let check_owner t = function
+  (* A send call given [batch] begins.  A batch runs its own engine's
+     armor kernel and counts on its own engine: refuse one handed to
+     another engine. *)
+  let enter t = function
     | Some b when b.engine != t -> invalid_arg "Engine: batch bound to another engine"
-    | _ -> ()
+    | Some b -> b.calls <- b.calls + 1
+    | None -> ()
+
+  let leave = function Some b -> b.calls <- b.calls - 1 | None -> ()
 
   let pending b = match b.parked with None -> 0 | Some _ -> 1
 
@@ -357,21 +362,19 @@ module Batch = struct
         blocks
     | _ -> 0
 
-  (* Park a datagram in the empty slot and tell the owner, or run it
-     beside the parked one and complete both in enqueue order.  When the
-     keying layer suspended, this runs in the resumed continuation's
-     event, after the caller's synchronous code — without the hook
-     nothing would arm a flush and the datagram could park forever. *)
+  (* Park a datagram in the empty slot, or run it beside the parked one
+     and complete both in call order. *)
   let enqueue b ops job complete =
     match b.parked with
-    | None ->
-        b.parked <- Some (job, complete);
-        b.on_park ()
+    | None -> b.parked <- Some (job, complete)
     | Some (first, complete_first) ->
         b.parked <- None;
         ignore (ops.Armor.run first (Some job) : int);
         complete_first ();
         complete ()
+
+  (* A seal that cannot park completes after the parked one: call order. *)
+  let settle = function Some b -> ignore (flush b : int) | None -> ()
 end
 
 type seal_plan = Batch.seal_plan = {
@@ -386,7 +389,7 @@ let secret_inline = { plain with secret = true }
 let seal_plan ?batch ?confounder secret =
   match (batch, confounder) with
   | None, None -> if secret then secret_inline else plain
-  | Some b, None -> if secret then b.Batch.sealing else plain
+  | Some b, None -> if secret then b.Batch.sealing else b.Batch.clear
   | _ -> { secret; batch; confounder }
 
 (* The ["engine.seal"] span's detail: wire size, secrecy, and the
@@ -408,8 +411,8 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
 
 (* Steps S4-S10 of Figure 4, given the flow entry: confounder, timestamp,
    MAC, optional encryption, header insertion.  The wire goes to [k]:
-   at once when the seal completes inline, from the flush when the
-   datagram parks in the plan's batch.
+   at once when the seal completes inline (after the plan's batch
+   completes a parked datagram), else when its parked job runs.
 
    Zero-copy assembly: the wire size is known up front (fixed header +
    suite MAC length + armor body length), so header, MAC and body are
@@ -419,7 +422,8 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    business; the engine only assembles.
 
    With a [batch], a secret datagram whose armor has a batch kernel
-   leaves its body to the batch: the armor reserves the body region
+   leaves its body to the batch, provided its send call is still open
+   (one resumed after a keying fetch seals inline): the armor reserves the body region
    and returns the pending job that will fill it (accounting the
    encryption as the inline path would).  The wire is finalized with the
    region still unwritten and ALIASES the job's destination buffer
@@ -469,7 +473,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
      truncation (Section 5.3) without an intermediate string. *)
   Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
   match batch with
-  | Some ({ Batch.kernel = Some ops; _ } as b) when secret ->
+  | Some ({ Batch.kernel = Some ops; calls; _ } as b) when secret && calls > 0 ->
       let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
       let wire = Fbsr_util.Byte_writer.finalize w in
       let complete =
@@ -496,6 +500,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
             ~detail:
               (seal_detail t ~batched:false ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0)
       | None -> ());
+      Batch.settle batch;
       k (Ok wire)
 
 (* Each datagram entering the send path opens a new trace: a fresh 64-bit
@@ -523,24 +528,32 @@ let seal_traced t tm plan ~now ~sfl ~payload k entry =
 
 (* FBSSend() from the TFKC lookup on (Figure 4 S3-S10 with the Figure 6
    fast path), for a datagram whose flow is known and whose trace [tm]
-   is open. *)
+   is open: one send call on the plan's batch (see [Batch.calls]). *)
 let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
     (k : (string, error) result -> unit) =
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Failed e ->
-        (* The datagram dies on the sender: terminal span here (the
-           receive-side terminal stage never runs).  No drop counter:
-           those count received datagrams; the caller counts the error. *)
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id
-              ~outcome:drop_outcomes.(cause_index Keying) "engine.send"
-        | None -> ());
-        k (Error e)
-    | Cached entry -> seal_traced t tm plan ~now ~sfl ~payload k entry
-    | Derived entry ->
-        Cache.insert t.tfkc (flow_cache_key t ~sfl ~peer:dst) entry;
-        seal_traced t tm plan ~now ~sfl ~payload k entry)
+  Batch.enter t plan.batch;
+  match
+    flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
+      | Failed e ->
+          (* The datagram dies on the sender: terminal span here (the
+             receive-side terminal stage never runs).  No drop counter:
+             those count received datagrams; the caller counts the error. *)
+          (match tm with
+          | Some (stm, id) ->
+              Fbsr_util.Span.finish t.spans stm ~id
+                ~outcome:drop_outcomes.(cause_index Keying) "engine.send"
+          | None -> ());
+          Batch.settle plan.batch;
+          k (Error e)
+      | Cached entry -> seal_traced t tm plan ~now ~sfl ~payload k entry
+      | Derived entry ->
+          Cache.insert t.tfkc (flow_cache_key t ~sfl ~peer:dst) entry;
+          seal_traced t tm plan ~now ~sfl ~payload k entry)
+  with
+  | () -> Batch.leave plan.batch
+  | exception e ->
+      Batch.leave plan.batch;
+      raise e
 
 (* [send] for a datagram already classified: the sharded dispatcher runs
    FAM once, up front, because the sfl *determines* the owning shard —
@@ -548,7 +561,6 @@ let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
    The classify span and the flow-setup trace event belong to the
    dispatcher. *)
 let send_classified ?batch ?confounder t ~now ~sfl ~src ~dst ~secret ~payload k =
-  Batch.check_owner t batch;
   t.counters.sends <- t.counters.sends + 1;
   send_flow t (open_send_trace t)
     (seal_plan ?batch ?confounder secret)
@@ -559,7 +571,6 @@ let send_classified ?batch ?confounder t ~now ~sfl ~src ~dst ~secret ~payload k 
    time); the result is the wire representation: FBS header followed by
    the (possibly encrypted) body. *)
 let send ?batch t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
-  Batch.check_owner t batch;
   t.counters.sends <- t.counters.sends + 1;
   let tm = open_send_trace t in
   let sfl, decision = Fam.classify t.fam ~now attrs in

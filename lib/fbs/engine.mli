@@ -160,28 +160,25 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     - pairing: a pending seal that finds the slot empty parks there.  The
       next one runs beside it at once on the two-chain CBC kernel
       ({!Fbsr_crypto.Des.encrypt_cbc_pair}), and both datagrams complete
-      on that call, in enqueue order, each under its own trace id, so
-      per-flow order holds and a caller never observes a half-sealed
-      datagram.  {!Batch.flush} runs a lone parked datagram alone.  The
-      slot is emptied before any completion runs, so a completion may
-      send through the batch again (a pair that completes within it does
-      so before the outer pair's second datagram completes).  Wires,
-      counters and span terminals are identical to the inline path,
-      datagram for datagram; the deferred ["engine.seal"] span finishes
-      at completion and so covers the wait in the slot.
+      on that call, each under its own trace id.  {!Batch.flush} runs a
+      lone parked datagram alone.  The slot is emptied before any
+      completion runs, so a completion may send through the batch again.
+      Wires, counters and span terminals are identical to the inline
+      path, datagram for datagram; the deferred ["engine.seal"] span
+      finishes at completion and so covers the wait in the slot.
+    - call order: a send that cannot park (its seal is inline, or its
+      keying refused it) flushes a parked datagram before its own
+      continuation fires.  So every continuation of a send whose keying
+      did not suspend fires in call order, and per-flow order holds.
+    - park only inside a send call: a datagram whose keying suspended
+      (cold flow) seals from the resumed continuation, after its {!send}
+      call has returned; it seals inline and never parks, so nothing
+      parks where no caller is left to flush it.  A batch keeps no
+      clock: the caller flushes what its own calls parked.
     - ownership: a batch is bound to the engine it was created for, and
       only that engine's {!send}/{!send_classified} may be given it
       ([Invalid_argument] otherwise) — its kernel comes from that
       engine's armor and its counters are that engine's.
-    - park: an enqueue that parks runs the {!Batch.set_on_park} hook.  A
-      batch keeps no clock: bounding a parked datagram's wait is the
-      caller's job, by a {!Batch.flush} it runs or schedules from that
-      hook.  A datagram whose keying suspended (cold flow) enqueues
-      {e later}, from the resumed continuation's event, after the
-      {!send} call has returned — so [pending] will not have grown when
-      that call returns, and a caller that arms its flush only on a
-      synchronous [pending] check would never flush such a datagram.
-      Arm it from the hook, which always runs in the event that enqueued.
     - A parked datagram's continuation fires only when its job runs.
       Until then the wire handed to it is not yet stable: its body bytes
       are written by the kernel. *)
@@ -192,10 +189,6 @@ module Batch : sig
   (** A pending-seal slot bound to one engine. *)
 
   val create : engine -> t
-
-  val set_on_park : t -> (unit -> unit) -> unit
-  (** Install the hook run after every enqueue that leaves a datagram
-      parked (replacing any previous one). *)
 
   val pending : t -> int
   (** Datagrams currently parked: 0 or 1. *)
@@ -218,8 +211,8 @@ val send :
 (** FBSSend(): classify into a flow, then {!send_classified}'s path —
     derive/cache the flow key, MAC, optionally encrypt; the continuation
     receives the wire bytes.  With [batch], a deferrable datagram's
-    continuation fires when its job runs: at once when this enqueue pairs
-    with a parked datagram, else from the next pairing enqueue or
+    continuation fires when its job runs: at once when this call pairs
+    it with a parked datagram, else from the next send on the batch or
     {!Batch.flush}. *)
 
 val send_classified :

@@ -87,7 +87,7 @@ let create ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
       ~clock:(fun () -> Host.now host)
       ()
   in
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 0xa11) in
+  let alloc = Fbsr_fbs_ip.Stack.sfl_allocator host 0xa11 in
   let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_app.policy ~threshold ~alloc ()) in
   let engine =
     Fbsr_fbs.Engine.create ~suite ~replay_window_minutes ~keying ~fam ()

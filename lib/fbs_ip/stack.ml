@@ -18,19 +18,21 @@
    and certificates are verified on receipt.
 
    Sending runs in output bursts ([Host.burst]; a TCP send window is
-   one, every lone [ip_output] another).  Each datagram of a burst takes
-   the next slot of an ordered outbox; a secret seal parks its
-   encryption in the stack's one-slot batch, and the burst's next secret
-   seal runs both CBC chains as a pair on the two-chain kernel.  At
-   burst end the batch flushes an odd one out, then the outbox transmits
-   in call order.  Bypassed and inline-sealed datagrams wait in their
-   slots too, so the wire order is the call order.
+   one, every lone [ip_output] another), and each datagram goes to
+   fragmentation through [Host.transmit_prepared] the moment its seal
+   completes.  A secret seal parks its encryption in the stack's
+   one-slot batch, and the burst's next secret seal runs both CBC chains
+   as a pair on the two-chain kernel; any other datagram (non-secret,
+   bypassed) first flushes the slot.  Burst end flushes an odd one out.
+   Completions come in call order, so the wire order is the call order.
 
    When a datagram needs a master key that is not cached, its processing
    suspends while the MKD round-trips the network; the datagram leaves
    its burst and finishes through [Host.transmit_prepared] /
    [Host.deliver_up] when the key arrives — the simulator's analogue of
-   the paper's blocking Upcall(). *)
+   the paper's blocking Upcall().  One rule tells the two apart: a
+   completion that runs outside the stack's own hooks resumed after a
+   keying fetch. *)
 
 open Fbsr_netsim
 
@@ -77,22 +79,6 @@ type counters = {
   mutable bypassed : int;
 }
 
-(* One datagram of the current output burst.  Slots are reused from
-   burst to burst; [ticket] tells a seal completion whether its slot is
-   still its own (else the datagram left its burst on a keying fetch).
-   A [Dropped] slot keeps its place but transmits nothing: a hook can
-   run nested inside another (an MKD fetch sends from within a seal), so
-   the slot that leaves is not always the last one. *)
-type state = Waiting | Sealed | Dropped
-
-type slot = {
-  mutable h : Ipv4.header;
-  mutable wire : string;
-  mutable state : state;
-  mutable trace : int64; (* the span trace id to transmit under *)
-  mutable ticket : int;
-}
-
 type t = {
   host : Host.t;
   engine : Fbsr_fbs.Engine.t;
@@ -102,9 +88,10 @@ type t = {
   policy_state : Fbsr_fbs.Policy_five_tuple.t;
   tx_batch : Fbsr_fbs.Engine.Batch.t; (* holds the burst's secret seals *)
   tx_seals : Fbsr_fbs.Engine.Batch.t option; (* [Some tx_batch], wrapped once *)
-  mutable outbox : slot array;
-  mutable queued : int; (* slots of the open burst, in call order *)
-  mutable tickets : int;
+  mutable hooks : int; (* the stack's hooks now running, nested ones counted *)
+  mutable verdict : Host.hook_result; (* the last on-time completion's hook result *)
+  mutable verdict_of : Ipv4.header; (* ... and the header its hook was given *)
+  mutable send_error : exn option; (* the open burst's first [Send_error] *)
 }
 
 let engine t = t.engine
@@ -144,56 +131,50 @@ let peek_ports ~protocol payload =
 let no_header =
   Ipv4.make ~protocol:0 ~src:Addr.any ~dst:Addr.any ~payload_length:0 ()
 
-(* The next outbox slot, for a datagram with header [h]. *)
-let claim t h =
-  if t.queued = Array.length t.outbox then
-    t.outbox <-
-      Array.init
-        (max 8 (2 * t.queued))
-        (fun i ->
-          if i < t.queued then t.outbox.(i)
-          else { h = no_header; wire = ""; state = Waiting; trace = 0L; ticket = -1 });
-  let s = t.outbox.(t.queued) in
-  t.queued <- t.queued + 1;
-  t.tickets <- t.tickets + 1;
-  s.h <- h;
-  s.state <- Waiting;
-  s.ticket <- t.tickets;
-  s
+let awaiting = Host.Drop "fbs awaiting master key"
 
-(* The datagram leaves its burst: refused, or waiting on keying. *)
-let release s =
-  s.state <- Dropped;
-  s.ticket <- -1
+(* Run [hook t a b] as one of the stack's hooks. *)
+let hooked hook t a b =
+  t.hooks <- t.hooks + 1;
+  match hook t a b with
+  | v ->
+      t.hooks <- t.hooks - 1;
+      v
+  | exception e ->
+      t.hooks <- t.hooks - 1;
+      raise e
 
-(* The one send completion.  While its slot is still its own, the seal
-   waits there for the burst's end; a seal that resumed after a keying
-   fetch (its burst long over) transmits at once. *)
-let complete t s ticket h r =
-  let mine = s.ticket = ticket in
+(* A completion inside one of the stack's hooks is on time: it leaves
+   that hook its result, under the header the hook was given.  One
+   outside every hook resumed after a keying fetch and finishes its
+   datagram itself. *)
+let on_time t h verdict =
+  t.hooks > 0 && (t.verdict <- verdict; t.verdict_of <- h; true)
+
+(* Fragment and transmit.  On time, a [Send_error] (DF set, datagram too
+   big) waits for the burst's end, so the datagrams behind it still go
+   out; a resumed datagram has no burst to escape. *)
+let transmit t h wire =
+  try Host.transmit_prepared t.host h wire
+  with Host.Send_error _ as e when t.hooks > 0 ->
+    if t.send_error = None then t.send_error <- Some e
+
+(* The one send completion. *)
+let sent t h r =
   match r with
   | Ok wire ->
       t.counters.sent <- t.counters.sent + 1;
-      if mine then begin
-        s.wire <- wire;
-        s.state <- Sealed;
-        s.trace <- Fbsr_util.Span.current ()
-      end
-      else begin
-        t.counters.resumed <- t.counters.resumed + 1;
-        Host.transmit_prepared t.host h wire
-      end
+      if not (on_time t h Host.Held) then t.counters.resumed <- t.counters.resumed + 1;
+      transmit t h wire
   | Error _ ->
       t.counters.dropped_error <- t.counters.dropped_error + 1;
-      if mine then release s
+      ignore (on_time t h (Host.Drop "fbs send error") : bool)
 
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
-  let s = claim t h in
   if t.config.bypass h.dst then begin
     t.counters.bypassed <- t.counters.bypassed + 1;
-    s.wire <- payload;
-    s.state <- Sealed;
-    s.trace <- Fbsr_util.Span.current ();
+    ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
+    transmit t h payload;
     Host.Held
   end
   else begin
@@ -206,47 +187,39 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
     in
     let parked0 = Fbsr_fbs.Engine.Batch.pending t.tx_batch in
     Fbsr_fbs.Engine.send ?batch:t.tx_seals t.engine ~now:(Host.now t.host) ~attrs
-      ~secret ~payload (complete t s s.ticket h);
-    match s.state with
-    | Sealed -> Host.Held
-    | Waiting when Fbsr_fbs.Engine.Batch.pending t.tx_batch > parked0 -> Host.Held
-    | Dropped -> Host.Drop "fbs send error"
-    | Waiting ->
-        release s;
-        t.counters.suspended_out <- t.counters.suspended_out + 1;
-        Host.Drop "fbs awaiting master key"
+      ~secret ~payload (sent t h);
+    if t.verdict_of == h then t.verdict
+    else if Fbsr_fbs.Engine.Batch.pending t.tx_batch > parked0 then Host.Held
+    else begin
+      t.counters.suspended_out <- t.counters.suspended_out + 1;
+      awaiting
+    end
   end
 
-(* Transmit the sealed slots of [i, n) in call order, each under its
-   own trace id.  A [Send_error] (DF set, datagram too big) does not
-   strand the slots behind it: they go out first, then the first error
-   is raised. *)
-let rec transmit_slots t i n =
-  if i < n then begin
-    let s = t.outbox.(i) in
-    let wire = s.wire in
-    s.wire <- "";
-    Fbsr_util.Span.set_current s.trace;
-    match if s.state = Sealed then Host.transmit_prepared t.host s.h wire with
-    | () -> transmit_slots t (i + 1) n
-    | exception e ->
-        (try transmit_slots t (i + 1) n with Host.Send_error _ -> ());
-        raise e
-  end
+(* Burst end, a hook too: seal what is parked, then raise the burst's
+   first [Send_error]. *)
+let end_burst t () () =
+  ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
+  match t.send_error with
+  | None -> ()
+  | Some e ->
+      t.send_error <- None;
+      raise e
 
-(* Burst end: seal everything parked, then transmit the outbox. *)
-let end_burst t =
-  if t.queued > 0 then begin
-    ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
-    let n = t.queued in
-    t.queued <- 0;
-    let ambient = Fbsr_util.Span.current () in
-    match transmit_slots t 0 n with
-    | () -> Fbsr_util.Span.set_current ambient
-    | exception e ->
-        Fbsr_util.Span.set_current ambient;
-        raise e
-  end
+(* The one receive completion. *)
+let received t (h : Ipv4.header) r =
+  match r with
+  | Ok acc ->
+      t.counters.received <- t.counters.received + 1;
+      let payload = acc.Fbsr_fbs.Engine.payload in
+      let up = { h with Ipv4.total_length = Ipv4.header_length h + String.length payload } in
+      if not (on_time t h (Host.Pass (up, payload))) then begin
+        t.counters.resumed <- t.counters.resumed + 1;
+        Host.deliver_up t.host up payload
+      end
+  | Error _ ->
+      t.counters.dropped_error <- t.counters.dropped_error + 1;
+      ignore (on_time t h (Host.Drop "fbs receive error") : bool)
 
 let input_hook t (h : Ipv4.header) payload : Host.hook_result =
   if t.config.bypass h.src then begin
@@ -263,48 +236,28 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
             ("ok", Fbsr_util.Json.Bool true);
             ("bytes", Fbsr_util.Json.Int (String.length payload));
           ];
-    let now = Host.now t.host in
-    let src = principal_of_addr h.src in
-    let sync_result = ref None in
-    let completed_sync = ref true in
-    let k r =
-      if !completed_sync then sync_result := Some r
-      else begin
-        (* Late completion: the datagram was parked during an MKD fetch. *)
-        match r with
-        | Ok acc ->
-            t.counters.resumed <- t.counters.resumed + 1;
-            t.counters.received <- t.counters.received + 1;
-            let h =
-              {
-                h with
-                Ipv4.total_length =
-                  Ipv4.header_length h + String.length acc.Fbsr_fbs.Engine.payload;
-              }
-            in
-            Host.deliver_up t.host h acc.Fbsr_fbs.Engine.payload
-        | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
-      end
-    in
-    Fbsr_fbs.Engine.receive t.engine ~now ~src ~wire:payload k;
-    completed_sync := false;
-    match !sync_result with
-    | Some (Ok acc) ->
-        t.counters.received <- t.counters.received + 1;
-        Host.Pass
-          ( {
-              h with
-              Ipv4.total_length =
-                Ipv4.header_length h + String.length acc.Fbsr_fbs.Engine.payload;
-            },
-            acc.Fbsr_fbs.Engine.payload )
-    | Some (Error _) ->
-        t.counters.dropped_error <- t.counters.dropped_error + 1;
-        Host.Drop "fbs receive error"
-    | None ->
-        t.counters.suspended_in <- t.counters.suspended_in + 1;
-        Host.Drop "fbs awaiting master key"
+    Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host)
+      ~src:(principal_of_addr h.src) ~wire:payload (received t h);
+    if t.verdict_of == h then t.verdict
+    else begin
+      t.counters.suspended_in <- t.counters.suspended_in + 1;
+      awaiting
+    end
   end
+
+(* How many sfl allocators a host has seeded from one base seed, less one. *)
+exception Seeded of int ref
+
+(* Paper Section 5.3: the sfl counter's start must not repeat when the
+   protocol subsystem is reset.  A host's first allocator from [base]
+   keeps it; each later one mixes in the count of those before, so a
+   re-installed layer draws fresh sfls and with them fresh flow keys. *)
+let sfl_allocator host base =
+  let tag = Printf.sprintf "fbs.sfl_seed.%x" base in
+  let n = match Host.find_extension host ~tag with Some (Seeded n) -> n | _ -> ref (-1) in
+  incr n;
+  Host.set_extension host ~tag (Seeded n);
+  Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create (base lxor (!n lsl 16)))
 
 let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
     ~private_value ~group ~ca_public ~ca_hash ~resolver host =
@@ -313,10 +266,10 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
     Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash
       ~resolver ~clock:(fun () -> Host.now host) ()
   in
-  (* Every stack seeds its sfl allocator alike: an sfl is unique only per
-     sender, which is why the RFKC and the strict replay window key on the
-     peer too. *)
-  let alloc = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 0x5f1) in
+  (* Every host's first stack seeds its sfl allocator alike: an sfl is
+     unique only per sender, which is why the RFKC and the strict replay
+     window key on the peer too. *)
+  let alloc = sfl_allocator host 0x5f1 in
   let policy, policy_state =
     Fbsr_fbs.Policy_five_tuple.policy_with_state ~fst_size:config.fst_size
       ~threshold:config.threshold ?max_flow_bytes:config.max_flow_bytes
@@ -349,19 +302,15 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
       policy_state;
       tx_batch;
       tx_seals = Some tx_batch;
-      outbox = [||];
-      queued = 0;
-      tickets = 0;
+      hooks = 0;
+      verdict = awaiting;
+      verdict_of = no_header;
+      send_error = None;
     }
   in
-  (* A seal parks from inside [output_hook] (its burst's end flushes it)
-     or, when its keying suspended, from the resumed continuation's
-     event, with no burst open: then it flushes at once. *)
-  Fbsr_fbs.Engine.Batch.set_on_park t.tx_batch (fun () ->
-      if t.queued = 0 then ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int));
-  Host.set_output_hook host (output_hook t);
-  Host.set_burst_end host (fun () -> end_burst t);
-  Host.set_input_hook host (input_hook t);
+  Host.set_output_hook host (hooked output_hook t);
+  Host.set_burst_end host (hooked end_burst t ());
+  Host.set_input_hook host (hooked input_hook t);
   (* The paper's tcp_output fix: publish the per-datagram overhead so the
      MSS calculation can subtract it. *)
   Minitcp.set_mss_reduction host (Fbsr_fbs.Engine.wire_overhead engine);

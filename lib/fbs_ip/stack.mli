@@ -1,9 +1,12 @@
 (** The FBS-to-IP mapping (paper Section 7): FBS header between the IPv4
     header and the transport payload, ip_output/ip_input hooks, 5-tuple +
     THRESHOLD flow policy, secure flow bypass, MSS fix, and datagram
-    parking across MKD fetches.  Each output burst ({!Fbsr_netsim.Host.burst})
-    is sealed together, its DES-CBC chains paired on the two-chain kernel,
-    and transmitted in call order when it ends. *)
+    parking across MKD fetches.  Within an output burst
+    ({!Fbsr_netsim.Host.burst}) secret datagrams' DES-CBC chains pair on
+    the two-chain kernel; each datagram transmits the moment its seal
+    completes, in call order, and burst end seals an odd one out.  A
+    datagram whose keying suspended seals inline when its key arrives
+    and transmits at once. *)
 
 open Fbsr_netsim
 
@@ -58,10 +61,11 @@ val install :
   resolver:Fbsr_fbs.Keying.resolver ->
   Host.t ->
   t
-(** Every stack seeds its sfl allocator with the same constant, so two
-    senders may pick the same sfl: receivers key per-flow state on
-    (sfl, peer).  A certificate miss calls [resolver] once; its
-    retransmissions are the resolver's (the MKD's) job.
+(** Every host's first stack seeds its sfl allocator with the same
+    constant, so two senders may pick the same sfl: receivers key
+    per-flow state on (sfl, peer); a stack installed again draws other
+    sfls ({!sfl_allocator}).  A certificate miss calls [resolver] once;
+    its retransmissions are the resolver's (the MKD's) job.
 
     [spans] (default disabled) is the host's per-datagram flight
     recorder: threaded to the engine (see {!Fbsr_fbs.Engine.create}) for the
@@ -69,6 +73,13 @@ val install :
     input hook for the ["stack.decap"] stage. *)
 
 val uninstall : t -> unit
+
+val sfl_allocator : Host.t -> int -> Fbsr_fbs.Sfl.allocator
+(** [sfl_allocator host base]: an sfl allocator for an FBS layer on
+    [host].  The host's first one from [base] is seeded with [base]
+    itself; each later one mixes in how many came before, so a layer
+    re-installed after a reset never replays its predecessor's sfls
+    (paper Section 5.3). *)
 
 val engine : t -> Fbsr_fbs.Engine.t
 val counters : t -> counters

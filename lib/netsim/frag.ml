@@ -39,7 +39,9 @@ let fragment (h : Ipv4.header) (payload : string) ~mtu : (Ipv4.header * string) 
   end
 
 (* Reassembly keyed by (src, dst, protocol, ident), with a timeout after
-   which partial state is discarded (as ip_input does). *)
+   which partial state is discarded (as ip_input does).  The deadline is
+   set by an entry's first fragment and never moves, as 4.4BSD's
+   [ipq_ttl]: a stream of duplicates cannot keep an entry alive. *)
 
 type key = int * int * int * int
 
@@ -49,7 +51,7 @@ type entry = {
   mutable fragments : (int * string) list; (* offset bytes, data *)
   mutable holes : hole list;
   mutable total_known : bool;
-  mutable deadline : float;
+  deadline : float;
 }
 
 type t = {
@@ -123,12 +125,15 @@ let add t ~now (h : Ipv4.header) (data : string) : (Ipv4.header * string) option
           Hashtbl.add t.table k e;
           e
     in
-    entry.deadline <- now +. t.timeout;
     let off = h.frag_offset * 8 in
     let len = String.length data in
     if len > 0 then begin
+      let holes = entry.holes and total_known = entry.total_known in
       insert_fragment entry ~off ~len ~more:h.more_fragments;
-      entry.fragments <- (off, data) :: entry.fragments
+      (* A duplicate changes neither: storing it would only grow the
+         entry. *)
+      if entry.holes <> holes || entry.total_known <> total_known then
+        entry.fragments <- (off, data) :: entry.fragments
     end;
     if entry.holes = [] && entry.total_known then begin
       Hashtbl.remove t.table k;

@@ -11,10 +11,12 @@ type t
 
 val create : ?timeout:float -> unit -> t
 (** Reassembler; partial datagrams are discarded [timeout] (default 30)
-    seconds after the last fragment arrived. *)
+    seconds after their first fragment arrived. *)
 
 val add : t -> now:float -> Ipv4.header -> string -> (Ipv4.header * string) option
-(** Feed one fragment; returns the reassembled datagram when complete. *)
+(** Feed one fragment; returns the reassembled datagram when complete.
+    A fragment that fills no hole and fixes no end (a duplicate) is not
+    stored. *)
 
 val expire : t -> float -> int
 (** Drop timed-out partial datagrams; returns how many were dropped. *)

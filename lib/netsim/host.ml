@@ -267,7 +267,7 @@ let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
 
 (* Part 2+3 of output only: fragment and transmit a prepared header and
    payload, skipping the output hook.  Used by a security layer to finish
-   sending a datagram whose processing had to wait for key material. *)
+   sending a datagram it held, once sealed. *)
 let transmit_prepared t (h : Ipv4.header) payload = fragment_and_transmit t h payload
 
 (* Part 3 of input only: hand a datagram to its protocol handler, skipping

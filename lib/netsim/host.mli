@@ -98,7 +98,7 @@ val ip_input : t -> string -> unit
 
 val transmit_prepared : t -> Ipv4.header -> string -> unit
 (** Output parts 2+3 only (fragment + transmit), skipping the output hook:
-    lets a security layer finish a datagram that waited on key material. *)
+    lets a security layer finish a datagram it held, once sealed. *)
 
 val deliver_up : t -> Ipv4.header -> string -> unit
 (** Input part 3 only (protocol dispatch), skipping the input hook. *)

@@ -1356,13 +1356,11 @@ let batch_differential () =
 
 let test_engine_batch_pairing () =
   (* A secret seal parks in the empty slot; the next one runs beside it
-     and completes both, in enqueue order, before its send returns.  A
-     non-deferrable datagram (here: not secret) bypasses the slot and
-     delivers inline. *)
+     and completes both, in call order, before its send returns.  A
+     non-deferrable datagram (here: not secret) bypasses the slot: it
+     flushes the parked seal, then delivers inline. *)
   let clock, s, d, es, ed = make_engines ~suite:Suite.paper_md5_des () in
   let batch = Engine.Batch.create es in
-  let parks = ref 0 in
-  Engine.Batch.set_on_park batch (fun () -> incr parks);
   let delivered = ref [] in
   let send i ~secret =
     Engine.send ~batch es ~now:!clock
@@ -1374,16 +1372,16 @@ let test_engine_batch_pairing () =
   let order () = List.rev !delivered in
   send 0 ~secret:true;
   check Alcotest.int "the first secret seal parks" 1 (Engine.Batch.pending batch);
-  check Alcotest.int "park hook fired" 1 !parks;
   check (Alcotest.list Alcotest.int) "parked: not delivered" [] (order ());
   send 1 ~secret:false;
-  check (Alcotest.list Alcotest.int) "non-secret delivers inline" [ 1 ] (order ());
-  check Alcotest.int "non-secret never parks" 1 (Engine.Batch.pending batch);
+  check (Alcotest.list Alcotest.int) "non-secret flushes the parked seal, then delivers"
+    [ 0; 1 ] (order ());
+  check Alcotest.int "non-secret never parks" 0 (Engine.Batch.pending batch);
   send 2 ~secret:true;
-  check (Alcotest.list Alcotest.int) "the second secret seal completes both, in order"
-    [ 1; 0; 2 ] (order ());
+  send 3 ~secret:true;
+  check (Alcotest.list Alcotest.int) "the second secret seal completes both, in call order"
+    [ 0; 1; 2; 3 ] (order ());
   check Alcotest.int "slot empty after the pair" 0 (Engine.Batch.pending batch);
-  check Alcotest.int "a pair does not run the park hook" 1 !parks;
   check Alcotest.int "an empty slot flushes no blocks" 0 (Engine.Batch.flush batch);
   (* A batch belongs to the engine it was created for. *)
   Alcotest.check_raises "another engine's batch refused"
@@ -1393,11 +1391,10 @@ let test_engine_batch_pairing () =
         ~secret:true ~payload:"foreign" (fun _ ->
           Alcotest.fail "a foreign batch reached the datapath"))
 
-(* A secret send whose keying suspends enqueues into the batch from the
-   resumed keying continuation — a later event, after [send] returned —
-   so the park hook must fire from that enqueue, and a flush must then
-   deliver exactly one result. *)
-let test_engine_batch_seal_lane_late_park () =
+(* A secret send whose keying suspends seals from the resumed keying
+   continuation — a later event, after [send] returned.  It seals inline
+   and never parks: no caller is left to flush it. *)
+let test_engine_batch_resumed_seal_inline () =
   let rng = Fbsr_util.Rng.create 33 in
   let group = Lazy.force Fbsr_crypto.Dh.test_group in
   let ca = Fbsr_cert.Authority.create ~rng ~bits:512 () in
@@ -1424,24 +1421,19 @@ let test_engine_batch_seal_lane_late_park () =
   let fam = Fam.create (Policy_five_tuple.policy ~alloc ()) in
   let es = Engine.create ~keying ~fam () in
   let batch = Engine.Batch.create es in
-  let parks = ref 0 in
-  Engine.Batch.set_on_park batch (fun () -> incr parks);
   let results = ref [] in
   let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
   Engine.send ~batch es ~now:60.0 ~attrs ~secret:true ~payload:"cold flow" (fun r ->
       results := r :: !results);
-  check Alcotest.int "suspended on the fetch: nothing parked yet" 0
+  check Alcotest.int "suspended on the fetch: nothing parked" 0
     (Engine.Batch.pending batch);
-  check Alcotest.int "no park before the fetch completes" 0 !parks;
+  check Alcotest.int "nothing delivered before the fetch completes" 0
+    (List.length !results);
   (match !fetch with
   | Some (peer, k) ->
       k (Ok (Option.get (Fbsr_cert.Authority.lookup ca (Principal.to_string peer))))
   | None -> Alcotest.fail "resolver not consulted");
-  check Alcotest.int "enqueued from the resumed continuation" 1
-    (Engine.Batch.pending batch);
-  check Alcotest.int "park hook fired in that event" 1 !parks;
-  check Alcotest.int "not delivered before a flush" 0 (List.length !results);
-  ignore (Engine.Batch.flush batch : int);
+  check Alcotest.int "the resumed seal did not park" 0 (Engine.Batch.pending batch);
   (match !results with
   | [ Ok wire ] -> (
       match Header.decode wire with
@@ -1449,7 +1441,7 @@ let test_engine_batch_seal_lane_late_park () =
       | Error _ -> Alcotest.fail "delivered wire undecodable")
   | [ Error e ] -> Alcotest.failf "send: %a" Engine.pp_error e
   | rs -> Alcotest.failf "%d results delivered, want exactly 1" (List.length rs));
-  check Alcotest.int "nothing left to flush" 0 (Engine.Batch.pending batch);
+  check Alcotest.int "an empty slot flushes no blocks" 0 (Engine.Batch.flush batch);
   check Alcotest.int "still exactly one result" 1 (List.length !results)
 
 (* The seal batch's pairing under random interleavings: 0-40 sends,
@@ -1458,8 +1450,8 @@ let test_engine_batch_seal_lane_late_park () =
    [Batch.flush] after some of them.  An identically seeded inline twin
    sends the same datagrams.  The batched wires must equal the twin's in
    offer order, every continuation must fire exactly once by the final
-   flush, the deferred (secret) datagrams must complete in enqueue order,
-   and at most one datagram may be parked after any call. *)
+   flush, every one (secret or not) in call order, and at most one
+   datagram may be parked after any call. *)
 type pair_send = {
   p_secret : bool;
   p_flow : int;
@@ -1496,12 +1488,11 @@ let prop_batch_pairing =
       let n = Array.length sends in
       let fail = QCheck.Test.fail_reportf in
       (* Offer every datagram through [es], and return what each
-         continuation received plus the order the secret ones completed
-         in. *)
+         continuation received plus the order they completed in. *)
       let offer ~batched =
         let clock, s, d, es, _ = make_engines () in
         let batch = if batched then Some (Engine.Batch.create es) else None in
-        let wires = Array.make n None and secret_order = ref [] in
+        let wires = Array.make n None and order = ref [] in
         let send i p =
           let attrs =
             Fam.attrs ~protocol:17 ~src_port:(5000 + p.p_flow) ~dst_port:2 ~src:s
@@ -1511,7 +1502,7 @@ let prop_batch_pairing =
             | Ok w ->
                 if wires.(i) <> None then fail "datagram %d completed twice" i;
                 wires.(i) <- Some w;
-                if p.p_secret then secret_order := i :: !secret_order
+                order := i :: !order
             | Error e -> fail "send %d: %a" i Engine.pp_error e
           in
           let now = !clock and secret = p.p_secret in
@@ -1541,18 +1532,18 @@ let prop_batch_pairing =
             (fun i w ->
               match w with Some w -> w | None -> fail "datagram %d never completed" i)
             wires,
-          List.rev !secret_order )
+          List.rev !order )
       in
       let inline_wires, _ = offer ~batched:false in
-      let wires, secret_order = offer ~batched:true in
+      let wires, order = offer ~batched:true in
       Array.iteri
         (fun i w ->
           if not (String.equal w inline_wires.(i)) then
             fail "wire %d differs from the inline twin's" i)
         wires;
-      secret_order = List.sort compare secret_order
-      || fail "secret datagrams completed out of order: %s"
-           (String.concat " " (List.map string_of_int secret_order)))
+      order = List.init n Fun.id
+      || fail "datagrams completed out of call order: %s"
+           (String.concat " " (List.map string_of_int order)))
 
 let test_engine_ciphertext_hides_plaintext () =
   let clock, s, d, es, _ = make_engines () in
@@ -2460,8 +2451,8 @@ let () =
             test_engine_batch_pairing;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
             prop_batch_pairing;
-          Alcotest.test_case "seal-lane park from a resumed keying continuation"
-            `Quick test_engine_batch_seal_lane_late_park;
+          Alcotest.test_case "a resumed seal never parks" `Quick
+            test_engine_batch_resumed_seal_inline;
           Alcotest.test_case "ciphertext hides plaintext" `Quick
             test_engine_ciphertext_hides_plaintext;
           Alcotest.test_case "replay window" `Quick test_engine_replay_window;

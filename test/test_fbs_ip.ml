@@ -386,10 +386,10 @@ let test_peek_ports () =
 
 (* --- Output bursts ---
 
-   A burst's datagrams park their seals and wait in the stack's outbox
-   until the burst ends; these pin that the wire cannot tell.  The bug
-   class is the parked-forever datagram: a seal that parks where no
-   flush will ever come. *)
+   A burst's secret seals pair up in the stack's one-slot batch, and
+   each datagram transmits when its seal completes; these pin that the
+   wire cannot tell.  The bug class is the parked-forever datagram: a
+   seal that parks where no flush will ever come. *)
 
 (* What one site observed: the medium's frames in order, with their
    times; the receiver's deliveries; the integer counters; and every
@@ -442,6 +442,151 @@ let test_burst_matches_one_at_a_time () =
   check Alcotest.(list (pair string int)) "counters" counters1 counters;
   check Alcotest.(list (pair string string)) "span terminals" spans1 spans
 
+(* Random bursts against the same datagrams sent one at a time: each
+   datagram transmits when its seal completes, so the two must match
+   frame for frame.  A datagram is sealed (secret or not, by port under
+   [secret_policy]) on a warm peer, bypassed to the key server, sent to
+   one of two cold peers (it suspends on the MKD fetch), or too big with
+   DF set (its [Send_error] escapes the burst, or its [ip_output]). *)
+type burst_dgram =
+  | Sealed of { flow : int; secret : bool; size : int }
+  | To_key_server
+  | Cold of int
+  | Too_big of bool
+
+let gen_bursts =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (list_size (int_range 1 8)
+         (frequency
+            [
+              ( 6,
+                map3
+                  (fun flow secret size -> Sealed { flow; secret; size })
+                  (int_bound 3) bool (int_bound 1400) );
+              (1, return To_key_server);
+              (1, map (fun p -> Cold p) (int_bound 1));
+              (1, map (fun secret -> Too_big secret) bool);
+            ])))
+
+let print_bursts bursts =
+  String.concat " | "
+    (List.map
+       (fun ds ->
+         String.concat " "
+           (List.map
+              (function
+                | Sealed { flow; secret; size } ->
+                    Printf.sprintf "%s%d/%d" (if secret then "S" else "n") flow size
+                | To_key_server -> "K"
+                | Cold p -> Printf.sprintf "C%d" p
+                | Too_big secret -> if secret then "BIG" else "big")
+              ds))
+       bursts)
+
+(* The source port encodes secrecy: even ports are secret. *)
+let burst_port ~flow ~secret = 100 + (2 * flow) + if secret then 0 else 1
+
+let random_burst_run ~burst bursts =
+  let config =
+    Stack.default_config
+      ~secret_policy:(fun ~protocol:_ ~src_port ~dst_port:_ -> src_port land 1 = 0)
+      ()
+  in
+  let tb = Testbed.create ~seed:7 ~config ~span_capacity:8192 () in
+  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let peers =
+    List.map
+      (fun (name, addr) -> (Testbed.add_host tb ~name ~addr).Testbed.host)
+      [ ("b", "10.0.0.2"); ("c", "10.0.0.3"); ("d", "10.0.0.4") ]
+  in
+  let frames = ref [] and got = ref [] in
+  Medium.add_sniffer (Testbed.medium tb) (fun at raw -> frames := (at, raw) :: !frames);
+  List.iter
+    (fun h ->
+      Udp_stack.listen h ~port:7 (fun ~src:_ ~src_port d ->
+          got := (Host.name h, src_port, d) :: !got))
+    peers;
+  let bh = Host.addr (List.nth peers 0) in
+  let send i j = function
+    | Sealed { flow; secret; size } ->
+        Udp_stack.send a.Testbed.host ~src_port:(burst_port ~flow ~secret) ~dst:bh
+          ~dst_port:7
+          (Printf.sprintf "%d.%d " i j ^ String.make size 'p')
+    | To_key_server ->
+        Udp_stack.send a.Testbed.host ~src_port:9 ~dst:(Testbed.ca_addr tb) ~dst_port:9
+          (Printf.sprintf "%d.%d to the key server" i j)
+    | Cold p ->
+        Udp_stack.send a.Testbed.host ~src_port:100
+          ~dst:(Host.addr (List.nth peers (1 + p)))
+          ~dst_port:7 (Printf.sprintf "%d.%d cold" i j)
+    | Too_big secret ->
+        let port = Char.chr (burst_port ~flow:0 ~secret) in
+        Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:Ipv4.proto_udp
+          ~dst:bh
+          (Printf.sprintf "\000%c\000\007" port ^ String.make 1600 'x')
+  in
+  let errors = ref 0 in
+  let escape f = try f () with Host.Send_error _ -> incr errors in
+  (* Warm the peer b first, so that only the cold peers suspend. *)
+  Udp_stack.send a.Testbed.host ~src_port:99 ~dst:bh ~dst_port:7 "warm";
+  List.iteri
+    (fun i ds ->
+      Engine.schedule (Testbed.engine tb) ~delay:(1.0 +. (0.5 *. float_of_int i))
+        (fun () ->
+          if burst then
+            escape (fun () ->
+                Host.burst a.Testbed.host (fun () -> List.iteri (send i) ds))
+          else List.iteri (fun j d -> escape (fun () -> send i j d)) ds))
+    bursts;
+  Testbed.run ~until:30.0 tb;
+  let counters =
+    List.filter_map
+      (function n, Fbsr_util.Metrics.Int v -> Some (n, v) | _ -> None)
+      (Fbsr_util.Metrics.snapshot (Testbed.metrics tb))
+  in
+  let terminals =
+    List.sort compare
+      (List.map
+         (fun (s : Fbsr_util.Span.span) -> (s.Fbsr_util.Span.stage, s.Fbsr_util.Span.outcome))
+         (Testbed.collect_spans tb))
+  in
+  (List.rev !frames, List.rev !got, counters, terminals, !errors)
+
+let prop_random_bursts =
+  QCheck.Test.make ~count:25 ~name:"random bursts = one at a time"
+    (QCheck.make ~print:print_bursts gen_bursts)
+    (fun bursts ->
+      let frames1, got1, counters1, spans1, errors1 = random_burst_run ~burst:false bursts in
+      let frames, got, counters, spans, errors = random_burst_run ~burst:true bursts in
+      let fail = QCheck.Test.fail_reportf in
+      if frames <> frames1 then fail "medium frames or their times differ";
+      if got <> got1 then fail "deliveries differ";
+      if counters <> counters1 then
+        fail "counters differ: %s"
+          (String.concat ", "
+             (List.filter_map
+                (fun (n, v) ->
+                  match List.assoc_opt n counters1 with
+                  | Some v1 when v1 = v -> None
+                  | v1 ->
+                      Some
+                        (Printf.sprintf "%s %s -> %d" n
+                           (Option.fold ~none:"-" ~some:string_of_int v1)
+                           v))
+                counters));
+      if spans <> spans1 then fail "span terminals differ";
+      (* One error per too-big datagram one at a time; a burst raises
+         only its first. *)
+      let too_big ds = List.exists (function Too_big _ -> true | _ -> false) ds in
+      errors1
+      = List.fold_left
+          (fun n ds ->
+            n + List.length (List.filter (function Too_big _ -> true | _ -> false) ds))
+          0 bursts
+      && errors = List.length (List.filter too_big bursts)
+      || fail "Send_error counts: %d one at a time, %d in bursts" errors1 errors)
+
 (* The frames from [src] to [dst] the medium carries from now on, with
    their times, newest first. *)
 let frames_between tb src dst =
@@ -453,6 +598,55 @@ let frames_between tb src dst =
       | _ -> ()
       | exception Ipv4.Bad_packet _ -> ());
   seen
+
+(* Paper Section 5.3: a stack torn down and installed again must not
+   replay its predecessor's sfls.  Same sfl, same K_f; under SHA1-CTR
+   the engine's fixed confounder seed then repeats the keystream, and
+   two bodies XOR to the XOR of their plaintexts (a two-time pad). *)
+let test_reinstalled_stack_fresh_sfl () =
+  let config =
+    Stack.default_config ~suite:Fbsr_fbs.Suite.hmac_sha1_ctr ()
+  in
+  let tb, a, b = make_pair ~config () in
+  let config =
+    { config with Stack.bypass = (fun ad -> Addr.equal ad (Testbed.ca_addr tb)) }
+  in
+  let bh = Host.addr b.Testbed.host in
+  let data = frames_between tb (Host.addr a.Testbed.host) bh in
+  (* Raw IP payloads, so the FBS plaintext is exactly these bytes; the
+     first four read as ports 7 -> 7. *)
+  let p1 = "\000\007\000\007 DAWN, the first datagram" in
+  let p2 = "\000\007\000\007 NOON, the other datagram" in
+  let send_first p =
+    Host.ip_output a.Testbed.host ~protocol:Ipv4.proto_udp ~dst:bh p;
+    Testbed.run tb;
+    match !data with
+    | (_, wire) :: _ -> (
+        match Fbsr_fbs.Header.decode wire with
+        | Ok hb -> hb
+        | Error _ -> Alcotest.fail "undecodable FBS header")
+    | [] -> Alcotest.fail "nothing on the wire"
+  in
+  let h1, body1 = send_first p1 in
+  List.iter
+    (fun (n : Testbed.node) ->
+      Stack.uninstall n.Testbed.stack;
+      ignore
+        (Stack.install ~config ~private_value:n.Testbed.private_value
+           ~group:(Testbed.group tb)
+           ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
+           ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
+           ~resolver:(Mkd.resolver n.Testbed.mkd) n.Testbed.host
+          : Stack.t))
+    [ a; b ];
+  let h2, body2 = send_first p2 in
+  check Alcotest.bool "the re-installed stack's first sfl differs" false
+    (Fbsr_fbs.Sfl.equal h1.Fbsr_fbs.Header.sfl h2.Fbsr_fbs.Header.sfl);
+  let xor x y = String.init (String.length x) (fun i -> Char.chr (Char.code x.[i] lxor Char.code y.[i])) in
+  check Alcotest.int "equal lengths" (String.length body1) (String.length body2);
+  check Alcotest.bool "no two-time pad: bodies do not XOR to the plaintexts' XOR"
+    false
+    (String.equal (xor body1 body2) (xor p1 p2))
 
 let test_burst_cold_flow_transmits_on_resume () =
   let tb, a, b = make_pair () in
@@ -493,7 +687,11 @@ let test_burst_bypass_keeps_position () =
   Host.burst a.Testbed.host (fun () ->
       Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "sealed, first";
       Udp_stack.send a.Testbed.host ~src_port:9 ~dst:ca ~dst_port:9 "to the key server";
-      check Alcotest.int "held until the burst ends" 0 (List.length !order);
+      check
+        Alcotest.(list string)
+        "the parked seal went out before the bypassed datagram"
+        [ Addr.to_string bh; Addr.to_string ca ]
+        (List.rev_map Addr.to_string !order);
       Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "sealed, last");
   check
     Alcotest.(list string)
@@ -959,6 +1157,8 @@ let () =
           Alcotest.test_case "standalone sweeper (Figure 7)" `Quick test_stack_sweeper;
           Alcotest.test_case "key-server outage + recovery" `Quick
             test_ca_outage_recovery;
+          Alcotest.test_case "re-installed stack draws fresh sfls" `Quick
+            test_reinstalled_stack_fresh_sfl;
         ] );
       ( "stack-burst",
         [
@@ -970,6 +1170,8 @@ let () =
             test_burst_bypass_keeps_position;
           Alcotest.test_case "DF too big still raises Send_error" `Quick
             test_burst_df_too_big_escapes;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            prop_random_bursts;
         ] );
       ( "cold-flow-send",
         [

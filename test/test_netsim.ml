@@ -288,6 +288,35 @@ let test_reassembly_timeout () =
         (Frag.pending r = 1)
   | [] -> Alcotest.fail "no fragments"
 
+(* Duplicates of a fragment (fresh strings, as off the wire) must neither
+   grow a reassembly entry nor push its deadline back. *)
+let test_reassembly_duplicates () =
+  let payload = String.init 4000 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let h =
+    Ipv4.make ~ident:13 ~protocol:17 ~src:addr_a ~dst:addr_b ~payload_length:4000 ()
+  in
+  match Frag.fragment h payload ~mtu:1500 with
+  | (fh, d) :: rest ->
+      let copy () = Bytes.to_string (Bytes.of_string d) in
+      let r = Frag.create ~timeout:30.0 () in
+      check Alcotest.bool "incomplete" true (Frag.add r ~now:0.0 fh d = None);
+      let words = Obj.reachable_words (Obj.repr r) in
+      for _ = 1 to 1000 do
+        ignore (Frag.add r ~now:0.0 fh (copy ()))
+      done;
+      check Alcotest.int "1000 duplicates stored nothing" words
+        (Obj.reachable_words (Obj.repr r));
+      let last = List.filter_map (fun (fh, d) -> Frag.add r ~now:1.0 fh d) rest in
+      check
+        Alcotest.(list string)
+        "reassembled byte for byte" [ payload ] (List.map snd last);
+      check Alcotest.int "table drained" 0 (Frag.pending r);
+      let r = Frag.create ~timeout:30.0 () in
+      ignore (Frag.add r ~now:0.0 fh d);
+      ignore (Frag.add r ~now:20.0 fh (copy ()));
+      check Alcotest.int "expired 30 s after the first fragment" 1 (Frag.expire r 30.5)
+  | [] -> Alcotest.fail "no fragments"
+
 let test_unfragmented_passthrough () =
   let h = Ipv4.make ~protocol:17 ~src:addr_a ~dst:addr_b ~payload_length:5 () in
   let r = Frag.create () in
@@ -895,6 +924,8 @@ let () =
           Alcotest.test_case "reassembly in order" `Quick test_reassembly_in_order;
           Alcotest.test_case "reassembly reversed" `Quick test_reassembly_reversed;
           Alcotest.test_case "timeout discards state" `Quick test_reassembly_timeout;
+          Alcotest.test_case "duplicates neither grow nor extend an entry" `Quick
+            test_reassembly_duplicates;
           Alcotest.test_case "unfragmented passthrough" `Quick
             test_unfragmented_passthrough;
           qtest prop_reassembly_random_order;
