@@ -142,7 +142,7 @@ let lcg = Fbsr_util.Lcg.create 99
 let stage = Staged.stage
 
 let crypto_tests =
-  Test.make_grouped ~name:"crypto"
+  ( "crypto",
     [
       (* Section 7.2 table: CryptoLib DES-CBC 549 kB/s, MD5 7060 kB/s. *)
       Test.make ~name:"des-cbc-1460B"
@@ -203,10 +203,10 @@ let crypto_tests =
         (stage (fun () ->
              Fbsr_crypto.Fused.mac_then_encrypt ~mac_key ~des_key ~iv
                ~prefix_parts:[ "conf"; "ts" ] datagram));
-    ]
+    ] )
 
 let fbs_tests =
-  Test.make_grouped ~name:"fbs"
+  ( "fbs",
     [
       (* Figure 8 FBS rows: per-datagram send/receive on the warm path.
          The send row goes through cross-flow batched sealing (the
@@ -296,9 +296,69 @@ let fbs_tests =
                }
              in
              Fbsr_fbs.Header.decode (Fbsr_fbs.Header.encode h ^ "body")));
-    ]
+    ] )
 
-let all_tests = Test.make_grouped ~name:"fbs-repro" [ crypto_tests; fbs_tests ]
+(* The netsim codecs every datagram crosses under the FBS engine: each
+   row encodes and decodes one header, checksum included, so a
+   regression in the one-buffer encoders or the in-place decoders shows
+   here before it shows in the end-to-end benchmark. *)
+let net_tests =
+  let open Fbsr_netsim in
+  let src = Addr.of_string "10.9.0.1" and dst = Addr.of_string "10.9.0.2" in
+  let udp_64 = String.sub datagram 0 64 in
+  let ip_1480 = datagram ^ String.sub datagram 0 20 in
+  let ip_h =
+    Ipv4.make ~ident:7 ~protocol:Ipv4.proto_udp ~src ~dst
+      ~payload_length:(String.length ip_1480) ()
+  in
+  let tcp_1418 = String.sub datagram 0 1418 in
+  let tcp_h =
+    {
+      Tcp_seg.src_port = 5001;
+      dst_port = 5002;
+      seq = 1l;
+      ack_seq = 2l;
+      flags = { Tcp_seg.no_flags with ack = true; psh = true };
+      window = 65535;
+    }
+  in
+  ( "net",
+    [
+      Test.make ~name:"udp-encode+decode-64B"
+        (stage (fun () ->
+             Udp.decode ~src ~dst (Udp.encode ~src ~dst ~src_port:5001 ~dst_port:7 udp_64)));
+      Test.make ~name:"ipv4-encode+decode-1480B"
+        (stage (fun () -> Ipv4.decode (Ipv4.encode ip_h ip_1480)));
+      Test.make ~name:"tcp-encode+decode-1418B"
+        (stage (fun () -> Tcp_seg.decode ~src ~dst (Tcp_seg.encode ~src ~dst tcp_h tcp_1418)));
+      (* RFC 1071 over an MTU payload: the per-byte part of every
+         UDP/TCP checksum. *)
+      Test.make ~name:"inet-checksum-1460B"
+        (stage (fun () -> Fbsr_util.Inet_checksum.sum datagram 0 (String.length datagram)));
+    ] )
+
+(* The rows to run: all of them, or those whose name starts with the
+   [--only] prefix, the name written as in the artifact
+   ("fbs-repro/net/udp-encode+decode-64B") or without its root
+   ("net/udp-encode+decode-64B"). *)
+let selected_tests only =
+  let keep g row =
+    match only with
+    | None -> true
+    | Some prefix ->
+        let name = g ^ "/" ^ Test.name row in
+        String.starts_with ~prefix name || String.starts_with ~prefix ("fbs-repro/" ^ name)
+  in
+  match
+    List.filter_map
+      (fun (g, rows) ->
+        match List.filter (keep g) rows with
+        | [] -> None
+        | rows -> Some (Test.make_grouped ~name:g rows))
+      [ crypto_tests; fbs_tests; net_tests ]
+  with
+  | [] -> None
+  | groups -> Some (Test.make_grouped ~name:"fbs-repro" groups)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded-engine throughput rows                                      *)
@@ -543,7 +603,7 @@ let telemetry_bench () =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let benchmark ~quick () =
+let benchmark ~quick tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -553,7 +613,7 @@ let benchmark ~quick () =
     if quick then Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
-  let raw_results = Benchmark.all cfg instances all_tests in
+  let raw_results = Benchmark.all cfg instances tests in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw_results) instances
   in
@@ -796,7 +856,9 @@ let stages_json spans =
              ] ))
        (Span.stage_stats spans))
 
-let emit_json ~path ~spans_path ~rev ~quick ~sharded ~telemetry rows =
+(* [sections] is [None] under [--only]: the artifact then leaves out the
+   sharded, telemetry and transfer objects it did not measure. *)
+let emit_json ~path ~spans_path ~rev ~quick ~sections rows =
   let m = Fbsr_util.Metrics.create () in
   (* Causal tracing is ON for this run: the datapath allocation audit below
      uses separate untraced engines, so its GC columns still measure the
@@ -809,25 +871,31 @@ let emit_json ~path ~spans_path ~rev ~quick ~sharded ~telemetry rows =
   (* Per-shard probes from the sharded throughput fixture: counter
      values are deterministic (fixed batch x fixed iterations), so they
      diff cleanly run-over-run like the engine counters. *)
-  sharded.sregister m;
+  Option.iter (fun (sharded, _) -> sharded.sregister m) sections;
   let doc =
     Fbsr_util.Json.Obj
-      [
-        ("schema", Fbsr_util.Json.String "fbsr-bench/1");
-        ("rev", Fbsr_util.Json.String rev);
-        ("ocaml_version", Fbsr_util.Json.String Sys.ocaml_version);
-        ("quick", Fbsr_util.Json.Bool quick);
-        ( "benchmarks",
-          Fbsr_util.Json.Obj
-            (List.map (fun (name, ns) -> (name, Fbsr_util.Json.Float ns)) rows) );
-        ("ns_per_byte", ns_per_byte_json rows);
-        ("counters", counters_json m);
-        ("datapath", datapath_json ());
-        ("stages", stages_json r.Fbsr_experiments.Faults.spans);
-        ("sharded", sharded.sjson);
-        ("telemetry", telemetry);
-        ("transfers", transfers_json ());
-      ]
+      ([
+         ("schema", Fbsr_util.Json.String "fbsr-bench/1");
+         ("rev", Fbsr_util.Json.String rev);
+         ("ocaml_version", Fbsr_util.Json.String Sys.ocaml_version);
+         ("quick", Fbsr_util.Json.Bool quick);
+         ( "benchmarks",
+           Fbsr_util.Json.Obj
+             (List.map (fun (name, ns) -> (name, Fbsr_util.Json.Float ns)) rows) );
+         ("ns_per_byte", ns_per_byte_json rows);
+         ("counters", counters_json m);
+         ("datapath", datapath_json ());
+         ("stages", stages_json r.Fbsr_experiments.Faults.spans);
+       ]
+      @
+      match sections with
+      | None -> []
+      | Some (sharded, telemetry) ->
+          [
+            ("sharded", sharded.sjson);
+            ("telemetry", telemetry);
+            ("transfers", transfers_json ());
+          ])
   in
   let oc = open_out path in
   output_string oc (Fbsr_util.Json.to_string_pretty doc);
@@ -846,6 +914,7 @@ let emit_json ~path ~spans_path ~rev ~quick ~sharded ~telemetry rows =
 
 let () =
   let json = ref None and spans = ref None and quick = ref false and rev = ref None in
+  let only = ref None in
   let rec parse = function
     | [] -> ()
     | "--json" :: path :: rest ->
@@ -860,29 +929,51 @@ let () =
     | "--rev" :: r :: rest ->
         rev := Some r;
         parse rest
+    | "--only" :: prefix :: rest ->
+        only := Some prefix;
+        parse rest
     | arg :: _ ->
         Printf.eprintf
-          "usage: %s [--json PATH] [--spans PATH] [--quick] [--rev STR]\n\
+          "usage: %s [--json PATH] [--spans PATH] [--quick] [--rev STR] [--only PREFIX]\n\
            (unknown argument %S)\n"
           Sys.executable_name arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let tests =
+    match selected_tests !only with
+    | Some tests -> tests
+    | None ->
+        Printf.eprintf "no benchmark row starts with %S\n" (Option.get !only);
+        exit 2
+  in
   Printf.printf
     "=== Bechamel micro-benchmarks (one per table/figure dependency) ===\n%!";
-  let rows = result_rows (benchmark ~quick:!quick ()) in
-  let sharded = sharded_bench () in
-  let tel_row, tel_json = telemetry_bench () in
-  let rows = rows @ sharded.srows @ [ tel_row ] in
+  let rows = result_rows (benchmark ~quick:!quick tests) in
+  (* [--only] runs the matching rows and nothing else: no sharded,
+     telemetry or transfer section, no figure harness. *)
+  let sections =
+    match !only with
+    | Some _ -> None
+    | None ->
+        let sharded = sharded_bench () in
+        Some (sharded, telemetry_bench ())
+  in
+  let rows =
+    match sections with
+    | None -> rows
+    | Some (sharded, (tel_row, _)) -> rows @ sharded.srows @ [ tel_row ]
+  in
   print_results rows;
-  match !json with
-  | Some path ->
+  let sections = Option.map (fun (sharded, (_, tel_json)) -> (sharded, tel_json)) sections in
+  match (!json, sections) with
+  | Some path, _ ->
       (* Artifact mode: medians + a deterministic counter run; skip the
          long figure harness. *)
       let rev = match !rev with Some r -> r | None -> detect_rev () in
-      emit_json ~path ~spans_path:!spans ~rev ~quick:!quick ~sharded
-        ~telemetry:tel_json rows
-  | None ->
+      emit_json ~path ~spans_path:!spans ~rev ~quick:!quick ~sections rows
+  | None, None -> ()
+  | None, Some _ ->
       (* Part 2: regenerate the paper's tables and figures. *)
       let seed = 7 and duration = 7200.0 and bytes = 1_000_000 in
       Fbsr_experiments.Experiments.run_all seed duration bytes

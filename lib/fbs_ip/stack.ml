@@ -92,6 +92,10 @@ type t = {
   mutable verdict : Host.hook_result; (* the last on-time completion's hook result *)
   mutable verdict_of : Ipv4.header; (* ... and the header its hook was given *)
   mutable send_error : exn option; (* the open burst's first [Send_error] *)
+  local_addr : Addr.t;
+  local : Fbsr_fbs.Principal.t; (* [local_addr]'s principal, named once *)
+  memo_addr : int array; (* peer principals, direct-mapped; -1 is empty *)
+  memo_name : Fbsr_fbs.Principal.t array;
 }
 
 let engine t = t.engine
@@ -115,6 +119,25 @@ let register_metrics (t : t) m =
   Fbsr_fbs.Engine.register_metrics t.engine m
 let policy_state t = t.policy_state
 let principal_of_addr addr = Fbsr_fbs.Principal.of_string (Addr.to_string addr)
+
+(* Peer principals are named through a direct-mapped memo of fixed size:
+   a warm peer costs a probe, not a dotted quad per datagram, and a flood
+   of forged sources only evicts entries, never grows the table. *)
+let memo_size = 64
+
+let principal t addr =
+  if Addr.equal addr t.local_addr then t.local
+  else begin
+    let a = Addr.to_int addr in
+    let i = (a lxor (a lsr 6) lxor (a lsr 12)) land (memo_size - 1) in
+    if Array.unsafe_get t.memo_addr i = a then Array.unsafe_get t.memo_name i
+    else begin
+      let p = principal_of_addr addr in
+      t.memo_addr.(i) <- a;
+      t.memo_name.(i) <- p;
+      p
+    end
+  end
 
 (* Peek transport ports just past the IP header (footnote 9's layering
    violation).  Returns (0,0) when the protocol has no ports or the
@@ -153,11 +176,14 @@ let on_time t h verdict =
 
 (* Fragment and transmit.  On time, a [Send_error] (DF set, datagram too
    big) waits for the burst's end, so the datagrams behind it still go
-   out; a resumed datagram has no burst to escape. *)
+   out.  A resumed datagram runs from the MKD reply's event, where there
+   is no caller to tell: it is dropped, and the host's [send_errors]
+   counts it as it counts an on-time one. *)
 let transmit t h wire =
-  try Host.transmit_prepared t.host h wire
-  with Host.Send_error _ as e when t.hooks > 0 ->
-    if t.send_error = None then t.send_error <- Some e
+  try Host.transmit_prepared t.host h wire with
+  | Host.Send_error _ as e when t.hooks > 0 ->
+      if t.send_error = None then t.send_error <- Some e
+  | Host.Send_error _ -> ()
 
 (* The one send completion. *)
 let sent t h r =
@@ -182,8 +208,8 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
     let secret = t.config.secret_policy ~protocol:h.protocol ~src_port ~dst_port in
     let attrs =
       Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
-        ~size:(String.length payload) ~src:(principal_of_addr h.src)
-        ~dst:(principal_of_addr h.dst) ()
+        ~size:(String.length payload) ~src:(principal t h.src)
+        ~dst:(principal t h.dst) ()
     in
     let parked0 = Fbsr_fbs.Engine.Batch.pending t.tx_batch in
     Fbsr_fbs.Engine.send ?batch:t.tx_seals t.engine ~now:(Host.now t.host) ~attrs
@@ -237,7 +263,7 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
             ("bytes", Fbsr_util.Json.Int (String.length payload));
           ];
     Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host)
-      ~src:(principal_of_addr h.src) ~wire:payload (received t h);
+      ~src:(principal t h.src) ~wire:payload (received t h);
     if t.verdict_of == h then t.verdict
     else begin
       t.counters.suspended_in <- t.counters.suspended_in + 1;
@@ -306,6 +332,10 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
       verdict = awaiting;
       verdict_of = no_header;
       send_error = None;
+      local_addr = Host.addr host;
+      local;
+      memo_addr = Array.make memo_size (-1);
+      memo_name = Array.make memo_size local;
     }
   in
   Host.set_output_hook host (hooked output_hook t);

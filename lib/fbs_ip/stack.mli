@@ -6,7 +6,9 @@
     the two-chain kernel; each datagram transmits the moment its seal
     completes, in call order, and burst end seals an odd one out.  A
     datagram whose keying suspended seals inline when its key arrives
-    and transmits at once. *)
+    and transmits at once; if it is too big with DF set it is dropped
+    there (the host's [send_errors] counts it) rather than raising
+    {!Fbsr_netsim.Host.Send_error} out of the event loop. *)
 
 open Fbsr_netsim
 

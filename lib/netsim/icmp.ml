@@ -13,32 +13,30 @@ let type_echo_request = 8
 type message = { msg_type : int; code : int; id : int; seq : int; payload : string }
 
 let encode m =
-  let w = Byte_writer.create () in
-  Byte_writer.u8 w m.msg_type;
-  Byte_writer.u8 w m.code;
-  Byte_writer.u16 w 0;
-  Byte_writer.u16 w m.id;
-  Byte_writer.u16 w m.seq;
-  Byte_writer.bytes w m.payload;
-  let raw = Bytes.of_string (Byte_writer.contents w) in
-  let ck = Inet_checksum.string (Bytes.to_string raw) in
-  Bytes.set raw 2 (Char.chr (ck lsr 8));
-  Bytes.set raw 3 (Char.chr (ck land 0xff));
-  Bytes.unsafe_to_string raw
+  let n = 8 + String.length m.payload in
+  let buf = Bytes.create n in
+  Bytes.set_uint8 buf 0 m.msg_type;
+  Bytes.set_uint8 buf 1 m.code;
+  Bytes.set_uint16_be buf 2 0;
+  Bytes.set_uint16_be buf 4 m.id;
+  Bytes.set_uint16_be buf 6 m.seq;
+  Bytes.blit_string m.payload 0 buf 8 (String.length m.payload);
+  Bytes.set_uint16_be buf 2
+    (Inet_checksum.finish (Inet_checksum.sum (Bytes.unsafe_to_string buf) 0 n));
+  Bytes.unsafe_to_string buf
 
 exception Bad_message of string
 
 let decode raw =
   if String.length raw < 8 then raise (Bad_message "short");
   if not (Inet_checksum.verify raw) then raise (Bad_message "checksum");
-  let r = Byte_reader.of_string raw in
-  let msg_type = Byte_reader.u8 r in
-  let code = Byte_reader.u8 r in
-  let _ck = Byte_reader.u16 r in
-  let id = Byte_reader.u16 r in
-  let seq = Byte_reader.u16 r in
-  let payload = Byte_reader.rest r in
-  { msg_type; code; id; seq; payload }
+  {
+    msg_type = String.get_uint8 raw 0;
+    code = String.get_uint8 raw 1;
+    id = String.get_uint16_be raw 4;
+    seq = String.get_uint16_be raw 6;
+    payload = String.sub raw 8 (String.length raw - 8);
+  }
 
 (* Per-host ping service: answers echo requests, tracks outstanding
    requests by (id, seq). *)

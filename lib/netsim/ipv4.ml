@@ -46,74 +46,70 @@ let make ?(tos = 0) ?(ident = 0) ?(dont_fragment = false) ?(more_fragments = fal
     options;
   }
 
-let encode_header h =
-  let ihl_words = (header_size + String.length h.options) / 4 in
-  let w = Byte_writer.create ~capacity:(header_size + String.length h.options) () in
-  Byte_writer.u8 w ((4 lsl 4) lor ihl_words);
-  Byte_writer.u8 w h.tos;
-  Byte_writer.u16 w h.total_length;
-  Byte_writer.u16 w h.ident;
+(* Header fields into [buf] at 0, checksum last, computed over the same
+   buffer: one pass, no intermediate copy. *)
+let write_header buf h =
+  let hl = header_length h in
+  Bytes.set_uint8 buf 0 ((4 lsl 4) lor (hl / 4));
+  Bytes.set_uint8 buf 1 h.tos;
+  Bytes.set_uint16_be buf 2 h.total_length;
+  Bytes.set_uint16_be buf 4 h.ident;
   let flags = (if h.dont_fragment then 0x4000 else 0) lor (if h.more_fragments then 0x2000 else 0) in
-  Byte_writer.u16 w (flags lor (h.frag_offset land 0x1fff));
-  Byte_writer.u8 w h.ttl;
-  Byte_writer.u8 w h.protocol;
-  Byte_writer.u16 w 0; (* checksum placeholder *)
-  Byte_writer.u32_int w (Addr.to_int h.src);
-  Byte_writer.u32_int w (Addr.to_int h.dst);
-  Byte_writer.bytes w h.options;
-  let raw = Bytes.of_string (Byte_writer.contents w) in
-  let ck = Inet_checksum.string (Bytes.to_string raw) in
-  Bytes.set raw 10 (Char.chr (ck lsr 8));
-  Bytes.set raw 11 (Char.chr (ck land 0xff));
-  Bytes.unsafe_to_string raw
+  Bytes.set_uint16_be buf 6 (flags lor (h.frag_offset land 0x1fff));
+  Bytes.set_uint8 buf 8 h.ttl;
+  Bytes.set_uint8 buf 9 h.protocol;
+  Bytes.set_uint16_be buf 10 0;
+  Bytes.set_int32_be buf 12 (Int32.of_int (Addr.to_int h.src));
+  Bytes.set_int32_be buf 16 (Int32.of_int (Addr.to_int h.dst));
+  Bytes.blit_string h.options 0 buf header_size (String.length h.options);
+  Bytes.set_uint16_be buf 10
+    (Inet_checksum.finish (Inet_checksum.sum (Bytes.unsafe_to_string buf) 0 hl))
+
+let encode_header h =
+  let buf = Bytes.create (header_length h) in
+  write_header buf h;
+  Bytes.unsafe_to_string buf
 
 let encode h payload =
-  if h.total_length <> header_length h + String.length payload then
+  let hl = header_length h in
+  if h.total_length <> hl + String.length payload then
     invalid_arg "Ipv4.encode: total_length does not match payload";
-  encode_header h ^ payload
+  let buf = Bytes.create h.total_length in
+  write_header buf h;
+  Bytes.blit_string payload 0 buf hl (String.length payload);
+  Bytes.unsafe_to_string buf
 
 exception Bad_packet of string
 
+(* Fields are read straight out of [raw] and the header checksum is
+   verified in place. *)
 let decode raw =
-  let r = Byte_reader.of_string raw in
-  (try
-     if Byte_reader.remaining r < header_size then raise (Bad_packet "short header")
-   with Byte_reader.Truncated -> raise (Bad_packet "short header"));
-  let vihl = Byte_reader.u8 r in
+  if String.length raw < header_size then raise (Bad_packet "short header");
+  let vihl = String.get_uint8 raw 0 in
   if vihl lsr 4 <> 4 then raise (Bad_packet "not IPv4");
   let ihl = (vihl land 0xf) * 4 in
   if ihl < header_size then raise (Bad_packet "bad IHL");
-  let tos = Byte_reader.u8 r in
-  let total_length = Byte_reader.u16 r in
-  let ident = Byte_reader.u16 r in
-  let flags_frag = Byte_reader.u16 r in
-  let ttl = Byte_reader.u8 r in
-  let protocol = Byte_reader.u8 r in
-  let _checksum = Byte_reader.u16 r in
-  let src = Addr.of_int (Byte_reader.u32_int r) in
-  let dst = Addr.of_int (Byte_reader.u32_int r) in
+  let total_length = String.get_uint16_be raw 2 in
   if total_length > String.length raw then raise (Bad_packet "truncated packet");
   if ihl > total_length then raise (Bad_packet "IHL exceeds total length");
-  if not (Inet_checksum.verify (String.sub raw 0 ihl)) then
-    raise (Bad_packet "header checksum");
-  let options = String.sub raw header_size (ihl - header_size) in
-  let payload = String.sub raw ihl (total_length - ihl) in
+  if Inet_checksum.sum raw 0 ihl <> 0xffff then raise (Bad_packet "header checksum");
+  let flags_frag = String.get_uint16_be raw 6 in
   let h =
     {
-      tos;
+      tos = String.get_uint8 raw 1;
       total_length;
-      ident;
+      ident = String.get_uint16_be raw 4;
       dont_fragment = flags_frag land 0x4000 <> 0;
       more_fragments = flags_frag land 0x2000 <> 0;
       frag_offset = flags_frag land 0x1fff;
-      ttl;
-      protocol;
-      src;
-      dst;
-      options;
+      ttl = String.get_uint8 raw 8;
+      protocol = String.get_uint8 raw 9;
+      src = Addr.of_int (Int32.to_int (String.get_int32_be raw 12) land 0xffffffff);
+      dst = Addr.of_int (Int32.to_int (String.get_int32_be raw 16) land 0xffffffff);
+      options = (if ihl = header_size then "" else String.sub raw header_size (ihl - header_size));
     }
   in
-  (h, payload)
+  (h, String.sub raw ihl (total_length - ihl))
 
 let pp_header ppf h =
   Fmt.pf ppf "IPv4 %a -> %a proto=%d len=%d id=%d%s%s off=%d ttl=%d" Addr.pp h.src

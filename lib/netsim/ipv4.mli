@@ -43,14 +43,18 @@ val make :
   header
 
 val encode_header : header -> string
-(** 20 bytes with a valid checksum. *)
+(** The header, options included, with a valid checksum. *)
 
 val encode : header -> string -> string
+(** Header and payload in one buffer of [total_length] bytes.
+    @raise Invalid_argument if [total_length] does not match the
+    payload. *)
 
 exception Bad_packet of string
 
 val decode : string -> header * string
-(** @raise Bad_packet on malformed input (bad version, checksum,
+(** The checksum is verified in place; the payload is the one copy.
+    @raise Bad_packet on malformed input (bad version, checksum,
     truncation). *)
 
 val pp_header : Format.formatter -> header -> unit

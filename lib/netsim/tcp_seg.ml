@@ -18,14 +18,11 @@ type header = {
 
 let header_size = 20
 
-let pseudo_header ~src ~dst ~tcp_length =
-  let w = Byte_writer.create ~capacity:12 () in
-  Byte_writer.u32_int w (Addr.to_int src);
-  Byte_writer.u32_int w (Addr.to_int dst);
-  Byte_writer.u8 w 0;
-  Byte_writer.u8 w Ipv4.proto_tcp;
-  Byte_writer.u16 w tcp_length;
-  Byte_writer.contents w
+(* The pseudo-header's words, added as integers: src, dst, zero+protocol,
+   TCP length. *)
+let pseudo_sum ~src ~dst ~tcp_length =
+  let s = Addr.to_int src and d = Addr.to_int dst in
+  (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + Ipv4.proto_tcp + tcp_length
 
 let flags_to_int f =
   (if f.fin then 0x01 else 0)
@@ -45,52 +42,42 @@ let flags_of_int v =
 
 let encode ~src ~dst (h : header) payload =
   let length = header_size + String.length payload in
-  let w = Byte_writer.create ~capacity:length () in
-  Byte_writer.u16 w h.src_port;
-  Byte_writer.u16 w h.dst_port;
-  Byte_writer.u32 w h.seq;
-  Byte_writer.u32 w h.ack_seq;
-  Byte_writer.u8 w (5 lsl 4); (* data offset 5 words, no options *)
-  Byte_writer.u8 w (flags_to_int h.flags);
-  Byte_writer.u16 w h.window;
-  Byte_writer.u16 w 0; (* checksum *)
-  Byte_writer.u16 w 0; (* urgent *)
-  Byte_writer.bytes w payload;
-  let raw = Bytes.of_string (Byte_writer.contents w) in
-  let sum =
-    Inet_checksum.sum
-      ~acc:(Inet_checksum.sum (pseudo_header ~src ~dst ~tcp_length:length) 0 12)
-      (Bytes.to_string raw) 0 length
-  in
-  let ck = Inet_checksum.finish sum in
-  Bytes.set raw 16 (Char.chr (ck lsr 8));
-  Bytes.set raw 17 (Char.chr (ck land 0xff));
-  Bytes.unsafe_to_string raw
+  let buf = Bytes.create length in
+  Bytes.set_uint16_be buf 0 h.src_port;
+  Bytes.set_uint16_be buf 2 h.dst_port;
+  Bytes.set_int32_be buf 4 h.seq;
+  Bytes.set_int32_be buf 8 h.ack_seq;
+  Bytes.set_uint8 buf 12 (5 lsl 4); (* data offset 5 words, no options *)
+  Bytes.set_uint8 buf 13 (flags_to_int h.flags);
+  Bytes.set_uint16_be buf 14 h.window;
+  Bytes.set_uint16_be buf 16 0; (* checksum *)
+  Bytes.set_uint16_be buf 18 0; (* urgent *)
+  Bytes.blit_string payload 0 buf header_size (String.length payload);
+  Bytes.set_uint16_be buf 16
+    (Inet_checksum.finish
+       (Inet_checksum.sum
+          ~acc:(pseudo_sum ~src ~dst ~tcp_length:length)
+          (Bytes.unsafe_to_string buf) 0 length));
+  Bytes.unsafe_to_string buf
 
 exception Bad_segment of string
 
 let decode ~src ~dst raw =
   let len = String.length raw in
   if len < header_size then raise (Bad_segment "short header");
-  let sum =
-    Inet_checksum.sum
-      ~acc:(Inet_checksum.sum (pseudo_header ~src ~dst ~tcp_length:len) 0 12)
-      raw 0 len
-  in
-  if sum <> 0xffff then raise (Bad_segment "checksum");
-  let r = Byte_reader.of_string raw in
-  let src_port = Byte_reader.u16 r in
-  let dst_port = Byte_reader.u16 r in
-  let seq = Byte_reader.u32 r in
-  let ack_seq = Byte_reader.u32 r in
-  let data_off = (Byte_reader.u8 r lsr 4) * 4 in
+  if Inet_checksum.sum ~acc:(pseudo_sum ~src ~dst ~tcp_length:len) raw 0 len <> 0xffff then
+    raise (Bad_segment "checksum");
+  let data_off = (String.get_uint8 raw 12 lsr 4) * 4 in
   if data_off < header_size || data_off > len then raise (Bad_segment "bad offset");
-  let flags = flags_of_int (Byte_reader.u8 r) in
-  let window = Byte_reader.u16 r in
-  let _checksum = Byte_reader.u16 r in
-  let _urgent = Byte_reader.u16 r in
-  let payload = String.sub raw data_off (len - data_off) in
-  ({ src_port; dst_port; seq; ack_seq; flags; window }, payload)
+  ( {
+      src_port = String.get_uint16_be raw 0;
+      dst_port = String.get_uint16_be raw 2;
+      seq = String.get_int32_be raw 4;
+      ack_seq = String.get_int32_be raw 8;
+      flags = flags_of_int (String.get_uint8 raw 13);
+      window = String.get_uint16_be raw 14;
+    },
+    String.sub raw data_off (len - data_off) )
 
 (* 32-bit sequence arithmetic. *)
 let seq_add (s : int32) n = Int32.add s (Int32.of_int n)

@@ -6,58 +6,40 @@ type header = { src_port : int; dst_port : int; length : int }
 
 let header_size = 8
 
-let pseudo_header ~src ~dst ~udp_length =
-  let w = Byte_writer.create ~capacity:12 () in
-  Byte_writer.u32_int w (Addr.to_int src);
-  Byte_writer.u32_int w (Addr.to_int dst);
-  Byte_writer.u8 w 0;
-  Byte_writer.u8 w Ipv4.proto_udp;
-  Byte_writer.u16 w udp_length;
-  Byte_writer.contents w
+(* The pseudo-header's words, added as integers: src, dst, zero+protocol,
+   UDP length. *)
+let pseudo_sum ~src ~dst ~udp_length =
+  let s = Addr.to_int src and d = Addr.to_int dst in
+  (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + Ipv4.proto_udp + udp_length
 
 let encode ~src ~dst ~src_port ~dst_port payload =
   let length = header_size + String.length payload in
-  let w = Byte_writer.create ~capacity:length () in
-  Byte_writer.u16 w src_port;
-  Byte_writer.u16 w dst_port;
-  Byte_writer.u16 w length;
-  Byte_writer.u16 w 0;
-  Byte_writer.bytes w payload;
-  let raw = Bytes.of_string (Byte_writer.contents w) in
-  let sum =
-    Inet_checksum.sum
-      ~acc:(Inet_checksum.sum (pseudo_header ~src ~dst ~udp_length:length) 0 12)
-      (Bytes.to_string raw) 0 length
+  let buf = Bytes.create length in
+  Bytes.set_uint16_be buf 0 src_port;
+  Bytes.set_uint16_be buf 2 dst_port;
+  Bytes.set_uint16_be buf 4 length;
+  Bytes.set_uint16_be buf 6 0;
+  Bytes.blit_string payload 0 buf header_size (String.length payload);
+  let ck =
+    Inet_checksum.finish
+      (Inet_checksum.sum
+         ~acc:(pseudo_sum ~src ~dst ~udp_length:length)
+         (Bytes.unsafe_to_string buf) 0 length)
   in
-  let ck = Inet_checksum.finish sum in
   (* An all-zero checksum is transmitted as 0xffff (RFC 768). *)
-  let ck = if ck = 0 then 0xffff else ck in
-  Bytes.set raw 6 (Char.chr (ck lsr 8));
-  Bytes.set raw 7 (Char.chr (ck land 0xff));
-  Bytes.unsafe_to_string raw
+  Bytes.set_uint16_be buf 6 (if ck = 0 then 0xffff else ck);
+  Bytes.unsafe_to_string buf
 
 exception Bad_datagram of string
 
 let decode ~src ~dst raw =
-  let r = Byte_reader.of_string raw in
-  let src_port, dst_port, length, checksum =
-    try
-      let sp = Byte_reader.u16 r in
-      let dp = Byte_reader.u16 r in
-      let len = Byte_reader.u16 r in
-      let ck = Byte_reader.u16 r in
-      (sp, dp, len, ck)
-    with Byte_reader.Truncated -> raise (Bad_datagram "short header")
-  in
+  if String.length raw < header_size then raise (Bad_datagram "short header");
+  let length = String.get_uint16_be raw 4 in
   if length < header_size || length > String.length raw then
     raise (Bad_datagram "bad length");
-  if checksum <> 0 then begin
-    let sum =
-      Inet_checksum.sum
-        ~acc:(Inet_checksum.sum (pseudo_header ~src ~dst ~udp_length:length) 0 12)
-        raw 0 length
-    in
-    if sum <> 0xffff then raise (Bad_datagram "checksum")
-  end;
-  let payload = String.sub raw header_size (length - header_size) in
-  ({ src_port; dst_port; length }, payload)
+  if String.get_uint16_be raw 6 <> 0
+     && Inet_checksum.sum ~acc:(pseudo_sum ~src ~dst ~udp_length:length) raw 0 length
+        <> 0xffff
+  then raise (Bad_datagram "checksum");
+  ( { src_port = String.get_uint16_be raw 0; dst_port = String.get_uint16_be raw 2; length },
+    String.sub raw header_size (length - header_size) )

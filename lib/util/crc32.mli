@@ -8,7 +8,8 @@ val string : string -> int
 
 val update : int -> string -> int -> int -> int
 (** [update crc s pos len] continues a running CRC over [s.[pos..pos+len-1]].
-    Start from [0]. *)
+    Start from [0].
+    @raise Invalid_argument if the range is not within [s]. *)
 
 val update_byte : int -> int -> int
 (** Fold one byte (low 8 bits) into a running CRC. *)

@@ -167,6 +167,53 @@ let test_stack_udp_end_to_end () =
   check Alcotest.int "all resumed" 3 sc.Stack.resumed;
   check Alcotest.int "one fetch" 1 (Mkd.stats a.Testbed.mkd).Mkd.fetches
 
+(* The stack names peers through a fixed-size memo: more peers than it
+   has slots must still each get their own principal, in both
+   directions, round after round (a wrong one fails the MAC). *)
+let test_stack_many_peers_memo () =
+  let tb = Testbed.create () in
+  let a = Testbed.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let peers =
+    List.init 70 (fun i ->
+        Testbed.add_host tb ~name:(Printf.sprintf "p%d" i)
+          ~addr:(Printf.sprintf "10.0.%d.%d" (1 + (i / 50)) (1 + (i mod 50))))
+  in
+  let at_a = ref [] and replies = Hashtbl.create 70 in
+  Udp_stack.listen a.Testbed.host ~port:7 (fun ~src ~src_port d ->
+      at_a := (Addr.to_string src, d) :: !at_a;
+      Udp_stack.send a.Testbed.host ~src_port:7 ~dst:src ~dst_port:src_port d);
+  List.iter
+    (fun (p : Testbed.node) ->
+      let me = Addr.to_string (Host.addr p.Testbed.host) in
+      Udp_stack.listen p.Testbed.host ~port:8 (fun ~src:_ ~src_port:_ d ->
+          Hashtbl.replace replies me (d :: Option.value ~default:[] (Hashtbl.find_opt replies me))))
+    peers;
+  for round = 0 to 2 do
+    Engine.schedule (Testbed.engine tb) ~delay:(float_of_int round) (fun () ->
+        List.iter
+          (fun (p : Testbed.node) ->
+            Udp_stack.send p.Testbed.host ~src_port:8 ~dst:(Host.addr a.Testbed.host)
+              ~dst_port:7
+              (Printf.sprintf "%s/%d" (Addr.to_string (Host.addr p.Testbed.host)) round))
+          peers)
+  done;
+  Testbed.run tb;
+  check Alcotest.int "every request reached a" (3 * 70) (List.length !at_a);
+  List.iter
+    (fun (src, d) ->
+      if not (String.starts_with ~prefix:(src ^ "/") d) then
+        Alcotest.failf "%S arrived from %s" d src)
+    !at_a;
+  List.iter
+    (fun (p : Testbed.node) ->
+      let me = Addr.to_string (Host.addr p.Testbed.host) in
+      check
+        Alcotest.(list string)
+        (me ^ " got its own replies")
+        (List.init 3 (Printf.sprintf "%s/%d" me))
+        (List.sort compare (Option.value ~default:[] (Hashtbl.find_opt replies me))))
+    peers
+
 (* Every stack seeds its sfl allocator and its confounder generator
    alike, so two senders' first datagrams to one receiver carry the same
    sfl, confounder and timestamp.  Strict replay must key on the sender
@@ -447,12 +494,15 @@ let test_burst_matches_one_at_a_time () =
    frame for frame.  A datagram is sealed (secret or not, by port under
    [secret_policy]) on a warm peer, bypassed to the key server, sent to
    one of two cold peers (it suspends on the MKD fetch), or too big with
-   DF set (its [Send_error] escapes the burst, or its [ip_output]). *)
+   DF set.  A too-big datagram to the warm peer raises [Send_error] out of
+   the burst, or out of its [ip_output]; one to a peer still cold resumes
+   after the key fetch and is dropped there, counted in the host's
+   [send_errors] but raising nothing. *)
 type burst_dgram =
   | Sealed of { flow : int; secret : bool; size : int }
   | To_key_server
   | Cold of int
-  | Too_big of bool
+  | Too_big of { secret : bool; peer : int option } (* [Some p]: cold peer p *)
 
 let gen_bursts =
   QCheck.Gen.(
@@ -466,7 +516,11 @@ let gen_bursts =
                   (int_bound 3) bool (int_bound 1400) );
               (1, return To_key_server);
               (1, map (fun p -> Cold p) (int_bound 1));
-              (1, map (fun secret -> Too_big secret) bool);
+              ( 1,
+                map2
+                  (fun secret peer -> Too_big { secret; peer })
+                  bool
+                  (opt ~ratio:0.5 (int_bound 1)) );
             ])))
 
 let print_bursts bursts =
@@ -480,7 +534,9 @@ let print_bursts bursts =
                     Printf.sprintf "%s%d/%d" (if secret then "S" else "n") flow size
                 | To_key_server -> "K"
                 | Cold p -> Printf.sprintf "C%d" p
-                | Too_big secret -> if secret then "BIG" else "big")
+                | Too_big { secret; peer } ->
+                    (if secret then "BIG" else "big")
+                    ^ Option.fold ~none:"" ~some:(Printf.sprintf "@C%d") peer)
               ds))
        bursts)
 
@@ -520,14 +576,17 @@ let random_burst_run ~burst bursts =
         Udp_stack.send a.Testbed.host ~src_port:100
           ~dst:(Host.addr (List.nth peers (1 + p)))
           ~dst_port:7 (Printf.sprintf "%d.%d cold" i j)
-    | Too_big secret ->
+    | Too_big { secret; peer } ->
         let port = Char.chr (burst_port ~flow:0 ~secret) in
-        Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:Ipv4.proto_udp
-          ~dst:bh
+        let dst =
+          match peer with None -> bh | Some p -> Host.addr (List.nth peers (1 + p))
+        in
+        Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:Ipv4.proto_udp ~dst
           (Printf.sprintf "\000%c\000\007" port ^ String.make 1600 'x')
   in
-  let errors = ref 0 in
-  let escape f = try f () with Host.Send_error _ -> incr errors in
+  (* [Send_error]s that escaped, per scheduled burst. *)
+  let errors = Array.make (List.length bursts) 0 in
+  let escape i f = try f () with Host.Send_error _ -> errors.(i) <- errors.(i) + 1 in
   (* Warm the peer b first, so that only the cold peers suspend. *)
   Udp_stack.send a.Testbed.host ~src_port:99 ~dst:bh ~dst_port:7 "warm";
   List.iteri
@@ -535,9 +594,9 @@ let random_burst_run ~burst bursts =
       Engine.schedule (Testbed.engine tb) ~delay:(1.0 +. (0.5 *. float_of_int i))
         (fun () ->
           if burst then
-            escape (fun () ->
+            escape i (fun () ->
                 Host.burst a.Testbed.host (fun () -> List.iteri (send i) ds))
-          else List.iteri (fun j d -> escape (fun () -> send i j d)) ds))
+          else List.iteri (fun j d -> escape i (fun () -> send i j d)) ds))
     bursts;
   Testbed.run ~until:30.0 tb;
   let counters =
@@ -551,7 +610,11 @@ let random_burst_run ~burst bursts =
          (fun (s : Fbsr_util.Span.span) -> (s.Fbsr_util.Span.stage, s.Fbsr_util.Span.outcome))
          (Testbed.collect_spans tb))
   in
-  (List.rev !frames, List.rev !got, counters, terminals, !errors)
+  ( List.rev !frames,
+    List.rev !got,
+    counters,
+    terminals,
+    (Array.to_list errors, (Host.stats a.Testbed.host).Host.send_errors) )
 
 let prop_random_bursts =
   QCheck.Test.make ~count:25 ~name:"random bursts = one at a time"
@@ -576,16 +639,36 @@ let prop_random_bursts =
                            v))
                 counters));
       if spans <> spans1 then fail "span terminals differ";
-      (* One error per too-big datagram one at a time; a burst raises
-         only its first. *)
-      let too_big ds = List.exists (function Too_big _ -> true | _ -> false) ds in
-      errors1
-      = List.fold_left
+      (* The host counts every too-big datagram, on time or resumed.  One
+         at a time, each on-time one raises (a warm peer's always; a cold
+         peer's once an earlier fetch warmed it); a burst raises only its
+         first, and only if one at a time some datagram of it raised. *)
+      let (raised1, send_errors1), (raised, send_errors) = (errors1, errors) in
+      let too_big =
+        List.fold_left
           (fun n ds ->
             n + List.length (List.filter (function Too_big _ -> true | _ -> false) ds))
           0 bursts
-      && errors = List.length (List.filter too_big bursts)
-      || fail "Send_error counts: %d one at a time, %d in bursts" errors1 errors)
+      in
+      let warm_too_big =
+        List.fold_left
+          (fun n ds ->
+            n
+            + List.length
+                (List.filter (function Too_big { peer = None; _ } -> true | _ -> false) ds))
+          0 bursts
+      in
+      let sum = List.fold_left ( + ) 0 in
+      (send_errors1 = too_big && send_errors = too_big
+      || fail "host send_errors: %d one at a time, %d in bursts, %d too big" send_errors1
+           send_errors too_big)
+      && (sum raised1 >= warm_too_big && sum raised1 <= too_big
+         || fail "%d raised one at a time, %d too big (%d to the warm peer)" (sum raised1)
+              too_big warm_too_big)
+      && (raised = List.map (fun n -> min n 1) raised1
+         || fail "Send_error per burst: %s one at a time, %s in bursts"
+              (String.concat "," (List.map string_of_int raised1))
+              (String.concat "," (List.map string_of_int raised))))
 
 (* The frames from [src] to [dst] the medium carries from now on, with
    their times, newest first. *)
@@ -720,6 +803,24 @@ let test_burst_df_too_big_escapes () =
           Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "behind it"));
   check Alcotest.int "the datagram behind it went out" 1 (List.length !data);
   check Alcotest.int "two send errors" 2 (Host.stats a.Testbed.host).Host.send_errors
+
+(* A too-big datagram with DF set to a cold peer suspends on the key
+   fetch and resumes from the MKD reply's event: its [Send_error] has no
+   caller there, so the stack drops it, the host counts it, and the
+   simulation goes on. *)
+let test_resumed_df_too_big_dropped () =
+  let tb, a, b = make_pair () in
+  let got = ref [] in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  let bh = Host.addr b.Testbed.host in
+  Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:Ipv4.proto_udp ~dst:bh
+    (String.make 1600 'x');
+  Engine.schedule (Testbed.engine tb) ~delay:1.0 (fun () ->
+      Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "later");
+  Testbed.run tb;
+  check Alcotest.(list string) "the later datagram is delivered" [ "later" ] !got;
+  check Alcotest.int "one send error" 1 (Host.stats a.Testbed.host).Host.send_errors;
+  check Alcotest.int "it resumed" 1 (Stack.counters a.Testbed.stack).Stack.resumed
 
 (* --- The shared send completion on a cold flow --- *)
 
@@ -1159,6 +1260,8 @@ let () =
             test_ca_outage_recovery;
           Alcotest.test_case "re-installed stack draws fresh sfls" `Quick
             test_reinstalled_stack_fresh_sfl;
+          Alcotest.test_case "more peers than principal memo slots" `Quick
+            test_stack_many_peers_memo;
         ] );
       ( "stack-burst",
         [
@@ -1170,6 +1273,8 @@ let () =
             test_burst_bypass_keeps_position;
           Alcotest.test_case "DF too big still raises Send_error" `Quick
             test_burst_df_too_big_escapes;
+          Alcotest.test_case "resumed DF too big is dropped, not raised" `Quick
+            test_resumed_df_too_big_dropped;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
             prop_random_bursts;
         ] );

@@ -94,7 +94,62 @@ let test_crc32_int_helpers () =
   let s64 = "\x01\x02\x03\x04\x05\x06\x07\x08" in
   check Alcotest.int "int64 = bytes" (Crc32.string s64) (Crc32.update_int64 0 v64)
 
+(* The CRC against its byte-at-a-time oracle: every helper, every
+   range, every starting register. *)
+let prop_crc32_oracle =
+  QCheck.Test.make ~name:"crc32 = oracle (update, byte, int32, int64)" ~count:500
+    QCheck.(quad arbitrary_bytes (pair small_nat small_nat) (int_bound 0xffffffff) int64)
+    (fun (s, (a, b), crc, v64) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n = pos then 0 else b mod (n - pos + 1) in
+      let v = Int64.to_int v64 in
+      Crc32.update crc s pos len = Fbsr_oracles.Net_ref.crc32_update crc s pos len
+      && Crc32.update_byte crc v = Fbsr_oracles.Net_ref.crc32_update_byte crc v
+      && Crc32.update_int32 crc v = Fbsr_oracles.Net_ref.crc32_update_int32 crc v
+      && Crc32.update_int64 crc v64 = Fbsr_oracles.Net_ref.crc32_update_int64 crc v64
+      && Crc32.string s = Fbsr_oracles.Net_ref.crc32_update 0 s 0 n)
+
 (* --- Internet checksum --- *)
+
+(* The word-wise sum against the byte-at-a-time oracle, over odd and even
+   offsets and lengths (every residue mod 8, so each tail of the 8-byte
+   loop runs) and running sums, folded or not. *)
+let prop_checksum_oracle =
+  QCheck.Test.make ~name:"checksum sum = oracle (any pos, len, acc)" ~count:1000
+    QCheck.(
+      quad
+        (string_gen_of_size Gen.(int_bound 1600) Gen.char)
+        (int_bound 1600) (int_bound 1600)
+        (oneof [ int_bound 0xffff; int_bound 0xfffffff; always 0 ]))
+    (fun (s, a, b, acc) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Inet_checksum.sum ~acc s pos len = Fbsr_oracles.Net_ref.checksum_sum ~acc s pos len
+      && Inet_checksum.sum s pos len = Fbsr_oracles.Net_ref.checksum_sum s pos len
+      && Inet_checksum.string s = Fbsr_oracles.Net_ref.checksum_string s
+      && Inet_checksum.verify s = Fbsr_oracles.Net_ref.checksum_verify s)
+
+let test_checksum_edges () =
+  let ref_sum = Fbsr_oracles.Net_ref.checksum_sum in
+  (* All-ones words fold to 0xffff, never to 0; all-zero to 0. *)
+  List.iter
+    (fun n ->
+      let ones = String.make n '\xff' and zeros = String.make n '\000' in
+      check Alcotest.int (Printf.sprintf "ones %d" n) (ref_sum ones 0 n)
+        (Inet_checksum.sum ones 0 n);
+      check Alcotest.int (Printf.sprintf "zeros %d" n) (ref_sum zeros 0 n)
+        (Inet_checksum.sum zeros 0 n);
+      check Alcotest.int (Printf.sprintf "ones %d acc 0xffff" n)
+        (ref_sum ~acc:0xffff ones 0 n)
+        (Inet_checksum.sum ~acc:0xffff ones 0 n))
+    [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 15; 16; 17; 1460; 1461; 65536 ];
+  Alcotest.check_raises "range past the end" (Invalid_argument "Inet_checksum.sum")
+    (fun () -> ignore (Inet_checksum.sum "abc" 2 2 : int));
+  Alcotest.check_raises "crc range past the end" (Invalid_argument "Crc32.update")
+    (fun () -> ignore (Crc32.update 0 "abc" 2 2 : int))
+
 
 let test_checksum_rfc1071 () =
   (* RFC 1071 example data: 00 01 f2 03 f4 f5 f6 f7 -> sum ddf2, ck 220d *)
@@ -320,11 +375,14 @@ let () =
           Alcotest.test_case "known" `Quick test_crc32_known;
           Alcotest.test_case "int helpers" `Quick test_crc32_int_helpers;
           qtest prop_crc32_incremental;
+          qtest prop_crc32_oracle;
         ] );
       ( "inet-checksum",
         [
           Alcotest.test_case "rfc1071 example" `Quick test_checksum_rfc1071;
+          Alcotest.test_case "folds and ranges" `Quick test_checksum_edges;
           qtest prop_checksum_verify;
+          qtest prop_checksum_oracle;
         ] );
       ( "rng",
         [
