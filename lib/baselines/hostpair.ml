@@ -150,66 +150,37 @@ let unprotect (_ : t) ~master ~wire =
               end
               else Ok body))
 
-let output_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.dst then Host.Pass (h, payload)
-  else begin
-    let result = ref None in
-    let sync = ref true in
-    Fbsr_fbs.Keying.get_master t.keying (principal_of_addr h.dst) (fun r ->
-        if !sync then result := Some r
-        else
-          match r with
-          | Ok master ->
-              t.counters.sent <- t.counters.sent + 1;
-              Host.transmit_prepared t.host h (protect t ~master ~payload)
-          | Error _ -> t.counters.dropped <- t.counters.dropped + 1);
-    sync := false;
-    match !result with
-    | Some (Ok master) ->
-        t.counters.sent <- t.counters.sent + 1;
-        Host.Pass (h, protect t ~master ~payload)
-    | Some (Error _) ->
-        t.counters.dropped <- t.counters.dropped + 1;
-        Host.Drop "host-pair keying failure"
-    | None -> Host.Drop "host-pair awaiting master key"
-  end
-
-let input_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.src then Host.Pass (h, payload)
-  else begin
-    let result = ref None in
-    let sync = ref true in
-    let finish master =
-      match unprotect t ~master ~wire:payload with
-      | Ok plaintext ->
-          t.counters.received <- t.counters.received + 1;
-          Some
-            ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
-              plaintext )
+(* Both hooks answer once the master key is in hand: at once on an MKC
+   hit, else when the certificate fetch completes. *)
+let output_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.dst then k (Host.Pass (h, payload))
+  else
+    Fbsr_fbs.Keying.get_master t.keying (principal_of_addr h.dst) (function
+      | Ok master ->
+          t.counters.sent <- t.counters.sent + 1;
+          k (Host.Pass (h, protect t ~master ~payload))
       | Error _ ->
           t.counters.dropped <- t.counters.dropped + 1;
-          None
-    in
-    Fbsr_fbs.Keying.get_master t.keying (principal_of_addr h.src) (fun r ->
-        if !sync then result := Some r
-        else
-          match r with
-          | Ok master -> (
-              match finish master with
-              | Some (h, plaintext) -> Host.deliver_up t.host h plaintext
-              | None -> ())
-          | Error _ -> t.counters.dropped <- t.counters.dropped + 1);
-    sync := false;
-    match !result with
-    | Some (Ok master) -> (
-        match finish master with
-        | Some (h, plaintext) -> Host.Pass (h, plaintext)
-        | None -> Host.Drop "host-pair verification failed")
-    | Some (Error _) ->
-        t.counters.dropped <- t.counters.dropped + 1;
-        Host.Drop "host-pair keying failure"
-    | None -> Host.Drop "host-pair awaiting master key"
-  end
+          k (Host.Drop "host-pair keying failure"))
+
+let input_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.src then k (Host.Pass (h, payload))
+  else
+    Fbsr_fbs.Keying.get_master t.keying (principal_of_addr h.src) (function
+      | Ok master -> (
+          match unprotect t ~master ~wire:payload with
+          | Ok plaintext ->
+              t.counters.received <- t.counters.received + 1;
+              k
+                (Host.Pass
+                   ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
+                     plaintext ))
+          | Error _ ->
+              t.counters.dropped <- t.counters.dropped + 1;
+              k (Host.Drop "host-pair verification failed"))
+      | Error _ ->
+          t.counters.dropped <- t.counters.dropped + 1;
+          k (Host.Drop "host-pair keying failure"))
 
 let install ?(variant = Direct) ?(secret = true) ?(bypass = fun _ -> false)
     ?(bbs_modulus_bits = 128) ~private_value ~group ~ca_public ~ca_hash ~resolver host =

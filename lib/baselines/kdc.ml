@@ -18,7 +18,7 @@
      request:  "KREQ" u16 len | destination name
      response: "KRSP" u16 n | E(K_client, Ks || expiry)
                       u16 m | ticket = E(K_dst, Ks || src || expiry)
-     failure:  "KFAI" u16 len | message
+     failure:  "KFAI" u16 len | destination name
 
    Data packets (between IP header and payload):
      u8 flags | u16 ticket_len | ticket | 8B iv | 16B mac | body        *)
@@ -93,11 +93,10 @@ module Server = struct
               Byte_writer.bytes w ticket;
               Byte_writer.contents w
           | _ ->
-              let msg = "unknown principal" in
               let w = Byte_writer.create () in
               Byte_writer.bytes w "KFAI";
-              Byte_writer.u16 w (String.length msg);
-              Byte_writer.bytes w msg;
+              Byte_writer.u16 w (String.length dst_name);
+              Byte_writer.bytes w dst_name;
               Byte_writer.contents w
         in
         Udp_stack.send t.host ~src_port:kdc_port ~dst:src ~dst_port:src_port reply)
@@ -140,7 +139,7 @@ type t = {
   bypass : Addr.t -> bool;
   outgoing : (string, session) Hashtbl.t; (* dst name -> session (hard state) *)
   incoming : (string, session) Hashtbl.t; (* ticket -> session (hard state) *)
-  pending : (string, (Ipv4.header * string) list ref) Hashtbl.t;
+  pending : (string, (Ipv4.header * string * (Host.verdict -> unit)) list ref) Hashtbl.t;
   iv_gen : Lcg.t;
   counters : counters;
   local_port : int;
@@ -169,9 +168,6 @@ let protect t session payload =
   Byte_writer.bytes w mac;
   Byte_writer.bytes w body;
   Byte_writer.contents w
-
-let transmit_with_session t session (h : Ipv4.header) payload =
-  Host.transmit_prepared t.host h (protect t session payload)
 
 let request_session t dst_name =
   t.counters.kdc_requests <- t.counters.kdc_requests + 1;
@@ -207,37 +203,49 @@ let handle_kdc_reply t raw =
               let session = { session_key; ticket; expiry } in
               Hashtbl.replace t.outgoing dst_name session;
               t.counters.sessions <- t.counters.sessions + 1;
-              (* Flush datagrams parked on this destination. *)
+              (* Answer the datagrams parked on this destination. *)
               match Hashtbl.find_opt t.pending dst_name with
               | None -> ()
               | Some queue ->
                   Hashtbl.remove t.pending dst_name;
                   List.iter
-                    (fun (h, payload) ->
+                    (fun (h, payload, k) ->
                       t.counters.sent <- t.counters.sent + 1;
-                      transmit_with_session t session h payload)
+                      k (Host.Pass (h, protect t session payload)))
                     (List.rev !queue))))
-  | "KFAI" | _ -> ()
+  | "KFAI" -> (
+      (* The KDC refused the destination: its parked datagrams are
+         dropped, and the next datagram to it asks again. *)
+      match Byte_reader.bytes r (Byte_reader.u16 r) with
+      | exception Byte_reader.Truncated -> ()
+      | dst_name -> (
+          match Hashtbl.find_opt t.pending dst_name with
+          | None -> ()
+          | Some queue ->
+              Hashtbl.remove t.pending dst_name;
+              List.iter
+                (fun (_, _, k) ->
+                  t.counters.dropped <- t.counters.dropped + 1;
+                  k (Host.Drop "kdc refused the session"))
+                (List.rev !queue)))
+  | _ -> ()
 
-let output_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.dst || Addr.equal h.dst t.kdc_addr then Host.Pass (h, payload)
+let output_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.dst || Addr.equal h.dst t.kdc_addr then k (Host.Pass (h, payload))
   else begin
     let dst_name = Addr.to_string h.dst in
     match Hashtbl.find_opt t.outgoing dst_name with
     | Some session when session.expiry > Host.now t.host ->
         t.counters.sent <- t.counters.sent + 1;
-        Host.Pass (h, protect t session payload)
+        k (Host.Pass (h, protect t session payload))
     | Some _ | None -> (
         (* Session setup required before the first datagram can leave:
            the explicit message exchange FBS avoids. *)
         match Hashtbl.find_opt t.pending dst_name with
-        | Some queue ->
-            queue := (h, payload) :: !queue;
-            Host.Drop "kdc awaiting session"
+        | Some queue -> queue := (h, payload, k) :: !queue
         | None ->
-            Hashtbl.replace t.pending dst_name (ref [ (h, payload) ]);
-            request_session t dst_name;
-            Host.Drop "kdc awaiting session")
+            Hashtbl.replace t.pending dst_name (ref [ (h, payload, k) ]);
+            request_session t dst_name)
   end
 
 type error = Truncated | Bad_ticket | Expired | Bad_mac | Decrypt_error
@@ -287,18 +295,19 @@ let unprotect t ~now ~wire =
           end
           else Ok body)
 
-let input_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.src || Addr.equal h.src t.kdc_addr then Host.Pass (h, payload)
+let input_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.src || Addr.equal h.src t.kdc_addr then k (Host.Pass (h, payload))
   else
     match unprotect t ~now:(Host.now t.host) ~wire:payload with
     | Ok plaintext ->
         t.counters.received <- t.counters.received + 1;
-        Host.Pass
-          ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
-            plaintext )
+        k
+          (Host.Pass
+             ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
+               plaintext ))
     | Error _ ->
         t.counters.dropped <- t.counters.dropped + 1;
-        Host.Drop "kdc verification failed"
+        k (Host.Drop "kdc verification failed")
 
 let install ?(secret = true) ?(bypass = fun _ -> false) ?(local_port = 900) ~kdc_addr
     ~shared_key host =

@@ -41,7 +41,7 @@ type pending = {
   mutable cookie_c : string;
   mutable cookie_s : string option;
   mutable private_value : Fbsr_crypto.Dh.private_value option;
-  mutable queue : (Ipv4.header * string) list;
+  mutable queue : (Ipv4.header * string * (Host.verdict -> unit)) list;
 }
 
 type counters = {
@@ -148,9 +148,9 @@ let flush_pending t ~dst session =
   | Some p ->
       Hashtbl.remove t.pending (Addr.to_int dst);
       List.iter
-        (fun (h, payload) ->
+        (fun (h, payload, k) ->
           t.counters.sent <- t.counters.sent + 1;
-          Host.transmit_prepared t.host h (protect t session payload))
+          k (Host.Pass (h, protect t session payload)))
         (List.rev p.queue)
 
 let handle_handshake t ~src raw =
@@ -225,38 +225,37 @@ let is_handshake ~(h : Ipv4.header) payload =
       let dp = (Char.code payload.[2] lsl 8) lor Char.code payload.[3] in
       sp = port || dp = port)
 
-let output_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.dst || is_handshake ~h payload then Host.Pass (h, payload)
+let output_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.dst || is_handshake ~h payload then k (Host.Pass (h, payload))
   else begin
     match Hashtbl.find_opt t.outgoing (Addr.to_int h.dst) with
     | Some session ->
         t.counters.sent <- t.counters.sent + 1;
-        Host.Pass (h, protect t session payload)
-    | None -> (
+        k (Host.Pass (h, protect t session payload))
+    | None ->
         (* Two round trips of setup must finish before this datagram can
            leave — the cost FBS's zero-message keying removes. *)
-        match Hashtbl.find_opt t.pending (Addr.to_int h.dst) with
-        | Some p ->
-            p.queue <- (h, payload) :: p.queue;
-            Host.Drop "photuris awaiting handshake"
-        | None ->
-            let p = start_handshake t ~dst:h.dst in
-            p.queue <- (h, payload) :: p.queue;
-            Host.Drop "photuris awaiting handshake")
+        let p =
+          match Hashtbl.find_opt t.pending (Addr.to_int h.dst) with
+          | Some p -> p
+          | None -> start_handshake t ~dst:h.dst
+        in
+        p.queue <- (h, payload, k) :: p.queue
   end
 
-let input_hook t (h : Ipv4.header) payload : Host.hook_result =
-  if t.bypass h.src || is_handshake ~h payload then Host.Pass (h, payload)
+let input_hook t (h : Ipv4.header) payload k =
+  if t.bypass h.src || is_handshake ~h payload then k (Host.Pass (h, payload))
   else
     match unprotect t ~wire:payload with
     | Ok plaintext ->
         t.counters.received <- t.counters.received + 1;
-        Host.Pass
-          ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
-            plaintext )
+        k
+          (Host.Pass
+             ( { h with Ipv4.total_length = Ipv4.header_length h + String.length plaintext },
+               plaintext ))
     | Error _ ->
         t.counters.dropped <- t.counters.dropped + 1;
-        Host.Drop "photuris verification failed"
+        k (Host.Drop "photuris verification failed")
 
 let install ?(secret = true) ?(bypass = fun _ -> false) ?(seed = 0x9047) ~group host =
   let t =

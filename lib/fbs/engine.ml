@@ -271,21 +271,32 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
             finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
               ~master:"error";
             k (Failed (Keying_error e))
-        | Ok master ->
-            t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
-            if revisit then begin
-              t.counters.flow_key_recoveries <- t.counters.flow_key_recoveries + 1;
-              (* Soft-state degradation: the flow's key material had to be
-                 recomputed after eviction — attribute it to the flow. *)
-              if Flowstats.enabled t.flowstats then
-                Fbsr_util.Sketch.observe t.flowstats.Flowstats.degraded (Sfl.to_int64 sfl) 1
-            end;
-            let fk =
-              Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst
-            in
-            finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
-              ~master:(Keying.last_resolution t.keying);
-            k (Derived (flow_entry_of_key fk)))
+        | Ok master -> (
+            (* Waiters on one pending master key resume in turn, and the
+               first one's entry is cached by the time the next resumes (a
+               send caches at once, a receive once its datagram verified):
+               join it rather than derive the key again. *)
+            match Cache.peek cache key with
+            | Some entry ->
+                finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
+                  ~master:(Keying.last_resolution t.keying);
+                k (Cached entry)
+            | None ->
+                t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
+                if revisit then begin
+                  t.counters.flow_key_recoveries <- t.counters.flow_key_recoveries + 1;
+                  (* Soft-state degradation: the flow's key material had to
+                     be recomputed after eviction — attribute it to the flow. *)
+                  if Flowstats.enabled t.flowstats then
+                    Fbsr_util.Sketch.observe t.flowstats.Flowstats.degraded
+                      (Sfl.to_int64 sfl) 1
+                end;
+                let fk =
+                  Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst
+                in
+                finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
+                  ~master:(Keying.last_resolution t.keying);
+                k (Derived (flow_entry_of_key fk))))
 
 (* Cross-flow batching of seals, bound to one engine.  A secret datagram
    whose armor has a batched kernel parks its body encryption here as a

@@ -254,7 +254,11 @@ val receive :
     with a forged sfl costs a key derivation but never evicts another
     flow's entry.  The continuation runs before [receive] returns unless
     the flow's master key needs a certificate fetch; then it runs once
-    the fetch resolves. *)
+    the fetch resolves.  The datagrams of one flow that waited on
+    the same fetch, on either side, derive its key once: the first caches
+    the entry (a send at once, a receive once it verified) before the
+    next resumes, and the rest join it, each still counting its miss as
+    cold. *)
 
 val send_sync :
   t -> now:float -> attrs:Fam.attrs -> secret:bool -> payload:string ->

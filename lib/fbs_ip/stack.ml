@@ -18,19 +18,18 @@
    and certificates are verified on receipt.
 
    Sending runs in output bursts ([Host.burst]; a TCP send window is
-   one, every lone [ip_output] another), and each datagram goes to
-   fragmentation through [Host.transmit_prepared] the moment its seal
-   completes.  A secret seal parks its encryption in the stack's
-   one-slot batch, and the burst's next secret seal runs both CBC chains
-   as a pair on the two-chain kernel; any other datagram (non-secret,
-   bypassed) first flushes the slot.  Burst end flushes an odd one out.
-   Completions come in call order, so the wire order is the call order.
+   one, every lone [ip_output] another), and each datagram is answered
+   through the host's continuation the moment its seal completes.  A
+   secret seal parks its encryption in the stack's one-slot batch, and
+   the burst's next secret seal runs both CBC chains as a pair on the
+   two-chain kernel; any other datagram (non-secret, bypassed) first
+   flushes the slot.  Burst end flushes an odd one out.  Completions
+   come in call order, so the wire order is the call order.
 
    When a datagram needs a master key that is not cached, its processing
-   suspends while the MKD round-trips the network; the datagram leaves
-   its burst and finishes through [Host.transmit_prepared] /
-   [Host.deliver_up] when the key arrives — the simulator's analogue of
-   the paper's blocking Upcall().  One rule tells the two apart: a
+   suspends while the MKD round-trips the network; the engine's
+   completion answers the host when the key arrives, along the same path
+   — the simulator's analogue of the paper's blocking Upcall().  A
    completion that runs outside the stack's own hooks resumed after a
    keying fetch. *)
 
@@ -69,10 +68,11 @@ let default_config ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
     max_flow_life;
   }
 
+(* Each field is documented in stack.mli. *)
 type counters = {
   mutable sent : int;
   mutable received : int;
-  mutable suspended_out : int; (* datagrams parked awaiting a master key *)
+  mutable suspended_out : int;
   mutable suspended_in : int;
   mutable resumed : int;
   mutable dropped_error : int;
@@ -89,9 +89,7 @@ type t = {
   tx_batch : Fbsr_fbs.Engine.Batch.t; (* holds the burst's secret seals *)
   tx_seals : Fbsr_fbs.Engine.Batch.t option; (* [Some tx_batch], wrapped once *)
   mutable hooks : int; (* the stack's hooks now running, nested ones counted *)
-  mutable verdict : Host.hook_result; (* the last on-time completion's hook result *)
-  mutable verdict_of : Ipv4.header; (* ... and the header its hook was given *)
-  mutable send_error : exn option; (* the open burst's first [Send_error] *)
+  mutable completed : Ipv4.header; (* the datagram the last completion answered *)
   local_addr : Addr.t;
   local : Fbsr_fbs.Principal.t; (* [local_addr]'s principal, named once *)
   memo_addr : int array; (* peer principals, direct-mapped; -1 is empty *)
@@ -154,54 +152,33 @@ let peek_ports ~protocol payload =
 let no_header =
   Ipv4.make ~protocol:0 ~src:Addr.any ~dst:Addr.any ~payload_length:0 ()
 
-let awaiting = Host.Drop "fbs awaiting master key"
-
-(* Run [hook t a b] as one of the stack's hooks. *)
-let hooked hook t a b =
+(* Run [hook t a b c] as one of the stack's hooks. *)
+let hooked hook t a b c =
   t.hooks <- t.hooks + 1;
-  match hook t a b with
-  | v ->
-      t.hooks <- t.hooks - 1;
-      v
+  match hook t a b c with
+  | () -> t.hooks <- t.hooks - 1
   | exception e ->
       t.hooks <- t.hooks - 1;
       raise e
 
-(* A completion inside one of the stack's hooks is on time: it leaves
-   that hook its result, under the header the hook was given.  One
-   outside every hook resumed after a keying fetch and finishes its
-   datagram itself. *)
-let on_time t h verdict =
-  t.hooks > 0 && (t.verdict <- verdict; t.verdict_of <- h; true)
-
-(* Fragment and transmit.  On time, a [Send_error] (DF set, datagram too
-   big) waits for the burst's end, so the datagrams behind it still go
-   out.  A resumed datagram runs from the MKD reply's event, where there
-   is no caller to tell: it is dropped, and the host's [send_errors]
-   counts it as it counts an on-time one. *)
-let transmit t h wire =
-  try Host.transmit_prepared t.host h wire with
-  | Host.Send_error _ as e when t.hooks > 0 ->
-      if t.send_error = None then t.send_error <- Some e
-  | Host.Send_error _ -> ()
-
-(* The one send completion. *)
-let sent t h r =
-  match r with
+(* The one send completion.  It answers the host, and only then marks
+   its datagram completed: the answer may run other datagrams' hooks. *)
+let sent t h k r =
+  (match r with
   | Ok wire ->
       t.counters.sent <- t.counters.sent + 1;
-      if not (on_time t h Host.Held) then t.counters.resumed <- t.counters.resumed + 1;
-      transmit t h wire
+      if t.hooks = 0 then t.counters.resumed <- t.counters.resumed + 1;
+      k (Host.Pass (h, wire))
   | Error _ ->
       t.counters.dropped_error <- t.counters.dropped_error + 1;
-      ignore (on_time t h (Host.Drop "fbs send error") : bool)
+      k (Host.Drop "fbs send error"));
+  t.completed <- h
 
-let output_hook t (h : Ipv4.header) payload : Host.hook_result =
+let output_hook t (h : Ipv4.header) payload k =
   if t.config.bypass h.dst then begin
     t.counters.bypassed <- t.counters.bypassed + 1;
     ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
-    transmit t h payload;
-    Host.Held
+    k (Host.Pass (h, payload))
   end
   else begin
     let src_port, dst_port = peek_ports ~protocol:h.protocol payload in
@@ -213,63 +190,51 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
     in
     let parked0 = Fbsr_fbs.Engine.Batch.pending t.tx_batch in
     Fbsr_fbs.Engine.send ?batch:t.tx_seals t.engine ~now:(Host.now t.host) ~attrs
-      ~secret ~payload (sent t h);
-    if t.verdict_of == h then t.verdict
-    else if Fbsr_fbs.Engine.Batch.pending t.tx_batch > parked0 then Host.Held
-    else begin
-      t.counters.suspended_out <- t.counters.suspended_out + 1;
-      awaiting
-    end
+      ~secret ~payload (sent t h k);
+    if t.completed != h && Fbsr_fbs.Engine.Batch.pending t.tx_batch <= parked0 then
+      t.counters.suspended_out <- t.counters.suspended_out + 1
   end
 
-(* Burst end, a hook too: seal what is parked, then raise the burst's
-   first [Send_error]. *)
-let end_burst t () () =
-  ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int);
-  match t.send_error with
-  | None -> ()
-  | Some e ->
-      t.send_error <- None;
-      raise e
+(* Burst end, a hook too: seal what is parked. *)
+let end_burst t () () () = ignore (Fbsr_fbs.Engine.Batch.flush t.tx_batch : int)
 
 (* The one receive completion. *)
-let received t (h : Ipv4.header) r =
-  match r with
+let received t (h : Ipv4.header) k r =
+  (match r with
   | Ok acc ->
       t.counters.received <- t.counters.received + 1;
+      if t.hooks = 0 then t.counters.resumed <- t.counters.resumed + 1;
       let payload = acc.Fbsr_fbs.Engine.payload in
-      let up = { h with Ipv4.total_length = Ipv4.header_length h + String.length payload } in
-      if not (on_time t h (Host.Pass (up, payload))) then begin
-        t.counters.resumed <- t.counters.resumed + 1;
-        Host.deliver_up t.host up payload
-      end
+      k
+        (Host.Pass
+           ({ h with Ipv4.total_length = Ipv4.header_length h + String.length payload }, payload))
   | Error _ ->
       t.counters.dropped_error <- t.counters.dropped_error + 1;
-      ignore (on_time t h (Host.Drop "fbs receive error") : bool)
+      k (Host.Drop "fbs receive error"));
+  t.completed <- h
 
-let input_hook t (h : Ipv4.header) payload : Host.hook_result =
+(* The shim carries the engine's wire form as the IP payload itself, so
+   the engine borrows it as-is (zero-copy). *)
+let open_datagram t (h : Ipv4.header) payload k =
+  if Fbsr_util.Span.enabled t.spans then
+    Fbsr_util.Span.finish t.spans (Fbsr_util.Span.start t.spans) "stack.decap"
+      ~detail:
+        [
+          ("ok", Fbsr_util.Json.Bool true);
+          ("bytes", Fbsr_util.Json.Int (String.length payload));
+        ];
+  Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host) ~src:(principal t h.src)
+    ~wire:payload (received t h k);
+  if t.completed != h then t.counters.suspended_in <- t.counters.suspended_in + 1
+
+(* A bypassed datagram is passed outside the stack's hooks: the key
+   server's replies it carries resume datagrams that waited for a key. *)
+let input_hook t (h : Ipv4.header) payload k =
   if t.config.bypass h.src then begin
     t.counters.bypassed <- t.counters.bypassed + 1;
-    Host.Pass (h, payload)
+    k (Host.Pass (h, payload))
   end
-  else begin
-    (* The shim carries the engine's wire form as the IP payload itself,
-       so the engine borrows it as-is (zero-copy). *)
-    if Fbsr_util.Span.enabled t.spans then
-      Fbsr_util.Span.finish t.spans (Fbsr_util.Span.start t.spans) "stack.decap"
-        ~detail:
-          [
-            ("ok", Fbsr_util.Json.Bool true);
-            ("bytes", Fbsr_util.Json.Int (String.length payload));
-          ];
-    Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host)
-      ~src:(principal t h.src) ~wire:payload (received t h);
-    if t.verdict_of == h then t.verdict
-    else begin
-      t.counters.suspended_in <- t.counters.suspended_in + 1;
-      awaiting
-    end
-  end
+  else hooked open_datagram t h payload k
 
 (* How many sfl allocators a host has seeded from one base seed, less one. *)
 exception Seeded of int ref
@@ -329,9 +294,7 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
       tx_batch;
       tx_seals = Some tx_batch;
       hooks = 0;
-      verdict = awaiting;
-      verdict_of = no_header;
-      send_error = None;
+      completed = no_header;
       local_addr = Host.addr host;
       local;
       memo_addr = Array.make memo_size (-1);
@@ -339,8 +302,8 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
     }
   in
   Host.set_output_hook host (hooked output_hook t);
-  Host.set_burst_end host (hooked end_burst t ());
-  Host.set_input_hook host (hooked input_hook t);
+  Host.set_burst_end host (hooked end_burst t () ());
+  Host.set_input_hook host (input_hook t);
   (* The paper's tcp_output fix: publish the per-datagram overhead so the
      MSS calculation can subtract it. *)
   Minitcp.set_mss_reduction host (Fbsr_fbs.Engine.wire_overhead engine);

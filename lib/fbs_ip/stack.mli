@@ -1,14 +1,15 @@
 (** The FBS-to-IP mapping (paper Section 7): FBS header between the IPv4
     header and the transport payload, ip_output/ip_input hooks, 5-tuple +
-    THRESHOLD flow policy, secure flow bypass, MSS fix, and datagram
-    parking across MKD fetches.  Within an output burst
-    ({!Fbsr_netsim.Host.burst}) secret datagrams' DES-CBC chains pair on
-    the two-chain kernel; each datagram transmits the moment its seal
-    completes, in call order, and burst end seals an odd one out.  A
-    datagram whose keying suspended seals inline when its key arrives
-    and transmits at once; if it is too big with DF set it is dropped
-    there (the host's [send_errors] counts it) rather than raising
-    {!Fbsr_netsim.Host.Send_error} out of the event loop. *)
+    THRESHOLD flow policy, secure flow bypass, MSS fix, and datagrams
+    that wait across MKD fetches.  Every datagram is answered through the
+    host's continuation ({!Fbsr_netsim.Host.hook}) when its engine
+    completion runs.  Within an output burst ({!Fbsr_netsim.Host.burst})
+    secret datagrams' DES-CBC chains pair on the two-chain kernel; each
+    datagram is answered the moment its seal completes, in call order,
+    and burst end seals an odd one out.  A datagram whose keying waited
+    seals or opens when its key arrives and is answered from that event;
+    the host applies its own {!Fbsr_netsim.Host.Send_error} rule to
+    it. *)
 
 open Fbsr_netsim
 
@@ -43,12 +44,23 @@ val default_config :
 
 type counters = {
   mutable sent : int;
-  mutable received : int;
+      (** Datagrams sealed and handed to IP, on time or resumed.  A
+          DF-too-big one that IP then refuses is counted here too; as a
+          failure it is counted once, by the host's [send_errors]. *)
+  mutable received : int;  (** Datagrams verified and handed up to dispatch. *)
   mutable suspended_out : int;
-  mutable suspended_in : int;
+      (** Outbound datagrams whose keying waited for a master key. *)
+  mutable suspended_in : int;  (** Inbound datagrams that waited likewise. *)
   mutable resumed : int;
+      (** Of the datagrams that waited, those sent or received once their
+          key arrived. *)
   mutable dropped_error : int;
+      (** Datagrams the engine refused: a send whose keying failed, a
+          receive it dropped for any cause.  Each is also one
+          [drops_hook] on the host. *)
   mutable bypassed : int;
+      (** Datagrams to or from the key server, in either direction,
+          passed without FBS (the secure flow bypass). *)
 }
 
 type t

@@ -11,23 +11,17 @@
    Input: part 1 validates; part 2 reassembles; part 3 dispatches to the
    higher-layer protocol.  The FBS receive hook runs between parts 2 and 3.
 
-   A hook takes the header and payload, and may transform them (FBS header
-   insertion/removal), pass them through unchanged, hold them, or drop the
-   packet.
+   A hook takes the header, the payload and the host's continuation, and
+   answers through the continuation exactly once, [Pass] (FBS header
+   inserted or removed) or [Drop]: before it returns, later in the same
+   burst, or from a later event (after a key fetch, say).
 
    Output runs in bursts: [burst] brackets a run of [ip_output] calls (a
    TCP send window, say), and every [ip_output] is a burst of its own,
-   nested bursts counting as one.  An output hook may hold a datagram
-   and finish it through [transmit_prepared] before the outermost burst
-   ends, which is what lets a security layer seal a burst's datagrams
-   together and still transmit them in call order. *)
+   nested bursts counting as one. *)
 
-type hook_result =
-  | Pass of Ipv4.header * string
-  | Held (* the hook owns the datagram and finishes it itself *)
-  | Drop of string (* reason, counted in stats *)
-
-type hook = Ipv4.header -> string -> hook_result
+type verdict = Pass of Ipv4.header * string | Drop of string (* reason, counted in stats *)
+type hook = Ipv4.header -> string -> (verdict -> unit) -> unit
 
 type stats = {
   mutable packets_out : int;
@@ -70,8 +64,11 @@ type t = {
   protocols : (int, t -> Ipv4.header -> string -> unit) Hashtbl.t;
   mutable output_hook : hook option;
   mutable input_hook : hook option;
+  transmit : verdict -> unit; (* the output hook's continuation, built once *)
+  deliver : verdict -> unit; (* ... and the input hook's *)
   mutable burst_depth : int; (* open [burst] brackets *)
   mutable burst_end : unit -> unit; (* runs when the outermost one closes *)
+  mutable send_error : exn option; (* the open burst's first [Send_error] *)
   reassembler : Frag.t;
   mutable next_ident : int;
   mutable clock_offset : float;
@@ -87,28 +84,6 @@ type t = {
      FBS to store its engine), keyed by a string tag. *)
   extensions : (string, exn) Hashtbl.t;
 }
-
-let create ~name ~addr ?(mtu = 1500) engine =
-  {
-    name;
-    addr;
-    engine;
-    medium = None;
-    link = None;
-    mtu;
-    protocols = Hashtbl.create 8;
-    output_hook = None;
-    input_hook = None;
-    burst_depth = 0;
-    burst_end = ignore;
-    reassembler = Frag.create ();
-    next_ident = 1;
-    clock_offset = 0.0;
-    subnet_prefix = None;
-    gateway = None;
-    stats = new_stats ();
-    extensions = Hashtbl.create 8;
-  }
 
 let name t = t.name
 let addr t = t.addr
@@ -151,7 +126,17 @@ let register_protocol t ~protocol handler =
 let set_extension t ~tag v = Hashtbl.replace t.extensions tag v
 let find_extension t ~tag = Hashtbl.find_opt t.extensions tag
 
-let rec ip_input t raw =
+(* Part 3 of input: hand a datagram to its protocol handler. *)
+let dispatch t h payload =
+  match Hashtbl.find_opt t.protocols h.Ipv4.protocol with
+  | Some handler -> handler t h payload
+  | None -> t.stats.drops_no_proto <- t.stats.drops_no_proto + 1
+
+let deliver t = function
+  | Pass (h, payload) -> dispatch t h payload
+  | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+
+let ip_input t raw =
   t.stats.packets_in <- t.stats.packets_in + 1;
   t.stats.bytes_in <- t.stats.bytes_in + String.length raw;
   match Ipv4.decode raw with
@@ -163,24 +148,14 @@ let rec ip_input t raw =
         (* Part 2: reassembly. *)
         match Frag.add t.reassembler ~now:(now t) h payload with
         | None -> ()
-        | Some (h, payload) ->
+        | Some (h, payload) -> (
             if h.frag_offset = 0 && not h.more_fragments then ()
             else t.stats.reassembled <- t.stats.reassembled + 1;
-            let verdict =
-              match t.input_hook with
-              | None -> Pass (h, payload)
-              | Some hook -> hook h payload
-            in
-            (match verdict with
-            | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
-            | Held -> ()
-            | Pass (h, payload) -> dispatch t h payload)
+            (* FBS receive hook: between reassembly and dispatch. *)
+            match t.input_hook with
+            | None -> dispatch t h payload
+            | Some hook -> hook h payload t.deliver)
       end
-
-and dispatch t h payload =
-  match Hashtbl.find_opt t.protocols h.protocol with
-  | Some handler -> handler t h payload
-  | None -> t.stats.drops_no_proto <- t.stats.drops_no_proto + 1
 
 let attach t medium =
   t.medium <- Some medium;
@@ -216,14 +191,62 @@ let fragment_and_transmit t (h : Ipv4.header) payload =
               Link.transmit link ~deliver:(fun raw -> Medium.transmit medium ~dst raw) raw)
         fragments
 
+(* The output hook's verdict.  The hook may have grown the payload:
+   [fragment_and_transmit] fixes the length (as FBSSend() fixes the IP
+   header after insertion).  Inside a burst a [Send_error] waits for the
+   burst's end; from a later event it has no caller, and the count
+   [fragment_and_transmit] made is all that is left of it. *)
+let transmit t = function
+  | Pass (h, payload) -> (
+      try fragment_and_transmit t h payload with
+      | Send_error _ as e ->
+          if t.burst_depth > 0 && t.send_error = None then t.send_error <- Some e)
+  | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+
+let create ~name ~addr ?(mtu = 1500) engine =
+  let rec t =
+    {
+      name;
+      addr;
+      engine;
+      medium = None;
+      link = None;
+      mtu;
+      protocols = Hashtbl.create 8;
+      output_hook = None;
+      input_hook = None;
+      transmit = (fun v -> transmit t v);
+      deliver = (fun v -> deliver t v);
+      burst_depth = 0;
+      burst_end = ignore;
+      send_error = None;
+      reassembler = Frag.create ();
+      next_ident = 1;
+      clock_offset = 0.0;
+      subnet_prefix = None;
+      gateway = None;
+      stats = new_stats ();
+      extensions = Hashtbl.create 8;
+    }
+  in
+  t
+
 let fresh_ident t =
   let id = t.next_ident in
   t.next_ident <- (t.next_ident + 1) land 0xffff;
   id
 
+(* The burst-end function runs while the burst is still open, so the
+   verdicts it brings hold their [Send_error] too; then the burst's first
+   one is raised. *)
 let end_burst t =
+  if t.burst_depth = 1 then t.burst_end ();
   t.burst_depth <- t.burst_depth - 1;
-  if t.burst_depth = 0 then t.burst_end ()
+  match t.send_error with
+  | Some e when t.burst_depth = 0 ->
+      t.send_error <- None;
+      raise e
+  | _ -> ()
 
 let burst t f =
   t.burst_depth <- t.burst_depth + 1;
@@ -235,21 +258,6 @@ let burst t f =
       end_burst t;
       raise e
 
-(* Part 1 and the send hook.  A held datagram's parts 2+3 run through
-   [transmit_prepared] before the burst that [ip_output] opens ends. *)
-let output t h payload =
-  (* FBS send hook: between part 1 and fragmentation. *)
-  let verdict =
-    match t.output_hook with None -> Pass (h, payload) | Some hook -> hook h payload
-  in
-  match verdict with
-  | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
-  | Held -> ()
-  | Pass (h, payload) ->
-      (* The hook may have grown the payload: [fragment_and_transmit] fixes
-         the length (as FBSSend() fixes the IP header after insertion). *)
-      fragment_and_transmit t h payload
-
 let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
   if t.medium = None then raise (Send_error "host not attached to a network");
   (* Part 1: header construction (route selection is trivial: one medium). *)
@@ -259,21 +267,16 @@ let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
   in
   (* A burst of one, opened by hand: [burst] would take a closure. *)
   t.burst_depth <- t.burst_depth + 1;
-  match output t h payload with
+  match
+    (* FBS send hook: between part 1 and fragmentation. *)
+    match t.output_hook with
+    | None -> fragment_and_transmit t h payload
+    | Some hook -> hook h payload t.transmit
+  with
   | () -> end_burst t
   | exception e ->
       end_burst t;
       raise e
-
-(* Part 2+3 of output only: fragment and transmit a prepared header and
-   payload, skipping the output hook.  Used by a security layer to finish
-   sending a datagram it held, once sealed. *)
-let transmit_prepared t (h : Ipv4.header) payload = fragment_and_transmit t h payload
-
-(* Part 3 of input only: hand a datagram to its protocol handler, skipping
-   the input hook.  Used by a security layer to finish delivery of a
-   datagram whose verification had to wait for key material. *)
-let deliver_up t h payload = dispatch t h payload
 
 (* Deliver a packet locally without touching the medium (loopback). *)
 let loopback t ~protocol ~dst payload =

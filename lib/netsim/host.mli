@@ -4,18 +4,23 @@
     fragment / transmit) and the input path mirrors ip_input's (validate /
     reassemble / dispatch).  Security hooks run between parts 1-2 on output
     and parts 2-3 on input — the exact insertion points of the paper's
-    FBSSend()/FBSReceive() kernel hooks. *)
+    FBSSend()/FBSReceive() kernel hooks.  A hook answers through a
+    continuation, so a datagram may wait (for key material, say) and then
+    carry on along the same path. *)
 
-type hook_result =
+type verdict =
   | Pass of Ipv4.header * string
       (** Carry on with this (possibly rewritten) header and payload. *)
-  | Held
-      (** The hook owns the datagram.  An output hook finishes it through
-          {!transmit_prepared} before the enclosing {!burst} ends; an
-          input hook through {!deliver_up}.  Not a drop: no stats move. *)
   | Drop of string  (** Counted in [drops_hook]. *)
 
-type hook = Ipv4.header -> string -> hook_result
+type hook = Ipv4.header -> string -> (verdict -> unit) -> unit
+(** A hook answers each datagram through the continuation exactly once:
+    before it returns, later in the same {!burst} (an output hook that
+    seals a burst's datagrams together), or from a later event (one that
+    waited for key material) — the simulator's analogue of the paper's
+    blocking Upcall().  An output [Pass] goes on to fragmentation and
+    transmission, an input [Pass] to protocol dispatch.  Each host
+    builds its two continuations once. *)
 
 type stats = {
   mutable packets_out : int;
@@ -66,8 +71,9 @@ val set_output_hook : t -> hook -> unit
 val set_input_hook : t -> hook -> unit
 
 val set_burst_end : t -> (unit -> unit) -> unit
-(** Install the function run when the outermost {!burst} ends — where an
-    output hook that returned [Held] finishes its datagrams. *)
+(** Install the function run when the outermost {!burst} ends, while it
+    is still open — where an output hook answers the datagrams it still
+    holds. *)
 
 val clear_hooks : t -> unit
 (** Remove both hooks and the burst-end function. *)
@@ -77,31 +83,28 @@ val register_protocol : t -> protocol:int -> (t -> Ipv4.header -> string -> unit
 exception Send_error of string
 
 val burst : t -> (unit -> 'a) -> 'a
-(** [burst t f] runs [f] as one output burst: the datagrams its
-    {!ip_output} calls hand to the output hook may be held until [f]
-    returns (or raises), and then finish, in call order, before [burst]
-    returns.  Bursts nest; only the outermost one ends.  Simulated time
-    does not move inside [f], so a burst changes no timing, only when
-    within the event the frames reach the medium. *)
+(** [burst t f] runs [f] as one output burst: the output hook may answer
+    the datagrams of [f]'s {!ip_output} calls after [f] returns (or
+    raises), from the burst-end function, before [burst] returns.
+    Bursts nest; only the outermost one ends.  Simulated time does not
+    move inside [f], so a burst changes no timing, only when within the
+    event the frames reach the medium.
+
+    A [Pass] that is too big with DF set raises {!Send_error} at the end
+    of the outermost burst it arrived in, so the burst's later datagrams
+    still go out; only the burst's first such error is raised.  One that
+    arrives from a later event is dropped.  Either way [send_errors]
+    counts it. *)
 
 val ip_output :
   t -> ?dont_fragment:bool -> ?ttl:int -> protocol:int -> dst:Addr.t -> string -> unit
-(** A burst of one (see {!burst}): inside an enclosing burst a held
-    datagram transmits when that burst ends, else before [ip_output]
-    returns.
+(** A burst of one (see {!burst}).
     @raise Send_error if unattached, or if DF is set and the datagram
-    exceeds the MTU; for a datagram the output hook held, from the end
-    of the outermost burst. *)
+    exceeds the MTU: at once on a host with no output hook, else as
+    {!burst} says. *)
 
 val ip_input : t -> string -> unit
 (** Entry point for raw packets from the medium (exposed for tests). *)
-
-val transmit_prepared : t -> Ipv4.header -> string -> unit
-(** Output parts 2+3 only (fragment + transmit), skipping the output hook:
-    lets a security layer finish a datagram it held, once sealed. *)
-
-val deliver_up : t -> Ipv4.header -> string -> unit
-(** Input part 3 only (protocol dispatch), skipping the input hook. *)
 
 val loopback : t -> protocol:int -> dst:Addr.t -> string -> unit
 

@@ -28,7 +28,7 @@ type state =
   | Syn_sent
   | Syn_received
   | Established
-  | Fin_wait (* we sent FIN, awaiting its ACK (and possibly peer FIN) *)
+  | Fin_wait (* we sent FIN, waiting for its ACK (and possibly peer FIN) *)
   | Close_wait (* peer sent FIN; we have not closed yet *)
   | Last_ack (* peer closed, then we sent FIN *)
   | Closed

@@ -9,7 +9,7 @@ let check = Alcotest.check
 
 (* Shared scaffolding: a testbed whose hosts run a given baseline. *)
 
-let make_hostpair_site ?(variant = Hostpair.Direct) () =
+let make_hostpair_site ?(variant = Hostpair.Direct) ?(defer = false) () =
   let tb = Fbsr_fbs_ip.Testbed.create () in
   let a = Fbsr_fbs_ip.Testbed.add_plain_host tb ~name:"a" ~addr:"10.0.0.1" in
   let b = Fbsr_fbs_ip.Testbed.add_plain_host tb ~name:"b" ~addr:"10.0.0.2" in
@@ -25,12 +25,19 @@ let make_hostpair_site ?(variant = Hostpair.Direct) () =
         ~group:group.Fbsr_crypto.Dh.name
         ~public_value:(Fbsr_crypto.Dh.public_to_bytes group public)
     in
-    let resolver peer k =
+    let resolve peer k =
       match
         Fbsr_cert.Authority.lookup authority (Fbsr_fbs.Principal.to_string peer)
       with
       | Some c -> k (Ok c)
       | None -> k (Error "unknown")
+    in
+    (* [defer]: every certificate arrives a round trip later. *)
+    let resolver peer k =
+      if defer then
+        Engine.schedule (Fbsr_fbs_ip.Testbed.engine tb) ~delay:0.002 (fun () ->
+            resolve peer k)
+      else resolve peer k
     in
     Hostpair.install ~variant ~bbs_modulus_bits:64 ~private_value ~group
       ~ca_public:(Fbsr_cert.Authority.public authority)
@@ -225,6 +232,39 @@ let test_photuris_no_long_term_secret () =
   let _, _, _, sa, _ = make_photuris_site () in
   check Alcotest.bool "no long-term secrets" false (Photuris.has_long_term_secrets sa)
 
+(* --- A datagram that waits for its key is not a hook drop --- *)
+
+(* A cold datagram from [a] to [b] waits for keying and is delivered:
+   neither host counts a hook drop.  With [fails], a datagram whose
+   keying fails (its peer is unknown) is one hook drop on [a]. *)
+let check_waiting_is_no_drop ?(fails = true) tb a b =
+  let drops host = (Host.stats host).Host.drops_hook in
+  let got = ref [] in
+  Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 "cold";
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.(list string) "delivered" [ "cold" ] !got;
+  check Alcotest.int "no hook drop on the sender" 0 (drops a);
+  check Alcotest.int "no hook drop on the receiver" 0 (drops b);
+  if fails then begin
+    Udp_stack.send a ~src_port:7 ~dst:(Addr.of_string "10.0.0.77") ~dst_port:7 "doomed";
+    Fbsr_fbs_ip.Testbed.run tb;
+    check Alcotest.int "a keying failure is one hook drop" 1 (drops a)
+  end
+
+let test_hostpair_waiting_is_no_drop () =
+  let tb, a, b, _, _ = make_hostpair_site ~defer:true () in
+  check_waiting_is_no_drop tb a b
+
+let test_kdc_waiting_is_no_drop () =
+  let tb, a, b, _, _, _ = make_kdc_site () in
+  check_waiting_is_no_drop tb a b
+
+(* A Photuris handshake has no failure signal: only the delivered half. *)
+let test_photuris_waiting_is_no_drop () =
+  let tb, a, b, _, _ = make_photuris_site () in
+  check_waiting_is_no_drop ~fails:false tb a b
+
 (* --- Attack harness primitives --- *)
 
 let arbitrary_bytes = QCheck.string_gen (QCheck.Gen.char_range '\000' '\255')
@@ -296,6 +336,8 @@ let () =
             test_hostpair_cut_and_paste_succeeds;
           Alcotest.test_case "mss reduction" `Quick test_hostpair_mss_reduction;
           Alcotest.test_case "unprotect errors" `Quick test_hostpair_unprotect_errors;
+          Alcotest.test_case "waiting for a key is no hook drop" `Quick
+            test_hostpair_waiting_is_no_drop;
         ] );
       ( "kdc",
         [
@@ -303,6 +345,8 @@ let () =
           Alcotest.test_case "unknown destination" `Quick test_kdc_unknown_destination;
           Alcotest.test_case "corruption rejected" `Quick
             test_kdc_ticket_corruption_rejected;
+          Alcotest.test_case "waiting for a session is no hook drop" `Quick
+            test_kdc_waiting_is_no_drop;
         ] );
       ( "photuris",
         [
@@ -310,6 +354,8 @@ let () =
           Alcotest.test_case "tamper rejected" `Quick test_photuris_tamper_rejected;
           Alcotest.test_case "no long-term secret (PFS)" `Quick
             test_photuris_no_long_term_secret;
+          Alcotest.test_case "waiting for a handshake is no hook drop" `Quick
+            test_photuris_waiting_is_no_drop;
         ] );
       ( "attack-harness",
         [

@@ -2174,6 +2174,98 @@ let test_engine_async_receive () =
   | Some (Ok acc) -> check Alcotest.string "payload" "late" acc.Engine.payload
   | _ -> Alcotest.fail "continuation did not complete"
 
+(* Datagrams on one cold flow all wait for the same master key.  The
+   first to resume derives the flow key and caches it (a send at once, a
+   receive once its datagram verified), and the rest join that entry: one
+   derivation per side, however many waited.  Each still counts its cold
+   miss, since the key was not cached when it arrived.  A waiter whose
+   datagram is refused caches nothing, so the next one derives again. *)
+let test_engine_cold_flow_derives_once () =
+  let n = 5 in
+  let rng = Fbsr_util.Rng.create 35 in
+  let group = Lazy.force Fbsr_crypto.Dh.test_group in
+  let ca = Fbsr_cert.Authority.create ~rng ~bits:512 () in
+  let enroll name =
+    let priv = Fbsr_crypto.Dh.gen_private group rng in
+    let pub = Fbsr_crypto.Dh.public group priv in
+    ignore
+      (Fbsr_cert.Authority.enroll ca ~now:0.0 ~subject:name
+         ~group:group.Fbsr_crypto.Dh.name
+         ~public_value:(Fbsr_crypto.Dh.public_to_bytes group pub));
+    (Principal.of_string name, priv)
+  in
+  let s, s_priv = enroll "10.0.0.1" in
+  let d, d_priv = enroll "10.0.0.2" in
+  (* An engine whose resolver defers every fetch until [resolve ()]. *)
+  let mk p priv seed =
+    let fetches = ref [] in
+    let keying =
+      Keying.create ~local:p ~group ~private_value:priv
+        ~ca_public:(Fbsr_cert.Authority.public ca)
+        ~ca_hash:(Fbsr_cert.Authority.hash ca)
+        ~resolver:(fun peer k -> fetches := (peer, k) :: !fetches)
+        ~clock:(fun () -> 0.0)
+        ()
+    in
+    let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
+    let e = Engine.create ~keying ~fam:(Fam.create (Policy_five_tuple.policy ~alloc ())) () in
+    let resolve () =
+      let pending = List.rev !fetches in
+      fetches := [];
+      check Alcotest.int "one fetch" 1 (List.length pending);
+      List.iter
+        (fun (peer, k) ->
+          k (Ok (Option.get (Fbsr_cert.Authority.lookup ca (Principal.to_string peer)))))
+        pending
+    in
+    (e, resolve)
+  in
+  let es, resolve_s = mk s s_priv 1 in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let wires = ref [] in
+  for i = 1 to n do
+    Engine.send es ~now:60.0 ~attrs ~secret:true ~payload:(Printf.sprintf "datagram %d" i)
+      (fun r -> wires := Result.get_ok r :: !wires)
+  done;
+  check Alcotest.int "every send waits" 0 (List.length !wires);
+  resolve_s ();
+  let wires = List.rev !wires in
+  check Alcotest.int "every send completes" n (List.length wires);
+  let c = Engine.counters es in
+  check Alcotest.int "the sender derives once" 1 c.Engine.flow_key_computations;
+  check Alcotest.int "... expands its schedules once" 1 c.Engine.keysched_misses;
+  check Alcotest.int "... and each datagram missed cold" n
+    (Cache.stats (Engine.tfkc es)).Cache.misses_cold;
+  let receive_all wires =
+    let ed, resolve_d = mk d d_priv 2 in
+    let got = ref [] in
+    List.iter
+      (fun wire ->
+        Engine.receive ed ~now:60.0 ~src:s ~wire (function
+          | Ok acc -> got := acc.Engine.payload :: !got
+          | Error _ -> ()))
+      wires;
+    check Alcotest.int "every receive waits" 0 (List.length !got);
+    resolve_d ();
+    (List.rev !got, (Engine.counters ed).Engine.flow_key_computations)
+  in
+  let got, derived = receive_all wires in
+  check Alcotest.(list string) "all delivered, in order"
+    (List.init n (fun i -> Printf.sprintf "datagram %d" (i + 1)))
+    got;
+  check Alcotest.int "the receiver derives once" 1 derived;
+  (* A forged first datagram (its MAC flipped) verifies under nothing:
+     its entry is not cached, and the next waiter derives its own. *)
+  let forged =
+    let w = Bytes.of_string (List.hd wires) in
+    let i = Engine.header_overhead es - 1 in
+    Bytes.set w i (Char.chr (Char.code (Bytes.get w i) lxor 1));
+    Bytes.to_string w
+  in
+  let got, derived = receive_all (forged :: List.tl wires) in
+  check Alcotest.int "the rest delivered" (n - 1) (List.length got);
+  check Alcotest.int "the forged one costs its own derivation" 2 derived
+
 let test_no_pfs_by_design () =
   (* Section 6.1: "no zero-message keying protocol can provide [perfect
      forward secrecy]".  Demonstrate the concession: an attacker who
@@ -2482,6 +2574,8 @@ let () =
             test_engine_every_cause_concludes_once;
           Alcotest.test_case "async send" `Quick test_engine_async_send;
           Alcotest.test_case "async receive" `Quick test_engine_async_receive;
+          Alcotest.test_case "cold flow derives its key once" `Quick
+            test_engine_cold_flow_derives_once;
           Alcotest.test_case "confounder hides repetition" `Quick
             test_engine_confounder_hides_repetition;
           Alcotest.test_case "wire overhead bound" `Quick test_engine_wire_overhead;

@@ -806,7 +806,7 @@ let test_burst_df_too_big_escapes () =
 
 (* A too-big datagram with DF set to a cold peer suspends on the key
    fetch and resumes from the MKD reply's event: its [Send_error] has no
-   caller there, so the stack drops it, the host counts it, and the
+   caller there, so the host drops it and counts it, and the
    simulation goes on. *)
 let test_resumed_df_too_big_dropped () =
   let tb, a, b = make_pair () in
@@ -819,6 +819,9 @@ let test_resumed_df_too_big_dropped () =
       Udp_stack.send a.Testbed.host ~src_port:7 ~dst:bh ~dst_port:7 "later");
   Testbed.run tb;
   check Alcotest.(list string) "the later datagram is delivered" [ "later" ] !got;
+  (* Both were sealed and handed to IP; the host's [send_errors] is
+     where the refused one is counted, and only there. *)
+  check Alcotest.int "both sent" 2 (Stack.counters a.Testbed.stack).Stack.sent;
   check Alcotest.int "one send error" 1 (Host.stats a.Testbed.host).Host.send_errors;
   check Alcotest.int "it resumed" 1 (Stack.counters a.Testbed.stack).Stack.resumed
 
@@ -847,6 +850,29 @@ let test_cold_flow_completion_counters () =
   check Alcotest.int "every datagram sent" n c.Stack.sent;
   check Alcotest.int "no send errors" 0 c.Stack.dropped_error;
   check Alcotest.int "every datagram delivered" n !got
+
+(* A cold datagram waits for the MKD on both hosts and is delivered: no
+   host counts it a hook drop.  One whose key fetch fails is one hook
+   drop on its sender. *)
+let test_cold_flow_waiting_is_no_drop () =
+  let tb, a, b = make_pair () in
+  let drops (n : Testbed.node) = (Host.stats n.Testbed.host).Host.drops_hook in
+  let got = ref [] in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
+    "cold";
+  Testbed.run tb;
+  check Alcotest.(list string) "delivered" [ "cold" ] !got;
+  check Alcotest.int "it waited on the sender" 1
+    (Stack.counters a.Testbed.stack).Stack.suspended_out;
+  check Alcotest.int "and on the receiver" 1
+    (Stack.counters b.Testbed.stack).Stack.suspended_in;
+  check Alcotest.int "no hook drop on the sender" 0 (drops a);
+  check Alcotest.int "no hook drop on the receiver" 0 (drops b);
+  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Addr.of_string "10.0.0.77") ~dst_port:7
+    "doomed";
+  Testbed.run tb;
+  check Alcotest.int "a failed fetch is one hook drop" 1 (drops a)
 
 let test_cold_flow_resolver_failure () =
   (* A failed certificate fetch on a cold flow's TFKC miss is counted in
@@ -1284,6 +1310,8 @@ let () =
             test_cold_flow_completion_counters;
           Alcotest.test_case "resolver failure dropped" `Quick
             test_cold_flow_resolver_failure;
+          Alcotest.test_case "waiting for a key is no hook drop" `Quick
+            test_cold_flow_waiting_is_no_drop;
         ] );
       ( "icmp",
         [ Alcotest.test_case "raw IP host-level flows" `Quick test_icmp_through_fbs ]

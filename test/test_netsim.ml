@@ -359,13 +359,12 @@ let test_host_hooks () =
   Udp_stack.install a;
   Udp_stack.install b;
   let out_hook_calls = ref 0 and in_hook_calls = ref 0 in
-  Host.set_output_hook a (fun h payload ->
+  Host.set_output_hook a (fun h payload k ->
       incr out_hook_calls;
-      Host.Pass (h, payload));
-  Host.set_input_hook b (fun h payload ->
+      k (Host.Pass (h, payload)));
+  Host.set_input_hook b (fun h payload k ->
       incr in_hook_calls;
-      if !in_hook_calls = 1 then Host.Drop "first one dropped"
-      else Host.Pass (h, payload));
+      k (if !in_hook_calls = 1 then Host.Drop "first one dropped" else Host.Pass (h, payload)));
   let got = ref 0 in
   Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
   Udp_stack.send a ~src_port:7 ~dst:addr_b ~dst_port:7 "one";
@@ -375,6 +374,47 @@ let test_host_hooks () =
   check Alcotest.int "input hook ran" 2 !in_hook_calls;
   check Alcotest.int "one delivered" 1 !got;
   check Alcotest.int "hook drop counted" 1 (Host.stats b).Host.drops_hook
+
+(* The host's [Send_error] rule on its own.  The output hook holds every
+   datagram too big for the MTU and answers it [Pass] only from the
+   burst-end function (or from [later]); the rest pass at once. *)
+let test_host_burst_send_error () =
+  let eng, _, a, b = two_hosts () in
+  let held = ref [] in
+  Host.set_output_hook a (fun h payload k ->
+      if String.length payload > 1500 then held := (h, payload, k) :: !held
+      else k (Host.Pass (h, payload)));
+  let answer () =
+    let answers = List.rev !held in
+    held := [];
+    List.iter (fun (h, payload, k) -> k (Host.Pass (h, payload))) answers
+  in
+  Host.set_burst_end a answer;
+  let got = ref [] in
+  Host.register_protocol b ~protocol:17 (fun _ _ payload -> got := payload :: !got);
+  let big = String.make 1600 'x' in
+  let send ?(dont_fragment = false) payload =
+    Host.ip_output a ~dont_fragment ~protocol:17 ~dst:addr_b payload
+  in
+  let raised = ref 0 in
+  (try
+     Host.burst a (fun () ->
+         send ~dont_fragment:true big;
+         send "behind it";
+         send ~dont_fragment:true big;
+         check Alcotest.int "nothing raised inside the burst" 0 (Host.stats a).Host.send_errors)
+   with Host.Send_error _ -> incr raised);
+  check Alcotest.int "raised once, at burst end" 1 !raised;
+  check Alcotest.int "both too-big datagrams counted" 2 (Host.stats a).Host.send_errors;
+  Engine.run eng;
+  check Alcotest.(list string) "the datagram behind them went out" [ "behind it" ] !got;
+  (* The same verdict from a later event has no caller: counted only. *)
+  Host.set_burst_end a ignore;
+  send ~dont_fragment:true big;
+  Engine.schedule eng ~delay:1.0 answer;
+  Engine.run eng;
+  check Alcotest.int "counted from the later event" 3 (Host.stats a).Host.send_errors;
+  check Alcotest.int "nothing more delivered" 1 (List.length !got)
 
 let test_host_not_mine () =
   let eng, _, _, b = two_hosts () in
@@ -1116,6 +1156,8 @@ let () =
       ( "host",
         [
           Alcotest.test_case "hooks" `Quick test_host_hooks;
+          Alcotest.test_case "burst holds a late Send_error" `Quick
+            test_host_burst_send_error;
           Alcotest.test_case "not mine" `Quick test_host_not_mine;
           Alcotest.test_case "no protocol" `Quick test_host_no_protocol;
           Alcotest.test_case "unattached" `Quick test_host_unattached;
