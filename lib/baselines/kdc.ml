@@ -14,6 +14,12 @@
 
    Each enrolled host shares a DES key with the KDC (out of band).
 
+   The KDC request crosses the same unreliable network as the data, so
+   the datagrams to a destination park on one [Request] keyed by its
+   name: KREQ is resent on the MKD's default schedule (2, 4, 8 s +- 10%),
+   and a refusal or the last attempt's timeout drops every parked
+   datagram.
+
    KDC protocol (UDP):
      request:  "KREQ" u16 len | destination name
      response: "KRSP" u16 n | E(K_client, Ks || expiry)
@@ -27,17 +33,19 @@ open Fbsr_netsim
 open Fbsr_util
 
 let kdc_port = 88
+let local_port = 900
 let zero_iv = String.make 8 '\000'
 let mac_len = 16
 
 (* --- KDC server --- *)
 
 module Server = struct
+  let ticket_lifetime = 8.0 *. 3600.0
+
   type t = {
     host : Host.t;
     registry : (string, string) Hashtbl.t; (* host name -> shared DES key *)
     rng : Fbsr_util.Rng.t;
-    ticket_lifetime : float;
     mutable tickets_issued : int;
   }
 
@@ -73,7 +81,7 @@ module Server = struct
               let session_key =
                 Fbsr_crypto.Des.adjust_parity (Fbsr_util.Rng.bytes t.rng 8)
               in
-              let expiry = Host.now t.host +. t.ticket_lifetime in
+              let expiry = Host.now t.host +. ticket_lifetime in
               let for_client =
                 Fbsr_crypto.Des.encrypt_cbc ~iv:zero_iv
                   (Fbsr_crypto.Des.of_string k_client)
@@ -102,13 +110,12 @@ module Server = struct
         Udp_stack.send t.host ~src_port:kdc_port ~dst:src ~dst_port:src_port reply)
     | _ -> ()
 
-  let install ?(ticket_lifetime = 8.0 *. 3600.0) ?(seed = 0xadc1) host =
+  let install host =
     let t =
       {
         host;
         registry = Hashtbl.create 16;
-        rng = Fbsr_util.Rng.create seed;
-        ticket_lifetime;
+        rng = Fbsr_util.Rng.create 0xadc1;
         tickets_issued = 0;
       }
     in
@@ -135,14 +142,12 @@ type t = {
   host : Host.t;
   kdc_addr : Addr.t;
   shared_key : string; (* our key with the KDC *)
-  secret : bool;
-  bypass : Addr.t -> bool;
   outgoing : (string, session) Hashtbl.t; (* dst name -> session (hard state) *)
   incoming : (string, session) Hashtbl.t; (* ticket -> session (hard state) *)
-  pending : (string, (Ipv4.header * string * (Host.verdict -> unit)) list ref) Hashtbl.t;
+  requests : (string, unit, (session, string) result) Request.t;
+      (* by destination name; the waiters are the parked datagrams *)
   iv_gen : Lcg.t;
   counters : counters;
-  local_port : int;
 }
 
 let parse_session_blob blob =
@@ -158,10 +163,10 @@ let compute_mac ~key parts = Fbsr_crypto.Mac.prefix Fbsr_crypto.Hash.md5 ~key pa
 let protect t session payload =
   let iv = Lcg.next_block t.iv_gen 8 in
   let dk = Fbsr_crypto.Des.of_string session.session_key in
-  let body = if t.secret then Fbsr_crypto.Des.encrypt_cbc ~iv dk payload else payload in
+  let body = Fbsr_crypto.Des.encrypt_cbc ~iv dk payload in
   let mac = compute_mac ~key:session.session_key [ iv; body ] in
   let w = Byte_writer.create () in
-  Byte_writer.u8 w (if t.secret then 1 else 0);
+  Byte_writer.u8 w 1;
   Byte_writer.u16 w (String.length session.ticket);
   Byte_writer.bytes w session.ticket;
   Byte_writer.bytes w iv;
@@ -175,7 +180,7 @@ let request_session t dst_name =
   Byte_writer.bytes w "KREQ";
   Byte_writer.u16 w (String.length dst_name);
   Byte_writer.bytes w dst_name;
-  Udp_stack.send t.host ~src_port:t.local_port ~dst:t.kdc_addr ~dst_port:kdc_port
+  Udp_stack.send t.host ~src_port:local_port ~dst:t.kdc_addr ~dst_port:kdc_port
     (Byte_writer.contents w)
 
 let handle_kdc_reply t raw =
@@ -199,53 +204,46 @@ let handle_kdc_reply t raw =
                  for_client)
           with
           | exception _ -> ()
-          | session_key, dst_name, expiry -> (
+          | session_key, dst_name, expiry ->
               let session = { session_key; ticket; expiry } in
               Hashtbl.replace t.outgoing dst_name session;
               t.counters.sessions <- t.counters.sessions + 1;
-              (* Answer the datagrams parked on this destination. *)
-              match Hashtbl.find_opt t.pending dst_name with
-              | None -> ()
-              | Some queue ->
-                  Hashtbl.remove t.pending dst_name;
-                  List.iter
-                    (fun (h, payload, k) ->
-                      t.counters.sent <- t.counters.sent + 1;
-                      k (Host.Pass (h, protect t session payload)))
-                    (List.rev !queue))))
+              ignore (Request.complete t.requests dst_name (Ok session))))
   | "KFAI" -> (
       (* The KDC refused the destination: its parked datagrams are
          dropped, and the next datagram to it asks again. *)
       match Byte_reader.bytes r (Byte_reader.u16 r) with
       | exception Byte_reader.Truncated -> ()
-      | dst_name -> (
-          match Hashtbl.find_opt t.pending dst_name with
-          | None -> ()
-          | Some queue ->
-              Hashtbl.remove t.pending dst_name;
-              List.iter
-                (fun (_, _, k) ->
-                  t.counters.dropped <- t.counters.dropped + 1;
-                  k (Host.Drop "kdc refused the session"))
-                (List.rev !queue)))
+      | dst_name ->
+          ignore (Request.complete t.requests dst_name (Error "kdc refused the session")))
   | _ -> ()
 
 let output_hook t (h : Ipv4.header) payload k =
-  if t.bypass h.dst || Addr.equal h.dst t.kdc_addr then k (Host.Pass (h, payload))
+  if Addr.equal h.dst t.kdc_addr then k (Host.Pass (h, payload))
   else begin
     let dst_name = Addr.to_string h.dst in
     match Hashtbl.find_opt t.outgoing dst_name with
     | Some session when session.expiry > Host.now t.host ->
         t.counters.sent <- t.counters.sent + 1;
         k (Host.Pass (h, protect t session payload))
-    | Some _ | None -> (
+    | Some _ | None ->
         (* Session setup required before the first datagram can leave:
-           the explicit message exchange FBS avoids. *)
-        match Hashtbl.find_opt t.pending dst_name with
-        | Some queue -> queue := (h, payload, k) :: !queue
-        | None ->
-            Hashtbl.replace t.pending dst_name (ref [ (h, payload, k) ]);
-            request_session t dst_name)
+           the explicit message exchange FBS avoids.  The datagram waits
+           on the destination's request; a lost request or reply is
+           retransmitted, and a refusal or the last attempt's timeout
+           drops it. *)
+        let parked = function
+          | Ok session ->
+              t.counters.sent <- t.counters.sent + 1;
+              k (Host.Pass (h, protect t session payload))
+          | Error reason ->
+              t.counters.dropped <- t.counters.dropped + 1;
+              k (Host.Drop reason)
+        in
+        if not (Request.join t.requests dst_name parked) then
+          Request.start t.requests dst_name ()
+            ~send:(fun _ -> request_session t dst_name)
+            parked
   end
 
 type error = Truncated | Bad_ticket | Expired | Bad_mac | Decrypt_error
@@ -296,7 +294,7 @@ let unprotect t ~now ~wire =
           else Ok body)
 
 let input_hook t (h : Ipv4.header) payload k =
-  if t.bypass h.src || Addr.equal h.src t.kdc_addr then k (Host.Pass (h, payload))
+  if Addr.equal h.src t.kdc_addr then k (Host.Pass (h, payload))
   else
     match unprotect t ~now:(Host.now t.host) ~wire:payload with
     | Ok plaintext ->
@@ -309,21 +307,20 @@ let input_hook t (h : Ipv4.header) payload k =
         t.counters.dropped <- t.counters.dropped + 1;
         k (Host.Drop "kdc verification failed")
 
-let install ?(secret = true) ?(bypass = fun _ -> false) ?(local_port = 900) ~kdc_addr
-    ~shared_key host =
+let install ~kdc_addr ~shared_key host =
   let t =
     {
       host;
       kdc_addr;
       shared_key;
-      secret;
-      bypass;
       outgoing = Hashtbl.create 8;
       incoming = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
+      requests =
+        Request.create ~seed:0x4bdc ~timeout:Fbsr_fbs_ip.Mkd.default_config.timeout
+          ~max_attempts:Fbsr_fbs_ip.Mkd.default_config.max_attempts
+          ~timed_out:(Error "kdc request timed out") host;
       iv_gen = Lcg.create (Addr.to_int (Host.addr host));
       counters = { sent = 0; received = 0; dropped = 0; kdc_requests = 0; sessions = 0 };
-      local_port;
     }
   in
   Udp_stack.listen host ~port:local_port (fun ~src ~src_port:_ raw ->

@@ -9,8 +9,9 @@ val kdc_port : int
 module Server : sig
   type t
 
-  val install : ?ticket_lifetime:float -> ?seed:int -> Host.t -> t
-  (** The host must already have a UDP stack installed. *)
+  val install : Host.t -> t
+  (** The host must already have a UDP stack installed.  Tickets live 8
+      hours. *)
 
   val enroll : t -> name:string -> string
   (** Register a principal; returns the shared DES key (out-of-band
@@ -29,14 +30,13 @@ type counters = {
 
 type t
 
-val install :
-  ?secret:bool ->
-  ?bypass:(Addr.t -> bool) ->
-  ?local_port:int ->
-  kdc_addr:Addr.t ->
-  shared_key:string ->
-  Host.t ->
-  t
+val install : kdc_addr:Addr.t -> shared_key:string -> Host.t -> t
+(** The host must already have a UDP stack installed.  Data is encrypted
+    and MACed under the session key.  Datagrams to a destination without
+    a session wait on one session request, sent to the KDC from UDP port
+    900 and retransmitted on the MKD's default schedule (2, 4, 8 s,
+    +-10%); a refusal, or no reply after the third attempt, drops each of
+    them (counted in [dropped] and the host's [drops_hook]). *)
 
 val counters : t -> counters
 val sessions_out : t -> int

@@ -21,7 +21,13 @@
      C->S  "PHC1" cookie_c
      S->C  "PHC2" cookie_c cookie_s
      C->S  "PHK1" cookie_c cookie_s g^x
-     S->C  "PHK2" cookie_s g^y
+     S->C  "PHK2" cookie_c g^y
+   The initiator's datagrams to a peer park on one [Request] keyed by the
+   peer, which resends the message of the step it waits on (PHC1, then
+   PHK1) on the MKD's default schedule (2, 4, 8 s +- 10%) and drops them
+   after the last attempt's timeout.  Duplicated and late messages are
+   harmless: a second PHC2 is ignored, and a repeated PHK1 gets the PHK2
+   that answered the first.
    Session key = MD5(g^xy).  Data packets (between IP header and payload):
      u8 flags | 8B cookie_c | 8B iv | 16B mac | body                     *)
 
@@ -37,11 +43,12 @@ type session = {
   peer : Addr.t;
 }
 
-type pending = {
-  mutable cookie_c : string;
-  mutable cookie_s : string option;
-  mutable private_value : Fbsr_crypto.Dh.private_value option;
-  mutable queue : (Ipv4.header * string * (Host.verdict -> unit)) list;
+(* The initiator's side of one handshake in flight: the state of the
+   request that the datagrams to its peer wait on. *)
+type handshake = {
+  cookie_c : string;
+  mutable private_value : Fbsr_crypto.Dh.private_value option; (* set by the first PHC2 *)
+  mutable message : string; (* the step's message: PHC1, then PHK1 *)
 }
 
 type counters = {
@@ -57,11 +64,11 @@ type t = {
   host : Host.t;
   group : Fbsr_crypto.Dh.group;
   rng : Rng.t;
-  secret : bool;
-  bypass : Addr.t -> bool;
   outgoing : (int, session) Hashtbl.t; (* peer addr -> session *)
-  incoming : (string, session) Hashtbl.t; (* initiator cookie -> session *)
-  pending : (int, pending) Hashtbl.t;
+  incoming : (string, session * string) Hashtbl.t;
+      (* initiator cookie -> session, and the PHK2 that answered it *)
+  handshakes : (int, handshake, (session, string) result) Request.t;
+      (* by peer addr; the waiters are the parked datagrams *)
   iv_gen : Lcg.t;
   counters : counters;
 }
@@ -102,10 +109,10 @@ let protect t session payload =
     Fbsr_crypto.Des.of_string
       (Fbsr_crypto.Des.adjust_parity (String.sub session.session_key 0 8))
   in
-  let body = if t.secret then Fbsr_crypto.Des.encrypt_cbc ~iv dk payload else payload in
+  let body = Fbsr_crypto.Des.encrypt_cbc ~iv dk payload in
   let mac = compute_mac ~key:session.session_key [ iv; body ] in
   let w = Byte_writer.create () in
-  Byte_writer.u8 w (if t.secret then 1 else 0);
+  Byte_writer.u8 w 1;
   Byte_writer.bytes w session.cookie;
   Byte_writer.bytes w iv;
   Byte_writer.bytes w mac;
@@ -128,7 +135,7 @@ let unprotect t ~wire =
   | flags, cookie, iv, mac, body -> (
       match Hashtbl.find_opt t.incoming cookie with
       | None -> Error Unknown_association
-      | Some session ->
+      | Some (session, _) ->
           if not (Fbsr_crypto.Ct.equal mac (compute_mac ~key:session.session_key [ iv; body ]))
           then Error Bad_mac
           else if flags land 1 = 1 then begin
@@ -142,17 +149,6 @@ let unprotect t ~wire =
           end
           else Ok body)
 
-let flush_pending t ~dst session =
-  match Hashtbl.find_opt t.pending (Addr.to_int dst) with
-  | None -> ()
-  | Some p ->
-      Hashtbl.remove t.pending (Addr.to_int dst);
-      List.iter
-        (fun (h, payload, k) ->
-          t.counters.sent <- t.counters.sent + 1;
-          k (Host.Pass (h, protect t session payload)))
-        (List.rev p.queue)
-
 let handle_handshake t ~src raw =
   match parse_msg raw with
   | None -> ()
@@ -161,60 +157,60 @@ let handle_handshake t ~src raw =
       let cookie_s = Rng.bytes t.rng 8 in
       send_handshake t ~dst:src (msg "PHC2" [ cookie_c; cookie_s ])
   | Some ("PHC2", [ cookie_c; cookie_s ]) -> (
-      (* Initiator: cookies agreed; send our ephemeral public value. *)
-      match Hashtbl.find_opt t.pending (Addr.to_int src) with
-      | Some p when p.cookie_c = cookie_c ->
-          p.cookie_s <- Some cookie_s;
+      (* Initiator: cookies agreed; send our ephemeral public value.  A
+         second PHC2 (duplicated, or answering a retransmitted PHC1) is
+         ignored: the handshake keeps its first x. *)
+      match Request.find t.handshakes (Addr.to_int src) with
+      | Some hs when hs.cookie_c = cookie_c && hs.private_value = None ->
           let x = Fbsr_crypto.Dh.gen_private t.group t.rng in
-          p.private_value <- Some x;
+          hs.private_value <- Some x;
           t.counters.modexps <- t.counters.modexps + 1;
-          let gx = Fbsr_crypto.Dh.public_to_bytes t.group (Fbsr_crypto.Dh.public t.group x) in
-          send_handshake t ~dst:src (msg "PHK1" [ cookie_c; cookie_s; gx ])
+          let gx =
+            Fbsr_crypto.Dh.public_to_bytes t.group (Fbsr_crypto.Dh.public t.group x)
+          in
+          hs.message <- msg "PHK1" [ cookie_c; cookie_s; gx ];
+          send_handshake t ~dst:src hs.message
       | _ -> ())
-  | Some ("PHK1", [ cookie_c; _cookie_s; gx ]) ->
-      (* Responder: compute the shared secret, answer with our value, and
-         install the inbound association (hard state). *)
-      let y = Fbsr_crypto.Dh.gen_private t.group t.rng in
-      t.counters.modexps <- t.counters.modexps + 2;
-      let gy = Fbsr_crypto.Dh.public_to_bytes t.group (Fbsr_crypto.Dh.public t.group y) in
-      let shared =
-        Fbsr_crypto.Dh.shared_bytes t.group y (Fbsr_crypto.Dh.public_of_bytes gx)
-      in
-      let session =
-        { session_key = session_key_of_shared shared; cookie = cookie_c; peer = src }
-      in
-      Hashtbl.replace t.incoming cookie_c session;
-      t.counters.handshakes <- t.counters.handshakes + 1;
-      send_handshake t ~dst:src (msg "PHK2" [ cookie_c; gy ])
+  | Some ("PHK1", [ cookie_c; _cookie_s; gx ]) -> (
+      match Hashtbl.find_opt t.incoming cookie_c with
+      | Some (_, phk2) ->
+          (* A repeated PHK1 (duplicated, or retransmitted after a lost
+             PHK2) gets the same answer: the association stays. *)
+          send_handshake t ~dst:src phk2
+      | None ->
+          (* Responder: compute the shared secret, answer with our value,
+             and install the inbound association (hard state). *)
+          let y = Fbsr_crypto.Dh.gen_private t.group t.rng in
+          t.counters.modexps <- t.counters.modexps + 2;
+          let gy =
+            Fbsr_crypto.Dh.public_to_bytes t.group (Fbsr_crypto.Dh.public t.group y)
+          in
+          let shared =
+            Fbsr_crypto.Dh.shared_bytes t.group y (Fbsr_crypto.Dh.public_of_bytes gx)
+          in
+          let session =
+            { session_key = session_key_of_shared shared; cookie = cookie_c; peer = src }
+          in
+          let phk2 = msg "PHK2" [ cookie_c; gy ] in
+          Hashtbl.replace t.incoming cookie_c (session, phk2);
+          t.counters.handshakes <- t.counters.handshakes + 1;
+          send_handshake t ~dst:src phk2)
   | Some ("PHK2", [ cookie_c; gy ]) -> (
-      (* Initiator: finish; install the outbound association and drain the
-         datagrams parked behind the handshake. *)
-      match Hashtbl.find_opt t.pending (Addr.to_int src) with
-      | Some p when p.cookie_c = cookie_c -> (
-          match p.private_value with
-          | Some x ->
-              t.counters.modexps <- t.counters.modexps + 1;
-              let shared =
-                Fbsr_crypto.Dh.shared_bytes t.group x
-                  (Fbsr_crypto.Dh.public_of_bytes gy)
-              in
-              let session =
-                { session_key = session_key_of_shared shared; cookie = cookie_c;
-                  peer = src }
-              in
-              Hashtbl.replace t.outgoing (Addr.to_int src) session;
-              flush_pending t ~dst:src session
-          | None -> ())
+      (* Initiator: finish; install the outbound association and answer
+         the datagrams parked behind the handshake. *)
+      match Request.find t.handshakes (Addr.to_int src) with
+      | Some { cookie_c = c; private_value = Some x; _ } when c = cookie_c ->
+          t.counters.modexps <- t.counters.modexps + 1;
+          let shared =
+            Fbsr_crypto.Dh.shared_bytes t.group x (Fbsr_crypto.Dh.public_of_bytes gy)
+          in
+          let session =
+            { session_key = session_key_of_shared shared; cookie = cookie_c; peer = src }
+          in
+          Hashtbl.replace t.outgoing (Addr.to_int src) session;
+          ignore (Request.complete t.handshakes (Addr.to_int src) (Ok session))
       | _ -> ())
   | Some _ -> ()
-
-let start_handshake t ~dst =
-  let p =
-    { cookie_c = Rng.bytes t.rng 8; cookie_s = None; private_value = None; queue = [] }
-  in
-  Hashtbl.replace t.pending (Addr.to_int dst) p;
-  send_handshake t ~dst (msg "PHC1" [ p.cookie_c ]);
-  p
 
 (* The handshake's own UDP messages must bypass the data-protection hooks
    (the same circularity the FBS secure-flow bypass solves). *)
@@ -226,7 +222,7 @@ let is_handshake ~(h : Ipv4.header) payload =
       sp = port || dp = port)
 
 let output_hook t (h : Ipv4.header) payload k =
-  if t.bypass h.dst || is_handshake ~h payload then k (Host.Pass (h, payload))
+  if is_handshake ~h payload then k (Host.Pass (h, payload))
   else begin
     match Hashtbl.find_opt t.outgoing (Addr.to_int h.dst) with
     | Some session ->
@@ -234,17 +230,32 @@ let output_hook t (h : Ipv4.header) payload k =
         k (Host.Pass (h, protect t session payload))
     | None ->
         (* Two round trips of setup must finish before this datagram can
-           leave — the cost FBS's zero-message keying removes. *)
-        let p =
-          match Hashtbl.find_opt t.pending (Addr.to_int h.dst) with
-          | Some p -> p
-          | None -> start_handshake t ~dst:h.dst
+           leave — the cost FBS's zero-message keying removes.  The
+           datagram waits on the peer's handshake, which resends the
+           message of the step it waits on until the last attempt's
+           timeout drops it. *)
+        let parked = function
+          | Ok session ->
+              t.counters.sent <- t.counters.sent + 1;
+              k (Host.Pass (h, protect t session payload))
+          | Error reason ->
+              t.counters.dropped <- t.counters.dropped + 1;
+              k (Host.Drop reason)
         in
-        p.queue <- (h, payload, k) :: p.queue
+        let peer = Addr.to_int h.dst in
+        if not (Request.join t.handshakes peer parked) then begin
+          let cookie_c = Rng.bytes t.rng 8 in
+          let hs =
+            { cookie_c; private_value = None; message = msg "PHC1" [ cookie_c ] }
+          in
+          Request.start t.handshakes peer hs
+            ~send:(fun _ -> send_handshake t ~dst:h.dst hs.message)
+            parked
+        end
   end
 
 let input_hook t (h : Ipv4.header) payload k =
-  if t.bypass h.src || is_handshake ~h payload then k (Host.Pass (h, payload))
+  if is_handshake ~h payload then k (Host.Pass (h, payload))
   else
     match unprotect t ~wire:payload with
     | Ok plaintext ->
@@ -257,17 +268,18 @@ let input_hook t (h : Ipv4.header) payload k =
         t.counters.dropped <- t.counters.dropped + 1;
         k (Host.Drop "photuris verification failed")
 
-let install ?(secret = true) ?(bypass = fun _ -> false) ?(seed = 0x9047) ~group host =
+let install ~group host =
   let t =
     {
       host;
       group;
-      rng = Rng.create (seed lxor Addr.to_int (Host.addr host));
-      secret;
-      bypass;
+      rng = Rng.create (0x9047 lxor Addr.to_int (Host.addr host));
       outgoing = Hashtbl.create 8;
       incoming = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
+      handshakes =
+        Request.create ~seed:0x9048 ~timeout:Fbsr_fbs_ip.Mkd.default_config.timeout
+          ~max_attempts:Fbsr_fbs_ip.Mkd.default_config.max_attempts
+          ~timed_out:(Error "photuris handshake timed out") host;
       iv_gen = Lcg.create (Addr.to_int (Host.addr host) lxor 0x1234);
       counters =
         { sent = 0; received = 0; dropped = 0; handshakes = 0; setup_messages = 0;

@@ -17,14 +17,14 @@ type counters = {
 
 type t
 
-val install :
-  ?secret:bool ->
-  ?bypass:(Addr.t -> bool) ->
-  ?seed:int ->
-  group:Fbsr_crypto.Dh.group ->
-  Host.t ->
-  t
-(** The host must already have a UDP stack installed. *)
+val install : group:Fbsr_crypto.Dh.group -> Host.t -> t
+(** The host must already have a UDP stack installed.  Data is encrypted
+    and MACed under the session key.  Datagrams to a peer without a
+    session wait on one handshake, which resends the message of the step
+    it waits on (PHC1, then PHK1) on the MKD's default schedule (2, 4,
+    8 s, +-10%); after the third attempt's timeout each of them is dropped
+    (counted in [dropped] and the host's [drops_hook]).  A repeated PHK1
+    gets the PHK2 that answered the first. *)
 
 val counters : t -> counters
 val sessions_out : t -> int

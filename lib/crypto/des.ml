@@ -1,7 +1,6 @@
-(* The Data Encryption Standard (FIPS PUB 46) and its modes of operation
-   (FIPS PUB 81).  The paper uses DES for data confidentiality; the
-   confounder in the FBS header is the IV for CBC/CFB/OFB, and in ECB mode
-   it is XORed with every plaintext block before encryption (Section 5.2).
+(* The Data Encryption Standard (FIPS PUB 46) in CBC mode (FIPS PUB 81).
+   The paper uses DES for data confidentiality; the confounder in the FBS
+   header is the CBC IV (Section 5.2).
 
    The block kernel lives in {!Des_kernel}: one fused SP table,
    byte-indexed IP/FP, sixteen unrolled rounds on untagged native [int]
@@ -9,7 +8,7 @@
    in registers, [Des_kernel.cbc_encrypt2] runs two datagrams' chains side
    by side, [Des_kernel.cbc_decrypt] runs two blocks at a time).
    This module owns key handling (schedules, parity, weak keys) and the
-   FIPS 81 mode loops, which load/store halves straight from the
+   CBC entry points, which load/store halves straight from the
    source/destination buffers, so steady-state encryption allocates
    nothing per block.  The original bit-gather implementation survives
    as [Fbsr_oracles.Des_ref], the differential-testing oracle. *)
@@ -95,11 +94,9 @@ let decrypt_block_bytes key (ct : string) : string =
   block_to_bytes out 0 (decrypt_block key (block_of_string ct 0));
   Bytes.unsafe_to_string out
 
-(* --- Modes of operation (FIPS 81) --- *)
+(* --- CBC (FIPS 81) --- *)
 
-type mode = Ecb | Cbc | Cfb | Ofb
-
-(* PKCS#7-style padding for the block modes; always adds at least one byte,
+(* PKCS#7-style padding; always adds at least one byte,
    so the unpadded length is unambiguous. *)
 let pad s =
   let n = String.length s in
@@ -117,42 +114,6 @@ let unpad s =
   String.sub s 0 (n - padding)
 
 let check_iv iv = if String.length iv <> 8 then invalid_arg "Des: IV must be 8 bytes"
-
-(* ECB with the paper's confounder whitening: the confounder (expanded to a
-   64-bit block) is XORed with every plaintext block before encryption. *)
-let encrypt_ecb ?(confounder = String.make 8 '\000') key pt =
-  check_iv confounder;
-  let cfh = Des_kernel.read32 confounder 0 and cfl = Des_kernel.read32 confounder 4 in
-  let data = pad pt in
-  let n = String.length data / 8 in
-  let out = Bytes.create (n * 8) in
-  let io = Array.make 2 0 in
-  for i = 0 to n - 1 do
-    let pos = i * 8 in
-    io.(0) <- Des_kernel.read32 data pos lxor cfh;
-    io.(1) <- Des_kernel.read32 data (pos + 4) lxor cfl;
-    Des_kernel.crypt key.ke io;
-    Des_kernel.write32 out pos io.(0);
-    Des_kernel.write32 out (pos + 4) io.(1)
-  done;
-  Bytes.unsafe_to_string out
-
-let decrypt_ecb ?(confounder = String.make 8 '\000') key ct =
-  check_iv confounder;
-  let cfh = Des_kernel.read32 confounder 0 and cfl = Des_kernel.read32 confounder 4 in
-  let n = String.length ct in
-  if n = 0 || n mod 8 <> 0 then invalid_arg "Des.decrypt_ecb: bad length";
-  let out = Bytes.create n in
-  let io = Array.make 2 0 in
-  for i = 0 to (n / 8) - 1 do
-    let pos = i * 8 in
-    io.(0) <- Des_kernel.read32 ct pos;
-    io.(1) <- Des_kernel.read32 ct (pos + 4);
-    Des_kernel.crypt key.kd io;
-    Des_kernel.write32 out pos (io.(0) lxor cfh);
-    Des_kernel.write32 out (pos + 4) (io.(1) lxor cfl)
-  done;
-  unpad (Bytes.unsafe_to_string out)
 
 let encrypt_cbc ~iv key pt =
   check_iv iv;
@@ -174,7 +135,7 @@ let decrypt_cbc ~iv key ct =
     ~ivl:(Des_kernel.read32 iv 4) ct 0 (n / 8) out 0;
   unpad (Bytes.unsafe_to_string out)
 
-(* Ciphertext length of a padded-mode (CBC/ECB) encryption: the padding
+(* Ciphertext length of a CBC encryption: the padding
    always adds 1-8 bytes, so the output is the next multiple of 8. *)
 let padded_length n = n + 8 - (n mod 8)
 
@@ -305,47 +266,6 @@ let encrypt_cbc_jobs jobs =
   if n land 1 = 1 then blocks := !blocks + encrypt_cbc_job jobs.(n - 1);
   !blocks
 
-(* Incremental CBC: lets callers interleave encryption with other
-   data-touching work (Section 5.3 of the paper: "the MAC computation and
-   encryption should be rolled into one loop").  Feed whole blocks with
-   [cbc_update]; [cbc_finish] pads the tail.  The chaining block lives in
-   the context's scratch array, so whole-block updates do not box. *)
-
-type cbc_ctx = { cbc_key : key; chain : int array; tail : Buffer.t }
-
-let cbc_init ~iv key =
-  check_iv iv;
-  let chain = Array.make 2 0 in
-  chain.(0) <- Des_kernel.read32 iv 0;
-  chain.(1) <- Des_kernel.read32 iv 4;
-  { cbc_key = key; chain; tail = Buffer.create 8 }
-
-let cbc_encrypt_blocks ctx data =
-  (* data length must be a multiple of 8 *)
-  let n = String.length data / 8 in
-  let out = Bytes.create (n * 8) in
-  Des_kernel.cbc_encrypt ctx.cbc_key.ke ctx.chain data 0 n out 0;
-  Bytes.unsafe_to_string out
-
-let cbc_update ctx data =
-  Buffer.add_string ctx.tail data;
-  let buffered = Buffer.contents ctx.tail in
-  let whole = String.length buffered land lnot 7 in
-  if whole = 0 then ""
-  else begin
-    Buffer.clear ctx.tail;
-    Buffer.add_substring ctx.tail buffered whole (String.length buffered - whole);
-    cbc_encrypt_blocks ctx (String.sub buffered 0 whole)
-  end
-
-let cbc_finish ctx =
-  let rest = Buffer.contents ctx.tail in
-  Buffer.clear ctx.tail;
-  let r = String.length rest in
-  let out = Bytes.create 8 in
-  cbc_final_block ctx.cbc_key.ke ctx.chain rest 0 r out 0;
-  Bytes.unsafe_to_string out
-
 (* Allocation-free incremental CBC over whole blocks straight into a
    caller buffer — the [Fused] single-pass MAC+encrypt loop.  [chain] is
    a 2-element scratch holding the running ciphertext block (seed it with
@@ -371,80 +291,3 @@ let cbc_tail_into key chain ~src ~src_pos ~src_len ~dst ~dst_pos =
   if dst_pos < 0 || dst_pos > Bytes.length dst - 8 then
     invalid_arg "Des.cbc_tail_into: destination too short";
   cbc_final_block key.ke chain src src_pos src_len dst dst_pos
-
-(* Full-block (64-bit) CFB; stream-mode, no padding needed. *)
-let cfb_transform ~iv ~decrypt key input =
-  check_iv iv;
-  let n = String.length input in
-  let out = Bytes.create n in
-  let io = Array.make 2 0 in
-  let sh = ref (Des_kernel.read32 iv 0) and sl = ref (Des_kernel.read32 iv 4) in
-  let i = ref 0 in
-  while !i < n do
-    io.(0) <- !sh;
-    io.(1) <- !sl;
-    Des_kernel.crypt key.ke io;
-    let take = min 8 (n - !i) in
-    (* Gather the input block, a short final block aligned to the top. *)
-    let bh = ref 0 and bl = ref 0 in
-    for j = 0 to take - 1 do
-      let c = Char.code input.[!i + j] in
-      if j < 4 then bh := !bh lor (c lsl (24 - (8 * j)))
-      else bl := !bl lor (c lsl (56 - (8 * j)))
-    done;
-    let oh = !bh lxor io.(0) and ol = !bl lxor io.(1) in
-    for j = 0 to take - 1 do
-      Bytes.set out (!i + j) (Char.chr (blk_byte oh ol j))
-    done;
-    (* Feedback is the ciphertext block. *)
-    if decrypt then begin
-      sh := !bh;
-      sl := !bl
-    end
-    else begin
-      sh := oh;
-      sl := ol
-    end;
-    i := !i + take
-  done;
-  Bytes.unsafe_to_string out
-
-let encrypt_cfb ~iv key pt = cfb_transform ~iv ~decrypt:false key pt
-let decrypt_cfb ~iv key ct = cfb_transform ~iv ~decrypt:true key ct
-
-(* OFB: keystream independent of the data, encrypt = decrypt. *)
-let ofb_transform ~iv key input =
-  check_iv iv;
-  let n = String.length input in
-  let out = Bytes.create n in
-  let io = Array.make 2 0 in
-  io.(0) <- Des_kernel.read32 iv 0;
-  io.(1) <- Des_kernel.read32 iv 4;
-  let i = ref 0 in
-  while !i < n do
-    Des_kernel.crypt key.ke io;
-    let take = min 8 (n - !i) in
-    for j = 0 to take - 1 do
-      let ks = blk_byte io.(0) io.(1) j in
-      Bytes.set out (!i + j) (Char.chr (Char.code input.[!i + j] lxor ks))
-    done;
-    i := !i + take
-  done;
-  Bytes.unsafe_to_string out
-
-let encrypt_ofb ~iv key pt = ofb_transform ~iv key pt
-let decrypt_ofb ~iv key ct = ofb_transform ~iv key ct
-
-let encrypt ~mode ~iv key pt =
-  match mode with
-  | Ecb -> encrypt_ecb ~confounder:iv key pt
-  | Cbc -> encrypt_cbc ~iv key pt
-  | Cfb -> encrypt_cfb ~iv key pt
-  | Ofb -> encrypt_ofb ~iv key pt
-
-let decrypt ~mode ~iv key ct =
-  match mode with
-  | Ecb -> decrypt_ecb ~confounder:iv key ct
-  | Cbc -> decrypt_cbc ~iv key ct
-  | Cfb -> decrypt_cfb ~iv key ct
-  | Ofb -> decrypt_ofb ~iv key ct

@@ -1,8 +1,7 @@
-(** DES (FIPS 46) with ECB/CBC/CFB/OFB modes of operation (FIPS 81).
+(** DES (FIPS 46) in CBC mode (FIPS 81).
 
-    The FBS protocol uses the per-datagram confounder as the IV for the
-    feedback modes; in ECB mode the confounder is XORed with every plaintext
-    block before encryption (paper, Section 5.2). *)
+    The FBS protocol uses the per-datagram confounder as the CBC IV
+    (paper, Section 5.2). *)
 
 exception Weak_key
 
@@ -29,24 +28,17 @@ val decrypt_block : key -> int64 -> int64
 val encrypt_block_bytes : key -> string -> string
 val decrypt_block_bytes : key -> string -> string
 
-type mode = Ecb | Cbc | Cfb | Ofb
-
 val pad : string -> string
 (** PKCS#7-style padding to a multiple of 8 bytes (always adds >= 1 byte). *)
 
 val unpad : string -> string
 (** @raise Invalid_argument on corrupt padding. *)
 
-val encrypt_ecb : ?confounder:string -> key -> string -> string
-(** ECB with the paper's confounder whitening (confounder XORed into every
-    block).  Pads the input. *)
-
-val decrypt_ecb : ?confounder:string -> key -> string -> string
 val encrypt_cbc : iv:string -> key -> string -> string
 val decrypt_cbc : iv:string -> key -> string -> string
 
 val padded_length : int -> int
-(** CBC/ECB ciphertext length for an [n]-byte plaintext (next multiple
+(** CBC ciphertext length for an [n]-byte plaintext (next multiple
     of 8; padding always adds 1-8 bytes). *)
 
 val encrypt_cbc_into :
@@ -69,19 +61,6 @@ val decrypt_cbc_sub : iv:string -> key -> src:string -> pos:int -> len:int -> st
     exact unpadded plaintext (the padding length is learned by
     decrypting the final block first).
     @raise Invalid_argument on bad length or corrupt padding. *)
-
-(** Incremental CBC encryption (for the single-pass MAC+encrypt
-    optimization of the paper's Section 5.3). *)
-
-type cbc_ctx
-
-val cbc_init : iv:string -> key -> cbc_ctx
-
-val cbc_update : cbc_ctx -> string -> string
-(** Feed data; returns the ciphertext produced so far (whole blocks). *)
-
-val cbc_finish : cbc_ctx -> string
-(** Pad and flush; returns the final ciphertext block(s). *)
 
 (** Zero-allocation incremental CBC into a caller buffer, used by
     {!Fused} to interleave MAC and encryption in one pass over the
@@ -113,16 +92,6 @@ val cbc_tail_into :
   unit
 (** Encrypt the final [src_len] (0-7) leftover bytes plus PKCS#7 padding;
     writes exactly one block.  @raise Invalid_argument on bad ranges. *)
-
-val encrypt_cfb : iv:string -> key -> string -> string
-(** 64-bit CFB; stream mode, output length = input length. *)
-
-val decrypt_cfb : iv:string -> key -> string -> string
-val encrypt_ofb : iv:string -> key -> string -> string
-val decrypt_ofb : iv:string -> key -> string -> string
-
-val encrypt : mode:mode -> iv:string -> key -> string -> string
-val decrypt : mode:mode -> iv:string -> key -> string -> string
 
 (** {1 Deferred CBC jobs}
 

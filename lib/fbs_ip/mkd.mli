@@ -1,7 +1,7 @@
 (** Master key daemon (client side): fetches public-value certificates from
-    the CA over UDP with coalescing and retransmission — bounded retries,
-    exponential backoff, deterministic seeded jitter; implements
-    [Fbsr_fbs.Keying.resolver]. *)
+    the CA over UDP through a {!Fbsr_netsim.Request} table — coalescing,
+    bounded retries, exponential backoff, deterministic seeded jitter;
+    implements [Fbsr_fbs.Keying.resolver]. *)
 
 open Fbsr_netsim
 
@@ -15,7 +15,8 @@ type config = {
 
 val default_config : config
 (** 2 s initial timeout, 3 attempts: a fetch through a dead network fails
-    after 2 + 4 + 8 = 14 s +- 10% of simulated time. *)
+    after 2 + 4 + 8 = 14 s +- 10% of simulated time.  The KDC and Photuris
+    baselines retransmit on this schedule too. *)
 
 type t
 
@@ -45,7 +46,6 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     [backoff_seconds] histogram stays in the registry given to
     {!create}). *)
 
-val config : t -> config
 val resolver : t -> Fbsr_fbs.Keying.resolver
 
 type stats = { fetches : int; retransmissions : int; failures : int }

@@ -148,13 +148,16 @@ let ip_input t raw =
         (* Part 2: reassembly. *)
         match Frag.add t.reassembler ~now:(now t) h payload with
         | None -> ()
-        | Some (h, payload) -> (
-            if h.frag_offset = 0 && not h.more_fragments then ()
-            else t.stats.reassembled <- t.stats.reassembled + 1;
+        | Some (whole, payload) -> (
+            (* [Frag.add] clears the fragment fields of [whole]: the
+               arriving header tells a completed datagram from an
+               unfragmented one. *)
+            if h.frag_offset <> 0 || h.more_fragments then
+              t.stats.reassembled <- t.stats.reassembled + 1;
             (* FBS receive hook: between reassembly and dispatch. *)
             match t.input_hook with
-            | None -> dispatch t h payload
-            | Some hook -> hook h payload t.deliver)
+            | None -> dispatch t whole payload
+            | Some hook -> hook whole payload t.deliver)
       end
 
 let attach t medium =

@@ -3,7 +3,8 @@
    The paper's opening sentence names RPC alongside IP and UDP as the
    datagram services whose success motivates FBS.  This module is that
    client: request/reply with transaction IDs, at-least-once retry on a
-   timer, duplicate-reply suppression — the classic ONC RPC shape (RFC
+   backed-off timer (each call is a [Request] keyed by its XID),
+   duplicate-reply suppression — the classic ONC RPC shape (RFC
    1057, the paper's [26]), simplified to the parts that matter for a
    datagram-semantics demonstration.  Run over an FBS-enabled host it gets
    per-conversation protection with zero extra messages; run over a
@@ -70,23 +71,16 @@ end
 
 type error = Timed_out | No_such_procedure
 
-type pending = {
-  mutable attempts : int;
-  mutable generation : int;
-  continuation : (string, error) result -> unit;
-  call_bytes : string;
-  server : Addr.t;
-  server_port : int;
-}
+(* The client's retry schedule: a 1 s first timeout, backed off by the
+   [Request] table to 1, 2, 4, 8 s over 4 attempts. *)
+let local_port = 700
+let timeout = 1.0
+let max_attempts = 4
 
 type t = {
   host : Host.t;
-  local_port : int;
-  timeout : float;
-  max_attempts : int;
-  pending : (int, pending) Hashtbl.t; (* xid -> pending call *)
+  calls : (int, unit, (string, error) result) Request.t; (* by XID *)
   mutable next_xid : int;
-  mutable retransmissions : int;
   mutable duplicate_replies : int;
 }
 
@@ -100,55 +94,31 @@ let handle_reply t raw =
     (xid, kind, status, result)
   with
   | exception Byte_reader.Truncated -> ()
-  | xid, 1, status, result -> (
-      match Hashtbl.find_opt t.pending xid with
-      | None ->
-          (* A retransmitted call produced a second reply: the classic
-             at-least-once duplicate, absorbed here. *)
-          t.duplicate_replies <- t.duplicate_replies + 1
-      | Some p ->
-          Hashtbl.remove t.pending xid;
-          p.generation <- p.generation + 1;
-          p.continuation (if status = 0 then Ok result else Error No_such_procedure))
+  | xid, 1, status, result ->
+      if
+        not
+          (Request.complete t.calls xid
+             (if status = 0 then Ok result else Error No_such_procedure))
+      then
+        (* A retransmitted call produced a second reply: the classic
+           at-least-once duplicate, absorbed here. *)
+        t.duplicate_replies <- t.duplicate_replies + 1
   | _ -> ()
 
-let create ?(local_port = 700) ?(timeout = 1.0) ?(max_attempts = 4) host =
+let create host =
   let t =
     {
       host;
-      local_port;
-      timeout;
-      max_attempts;
-      pending = Hashtbl.create 8;
+      calls =
+        Request.create ~seed:0x5c11 ~timeout ~max_attempts ~timed_out:(Error Timed_out)
+          host;
       next_xid = 0x10000;
-      retransmissions = 0;
       duplicate_replies = 0;
     }
   in
   Udp_stack.listen host ~port:local_port (fun ~src:_ ~src_port:_ raw ->
       handle_reply t raw);
   t
-
-let transmit t p =
-  Udp_stack.send t.host ~src_port:t.local_port ~dst:p.server ~dst_port:p.server_port
-    p.call_bytes
-
-let rec arm_retry t xid p =
-  let gen = p.generation in
-  Engine.schedule (Host.engine t.host) ~delay:t.timeout (fun () ->
-      if gen = p.generation && Hashtbl.mem t.pending xid then begin
-        if p.attempts >= t.max_attempts then begin
-          Hashtbl.remove t.pending xid;
-          p.generation <- p.generation + 1;
-          p.continuation (Error Timed_out)
-        end
-        else begin
-          p.attempts <- p.attempts + 1;
-          t.retransmissions <- t.retransmissions + 1;
-          transmit t p;
-          arm_retry t xid p
-        end
-      end)
 
 let call t ~server ~server_port ~prog ~proc arg k =
   let xid = t.next_xid in
@@ -159,19 +129,12 @@ let call t ~server ~server_port ~prog ~proc arg k =
   Byte_writer.u32_int w prog;
   Byte_writer.u32_int w proc;
   Byte_writer.bytes w arg;
-  let p =
-    {
-      attempts = 1;
-      generation = 0;
-      continuation = k;
-      call_bytes = Byte_writer.contents w;
-      server;
-      server_port;
-    }
-  in
-  Hashtbl.replace t.pending xid p;
-  transmit t p;
-  arm_retry t xid p
+  let call_bytes = Byte_writer.contents w in
+  Request.start t.calls xid ()
+    ~send:(fun _ ->
+      Udp_stack.send t.host ~src_port:local_port ~dst:server ~dst_port:server_port
+        call_bytes)
+    k
 
-let retransmissions t = t.retransmissions
+let retransmissions t = Request.retransmissions t.calls
 let duplicate_replies t = t.duplicate_replies

@@ -16,7 +16,10 @@ type t
 
 type error = Timed_out | No_such_procedure
 
-val create : ?local_port:int -> ?timeout:float -> ?max_attempts:int -> Host.t -> t
+val create : Host.t -> t
+(** A client on UDP port 700.  A call is sent up to 4 times, after
+    timeouts of 1, 2, 4 and 8 s (+-10% jitter), then fails with
+    [Timed_out]. *)
 
 val call :
   t ->

@@ -183,9 +183,7 @@ let block_to_bytes b off (v : int64) =
 let encrypt_block key pt = crypt_block key ~decrypt:false pt
 let decrypt_block key ct = crypt_block key ~decrypt:true ct
 
-(* --- Modes of operation (FIPS 81), as the seed kernel implemented them --- *)
-
-type mode = Ecb | Cbc | Cfb | Ofb
+(* --- CBC (FIPS 81), as the seed kernel implemented it --- *)
 
 let pad s =
   let n = String.length s in
@@ -206,28 +204,6 @@ let unpad s =
 let check_iv iv =
   if String.length iv <> 8 then invalid_arg "Des_ref: IV must be 8 bytes";
   block_of_string iv 0
-
-let encrypt_ecb ?(confounder = String.make 8 '\000') key pt =
-  let cf = check_iv confounder in
-  let data = pad pt in
-  let n = String.length data / 8 in
-  let out = Bytes.create (n * 8) in
-  for i = 0 to n - 1 do
-    let b = Int64.logxor (block_of_string data (i * 8)) cf in
-    block_to_bytes out (i * 8) (encrypt_block key b)
-  done;
-  Bytes.unsafe_to_string out
-
-let decrypt_ecb ?(confounder = String.make 8 '\000') key ct =
-  let cf = check_iv confounder in
-  let n = String.length ct in
-  if n = 0 || n mod 8 <> 0 then invalid_arg "Des_ref.decrypt_ecb: bad length";
-  let out = Bytes.create n in
-  for i = 0 to (n / 8) - 1 do
-    let b = decrypt_block key (block_of_string ct (i * 8)) in
-    block_to_bytes out (i * 8) (Int64.logxor b cf)
-  done;
-  unpad (Bytes.unsafe_to_string out)
 
 let encrypt_cbc ~iv key pt =
   let data = pad pt in
@@ -254,64 +230,3 @@ let decrypt_cbc ~iv key ct =
     prev := c
   done;
   unpad (Bytes.unsafe_to_string out)
-
-let cfb_transform ~iv ~decrypt key input =
-  let n = String.length input in
-  let out = Bytes.create n in
-  let shiftreg = ref (check_iv iv) in
-  let i = ref 0 in
-  while !i < n do
-    let keystream = encrypt_block key !shiftreg in
-    let take = min 8 (n - !i) in
-    let inblk = ref 0L in
-    for j = 0 to take - 1 do
-      inblk := Int64.logor (Int64.shift_left !inblk 8) (Int64.of_int (Char.code input.[!i + j]))
-    done;
-    (* Align a short final block to the top of the 64-bit word. *)
-    let inblk = Int64.shift_left !inblk (8 * (8 - take)) in
-    let outblk = Int64.logxor inblk keystream in
-    for j = 0 to take - 1 do
-      Bytes.set out (!i + j)
-        (Char.chr (Int64.to_int (Int64.shift_right_logical outblk (56 - (8 * j))) land 0xff))
-    done;
-    (* Feedback is the ciphertext block. *)
-    shiftreg := (if decrypt then inblk else outblk);
-    i := !i + take
-  done;
-  Bytes.unsafe_to_string out
-
-let encrypt_cfb ~iv key pt = cfb_transform ~iv ~decrypt:false key pt
-let decrypt_cfb ~iv key ct = cfb_transform ~iv ~decrypt:true key ct
-
-let ofb_transform ~iv key input =
-  let n = String.length input in
-  let out = Bytes.create n in
-  let reg = ref (check_iv iv) in
-  let i = ref 0 in
-  while !i < n do
-    reg := encrypt_block key !reg;
-    let take = min 8 (n - !i) in
-    for j = 0 to take - 1 do
-      let ks = Int64.to_int (Int64.shift_right_logical !reg (56 - (8 * j))) land 0xff in
-      Bytes.set out (!i + j) (Char.chr (Char.code input.[!i + j] lxor ks))
-    done;
-    i := !i + take
-  done;
-  Bytes.unsafe_to_string out
-
-let encrypt_ofb ~iv key pt = ofb_transform ~iv key pt
-let decrypt_ofb ~iv key ct = ofb_transform ~iv key ct
-
-let encrypt ~mode ~iv key pt =
-  match mode with
-  | Ecb -> encrypt_ecb ~confounder:iv key pt
-  | Cbc -> encrypt_cbc ~iv key pt
-  | Cfb -> encrypt_cfb ~iv key pt
-  | Ofb -> encrypt_ofb ~iv key pt
-
-let decrypt ~mode ~iv key ct =
-  match mode with
-  | Ecb -> decrypt_ecb ~confounder:iv key ct
-  | Cbc -> decrypt_cbc ~iv key ct
-  | Cfb -> decrypt_cfb ~iv key ct
-  | Ofb -> decrypt_ofb ~iv key ct

@@ -15,17 +15,7 @@ val of_string : string -> key
 val encrypt_block : key -> int64 -> int64
 val decrypt_block : key -> int64 -> int64
 
-type mode = Ecb | Cbc | Cfb | Ofb
-
 val pad : string -> string
 val unpad : string -> string
-val encrypt_ecb : ?confounder:string -> key -> string -> string
-val decrypt_ecb : ?confounder:string -> key -> string -> string
 val encrypt_cbc : iv:string -> key -> string -> string
 val decrypt_cbc : iv:string -> key -> string -> string
-val encrypt_cfb : iv:string -> key -> string -> string
-val decrypt_cfb : iv:string -> key -> string -> string
-val encrypt_ofb : iv:string -> key -> string -> string
-val decrypt_ofb : iv:string -> key -> string -> string
-val encrypt : mode:mode -> iv:string -> key -> string -> string
-val decrypt : mode:mode -> iv:string -> key -> string -> string

@@ -182,8 +182,8 @@ let test_kdc_ticket_corruption_rejected () =
 
 (* --- Photuris-style session keying (no third party) --- *)
 
-let make_photuris_site () =
-  let tb = Fbsr_fbs_ip.Testbed.create () in
+let make_photuris_site ?faults () =
+  let tb = Fbsr_fbs_ip.Testbed.create ?faults () in
   let a = Fbsr_fbs_ip.Testbed.add_plain_host tb ~name:"a" ~addr:"10.0.0.1" in
   let b = Fbsr_fbs_ip.Testbed.add_plain_host tb ~name:"b" ~addr:"10.0.0.2" in
   let group = Fbsr_fbs_ip.Testbed.group tb in
@@ -225,6 +225,25 @@ let test_photuris_tamper_rejected () =
   check Alcotest.int "tampered rejected" 1 !got;
   check Alcotest.bool "drop counted" true ((Photuris.counters sb).Photuris.dropped >= 1)
 
+(* Every setup message arrives twice: the initiator keeps its first x
+   and the responder answers a repeated PHK1 with the same PHK2, so both
+   ends derive one session key. *)
+let test_photuris_duplicated_messages () =
+  let tb, a, b, _, sb =
+    make_photuris_site ~faults:{ Link.perfect with Link.duplicate = 1.0 } ()
+  in
+  let got = ref [] in
+  Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  List.iter
+    (fun m -> Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 m)
+    [ "one"; "two"; "three" ];
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.(list string) "every datagram delivered" [ "one"; "three"; "two" ]
+    (List.sort_uniq compare !got);
+  check Alcotest.int "no verification failure" 0 (Photuris.counters sb).Photuris.dropped;
+  check Alcotest.int "one association at the responder" 1
+    (Photuris.counters sb).Photuris.handshakes
+
 let test_photuris_no_long_term_secret () =
   (* The Section 6.1 contrast: ephemeral-DH session keying has no long-term
      secret whose compromise exposes traffic; FBS (zero-message) cannot
@@ -235,9 +254,9 @@ let test_photuris_no_long_term_secret () =
 (* --- A datagram that waits for its key is not a hook drop --- *)
 
 (* A cold datagram from [a] to [b] waits for keying and is delivered:
-   neither host counts a hook drop.  With [fails], a datagram whose
-   keying fails (its peer is unknown) is one hook drop on [a]. *)
-let check_waiting_is_no_drop ?(fails = true) tb a b =
+   neither host counts a hook drop.  A datagram whose keying fails (its
+   peer is unknown or absent) is one hook drop on [a]. *)
+let check_waiting_is_no_drop tb a b =
   let drops host = (Host.stats host).Host.drops_hook in
   let got = ref [] in
   Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
@@ -246,11 +265,9 @@ let check_waiting_is_no_drop ?(fails = true) tb a b =
   check Alcotest.(list string) "delivered" [ "cold" ] !got;
   check Alcotest.int "no hook drop on the sender" 0 (drops a);
   check Alcotest.int "no hook drop on the receiver" 0 (drops b);
-  if fails then begin
-    Udp_stack.send a ~src_port:7 ~dst:(Addr.of_string "10.0.0.77") ~dst_port:7 "doomed";
-    Fbsr_fbs_ip.Testbed.run tb;
-    check Alcotest.int "a keying failure is one hook drop" 1 (drops a)
-  end
+  Udp_stack.send a ~src_port:7 ~dst:(Addr.of_string "10.0.0.77") ~dst_port:7 "doomed";
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.int "a keying failure is one hook drop" 1 (drops a)
 
 let test_hostpair_waiting_is_no_drop () =
   let tb, a, b, _, _ = make_hostpair_site ~defer:true () in
@@ -260,10 +277,71 @@ let test_kdc_waiting_is_no_drop () =
   let tb, a, b, _, _, _ = make_kdc_site () in
   check_waiting_is_no_drop tb a b
 
-(* A Photuris handshake has no failure signal: only the delivered half. *)
+(* A Photuris handshake to an absent peer fails by its last timeout. *)
 let test_photuris_waiting_is_no_drop () =
   let tb, a, b, _, _ = make_photuris_site () in
-  check_waiting_is_no_drop ~fails:false tb a b
+  check_waiting_is_no_drop tb a b
+
+(* --- A lost setup message is retransmitted --- *)
+
+let drop_everything tb =
+  Link.create
+    ~profile:{ Link.perfect with Link.drop = 1.0 }
+    (Fbsr_fbs_ip.Testbed.engine tb)
+
+(* The first setup message leaves [a] through an egress link that drops
+   everything; the link is then removed and a second datagram joins the
+   first.  A retransmission completes the setup and both are delivered. *)
+let check_setup_recovers tb a b =
+  let got = ref [] in
+  Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  Host.set_link a (drop_everything tb);
+  Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 "first";
+  Fbsr_fbs_ip.Testbed.run ~until:1.0 tb;
+  Host.clear_link a;
+  Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 "second";
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.(list string) "both delivered" [ "first"; "second" ] (List.rev !got);
+  check Alcotest.int "no hook drop" 0 (Host.stats a).Host.drops_hook
+
+(* With the link dropping for good, both parked datagrams wait until the
+   last attempt's timeout, 2 + 4 + 8 s +- 10%, and are then dropped:
+   counted by the baseline ([dropped]) and as hook drops. *)
+let check_setup_gives_up tb a b ~dropped =
+  let hook_drops () = (Host.stats a).Host.drops_hook in
+  Host.set_link a (drop_everything tb);
+  List.iter
+    (fun m -> Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 m)
+    [ "first"; "second" ];
+  Fbsr_fbs_ip.Testbed.run ~until:12.5 tb;
+  check Alcotest.int "parked before the deadline" 0 (dropped ());
+  check Alcotest.int "no hook drop before the deadline" 0 (hook_drops ());
+  Fbsr_fbs_ip.Testbed.run ~until:15.4 tb;
+  check Alcotest.int "both dropped by the deadline" 2 (dropped ());
+  check Alcotest.int "both counted as hook drops" 2 (hook_drops ())
+
+let test_kdc_lost_request_recovers () =
+  let tb, a, b, _, sa, _ = make_kdc_site () in
+  check_setup_recovers tb a b;
+  check Alcotest.int "the lost request and its retransmission" 2
+    (Kdc.counters sa).Kdc.kdc_requests
+
+let test_kdc_lost_request_gives_up () =
+  let tb, a, b, _, sa, _ = make_kdc_site () in
+  check_setup_gives_up tb a b ~dropped:(fun () -> (Kdc.counters sa).Kdc.dropped);
+  check Alcotest.int "three requests" 3 (Kdc.counters sa).Kdc.kdc_requests
+
+let test_photuris_lost_setup_recovers () =
+  let tb, a, b, sa, _ = make_photuris_site () in
+  check_setup_recovers tb a b;
+  check Alcotest.int "PHC1 twice, then PHK1" 3
+    (Photuris.counters sa).Photuris.setup_messages
+
+let test_photuris_lost_setup_gives_up () =
+  let tb, a, b, sa, _ = make_photuris_site () in
+  check_setup_gives_up tb a b ~dropped:(fun () ->
+      (Photuris.counters sa).Photuris.dropped);
+  check Alcotest.int "three PHC1s" 3 (Photuris.counters sa).Photuris.setup_messages
 
 (* --- Attack harness primitives --- *)
 
@@ -347,6 +425,10 @@ let () =
             test_kdc_ticket_corruption_rejected;
           Alcotest.test_case "waiting for a session is no hook drop" `Quick
             test_kdc_waiting_is_no_drop;
+          Alcotest.test_case "lost request is retransmitted" `Quick
+            test_kdc_lost_request_recovers;
+          Alcotest.test_case "dead network drops by the deadline" `Quick
+            test_kdc_lost_request_gives_up;
         ] );
       ( "photuris",
         [
@@ -356,6 +438,12 @@ let () =
             test_photuris_no_long_term_secret;
           Alcotest.test_case "waiting for a handshake is no hook drop" `Quick
             test_photuris_waiting_is_no_drop;
+          Alcotest.test_case "handshake survives duplicated messages" `Quick
+            test_photuris_duplicated_messages;
+          Alcotest.test_case "lost setup message is retransmitted" `Quick
+            test_photuris_lost_setup_recovers;
+          Alcotest.test_case "dead network drops by the deadline" `Quick
+            test_photuris_lost_setup_gives_up;
         ] );
       ( "attack-harness",
         [

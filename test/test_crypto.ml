@@ -191,12 +191,11 @@ let test_des_rivest_chain () =
   done;
   check Alcotest.string "X16" "1b1a2ddb4c642438" (hex !x)
 
-let test_des_mode_kats () =
-  (* Mode KATs on the FIPS 81 sample key/IV/plaintext.  The CBC and ECB
-     expectations include our PKCS#7 padding block; CFB/OFB are
-     length-preserving (their first 8 bytes match the published FIPS 81
-     example outputs).  Golden values produced by the KAT-verified seed
-     kernel and locked here before the table-driven rewrite. *)
+let test_des_cbc_kats () =
+  (* CBC KATs on the FIPS 81 sample key/IV/plaintext.  The expectation
+     includes our PKCS#7 padding block.  Golden values produced by the
+     KAT-verified seed kernel and locked here before the table-driven
+     rewrite. *)
   let k = Des.of_string (unhex "0123456789abcdef") in
   let iv = unhex "1234567890abcdef" in
   let pt = "Now is the time for all " in
@@ -205,15 +204,7 @@ let test_des_mode_kats () =
     (hex (Des.encrypt_cbc ~iv k pt));
   check Alcotest.string "cbc decrypt" pt
     (Des.decrypt_cbc ~iv k
-       (unhex "e5c7cdde872bf27c43e934008c389c0f683788499a7c05f662c16a27e4fcf277"));
-  let k2 = Des.of_string (unhex "133457799bbcdff1") in
-  check Alcotest.string "ecb"
-    "aaea30f286270f219cf6359859f826914b1629b43f7863c0fdf2e174492922f8"
-    (hex (Des.encrypt_ecb k2 pt));
-  check Alcotest.string "cfb" "f3096249c7f46e51a69e839b1a92f78403467133898ea622"
-    (hex (Des.encrypt_cfb ~iv k pt));
-  check Alcotest.string "ofb" "f3096249c7f46e5135f24a242eeb3d3f3d6d5be3255af8c3"
-    (hex (Des.encrypt_ofb ~iv k pt))
+       (unhex "e5c7cdde872bf27c43e934008c389c0f683788499a7c05f662c16a27e4fcf277"))
 
 let test_des_mc_lite_cbc () =
   (* Chained CBC Monte-Carlo-lite: 1000 iterations of encrypt, feeding the
@@ -283,19 +274,15 @@ let prop_differential_block =
       Des.encrypt_block_bytes (Des.of_string key) block
       = ref_encrypt_block_bytes (Des_ref.of_string key) block)
 
-let modes4 = [ (Des.Ecb, Des_ref.Ecb); (Des.Cbc, Des_ref.Cbc);
-               (Des.Cfb, Des_ref.Cfb); (Des.Ofb, Des_ref.Ofb) ]
-
-let prop_differential_modes =
-  QCheck.Test.make ~name:"kernel = reference kernel (all four modes)" ~count:200
-    QCheck.(triple key8 key8 (pair arbitrary_bytes (int_bound 3)))
-    (fun (key, iv, (msg, mode_ix)) ->
-      let mode, ref_mode = List.nth modes4 mode_ix in
+let prop_differential_cbc =
+  QCheck.Test.make ~name:"kernel = reference kernel (CBC)" ~count:200
+    QCheck.(triple key8 key8 arbitrary_bytes)
+    (fun (key, iv, msg) ->
       let k = Des.of_string key and rk = Des_ref.of_string key in
-      let ct = Des.encrypt ~mode ~iv k msg in
-      ct = Des_ref.encrypt ~mode:ref_mode ~iv rk msg
-      && Des.decrypt ~mode ~iv k ct = Des_ref.decrypt ~mode:ref_mode ~iv rk ct
-      && Des.decrypt ~mode ~iv k ct = msg)
+      let ct = Des.encrypt_cbc ~iv k msg in
+      ct = Des_ref.encrypt_cbc ~iv rk msg
+      && Des.decrypt_cbc ~iv k ct = Des_ref.decrypt_cbc ~iv rk ct
+      && Des.decrypt_cbc ~iv k ct = msg)
 
 let prop_differential_into_sub =
   (* The zero-copy entry points against the oracle's one-shot CBC: encrypt
@@ -990,21 +977,11 @@ let prop_keystream_sha1_vs_oracle =
 
 (* --- DES modes --- *)
 
-let mode_roundtrip name encrypt decrypt =
-  QCheck.Test.make ~name ~count:150 (QCheck.triple key8 key8 arbitrary_bytes)
+let prop_cbc_roundtrip =
+  QCheck.Test.make ~name:"CBC roundtrip" ~count:150 (QCheck.triple key8 key8 arbitrary_bytes)
     (fun (key, iv, msg) ->
       let k = Des.of_string key in
-      decrypt ~iv k (encrypt ~iv k msg) = msg)
-
-let prop_cbc_roundtrip = mode_roundtrip "CBC roundtrip" Des.encrypt_cbc Des.decrypt_cbc
-let prop_cfb_roundtrip = mode_roundtrip "CFB roundtrip" Des.encrypt_cfb Des.decrypt_cfb
-let prop_ofb_roundtrip = mode_roundtrip "OFB roundtrip" Des.encrypt_ofb Des.decrypt_ofb
-
-let prop_ecb_roundtrip =
-  QCheck.Test.make ~name:"ECB+confounder roundtrip" ~count:150
-    (QCheck.triple key8 key8 arbitrary_bytes) (fun (key, conf, msg) ->
-      let k = Des.of_string key in
-      Des.decrypt_ecb ~confounder:conf k (Des.encrypt_ecb ~confounder:conf k msg) = msg)
+      Des.decrypt_cbc ~iv k (Des.encrypt_cbc ~iv k msg) = msg)
 
 let test_cbc_fips81_sample () =
   (* The FIPS PUB 81 CBC worked example: key 0123456789abcdef, IV
@@ -1018,36 +995,12 @@ let test_cbc_fips81_sample () =
     "e5c7cdde872bf27c43e934008c389c0f683788499a7c05f6"
     (hex (String.sub ct 0 24))
 
-let test_stream_modes_length () =
-  let k = Des.of_string "abcdefgh" in
-  List.iter
-    (fun n ->
-      let msg = String.make n 'm' in
-      check Alcotest.int "cfb length" n (String.length (Des.encrypt_cfb ~iv:"12345678" k msg));
-      check Alcotest.int "ofb length" n (String.length (Des.encrypt_ofb ~iv:"12345678" k msg)))
-    [ 0; 1; 7; 8; 9; 100 ]
-
 let test_cbc_iv_matters () =
   let k = Des.of_string "abcdefgh" in
   let msg = "same plaintext every time" in
   let c1 = Des.encrypt_cbc ~iv:"11111111" k msg in
   let c2 = Des.encrypt_cbc ~iv:"22222222" k msg in
   check Alcotest.bool "different IV, different ciphertext" true (c1 <> c2)
-
-let test_ecb_confounder_hides_identical_blocks () =
-  (* Raw ECB leaks identical plaintext blocks; the paper's confounder
-     whitening does not help within one datagram (same confounder for
-     every block) but differs across datagrams. *)
-  let k = Des.of_string "abcdefgh" in
-  let two_identical = String.make 16 'z' in
-  let c_a = Des.encrypt_ecb ~confounder:"AAAAAAAA" k two_identical in
-  let c_b = Des.encrypt_ecb ~confounder:"BBBBBBBB" k two_identical in
-  check Alcotest.bool "different confounder, different ciphertext" true (c_a <> c_b);
-  (* Within one datagram, identical blocks still encrypt identically in
-     ECB (that is ECB's nature). *)
-  check Alcotest.string "block 0 = block 1 within a datagram"
-    (hex (String.sub c_a 0 8))
-    (hex (String.sub c_a 8 8))
 
 let test_unpad_corrupt () =
   List.iter
@@ -1107,12 +1060,20 @@ let prop_incremental_cbc =
     QCheck.(triple key8 key8 (pair arbitrary_bytes (int_bound 50)))
     (fun (key, iv, (payload, cut)) ->
       let des_key = Des.of_string key in
-      let cut = if String.length payload = 0 then 0 else cut mod (String.length payload + 1) in
-      let ctx = Des.cbc_init ~iv des_key in
-      let c1 = Des.cbc_update ctx (String.sub payload 0 cut) in
-      let c2 = Des.cbc_update ctx (String.sub payload cut (String.length payload - cut)) in
-      let c3 = Des.cbc_finish ctx in
-      c1 ^ c2 ^ c3 = Des.encrypt_cbc ~iv des_key payload)
+      (* [cut] whole blocks, then the rest's whole blocks, then the tail:
+         the chain carries across the three calls. *)
+      let n = String.length payload in
+      let first = min cut (n / 8) in
+      let dst = Bytes.create (Des.padded_length n) in
+      let chain = Array.make 2 0 in
+      Des.cbc_seed_chain ~iv chain;
+      Des.cbc_blocks_into des_key chain ~src:payload ~src_pos:0 ~nblocks:first ~dst
+        ~dst_pos:0;
+      Des.cbc_blocks_into des_key chain ~src:payload ~src_pos:(8 * first)
+        ~nblocks:((n / 8) - first) ~dst ~dst_pos:(8 * first);
+      Des.cbc_tail_into des_key chain ~src:payload ~src_pos:(n land lnot 7)
+        ~src_len:(n land 7) ~dst ~dst_pos:(n land lnot 7);
+      Bytes.to_string dst = Des.encrypt_cbc ~iv des_key payload)
 
 (* --- MACs (RFC 2202) --- *)
 
@@ -1399,7 +1360,7 @@ let () =
           Alcotest.test_case "variable-key KAT table" `Quick test_des_variable_key_kat;
           Alcotest.test_case "Rivest chain (Monte-Carlo-lite)" `Quick
             test_des_rivest_chain;
-          Alcotest.test_case "mode KATs (ECB/CBC/CFB/OFB)" `Quick test_des_mode_kats;
+          Alcotest.test_case "CBC KATs" `Quick test_des_cbc_kats;
           Alcotest.test_case "chained CBC Monte-Carlo-lite" `Quick test_des_mc_lite_cbc;
           Alcotest.test_case "weak keys" `Quick test_des_weak_keys;
           Alcotest.test_case "parity" `Quick test_des_parity;
@@ -1410,7 +1371,7 @@ let () =
       ( "des-differential",
         [
           qtest prop_differential_block;
-          qtest prop_differential_modes;
+          qtest prop_differential_cbc;
           qtest prop_differential_into_sub;
           qtest prop_schedule_oracle;
           Alcotest.test_case "schedule = oracle (weak, semi-weak, single-bit keys)"
@@ -1472,15 +1433,9 @@ let () =
       ( "des-modes",
         [
           Alcotest.test_case "FIPS 81 CBC sample" `Quick test_cbc_fips81_sample;
-          Alcotest.test_case "stream modes keep length" `Quick test_stream_modes_length;
           Alcotest.test_case "CBC IV matters" `Quick test_cbc_iv_matters;
-          Alcotest.test_case "ECB confounder across datagrams" `Quick
-            test_ecb_confounder_hides_identical_blocks;
           Alcotest.test_case "unpad rejects corrupt padding" `Quick test_unpad_corrupt;
           qtest prop_cbc_roundtrip;
-          qtest prop_cfb_roundtrip;
-          qtest prop_ofb_roundtrip;
-          qtest prop_ecb_roundtrip;
           qtest prop_cbc_tamper_detected_by_length;
         ] );
       ( "mac",

@@ -460,7 +460,8 @@ let test_host_fragmentation_end_to_end () =
   Udp_stack.send a ~src_port:9 ~dst:addr_b ~dst_port:9 payload;
   Engine.run eng;
   check Alcotest.string "reassembled across the wire" payload !got;
-  check Alcotest.bool "fragments were sent" true ((Host.stats a).Host.fragments_out > 2)
+  check Alcotest.bool "fragments were sent" true ((Host.stats a).Host.fragments_out > 2);
+  check Alcotest.int "one datagram reassembled" 1 (Host.stats b).Host.reassembled
 
 (* --- Udp_stack --- *)
 
