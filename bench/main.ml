@@ -729,7 +729,6 @@ let counters_json m =
          else
            match v with
            | Metrics.Int i -> Some (name, Json.Int i)
-           | Metrics.Float f -> Some (name, Json.Float f)
            | Metrics.Hist { count; sum; _ } ->
                Some
                  (name, Json.Obj [ ("count", Json.Int count); ("sum", Json.Float sum) ]))

@@ -8,7 +8,6 @@ type capture
 val tap : Medium.t -> capture
 val frames : capture -> (float * string) list
 val clear : capture -> unit
-val matching : capture -> pred:(float * string -> bool) -> (float * string) list
 val between : capture -> src:Addr.t -> dst:Addr.t -> (float * string) list
 
 val inject : Medium.t -> string -> unit

@@ -31,6 +31,11 @@ open Fbsr_netsim
 type variant = Direct | Per_datagram
 
 let variant_code = function Direct -> 1 | Per_datagram -> 2
+
+(* Every datagram is encrypted, so the flags byte is always 1.  The MAC
+   does not cover it: [unprotect] refuses any other value. *)
+let flag_secret = 1
+
 let variant_of_code = function 1 -> Some Direct | 2 -> Some Per_datagram | _ -> None
 
 let mac_len = 16
@@ -47,7 +52,6 @@ type t = {
   host : Host.t;
   keying : Fbsr_fbs.Keying.t; (* reused for implicit DH master keys *)
   variant : variant;
-  secret : bool;
   bbs : Fbsr_crypto.Bbs.t; (* per-datagram key source *)
   iv_gen : Fbsr_util.Lcg.t;
   counters : counters;
@@ -68,12 +72,9 @@ let protect t ~master ~payload =
   | Direct ->
       let key = master_key_des master in
       let dk = Fbsr_crypto.Des.of_string key in
-      let body =
-        if t.secret then Fbsr_crypto.Des.encrypt_cbc ~iv dk payload else payload
-      in
+      let body = Fbsr_crypto.Des.encrypt_cbc ~iv dk payload in
       let mac = compute_mac ~key [ iv; body ] in
-      let flags = if t.secret then 1 else 0 in
-      Printf.sprintf "%c%c" (Char.chr (variant_code Direct)) (Char.chr flags)
+      Printf.sprintf "%c%c" (Char.chr (variant_code Direct)) (Char.chr flag_secret)
       ^ iv ^ mac ^ body
   | Per_datagram ->
       (* Fresh cryptographically random datagram key (BBS), wrapped under
@@ -83,15 +84,12 @@ let protect t ~master ~payload =
       let wrap_key = Fbsr_crypto.Des.of_string (master_key_des master) in
       let wrapped = Fbsr_crypto.Des.encrypt_block_bytes wrap_key datagram_key in
       let dk = Fbsr_crypto.Des.of_string (Fbsr_crypto.Des.adjust_parity datagram_key) in
-      let body =
-        if t.secret then Fbsr_crypto.Des.encrypt_cbc ~iv dk payload else payload
-      in
+      let body = Fbsr_crypto.Des.encrypt_cbc ~iv dk payload in
       let mac = compute_mac ~key:datagram_key [ iv; wrapped; body ] in
-      let flags = if t.secret then 1 else 0 in
-      Printf.sprintf "%c%c" (Char.chr (variant_code Per_datagram)) (Char.chr flags)
+      Printf.sprintf "%c%c" (Char.chr (variant_code Per_datagram)) (Char.chr flag_secret)
       ^ iv ^ wrapped ^ mac ^ body
 
-type error = Truncated | Bad_variant | Bad_mac | Decrypt_error
+type error = Truncated | Bad_variant | Bad_flags | Bad_mac | Decrypt_error
 
 let unprotect (_ : t) ~master ~wire =
   let open Fbsr_util in
@@ -106,6 +104,7 @@ let unprotect (_ : t) ~master ~wire =
   | variant, flags, iv -> (
       match variant_of_code variant with
       | None -> Error Bad_variant
+      | Some _ when flags <> flag_secret -> Error Bad_flags
       | Some Direct -> (
           let key = master_key_des master in
           match
@@ -117,13 +116,11 @@ let unprotect (_ : t) ~master ~wire =
           | mac, body ->
               if not (Fbsr_crypto.Ct.equal mac (compute_mac ~key [ iv; body ])) then
                 Error Bad_mac
-              else if flags land 1 = 1 then begin
+              else
                 let dk = Fbsr_crypto.Des.of_string key in
                 match Fbsr_crypto.Des.decrypt_cbc ~iv dk body with
                 | plaintext -> Ok plaintext
-                | exception Invalid_argument _ -> Error Decrypt_error
-              end
-              else Ok body)
+                | exception Invalid_argument _ -> Error Decrypt_error)
       | Some Per_datagram -> (
           match
             let wrapped = Byte_reader.bytes r 8 in
@@ -140,15 +137,13 @@ let unprotect (_ : t) ~master ~wire =
                   (Fbsr_crypto.Ct.equal mac
                      (compute_mac ~key:datagram_key [ iv; wrapped; body ]))
               then Error Bad_mac
-              else if flags land 1 = 1 then begin
+              else
                 let dk =
                   Fbsr_crypto.Des.of_string (Fbsr_crypto.Des.adjust_parity datagram_key)
                 in
                 match Fbsr_crypto.Des.decrypt_cbc ~iv dk body with
                 | plaintext -> Ok plaintext
-                | exception Invalid_argument _ -> Error Decrypt_error
-              end
-              else Ok body))
+                | exception Invalid_argument _ -> Error Decrypt_error))
 
 (* Both hooks answer once the master key is in hand: at once on an MKC
    hit, else when the certificate fetch completes. *)
@@ -182,7 +177,7 @@ let input_hook t (h : Ipv4.header) payload k =
           t.counters.dropped <- t.counters.dropped + 1;
           k (Host.Drop "host-pair keying failure"))
 
-let install ?(variant = Direct) ?(secret = true) ?(bypass = fun _ -> false)
+let install ?(variant = Direct) ?(bypass = fun _ -> false)
     ?(bbs_modulus_bits = 128) ~private_value ~group ~ca_public ~ca_hash ~resolver host =
   let local = principal_of_addr (Host.addr host) in
   let keying =
@@ -196,7 +191,6 @@ let install ?(variant = Direct) ?(secret = true) ?(bypass = fun _ -> false)
       host;
       keying;
       variant;
-      secret;
       bbs = Fbsr_crypto.Bbs.create ~modulus_bits:bbs_modulus_bits rng ~seed:(Fbsr_util.Rng.bytes rng 16);
       iv_gen = Fbsr_util.Lcg.create (Fbsr_fbs.Principal.hash local lxor 0xabcd);
       counters = { sent = 0; received = 0; dropped = 0; bbs_bytes = 0 };
@@ -209,5 +203,3 @@ let install ?(variant = Direct) ?(secret = true) ?(bypass = fun _ -> false)
   t
 
 let counters t = t.counters
-let keying t = t.keying
-let variant t = t.variant

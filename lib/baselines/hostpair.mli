@@ -18,7 +18,6 @@ type t
 
 val install :
   ?variant:variant ->
-  ?secret:bool ->
   ?bypass:(Addr.t -> bool) ->
   ?bbs_modulus_bits:int ->
   private_value:Fbsr_crypto.Dh.private_value ->
@@ -30,13 +29,12 @@ val install :
   t
 
 val counters : t -> counters
-val keying : t -> Fbsr_fbs.Keying.t
-val variant : t -> variant
-val header_size : variant -> int
 
 (** Exposed for the attack harness and tests: *)
 
-type error = Truncated | Bad_variant | Bad_mac | Decrypt_error
+type error = Truncated | Bad_variant | Bad_flags | Bad_mac | Decrypt_error
+(** [Bad_flags]: the flags byte is not 1.  Every datagram is encrypted,
+    and the MAC does not cover the flags byte, so any other value is a
+    forgery. *)
 
-val protect : t -> master:string -> payload:string -> string
 val unprotect : t -> master:string -> wire:string -> (string, error) result

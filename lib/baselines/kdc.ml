@@ -246,7 +246,7 @@ let output_hook t (h : Ipv4.header) payload k =
             parked
   end
 
-type error = Truncated | Bad_ticket | Expired | Bad_mac | Decrypt_error
+type error = Truncated | Bad_flags | Bad_ticket | Expired | Bad_mac | Decrypt_error
 
 let unprotect t ~now ~wire =
   let r = Byte_reader.of_string wire in
@@ -260,7 +260,10 @@ let unprotect t ~now ~wire =
     (flags, ticket, iv, mac, body)
   with
   | exception Byte_reader.Truncated -> Error Truncated
-  | flags, ticket, iv, mac, body -> (
+  (* Every datagram is encrypted (flags = 1), and the MAC does not cover
+     the flags byte: any other value is a forgery. *)
+  | flags, _, _, _, _ when flags <> 1 -> Error Bad_flags
+  | _, ticket, iv, mac, body -> (
       let session =
         match Hashtbl.find_opt t.incoming ticket with
         | Some s -> Ok s
@@ -285,13 +288,11 @@ let unprotect t ~now ~wire =
           else if
             not (Fbsr_crypto.Ct.equal mac (compute_mac ~key:session.session_key [ iv; body ]))
           then Error Bad_mac
-          else if flags land 1 = 1 then begin
+          else
             let dk = Fbsr_crypto.Des.of_string session.session_key in
             match Fbsr_crypto.Des.decrypt_cbc ~iv dk body with
             | plaintext -> Ok plaintext
-            | exception Invalid_argument _ -> Error Decrypt_error
-          end
-          else Ok body)
+            | exception Invalid_argument _ -> Error Decrypt_error)
 
 let input_hook t (h : Ipv4.header) payload k =
   if Addr.equal h.src t.kdc_addr then k (Host.Pass (h, payload))

@@ -4,8 +4,6 @@
 
 open Fbsr_netsim
 
-val kdc_port : int
-
 module Server : sig
   type t
 
@@ -44,6 +42,9 @@ val sessions_in : t -> int
 
 (** Exposed for tests: *)
 
-type error = Truncated | Bad_ticket | Expired | Bad_mac | Decrypt_error
+type error = Truncated | Bad_flags | Bad_ticket | Expired | Bad_mac | Decrypt_error
+(** [Bad_flags]: the flags byte is not 1.  Every datagram is encrypted,
+    and the MAC does not cover the flags byte, so any other value is a
+    forgery. *)
 
 val unprotect : t -> now:float -> wire:string -> (string, error) result

@@ -119,7 +119,7 @@ let protect t session payload =
   Byte_writer.bytes w body;
   Byte_writer.contents w
 
-type error = Truncated | Unknown_association | Bad_mac | Decrypt_error
+type error = Truncated | Bad_flags | Unknown_association | Bad_mac | Decrypt_error
 
 let unprotect t ~wire =
   let r = Byte_reader.of_string wire in
@@ -132,22 +132,23 @@ let unprotect t ~wire =
     (flags, cookie, iv, mac, body)
   with
   | exception Byte_reader.Truncated -> Error Truncated
-  | flags, cookie, iv, mac, body -> (
+  (* Every datagram is encrypted (flags = 1), and the MAC does not cover
+     the flags byte: any other value is a forgery. *)
+  | flags, _, _, _, _ when flags <> 1 -> Error Bad_flags
+  | _, cookie, iv, mac, body -> (
       match Hashtbl.find_opt t.incoming cookie with
       | None -> Error Unknown_association
       | Some (session, _) ->
           if not (Fbsr_crypto.Ct.equal mac (compute_mac ~key:session.session_key [ iv; body ]))
           then Error Bad_mac
-          else if flags land 1 = 1 then begin
+          else
             let dk =
               Fbsr_crypto.Des.of_string
                 (Fbsr_crypto.Des.adjust_parity (String.sub session.session_key 0 8))
             in
             match Fbsr_crypto.Des.decrypt_cbc ~iv dk body with
             | plaintext -> Ok plaintext
-            | exception Invalid_argument _ -> Error Decrypt_error
-          end
-          else Ok body)
+            | exception Invalid_argument _ -> Error Decrypt_error)
 
 let handle_handshake t ~src raw =
   match parse_msg raw with

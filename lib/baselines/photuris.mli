@@ -4,8 +4,6 @@
 
 open Fbsr_netsim
 
-val port : int
-
 type counters = {
   mutable sent : int;
   mutable received : int;
@@ -33,6 +31,9 @@ val has_long_term_secrets : t -> bool
 
 (** Exposed for tests: *)
 
-type error = Truncated | Unknown_association | Bad_mac | Decrypt_error
+type error = Truncated | Bad_flags | Unknown_association | Bad_mac | Decrypt_error
+(** [Bad_flags]: the flags byte is not 1.  Every datagram is encrypted,
+    and the MAC does not cover the flags byte, so any other value is a
+    forgery. *)
 
 val unprotect : t -> wire:string -> (string, error) result

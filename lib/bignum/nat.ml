@@ -317,8 +317,6 @@ let to_hex (a : t) =
   done;
   String.sub s !i (n - !i)
 
-let pp ppf a = Fmt.pf ppf "0x%s" (to_hex a)
-
 let to_string a =
   (* Decimal, for small display needs. *)
   if is_zero a then "0"

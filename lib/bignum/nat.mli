@@ -68,11 +68,6 @@ val to_hex : t -> string
 val to_string : t -> string
 (** Decimal rendering. *)
 
-val pp : Format.formatter -> t -> unit
-
-val random : Fbsr_util.Rng.t -> bits:int -> t
-(** Uniform value with at most [bits] bits. *)
-
 val random_below : Fbsr_util.Rng.t -> t -> t
 (** Uniform in [0, bound). *)
 

@@ -106,8 +106,3 @@ let verify_chain ~root ~hash ~now ~(intermediates : ca_cert list) ?expected_subj
       with
       | Ok () -> Ok ()
       | Error e -> Error (Leaf_invalid e))
-
-let pp_verify_error ppf = function
-  | Bad_link name -> Fmt.pf ppf "bad signature on CA certificate %S" name
-  | Link_expired name -> Fmt.pf ppf "CA certificate %S expired" name
-  | Leaf_invalid e -> Certificate.pp_verify_error ppf e

@@ -38,5 +38,3 @@ val verify_chain :
   ?expected_subject:string ->
   Certificate.t ->
   (unit, verify_error) result
-
-val pp_verify_error : Format.formatter -> verify_error -> unit

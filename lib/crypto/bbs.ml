@@ -39,11 +39,6 @@ let create ?(modulus_bits = 256) rng ~seed =
   let x0 = pick (Nat.of_bytes_be seed) in
   { m; state = Nat.rem (Nat.mul x0 x0) m }
 
-let of_modulus ~m ~seed =
-  let x = Nat.rem (Nat.of_bytes_be seed) m in
-  let x = if Nat.compare x Nat.two < 0 then Nat.of_int 7 else x in
-  { m; state = Nat.rem (Nat.mul x x) m }
-
 let next_bit t =
   t.state <- Nat.rem (Nat.mul t.state t.state) t.m;
   if Nat.testbit t.state 0 then 1 else 0

@@ -10,9 +10,5 @@ val create : ?modulus_bits:int -> Fbsr_util.Rng.t -> seed:string -> t
 (** Generate a fresh Blum modulus (two primes ≡ 3 mod 4) and seed the
     generator.  [rng] drives prime generation only. *)
 
-val of_modulus : m:Fbsr_bignum.Nat.t -> seed:string -> t
-(** Use an existing Blum modulus. *)
-
 val next_bit : t -> int
-val next_byte : t -> int
 val bytes : t -> int -> string

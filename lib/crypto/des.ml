@@ -15,7 +15,6 @@
 
 exception Weak_key
 
-let block_size = 8
 let key_size = 8
 
 (* A key is its expanded schedule, packed for the kernel: encrypt-order

@@ -5,12 +5,6 @@
 
 exception Weak_key
 
-val block_size : int
-(** 8 bytes. *)
-
-val key_size : int
-(** 8 bytes (56 effective bits + parity). *)
-
 type key
 
 val of_string : ?check_weak:bool -> string -> key
@@ -24,7 +18,6 @@ val adjust_parity : string -> string
 (** Force odd parity on every key byte, as FIPS 46 specifies. *)
 
 val encrypt_block : key -> int64 -> int64
-val decrypt_block : key -> int64 -> int64
 val encrypt_block_bytes : key -> string -> string
 val decrypt_block_bytes : key -> string -> string
 

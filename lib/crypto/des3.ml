@@ -11,7 +11,6 @@
    round-sets, not three full DES passes. *)
 
 let key_size = 24
-let block_size = 8
 
 type key = { k1 : Des.key; k2 : Des.key; k3 : Des.key }
 
@@ -76,37 +75,6 @@ let cbc_final_block key (io : int array) src src_pos r dst dst_pos =
   Des_kernel.write32 dst dst_pos io.(0);
   Des_kernel.write32 dst (dst_pos + 4) io.(1)
 
-let encrypt_cbc ~iv key pt =
-  check_iv iv;
-  let data = Des.pad pt in
-  let n = String.length data / 8 in
-  let out = Bytes.create (n * 8) in
-  let io = Array.make 2 0 in
-  io.(0) <- Des_kernel.read32 iv 0;
-  io.(1) <- Des_kernel.read32 iv 4;
-  cbc_blocks key io data 0 n out 0;
-  Bytes.unsafe_to_string out
-
-let decrypt_cbc ~iv key ct =
-  check_iv iv;
-  let n = String.length ct in
-  if n = 0 || n mod 8 <> 0 then invalid_arg "Des3.decrypt_cbc: bad length";
-  let out = Bytes.create n in
-  let io = Array.make 2 0 in
-  let ph = ref (Des_kernel.read32 iv 0) and pl = ref (Des_kernel.read32 iv 4) in
-  for i = 0 to (n / 8) - 1 do
-    let pos = i * 8 in
-    let ch = Des_kernel.read32 ct pos and cl = Des_kernel.read32 ct (pos + 4) in
-    io.(0) <- ch;
-    io.(1) <- cl;
-    decrypt_io key io;
-    Des_kernel.write32 out pos (io.(0) lxor !ph);
-    Des_kernel.write32 out (pos + 4) (io.(1) lxor !pl);
-    ph := ch;
-    pl := cl
-  done;
-  Des.unpad (Bytes.unsafe_to_string out)
-
 (* Direct-into-buffer / sub-range CBC, mirroring [Des.encrypt_cbc_into]
    and [Des.decrypt_cbc_sub] for the one-allocation datapath. *)
 
@@ -162,7 +130,3 @@ let decrypt_cbc_sub ~iv key ~src ~pos ~len =
     Bytes.set out (((n - 1) * 8) + j) (Char.chr (blk_byte lh ll j))
   done;
   Bytes.unsafe_to_string out
-
-(* EDE with k1=k2=k3 degenerates to single DES — the standard backwards
-   compatibility property, and a strong implementation check. *)
-let degenerate_of_des_key key8 = of_string (key8 ^ key8 ^ key8)

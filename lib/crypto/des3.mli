@@ -1,9 +1,6 @@
 (** Triple DES (EDE3) with CBC mode — extension suite for the paper's key
     "wear out" concern. *)
 
-val key_size : int
-val block_size : int
-
 type key
 
 val of_string : string -> key
@@ -11,9 +8,6 @@ val of_string : string -> key
 
 val encrypt_block : key -> int64 -> int64
 val decrypt_block : key -> int64 -> int64
-val encrypt_cbc : iv:string -> key -> string -> string
-val decrypt_cbc : iv:string -> key -> string -> string
-
 val encrypt_cbc_into :
   iv:string ->
   key ->
@@ -29,6 +23,3 @@ val encrypt_cbc_into :
 val decrypt_cbc_sub : iv:string -> key -> src:string -> pos:int -> len:int -> string
 (** CBC-decrypt a sub-range allocating only the exact plaintext; see
     {!Des.decrypt_cbc_sub}. *)
-
-val degenerate_of_des_key : string -> key
-(** k1=k2=k3: equals single DES (compatibility property used in tests). *)

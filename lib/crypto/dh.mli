@@ -4,8 +4,6 @@ open Fbsr_bignum
 
 type group = private { p : Nat.t; g : Nat.t; ctx : Nat.Mont.ctx; name : string }
 
-val make_group : name:string -> p:Nat.t -> g:Nat.t -> group
-
 val oakley2 : group lazy_t
 (** The 1024-bit Oakley Group 2 MODP prime, generator 2. *)
 

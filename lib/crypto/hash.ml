@@ -26,7 +26,6 @@ let sha1 : t = (module Sha1)
 
 let name (module H : S) = H.name
 let digest_size (module H : S) = H.digest_size
-let digest (module H : S) s = H.digest s
 let digest_list (module H : S) parts = H.digest_list parts
 
 (* Digest of the concatenation of slice parts — the zero-copy sibling of
@@ -54,12 +53,6 @@ let midstate ((module H : S) : t) ~prefix =
   let ctx = H.init () in
   H.update ctx prefix;
   Mid ((module H), ctx)
-
-let midstate_hash (Mid ((module H), _)) : t =
-  (* Recover the wrapped hash by name: the packed module is the same
-     underlying implementation, but its [ctx] is existential, so it
-     cannot be returned at type [t] directly. *)
-  of_name H.name
 
 let resume_slices (Mid ((module H), mid)) (parts : Fbsr_util.Slice.t list) =
   let ctx = H.copy mid in

@@ -30,7 +30,6 @@ val sha1 : t
 
 val name : t -> string
 val digest_size : t -> int
-val digest : t -> string -> string
 val digest_list : t -> string list -> string
 
 val digest_slices : t -> Fbsr_util.Slice.t list -> string
@@ -51,9 +50,6 @@ type midstate
 
 val midstate : t -> prefix:string -> midstate
 (** The frozen state of [t] after absorbing [prefix]. *)
-
-val midstate_hash : midstate -> t
-(** The hash the midstate was built over. *)
 
 val resume_slices : midstate -> Fbsr_util.Slice.t list -> string
 (** [resume_slices m parts] = [digest_slices h (prefix-as-slice :: parts)]

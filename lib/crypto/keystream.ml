@@ -11,8 +11,6 @@ type t = {
 let create hash ~key =
   { mid = Hash.midstate hash ~prefix:key; block = Hash.digest_size hash; ctr = Bytes.create 4 }
 
-let block_size t = t.block
-
 let transform_into t ~iv ~src ~src_pos ~src_len ~dst ~dst_pos =
   if String.length iv <> 8 then
     invalid_arg "Keystream.transform_into: IV must be 8 bytes";

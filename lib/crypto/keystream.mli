@@ -17,9 +17,6 @@ type t
 val create : Hash.t -> key:string -> t
 (** Freeze the key absorption for [H]. *)
 
-val block_size : t -> int
-(** Keystream bytes per counter block ([H]'s digest size). *)
-
 val transform_into :
   t ->
   iv:string ->

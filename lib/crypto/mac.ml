@@ -11,21 +11,14 @@
    construction (RFC 2104), selectable through the FBS algorithm-suite field
    and compared in an ablation bench.
 
-   Each construction comes in two input flavours: string parts (the
-   original, retained as the reference implementation for the
-   differential suite in test/test_slice.ml) and [Slice.t] parts (the
-   hot-path flavour, which folds over borrowed views of the wire buffer
-   with zero concatenation or copying). *)
+   [prefix] and [hmac] take string parts.  The FBS datapath MACs through a
+   per-flow midstate instead ([prepare], [compute_midstate]), which folds
+   over borrowed [Slice.t] views of the wire buffer with zero
+   concatenation or copying. *)
 
 open Fbsr_util
 
 let prefix (hash : Hash.t) ~key parts = Hash.digest_list hash (key :: parts)
-
-let prefix_slices ((module H : Hash.S) : Hash.t) ~key parts =
-  let ctx = H.init () in
-  H.update ctx key;
-  List.iter (H.feed_slice ctx) parts;
-  H.final ctx
 
 let hmac_key_pads (module H : Hash.S) ~key =
   let block = H.block_size in
@@ -41,37 +34,24 @@ let hmac ((module H : Hash.S) as hash : Hash.t) ~key parts =
   let inner = H.digest_list (ipad :: parts) in
   H.digest_list [ opad; inner ]
 
-let hmac_slices ((module H : Hash.S) as hash : Hash.t) ~key parts =
-  let ipad, opad = hmac_key_pads hash ~key in
-  let ctx = H.init () in
-  H.update ctx ipad;
-  List.iter (H.feed_slice ctx) parts;
-  let inner = H.final ctx in
-  H.digest_list [ opad; inner ]
-
 (* DES-CBC-MAC (FIPS 113 style): the paper's footnote 12 — "for
    efficiency, DES could have been used for both encryption and MAC
    computation".  The MAC is the last cipher block of a zero-IV CBC pass
    over the padded message; the 8-byte DES key is derived from the first
    key bytes with adjusted parity. *)
 (* The schedule expansion is the expensive part now that the block kernel
-   is table-driven; [des_cbc_prepare] exposes it so the engine can cache
-   the expanded MAC key per flow next to the cipher schedules. *)
+   is table-driven; [prepare] caches the expanded MAC key per flow next to
+   the cipher schedules. *)
 let des_cbc_prepare ~key =
   if String.length key < 8 then invalid_arg "Mac.des_cbc: key too short";
   Des.of_string (Des.adjust_parity (String.sub key 0 8))
-
-let des_cbc ~key parts =
-  let des_key = des_cbc_prepare ~key in
-  let message = String.concat "" parts in
-  let ct = Des.encrypt_cbc ~iv:(String.make 8 '\000') des_key message in
-  String.sub ct (String.length ct - 8) 8
 
 (* Streaming CBC fold over slice parts: the CBC state is one cipher block
    (two native-int halves in a scratch array, fed straight to the
    {!Des_kernel.crypt}) plus a <8-byte carry, so the MAC needs no
    concatenation and no ciphertext buffer at all — only the final block
-   survives.  Byte-identical to [des_cbc] over the same byte stream. *)
+   survives.  Byte-identical to the last block of [Des.encrypt_cbc] with a
+   zero IV over the same byte stream. *)
 let des_cbc_slices_keyed des_key parts =
   let ks = Des.sched_e des_key in
   let io = Array.make 2 0 in
@@ -124,8 +104,6 @@ let des_cbc_slices_keyed des_key parts =
   Des_kernel.write32 out 4 io.(1);
   Bytes.unsafe_to_string out
 
-let des_cbc_slices ~key parts = des_cbc_slices_keyed (des_cbc_prepare ~key) parts
-
 type algorithm = Prefix | Hmac | Des_cbc_mac
 
 (* Per-flow MAC midstates: everything about the key that can be absorbed
@@ -161,37 +139,11 @@ let compute_midstate mid parts =
       Hash.digest_list hash [ opad; Hash.resume_slices inner parts ]
   | Des_cbc_seed k -> des_cbc_slices_keyed k parts
 
-let compute ?(algorithm = Prefix) hash ~key parts =
-  match algorithm with
-  | Prefix -> prefix hash ~key parts
-  | Hmac -> hmac hash ~key parts
-  | Des_cbc_mac -> des_cbc ~key parts
-
-let compute_slices ?(algorithm = Prefix) hash ~key parts =
-  match algorithm with
-  | Prefix -> prefix_slices hash ~key parts
-  | Hmac -> hmac_slices hash ~key parts
-  | Des_cbc_mac -> des_cbc_slices ~key parts
-
-let verify ?(algorithm = Prefix) hash ~key parts ~expected =
-  Ct.equal (compute ~algorithm hash ~key parts) expected
-
-(* Slice verification: [expected] is typically the MAC field sliced out
-   of the wire buffer and may be a truncated MAC (Section 5.3's
-   header-overhead trade-off) — the computed MAC is compared through a
-   prefix view of the same (public) length, so nothing is copied. *)
-let verify_slice ?(algorithm = Prefix) hash ~key parts ~(expected : Slice.t) =
-  let mac = compute_slices ~algorithm hash ~key parts in
-  let n = Slice.length expected in
-  n <= String.length mac && Ct.equal_slice (Slice.v ~len:n mac) expected
-
-(* Midstate flavour of [verify_slice]: same truncated-prefix,
-   constant-time comparison discipline. *)
+(* [expected] is typically the MAC field sliced out of the wire buffer and
+   may be a truncated MAC (Section 5.3's header-overhead trade-off): the
+   computed MAC is compared through a prefix view of the same (public)
+   length, constant-time, so nothing is copied. *)
 let verify_midstate mid parts ~(expected : Slice.t) =
   let mac = compute_midstate mid parts in
   let n = Slice.length expected in
   n <= String.length mac && Ct.equal_slice (Slice.v ~len:n mac) expected
-
-let truncate mac n =
-  if n > String.length mac then invalid_arg "Mac.truncate: too long";
-  String.sub mac 0 n

@@ -4,61 +4,14 @@
     message, i.e. keyed MD5 as used by the 4.4BSD implementation); [Hmac]
     is RFC 2104.
 
-    Each construction takes either string parts (reference
-    implementation, retained for the differential suite) or
-    {!Fbsr_util.Slice.t} parts (zero-copy hot path: the parts are folded
-    into the underlying primitive with no concatenation). *)
+    [prefix] and [hmac] take string parts.  The FBS datapath MACs through
+    a per-flow {!midstate}, over {!Fbsr_util.Slice.t} parts folded into
+    the underlying primitive with no concatenation. *)
 
 type algorithm = Prefix | Hmac | Des_cbc_mac
 
 val prefix : Hash.t -> key:string -> string list -> string
-val prefix_slices : Hash.t -> key:string -> Fbsr_util.Slice.t list -> string
 val hmac : Hash.t -> key:string -> string list -> string
-val hmac_slices : Hash.t -> key:string -> Fbsr_util.Slice.t list -> string
-
-val des_cbc : key:string -> string list -> string
-(** DES-CBC-MAC over the concatenated parts (footnote 12 of the paper):
-    8-byte tag, key taken from the first 8 key bytes. *)
-
-val des_cbc_slices : key:string -> Fbsr_util.Slice.t list -> string
-(** Streaming CBC-MAC fold over slice parts — no concatenation and no
-    ciphertext buffer; byte-identical to [des_cbc] over the same byte
-    stream. *)
-
-val des_cbc_prepare : key:string -> Des.key
-(** Expand the DES-CBC-MAC key (parity-adjusted first 8 key bytes) into
-    its schedule.  Expansion dominates short-message MAC cost with the
-    table-driven kernel, so the engine caches this per flow. *)
-
-val des_cbc_slices_keyed : Des.key -> Fbsr_util.Slice.t list -> string
-(** [des_cbc_slices] with a pre-expanded key from {!des_cbc_prepare}. *)
-
-val compute : ?algorithm:algorithm -> Hash.t -> key:string -> string list -> string
-(** Default algorithm is [Prefix], matching the paper. *)
-
-val compute_slices :
-  ?algorithm:algorithm -> Hash.t -> key:string -> Fbsr_util.Slice.t list -> string
-(** Slice-parts flavour of {!compute}; byte-identical results. *)
-
-val verify :
-  ?algorithm:algorithm -> Hash.t -> key:string -> string list -> expected:string -> bool
-(** Constant-time comparison against [expected]. *)
-
-val verify_slice :
-  ?algorithm:algorithm ->
-  Hash.t ->
-  key:string ->
-  Fbsr_util.Slice.t list ->
-  expected:Fbsr_util.Slice.t ->
-  bool
-(** Constant-time comparison of a (possibly truncated) wire MAC slice
-    against the matching prefix of the computed MAC.  The expected
-    length is public information (it comes from the suite descriptor),
-    so using it to select the prefix leaks nothing. *)
-
-val truncate : string -> int -> string
-(** Keep the first [n] bytes of a MAC (header-overhead/security trade-off
-    the paper mentions in Section 5.3). *)
 
 (** {1 Per-flow MAC midstates}
 
@@ -73,14 +26,18 @@ type midstate
 
 val prepare : ?algorithm:algorithm -> Hash.t -> key:string -> midstate
 (** Freeze the key-dependent precomputation of [algorithm] (default
-    [Prefix], matching {!compute}). *)
+    [Prefix], the paper's).  [Des_cbc_mac] is DES-CBC-MAC (footnote 12 of
+    the paper): the last block of a zero-IV CBC pass over the padded
+    message, keyed by the first 8 key bytes. *)
 
 val compute_midstate : midstate -> Fbsr_util.Slice.t list -> string
-(** Byte-identical to {!compute_slices} with the algorithm, hash and key
+(** The MAC of the concatenated parts under the algorithm, hash and key
     given to {!prepare}.  The midstate is reusable: any number of
     computations, in any order. *)
 
 val verify_midstate :
   midstate -> Fbsr_util.Slice.t list -> expected:Fbsr_util.Slice.t -> bool
-(** Midstate flavour of {!verify_slice}: constant-time comparison of a
-    (possibly truncated) wire MAC against the computed MAC's prefix. *)
+(** Constant-time comparison of a (possibly truncated) wire MAC against
+    the computed MAC's prefix.  The expected length is public information
+    (it comes from the suite descriptor), so using it to select the
+    prefix leaks nothing. *)

@@ -10,7 +10,6 @@ type private_key
 
 val generate : ?e:int -> Fbsr_util.Rng.t -> bits:int -> private_key
 val public_key : private_key -> public_key
-val modulus_bytes : public_key -> int
 
 val sign : private_key -> hash:Hash.t -> string -> string
 val verify : public_key -> hash:Hash.t -> string -> signature:string -> bool
@@ -19,5 +18,3 @@ val private_op : private_key -> Nat.t -> Nat.t
 val public_op : public_key -> Nat.t -> Nat.t
 
 (**/**)
-
-val encode_digest : hash_name:string -> digest:string -> width:int -> string

@@ -64,10 +64,6 @@ val run :
     that many simulated seconds per snapshot.
     @raise Invalid_argument if [transfers] or [bytes_per_transfer] < 1. *)
 
-val to_json : result -> Fbsr_util.Json.t
-(** The fbsr-transfers/1 document: run parameters, aggregate delivery and
-    retransmission statistics, and one row per connection. *)
-
 val report :
   ?transfers:int ->
   ?bytes_per_transfer:int ->
@@ -78,7 +74,9 @@ val report :
   ?json:string ->
   unit ->
   result
-(** {!run}, print a human summary, optionally write {!to_json} to [json].
+(** {!run}, print a human summary, optionally write the fbsr-transfers/1
+    document (run parameters, aggregate delivery and retransmission
+    statistics, one row per connection) to [json].
     [telemetry] (default off) runs with a 1 s telemetry cadence and adds
     the health verdicts to the printout and a [telemetry] member to the
     artifact. *)

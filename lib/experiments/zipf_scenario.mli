@@ -61,10 +61,6 @@ val run :
     holding both sides (root aggregate + [shard.<i>.] twins), and the
     health monitor evaluated each snapshot. *)
 
-val to_json : result -> Fbsr_util.Json.t
-(** An [fbsr-zipf/1] document (with a [telemetry] member — timeseries,
-    health, flowstats — when the run was telemetered). *)
-
 val report :
   ?flows:int ->
   ?datagrams:int ->
@@ -78,7 +74,8 @@ val report :
   result
 (** {!run}, print the human summary (plus top flows, health verdicts and
     a drop dashboard when [telemetry]), optionally write the JSON
-    artifact. *)
+    artifact: an [fbsr-zipf/1] document, with a [telemetry] member
+    (timeseries, health, flowstats) when the run was telemetered. *)
 
 (** {2 Miss-rate curve}
 
@@ -110,22 +107,6 @@ type curve = {
 val default_points : int list
 (** 10³ … 10⁶ in roughly half-decade steps. *)
 
-val miss_curve :
-  ?points:int list ->
-  ?datagrams:int ->
-  ?batch:int ->
-  ?nshards:int ->
-  ?seed:int ->
-  ?fst_bits:int ->
-  unit ->
-  curve
-(** [datagrams] (default 200 000) is the per-point round-trip budget.
-    Every datagram must still round-trip cleanly at every point.
-    @raise Invalid_argument on an empty [points] list. *)
-
-val curve_to_json : curve -> Fbsr_util.Json.t
-(** An [fbsr-zipf-miss-curve/1] document. *)
-
 val curve_report :
   ?points:int list ->
   ?datagrams:int ->
@@ -136,8 +117,11 @@ val curve_report :
   ?json:string ->
   unit ->
   curve
-(** {!miss_curve}, print the curve as a table, optionally write the
-    JSON artifact. *)
+(** Run the curve, print it as a table, optionally write the JSON
+    artifact (an [fbsr-zipf-miss-curve/1] document).  [datagrams]
+    (default 200 000) is the per-point round-trip budget.  Every datagram
+    must still round-trip cleanly at every point.
+    @raise Invalid_argument on an empty [points] list. *)
 
 (** {2 Sweeper-cadence study}
 
@@ -177,30 +161,6 @@ type sweep_study = {
   sw_ok : bool;
 }
 
-val default_cadences : float list
-(** [0.25 … 5.0] seconds, plus never. *)
-
-val sweep_study :
-  ?cadences:float list ->
-  ?flows:int ->
-  ?datagrams:int ->
-  ?batch:int ->
-  ?round_dt:float ->
-  ?threshold:float ->
-  ?nshards:int ->
-  ?seed:int ->
-  ?fst_bits:int ->
-  unit ->
-  sweep_study
-(** Defaults: 10⁵ flows, 120 000 datagrams per point in batches of
-    1024, the simulated clock advancing [round_dt] (0.1 s) per batch,
-    idle threshold 2 s.  Every datagram must still round-trip cleanly
-    at every point.
-    @raise Invalid_argument on an empty [cadences] list. *)
-
-val sweep_study_to_json : sweep_study -> Fbsr_util.Json.t
-(** An [fbsr-sweep-study/1] document. *)
-
 val sweep_study_report :
   ?cadences:float list ->
   ?flows:int ->
@@ -214,4 +174,10 @@ val sweep_study_report :
   ?json:string ->
   unit ->
   sweep_study
-(** {!sweep_study}, print the table, optionally write the artifact. *)
+(** Run the study, print the table, optionally write the artifact (an
+    [fbsr-sweep-study/1] document).  Defaults: cadences 0.25 … 5.0 s plus
+    never, 10⁵ flows, 120 000 datagrams per point in batches of 1024,
+    the simulated clock advancing [round_dt] (0.1 s) per batch, idle
+    threshold 2 s.  Every datagram must still round-trip cleanly at
+    every point.
+    @raise Invalid_argument on an empty [cadences] list. *)

@@ -126,11 +126,6 @@ let register_metrics t m =
 let total_misses s = s.misses_cold + s.misses_capacity + s.misses_conflict
 let accesses s = s.hits + total_misses s
 
-let miss_rate t =
-  let s = t.stats in
-  let total = accesses s in
-  if total = 0 then 0.0 else float_of_int (total_misses s) /. float_of_int total
-
 let set_base t key = t.hash key mod t.sets * t.assoc
 
 (* Shadow fully-associative LRU of the same capacity: a doubly linked
@@ -329,9 +324,6 @@ let clear t =
   t.shadow_next <- [| 0 |];
   t.shadow_used <- 0
 
-let iter t f =
-  Array.iter (function Some slot -> f slot.key slot.value | None -> ()) t.slots
-
 let fold t f acc =
   Array.fold_left
     (fun acc -> function Some slot -> f slot.key slot.value acc | None -> acc)
@@ -339,7 +331,3 @@ let fold t f acc =
 
 let occupancy t =
   Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 t.slots
-
-let pp_stats ppf s =
-  Fmt.pf ppf "hits=%d cold=%d capacity=%d conflict=%d evictions=%d" s.hits s.misses_cold
-    s.misses_capacity s.misses_conflict s.evictions

@@ -64,7 +64,6 @@ val register_metrics : ('k, 'v) t -> Fbsr_util.Metrics.t -> unit
     scope the registry first, e.g.
     [register_metrics c (Metrics.sub m "fbs.cache.tfkc")]. *)
 
-val capacity : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but does not touch statistics or LRU state. *)
@@ -72,12 +71,9 @@ val peek : ('k, 'v) t -> 'k -> 'v option
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 val invalidate : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 val fold : ('k, 'v) t -> ('k -> 'v -> 'a -> 'a) -> 'a -> 'a
 val occupancy : ('k, 'v) t -> int
 
 val stats : ('k, 'v) t -> stats
 val total_misses : stats -> int
 val accesses : stats -> int
-val miss_rate : ('k, 'v) t -> float
-val pp_stats : Format.formatter -> stats -> unit

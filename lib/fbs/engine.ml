@@ -53,15 +53,6 @@ let pp_error ppf = function
   | Bad_mac -> Fmt.string ppf "MAC verification failed"
   | Decrypt_error -> Fmt.string ppf "decryption failed"
 
-let cause_of_error (e : error) : cause =
-  match e with
-  | Header_error _ -> Header
-  | Stale _ -> Stale
-  | Duplicate -> Duplicate
-  | Keying_error _ -> Keying
-  | Bad_mac -> Mac
-  | Decrypt_error -> Decrypt
-
 (* Drops are counted by cause so graceful degradation is observable: the
    split between MAC failures (corruption or forgery), duplicates
    (replay) and keying errors (certificate fetch lost) tells the operator
@@ -85,7 +76,6 @@ type counters = Armor.counters = {
 }
 
 let drop_count c cause = c.drops.(cause_index cause)
-let drops_by_cause c = List.map (fun cause -> (cause_name cause, drop_count c cause)) causes
 let drops c = List.fold_left (fun acc cause -> acc + drop_count c cause) 0 causes
 let drop_metric cause = "fbs.engine.drops." ^ cause_name cause
 

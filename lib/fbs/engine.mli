@@ -17,11 +17,6 @@ type cause =
   | Mac  (** MAC verification failed *)
   | Decrypt  (** ciphertext would not decrypt *)
 
-val causes : cause list
-
-val cause_name : cause -> string
-(** Its name in metrics ({!drop_metric}) and span outcomes. *)
-
 type error =
   | Header_error of Header.error
   | Stale of { timestamp : int; now_minutes : int }
@@ -31,9 +26,6 @@ type error =
   | Decrypt_error
 
 val pp_error : Format.formatter -> error -> unit
-
-val cause_of_error : error -> cause
-(** The cause a receive error is counted under. *)
 
 type counters = Armor.counters = {
   mutable sends : int;
@@ -70,12 +62,6 @@ type counters = Armor.counters = {
 val drop_count : counters -> cause -> int
 (** Received datagrams refused for [cause]. *)
 
-val drops_by_cause : counters -> (string * int) list
-(** [(cause_name, count)] for every {!cause}, in {!causes} order. *)
-
-val drops : counters -> int
-(** Total receive-side rejections (sum of {!drops_by_cause}). *)
-
 val drop_metric : cause -> string
 (** The cause's registered count: [drop_metric Mac = "fbs.engine.drops.mac"]. *)
 
@@ -107,11 +93,11 @@ val create :
     ["replay.check"] (its [verdict]; a stale one also carries the
     [timestamp] and [now_minutes] of the {!Stale} error) and exactly one
     terminal ["engine.receive"] span: ["delivered"], or the
-    [Fbsr_util.Span.drop_outcome] of the {!cause_name} it was counted
-    under.  A send-side keying failure ends its ["engine.send"] span
-    with [Keying]'s outcome and bumps no drop counter.  With spans
-    disabled the datapath pays one branch per stage and allocates
-    nothing. *)
+    [Fbsr_util.Span.drop_outcome] of the {!cause} it was counted under
+    (its {!drop_metric} suffix).  A send-side keying failure ends its
+    ["engine.send"] span with [Keying]'s outcome and bumps no drop
+    counter.  With spans disabled the datapath pays one branch per stage
+    and allocates nothing. *)
 
 val fam : t -> Fam.t
 val keying : t -> Keying.t
@@ -267,9 +253,7 @@ val send_sync :
 val receive_sync :
   t -> now:float -> src:Principal.t -> wire:string -> (accepted, error) result
 
-val header_overhead : t -> int
-(** Bytes the FBS header adds to every datagram. *)
-
 val wire_overhead : t -> int
-(** [header_overhead] plus the worst-case padding growth of an encrypted
-    body: what the MSS calculation must subtract (the tcp_output fix). *)
+(** The FBS header's bytes plus the worst-case padding growth of an
+    encrypted body: what the MSS calculation must subtract (the
+    tcp_output fix). *)

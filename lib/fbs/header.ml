@@ -156,35 +156,18 @@ let to_header v =
     mac = Slice.to_string v.v_mac;
   }
 
-(* The suite and flags bytes as fed to the MAC.  The paper MACs only
-   confounder | timestamp | payload (sfl integrity is implicit in the
-   key); the algorithm-identification field is our concretization of the
-   paper's sketch, so we authenticate those two bytes as well — otherwise
-   reserved flag bits could be flipped in transit undetected. *)
-let auth_bytes t =
-  String.init 2 (fun i ->
-      if i = 0 then Char.chr t.suite.Suite.id
-      else Char.chr (if t.secret then flag_secret else 0))
-
-(* Byte encodings of the confounder and timestamp as fed to the MAC: the
-   same big-endian bytes that go on the wire. *)
-let confounder_bytes t =
-  String.init 4 (fun i -> Char.chr ((t.confounder lsr (8 * (3 - i))) land 0xff))
-
-let timestamp_bytes t =
-  String.init 4 (fun i -> Char.chr ((t.timestamp lsr (8 * (3 - i))) land 0xff))
-
-(* The confounder expanded to a DES IV: "For DES encryption, the confounder
-   is first duplicated to provide a 64-bit quantity" (Section 7.2). *)
-let confounder_iv t =
-  let c = confounder_bytes t in
-  c ^ c
-
 (* Scratch-buffer writers for the zero-copy datapath: the engine keeps a
    reusable 10-byte MAC-prelude buffer and an 8-byte IV buffer per
    instance, refilled per datagram instead of allocated per datagram.
-   The byte streams are identical to [auth_bytes | confounder_bytes |
-   timestamp_bytes] and [confounder_iv]. *)
+   [Fbsr_oracles.Reference] builds the same byte streams as fresh
+   strings.
+
+   The MAC prelude is the suite and flags bytes, then the confounder and
+   timestamp.  The paper MACs only confounder | timestamp | payload (sfl
+   integrity is implicit in the key); the algorithm-identification field
+   is our concretization of the paper's sketch, so we authenticate those
+   two bytes as well — otherwise reserved flag bits could be flipped in
+   transit undetected. *)
 
 let mac_prelude_size = 2 + 4 + 4
 
@@ -206,8 +189,3 @@ let write_confounder_iv scratch ~confounder =
     Bytes.set scratch i c;
     Bytes.set scratch (4 + i) c
   done
-
-let pp ppf t =
-  Fmt.pf ppf "%a %a%s conf=%08x ts=%d" Sfl.pp t.sfl Suite.pp t.suite
-    (if t.secret then " secret" else "")
-    t.confounder t.timestamp

@@ -12,16 +12,11 @@ type t = {
 }
 
 val fixed_size : int
-val size : t -> int
 val size_for_suite : Suite.t -> int
 
 val encode : t -> string
 (** One allocation: assembled in an exact-capacity writer whose backing
     buffer is stolen by {!Fbsr_util.Byte_writer.finalize}. *)
-
-val encode_into : Fbsr_util.Byte_writer.t -> t -> unit
-(** Append the encoded header to an existing writer (shared-buffer
-    assembly of header + body). *)
 
 val encode_fields_into :
   Fbsr_util.Byte_writer.t ->
@@ -60,16 +55,6 @@ val decode_view : Fbsr_util.Slice.t -> (view, error) result
 val to_header : view -> t
 (** Materialize a header record (copies the MAC). *)
 
-val confounder_bytes : t -> string
-val timestamp_bytes : t -> string
-
-val auth_bytes : t -> string
-(** The suite and flags bytes, included in the MAC input (hardening of the
-    paper's sketch: the algorithm-identification field is authenticated). *)
-
-val confounder_iv : t -> string
-(** The 32-bit confounder duplicated into a 64-bit DES IV (Section 7.2). *)
-
 val mac_prelude_size : int
 (** 10: suite and flags bytes plus confounder and timestamp encodings —
     everything the MAC covers ahead of the payload. *)
@@ -77,12 +62,11 @@ val mac_prelude_size : int
 val write_mac_prelude :
   Bytes.t -> suite:Suite.t -> secret:bool -> confounder:int -> timestamp:int -> unit
 (** Fill a caller-owned scratch buffer (>= {!mac_prelude_size} bytes)
-    with [auth_bytes | confounder_bytes | timestamp_bytes] — the
-    allocation-free flavour for reusable per-engine scratch. *)
+    with the bytes the MAC covers ahead of the payload: the suite and
+    flags bytes (the algorithm-identification field is authenticated, a
+    hardening of the paper's sketch), then the big-endian confounder and
+    timestamp.  Allocation-free, for reusable per-engine scratch. *)
 
 val write_confounder_iv : Bytes.t -> confounder:int -> unit
 (** Fill the first 8 bytes of a caller-owned scratch buffer with the
-    duplicated-confounder DES IV ({!confounder_iv} without the
-    allocations). *)
-
-val pp : Format.formatter -> t -> unit
+    32-bit confounder duplicated into a 64-bit DES IV (Section 7.2). *)

@@ -55,7 +55,6 @@ let create ~ts () =
    rules are never written and the value can be shared. *)
 let none = create ~ts:Ts.none ()
 
-let enabled t = Ts.enabled t.ts
 let checks t = t.checks
 let fired t = List.fold_left (fun a r -> a + r.rule_fired) 0 t.rules
 let ok t = fired t = 0

@@ -34,8 +34,6 @@ val none : t
 val create : ts:Fbsr_util.Timeseries.t -> unit -> t
 (** A monitor over [ts] with the fixed rule set above. *)
 
-val enabled : t -> bool
-
 val check : t -> now:float -> unit
 (** Evaluate the rules if the recorder has taken a new row since the
     last call (and has at least two rows to delta).  Call right after
@@ -43,12 +41,6 @@ val check : t -> now:float -> unit
 
 val checks : t -> int
 (** Evaluations performed (calls that saw a fresh row). *)
-
-val fired : t -> int
-(** Total rule firings across all evaluations. *)
-
-val ok : t -> bool
-(** True iff no rule has ever fired. *)
 
 val to_json : t -> Fbsr_util.Json.t
 (** ["fbsr-health/1"]: [{schema; checks; fired; ok; rules: [{rule;

@@ -88,7 +88,6 @@ let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () 
   }
 
 let local t = t.local
-let group t = t.group
 let last_resolution t = t.last_resolution
 let counters t = t.counters
 let pvc t = t.pvc

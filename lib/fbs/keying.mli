@@ -35,7 +35,6 @@ val create :
     [No_certificate] (retransmission is the resolver's job). *)
 
 val local : t -> Principal.t
-val group : t -> Fbsr_crypto.Dh.group
 val counters : t -> counters
 val pvc : t -> (string, Fbsr_cert.Certificate.t) Cache.t
 

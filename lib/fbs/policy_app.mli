@@ -4,6 +4,4 @@ type t
 
 val make : ?threshold:float -> alloc:Sfl.allocator -> unit -> t
 val map : t -> now:float -> Fam.attrs -> Sfl.t * Fam.decision
-val sweep : t -> now:float -> int
-val active : t -> now:float -> int
 val policy : ?threshold:float -> alloc:Sfl.allocator -> unit -> Fam.policy

@@ -160,10 +160,6 @@ let active t ~now =
     0 t.table
 
 let counters t = t.counters
-let threshold t = t.threshold
-
-let iter_flows t f =
-  Array.iter (fun e -> if e.valid then f ~sfl:e.sfl ~started:e.started ~last:e.last) t.table
 
 (* The FAM policy record over a fresh table, and the table itself (for
    tests and the flow monitor example). *)

@@ -24,8 +24,6 @@ val map : t -> now:float -> Fam.attrs -> Sfl.t * Fam.decision
 val sweep : t -> now:float -> int
 val active : t -> now:float -> int
 val counters : t -> counters
-val threshold : t -> float
-val iter_flows : t -> (sfl:Sfl.t -> started:float -> last:float -> unit) -> unit
 
 val policy :
   ?fst_size:int ->

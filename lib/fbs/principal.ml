@@ -13,9 +13,6 @@ let of_string s =
   s
 
 let to_string t = t
-let equal (a : t) (b : t) = String.equal a b
-let compare = String.compare
-let pp = Fmt.string
 
 (* Canonical encoding used in key derivation: length-prefixed so that the
    concatenation S | D in H(sfl | K | S | D) cannot be ambiguous (e.g.

@@ -4,10 +4,6 @@ type t
 
 val of_string : string -> t
 val to_string : t -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 val encode : t -> string
 (** Length-prefixed canonical encoding used inside key derivation. *)
 

@@ -46,8 +46,6 @@ let create ?(window_minutes = 2) ?(strict = false) () =
     rejected_duplicate = 0;
   }
 
-let window_minutes t = t.window_minutes
-
 type verdict = Fresh | Stale | Duplicate
 
 let gc t now_min =

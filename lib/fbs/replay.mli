@@ -7,7 +7,6 @@ val minutes_of_seconds : float -> int
 type t
 
 val create : ?window_minutes:int -> ?strict:bool -> unit -> t
-val window_minutes : t -> int
 
 type verdict = Fresh | Stale | Duplicate
 

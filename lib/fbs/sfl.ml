@@ -12,7 +12,6 @@
 type t = int64
 
 let equal (a : t) (b : t) = Int64.equal a b
-let compare = Int64.compare
 let to_int64 t = t
 let of_int64 (v : int64) : t = v
 let pp ppf t = Fmt.pf ppf "sfl:%Lx" t
@@ -30,5 +29,3 @@ let fresh a =
   v
 
 let allocated a = a.allocated
-
-let hash (t : t) = Fbsr_util.Crc32.update_int64 0 t

@@ -4,11 +4,9 @@
 type t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_int64 : t -> int64
 val of_int64 : int64 -> t
 val pp : Format.formatter -> t -> unit
-val hash : t -> int
 
 type allocator
 

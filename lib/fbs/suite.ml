@@ -112,5 +112,3 @@ let name t =
   | 5 -> "hmac-sha1/sha1-ctr"
   | 255 -> "nop"
   | n -> Printf.sprintf "suite-%d" n
-
-let pp ppf t = Fmt.string ppf (name t)

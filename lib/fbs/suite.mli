@@ -36,4 +36,3 @@ val is_nop : t -> bool
 val all : t list
 val of_id : int -> t option
 val name : t -> string
-val pp : Format.formatter -> t -> unit

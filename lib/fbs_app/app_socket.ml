@@ -124,4 +124,3 @@ let send t ~dst ~dst_addr ?(dst_port = -1) ~tag ?(secret = true) payload =
 let engine t = t.engine
 let counters t = t.counters
 let local t = t.local
-let close t = Udp_stack.unlisten t.host ~port:t.port

@@ -55,7 +55,6 @@ val send :
 val engine : t -> Fbsr_fbs.Engine.t
 val counters : t -> counters
 val local : t -> Fbsr_fbs.Principal.t
-val close : t -> unit
 
 (**/**)
 

@@ -39,6 +39,4 @@ let install ?(port = Mkd_protocol.default_port) ~authority host =
   t
 
 let requests_served t = t.requests_served
-let requests_failed t = t.requests_failed
-let addr t = Host.addr t.host
 let port t = t.port

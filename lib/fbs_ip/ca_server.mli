@@ -8,6 +8,4 @@ val install : ?port:int -> authority:Fbsr_cert.Authority.t -> Host.t -> t
 (** The host must already have a UDP stack installed. *)
 
 val requests_served : t -> int
-val requests_failed : t -> int
-val addr : t -> Addr.t
 val port : t -> int

@@ -82,4 +82,3 @@ let add_peer t ~network ~prefix ~gateway =
   t.peers <- { network; prefix; gateway } :: t.peers
 
 let counters t = t.counters
-let outer t = t.outer

@@ -4,8 +4,6 @@
 
 open Fbsr_netsim
 
-val protocol_ipip : int
-
 type counters = {
   mutable encapsulated : int;
   mutable decapsulated : int;
@@ -21,4 +19,3 @@ val create : inside:Medium.t -> inside_addr:Addr.t -> outer:Host.t -> unit -> t
 
 val add_peer : t -> network:Addr.t -> prefix:int -> gateway:Addr.t -> unit
 val counters : t -> counters
-val outer : t -> Host.t

@@ -98,7 +98,6 @@ type t = {
 
 let engine t = t.engine
 let counters t = t.counters
-let host t = t.host
 
 (* Register the stack's own counters (under "fbs_ip.stack.") and the whole
    engine subtree (under "fbs.") on [m].  Pass [Metrics.sub m
@@ -308,19 +307,6 @@ let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
      MSS calculation can subtract it. *)
   Minitcp.set_mss_reduction host (Fbsr_fbs.Engine.wire_overhead engine);
   t
-
-(* The standalone sweeper of Figure 7: periodically scan the FST and
-   expire idle flows.  The paper's Section 7.2 implementation absorbs
-   sweeping into the mapping phase (which [Policy_five_tuple.map] does);
-   running the explicit sweeper as well bounds the table's occupancy
-   between packets, at a configurable period. *)
-let start_sweeper ?(period = 60.0) t =
-  let engine = Host.engine t.host in
-  let rec tick () =
-    ignore (Fbsr_fbs.Policy_five_tuple.sweep t.policy_state ~now:(Host.now t.host));
-    Engine.schedule engine ~delay:period tick
-  in
-  Engine.schedule engine ~delay:period tick
 
 let uninstall t =
   Host.clear_hooks t.host;

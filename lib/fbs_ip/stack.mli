@@ -103,12 +103,5 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     whole [fbs.*] subtree on [m] (see {!Fbsr_fbs.Engine.register_metrics}).
     Pass [Metrics.sub m "host.<addr>"] for a per-host view. *)
 
-val host : t -> Host.t
 val policy_state : t -> Fbsr_fbs.Policy_five_tuple.t
-val principal_of_addr : Addr.t -> Fbsr_fbs.Principal.t
 val peek_ports : protocol:int -> string -> int * int
-
-val start_sweeper : ?period:float -> t -> unit
-(** Run Figure 7's standalone sweeper every [period] (default 60 s)
-    simulated seconds.  Note: once started it reschedules forever, so
-    [Engine.run] without [~until] will not terminate. *)

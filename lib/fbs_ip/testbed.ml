@@ -215,9 +215,7 @@ let group t = t.group
 let authority t = t.authority
 let metrics t = t.metrics
 let span_sampler t = t.sampler
-let span_recorders t = List.rev t.recorders
 let collect_spans t = Fbsr_util.Span.collect (List.rev t.recorders)
 let ca_server t = t.ca_server
-let nodes t = t.nodes
 let run ?until t = Engine.run ?until t.engine
 let now t = Engine.now t.engine

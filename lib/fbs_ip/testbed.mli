@@ -87,15 +87,10 @@ val span_sampler : t -> Fbsr_util.Span.sampler option
     read its {!Fbsr_util.Span.sampler_stats} to audit keep/discard
     decisions. *)
 
-val span_recorders : t -> Fbsr_util.Span.t list
-(** Every host's flight recorder, in host-creation order (key server
-    first).  Empty when [span_capacity] was 0. *)
-
 val collect_spans : t -> Fbsr_util.Span.span list
 (** Merge every recorder's retained spans into one globally ordered list
     (see {!Fbsr_util.Span.collect}) — the input to the exporters. *)
 
 val ca_server : t -> Ca_server.t
-val nodes : t -> node list
 val run : ?until:float -> t -> unit
 val now : t -> float

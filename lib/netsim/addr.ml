@@ -39,9 +39,7 @@ let to_string v =
   done;
   Bytes.sub_string b 0 !n
 
-let compare = Stdlib.compare
 let equal (a : t) (b : t) = a = b
-let pp ppf v = Fmt.string ppf (to_string v)
 
 let broadcast = 0xffffffff
 let any = 0

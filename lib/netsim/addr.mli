@@ -9,9 +9,7 @@ val of_string : string -> t
 (** Dotted quad. @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val broadcast : t
 val any : t

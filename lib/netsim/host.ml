@@ -108,7 +108,6 @@ let link_dst t dst =
 
 let set_link t link = t.link <- Some link
 let clear_link t = t.link <- None
-let link t = t.link
 
 let set_output_hook t h = t.output_hook <- Some h
 let set_input_hook t h = t.input_hook <- Some h

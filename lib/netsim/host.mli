@@ -65,7 +65,6 @@ val set_link : t -> Link.t -> unit
     after fragmentation, before the medium). *)
 
 val clear_link : t -> unit
-val link : t -> Link.t option
 
 val set_output_hook : t -> hook -> unit
 val set_input_hook : t -> hook -> unit

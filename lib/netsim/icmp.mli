@@ -3,8 +3,6 @@
 
 type message = { msg_type : int; code : int; id : int; seq : int; payload : string }
 
-val type_echo_reply : int
-val type_echo_request : int
 val encode : message -> string
 
 exception Bad_message of string

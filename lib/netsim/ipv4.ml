@@ -110,10 +110,3 @@ let decode raw =
     }
   in
   (h, String.sub raw ihl (total_length - ihl))
-
-let pp_header ppf h =
-  Fmt.pf ppf "IPv4 %a -> %a proto=%d len=%d id=%d%s%s off=%d ttl=%d" Addr.pp h.src
-    Addr.pp h.dst h.protocol h.total_length h.ident
-    (if h.dont_fragment then " DF" else "")
-    (if h.more_fragments then " MF" else "")
-    h.frag_offset h.ttl

@@ -17,9 +17,6 @@ type header = {
 val header_size : int
 (** 20 bytes (without options). *)
 
-val max_options : int
-(** 40 bytes — "the 40 byte maximum is fairly limiting" (paper §7.2). *)
-
 val header_length : header -> int
 (** [header_size] + options length. *)
 
@@ -56,5 +53,3 @@ val decode : string -> header * string
 (** The checksum is verified in place; the payload is the one copy.
     @raise Bad_packet on malformed input (bad version, checksum,
     truncation). *)
-
-val pp_header : Format.formatter -> header -> unit

@@ -91,9 +91,6 @@ let create ?(seed = 0x7a11) ?(profile = perfect)
     spans;
   }
 
-let set_spans t spans = t.spans <- spans
-let profile t = t.profile
-
 let set_profile t p =
   validate_profile p;
   t.profile <- p

@@ -44,9 +44,7 @@ val create :
     @raise Invalid_argument if a probability is outside [0,1] or
     [reorder_delay] is negative. *)
 
-val profile : t -> profile
 val set_profile : t -> profile -> unit
-val set_spans : t -> Fbsr_util.Span.t -> unit
 val stats : t -> stats
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit

@@ -8,9 +8,6 @@
 
 type t
 
-val ethernet_overhead : int
-val ethernet_min_payload : int
-
 val create : ?bandwidth_bps:float -> Engine.t -> t
 (** [bandwidth_bps] defaults to 10 Mb/s. *)
 

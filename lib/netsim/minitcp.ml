@@ -549,7 +549,6 @@ let on_close c f = c.on_close <- f
 
 let state c = c.state
 let mss c = conn_mss c
-let bytes_delivered c = c.bytes_delivered
 let retransmits c = c.retransmits
 let fast_retransmits c = c.fast_retransmits
 let timeouts c = c.timeouts

@@ -38,8 +38,6 @@ val mss : conn -> int
     tcp_output, segment sizing honors a {!set_mss_reduction} published
     after the connection was established. *)
 
-val bytes_delivered : conn -> int
-
 val retransmits : conn -> int
 (** Total retransmitted segments (timeout, fast retransmit, and
     recovery hole-filling). *)

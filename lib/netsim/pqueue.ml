@@ -10,7 +10,6 @@ type 'a t = {
 
 let create () = { heap = Array.make 16 (0.0, 0, Obj.magic 0); size = 0; next_seq = 0 }
 
-let is_empty t = t.size = 0
 let length t = t.size
 
 let less (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)

@@ -3,7 +3,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option

@@ -54,12 +54,6 @@ let create ~name () =
   }
 
 let stats t = t.stats
-let interfaces t = Array.to_list t.interfaces
-
-let add_route t ~network ~prefix ~via =
-  if via < 0 || via >= Array.length t.interfaces then
-    invalid_arg "Router.add_route: no such interface";
-  t.routes <- { network; route_prefix = prefix; via } :: t.routes
 
 (* Longest-prefix match across interface subnets and static routes. *)
 let route_for t dst =

@@ -25,6 +25,4 @@ val create : name:string -> unit -> t
 val attach : t -> addr:Addr.t -> prefix:int -> ?mtu:int -> Medium.t -> int
 (** Attach an interface fronting [addr]/[prefix]; returns its index. *)
 
-val add_route : t -> network:Addr.t -> prefix:int -> via:int -> unit
 val stats : t -> stats
-val interfaces : t -> interface list

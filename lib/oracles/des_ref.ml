@@ -10,7 +10,6 @@
    enforces that over randomized inputs.  Nothing on a hot path may call
    this module. *)
 
-let block_size = 8
 let key_size = 8
 
 (* --- FIPS tables (entries are 1-based source bit positions, MSB first) --- *)

@@ -4,9 +4,6 @@
     transliteration of FIPS 46/81 — slow, auditable, and never called
     from a hot path. *)
 
-val block_size : int
-val key_size : int
-
 type key
 
 val of_string : string -> key
@@ -15,7 +12,6 @@ val of_string : string -> key
 val encrypt_block : key -> int64 -> int64
 val decrypt_block : key -> int64 -> int64
 
-val pad : string -> string
-val unpad : string -> string
 val encrypt_cbc : iv:string -> key -> string -> string
 val decrypt_cbc : iv:string -> key -> string -> string
+(** CBC with PKCS#7 padding, as {!Fbsr_crypto.Des.encrypt_cbc}. *)

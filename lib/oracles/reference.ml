@@ -10,6 +10,45 @@
      zero-copy one's, so the reduction is visible inside a single
      artifact instead of across baseline files. *)
 
+(* The header fields as the string-based datapath fed them to the MAC,
+   one fresh string each: the two authenticated algorithm-identification
+   bytes (suite id, flags), then the big-endian confounder and timestamp,
+   the same bytes that go on the wire. *)
+let auth_bytes (t : Fbsr_fbs.Header.t) =
+  String.init 2 (fun i ->
+      if i = 0 then Char.chr t.suite.Fbsr_fbs.Suite.id
+      else Char.chr (if t.secret then 1 else 0))
+
+let confounder_bytes (t : Fbsr_fbs.Header.t) =
+  String.init 4 (fun i -> Char.chr ((t.confounder lsr (8 * (3 - i))) land 0xff))
+
+let timestamp_bytes (t : Fbsr_fbs.Header.t) =
+  String.init 4 (fun i -> Char.chr ((t.timestamp lsr (8 * (3 - i))) land 0xff))
+
+(* "For DES encryption, the confounder is first duplicated to provide a
+   64-bit quantity" (Section 7.2). *)
+let confounder_iv t =
+  let c = confounder_bytes t in
+  c ^ c
+
+(* DES-CBC-MAC the string way: the last block of a zero-IV CBC pass over
+   the concatenated, padded message. *)
+let des_cbc_mac ~key parts =
+  if String.length key < 8 then invalid_arg "Mac.des_cbc: key too short";
+  let des_key =
+    Fbsr_crypto.Des.of_string (Fbsr_crypto.Des.adjust_parity (String.sub key 0 8))
+  in
+  let ct =
+    Fbsr_crypto.Des.encrypt_cbc ~iv:(String.make 8 '\000') des_key (String.concat "" parts)
+  in
+  String.sub ct (String.length ct - 8) 8
+
+let mac ?(algorithm = Fbsr_crypto.Mac.Prefix) hash ~key parts =
+  match algorithm with
+  | Fbsr_crypto.Mac.Prefix -> Fbsr_crypto.Mac.prefix hash ~key parts
+  | Fbsr_crypto.Mac.Hmac -> Fbsr_crypto.Mac.hmac hash ~key parts
+  | Fbsr_crypto.Mac.Des_cbc_mac -> des_cbc_mac ~key parts
+
 (* MAC input exactly as the old [Engine.compute_mac] built it: three fresh
    header-field strings, the digest, and a truncation copy. *)
 let compute_mac (suite : Fbsr_fbs.Suite.t) ~flow_key ~(header : Fbsr_fbs.Header.t)
@@ -17,20 +56,48 @@ let compute_mac (suite : Fbsr_fbs.Suite.t) ~flow_key ~(header : Fbsr_fbs.Header.
   if Fbsr_fbs.Suite.is_nop suite then String.make suite.Fbsr_fbs.Suite.mac_length '\000'
   else begin
     let parts =
-      [
-        Fbsr_fbs.Header.auth_bytes header;
-        Fbsr_fbs.Header.confounder_bytes header;
-        Fbsr_fbs.Header.timestamp_bytes header;
-        payload;
-      ]
+      [ auth_bytes header; confounder_bytes header; timestamp_bytes header; payload ]
     in
     let mac =
-      Fbsr_crypto.Mac.compute ~algorithm:suite.Fbsr_fbs.Suite.mac_algorithm
-        suite.Fbsr_fbs.Suite.mac_hash ~key:flow_key parts
+      mac ~algorithm:suite.Fbsr_fbs.Suite.mac_algorithm suite.Fbsr_fbs.Suite.mac_hash
+        ~key:flow_key parts
     in
-    (* [Mac.truncate] is an unconditional [String.sub]. *)
-    Fbsr_crypto.Mac.truncate mac suite.Fbsr_fbs.Suite.mac_length
+    String.sub mac 0 suite.Fbsr_fbs.Suite.mac_length
   end
+
+(* Whole-string 3DES CBC, chained block by block over {!Fbsr_crypto.Des3}'s
+   EDE3 block primitive: the string flavour the one-allocation
+   [encrypt_cbc_into]/[decrypt_cbc_sub] are compared against. *)
+let des3_check_iv iv = if String.length iv <> 8 then invalid_arg "Des3: IV must be 8 bytes"
+
+let des3_encrypt_cbc ~iv key pt =
+  des3_check_iv iv;
+  let data = Fbsr_crypto.Des.pad pt in
+  let out = Bytes.create (String.length data) in
+  let prev = ref (String.get_int64_be iv 0) in
+  for i = 0 to (String.length data / 8) - 1 do
+    let b =
+      Fbsr_crypto.Des3.encrypt_block key
+        (Int64.logxor !prev (String.get_int64_be data (i * 8)))
+    in
+    Bytes.set_int64_be out (i * 8) b;
+    prev := b
+  done;
+  Bytes.unsafe_to_string out
+
+let des3_decrypt_cbc ~iv key ct =
+  des3_check_iv iv;
+  let n = String.length ct in
+  if n = 0 || n mod 8 <> 0 then invalid_arg "Des3.decrypt_cbc: bad length";
+  let out = Bytes.create n in
+  let prev = ref (String.get_int64_be iv 0) in
+  for i = 0 to (n / 8) - 1 do
+    let c = String.get_int64_be ct (i * 8) in
+    Bytes.set_int64_be out (i * 8)
+      (Int64.logxor !prev (Fbsr_crypto.Des3.decrypt_block key c));
+    prev := c
+  done;
+  Fbsr_crypto.Des.unpad (Bytes.unsafe_to_string out)
 
 let des_key_of_flow_key flow_key =
   Fbsr_crypto.Des.adjust_parity (String.sub flow_key 0 8)
@@ -62,7 +129,7 @@ let encrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~payload =
     match suite.Fbsr_fbs.Suite.cipher with
     | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
     | Fbsr_fbs.Suite.Des3_cbc ->
-        Fbsr_crypto.Des3.encrypt_cbc ~iv (des3_key_of_flow_key flow_key) payload
+        des3_encrypt_cbc ~iv (des3_key_of_flow_key flow_key) payload
     | Fbsr_fbs.Suite.Des_cbc ->
         Fbsr_crypto.Des.encrypt_cbc ~iv
           (Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key))
@@ -79,7 +146,7 @@ let decrypt_body (suite : Fbsr_fbs.Suite.t) ~flow_key ~iv ~body =
       match suite.Fbsr_fbs.Suite.cipher with
       | Fbsr_fbs.Suite.Sha1_ctr -> assert false (* handled above *)
       | Fbsr_fbs.Suite.Des3_cbc ->
-          Fbsr_crypto.Des3.decrypt_cbc ~iv (des3_key_of_flow_key flow_key) body
+          des3_decrypt_cbc ~iv (des3_key_of_flow_key flow_key) body
       | Fbsr_fbs.Suite.Des_cbc ->
           Fbsr_crypto.Des.decrypt_cbc ~iv
             (Fbsr_crypto.Des.of_string (des_key_of_flow_key flow_key))
@@ -101,7 +168,7 @@ let seal ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~sfl ~secret ~confounder ~timesta
   let header = { header0 with Fbsr_fbs.Header.mac } in
   let body =
     if secret then
-      encrypt_body suite ~flow_key ~iv:(Fbsr_fbs.Header.confounder_iv header) ~payload
+      encrypt_body suite ~flow_key ~iv:(confounder_iv header) ~payload
     else payload
   in
   (* Header encode (writer buffer + contents copy) and the final
@@ -128,7 +195,7 @@ let open_ ~(suite : Fbsr_fbs.Suite.t) ~flow_key ~wire () =
         in
         if header.Fbsr_fbs.Header.secret then
           match
-            decrypt_body suite ~flow_key ~iv:(Fbsr_fbs.Header.confounder_iv header) ~body
+            decrypt_body suite ~flow_key ~iv:(confounder_iv header) ~body
           with
           | Ok plaintext -> finish plaintext
           | Error `Decrypt -> Error `Decrypt

@@ -21,4 +21,3 @@ type t = {
 
 val analyse : Record.t list -> t
 val pp : Format.formatter -> t -> unit
-val service_name : int -> string

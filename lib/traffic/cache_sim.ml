@@ -13,8 +13,6 @@
 
 type hash_kind = Crc32 | Modulo | Xor_fold
 
-let hash_name = function Crc32 -> "crc32" | Modulo -> "modulo" | Xor_fold -> "xor"
-
 type key = int64 * string * string
 
 let hash_fn = function

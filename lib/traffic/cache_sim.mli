@@ -3,8 +3,6 @@
 
 type hash_kind = Crc32 | Modulo | Xor_fold
 
-val hash_name : hash_kind -> string
-
 type side = Tfkc | Rfkc
 
 type config = {

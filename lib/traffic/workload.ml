@@ -189,9 +189,6 @@ let generate rng = function
 (* Persistent per-host services running for the whole observation. *)
 let nfs_service ~duration rng = nfs ~session_length:duration rng
 
-let duration conv =
-  List.fold_left (fun acc e -> Float.max acc e.at) 0.0 conv.events
-
 (* Instantiate a conversation between concrete endpoints at [start],
    producing trace records in both directions. *)
 let to_records ~start ~client ~client_port ~server conv =

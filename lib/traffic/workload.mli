@@ -4,14 +4,12 @@ type app = Telnet | Ftp | Nfs | Www | X11 | Dns
 
 val all_apps : app list
 val app_name : app -> string
-val server_port : app -> int
 val protocol : app -> int
 
 type event = { at : float; c2s : bool; size : int }
 type conversation = { app : app; events : event list }
 
 val generate : Fbsr_util.Rng.t -> app -> conversation
-val duration : conversation -> float
 
 val nfs_service : duration:float -> Fbsr_util.Rng.t -> conversation
 (** A whole-observation NFS mount: fixed ports, periodic bursts, idle
@@ -30,5 +28,3 @@ val to_records :
 
 val bulk_packets :
   t0:float -> bytes:int -> rate_bps:float -> c2s:bool -> event list
-
-val mss : int

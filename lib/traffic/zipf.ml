@@ -19,9 +19,6 @@ let create ?(s = 1.0) ~n rng =
   cdf.(n - 1) <- 1.0;
   { n; s; rng; cdf }
 
-let n t = t.n
-let s t = t.s
-
 let sample t =
   let u = Fbsr_util.Rng.uniform t.rng in
   (* Smallest rank whose cumulative mass covers u. *)

@@ -14,9 +14,6 @@ val create : ?s:float -> n:int -> Fbsr_util.Rng.t -> t
     (default 1.0, the classic Zipf).  Draws consume [rng].
     @raise Invalid_argument if [n < 1] or [s < 0]. *)
 
-val n : t -> int
-val s : t -> float
-
 val sample : t -> int
 (** A rank in [\[0, n)], rank 0 most frequent.  Deterministic in the
     creating rng's state. *)

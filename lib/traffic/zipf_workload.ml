@@ -29,8 +29,6 @@ let create ?(seed = 7) ?(s = 1.0) ?(payload = String.make 256 'z') ~flows ~src
     touched = 0;
   }
 
-let flows t = Zipf.n t.zipf
-let drawn t = t.drawn
 let touched t = t.touched
 
 let attrs_of_rank t rank =

@@ -25,14 +25,9 @@ val create :
     [seed].
     @raise Invalid_argument if [flows] exceeds the port-pair space. *)
 
-val flows : t -> int
-
 val batch : t -> int -> (Fbsr_fbs.Fam.attrs * string) array
 (** [batch t k] draws the next [k] datagrams of the stream. *)
 
-val drawn : t -> int
-(** Datagrams drawn so far. *)
-
 val touched : t -> int
-(** Distinct flow ranks seen so far — climbs toward [flows t] with the
+(** Distinct flow ranks seen so far — climbs toward the flow count with the
     long tail. *)

@@ -13,7 +13,6 @@ type t = {
 let create () = { chunks = []; tail = []; head_off = 0; length = 0 }
 
 let length t = t.length
-let is_empty t = t.length = 0
 
 let push t s =
   if String.length s > 0 then begin

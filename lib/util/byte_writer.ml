@@ -69,16 +69,7 @@ let reserve t n =
   t.len <- t.len + n;
   (t.buf, pos)
 
-let reset t = t.len <- 0
-
 let contents t = Bytes.sub_string t.buf 0 t.len
-
-let to_string = contents
-
-let sub_string t ~pos ~len =
-  if pos < 0 || len < 0 || pos > t.len - len then
-    invalid_arg "Byte_writer.sub_string: out of bounds";
-  Bytes.sub_string t.buf pos len
 
 let finalize t =
   let s =

@@ -35,18 +35,8 @@ val reserve : t -> int -> Bytes.t * int
     into the assembly buffer.  The returned buffer is invalidated by
     any subsequent append that grows the writer. *)
 
-val reset : t -> unit
-(** Truncate to empty, keeping the backing buffer — for assembly
-    buffers reused across datagrams. *)
-
 val contents : t -> string
 (** Snapshot of everything written so far. *)
-
-val to_string : t -> string
-(** Alias for {!contents}. *)
-
-val sub_string : t -> pos:int -> len:int -> string
-(** Copy of a written sub-range.  @raise Invalid_argument on bad bounds. *)
 
 val finalize : t -> string
 (** Like {!contents}, but when the written length equals the buffer

@@ -33,5 +33,3 @@ let decode (s : string) : string =
     Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
   done;
   Bytes.unsafe_to_string out
-
-let pp ppf s = Fmt.string ppf (encode s)

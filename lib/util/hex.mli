@@ -7,6 +7,3 @@ val decode : string -> string
 (** [decode h] parses a hexadecimal string back into bytes.  Spaces and
     newlines in [h] are ignored, so RFC-style grouped vectors can be pasted
     verbatim.  @raise Invalid_argument on non-hex input or odd length. *)
-
-val pp : Format.formatter -> string -> unit
-(** Pretty-print a byte string as hex. *)

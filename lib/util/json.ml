@@ -311,10 +311,4 @@ let to_float_opt = function
   | Float f -> Some f
   | _ -> None
 
-let to_int_opt = function
-  | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let to_string_opt = function String s -> Some s | _ -> None
 let members = function Obj m -> m | _ -> []

@@ -35,8 +35,3 @@ val members : t -> (string * t) list
 
 val to_float_opt : t -> float option
 (** Numeric value as float ([Int] widens). *)
-
-val to_int_opt : t -> int option
-(** Numeric value as int (integral [Float] narrows). *)
-
-val to_string_opt : t -> string option

@@ -6,7 +6,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 val next_u32 : t -> int
 (** High 32 bits of the next state — the strongest bits of an LCG. *)
 

@@ -9,33 +9,28 @@
 
    Two kinds of metric coexist:
 
-   - *owned* cells — counters, gauges and log-bucket histograms allocated
-     by [counter]/[gauge]/[histogram].  Updates are single mutable-field
-     stores (no allocation, no hashing: the handle is the cell), so they
-     are safe on per-datagram paths.
-
    - *probes* — closures registered over existing mutable records with
-     [register_probe]/[register_probe_f].  The record keeps being updated
+     [register_probe].  The record keeps being updated
      exactly as before (zero behavior change); the registry evaluates the
      closure only when read.  Several probes may share one name, in which
      case reads return their SUM — registering every host's engine under
      the same name yields site-wide totals for free, while per-host views
      live under a [sub]-scoped prefix.
 
-   A registry is cheap (one hashtable); [default] is the process-wide one.
-   [sub] returns a view onto the same table with a longer dotted prefix,
-   so one registry can hold "host.10.0.0.1.fbs.engine.sends" next to the
-   aggregated "fbs.engine.sends". *)
+   - log-bucket *histograms* allocated by [histogram].  An update is a
+     bucket scan and three stores (no allocation, no hashing: the handle
+     is the cell), so it is safe on per-datagram paths.
 
-type counter = { name : string; mutable count : int }
-type gauge = { g_name : string; mutable value : float }
+   A registry is cheap (one hashtable).  [sub] returns a view onto the
+   same table with a longer dotted prefix, so one registry can hold
+   "host.10.0.0.1.fbs.engine.sends" next to the aggregated
+   "fbs.engine.sends". *)
 
 (* Log-scale histogram: bucket [i] counts observations v with
    bounds.(i-1) < v <= bounds.(i); an implicit overflow bucket counts
    v > bounds.(last).  Bounds are fixed at creation (lo * base^i), so
    [observe] is a branch-and-increment scan — no allocation. *)
 type histogram = {
-  h_name : string;
   bounds : float array;
   counts : int array; (* length = Array.length bounds + 1 (overflow) *)
   mutable observations : int;
@@ -43,38 +38,20 @@ type histogram = {
 }
 
 type cell =
-  | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
   | Probe of (unit -> int) list ref
-  | Probe_f of (unit -> float) list ref
 
-type t = {
-  prefix : string;
-  cells : (string, cell) Hashtbl.t;
-  help : (string, string) Hashtbl.t; (* full name -> # HELP text *)
-}
+type t = { prefix : string; cells : (string, cell) Hashtbl.t }
 
 let create ?(scope = "") () =
-  {
-    prefix = (if scope = "" then "" else scope ^ ".");
-    cells = Hashtbl.create 64;
-    help = Hashtbl.create 16;
-  }
-
-let default = create ()
+  { prefix = (if scope = "" then "" else scope ^ "."); cells = Hashtbl.create 64 }
 
 let sub t scope =
   if scope = "" then t else { t with prefix = t.prefix ^ scope ^ "." }
 
-let scope t = t.prefix
-
 let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
   | Probe _ -> "probe"
-  | Probe_f _ -> "float probe"
 
 let clash full cell want =
   invalid_arg
@@ -82,40 +59,8 @@ let clash full cell want =
        (kind_name cell) want)
 
 (* ------------------------------------------------------------------ *)
-(* Owned cells                                                         *)
+(* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let counter t name =
-  let full = t.prefix ^ name in
-  match Hashtbl.find_opt t.cells full with
-  | Some (Counter c) -> c
-  | Some cell -> clash full cell "counter"
-  | None ->
-      let c = { name = full; count = 0 } in
-      Hashtbl.replace t.cells full (Counter c);
-      c
-
-let incr ?(by = 1) c =
-  if by < 0 then invalid_arg "Metrics.incr: counters are monotone (by < 0)";
-  c.count <- c.count + by
-
-let counter_value c = c.count
-let counter_name c = c.name
-
-let gauge t name =
-  let full = t.prefix ^ name in
-  match Hashtbl.find_opt t.cells full with
-  | Some (Gauge g) -> g
-  | Some cell -> clash full cell "gauge"
-  | None ->
-      let g = { g_name = full; value = 0.0 } in
-      Hashtbl.replace t.cells full (Gauge g);
-      g
-
-let set g v = g.value <- v
-let add g v = g.value <- g.value +. v
-let gauge_value g = g.value
-let gauge_name g = g.g_name
 
 let default_buckets =
   (* Five buckets per decade from 1 microsecond to 100 seconds: suits both
@@ -147,7 +92,6 @@ let histogram ?buckets t name =
       in
       let h =
         {
-          h_name = full;
           bounds;
           counts = Array.make (Array.length bounds + 1) 0;
           observations = 0;
@@ -167,22 +111,6 @@ let observe h v =
   h.observations <- h.observations + 1;
   h.sum <- h.sum +. v
 
-(* Time [f] with the caller's clock and record the elapsed span — the
-   registry stays clock-agnostic (simulated vs wall time). *)
-let time h ~clock f =
-  let t0 = clock () in
-  let finally () = observe h (clock () -. t0) in
-  match f () with
-  | v ->
-      finally ();
-      v
-  | exception e ->
-      finally ();
-      raise e
-
-let histogram_count h = h.observations
-let histogram_sum h = h.sum
-
 let histogram_buckets h =
   let lower i = if i = 0 then Float.neg_infinity else h.bounds.(i - 1) in
   let upper i =
@@ -201,13 +129,6 @@ let register_probe t name f =
   | Some cell -> clash full cell "probe"
   | None -> Hashtbl.replace t.cells full (Probe (ref [ f ]))
 
-let register_probe_f t name f =
-  let full = t.prefix ^ name in
-  match Hashtbl.find_opt t.cells full with
-  | Some (Probe_f fs) -> fs := f :: !fs
-  | Some cell -> clash full cell "float probe"
-  | None -> Hashtbl.replace t.cells full (Probe_f (ref [ f ]))
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -215,31 +136,13 @@ let register_probe_f t name f =
 let mem t name = Hashtbl.mem t.cells (t.prefix ^ name)
 
 let read_int = function
-  | Counter c -> c.count
-  | Gauge g -> int_of_float g.value
   | Histogram h -> h.observations
   | Probe fs -> List.fold_left (fun acc f -> acc + f ()) 0 !fs
-  | Probe_f fs ->
-      int_of_float (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs)
-
-let read_float = function
-  | Counter c -> float_of_int c.count
-  | Gauge g -> g.value
-  | Histogram h -> h.sum
-  | Probe fs -> float_of_int (List.fold_left (fun acc f -> acc + f ()) 0 !fs)
-  | Probe_f fs -> List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs
 
 let get t name =
   match Hashtbl.find_opt t.cells (t.prefix ^ name) with
   | Some cell -> read_int cell
   | None -> invalid_arg (Printf.sprintf "Metrics.get: unknown metric %S" (t.prefix ^ name))
-
-let get_float t name =
-  match Hashtbl.find_opt t.cells (t.prefix ^ name) with
-  | Some cell -> read_float cell
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Metrics.get_float: unknown metric %S" (t.prefix ^ name))
 
 let in_scope t full = String.length t.prefix = 0 || String.starts_with ~prefix:t.prefix full
 
@@ -249,7 +152,6 @@ let names t =
 
 type value =
   | Int of int
-  | Float of float
   | Hist of { count : int; sum : float; buckets : (float * float * int) list }
 
 let snapshot t =
@@ -257,64 +159,13 @@ let snapshot t =
     (fun name ->
       let v =
         match Hashtbl.find_opt t.cells name with
-        | Some (Gauge g) -> Float g.value
-        | Some (Probe_f fs) ->
-            Float (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs)
         | Some (Histogram h) ->
             Hist { count = h.observations; sum = h.sum; buckets = histogram_buckets h }
-        | Some cell -> Int (read_int cell)
+        | Some (Probe _ as cell) -> Int (read_int cell)
         | None -> assert false
       in
       (name, v))
     (names t)
-
-(* Zero every owned cell.  Probes read live records the registry does not
-   own, so they are left alone (reset those at their source). *)
-let reset t =
-  Hashtbl.iter
-    (fun name cell ->
-      if in_scope t name then
-        match cell with
-        | Counter c -> c.count <- 0
-        | Gauge g -> g.value <- 0.0
-        | Histogram h ->
-            Array.fill h.counts 0 (Array.length h.counts) 0;
-            h.observations <- 0;
-            h.sum <- 0.0
-        | Probe _ | Probe_f _ -> ())
-    t.cells
-
-let to_json t =
-  Json.Obj
-    (List.map
-       (fun (name, v) ->
-         ( name,
-           match v with
-           | Int i -> Json.Int i
-           | Float f -> Json.Float f
-           | Hist { count; sum; buckets } ->
-               Json.Obj
-                 [
-                   ("count", Json.Int count);
-                   ("sum", Json.Float sum);
-                   ( "buckets",
-                     Json.List
-                       (List.filter_map
-                          (fun (_, hi, n) ->
-                            if n = 0 then None
-                            else Some (Json.List [ Json.Float hi; Json.Int n ]))
-                          buckets) );
-                 ] ))
-       (snapshot t))
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Int i -> Fmt.pf ppf "%s %d@." name i
-      | Float f -> Fmt.pf ppf "%s %g@." name f
-      | Hist { count; sum; _ } -> Fmt.pf ppf "%s count=%d sum=%g@." name count sum)
-    (snapshot t)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus-style exposition                                         *)
@@ -348,8 +199,6 @@ let prometheus_escape ?(quote = false) s =
     s;
   Buffer.contents buf
 
-let describe t name text = Hashtbl.replace t.help (t.prefix ^ name) text
-
 let prometheus_float f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "+Inf"
@@ -362,15 +211,9 @@ let to_text t =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
   let head name p kind =
-    (* # HELP precedes # TYPE; registered text wins, otherwise a generated
-       line naming the original dotted metric (which the name folding may
-       have obscured). *)
-    let help =
-      match Hashtbl.find_opt t.help name with
-      | Some h -> h
-      | None -> Printf.sprintf "fbsr %s %s" kind name
-    in
-    line "# HELP %s %s" p (prometheus_escape help);
+    (* # HELP precedes # TYPE and names the original dotted metric (which
+       the name folding may have obscured). *)
+    line "# HELP %s %s" p (prometheus_escape (Printf.sprintf "fbsr %s %s" kind name));
     line "# TYPE %s %s" p kind
   in
   List.iter
@@ -380,21 +223,10 @@ let to_text t =
       | Some cell -> (
           let p = prometheus_name name in
           match cell with
-          | Counter c ->
-              head name p "counter";
-              line "%s %d" p c.count
           | Probe fs ->
               (* Probes read monotone subsystem tallies; expose as counters. *)
               head name p "counter";
               line "%s %d" p (List.fold_left (fun acc f -> acc + f ()) 0 !fs)
-          | Gauge g ->
-              head name p "gauge";
-              line "%s %s" p (prometheus_float g.value)
-          | Probe_f fs ->
-              head name p "gauge";
-              line "%s %s" p
-                (prometheus_float
-                   (List.fold_left (fun acc f -> acc +. f ()) 0.0 !fs))
           | Histogram h ->
               (* Prometheus buckets are cumulative over 'le' upper bounds and
                  must end with +Inf; empty interior buckets are elided (any

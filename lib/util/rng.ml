@@ -11,8 +11,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9e3779b97f4a7c15L
 
 let next_int64 t =
@@ -49,8 +47,6 @@ let float t x =
   (* 27 bits *)
   let f = (float_of_int hi *. 134217728.0 +. float_of_int lo) /. 9007199254740992.0 in
   f *. x
-
-let bool t = bits t land 1 = 1
 
 let uniform t = float t 1.0
 

@@ -6,7 +6,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
 val split : t -> t
 (** Derive an independent child stream. *)
 
@@ -19,8 +18,6 @@ val int : t -> int -> int
 
 val int_range : t -> int -> int -> int
 (** [int_range t lo hi] is uniform in [lo, hi] inclusive. *)
-
-val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t x] is uniform in [0, x). *)

@@ -33,9 +33,7 @@ let of_string base = { base; off = 0; len = String.length base }
 let of_bytes_unsafe b = of_string (Bytes.unsafe_to_string b)
 
 let base t = t.base
-let offset t = t.off
 let length t = t.len
-let is_empty t = t.len = 0
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Slice.get: out of bounds";
@@ -57,16 +55,6 @@ let to_string t =
 
 let blit t dst dst_pos = Bytes.blit_string t.base t.off dst dst_pos t.len
 
-let iter f t =
-  for i = t.off to t.off + t.len - 1 do
-    f (String.unsafe_get t.base i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (String.unsafe_get t.base (t.off + i))
-  done
-
 (* Structural byte equality (not constant-time — see {!Ct.equal_slice}
    in the crypto layer for MAC comparison). *)
 let equal a b =
@@ -80,15 +68,5 @@ let equal a b =
      in
      go 0)
 
-let equal_string t s =
-  t.len = String.length s
-  &&
-  let rec go i =
-    i >= t.len || String.unsafe_get t.base (t.off + i) = String.unsafe_get s i && go (i + 1)
-  in
-  go 0
-
 (* Append to an assembly buffer without an intermediate copy. *)
 let append w t = Byte_writer.substring w t.base t.off t.len
-
-let pp ppf t = Fmt.pf ppf "slice[%d+%d]" t.off t.len

@@ -22,9 +22,7 @@ val of_bytes_unsafe : Bytes.t -> t
     per-engine scratch idiom: fill, feed, refill). *)
 
 val base : t -> string
-val offset : t -> int
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> char
 (** @raise Invalid_argument out of bounds. *)
@@ -41,16 +39,9 @@ val to_string : t -> string
 val blit : t -> Bytes.t -> int -> unit
 (** [blit t dst dst_pos] copies the slice's bytes into [dst]. *)
 
-val iter : (char -> unit) -> t -> unit
-val iteri : (int -> char -> unit) -> t -> unit
-
 val equal : t -> t -> bool
 (** Structural byte equality.  Not constant-time — MAC comparison must
     use [Ct.equal_slice]. *)
 
-val equal_string : t -> string -> bool
-
 val append : Byte_writer.t -> t -> unit
 (** Append the slice's bytes to an assembly buffer (single blit). *)
-
-val pp : Format.formatter -> t -> unit

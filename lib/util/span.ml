@@ -26,7 +26,6 @@ let fresh_id () =
 let current_id = Domain_shim.local_make (fun () -> 0L)
 let current () = Domain_shim.local_get current_id
 let set_current id = Domain_shim.local_set current_id id
-let clear_current () = Domain_shim.local_set current_id 0L
 
 let apply_with_current id f x =
   let saved = Domain_shim.local_get current_id in
@@ -144,8 +143,6 @@ let create ?(capacity = 8192) ?(host = "") ?(clock = zero_clock) ?cost_clock
 
 let none = create ~capacity:0 ()
 let enabled t = t.cap > 0
-let capacity t = t.cap
-let host t = t.host_label
 
 type timer = { t0 : float; c0 : float }
 

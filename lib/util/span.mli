@@ -44,9 +44,6 @@ val set_current : int64 -> unit
 (** Overwrite the ambient id (the sender side does this once per
     datagram; only call it under an [enabled] guard). *)
 
-val clear_current : unit -> unit
-(** [set_current 0L]. *)
-
 val with_current : int64 -> (unit -> 'a) -> 'a
 (** Run the thunk with the ambient id set to [id], restoring the previous
     id afterwards (also on raise).  This is the delivery-side half of the
@@ -157,8 +154,6 @@ val none : t
     {!finish} on it are no-ops. *)
 
 val enabled : t -> bool
-val capacity : t -> int
-val host : t -> string
 
 type timer
 (** A captured begin point (both clocks).  Timers are plain values: one

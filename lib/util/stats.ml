@@ -98,16 +98,4 @@ let bin_count ~bin ~t_end events =
     events;
   bins
 
-let mean_int xs =
-  if xs = [] then 0.0
-  else
-    float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)
-
 (* Render helpers for the experiment harness. *)
-
-let pp_cdf ppf points =
-  List.iter (fun (v, f) -> Fmt.pf ppf "%12.2f  %6.4f@." v f) points
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.2f stddev=%.2f min=%.2f max=%.2f total=%.2f"
-    s.count s.mean s.stddev s.min s.max s.total

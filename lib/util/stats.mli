@@ -27,8 +27,3 @@ val log_histogram : ?base:float -> float array -> log_histogram
 
 val bin_count : bin:float -> t_end:float -> float list -> int array
 (** Count events per time bin over [0, t_end). *)
-
-val mean_int : int list -> float
-
-val pp_cdf : Format.formatter -> (float * float) list -> unit
-val pp_summary : Format.formatter -> summary -> unit

@@ -112,7 +112,6 @@ let snapshot t ~at =
     (fun (name, v) ->
       match (v : Metrics.value) with
       | Int i -> cells := (col t name, float_of_int i) :: !cells
-      | Float f -> cells := (col t name, f) :: !cells
       | Hist { count; sum; buckets } ->
           cells := (col t (name ^ ".count"), float_of_int count) :: !cells;
           cells := (col t (name ^ ".sum"), sum) :: !cells;
@@ -156,8 +155,6 @@ let series t name =
         (fun r ->
           (r.at, if Array.length r.values > c then r.values.(c) else 0.0))
         (rows t)
-
-let times t = Array.map (fun r -> r.at) (rows t)
 
 let nth_last_row t i =
   let k = kept t in

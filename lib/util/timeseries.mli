@@ -51,8 +51,6 @@ val series : t -> string -> (float * float) array
 (** [(time, value)] pairs for one column, oldest first, over the kept rows.
     Rows snapshotted before the column first appeared report 0. *)
 
-val times : t -> float array
-
 val last2 : t -> string -> float * float
 (** [(previous, latest)] values of one column over the two most recent
     rows — the interval-delta read the health rules poll each cadence.

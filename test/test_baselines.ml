@@ -86,6 +86,38 @@ let test_hostpair_tamper_rejected () =
   check Alcotest.int "tampered rejected" 1 !got;
   check Alcotest.bool "drop counted" true ((Hostpair.counters sb).Hostpair.dropped >= 1)
 
+(* The flags byte sits outside the MAC.  A captured data datagram
+   re-injected with it cleared (0: "not encrypted") must be refused and
+   counted as a drop, not passed up with its ciphertext as plaintext.
+   [flags_at] is the byte's offset in the IP payload; [data_frame] picks
+   the data datagram out of the a->b frames; [counts] reads the
+   receiver's (received, dropped). *)
+let check_cleared_flags_refused tb a b ~flags_at ~data_frame ~counts =
+  let tap = Attacks.tap (Fbsr_fbs_ip.Testbed.medium tb) in
+  let got = ref [] in
+  Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 "plaintext";
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.(list string) "genuine delivered" [ "plaintext" ] !got;
+  let received, dropped = counts () in
+  let frame = data_frame (Attacks.between tap ~src:(Host.addr a) ~dst:(Host.addr b)) in
+  let offset = Ipv4.header_size + flags_at in
+  check Alcotest.int "captured flags byte" 1 (Char.code frame.[offset]);
+  (* [flip_byte] flips the low bit and repairs the IP checksum. *)
+  Attacks.inject (Fbsr_fbs_ip.Testbed.medium tb) (Attacks.flip_byte ~offset frame);
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.(list string) "nothing more delivered" [ "plaintext" ] !got;
+  check Alcotest.(pair int int) "counted dropped, not received"
+    (received, dropped + 1) (counts ())
+
+let last frames = snd (List.nth frames (List.length frames - 1))
+
+let test_hostpair_cleared_flags_refused () =
+  let tb, a, b, _, sb = make_hostpair_site () in
+  check_cleared_flags_refused tb a b ~flags_at:1 ~data_frame:last ~counts:(fun () ->
+      let c = Hostpair.counters sb in
+      (c.Hostpair.received, c.Hostpair.dropped))
+
 let test_hostpair_cut_and_paste_succeeds () =
   (* The Section 2.2 weakness: under one master key per host pair, a
      protected payload from conversation B can be re-bound into
@@ -180,6 +212,12 @@ let test_kdc_ticket_corruption_rejected () =
   check Alcotest.int "corrupt rejected" 1 !got;
   check Alcotest.bool "drop counted" true ((Kdc.counters sb).Kdc.dropped >= 1)
 
+let test_kdc_cleared_flags_refused () =
+  let tb, a, b, _, _, sb = make_kdc_site () in
+  check_cleared_flags_refused tb a b ~flags_at:0 ~data_frame:last ~counts:(fun () ->
+      let c = Kdc.counters sb in
+      (c.Kdc.received, c.Kdc.dropped))
+
 (* --- Photuris-style session keying (no third party) --- *)
 
 let make_photuris_site ?faults () =
@@ -224,6 +262,12 @@ let test_photuris_tamper_rejected () =
   Fbsr_fbs_ip.Testbed.run tb;
   check Alcotest.int "tampered rejected" 1 !got;
   check Alcotest.bool "drop counted" true ((Photuris.counters sb).Photuris.dropped >= 1)
+
+let test_photuris_cleared_flags_refused () =
+  let tb, a, b, _, sb = make_photuris_site () in
+  check_cleared_flags_refused tb a b ~flags_at:0 ~data_frame:last ~counts:(fun () ->
+      let c = Photuris.counters sb in
+      (c.Photuris.received, c.Photuris.dropped))
 
 (* Every setup message arrives twice: the initiator keeps its first x
    and the responder answers a repeated PHK1 with the same PHK2, so both
@@ -410,6 +454,8 @@ let () =
           Alcotest.test_case "per-datagram-key roundtrip" `Quick
             test_hostpair_pdk_roundtrip;
           Alcotest.test_case "tamper rejected" `Quick test_hostpair_tamper_rejected;
+          Alcotest.test_case "cleared flags byte refused" `Quick
+            test_hostpair_cleared_flags_refused;
           Alcotest.test_case "cut-and-paste succeeds (Section 2.2)" `Quick
             test_hostpair_cut_and_paste_succeeds;
           Alcotest.test_case "mss reduction" `Quick test_hostpair_mss_reduction;
@@ -421,6 +467,8 @@ let () =
         [
           Alcotest.test_case "session roundtrip" `Quick test_kdc_roundtrip;
           Alcotest.test_case "unknown destination" `Quick test_kdc_unknown_destination;
+          Alcotest.test_case "cleared flags byte refused" `Quick
+            test_kdc_cleared_flags_refused;
           Alcotest.test_case "corruption rejected" `Quick
             test_kdc_ticket_corruption_rejected;
           Alcotest.test_case "waiting for a session is no hook drop" `Quick
@@ -434,6 +482,8 @@ let () =
         [
           Alcotest.test_case "session roundtrip" `Quick test_photuris_roundtrip;
           Alcotest.test_case "tamper rejected" `Quick test_photuris_tamper_rejected;
+          Alcotest.test_case "cleared flags byte refused" `Quick
+            test_photuris_cleared_flags_refused;
           Alcotest.test_case "no long-term secret (PFS)" `Quick
             test_photuris_no_long_term_secret;
           Alcotest.test_case "waiting for a handshake is no hook drop" `Quick

@@ -9,7 +9,7 @@ module Nat_ref = Fbsr_oracles.Nat_ref
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
 
-let nat = Alcotest.testable Nat.pp Nat.equal
+let nat = Alcotest.testable (Fmt.of_to_string Nat.to_hex) Nat.equal
 
 (* Generator for naturals of up to ~256 bits. *)
 let gen_nat =

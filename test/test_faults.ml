@@ -198,7 +198,7 @@ let test_link_totals_agree () =
       ~faults:Fbsr_experiments.Faults.hostile ~metrics ()
   in
   let l = r.Fbsr_experiments.Faults.link in
-  let names = Fbsr_util.Metrics.names metrics in
+  let names = List.map fst (Fbsr_util.Metrics.snapshot metrics) in
   let host_views field =
     let suffix = ".netsim.link." ^ field in
     List.filter
@@ -625,6 +625,8 @@ let test_span_terminal_accounting () =
    check below instead of silently leaving its loop. *)
 let expected_causes = [ "header"; "stale"; "duplicate"; "keying"; "mac"; "decrypt" ]
 
+let causes = FEngine.[ Header; Stale; Duplicate; Keying; Mac; Decrypt ]
+
 (* One check over all six causes, keying included: over the hostile run,
    each cause's site-wide engine counter equals the number of
    ["engine.receive"] spans with that cause's outcome.  The cause list,
@@ -636,26 +638,17 @@ let test_span_terminal_accounting_every_cause () =
     Fbsr_experiments.Faults.run ~seed:23 ~messages:120 ~metrics
       ~faults:Fbsr_experiments.Faults.hostile ~span_capacity:65536 ()
   in
-  check
-    Alcotest.(list string)
-    "cause names, in order" expected_causes
-    (List.map FEngine.cause_name FEngine.causes);
-  let p = Fixture.engine_pair () in
-  check
-    Alcotest.(list string)
-    "drops_by_cause names, in order" expected_causes
-    (List.map fst (FEngine.drops_by_cause (FEngine.counters p.Fixture.receiver)));
   let probe_names = List.map (fun name -> "fbs.engine.drops." ^ name) expected_causes in
   check
     Alcotest.(list string)
     "drop metric names, in order" probe_names
-    (List.map FEngine.drop_metric FEngine.causes);
+    (List.map FEngine.drop_metric causes);
   check
     Alcotest.(list string)
     "registered drop probes" (List.sort compare ("fbs.engine.drops.total" :: probe_names))
     (List.filter
        (fun n -> String.starts_with ~prefix:"fbs.engine.drops." n)
-       (Fbsr_util.Metrics.names metrics));
+       (List.map fst (Fbsr_util.Metrics.snapshot metrics)));
   let receive_terminals outcome =
     List.length
       (List.filter
@@ -664,14 +657,13 @@ let test_span_terminal_accounting_every_cause () =
            && String.equal s.Span.outcome outcome)
          (spans_of r))
   in
-  List.iter
-    (fun cause ->
-      let name = FEngine.cause_name cause in
+  List.iter2
+    (fun cause name ->
       check Alcotest.int
         ("every " ^ name ^ " drop is one engine.receive terminal")
         (Fbsr_util.Metrics.get metrics (FEngine.drop_metric cause))
         (receive_terminals (Span.drop_outcome name)))
-    FEngine.causes;
+    causes expected_causes;
   check Alcotest.int "the registry's mac drops are the run's" r.mac_failures
     (Fbsr_util.Metrics.get metrics (FEngine.drop_metric FEngine.Mac))
 

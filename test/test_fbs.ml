@@ -95,7 +95,12 @@ let gen_header =
         })
       (pair nat (triple bool nat nat)))
 
-let arb_header = QCheck.make ~print:(fun h -> Fmt.str "%a" Header.pp h) gen_header
+let arb_header =
+  QCheck.make
+    ~print:(fun (h : Header.t) ->
+      Fmt.str "%a suite=%d secret=%b conf=%08x ts=%d" Sfl.pp h.sfl h.suite.Suite.id h.secret
+        h.confounder h.timestamp)
+    gen_header
 
 let header_equal (a : Header.t) (b : Header.t) =
   Sfl.equal a.Header.sfl b.Header.sfl
@@ -166,7 +171,7 @@ let test_header_every_prefix () =
       mac = String.init 16 (fun i -> Char.chr (0x40 + i));
     }
   in
-  let header_len = Header.size h in
+  let header_len = Header.size_for_suite h.Header.suite in
   let wire = Header.encode h ^ "body bytes here" in
   for n = 0 to String.length wire do
     match Header.decode (String.sub wire 0 n) with
@@ -217,8 +222,8 @@ let test_header_confounder_iv () =
     }
   in
   check Alcotest.string "duplicated confounder" "\x01\x02\x03\x04\x01\x02\x03\x04"
-    (Header.confounder_iv h);
-  check Alcotest.int "size" (Header.fixed_size + 16) (Header.size h)
+    (Fbsr_oracles.Reference.confounder_iv h);
+  check Alcotest.int "size" (Header.fixed_size + 16) (String.length (Header.encode h))
 
 (* --- Replay --- *)
 
@@ -1038,8 +1043,8 @@ let test_engine_des3_key_expansion () =
         Fbsr_crypto.Des3.of_string
           (Fbsr_crypto.Des.adjust_parity (String.sub material 0 24))
       in
-      let iv = Header.confounder_iv h in
-      let reference_body = Fbsr_crypto.Des3.encrypt_cbc ~iv key payload in
+      let iv = Fbsr_oracles.Reference.confounder_iv h in
+      let reference_body = Fbsr_oracles.Reference.des3_encrypt_cbc ~iv key payload in
       let body_off = String.length wire - String.length reference_body in
       check Alcotest.string "engine body = old-style-key body"
         (Fbsr_util.Hex.encode reference_body)
@@ -1157,10 +1162,12 @@ let test_engine_midstate_seal_byte_equal () =
       in
       let flow_key = sender_flow_key es ~sfl:h.Header.sfl ~src:s ~dst:d in
       let prelude =
-        Header.auth_bytes h ^ Header.confounder_bytes h ^ Header.timestamp_bytes h
+        Fbsr_oracles.Reference.auth_bytes h
+        ^ Fbsr_oracles.Reference.confounder_bytes h
+        ^ Fbsr_oracles.Reference.timestamp_bytes h
       in
       let reference =
-        Fbsr_crypto.Mac.compute Fbsr_crypto.Hash.md5 ~key:flow_key
+        Fbsr_oracles.Reference.mac Fbsr_crypto.Hash.md5 ~key:flow_key
           [ prelude; payload ]
       in
       let mac_len = String.length h.Header.mac in
@@ -1199,6 +1206,24 @@ let batch_frames =
         ])
     [ "r0"; "r1" ]
 
+(* The receive-side drop causes, each named by its metric's suffix. *)
+let causes = Engine.[ Header; Stale; Duplicate; Keying; Mac; Decrypt ]
+
+let cause_name cause =
+  let metric = Engine.drop_metric cause in
+  let prefix = String.length "fbs.engine.drops." in
+  String.sub metric prefix (String.length metric - prefix)
+
+let drops c = List.fold_left (fun n cause -> n + Engine.drop_count c cause) 0 causes
+
+let cause_of_error : Engine.error -> Engine.cause = function
+  | Engine.Header_error _ -> Header
+  | Engine.Stale _ -> Stale
+  | Engine.Duplicate -> Duplicate
+  | Engine.Keying_error _ -> Keying
+  | Engine.Bad_mac -> Mac
+  | Engine.Decrypt_error -> Decrypt
+
 (* Every counter of the engine. *)
 let datapath_counters (c : Engine.counters) =
   [
@@ -1206,7 +1231,7 @@ let datapath_counters (c : Engine.counters) =
     c.Engine.flow_key_computations; c.Engine.flow_key_recoveries;
     c.Engine.macs_computed; c.Engine.encryptions; c.Engine.decryptions;
   ]
-  @ List.map (Engine.drop_count c) Engine.causes
+  @ List.map (Engine.drop_count c) causes
   @ [
       c.Engine.keysched_hits; c.Engine.keysched_misses;
       c.Engine.mac_midstate_hits; c.Engine.mac_midstate_misses;
@@ -1832,7 +1857,7 @@ let test_engine_cross_flow_splice_rejected () =
   let a2 = Fam.attrs ~protocol:17 ~src_port:9 ~dst_port:2 ~src:s ~dst:d () in
   let w1 = Result.get_ok (Engine.send_sync es ~now:!clock ~attrs:a1 ~secret:true ~payload:"flow one") in
   let w2 = Result.get_ok (Engine.send_sync es ~now:!clock ~attrs:a2 ~secret:true ~payload:"flow two") in
-  let hdr = Engine.header_overhead es in
+  let hdr = Header.size_for_suite Suite.paper_md5_des in
   let spliced = String.sub w1 0 hdr ^ String.sub w2 hdr (String.length w2 - hdr) in
   match Engine.receive_sync ed ~now:!clock ~src:s ~wire:spliced with
   | Error _ -> ()
@@ -2033,12 +2058,12 @@ let test_engine_every_cause_concludes_once () =
   | Error e -> Alcotest.failf "fresh datagram refused: %a" Engine.pp_error e);
   List.iter
     (fun (cause, now, src, wire) ->
-      let name = Engine.cause_name cause in
+      let name = cause_name cause in
       match Engine.receive_sync ed ~now ~src ~wire with
       | Ok _ -> Alcotest.failf "%s datagram accepted" name
       | Error e ->
           check Alcotest.string ("error of the " ^ name ^ " drop") name
-            (Engine.cause_name (Engine.cause_of_error e)))
+            (cause_name (cause_of_error e)))
     cases;
   let c = Engine.counters ed in
   let terminals stage outcome =
@@ -2050,11 +2075,11 @@ let test_engine_every_cause_concludes_once () =
   in
   List.iter
     (fun cause ->
-      let name = Engine.cause_name cause in
+      let name = cause_name cause in
       check Alcotest.int ("one " ^ name ^ " drop") 1 (Engine.drop_count c cause);
       check Alcotest.int ("one " ^ name ^ " terminal") 1
         (terminals "engine.receive" (Fbsr_util.Span.drop_outcome name)))
-    Engine.causes;
+    causes;
   check Alcotest.int "one delivery" 1 c.Engine.accepted;
   check Alcotest.int "one delivered terminal" 1 (terminals "engine.receive" "delivered");
   check Alcotest.int "every datagram received concluded once"
@@ -2064,7 +2089,7 @@ let test_engine_every_cause_concludes_once () =
           (fun (sp : Fbsr_util.Span.span) -> sp.Fbsr_util.Span.stage = "engine.receive")
           (Fbsr_util.Span.spans spans)));
   check Alcotest.int "drops attributed to flows: all but the header drop"
-    (Engine.drops c - 1)
+    (drops c - 1)
     (Fbsr_util.Sketch.total flowstats.Flowstats.drops);
   (* Send side: the keying failure has its terminal, and no counter. *)
   let to_stranger = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:stranger () in
@@ -2074,7 +2099,7 @@ let test_engine_every_cause_concludes_once () =
   check Alcotest.int "send-side keying terminal" 1
     (terminals "engine.send" (Fbsr_util.Span.drop_outcome "keying"));
   check Alcotest.int "send-side keying bumps no drop counter" 0
-    (Engine.drops (Engine.counters es))
+    (drops (Engine.counters es))
 
 let test_engine_async_send () =
   (* With a deferred resolver, send completes only when the certificate
@@ -2258,7 +2283,7 @@ let test_engine_cold_flow_derives_once () =
      its entry is not cached, and the next waiter derives its own. *)
   let forged =
     let w = Bytes.of_string (List.hd wires) in
-    let i = Engine.header_overhead es - 1 in
+    let i = Header.size_for_suite Suite.paper_md5_des - 1 in
     Bytes.set w i (Char.chr (Char.code (Bytes.get w i) lxor 1));
     Bytes.to_string w
   in
@@ -2306,7 +2331,7 @@ let test_no_pfs_by_design () =
           (Fbsr_crypto.Des.adjust_parity (String.sub flow_key 0 8))
       in
       let plaintext =
-        Fbsr_crypto.Des.decrypt_cbc ~iv:(Header.confounder_iv header) des_key body
+        Fbsr_crypto.Des.decrypt_cbc ~iv:(Fbsr_oracles.Reference.confounder_iv header) des_key body
       in
       check Alcotest.string "stolen long-term key decrypts past traffic"
         "recorded secret" plaintext
@@ -2337,12 +2362,12 @@ let test_flow_key_isolation () =
   (match Header.decode w1 with
   | Ok (h1, body1) ->
       check Alcotest.string "compromised key reads its own flow" "flow one data"
-        (Fbsr_crypto.Des.decrypt_cbc ~iv:(Header.confounder_iv h1) des1 body1)
+        (Fbsr_crypto.Des.decrypt_cbc ~iv:(Fbsr_oracles.Reference.confounder_iv h1) des1 body1)
   | Error _ -> Alcotest.fail "parse w1");
   match Header.decode w2 with
   | Ok (h2, body2) -> (
       (* The same key against flow 2 must NOT yield the plaintext. *)
-      match Fbsr_crypto.Des.decrypt_cbc ~iv:(Header.confounder_iv h2) des1 body2 with
+      match Fbsr_crypto.Des.decrypt_cbc ~iv:(Fbsr_oracles.Reference.confounder_iv h2) des1 body2 with
       | plaintext ->
           check Alcotest.bool "other flow stays opaque" true
             (plaintext <> "flow two data")
@@ -2372,7 +2397,7 @@ let test_engine_confounder_hides_repetition () =
       (Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"IDENTICAL DATA")
   in
   let w1 = send () and w2 = send () in
-  let hdr = Engine.header_overhead es in
+  let hdr = Header.size_for_suite Suite.paper_md5_des in
   let body w = String.sub w hdr (String.length w - hdr) in
   check Alcotest.bool "same flow, same plaintext, different ciphertext" true
     (body w1 <> body w2)
@@ -2444,7 +2469,7 @@ let test_engine_wire_overhead () =
   check Alcotest.bool "within declared overhead" true
     (String.length wire <= String.length payload + Engine.wire_overhead es);
   check Alcotest.bool "at least header" true
-    (String.length wire >= String.length payload + Engine.header_overhead es)
+    (String.length wire >= String.length payload + Header.size_for_suite Suite.paper_md5_des)
 
 let () =
   Alcotest.run "fbs"

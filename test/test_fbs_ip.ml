@@ -1032,14 +1032,15 @@ let test_ca_outage_recovery () =
 
 let test_stack_sweeper () =
   let tb, a, b = make_pair () in
-  Stack.start_sweeper ~period:30.0 a.Testbed.stack;
   Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> ());
   Udp_stack.send a.Testbed.host ~src_port:7 ~dst:(Host.addr b.Testbed.host) ~dst_port:7
     "start a flow";
-  (* Run well past THRESHOLD (600 s): the sweeper must have expired the
-     idle flow from the FST even though no further packet probed it. *)
+  (* Well past THRESHOLD (600 s), one sweep of the stack's FST expires the
+     idle flow even though no further packet probed it. *)
   Testbed.run ~until:700.0 tb;
   let st = Stack.policy_state a.Testbed.stack in
+  check Alcotest.int "one flow swept" 1
+    (Fbsr_fbs.Policy_five_tuple.sweep st ~now:700.0);
   check Alcotest.int "flow swept" 0 (Fbsr_fbs.Policy_five_tuple.active st ~now:700.0);
   check Alcotest.bool "sweeper did the expiry" true
     ((Fbsr_fbs.Policy_five_tuple.counters st).Fbsr_fbs.Policy_five_tuple.expirations >= 1)

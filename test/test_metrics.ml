@@ -1,5 +1,5 @@
-(* The observability layer itself: Metrics registry semantics (monotone
-   counters, histogram bucket edges, probe summing, scoped views) and the
+(* The observability layer itself: Metrics registry semantics (histogram
+   bucket edges, probe summing, scoped views) and the
    Span recorder, plus JSON round-trips
    through the hand-rolled parser — the same path the BENCH_*.json
    artifacts and bench_diff rely on. *)
@@ -7,35 +7,24 @@
 open Fbsr_util
 
 let check = Alcotest.check
+let json_string = function Json.String s -> Some s | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Counters.                                                           *)
+(* Kinds.                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let test_counter_monotone () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "requests" in
-  check Alcotest.int "starts at zero" 0 (Metrics.counter_value c);
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  Metrics.incr ~by:0 c;
-  check Alcotest.int "accumulates" 5 (Metrics.counter_value c);
-  (match Metrics.incr ~by:(-1) c with
-  | () -> Alcotest.fail "negative increment accepted"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "unchanged after rejected decrement" 5
-    (Metrics.counter_value c);
-  (* Create-or-fetch: the same name is the same cell. *)
-  let c' = Metrics.counter m "requests" in
-  Metrics.incr c';
-  check Alcotest.int "same name, same cell" 6 (Metrics.counter_value c)
 
 let test_kind_collision_rejected () =
   let m = Metrics.create () in
-  let (_ : Metrics.counter) = Metrics.counter m "x" in
-  match Metrics.gauge m "x" with
-  | (_ : Metrics.gauge) -> Alcotest.fail "gauge reused a counter name"
+  Metrics.register_probe m "x" (fun () -> 0);
+  match Metrics.histogram m "x" with
+  | (_ : Metrics.histogram) -> Alcotest.fail "histogram reused a probe name"
   | exception Invalid_argument _ -> ()
+
+(* A histogram's reading in a snapshot of its registry. *)
+let hist m name =
+  match List.assoc_opt name (Metrics.snapshot m) with
+  | Some (Metrics.Hist { count; sum; buckets }) -> (count, sum, buckets)
+  | _ -> Alcotest.failf "no histogram %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Histograms.                                                         *)
@@ -46,9 +35,10 @@ let test_histogram_bucket_edges () =
   let h = Metrics.histogram ~buckets:[| 1.0; 10.0; 100.0 |] m "lat" in
   (* Edge semantics: bucket i counts bounds.(i-1) < v <= bounds.(i). *)
   List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 10.0; 100.0; 1000.0 ];
-  check Alcotest.int "count" 6 (Metrics.histogram_count h);
-  check (Alcotest.float 1e-9) "sum" 1113.0 (Metrics.histogram_sum h);
-  (match Metrics.histogram_buckets h with
+  let count, sum, buckets = hist m "lat" in
+  check Alcotest.int "count" 6 count;
+  check (Alcotest.float 1e-9) "sum" 1113.0 sum;
+  (match buckets with
   | [ (lo0, up0, n0); (_, up1, n1); (_, up2, n2); (_, up3, n3) ] ->
       check Alcotest.bool "first lower is -inf" true (lo0 = neg_infinity);
       check (Alcotest.float 0.0) "first upper" 1.0 up0;
@@ -63,17 +53,6 @@ let test_histogram_bucket_edges () =
   match Metrics.histogram ~buckets:[| 2.0; 1.0 |] m "bad" with
   | (_ : Metrics.histogram) -> Alcotest.fail "non-increasing bounds accepted"
   | exception Invalid_argument _ -> ()
-
-let test_histogram_time () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "span" in
-  let now = ref 0.0 in
-  let clock () = !now in
-  let r = Metrics.time h ~clock (fun () -> now := !now +. 0.25; 42) in
-  check Alcotest.int "thunk result returned" 42 r;
-  check Alcotest.int "one observation" 1 (Metrics.histogram_count h);
-  check (Alcotest.float 1e-9) "elapsed span observed" 0.25
-    (Metrics.histogram_sum h)
 
 (* ------------------------------------------------------------------ *)
 (* Probes and scoped views.                                            *)
@@ -91,50 +70,49 @@ let test_probe_summing () =
 let test_sub_scoping () =
   let m = Metrics.create () in
   let host = Metrics.sub m "host.10.0.0.1" in
-  let c = Metrics.counter host "sends" in
-  Metrics.incr ~by:2 c;
+  Metrics.register_probe host "sends" (fun () -> 2);
   check Alcotest.int "visible under the full name from the root" 2
     (Metrics.get m "host.10.0.0.1.sends");
   check Alcotest.int "visible under the short name from the view" 2
     (Metrics.get host "sends");
-  let (_ : Metrics.counter) = Metrics.counter m "other" in
+  Metrics.register_probe m "other" (fun () -> 1);
   check
     (Alcotest.list Alcotest.string)
     "sub view lists only its prefix" [ "host.10.0.0.1.sends" ]
-    (Metrics.names host);
+    (List.map fst (Metrics.snapshot host));
   check Alcotest.bool "mem respects the prefix" false (Metrics.mem host "other")
-
-let test_reset_spares_probes () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "owned" in
-  Metrics.incr ~by:9 c;
-  let live = ref 5 in
-  Metrics.register_probe m "probed" (fun () -> !live);
-  Metrics.reset m;
-  check Alcotest.int "owned cell zeroed" 0 (Metrics.get m "owned");
-  check Alcotest.int "probe untouched" 5 (Metrics.get m "probed")
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trips.                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A snapshot serialized the way the bench artifact's counters object is. *)
 let test_metrics_json_roundtrip () =
   let m = Metrics.create () in
-  Metrics.incr ~by:7 (Metrics.counter m "c");
-  Metrics.set (Metrics.gauge m "g") 2.5;
+  Metrics.register_probe m "c" (fun () -> 7);
   Metrics.register_probe m "p" (fun () -> 11);
   let h = Metrics.histogram ~buckets:[| 1.0; 10.0 |] m "h" in
   Metrics.observe h 0.5;
   Metrics.observe h 5.0;
-  let parsed = Json.parse (Json.to_string (Metrics.to_json m)) in
+  let doc =
+    Json.Obj
+      (List.map
+         (fun (name, v) ->
+           ( name,
+             match v with
+             | Metrics.Int i -> Json.Int i
+             | Metrics.Hist { count; sum; _ } ->
+                 Json.Obj [ ("count", Json.Int count); ("sum", Json.Float sum) ] ))
+         (Metrics.snapshot m))
+  in
+  let parsed = Json.parse (Json.to_string doc) in
   let num name =
     match Option.bind (Json.member name parsed) Json.to_float_opt with
     | Some v -> v
     | None -> Alcotest.failf "missing %s" name
   in
-  check (Alcotest.float 0.0) "counter survives" 7.0 (num "c");
-  check (Alcotest.float 0.0) "gauge survives" 2.5 (num "g");
-  check (Alcotest.float 0.0) "probe survives" 11.0 (num "p");
+  check (Alcotest.float 0.0) "probe survives" 7.0 (num "c");
+  check (Alcotest.float 0.0) "second probe survives" 11.0 (num "p");
   match Json.member "h" parsed with
   | Some hist ->
       check (Alcotest.float 0.0) "hist count" 2.0
@@ -182,19 +160,16 @@ let contains sub s =
 
 let test_to_text () =
   let m = Metrics.create () in
-  Metrics.incr ~by:3 (Metrics.counter m "fbs.engine.sends");
-  Metrics.set (Metrics.gauge m "depth") 1.5;
+  Metrics.register_probe m "fbs.engine.sends" (fun () -> 3);
   let h = Metrics.histogram ~buckets:[| 1.0; 10.0 |] m "lat" in
   Metrics.observe h 0.5;
   Metrics.observe h 5.0;
   Metrics.observe h 50.0;
   let text = Metrics.to_text m in
   let has sub = check Alcotest.bool ("exposition contains " ^ sub) true (contains sub text) in
-  (* Dots sanitize to underscores; counters and gauges get TYPE lines. *)
+  (* Dots sanitize to underscores; probes get counter TYPE lines. *)
   has "# TYPE fbs_engine_sends counter";
   has "fbs_engine_sends 3";
-  has "# TYPE depth gauge";
-  has "depth 1.5";
   (* Histogram buckets are cumulative and always end at +Inf = count. *)
   has "# TYPE lat histogram";
   has "lat_bucket{le=\"1\"} 1";
@@ -314,7 +289,7 @@ let test_span_chrome () =
                     "trace id rides in args"
                     (Some (Printf.sprintf "%016Lx" id))
                     (Option.bind (Json.member "trace_id" args)
-                       Json.to_string_opt)
+                       json_string)
               | None -> Alcotest.fail "X event without args")
             complete
       | _ -> Alcotest.fail "traceEvents missing or not a list")
@@ -353,10 +328,9 @@ let test_span_metrics_histograms () =
   let tm = Span.start sp in
   cost := 0.25;
   Span.finish sp tm ~id:1L "engine.seal";
-  let h = Metrics.histogram (Metrics.sub m "span") "stage.engine.seal" in
-  check Alcotest.int "one observation per finish" 1 (Metrics.histogram_count h);
-  check (Alcotest.float 1e-9) "cost observed in seconds" 0.25
-    (Metrics.histogram_sum h)
+  let count, sum, _ = hist m "span.stage.engine.seal" in
+  check Alcotest.int "one observation per finish" 1 count;
+  check (Alcotest.float 1e-9) "cost observed in seconds" 0.25 sum
 
 (* ------------------------------------------------------------------ *)
 (* Heavy-hitter sketches (Space-Saving candidates over linear count-min). *)
@@ -482,7 +456,8 @@ let test_sketch_merge_canonical () =
 
 let test_timeseries_tick_ring () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "fbs.engine.sends" in
+  let sends = ref 0 in
+  Metrics.register_probe m "fbs.engine.sends" (fun () -> !sends);
   let ts = Timeseries.create ~capacity:4 ~cadence:1.0 ~host:"h" ~metrics:m () in
   check Alcotest.bool "enabled" true (Timeseries.enabled ts);
   check Alcotest.bool "none disabled" false (Timeseries.enabled Timeseries.none);
@@ -491,11 +466,11 @@ let test_timeseries_tick_ring () =
   check Alcotest.int "anchor tick snapshots" 1 (Timeseries.taken ts);
   Timeseries.tick ts ~now:10.5;
   check Alcotest.int "sub-cadence tick skipped" 1 (Timeseries.taken ts);
-  Metrics.incr ~by:7 c;
+  sends := !sends + 7;
   Timeseries.tick ts ~now:11.0;
   check Alcotest.int "cadence tick snapshots" 2 (Timeseries.taken ts);
   (* A late tick takes one snapshot, not one per missed grid point. *)
-  Metrics.incr ~by:5 c;
+  sends := !sends + 5;
   Timeseries.tick ts ~now:15.25;
   check Alcotest.int "late tick snapshots once" 3 (Timeseries.taken ts);
   check (Alcotest.pair (Alcotest.float 0.0) (Alcotest.float 0.0))
@@ -506,7 +481,7 @@ let test_timeseries_tick_ring () =
     (Timeseries.last2 ts "no.such.column");
   (* Ring overflow keeps the newest [capacity] rows in order. *)
   for i = 1 to 4 do
-    Metrics.incr c;
+    incr sends;
     Timeseries.tick ts ~now:(15.25 +. float_of_int i)
   done;
   check Alcotest.int "taken counts everything" 7 (Timeseries.taken ts);
@@ -518,17 +493,18 @@ let test_timeseries_tick_ring () =
 
 let test_timeseries_json_roundtrip () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "sends" in
+  let sends = ref 0 in
+  Metrics.register_probe m "sends" (fun () -> !sends);
   let ts = Timeseries.create ~capacity:8 ~cadence:1.0 ~metrics:m () in
   let expect = ref [] in
   for i = 0 to 3 do
-    Metrics.incr ~by:(i * i) c;
+    sends := !sends + (i * i);
     Timeseries.tick ts ~now:(float_of_int i);
-    expect := float_of_int (Metrics.counter_value c) :: !expect
+    expect := float_of_int !sends :: !expect
   done;
   let doc = Json.parse (Json.to_string (Timeseries.to_json ts)) in
   check (Alcotest.option Alcotest.string) "schema" (Some "fbsr-timeseries/1")
-    (Option.bind (Json.member "schema" doc) Json.to_string_opt);
+    (Option.bind (Json.member "schema" doc) json_string);
   let floats name =
     match Json.member name doc with
     | Some (Json.List l) -> List.map (fun j -> Option.get (Json.to_float_opt j)) l
@@ -537,7 +513,7 @@ let test_timeseries_json_roundtrip () =
   let col =
     match Json.member "names" doc with
     | Some (Json.List l) ->
-        let names = List.map (fun j -> Option.get (Json.to_string_opt j)) l in
+        let names = List.map (fun j -> Option.get (json_string j)) l in
         let rec index i = function
           | [] -> Alcotest.fail "column missing from names"
           | "sends" :: _ -> i
@@ -662,21 +638,20 @@ let test_sampler_eviction () =
 
 let test_to_text_help_and_escaping () =
   let m = Metrics.create () in
-  Metrics.incr (Metrics.counter m "fbs.engine.sends");
-  Metrics.describe m "fbs.engine.sends" "datagrams sealed\nsince \"boot\" \\ total";
+  Metrics.register_probe m "fbs.engine.sends" (fun () -> 1);
+  Metrics.register_probe m "sealed\nsince \"boot\" \\ total" (fun () -> 1);
   let h = Metrics.histogram ~buckets:[| 0.5 |] m "lat" in
   Metrics.observe h 0.1;
-  Metrics.set (Metrics.gauge m "depth") 2.0;
   let text = Metrics.to_text m in
   let has sub =
     check Alcotest.bool ("exposition contains " ^ String.escaped sub) true
       (contains sub text)
   in
-  (* Registered help: backslash and newline escape, quotes pass through. *)
-  has "# HELP fbs_engine_sends datagrams sealed\\nsince \"boot\" \\\\ total";
-  (* Every metric gets a HELP line; generated text names the original
-     dotted metric the name-folding obscured. *)
-  has "# HELP depth fbsr gauge depth";
+  (* Help text: backslash and newline escape, quotes pass through. *)
+  has "fbsr counter sealed\\nsince \"boot\" \\\\ total";
+  (* Every metric gets a HELP line naming the original dotted metric the
+     name-folding obscured. *)
+  has "# HELP fbs_engine_sends fbsr counter fbs.engine.sends";
   has "# HELP lat fbsr histogram lat";
   (* HELP precedes TYPE for the same metric. *)
   (let help_idx =
@@ -740,16 +715,12 @@ let () =
     [
       ( "metrics",
         [
-          Alcotest.test_case "counters are monotone" `Quick test_counter_monotone;
           Alcotest.test_case "kind collisions rejected" `Quick
             test_kind_collision_rejected;
           Alcotest.test_case "histogram bucket edges" `Quick
             test_histogram_bucket_edges;
-          Alcotest.test_case "histogram timing" `Quick test_histogram_time;
           Alcotest.test_case "probes sum" `Quick test_probe_summing;
           Alcotest.test_case "sub views scope" `Quick test_sub_scoping;
-          Alcotest.test_case "reset spares probes" `Quick
-            test_reset_spares_probes;
           Alcotest.test_case "prometheus text exposition" `Quick test_to_text;
           Alcotest.test_case "help lines and escaping" `Quick
             test_to_text_help_and_escaping;
