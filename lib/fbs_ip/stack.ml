@@ -203,10 +203,7 @@ let received t (h : Ipv4.header) k r =
   | Ok acc ->
       t.counters.received <- t.counters.received + 1;
       if t.hooks = 0 then t.counters.resumed <- t.counters.resumed + 1;
-      let payload = acc.Fbsr_fbs.Engine.payload in
-      k
-        (Host.Pass
-           ({ h with Ipv4.total_length = Ipv4.header_length h + String.length payload }, payload))
+      k (Host.Pass (h, acc.Fbsr_fbs.Engine.payload))
   | Error _ ->
       t.counters.dropped_error <- t.counters.dropped_error + 1;
       k (Host.Drop "fbs receive error"));

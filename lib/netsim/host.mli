@@ -19,8 +19,9 @@ type hook = Ipv4.header -> string -> (verdict -> unit) -> unit
     seals a burst's datagrams together), or from a later event (one that
     waited for key material) — the simulator's analogue of the paper's
     blocking Upcall().  An output [Pass] goes on to fragmentation and
-    transmission, an input [Pass] to protocol dispatch.  Each host
-    builds its two continuations once. *)
+    transmission, an input [Pass] to protocol dispatch; either way the
+    host sets the header's total length to that of the payload passed.
+    Each host builds its two continuations once. *)
 
 type stats = {
   mutable packets_out : int;
