@@ -1,6 +1,7 @@
 (** Session-based keying baseline: Kerberos-style KDC with tickets (paper
     Section 2.1).  Demonstrates the explicit setup exchange and hard
-    session state that FBS's zero-message keying avoids. *)
+    session state that FBS's zero-message keying avoids.  Its data
+    datagrams are {!Sealed} ones under the head [flags | len | ticket]. *)
 
 open Fbsr_netsim
 
@@ -18,14 +19,6 @@ module Server : sig
   val tickets_issued : t -> int
 end
 
-type counters = {
-  mutable sent : int;
-  mutable received : int;
-  mutable dropped : int;
-  mutable kdc_requests : int;
-  mutable sessions : int;
-}
-
 type t
 
 val install : kdc_addr:Addr.t -> shared_key:string -> Host.t -> t
@@ -36,15 +29,11 @@ val install : kdc_addr:Addr.t -> shared_key:string -> Host.t -> t
     +-10%); a refusal, or no reply after the third attempt, drops each of
     them (counted in [dropped] and the host's [drops_hook]). *)
 
-val counters : t -> counters
+val counters : t -> Sealed.counters
+val kdc_requests : t -> int
 val sessions_out : t -> int
 val sessions_in : t -> int
 
 (** Exposed for tests: *)
 
-type error = Truncated | Bad_flags | Bad_ticket | Expired | Bad_mac | Decrypt_error
-(** [Bad_flags]: the flags byte is not 1.  Every datagram is encrypted,
-    and the MAC does not cover the flags byte, so any other value is a
-    forgery. *)
-
-val unprotect : t -> now:float -> wire:string -> (string, error) result
+val unprotect : t -> now:float -> wire:string -> (string, Sealed.error) result

@@ -1,14 +1,12 @@
 (** Session keying without a third party (paper Section 2.1): a
     Photuris/Oakley-style baseline — cookie exchange, ephemeral DH, hard
-    session state, two setup round trips before the first datagram. *)
+    session state, two setup round trips before the first datagram.  Its
+    data datagrams are {!Sealed} ones under the head [flags | cookie]. *)
 
 open Fbsr_netsim
 
-type counters = {
-  mutable sent : int;
-  mutable received : int;
-  mutable dropped : int;
-  mutable handshakes : int;
+type setup = {
+  mutable handshakes : int;  (** associations the responder installed *)
   mutable setup_messages : int;
   mutable modexps : int;
 }
@@ -24,16 +22,12 @@ val install : group:Fbsr_crypto.Dh.group -> Host.t -> t
     (counted in [dropped] and the host's [drops_hook]).  A repeated PHK1
     gets the PHK2 that answered the first. *)
 
-val counters : t -> counters
+val counters : t -> Sealed.counters
+val setup : t -> setup
 val sessions_out : t -> int
 val sessions_in : t -> int
 val has_long_term_secrets : t -> bool
 
 (** Exposed for tests: *)
 
-type error = Truncated | Bad_flags | Unknown_association | Bad_mac | Decrypt_error
-(** [Bad_flags]: the flags byte is not 1.  Every datagram is encrypted,
-    and the MAC does not cover the flags byte, so any other value is a
-    forgery. *)
-
-val unprotect : t -> wire:string -> (string, error) result
+val unprotect : t -> wire:string -> (string, Sealed.error) result
