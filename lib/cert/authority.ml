@@ -23,7 +23,6 @@ let create ?(hash = Fbsr_crypto.Hash.md5) ?(validity = 30.0 *. 86400.0) ~rng ~bi
 let public t = Fbsr_crypto.Rsa.public_key t.key
 let hash t = t.hash
 
-let signing_key t = t.key
 
 let enroll t ~now ~subject ~group ~public_value =
   let cert =

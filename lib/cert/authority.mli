@@ -14,10 +14,6 @@ val create :
 val public : t -> Fbsr_crypto.Rsa.public_key
 val hash : t -> Fbsr_crypto.Hash.t
 
-val signing_key : t -> Fbsr_crypto.Rsa.private_key
-(** For building hierarchies: lets a parent authority sign a subordinate's
-    CA certificate (see {!Chain}). *)
-
 val enroll :
   t -> now:float -> subject:string -> group:string -> public_value:string -> Certificate.t
 

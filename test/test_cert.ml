@@ -70,112 +70,6 @@ let test_authority_directory () =
   Authority.revoke ca "x";
   check Alcotest.bool "revoked" true (Authority.lookup ca "x" = None)
 
-(* --- Chains --- *)
-
-let build_hierarchy () =
-  (* root -> site CA -> leaf host certificate *)
-  let root = fresh_authority () in
-  let site = fresh_authority () in
-  let site_cert =
-    Chain.sign_ca
-      ~parent_key:(Authority.signing_key root)
-      ~hash ~name:"site-ca" ~public:(Authority.public site) ~not_before:0.0
-      ~not_after:1000.0
-  in
-  let leaf =
-    Authority.enroll site ~now:10.0 ~subject:"10.1.0.1" ~group:"g" ~public_value:"pv"
-  in
-  (root, site, site_cert, leaf)
-
-let test_chain_valid () =
-  let root, _, site_cert, leaf = build_hierarchy () in
-  check Alcotest.bool "valid chain" true
-    (Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-       ~intermediates:[ site_cert ] ~expected_subject:"10.1.0.1" leaf
-    = Ok ())
-
-let test_chain_broken_link () =
-  let root, site, _site_cert, leaf = build_hierarchy () in
-  (* An intermediate signed by the WRONG parent. *)
-  let rogue = fresh_authority () in
-  let forged =
-    Chain.sign_ca
-      ~parent_key:(Authority.signing_key rogue)
-      ~hash ~name:"site-ca" ~public:(Authority.public site) ~not_before:0.0
-      ~not_after:1000.0
-  in
-  match
-    Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-      ~intermediates:[ forged ] leaf
-  with
-  | Error (Chain.Bad_link "site-ca") -> ()
-  | _ -> Alcotest.fail "forged intermediate accepted"
-
-let test_chain_expired_link () =
-  let root, site, _, leaf = build_hierarchy () in
-  let stale =
-    Chain.sign_ca
-      ~parent_key:(Authority.signing_key root)
-      ~hash ~name:"site-ca" ~public:(Authority.public site) ~not_before:0.0
-      ~not_after:20.0
-  in
-  match
-    Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-      ~intermediates:[ stale ] leaf
-  with
-  | Error (Chain.Link_expired "site-ca") -> ()
-  | _ -> Alcotest.fail "expired intermediate accepted"
-
-let test_chain_wrong_leaf () =
-  let root, _, site_cert, _ = build_hierarchy () in
-  (* A leaf signed by a different (unchained) authority. *)
-  let stranger = fresh_authority () in
-  let bad_leaf =
-    Authority.enroll stranger ~now:10.0 ~subject:"10.1.0.1" ~group:"g" ~public_value:"pv"
-  in
-  match
-    Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-      ~intermediates:[ site_cert ] bad_leaf
-  with
-  | Error (Chain.Leaf_invalid Certificate.Bad_signature) -> ()
-  | _ -> Alcotest.fail "unchained leaf accepted"
-
-let test_chain_three_levels () =
-  (* root -> region -> site -> leaf. *)
-  let root = fresh_authority () in
-  let region = fresh_authority () in
-  let site = fresh_authority () in
-  let region_cert =
-    Chain.sign_ca ~parent_key:(Authority.signing_key root) ~hash ~name:"region"
-      ~public:(Authority.public region) ~not_before:0.0 ~not_after:1000.0
-  in
-  let site_cert =
-    Chain.sign_ca ~parent_key:(Authority.signing_key region) ~hash ~name:"site"
-      ~public:(Authority.public site) ~not_before:0.0 ~not_after:1000.0
-  in
-  let leaf = Authority.enroll site ~now:5.0 ~subject:"h" ~group:"g" ~public_value:"pv" in
-  check Alcotest.bool "three-level chain" true
-    (Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-       ~intermediates:[ region_cert; site_cert ] leaf
-    = Ok ());
-  (* Order matters: swapping intermediates must fail. *)
-  check Alcotest.bool "misordered chain rejected" false
-    (Chain.verify_chain ~root:(Authority.public root) ~hash ~now:50.0
-       ~intermediates:[ site_cert; region_cert ] leaf
-    = Ok ())
-
-let test_ca_cert_wire_roundtrip () =
-  let root, _, site_cert, _ = build_hierarchy () in
-  ignore root;
-  let c = Chain.decode (Chain.encode site_cert) in
-  check Alcotest.string "name" site_cert.Chain.name c.Chain.name;
-  check Alcotest.bool "modulus survives" true
-    (Fbsr_bignum.Nat.equal c.Chain.public.Fbsr_crypto.Rsa.n
-       site_cert.Chain.public.Fbsr_crypto.Rsa.n);
-  match Chain.decode "garbage" with
-  | _ -> Alcotest.fail "garbage decoded"
-  | exception Chain.Bad_certificate _ -> ()
-
 let () =
   Alcotest.run "cert"
     [
@@ -186,13 +80,4 @@ let () =
           Alcotest.test_case "garbage" `Quick test_certificate_decode_garbage;
         ] );
       ("authority", [ Alcotest.test_case "directory" `Quick test_authority_directory ]);
-      ( "chain",
-        [
-          Alcotest.test_case "valid two-level" `Quick test_chain_valid;
-          Alcotest.test_case "broken link" `Quick test_chain_broken_link;
-          Alcotest.test_case "expired link" `Quick test_chain_expired_link;
-          Alcotest.test_case "wrong leaf" `Quick test_chain_wrong_leaf;
-          Alcotest.test_case "three levels + ordering" `Quick test_chain_three_levels;
-          Alcotest.test_case "CA cert wire roundtrip" `Quick test_ca_cert_wire_roundtrip;
-        ] );
     ]
