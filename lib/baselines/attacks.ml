@@ -58,11 +58,11 @@ let splice_fbs ~header_from ~body_from =
           Some (Ipv4.encode h wire)
       | _ -> None)
 
-(* Cut-and-paste against host-pair keying: keep A's scheme header (variant,
-   flags, iv, [wrapped key,] mac) — no, the interesting splice keeps A's
-   *framing* and B's iv+mac+body, i.e. the attacker re-binds B's protected
-   payload into A's IP envelope (different ports / different conversation).
-   Under one shared master key the MAC still verifies. *)
+(* Cut-and-paste against host-pair keying: B's whole protected payload
+   (scheme head and sealed tail) under A's IP header.  The seal binds
+   nothing of the IP header, and one master key covers every datagram
+   between the two hosts, so the MAC still verifies and B's payload is
+   delivered again under A's header. *)
 let splice_hostpair ~envelope_from ~body_from =
   match (Ipv4.decode envelope_from, Ipv4.decode body_from) with
   | exception Ipv4.Bad_packet _ -> None
