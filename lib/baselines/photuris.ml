@@ -156,11 +156,16 @@ let handle_handshake t ~src raw =
     when String.equal cookie_s (responder_cookie t ~src cookie_c) -> (
       (* A PHK1 without the cookie this address was given is ignored
          before any modexp: the anti-clogging exchange. *)
+      let gx = Fbsr_crypto.Dh.public_of_bytes gx in
       match Hashtbl.find_opt t.incoming cookie_c with
       | Some (_, phk2) ->
           (* A repeated PHK1 (duplicated, or retransmitted after a lost
              PHK2) gets the same answer: the association stays. *)
           send_handshake t ~dst:src phk2
+      | None when not (Fbsr_crypto.Dh.public_in_range t.group gx) ->
+          (* A g^x outside [2, p) is refused before any modexp, and
+             leaves no association. *)
+          ()
       | None ->
           (* Responder: compute the shared secret, answer with our value,
              and install the inbound association (hard state). *)
@@ -169,9 +174,7 @@ let handle_handshake t ~src raw =
           let gy =
             Fbsr_crypto.Dh.public_to_bytes t.group (Fbsr_crypto.Dh.public t.group y)
           in
-          let shared =
-            Fbsr_crypto.Dh.shared_bytes t.group y (Fbsr_crypto.Dh.public_of_bytes gx)
-          in
+          let shared = Fbsr_crypto.Dh.shared_bytes t.group y gx in
           let session = session_of_shared shared ~cookie:cookie_c in
           let phk2 = msg "PHK2" [ cookie_c; gy ] in
           Hashtbl.replace t.incoming cookie_c (session, phk2);
@@ -180,12 +183,14 @@ let handle_handshake t ~src raw =
   | Some ("PHK2", [ cookie_c; gy ]) -> (
       (* Initiator: finish; install the outbound association and answer
          the datagrams parked behind the handshake. *)
+      let gy = Fbsr_crypto.Dh.public_of_bytes gy in
       match Request.find t.handshakes (Addr.to_int src) with
-      | Some { cookie_c = c; private_value = Some x; _ } when c = cookie_c ->
+      | Some { cookie_c = c; private_value = Some x; _ }
+        when c = cookie_c && Fbsr_crypto.Dh.public_in_range t.group gy ->
+          (* A g^y outside [2, p) is ignored like a stray PHK2: the
+             handshake keeps waiting and resending its PHK1. *)
           t.setup.modexps <- t.setup.modexps + 1;
-          let shared =
-            Fbsr_crypto.Dh.shared_bytes t.group x (Fbsr_crypto.Dh.public_of_bytes gy)
-          in
+          let shared = Fbsr_crypto.Dh.shared_bytes t.group x gy in
           let session = session_of_shared shared ~cookie:cookie_c in
           Hashtbl.replace t.outgoing (Addr.to_int src) session;
           ignore (Request.complete t.handshakes (Addr.to_int src) (Ok session))

@@ -62,8 +62,11 @@ let gen_private group rng : private_value =
 
 let public group (s : private_value) : public_value = Nat.Mont.pow group.ctx group.g s
 
+let public_in_range group (v : public_value) =
+  Nat.compare v Nat.two >= 0 && Nat.compare v group.p < 0
+
 let shared group (s : private_value) (peer_public : public_value) : Nat.t =
-  if Nat.compare peer_public Nat.two < 0 || Nat.compare peer_public group.p >= 0 then
+  if not (public_in_range group peer_public) then
     invalid_arg "Dh.shared: public value out of range";
   Nat.Mont.pow group.ctx peer_public s
 

@@ -19,6 +19,11 @@ type public_value = Nat.t
 val gen_private : group -> Fbsr_util.Rng.t -> private_value
 val public : group -> private_value -> public_value
 
+val public_in_range : group -> public_value -> bool
+(** Whether a peer's value lies in [\[2, p)], the range {!shared}
+    accepts: check a value read off the wire before spending a modular
+    exponentiation on it. *)
+
 val shared : group -> private_value -> public_value -> Nat.t
 (** [shared g s peer] is [peer]{^s} mod p.
     @raise Invalid_argument if the peer value is out of range. *)

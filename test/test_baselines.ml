@@ -331,6 +331,45 @@ let test_photuris_forged_cookie_ignored () =
   check Alcotest.int "no handshake" 0 setup.Photuris.handshakes;
   check Alcotest.int "no association" 0 (Photuris.sessions_in sb)
 
+(* A PHK1 that returns its own cookie but carries a g^x outside [2, p)
+   (one zero byte) is refused before any modexp: the run goes on, no
+   association is left, and a genuine handshake afterwards completes. *)
+let test_photuris_out_of_range_value_refused () =
+  let tb, a, b, _, sb = make_photuris_site () in
+  let m = Fbsr_fbs_ip.Testbed.add_plain_host tb ~name:"m" ~addr:"10.0.0.66" in
+  (* tag | (u16 length | part)* *)
+  let part p =
+    let n = String.length p in
+    Printf.sprintf "%c%c%s" (Char.chr (n lsr 8)) (Char.chr (n land 0xff)) p
+  in
+  let cookie_s = ref None in
+  Udp_stack.listen m ~port:468 (fun ~src:_ ~src_port:_ d ->
+      (* "PHC2" | cookie_c | cookie_s *)
+      if String.length d >= 6 && String.sub d 0 4 = "PHC2" then begin
+        let n = (Char.code d.[4] lsl 8) lor Char.code d.[5] in
+        let at = 6 + n in
+        let k = (Char.code d.[at] lsl 8) lor Char.code d.[at + 1] in
+        cookie_s := Some (String.sub d (at + 2) k)
+      end);
+  let cookie_c = "mcookie1" in
+  Udp_stack.send m ~src_port:468 ~dst:(Host.addr b) ~dst_port:468
+    (String.concat "" [ "PHC1"; part cookie_c ]);
+  Fbsr_fbs_ip.Testbed.run tb;
+  let cookie_s =
+    match !cookie_s with Some c -> c | None -> Alcotest.fail "no PHC2 for the third host"
+  in
+  Udp_stack.send m ~src_port:468 ~dst:(Host.addr b) ~dst_port:468
+    (String.concat "" [ "PHK1"; part cookie_c; part cookie_s; part "\000" ]);
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.int "no modexp" 0 (Photuris.setup sb).Photuris.modexps;
+  check Alcotest.int "no association" 0 (Photuris.sessions_in sb);
+  let got = ref 0 in
+  Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
+  Udp_stack.send a ~src_port:7 ~dst:(Host.addr b) ~dst_port:7 "genuine";
+  Fbsr_fbs_ip.Testbed.run tb;
+  check Alcotest.int "genuine datagram delivered" 1 !got;
+  check Alcotest.int "one handshake" 1 (Photuris.setup sb).Photuris.handshakes
+
 (* Every setup message arrives twice: the initiator keeps its first x
    and the responder answers a repeated PHK1 with the same PHK2, so both
    ends derive one session key. *)
@@ -612,6 +651,8 @@ let () =
             test_photuris_duplicated_messages;
           Alcotest.test_case "PHK1 with a forged cookie ignored" `Quick
             test_photuris_forged_cookie_ignored;
+          Alcotest.test_case "PHK1 with an out-of-range g^x refused" `Quick
+            test_photuris_out_of_range_value_refused;
           Alcotest.test_case "lost setup message is retransmitted" `Quick
             test_photuris_lost_setup_recovers;
           Alcotest.test_case "dead network drops by the deadline" `Quick
