@@ -111,19 +111,60 @@ let rsa_768 = Fbsr_crypto.Rsa.generate (Fbsr_util.Rng.create 768) ~bits:768
 let rsa_768_msg = "bench certificate body"
 let rsa_768_sig = Fbsr_crypto.Rsa.sign rsa_768 ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg
 
-let triple_hash (sfl, a, b) =
-  let open Fbsr_util.Crc32 in
-  let h = update_int64 0 sfl in
-  let h = update h a 0 (String.length a) in
-  update h b 0 (String.length b)
+(* A 128-set TFKC on host 10.9.0.1, keyed as the engine keys it: each
+   probe builds the datagram's key (CRC-32 index and fingerprint) as the
+   send path does. *)
+module Key = Fbsr_fbs.Engine.Key
 
-let triple_equal (s1, a1, b1) (s2, a2, b2) =
-  Int64.equal s1 s2 && String.equal a1 a2 && String.equal b1 b2
+let cache_local = Fbsr_fbs.Principal.of_string "10.9.0.1"
+let cache_peer = Fbsr_fbs.Principal.of_string "10.9.0.2"
+let flow_key sfl peer = Key.make ~local:cache_local ~sfl:(Fbsr_fbs.Sfl.of_int64 sfl) ~peer
 
-let cache : (int64 * string * string, string) Fbsr_fbs.Cache.t =
-  Fbsr_fbs.Cache.create ~sets:128 ~hash:triple_hash ~equal:triple_equal ()
+let tfkc () : (Key.t, string) Fbsr_fbs.Cache.t =
+  Fbsr_fbs.Cache.create ~sets:128 ~hash:Key.index ~fingerprint:Key.fingerprint
+    ~equal:Key.equal ()
 
-let () = Fbsr_fbs.Cache.insert cache (42L, "10.9.0.2", "10.9.0.1") "flowkey"
+let cache = tfkc ()
+let () = Fbsr_fbs.Cache.insert cache (flow_key 42L cache_peer) "flowkey"
+
+(* The miss path under churn: a fixed sequence of 8192 accesses from 8
+   peers to a 128-set TFKC.  60 % go to a fresh sfl (counter-allocated,
+   each used once), the rest to 256 recurring flows drawn with a
+   Zipf-like skew.  An access is the send path's: a find, and on a miss
+   the join's peek and the insert.  At the end of the sequence it starts
+   over on a new cache, so every pass repeats the same statistics and the
+   classifier's record of inserted keys stays bounded. *)
+let cache_churn =
+  let rng = Fbsr_util.Rng.create 60 in
+  let alloc = Fbsr_fbs.Sfl.allocator ~rng in
+  let peers =
+    Array.init 8 (fun i -> Fbsr_fbs.Principal.of_string (Printf.sprintf "10.9.1.%d" (i + 1)))
+  in
+  let recurring = Array.init 256 (fun _ -> Fbsr_fbs.Sfl.fresh alloc) in
+  let accesses =
+    Array.init 8192 (fun _ ->
+        if Fbsr_util.Rng.int rng 10 < 6 then
+          (Fbsr_fbs.Sfl.fresh alloc, Fbsr_util.Rng.choose rng peers)
+        else
+          let j = Fbsr_util.Rng.int rng (1 + Fbsr_util.Rng.int rng 256) in
+          (recurring.(j), peers.(j mod 8)))
+  in
+  let c = ref (tfkc ()) and next = ref 0 in
+  fun () ->
+    if !next = Array.length accesses then begin
+      c := tfkc ();
+      next := 0
+    end;
+    let sfl, peer = accesses.(!next) in
+    incr next;
+    let key = Key.make ~local:cache_local ~sfl ~peer in
+    match Fbsr_fbs.Cache.find !c key with
+    | Some _ -> ()
+    | None -> (
+        match Fbsr_fbs.Cache.peek !c key with
+        | Some _ -> ()
+        | None -> Fbsr_fbs.Cache.insert !c key "flowkey")
+
 let alloc_for_fam = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 77)
 let fam_policy = Fbsr_fbs.Policy_five_tuple.make ~alloc:alloc_for_fam ()
 
@@ -270,9 +311,10 @@ let fbs_tests =
                ~wire:wire_sha1ctr));
       (* Figure 11's unit of work: a flow-key cache probe. *)
       Test.make ~name:"cache-hit"
-        (stage (fun () -> Fbsr_fbs.Cache.find cache (42L, "10.9.0.2", "10.9.0.1")));
+        (stage (fun () -> Fbsr_fbs.Cache.find cache (flow_key 42L cache_peer)));
       Test.make ~name:"cache-miss"
-        (stage (fun () -> Fbsr_fbs.Cache.find cache (43L, "10.9.0.2", "10.9.0.1")));
+        (stage (fun () -> Fbsr_fbs.Cache.find cache (flow_key 43L cache_peer)));
+      Test.make ~name:"cache-churn" (stage cache_churn);
       (* Section 7.1 policy: one FAM classification. *)
       Test.make ~name:"fam-five-tuple-map"
         (stage (fun () -> Fbsr_fbs.Policy_five_tuple.map fam_policy ~now:1.0 fam_attrs));
@@ -784,9 +826,7 @@ let datapath_json () =
   let flow_key =
     match
       Fbsr_fbs.Cache.peek (Fbsr_fbs.Engine.tfkc es)
-        ( Fbsr_fbs.Sfl.to_int64 sfl,
-          Fbsr_fbs.Principal.to_string p.Fixture.dst,
-          Fbsr_fbs.Principal.to_string p.Fixture.src )
+        (Key.make ~local:p.Fixture.src ~sfl ~peer:p.Fixture.dst)
     with
     | Some e -> Fbsr_fbs.Engine.flow_entry_key e
     | None -> failwith "datapath bench: flow key not in the sender's TFKC"

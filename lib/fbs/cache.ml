@@ -11,14 +11,17 @@
    Classification follows the standard methodology: a miss on a key never
    inserted is *cold*; a miss on a key that a fully-associative LRU cache
    of the same total capacity would still hold is *conflict*; otherwise it
-   is *capacity*.  The shadow fully-associative cache is maintained
-   alongside, as an index-linked list with O(1) touch.  "Never inserted"
-   is answered by a set of 60-bit key fingerprints in an open-addressing
-   [Bytes] table: no key object is retained, so each key ever inserted
-   costs one 8-byte slot at load at most 1/2, which the GC does not scan.
-   Marking at insert rather than at the first miss keeps a key that
-   missed but was never cached (a refused datagram's, or one whose fetch
-   is still pending) cold, and keeps such keys out of the set.
+   is *capacity*.  The classifier knows a key only by the caller's int
+   fingerprint, computed once per [find] or [insert]: the shadow
+   fully-associative cache is an index-linked list with O(1) touch, found
+   through an open-addressing int table from fingerprint to node, and
+   "never inserted" is answered by a set of fingerprints in an
+   open-addressing [Bytes] table.  No key object is retained by either,
+   so each key ever inserted costs one 8-byte slot at load at most 1/2,
+   which the GC does not scan, and no lookup runs a polymorphic hash or
+   equality.  Marking at insert rather than at the first miss keeps a key
+   that missed but was never cached (a refused datagram's, or one whose
+   fetch is still pending) cold, and keeps such keys out of the set.
 
    The cache is soft state by construction: any entry may be dropped at any
    time and the protocol merely recomputes — correctness never depends on
@@ -48,22 +51,24 @@ type ('k, 'v) t = {
   sets : int;
   assoc : int;
   hash : 'k -> int;
+  fingerprint : 'k -> int;
   equal : 'k -> 'k -> bool;
   replacement : replacement;
   slots : ('k, 'v) slot option array; (* sets * assoc *)
   mutable tick : int;
   stats : stats;
-  (* Shadow state for miss classification. *)
+  (* Shadow state for miss classification, all of it over fingerprints. *)
   classify : bool;
   mutable seen : Bytes.t; (* fingerprint set: 8-byte slots, 0 = empty *)
   mutable seen_count : int;
-  shadow : ('k, int) Hashtbl.t; (* key -> its node in the shadow LRU list *)
   (* Nodes 1..shadow_used, at most capacity; node 0 is the sentinel, so
-     next.(0) is the MRU and prev.(0) the LRU.  The arrays double up to
-     capacity + 1 as nodes are taken, so a cache that only ever sees a few
-     keys pays for a few nodes (the key array starts empty, for want of a
-     key to fill it). *)
-  mutable shadow_keys : 'k array;
+     next.(0) is the MRU and prev.(0) the LRU.  The node arrays double up
+     to capacity + 1 as nodes are taken, so a cache that only ever sees a
+     few keys pays for a few nodes; [shadow_index] (fingerprint -> node,
+     0 = empty) doubles with them and stays at least twice their length,
+     so its load is at most 1/2. *)
+  mutable shadow_index : int array;
+  mutable shadow_fp : int array;
   mutable shadow_prev : int array;
   mutable shadow_next : int array;
   mutable shadow_used : int;
@@ -81,12 +86,13 @@ let new_stats () =
   }
 
 let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache")
-    ~sets ~hash ~equal () =
+    ~sets ~hash ~fingerprint ~equal () =
   if sets <= 0 || assoc <= 0 then invalid_arg "Cache.create: bad geometry";
   {
     sets;
     assoc;
     hash;
+    fingerprint;
     equal;
     replacement;
     slots = Array.make (sets * assoc) None;
@@ -95,8 +101,8 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     classify;
     seen = Bytes.make (if classify then 8 * 8 else 0) '\000';
     seen_count = 0;
-    shadow = Hashtbl.create 16;
-    shadow_keys = [||];
+    shadow_index = [| 0 |];
+    shadow_fp = [| 0 |];
     shadow_prev = [| 0 |];
     shadow_next = [| 0 |];
     shadow_used = 0;
@@ -128,11 +134,24 @@ let accesses s = s.hits + total_misses s
 
 let set_base t key = t.hash key mod t.sets * t.assoc
 
+(* The caller's fingerprint of [key]; 0 marks an empty slot in both
+   tables, so it is read as 1. *)
+let fingerprint t key =
+  let fp = t.fingerprint key in
+  if fp = 0 then 1 else fp
+
+(* Where linear probing for [fp] starts in a table of [mask + 1] slots:
+   one multiply and shift spread the fingerprint's high bits into the
+   low ones, so a weak caller fingerprint (a small int) still scatters. *)
+let home fp mask =
+  let h = fp * 0x1e3779b97f4a7c15 in
+  (h lxor (h lsr 32)) land mask
+
 (* Shadow fully-associative LRU of the same capacity: a doubly linked
    list over node indices, so a touch is O(1) (amortised over the
-   arrays' doubling) and, when the key is already there (every hit),
-   allocates nothing.  The tail is the node touched least recently, the
-   same victim as a minimum-tick scan. *)
+   arrays' doubling) and, when the fingerprint is already there (every
+   hit), allocates nothing.  The tail is the node touched least
+   recently, the same victim as a minimum-tick scan. *)
 let shadow_unlink t i =
   let p = t.shadow_prev.(i) and n = t.shadow_next.(i) in
   t.shadow_next.(p) <- n;
@@ -145,66 +164,97 @@ let shadow_push_front t i =
   t.shadow_prev.(head) <- i;
   t.shadow_next.(0) <- i
 
-let shadow_new_node t key =
+(* Linear probing from [fp]'s home: the index slot holding [fp]'s node,
+   or else the empty slot where it belongs. *)
+let rec shadow_probe index fps mask fp i =
+  let node = Array.unsafe_get index i in
+  if node = 0 || fps.(node) = fp then i
+  else shadow_probe index fps mask fp ((i + 1) land mask)
+
+let shadow_slot t fp =
+  let mask = Array.length t.shadow_index - 1 in
+  shadow_probe t.shadow_index t.shadow_fp mask fp (home fp mask)
+
+(* [fp]'s node, 0 when the shadow does not hold it. *)
+let shadow_find t fp = t.shadow_index.(shadow_slot t fp)
+
+(* Empty index slot [hole] by shifting back the entries of its probe run
+   that may move into it (deletion without tombstones): the entry at [j]
+   moves when the hole lies between its home and [j]. *)
+let rec shadow_remove index fps mask hole j =
+  let j = (j + 1) land mask in
+  let node = index.(j) in
+  if node = 0 then index.(hole) <- 0
+  else if (j - home fps.(node) mask) land mask >= (j - hole) land mask then begin
+    index.(hole) <- node;
+    shadow_remove index fps mask j j
+  end
+  else shadow_remove index fps mask hole j
+
+let shadow_new_node t =
   let i = t.shadow_used + 1 in
   if i = Array.length t.shadow_prev then begin
     let n = min (capacity t + 1) (2 * i) in
-    let grow a fill =
-      let b = Array.make n fill in
+    let grow a =
+      let b = Array.make n 0 in
       Array.blit a 0 b 0 (Array.length a);
       b
     in
-    t.shadow_keys <- grow t.shadow_keys key;
-    t.shadow_prev <- grow t.shadow_prev 0;
-    t.shadow_next <- grow t.shadow_next 0
+    t.shadow_fp <- grow t.shadow_fp;
+    t.shadow_prev <- grow t.shadow_prev;
+    t.shadow_next <- grow t.shadow_next;
+    let size = ref 1 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    t.shadow_index <- Array.make !size 0;
+    for node = 1 to t.shadow_used do
+      t.shadow_index.(shadow_slot t t.shadow_fp.(node)) <- node
+    done
   end;
   t.shadow_used <- i;
   i
 
-let shadow_touch t key =
-  if t.classify then
-    match Hashtbl.find t.shadow key with
-    | i ->
-        shadow_unlink t i;
-        shadow_push_front t i
-    | exception Not_found ->
-        let i =
-          if t.shadow_used < capacity t then shadow_new_node t key
-          else begin
-            let lru = t.shadow_prev.(0) in
-            shadow_unlink t lru;
-            Hashtbl.remove t.shadow t.shadow_keys.(lru);
-            lru
-          end
-        in
-        t.shadow_keys.(i) <- key;
-        Hashtbl.add t.shadow key i;
-        shadow_push_front t i
+(* Move [fp]'s [node] (0: not held) to the front, taking a new node or
+   recycling the LRU one for a fingerprint not held. *)
+let shadow_touch t fp node =
+  if node <> 0 then begin
+    shadow_unlink t node;
+    shadow_push_front t node
+  end
+  else begin
+    let i =
+      if t.shadow_used < capacity t then shadow_new_node t
+      else begin
+        let lru = t.shadow_prev.(0) in
+        shadow_unlink t lru;
+        let hole = shadow_slot t t.shadow_fp.(lru) in
+        shadow_remove t.shadow_index t.shadow_fp (Array.length t.shadow_index - 1) hole hole;
+        lru
+      end
+    in
+    t.shadow_fp.(i) <- fp;
+    t.shadow_index.(shadow_slot t fp) <- i;
+    shadow_push_front t i
+  end
 
-(* The fingerprint set.  A fingerprint is 60 bits from two seeded
-   polymorphic hashes (30 bits each), independent of the caller's [hash]
-   (which may be weak or even constant), and never 0, the empty-slot
-   marker.  Slots are read and written as native-endian int64, which the
-   compiler keeps unboxed. *)
+(* The fingerprint set.  Slots are read and written as native-endian
+   int64, which the compiler keeps unboxed. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let slot table i = Int64.to_int (get64 table (8 * i))
 let set_slot table i fp = set64 table (8 * i) (Int64.of_int fp)
 
-let fingerprint key =
-  let fp = (Hashtbl.seeded_hash 0x5eed1 key lsl 30) lor Hashtbl.seeded_hash 0x5eed2 key in
-  if fp = 0 then 1 else fp
-
-(* Linear probing from [fp]'s low bits: the slot holding [fp], or else the
+(* Linear probing from [fp]'s home: the slot holding [fp], or else the
    empty slot where it belongs. *)
-let rec probe table mask fp i =
+let rec seen_probe table mask fp i =
   let v = slot table i in
-  if v = 0 || v = fp then i else probe table mask fp ((i + 1) land mask)
+  if v = 0 || v = fp then i else seen_probe table mask fp ((i + 1) land mask)
 
 let seen_slot table fp =
   let mask = (Bytes.length table / 8) - 1 in
-  probe table mask fp (fp land mask)
+  seen_probe table mask fp (home fp mask)
 
 (* Double the table by rehashing the stored fingerprints themselves. *)
 let seen_grow t =
@@ -216,26 +266,16 @@ let seen_grow t =
   done;
   t.seen <- table
 
-(* Whether [key] was ever inserted. *)
-let is_seen t key =
-  let fp = fingerprint key in
-  slot t.seen (seen_slot t.seen fp) = fp
+(* Whether a key with fingerprint [fp] was ever inserted. *)
+let is_seen t fp = slot t.seen (seen_slot t.seen fp) = fp
 
-let mark_seen t key =
-  let fp = fingerprint key in
+let mark_seen t fp =
   let i = seen_slot t.seen fp in
   if slot t.seen i <> fp then begin
     set_slot t.seen i fp;
     t.seen_count <- t.seen_count + 1;
     if 2 * t.seen_count > Bytes.length t.seen / 8 then seen_grow t
   end
-
-let classify_miss t key =
-  if not t.classify then t.stats.misses_capacity <- t.stats.misses_capacity + 1
-  else if not (is_seen t key) then t.stats.misses_cold <- t.stats.misses_cold + 1
-  else if Hashtbl.mem t.shadow key then
-    t.stats.misses_conflict <- t.stats.misses_conflict + 1
-  else t.stats.misses_capacity <- t.stats.misses_capacity + 1
 
 let find t key =
   t.tick <- t.tick + 1;
@@ -248,10 +288,21 @@ let find t key =
         result := Some slot.value
     | Some _ | None -> ()
   done;
-  (match !result with
-  | Some _ -> t.stats.hits <- t.stats.hits + 1
-  | None -> classify_miss t key);
-  shadow_touch t key;
+  let s = t.stats in
+  (if not t.classify then
+     match !result with
+     | Some _ -> s.hits <- s.hits + 1
+     | None -> s.misses_capacity <- s.misses_capacity + 1
+   else
+     let fp = fingerprint t key in
+     let node = shadow_find t fp in
+     (match !result with
+     | Some _ -> s.hits <- s.hits + 1
+     | None ->
+         if not (is_seen t fp) then s.misses_cold <- s.misses_cold + 1
+         else if node <> 0 then s.misses_conflict <- s.misses_conflict + 1
+         else s.misses_capacity <- s.misses_capacity + 1);
+     shadow_touch t fp node);
   !result
 
 (* Probe without affecting statistics or LRU state. *)
@@ -284,25 +335,29 @@ let victim_index t base =
 let insert t key value =
   t.tick <- t.tick + 1;
   let base = set_base t key in
-  (* Reuse an existing slot for the key, else an empty way, else evict. *)
-  let existing = ref None and empty = ref None in
+  (* Reuse an existing slot for the key, else the first empty way, else
+     evict (-1: none found yet). *)
+  let existing = ref (-1) and empty = ref (-1) in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key -> existing := Some (base + way)
+    | Some slot when t.equal slot.key key -> existing := base + way
     | Some _ -> ()
-    | None -> if !empty = None then empty := Some (base + way)
+    | None -> if !empty < 0 then empty := base + way
   done;
   let idx =
-    match (!existing, !empty) with
-    | Some i, _ -> i
-    | None, Some i -> i
-    | None, None ->
-        t.stats.evictions <- t.stats.evictions + 1;
-        victim_index t base
+    if !existing >= 0 then !existing
+    else if !empty >= 0 then !empty
+    else begin
+      t.stats.evictions <- t.stats.evictions + 1;
+      victim_index t base
+    end
   in
   t.slots.(idx) <- Some { key; value; last_used = t.tick; inserted = t.tick };
-  if t.classify then mark_seen t key;
-  shadow_touch t key
+  if t.classify then begin
+    let fp = fingerprint t key in
+    mark_seen t fp;
+    shadow_touch t fp (shadow_find t fp)
+  end
 
 let invalidate t key =
   let base = set_base t key in
@@ -315,13 +370,13 @@ let invalidate t key =
   done
 
 (* The fingerprint set survives: it is what tells a recomputation after
-   soft-state loss from a first contact. *)
+   soft-state loss from a first contact.  The shadow keeps its arrays
+   and forgets its nodes. *)
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) None;
-  Hashtbl.reset t.shadow;
-  t.shadow_keys <- [||];
-  t.shadow_prev <- [| 0 |];
-  t.shadow_next <- [| 0 |];
+  Array.fill t.shadow_index 0 (Array.length t.shadow_index) 0;
+  t.shadow_prev.(0) <- 0;
+  t.shadow_next.(0) <- 0;
   t.shadow_used <- 0
 
 let fold t f acc =

@@ -1,30 +1,35 @@
 (** Generic soft-state cache: set-associative, LRU-within-set, pluggable
     randomising hash, three-C's miss classification (paper Section 5.3).
 
-    {b Classifier cost.}  With [classify] on (the default), every access
-    also touches a shadow fully-associative LRU of the same capacity, in
-    amortised O(1) time and without allocating when the key is already in
-    it.
-    Whether a missing key is cold is answered by a set of 60-bit key
-    fingerprints (two seeded [Hashtbl.seeded_hash] calls, independent of
-    the [hash] given to {!create}) in an open-addressing [Bytes] table
-    that doubles at load 1/2: 16 to 32 bytes per distinct key ever
-    inserted, no key object retained, nothing for the GC to scan.  A key
-    is marked by {!insert}, so a miss is cold until its key has been
-    cached once: a key that only ever missed (its value was never
-    inserted, or its fetch is still pending) stays cold and costs no
-    slot.  The set is never shrunk, and it survives {!clear}, so a miss
-    after [clear] on a key inserted before is classified as a capacity or
-    conflict miss, not a cold one.
+    {b Classifier cost.}  With [classify] on (the default), every {!find}
+    and {!insert} computes the key's fingerprint (the [fingerprint] given
+    to {!create}) once and touches a shadow fully-associative LRU of the
+    same capacity, in amortised O(1) time through an open-addressing int
+    table from fingerprint to list node, without allocating when the
+    fingerprint is already in it.  Whether a missing key is cold is
+    answered by a set of those fingerprints in an open-addressing [Bytes]
+    table that doubles at load 1/2: 16 to 32 bytes per distinct key ever
+    inserted, no key object retained, nothing for the GC to scan.  No
+    table runs a polymorphic hash or equality.  A key is marked by
+    {!insert}, so a miss is cold until its key has been cached once: a
+    key that only ever missed (its value was never inserted, or its fetch
+    is still pending) stays cold and costs no slot.  The set is never
+    shrunk, and it survives {!clear}, so a miss after [clear] on a key
+    inserted before is classified as a capacity or conflict miss, not a
+    cold one.
 
-    {b Collisions.}  Two distinct keys with equal fingerprints make the
-    second one's first miss count as capacity or conflict instead of
-    cold.  For [n] distinct keys per cache the probability of any such
-    collision is at most [n{^2}/2{^61}] (about [4e-7] at [n = 10{^6}]),
-    for keys small enough that the polymorphic hash reads all of them (at
-    most 10 meaningful words, e.g. a tuple of an [int64] and two
-    strings).  Only the statistics can change: no lookup, eviction or
-    stored value depends on the classifier. *)
+    {b Collisions.}  The classifier knows a key only by its fingerprint
+    (a fingerprint of 0 is read as 1, the empty-slot marker being 0).
+    Two distinct keys with equal fingerprints make the second one's first
+    miss count as capacity or conflict instead of cold, and make the
+    shadow hold one node for both.  The bound is the caller's: a
+    fingerprint that behaves as a uniformly random 63-bit value keeps the
+    probability of any collision among [n] distinct keys below
+    [n{^2}/2{^63}] (about [1e-7] at [n = 10{^6}]), as
+    {!Fbsr_util.Fingerprint} does, and one that is injective on the keys
+    (a small int key plus one) never collides.  Only the statistics can
+    change: no lookup, eviction or stored value depends on the
+    classifier. *)
 
 type stats = {
   mutable hits : int;
@@ -48,11 +53,15 @@ val create :
   ?name:string ->
   sets:int ->
   hash:('k -> int) ->
+  fingerprint:('k -> int) ->
   equal:('k -> 'k -> bool) ->
   unit ->
   ('k, 'v) t
-(** [classify:false] disables the shadow-LRU bookkeeping (faster; all
-    non-cold misses count as capacity).  Default replacement is [Lru].
+(** [hash] places a key in its set; [fingerprint] names it to the miss
+    classifier, computed once per {!find} and {!insert} (see
+    Collisions); [equal] decides a hit.  [classify:false] disables the
+    classifier and never calls [fingerprint] (faster; every miss counts
+    as capacity).  Default replacement is [Lru].
     [name] labels the cache in metrics output. *)
 
 val name : ('k, 'v) t -> string

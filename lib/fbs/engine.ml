@@ -91,6 +91,33 @@ type flow_entry = Armor.flow_state
 let flow_entry_of_key = Armor.flow_state_of_key
 let flow_entry_key (e : flow_entry) = e.Armor.fk
 
+(* The TFKC/RFKC key of a flow on this host, built once per datagram
+   (engine.mli documents the fields).  The local principal is the
+   engine's own, so it enters the CRC-32 index but is not stored. *)
+module Key = struct
+  type t = { sfl : Sfl.t; peer : Principal.t; index : int; fingerprint : int }
+
+  let make ~local ~sfl ~peer =
+    let s = Sfl.to_int64 sfl in
+    let p = Principal.to_string peer and l = Principal.to_string local in
+    let open Fbsr_util.Crc32 in
+    let h = update (update_int64 0 s) p 0 (String.length p) in
+    {
+      sfl;
+      peer;
+      index = update h l 0 (String.length l);
+      fingerprint = Fbsr_util.Fingerprint.(string ~seed:(int64 s) p);
+    }
+
+  let index k = k.index
+  let fingerprint k = k.fingerprint
+
+  let equal a b =
+    a.fingerprint = b.fingerprint
+    && Sfl.equal a.sfl b.sfl
+    && String.equal (Principal.to_string a.peer) (Principal.to_string b.peer)
+end
+
 type t = {
   keying : Keying.t;
   fam : Fam.t;
@@ -102,8 +129,8 @@ type t = {
      through [Bytes.unsafe_to_string] views consumed before the next
      refill, so no datagram ever observes another's bytes. *)
   actx : Armor.ctx;
-  tfkc : (int64 * string * string, flow_entry) Cache.t; (* (sfl, peer, local) *)
-  rfkc : (int64 * string * string, flow_entry) Cache.t;
+  tfkc : (Key.t, flow_entry) Cache.t;
+  rfkc : (Key.t, flow_entry) Cache.t;
   replay : Replay.t;
   confounder_gen : Fbsr_util.Lcg.t;
   counters : counters;
@@ -113,14 +140,9 @@ type t = {
   flowstats : Flowstats.t;
 }
 
-let triple_hash (sfl, peer, local) =
-  let open Fbsr_util.Crc32 in
-  let h = update_int64 0 sfl in
-  let h = update h peer 0 (String.length peer) in
-  update h local 0 (String.length local)
-
-let triple_equal (a1, b1, c1) (a2, b2, c2) =
-  Int64.equal a1 a2 && String.equal b1 b2 && String.equal c1 c2
+let flow_key_cache ~sets name =
+  Cache.create ~assoc:1 ~sets ~hash:Key.index ~fingerprint:Key.fingerprint
+    ~equal:Key.equal ~name ()
 
 let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     ?(replay_window_minutes = 2) ?(strict_replay = false)
@@ -149,12 +171,8 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     armor = Armors.of_suite suite;
     actx = Armor.make_ctx counters;
     (* Figure 6's flow-key caches are direct-mapped tables. *)
-    tfkc =
-      Cache.create ~assoc:1 ~sets:tfkc_sets ~hash:triple_hash
-        ~equal:triple_equal ~name:"tfkc" ();
-    rfkc =
-      Cache.create ~assoc:1 ~sets:rfkc_sets ~hash:triple_hash
-        ~equal:triple_equal ~name:"rfkc" ();
+    tfkc = flow_key_cache ~sets:tfkc_sets "tfkc";
+    rfkc = flow_key_cache ~sets:rfkc_sets "rfkc";
     replay = Replay.create ~window_minutes:replay_window_minutes ~strict:strict_replay ();
     confounder_gen = Fbsr_util.Lcg.create 0x5eed;
     spans;
@@ -222,21 +240,22 @@ let finish_derive t (tm : (Fbsr_util.Span.timer * int64) option) ~cache ~hit
             ("recovered", Fbsr_util.Json.Bool revisit);
           ]
 
-(* The TFKC/RFKC key of (sfl, peer) on this host. *)
-let flow_cache_key t ~sfl ~peer =
-  (Sfl.to_int64 sfl, Principal.to_string peer, Principal.to_string (local t))
-
 (* How a flow-key lookup ends: the cached entry, an entry derived on a
-   miss (not yet cached), or the keying error. *)
-type lookup = Cached of flow_entry | Derived of flow_entry | Failed of error
+   miss (not yet cached) with the key to cache it under, or the keying
+   error. *)
+type lookup =
+  | Cached of flow_entry
+  | Derived of { key : Key.t; entry : flow_entry }
+  | Failed of error
 
 (* Look up the flow key for (sfl, peer) in the given cache (TFKC on
    send, RFKC on receive), deriving it on a miss.  CPS because the master
-   key may need a certificate fetch.  The caller caches a [Derived]
-   entry under [flow_cache_key]: the send path at once, the receive path
-   only once a datagram verified under it. *)
+   key may need a certificate fetch.  The datagram's one cache key serves
+   the lookup and the join, and a [Derived] result carries it for the
+   caller's insert: the send path's at once, the receive path's only once
+   a datagram verified under it. *)
 let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
-  let key = flow_cache_key t ~sfl ~peer in
+  let key = Key.make ~local:(local t) ~sfl ~peer in
   let tm =
     if Fbsr_util.Span.enabled t.spans then
       Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
@@ -286,7 +305,7 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
                 in
                 finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
                   ~master:(Keying.last_resolution t.keying);
-                k (Derived (flow_entry_of_key fk))))
+                k (Derived { key; entry = flow_entry_of_key fk })))
 
 (* Cross-flow batching of seals, bound to one engine.  A secret datagram
    whose armor has a batched kernel parks its body encryption here as a
@@ -547,8 +566,8 @@ let send_flow t tm plan ~now ~sfl ~src ~dst ~payload
           Batch.settle plan.batch;
           k (Error e)
       | Cached entry -> seal_traced t tm plan ~now ~sfl ~payload k entry
-      | Derived entry ->
-          Cache.insert t.tfkc (flow_cache_key t ~sfl ~peer:dst) entry;
+      | Derived { key; entry } ->
+          Cache.insert t.tfkc key entry;
           seal_traced t tm plan ~now ~sfl ~payload k entry)
   with
   | () -> Batch.leave plan.batch
@@ -763,15 +782,12 @@ let receive t ~now ~src ~wire (k : (accepted, error) result -> unit) =
             conclude t tm ~sfl:v.Header.v_sfl (Drop Keying);
             k (Error e)
         | Cached entry -> open_entry t ~src ~v ~entry tm k
-        | Derived entry ->
+        | Derived { key; entry } ->
             (* The derived entry enters the RFKC only once a datagram
                verified under it: a forged sfl costs a key derivation,
                never a real flow's cache slot. *)
             open_entry t ~src ~v ~entry tm (fun r ->
-                (match r with
-                | Ok _ ->
-                    Cache.insert t.rfkc (flow_cache_key t ~sfl:v.Header.v_sfl ~peer:src) entry
-                | Error _ -> ());
+                (match r with Ok _ -> Cache.insert t.rfkc key entry | Error _ -> ());
                 k r))
 
 (* Synchronous conveniences for callers whose resolver completes inline. *)

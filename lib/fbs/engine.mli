@@ -110,8 +110,38 @@ type flow_entry
 val flow_entry_key : flow_entry -> string
 (** The flow key the entry caches schedules for. *)
 
-val tfkc : t -> (int64 * string * string, flow_entry) Cache.t
-val rfkc : t -> (int64 * string * string, flow_entry) Cache.t
+(** The TFKC/RFKC key of a flow on one host: the sfl and the peer (the
+    destination in the TFKC, the source in the RFKC).  The engine builds
+    one per datagram, and its lookup, its join of a pending master-key
+    fetch and the insert of a derived entry all use it, so each side
+    computes one CRC-32 index and one fingerprint per datagram.  The
+    local principal is the engine's own: it enters [index] but is not
+    stored. *)
+module Key : sig
+  type t = private {
+    sfl : Sfl.t;
+    peer : Principal.t;
+    index : int;
+        (** CRC-32 over the sfl (8 bytes, big-endian), the peer's name and
+            the local name, as Section 5.3 recommends for correlated
+            inputs: the set index. *)
+    fingerprint : int;
+        (** [Fbsr_util.Fingerprint.(string ~seed:(int64 sfl) peer)]: the
+            miss classifier's name for the key.  Two sfls of one peer
+            that differ in their low 63 bits never share it. *)
+  }
+
+  val make : local:Principal.t -> sfl:Sfl.t -> peer:Principal.t -> t
+
+  val index : t -> int
+  val fingerprint : t -> int
+
+  val equal : t -> t -> bool
+  (** Same sfl and peer (the fingerprints are compared first). *)
+end
+
+val tfkc : t -> (Key.t, flow_entry) Cache.t
+val rfkc : t -> (Key.t, flow_entry) Cache.t
 val replay : t -> Replay.t
 val counters : t -> counters
 

@@ -64,10 +64,12 @@ type t = {
 }
 
 let principal_hash name = Fbsr_util.Crc32.string name
+let principal_fingerprint name = Fbsr_util.Fingerprint.string ~seed:0 name
 
 (* Both key-cache levels are 64 sets of 2 ways. *)
 let key_cache name =
-  Cache.create ~assoc:2 ~sets:64 ~hash:principal_hash ~equal:String.equal ~name ()
+  Cache.create ~assoc:2 ~sets:64 ~hash:principal_hash
+    ~fingerprint:principal_fingerprint ~equal:String.equal ~name ()
 
 let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () =
   {

@@ -13,33 +13,32 @@
 
 type hash_kind = Crc32 | Modulo | Xor_fold
 
-type key = int64 * string * string
+(* The engine's own flow-cache key: its [index] is the CRC-32 over
+   (sfl, peer, local) and its fingerprint names it to the classifier. *)
+module Key = Fbsr_fbs.Engine.Key
 
-let hash_fn = function
-  | Crc32 ->
-      fun ((sfl, a, b) : key) ->
-        let open Fbsr_util.Crc32 in
-        let h = update_int64 0 sfl in
-        let h = update h a 0 (String.length a) in
-        update h b 0 (String.length b)
+(* The set hash of a key in the cache of host [local]. *)
+let hash_fn kind ~local =
+  match kind with
+  | Crc32 -> Key.index
   | Modulo ->
       (* Low bits of the sfl: sequential sfl values map to sequential
          sets, so distinct hosts' flows collide in clusters. *)
-      fun ((sfl, _, _) : key) -> Int64.to_int (Int64.logand sfl 0x3fffffffL)
+      fun (k : Key.t) -> Int64.to_int (Int64.logand (Fbsr_fbs.Sfl.to_int64 k.sfl) 0x3fffffffL)
   | Xor_fold ->
-      fun ((sfl, a, b) : key) ->
-        let fold_str s =
-          let acc = ref 0 in
-          String.iter (fun c -> acc := !acc lxor Char.code c) s;
-          !acc
-        in
+      let fold_str s =
+        let acc = ref 0 in
+        String.iter (fun c -> acc := !acc lxor Char.code c) s;
+        !acc
+      in
+      let local_fold = fold_str local in
+      fun (k : Key.t) ->
+        let sfl = Fbsr_fbs.Sfl.to_int64 k.sfl in
         (Int64.to_int (Int64.logand sfl 0xffffffL)
         lxor Int64.to_int (Int64.shift_right_logical sfl 24))
-        lxor fold_str a lxor fold_str b
+        lxor fold_str (Fbsr_fbs.Principal.to_string k.peer)
+        lxor local_fold
         land 0x3fffffff
-
-let key_equal ((s1, a1, b1) : key) ((s2, a2, b2) : key) =
-  Int64.equal s1 s2 && String.equal a1 a2 && String.equal b1 b2
 
 type side = Tfkc | Rfkc
 
@@ -91,15 +90,15 @@ let run ?(config = default_config) (records : Record.t list) =
         s
   in
   (* One cache per host on the measured side. *)
-  let caches : (string, (key, unit) Fbsr_fbs.Cache.t) Hashtbl.t = Hashtbl.create 32 in
+  let caches : (string, (Key.t, unit) Fbsr_fbs.Cache.t) Hashtbl.t = Hashtbl.create 32 in
   let cache_for host =
     match Hashtbl.find_opt caches host with
     | Some c -> c
     | None ->
         let c =
           Fbsr_fbs.Cache.create ~assoc:config.assoc ~sets:config.sets
-            ~replacement:config.replacement ~hash:(hash_fn config.hash)
-            ~equal:key_equal ()
+            ~replacement:config.replacement ~hash:(hash_fn config.hash ~local:host)
+            ~fingerprint:Key.fingerprint ~equal:Key.equal ()
         in
         Hashtbl.replace caches host c;
         c
@@ -115,11 +114,15 @@ let run ?(config = default_config) (records : Record.t list) =
           ()
       in
       let sfl, _ = Fbsr_fbs.Policy_five_tuple.map state ~now:r.Record.time attrs in
-      let sfl = Fbsr_fbs.Sfl.to_int64 sfl in
-      let cache, key =
+      let local, peer =
         match config.side with
-        | Tfkc -> (cache_for r.Record.src, (sfl, r.Record.dst, r.Record.src))
-        | Rfkc -> (cache_for r.Record.dst, (sfl, r.Record.src, r.Record.dst))
+        | Tfkc -> (r.Record.src, r.Record.dst)
+        | Rfkc -> (r.Record.dst, r.Record.src)
+      in
+      let cache = cache_for local in
+      let key =
+        Key.make ~local:(Fbsr_fbs.Principal.of_string local) ~sfl
+          ~peer:(Fbsr_fbs.Principal.of_string peer)
       in
       match Fbsr_fbs.Cache.find cache key with
       | Some () -> ()

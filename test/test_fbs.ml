@@ -339,9 +339,11 @@ let test_minutes_encoding () =
 
 (* --- Cache --- *)
 
+(* Int keys are never negative here, so [succ] is an injective
+   fingerprint that avoids 0, the classifier's empty marker. *)
 let int_cache ?(assoc = 1) ~sets () : (int, string) Cache.t =
   Cache.create ~assoc ~sets ~hash:(fun k -> Fbsr_util.Crc32.update_int32 0 k)
-    ~equal:Int.equal ()
+    ~fingerprint:succ ~equal:Int.equal ()
 
 let test_cache_basic () =
   let c = int_cache ~sets:8 () in
@@ -402,7 +404,7 @@ let test_cache_miss_classification () =
      re-missing a seen key that fits capacity counts as conflict. *)
   let c2 : (int, string) Cache.t =
     Cache.create ~sets:2 ~hash:(fun _ -> 0) (* adversarial hash: everything集 maps to set 0 *)
-      ~equal:Int.equal ()
+      ~fingerprint:succ ~equal:Int.equal ()
   in
   ignore (Cache.find c2 1);
   Cache.insert c2 1 "one";
@@ -418,7 +420,7 @@ let test_cache_replacement_policies () =
   let mk replacement : (int, string) Cache.t =
     Cache.create ~assoc:2 ~sets:1 ~replacement
       ~hash:(fun k -> Fbsr_util.Crc32.update_int32 0 k)
-      ~equal:Int.equal ()
+      ~fingerprint:succ ~equal:Int.equal ()
   in
   let lru = mk Cache.Lru and fifo = mk Cache.Fifo in
   List.iter
@@ -450,7 +452,7 @@ let prop_fully_associative_no_conflicts =
       let c : (int, int) Cache.t =
         Cache.create ~assoc:8 ~sets:1
           ~hash:(fun k -> Fbsr_util.Crc32.update_int32 0 k)
-          ~equal:Int.equal ()
+          ~fingerprint:succ ~equal:Int.equal ()
       in
       List.iter
         (fun k ->
@@ -467,7 +469,7 @@ let prop_cache_cold_bounded_by_distinct =
       let c : (int, int) Cache.t =
         Cache.create ~assoc:2 ~sets:4
           ~hash:(fun k -> Fbsr_util.Crc32.update_int32 0 k)
-          ~equal:Int.equal ()
+          ~fingerprint:succ ~equal:Int.equal ()
       in
       List.iter
         (fun k ->
@@ -490,130 +492,218 @@ let prop_cache_find_after_insert =
    byte-for-byte reimplementation of the documented semantics (tick on
    every find and insert, shadow fully-associative LRU touched by both,
    seen-set grown on insert and kept across [clear], per-set LRU
-   replacement).  Random find/insert/invalidate/clear workloads must
-   produce identical statistics, and the counters must add up: every
-   find is exactly one of hit/cold/capacity/conflict.  [clear] is one op
-   in 21, so the shadow still fills and evicts between clears. *)
+   replacement), keyed by the keys themselves where the cache knows only
+   their fingerprints.  [ops] run on both; an [Access] is the engine's
+   lookup: a find, and an insert when it missed.  The statistics must be
+   identical, and the counters must add up: every find is exactly one of
+   hit/cold/capacity/conflict. *)
+type 'k cache_op = Access of 'k | Find of 'k | Insert of 'k | Invalidate of 'k | Clear
+
+let agrees_with_reference ~sets ~assoc ~index (cache : ('k, unit) Cache.t) ops =
+  let capacity = sets * assoc in
+  let tick = ref 0 in
+  let slots = Array.make capacity None (* (key, last_used) *) in
+  let seen = Hashtbl.create 16 in
+  let shadow = Hashtbl.create 16 (* key -> last tick *) in
+  let hits = ref 0
+  and cold = ref 0
+  and cap = ref 0
+  and conf = ref 0
+  and evictions = ref 0
+  and finds = ref 0 in
+  let base key = index key mod sets * assoc in
+  let shadow_touch key =
+    Hashtbl.replace shadow key !tick;
+    if Hashtbl.length shadow > capacity then begin
+      (* Ticks are unique, so the LRU victim is unambiguous. *)
+      let victim =
+        Hashtbl.fold
+          (fun k t acc ->
+            match acc with Some (_, bt) when bt < t -> acc | _ -> Some (k, t))
+          shadow None
+      in
+      match victim with Some (k, _) -> Hashtbl.remove shadow k | None -> ()
+    end
+  in
+  let ref_find key =
+    incr tick;
+    incr finds;
+    let b = base key in
+    let hit = ref false in
+    for w = 0 to assoc - 1 do
+      match slots.(b + w) with
+      | Some (k, _) when k = key ->
+          slots.(b + w) <- Some (k, !tick);
+          hit := true
+      | _ -> ()
+    done;
+    (if !hit then incr hits
+     else if not (Hashtbl.mem seen key) then incr cold
+     else if Hashtbl.mem shadow key then incr conf
+     else incr cap);
+    shadow_touch key
+  in
+  let ref_insert key =
+    incr tick;
+    let b = base key in
+    let existing = ref None and empty = ref None in
+    for w = 0 to assoc - 1 do
+      match slots.(b + w) with
+      | Some (k, _) when k = key -> existing := Some (b + w)
+      | Some _ -> ()
+      | None -> if !empty = None then empty := Some (b + w)
+    done;
+    let idx =
+      match (!existing, !empty) with
+      | Some i, _ -> i
+      | None, Some i -> i
+      | None, None ->
+          incr evictions;
+          (* LRU within the set. *)
+          let best = ref b in
+          for w = 1 to assoc - 1 do
+            match (slots.(b + w), slots.(!best)) with
+            | Some (_, t), Some (_, bt) when t < bt -> best := b + w
+            | _ -> ()
+          done;
+          !best
+    in
+    slots.(idx) <- Some (key, !tick);
+    Hashtbl.replace seen key ();
+    shadow_touch key
+  in
+  let ref_invalidate key =
+    let b = base key in
+    for w = 0 to assoc - 1 do
+      match slots.(b + w) with
+      | Some (k, _) when k = key -> slots.(b + w) <- None
+      | _ -> ()
+    done
+  in
+  let ref_clear () =
+    Array.fill slots 0 capacity None;
+    Hashtbl.reset shadow
+  in
+  List.iter
+    (function
+      | Access key -> (
+          ref_find key;
+          match Cache.find cache key with
+          | Some () -> ()
+          | None ->
+              ref_insert key;
+              Cache.insert cache key ())
+      | Find key ->
+          ref_find key;
+          ignore (Cache.find cache key)
+      | Insert key ->
+          ref_insert key;
+          Cache.insert cache key ()
+      | Invalidate key ->
+          ref_invalidate key;
+          Cache.invalidate cache key
+      | Clear ->
+          ref_clear ();
+          Cache.clear cache)
+    ops;
+  let s = Cache.stats cache in
+  s.Cache.hits = !hits
+  && s.Cache.misses_cold = !cold
+  && s.Cache.misses_capacity = !cap
+  && s.Cache.misses_conflict = !conf
+  && s.Cache.evictions = !evictions
+  (* The invariant the classification must preserve: every find is
+     exactly one of the four outcomes. *)
+  && s.Cache.hits + Cache.total_misses s = !finds
+
+(* Random find/insert/invalidate/clear workloads over small int keys.
+   [clear] is one op in 21, so the shadow still fills and evicts between
+   clears. *)
 let prop_cache_classification_matches_reference =
   QCheck.Test.make ~name:"3-C classification = brute-force reference" ~count:200
     QCheck.(
       list_of_size (Gen.int_range 1 300) (pair (int_bound 20) (int_bound 40)))
     (fun ops ->
       let sets = 4 and assoc = 2 in
-      let cache = Cache.create ~assoc ~sets ~hash:(fun k -> k) ~equal:Int.equal () in
-      (* Reference state. *)
-      let capacity = sets * assoc in
-      let tick = ref 0 in
-      let slots = Array.make capacity None (* (key, last_used) *) in
-      let seen = Hashtbl.create 16 in
-      let shadow = Hashtbl.create 16 (* key -> last tick *) in
-      let hits = ref 0
-      and cold = ref 0
-      and cap = ref 0
-      and conf = ref 0
-      and evictions = ref 0
-      and finds = ref 0 in
-      let base key = key mod sets * assoc in
-      let shadow_touch key =
-        Hashtbl.replace shadow key !tick;
-        if Hashtbl.length shadow > capacity then begin
-          (* Ticks are unique, so the LRU victim is unambiguous. *)
-          let victim =
-            Hashtbl.fold
-              (fun k t acc ->
-                match acc with Some (_, bt) when bt < t -> acc | _ -> Some (k, t))
-              shadow None
-          in
-          match victim with Some (k, _) -> Hashtbl.remove shadow k | None -> ()
+      let cache =
+        Cache.create ~assoc ~sets ~hash:(fun k -> k) ~fingerprint:succ ~equal:Int.equal ()
+      in
+      agrees_with_reference ~sets ~assoc ~index:(fun k -> k) cache
+        (List.map
+           (fun (op, key) ->
+             if op < 10 then Find key
+             else if op < 17 then Insert key
+             else if op < 20 then Invalidate key
+             else Clear)
+           ops))
+
+(* The same on the engine's flow-cache keys, CRC-32 index and
+   fingerprint, in a churn workload: sfls counter-allocated and used
+   fresh two times in five, from four peers; a recurring key is one of
+   the last 16, so keys return after eviction.  Engine lookups
+   (find, insert on a miss) dominate; refused datagrams' bare finds,
+   late re-inserts, invalidations and clears are mixed in. *)
+let prop_cache_flow_keys_match_reference =
+  QCheck.Test.make ~name:"3-C classification on engine flow keys = brute-force reference"
+    ~count:100
+    QCheck.(
+      pair small_nat
+        (list_of_size (Gen.int_range 1 400)
+           (triple (int_bound 39) (int_bound 99) (int_bound 3))))
+    (fun (seed, ops) ->
+      let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
+      let local = Principal.of_string "10.0.0.1" in
+      let peers = Array.init 4 (fun i -> Principal.of_string (Printf.sprintf "10.0.1.%d" i)) in
+      let used = ref [||] in
+      let key_for pick peer =
+        let n = Array.length !used in
+        if pick < 40 || n = 0 then begin
+          let k = Engine.Key.make ~local ~sfl:(Sfl.fresh alloc) ~peer:peers.(peer) in
+          used := Array.append !used [| k |];
+          k
         end
+        else !used.(n - 1 - (pick mod min 16 n))
       in
-      let ref_find key =
-        incr tick;
-        incr finds;
-        let b = base key in
-        let hit = ref false in
-        for w = 0 to assoc - 1 do
-          match slots.(b + w) with
-          | Some (k, _) when k = key ->
-              slots.(b + w) <- Some (k, !tick);
-              hit := true
-          | _ -> ()
-        done;
-        (if !hit then incr hits
-         else if not (Hashtbl.mem seen key) then incr cold
-         else if Hashtbl.mem shadow key then incr conf
-         else incr cap);
-        shadow_touch key
+      let ops =
+        List.map
+          (fun (op, pick, peer) ->
+            if op = 39 then Clear
+            else
+              let key = key_for pick peer in
+              if op < 26 then Access key
+              else if op < 31 then Find key
+              else if op < 36 then Insert key
+              else Invalidate key)
+          ops
       in
-      let ref_insert key =
-        incr tick;
-        let b = base key in
-        let existing = ref None and empty = ref None in
-        for w = 0 to assoc - 1 do
-          match slots.(b + w) with
-          | Some (k, _) when k = key -> existing := Some (b + w)
-          | Some _ -> ()
-          | None -> if !empty = None then empty := Some (b + w)
-        done;
-        let idx =
-          match (!existing, !empty) with
-          | Some i, _ -> i
-          | None, Some i -> i
-          | None, None ->
-              incr evictions;
-              (* LRU within the set. *)
-              let best = ref b in
-              for w = 1 to assoc - 1 do
-                match (slots.(b + w), slots.(!best)) with
-                | Some (_, t), Some (_, bt) when t < bt -> best := b + w
-                | _ -> ()
-              done;
-              !best
-        in
-        slots.(idx) <- Some (key, !tick);
-        Hashtbl.replace seen key ();
-        shadow_touch key
+      let sets = 8 and assoc = 1 in
+      let cache =
+        Cache.create ~assoc ~sets ~hash:Engine.Key.index ~fingerprint:Engine.Key.fingerprint
+          ~equal:Engine.Key.equal ()
       in
-      let ref_invalidate key =
-        let b = base key in
-        for w = 0 to assoc - 1 do
-          match slots.(b + w) with
-          | Some (k, _) when k = key -> slots.(b + w) <- None
-          | _ -> ()
-        done
+      agrees_with_reference ~sets ~assoc ~index:Engine.Key.index cache ops)
+
+(* Fingerprints of 10^5 distinct flow keys are distinct: ten peers whose
+   allocators share a seed, so each sfl recurs under every peer and only
+   the peer tells the keys apart. *)
+let prop_flow_key_fingerprints_distinct =
+  QCheck.Test.make ~name:"10^5 flow keys, 10^5 fingerprints" ~count:3 QCheck.small_nat
+    (fun seed ->
+      let local = Principal.of_string "10.0.0.1" in
+      let fps =
+        Array.concat
+          (List.init 10 (fun p ->
+               let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
+               let peer = Principal.of_string (Printf.sprintf "10.0.1.%d" p) in
+               Array.init 10_000 (fun _ ->
+                   Engine.Key.fingerprint (Engine.Key.make ~local ~sfl:(Sfl.fresh alloc) ~peer))))
       in
-      let ref_clear () =
-        Array.fill slots 0 capacity None;
-        Hashtbl.reset shadow
-      in
-      List.iter
-        (fun (op, key) ->
-          if op < 10 then begin
-            ref_find key;
-            ignore (Cache.find cache key)
-          end
-          else if op < 17 then begin
-            ref_insert key;
-            Cache.insert cache key (string_of_int key)
-          end
-          else if op < 20 then begin
-            ref_invalidate key;
-            Cache.invalidate cache key
-          end
-          else begin
-            ref_clear ();
-            Cache.clear cache
-          end)
-        ops;
-      let s = Cache.stats cache in
-      s.Cache.hits = !hits
-      && s.Cache.misses_cold = !cold
-      && s.Cache.misses_capacity = !cap
-      && s.Cache.misses_conflict = !conf
-      && s.Cache.evictions = !evictions
-      (* The invariant the classification must preserve: every find is
-         exactly one of the four outcomes. *)
-      && s.Cache.hits + Cache.total_misses s = !finds)
+      Array.sort Int.compare fps;
+      let distinct = ref true in
+      for i = 1 to Array.length fps - 1 do
+        if fps.(i) = fps.(i - 1) then distinct := false
+      done;
+      !distinct)
 
 let test_cache_occupancy_clear () =
   let c = int_cache ~sets:16 () in
@@ -630,13 +720,15 @@ let test_cache_occupancy_clear () =
    1/4 and 1/2), where a hash table of the keys themselves costs 12 or
    more (tuple, boxed int64, bucket). *)
 let test_cache_classifier_memory () =
-  let c : (int64 * string * string, int) Cache.t =
-    Cache.create ~sets:128 ~hash:Hashtbl.hash ~equal:( = ) ()
+  let c : (Engine.Key.t, int) Cache.t =
+    Cache.create ~sets:128 ~hash:Engine.Key.index ~fingerprint:Engine.Key.fingerprint
+      ~equal:Engine.Key.equal ()
   in
   let before = Obj.reachable_words (Obj.repr c) in
   let n = 200_000 in
+  let local = Principal.of_string "10.0.0.2" and peer = Principal.of_string "10.0.0.1" in
   for i = 1 to n do
-    let key = (Int64.of_int i, "10.0.0.1", "10.0.0.2") in
+    let key = Engine.Key.make ~local ~sfl:(Sfl.of_int64 (Int64.of_int i)) ~peer in
     match Cache.find c key with Some _ -> () | None -> Cache.insert c key i
   done;
   let per_key = float_of_int (Obj.reachable_words (Obj.repr c) - before) /. float_of_int n in
@@ -987,10 +1079,7 @@ let make_engines ?(suite = Suite.paper_md5_des) ?(strict_replay = false) ?spans
 (* The flow key the sender actually sealed (sfl, [src] -> [dst]) under:
    its TFKC entry, read without touching the cache's statistics. *)
 let sender_flow_key es ~sfl ~src ~dst =
-  match
-    Cache.peek (Engine.tfkc es)
-      (Sfl.to_int64 sfl, Principal.to_string dst, Principal.to_string src)
-  with
+  match Cache.peek (Engine.tfkc es) (Engine.Key.make ~local:src ~sfl ~peer:dst) with
   | Some e -> Engine.flow_entry_key e
   | None -> Alcotest.fail "flow key not in the sender's TFKC"
 
@@ -1832,7 +1921,7 @@ let prop_engine_delivers_once =
       let real_sfls = Array.map sfl_of wires in
       let foreign =
         Cache.fold (Engine.rfkc ed)
-          (fun (sfl, _, _) _ acc -> acc || not (Array.mem sfl real_sfls))
+          (fun (k : Engine.Key.t) _ acc -> acc || not (Array.mem (Sfl.to_int64 k.sfl) real_sfls))
           false
       in
       Array.for_all (fun c -> c = 1) delivered && not foreign)
@@ -2522,6 +2611,8 @@ let () =
           qtest prop_fully_associative_no_conflicts;
           qtest prop_cache_cold_bounded_by_distinct;
           qtest prop_cache_classification_matches_reference;
+          qtest prop_cache_flow_keys_match_reference;
+          qtest prop_flow_key_fingerprints_distinct;
         ] );
       ( "keying",
         [

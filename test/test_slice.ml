@@ -344,9 +344,7 @@ let flow_key_of pair sfl =
   match
     Fbsr_fbs.Cache.peek
       (Fbsr_fbs.Engine.tfkc pair.sender)
-      ( Fbsr_fbs.Sfl.to_int64 sfl,
-        Fbsr_fbs.Principal.to_string pair.dst,
-        Fbsr_fbs.Principal.to_string pair.src )
+      (Fbsr_fbs.Engine.Key.make ~local:pair.src ~sfl ~peer:pair.dst)
   with
   | Some e -> Fbsr_fbs.Engine.flow_entry_key e
   | None -> Alcotest.fail "flow key not in the sender's TFKC"
