@@ -379,6 +379,35 @@ let net_tests =
         (stage (fun () -> Fbsr_util.Inet_checksum.sum datagram 0 (String.length datagram)));
     ] )
 
+(* Reassembly on the receive path: [Frag.add] of an unfragmented 64 B
+   datagram, with no partial datagram outstanding and with 10^4 of them
+   (first fragments whose rest never came, inside their deadline).  A
+   whole datagram touches no reassembly table, so the two rows should
+   read alike. *)
+let netsim_tests =
+  let open Fbsr_netsim in
+  let src = Addr.of_string "10.9.0.1" and dst = Addr.of_string "10.9.0.2" in
+  let whole = String.sub datagram 0 64 in
+  let h = Ipv4.make ~ident:1 ~protocol:Ipv4.proto_udp ~src ~dst ~payload_length:64 () in
+  let outstanding n =
+    let r = Frag.create () in
+    let first = String.sub datagram 0 8 in
+    for ident = 1 to n do
+      let fh =
+        Ipv4.make ~ident ~more_fragments:true ~protocol:Ipv4.proto_udp ~src ~dst
+          ~payload_length:8 ()
+      in
+      ignore (Frag.add r ~now:0.0 fh first)
+    done;
+    r
+  in
+  let r0 = outstanding 0 and r10k = outstanding 10_000 in
+  ( "netsim",
+    [
+      Test.make ~name:"frag-add-0" (stage (fun () -> Frag.add r0 ~now:1.0 h whole));
+      Test.make ~name:"frag-add-10k" (stage (fun () -> Frag.add r10k ~now:1.0 h whole));
+    ] )
+
 (* The rows to run: all of them, or those whose name starts with the
    [--only] prefix, the name written as in the artifact
    ("fbs-repro/net/udp-encode+decode-64B") or without its root
@@ -397,7 +426,7 @@ let selected_tests only =
         match List.filter (keep g) rows with
         | [] -> None
         | rows -> Some (Test.make_grouped ~name:g rows))
-      [ crypto_tests; fbs_tests; net_tests ]
+      [ crypto_tests; fbs_tests; net_tests; netsim_tests ]
   with
   | [] -> None
   | groups -> Some (Test.make_grouped ~name:"fbs-repro" groups)

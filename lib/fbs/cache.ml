@@ -27,12 +27,16 @@
    time and the protocol merely recomputes — correctness never depends on
    cache contents. *)
 
-type ('k, 'v) slot = {
-  key : 'k;
-  mutable value : 'v;
-  mutable last_used : int;
-  inserted : int; (* tick at insertion, for FIFO replacement *)
-}
+(* One way of a set.  A full slot holds its value already wrapped, made
+   once at insert, so a hit returns it without allocating. *)
+type ('k, 'v) slot =
+  | Empty
+  | Full of {
+      key : 'k;
+      found : 'v option; (* [Some value] *)
+      mutable last_used : int;
+      inserted : int; (* tick at insertion, for FIFO replacement *)
+    }
 
 (* Replacement policy within a set — the paper's Section 5.3 lists "a
    better replacement policy" among the levers against conflict misses. *)
@@ -54,7 +58,7 @@ type ('k, 'v) t = {
   fingerprint : 'k -> int;
   equal : 'k -> 'k -> bool;
   replacement : replacement;
-  slots : ('k, 'v) slot option array; (* sets * assoc *)
+  slots : ('k, 'v) slot array; (* sets * assoc *)
   mutable tick : int;
   stats : stats;
   (* Shadow state for miss classification, all of it over fingerprints. *)
@@ -95,7 +99,7 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     fingerprint;
     equal;
     replacement;
-    slots = Array.make (sets * assoc) None;
+    slots = Array.make (sets * assoc) Empty;
     tick = 0;
     stats = new_stats ();
     classify;
@@ -283,10 +287,10 @@ let find t key =
   let result = ref None in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key ->
+    | Full slot when t.equal slot.key key ->
         slot.last_used <- t.tick;
-        result := Some slot.value
-    | Some _ | None -> ()
+        result := slot.found
+    | Full _ | Empty -> ()
   done;
   let s = t.stats in
   (if not t.classify then
@@ -311,8 +315,8 @@ let peek t key =
   let result = ref None in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key -> result := Some slot.value
-    | Some _ | None -> ()
+    | Full slot when t.equal slot.key key -> result := slot.found
+    | Full _ | Empty -> ()
   done;
   !result
 
@@ -321,13 +325,13 @@ let victim_index t base =
   match t.replacement with
   | Random rng -> base + Fbsr_util.Rng.int rng t.assoc
   | Lru | Fifo ->
-      let metric slot =
-        match t.replacement with Fifo -> slot.inserted | _ -> slot.last_used
-      in
+      let fifo = match t.replacement with Fifo -> true | Lru | Random _ -> false in
       let best = ref base in
       for way = 1 to t.assoc - 1 do
         match (t.slots.(base + way), t.slots.(!best)) with
-        | Some s, Some b when metric s < metric b -> best := base + way
+        | Full s, Full b
+          when if fifo then s.inserted < b.inserted else s.last_used < b.last_used ->
+            best := base + way
         | _ -> ()
       done;
       !best
@@ -340,9 +344,9 @@ let insert t key value =
   let existing = ref (-1) and empty = ref (-1) in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key -> existing := base + way
-    | Some _ -> ()
-    | None -> if !empty < 0 then empty := base + way
+    | Full slot when t.equal slot.key key -> existing := base + way
+    | Full _ -> ()
+    | Empty -> if !empty < 0 then empty := base + way
   done;
   let idx =
     if !existing >= 0 then !existing
@@ -352,7 +356,7 @@ let insert t key value =
       victim_index t base
     end
   in
-  t.slots.(idx) <- Some { key; value; last_used = t.tick; inserted = t.tick };
+  t.slots.(idx) <- Full { key; found = Some value; last_used = t.tick; inserted = t.tick };
   if t.classify then begin
     let fp = fingerprint t key in
     mark_seen t fp;
@@ -363,17 +367,17 @@ let invalidate t key =
   let base = set_base t key in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key ->
-        t.slots.(base + way) <- None;
+    | Full slot when t.equal slot.key key ->
+        t.slots.(base + way) <- Empty;
         t.stats.invalidations <- t.stats.invalidations + 1
-    | Some _ | None -> ()
+    | Full _ | Empty -> ()
   done
 
 (* The fingerprint set survives: it is what tells a recomputation after
    soft-state loss from a first contact.  The shadow keeps its arrays
    and forgets its nodes. *)
 let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
+  Array.fill t.slots 0 (Array.length t.slots) Empty;
   Array.fill t.shadow_index 0 (Array.length t.shadow_index) 0;
   t.shadow_prev.(0) <- 0;
   t.shadow_next.(0) <- 0;
@@ -381,8 +385,10 @@ let clear t =
 
 let fold t f acc =
   Array.fold_left
-    (fun acc -> function Some slot -> f slot.key slot.value acc | None -> acc)
+    (fun acc -> function
+      | Full { key; found = Some value; _ } -> f key value acc
+      | Full { found = None; _ } | Empty -> acc)
     acc t.slots
 
 let occupancy t =
-  Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 t.slots
+  Array.fold_left (fun n -> function Full _ -> n + 1 | Empty -> n) 0 t.slots

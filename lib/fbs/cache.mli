@@ -74,6 +74,9 @@ val register_metrics : ('k, 'v) t -> Fbsr_util.Metrics.t -> unit
     [register_metrics c (Metrics.sub m "fbs.cache.tfkc")]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
+(** The key's value, counted as a hit or a classified miss.  A hit
+    allocates nothing: the result was made once, at {!insert}. *)
+
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but does not touch statistics or LRU state. *)
 

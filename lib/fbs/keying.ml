@@ -20,7 +20,11 @@
      a modular exponentiation.
 
    Resolution is continuation-passing so a PVC miss can suspend a datagram
-   while the certificate fetch round-trips the (simulated) network. *)
+   while the certificate fetch round-trips the (simulated) network.  The
+   fetches in flight are a [Fbsr_util.Pending] table, name -> waiters, so
+   a burst to one cold peer costs one fetch; an entry has no deadline,
+   because the resolver owns the retransmission policy and answers every
+   fetch exactly once. *)
 
 type error =
   | No_certificate of string (* resolver failed for this principal *)
@@ -52,8 +56,9 @@ type t = {
   mkc : (string, string * float) Cache.t; (* name -> (master key, expiry) *)
   counters : counters;
   (* Fetches in flight, so a burst of datagrams to one peer triggers a
-     single certificate fetch and a single master-key computation. *)
-  pending : (string, ((string, error) result -> unit) list ref) Hashtbl.t;
+     single certificate fetch and a single master-key computation.
+     Waiters are newest first. *)
+  pending : (string, ((string, error) result -> unit) list ref) Fbsr_util.Pending.t;
   (* Which cache level satisfied the most recent [get_master] completion:
      "mkc" (live master key), "pvc" (cached certificate), or "fetch"
      (resolver round trip, including coalesced waiters).  Read by the
@@ -85,7 +90,7 @@ let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () 
     counters =
       { master_key_computations = 0; certificate_fetches = 0;
         certificate_verifications = 0 };
-    pending = Hashtbl.create 8;
+    pending = Fbsr_util.Pending.create ();
     last_resolution = "none";
   }
 
@@ -148,10 +153,9 @@ let get_master t peer (k : (string, error) result -> unit) =
       k (Ok key)
   | None -> (
       let complete result =
-        match Hashtbl.find_opt t.pending name with
+        match Fbsr_util.Pending.remove t.pending name with
         | None -> ()
         | Some waiters ->
-            Hashtbl.remove t.pending name;
             List.iter (fun k -> k result) (List.rev !waiters)
       in
       let from_cert cert =
@@ -172,10 +176,10 @@ let get_master t peer (k : (string, error) result -> unit) =
               Cache.insert t.pvc name cert;
               from_cert cert)
       in
-      match Hashtbl.find_opt t.pending name with
+      match Fbsr_util.Pending.find t.pending name with
       | Some waiters -> waiters := k :: !waiters
       | None -> (
-          Hashtbl.replace t.pending name (ref [ k ]);
+          Fbsr_util.Pending.add t.pending name (ref [ k ]);
           match Cache.find t.pvc name with
           | Some cert when t.clock () <= cert.Fbsr_cert.Certificate.not_after ->
               t.last_resolution <- "pvc";

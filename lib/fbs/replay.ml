@@ -14,7 +14,9 @@
    and rejects exact duplicates.  The peer is part of the key because an
    sfl is unique only per sender: two senders may pick the same sfl and
    confounder, and neither datagram replays the other.  The memory is
-   bounded: entries die with the window.
+   bounded: an entry's deadline is the minute its timestamp leaves the
+   window, and the first probe of each new minute expires the entries
+   past it, in deadline order.
 
    The check is split around MAC verification: [probe] refuses stale and
    already-seen datagrams before any crypto runs, and [commit] records a
@@ -27,8 +29,8 @@ let minutes_of_seconds s = int_of_float (s /. 60.0) land 0xffffffff
 type t = {
   window_minutes : int; (* accept |ts - now| <= window_minutes *)
   strict : bool;
-  seen : (int64 * string * int * int, int) Hashtbl.t;
-      (* (sfl, peer, confounder, ts) -> ts *)
+  seen : (int64 * string * int * int, unit) Fbsr_util.Pending.t;
+      (* (sfl, peer, confounder, ts), due at minute ts + window_minutes *)
   mutable last_gc : int;
   mutable accepted : int;
   mutable rejected_stale : int;
@@ -39,7 +41,7 @@ let create ?(window_minutes = 2) ?(strict = false) () =
   {
     window_minutes;
     strict;
-    seen = Hashtbl.create 64;
+    seen = Fbsr_util.Pending.create ();
     last_gc = 0;
     accepted = 0;
     rejected_stale = 0;
@@ -48,15 +50,14 @@ let create ?(window_minutes = 2) ?(strict = false) () =
 
 type verdict = Fresh | Stale | Duplicate
 
+(* An entry is committed only after a probe found its timestamp inside
+   the window, and [gc] runs only at a minute later than every probe
+   before it, so the timestamp can leave the window from below only: the
+   entry is dead once [now_min - ts > window_minutes]. *)
 let gc t now_min =
   if t.strict && now_min > t.last_gc then begin
     t.last_gc <- now_min;
-    let dead =
-      Hashtbl.fold
-        (fun k ts acc -> if abs (now_min - ts) > t.window_minutes then k :: acc else acc)
-        t.seen []
-    in
-    List.iter (Hashtbl.remove t.seen) dead
+    Fbsr_util.Pending.expire t.seen ~now:(float_of_int now_min)
   end
 
 let seen_key ~sfl ~peer ~confounder ~timestamp =
@@ -72,7 +73,8 @@ let probe t ~now ~sfl ~peer ~confounder ~timestamp : verdict =
     t.rejected_stale <- t.rejected_stale + 1;
     Stale
   end
-  else if t.strict && Hashtbl.mem t.seen (seen_key ~sfl ~peer ~confounder ~timestamp)
+  else if
+    t.strict && Fbsr_util.Pending.mem t.seen (seen_key ~sfl ~peer ~confounder ~timestamp)
   then begin
     t.rejected_duplicate <- t.rejected_duplicate + 1;
     Duplicate
@@ -89,12 +91,13 @@ let commit t ~sfl ~peer ~confounder ~timestamp =
   end
   else
     let key = seen_key ~sfl ~peer ~confounder ~timestamp in
-    if Hashtbl.mem t.seen key then begin
+    if Fbsr_util.Pending.mem t.seen key then begin
       t.rejected_duplicate <- t.rejected_duplicate + 1;
       false
     end
     else begin
-      Hashtbl.replace t.seen key timestamp;
+      Fbsr_util.Pending.add t.seen key ()
+        ~deadline:(float_of_int (timestamp + t.window_minutes));
       t.accepted <- t.accepted + 1;
       true
     end
@@ -114,4 +117,4 @@ let register_metrics (t : t) m =
   register_probe m "accepted" (fun () -> t.accepted);
   register_probe m "rejected.stale" (fun () -> t.rejected_stale);
   register_probe m "rejected.duplicate" (fun () -> t.rejected_duplicate);
-  register_probe m "window.entries" (fun () -> Hashtbl.length t.seen)
+  register_probe m "window.entries" (fun () -> Fbsr_util.Pending.length t.seen)

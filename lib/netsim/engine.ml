@@ -6,21 +6,21 @@
 
 type t = {
   mutable now : float;
-  events : (unit -> unit) Pqueue.t;
+  events : (unit -> unit) Fbsr_util.Pqueue.t;
   mutable stopped : bool;
 }
 
-let create () = { now = 0.0; events = Pqueue.create (); stopped = false }
+let create () = { now = 0.0; events = Fbsr_util.Pqueue.create (); stopped = false }
 
 let now t = t.now
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  Pqueue.push t.events (t.now +. delay) f
+  Fbsr_util.Pqueue.push t.events (t.now +. delay) f
 
 let schedule_at t ~time f =
   if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
-  Pqueue.push t.events time f
+  Fbsr_util.Pqueue.push t.events time f
 
 let stop t = t.stopped <- true
 
@@ -29,11 +29,11 @@ let run ?until t =
   let limit = match until with None -> infinity | Some u -> u in
   let rec loop () =
     if not t.stopped then
-      match Pqueue.peek t.events with
+      match Fbsr_util.Pqueue.peek t.events with
       | None -> ()
       | Some (time, _) when time > limit -> t.now <- limit
       | Some _ ->
-          (match Pqueue.pop t.events with
+          (match Fbsr_util.Pqueue.pop t.events with
           | Some (time, f) ->
               t.now <- time;
               f ()
@@ -42,4 +42,4 @@ let run ?until t =
   in
   loop ()
 
-let pending t = Pqueue.length t.events
+let pending t = Fbsr_util.Pqueue.length t.events

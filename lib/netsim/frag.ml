@@ -41,7 +41,9 @@ let fragment (h : Ipv4.header) (payload : string) ~mtu : (Ipv4.header * string) 
 (* Reassembly keyed by (src, dst, protocol, ident), with a timeout after
    which partial state is discarded (as ip_input does).  The deadline is
    set by an entry's first fragment and never moves, as 4.4BSD's
-   [ipq_ttl]: a stream of duplicates cannot keep an entry alive. *)
+   [ipq_ttl]: a stream of duplicates cannot keep an entry alive.  Entries
+   time out in deadline order when a fragment arrives; an unfragmented
+   datagram touches no table. *)
 
 type key = int * int * int * int
 
@@ -51,15 +53,14 @@ type entry = {
   mutable fragments : (int * string) list; (* offset bytes, data *)
   mutable holes : hole list;
   mutable total_known : bool;
-  deadline : float;
 }
 
 type t = {
-  table : (key, entry) Hashtbl.t;
+  table : (key, entry) Fbsr_util.Pending.t;
   timeout : float;
 }
 
-let create ?(timeout = 30.0) () = { table = Hashtbl.create 16; timeout }
+let create ?(timeout = 30.0) () = { table = Fbsr_util.Pending.create (); timeout }
 
 let key_of (h : Ipv4.header) : key =
   (Addr.to_int h.src, Addr.to_int h.dst, h.protocol, h.ident)
@@ -96,22 +97,15 @@ let insert_fragment entry ~off ~len ~more =
   in
   entry.holes <- trimmed
 
-let expire t now =
-  let stale =
-    Hashtbl.fold (fun k e acc -> if e.deadline < now then k :: acc else acc) t.table []
-  in
-  List.iter (Hashtbl.remove t.table) stale;
-  List.length stale
-
 let add t ~now (h : Ipv4.header) (data : string) : (Ipv4.header * string) option =
-  ignore (expire t now);
   if (not h.more_fragments) && h.frag_offset = 0 then
     (* Unfragmented: fast path. *)
     Some (h, data)
   else begin
+    Fbsr_util.Pending.expire t.table ~now;
     let k = key_of h in
     let entry =
-      match Hashtbl.find_opt t.table k with
+      match Fbsr_util.Pending.find t.table k with
       | Some e -> e
       | None ->
           let e =
@@ -119,10 +113,9 @@ let add t ~now (h : Ipv4.header) (data : string) : (Ipv4.header * string) option
               fragments = [];
               holes = [ { first = 0; last = max_datagram } ];
               total_known = false;
-              deadline = now +. t.timeout;
             }
           in
-          Hashtbl.add t.table k e;
+          Fbsr_util.Pending.add t.table ~deadline:(now +. t.timeout) k e;
           e
     in
     let off = h.frag_offset * 8 in
@@ -136,7 +129,7 @@ let add t ~now (h : Ipv4.header) (data : string) : (Ipv4.header * string) option
         entry.fragments <- (off, data) :: entry.fragments
     end;
     if entry.holes = [] && entry.total_known then begin
-      Hashtbl.remove t.table k;
+      ignore (Fbsr_util.Pending.remove t.table k);
       (* Stitch fragments together; later arrivals win on overlap, matching
          BSD behaviour closely enough for our purposes. *)
       let total =
@@ -161,4 +154,4 @@ let add t ~now (h : Ipv4.header) (data : string) : (Ipv4.header * string) option
     else None
   end
 
-let pending t = Hashtbl.length t.table
+let pending t = Fbsr_util.Pending.length t.table

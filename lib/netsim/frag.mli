@@ -16,9 +16,7 @@ val create : ?timeout:float -> unit -> t
 val add : t -> now:float -> Ipv4.header -> string -> (Ipv4.header * string) option
 (** Feed one fragment; returns the reassembled datagram when complete.
     A fragment that fills no hole and fixes no end (a duplicate) is not
-    stored. *)
-
-val expire : t -> float -> int
-(** Drop timed-out partial datagrams; returns how many were dropped. *)
+    stored.  A fragment first drops the partial datagrams whose deadline
+    is before [now]; an unfragmented datagram passes straight through. *)
 
 val pending : t -> int

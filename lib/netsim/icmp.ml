@@ -42,9 +42,8 @@ let decode raw =
    requests by (id, seq). *)
 
 type state = {
-  pending : (int * int, float -> string -> unit) Hashtbl.t;
-      (* (id, seq) -> callback (rtt, payload) *)
-  mutable sent : (int * int, float) Hashtbl.t option; (* send timestamps *)
+  pending : (int * int, float * (float -> string -> unit)) Fbsr_util.Pending.t;
+      (* (id, seq) -> send time, callback (rtt, payload) *)
   mutable next_id : int;
   mutable echoed : int;
 }
@@ -67,25 +66,13 @@ let handle host (h : Ipv4.header) payload =
       let reply = { m with msg_type = type_echo_reply } in
       Host.ip_output host ~protocol:Ipv4.proto_icmp ~dst:h.src (encode reply)
   | m when m.msg_type = type_echo_reply -> (
-      match Hashtbl.find_opt s.pending (m.id, m.seq) with
-      | Some cb ->
-          Hashtbl.remove s.pending (m.id, m.seq);
-          let rtt =
-            match s.sent with
-            | Some tbl -> (
-                match Hashtbl.find_opt tbl (m.id, m.seq) with
-                | Some t0 -> Host.now host -. t0
-                | None -> 0.0)
-            | None -> 0.0
-          in
-          cb rtt m.payload
+      match Fbsr_util.Pending.remove s.pending (m.id, m.seq) with
+      | Some (t0, cb) -> cb (Host.now host -. t0) m.payload
       | None -> ())
   | _ -> ()
 
 let install host =
-  let s =
-    { pending = Hashtbl.create 8; sent = Some (Hashtbl.create 8); next_id = 1; echoed = 0 }
-  in
+  let s = { pending = Fbsr_util.Pending.create (); next_id = 1; echoed = 0 } in
   Host.set_extension host ~tag (E s);
   Host.register_protocol host ~protocol:Ipv4.proto_icmp handle
 
@@ -94,10 +81,7 @@ let ping host ~dst ?(payload = "abcdefghijklmnop") cb =
   let id = s.next_id in
   s.next_id <- (s.next_id + 1) land 0xffff;
   let seq = 1 in
-  Hashtbl.replace s.pending (id, seq) cb;
-  (match s.sent with
-  | Some tbl -> Hashtbl.replace tbl (id, seq) (Host.now host)
-  | None -> ());
+  Fbsr_util.Pending.add s.pending (id, seq) (Host.now host, cb);
   Host.ip_output host ~protocol:Ipv4.proto_icmp ~dst
     (encode { msg_type = type_echo_request; code = 0; id; seq; payload })
 

@@ -21,7 +21,7 @@ type ('k, 's, 'a) t = {
   timeout : float;
   max_attempts : int;
   timed_out : 'a;
-  table : ('k, ('s, 'a) request) Hashtbl.t;
+  table : ('k, ('s, 'a) request) Fbsr_util.Pending.t;
   mutable retransmissions : int;
 }
 
@@ -40,15 +40,14 @@ let create ~seed ~timeout ~max_attempts ~timed_out host =
     timeout;
     max_attempts;
     timed_out;
-    table = Hashtbl.create 8;
+    table = Fbsr_util.Pending.create ();
     retransmissions = 0;
   }
 
 let complete t key outcome =
-  match Hashtbl.find_opt t.table key with
+  match Fbsr_util.Pending.remove t.table key with
   | None -> false
   | Some r ->
-      Hashtbl.remove t.table key;
       List.iter (fun k -> k outcome) (List.rev r.waiters);
       true
 
@@ -63,7 +62,7 @@ let rec transmit t key r =
   in
   r.send timeout;
   Engine.schedule t.engine ~delay:timeout (fun () ->
-      match Hashtbl.find_opt t.table key with
+      match Fbsr_util.Pending.find t.table key with
       | Some r' when r' == r ->
           if r.attempts >= t.max_attempts then ignore (complete t key t.timed_out)
           else begin
@@ -74,7 +73,7 @@ let rec transmit t key r =
       | Some _ | None -> ())
 
 let join t key w =
-  match Hashtbl.find_opt t.table key with
+  match Fbsr_util.Pending.find t.table key with
   | Some r ->
       r.waiters <- w :: r.waiters;
       true
@@ -82,10 +81,10 @@ let join t key w =
 
 let start t key state ~send w =
   let r = { state; send; waiters = [ w ]; attempts = 1 } in
-  Hashtbl.replace t.table key r;
+  Fbsr_util.Pending.add t.table key r;
   transmit t key r
 
 let find t key =
-  match Hashtbl.find_opt t.table key with Some r -> Some r.state | None -> None
+  Option.map (fun r -> r.state) (Fbsr_util.Pending.find t.table key)
 
 let retransmissions t = t.retransmissions

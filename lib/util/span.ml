@@ -78,9 +78,7 @@ type t = {
    recorder, and the terminal span retro-flushes or discards them. *)
 and sampler = {
   ratio : int; (* keep 1 in [ratio] chains by id hash; <= 1 keeps all *)
-  pending_cap : int; (* max parked spans before oldest chains are evicted *)
-  pending : (int64, (t * span) list ref) Hashtbl.t;
-  order : int64 Queue.t; (* chain ids in first-parked order, may be stale *)
+  pending : (int64, (t * span) list ref) Pending.t; (* first-parked order *)
   mutable pending_count : int;
   promoted : (int64, unit) Hashtbl.t; (* anomalous chains: keep everything *)
   mutable kept_chains : int;
@@ -91,13 +89,14 @@ and sampler = {
 
 let zero_clock () = 0.0
 
-let sampler ?(pending_cap = 16384) ~ratio () =
+(* Parked spans beyond which the oldest undecided chains are evicted. *)
+let pending_cap = 16384
+
+let sampler ~ratio () =
   if ratio < 1 then invalid_arg "Span.sampler: ratio must be >= 1";
   {
     ratio;
-    pending_cap = max 1 pending_cap;
-    pending = Hashtbl.create 256;
-    order = Queue.create ();
+    pending = Pending.create ();
     pending_count = 0;
     promoted = Hashtbl.create 64;
     kept_chains = 0;
@@ -168,29 +167,27 @@ let is_anomaly s =
   || List.mem_assoc "degraded" s.detail
 
 let flush_pending sm id ~keep =
-  match Hashtbl.find_opt sm.pending id with
+  match Pending.remove sm.pending id with
   | None -> ()
   | Some l ->
       sm.pending_count <- sm.pending_count - List.length !l;
-      Hashtbl.remove sm.pending id;
       if keep then List.iter (fun (t, s) -> record t s) (List.rev !l)
 
-let park sm t s =
-  (match Hashtbl.find_opt sm.pending s.id with
-  | Some l -> l := (t, s) :: !l
-  | None ->
-      Hashtbl.replace sm.pending s.id (ref [ (t, s) ]);
-      Queue.push s.id sm.order);
-  sm.pending_count <- sm.pending_count + 1;
-  while sm.pending_count > sm.pending_cap && not (Queue.is_empty sm.order) do
-    let victim = Queue.pop sm.order in
-    match Hashtbl.find_opt sm.pending victim with
-    | None -> () (* stale entry: that chain already concluded *)
+let rec evict_oldest sm =
+  if sm.pending_count > pending_cap then
+    match Pending.pop_oldest sm.pending with
+    | None -> ()
     | Some l ->
         sm.pending_count <- sm.pending_count - List.length !l;
-        Hashtbl.remove sm.pending victim;
-        sm.evicted_chains <- sm.evicted_chains + 1
-  done
+        sm.evicted_chains <- sm.evicted_chains + 1;
+        evict_oldest sm
+
+let park sm t s =
+  (match Pending.find sm.pending s.id with
+  | Some l -> l := (t, s) :: !l
+  | None -> Pending.add sm.pending s.id (ref [ (t, s) ]));
+  sm.pending_count <- sm.pending_count + 1;
+  evict_oldest sm
 
 let sampled_record t sm s =
   if Int64.equal s.id 0L then record t s (* unattributed: never sampled out *)

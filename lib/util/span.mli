@@ -97,10 +97,11 @@ type t
 
 type sampler
 
-val sampler : ?pending_cap:int -> ratio:int -> unit -> sampler
+val sampler : ratio:int -> unit -> sampler
 (** Keep 1 in [ratio] normal chains ([1] keeps everything).  At most
-    [pending_cap] (default 16384) undecided spans park at once; beyond
-    that the oldest undecided chains are evicted un-retained.
+    16 384 undecided spans park at once; beyond that the undecided chains
+    that parked first are evicted un-retained.  A chain that concludes
+    leaves nothing parked behind.
     @raise Invalid_argument when [ratio < 1]. *)
 
 val ratio : sampler -> int
@@ -124,7 +125,7 @@ type sampler_stats = {
   kept_chains : int;  (** head-sampled chains that reached a terminal *)
   promoted_chains : int;  (** chains retained by the anomaly tail-keep *)
   discarded_chains : int;  (** normal chains sampled out at their terminal *)
-  evicted_chains : int;  (** undecided chains dropped at [pending_cap] *)
+  evicted_chains : int;  (** undecided chains dropped at the parking cap *)
   pending_spans : int;  (** spans currently parked *)
 }
 

@@ -619,18 +619,46 @@ let test_sampler_tail_keep () =
     (List.length (Span.spans a))
 
 let test_sampler_eviction () =
-  let sm = Span.sampler ~ratio:1_000_000 ~pending_cap:4 () in
+  let sm = Span.sampler ~ratio:1_000_000 () in
   let r = Span.create ~capacity:64 ~sampler:sm () in
-  (* Five undecided out-of-sample chains, one parked span each: the cap
-     evicts the oldest un-retained. *)
-  for i = 1 to 5 do
-    Span.finish r (Span.start r) ~id:(Int64.of_int (i * 7 + 1)) "engine.seal"
+  (* One more undecided out-of-sample chain than the 16 384-span cap, one
+     parked span each (no id is a multiple of the ratio): the cap evicts
+     the oldest un-retained.  The second chain then concludes and the
+     first is gone, so only the third may be evicted next. *)
+  let id i = Int64.of_int ((i * 7) + 1) in
+  for i = 1 to 16_385 do
+    Span.finish r (Span.start r) ~id:(id i) "engine.seal"
   done;
   let st = Span.sampler_stats sm in
-  check Alcotest.int "oldest chain evicted at pending_cap" 1
+  check Alcotest.int "oldest chain evicted at the cap" 1 st.Span.evicted_chains;
+  check Alcotest.int "cap holds" 16_384 st.Span.pending_spans;
+  Span.finish r (Span.start r) ~id:(id 2) ~outcome:"delivered" "engine.receive";
+  Span.finish r (Span.start r) ~id:(id 16_386) "engine.seal";
+  Span.finish r (Span.start r) ~id:(id 16_387) "engine.seal";
+  let st = Span.sampler_stats sm in
+  check Alcotest.int "concluded and evicted chains are not evicted again" 2
     st.Span.evicted_chains;
-  check Alcotest.int "cap holds" 4 st.Span.pending_spans;
+  check Alcotest.int "cap still holds" 16_384 st.Span.pending_spans;
   check Alcotest.int "nothing reached the ring" 0 (List.length (Span.spans r))
+
+let test_sampler_concluded_chains_leave_nothing () =
+  (* Chains the head sample passes over (no id is a multiple of the
+     ratio) park their first span and then conclude normally.  Nothing of
+     a concluded chain may stay in the sampler: the words it retains do
+     not grow with the chain count. *)
+  let sm = Span.sampler ~ratio:1_000_000 () in
+  let r = Span.create ~capacity:64 ~sampler:sm () in
+  for i = 1 to 200_000 do
+    let id = Int64.of_int ((i * 1_000_000) + 1) in
+    Span.finish r (Span.start r) ~id "engine.seal";
+    Span.finish r (Span.start r) ~id ~outcome:"delivered" "engine.receive"
+  done;
+  let st = Span.sampler_stats sm in
+  check Alcotest.int "every chain discarded" 200_000 st.Span.discarded_chains;
+  check Alcotest.int "nothing parked" 0 st.Span.pending_spans;
+  let words = Obj.reachable_words (Obj.repr sm) in
+  if words > 10_000 then
+    Alcotest.failf "sampler retains %d words after 200 000 concluded chains" words
 
 (* ------------------------------------------------------------------ *)
 (* Exposition-format details: # HELP lines and escaping.                *)
@@ -749,6 +777,8 @@ let () =
           Alcotest.test_case "anomaly tail-keep across recorders" `Quick
             test_sampler_tail_keep;
           Alcotest.test_case "pending-cap eviction" `Quick test_sampler_eviction;
+          Alcotest.test_case "concluded chains leave nothing parked" `Quick
+            test_sampler_concluded_chains_leave_nothing;
         ] );
       ( "stats",
         [

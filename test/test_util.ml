@@ -1,5 +1,6 @@
 (* Tests for the fbsr_util substrate: hex, byte IO, CRC-32, Internet
-   checksum, PRNGs, statistics, byte queue. *)
+   checksum, PRNGs, statistics, byte queue, the priority queue and the
+   table of pending work. *)
 
 open Fbsr_util
 
@@ -354,6 +355,92 @@ let test_chart_renders () =
   Chart.timeseries ppf ~x_label:"t" ~y_label:"v" [||];
   Chart.hbar ppf []
 
+(* --- Pqueue --- *)
+
+let prop_pqueue_sorted =
+  QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
+    QCheck.(list (float_bound_inclusive 1000.0))
+    (fun priorities ->
+      let q = Pqueue.create () in
+      List.iter (fun p -> Pqueue.push q p p) priorities;
+      let rec drain last =
+        match Pqueue.pop q with
+        | None -> true
+        | Some (p, _) -> p >= last && drain p
+      in
+      drain neg_infinity)
+
+let test_pqueue_fifo_ties () =
+  let q = Pqueue.create () in
+  List.iter (fun v -> Pqueue.push q 1.0 v) [ "a"; "b"; "c" ];
+  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
+  check Alcotest.(list string) "FIFO among equal priorities" [ "a"; "b"; "c" ] order
+
+
+(* --- Pending --- *)
+
+(* Shuffled deadlines (repeats allowed): after [expire] at each deadline
+   plus a half, exactly the entries due by then are gone, and the rest
+   still leave the table oldest first. *)
+let prop_pending_deadline_order =
+  QCheck.Test.make ~name:"entries expire in deadline order" ~count:200
+    QCheck.(list (int_bound 50))
+    (fun deadlines ->
+      let t = Pending.create () in
+      List.iteri (fun i d -> Pending.add t i d ~deadline:(float_of_int d)) deadlines;
+      let keys = List.mapi (fun i d -> (i, d)) deadlines in
+      List.for_all
+        (fun now ->
+          Pending.expire t ~now:(float_of_int now +. 0.5);
+          List.for_all (fun (i, d) -> Pending.mem t i = (d > now)) keys
+          && Pending.length t = List.length (List.filter (fun (_, d) -> d > now) keys))
+        (List.sort_uniq compare deadlines)
+      && Pending.length t = 0)
+
+let test_pending_left_early () =
+  (* Entries that leave before their deadline, one live at a time (a
+     reassembly that completes, say): their heap items hold nothing and
+     the heap is rebuilt without them, so the words the table retains do
+     not grow with the entries that passed through it. *)
+  let t = Pending.create () in
+  for i = 1 to 100_000 do
+    Pending.add t i (string_of_int i) ~deadline:(1000.0 +. float_of_int i);
+    if i > 1 then ignore (Pending.remove t (i - 1))
+  done;
+  check Alcotest.int "one entry left" 1 (Pending.length t);
+  let words = Obj.reachable_words (Obj.repr t) in
+  if words > 2_000 then
+    Alcotest.failf "table retains %d words after 100 000 entries left early" words;
+  Pending.expire t ~now:1e9;
+  check Alcotest.int "empty" 0 (Pending.length t)
+
+let test_pending_removed_keys () =
+  let t = Pending.create () in
+  for i = 0 to 9 do
+    Pending.add t i (Printf.sprintf "old %d" i) ~deadline:(float_of_int (10 + i))
+  done;
+  check Alcotest.(option string) "removed" (Some "old 3") (Pending.remove t 3);
+  check Alcotest.(option string) "removed" (Some "old 7") (Pending.remove t 7);
+  check Alcotest.(option string) "removed twice" None (Pending.remove t 7);
+  (* Key 3 comes back, newest, due long after its old deadline; key 5 is
+     replaced in place of a remove. *)
+  Pending.add t 3 "new 3" ~deadline:100.0;
+  Pending.add t 5 "new 5";
+  Pending.expire t ~now:50.0;
+  check Alcotest.(option string) "the old deadline does not expire the new entry"
+    (Some "new 3") (Pending.find t 3);
+  check Alcotest.(option string) "a replaced entry loses its deadline" (Some "new 5")
+    (Pending.find t 5);
+  check Alcotest.int "the rest expired" 2 (Pending.length t);
+  Pending.add t 8 "new 8";
+  let rec drain acc =
+    match Pending.pop_oldest t with Some v -> drain (v :: acc) | None -> List.rev acc
+  in
+  check Alcotest.(list string) "evicted oldest first, removed keys never"
+    [ "new 3"; "new 5"; "new 8" ] (drain []);
+  Pending.expire t ~now:1000.0;
+  check Alcotest.int "empty" 0 (Pending.length t)
+
 let () =
   Alcotest.run "util"
     [
@@ -415,5 +502,18 @@ let () =
         [
           Alcotest.test_case "bar" `Quick test_chart_bar;
           Alcotest.test_case "renders" `Quick test_chart_renders;
+        ] );
+      ( "pqueue",
+        [
+          Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
+          qtest prop_pqueue_sorted;
+        ] );
+      ( "pending",
+        [
+          qtest prop_pending_deadline_order;
+          Alcotest.test_case "removed keys never expire or evict" `Quick
+            test_pending_removed_keys;
+          Alcotest.test_case "entries that leave early leave nothing" `Quick
+            test_pending_left_early;
         ] );
     ]
