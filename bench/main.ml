@@ -165,6 +165,45 @@ let cache_churn =
         | Some _ -> ()
         | None -> Fbsr_fbs.Cache.insert !c key "flowkey")
 
+(* One whole TFKC miss, as the send path pays it for a new flow: the
+   datagram's key, the find (a cold miss, classified against the record
+   of 10^5 keys the cache has already seen), the derivation from a live
+   master key (an MKC hit in the warm sender's keying), the DES schedule
+   and the insert.  Every call is a new flow, so the record gains a key
+   per call for as long as the row runs. *)
+let flow_key_miss =
+  let c : (Key.t, Fbsr_fbs.Armor.flow_state) Fbsr_fbs.Cache.t =
+    Fbsr_fbs.Cache.create ~sets:128 ~hash:Key.index ~fingerprint:Key.fingerprint
+      ~equal:Key.equal ()
+  in
+  let keying = Fbsr_fbs.Engine.keying es_paper in
+  let local = Fbsr_fbs.Keying.local keying
+  and peer = Fbsr_fbs.Keying.local (Fbsr_fbs.Engine.keying ed_paper) in
+  let seen = Fbsr_fbs.Armor.flow_state_of_key "" in
+  for i = 1 to 100_000 do
+    Fbsr_fbs.Cache.insert c
+      (Key.make ~local ~sfl:(Fbsr_fbs.Sfl.of_int64 (Int64.of_int i)) ~peer)
+      seen
+  done;
+  let next = ref 100_000 in
+  fun () ->
+    incr next;
+    let sfl = Fbsr_fbs.Sfl.of_int64 (Int64.of_int !next) in
+    let key = Key.make ~local ~sfl ~peer in
+    match Fbsr_fbs.Cache.find c key with
+    | Some _ -> ()
+    | None -> (
+        match Fbsr_fbs.Keying.get_master_sync keying peer with
+        | Error _ -> failwith "flow-key-miss: no live master key"
+        | Ok master ->
+            let fk =
+              Fbsr_fbs.Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master ~src:local
+                ~dst:peer
+            in
+            let entry = Fbsr_fbs.Armor.flow_state_of_key fk in
+            entry.Fbsr_fbs.Armor.des_sched <- Some (Fbsr_crypto.Des.of_prefix fk);
+            Fbsr_fbs.Cache.insert c key entry)
+
 let alloc_for_fam = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 77)
 let fam_policy = Fbsr_fbs.Policy_five_tuple.make ~alloc:alloc_for_fam ()
 
@@ -325,6 +364,7 @@ let fbs_tests =
                ~sfl:(Fbsr_fbs.Sfl.of_int64 77L) ~master:mac_key
                ~src:(Fbsr_fbs.Principal.of_string "10.9.0.1")
                ~dst:(Fbsr_fbs.Principal.of_string "10.9.0.2")));
+      Test.make ~name:"flow-key-miss" (stage flow_key_miss);
       Test.make ~name:"header-encode+decode"
         (stage (fun () ->
              let h =

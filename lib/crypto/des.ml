@@ -17,13 +17,13 @@ exception Weak_key
 
 let key_size = 8
 
-(* A key is its expanded schedule, packed for the kernel: encrypt-order
-   and decrypt-order round words.  Expansion happens once in [of_string];
-   the engine additionally caches expanded keys per flow (TFKC/RFKC). *)
-type key = { ke : int array; kd : int array }
+(* A key is its expanded schedule, packed for the kernel: the 32
+   encrypt-order round words, which decryption walks backwards.
+   Expansion happens once in [of_string]; the engine additionally caches
+   expanded keys per flow (TFKC/RFKC). *)
+type key = int array
 
-let sched_e k = k.ke
-let sched_d k = k.kd
+let sched (k : key) = k
 
 let weak_keys =
   (* The four weak keys of FIPS 74, with standard odd parity. *)
@@ -40,8 +40,9 @@ let is_weak_key key =
 let of_string ?(check_weak = false) key =
   if String.length key <> key_size then invalid_arg "Des: key must be 8 bytes";
   if check_weak && is_weak_key key then raise Weak_key;
-  let ke, kd = Des_kernel.schedule key in
-  { ke; kd }
+  Des_kernel.schedule key
+
+let of_prefix = Des_kernel.schedule
 
 let adjust_parity key =
   String.init (String.length key) (fun i ->
@@ -58,15 +59,15 @@ let[@inline] blk_byte h l j =
 
 (* --- Int64 block API (tests, oracles; not on the datagram path) --- *)
 
-let crypt_block_i64 ks (block : int64) : int64 =
+let crypt_block_i64 crypt ks (block : int64) : int64 =
   let io = Array.make 2 0 in
   io.(0) <- Int64.to_int (Int64.shift_right_logical block 32);
   io.(1) <- Int64.to_int (Int64.logand block 0xffffffffL);
-  Des_kernel.crypt ks io;
+  crypt ks io;
   Int64.logor (Int64.shift_left (Int64.of_int io.(0)) 32) (Int64.of_int io.(1))
 
-let encrypt_block key pt = crypt_block_i64 key.ke pt
-let decrypt_block key ct = crypt_block_i64 key.kd ct
+let encrypt_block key pt = crypt_block_i64 Des_kernel.crypt key pt
+let decrypt_block key ct = crypt_block_i64 Des_kernel.crypt_inv key ct
 
 let block_of_string s off =
   let v = ref 0L in
@@ -122,7 +123,7 @@ let encrypt_cbc ~iv key pt =
   let io = Array.make 2 0 in
   io.(0) <- Des_kernel.read32 iv 0;
   io.(1) <- Des_kernel.read32 iv 4;
-  Des_kernel.cbc_encrypt key.ke io data 0 n out 0;
+  Des_kernel.cbc_encrypt key io data 0 n out 0;
   Bytes.unsafe_to_string out
 
 let decrypt_cbc ~iv key ct =
@@ -130,7 +131,7 @@ let decrypt_cbc ~iv key ct =
   let n = String.length ct in
   if n = 0 || n mod 8 <> 0 then invalid_arg "Des.decrypt_cbc: bad length";
   let out = Bytes.create n in
-  Des_kernel.cbc_decrypt key.kd ~ivh:(Des_kernel.read32 iv 0)
+  Des_kernel.cbc_decrypt key ~ivh:(Des_kernel.read32 iv 0)
     ~ivl:(Des_kernel.read32 iv 4) ct 0 (n / 8) out 0;
   unpad (Bytes.unsafe_to_string out)
 
@@ -167,8 +168,8 @@ let encrypt_cbc_into ~iv key ~src ~src_pos ~src_len ~dst ~dst_pos =
   io.(0) <- Des_kernel.read32 iv 0;
   io.(1) <- Des_kernel.read32 iv 4;
   let whole = src_len land lnot 7 in
-  Des_kernel.cbc_encrypt key.ke io src src_pos (whole / 8) dst dst_pos;
-  cbc_final_block key.ke io src (src_pos + whole) (src_len - whole) dst (dst_pos + whole);
+  Des_kernel.cbc_encrypt key io src src_pos (whole / 8) dst dst_pos;
+  cbc_final_block key io src (src_pos + whole) (src_len - whole) dst (dst_pos + whole);
   out_len
 
 (* CBC decryption of a sub-range without copying the ciphertext out of
@@ -191,7 +192,7 @@ let cbc_open_final ~iv key ~src ~pos ~len =
   let io = Array.make 2 0 in
   io.(0) <- Des_kernel.read32 src last;
   io.(1) <- Des_kernel.read32 src (last + 4);
-  Des_kernel.crypt key.kd io;
+  Des_kernel.crypt_inv key io;
   let lh = io.(0) lxor lph and ll = io.(1) lxor lpl in
   let padding = ll land 0xff in
   if padding < 1 || padding > 8 then invalid_arg "Des.decrypt_cbc_sub: corrupt padding";
@@ -206,7 +207,7 @@ let cbc_open_final ~iv key ~src ~pos ~len =
 
 let decrypt_cbc_sub ~iv key ~src ~pos ~len =
   let out = cbc_open_final ~iv key ~src ~pos ~len in
-  Des_kernel.cbc_decrypt key.kd ~ivh:(Des_kernel.read32 iv 0)
+  Des_kernel.cbc_decrypt key ~ivh:(Des_kernel.read32 iv 0)
     ~ivl:(Des_kernel.read32 iv 4) src pos ((len / 8) - 1) out 0;
   Bytes.unsafe_to_string out
 
@@ -238,7 +239,7 @@ let cbc_job ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos =
   let chain = Array.make 2 0 in
   chain.(0) <- Des_kernel.read32 iv 0;
   chain.(1) <- Des_kernel.read32 iv 4;
-  { sched = key.ke; chain; src; src_pos; src_len; dst; dst_pos }
+  { sched = key; chain; src; src_pos; src_len; dst; dst_pos }
 
 (* The padded final block of a job whose whole blocks have run. *)
 let finish_job j =
@@ -282,11 +283,11 @@ let cbc_blocks_into key chain ~src ~src_pos ~nblocks ~dst ~dst_pos =
     invalid_arg "Des.cbc_blocks_into: bad source range";
   if dst_pos < 0 || dst_pos > Bytes.length dst - (nblocks * 8) then
     invalid_arg "Des.cbc_blocks_into: destination too short";
-  Des_kernel.cbc_encrypt key.ke chain src src_pos nblocks dst dst_pos
+  Des_kernel.cbc_encrypt key chain src src_pos nblocks dst dst_pos
 
 let cbc_tail_into key chain ~src ~src_pos ~src_len ~dst ~dst_pos =
   if src_pos < 0 || src_len < 0 || src_len > 7 || src_pos > String.length src - src_len
   then invalid_arg "Des.cbc_tail_into: bad source range";
   if dst_pos < 0 || dst_pos > Bytes.length dst - 8 then
     invalid_arg "Des.cbc_tail_into: destination too short";
-  cbc_final_block key.ke chain src src_pos src_len dst dst_pos
+  cbc_final_block key chain src src_pos src_len dst dst_pos

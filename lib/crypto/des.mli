@@ -8,10 +8,17 @@ exception Weak_key
 type key
 
 val of_string : ?check_weak:bool -> string -> key
-(** Expand an 8-byte key into the sixteen round subkeys.
+(** Expand an 8-byte key into the sixteen round subkeys, held once, in
+    encrypt order: decryption walks them backwards.
     @raise Weak_key when [check_weak] and the key is one of the four weak
     keys.
     @raise Invalid_argument on wrong length. *)
+
+val of_prefix : string -> key
+(** The key of the first 8 bytes of a longer string, as
+    [of_string (String.sub s 0 8)] without the copy: how an armor keys
+    DES from a 16- or 20-byte flow key.
+    @raise Invalid_argument when [s] is shorter than 8 bytes. *)
 
 val is_weak_key : string -> bool
 val adjust_parity : string -> string
@@ -129,7 +136,6 @@ val encrypt_cbc_jobs : cbc_job array -> int
 
 (**/**)
 
-(* Internal: the packed {!Des_kernel} schedules, for sibling modules
+(* Internal: the packed {!Des_kernel} schedule, for sibling modules
    ([Des3], [Mac]) that drive the kernel directly. *)
-val sched_e : key -> int array
-val sched_d : key -> int array
+val sched : key -> int array

@@ -25,16 +25,16 @@ let of_string key =
 (* E(k3, D(k2, E(k1, .))) with the interior FP/IP cancelled. *)
 let[@inline] encrypt_io key (io : int array) =
   Des_kernel.ip io;
-  Des_kernel.rounds (Des.sched_e key.k1) io;
-  Des_kernel.rounds (Des.sched_d key.k2) io;
-  Des_kernel.rounds (Des.sched_e key.k3) io;
+  Des_kernel.rounds (Des.sched key.k1) io;
+  Des_kernel.rounds_inv (Des.sched key.k2) io;
+  Des_kernel.rounds (Des.sched key.k3) io;
   Des_kernel.fp io
 
 let[@inline] decrypt_io key (io : int array) =
   Des_kernel.ip io;
-  Des_kernel.rounds (Des.sched_d key.k3) io;
-  Des_kernel.rounds (Des.sched_e key.k2) io;
-  Des_kernel.rounds (Des.sched_d key.k1) io;
+  Des_kernel.rounds_inv (Des.sched key.k3) io;
+  Des_kernel.rounds (Des.sched key.k2) io;
+  Des_kernel.rounds_inv (Des.sched key.k1) io;
   Des_kernel.fp io
 
 let crypt_block_i64 crypt key (block : int64) : int64 =

@@ -40,7 +40,10 @@
    Subkey layout: two words per round.  Word [2i] carries the 6-bit
    subkey chunks for S1/S3/S5/S7 at shifts 26/18/10/2, word [2i+1] the
    chunks for S2/S4/S6/S8 at the same shifts (the round lifts it by
-   28). *)
+   28).  A key has this one encrypt-order schedule: decryption
+   ([rounds_inv], [crypt_inv], [cbc_decrypt]) walks it from round 15
+   down, with the offsets reversed in the unrolled code, so a cached key
+   holds 32 words and decrypting costs what encrypting does. *)
 
 (* --- FIPS tables (1-based source bit positions, MSB first) --- *)
 
@@ -236,9 +239,30 @@ let rounds (ks : int array) (io : int array) =
   Array.unsafe_set io 0 r;
   Array.unsafe_set io 1 l
 
+(* The inverse of [rounds] under the same schedule: the sixteen rounds
+   with the subkeys taken from round 15 down, which is DES decryption.
+   Only the offsets differ, so it costs what [rounds] costs. *)
+let rounds_inv (ks : int array) (io : int array) =
+  let l = Array.unsafe_get io 0 and r = Array.unsafe_get io 1 in
+  let l = round ks 30 l r in let r = round ks 28 r l in
+  let l = round ks 26 l r in let r = round ks 24 r l in
+  let l = round ks 22 l r in let r = round ks 20 r l in
+  let l = round ks 18 l r in let r = round ks 16 r l in
+  let l = round ks 14 l r in let r = round ks 12 r l in
+  let l = round ks 10 l r in let r = round ks 8 r l in
+  let l = round ks 6 l r in let r = round ks 4 r l in
+  let l = round ks 2 l r in let r = round ks 0 r l in
+  Array.unsafe_set io 0 r;
+  Array.unsafe_set io 1 l
+
 let crypt ks io =
   ip io;
   rounds ks io;
+  fp io
+
+let crypt_inv ks io =
+  ip io;
+  rounds_inv ks io;
   fp io
 
 (* Big-endian 32-bit loads/stores for the mode loops, via the stdlib's
@@ -337,10 +361,11 @@ let cbc_encrypt2 (ka : int array) (cha : int array) sa pa da qa na
   if na > n then cbc_encrypt ka cha sa (pa + o) (na - n) da (qa + o)
   else if nb > n then cbc_encrypt kb chb sb (pb + o) (nb - n) db (qb + o)
 
-(* CBC decryption of [n] whole blocks, chaining from the ciphertext
-   block (ivh, ivl).  No block depends on another's plaintext, so two
-   run per iteration as independent chains the CPU overlaps; an odd
-   final block runs as both chains and is stored once. *)
+(* CBC decryption of [n] whole blocks under the encrypt-order schedule
+   [ks], walked from round 15 down, chaining from the ciphertext block
+   (ivh, ivl).  No block depends on another's plaintext, so two run per
+   iteration as independent chains the CPU overlaps; an odd final block
+   runs as both chains and is stored once. *)
 let cbc_decrypt (ks : int array) ~ivh ~ivl src pos n dst dst_pos =
   let ph = ref ivh and pl = ref ivl in
   let i = ref 0 in
@@ -352,22 +377,22 @@ let cbc_decrypt (ks : int array) ~ivh ~ivl src pos n dst dst_pos =
     let h2 = read32 src s2 and lo2 = read32 src (s2 + 4) in
     let l1 = gather ip_hi h1 lo1 and r1 = gather ip_lo h1 lo1 in
     let l2 = gather ip_hi h2 lo2 and r2 = gather ip_lo h2 lo2 in
-    let l1 = round ks 0 l1 r1 and l2 = round ks 0 l2 r2 in
-    let r1 = round ks 2 r1 l1 and r2 = round ks 2 r2 l2 in
-    let l1 = round ks 4 l1 r1 and l2 = round ks 4 l2 r2 in
-    let r1 = round ks 6 r1 l1 and r2 = round ks 6 r2 l2 in
-    let l1 = round ks 8 l1 r1 and l2 = round ks 8 l2 r2 in
-    let r1 = round ks 10 r1 l1 and r2 = round ks 10 r2 l2 in
-    let l1 = round ks 12 l1 r1 and l2 = round ks 12 l2 r2 in
-    let r1 = round ks 14 r1 l1 and r2 = round ks 14 r2 l2 in
-    let l1 = round ks 16 l1 r1 and l2 = round ks 16 l2 r2 in
-    let r1 = round ks 18 r1 l1 and r2 = round ks 18 r2 l2 in
-    let l1 = round ks 20 l1 r1 and l2 = round ks 20 l2 r2 in
-    let r1 = round ks 22 r1 l1 and r2 = round ks 22 r2 l2 in
-    let l1 = round ks 24 l1 r1 and l2 = round ks 24 l2 r2 in
-    let r1 = round ks 26 r1 l1 and r2 = round ks 26 r2 l2 in
-    let l1 = round ks 28 l1 r1 and l2 = round ks 28 l2 r2 in
-    let r1 = round ks 30 r1 l1 and r2 = round ks 30 r2 l2 in
+    let l1 = round ks 30 l1 r1 and l2 = round ks 30 l2 r2 in
+    let r1 = round ks 28 r1 l1 and r2 = round ks 28 r2 l2 in
+    let l1 = round ks 26 l1 r1 and l2 = round ks 26 l2 r2 in
+    let r1 = round ks 24 r1 l1 and r2 = round ks 24 r2 l2 in
+    let l1 = round ks 22 l1 r1 and l2 = round ks 22 l2 r2 in
+    let r1 = round ks 20 r1 l1 and r2 = round ks 20 r2 l2 in
+    let l1 = round ks 18 l1 r1 and l2 = round ks 18 l2 r2 in
+    let r1 = round ks 16 r1 l1 and r2 = round ks 16 r2 l2 in
+    let l1 = round ks 14 l1 r1 and l2 = round ks 14 l2 r2 in
+    let r1 = round ks 12 r1 l1 and r2 = round ks 12 r2 l2 in
+    let l1 = round ks 10 l1 r1 and l2 = round ks 10 l2 r2 in
+    let r1 = round ks 8 r1 l1 and r2 = round ks 8 r2 l2 in
+    let l1 = round ks 6 l1 r1 and l2 = round ks 6 l2 r2 in
+    let r1 = round ks 4 r1 l1 and r2 = round ks 4 r2 l2 in
+    let l1 = round ks 2 l1 r1 and l2 = round ks 2 l2 r2 in
+    let r1 = round ks 0 r1 l1 and r2 = round ks 0 r2 l2 in
     write32 dst di (fp_word fp_hi r1 l1 lxor !ph);
     write32 dst (di + 4) (fp_word fp_lo r1 l1 lxor !pl);
     if pair then begin
@@ -430,8 +455,8 @@ let pc2_chunks =
     pc2_table;
   t
 
-let schedule (key : string) : int array * int array =
-  if String.length key <> 8 then invalid_arg "Des: key must be 8 bytes";
+let schedule (key : string) : int array =
+  if String.length key < 8 then invalid_arg "Des: key must be 8 bytes";
   let b i = Char.code (String.unsafe_get key i) in
   let t = pc1_bytes in
   let cd =
@@ -445,7 +470,7 @@ let schedule (key : string) : int array * int array =
     lor Array.unsafe_get t (1792 + b 7)
   in
   let c = ref (cd lsr 28) and d = ref (cd land 0xfffffff) in
-  let ke = Array.make 32 0 and kd = Array.make 32 0 in
+  let ks = Array.make 32 0 in
   let t = pc2_chunks in
   for round = 0 to 15 do
     let n = Array.unsafe_get key_shifts round in
@@ -463,9 +488,7 @@ let schedule (key : string) : int array * int array =
       lor Array.unsafe_get t (896 + (cd land 0x7f))
     in
     let ka = w land 0xffffffff and kb = (w lsr kb_lift) land 0xfffffffc in
-    Array.unsafe_set ke (2 * round) ka;
-    Array.unsafe_set ke ((2 * round) + 1) kb;
-    Array.unsafe_set kd (2 * (15 - round)) ka;
-    Array.unsafe_set kd ((2 * (15 - round)) + 1) kb
+    Array.unsafe_set ks (2 * round) ka;
+    Array.unsafe_set ks ((2 * round) + 1) kb
   done;
-  (ke, kd)
+  ks

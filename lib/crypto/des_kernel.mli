@@ -11,14 +11,16 @@
     CBC drivers skip bounds checks.  Callers (the mode loops in
     [Des]/[Des3]) validate ranges once per call.  Nothing here allocates. *)
 
-val schedule : string -> int array * int array
-(** [schedule key] expands an 8-byte key into [(encrypt, decrypt)]
-    round-word arrays (32 ints each: two packed subkey words per round,
-    decrypt order reversed).  Raises [Invalid_argument] unless the key is
-    exactly 8 bytes.  Table-driven: PC-1 is 8 byte-indexed lookups and
-    each round's PC-2 is 8 lookups by 7-bit chunk of C‖D, about 0.25 µs
-    a key (DESIGN.md §6c); the engine still caches the result per
-    flow.  Parity bits (the low bit of each byte) are ignored. *)
+val schedule : string -> int array
+(** [schedule s] expands the key in the first 8 bytes of [s] into its
+    encrypt-order round words (32 ints: two packed subkey words per
+    round).  The same array decrypts: {!rounds_inv}, {!crypt_inv} and
+    {!cbc_decrypt} walk it from round 15 down.  Raises
+    [Invalid_argument] when [s] is shorter than 8 bytes.  Table-driven:
+    PC-1 is 8 byte-indexed lookups and each round's PC-2 is 8 lookups by
+    7-bit chunk of C‖D, about 0.25 µs a key (DESIGN.md §6c); the engine
+    still caches the result per flow.  Parity bits (the low bit of each
+    byte) are ignored. *)
 
 val cbc_encrypt :
   int array -> int array -> string -> int -> int -> Bytes.t -> int -> unit
@@ -43,14 +45,17 @@ val cbc_encrypt2 :
 
 val cbc_decrypt :
   int array -> ivh:int -> ivl:int -> string -> int -> int -> Bytes.t -> int -> unit
-(** [cbc_decrypt kd ~ivh ~ivl src pos n dst dst_pos] CBC-decrypts the [n]
-    whole blocks at [pos] into [dst] at [dst_pos] under the decrypt
-    schedule [kd], the first block chained from [(ivh, ivl)].  Two blocks
-    run per iteration as independent chains. *)
+(** [cbc_decrypt ks ~ivh ~ivl src pos n dst dst_pos] CBC-decrypts the [n]
+    whole blocks at [pos] into [dst] at [dst_pos] under the schedule [ks]
+    (from {!schedule}, walked backwards), the first block chained from
+    [(ivh, ivl)].  Two blocks run per iteration as independent chains. *)
 
 val crypt : int array -> int array -> unit
-(** [crypt ks io] is one full DES pass (IP, sixteen rounds, FP) in place
-    on [io.(0)] (high word) and [io.(1)] (low word). *)
+(** [crypt ks io] is one full DES encryption (IP, sixteen rounds, FP) in
+    place on [io.(0)] (high word) and [io.(1)] (low word). *)
+
+val crypt_inv : int array -> int array -> unit
+(** [crypt_inv ks io] is the DES decryption that undoes [crypt ks]. *)
 
 val ip : int array -> unit
 (** Initial permutation, in place: the 32-bit words [io.(0)], [io.(1)]
@@ -66,6 +71,11 @@ val rounds : int array -> int array -> unit
     FIPS preoutput (R16, L16), both doubled.  Chaining [rounds] calls
     back-to-back composes full DES passes with interior FP/IP cancelled —
     how [Des3] does EDE3 under a single IP/FP pair. *)
+
+val rounds_inv : int array -> int array -> unit
+(** [rounds_inv ks io] undoes [rounds ks]: the sixteen rounds with the
+    subkeys of [ks] taken from round 15 down, same input and output
+    forms. *)
 
 val read32 : string -> int -> int
 (** Big-endian 32-bit load; no bounds check. *)

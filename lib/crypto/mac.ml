@@ -53,7 +53,7 @@ let des_cbc_prepare ~key =
    survives.  Byte-identical to the last block of [Des.encrypt_cbc] with a
    zero IV over the same byte stream. *)
 let des_cbc_slices_keyed des_key parts =
-  let ks = Des.sched_e des_key in
+  let ks = Des.sched des_key in
   let io = Array.make 2 0 in
   (* io holds the running ciphertext block; starts at the zero IV. *)
   let carry = Bytes.create 8 in

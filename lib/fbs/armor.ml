@@ -72,8 +72,8 @@ let des_sched ctx entry =
          20-byte (SHA-1) digest.  The paper's CryptoLib-based
          implementation takes the first 8 with adjusted parity; the
          schedule never reads parity bits, so the adjustment is skipped
-         and the key is the same. *)
-      let k = Fbsr_crypto.Des.of_string (String.sub entry.fk 0 8) in
+         and the key is the same.  The schedule reads them in place. *)
+      let k = Fbsr_crypto.Des.of_prefix entry.fk in
       entry.des_sched <- Some k;
       k
 

@@ -8,8 +8,11 @@
     table from fingerprint to list node, without allocating when the
     fingerprint is already in it.  Whether a missing key is cold is
     answered by a set of those fingerprints in an open-addressing [Bytes]
-    table that doubles at load 1/2: 16 to 32 bytes per distinct key ever
-    inserted, no key object retained, nothing for the GC to scan.  No
+    table in Robin Hood order, which doubles only past load 7/8: 9 to 18
+    bytes per distinct key ever inserted, no key object retained,
+    nothing for the GC to scan, and the search for a fingerprint not in
+    the set (every cold miss) stops at the first entry nearer its own
+    home slot.  No
     table runs a polymorphic hash or equality.  A key is marked by
     {!insert}, so a miss is cold until its key has been cached once: a
     key that only ever missed (its value was never inserted, or its fetch

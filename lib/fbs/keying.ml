@@ -202,16 +202,27 @@ let get_master_sync t peer =
 let pin_certificate t cert =
   Cache.insert t.pvc cert.Fbsr_cert.Certificate.subject cert
 
-(* Flow key derivation: K_f = H(sfl | K_{S,D} | S | D).  S and D use their
-   canonical length-prefixed encodings so the concatenation is injective. *)
+(* Flow key derivation: K_f = H(sfl | K_{S,D} | S | D), with the sfl as
+   8 big-endian bytes and each principal after its 16-bit big-endian
+   length, so the concatenation S | D is injective (e.g. "ab"+"c" vs
+   "a"+"bc").  The parts stream into one hash context, the sfl and the
+   lengths through an 8-byte scratch that the hash copies as it is fed,
+   so no part and no concatenation is built. *)
 let flow_key ~(hash : Fbsr_crypto.Hash.t) ~sfl ~master ~src ~dst =
-  let sfl_bytes =
-    let v = Sfl.to_int64 sfl in
-    String.init 8 (fun i ->
-        Char.chr (Int64.to_int (Int64.shift_right_logical v (56 - (8 * i))) land 0xff))
-  in
-  Fbsr_crypto.Hash.digest_list hash
-    [ sfl_bytes; master; Principal.encode src; Principal.encode dst ]
+  let module H = (val hash) in
+  let ctx = H.init () and scratch = Bytes.create 8 in
+  let view = Bytes.unsafe_to_string scratch in
+  let s = Principal.to_string src and d = Principal.to_string dst in
+  Bytes.set_int64_be scratch 0 (Sfl.to_int64 sfl);
+  H.feed ctx view 0 8;
+  H.update ctx master;
+  Bytes.set_uint16_be scratch 0 (String.length s land 0xffff);
+  H.feed ctx view 0 2;
+  H.update ctx s;
+  Bytes.set_uint16_be scratch 0 (String.length d land 0xffff);
+  H.feed ctx view 0 2;
+  H.update ctx d;
+  H.final ctx
 
 let pp_error ppf = function
   | No_certificate m -> Fmt.pf ppf "no certificate: %s" m
