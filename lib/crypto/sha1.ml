@@ -24,9 +24,9 @@ type ctx = {
   mutable h2 : int;
   mutable h3 : int;
   mutable h4 : int;
-  buf : Bytes.t; (* partial block *)
+  buf : Bytes.t; (* partial block; [final] pads in it *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes processed *)
+  mutable total : int; (* bytes processed *)
 }
 
 let init () =
@@ -38,7 +38,7 @@ let init () =
     h4 = 0xc3d2e1f0;
     buf = Bytes.create block_size;
     buf_len = 0;
-    total = 0L;
+    total = 0;
   }
 
 (* Independent snapshot of a streaming context: the midstate cache
@@ -329,7 +329,7 @@ let compress ctx (block : string) off =
   ctx.h4 <- (ctx.h4 + Array.unsafe_get st 4) land mask
 
 let feed ctx s pos len =
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   (* Fill a partial block first. *)
   if ctx.buf_len > 0 then begin
@@ -364,21 +364,25 @@ let word_out_be b off v =
     Bytes.set b (off + i) (Char.chr ((v lsr (24 - (8 * i))) land 0xff))
   done
 
+(* Padding: 0x80, zeros, the 8-byte big-endian bit length, written into
+   the block buffer behind the buffered bytes; a tail too long to leave
+   room for the length takes one more block.  Nothing is allocated but
+   the digest. *)
 let final ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  let pad_len =
-    let rem = Int64.to_int (Int64.rem ctx.total 64L) in
-    if rem < 56 then 56 - rem else 120 - rem
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (block_size - n - 1) '\000';
+    compress ctx (Bytes.unsafe_to_string buf) 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  let bit_len = ctx.total lsl 3 in
   for i = 0 to 7 do
-    Bytes.set pad (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len (56 - (8 * i))) land 0xff))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (56 - (8 * i))) land 0xff))
   done;
-  (* Careful: feeding the pad updates [total], but [bit_len] is captured. *)
-  update ctx (Bytes.unsafe_to_string pad);
-  assert (ctx.buf_len = 0);
+  compress ctx (Bytes.unsafe_to_string buf) 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create digest_size in
   word_out_be out 0 ctx.h0;
   word_out_be out 4 ctx.h1;

@@ -266,11 +266,11 @@ let burst t f =
       end_burst t;
       raise e
 
-let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
+let ip_output t ?(dont_fragment = false) ~protocol ~dst payload =
   if t.medium = None then raise (Send_error "host not attached to a network");
   (* Part 1: header construction (route selection is trivial: one medium). *)
   let h =
-    Ipv4.make ~ident:(fresh_ident t) ~dont_fragment ~ttl ~protocol ~src:t.addr ~dst
+    Ipv4.make ~ident:(fresh_ident t) ~dont_fragment ~protocol ~src:t.addr ~dst
       ~payload_length:(String.length payload) ()
   in
   (* A burst of one, opened by hand: [burst] would take a closure. *)

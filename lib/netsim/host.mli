@@ -59,7 +59,7 @@ val clock_offset : t -> float
 
 val set_gateway : t -> prefix:int -> gateway:Addr.t -> unit
 (** Off-subnet destinations are framed to [gateway] at the link layer; the
-    IP destination is unchanged so a {!Router} can forward. *)
+    IP destination is unchanged so a router on the segment can forward. *)
 
 val set_link : t -> Link.t -> unit
 (** Route every egress frame through a fault-injection {!Link} (applied
@@ -97,7 +97,7 @@ val burst : t -> (unit -> 'a) -> 'a
     counts it. *)
 
 val ip_output :
-  t -> ?dont_fragment:bool -> ?ttl:int -> protocol:int -> dst:Addr.t -> string -> unit
+  t -> ?dont_fragment:bool -> protocol:int -> dst:Addr.t -> string -> unit
 (** A burst of one (see {!burst}).
     @raise Send_error if unattached, or if DF is set and the datagram
     exceeds the MTU: at once on a host with no output hook, else as

@@ -22,7 +22,6 @@ type header = {
 let header_size = 20
 let max_options = 40
 let header_length h = header_size + String.length h.options
-let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
 

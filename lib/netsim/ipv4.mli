@@ -20,7 +20,6 @@ val header_size : int
 val header_length : header -> int
 (** [header_size] + options length. *)
 
-val proto_icmp : int
 val proto_tcp : int
 val proto_udp : int
 

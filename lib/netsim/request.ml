@@ -1,12 +1,11 @@
 (* Requests in flight over the unreliable network, one per key: the MKD's
-   certificate fetches (by name), Sun RPC calls (by XID), the KDC
-   baseline's session requests (by destination) and the Photuris
-   baseline's handshakes (by peer).  Each is retransmitted with jittered
-   exponential backoff until [complete] removes it and answers its
-   waiters in arrival order, or its last timeout completes it with
-   [timed_out].  A timer acts only while its own request is the one in
-   the table, so it is inert once that request completes, even if a new
-   request has taken the key. *)
+   certificate fetches (by name), the KDC baseline's session requests (by
+   destination) and the Photuris baseline's handshakes (by peer).  Each
+   is retransmitted with jittered exponential backoff until [complete]
+   removes it and answers its waiters in arrival order, or its last
+   timeout completes it with [timed_out].  A timer acts only while its
+   own request is the one in the table, so it is inert once that request
+   completes, even if a new request has taken the key. *)
 
 type ('s, 'a) request = {
   state : 's;

@@ -1,8 +1,8 @@
 (** Requests in flight over the unreliable network, keyed by ['k]: each
     carries its waiters and the caller's per-request state ['s], is
     retransmitted with jittered exponential backoff until answered, and
-    answers every waiter exactly once with an outcome ['a].  The MKD,
-    Sun RPC and the KDC and Photuris baselines each keep one table.  The
+    answers every waiter exactly once with an outcome ['a].  The MKD and
+    the KDC and Photuris baselines each keep one table.  The
     requests are entries of a {!Fbsr_util.Pending} table; this module
     adds only the backoff timers, on the host's event engine, and a
     timer whose request has left the table does nothing. *)

@@ -1,6 +1,6 @@
 (* Reference network codecs: the byte-at-a-time RFC 1071 checksum, the
    per-byte-complementing CRC-32 loop, and the [Byte_writer] /
-   [Byte_reader] codecs of IPv4, UDP, TCP and ICMP that the netsim
+   [Byte_reader] codecs of IPv4, UDP and TCP that the netsim
    datapath used before its one-buffer encoders and in-place decoders.
    Kept verbatim as differential oracles: test/test_netsim.ml and
    test/test_util.ml pin the production modules to these byte for byte
@@ -249,31 +249,3 @@ let tcp_decode ~src ~dst raw =
   let window = Byte_reader.u16 r in
   let payload = String.sub raw data_off (len - data_off) in
   ({ Tcp_seg.src_port; dst_port; seq; ack_seq; flags; window }, payload)
-
-(* --- ICMP --- *)
-
-let icmp_encode (m : Icmp.message) =
-  let w = Byte_writer.create () in
-  Byte_writer.u8 w m.msg_type;
-  Byte_writer.u8 w m.code;
-  Byte_writer.u16 w 0;
-  Byte_writer.u16 w m.id;
-  Byte_writer.u16 w m.seq;
-  Byte_writer.bytes w m.payload;
-  let raw = Bytes.of_string (Byte_writer.contents w) in
-  let ck = checksum_string (Bytes.to_string raw) in
-  Bytes.set raw 2 (Char.chr (ck lsr 8));
-  Bytes.set raw 3 (Char.chr (ck land 0xff));
-  Bytes.unsafe_to_string raw
-
-let icmp_decode raw =
-  if String.length raw < 8 then raise (Icmp.Bad_message "short");
-  if not (checksum_verify raw) then raise (Icmp.Bad_message "checksum");
-  let r = Byte_reader.of_string raw in
-  let msg_type = Byte_reader.u8 r in
-  let code = Byte_reader.u8 r in
-  let _ck = Byte_reader.u16 r in
-  let id = Byte_reader.u16 r in
-  let seq = Byte_reader.u16 r in
-  let payload = Byte_reader.rest r in
-  { Icmp.msg_type; code; id; seq; payload }

@@ -1,6 +1,6 @@
 (** Reference network codecs: the byte-at-a-time RFC 1071 checksum, the
     per-byte CRC-32 loop, and the [Byte_writer]/[Byte_reader] codecs of
-    IPv4, UDP, TCP and ICMP that {!Fbsr_util.Inet_checksum},
+    IPv4, UDP and TCP that {!Fbsr_util.Inet_checksum},
     {!Fbsr_util.Crc32} and the {!Fbsr_netsim} codecs replaced.  Each has
     its production twin's contract and raises its exceptions; the
     differential suites pin the twins to these.  Not used on any
@@ -27,5 +27,3 @@ val udp_encode :
 val udp_decode : src:Addr.t -> dst:Addr.t -> string -> Udp.header * string
 val tcp_encode : src:Addr.t -> dst:Addr.t -> Tcp_seg.header -> string -> string
 val tcp_decode : src:Addr.t -> dst:Addr.t -> string -> Tcp_seg.header * string
-val icmp_encode : Icmp.message -> string
-val icmp_decode : string -> Icmp.message

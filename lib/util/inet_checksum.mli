@@ -1,4 +1,4 @@
-(** Internet checksum (RFC 1071), used by the IPv4/UDP/TCP/ICMP codecs. *)
+(** Internet checksum (RFC 1071), used by the IPv4/UDP/TCP codecs. *)
 
 val sum : ?acc:int -> string -> int -> int -> int
 (** [sum ?acc s pos len]: running one's-complement 16-bit sum of
@@ -13,7 +13,3 @@ val finish : int -> int
 
 val string : string -> int
 (** Checksum of a whole buffer (with the checksum field zeroed). *)
-
-val verify : string -> bool
-(** [verify s] is true iff the buffer including its checksum field sums to
-    0xffff. *)

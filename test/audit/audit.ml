@@ -12,8 +12,10 @@
 
    Each value it lists must be on the allowlist, one line per value with
    the test or oracle that needs it; an allowlist line whose value is gone
-   or has a caller is stale.  Any unlisted value or stale line fails the
-   run (exit 1).
+   or has a caller is stale.  A module none of whose exported values has
+   a caller is code that only tests reach, and no allowlist line excuses
+   it: it belongs out of the audited libraries.  Any unlisted value, stale
+   line or such module fails the run (exit 1).
 
    Usage: audit.exe -root DIR -defs D [-exclude D] -uses D ... -allowlist F
    where D are directories relative to DIR, the build directory of the
@@ -235,6 +237,15 @@ let () =
       if not (List.exists (fun (n, _, _) -> n = v.name) allowed) then
         fail "%s: %s has no caller outside its module\n" v.where v.name)
     unused;
+  let units = List.sort_uniq compare (List.map (fun v -> v.unit) values) in
+  List.iter
+    (fun unit ->
+      match List.filter (fun v -> v.unit = unit) values with
+      | first :: _ as declared when not (List.exists used declared) ->
+          fail "%s: module %s: none of its %d exported values has a caller outside it\n"
+            first.where (display unit []) (List.length declared)
+      | _ -> ())
+    units;
   Printf.printf "%d exported values, %d without a caller, %d allowlisted\n"
     (List.length values) (List.length unused) (List.length allowed);
   if !failures > 0 then exit 1

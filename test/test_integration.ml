@@ -216,34 +216,6 @@ and make_engines_for_skew () =
   in
   ((), s, d, mk s s_priv 1, mk d d_priv 2)
 
-(* --- RPC over FBS: the paper's motivating datagram client, secured --- *)
-
-let test_rpc_over_fbs () =
-  (* RPC (the paper's third example of a datagram service) running over
-     FBS-enabled hosts on a lossy network: the RPC layer's own retries
-     handle loss, FBS supplies per-conversation protection, and neither
-     interferes with the other — datagram semantics preserved end to end. *)
-  let tb = Testbed.create ~faults:{ Link.perfect with Link.drop = 0.15 } () in
-  let a = Testbed.add_host tb ~name:"client" ~addr:"10.0.0.1" in
-  let b = Testbed.add_host tb ~name:"server" ~addr:"10.0.0.2" in
-  let server = Sunrpc.Server.install b.Testbed.host in
-  Sunrpc.Server.register server ~prog:100003 ~proc:1 (fun arg -> "read:" ^ arg);
-  let client = Sunrpc.create a.Testbed.host in
-  let ok = ref 0 and failed = ref 0 in
-  for i = 1 to 20 do
-    Sunrpc.call client ~server:(Host.addr b.Testbed.host) ~server_port:111
-      ~prog:100003 ~proc:1
-      (Printf.sprintf "block-%d" i)
-      (function Ok _ -> incr ok | Error _ -> incr failed)
-  done;
-  Testbed.run ~until:120.0 tb;
-  check Alcotest.int "every call resolved" 20 (!ok + !failed);
-  check Alcotest.bool "most calls succeeded through loss" true (!ok >= 18);
-  (* All of it rode FBS: the engines saw the traffic. *)
-  check Alcotest.bool "FBS protected the calls" true
-    ((Fbsr_fbs.Engine.counters (Stack.engine a.Testbed.stack)).Fbsr_fbs.Engine.sends
-     >= 20)
-
 (* --- The live site driver --- *)
 
 let test_live_site_small () =
@@ -426,7 +398,6 @@ let () =
             test_configuration_matrix;
           Alcotest.test_case "WAN deployment (T1 + jitter)" `Quick test_wan_deployment;
           Alcotest.test_case "live site (real stacks)" `Quick test_live_site_small;
-          Alcotest.test_case "RPC over FBS over loss" `Quick test_rpc_over_fbs;
         ] );
       ( "security",
         [

@@ -579,10 +579,10 @@ let routed_site ?(mtu_b = 1500) () =
   Host.set_gateway b ~prefix:24 ~gateway:(Addr.of_string "10.0.2.1");
   Udp_stack.install a;
   Udp_stack.install b;
-  (eng, router, a, b)
+  (eng, seg_a, router, a, b)
 
 let test_router_forwards () =
-  let eng, router, a, b = routed_site () in
+  let eng, _, router, a, b = routed_site () in
   let got = ref [] in
   Udp_stack.listen b ~port:7 (fun ~src ~src_port:_ d ->
       got := (Addr.to_string src, d) :: !got;
@@ -601,7 +601,7 @@ let test_router_forwards () =
 let test_router_refragments () =
   (* The second segment has a small MTU: the router re-fragments and the
      destination reassembles. *)
-  let eng, router, a, b = routed_site ~mtu_b:576 () in
+  let eng, _, router, a, b = routed_site ~mtu_b:576 () in
   let got = ref "" in
   Udp_stack.listen b ~port:9 (fun ~src:_ ~src_port:_ d -> got := d);
   let payload = String.init 3000 (fun i -> Char.chr ((i * 5) land 0xff)) in
@@ -611,21 +611,25 @@ let test_router_refragments () =
   check Alcotest.bool "router fragmented" true ((Router.stats router).Router.fragmented > 0)
 
 let test_router_ttl () =
-  let eng, router, a, b = routed_site () in
+  let eng, seg_a, router, a, b = routed_site () in
   Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ _ -> ());
   let got = ref 0 in
   Udp_stack.listen b ~port:8 (fun ~src:_ ~src_port:_ _ -> incr got);
-  (* TTL 1: dies at the router. *)
+  (* TTL 1, framed to the router by hand: it dies there. *)
   let raw =
     Udp.encode ~src:(Host.addr a) ~dst:(Host.addr b) ~src_port:8 ~dst_port:8 "dying"
   in
-  Host.ip_output a ~ttl:1 ~protocol:Ipv4.proto_udp ~dst:(Host.addr b) raw;
+  let h =
+    Ipv4.make ~ttl:1 ~protocol:Ipv4.proto_udp ~src:(Host.addr a) ~dst:(Host.addr b)
+      ~payload_length:(String.length raw) ()
+  in
+  Medium.transmit seg_a ~dst:(Addr.of_string "10.0.1.1") (Ipv4.encode h raw);
   Engine.run eng;
   check Alcotest.int "expired in transit" 0 !got;
   check Alcotest.int "ttl drop counted" 1 (Router.stats router).Router.dropped_ttl
 
 let test_router_no_route () =
-  let eng, router, a, _ = routed_site () in
+  let eng, _, router, a, _ = routed_site () in
   Host.ip_output a ~protocol:Ipv4.proto_udp ~dst:(Addr.of_string "192.168.9.9") "x";
   Engine.run eng;
   check Alcotest.int "unroutable dropped" 1 (Router.stats router).Router.dropped_no_route
@@ -773,39 +777,6 @@ let test_tcp_mss_reduction_late () =
   check Alcotest.string "delivered under reduced mss" payload
     (Buffer.contents received)
 
-(* --- ICMP codec --- *)
-
-let test_icmp_codec () =
-  let m = { Icmp.msg_type = 8; code = 0; id = 42; seq = 7; payload = "pingdata" } in
-  let m' = Icmp.decode (Icmp.encode m) in
-  check Alcotest.int "type" 8 m'.Icmp.msg_type;
-  check Alcotest.int "id" 42 m'.Icmp.id;
-  check Alcotest.int "seq" 7 m'.Icmp.seq;
-  check Alcotest.string "payload" "pingdata" m'.Icmp.payload;
-  (* Corruption detected by the checksum. *)
-  let raw = Bytes.of_string (Icmp.encode m) in
-  Bytes.set raw 9 'X';
-  (match Icmp.decode (Bytes.to_string raw) with
-  | _ -> Alcotest.fail "corrupt ICMP accepted"
-  | exception Icmp.Bad_message _ -> ());
-  match Icmp.decode "short" with
-  | _ -> Alcotest.fail "short ICMP accepted"
-  | exception Icmp.Bad_message _ -> ()
-
-let test_icmp_ping_plain () =
-  let eng, _, a, b = two_hosts () in
-  Icmp.install a;
-  Icmp.install b;
-  let rtts = ref [] in
-  for _ = 1 to 3 do
-    Icmp.ping a ~dst:addr_b (fun rtt payload ->
-        check Alcotest.string "payload echoed" "abcdefghijklmnop" payload;
-        rtts := rtt :: !rtts)
-  done;
-  Engine.run eng;
-  check Alcotest.int "three replies" 3 (List.length !rtts);
-  List.iter (fun rtt -> check Alcotest.bool "positive rtt" true (rtt > 0.0)) !rtts
-
 let test_host_loopback () =
   let eng, _, a, _ = two_hosts () in
   Udp_stack.install a;
@@ -832,78 +803,30 @@ let test_medium_utilization () =
   let wire_time = Medium.tx_time medium 1020 in
   check (Alcotest.float 1e-6) "utilization" 1.0 (Medium.utilization medium ~elapsed:wire_time)
 
-(* --- Sun RPC --- *)
+(* --- Request --- *)
 
-let rpc_pair ?(loss = 0.0) () =
-  let eng, _, a, b = two_hosts ~loss () in
-  Udp_stack.install a;
-  Udp_stack.install b;
-  let server = Sunrpc.Server.install b in
-  Sunrpc.Server.register server ~prog:100 ~proc:1 (fun arg -> "echo:" ^ arg);
-  Sunrpc.Server.register server ~prog:100 ~proc:2 (fun arg ->
-      string_of_int (String.length arg));
-  let client = Sunrpc.create a in
-  (eng, a, b, server, client)
-
-let test_rpc_call_reply () =
-  let eng, _, b, server, client = rpc_pair () in
-  let results = ref [] in
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:100 ~proc:1 "hello"
-    (fun r -> results := r :: !results);
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:100 ~proc:2
-    "12345678" (fun r -> results := r :: !results);
-  Engine.run eng;
-  check
-    Alcotest.(list (result string string))
-    "both calls answered"
-    [ Ok "echo:hello"; Ok "8" ]
-    (List.rev_map
-       (function Ok s -> Ok s | Error _ -> Error "rpc error")
-       !results);
-  check Alcotest.int "served" 2 (Sunrpc.Server.calls_served server)
-
-let test_rpc_unknown_procedure () =
-  let eng, _, b, _, client = rpc_pair () in
-  let result = ref None in
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:100 ~proc:99 "x"
-    (fun r -> result := Some r);
-  Engine.run eng;
-  check Alcotest.bool "no such procedure" true (!result = Some (Error Sunrpc.No_such_procedure))
-
-let test_rpc_retries_through_loss () =
-  let eng, _, b, _, client = rpc_pair ~loss:0.6 () in
-  let result = ref None in
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:100 ~proc:1 "lossy"
-    (fun r -> result := Some r);
-  Engine.run ~until:30.0 eng;
-  (* With 4 attempts at 60% loss the call usually succeeds; whichever way
-     it resolves, it must resolve exactly once and count retries. *)
-  check Alcotest.bool "resolved" true (!result <> None);
-  check Alcotest.bool "retried" true (Sunrpc.retransmissions client >= 1)
-
-let test_rpc_timeout_when_server_dead () =
-  let eng, _, b, _, client = rpc_pair ~loss:1.0 () in
-  let result = ref None in
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:100 ~proc:1 "void"
-    (fun r -> result := Some r);
-  Engine.run ~until:60.0 eng;
-  check Alcotest.bool "timed out" true (!result = Some (Error Sunrpc.Timed_out))
-
-let test_rpc_duplicate_reply_absorbed () =
-  (* Duplicate the network: every reply arrives twice; the client must
-     invoke the continuation once and count the duplicate. *)
+(* The network duplicates every frame: the request goes out twice, each
+   copy is echoed and each echo arrives twice.  The first echo completes
+   the request and answers its waiter; [complete] refuses the other three,
+   and no retransmission fires behind the answered request. *)
+let test_request_duplicate_reply_absorbed () =
   let eng, _, a, b = two_hosts ~dup:1.0 () in
   Udp_stack.install a;
   Udp_stack.install b;
-  let server = Sunrpc.Server.install b in
-  Sunrpc.Server.register server ~prog:1 ~proc:1 (fun _ -> "once");
-  let client = Sunrpc.create a in
-  let completions = ref 0 in
-  Sunrpc.call client ~server:(Host.addr b) ~server_port:111 ~prog:1 ~proc:1 "x"
-    (fun _ -> incr completions);
+  Udp_stack.listen b ~port:7 (fun ~src ~src_port d ->
+      Udp_stack.send b ~src_port:7 ~dst:src ~dst_port:src_port d);
+  let requests = Request.create ~seed:1 ~timeout:1.0 ~max_attempts:4 ~timed_out:None a in
+  let duplicates = ref 0 in
+  Udp_stack.listen a ~port:700 (fun ~src:_ ~src_port:_ d ->
+      if not (Request.complete requests (int_of_string d) (Some d)) then incr duplicates);
+  let answers = ref [] in
+  Request.start requests 42 ()
+    ~send:(fun _ -> Udp_stack.send a ~src_port:700 ~dst:addr_b ~dst_port:7 "42")
+    (fun r -> answers := r :: !answers);
   Engine.run ~until:30.0 eng;
-  check Alcotest.int "continuation ran once" 1 !completions;
-  check Alcotest.bool "duplicate absorbed" true (Sunrpc.duplicate_replies client >= 1)
+  check Alcotest.(list (option string)) "waiter answered once" [ Some "42" ] !answers;
+  check Alcotest.int "duplicates refused" 3 !duplicates;
+  check Alcotest.int "no retransmission" 0 (Request.retransmissions requests)
 
 (* --- Codecs against their reference oracles --- *)
 
@@ -929,8 +852,7 @@ let verdict f =
   | exception
       ( Ipv4.Bad_packet m
       | Udp.Bad_datagram m
-      | Tcp_seg.Bad_segment m
-      | Icmp.Bad_message m ) ->
+      | Tcp_seg.Bad_segment m ) ->
       Error m
 
 (* Each corruption, and a truncation, is judged alike by both decoders. *)
@@ -1003,18 +925,6 @@ let prop_tcp_oracle =
       raw = Ref.tcp_encode ~src ~dst h payload
       && same_verdicts ~decode:(Tcp_seg.decode ~src ~dst)
            ~ref_decode:(Ref.tcp_decode ~src ~dst) raw flips cut)
-
-let prop_icmp_oracle =
-  QCheck.Test.make ~name:"icmp codec = oracle (bytes, verdicts under corruption)" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         tup6 (int_bound 255) (int_bound 255) (int_bound 0xffff) (int_bound 0xffff)
-           gen_payload (pair gen_flips nat)))
-    (fun (msg_type, code, id, seq, payload, (flips, cut)) ->
-      let m = { Icmp.msg_type; code; id; seq; payload } in
-      let raw = Icmp.encode m in
-      raw = Ref.icmp_encode m
-      && same_verdicts ~decode:Icmp.decode ~ref_decode:Ref.icmp_decode raw flips cut)
 
 (* --- Codec allocation (the GC is the measure) --- *)
 
@@ -1161,21 +1071,13 @@ let () =
         ] );
       ( "icmp",
         [
-          Alcotest.test_case "codec + checksum" `Quick test_icmp_codec;
-          qtest prop_icmp_oracle;
-          Alcotest.test_case "ping round trip" `Quick test_icmp_ping_plain;
           Alcotest.test_case "host loopback" `Quick test_host_loopback;
           Alcotest.test_case "medium accounting" `Quick test_medium_utilization;
         ] );
-      ( "sunrpc",
+      ( "request",
         [
-          Alcotest.test_case "call/reply" `Quick test_rpc_call_reply;
-          Alcotest.test_case "unknown procedure" `Quick test_rpc_unknown_procedure;
-          Alcotest.test_case "retries through loss" `Quick test_rpc_retries_through_loss;
-          Alcotest.test_case "timeout on dead server" `Quick
-            test_rpc_timeout_when_server_dead;
           Alcotest.test_case "duplicate reply absorbed" `Quick
-            test_rpc_duplicate_reply_absorbed;
+            test_request_duplicate_reply_absorbed;
         ] );
       ( "minitcp",
         [
