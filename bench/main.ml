@@ -266,6 +266,10 @@ let crypto_tests =
              Fbsr_crypto.Rsa.verify
                (Fbsr_crypto.Rsa.public_key rsa_768)
                ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg ~signature:rsa_768_sig));
+      (* The CA's key generation, which dominates a small testbed's set-up:
+         two 384-bit prime searches at the testbed's seed 42. *)
+      Test.make ~name:"rsa-keygen-768"
+        (stage (fun () -> Fbsr_crypto.Rsa.generate (Fbsr_util.Rng.create 42) ~bits:768));
       (* Fixed-width encoding of a 1024-bit DH value (certificates, K_{S,D}). *)
       Test.make ~name:"nat-to-bytes-1024bit"
         (stage (fun () -> Fbsr_crypto.Dh.public_to_bytes dh_1024 dh_1024_pub));

@@ -367,55 +367,69 @@ module Mont = struct
     done;
     !x land limb_mask
 
+  (* The widest modulus whose deferred-carry limbs fit (see [mont_mul]). *)
+  let max_limbs = 511
+
   let make (m_nat : t) : ctx =
     if is_zero m_nat || m_nat.(0) land 1 = 0 then
       invalid_arg "Nat.Mont.make: modulus must be odd and positive";
     let n = Array.length m_nat in
+    if n > max_limbs then invalid_arg "Nat.Mont.make: modulus wider than 511 limbs";
     let m = Array.copy m_nat in
     let m' = limb_base - inv_limb m.(0) in
     let r2 = pad n (rem (shift_left one (2 * limb_bits * n)) m_nat) in
     { m; n; m'; r2; m_nat }
 
   (* Montgomery product a*b*R^{-1} mod m, coarsely integrated operand
-     scanning (CIOS): each outer step adds a_i*b and u*m in one pass over
-     the limbs and shifts down one limb as it stores.  Every sum stays
-     below 2^54: t_j < 2^26, both products < 2^52, the carry < 2^28.  The
-     running value stays below 2m, so one subtraction reduces it. *)
+     scanning (CIOS) with deferred carries: each outer step adds a_i*b and
+     u*m in one pass over the limbs and shifts down one limb as it
+     stores, but leaves every limb unnormalised, so the inner loop has no
+     carry chain.  Only the low limb's carry moves up at each step,
+     because the next [u] reads the low limb.  That low limb still holds
+     the running value mod 2^26, so [u], and with it the result, is the
+     one a normalised CIOS computes.  Bound: a product a_i*b_j + u*m_j is
+     below 2^53 and the carry into the low limb below 2^36, so after k
+     steps a limb is at most k*2^53 + 2^36, which fits a 63-bit int for
+     k <= 511: [make] refuses a wider modulus.  One normalising pass runs
+     at the end; the running value stays below 2m, so one subtraction
+     reduces it. *)
   let mont_mul ctx (a : int array) (b : int array) : int array =
     let n = ctx.n and m = ctx.m and m' = ctx.m' in
-    let t = Array.make (n + 1) 0 in
+    let t = Array.make n 0 in
     let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
     for i = 0 to n - 1 do
       let ai = Array.unsafe_get a i in
       let s = Array.unsafe_get t 0 + (ai * b0) in
       let u = (s land limb_mask) * m' land limb_mask in
-      let c = ref ((s + (u * m0)) lsr limb_bits) in
+      let c = (s + (u * m0)) lsr limb_bits in
       for j = 1 to n - 1 do
-        let s =
-          Array.unsafe_get t j
+        Array.unsafe_set t (j - 1)
+          (Array.unsafe_get t j
           + (ai * Array.unsafe_get b j)
-          + (u * Array.unsafe_get m j)
-          + !c
-        in
-        Array.unsafe_set t (j - 1) (s land limb_mask);
-        c := s lsr limb_bits
+          + (u * Array.unsafe_get m j))
       done;
-      let s = Array.unsafe_get t n + !c in
-      Array.unsafe_set t (n - 1) (s land limb_mask);
-      Array.unsafe_set t n (s lsr limb_bits)
+      Array.unsafe_set t (n - 1) 0;
+      Array.unsafe_set t 0 (Array.unsafe_get t 0 + c)
+    done;
+    let c = ref 0 in
+    for j = 0 to n - 1 do
+      let s = Array.unsafe_get t j + !c in
+      Array.unsafe_set t j (s land limb_mask);
+      c := s lsr limb_bits
     done;
     let rec below_m j =
       j >= 0 && if t.(j) <> m.(j) then t.(j) < m.(j) else below_m (j - 1)
     in
-    if t.(n) = 0 && below_m (n - 1) then Array.sub t 0 n
+    if !c = 0 && below_m (n - 1) then t
     else begin
-      let r = Array.make n 0 and borrow = ref 0 in
+      (* The borrow out of the top limb cancels the carry [!c]. *)
+      let borrow = ref 0 in
       for j = 0 to n - 1 do
         let d = t.(j) - m.(j) - !borrow in
-        r.(j) <- d land limb_mask;
+        t.(j) <- d land limb_mask;
         borrow := -(d asr limb_bits)
       done;
-      r
+      t
     end
 
   let to_mont ctx a = mont_mul ctx (pad ctx.n (rem a ctx.m_nat)) ctx.r2
@@ -456,10 +470,12 @@ end
 let mod_pow base e m =
   if is_zero m then raise Division_by_zero;
   if is_one m then zero
-  else if not (is_zero m) && m.(0) land 1 = 1 then Mont.pow (Mont.make m) base e
+  else if m.(0) land 1 = 1 && Array.length m <= Mont.max_limbs then
+    Mont.pow (Mont.make m) base e
   else begin
-    (* Even modulus: fall back to plain square-and-multiply with division.
-       Rare (only tests exercise it) and still correct. *)
+    (* Even (or wider than Montgomery takes) modulus: plain
+       square-and-multiply with division.  Rare (only tests exercise it)
+       and still correct. *)
     let base = ref (rem base m) in
     let result = ref (rem one m) in
     for i = 0 to bit_length e - 1 do
@@ -528,10 +544,54 @@ let random_below rng bound =
   in
   go ()
 
+(* Trial division before Miller-Rabin.  Most random odd candidates have a
+   prime factor below 2048, and finding it costs a few hundred native
+   divisions where a witness costs a modular exponentiation.  The odd
+   primes below 2048 are grouped into products below 2^36, so the Horner
+   step r <- (r * 2^26 + limb) mod P over the limbs stays below 2^62;
+   the residue mod P then answers for each prime of its group. *)
+let sieve_groups : (int * int array) array =
+  let is_prime p =
+    let rec go d = d * d > p || (p mod d <> 0 && go (d + 2)) in
+    go 3
+  in
+  let primes = List.filter is_prime (List.init 1023 (fun i -> (2 * i) + 3)) in
+  let group (prod, ps) = (prod, Array.of_list (List.rev ps)) in
+  let groups, last =
+    List.fold_left
+      (fun (groups, (prod, ps)) p ->
+        if prod * p < 1 lsl 36 then (groups, (prod * p, p :: ps))
+        else (group (prod, ps) :: groups, (p, [ p ])))
+      ([], (1, [])) primes
+  in
+  Array.of_list (List.rev (group last :: groups))
+
+let has_small_factor (a : t) =
+  let la = Array.length a in
+  let rec from g =
+    g < Array.length sieve_groups
+    &&
+    let prod, ps = sieve_groups.(g) in
+    let r = ref 0 in
+    for i = la - 1 downto 0 do
+      r := ((!r lsl limb_bits) lor Array.unsafe_get a i) mod prod
+    done;
+    Array.exists (fun p -> !r mod p = 0) ps || from (g + 1)
+  in
+  from 0
+
 let is_probably_prime ?(rounds = 20) rng n =
   if compare n two < 0 then false
   else if equal n two then true
   else if n.(0) land 1 = 0 then false
+  else if Array.length n > 1 && has_small_factor n then begin
+    (* n > 2^26 has a factor below 2048.  Miller-Rabin's first round
+       would draw a witness and reject n with it; draw that witness all
+       the same, so the random stream, and every key found from it, is
+       the one the plain search gives. *)
+    if rounds > 0 then ignore (random_below rng (sub n (of_int 4)));
+    false
+  end
   else begin
     (* Write n-1 = d * 2^s. *)
     let n1 = sub n one in

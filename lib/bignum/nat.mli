@@ -2,7 +2,11 @@
 
     This is the arithmetic substrate for Diffie-Hellman zero-message keying
     and RSA certificate signatures.  Modular exponentiation uses Montgomery
-    reduction for odd moduli (every real-world DH/RSA modulus). *)
+    reduction for odd moduli of up to 511 limbs (every real-world DH/RSA
+    modulus), with a product that defers its carries to one pass at the
+    end.  The prime search runs trial division by the odd primes below
+    2048 before Miller-Rabin and draws from the random stream exactly
+    what Miller-Rabin alone would: the same seed finds the same keys. *)
 
 type t
 
@@ -41,7 +45,7 @@ val gcd : t -> t -> t
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow base e m] is [base]{^[e]} mod [m].  Montgomery-accelerated for
-    odd [m]. *)
+    odd [m] of up to 511 limbs. *)
 
 val mod_inv : t -> t -> t
 (** [mod_inv a m] is the inverse of [a] modulo [m].
@@ -53,7 +57,8 @@ module Mont : sig
   type ctx
 
   val make : t -> ctx
-  (** @raise Invalid_argument unless the modulus is odd and positive. *)
+  (** @raise Invalid_argument unless the modulus is odd and positive and
+      at most 511 limbs (13 286 bits) wide. *)
 
   val pow : ctx -> t -> t -> t
 end
@@ -72,7 +77,12 @@ val random_below : Fbsr_util.Rng.t -> t -> t
 (** Uniform in [0, bound). *)
 
 val is_probably_prime : ?rounds:int -> Fbsr_util.Rng.t -> t -> bool
-(** Miller-Rabin with [rounds] random witnesses (default 20). *)
+(** Miller-Rabin with [rounds] random witnesses (default 20).  A value
+    above 2{^26} with an odd prime factor below 2048 is refused by trial
+    division first; it still draws the one witness with which Miller-Rabin's
+    first round would have refused it (none if [rounds = 0]).
+    @raise Invalid_argument on an odd value wider than 511 limbs that
+    passes trial division. *)
 
 val random_prime : ?rounds:int -> Fbsr_util.Rng.t -> bits:int -> t
 (** Random prime with exactly [bits] bits (top bit set). *)

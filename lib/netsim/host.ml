@@ -286,11 +286,3 @@ let ip_output t ?(dont_fragment = false) ~protocol ~dst payload =
       end_burst t;
       raise e
 
-(* Deliver a packet locally without touching the medium (loopback). *)
-let loopback t ~protocol ~dst payload =
-  ignore dst;
-  let h =
-    Ipv4.make ~ident:(fresh_ident t) ~protocol ~src:t.addr ~dst:t.addr
-      ~payload_length:(String.length payload) ()
-  in
-  dispatch t h payload

@@ -106,8 +106,6 @@ val ip_output :
 val ip_input : t -> string -> unit
 (** Entry point for raw packets from the medium (exposed for tests). *)
 
-val loopback : t -> protocol:int -> dst:Addr.t -> string -> unit
-
 val set_extension : t -> tag:string -> exn -> unit
 val find_extension : t -> tag:string -> exn option
 (** Per-host extension state for the transport stacks and FBS engine

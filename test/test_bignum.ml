@@ -216,6 +216,73 @@ let test_random_prime () =
       check Alcotest.bool "is odd" true (Nat.testbit p 0))
     [ 8; 16; 64; 128 ]
 
+(* Trial division must answer as a plain sieve does: every n up to 2048
+   (a candidate that is itself a small prime still passes) and every odd
+   n just above one limb, the first values trial division applies to. *)
+let test_sieve_agrees_with_trial_division () =
+  let rng = Fbsr_util.Rng.create 59 in
+  let plain n =
+    let rec go d = d * d > n || (n mod d <> 0 && go (d + 1)) in
+    n >= 2 && go 2
+  in
+  let agree n =
+    check Alcotest.bool (string_of_int n) (plain n)
+      (Nat.is_probably_prime rng (Nat.of_int n))
+  in
+  for n = 0 to 2048 do
+    agree n
+  done;
+  for k = 0 to 10_000 do
+    agree ((1 lsl 26) + (2 * k) + 1)
+  done;
+  List.iter agree [ 104729; 2147483647 ]
+
+(* The prime search without trial division: candidates drawn as
+   [Nat.random_prime] draws them and Miller-Rabin alone, written from
+   [Nat]'s public functions. *)
+let reference_random_prime rng ~bits =
+  let miller_rabin n =
+    let n1 = Nat.sub n Nat.one in
+    let rec split d s =
+      if Nat.testbit d 0 then (d, s) else split (Nat.shift_right d 1) (s + 1)
+    in
+    let d, s = split n1 0 in
+    let rec reaches_n1 x k =
+      k > 0
+      &&
+      let x = Nat.rem (Nat.mul x x) n in
+      Nat.equal x n1 || reaches_n1 x (k - 1)
+    in
+    let witness a =
+      let x = Nat.mod_pow a d n in
+      not (Nat.is_one x || Nat.equal x n1 || reaches_n1 x (s - 1))
+    in
+    let rec rounds k =
+      k = 0
+      ||
+      let a = Nat.add Nat.two (Nat.random_below rng (Nat.sub n (Nat.of_int 4))) in
+      (not (witness a)) && rounds (k - 1)
+    in
+    rounds 20
+  in
+  let top = Nat.shift_left Nat.one (bits - 1) in
+  let rec search () =
+    let raw = Nat.of_bytes_be (Fbsr_util.Rng.bytes rng ((bits + 7) / 8)) in
+    let cand = Nat.rem raw (Nat.shift_left Nat.one bits) in
+    let cand = if Nat.testbit cand (bits - 1) then cand else Nat.add cand top in
+    let cand = if Nat.testbit cand 0 then cand else Nat.add cand Nat.one in
+    if Nat.bit_length cand = bits && miller_rabin cand then cand else search ()
+  in
+  search ()
+
+let prop_random_prime_as_without_sieve =
+  QCheck.Test.make ~name:"random_prime = search without trial division" ~count:100
+    QCheck.(pair small_int (int_range 32 160))
+    (fun (seed, bits) ->
+      let r = Fbsr_util.Rng.create seed and r' = Fbsr_util.Rng.create seed in
+      let p = Nat.random_prime r ~bits and p' = reference_random_prime r' ~bits in
+      Nat.equal p p' && Fbsr_util.Rng.next_int64 r = Fbsr_util.Rng.next_int64 r')
+
 let prop_random_below =
   QCheck.Test.make ~name:"random_below in range" ~count:100
     QCheck.(pair small_int arb_small)
@@ -408,6 +475,41 @@ let test_mont_pow_known_moduli () =
   check nat "oakley2 fermat" Nat.one
     (Nat.Mont.pow (Nat.Mont.make p) b (Nat.sub p Nat.one))
 
+(* The deferred-carry kernel's bound at its edges: moduli of all-ones
+   limbs and operands m-1 fill every limb of every product as far as
+   the kernel allows, at 1, 2, 40 and 59 limbs and at the widest
+   modulus [Mont.make] takes (511 limbs), where the oracle's bit-serial
+   reductions keep the exponent short. *)
+let all_ones limbs = Nat.sub (Nat.shift_left Nat.one (26 * limbs)) Nat.one
+
+let test_mont_pow_full_limbs () =
+  List.iter
+    (fun (limbs, e) ->
+      let m = all_ones limbs in
+      let ctx = Nat.Mont.make m in
+      List.iter
+        (fun b ->
+          check nat
+            (Printf.sprintf "%d limbs, base m-%s" limbs
+               (Nat.to_string (Nat.sub m b)))
+            (Nat_ref.mod_pow b e m) (Nat.Mont.pow ctx b e))
+        [ Nat.sub m Nat.one; Nat.sub m (Nat.of_int 3) ])
+    [
+      (1, Nat.of_hex "3ffffff");
+      (2, Nat.of_hex "fffffffffffff");
+      (40, Nat.of_hex "ffff");
+      (59, Nat.of_hex "1ff");
+      (511, Nat.of_int 3);
+    ]
+
+let test_mont_make_width () =
+  let m = all_ones 512 in
+  Alcotest.check_raises "512 limbs"
+    (Invalid_argument "Nat.Mont.make: modulus wider than 511 limbs") (fun () ->
+      ignore (Nat.Mont.make m));
+  (* [mod_pow] still answers, by division. *)
+  check nat "mod_pow at 512 limbs" Nat.one (Nat.mod_pow (Nat.sub m Nat.one) Nat.two m)
+
 let () =
   Alcotest.run "bignum"
     [
@@ -464,6 +566,8 @@ let () =
           qtest (prop_mont_pow_vs_oracle 768 15);
           qtest (prop_mont_pow_vs_oracle 1024 10);
           Alcotest.test_case "Mont.pow on known moduli" `Quick test_mont_pow_known_moduli;
+          Alcotest.test_case "Mont.pow on all-ones limbs" `Quick test_mont_pow_full_limbs;
+          Alcotest.test_case "Mont.make width" `Quick test_mont_make_width;
         ] );
       ( "primality",
         [
@@ -472,6 +576,9 @@ let () =
             test_known_composites;
           Alcotest.test_case "mersenne 61" `Quick test_mersenne61;
           Alcotest.test_case "random primes" `Quick test_random_prime;
+          Alcotest.test_case "trial division = plain sieve" `Quick
+            test_sieve_agrees_with_trial_division;
+          qtest prop_random_prime_as_without_sieve;
           qtest prop_random_below;
         ] );
     ]

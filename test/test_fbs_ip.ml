@@ -1325,8 +1325,8 @@ let () =
           Alcotest.test_case "waiting for a key is no hook drop" `Quick
             test_cold_flow_waiting_is_no_drop;
         ] );
-      ( "icmp",
-        [ Alcotest.test_case "raw IP host-level flows" `Quick test_raw_ip_through_fbs ]
+      ( "raw-ip",
+        [ Alcotest.test_case "host-level flows" `Quick test_raw_ip_through_fbs ]
       );
       ( "attacks",
         [ Alcotest.test_case "port reuse (Section 7.1)" `Quick test_port_reuse_attack ]

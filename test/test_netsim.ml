@@ -777,16 +777,6 @@ let test_tcp_mss_reduction_late () =
   check Alcotest.string "delivered under reduced mss" payload
     (Buffer.contents received)
 
-let test_host_loopback () =
-  let eng, _, a, _ = two_hosts () in
-  Udp_stack.install a;
-  let got = ref "" in
-  Udp_stack.listen a ~port:9 (fun ~src:_ ~src_port:_ d -> got := d);
-  Host.loopback a ~protocol:Ipv4.proto_udp ~dst:addr_a
-    (Udp.encode ~src:addr_a ~dst:addr_a ~src_port:9 ~dst_port:9 "to myself");
-  Engine.run eng;
-  check Alcotest.string "loopback delivery" "to myself" !got
-
 let test_medium_utilization () =
   let eng = Engine.create () in
   let medium = Medium.create ~bandwidth_bps:10e6 eng in
@@ -1043,7 +1033,11 @@ let () =
         ] );
       ( "alloc",
         [ Alcotest.test_case "minor words per call" `Quick test_codec_allocation ] );
-      ( "medium", [ Alcotest.test_case "tx time" `Quick test_medium_tx_time ] );
+      ( "medium",
+        [
+          Alcotest.test_case "tx time" `Quick test_medium_tx_time;
+          Alcotest.test_case "accounting" `Quick test_medium_utilization;
+        ] );
       ( "host",
         [
           Alcotest.test_case "hooks" `Quick test_host_hooks;
@@ -1055,6 +1049,7 @@ let () =
           Alcotest.test_case "DF too big" `Quick test_host_df_too_big;
           Alcotest.test_case "fragmentation end-to-end" `Quick
             test_host_fragmentation_end_to_end;
+          Alcotest.test_case "clock offset" `Quick test_host_clock_offset;
         ] );
       ( "udp-stack",
         [
@@ -1067,12 +1062,6 @@ let () =
           Alcotest.test_case "re-fragments on small MTU" `Quick test_router_refragments;
           Alcotest.test_case "ttl expiry" `Quick test_router_ttl;
           Alcotest.test_case "no route" `Quick test_router_no_route;
-          Alcotest.test_case "clock offset" `Quick test_host_clock_offset;
-        ] );
-      ( "icmp",
-        [
-          Alcotest.test_case "host loopback" `Quick test_host_loopback;
-          Alcotest.test_case "medium accounting" `Quick test_medium_utilization;
         ] );
       ( "request",
         [
