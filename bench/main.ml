@@ -80,6 +80,19 @@ let des_ct_1460 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram
 
 let des_ct_576 = Fbsr_crypto.Des.encrypt_cbc ~iv des_key (String.sub datagram 0 584)
 
+(* A lone secret seal, the path of a workload that sends one datagram
+   per event: the send parks the seal in a batch and the flush runs it
+   alone, on the one-pass kernel (the MAC's MD5 beside the CBC chain). *)
+let alone_batch = Fbsr_fbs.Engine.Batch.create es_paper
+
+let send_alone payload () =
+  Fbsr_fbs.Engine.send ~batch:alone_batch es_paper ~now:60.0 ~attrs:attrs_paper
+    ~secret:true ~payload (fun _ -> ());
+  Fbsr_fbs.Engine.Batch.flush alone_batch
+
+let payload_64 = String.sub datagram 0 64
+let payload_576 = String.sub datagram 0 576
+
 let es_nop, _, _, attrs_nop, _ = fbs_fixture suite_nop ~secret:true
 
 let es_auth, ed_auth, src_auth, attrs_auth, wire_auth =
@@ -311,6 +324,8 @@ let fbs_tests =
         (stage (fun () ->
              Fbsr_fbs.Engine.send_sync es_paper ~now:60.0 ~attrs:attrs_paper
                ~secret:true ~payload:datagram));
+      Test.make ~name:"send-des+md5-alone-64B" (stage (send_alone payload_64));
+      Test.make ~name:"send-des+md5-alone-576B" (stage (send_alone payload_576));
       Test.make ~name:"receive-des+md5-1460B"
         (stage (fun () ->
              Fbsr_fbs.Engine.receive_sync ed_paper ~now:60.0 ~src:src_paper

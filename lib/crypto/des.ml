@@ -6,7 +6,8 @@
    byte-indexed IP/FP, sixteen unrolled rounds on untagged native [int]
    halves, and the CBC drivers ([Des_kernel.cbc_encrypt] keeps the chain
    in registers, [Des_kernel.cbc_encrypt2] runs two datagrams' chains side
-   by side, [Des_kernel.cbc_decrypt] runs two blocks at a time).
+   by side, [Des_kernel.cbc_encrypt_md5] runs one beside MD5,
+   [Des_kernel.cbc_decrypt] runs two blocks at a time).
    This module owns key handling (schedules, parity, weak keys) and the
    CBC entry points, which load/store halves straight from the
    source/destination buffers, so steady-state encryption allocates
@@ -139,13 +140,27 @@ let decrypt_cbc ~iv key ct =
    always adds 1-8 bytes, so the output is the next multiple of 8. *)
 let padded_length n = n + 8 - (n mod 8)
 
+(* Byte [j] of the final CBC block: one of the [r] leftover source bytes
+   at [src_pos], else PKCS#7 padding.  A top-level function, so the
+   final block allocates no closure. *)
+let[@inline] final_byte src src_pos r j =
+  if j < r then Char.code (String.unsafe_get src (src_pos + j)) else 8 - r
+
 (* Encrypt the final CBC block: the 0-7 leftover source bytes then PKCS#7
    padding bytes, chained through [io]. *)
 let cbc_final_block ks (io : int array) src src_pos r dst dst_pos =
-  let padding = 8 - r in
-  let byte j = if j < r then Char.code (String.unsafe_get src (src_pos + j)) else padding in
-  let bh = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  let bl = (byte 4 lsl 24) lor (byte 5 lsl 16) lor (byte 6 lsl 8) lor byte 7 in
+  let bh =
+    (final_byte src src_pos r 0 lsl 24)
+    lor (final_byte src src_pos r 1 lsl 16)
+    lor (final_byte src src_pos r 2 lsl 8)
+    lor final_byte src src_pos r 3
+  in
+  let bl =
+    (final_byte src src_pos r 4 lsl 24)
+    lor (final_byte src src_pos r 5 lsl 16)
+    lor (final_byte src src_pos r 6 lsl 8)
+    lor final_byte src src_pos r 7
+  in
   io.(0) <- io.(0) lxor bh;
   io.(1) <- io.(1) lxor bl;
   Des_kernel.crypt ks io;
@@ -252,6 +267,57 @@ let encrypt_cbc_job j =
   Des_kernel.cbc_encrypt j.sched j.chain j.src j.src_pos (j.src_len / 8) j.dst j.dst_pos;
   finish_job j
 
+(* A job run alone with MD5 absorbing its source beside the chain: the
+   one-pass seal ([Fused]).  [md5] holds what precedes the source in the
+   MAC's input, 0-63 bytes of it in its partial block.  MD5's blocks run
+   on [Des_kernel.cbc_encrypt_md5], one per four DES blocks, for as long
+   as there are DES blocks to run them beside: first the whole blocks of
+   partial block and source, then the padding blocks ([Md5.pad]).  DES
+   blocks left over run on [cbc_encrypt]; MD5 blocks left over (source
+   blocks, or the padding, when the source is too short to cover them)
+   on [Md5].  Returns the digest. *)
+let md5_chain = Fbsr_util.Domain_shim.local_make (fun () -> Array.make 4 0)
+let md5_tail = Fbsr_util.Domain_shim.local_make (fun () -> Bytes.create 128)
+
+let encrypt_cbc_job_md5 j md5 =
+  let st = Fbsr_util.Domain_shim.local_get md5_chain in
+  let r = Md5.pending md5 and groups = j.src_len / 32 in
+  let n1 = min ((r + j.src_len) / Md5.block_size) groups in
+  let hashed =
+    if n1 = 0 then 0
+    else begin
+      Md5.chain md5 st;
+      let first = if r = 0 then j.src else Md5.open_block md5 j.src j.src_pos in
+      let first_pos = if r = 0 then j.src_pos else 0 in
+      Des_kernel.cbc_encrypt_md5 j.sched j.chain j.src j.src_pos j.dst j.dst_pos st first
+        first_pos j.src (j.src_pos + Md5.block_size - r) n1;
+      let hashed = (Md5.block_size * n1) - r in
+      Md5.absorbed md5 st hashed;
+      hashed
+    end
+  in
+  Md5.feed md5 j.src (j.src_pos + hashed) (j.src_len - hashed);
+  let n2 = if Md5.pending md5 < 56 then 1 else 2 in
+  let fused = if groups - n1 >= n2 then n1 + n2 else n1 in
+  let digest =
+    if fused = n1 then Md5.final md5
+    else begin
+      let tail = Fbsr_util.Domain_shim.local_get md5_tail in
+      ignore (Md5.pad md5 tail : int);
+      Md5.chain md5 st;
+      let tail = Bytes.unsafe_to_string tail and o = 32 * n1 in
+      Des_kernel.cbc_encrypt_md5 j.sched j.chain j.src (j.src_pos + o) j.dst (j.dst_pos + o)
+        st tail 0 tail Md5.block_size n2;
+      Md5.closed md5 st
+    end
+  in
+  let o = 32 * fused in
+  Des_kernel.cbc_encrypt j.sched j.chain j.src (j.src_pos + o)
+    ((j.src_len / 8) - (4 * fused))
+    j.dst (j.dst_pos + o);
+  ignore (finish_job j : int);
+  digest
+
 let encrypt_cbc_pair a b =
   Des_kernel.cbc_encrypt2 a.sched a.chain a.src a.src_pos a.dst a.dst_pos (a.src_len / 8)
     b.sched b.chain b.src b.src_pos b.dst b.dst_pos (b.src_len / 8);
@@ -265,29 +331,3 @@ let encrypt_cbc_jobs jobs =
   done;
   if n land 1 = 1 then blocks := !blocks + encrypt_cbc_job jobs.(n - 1);
   !blocks
-
-(* Allocation-free incremental CBC over whole blocks straight into a
-   caller buffer — the [Fused] single-pass MAC+encrypt loop.  [chain] is
-   a 2-element scratch holding the running ciphertext block (seed it with
-   [cbc_seed_chain]); [cbc_blocks_into] consumes [nblocks] whole blocks,
-   [cbc_tail_into] the final 0-7 leftover bytes plus padding (writes
-   exactly one block). *)
-
-let cbc_seed_chain ~iv chain =
-  check_iv iv;
-  chain.(0) <- Des_kernel.read32 iv 0;
-  chain.(1) <- Des_kernel.read32 iv 4
-
-let cbc_blocks_into key chain ~src ~src_pos ~nblocks ~dst ~dst_pos =
-  if src_pos < 0 || nblocks < 0 || src_pos > String.length src - (nblocks * 8) then
-    invalid_arg "Des.cbc_blocks_into: bad source range";
-  if dst_pos < 0 || dst_pos > Bytes.length dst - (nblocks * 8) then
-    invalid_arg "Des.cbc_blocks_into: destination too short";
-  Des_kernel.cbc_encrypt key chain src src_pos nblocks dst dst_pos
-
-let cbc_tail_into key chain ~src ~src_pos ~src_len ~dst ~dst_pos =
-  if src_pos < 0 || src_len < 0 || src_len > 7 || src_pos > String.length src - src_len
-  then invalid_arg "Des.cbc_tail_into: bad source range";
-  if dst_pos < 0 || dst_pos > Bytes.length dst - 8 then
-    invalid_arg "Des.cbc_tail_into: destination too short";
-  cbc_final_block key chain src src_pos src_len dst dst_pos

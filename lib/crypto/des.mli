@@ -62,37 +62,6 @@ val decrypt_cbc_sub : iv:string -> key -> src:string -> pos:int -> len:int -> st
     decrypting the final block first).
     @raise Invalid_argument on bad length or corrupt padding. *)
 
-(** Zero-allocation incremental CBC into a caller buffer, used by
-    {!Fused} to interleave MAC and encryption in one pass over the
-    payload.  The chaining block lives in a caller-owned 2-element
-    scratch array seeded with [cbc_seed_chain]. *)
-
-val cbc_seed_chain : iv:string -> int array -> unit
-
-val cbc_blocks_into :
-  key ->
-  int array ->
-  src:string ->
-  src_pos:int ->
-  nblocks:int ->
-  dst:Bytes.t ->
-  dst_pos:int ->
-  unit
-(** Encrypt [nblocks] whole blocks of [src] into [dst], advancing the
-    chain.  @raise Invalid_argument on bad ranges. *)
-
-val cbc_tail_into :
-  key ->
-  int array ->
-  src:string ->
-  src_pos:int ->
-  src_len:int ->
-  dst:Bytes.t ->
-  dst_pos:int ->
-  unit
-(** Encrypt the final [src_len] (0-7) leftover bytes plus PKCS#7 padding;
-    writes exactly one block.  @raise Invalid_argument on bad ranges. *)
-
 (** {1 Deferred CBC jobs}
 
     A seal batch parks one datagram's CBC encryption here and runs it
@@ -100,7 +69,8 @@ val cbc_tail_into :
     {!Des_kernel.cbc_encrypt2}: two datagrams' CBC chains are
     independent, so the second fills the issue slots the first's serial
     chain leaves idle.  A pair is never slower than its two chains one
-    after the other (DESIGN.md §6c). *)
+    after the other (DESIGN.md §6c).  Under an MD5 MAC a seal's job is a
+    {!Fused.job} around one of these, which runs alone in one pass. *)
 
 type cbc_job
 (** One datagram's pending CBC encryption: key schedule, IV snapshot, a
@@ -139,3 +109,9 @@ val encrypt_cbc_jobs : cbc_job array -> int
 (* Internal: the packed {!Des_kernel} schedule, for sibling modules
    ([Des3], [Mac]) that drive the kernel directly. *)
 val sched : key -> int array
+
+(* Internal: {!encrypt_cbc_job} with MD5 absorbing the job's source in
+   the same pass — the one-pass seal's lone run ({!Fused}).  [md5] holds
+   the MAC input that precedes the source; the result is the MD5 digest
+   of that input and the source, and [md5] is spent. *)
+val encrypt_cbc_job_md5 : cbc_job -> Md5.ctx -> string

@@ -30,8 +30,9 @@
    chain in IP space (IP is linear, and IP undoes the FP that produced
    the previous ciphertext block), so the chain itself never passes
    through a permutation; [cbc_encrypt2] runs two such chains, from two
-   datagrams, side by side; and [cbc_decrypt] runs two independent
-   blocks per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
+   datagrams, side by side; [cbc_encrypt_md5] runs one beside MD5's
+   compression, the one-pass seal; and [cbc_decrypt] runs two
+   independent blocks per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
    modes and [Des3]: [rounds] maps the post-IP halves to the FIPS
    preoutput (R16, L16), and feeding its output straight back into
    [rounds] is exactly the FP-then-IP cancellation EDE3 needs, which is
@@ -360,6 +361,102 @@ let cbc_encrypt2 (ka : int array) (cha : int array) sa pa da qa na
   let o = n * 8 in
   if na > n then cbc_encrypt ka cha sa (pa + o) (na - n) da (qa + o)
   else if nb > n then cbc_encrypt kb chb sb (pb + o) (nb - n) db (qb + o)
+
+(* The one-pass seal's kernel: a CBC chain with MD5 beside it.  Each of
+   the [ncomp] passes compresses one MD5 block while it encrypts four
+   DES blocks: every DES block runs as four iterations of four rounds
+   plus one MD5 quad, the block's MD5 round being the [j]th, so the
+   sixty-four steps land between the sixty-four rounds.  Both are
+   serial chains of a few operations each, and neither waits on the
+   other: MD5's chain fills the issue slots the CBC chain's table loads
+   leave idle.  The steps are [Md5]'s own ([Md5.ff] ... [Md5.ii]), in
+   the order [Md5.compress] runs them.
+
+   MD5's block [0] is read from [first] at [first_pos] (the context's
+   partial block, completed), block [k > 0] from [rest] at [rest_pos +
+   64 (k - 1)]; the chaining words come in and go out through [st].
+   The DES side is [cbc_encrypt] of [4 ncomp] blocks, chain in IP space
+   and all. *)
+let md5_words = Fbsr_util.Domain_shim.local_make (fun () -> Array.make 16 0)
+
+let cbc_encrypt_md5 (ks : int array) (chain : int array) src src_pos dst dst_pos
+    (st : int array) first first_pos rest rest_pos ncomp =
+  let m = Fbsr_util.Domain_shim.local_get md5_words in
+  let ch = Array.unsafe_get chain 0 and cl = Array.unsafe_get chain 1 in
+  let cx = ref (gather ip_hi ch cl) and cy = ref (gather ip_lo ch cl) in
+  let a = ref (Array.unsafe_get st 0) and b = ref (Array.unsafe_get st 1) in
+  let c = ref (Array.unsafe_get st 2) and d = ref (Array.unsafe_get st 3) in
+  for n = 0 to ncomp - 1 do
+    if n = 0 then Md5.load m first first_pos
+    else Md5.load m rest (rest_pos + (64 * (n - 1)));
+    let a0 = !a and b0 = !b and c0 = !c and d0 = !d in
+    for j = 0 to 3 do
+      let si = src_pos + (32 * n) + (8 * j) in
+      let h = read32 src si and lo = read32 src (si + 4) in
+      let l = ref (!cx lxor gather ip_hi h lo) and r = ref (!cy lxor gather ip_lo h lo) in
+      for q = 0 to 3 do
+        let o = 8 * q in
+        let l' = round ks o !l !r in
+        let r' = round ks (o + 2) !r l' in
+        let l' = round ks (o + 4) l' r' in
+        let r' = round ks (o + 6) r' l' in
+        l := l';
+        r := r';
+        let i = (16 * j) + (4 * q) in
+        match j with
+        | 0 ->
+            let a' = Md5.ff !a !b !c !d (Md5.kx m i i) 7 in
+            let d' = Md5.ff !d a' !b !c (Md5.kx m (i + 1) (i + 1)) 12 in
+            let c' = Md5.ff !c d' a' !b (Md5.kx m (i + 2) (i + 2)) 17 in
+            b := Md5.ff !b c' d' a' (Md5.kx m (i + 3) (i + 3)) 22;
+            a := a';
+            c := c';
+            d := d'
+        | 1 ->
+            let g = ((5 * i) + 1) land 15 in
+            let a' = Md5.gg !a !b !c !d (Md5.kx m i g) 5 in
+            let d' = Md5.gg !d a' !b !c (Md5.kx m (i + 1) ((g + 5) land 15)) 9 in
+            let c' = Md5.gg !c d' a' !b (Md5.kx m (i + 2) ((g + 10) land 15)) 14 in
+            b := Md5.gg !b c' d' a' (Md5.kx m (i + 3) ((g + 15) land 15)) 20;
+            a := a';
+            c := c';
+            d := d'
+        | 2 ->
+            let g = ((3 * i) + 5) land 15 in
+            let a' = Md5.hh !a !b !c !d (Md5.kx m i g) 4 in
+            let d' = Md5.hh !d a' !b !c (Md5.kx m (i + 1) ((g + 3) land 15)) 11 in
+            let c' = Md5.hh !c d' a' !b (Md5.kx m (i + 2) ((g + 6) land 15)) 16 in
+            b := Md5.hh !b c' d' a' (Md5.kx m (i + 3) ((g + 9) land 15)) 23;
+            a := a';
+            c := c';
+            d := d'
+        | _ ->
+            let g = 7 * i land 15 in
+            let a' = Md5.ii !a !b !c !d (Md5.kx m i g) 6 in
+            let d' = Md5.ii !d a' !b !c (Md5.kx m (i + 1) ((g + 7) land 15)) 10 in
+            let c' = Md5.ii !c d' a' !b (Md5.kx m (i + 2) ((g + 14) land 15)) 15 in
+            b := Md5.ii !b c' d' a' (Md5.kx m (i + 3) ((g + 21) land 15)) 21;
+            a := a';
+            c := c';
+            d := d'
+      done;
+      cx := !r;
+      cy := !l;
+      let di = dst_pos + (32 * n) + (8 * j) in
+      write32 dst di (fp_word fp_hi !r !l);
+      write32 dst (di + 4) (fp_word fp_lo !r !l)
+    done;
+    a := (a0 + !a) land 0xFFFFFFFF;
+    b := (b0 + !b) land 0xFFFFFFFF;
+    c := (c0 + !c) land 0xFFFFFFFF;
+    d := (d0 + !d) land 0xFFFFFFFF
+  done;
+  Array.unsafe_set st 0 !a;
+  Array.unsafe_set st 1 !b;
+  Array.unsafe_set st 2 !c;
+  Array.unsafe_set st 3 !d;
+  Array.unsafe_set chain 0 (fp_word fp_hi !cx !cy);
+  Array.unsafe_set chain 1 (fp_word fp_lo !cx !cy)
 
 (* CBC decryption of [n] whole blocks under the encrypt-order schedule
    [ks], walked from round 15 down, chaining from the ciphertext block

@@ -43,6 +43,18 @@ val cbc_encrypt2 :
     finishes on the one-lane loop.  The two destination regions must not
     overlap either source region (DESIGN.md §6c). *)
 
+val cbc_encrypt_md5 :
+  int array -> int array -> string -> int -> Bytes.t -> int ->
+  int array -> string -> int -> string -> int -> int -> unit
+(** [cbc_encrypt_md5 ks chain src src_pos dst dst_pos st first first_pos
+    rest rest_pos ncomp] is [cbc_encrypt ks chain src src_pos (4 * ncomp)
+    dst dst_pos] with [ncomp] MD5 compressions run beside it, one per
+    four DES blocks, interleaved four rounds to one MD5 quad.  MD5 block
+    0 is the 64 bytes of [first] at [first_pos], block [k > 0] those of
+    [rest] at [rest_pos + 64 (k - 1)]; the chaining words [st.(0..3)]
+    are updated in place (masked).  The steps are [Md5]'s.  Message-word
+    scratch is per domain. *)
+
 val cbc_decrypt :
   int array -> ivh:int -> ivl:int -> string -> int -> int -> Bytes.t -> int -> unit
 (** [cbc_decrypt ks ~ivh ~ivl src pos n dst dst_pos] CBC-decrypts the [n]

@@ -7,44 +7,69 @@
    then the MAC computation and encryption should be rolled into one
    loop."
 
-   [mac_and_encrypt] walks the payload once in cache-friendly chunks,
-   feeding each chunk to the (prefix-MD5) MAC context and to an incremental
-   DES-CBC context.  Results are bit-identical to running the two passes
-   separately; the ablation bench measures the locality benefit. *)
+   A seal whose MAC hash is MD5 and whose cipher is DES-CBC is a [job]:
+   the DES-CBC job of its body ([Des.cbc_job]) plus the MAC's resumed
+   MD5 context and the slot the MAC goes to.  Run alone, the job is one
+   loop: [Des.encrypt_cbc_job_md5] on the kernel
+   [Des_kernel.cbc_encrypt_md5], which runs an MD5 compression beside
+   every four DES blocks, interleaved at round granularity, so MD5's
+   chain fills the issue slots the CBC chain's serial table loads leave
+   idle.  Run as a pair, the two MACs go through [Md5] and the two CBC
+   chains through the two-chain kernel, which already fills those slots
+   with the other datagram's chain.  Bytes are identical either way
+   (DESIGN.md §6c "One pass"). *)
 
-let chunk_size = 4096
+type job = {
+  cbc : Des.cbc_job;
+  mid : Mac.midstate;
+  md5 : Md5.ctx; (* the MAC input before [src], owned by the job *)
+  src : string;
+  src_pos : int;
+  src_len : int;
+  mac_dst : Bytes.t;
+  mac_pos : int;
+  mac_len : int;
+}
 
+let job ~mid ~md5 ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos ~mac_dst ~mac_pos ~mac_len
+    =
+  if mac_len < 0 || mac_len > Md5.digest_size || mac_pos < 0
+     || mac_pos > Bytes.length mac_dst - mac_len
+  then invalid_arg "Fused.job: bad MAC slot";
+  let cbc = Des.cbc_job ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos in
+  { cbc; mid; md5; src; src_pos; src_len; mac_dst; mac_pos; mac_len }
+
+let write_mac j inner =
+  Bytes.blit_string (Mac.finish_md5 j.mid inner) 0 j.mac_dst j.mac_pos j.mac_len
+
+let run j =
+  write_mac j (Des.encrypt_cbc_job_md5 j.cbc j.md5);
+  Des.padded_length j.src_len / 8
+
+let mac_alone j =
+  Md5.feed j.md5 j.src j.src_pos j.src_len;
+  write_mac j (Md5.final j.md5)
+
+let run_pair a b =
+  mac_alone a;
+  mac_alone b;
+  Des.encrypt_cbc_pair a.cbc b.cbc
+
+(* MAC = MD5(mac_key | prefix_parts... | payload), the paper's prefix
+   MAC; ciphertext = DES-CBC(des_key, iv, payload): a lone job. *)
 let mac_and_encrypt ~mac_key ~des_key ~iv ~prefix_parts payload =
-  (* MAC = MD5(mac_key | prefix_parts... | payload), as the FBS engine
-     computes it; ciphertext = DES-CBC(des_key, iv, payload).
-
-     The loop allocates only the exact-size ciphertext buffer up front:
-     each chunk is fed to the MD5 context in place ([Md5.feed], no copy)
-     and CBC-encrypted straight into the output ([Des.cbc_blocks_into]),
-     so the interleaving costs nothing over the cheaper of the two
-     passes — the earlier piece-list/concat version was slower than
-     two-pass despite the locality win. *)
-  let md5 = Md5.init () in
-  Md5.update md5 mac_key;
+  let mid = Mac.prepare Hash.md5 ~key:mac_key in
+  let md5 = Mac.resume_md5 mid in
   List.iter (Md5.update md5) prefix_parts;
   let n = String.length payload in
   let out = Bytes.create (Des.padded_length n) in
-  let chain = Array.make 2 0 in
-  Des.cbc_seed_chain ~iv chain;
-  let whole = n land lnot 7 in
-  let off = ref 0 in
-  while !off < whole do
-    let len = min chunk_size (whole - !off) in
-    Md5.feed md5 payload !off len;
-    Des.cbc_blocks_into des_key chain ~src:payload ~src_pos:!off ~nblocks:(len / 8)
-      ~dst:out ~dst_pos:!off;
-    off := !off + len
-  done;
-  if n > whole then Md5.feed md5 payload whole (n - whole);
-  Des.cbc_tail_into des_key chain ~src:payload ~src_pos:whole ~src_len:(n - whole)
-    ~dst:out ~dst_pos:whole;
-  let mac = Md5.final md5 in
-  (mac, Bytes.unsafe_to_string out)
+  let mac = Bytes.create Md5.digest_size in
+  ignore
+    (run
+       (job ~mid ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:out
+          ~dst_pos:0 ~mac_dst:mac ~mac_pos:0 ~mac_len:Md5.digest_size)
+      : int);
+  (Bytes.unsafe_to_string mac, Bytes.unsafe_to_string out)
 
 (* The two-pass equivalent, for equivalence tests and the bench. *)
 let mac_then_encrypt ~mac_key ~des_key ~iv ~prefix_parts payload =

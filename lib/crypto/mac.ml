@@ -118,25 +118,52 @@ type algorithm = Prefix | Hmac | Des_cbc_mac
      the inner digest, which depends on the message).
    - [Des_cbc_seed]: the pre-expanded CBC-MAC key schedule; the chain
      itself starts from the zero IV, so the schedule is the entire
-     key-dependent precomputation. *)
+     key-dependent precomputation.
+   - [Md5_mid]: [Prefix_mid] or [Hmac_mid] over MD5, with the context
+     itself rather than a packed one, so a seal can hand it to the
+     one-pass kernel ([resume_md5], [finish_md5]).  [opad] is [""] for
+     the prefix MAC. *)
 type midstate =
   | Prefix_mid of Hash.midstate
   | Hmac_mid of { inner : Hash.midstate; opad : string; hash : Hash.t }
+  | Md5_mid of { inner : Md5.ctx; opad : string }
   | Des_cbc_seed of Des.key
 
+let md5_absorbed prefix =
+  let ctx = Md5.init () in
+  Md5.update ctx prefix;
+  ctx
+
 let prepare ?(algorithm = Prefix) hash ~key =
+  let md5 = Hash.name hash = Md5.name in
   match algorithm with
+  | Prefix when md5 -> Md5_mid { inner = md5_absorbed key; opad = "" }
   | Prefix -> Prefix_mid (Hash.midstate hash ~prefix:key)
   | Hmac ->
       let ipad, opad = hmac_key_pads hash ~key in
-      Hmac_mid { inner = Hash.midstate hash ~prefix:ipad; opad; hash }
+      if md5 then Md5_mid { inner = md5_absorbed ipad; opad }
+      else Hmac_mid { inner = Hash.midstate hash ~prefix:ipad; opad; hash }
   | Des_cbc_mac -> Des_cbc_seed (des_cbc_prepare ~key)
+
+let resume_md5 = function
+  | Md5_mid { inner; _ } -> Md5.copy inner
+  | _ -> invalid_arg "Mac.resume_md5: not an MD5 prefix or HMAC midstate"
+
+let finish_md5 mid inner =
+  match mid with
+  | Md5_mid { opad = ""; _ } -> inner
+  | Md5_mid { opad; _ } -> Md5.digest_list [ opad; inner ]
+  | _ -> invalid_arg "Mac.finish_md5: not an MD5 prefix or HMAC midstate"
 
 let compute_midstate mid parts =
   match mid with
   | Prefix_mid m -> Hash.resume_slices m parts
   | Hmac_mid { inner; opad; hash } ->
       Hash.digest_list hash [ opad; Hash.resume_slices inner parts ]
+  | Md5_mid _ ->
+      let ctx = resume_md5 mid in
+      List.iter (Md5.feed_slice ctx) parts;
+      finish_md5 mid (Md5.final ctx)
   | Des_cbc_seed k -> des_cbc_slices_keyed k parts
 
 (* [expected] is typically the MAC field sliced out of the wire buffer and

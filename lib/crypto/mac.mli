@@ -35,6 +35,18 @@ val compute_midstate : midstate -> Fbsr_util.Slice.t list -> string
     given to {!prepare}.  The midstate is reusable: any number of
     computations, in any order. *)
 
+val resume_md5 : midstate -> Md5.ctx
+(** A fresh context resumed from the midstate of a [Prefix] or [Hmac]
+    MAC over MD5 (its inner hash for [Hmac]): feed it the message, then
+    pass its digest to {!finish_md5}.  How a seal runs the MAC's MD5 beside its encryption
+    ({!Fused}).  @raise Invalid_argument for any other midstate. *)
+
+val finish_md5 : midstate -> string -> string
+(** [finish_md5 mid inner] is the MAC whose inner digest is [inner], the
+    digest of a context from {!resume_md5} [mid] that absorbed the
+    message: [inner] itself for [Prefix], the outer hash over it for
+    [Hmac].  Equal to {!compute_midstate} over the same message. *)
+
 val verify_midstate :
   midstate -> Fbsr_util.Slice.t list -> expected:Fbsr_util.Slice.t -> bool
 (** Constant-time comparison of a (possibly truncated) wire MAC against

@@ -3,7 +3,14 @@
    The paper's implementation uses keyed MD5 (via CryptoLib) for the FBS MAC
    and as the flow-key derivation hash H.  This is a from-scratch streaming
    implementation; the round constants are computed from the sine definition
-   in the RFC rather than transcribed, eliminating table-typo risk. *)
+   in the RFC rather than transcribed, eliminating table-typo risk.
+
+   MD5 is one serial chain of 64 steps, so its cost is the length of a
+   step's dependency chain: each step adds its boolean function last to
+   [a + K[i] + M[g]], formed off the chain, and F and H are written in
+   their shortest forms (see [ff]).  The step functions are exported to
+   the one-pass seal kernel ([Des_kernel.cbc_encrypt_md5]), which runs
+   them beside a DES-CBC chain in the order [compress] does. *)
 
 let digest_size = 16
 let block_size = 64
@@ -48,122 +55,88 @@ let mask = 0xFFFFFFFF
 (* Message-schedule and round-state scratch.  [compress] runs to
    completion before returning, so one scratch per *domain* is safe —
    module-global scratch would race when shard domains MAC concurrently,
-   so each domain lazily gets its own pair (a plain cell on 4.14).  The
+   so each domain lazily gets its own set (a plain cell on 4.14).  The
    round state lands in [sst] instead of a returned tuple (which would
    box); both arrays are threaded through the quad chain as arguments so
-   the domain-local lookup happens once per block. *)
-type scratch = { sm : int array; sst : int array }
+   the domain-local lookup happens once per block.  [final] pads into
+   [stail]. *)
+type scratch = { sm : int array; sst : int array; stail : Bytes.t }
 
 let scratch =
   Fbsr_util.Domain_shim.local_make (fun () ->
-      { sm = Array.make 16 0; sst = Array.make 4 0 })
+      { sm = Array.make 16 0; sst = Array.make 4 0; stail = Bytes.create (2 * block_size) })
 
-(* One round = four quad iterations; each quad is four steps with the
-   (a, b, c, d) rotation as static renaming, shift counts as literals,
-   and the state carried in function arguments so it lives in registers
-   (a [ref] pipeline pays a store-to-load forward on the serial chain
-   every step).
+(* The four step functions.  A step is [b + ((a + x + f(b, c, d)) <<< s)]
+   with [x] = K[i] + M[g]: the state words arrive as [a b c d] in the step's own
+   naming and the new [a] is returned, so a caller rotates the roles by
+   renaming.
+
+   The step is written for a short dependency chain, which is the whole
+   cost of MD5: only [b] (the previous step's result) is late, so
+   [a + x] forms off the chain and [f] is added last — one add after [f]
+   instead of three for [((a + f) + K) + M].  F is [d lxor (b land (c
+   lxor d))] and H is [b lxor (c lxor d)], two and one operations after
+   [b] (the textbook forms take three and two).
 
    Masking is deferred: the state words carry garbage above bit 31
    between steps.  That is sound because [land]/[lor]/[lxor]/[lnot]
    are bitwise and addition only carries upward, so the low 32 bits of
    every expression here are always exact; the one operation that
    would smear high bits downward — the [lsr] half of the rotate — is
-   fed the explicitly masked [s0..s3].  The final state is masked once
-   in [compress].  This takes two serial ops per step off the
-   dependency chain, which is the whole cost of MD5. *)
+   fed the explicitly masked sum.  Callers mask the final state once. *)
+let[@inline] ff a b c d x s =
+  let t = (a + x + (d lxor (b land (c lxor d)))) land mask in
+  b + ((t lsl s) lor (t lsr (32 - s)))
+
+let[@inline] gg a b c d x s =
+  let t = (a + x + ((b land d) lor (c land lnot d))) land mask in
+  b + ((t lsl s) lor (t lsr (32 - s)))
+
+let[@inline] hh a b c d x s =
+  let t = (a + x + (b lxor (c lxor d))) land mask in
+  b + ((t lsl s) lor (t lsr (32 - s)))
+
+let[@inline] ii a b c d x s =
+  let t = (a + x + (c lxor (b lor lnot d))) land mask in
+  b + ((t lsl s) lor (t lsr (32 - s)))
+
+(* [x] of step [i] reading message word [g]. *)
+let[@inline] kx (m : int array) i g = Array.unsafe_get k_table i + Array.unsafe_get m g
+
+(* One round = four quad iterations; each quad is four steps with the
+   (a, b, c, d) rotation as static renaming, shift counts as literals,
+   and the state carried in function arguments so it lives in registers
+   (a [ref] pipeline pays a store-to-load forward on the serial chain
+   every step). *)
 let rec quad1 m st i a b c d =
   if i = 16 then quad2 m st 16 a b c d
   else begin
-    let k = k_table in
-    let s0 =
-      (a + ((b land c) lor (lnot b land d))
-      + Array.unsafe_get k i + Array.unsafe_get m i)
-      land mask
-    in
-    let a = b + ((s0 lsl 7) lor (s0 lsr 25)) in
-    let s1 =
-      (d + ((a land b) lor (lnot a land c))
-      + Array.unsafe_get k (i + 1) + Array.unsafe_get m (i + 1))
-      land mask
-    in
-    let d = a + ((s1 lsl 12) lor (s1 lsr 20)) in
-    let s2 =
-      (c + ((d land a) lor (lnot d land b))
-      + Array.unsafe_get k (i + 2) + Array.unsafe_get m (i + 2))
-      land mask
-    in
-    let c = d + ((s2 lsl 17) lor (s2 lsr 15)) in
-    let s3 =
-      (b + ((c land d) lor (lnot c land a))
-      + Array.unsafe_get k (i + 3) + Array.unsafe_get m (i + 3))
-      land mask
-    in
-    let b = c + ((s3 lsl 22) lor (s3 lsr 10)) in
+    let a = ff a b c d (kx m i i) 7 in
+    let d = ff d a b c (kx m (i + 1) (i + 1)) 12 in
+    let c = ff c d a b (kx m (i + 2) (i + 2)) 17 in
+    let b = ff b c d a (kx m (i + 3) (i + 3)) 22 in
     quad1 m st (i + 4) a b c d
   end
 
 and quad2 m st i a b c d =
   if i = 32 then quad3 m st 32 a b c d
   else begin
-    let k = k_table in
     let g = ((5 * i) + 1) land 15 in
-    let s0 =
-      (a + ((d land b) lor (lnot d land c))
-      + Array.unsafe_get k i + Array.unsafe_get m g)
-      land mask
-    in
-    let a = b + ((s0 lsl 5) lor (s0 lsr 27)) in
-    let s1 =
-      (d + ((c land a) lor (lnot c land b))
-      + Array.unsafe_get k (i + 1) + Array.unsafe_get m ((g + 5) land 15))
-      land mask
-    in
-    let d = a + ((s1 lsl 9) lor (s1 lsr 23)) in
-    let s2 =
-      (c + ((b land d) lor (lnot b land a))
-      + Array.unsafe_get k (i + 2) + Array.unsafe_get m ((g + 10) land 15))
-      land mask
-    in
-    let c = d + ((s2 lsl 14) lor (s2 lsr 18)) in
-    let s3 =
-      (b + ((a land c) lor (lnot a land d))
-      + Array.unsafe_get k (i + 3) + Array.unsafe_get m ((g + 15) land 15))
-      land mask
-    in
-    let b = c + ((s3 lsl 20) lor (s3 lsr 12)) in
+    let a = gg a b c d (kx m i g) 5 in
+    let d = gg d a b c (kx m (i + 1) ((g + 5) land 15)) 9 in
+    let c = gg c d a b (kx m (i + 2) ((g + 10) land 15)) 14 in
+    let b = gg b c d a (kx m (i + 3) ((g + 15) land 15)) 20 in
     quad2 m st (i + 4) a b c d
   end
 
 and quad3 m st i a b c d =
   if i = 48 then quad4 m st 48 a b c d
   else begin
-    let k = k_table in
     let g = ((3 * i) + 5) land 15 in
-    let s0 =
-      (a + (b lxor c lxor d)
-      + Array.unsafe_get k i + Array.unsafe_get m g)
-      land mask
-    in
-    let a = b + ((s0 lsl 4) lor (s0 lsr 28)) in
-    let s1 =
-      (d + (a lxor b lxor c)
-      + Array.unsafe_get k (i + 1) + Array.unsafe_get m ((g + 3) land 15))
-      land mask
-    in
-    let d = a + ((s1 lsl 11) lor (s1 lsr 21)) in
-    let s2 =
-      (c + (d lxor a lxor b)
-      + Array.unsafe_get k (i + 2) + Array.unsafe_get m ((g + 6) land 15))
-      land mask
-    in
-    let c = d + ((s2 lsl 16) lor (s2 lsr 16)) in
-    let s3 =
-      (b + (c lxor d lxor a)
-      + Array.unsafe_get k (i + 3) + Array.unsafe_get m ((g + 9) land 15))
-      land mask
-    in
-    let b = c + ((s3 lsl 23) lor (s3 lsr 9)) in
+    let a = hh a b c d (kx m i g) 4 in
+    let d = hh d a b c (kx m (i + 1) ((g + 3) land 15)) 11 in
+    let c = hh c d a b (kx m (i + 2) ((g + 6) land 15)) 16 in
+    let b = hh b c d a (kx m (i + 3) ((g + 9) land 15)) 23 in
     quad3 m st (i + 4) a b c d
   end
 
@@ -175,41 +148,24 @@ and quad4 m st i a b c d =
     Array.unsafe_set st 3 d
   end
   else begin
-    let k = k_table in
     let g = 7 * i land 15 in
-    let s0 =
-      (a + (c lxor (b lor lnot d))
-      + Array.unsafe_get k i + Array.unsafe_get m g)
-      land mask
-    in
-    let a = b + ((s0 lsl 6) lor (s0 lsr 26)) in
-    let s1 =
-      (d + (b lxor (a lor lnot c))
-      + Array.unsafe_get k (i + 1) + Array.unsafe_get m ((g + 7) land 15))
-      land mask
-    in
-    let d = a + ((s1 lsl 10) lor (s1 lsr 22)) in
-    let s2 =
-      (c + (a lxor (d lor lnot b))
-      + Array.unsafe_get k (i + 2) + Array.unsafe_get m ((g + 14) land 15))
-      land mask
-    in
-    let c = d + ((s2 lsl 15) lor (s2 lsr 17)) in
-    let s3 =
-      (b + (d lxor (c lor lnot a))
-      + Array.unsafe_get k (i + 3) + Array.unsafe_get m ((g + 21) land 15))
-      land mask
-    in
-    let b = c + ((s3 lsl 21) lor (s3 lsr 11)) in
+    let a = ii a b c d (kx m i g) 6 in
+    let d = ii d a b c (kx m (i + 1) ((g + 7) land 15)) 10 in
+    let c = ii c d a b (kx m (i + 2) ((g + 14) land 15)) 15 in
+    let b = ii b c d a (kx m (i + 3) ((g + 21) land 15)) 21 in
     quad4 m st (i + 4) a b c d
   end
 
-let compress ctx (block : string) off =
-  let { sm = m; sst = st } = Fbsr_util.Domain_shim.local_get scratch in
+(* The sixteen little-endian message words of the block at [off]. *)
+let load (m : int array) (block : string) off =
   for i = 0 to 15 do
     Array.unsafe_set m i
       (Int32.to_int (String.get_int32_le block (off + (4 * i))) land mask)
-  done;
+  done
+
+let compress ctx (block : string) off =
+  let { sm = m; sst = st; _ } = Fbsr_util.Domain_shim.local_get scratch in
+  load m block off;
   quad1 m st 0 ctx.a ctx.b ctx.c ctx.d;
   ctx.a <- (ctx.a + Array.unsafe_get st 0) land mask;
   ctx.b <- (ctx.b + Array.unsafe_get st 1) land mask;
@@ -244,39 +200,72 @@ let feed ctx s pos len =
 
 let update ctx s = feed ctx s 0 (String.length s)
 
+(* Block-level access for the one-pass seal ([Des.encrypt_cbc_job_md5]),
+   which compresses whole blocks outside [compress]: the bytes waiting
+   in the partial block, that block completed from [s] at [pos] (read
+   back through a view, before the context is fed again), and the
+   chaining words out and back in after [n] more input bytes. *)
+let pending ctx = ctx.buf_len
+
+let open_block ctx s pos =
+  Bytes.blit_string s pos ctx.buf ctx.buf_len (block_size - ctx.buf_len);
+  Bytes.unsafe_to_string ctx.buf
+
+let chain ctx (st : int array) =
+  st.(0) <- ctx.a;
+  st.(1) <- ctx.b;
+  st.(2) <- ctx.c;
+  st.(3) <- ctx.d
+
+let absorbed ctx (st : int array) n =
+  ctx.a <- st.(0);
+  ctx.b <- st.(1);
+  ctx.c <- st.(2);
+  ctx.d <- st.(3);
+  ctx.buf_len <- 0;
+  ctx.total <- ctx.total + n
+
 let feed_slice ctx (s : Fbsr_util.Slice.t) =
   feed ctx s.Fbsr_util.Slice.base s.Fbsr_util.Slice.off s.Fbsr_util.Slice.len
 
-let word_out b off v =
-  for i = 0 to 3 do
-    Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
+(* Padding: the buffered bytes, 0x80, zeros and the 8-byte little-endian
+   bit length, written into [dst] (at least 128 bytes): one block, or two
+   when the tail leaves no room for the length.  Returns the block count.
+   The context is left as it was, so the blocks can be compressed where
+   the caller likes: [final] compresses them at once, the one-pass seal
+   beside its last DES blocks. *)
+let pad ctx dst =
+  let n = ctx.buf_len in
+  let blocks = if n >= 56 then 2 else 1 in
+  let len = block_size * blocks in
+  Bytes.blit ctx.buf 0 dst 0 n;
+  Bytes.set dst n '\x80';
+  Bytes.fill dst (n + 1) (len - 9 - n) '\000';
+  Bytes.set_int64_le dst (len - 8) (Int64.of_int (ctx.total lsl 3));
+  blocks
 
-(* Padding: 0x80, zeros, the 8-byte little-endian bit length, written
-   into the block buffer behind the buffered bytes; a tail too long to
-   leave room for the length takes one more block.  Nothing is
-   allocated but the digest. *)
-let final ctx =
-  let buf = ctx.buf and n = ctx.buf_len in
-  Bytes.set buf n '\x80';
-  if n >= 56 then begin
-    Bytes.fill buf (n + 1) (block_size - n - 1) '\000';
-    compress ctx (Bytes.unsafe_to_string buf) 0;
-    Bytes.fill buf 0 56 '\000'
-  end
-  else Bytes.fill buf (n + 1) (55 - n) '\000';
-  let bit_len = ctx.total lsl 3 in
-  for i = 0 to 7 do
-    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * i)) land 0xff))
-  done;
-  compress ctx (Bytes.unsafe_to_string buf) 0;
+let digest_of ctx =
   ctx.buf_len <- 0;
   let out = Bytes.create digest_size in
-  word_out out 0 ctx.a;
-  word_out out 4 ctx.b;
-  word_out out 8 ctx.c;
-  word_out out 12 ctx.d;
+  Bytes.set_int32_le out 0 (Int32.of_int ctx.a);
+  Bytes.set_int32_le out 4 (Int32.of_int ctx.b);
+  Bytes.set_int32_le out 8 (Int32.of_int ctx.c);
+  Bytes.set_int32_le out 12 (Int32.of_int ctx.d);
   Bytes.unsafe_to_string out
+
+(* Nothing is allocated but the digest. *)
+let final ctx =
+  let tail = (Fbsr_util.Domain_shim.local_get scratch).stail in
+  let blocks = pad ctx tail in
+  compress ctx (Bytes.unsafe_to_string tail) 0;
+  if blocks = 2 then compress ctx (Bytes.unsafe_to_string tail) block_size;
+  digest_of ctx
+
+(* The digest of a context whose padding blocks ([pad]) were compressed
+   outside it, with the chaining words [st] they left. *)
+let closed ctx st =
+  absorbed ctx st 0;
+  digest_of ctx
 
 let digest s =
   let ctx = init () in

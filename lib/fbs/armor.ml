@@ -111,12 +111,16 @@ let iv_of_confounder ctx ~confounder =
    (see [Header.auth_bytes]).  The prelude is assembled in the engine's
    reusable scratch and the payload passed as a borrowed slice, so MAC
    computation allocates nothing beyond the digest itself. *)
-let compute_mac ctx entry ~suite ~secret ~confounder ~timestamp
-    ~(payload : Fbsr_util.Slice.t) =
+let mac_state ctx entry ~suite ~secret ~confounder ~timestamp =
   ctx.counters.macs_computed <- ctx.counters.macs_computed + 1;
   Header.write_mac_prelude ctx.mac_prelude ~suite ~secret ~confounder ~timestamp;
+  mac_midstate ctx entry ~suite
+
+let compute_mac ctx entry ~suite ~secret ~confounder ~timestamp
+    ~(payload : Fbsr_util.Slice.t) =
+  let mid = mac_state ctx entry ~suite ~secret ~confounder ~timestamp in
   let parts = [ Fbsr_util.Slice.of_bytes_unsafe ctx.mac_prelude; payload ] in
-  Fbsr_crypto.Mac.compute_midstate (mac_midstate ctx entry ~suite) parts
+  Fbsr_crypto.Mac.compute_midstate mid parts
 
 let verify_mac ctx entry ~suite ~secret ~confounder ~timestamp
     ~(payload : Fbsr_util.Slice.t) ~(expected : Fbsr_util.Slice.t) =
@@ -136,6 +140,7 @@ type batch_ops = {
     ctx ->
     flow_state ->
     confounder:int ->
+    timestamp:int ->
     payload:string ->
     Fbsr_util.Byte_writer.t ->
     job;
@@ -148,14 +153,15 @@ module type S = sig
   val max_body_growth : int
   val sealed_body_len : secret:bool -> int -> int
 
-  val seal_mac :
+  val seal :
     ctx ->
     flow_state ->
     secret:bool ->
     confounder:int ->
     timestamp:int ->
-    payload:Fbsr_util.Slice.t ->
-    string
+    payload:string ->
+    Fbsr_util.Byte_writer.t ->
+    unit
 
   val verify_mac :
     ctx ->
@@ -166,15 +172,6 @@ module type S = sig
     payload:Fbsr_util.Slice.t ->
     expected:Fbsr_util.Slice.t ->
     bool
-
-  val seal_body :
-    ctx ->
-    flow_state ->
-    secret:bool ->
-    confounder:int ->
-    payload:string ->
-    Fbsr_util.Byte_writer.t ->
-    unit
 
   val open_body :
     ctx ->

@@ -83,6 +83,20 @@ val iv_of_confounder : ctx -> confounder:int -> string
 (** The duplicated-confounder IV, refreshed in [ctx.iv_scratch] and read
     through an unsafe view — consume before the next armor call. *)
 
+val mac_state :
+  ctx ->
+  flow_state ->
+  suite:Suite.t ->
+  secret:bool ->
+  confounder:int ->
+  timestamp:int ->
+  Fbsr_crypto.Mac.midstate
+(** The start of a MAC computation: bumps [macs_computed], writes the
+    prelude into [ctx.mac_prelude] and returns the flow's frozen MAC
+    precomputation (built on first use, [mac_midstate_misses]; resumed
+    thereafter, [mac_midstate_hits]).  The MAC is over the prelude, then
+    the payload, from that midstate. *)
+
 val compute_mac :
   ctx ->
   flow_state ->
@@ -92,9 +106,7 @@ val compute_mac :
   timestamp:int ->
   payload:Fbsr_util.Slice.t ->
   string
-(** Untruncated MAC over prelude | payload, resumed from the flow's
-    frozen MAC precomputation (built on first use, [mac_midstate_misses];
-    resumed thereafter, [mac_midstate_hits]); bumps [macs_computed]. *)
+(** Untruncated MAC over prelude | payload, from {!mac_state}. *)
 
 val verify_mac :
   ctx ->
@@ -122,12 +134,17 @@ type batch_ops = {
     ctx ->
     flow_state ->
     confounder:int ->
+    timestamp:int ->
     payload:string ->
     Fbsr_util.Byte_writer.t ->
     job;
-      (** Reserve the body region in the writer and return the pending
-          job that will fill it; accounts the encryption exactly as the
-          inline path would ([encryptions], key-schedule hit/miss). *)
+      (** The secret seal's part of {!S.seal}, left pending: writes or
+          reserves the MAC, reserves the body region, and returns the
+          job that will fill what it reserved.  Accounts the MAC and the
+          encryption exactly as the inline path would ([macs_computed],
+          midstate and key-schedule hit/miss, [encryptions]); a job
+          carries its own MAC inputs, so the [ctx] scratch is free for
+          the next seal at once. *)
   run : job -> job option -> int;
       (** [run parked partner] runs the parked job beside its partner
           (the next deferred seal), or alone when a flush finds it
@@ -149,16 +166,21 @@ module type S = sig
   val sealed_body_len : secret:bool -> int -> int
   (** Exact on-wire body length for a payload of the given length. *)
 
-  val seal_mac :
+  val seal :
     ctx ->
     flow_state ->
     secret:bool ->
     confounder:int ->
     timestamp:int ->
-    payload:Fbsr_util.Slice.t ->
-    string
-  (** The MAC to write (untruncated; the engine writes the suite's
-      [mac_length] prefix). *)
+    payload:string ->
+    Fbsr_util.Byte_writer.t ->
+    unit
+  (** Write the MAC (the suite's [mac_length] prefix of it), then exactly
+      [sealed_body_len ~secret (String.length payload)] body bytes: the
+      payload verbatim when not encrypting, else the ciphertext
+      (preferably straight into a reserved region).  An armor with a
+      {!batch} seals a secret datagram as its lone job: [defer], then
+      [run] alone. *)
 
   val verify_mac :
     ctx ->
@@ -169,18 +191,6 @@ module type S = sig
     payload:Fbsr_util.Slice.t ->
     expected:Fbsr_util.Slice.t ->
     bool
-
-  val seal_body :
-    ctx ->
-    flow_state ->
-    secret:bool ->
-    confounder:int ->
-    payload:string ->
-    Fbsr_util.Byte_writer.t ->
-    unit
-  (** Write exactly [sealed_body_len ~secret (String.length payload)]
-      bytes into the writer: the payload verbatim when not encrypting,
-      else the ciphertext (preferably straight into a reserved region). *)
 
   val open_body :
     ctx ->

@@ -36,14 +36,15 @@ let armor : Armor.armor =
     let max_body_growth = 0 (* length-preserving keystream *)
     let sealed_body_len ~secret:_ len = len
 
-    let seal_mac ctx entry ~secret ~confounder ~timestamp ~payload =
-      Armor.compute_mac ctx entry ~suite ~secret ~confounder ~timestamp ~payload
-
     let verify_mac ctx entry ~secret ~confounder ~timestamp ~payload ~expected =
       Armor.verify_mac ctx entry ~suite ~secret ~confounder ~timestamp ~payload
         ~expected
 
-    let seal_body ctx entry ~secret ~confounder ~payload w =
+    let seal ctx entry ~secret ~confounder ~timestamp ~payload w =
+      Fbsr_util.Byte_writer.substring w
+        (Armor.compute_mac ctx entry ~suite ~secret ~confounder ~timestamp
+           ~payload:(Fbsr_util.Slice.of_string payload))
+        0 suite.Suite.mac_length;
       if not secret then Fbsr_util.Byte_writer.bytes w payload
       else begin
         let c = ctx.Armor.counters in

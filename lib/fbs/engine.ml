@@ -309,7 +309,8 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
 
 (* Cross-flow batching of seals, bound to one engine.  A secret datagram
    whose armor has a batched kernel parks its body encryption here as a
-   fully assembled wire whose body region is still pending.  The next such
+   fully assembled wire whose body region (and, under an MD5 MAC, MAC
+   slot) is still pending.  The next such
    datagram runs beside it on the kernel (the DES-CBC kernel pairs two
    independent chains), and only then do both complete, in call order,
    so a caller never observes a half-sealed datagram; [flush] runs a lone
@@ -444,12 +445,13 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    With a [batch], a secret datagram whose armor has a batch kernel
    leaves its body to the batch, provided its send call is still open
    (one resumed after a keying fetch seals inline): the armor reserves the body region
-   and returns the pending job that will fill it (accounting the
-   encryption as the inline path would).  The wire is finalized with the
-   region still unwritten and ALIASES the job's destination buffer
-   ([finalize] shares storage at exact capacity), so the ciphertext lands
-   in the already-issued string when the batch runs the job — which is
-   why the continuation only fires from there.  The seal span finishes
+   (and, under an MD5 MAC, the MAC slot) and returns the pending job that
+   will fill it (accounting the MAC and the encryption as the inline path
+   would).  The wire is finalized with the region still unwritten and
+   ALIASES the job's destination buffer ([finalize] shares storage at
+   exact capacity), so MAC and ciphertext land in the already-issued
+   string when the batch runs the job — which is why the continuation
+   only fires from there.  The seal span finishes
    there too, covering the wait in the slot: the real seal latency under
    batching.
 
@@ -478,10 +480,6 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
     Fbsr_util.Sketch.observe t.flowstats.Flowstats.datagrams key 1;
     Fbsr_util.Sketch.observe t.flowstats.Flowstats.bytes key payload_len
   end;
-  let mac =
-    A.seal_mac t.actx entry ~secret ~confounder ~timestamp
-      ~payload:(Fbsr_util.Slice.of_string payload)
-  in
   let body_len = A.sealed_body_len ~secret payload_len in
   let w =
     Fbsr_util.Byte_writer.create
@@ -489,12 +487,9 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
       ()
   in
   Header.encode_fields_into w ~sfl ~suite:t.suite ~secret ~confounder ~timestamp;
-  (* Writing the MAC through [substring] also performs the suite's
-     truncation (Section 5.3) without an intermediate string. *)
-  Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
   match batch with
   | Some ({ Batch.kernel = Some ops; calls; _ } as b) when secret && calls > 0 ->
-      let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
+      let job = ops.Armor.defer t.actx entry ~confounder ~timestamp ~payload w in
       let wire = Fbsr_util.Byte_writer.finalize w in
       let complete =
         match stm with
@@ -512,7 +507,7 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
       in
       Batch.enqueue b ops job complete
   | _ ->
-      A.seal_body t.actx entry ~secret ~confounder ~payload w;
+      A.seal t.actx entry ~secret ~confounder ~timestamp ~payload w;
       let wire = Fbsr_util.Byte_writer.finalize w in
       (match stm with
       | Some tm ->

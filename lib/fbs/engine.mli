@@ -162,12 +162,15 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     several engines on one registry sums them. *)
 
 (** Cross-flow batching of seals: a one-datagram slot where a secret
-    datagram parks its body encryption until the next one runs beside it.
+    datagram parks its body encryption (and, under an MD5 MAC, its MAC)
+    until the next one runs beside it.
 
     CBC serializes cipher blocks within a flow but not across flows.  So
     when a {!send} is given a batch, a {e secret} datagram whose armor
     has a batched kernel (the DES-CBC suites) is assembled as a wire
-    (header, MAC, reserved body region) whose encryption is pending.
+    (header, MAC, reserved body region) whose encryption is pending;
+    under suites 0 and 1 the MAC slot is reserved too, and the MAC is
+    pending with it.
     Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, keying
     refusals) seals inline on the same call, and every {!receive} opens
     inline.
@@ -175,9 +178,11 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     The contract:
     - pairing: a pending seal that finds the slot empty parks there.  The
       next one runs beside it at once on the two-chain CBC kernel
-      ({!Fbsr_crypto.Des.encrypt_cbc_pair}), and both datagrams complete
-      on that call, each under its own trace id.  {!Batch.flush} runs a
-      lone parked datagram alone.  The slot is emptied before any
+      ({!Fbsr_crypto.Des.encrypt_cbc_pair}, the MACs first), and both
+      datagrams complete on that call, each under its own trace id.
+      {!Batch.flush} runs a lone parked datagram alone: under an MD5 MAC,
+      in one pass with the MAC's MD5 beside the CBC chain
+      ({!Fbsr_crypto.Fused.run}), the very job an unbatched seal runs.  The slot is emptied before any
       completion runs, so a completion may send through the batch again.
       Wires, counters and span terminals are identical to the inline
       path, datagram for datagram; the deferred ["engine.seal"] span
@@ -197,7 +202,7 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       engine's armor and its counters are that engine's.
     - A parked datagram's continuation fires only when its job runs.
       Until then the wire handed to it is not yet stable: its body bytes
-      are written by the kernel. *)
+      (and a pending MAC) are written by the kernel. *)
 module Batch : sig
   type engine := t
 

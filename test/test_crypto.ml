@@ -683,15 +683,10 @@ let test_kernel_cbc_every_count () =
         ~dst_pos:5
     in
     check Alcotest.string (what "encrypt_cbc_into") (hex ct) (hex (Bytes.sub_string dst 5 wrote));
-    (* Whole blocks through the incremental entry point, split after
-       block [nb / 2]: the chain must survive the hand-off. *)
-    let padded = Des.pad msg and chain = Array.make 2 0 in
-    Des.cbc_seed_chain ~iv chain;
-    let out = Bytes.create (8 * nb) and half = nb / 2 in
-    Des.cbc_blocks_into k chain ~src:padded ~src_pos:0 ~nblocks:half ~dst:out ~dst_pos:0;
-    Des.cbc_blocks_into k chain ~src:padded ~src_pos:(8 * half) ~nblocks:(nb - half) ~dst:out
-      ~dst_pos:(8 * half);
-    check Alcotest.string (what "cbc_blocks_into") (hex ct) (hex (Bytes.to_string out));
+    (* The one-pass seal: the MD5-interleaved kernel hands the chain to
+       the one-lane loop, which hands it to the padded final block. *)
+    let _, one_pass = Fused.mac_and_encrypt ~mac_key:"k" ~des_key:k ~iv ~prefix_parts:[] msg in
+    check Alcotest.string (what "one-pass seal") (hex ct) (hex one_pass);
     (* The two-block decrypt over all [nb] blocks (decrypt_cbc) and over
        the [nb - 1] before the final one (decrypt_cbc_sub, embedded). *)
     check Alcotest.string (what "decrypt_cbc") msg (Des.decrypt_cbc ~iv k ct);
@@ -736,9 +731,22 @@ let test_kernel_allocation () =
   let src = String.init 1456 (fun i -> Char.chr (i land 0xff)) in
   let dst = Bytes.create 1464 and chain = Array.make 2 0 in
   let ct = Des.encrypt_cbc ~iv k src in
-  let blocks () =
-    Des.cbc_blocks_into k chain ~src ~src_pos:0 ~nblocks:182 ~dst ~dst_pos:0
+  let blocks () = Des_kernel.cbc_encrypt (Des.sched k) chain src 0 182 dst 0 in
+  (* The one-pass lone run: a fresh job and MAC context each call, built
+     outside the measurement (a job runs once). *)
+  let mid = Mac.prepare Hash.md5 ~key:(String.make 16 'm') in
+  let fresh () =
+    let md5 = Mac.resume_md5 mid in
+    Md5.update md5 "ten bytes!";
+    (Des.cbc_job ~key:k ~iv ~src ~src_pos:0 ~src_len:1456 ~dst ~dst_pos:0, md5)
   in
+  let one_pass () =
+    let job, md5 = fresh () in
+    let w0 = Gc.minor_words () in
+    ignore (Des.encrypt_cbc_job_md5 job md5 : string);
+    Gc.minor_words () -. w0
+  in
+  ignore (one_pass () : float);
   let into () =
     ignore
       (Des.encrypt_cbc_into ~iv k ~src ~src_pos:0 ~src_len:1456 ~dst ~dst_pos:0 : int)
@@ -747,8 +755,11 @@ let test_kernel_allocation () =
   let none () = () in
   List.iter (fun f -> f ()) [ blocks; into; sub; none ];
   let base = minor_words_of none in
-  check (Alcotest.float 0.) "cbc_blocks_into, 182 blocks: no minor words" 0.
+  check (Alcotest.float 0.) "cbc_encrypt, 182 blocks: no minor words" 0.
     (minor_words_of blocks -. base);
+  (* The 16-byte digest is its one allocation: three words and a header. *)
+  check (Alcotest.float 0.) "one-pass job, 182 blocks + MD5: the digest only" 4.
+    (one_pass () -. base);
   let w = minor_words_of into -. base in
   if w > 16. then Alcotest.failf "encrypt_cbc_into: %.0f minor words, want <= 16" w;
   (* The plaintext (1456 bytes: 182 words and a header) plus a few. *)
@@ -917,6 +928,18 @@ let hash_diff_prop label (module F : Hash.S) (module R : Hash.S) =
       && F.digest_list [ msg; "|"; msg ] = R.digest_list [ msg; "|"; msg ])
 
 let prop_md5_vs_oracle = hash_diff_prop "md5" (module Md5) (module Md5_ref)
+
+(* The step chain at every length up to four blocks: each tail length
+   and both padding shapes, one-shot and fed a byte at a time. *)
+let test_md5_every_length () =
+  for n = 0 to 256 do
+    let msg = String.init n (fun i -> Char.chr (((i * 131) + n) land 0xff)) in
+    let expected = hex (Md5_ref.digest msg) in
+    check Alcotest.string (Printf.sprintf "%d bytes" n) expected (hex (Md5.digest msg));
+    let ctx = Md5.init () in
+    String.iter (fun c -> Md5.update ctx (String.make 1 c)) msg;
+    check Alcotest.string (Printf.sprintf "%d bytes, bytewise" n) expected (hex (Md5.final ctx))
+  done
 let prop_sha1_vs_oracle = hash_diff_prop "sha1" (module Sha1) (module Sha1_ref)
 
 let midstate_oracle_prop label hash (module R : Hash.S) =
@@ -1069,25 +1092,88 @@ let prop_fused_equals_two_pass =
       = Fused.mac_then_encrypt ~mac_key:"the mac key!" ~des_key ~iv ~prefix_parts
           payload)
 
-let prop_incremental_cbc =
-  QCheck.Test.make ~name:"incremental CBC = one-shot CBC" ~count:150
-    QCheck.(triple key8 key8 (pair arbitrary_bytes (int_bound 50)))
-    (fun (key, iv, (payload, cut)) ->
-      let des_key = Des.of_string key in
-      (* [cut] whole blocks, then the rest's whole blocks, then the tail:
-         the chain carries across the three calls. *)
-      let n = String.length payload in
-      let first = min cut (n / 8) in
-      let dst = Bytes.create (Des.padded_length n) in
-      let chain = Array.make 2 0 in
-      Des.cbc_seed_chain ~iv chain;
-      Des.cbc_blocks_into des_key chain ~src:payload ~src_pos:0 ~nblocks:first ~dst
-        ~dst_pos:0;
-      Des.cbc_blocks_into des_key chain ~src:payload ~src_pos:(8 * first)
-        ~nblocks:((n / 8) - first) ~dst ~dst_pos:(8 * first);
-      Des.cbc_tail_into des_key chain ~src:payload ~src_pos:(n land lnot 7)
-        ~src_len:(n land 7) ~dst ~dst_pos:(n land lnot 7);
-      Bytes.to_string dst = Des.encrypt_cbc ~iv des_key payload)
+(* The one-pass kernel against the two passes it replaces, over every
+   residue of the payload length mod 64 and mod 8 and every partial-block
+   fill of the resumed MD5 context: a prefix-MAC key of 0-127 bytes
+   leaves 0-63 bytes waiting (an HMAC inner state is one whole block of
+   ipad, so it leaves none before its prelude).  The job writes into a
+   buffer holding other bytes around its MAC slot and body; those must
+   survive. *)
+let one_pass_case (algorithm, key, des_key, iv, prelude, payload) =
+  let mid = Mac.prepare ~algorithm Hash.md5 ~key in
+  let md5 = Mac.resume_md5 mid in
+  Md5.update md5 prelude;
+  let n = String.length payload and des_key = Des.of_string des_key in
+  let body = Des.padded_length n in
+  (* A 5-byte guard, the 16-byte MAC slot, 3 bytes, the body, 7 bytes. *)
+  let buf = Bytes.init (5 + 16 + 3 + body + 7) (fun i -> Char.chr ((i * 151) land 0xff)) in
+  let before = Bytes.copy buf in
+  let blocks =
+    Fused.run
+      (Fused.job ~mid ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:buf
+         ~dst_pos:24 ~mac_dst:buf ~mac_pos:5 ~mac_len:16)
+  in
+  let mac =
+    match algorithm with
+    | Mac.Hmac -> Mac.hmac Hash.md5 ~key [ prelude; payload ]
+    | _ -> Mac.prefix Hash.md5 ~key [ prelude; payload ]
+  in
+  let outside_untouched =
+    Bytes.sub buf 0 5 = Bytes.sub before 0 5
+    && Bytes.sub buf 21 3 = Bytes.sub before 21 3
+    && Bytes.sub buf (24 + body) 7 = Bytes.sub before (24 + body) 7
+  in
+  blocks = body / 8
+  && Bytes.sub_string buf 5 16 = mac
+  && Bytes.sub_string buf 24 body = Des.encrypt_cbc ~iv des_key payload
+  && outside_untouched
+
+let one_pass_gen =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (return n) in
+  let* algorithm = oneofl [ Mac.Prefix; Mac.Hmac ] in
+  let* key_len = int_bound 127 in
+  let* key = bytes key_len in
+  let* des_key = bytes 8 and* iv = bytes 8 in
+  let* prelude_len = int_bound 20 in
+  let* prelude = bytes prelude_len in
+  let* n = int_bound 3000 in
+  let+ payload = bytes n in
+  (algorithm, key, des_key, iv, prelude, payload)
+
+let prop_one_pass_kernel =
+  QCheck.Test.make ~name:"one-pass kernel = two-pass reference" ~count:400
+    (QCheck.make one_pass_gen) one_pass_case
+
+(* Every payload length mod 64 and mod 8, and every partial-block fill,
+   not left to the draw: lengths 0-191 under a prefix key of 0-63 bytes
+   (so fills 0-63 with no prelude), then both constructions at three
+   longer lengths. *)
+let test_one_pass_every_residue () =
+  for n = 0 to 191 do
+    let key_len = (n * 37) land 63 in
+    let case =
+      ( Mac.Prefix,
+        String.make key_len 'k',
+        "d3sk3y!!",
+        Printf.sprintf "iv%06d" n,
+        "",
+        String.init n (fun i -> Char.chr (((i * 29) + n) land 0xff)) )
+    in
+    if not (one_pass_case case) then Alcotest.failf "length %d, key %d bytes" n key_len
+  done;
+  List.iter
+    (fun (algorithm, n) ->
+      let case =
+        ( algorithm,
+          "sixteen byte key",
+          "d3sk3y!!",
+          "initvect",
+          "ten bytes!",
+          String.init n (fun i -> Char.chr ((i * 7) land 0xff)) )
+      in
+      if not (one_pass_case case) then Alcotest.failf "length %d" n)
+    [ (Mac.Prefix, 64); (Mac.Hmac, 64); (Mac.Prefix, 1460); (Mac.Hmac, 1460); (Mac.Hmac, 2999) ]
 
 (* --- MACs (RFC 2202) --- *)
 
@@ -1441,6 +1527,8 @@ let () =
           Alcotest.test_case "oracle KATs (RFC 1321 / FIPS 180-1)" `Quick
             test_hash_ref_kats;
           qtest prop_md5_vs_oracle;
+          Alcotest.test_case "md5 = oracle at every length 0..256" `Quick
+            test_md5_every_length;
           qtest prop_sha1_vs_oracle;
           qtest prop_md5_midstate_vs_oracle;
           qtest prop_sha1_midstate_vs_oracle;
@@ -1450,7 +1538,12 @@ let () =
           qtest prop_keystream_sha1_vs_oracle;
         ] );
       ( "fused",
-        [ qtest prop_fused_equals_two_pass; qtest prop_incremental_cbc ] );
+        [
+          qtest prop_fused_equals_two_pass;
+          qtest prop_one_pass_kernel;
+          Alcotest.test_case "one-pass kernel at every residue" `Quick
+            test_one_pass_every_residue;
+        ] );
       ( "des3",
         [
           Alcotest.test_case "EDE3 KAT (block + CBC)" `Quick test_des3_kat;

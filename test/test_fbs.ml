@@ -1512,6 +1512,56 @@ let run_seal_row ~suite row =
   { parked; batched; kernel; wires; verdicts; counters = datapath_counters c;
     spans = span_terminals spans }
 
+(* The one-pass seal against the pair and inline paths: under suites 0
+   and 1 (the MD5 MACs), a seal parked and flushed alone (the one-pass
+   kernel), the first of a pair (MACs on [Md5], chains on the two-chain
+   kernel) and an unbatched seal, all of one datagram under one
+   confounder, give the same wire, and the receiver accepts it.  The
+   lengths cross the MD5 block and padding boundaries and the DES-block
+   counts where the padding blocks stop fitting beside the chain. *)
+let test_one_pass_wires () =
+  List.iter
+    (fun suite ->
+      let _, clock, s, es, ed, attrs = batch_world ~suite in
+      let now = !clock in
+      let seal ?batch flow payload =
+        let a = attrs flow in
+        let sfl, _ = Fam.classify (Engine.fam es) ~now a in
+        let got = ref None in
+        Engine.send_classified ?batch ~confounder:0x0c0ffee es ~now ~sfl ~src:a.Fam.src
+          ~dst:a.Fam.dst ~secret:true ~payload (fun r -> got := Some r);
+        got
+      in
+      let wire what r =
+        match !r with
+        | Some (Ok w) -> w
+        | Some (Error e) -> Alcotest.failf "%s: %a" what Engine.pp_error e
+        | None -> Alcotest.failf "%s: not delivered" what
+      in
+      List.iter
+        (fun n ->
+          let what fmt =
+            Printf.ksprintf (fun m -> Printf.sprintf "%s, %d B: %s" (Suite.name suite) n m) fmt
+          in
+          let payload = String.init n (fun i -> Char.chr (((i * 13) + n) land 0xff)) in
+          let inline = wire (what "inline") (seal 1 payload) in
+          let batch = Engine.Batch.create es in
+          let lone = seal ~batch 1 payload in
+          check Alcotest.int (what "parked") 1 (Engine.Batch.pending batch);
+          ignore (Engine.Batch.flush batch : int);
+          let first = seal ~batch 1 payload in
+          let second = seal ~batch 2 (String.make 100 'p') in
+          check Alcotest.int (what "paired") 0 (Engine.Batch.pending batch);
+          check Alcotest.string (what "lone = inline") inline (wire (what "lone") lone);
+          check Alcotest.string (what "pair = inline") inline (wire (what "pair") first);
+          check Alcotest.string (what "accepted") ("ok:" ^ payload)
+            (verdict_str (Engine.receive_sync ed ~now ~src:s ~wire:inline));
+          check Alcotest.string (what "partner accepted") ("ok:" ^ String.make 100 'p')
+            (verdict_str
+               (Engine.receive_sync ed ~now ~src:s ~wire:(wire (what "partner") second))))
+        [ 0; 1; 7; 8; 9; 21; 22; 29; 30; 31; 32; 37; 38; 63; 64; 72; 93; 94; 100; 575; 576; 1460 ])
+    [ Suite.paper_md5_des; Suite.hmac_md5_des ]
+
 let batch_differential () =
   let secret_frames =
     List.length (List.filter (fun (_, secret, _) -> secret) batch_frames)
@@ -2735,6 +2785,8 @@ let () =
             test_engine_midstate_seal_byte_equal;
           Alcotest.test_case "batched seal byte-equal to scalar seal" `Quick
             batch_differential;
+          Alcotest.test_case "one-pass, pair and inline seals give one wire" `Quick
+            test_one_pass_wires;
           Alcotest.test_case "batch pairing + inline bypass" `Quick
             test_engine_batch_pairing;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])

@@ -436,8 +436,11 @@ let test_datapath_accounting () =
      554 and 531 before, 518 and 495 since); the wire and the delivered
      payload are about 260 of them.  The sha1_des rows sit 1.25x over
      their measured 520 (secret) and 497 (auth-only), taken once SHA-1
-     padded in place as MD5 does (556 and 533 before).  A closure per DES
-     block, say, adds about 1 000 words and fails them. *)
+     padded in place as MD5 does (556 and 533 before).  The paper suite's
+     secret row was lowered again to 1.25x over 513, measured once its
+     seal ran as one job with the MAC inside (518 before); the sha1_des
+     secret seal runs as a CBC job too and measures 524.  A closure per
+     DES block, say, adds about 1 000 words and fails them. *)
   let payload = String.make 1000 'q' in
   List.iter
     (fun (suite, secret, bound) ->
@@ -461,7 +464,7 @@ let test_datapath_accounting () =
            (if secret then "secret" else "auth-only"))
         ~bound (minor_words_of round_trip))
     [
-      (Fbsr_fbs.Suite.paper_md5_des, true, 662.);
+      (Fbsr_fbs.Suite.paper_md5_des, true, 642.);
       (Fbsr_fbs.Suite.paper_md5_des, false, 633.);
       (Fbsr_fbs.Suite.sha1_des, true, 650.);
       (Fbsr_fbs.Suite.sha1_des, false, 621.);
@@ -476,8 +479,11 @@ let test_datapath_accounting_batched () =
      an odd one (the last job runs alone at the flush).  The bound was set
      about 1.25x over the then measured 577 words per round trip,
      lowered by the 4 words the flow-key cache hits stopped allocating,
-     and lowered again by the 36 the two MD5 finals stopped allocating
-     (measured 575 at 7 flows before, 539 since). *)
+     lowered again by the 36 the two MD5 finals stopped allocating
+     (measured 575 at 7 flows before, 539 since), and lowered to 1.25x
+     over 524 once a parked seal carried its MAC inputs instead of
+     computing the MAC at seal time (measured 539.4 and 523.4 at 7 flows,
+     539.1 and 523.1 at 8). *)
   List.iter
     (fun flows ->
       let p, attrs = Fbsr_experiments.Fixture.warm_flows ~flows () in
@@ -507,7 +513,7 @@ let test_datapath_accounting_batched () =
       round ();
       check_words
         (Printf.sprintf "batched round trips (%d flows)" flows)
-        ~bound:(689. *. float_of_int flows)
+        ~bound:(655. *. float_of_int flows)
         (minor_words_of round))
     [ 7; 8 ]
 
