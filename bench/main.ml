@@ -98,16 +98,6 @@ let es_nop, _, _, attrs_nop, _ = fbs_fixture suite_nop ~secret:true
 let es_auth, ed_auth, src_auth, attrs_auth, wire_auth =
   fbs_fixture suite_paper ~secret:false
 
-let es_desmac, ed_desmac, src_desmac, attrs_desmac, wire_desmac =
-  fbs_fixture Fbsr_fbs.Suite.des_mac_des ~secret:true
-
-let es_des3, ed_des3, src_des3, attrs_des3, wire_des3 =
-  fbs_fixture Fbsr_fbs.Suite.md5_des3 ~secret:true
-
-(* The non-DES leaf suite: one armor module plus its [Armors.all] entry. *)
-let es_sha1ctr, ed_sha1ctr, src_sha1ctr, attrs_sha1ctr, wire_sha1ctr =
-  fbs_fixture Fbsr_fbs.Suite.hmac_sha1_ctr ~secret:true
-
 (* Keying fixtures for the modexp benches. *)
 let dh_small = Lazy.force Fbsr_crypto.Dh.test_group
 let dh_1024 = Lazy.force Fbsr_crypto.Dh.oakley2
@@ -209,10 +199,7 @@ let flow_key_miss =
         match Fbsr_fbs.Keying.get_master_sync keying peer with
         | Error _ -> failwith "flow-key-miss: no live master key"
         | Ok master ->
-            let fk =
-              Fbsr_fbs.Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master ~src:local
-                ~dst:peer
-            in
+            let fk = Fbsr_fbs.Keying.flow_key ~sfl ~master ~src:local ~dst:peer in
             let entry = Fbsr_fbs.Armor.flow_state_of_key fk in
             entry.Fbsr_fbs.Armor.des_sched <- Some (Fbsr_crypto.Des.of_prefix fk);
             Fbsr_fbs.Cache.insert c key entry)
@@ -255,7 +242,7 @@ let crypto_tests =
         (stage (fun () ->
              Fbsr_crypto.Des.decrypt_cbc_sub ~iv des_key ~src:des_ct_576 ~pos:0
                ~len:(String.length des_ct_576)));
-      (* The expansion every TFKC/RFKC miss pays under the DES suites. *)
+      (* The expansion every TFKC/RFKC miss pays under the paper's suite. *)
       Test.make ~name:"des-key-schedule"
         (stage (fun () -> Fbsr_crypto.Des.of_string "k3yk3yk3"));
       Test.make ~name:"sha1-1460B" (stage (fun () -> Fbsr_crypto.Sha1.digest datagram));
@@ -342,31 +329,6 @@ let fbs_tests =
         (stage (fun () ->
              Fbsr_fbs.Engine.send_sync es_nop ~now:60.0 ~attrs:attrs_nop ~secret:true
                ~payload:datagram));
-      (* Alternative suites: footnote 12's DES-for-everything, and 3DES. *)
-      Test.make ~name:"send-desmac+des-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.send_sync es_desmac ~now:60.0 ~attrs:attrs_desmac
-               ~secret:true ~payload:datagram));
-      Test.make ~name:"send-md5+3des-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.send_sync es_des3 ~now:60.0 ~attrs:attrs_des3 ~secret:true
-               ~payload:datagram));
-      Test.make ~name:"receive-desmac+des-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.receive_sync ed_desmac ~now:60.0 ~src:src_desmac
-               ~wire:wire_desmac));
-      Test.make ~name:"receive-md5+3des-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.receive_sync ed_des3 ~now:60.0 ~src:src_des3
-               ~wire:wire_des3));
-      Test.make ~name:"send-hmacsha1+sha1ctr-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.send_sync es_sha1ctr ~now:60.0 ~attrs:attrs_sha1ctr
-               ~secret:true ~payload:datagram));
-      Test.make ~name:"receive-hmacsha1+sha1ctr-1460B"
-        (stage (fun () ->
-             Fbsr_fbs.Engine.receive_sync ed_sha1ctr ~now:60.0 ~src:src_sha1ctr
-               ~wire:wire_sha1ctr));
       (* Figure 11's unit of work: a flow-key cache probe. *)
       Test.make ~name:"cache-hit"
         (stage (fun () -> Fbsr_fbs.Cache.find cache (flow_key 42L cache_peer)));
@@ -379,8 +341,7 @@ let fbs_tests =
       (* Flow key derivation (TFKC miss, MKC hit). *)
       Test.make ~name:"flow-key-derivation"
         (stage (fun () ->
-             Fbsr_fbs.Keying.flow_key ~hash:Fbsr_crypto.Hash.md5
-               ~sfl:(Fbsr_fbs.Sfl.of_int64 77L) ~master:mac_key
+             Fbsr_fbs.Keying.flow_key ~sfl:(Fbsr_fbs.Sfl.of_int64 77L) ~master:mac_key
                ~src:(Fbsr_fbs.Principal.of_string "10.9.0.1")
                ~dst:(Fbsr_fbs.Principal.of_string "10.9.0.2")));
       Test.make ~name:"flow-key-miss" (stage flow_key_miss);

@@ -24,8 +24,6 @@ let key_size = 8
    expanded keys per flow (TFKC/RFKC). *)
 type key = int array
 
-let sched (k : key) = k
-
 let weak_keys =
   (* The four weak keys of FIPS 74, with standard odd parity. *)
   [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1"; "1f1f1f1f0e0e0e0e" ]
@@ -266,6 +264,9 @@ let finish_job j =
 let encrypt_cbc_job j =
   Des_kernel.cbc_encrypt j.sched j.chain j.src j.src_pos (j.src_len / 8) j.dst j.dst_pos;
   finish_job j
+
+let cbc_job_blocks j = padded_length j.src_len / 8
+let feed_source_md5 j md5 = Md5.feed md5 j.src j.src_pos j.src_len
 
 (* A job run alone with MD5 absorbing its source beside the chain: the
    one-pass seal ([Fused]).  [md5] holds what precedes the source in the

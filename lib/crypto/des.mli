@@ -16,15 +16,14 @@ val of_string : ?check_weak:bool -> string -> key
 
 val of_prefix : string -> key
 (** The key of the first 8 bytes of a longer string, as
-    [of_string (String.sub s 0 8)] without the copy: how an armor keys
-    DES from a 16- or 20-byte flow key.
+    [of_string (String.sub s 0 8)] without the copy: how the engine keys
+    DES from a 16-byte flow key.
     @raise Invalid_argument when [s] is shorter than 8 bytes. *)
 
 val is_weak_key : string -> bool
 val adjust_parity : string -> string
 (** Force odd parity on every key byte, as FIPS 46 specifies. *)
 
-val encrypt_block : key -> int64 -> int64
 val encrypt_block_bytes : key -> string -> string
 val decrypt_block_bytes : key -> string -> string
 
@@ -69,8 +68,8 @@ val decrypt_cbc_sub : iv:string -> key -> src:string -> pos:int -> len:int -> st
     {!Des_kernel.cbc_encrypt2}: two datagrams' CBC chains are
     independent, so the second fills the issue slots the first's serial
     chain leaves idle.  A pair is never slower than its two chains one
-    after the other (DESIGN.md §6c).  Under an MD5 MAC a seal's job is a
-    {!Fused.job} around one of these, which runs alone in one pass. *)
+    after the other (DESIGN.md §6c).  A seal's job is a {!Fused.job}
+    around one of these, which runs alone in one pass. *)
 
 type cbc_job
 (** One datagram's pending CBC encryption: key schedule, IV snapshot, a
@@ -92,26 +91,25 @@ val cbc_job :
     chain advances as it does.
     @raise Invalid_argument on bad ranges or IV length. *)
 
-val encrypt_cbc_job : cbc_job -> int
-(** Runs one job alone, byte-identical to {!encrypt_cbc_into}.  Returns
-    the blocks encrypted, the padding block included. *)
-
 val encrypt_cbc_pair : cbc_job -> cbc_job -> int
 (** Runs two jobs as one two-chain pair, each byte-identical to
     {!encrypt_cbc_into}.  Returns the blocks encrypted by both. *)
 
 val encrypt_cbc_jobs : cbc_job array -> int
 (** Runs jobs [2i] and [2i+1] through {!encrypt_cbc_pair} and an odd
-    last job through {!encrypt_cbc_job}.  Returns the blocks encrypted. *)
+    last job alone.  Returns the blocks encrypted. *)
 
 (**/**)
 
-(* Internal: the packed {!Des_kernel} schedule, for sibling modules
-   ([Des3], [Mac]) that drive the kernel directly. *)
-val sched : key -> int array
-
-(* Internal: {!encrypt_cbc_job} with MD5 absorbing the job's source in
+(* Internal: a job run alone with MD5 absorbing the job's source in
    the same pass — the one-pass seal's lone run ({!Fused}).  [md5] holds
    the MAC input that precedes the source; the result is the MD5 digest
    of that input and the source, and [md5] is spent. *)
 val encrypt_cbc_job_md5 : cbc_job -> Md5.ctx -> string
+
+(* Internal: the blocks a job encrypts, its padding block included. *)
+val cbc_job_blocks : cbc_job -> int
+
+(* Internal: [md5] absorbs a job's source — a paired seal's MAC, computed
+   before its chain runs on the two-chain kernel ({!Fused}). *)
+val feed_source_md5 : cbc_job -> Md5.ctx -> unit

@@ -1,5 +1,5 @@
-(* The fast DES kernel: table-driven, unboxed, shared by [Des], [Des3],
-   [Mac] and [Fused].  Replaces the generic per-round bit-gather of the
+(* The fast DES kernel: table-driven, unboxed, shared by [Des] and
+   [Fused].  Replaces the generic per-round bit-gather of the
    seed implementation ([Fbsr_oracles.Des_ref], retained as the
    differential-testing oracle) with a software-DES layout shaped for
    latency: CBC encryption is one serial chain of rounds, so what counts
@@ -32,11 +32,9 @@
    through a permutation; [cbc_encrypt2] runs two such chains, from two
    datagrams, side by side; [cbc_encrypt_md5] runs one beside MD5's
    compression, the one-pass seal; and [cbc_decrypt] runs two
-   independent blocks per iteration.  The array-based [ip]/[rounds]/[fp] serve the other
-   modes and [Des3]: [rounds] maps the post-IP halves to the FIPS
-   preoutput (R16, L16), and feeding its output straight back into
-   [rounds] is exactly the FP-then-IP cancellation EDE3 needs, which is
-   how [Des3] runs three passes with a single IP/FP pair.
+   independent blocks per iteration.  The array-based [ip]/[rounds]/[fp]
+   serve the other modes ([crypt], [crypt_inv]): [rounds] maps the
+   post-IP halves to the FIPS preoutput (R16, L16).
 
    Subkey layout: two words per round.  Word [2i] carries the 6-bit
    subkey chunks for S1/S3/S5/S7 at shifts 26/18/10/2, word [2i+1] the

@@ -1,7 +1,7 @@
-(** The fast table-driven DES kernel shared by {!Des}, {!Des3}, {!Mac} and
-    {!Fused}.  Halves are carried in a shifted-doubled form whose two
-    windows are the E-expansion's two rotations, so a round is two XORs,
-    eight lookups into one fused SP table and an OR tree; IP/FP are
+(** The fast table-driven DES kernel shared by {!Des} and {!Fused}.
+    Halves are carried in a shifted-doubled form whose two windows are
+    the E-expansion's two rotations, so a round is two XORs, eight
+    lookups into one fused SP table and an OR tree; IP/FP are
     byte-indexed; everything runs on untagged native [int]s.  See
     DESIGN.md §6c "Cipher kernels" for the layout derivation;
     [Fbsr_oracles.Des_ref] (a test-only library) is the slow oracle this
@@ -9,7 +9,7 @@
 
     This is a low-level internal module: the load/store helpers and the
     CBC drivers skip bounds checks.  Callers (the mode loops in
-    [Des]/[Des3]) validate ranges once per call.  Nothing here allocates. *)
+    [Des]) validate ranges once per call.  Nothing here allocates. *)
 
 val schedule : string -> int array
 (** [schedule s] expands the key in the first 8 bytes of [s] into its
@@ -68,26 +68,6 @@ val crypt : int array -> int array -> unit
 
 val crypt_inv : int array -> int array -> unit
 (** [crypt_inv ks io] is the DES decryption that undoes [crypt ks]. *)
-
-val ip : int array -> unit
-(** Initial permutation, in place: the 32-bit words [io.(0)], [io.(1)]
-    become the post-IP (L0, R0) halves, in the kernel's doubled form. *)
-
-val fp : int array -> unit
-(** Final permutation, inverse of {!ip}: doubled preoutput halves back to
-    the two 32-bit output words. *)
-
-val rounds : int array -> int array -> unit
-(** [rounds ks io] runs the sixteen Feistel rounds with the packed
-    schedule [ks] (from {!schedule}).  Input: post-IP (L0, R0); output:
-    FIPS preoutput (R16, L16), both doubled.  Chaining [rounds] calls
-    back-to-back composes full DES passes with interior FP/IP cancelled —
-    how [Des3] does EDE3 under a single IP/FP pair. *)
-
-val rounds_inv : int array -> int array -> unit
-(** [rounds_inv ks io] undoes [rounds ks]: the sixteen rounds with the
-    subkeys of [ks] taken from round 15 down, same input and output
-    forms. *)
 
 val read32 : string -> int -> int
 (** Big-endian 32-bit load; no bounds check. *)

@@ -7,47 +7,39 @@
    then the MAC computation and encryption should be rolled into one
    loop."
 
-   A seal whose MAC hash is MD5 and whose cipher is DES-CBC is a [job]:
-   the DES-CBC job of its body ([Des.cbc_job]) plus the MAC's resumed
-   MD5 context and the slot the MAC goes to.  Run alone, the job is one
-   loop: [Des.encrypt_cbc_job_md5] on the kernel
+   A seal is a [job]: the DES-CBC job of its body ([Des.cbc_job]) plus
+   the MAC's resumed MD5 context and the slot the MAC goes to.  Run
+   alone, the job is one loop: [Des.encrypt_cbc_job_md5] on the kernel
    [Des_kernel.cbc_encrypt_md5], which runs an MD5 compression beside
    every four DES blocks, interleaved at round granularity, so MD5's
    chain fills the issue slots the CBC chain's serial table loads leave
    idle.  Run as a pair, the two MACs go through [Md5] and the two CBC
    chains through the two-chain kernel, which already fills those slots
    with the other datagram's chain.  Bytes are identical either way
-   (DESIGN.md §6c "One pass"). *)
+   (DESIGN.md §6c "One pass").  The source is read through the CBC job,
+   which holds it. *)
 
 type job = {
   cbc : Des.cbc_job;
-  mid : Mac.midstate;
-  md5 : Md5.ctx; (* the MAC input before [src], owned by the job *)
-  src : string;
-  src_pos : int;
-  src_len : int;
-  mac_dst : Bytes.t;
+  md5 : Md5.ctx; (* the MAC input before the source, owned by the job *)
+  mac_dst : Bytes.t; (* the MAC's 16 bytes go here, at [mac_pos] *)
   mac_pos : int;
-  mac_len : int;
 }
 
-let job ~mid ~md5 ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos ~mac_dst ~mac_pos ~mac_len
-    =
-  if mac_len < 0 || mac_len > Md5.digest_size || mac_pos < 0
-     || mac_pos > Bytes.length mac_dst - mac_len
-  then invalid_arg "Fused.job: bad MAC slot";
+let job ~md5 ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos ~mac_dst ~mac_pos =
+  if mac_pos < 0 || mac_pos > Bytes.length mac_dst - Md5.digest_size then
+    invalid_arg "Fused.job: bad MAC slot";
   let cbc = Des.cbc_job ~key ~iv ~src ~src_pos ~src_len ~dst ~dst_pos in
-  { cbc; mid; md5; src; src_pos; src_len; mac_dst; mac_pos; mac_len }
+  { cbc; md5; mac_dst; mac_pos }
 
-let write_mac j inner =
-  Bytes.blit_string (Mac.finish_md5 j.mid inner) 0 j.mac_dst j.mac_pos j.mac_len
+let write_mac j mac = Bytes.blit_string mac 0 j.mac_dst j.mac_pos Md5.digest_size
 
 let run j =
   write_mac j (Des.encrypt_cbc_job_md5 j.cbc j.md5);
-  Des.padded_length j.src_len / 8
+  Des.cbc_job_blocks j.cbc
 
 let mac_alone j =
-  Md5.feed j.md5 j.src j.src_pos j.src_len;
+  Des.feed_source_md5 j.cbc j.md5;
   write_mac j (Md5.final j.md5)
 
 let run_pair a b =
@@ -58,16 +50,15 @@ let run_pair a b =
 (* MAC = MD5(mac_key | prefix_parts... | payload), the paper's prefix
    MAC; ciphertext = DES-CBC(des_key, iv, payload): a lone job. *)
 let mac_and_encrypt ~mac_key ~des_key ~iv ~prefix_parts payload =
-  let mid = Mac.prepare Hash.md5 ~key:mac_key in
-  let md5 = Mac.resume_md5 mid in
+  let md5 = Mac.resume_md5 (Mac.prepare ~key:mac_key) in
   List.iter (Md5.update md5) prefix_parts;
   let n = String.length payload in
   let out = Bytes.create (Des.padded_length n) in
   let mac = Bytes.create Md5.digest_size in
   ignore
     (run
-       (job ~mid ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:out
-          ~dst_pos:0 ~mac_dst:mac ~mac_pos:0 ~mac_len:Md5.digest_size)
+       (job ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:out
+          ~dst_pos:0 ~mac_dst:mac ~mac_pos:0)
       : int);
   (Bytes.unsafe_to_string mac, Bytes.unsafe_to_string out)
 

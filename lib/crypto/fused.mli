@@ -11,7 +11,6 @@ type job
     MAC's resumed MD5 context, and the slot its MAC is written to. *)
 
 val job :
-  mid:Mac.midstate ->
   md5:Md5.ctx ->
   key:Des.key ->
   iv:string ->
@@ -22,12 +21,11 @@ val job :
   dst_pos:int ->
   mac_dst:Bytes.t ->
   mac_pos:int ->
-  mac_len:int ->
   job
-(** [md5] is [Mac.resume_md5 mid] having absorbed the MAC input that
-    precedes the source (the job owns it from here); the MAC is
-    [Mac.finish_md5 mid] over that input and the source, and its first
-    [mac_len] bytes (at most 16) go to [mac_dst] at [mac_pos].  The
+(** [md5] is a context from {!Mac.resume_md5} having absorbed the MAC
+    input that precedes the source (the job owns it from here); the MAC
+    is its digest over that input and the source, and its 16 bytes go
+    to [mac_dst] at [mac_pos].  The
     ciphertext goes where {!Des.cbc_job} puts it; the source is borrowed
     until the job runs.  A job runs once.
     @raise Invalid_argument on a bad MAC slot, or as {!Des.cbc_job}. *)

@@ -1,6 +1,6 @@
-(* A common interface over the hash functions, so the FBS algorithm-suite
-   field can select the key-derivation hash H and the MAC hash at run time
-   (the paper's "algorithm identification field", Section 5.2). *)
+(* A common interface over the hash functions, so a caller that hashes
+   (certificate signatures, the keyed-hash MAC constructions, the crypto
+   table) can be handed either one at run time. *)
 
 module type S = sig
   val name : string
@@ -40,26 +40,3 @@ let of_name = function
   | "md5" -> md5
   | "sha1" -> sha1
   | n -> invalid_arg ("Hash.of_name: unknown hash " ^ n)
-
-(* A midstate is a frozen streaming context — typically the compression
-   state after absorbing a keyed prefix — packed with its hash module so
-   the existential context type never escapes.  Resuming copies the
-   context first, so one midstate serves any number of digests.  Cost
-   model: absorbing the prefix is paid once at construction; each resume
-   pays one context copy (~80 bytes) instead. *)
-type midstate = Mid : (module S with type ctx = 'a) * 'a -> midstate
-
-let midstate ((module H : S) : t) ~prefix =
-  let ctx = H.init () in
-  H.update ctx prefix;
-  Mid ((module H), ctx)
-
-let resume_slices (Mid ((module H), mid)) (parts : Fbsr_util.Slice.t list) =
-  let ctx = H.copy mid in
-  List.iter (H.feed_slice ctx) parts;
-  H.final ctx
-
-let resume_list (Mid ((module H), mid)) parts =
-  let ctx = H.copy mid in
-  List.iter (H.update ctx) parts;
-  H.final ctx

@@ -1,4 +1,4 @@
-(** Run-time-selectable hash functions (for the FBS algorithm-suite field). *)
+(** Run-time-selectable hash functions. *)
 
 module type S = sig
   val name : string
@@ -38,24 +38,3 @@ val digest_slices : t -> Fbsr_util.Slice.t list -> string
 
 val of_name : string -> t
 (** @raise Invalid_argument on unknown names. *)
-
-(** {1 Midstates}
-
-    A midstate freezes a streaming context — typically the compression
-    state after absorbing a keyed prefix — so per-message digests resume
-    from it instead of re-absorbing the prefix.  Absorption cost is paid
-    once at construction; each resume pays only a small context copy. *)
-
-type midstate
-
-val midstate : t -> prefix:string -> midstate
-(** The frozen state of [t] after absorbing [prefix]. *)
-
-val resume_slices : midstate -> Fbsr_util.Slice.t list -> string
-(** [resume_slices m parts] = [digest_slices h (prefix-as-slice :: parts)]
-    for the [h] and [prefix] the midstate froze — byte-identical, without
-    re-absorbing the prefix.  The midstate itself is not consumed: any
-    number of resumes may follow, in any order. *)
-
-val resume_list : midstate -> string list -> string
-(** String-parts flavour of {!resume_slices}. *)

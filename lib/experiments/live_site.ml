@@ -30,9 +30,9 @@ type result = {
 }
 
 let run ?(seed = 7) ?(duration = 1800.0) ?(desktops = 6) ?(tfkc_sets = 64)
-    ?(rfkc_sets = 64) ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?faults () =
+    ?(rfkc_sets = 64) ?faults () =
   let scenario = Fbsr_traffic.Scenario.campus_lan ~seed ~duration ~desktops () in
-  let config = Stack.default_config ~suite ~tfkc_sets ~rfkc_sets () in
+  let config = Stack.default_config ~tfkc_sets ~rfkc_sets () in
   let tb = Testbed.create ~config ~bandwidth_bps:100_000_000.0 ?faults () in
   (* 100 Mb/s so the wire never throttles the trace's timing. *)
   let nodes = Hashtbl.create 32 in

@@ -22,7 +22,6 @@ val run :
   ?desktops:int ->
   ?tfkc_sets:int ->
   ?rfkc_sets:int ->
-  ?suite:Fbsr_fbs.Suite.t ->
   ?faults:Fbsr_netsim.Link.profile ->
   unit ->
   result

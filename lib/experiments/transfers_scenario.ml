@@ -57,8 +57,7 @@ let string_of_state : Minitcp.state -> string = function
 let horizon = 1800.0
 
 let run ?(transfers = 200) ?(bytes_per_transfer = 32_768) ?(loss = 0.01)
-    ?(seed = 20260809) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
-    ?telemetry_cadence () =
+    ?(seed = 20260809) ?telemetry_cadence () =
   if transfers < 1 then invalid_arg "Transfers_scenario.run: transfers < 1";
   if bytes_per_transfer < 1 then
     invalid_arg "Transfers_scenario.run: bytes_per_transfer < 1";
@@ -66,7 +65,7 @@ let run ?(transfers = 200) ?(bytes_per_transfer = 32_768) ?(loss = 0.01)
   let failf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let tb =
     Testbed.create ~seed
-      ~config:(Stack.default_config ~suite ())
+      ~config:(Stack.default_config ())
       ~faults:{ Link.perfect with Link.drop = loss }
       ()
   in
@@ -165,7 +164,7 @@ let run ?(transfers = 200) ?(bytes_per_transfer = 32_768) ?(loss = 0.01)
     bytes_per_transfer;
     loss;
     seed;
-    suite = Fbsr_fbs.Suite.name suite;
+    suite = Fbsr_fbs.Suite.(name paper_md5_des);
     elapsed_s = elapsed;
     delivered_bytes = delivered;
     goodput_bps =
@@ -233,11 +232,10 @@ let to_json r =
       ]
     else [])
 
-let report ?transfers ?bytes_per_transfer ?loss ?seed ?suite
-    ?(telemetry = false) ?json () =
+let report ?transfers ?bytes_per_transfer ?loss ?seed ?(telemetry = false) ?json () =
   let telemetry_cadence = if telemetry then Some 1.0 else None in
   let r =
-    run ?transfers ?bytes_per_transfer ?loss ?seed ?suite ?telemetry_cadence ()
+    run ?transfers ?bytes_per_transfer ?loss ?seed ?telemetry_cadence ()
   in
   Fmt.pr "=== concurrent bulk transfers over a lossy shared segment ===@.";
   Fmt.pr "%d transfers x %d B  suite %s  frame loss %.2f%%  seed %d@."

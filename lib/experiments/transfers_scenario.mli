@@ -29,7 +29,7 @@ type result = {
   bytes_per_transfer : int;
   loss : float;  (** per-frame drop probability on every host's egress *)
   seed : int;
-  suite : string;
+  suite : string;  (** the paper's suite, by {!Fbsr_fbs.Suite.name} *)
   elapsed_s : float;  (** simulated seconds until the last client close *)
   delivered_bytes : int;
   goodput_bps : float;  (** delivered payload bits over simulated time *)
@@ -54,7 +54,6 @@ val run :
   ?bytes_per_transfer:int ->
   ?loss:float ->
   ?seed:int ->
-  ?suite:Fbsr_fbs.Suite.t ->
   ?telemetry_cadence:float ->
   unit ->
   result
@@ -69,7 +68,6 @@ val report :
   ?bytes_per_transfer:int ->
   ?loss:float ->
   ?seed:int ->
-  ?suite:Fbsr_fbs.Suite.t ->
   ?telemetry:bool ->
   ?json:string ->
   unit ->

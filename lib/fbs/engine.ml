@@ -7,7 +7,7 @@
    mapping in [Fbsr_fbs_ip] embeds its output between the IPv4 header and
    the transport payload; tests drive it directly.  There is one send path
    and one receive path; an optional cross-flow batch only decides where
-   the body transform runs.
+   the seal's MAC and body transform run.
 
    One pseudo-code ambiguity resolved: Figure 4 computes the MAC over
    P.body *before* encryption on the send side (S6 precedes S8-9) but shows
@@ -56,9 +56,9 @@ let pp_error ppf = function
 (* Drops are counted by cause so graceful degradation is observable: the
    split between MAC failures (corruption or forgery), duplicates
    (replay) and keying errors (certificate fetch lost) tells the operator
-   *why* datagrams are refused.  The record lives in [Armor] (armors
-   account their work on it directly) and is re-exported here field for
-   field; engine.mli documents every field. *)
+   *why* datagrams are refused.  The record lives in [Armor] (the seal
+   and open steps account their work on it directly) and is re-exported
+   here field for field; engine.mli documents every field. *)
 type counters = Armor.counters = {
   mutable sends : int;
   mutable receives : int;
@@ -79,13 +79,12 @@ let drop_count c cause = c.drops.(cause_index cause)
 let drops c = List.fold_left (fun acc cause -> acc + drop_count c cause) 0 causes
 let drop_metric cause = "fbs.engine.drops." ^ cause_name cause
 
-(* A TFKC/RFKC entry: the derived flow key plus the expanded key
-   schedules for whatever cipher/MAC the suite uses, populated lazily on
-   first use.  The schedules are owned by the entry — they share its
-   lifetime, so cache eviction or invalidation drops key material and
-   schedules together and there is no separate invalidation protocol.
-   The record lives in [Armor] so armor instances can stash their own
-   per-flow state alongside the shared schedules. *)
+(* A TFKC/RFKC entry: the derived flow key plus the DES key schedule and
+   the MAC midstate, populated lazily on first use.  They are owned by
+   the entry — they share its lifetime, so cache eviction or
+   invalidation drops key material and schedules together and there is
+   no separate invalidation protocol.  The record lives in [Armor],
+   whose seal and open steps fill it. *)
 type flow_entry = Armor.flow_state
 
 let flow_entry_of_key = Armor.flow_state_of_key
@@ -122,12 +121,12 @@ type t = {
   keying : Keying.t;
   fam : Fam.t;
   suite : Suite.t;
-  armor : Armor.armor; (* the suite's driver, from [Armors] *)
   (* Armor-call context: the counters record (shared with [counters]
-     below) plus the reusable per-engine scratch for the zero-copy
-     datapath (MAC prelude, duplicated-confounder IV).  Scratch is read
-     through [Bytes.unsafe_to_string] views consumed before the next
-     refill, so no datagram ever observes another's bytes. *)
+     below), whether [suite] is NOP, and the reusable per-engine scratch
+     for the zero-copy datapath (MAC prelude, duplicated-confounder IV).
+     Scratch is read through [Bytes.unsafe_to_string] views consumed
+     before the next refill, so no datagram ever observes another's
+     bytes. *)
   actx : Armor.ctx;
   tfkc : (Key.t, flow_entry) Cache.t;
   rfkc : (Key.t, flow_entry) Cache.t;
@@ -168,8 +167,7 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     keying;
     fam;
     suite;
-    armor = Armors.of_suite suite;
-    actx = Armor.make_ctx counters;
+    actx = Armor.make_ctx ~nop:(Suite.is_nop suite) counters;
     (* Figure 6's flow-key caches are direct-mapped tables. *)
     tfkc = flow_key_cache ~sets:tfkc_sets "tfkc";
     rfkc = flow_key_cache ~sets:rfkc_sets "rfkc";
@@ -300,18 +298,15 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
                     Fbsr_util.Sketch.observe t.flowstats.Flowstats.degraded
                       (Sfl.to_int64 sfl) 1
                 end;
-                let fk =
-                  Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst
-                in
+                let fk = Keying.flow_key ~sfl ~master ~src ~dst in
                 finish_derive t tm ~cache:(Cache.name cache) ~hit:false ~revisit
                   ~master:(Keying.last_resolution t.keying);
                 k (Derived { key; entry = flow_entry_of_key fk })))
 
 (* Cross-flow batching of seals, bound to one engine.  A secret datagram
-   whose armor has a batched kernel parks its body encryption here as a
-   fully assembled wire whose body region (and, under an MD5 MAC, MAC
-   slot) is still pending.  The next such
-   datagram runs beside it on the kernel (the DES-CBC kernel pairs two
+   of an engine that encrypts (not NOP) parks its seal here as a fully
+   assembled wire whose MAC slot and body region are still pending.  The
+   next such datagram runs beside it (the DES-CBC kernel pairs two
    independent chains), and only then do both complete, in call order,
    so a caller never observes a half-sealed datagram; [flush] runs a lone
    parked one.  Everything else seals inline, on the very same call,
@@ -319,13 +314,12 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
 module Batch = struct
   type engine = t
 
-  (* At most one parked datagram: its pending kernel job, and what
+  (* At most one parked datagram: its pending seal job, and what
      finishes it once the job has run (the deferred seal span and the
      sender's continuation). *)
   type t = {
     engine : engine;
-    kernel : Armor.batch_ops option; (* the engine's armor's; [None]: nothing parks *)
-    mutable parked : (Armor.job * (unit -> unit)) option;
+    mutable parked : (Fbsr_crypto.Fused.job * (unit -> unit)) option;
     mutable calls : int;
         (* send calls given this batch that have not returned: a seal
            parks only inside one, so one resumed after a keying fetch
@@ -344,11 +338,9 @@ module Batch = struct
   and seal_plan = { secret : bool; batch : t option; confounder : int option }
 
   let create (engine : engine) =
-    let module A = (val engine.armor : Armor.S) in
     let b =
       {
         engine;
-        kernel = A.batch;
         parked = None;
         calls = 0;
         sealing = { secret = true; batch = None; confounder = None };
@@ -359,9 +351,9 @@ module Batch = struct
     b.clear <- { secret = false; batch = Some b; confounder = None };
     b
 
-  (* A send call given [batch] begins.  A batch runs its own engine's
-     armor kernel and counts on its own engine: refuse one handed to
-     another engine. *)
+  (* A send call given [batch] begins.  A batch seals with its own
+     engine's flow state and counts on its own engine: refuse one handed
+     to another engine. *)
   let enter t = function
     | Some b when b.engine != t -> invalid_arg "Engine: batch bound to another engine"
     | Some b -> b.calls <- b.calls + 1
@@ -375,22 +367,22 @@ module Batch = struct
      blocks the kernel ran.  The slot is emptied first, here and in
      [enqueue], so a completion may park again. *)
   let flush b =
-    match (b.parked, b.kernel) with
-    | Some (job, complete), Some ops ->
+    match b.parked with
+    | Some (job, complete) ->
         b.parked <- None;
-        let blocks = ops.Armor.run job None in
+        let blocks = Fbsr_crypto.Fused.run job in
         complete ();
         blocks
-    | _ -> 0
+    | None -> 0
 
   (* Park a datagram in the empty slot, or run it beside the parked one
      and complete both in call order. *)
-  let enqueue b ops job complete =
+  let enqueue b job complete =
     match b.parked with
     | None -> b.parked <- Some (job, complete)
     | Some (first, complete_first) ->
         b.parked <- None;
-        ignore (ops.Armor.run first (Some job) : int);
+        ignore (Fbsr_crypto.Fused.run_pair first job : int);
         complete_first ();
         complete ()
 
@@ -435,24 +427,23 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    at once when the seal completes inline (after the plan's batch
    completes a parked datagram), else when its parked job runs.
 
-   Zero-copy assembly: the wire size is known up front (fixed header +
-   suite MAC length + armor body length), so header, MAC and body are
-   written into one exact-capacity buffer which [finalize] steals — one
-   allocation per sealed datagram.  Everything algorithm-specific — MAC
-   construction, body sizing, the body transform itself — is the armor's
+   Zero-copy assembly: the wire size is known up front (header + body
+   length), so header, MAC and body are written into one exact-capacity
+   buffer which [finalize] steals — one allocation per sealed datagram.
+   MAC construction, body sizing and the body transform are [Armor]'s
    business; the engine only assembles.
 
-   With a [batch], a secret datagram whose armor has a batch kernel
-   leaves its body to the batch, provided its send call is still open
-   (one resumed after a keying fetch seals inline): the armor reserves the body region
-   (and, under an MD5 MAC, the MAC slot) and returns the pending job that
-   will fill it (accounting the MAC and the encryption as the inline path
-   would).  The wire is finalized with the region still unwritten and
-   ALIASES the job's destination buffer ([finalize] shares storage at
-   exact capacity), so MAC and ciphertext land in the already-issued
-   string when the batch runs the job — which is why the continuation
-   only fires from there.  The seal span finishes
-   there too, covering the wait in the slot: the real seal latency under
+   With a [batch], a secret datagram of an engine that encrypts leaves
+   its MAC and body to the batch, provided its send call is still open
+   (one resumed after a keying fetch seals inline): [Armor.defer]
+   reserves the MAC slot and body region and returns the pending job
+   that will fill them (accounting the MAC and the encryption as the
+   inline path would).  The wire is finalized with the region still
+   unwritten and ALIASES the job's destination buffer ([finalize] shares
+   storage at exact capacity), so MAC and ciphertext land in the
+   already-issued string when the batch runs the job — which is why the
+   continuation only fires from there.  The seal span finishes there
+   too, covering the wait in the slot: the real seal latency under
    batching.
 
    A plan's [confounder] overrides the engine's generator: the sharded
@@ -460,7 +451,6 @@ let seal_detail t ~batched ~secret ~wire ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
    independent of the shard count. *)
 let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
     (k : (string, error) result -> unit) =
-  let module A = (val t.armor : Armor.S) in
   let stm =
     if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
     else None
@@ -480,16 +470,12 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
     Fbsr_util.Sketch.observe t.flowstats.Flowstats.datagrams key 1;
     Fbsr_util.Sketch.observe t.flowstats.Flowstats.bytes key payload_len
   end;
-  let body_len = A.sealed_body_len ~secret payload_len in
-  let w =
-    Fbsr_util.Byte_writer.create
-      ~capacity:(Header.fixed_size + t.suite.Suite.mac_length + body_len)
-      ()
-  in
+  let body_len = Armor.sealed_body_len t.actx ~secret payload_len in
+  let w = Fbsr_util.Byte_writer.create ~capacity:(Header.size + body_len) () in
   Header.encode_fields_into w ~sfl ~suite:t.suite ~secret ~confounder ~timestamp;
   match batch with
-  | Some ({ Batch.kernel = Some ops; calls; _ } as b) when secret && calls > 0 ->
-      let job = ops.Armor.defer t.actx entry ~confounder ~timestamp ~payload w in
+  | Some ({ Batch.calls; _ } as b) when secret && calls > 0 && not t.actx.Armor.nop ->
+      let job = Armor.defer t.actx entry ~confounder ~timestamp ~payload w in
       let wire = Fbsr_util.Byte_writer.finalize w in
       let complete =
         match stm with
@@ -505,9 +491,9 @@ let seal_entry t { secret; batch; confounder } ~now ~sfl ~entry ~payload
               Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
               Fbsr_util.Span.apply_with_current id k (Ok wire)
       in
-      Batch.enqueue b ops job complete
+      Batch.enqueue b job complete
   | _ ->
-      A.seal t.actx entry ~secret ~confounder ~timestamp ~payload w;
+      Armor.seal t.actx entry ~secret ~confounder ~timestamp ~payload w;
       let wire = Fbsr_util.Byte_writer.finalize w in
       (match stm with
       | Some tm ->
@@ -701,13 +687,12 @@ let receive_prologue t ~now ~src tm ~(wire : Fbsr_util.Slice.t) =
 let verify_and_deliver t ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) (plaintext : Fbsr_util.Slice.t)
     materialize =
-  let module A = (val t.armor : Armor.S) in
   let sfl = v.Header.v_sfl and confounder = v.Header.v_confounder in
   let timestamp = v.Header.v_timestamp in
   let verdict =
     if
       not
-        (A.verify_mac t.actx entry ~secret:v.Header.v_secret ~confounder ~timestamp
+        (Armor.verify_mac t.actx entry ~secret:v.Header.v_secret ~confounder ~timestamp
            ~payload:plaintext ~expected:v.Header.v_mac)
     then Drop Mac
     else if not (Replay.commit t.replay ~sfl ~peer:src ~confounder ~timestamp) then
@@ -735,16 +720,15 @@ let verify_and_deliver t ~src ~(v : Header.view) ~entry tm
    deliver. *)
 let open_entry t ~src ~(v : Header.view) ~entry tm
     (k : (accepted, error) result -> unit) =
-  let module A = (val t.armor : Armor.S) in
   let body = v.Header.v_body in
-  if not (v.Header.v_secret && A.encrypts) then
+  if (not v.Header.v_secret) || t.actx.Armor.nop then
     (* Plaintext body stays in the wire buffer until the datagram is
        accepted; only then is it copied out (the slice must not outlive
        the wire buffer). *)
     verify_and_deliver t ~src ~v ~entry tm k body (fun () ->
         Fbsr_util.Slice.to_string body)
   else
-    match A.open_body t.actx entry ~confounder:v.Header.v_confounder ~body with
+    match Armor.open_body t.actx entry ~confounder:v.Header.v_confounder ~body with
     | Ok plaintext ->
         (* Already a fresh exact-size string: hand it out as-is, no
            further copy. *)
@@ -797,10 +781,8 @@ let receive_sync t ~now ~src ~wire =
   receive t ~now ~src ~wire (fun r -> result := r);
   !result
 
-let header_overhead t = Header.size_for_suite t.suite
+let header_overhead _ = Header.size
 
-(* Header plus worst-case body growth when [secret]: the armor knows its
+(* Header plus worst-case body growth when [secret]: the DES-CBC
    padding. *)
-let wire_overhead t =
-  let module A = (val t.armor : Armor.S) in
-  header_overhead t + A.max_body_growth
+let wire_overhead t = header_overhead t + Armor.max_body_growth

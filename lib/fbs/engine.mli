@@ -52,8 +52,8 @@ type counters = Armor.counters = {
           recomputation after eviction. *)
   mutable mac_midstate_hits : int;
       (** Per-datagram MACs resumed from a flow entry's frozen
-          precomputation (keyed-prefix hash state, HMAC inner state, or
-          CBC-MAC schedule) — the key absorption was skipped. *)
+          precomputation (the MD5 state after the key prefix) — the key
+          absorption was skipped. *)
   mutable mac_midstate_misses : int;
       (** MAC midstates built and cached: first MAC per flow entry, or
           recomputation after eviction. *)
@@ -79,8 +79,9 @@ val create :
   fam:Fam.t ->
   unit ->
   t
-(** The TFKC and RFKC are direct-mapped ([tfkc_sets]/[rfkc_sets] sets,
-    default 128 each), as in Figure 6, and every engine draws its
+(** [suite] (default {!Suite.paper_md5_des}) is the one suite the engine
+    seals under and accepts.  The TFKC and RFKC are direct-mapped
+    ([tfkc_sets]/[rfkc_sets] sets, default 128 each), as in Figure 6, and every engine draws its
     confounders from one fixed-seed generator.
 
     [spans] (default disabled) receives per-datagram causal spans.  Each
@@ -162,16 +163,14 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     several engines on one registry sums them. *)
 
 (** Cross-flow batching of seals: a one-datagram slot where a secret
-    datagram parks its body encryption (and, under an MD5 MAC, its MAC)
-    until the next one runs beside it.
+    datagram parks its MAC and body encryption until the next one runs
+    beside it.
 
     CBC serializes cipher blocks within a flow but not across flows.  So
-    when a {!send} is given a batch, a {e secret} datagram whose armor
-    has a batched kernel (the DES-CBC suites) is assembled as a wire
-    (header, MAC, reserved body region) whose encryption is pending;
-    under suites 0 and 1 the MAC slot is reserved too, and the MAC is
-    pending with it.
-    Every other datagram (non-secret, NOP, 3DES, SHA1-CTR, keying
+    when a {!send} is given a batch, a {e secret} datagram of an engine
+    whose suite encrypts (the paper's, not NOP) is assembled as a wire
+    (header, reserved MAC slot and body region) whose MAC and encryption
+    are pending.  Every other datagram (non-secret, NOP, keying
     refusals) seals inline on the same call, and every {!receive} opens
     inline.
 
@@ -180,9 +179,9 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       next one runs beside it at once on the two-chain CBC kernel
       ({!Fbsr_crypto.Des.encrypt_cbc_pair}, the MACs first), and both
       datagrams complete on that call, each under its own trace id.
-      {!Batch.flush} runs a lone parked datagram alone: under an MD5 MAC,
-      in one pass with the MAC's MD5 beside the CBC chain
-      ({!Fbsr_crypto.Fused.run}), the very job an unbatched seal runs.  The slot is emptied before any
+      {!Batch.flush} runs a lone parked datagram alone, in one pass with
+      the MAC's MD5 beside the CBC chain ({!Fbsr_crypto.Fused.run}), the
+      very job an unbatched seal runs.  The slot is emptied before any
       completion runs, so a completion may send through the batch again.
       Wires, counters and span terminals are identical to the inline
       path, datagram for datagram; the deferred ["engine.seal"] span
@@ -198,11 +197,11 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
       clock: the caller flushes what its own calls parked.
     - ownership: a batch is bound to the engine it was created for, and
       only that engine's {!send}/{!send_classified} may be given it
-      ([Invalid_argument] otherwise) — its kernel comes from that
-      engine's armor and its counters are that engine's.
+      ([Invalid_argument] otherwise) — its jobs use that engine's flow
+      state and its counters are that engine's.
     - A parked datagram's continuation fires only when its job runs.
-      Until then the wire handed to it is not yet stable: its body bytes
-      (and a pending MAC) are written by the kernel. *)
+      Until then the wire handed to it is not yet stable: its MAC and
+      body bytes are written by the kernel. *)
 module Batch : sig
   type engine := t
 

@@ -6,7 +6,7 @@
    plus the algorithm-identification field the paper specifies but leaves
    undescribed (one suite byte) and one flags byte carrying the "secret"
    bit, which the receiver needs to know whether to decrypt.  The MAC field
-   width is fixed by the suite's [mac_length].
+   is 128 bits: the full keyed-MD5 MAC, all zero under NOP.
 
    Wire layout (big-endian):
      u64 sfl | u8 suite | u8 flags | u32 confounder | u32 timestamp | MAC *)
@@ -19,12 +19,12 @@ type t = {
   secret : bool; (* payload is encrypted *)
   confounder : int; (* 32-bit statistically-random value *)
   timestamp : int; (* minutes since the FBS epoch, 32-bit *)
-  mac : string; (* suite.mac_length bytes *)
+  mac : string; (* [mac_length] bytes *)
 }
 
 let fixed_size = 8 + 1 + 1 + 4 + 4
-let size t = fixed_size + t.suite.Suite.mac_length
-let size_for_suite (suite : Suite.t) = fixed_size + suite.Suite.mac_length
+let mac_length = 16
+let size = fixed_size + mac_length
 
 let flag_secret = 0x01
 
@@ -39,14 +39,14 @@ let encode_fields_into w ~sfl ~(suite : Suite.t) ~secret ~confounder ~timestamp 
   Byte_writer.u32_int w timestamp
 
 let encode_into w t =
-  if String.length t.mac <> t.suite.Suite.mac_length then
-    invalid_arg "Header.encode: MAC length does not match suite";
+  if String.length t.mac <> mac_length then
+    invalid_arg "Header.encode: MAC must be 16 bytes";
   encode_fields_into w ~sfl:t.sfl ~suite:t.suite ~secret:t.secret
     ~confounder:t.confounder ~timestamp:t.timestamp;
   Byte_writer.bytes w t.mac
 
 let encode t =
-  let w = Byte_writer.create ~capacity:(size t) () in
+  let w = Byte_writer.create ~capacity:size () in
   encode_into w t;
   (* Exact capacity: [finalize] steals the backing buffer — one
      allocation for the encoded header. *)
@@ -75,7 +75,7 @@ let decode raw : (t * string, error) result =
              flip them undetected. *)
           Error (Bad_flags flags)
       | Some suite -> (
-          match Byte_reader.bytes r suite.Suite.mac_length with
+          match Byte_reader.bytes r mac_length with
           | exception Byte_reader.Truncated -> Error Truncated
           | mac ->
               let body = Byte_reader.rest r in
@@ -124,11 +124,10 @@ let decode_view (wire : Slice.t) : (view, error) result =
       | None -> Error (Unknown_suite suite_id)
       | Some _ when flags land lnot flag_secret <> 0 -> Error (Bad_flags flags)
       | Some suite ->
-          let mac_len = suite.Suite.mac_length in
-          if Byte_reader.remaining r < mac_len then Error Truncated
+          if Byte_reader.remaining r < mac_length then Error Truncated
           else begin
             let mac_pos = Byte_reader.position r in
-            Byte_reader.skip r mac_len;
+            Byte_reader.skip r mac_length;
             let body_pos = Byte_reader.position r in
             Ok
               {
@@ -137,7 +136,7 @@ let decode_view (wire : Slice.t) : (view, error) result =
                 v_secret = flags land flag_secret <> 0;
                 v_confounder = confounder;
                 v_timestamp = timestamp;
-                v_mac = Slice.v ~off:mac_pos ~len:mac_len wire.Slice.base;
+                v_mac = Slice.v ~off:mac_pos ~len:mac_length wire.Slice.base;
                 v_body =
                   Slice.v ~off:body_pos ~len:(Byte_reader.remaining r)
                     wire.Slice.base;

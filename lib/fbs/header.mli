@@ -1,6 +1,6 @@
 (** The security flow header (Figure 2 of the paper, Section 7.2 sizes):
     sfl 64 b | suite 8 b | flags 8 b | confounder 32 b | timestamp 32 b |
-    MAC (suite-dependent, 128 b for the paper's suite). *)
+    MAC 128 b. *)
 
 type t = {
   sfl : Sfl.t;
@@ -11,8 +11,12 @@ type t = {
   mac : string;
 }
 
-val fixed_size : int
-val size_for_suite : Suite.t -> int
+val mac_length : int
+(** The MAC field: 16 bytes, the full keyed-MD5 MAC. *)
+
+val size : int
+(** The whole header: 18 bytes of fields ahead of the MAC, then the
+    MAC. *)
 
 val encode : t -> string
 (** One allocation: assembled in an exact-capacity writer whose backing

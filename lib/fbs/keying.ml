@@ -202,14 +202,15 @@ let get_master_sync t peer =
 let pin_certificate t cert =
   Cache.insert t.pvc cert.Fbsr_cert.Certificate.subject cert
 
-(* Flow key derivation: K_f = H(sfl | K_{S,D} | S | D), with the sfl as
-   8 big-endian bytes and each principal after its 16-bit big-endian
-   length, so the concatenation S | D is injective (e.g. "ab"+"c" vs
-   "a"+"bc").  The parts stream into one hash context, the sfl and the
-   lengths through an 8-byte scratch that the hash copies as it is fed,
-   so no part and no concatenation is built. *)
-let flow_key ~(hash : Fbsr_crypto.Hash.t) ~sfl ~master ~src ~dst =
-  let module H = (val hash) in
+(* Flow key derivation: K_f = H(sfl | K_{S,D} | S | D) with H = MD5 (the
+   paper's implementation), the sfl as 8 big-endian bytes and each
+   principal after its 16-bit big-endian length, so the concatenation
+   S | D is injective (e.g. "ab"+"c" vs "a"+"bc").  The parts stream
+   into one hash context, the sfl and the lengths through an 8-byte
+   scratch that the hash copies as it is fed, so no part and no
+   concatenation is built. *)
+let flow_key ~sfl ~master ~src ~dst =
+  let module H = Fbsr_crypto.Md5 in
   let ctx = H.init () and scratch = Bytes.create 8 in
   let view = Bytes.unsafe_to_string scratch in
   let s = Principal.to_string src and d = Principal.to_string dst in

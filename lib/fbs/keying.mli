@@ -61,12 +61,11 @@ val last_resolution : t -> string
 val pin_certificate : t -> Fbsr_cert.Certificate.t -> unit
 
 val flow_key :
-  hash:Fbsr_crypto.Hash.t ->
   sfl:Sfl.t ->
   master:string ->
   src:Principal.t ->
   dst:Principal.t ->
   string
-(** [K_f = H(sfl | K_{S,D} | S | D)]. *)
+(** [K_f = MD5(sfl | K_{S,D} | S | D)]. *)
 
 val pp_error : Format.formatter -> error -> unit

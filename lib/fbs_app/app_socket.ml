@@ -79,9 +79,8 @@ let handle t ~src ~src_port raw =
               }
         | Error _ -> t.counters.rejected <- t.counters.rejected + 1)
 
-let create ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
-    ?(replay_window_minutes = 2) ~host ~port ~local ~group ~private_value
-    ~ca_public ~ca_hash ~resolver () =
+let create ?(threshold = 600.0) ?(replay_window_minutes = 2) ~host ~port ~local ~group
+    ~private_value ~ca_public ~ca_hash ~resolver () =
   let keying =
     Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver
       ~clock:(fun () -> Host.now host)
@@ -89,9 +88,7 @@ let create ?(suite = Fbsr_fbs.Suite.paper_md5_des) ?(threshold = 600.0)
   in
   let alloc = Fbsr_fbs_ip.Stack.sfl_allocator host 0xa11 in
   let fam = Fbsr_fbs.Fam.create (Fbsr_fbs.Policy_app.policy ~threshold ~alloc ()) in
-  let engine =
-    Fbsr_fbs.Engine.create ~suite ~replay_window_minutes ~keying ~fam ()
-  in
+  let engine = Fbsr_fbs.Engine.create ~replay_window_minutes ~keying ~fam () in
   let t =
     {
       host;

@@ -22,7 +22,6 @@ type counters = {
 type t
 
 val create :
-  ?suite:Fbsr_fbs.Suite.t ->
   ?threshold:float ->
   ?replay_window_minutes:int ->
   host:Host.t ->

@@ -16,19 +16,9 @@ val timestamp_bytes : Fbsr_fbs.Header.t -> string
 val confounder_iv : Fbsr_fbs.Header.t -> string
 (** The confounder duplicated into a 64-bit DES IV (Section 7.2). *)
 
-val mac :
-  ?algorithm:Fbsr_crypto.Mac.algorithm ->
-  Fbsr_crypto.Hash.t ->
-  key:string ->
-  string list ->
-  string
-(** The MAC of the concatenated parts computed the string way (default
-    [Prefix]): what {!Fbsr_crypto.Mac.compute_midstate} must equal. *)
-
-val des3_encrypt_cbc : iv:string -> Fbsr_crypto.Des3.key -> string -> string
-val des3_decrypt_cbc : iv:string -> Fbsr_crypto.Des3.key -> string -> string
-(** Whole-string 3DES CBC over {!Fbsr_crypto.Des3.encrypt_block} and
-    [decrypt_block]. *)
+val mac : key:string -> string list -> string
+(** The paper's keyed-MD5 MAC of the concatenated parts, computed the
+    string way: what {!Fbsr_crypto.Mac.compute_midstate} must equal. *)
 
 val seal :
   suite:Fbsr_fbs.Suite.t ->

@@ -226,31 +226,6 @@ let test_des_mc_lite_cbc () =
   check Alcotest.string "data" "6cb7ff76be33bbd1" (hex !data);
   check Alcotest.string "iv" "d95154f21859038e" (hex !iv)
 
-let test_des3_kat () =
-  (* EDE3 with three distinct keys: block and CBC golden values locked
-     from the seed kernel (whose E/D composition is pinned by the single-
-     DES KATs above plus the degenerate k1=k2=k3 property below). *)
-  let k3 = Des3.of_string (unhex "0123456789abcdef23456789abcdef01456789abcdef0123") in
-  let block_of s =
-    let b = ref 0L in
-    String.iter
-      (fun c -> b := Int64.logor (Int64.shift_left !b 8) (Int64.of_int (Char.code c)))
-      s;
-    !b
-  in
-  check Alcotest.bool "ede3 block" true
-    (Des3.encrypt_block k3 (block_of (unhex "0123456789abcde7")) = 0x403968fe84baa9a7L);
-  check Alcotest.bool "ede3 block decrypt" true
-    (Des3.decrypt_block k3 0x403968fe84baa9a7L = block_of (unhex "0123456789abcde7"));
-  let iv = unhex "1234567890abcdef" in
-  let pt = "Now is the time for all " in
-  check Alcotest.string "ede3 cbc"
-    "f3c0ff026c023089656fbb169def7edb30ba36075d6f0176c55961ed6a941845"
-    (hex (Fbsr_oracles.Reference.des3_encrypt_cbc ~iv k3 pt));
-  check Alcotest.string "ede3 cbc decrypt" pt
-    (Fbsr_oracles.Reference.des3_decrypt_cbc ~iv k3
-       (unhex "f3c0ff026c023089656fbb169def7edb30ba36075d6f0176c55961ed6a941845"))
-
 (* --- Differential suite: fast kernel vs the retained seed kernel ---
 
    [Des_ref] is the original bit-gather implementation kept verbatim as an
@@ -362,7 +337,7 @@ let test_schedule_oracle_special_keys () =
 
 let prop_schedule_ignores_parity =
   (* PC-1 never reads the low bit of a key byte, so flipping any subset
-     of parity bits is the same DES key — why the armor schedules flow
+     of parity bits is the same DES key — why [Armor] schedules flow
      keys without [Des.adjust_parity]. *)
   QCheck.Test.make ~name:"parity bits never change Des.of_string's schedule"
     ~count:300
@@ -373,8 +348,8 @@ let prop_schedule_ignores_parity =
           (fun i c -> Char.chr (Char.code c lxor ((flips lsr i) land 1)))
           key
       in
-      let k = Des.of_string key and k' = Des.of_string flipped in
-      Des.sched k = Des.sched k')
+      (* A key is its schedule, so structural equality compares the two. *)
+      Des.of_string key = Des.of_string flipped)
 
 (* --- Batched CBC jobs ---
 
@@ -731,10 +706,11 @@ let test_kernel_allocation () =
   let src = String.init 1456 (fun i -> Char.chr (i land 0xff)) in
   let dst = Bytes.create 1464 and chain = Array.make 2 0 in
   let ct = Des.encrypt_cbc ~iv k src in
-  let blocks () = Des_kernel.cbc_encrypt (Des.sched k) chain src 0 182 dst 0 in
+  let ks = Des_kernel.schedule "n0all0c!" in
+  let blocks () = Des_kernel.cbc_encrypt ks chain src 0 182 dst 0 in
   (* The one-pass lone run: a fresh job and MAC context each call, built
      outside the measurement (a job runs once). *)
-  let mid = Mac.prepare Hash.md5 ~key:(String.make 16 'm') in
+  let mid = Mac.prepare ~key:(String.make 16 'm') in
   let fresh () =
     let md5 = Mac.resume_md5 mid in
     Md5.update md5 "ten bytes!";
@@ -769,7 +745,7 @@ let test_kernel_allocation () =
 let test_kernel_two_chain_allocation () =
   (* The two-chain loop and the one-lane tail of the longer chain keep
      every block in registers: 182 + 100 blocks, no minor words. *)
-  let ka = Des.sched (Des.of_string "ch41n0n3") and kb = Des.sched (Des.of_string "ch41nTw0") in
+  let ka = Des_kernel.schedule "ch41n0n3" and kb = Des_kernel.schedule "ch41nTw0" in
   let sa = String.make 1456 'a' and sb = String.make 800 'b' in
   let da = Bytes.create 1456 and db = Bytes.create 800 in
   let cha = Array.make 2 0 and chb = Array.make 2 0 in
@@ -796,23 +772,28 @@ let slices_of rng (s : string) =
   in
   go 0 []
 
-let prop_midstate_resume hash name =
+(* A midstate is a context frozen after a prefix (the MAC's is MD5 after
+   the key): each resume copies it, so any number of resumes over the
+   message give the one-shot digest of prefix ^ message. *)
+let resumes (module H : Hash.S) ~prefix parts n =
+  let mid = H.init () in
+  H.update mid prefix;
+  List.init n (fun _ ->
+      let ctx = H.copy mid in
+      List.iter (H.feed_slice ctx) parts;
+      H.final ctx)
+
+let prop_midstate_resume (module H : Hash.S) name =
   QCheck.Test.make ~name:(name ^ " midstate resume = one-shot") ~count:150
     QCheck.(triple arbitrary_bytes arbitrary_bytes int)
     (fun (prefix, msg, seed) ->
       let rng = Fbsr_util.Rng.create seed in
-      let mid = Hash.midstate hash ~prefix in
-      let parts = slices_of rng msg in
-      let expected = Hash.digest_list hash [ prefix ^ msg ] in
-      let r1 = Hash.resume_slices mid parts in
-      (* Resume twice (and once through the string-parts flavour): the
-         midstate is immutable, so all three must agree. *)
-      r1 = expected
-      && Hash.resume_slices mid parts = expected
-      && Hash.resume_list mid [ msg ] = expected)
+      let expected = H.digest (prefix ^ msg) in
+      (* Resume twice: the midstate is not consumed, so both must agree. *)
+      resumes (module H) ~prefix (slices_of rng msg) 2 = [ expected; expected ])
 
-let prop_midstate_resume_md5 = prop_midstate_resume Hash.md5 "md5"
-let prop_midstate_resume_sha1 = prop_midstate_resume Hash.sha1 "sha1"
+let prop_midstate_resume_md5 = prop_midstate_resume (module Md5) "md5"
+let prop_midstate_resume_sha1 = prop_midstate_resume (module Sha1) "sha1"
 
 let prop_hash_copy_independent =
   QCheck.Test.make ~name:"Hash copy is an independent snapshot" ~count:100
@@ -825,39 +806,28 @@ let prop_hash_copy_independent =
       (* Finalizing the copy sees only [a]; the original saw [a ^ b]. *)
       Md5.final snap = Md5.digest a && Md5.final ctx = Md5.digest (a ^ b))
 
-let mac_algorithms =
-  [ (Mac.Prefix, "prefix"); (Mac.Hmac, "hmac"); (Mac.Des_cbc_mac, "des-cbc-mac") ]
-
 let prop_mac_midstate =
   QCheck.Test.make ~name:"Mac midstate = compute_slices (all algorithms)" ~count:100
     QCheck.(triple arbitrary_bytes arbitrary_bytes int)
     (fun (key, msg, seed) ->
-      let key = if String.length key < 8 then key ^ String.make 8 'k' else key in
       let rng = Fbsr_util.Rng.create seed in
-      List.for_all
-        (fun (algorithm, _) ->
-          let mid = Mac.prepare ~algorithm Hash.md5 ~key in
-          let parts = slices_of rng msg in
-          let expected =
-            Fbsr_oracles.Reference.mac ~algorithm Hash.md5 ~key
-              (List.map Fbsr_util.Slice.to_string parts)
-          in
-          Mac.compute_midstate mid parts = expected
-          && Mac.compute_midstate mid parts = expected
-          && Mac.verify_midstate mid parts
-               ~expected:(Fbsr_util.Slice.of_string expected)
-          (* Truncated wire MACs verify against the matching prefix. *)
-          && Mac.verify_midstate mid parts
-               ~expected:(Fbsr_util.Slice.v ~len:(String.length expected / 2) expected)
-          &&
-          (* A flipped bit in the expected MAC must be rejected. *)
-          let tampered =
-            String.mapi
-              (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c)
-              expected
-          in
-          not (Mac.verify_midstate mid parts ~expected:(Fbsr_util.Slice.of_string tampered)))
-        mac_algorithms)
+      let mid = Mac.prepare ~key in
+      let parts = slices_of rng msg in
+      let expected =
+        Fbsr_oracles.Reference.mac ~key (List.map Fbsr_util.Slice.to_string parts)
+      in
+      Mac.compute_midstate mid parts = expected
+      && Mac.compute_midstate mid parts = expected
+      && Mac.verify_midstate mid parts ~expected:(Fbsr_util.Slice.of_string expected)
+      (* Truncated wire MACs verify against the matching prefix. *)
+      && Mac.verify_midstate mid parts
+           ~expected:(Fbsr_util.Slice.v ~len:(String.length expected / 2) expected)
+      &&
+      (* A flipped bit in the expected MAC must be rejected. *)
+      let tampered =
+        String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) expected
+      in
+      not (Mac.verify_midstate mid parts ~expected:(Fbsr_util.Slice.of_string tampered)))
 
 (* --- Hash kernel differential battery: fast kernels vs retained oracles ---
 
@@ -865,9 +835,9 @@ let prop_mac_midstate =
    retained verbatim as oracles (the [Des_ref] pattern).  The unrolled
    kernels are pinned three ways: the oracles against the published
    RFC 1321 / FIPS 180-1 vectors, the fast kernels against the oracles
-   over ragged lengths / split points / feed offsets, and the HMAC and
-   hash-CTR keystream constructions on top against re-derivations built
-   from the oracles alone. *)
+   over ragged lengths / split points / feed offsets, and the MAC
+   constructions on top against re-derivations built from the oracles
+   alone. *)
 
 module Md5_ref = Fbsr_oracles.Md5_ref
 module Sha1_ref = Fbsr_oracles.Sha1_ref
@@ -942,20 +912,25 @@ let test_md5_every_length () =
   done
 let prop_sha1_vs_oracle = hash_diff_prop "sha1" (module Sha1) (module Sha1_ref)
 
-let midstate_oracle_prop label hash (module R : Hash.S) =
+let midstate_oracle_prop label (module H : Hash.S) (module R : Hash.S) =
   QCheck.Test.make
     ~name:(label ^ " midstate resume = oracle digest of prefix^msg") ~count:150
     QCheck.(triple arbitrary_bytes arbitrary_bytes int)
     (fun (prefix, msg, seed) ->
       let rng = Fbsr_util.Rng.create seed in
-      let mid = Hash.midstate hash ~prefix in
-      Hash.resume_slices mid (slices_of rng msg) = R.digest (prefix ^ msg))
+      resumes (module H) ~prefix (slices_of rng msg) 1 = [ R.digest (prefix ^ msg) ])
 
+(* The MAC's own midstate, against the oracle too. *)
 let prop_md5_midstate_vs_oracle =
-  midstate_oracle_prop "md5" Hash.md5 (module Md5_ref)
+  QCheck.Test.make ~name:"md5 midstate resume = oracle digest of prefix^msg" ~count:150
+    QCheck.(triple arbitrary_bytes arbitrary_bytes int)
+    (fun (prefix, msg, seed) ->
+      let rng = Fbsr_util.Rng.create seed in
+      let mid = Mac.prepare ~key:prefix in
+      Mac.compute_midstate mid (slices_of rng msg) = Md5_ref.digest (prefix ^ msg))
 
 let prop_sha1_midstate_vs_oracle =
-  midstate_oracle_prop "sha1" Hash.sha1 (module Sha1_ref)
+  midstate_oracle_prop "sha1" (module Sha1) (module Sha1_ref)
 
 (* RFC 2104 HMAC re-derived from the oracle module alone. *)
 let hmac_ref (module R : Hash.S) ~key parts =
@@ -969,46 +944,15 @@ let hmac_ref (module R : Hash.S) ~key parts =
 
 let hmac_oracle_prop label hash rmod =
   QCheck.Test.make ~name:("hmac-" ^ label ^ " = oracle-built HMAC") ~count:150
-    QCheck.(triple arbitrary_bytes (small_list arbitrary_bytes) int)
-    (fun (key, parts, seed) ->
-      let rng = Fbsr_util.Rng.create seed in
+    QCheck.(pair arbitrary_bytes (small_list arbitrary_bytes))
+    (fun (key, parts) ->
       Mac.hmac hash ~key parts = hmac_ref rmod ~key parts
-      && (let (module R : Hash.S) = rmod in
-          Mac.prefix hash ~key parts = R.digest (String.concat "" (key :: parts)))
       &&
-      (* The midstate-resumed flavour too (the per-datagram path). *)
-      let mid = Mac.prepare ~algorithm:Mac.Hmac hash ~key in
-      Mac.compute_midstate mid (slices_of rng (String.concat "" parts))
-      = hmac_ref rmod ~key parts)
+      let (module R : Hash.S) = rmod in
+      Mac.prefix hash ~key parts = R.digest (String.concat "" (key :: parts)))
 
 let prop_hmac_md5_vs_oracle = hmac_oracle_prop "md5" Hash.md5 (module Md5_ref : Hash.S)
 let prop_hmac_sha1_vs_oracle = hmac_oracle_prop "sha1" Hash.sha1 (module Sha1_ref : Hash.S)
-
-(* Hash-CTR keystream re-derived from the oracle: block i is
-   H(key | iv | be32 i), XORed over the data. *)
-let keystream_ref (module R : Hash.S) ~key ~iv src =
-  let block = R.digest_size in
-  String.init (String.length src) (fun i ->
-      let blk = i / block in
-      let ctr =
-        String.init 4 (fun j -> Char.chr ((blk lsr (24 - (8 * j))) land 0xff))
-      in
-      let ks = R.digest_list [ key; iv; ctr ] in
-      Char.chr (Char.code src.[i] lxor Char.code ks.[i mod block]))
-
-let keystream_oracle_prop label hash rmod =
-  QCheck.Test.make ~name:("keystream-" ^ label ^ " = oracle hash-CTR") ~count:80
-    QCheck.(triple arbitrary_bytes key8 arbitrary_bytes)
-    (fun (key, iv, src) ->
-      let t = Keystream.create hash ~key in
-      Keystream.transform t ~iv src = keystream_ref rmod ~key ~iv src
-      && Keystream.transform t ~iv (Keystream.transform t ~iv src) = src)
-
-let prop_keystream_md5_vs_oracle =
-  keystream_oracle_prop "md5" Hash.md5 (module Md5_ref : Hash.S)
-
-let prop_keystream_sha1_vs_oracle =
-  keystream_oracle_prop "sha1" Hash.sha1 (module Sha1_ref : Hash.S)
 
 (* --- DES modes --- *)
 
@@ -1056,31 +1000,6 @@ let prop_cbc_tamper_detected_by_length =
       | _ -> String.length truncated mod 8 = 0 (* only whole blocks can even parse *)
       | exception Invalid_argument _ -> true)
 
-(* --- Triple DES --- *)
-
-let prop_des3_roundtrip =
-  QCheck.Test.make ~name:"3DES CBC roundtrip" ~count:100
-    (QCheck.triple key8 key8 arbitrary_bytes) (fun (k, iv, msg) ->
-      (* Build a 24-byte key from three rotations of the 8-byte sample. *)
-      let rot s n = String.sub s n (8 - n) ^ String.sub s 0 n in
-      let key = Des3.of_string (k ^ rot k 3 ^ rot k 5) in
-      Fbsr_oracles.Reference.des3_decrypt_cbc ~iv key
-        (Fbsr_oracles.Reference.des3_encrypt_cbc ~iv key msg)
-      = msg)
-
-let test_des3_degenerates_to_des () =
-  (* EDE with k1=k2=k3 is single DES: E(k,D(k,E(k,b))) = E(k,b). *)
-  let k8 = unhex "133457799bbcdff1" in
-  let des = Des.of_string k8 in
-  let des3 = Des3.of_string (k8 ^ k8 ^ k8) in
-  let block = 0x0123456789abcdefL in
-  check Alcotest.bool "degenerate 3DES = DES" true
-    (Des3.encrypt_block des3 block = Des.encrypt_block des block)
-
-let test_des3_key_length () =
-  Alcotest.check_raises "bad key" (Invalid_argument "Des3: key must be 24 bytes")
-    (fun () -> ignore (Des3.of_string "short"))
-
 (* --- Fused single-pass MAC+encrypt (Section 5.3 optimization) --- *)
 
 let prop_fused_equals_two_pass =
@@ -1094,14 +1013,11 @@ let prop_fused_equals_two_pass =
 
 (* The one-pass kernel against the two passes it replaces, over every
    residue of the payload length mod 64 and mod 8 and every partial-block
-   fill of the resumed MD5 context: a prefix-MAC key of 0-127 bytes
-   leaves 0-63 bytes waiting (an HMAC inner state is one whole block of
-   ipad, so it leaves none before its prelude).  The job writes into a
-   buffer holding other bytes around its MAC slot and body; those must
-   survive. *)
-let one_pass_case (algorithm, key, des_key, iv, prelude, payload) =
-  let mid = Mac.prepare ~algorithm Hash.md5 ~key in
-  let md5 = Mac.resume_md5 mid in
+   fill of the resumed MD5 context: a MAC key of 0-127 bytes leaves 0-63
+   bytes waiting.  The job writes into a buffer holding other bytes
+   around its MAC slot and body; those must survive. *)
+let one_pass_case (key, des_key, iv, prelude, payload) =
+  let md5 = Mac.resume_md5 (Mac.prepare ~key) in
   Md5.update md5 prelude;
   let n = String.length payload and des_key = Des.of_string des_key in
   let body = Des.padded_length n in
@@ -1110,14 +1026,10 @@ let one_pass_case (algorithm, key, des_key, iv, prelude, payload) =
   let before = Bytes.copy buf in
   let blocks =
     Fused.run
-      (Fused.job ~mid ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:buf
-         ~dst_pos:24 ~mac_dst:buf ~mac_pos:5 ~mac_len:16)
+      (Fused.job ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:buf
+         ~dst_pos:24 ~mac_dst:buf ~mac_pos:5)
   in
-  let mac =
-    match algorithm with
-    | Mac.Hmac -> Mac.hmac Hash.md5 ~key [ prelude; payload ]
-    | _ -> Mac.prefix Hash.md5 ~key [ prelude; payload ]
-  in
+  let mac = Mac.prefix Hash.md5 ~key [ prelude; payload ] in
   let outside_untouched =
     Bytes.sub buf 0 5 = Bytes.sub before 0 5
     && Bytes.sub buf 21 3 = Bytes.sub before 21 3
@@ -1131,7 +1043,6 @@ let one_pass_case (algorithm, key, des_key, iv, prelude, payload) =
 let one_pass_gen =
   let open QCheck.Gen in
   let bytes n = string_size ~gen:char (return n) in
-  let* algorithm = oneofl [ Mac.Prefix; Mac.Hmac ] in
   let* key_len = int_bound 127 in
   let* key = bytes key_len in
   let* des_key = bytes 8 and* iv = bytes 8 in
@@ -1139,7 +1050,7 @@ let one_pass_gen =
   let* prelude = bytes prelude_len in
   let* n = int_bound 3000 in
   let+ payload = bytes n in
-  (algorithm, key, des_key, iv, prelude, payload)
+  (key, des_key, iv, prelude, payload)
 
 let prop_one_pass_kernel =
   QCheck.Test.make ~name:"one-pass kernel = two-pass reference" ~count:400
@@ -1147,14 +1058,13 @@ let prop_one_pass_kernel =
 
 (* Every payload length mod 64 and mod 8, and every partial-block fill,
    not left to the draw: lengths 0-191 under a prefix key of 0-63 bytes
-   (so fills 0-63 with no prelude), then both constructions at three
-   longer lengths. *)
+   (so fills 0-63 with no prelude), then keys leaving 16 and 0 bytes
+   waiting before a prelude, at three longer lengths. *)
 let test_one_pass_every_residue () =
   for n = 0 to 191 do
     let key_len = (n * 37) land 63 in
     let case =
-      ( Mac.Prefix,
-        String.make key_len 'k',
+      ( String.make key_len 'k',
         "d3sk3y!!",
         Printf.sprintf "iv%06d" n,
         "",
@@ -1163,17 +1073,16 @@ let test_one_pass_every_residue () =
     if not (one_pass_case case) then Alcotest.failf "length %d, key %d bytes" n key_len
   done;
   List.iter
-    (fun (algorithm, n) ->
+    (fun (key_len, n) ->
       let case =
-        ( algorithm,
-          "sixteen byte key",
+        ( String.make key_len 'k',
           "d3sk3y!!",
           "initvect",
           "ten bytes!",
           String.init n (fun i -> Char.chr ((i * 7) land 0xff)) )
       in
       if not (one_pass_case case) then Alcotest.failf "length %d" n)
-    [ (Mac.Prefix, 64); (Mac.Hmac, 64); (Mac.Prefix, 1460); (Mac.Hmac, 1460); (Mac.Hmac, 2999) ]
+    [ (16, 64); (64, 64); (16, 1460); (64, 1460); (64, 2999) ]
 
 (* --- MACs (RFC 2202) --- *)
 
@@ -1212,27 +1121,6 @@ let test_hmac_sha1_rfc2202 () =
       check Alcotest.string data expected (hex (Mac.hmac Hash.sha1 ~key [ data ])))
     cases
 
-let test_des_cbc_mac () =
-  (* 8-byte tag, deterministic, key- and message-sensitive, and equal to
-     the last CBC block by construction. *)
-  let key = String.make 16 'k' in
-  let des_cbc ~key parts =
-    Mac.compute_midstate
-      (Mac.prepare ~algorithm:Mac.Des_cbc_mac Hash.md5 ~key)
-      (List.map Fbsr_util.Slice.of_string parts)
-  in
-  let m1 = des_cbc ~key [ "hello "; "world" ] in
-  check Alcotest.int "tag size" 8 (String.length m1);
-  check Alcotest.string "deterministic" m1 (des_cbc ~key [ "hello world" ]);
-  check Alcotest.bool "message sensitive" true (m1 <> des_cbc ~key [ "hello worlt" ]);
-  (* Note: 'k' and 'j' differ only in the DES parity bit, which the cipher
-     discards — use a key that differs in effective bits. *)
-  check Alcotest.bool "key sensitive" true
-    (m1 <> des_cbc ~key:(String.make 16 'm') [ "hello world" ]);
-  let des_key = Des.of_string (Des.adjust_parity (String.sub key 0 8)) in
-  let ct = Des.encrypt_cbc ~iv:(String.make 8 '\000') des_key "hello world" in
-  check Alcotest.string "last CBC block" (String.sub ct (String.length ct - 8) 8) m1
-
 let test_prefix_mac_definition () =
   (* The paper's MAC is literally H(key | message). *)
   check Alcotest.string "prefix = digest of concat"
@@ -1243,7 +1131,7 @@ let prop_mac_verify =
   QCheck.Test.make ~name:"mac verify accepts genuine, rejects tampered" ~count:200
     QCheck.(triple arbitrary_bytes arbitrary_bytes (int_bound 1000))
     (fun (key, msg, pos) ->
-      let mid = Mac.prepare Hash.md5 ~key in
+      let mid = Mac.prepare ~key in
       let verify msg ~expected =
         Mac.verify_midstate mid
           [ Fbsr_util.Slice.of_string msg ]
@@ -1263,7 +1151,7 @@ let prop_mac_verify =
 (* A wire MAC truncated to its first bytes (Section 5.3's header-overhead
    trade-off) verifies; one longer than the MAC does not. *)
 let test_mac_truncate () =
-  let mid = Mac.prepare Hash.md5 ~key:"k" in
+  let mid = Mac.prepare ~key:"k" in
   let parts = [ Fbsr_util.Slice.of_string "m" ] in
   let mac = Mac.compute_midstate mid parts in
   check Alcotest.bool "truncate" true
@@ -1534,8 +1422,6 @@ let () =
           qtest prop_sha1_midstate_vs_oracle;
           qtest prop_hmac_md5_vs_oracle;
           qtest prop_hmac_sha1_vs_oracle;
-          qtest prop_keystream_md5_vs_oracle;
-          qtest prop_keystream_sha1_vs_oracle;
         ] );
       ( "fused",
         [
@@ -1543,13 +1429,6 @@ let () =
           qtest prop_one_pass_kernel;
           Alcotest.test_case "one-pass kernel at every residue" `Quick
             test_one_pass_every_residue;
-        ] );
-      ( "des3",
-        [
-          Alcotest.test_case "EDE3 KAT (block + CBC)" `Quick test_des3_kat;
-          Alcotest.test_case "degenerates to DES" `Quick test_des3_degenerates_to_des;
-          Alcotest.test_case "key length" `Quick test_des3_key_length;
-          qtest prop_des3_roundtrip;
         ] );
       ( "des-modes",
         [
@@ -1564,7 +1443,6 @@ let () =
           Alcotest.test_case "HMAC-MD5 RFC 2202" `Quick test_hmac_md5_rfc2202;
           Alcotest.test_case "HMAC-SHA1 RFC 2202" `Quick test_hmac_sha1_rfc2202;
           Alcotest.test_case "prefix MAC definition" `Quick test_prefix_mac_definition;
-          Alcotest.test_case "DES-CBC-MAC (footnote 12)" `Quick test_des_cbc_mac;
           Alcotest.test_case "truncate" `Quick test_mac_truncate;
           qtest prop_mac_verify;
         ] );

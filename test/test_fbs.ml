@@ -35,49 +35,12 @@ let test_suite_registry () =
       | Some s' -> check Alcotest.int "id roundtrip" s.Suite.id s'.Suite.id
       | None -> Alcotest.fail "suite not found by id")
     Suite.all;
+  check (Alcotest.list Alcotest.int) "the paper's suite and NOP" [ 0; 255 ]
+    (List.map (fun s -> s.Suite.id) Suite.all);
   check Alcotest.bool "unknown id" true (Suite.of_id 99 = None);
   check Alcotest.bool "nop flag" true (Suite.is_nop Suite.nop);
-  check Alcotest.bool "paper suite not nop" false (Suite.is_nop Suite.paper_md5_des)
-
-(* The armor table holds one armor per suite, in suite order, ids
-   unique; [of_suite] finds each suite's own and refuses an unknown one;
-   and each armor's wire-size claims are consistent with the header
-   layout. *)
-let test_armor_table () =
-  check (Alcotest.list Alcotest.int) "one armor per suite, in suite order"
-    (List.map (fun s -> s.Suite.id) Suite.all)
-    (List.map
-       (fun a ->
-         let module A = (val a : Armor.S) in
-         A.suite.Suite.id)
-       Armors.all);
-  List.iter
-    (fun s ->
-      let module A = (val Armors.of_suite s : Armor.S) in
-      check Alcotest.int "of_suite matches" s.Suite.id A.suite.Suite.id;
-      check Alcotest.int "suite mac_length agrees" s.Suite.mac_length
-        A.suite.Suite.mac_length;
-      check Alcotest.int "header size = fixed + mac"
-        (Header.fixed_size + s.Suite.mac_length)
-        (Header.size_for_suite A.suite);
-      check Alcotest.bool "nop armors do not batch" true
-        ((not (Suite.is_nop A.suite)) || A.batch = None))
-    Suite.all;
-  Alcotest.check_raises "unknown suite refused"
-    (Invalid_argument "Armors.of_suite: no armor for suite 99 (suite-99)") (fun () ->
-      ignore (Armors.of_suite { Suite.paper_md5_des with Suite.id = 99 } : Armor.armor))
-
-(* Body sizing laws: plaintext bodies are length-preserving; sealed
-   secret bodies never shrink and never outgrow [max_body_growth]. *)
-let prop_armor_body_len =
-  QCheck.Test.make ~count:200 ~name:"armor sealed_body_len bounds"
-    QCheck.(pair (int_range 0 9000) (int_range 0 6))
-    (fun (len, i) ->
-      let armors = Array.of_list Armors.all in
-      let module A = (val armors.(i mod Array.length armors) : Armor.S) in
-      let plain = A.sealed_body_len ~secret:false len in
-      let sealed = A.sealed_body_len ~secret:true len in
-      plain = len && sealed >= len && sealed <= len + A.max_body_growth)
+  check Alcotest.bool "paper suite not nop" false (Suite.is_nop Suite.paper_md5_des);
+  check Alcotest.int "header size = 18 + mac" (18 + 16) Header.size
 
 (* --- Header --- *)
 
@@ -171,7 +134,7 @@ let test_header_every_prefix () =
       mac = String.init 16 (fun i -> Char.chr (0x40 + i));
     }
   in
-  let header_len = Header.size_for_suite h.Header.suite in
+  let header_len = Header.size in
   let wire = Header.encode h ^ "body bytes here" in
   for n = 0 to String.length wire do
     match Header.decode (String.sub wire 0 n) with
@@ -223,7 +186,7 @@ let test_header_confounder_iv () =
   in
   check Alcotest.string "duplicated confounder" "\x01\x02\x03\x04\x01\x02\x03\x04"
     (Fbsr_oracles.Reference.confounder_iv h);
-  check Alcotest.int "size" (Header.fixed_size + 16) (String.length (Header.encode h))
+  check Alcotest.int "size" Header.size (String.length (Header.encode h))
 
 (* --- Replay --- *)
 
@@ -964,20 +927,20 @@ let test_flow_key_derivation () =
   let sfl = Sfl.of_int64 42L in
   let master = "master-key-bytes" in
   let src = Principal.of_string "a" and dst = Principal.of_string "b" in
-  let k1 = Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master ~src ~dst in
+  let k1 = Keying.flow_key ~sfl ~master ~src ~dst in
   check Alcotest.int "digest size" 16 (String.length k1);
   (* Deterministic. *)
   check Alcotest.string "deterministic" k1
-    (Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master ~src ~dst);
+    (Keying.flow_key ~sfl ~master ~src ~dst);
   (* Sensitive to every input. *)
   let differs k2 = check Alcotest.bool "differs" true (k1 <> k2) in
-  differs (Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl:(Sfl.of_int64 43L) ~master ~src ~dst);
-  differs (Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master:"other master!!" ~src ~dst);
-  differs (Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl ~master ~src:dst ~dst:src)
+  differs (Keying.flow_key ~sfl:(Sfl.of_int64 43L) ~master ~src ~dst);
+  differs (Keying.flow_key ~sfl ~master:"other master!!" ~src ~dst);
+  differs (Keying.flow_key ~sfl ~master ~src:dst ~dst:src)
 
 (* The streamed derivation against the definition: the digest, under
-   the reference MD5 and SHA-1, of the concatenation sfl (8 bytes, big
-   endian) | master | len16 S | S | len16 D | D. *)
+   the reference MD5, of the concatenation sfl (8 bytes, big endian) |
+   master | len16 S | S | len16 D | D. *)
 let prop_flow_key_matches_definition =
   let principal = QCheck.Gen.(string_size ~gen:printable (int_range 1 40)) in
   QCheck.Test.make ~name:"flow key = H(sfl | master | len16 S | S | len16 D | D)"
@@ -997,12 +960,9 @@ let prop_flow_key_matches_definition =
         String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xff)) ^ p
       in
       let input = sfl_bytes ^ master ^ encode s ^ encode d in
-      let derive hash =
-        Keying.flow_key ~hash ~sfl:(Sfl.of_int64 sfl) ~master ~src:(Principal.of_string s)
-          ~dst:(Principal.of_string d)
-      in
-      derive Fbsr_crypto.Hash.md5 = Fbsr_oracles.Md5_ref.digest input
-      && derive Fbsr_crypto.Hash.sha1 = Fbsr_oracles.Sha1_ref.digest input)
+      Keying.flow_key ~sfl:(Sfl.of_int64 sfl) ~master ~src:(Principal.of_string s)
+        ~dst:(Principal.of_string d)
+      = Fbsr_oracles.Md5_ref.digest input)
 
 (* --- FAM policies --- *)
 
@@ -1161,6 +1121,21 @@ let sender_flow_key es ~sfl ~src ~dst =
   | Some e -> Engine.flow_entry_key e
   | None -> Alcotest.fail "flow key not in the sender's TFKC"
 
+(* Body sizing laws: plaintext bodies are length-preserving; sealed
+   secret bodies never shrink and never outgrow [max_body_growth], and
+   NOP's are the payload. *)
+let prop_armor_body_len =
+  let counters = lazy (let _, _, _, es, _ = make_engines () in Engine.counters es) in
+  QCheck.Test.make ~count:200 ~name:"armor sealed_body_len bounds"
+    QCheck.(pair (int_range 0 9000) bool)
+    (fun (len, nop) ->
+      let ctx = Armor.make_ctx ~nop (Lazy.force counters) in
+      let plain = Armor.sealed_body_len ctx ~secret:false len in
+      let sealed = Armor.sealed_body_len ctx ~secret:true len in
+      plain = len && sealed >= len
+      && sealed <= len + Armor.max_body_growth
+      && (sealed = len) = nop)
+
 let test_engine_roundtrips_all_suites () =
   List.iter
     (fun suite ->
@@ -1179,59 +1154,13 @@ let test_engine_roundtrips_all_suites () =
               | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e))
         [ (false, "plain payload"); (true, "secret payload"); (true, "");
           (false, ""); (true, String.make 5000 'z') ])
-    [
-      Suite.paper_md5_des; Suite.hmac_md5_des; Suite.sha1_des; Suite.des_mac_des;
-      Suite.md5_des3; Suite.nop;
-    ]
-
-let test_engine_des3_key_expansion () =
-  (* The engine expands a short flow key to 24 bytes of 3DES material with
-     a writer (no [flow_key ^ Md5.digest flow_key] concatenation).  Check
-     it against the definitional form: a wire sealed with a key built the
-     old way must be byte-identical, for both the full-digest-tail case
-     (16-byte flow key) and a synthetic long-key truncation. *)
-  let clock, s, d, es, ed = make_engines ~suite:Suite.md5_des3 () in
-  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
-  let payload = "triple-DES key expansion" in
-  (match Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload with
-  | Error e -> Alcotest.failf "send: %a" Engine.pp_error e
-  | Ok wire -> (
-      let h =
-        match Header.decode wire with
-        | Ok (h, _) -> h
-        | Error _ -> Alcotest.fail "wire undecodable"
-      in
-      let flow_key = sender_flow_key es ~sfl:h.Header.sfl ~src:s ~dst:d in
-      check Alcotest.bool "flow key shorter than 24 bytes" true
-        (String.length flow_key < 24);
-      (* Old-style key material: concatenate, truncate, parity-adjust. *)
-      let material = flow_key ^ Fbsr_crypto.Md5.digest flow_key in
-      let key =
-        Fbsr_crypto.Des3.of_string
-          (Fbsr_crypto.Des.adjust_parity (String.sub material 0 24))
-      in
-      let iv = Fbsr_oracles.Reference.confounder_iv h in
-      let reference_body = Fbsr_oracles.Reference.des3_encrypt_cbc ~iv key payload in
-      let body_off = String.length wire - String.length reference_body in
-      check Alcotest.string "engine body = old-style-key body"
-        (Fbsr_util.Hex.encode reference_body)
-        (Fbsr_util.Hex.encode (String.sub wire body_off (String.length reference_body)));
-      match Engine.receive_sync ed ~now:!clock ~src:s ~wire with
-      | Ok acc -> check Alcotest.string "roundtrip" payload acc.Engine.payload
-      | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e));
-  (* Long-key truncation: >= 24 bytes of flow key must use only the first
-     24 (digest tail unused).  Exercised directly through the cipher. *)
-  let long_key = String.init 32 (fun i -> Char.chr (0x20 + i)) in
-  let old_material = long_key ^ Fbsr_crypto.Md5.digest long_key in
-  check Alcotest.string "long-key truncation ignores digest"
-    (String.sub old_material 0 24)
-    (String.sub long_key 0 24)
+    Suite.all
 
 let test_engine_keysched_cache () =
-  (* Cipher/MAC key schedules are expanded once per flow entry and reused
-     for every subsequent datagram; eviction (here: an explicit clear)
-     drops the schedules with the entry and costs one fresh expansion. *)
-  let clock, s, d, es, ed = make_engines ~suite:Suite.des_mac_des () in
+  (* The DES key schedule is expanded once per flow entry and reused for
+     every subsequent datagram; eviction (here: an explicit clear) drops
+     the schedule with the entry and costs one fresh expansion. *)
+  let clock, s, d, es, ed = make_engines () in
   let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
   let roundtrip () =
     match Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"sched" with
@@ -1334,24 +1263,21 @@ let test_engine_midstate_seal_byte_equal () =
         ^ Fbsr_oracles.Reference.timestamp_bytes h
       in
       let reference =
-        Fbsr_oracles.Reference.mac Fbsr_crypto.Hash.md5 ~key:flow_key
-          [ prelude; payload ]
+        Fbsr_oracles.Reference.mac ~key:flow_key [ prelude; payload ]
       in
-      let mac_len = String.length h.Header.mac in
       check Alcotest.string "wire MAC = pre-midstate prefix MAC"
-        (Fbsr_util.Hex.encode (String.sub reference 0 mac_len))
-        (Fbsr_util.Hex.encode h.Header.mac)
+        (Fbsr_util.Hex.encode reference) (Fbsr_util.Hex.encode h.Header.mac)
 
 (* --- Batched ≡ inline: one table-driven differential ---
 
    The same datagrams go through [send] with no batch, and through a
    seal batch (each secret seal parks, or runs beside the parked one on
    the two-chain kernel; an odd one out waits for the final flush), for
-   every armor in [Armors.all].  Each row runs in its own identically
+   every suite in [Suite.all].  Each row runs in its own identically
    seeded world, so the confounder streams agree and the batched row must
    reproduce the inline row's wires, verdicts, payload bytes, counters
-   and span terminals exactly.  Armors without a batch kernel (3DES,
-   SHA1-CTR, NOP) and non-secret datagrams must never park. *)
+   and span terminals exactly.  NOP, which encrypts nothing, and
+   non-secret datagrams must never park. *)
 
 type batch_row = Inline | Batched
 
@@ -1512,11 +1438,11 @@ let run_seal_row ~suite row =
   { parked; batched; kernel; wires; verdicts; counters = datapath_counters c;
     spans = span_terminals spans }
 
-(* The one-pass seal against the pair and inline paths: under suites 0
-   and 1 (the MD5 MACs), a seal parked and flushed alone (the one-pass
-   kernel), the first of a pair (MACs on [Md5], chains on the two-chain
-   kernel) and an unbatched seal, all of one datagram under one
-   confounder, give the same wire, and the receiver accepts it.  The
+(* The one-pass seal against the pair and inline paths: under the
+   paper's suite, a seal parked and flushed alone (the one-pass kernel),
+   the first of a pair (MACs on [Md5], chains on the two-chain kernel)
+   and an unbatched seal, all of one datagram under one confounder, give
+   the same wire, and the receiver accepts it.  The
    lengths cross the MD5 block and padding boundaries and the DES-block
    counts where the padding blocks stop fitting beside the chain. *)
 let test_one_pass_wires () =
@@ -1560,19 +1486,17 @@ let test_one_pass_wires () =
             (verdict_str
                (Engine.receive_sync ed ~now ~src:s ~wire:(wire (what "partner") second))))
         [ 0; 1; 7; 8; 9; 21; 22; 29; 30; 31; 32; 37; 38; 63; 64; 72; 93; 94; 100; 575; 576; 1460 ])
-    [ Suite.paper_md5_des; Suite.hmac_md5_des ]
+    [ Suite.paper_md5_des ]
 
 let batch_differential () =
   let secret_frames =
     List.length (List.filter (fun (_, secret, _) -> secret) batch_frames)
   in
   List.iter
-    (fun armor ->
-      let module A = (val armor : Armor.S) in
-      let suite = A.suite in
+    (fun suite ->
       (* How many datagrams every batched row must send through the
-         batch: each secret one, when the armor has a kernel. *)
-      let expected = if A.batch <> None then secret_frames else 0 in
+         batch: each secret one, when the suite encrypts. *)
+      let expected = if Suite.is_nop suite then 0 else secret_frames in
       let inline = run_seal_row ~suite Inline in
       let r = run_seal_row ~suite Batched in
       let what m = Printf.sprintf "%s: %s" (Suite.name suite) m in
@@ -1594,7 +1518,7 @@ let batch_differential () =
       Option.iter
         (fun blocks -> check Alcotest.bool (what "the flush ran blocks") true (blocks > 0))
         r.kernel)
-    Armors.all
+    Suite.all
 
 let test_engine_batch_pairing () =
   (* A secret seal parks in the empty slot; the next one runs beside it
@@ -2074,7 +1998,7 @@ let test_engine_cross_flow_splice_rejected () =
   let a2 = Fam.attrs ~protocol:17 ~src_port:9 ~dst_port:2 ~src:s ~dst:d () in
   let w1 = Result.get_ok (Engine.send_sync es ~now:!clock ~attrs:a1 ~secret:true ~payload:"flow one") in
   let w2 = Result.get_ok (Engine.send_sync es ~now:!clock ~attrs:a2 ~secret:true ~payload:"flow two") in
-  let hdr = Header.size_for_suite Suite.paper_md5_des in
+  let hdr = Header.size in
   let spliced = String.sub w1 0 hdr ^ String.sub w2 hdr (String.length w2 - hdr) in
   match Engine.receive_sync ed ~now:!clock ~src:s ~wire:spliced with
   | Error _ -> ()
@@ -2235,6 +2159,54 @@ let test_engine_suite_mismatch () =
   | Error (Engine.Header_error (Header.Unknown_suite 255)) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Engine.pp_error e
   | Ok _ -> Alcotest.fail "downgrade accepted"
+
+(* A suite id that no receiver accepts fails at the header, before any
+   keying or MAC work: ids 1-5 (suites no longer shipped) and 254 (never
+   one) on a paper-suite receiver, and 0 on a NOP receiver (a suite
+   mismatch).  Each wire is a valid one with only its suite byte
+   rewritten; each is a [Header] drop, and no MAC is computed, no flow
+   key derived and the RFKC neither probed nor filled.  The untouched
+   wire is accepted afterwards. *)
+let test_engine_old_suite_ids_refused () =
+  let refuse suite ids =
+    let clock, s, d, es, ed = make_engines ~suite () in
+    let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+    let wire =
+      Result.get_ok (Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"old id")
+    in
+    let c = Engine.counters ed in
+    let work () =
+      let st = Cache.stats (Engine.rfkc ed) in
+      [
+        c.Engine.macs_computed; c.Engine.flow_key_computations; st.Cache.hits;
+        st.Cache.misses_cold; st.Cache.misses_capacity; st.Cache.misses_conflict;
+        Cache.occupancy (Engine.rfkc ed);
+      ]
+    in
+    let before = work () in
+    List.iter
+      (fun id ->
+        let what = Printf.sprintf "%s receiver, suite byte %d" (Suite.name suite) id in
+        let b = Bytes.of_string wire in
+        Bytes.set b 8 (Char.chr id);
+        let drops = Engine.drop_count c Engine.Header in
+        (match Engine.receive_sync ed ~now:!clock ~src:s ~wire:(Bytes.to_string b) with
+        | Error (Engine.Header_error (Header.Unknown_suite id')) ->
+            check Alcotest.int (what ^ ": refused id") id id'
+        | Error e -> Alcotest.failf "%s: %a" what Engine.pp_error e
+        | Ok _ -> Alcotest.failf "%s: accepted" what);
+        check Alcotest.int (what ^ ": one header drop") (drops + 1)
+          (Engine.drop_count c Engine.Header))
+      ids;
+    check (Alcotest.list Alcotest.int)
+      (Suite.name suite ^ ": no MAC, derivation or RFKC work")
+      before (work ());
+    match Engine.receive_sync ed ~now:!clock ~src:s ~wire with
+    | Ok acc -> check Alcotest.string "the untouched wire" "old id" acc.Engine.payload
+    | Error e -> Alcotest.failf "untouched wire: %a" Engine.pp_error e
+  in
+  refuse Suite.paper_md5_des [ 1; 2; 3; 4; 5; 254 ];
+  refuse Suite.nop [ 0 ]
 
 (* One datagram refused for each cause, then one delivered, through a
    receiver with spans and flowstats on.  Each ends in exactly one
@@ -2500,7 +2472,7 @@ let test_engine_cold_flow_derives_once () =
      its entry is not cached, and the next waiter derives its own. *)
   let forged =
     let w = Bytes.of_string (List.hd wires) in
-    let i = Header.size_for_suite Suite.paper_md5_des - 1 in
+    let i = Header.size - 1 in
     Bytes.set w i (Char.chr (Char.code (Bytes.get w i) lxor 1));
     Bytes.to_string w
   in
@@ -2540,7 +2512,7 @@ let test_no_pfs_by_design () =
   | Error _ -> Alcotest.fail "could not parse recorded wire"
   | Ok (header, body) ->
       let flow_key =
-        Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl:header.Header.sfl ~master
+        Keying.flow_key ~sfl:header.Header.sfl ~master
           ~src:s ~dst:d
       in
       let des_key =
@@ -2572,7 +2544,7 @@ let test_flow_key_isolation () =
   let sfl1 =
     match Header.decode w1 with Ok (h, _) -> h.Header.sfl | Error _ -> assert false
   in
-  let k1 = Keying.flow_key ~hash:Fbsr_crypto.Hash.md5 ~sfl:sfl1 ~master ~src:s ~dst:d in
+  let k1 = Keying.flow_key ~sfl:sfl1 ~master ~src:s ~dst:d in
   let des1 =
     Fbsr_crypto.Des.of_string (Fbsr_crypto.Des.adjust_parity (String.sub k1 0 8))
   in
@@ -2614,7 +2586,7 @@ let test_engine_confounder_hides_repetition () =
       (Engine.send_sync es ~now:!clock ~attrs ~secret:true ~payload:"IDENTICAL DATA")
   in
   let w1 = send () and w2 = send () in
-  let hdr = Header.size_for_suite Suite.paper_md5_des in
+  let hdr = Header.size in
   let body w = String.sub w hdr (String.length w - hdr) in
   check Alcotest.bool "same flow, same plaintext, different ciphertext" true
     (body w1 <> body w2)
@@ -2686,7 +2658,7 @@ let test_engine_wire_overhead () =
   check Alcotest.bool "within declared overhead" true
     (String.length wire <= String.length payload + Engine.wire_overhead es);
   check Alcotest.bool "at least header" true
-    (String.length wire >= String.length payload + Header.size_for_suite Suite.paper_md5_des)
+    (String.length wire >= String.length payload + Header.size)
 
 let () =
   Alcotest.run "fbs"
@@ -2699,7 +2671,6 @@ let () =
       ("suite", [ Alcotest.test_case "registry" `Quick test_suite_registry ]);
       ( "armor",
         [
-          Alcotest.test_case "table" `Quick test_armor_table;
           qtest prop_armor_body_len;
         ] );
       ( "header",
@@ -2775,8 +2746,6 @@ let () =
         [
           Alcotest.test_case "roundtrip all suites" `Quick
             test_engine_roundtrips_all_suites;
-          Alcotest.test_case "3des key expansion" `Quick
-            test_engine_des3_key_expansion;
           Alcotest.test_case "key-schedule cache" `Quick
             test_engine_keysched_cache;
           Alcotest.test_case "MAC midstate cache + eviction" `Quick
@@ -2818,6 +2787,8 @@ let () =
             test_engine_forged_sfls_bounded;
           Alcotest.test_case "garbage wire" `Quick test_engine_header_garbage;
           Alcotest.test_case "suite mismatch refused" `Quick test_engine_suite_mismatch;
+          Alcotest.test_case "old suite ids refused in the header" `Quick
+            test_engine_old_suite_ids_refused;
           Alcotest.test_case "every cause concludes once" `Quick
             test_engine_every_cause_concludes_once;
           Alcotest.test_case "async send" `Quick test_engine_async_send;

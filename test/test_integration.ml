@@ -394,7 +394,7 @@ let () =
           Alcotest.test_case "tcp over fbs over loss" `Quick test_tcp_fbs_lossy;
           Alcotest.test_case "trace replay through stacks" `Quick
             test_trace_replay_through_stacks;
-          Alcotest.test_case "configuration matrix (12 combos)" `Quick
+          Alcotest.test_case "configuration matrix (4 combos)" `Quick
             test_configuration_matrix;
           Alcotest.test_case "WAN deployment (T1 + jitter)" `Quick test_wan_deployment;
           Alcotest.test_case "live site (real stacks)" `Quick test_live_site_small;
