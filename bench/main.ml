@@ -112,7 +112,7 @@ let bbs = Fbsr_crypto.Bbs.create ~modulus_bits:256 bench_rng ~seed:"bench-bbs-se
    the draws of the fixtures above alone. *)
 let rsa_768 = Fbsr_crypto.Rsa.generate (Fbsr_util.Rng.create 768) ~bits:768
 let rsa_768_msg = "bench certificate body"
-let rsa_768_sig = Fbsr_crypto.Rsa.sign rsa_768 ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg
+let rsa_768_sig = Fbsr_crypto.Rsa.sign rsa_768 rsa_768_msg
 
 (* A 128-set TFKC on host 10.9.0.1, keyed as the engine keys it: each
    probe builds the datagram's key (CRC-32 index and fingerprint) as the
@@ -245,13 +245,10 @@ let crypto_tests =
       (* The expansion every TFKC/RFKC miss pays under the paper's suite. *)
       Test.make ~name:"des-key-schedule"
         (stage (fun () -> Fbsr_crypto.Des.of_string "k3yk3yk3"));
-      Test.make ~name:"sha1-1460B" (stage (fun () -> Fbsr_crypto.Sha1.digest datagram));
       Test.make ~name:"prefix-mac-md5-1460B"
-        (stage (fun () ->
-             Fbsr_crypto.Mac.prefix Fbsr_crypto.Hash.md5 ~key:mac_key [ datagram ]));
+        (stage (fun () -> Fbsr_crypto.Mac.prefix ~key:mac_key [ datagram ]));
       Test.make ~name:"hmac-md5-1460B"
-        (stage (fun () ->
-             Fbsr_crypto.Mac.hmac Fbsr_crypto.Hash.md5 ~key:mac_key [ datagram ]));
+        (stage (fun () -> Fbsr_crypto.Mac.hmac ~key:mac_key [ datagram ]));
       (* Master key computation cost (MKC miss): one modular exponentiation. *)
       Test.make ~name:"dh-shared-61bit"
         (stage (fun () -> Fbsr_crypto.Dh.shared dh_small dh_small_priv dh_small_pub));
@@ -259,13 +256,11 @@ let crypto_tests =
         (stage (fun () -> Fbsr_crypto.Dh.shared dh_1024 dh_1024_priv dh_1024_pub));
       (* Certificate signing and the verification every PVC miss pays. *)
       Test.make ~name:"rsa-sign-768"
-        (stage (fun () ->
-             Fbsr_crypto.Rsa.sign rsa_768 ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg));
+        (stage (fun () -> Fbsr_crypto.Rsa.sign rsa_768 rsa_768_msg));
       Test.make ~name:"rsa-verify-768"
         (stage (fun () ->
-             Fbsr_crypto.Rsa.verify
-               (Fbsr_crypto.Rsa.public_key rsa_768)
-               ~hash:Fbsr_crypto.Hash.md5 rsa_768_msg ~signature:rsa_768_sig));
+             Fbsr_crypto.Rsa.verify (Fbsr_crypto.Rsa.public_key rsa_768) rsa_768_msg
+               ~signature:rsa_768_sig));
       (* The CA's key generation, which dominates a small testbed's set-up:
          two 384-bit prime searches at the testbed's seed 42. *)
       Test.make ~name:"rsa-keygen-768"

@@ -37,7 +37,6 @@ let () =
       ~local:(Fbsr_fbs.Principal.of_string name)
       ~group ~private_value
       ~ca_public:(Fbsr_cert.Authority.public authority)
-      ~ca_hash:(Fbsr_cert.Authority.hash authority)
       ~resolver:(Mkd.resolver mkd) ()
   in
   let suvo = make_user h1 "suvo@laptop-1" 9000 in

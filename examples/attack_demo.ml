@@ -140,7 +140,6 @@ let () =
     in
     Hostpair.install ~variant:Hostpair.Direct ~private_value ~group
       ~ca_public:(Fbsr_cert.Authority.public authority)
-      ~ca_hash:(Fbsr_cert.Authority.hash authority)
       ~resolver host
   in
   let _ = install alice and _ = install bob in

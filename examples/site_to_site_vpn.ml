@@ -45,7 +45,6 @@ let () =
     let stack =
       Stack.install ~config ~private_value ~group
         ~ca_public:(Fbsr_cert.Authority.public authority)
-        ~ca_hash:(Fbsr_cert.Authority.hash authority)
         ~resolver:(Mkd.resolver mkd) host
     in
     (Gateway.create ~inside ~inside_addr:(Addr.of_string inside_addr) ~outer:host (),

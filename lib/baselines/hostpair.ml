@@ -86,10 +86,10 @@ let unprotect (_ : t) ~master ~wire =
       in
       Sealed.open_ key tail)
 
-let install ?(variant = Direct) ~private_value ~group ~ca_public ~ca_hash ~resolver host =
+let install ?(variant = Direct) ~private_value ~group ~ca_public ~resolver host =
   let local = principal_of_addr (Host.addr host) in
   let keying =
-    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver
+    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~resolver
       ~clock:(fun () -> Host.now host)
       ()
   in

@@ -15,7 +15,7 @@ let overhead ~head = head + iv_len + mac_len + 8 (* the most CBC padding adds *)
 
 type key = { des : Fbsr_crypto.Des.key; mac : string }
 
-let mac key parts = Fbsr_crypto.Mac.prefix Fbsr_crypto.Hash.md5 ~key:key.mac parts
+let mac key parts = Fbsr_crypto.Mac.prefix ~key:key.mac parts
 
 let seal ivs key ~head ~extra payload =
   let iv = Lcg.next_block ivs iv_len in

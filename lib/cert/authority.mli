@@ -1,10 +1,10 @@
-(** Certificate authority: signing key plus a directory of enrolled
-    principals. *)
+(** Certificate authority: an RSA signing key plus a directory of
+    enrolled principals.  Certificates are signed over MD5
+    ({!Certificate.sign}). *)
 
 type t
 
 val create :
-  ?hash:Fbsr_crypto.Hash.t ->
   ?validity:float ->
   rng:Fbsr_util.Rng.t ->
   bits:int ->
@@ -12,7 +12,6 @@ val create :
   t
 
 val public : t -> Fbsr_crypto.Rsa.public_key
-val hash : t -> Fbsr_crypto.Hash.t
 
 val enroll :
   t -> now:float -> subject:string -> group:string -> public_value:string -> Certificate.t

@@ -61,9 +61,9 @@ let decode raw =
     { subject; group; public_value; not_before; not_after; signature }
   with Byte_reader.Truncated -> raise (Bad_certificate "truncated")
 
-let sign ~ca_key ~hash ~subject ~group ~public_value ~not_before ~not_after =
+let sign ~ca_key ~subject ~group ~public_value ~not_before ~not_after =
   let tbs = tbs_bytes ~subject ~group ~public_value ~not_before ~not_after in
-  let signature = Fbsr_crypto.Rsa.sign ca_key ~hash tbs in
+  let signature = Fbsr_crypto.Rsa.sign ca_key tbs in
   { subject; group; public_value; not_before; not_after; signature }
 
 type verify_error =
@@ -71,12 +71,12 @@ type verify_error =
   | Expired of float (* certificate not valid at this time *)
   | Wrong_subject of string
 
-let verify ~ca_public ~hash ~now ?expected_subject c =
+let verify ~ca_public ~now ?expected_subject c =
   let tbs =
     tbs_bytes ~subject:c.subject ~group:c.group ~public_value:c.public_value
       ~not_before:c.not_before ~not_after:c.not_after
   in
-  if not (Fbsr_crypto.Rsa.verify ca_public ~hash tbs ~signature:c.signature) then
+  if not (Fbsr_crypto.Rsa.verify ca_public tbs ~signature:c.signature) then
     Error Bad_signature
   else if now < c.not_before || now > c.not_after then Error (Expired now)
   else

@@ -1,7 +1,8 @@
 (** Public-value certificates (compact X.509 stand-in).
 
     Bind a principal name to its Diffie-Hellman public value under a
-    certificate authority's RSA signature. *)
+    certificate authority's RSA signature over the MD5 digest of the
+    fields ({!Fbsr_crypto.Rsa.sign}). *)
 
 type t = {
   subject : string;
@@ -21,7 +22,6 @@ val decode : string -> t
 
 val sign :
   ca_key:Fbsr_crypto.Rsa.private_key ->
-  hash:Fbsr_crypto.Hash.t ->
   subject:string ->
   group:string ->
   public_value:string ->
@@ -33,7 +33,6 @@ type verify_error = Bad_signature | Expired of float | Wrong_subject of string
 
 val verify :
   ca_public:Fbsr_crypto.Rsa.public_key ->
-  hash:Fbsr_crypto.Hash.t ->
   now:float ->
   ?expected_subject:string ->
   t ->

@@ -17,17 +17,17 @@
 
 open Fbsr_util
 
-let prefix (hash : Hash.t) ~key parts = Hash.digest_list hash (key :: parts)
+let prefix ~key parts = Md5.digest_list (key :: parts)
 
-let hmac (module H : Hash.S) ~key parts =
-  let block = H.block_size in
-  let key = if String.length key > block then H.digest key else key in
+let hmac ~key parts =
+  let block = Md5.block_size in
+  let key = if String.length key > block then Md5.digest key else key in
   let key = key ^ String.make (block - String.length key) '\000' in
   let xor_pad byte =
     String.init block (fun i -> Char.chr (Char.code key.[i] lxor byte))
   in
-  let inner = H.digest_list (xor_pad 0x36 :: parts) in
-  H.digest_list [ xor_pad 0x5c; inner ]
+  let inner = Md5.digest_list (xor_pad 0x36 :: parts) in
+  Md5.digest_list [ xor_pad 0x5c; inner ]
 
 (* The per-flow midstate of the paper's keyed-MD5 MAC: the MD5 context
    after absorbing the key prefix, so a datagram's MAC resumes from a

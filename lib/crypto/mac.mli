@@ -1,15 +1,15 @@
 (** Message authentication codes.
 
-    {!prefix} is the paper's construction (hash over the key-prefixed
-    message, i.e. keyed MD5 as used by the 4.4BSD implementation);
-    {!hmac} is RFC 2104.  Both take string parts.
+    {!prefix} is the paper's construction (MD5 over the key-prefixed
+    message, keyed MD5 as used by the 4.4BSD implementation); {!hmac} is
+    RFC 2104 HMAC-MD5.  Both take string parts.
 
     The FBS datapath MACs through a per-flow {!midstate} of the keyed-MD5
     MAC, over {!Fbsr_util.Slice.t} parts folded into MD5 with no
     concatenation. *)
 
-val prefix : Hash.t -> key:string -> string list -> string
-val hmac : Hash.t -> key:string -> string list -> string
+val prefix : key:string -> string list -> string
+val hmac : key:string -> string list -> string
 
 (** {1 Per-flow MAC midstates}
 
@@ -25,7 +25,7 @@ val prepare : key:string -> midstate
 
 val compute_midstate : midstate -> Fbsr_util.Slice.t list -> string
 (** The keyed-MD5 MAC of the concatenated parts under the key given to
-    {!prepare}: equal to [prefix Hash.md5 ~key] over the same bytes.  The
+    {!prepare}: equal to [prefix ~key] over the same bytes.  The
     midstate is reusable: any number of computations, in any order. *)
 
 val resume_md5 : midstate -> Md5.ctx

@@ -276,5 +276,3 @@ let digest_list parts =
   let ctx = init () in
   List.iter (update ctx) parts;
   final ctx
-
-let hexdigest s = Fbsr_util.Hex.encode (digest s)

@@ -31,8 +31,6 @@ val digest : string -> string
 val digest_list : string list -> string
 (** Digest of the concatenation of the parts, without concatenating. *)
 
-val hexdigest : string -> string
-
 (**/**)
 
 (* Internal: what the one-pass seal ({!Des.encrypt_cbc_job_md5}, on the

@@ -4,7 +4,7 @@
    authenticated via a distributed certification hierarchy (e.g., X.509
    certificates)"; our certificate authority signs with RSA (which the
    paper's CryptoLib also provided).  PKCS#1 v1.5-style deterministic
-   padding over a named hash.  Private operations use the CRT speedup. *)
+   padding over an MD5 digest.  Private operations use the CRT speedup. *)
 
 open Fbsr_bignum
 
@@ -23,9 +23,9 @@ type private_key = {
 let modulus_bytes pub = (Nat.bit_length pub.n + 7) / 8
 let public_key key = key.pub
 
-let generate ?(e = 65537) rng ~bits =
+let generate rng ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus too small";
-  let e_nat = Nat.of_int e in
+  let e_nat = Nat.of_int 65537 in
   let rec gen_prime b =
     let p = Nat.random_prime rng ~bits:b in
     if Nat.is_one (Nat.gcd (Nat.sub p Nat.one) e_nat) then p else gen_prime b
@@ -58,27 +58,25 @@ let private_op key (c : Nat.t) : Nat.t =
 
 let public_op pub (m : Nat.t) : Nat.t = Nat.mod_pow m pub.e pub.n
 
-(* EMSA-PKCS1-v1_5-style encoding: 00 01 FF..FF 00 | name ':' | digest. *)
-let encode_digest ~hash_name ~digest ~width =
-  let payload = hash_name ^ ":" ^ digest in
+(* EMSA-PKCS1-v1_5-style encoding: 00 01 FF..FF 00 | "md5:" | digest. *)
+let encode_digest msg ~width =
+  let payload = Md5.name ^ ":" ^ Md5.digest msg in
   let pad_len = width - String.length payload - 3 in
   if pad_len < 8 then invalid_arg "Rsa.encode_digest: modulus too small for digest";
   "\x00\x01" ^ String.make pad_len '\xff' ^ "\x00" ^ payload
 
-let sign key ~hash msg =
-  let (module H : Hash.S) = hash in
+let sign key msg =
   let width = modulus_bytes key.pub in
-  let em = encode_digest ~hash_name:H.name ~digest:(H.digest msg) ~width in
+  let em = encode_digest msg ~width in
   let s = private_op key (Nat.of_bytes_be em) in
   Nat.to_bytes_be ~length:width s
 
-let verify pub ~hash msg ~signature =
-  let (module H : Hash.S) = hash in
+let verify pub msg ~signature =
   let width = modulus_bytes pub in
   String.length signature = width
   &&
   let m = public_op pub (Nat.of_bytes_be signature) in
-  let expected = encode_digest ~hash_name:H.name ~digest:(H.digest msg) ~width in
+  let expected = encode_digest msg ~width in
   (* Signature verification is public; constant time is not required, but
      Ct.equal is cheap and removes any doubt. *)
   Ct.equal (Nat.to_bytes_be ~length:width m) expected

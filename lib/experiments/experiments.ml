@@ -60,20 +60,15 @@ let crypto_rates () =
     time_throughput ~bytes:(String.length buf) (fun () ->
         ignore (Fbsr_crypto.Md5.digest buf))
   in
-  let sha1_bps =
-    time_throughput ~bytes:(String.length buf) (fun () ->
-        ignore (Fbsr_crypto.Sha1.digest buf))
-  in
-  (des_bps, md5_bps, sha1_bps)
+  (des_bps, md5_bps)
 
 let crypto_table () =
   section "Crypto primitive throughput (paper Section 7.2 quotes CryptoLib on a \
            Pentium 133: DES-CBC 549 kB/s, MD5 7060 kB/s)";
-  let des, md5, sha1 = crypto_rates () in
+  let des, md5 = crypto_rates () in
   pf "%-12s %12s %18s\n" "primitive" "ours (kB/s)" "paper P133 (kB/s)";
   pf "%-12s %12.0f %18s\n" "des-cbc" (des /. 1e3) "549";
   pf "%-12s %12.0f %18s\n" "md5" (md5 /. 1e3) "7060";
-  pf "%-12s %12.0f %18s\n" "sha1" (sha1 /. 1e3) "-";
   pf "ratio md5/des: ours %.1fx, paper %.1fx\n" (md5 /. des) (7060.0 /. 549.0)
 
 (* ------------------------------------------------------------------ *)
@@ -140,7 +135,6 @@ let ttcp_run config ~bytes =
           ignore
             (Fbsr_baselines.Hostpair.install ~variant ~private_value ~group
                ~ca_public:(Fbsr_cert.Authority.public authority)
-               ~ca_hash:(Fbsr_cert.Authority.hash authority)
                ~resolver host)
         in
         install a;
@@ -194,7 +188,7 @@ let ttcp_run config ~bytes =
 (* Per-byte crypto cost charged to the CPU model: [`Ours] uses this
    machine's measured rates, [`P133] the paper's CryptoLib rates. *)
 let crypto_cost_per_byte ~rates config =
-  let des_bps, md5_bps, _ = rates in
+  let des_bps, md5_bps = rates in
   let des, md5 =
     match (config : [ `Ours | `P133 ]) with
     | `Ours -> (des_bps, md5_bps)
@@ -500,8 +494,8 @@ let ablation_mac () =
   let buf = String.make 1460 'd' in
   let t_prefix, t_hmac =
     time_pair ~bytes:1460
-      (fun () -> ignore (Fbsr_crypto.Mac.prefix Fbsr_crypto.Hash.md5 ~key [ buf ]))
-      (fun () -> ignore (Fbsr_crypto.Mac.hmac Fbsr_crypto.Hash.md5 ~key [ buf ]))
+      (fun () -> ignore (Fbsr_crypto.Mac.prefix ~key [ buf ]))
+      (fun () -> ignore (Fbsr_crypto.Mac.hmac ~key [ buf ]))
   in
   pf "prefix keyed-MD5: %8.0f kB/s\n" (t_prefix /. 1e3);
   pf "HMAC-MD5:         %8.0f kB/s (extra inner/outer passes)\n" (t_hmac /. 1e3);

@@ -42,7 +42,6 @@ let engine_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
     let keying =
       Fbsr_fbs.Keying.create ~local ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
         ~resolver
         ~clock:(fun () -> 0.0)
         ()
@@ -102,7 +101,6 @@ let sharded_pair ?(seed = 424242) ?(suite = Fbsr_fbs.Suite.paper_md5_des)
     let keying =
       Fbsr_fbs.Keying.create ~local ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
         ~resolver
         ~clock:(fun () -> 0.0)
         ()

@@ -24,7 +24,6 @@ type result = {
   bytes_per_transfer : int;
   loss : float;
   seed : int;
-  suite : string;
   elapsed_s : float;
   delivered_bytes : int;
   goodput_bps : float;
@@ -164,7 +163,6 @@ let run ?(transfers = 200) ?(bytes_per_transfer = 32_768) ?(loss = 0.01)
     bytes_per_transfer;
     loss;
     seed;
-    suite = Fbsr_fbs.Suite.(name paper_md5_des);
     elapsed_s = elapsed;
     delivered_bytes = delivered;
     goodput_bps =
@@ -189,7 +187,7 @@ let to_json r =
       ("bytes_per_transfer", J.Int r.bytes_per_transfer);
       ("loss", J.Float r.loss);
       ("seed", J.Int r.seed);
-      ("suite", J.String r.suite);
+      ("suite", J.String Fbsr_fbs.Suite.(name paper_md5_des));
       ("elapsed_s", J.Float r.elapsed_s);
       ("delivered_bytes", J.Int r.delivered_bytes);
       ("goodput_bps", J.Float r.goodput_bps);
@@ -239,7 +237,8 @@ let report ?transfers ?bytes_per_transfer ?loss ?seed ?(telemetry = false) ?json
   in
   Fmt.pr "=== concurrent bulk transfers over a lossy shared segment ===@.";
   Fmt.pr "%d transfers x %d B  suite %s  frame loss %.2f%%  seed %d@."
-    r.transfers r.bytes_per_transfer r.suite (100.0 *. r.loss) r.seed;
+    r.transfers r.bytes_per_transfer Fbsr_fbs.Suite.(name paper_md5_des)
+    (100.0 *. r.loss) r.seed;
   Fmt.pr "simulated %.2f s  delivered %d B  goodput %.2f Mb/s@." r.elapsed_s
     r.delivered_bytes (r.goodput_bps /. 1e6);
   Fmt.pr "link: %d frames offered, %d dropped@." r.link_offered r.link_dropped;

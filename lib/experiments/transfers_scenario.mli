@@ -29,7 +29,6 @@ type result = {
   bytes_per_transfer : int;
   loss : float;  (** per-frame drop probability on every host's egress *)
   seed : int;
-  suite : string;  (** the paper's suite, by {!Fbsr_fbs.Suite.name} *)
   elapsed_s : float;  (** simulated seconds until the last client close *)
   delivered_bytes : int;
   goodput_bps : float;  (** delivered payload bits over simulated time *)

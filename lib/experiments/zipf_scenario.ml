@@ -413,12 +413,16 @@ type sweep_study = {
   sw_ok : bool;
 }
 
-let default_cadences = [ 0.25; 0.5; 1.0; 2.0; 5.0; 0.0 ]
+(* The study's fixed set-up: the sweeper cadences (0.0 = never), 10^5
+   flows in batches of 1024 over a 2^17-entry FST, the clock advancing
+   0.1 s a batch, and a 2 s idle threshold. *)
+let cadences = [ 0.25; 0.5; 1.0; 2.0; 5.0; 0.0 ]
+let sweep_flows = 100_000
+let sweep_batch = 1024
+let round_dt = 0.1
+let sweep_threshold = 2.0
 
-let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
-    ?(datagrams = 120_000) ?(batch = 1024) ?(round_dt = 0.1)
-    ?(threshold = 2.0) ?nshards ?(seed = 20260808) ?(fst_bits = 17) () =
-  if cadences = [] then invalid_arg "Zipf_scenario.sweep_study: no cadences";
+let sweep_study ?(datagrams = 120_000) ?nshards ?(seed = 20260808) () =
   let failures = ref [] in
   let failf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let t0 = Unix.gettimeofday () in
@@ -427,13 +431,13 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
     List.map
       (fun cadence ->
         let p =
-          Fixture.sharded_pair ~seed ?nshards ~fst_bits
-            ~fam_threshold:threshold ()
+          Fixture.sharded_pair ~seed ?nshards ~fst_bits:17
+            ~fam_threshold:sweep_threshold ()
         in
         (* Same workload seed at every point: the cadence is the only
            thing that varies between rows. *)
         let wl =
-          Fbsr_traffic.Zipf_workload.create ~seed:(seed lxor 0x53ee) ~flows
+          Fbsr_traffic.Zipf_workload.create ~seed:(seed lxor 0x53ee) ~flows:sweep_flows
             ~src:p.Fixture.sh_src ~dst:p.Fixture.sh_dst ()
         in
         nshards_seen := Fbsr_fbs.Sharded.nshards p.Fixture.tx;
@@ -447,7 +451,7 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
         let next_sweep = ref (60.0 +. cadence) in
         let last_now = ref 60.0 in
         while !sent < datagrams do
-          let k = min batch (datagrams - !sent) in
+          let k = min sweep_batch (datagrams - !sent) in
           let now = 60.0 +. (round_dt *. Float.of_int !round) in
           last_now := now;
           incr round;
@@ -525,9 +529,9 @@ let sweep_study ?(cadences = default_cadences) ?(flows = 100_000)
   in
   {
     sweep_points = points;
-    sw_flows = flows;
+    sw_flows = sweep_flows;
     sw_datagrams = datagrams;
-    sw_threshold = threshold;
+    sw_threshold = sweep_threshold;
     sw_round_dt = round_dt;
     sw_nshards = !nshards_seen;
     sw_elapsed_s = Unix.gettimeofday () -. t0;
@@ -571,12 +575,8 @@ let sweep_study_to_json s =
       ("ok", J.Bool s.sw_ok);
     ]
 
-let sweep_study_report ?cadences ?flows ?datagrams ?batch ?round_dt ?threshold
-    ?nshards ?seed ?fst_bits ?json () =
-  let s =
-    sweep_study ?cadences ?flows ?datagrams ?batch ?round_dt ?threshold
-      ?nshards ?seed ?fst_bits ()
-  in
+let sweep_study_report ?datagrams ?nshards ?seed ?json () =
+  let s = sweep_study ?datagrams ?nshards ?seed () in
   Fmt.pr "=== sweeper-cadence study under Zipf skew ===@.";
   Fmt.pr
     "%d flows  %d datagrams  idle threshold %.1fs  round dt %.2fs  %d shards  \

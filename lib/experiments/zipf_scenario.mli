@@ -162,22 +162,10 @@ type sweep_study = {
 }
 
 val sweep_study_report :
-  ?cadences:float list ->
-  ?flows:int ->
-  ?datagrams:int ->
-  ?batch:int ->
-  ?round_dt:float ->
-  ?threshold:float ->
-  ?nshards:int ->
-  ?seed:int ->
-  ?fst_bits:int ->
-  ?json:string ->
-  unit ->
-  sweep_study
+  ?datagrams:int -> ?nshards:int -> ?seed:int -> ?json:string -> unit -> sweep_study
 (** Run the study, print the table, optionally write the artifact (an
-    [fbsr-sweep-study/1] document).  Defaults: cadences 0.25 … 5.0 s plus
-    never, 10⁵ flows, 120 000 datagrams per point in batches of 1024,
-    the simulated clock advancing [round_dt] (0.1 s) per batch, idle
-    threshold 2 s.  Every datagram must still round-trip cleanly at
-    every point.
-    @raise Invalid_argument on an empty [cadences] list. *)
+    [fbsr-sweep-study/1] document).  The study runs the sweeper at
+    cadences 0.25 … 5.0 s and never over 10⁵ flows, [datagrams] (default
+    120 000) per point in batches of 1024, the simulated clock advancing
+    0.1 s per batch, idle threshold 2 s, a 2{^17}-entry FST.  Every
+    datagram must still round-trip cleanly at every point. *)

@@ -63,7 +63,6 @@ type ('k, 'v) t = {
   mutable tick : int;
   stats : stats;
   (* Shadow state for miss classification, all of it over fingerprints. *)
-  classify : bool;
   mutable seen : Bytes.t; (* fingerprint set: 8-byte slots, 0 = empty *)
   mutable seen_count : int;
   (* Nodes 1..shadow_used, at most capacity; node 0 is the sentinel, so
@@ -90,7 +89,7 @@ let new_stats () =
     invalidations = 0;
   }
 
-let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache")
+let create ?(assoc = 1) ?(replacement = Lru) ?(name = "cache")
     ~sets ~hash ~fingerprint ~equal () =
   if sets <= 0 || assoc <= 0 then invalid_arg "Cache.create: bad geometry";
   {
@@ -103,8 +102,7 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     slots = Array.make (sets * assoc) Empty;
     tick = 0;
     stats = new_stats ();
-    classify;
-    seen = Bytes.make (if classify then 8 * 8 else 0) '\000';
+    seen = Bytes.make (8 * 8) '\000';
     seen_count = 0;
     shadow_index = [| 0 |];
     shadow_fp = [| 0 |];
@@ -327,20 +325,15 @@ let find t key =
     | Full _ | Empty -> ()
   done;
   let s = t.stats in
-  (if not t.classify then
-     match !result with
-     | Some _ -> s.hits <- s.hits + 1
-     | None -> s.misses_capacity <- s.misses_capacity + 1
-   else
-     let fp = fingerprint t key in
-     let node = shadow_find t fp in
-     (match !result with
-     | Some _ -> s.hits <- s.hits + 1
-     | None ->
-         if not (is_seen t fp) then s.misses_cold <- s.misses_cold + 1
-         else if node <> 0 then s.misses_conflict <- s.misses_conflict + 1
-         else s.misses_capacity <- s.misses_capacity + 1);
-     shadow_touch t fp node);
+  let fp = fingerprint t key in
+  let node = shadow_find t fp in
+  (match !result with
+  | Some _ -> s.hits <- s.hits + 1
+  | None ->
+      if not (is_seen t fp) then s.misses_cold <- s.misses_cold + 1
+      else if node <> 0 then s.misses_conflict <- s.misses_conflict + 1
+      else s.misses_capacity <- s.misses_capacity + 1);
+  shadow_touch t fp node;
   !result
 
 (* Probe without affecting statistics or LRU state. *)
@@ -391,11 +384,9 @@ let insert t key value =
     end
   in
   t.slots.(idx) <- Full { key; found = Some value; last_used = t.tick; inserted = t.tick };
-  if t.classify then begin
-    let fp = fingerprint t key in
-    mark_seen t fp;
-    shadow_touch t fp (shadow_find t fp)
-  end
+  let fp = fingerprint t key in
+  mark_seen t fp;
+  shadow_touch t fp (shadow_find t fp)
 
 let invalidate t key =
   let base = set_base t key in

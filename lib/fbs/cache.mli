@@ -1,8 +1,7 @@
 (** Generic soft-state cache: set-associative, LRU-within-set, pluggable
     randomising hash, three-C's miss classification (paper Section 5.3).
 
-    {b Classifier cost.}  With [classify] on (the default), every {!find}
-    and {!insert} computes the key's fingerprint (the [fingerprint] given
+    {b Classifier cost.}  Every {!find} and {!insert} computes the key's fingerprint (the [fingerprint] given
     to {!create}) once and touches a shadow fully-associative LRU of the
     same capacity, in amortised O(1) time through an open-addressing int
     table from fingerprint to list node, without allocating when the
@@ -51,7 +50,6 @@ type replacement = Lru | Fifo | Random of Fbsr_util.Rng.t
 
 val create :
   ?assoc:int ->
-  ?classify:bool ->
   ?replacement:replacement ->
   ?name:string ->
   sets:int ->
@@ -62,9 +60,7 @@ val create :
   ('k, 'v) t
 (** [hash] places a key in its set; [fingerprint] names it to the miss
     classifier, computed once per {!find} and {!insert} (see
-    Collisions); [equal] decides a hit.  [classify:false] disables the
-    classifier and never calls [fingerprint] (faster; every miss counts
-    as capacity).  Default replacement is [Lru].
+    Collisions); [equal] decides a hit.  Default replacement is [Lru].
     [name] labels the cache in metrics output. *)
 
 val name : ('k, 'v) t -> string

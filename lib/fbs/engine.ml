@@ -267,11 +267,11 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : lookup -> unit) =
         ~master:"cached";
       k (Cached entry)
   | None ->
-      (* A miss that is not cold (TFKC and RFKC always classify) is on a
-         key this cache held before: its entry was evicted or invalidated
-         and we are recovering by recomputation, the soft-state guarantee
-         at work.  A key never cached (on the RFKC, every earlier datagram
-         under it was refused) misses cold. *)
+      (* A miss that is not cold is on a key this cache held before: its
+         entry was evicted or invalidated and we are recovering by
+         recomputation, the soft-state guarantee at work.  A key never
+         cached (on the RFKC, every earlier datagram under it was refused)
+         misses cold. *)
       let revisit = stats.Cache.misses_cold = cold_before in
       Keying.get_master t.keying peer (function
         | Error e ->

@@ -39,12 +39,12 @@ let merge ts =
         degraded = Sketch.merge (List.map (fun t -> t.degraded) ts);
       }
 
-let to_json ?k t =
+let to_json t =
   Json.Obj
     [
       ("schema", Json.String "fbsr-flowstats/1");
-      ("datagrams", Sketch.to_json ?k t.datagrams);
-      ("bytes", Sketch.to_json ?k t.bytes);
-      ("drops", Sketch.to_json ?k t.drops);
-      ("degraded", Sketch.to_json ?k t.degraded);
+      ("datagrams", Sketch.to_json t.datagrams);
+      ("bytes", Sketch.to_json t.bytes);
+      ("drops", Sketch.to_json t.drops);
+      ("degraded", Sketch.to_json t.degraded);
     ]

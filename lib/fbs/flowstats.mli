@@ -27,5 +27,6 @@ val enabled : t -> bool
 val merge : t list -> t
 (** Quantity-wise {!Fbsr_util.Sketch.merge} across shards. *)
 
-val to_json : ?k:int -> t -> Fbsr_util.Json.t
-(** ["fbsr-flowstats/1"]: one canonical sketch document per quantity. *)
+val to_json : t -> Fbsr_util.Json.t
+(** ["fbsr-flowstats/1"]: one canonical sketch document per quantity
+    ({!Fbsr_util.Sketch.to_json}, top 32). *)

@@ -46,7 +46,6 @@ type t = {
   group : Fbsr_crypto.Dh.group;
   private_value : Fbsr_crypto.Dh.private_value;
   ca_public : Fbsr_crypto.Rsa.public_key;
-  ca_hash : Fbsr_crypto.Hash.t;
   resolver : resolver;
   clock : unit -> float;
   pvc : (string, Fbsr_cert.Certificate.t) Cache.t;
@@ -76,13 +75,12 @@ let key_cache name =
   Cache.create ~assoc:2 ~sets:64 ~hash:principal_hash
     ~fingerprint:principal_fingerprint ~equal:String.equal ~name ()
 
-let create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver ~clock () =
+let create ~local ~group ~private_value ~ca_public ~resolver ~clock () =
   {
     local;
     group;
     private_value;
     ca_public;
-    ca_hash;
     resolver;
     clock;
     pvc = key_cache "pvc";
@@ -127,8 +125,8 @@ let master_from_certificate t peer (cert : Fbsr_cert.Certificate.t) =
   t.counters.certificate_verifications <- t.counters.certificate_verifications + 1;
   let name = Principal.to_string peer in
   match
-    Fbsr_cert.Certificate.verify ~ca_public:t.ca_public ~hash:t.ca_hash
-      ~now:(t.clock ()) ~expected_subject:name cert
+    Fbsr_cert.Certificate.verify ~ca_public:t.ca_public ~now:(t.clock ())
+      ~expected_subject:name cert
   with
   | Error e -> Error (Bad_certificate (Fmt.str "%a" Fbsr_cert.Certificate.pp_verify_error e))
   | Ok () ->
@@ -202,6 +200,8 @@ let get_master_sync t peer =
 let pin_certificate t cert =
   Cache.insert t.pvc cert.Fbsr_cert.Certificate.subject cert
 
+module Md5 = Fbsr_crypto.Md5
+
 (* Flow key derivation: K_f = H(sfl | K_{S,D} | S | D) with H = MD5 (the
    paper's implementation), the sfl as 8 big-endian bytes and each
    principal after its 16-bit big-endian length, so the concatenation
@@ -210,20 +210,19 @@ let pin_certificate t cert =
    scratch that the hash copies as it is fed, so no part and no
    concatenation is built. *)
 let flow_key ~sfl ~master ~src ~dst =
-  let module H = Fbsr_crypto.Md5 in
-  let ctx = H.init () and scratch = Bytes.create 8 in
+  let ctx = Md5.init () and scratch = Bytes.create 8 in
   let view = Bytes.unsafe_to_string scratch in
   let s = Principal.to_string src and d = Principal.to_string dst in
   Bytes.set_int64_be scratch 0 (Sfl.to_int64 sfl);
-  H.feed ctx view 0 8;
-  H.update ctx master;
+  Md5.feed ctx view 0 8;
+  Md5.update ctx master;
   Bytes.set_uint16_be scratch 0 (String.length s land 0xffff);
-  H.feed ctx view 0 2;
-  H.update ctx s;
+  Md5.feed ctx view 0 2;
+  Md5.update ctx s;
   Bytes.set_uint16_be scratch 0 (String.length d land 0xffff);
-  H.feed ctx view 0 2;
-  H.update ctx d;
-  H.final ctx
+  Md5.feed ctx view 0 2;
+  Md5.update ctx d;
+  Md5.final ctx
 
 let pp_error ppf = function
   | No_certificate m -> Fmt.pf ppf "no certificate: %s" m

@@ -25,12 +25,13 @@ val create :
   group:Fbsr_crypto.Dh.group ->
   private_value:Fbsr_crypto.Dh.private_value ->
   ca_public:Fbsr_crypto.Rsa.public_key ->
-  ca_hash:Fbsr_crypto.Hash.t ->
   resolver:resolver ->
   clock:(unit -> float) ->
   unit ->
   t
-(** The PVC and the MKC are 2-way caches of 64 sets each.  A miss calls
+(** Certificates are verified under [ca_public] (an RSA signature over
+    MD5, {!Fbsr_cert.Certificate.verify}).  The PVC and the MKC are 2-way
+    caches of 64 sets each.  A miss calls
     [resolver] once; its failure completes every waiter with
     [No_certificate] (retransmission is the resolver's job). *)
 

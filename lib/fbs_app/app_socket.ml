@@ -80,9 +80,9 @@ let handle t ~src ~src_port raw =
         | Error _ -> t.counters.rejected <- t.counters.rejected + 1)
 
 let create ?(threshold = 600.0) ?(replay_window_minutes = 2) ~host ~port ~local ~group
-    ~private_value ~ca_public ~ca_hash ~resolver () =
+    ~private_value ~ca_public ~resolver () =
   let keying =
-    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash ~resolver
+    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~resolver
       ~clock:(fun () -> Host.now host)
       ()
   in

@@ -30,7 +30,6 @@ val create :
   group:Fbsr_crypto.Dh.group ->
   private_value:Fbsr_crypto.Dh.private_value ->
   ca_public:Fbsr_crypto.Rsa.public_key ->
-  ca_hash:Fbsr_crypto.Hash.t ->
   resolver:Fbsr_fbs.Keying.resolver ->
   unit ->
   t

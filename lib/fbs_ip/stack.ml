@@ -247,11 +247,11 @@ let sfl_allocator host base =
   Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create (base lxor (!n lsl 16)))
 
 let install ?(config = default_config ()) ?(spans = Fbsr_util.Span.none)
-    ~private_value ~group ~ca_public ~ca_hash ~resolver host =
+    ~private_value ~group ~ca_public ~resolver host =
   let local = principal_of_addr (Host.addr host) in
   let keying =
-    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~ca_hash
-      ~resolver ~clock:(fun () -> Host.now host) ()
+    Fbsr_fbs.Keying.create ~local ~group ~private_value ~ca_public ~resolver
+      ~clock:(fun () -> Host.now host) ()
   in
   (* Every host's first stack seeds its sfl allocator alike: an sfl is
      unique only per sender, which is why the RFKC and the strict replay

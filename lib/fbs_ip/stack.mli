@@ -71,7 +71,6 @@ val install :
   private_value:Fbsr_crypto.Dh.private_value ->
   group:Fbsr_crypto.Dh.group ->
   ca_public:Fbsr_crypto.Rsa.public_key ->
-  ca_hash:Fbsr_crypto.Hash.t ->
   resolver:Fbsr_fbs.Keying.resolver ->
   Host.t ->
   t

@@ -170,7 +170,6 @@ let add_host t ~name ~addr =
     Stack.install ~config:(node_config t) ~spans ~private_value
       ~group:t.group
       ~ca_public:(Fbsr_cert.Authority.public t.authority)
-      ~ca_hash:(Fbsr_cert.Authority.hash t.authority)
       ~resolver:(Mkd.resolver mkd) host
   in
   (* Site-wide aggregate (bare names, summed across hosts) and the

@@ -33,7 +33,7 @@ let confounder_iv t =
 
 (* The paper's keyed-MD5 MAC the string way: MD5 over the key-prefixed
    concatenation. *)
-let mac ~key parts = Fbsr_crypto.Mac.prefix Fbsr_crypto.Hash.md5 ~key parts
+let mac ~key parts = Fbsr_crypto.Mac.prefix ~key parts
 
 (* MAC input exactly as the old [Engine.compute_mac] built it: three fresh
    header-field strings, the digest, and a copy of it cut to the MAC

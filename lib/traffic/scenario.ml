@@ -33,9 +33,13 @@ let fresh_port pa =
 let sort_records records =
   List.stable_sort (fun a b -> compare a.Record.time b.Record.time) records
 
-let campus_lan ?(seed = 7) ?(duration = 4.0 *. 3600.0) ?(desktops = 24)
-    ?(file_servers = 2) ?(compute_servers = 2) ?(conversation_rate = 12.0 /. 3600.0) ()
-    =
+(* The campus LAN's servers, and the rate at which each desktop opens a
+   session conversation (12 an hour). *)
+let file_servers = 2
+let compute_servers = 2
+let conversation_rate = 12.0 /. 3600.0
+
+let campus_lan ?(seed = 7) ?(duration = 4.0 *. 3600.0) ?(desktops = 24) () =
   let rng = Rng.create seed in
   let desktop_hosts = List.init desktops (fun i -> host_ip 0 i) in
   let file_server_hosts = List.init file_servers (fun i -> host_ip 10 i) in
@@ -116,11 +120,10 @@ let campus_lan ?(seed = 7) ?(duration = 4.0 *. 3600.0) ?(desktops = 24)
     name = "campus-lan";
   }
 
-let www_server ?(seed = 11) ?(duration = 4.0 *. 3600.0) ?(hits_per_day = 10_000.0)
-    ?(client_population = 400) () =
+let www_server ?(seed = 11) ?(duration = 4.0 *. 3600.0) ?(hits_per_day = 10_000.0) () =
   let rng = Rng.create seed in
   let server = "10.2.0.1" in
-  let clients = Array.init client_population (fun i -> host_ip 100 i) in
+  let clients = Array.init 400 (fun i -> host_ip 100 i) in
   let ports = Hashtbl.create 64 in
   let port_for host =
     match Hashtbl.find_opt ports host with

@@ -11,18 +11,16 @@ val campus_lan :
   ?seed:int ->
   ?duration:float ->
   ?desktops:int ->
-  ?file_servers:int ->
-  ?compute_servers:int ->
-  ?conversation_rate:float ->
   unit ->
   t
-(** The workgroup LAN: desktops talking to file/compute/WWW/DNS servers. *)
+(** The workgroup LAN: desktops talking to two file servers, two compute
+    servers, a WWW and a DNS server; each desktop opens 12 session
+    conversations an hour. *)
 
 val www_server :
   ?seed:int ->
   ?duration:float ->
   ?hits_per_day:float ->
-  ?client_population:int ->
   unit ->
   t
-(** The lightly-hit (~10k hits/day) WWW server. *)
+(** The lightly-hit (~10k hits/day) WWW server, with 400 clients. *)

@@ -1,14 +1,13 @@
 (* Zipf sampler: precomputed CDF + binary search.  See zipf.mli. *)
 
-type t = { n : int; s : float; rng : Fbsr_util.Rng.t; cdf : float array }
+type t = { n : int; rng : Fbsr_util.Rng.t; cdf : float array }
 
-let create ?(s = 1.0) ~n rng =
+let create ~n rng =
   if n < 1 then invalid_arg "Zipf.create: n < 1";
-  if s < 0.0 then invalid_arg "Zipf.create: s < 0";
   let cdf = Array.make n 0.0 in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. (1.0 /. Float.of_int (i + 1) ** s);
+    acc := !acc +. (1.0 /. Float.of_int (i + 1));
     cdf.(i) <- !acc
   done;
   let total = !acc in
@@ -17,7 +16,7 @@ let create ?(s = 1.0) ~n rng =
   done;
   (* Guard against rounding leaving the last bucket unreachable. *)
   cdf.(n - 1) <- 1.0;
-  { n; s; rng; cdf }
+  { n; rng; cdf }
 
 let sample t =
   let u = Fbsr_util.Rng.uniform t.rng in

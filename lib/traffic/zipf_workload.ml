@@ -15,12 +15,11 @@ type t = {
   mutable touched : int;
 }
 
-let create ?(seed = 7) ?(s = 1.0) ?(payload = String.make 256 'z') ~flows ~src
-    ~dst () =
+let create ?(seed = 7) ?(payload = String.make 256 'z') ~flows ~src ~dst () =
   if flows > src_ports * dst_ports then
     invalid_arg "Zipf_workload.create: flows exceed the port-pair space";
   {
-    zipf = Zipf.create ~s ~n:flows (Fbsr_util.Rng.create seed);
+    zipf = Zipf.create ~n:flows (Fbsr_util.Rng.create seed);
     src;
     dst;
     payload;

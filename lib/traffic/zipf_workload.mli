@@ -12,17 +12,15 @@ type t
 
 val create :
   ?seed:int ->
-  ?s:float ->
   ?payload:string ->
   flows:int ->
   src:Fbsr_fbs.Principal.t ->
   dst:Fbsr_fbs.Principal.t ->
   unit ->
   t
-(** [flows] ranks (at most 3.6 billion distinct port pairs); [s] is the
-    Zipf exponent (default 1.0); [payload] (default 256 bytes) is shared
-    by every job — the datapath never mutates it.  Deterministic in
-    [seed].
+(** [flows] ranks (at most 3.6 billion distinct port pairs), Zipf with
+    exponent 1; [payload] (default 256 bytes) is shared by every job —
+    the datapath never mutates it.  Deterministic in [seed].
     @raise Invalid_argument if [flows] exceeds the port-pair space. *)
 
 val batch : t -> int -> (Fbsr_fbs.Fam.attrs * string) array

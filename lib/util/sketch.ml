@@ -40,8 +40,12 @@ let round_pow2 n =
    same way, which is what makes cross-shard count-min merges exact. *)
 let row_seed row = 0x2b992ddf lxor (row * 0x9e3779b9) lxor (row lsl 17)
 
-let create ?(slots = 512) ?(cm_depth = 4) ?(cm_width = 8192) () =
-  if slots <= 0 || cm_depth <= 0 || cm_width <= 0 then
+(* Count-min rows: an estimate is over its bound with probability
+   exp(-4) < 2 %. *)
+let cm_depth = 4
+
+let create ?(slots = 512) ?(cm_width = 8192) () =
+  if slots <= 0 || cm_width <= 0 then
     invalid_arg "Sketch.create: dimensions must be positive";
   let cm_width = round_pow2 cm_width in
   {
@@ -155,7 +159,7 @@ let merge ts =
             || s.cm_width <> hd.cm_width
           then invalid_arg "Sketch.merge: dimension mismatch")
         ts;
-      let m = create ~slots:hd.slots ~cm_depth:hd.cm_depth ~cm_width:hd.cm_width () in
+      let m = create ~slots:hd.slots ~cm_width:hd.cm_width () in
       List.iter
         (fun s ->
           m.total <- m.total + s.total;
@@ -198,7 +202,7 @@ let cm_checksum t =
   h := mix !h t.total;
   !h land max_int
 
-let to_json ?(k = 32) t =
+let to_json t =
   let open Json in
   Obj
     [
@@ -214,5 +218,5 @@ let to_json ?(k = 32) t =
           (List.map
              (fun (key, est) ->
                Obj [ ("key", String (Printf.sprintf "%016Lx" key)); ("est", Int est) ])
-             (top t k)) );
+             (top t 32)) );
     ]

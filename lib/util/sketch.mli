@@ -20,11 +20,11 @@ type t
 val none : t
 (** Shared disabled sketch: [observe] is a single branch, zero cost. *)
 
-val create : ?slots:int -> ?cm_depth:int -> ?cm_width:int -> unit -> t
-(** [slots] Space-Saving capacity (default 512); [cm_depth] count-min rows
-    (default 4); [cm_width] count-min columns, rounded up to a power of two
-    (default 8192).  State is [O(slots + cm_depth * cm_width)], independent
-    of the number of distinct keys observed. *)
+val create : ?slots:int -> ?cm_width:int -> unit -> t
+(** [slots] Space-Saving capacity (default 512); [cm_width] count-min
+    columns, rounded up to a power of two (default 8192), in each of 4
+    count-min rows.  State is [O(slots + cm_width)], independent of the
+    number of distinct keys observed. *)
 
 val enabled : t -> bool
 
@@ -40,7 +40,7 @@ val distinct_tracked : t -> int
 
 val estimate : t -> int64 -> int
 (** Count-min point estimate: never under the true count; over by at most
-    [e/cm_width * total] with probability [1 - exp(-cm_depth)]. *)
+    [e/cm_width * total] with probability [1 - exp(-4)]. *)
 
 val ss_bound : t -> int
 (** Space-Saving guarantee: any key with true count > [total t / slots] is
@@ -63,8 +63,8 @@ val cm_checksum : t -> int
 (** Order-independent digest of the count-min array, totals and dimensions;
     equal checksums mean identical estimator state. *)
 
-val to_json : ?k:int -> t -> Json.t
+val to_json : t -> Json.t
 (** Canonical ["fbsr-sketch/1"] form: dimensions, total, [cm_checksum], and
-    the [top ?k] (default 32) candidates with count-min estimates.  Contains
+    the [top 32] candidates with count-min estimates.  Contains
     no order-dependent state, so a merged sketch serializes byte-for-byte
     equal to the single sketch over the same observations. *)

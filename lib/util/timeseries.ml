@@ -211,13 +211,13 @@ let to_json t =
       ("deltas", deltas);
     ]
 
-let dashboard ?(width = 64) ?(height = 10) ppf t ~names =
+let dashboard ppf t ~names =
   List.iter
     (fun name ->
       let s = series t name in
       if Array.length s > 0 then begin
         Format.pp_print_cut ppf ();
-        Chart.timeseries ~width ~height ppf ~x_label:"tick" ~y_label:name
+        Chart.timeseries ~height:10 ppf ~x_label:"tick" ~y_label:name
           (Array.map snd s)
       end)
     names

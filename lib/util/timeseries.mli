@@ -60,6 +60,6 @@ val to_json : t -> Json.t
 (** ["fbsr-timeseries/1"]: [{schema; host; cadence; taken; kept; names;
     times; base; deltas}]. *)
 
-val dashboard :
-  ?width:int -> ?height:int -> Format.formatter -> t -> names:string list -> unit
-(** Render one {!Chart.timeseries} panel per named column. *)
+val dashboard : Format.formatter -> t -> names:string list -> unit
+(** Render one {!Chart.timeseries} panel, 64 columns by 10 rows, per
+    named column. *)

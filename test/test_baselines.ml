@@ -41,7 +41,6 @@ let make_hostpair_site ?(variant = Hostpair.Direct) ?(defer = false) () =
     in
     Hostpair.install ~variant ~private_value ~group
       ~ca_public:(Fbsr_cert.Authority.public authority)
-      ~ca_hash:(Fbsr_cert.Authority.hash authority)
       ~resolver host
   in
   let sa = install a and sb = install b in

@@ -5,7 +5,6 @@ open Fbsr_cert
 
 let check = Alcotest.check
 let rng = Fbsr_util.Rng.create 2024
-let hash = Fbsr_crypto.Hash.md5
 
 let fresh_authority ?(validity = 1000.0) () =
   Authority.create ~validity ~rng ~bits:512 ()
@@ -23,7 +22,7 @@ let test_certificate_roundtrip () =
   check Alcotest.string "group" "test-group" cert'.Certificate.group;
   check Alcotest.string "public value" "public bytes here" cert'.Certificate.public_value;
   check Alcotest.bool "verifies after roundtrip" true
-    (Certificate.verify ~ca_public:(Authority.public ca) ~hash ~now:100.0 cert' = Ok ())
+    (Certificate.verify ~ca_public:(Authority.public ca) ~now:100.0 cert' = Ok ())
 
 let test_certificate_verify_errors () =
   let ca = fresh_authority () in
@@ -32,22 +31,22 @@ let test_certificate_verify_errors () =
     Authority.enroll ca ~now:100.0 ~subject:"host-a" ~group:"g" ~public_value:"pv"
   in
   (match
-     Certificate.verify ~ca_public:(Authority.public other_ca) ~hash ~now:100.0 cert
+     Certificate.verify ~ca_public:(Authority.public other_ca) ~now:100.0 cert
    with
   | Error Certificate.Bad_signature -> ()
   | _ -> Alcotest.fail "wrong CA accepted");
-  (match Certificate.verify ~ca_public:(Authority.public ca) ~hash ~now:99999.0 cert with
+  (match Certificate.verify ~ca_public:(Authority.public ca) ~now:99999.0 cert with
   | Error (Certificate.Expired _) -> ()
   | _ -> Alcotest.fail "expired accepted");
   (match
-     Certificate.verify ~ca_public:(Authority.public ca) ~hash ~now:100.0
+     Certificate.verify ~ca_public:(Authority.public ca) ~now:100.0
        ~expected_subject:"host-b" cert
    with
   | Error (Certificate.Wrong_subject _) -> ()
   | _ -> Alcotest.fail "wrong subject accepted");
   (* Any field tamper breaks the signature. *)
   let tampered = { cert with Certificate.subject = "host-evil" } in
-  match Certificate.verify ~ca_public:(Authority.public ca) ~hash ~now:100.0 tampered with
+  match Certificate.verify ~ca_public:(Authority.public ca) ~now:100.0 tampered with
   | Error Certificate.Bad_signature -> ()
   | _ -> Alcotest.fail "tampered subject accepted"
 

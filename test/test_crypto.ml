@@ -1,5 +1,5 @@
 (* Tests for the crypto substrate: published known-answer tests (RFC 1321,
-   FIPS 180, FIPS 46 KATs, RFC 2202) plus structural properties
+   FIPS 46 KATs, RFC 2202) plus structural properties
    (streaming = one-shot, DES complementation, mode roundtrips, DH
    commutativity, RSA sign/verify). *)
 
@@ -34,7 +34,7 @@ let md5_vectors =
 let test_md5_vectors () =
   List.iter
     (fun (input, expected) ->
-      check Alcotest.string input expected (Md5.hexdigest input))
+      check Alcotest.string input expected (hex (Md5.digest input)))
     md5_vectors
 
 let prop_md5_streaming =
@@ -61,30 +61,6 @@ let test_md5_block_boundaries () =
       String.iter (fun c -> Md5.update ctx (String.make 1 c)) s;
       check Alcotest.string (string_of_int n) (hex (Md5.digest s)) (hex (Md5.final ctx)))
     [ 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
-
-(* --- SHA-1 (FIPS 180 examples) --- *)
-
-let test_sha1_vectors () =
-  check Alcotest.string "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    (Sha1.hexdigest "");
-  check Alcotest.string "abc" "a9993e364706816aba3e25717850c26c9cd0d89d"
-    (Sha1.hexdigest "abc");
-  check Alcotest.string "two-block" "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    (Sha1.hexdigest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
-
-let test_sha1_million_a () =
-  check Alcotest.string "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (Sha1.hexdigest (String.make 1_000_000 'a'))
-
-let prop_sha1_streaming =
-  QCheck.Test.make ~name:"sha1 streaming = one-shot" ~count:200
-    QCheck.(pair arbitrary_bytes (int_bound 200))
-    (fun (s, cut) ->
-      let cut = if String.length s = 0 then 0 else cut mod (String.length s + 1) in
-      let ctx = Sha1.init () in
-      Sha1.update ctx (String.sub s 0 cut);
-      Sha1.update ctx (String.sub s cut (String.length s - cut));
-      Sha1.final ctx = Sha1.digest s)
 
 (* --- DES block cipher --- *)
 
@@ -775,25 +751,22 @@ let slices_of rng (s : string) =
 (* A midstate is a context frozen after a prefix (the MAC's is MD5 after
    the key): each resume copies it, so any number of resumes over the
    message give the one-shot digest of prefix ^ message. *)
-let resumes (module H : Hash.S) ~prefix parts n =
-  let mid = H.init () in
-  H.update mid prefix;
-  List.init n (fun _ ->
-      let ctx = H.copy mid in
-      List.iter (H.feed_slice ctx) parts;
-      H.final ctx)
-
-let prop_midstate_resume (module H : Hash.S) name =
-  QCheck.Test.make ~name:(name ^ " midstate resume = one-shot") ~count:150
+let prop_midstate_resume_md5 =
+  QCheck.Test.make ~name:"md5 midstate resume = one-shot" ~count:150
     QCheck.(triple arbitrary_bytes arbitrary_bytes int)
     (fun (prefix, msg, seed) ->
       let rng = Fbsr_util.Rng.create seed in
-      let expected = H.digest (prefix ^ msg) in
+      let parts = slices_of rng msg in
+      let mid = Md5.init () in
+      Md5.update mid prefix;
+      let resume () =
+        let ctx = Md5.copy mid in
+        List.iter (Md5.feed_slice ctx) parts;
+        Md5.final ctx
+      in
+      let expected = Md5.digest (prefix ^ msg) in
       (* Resume twice: the midstate is not consumed, so both must agree. *)
-      resumes (module H) ~prefix (slices_of rng msg) 2 = [ expected; expected ])
-
-let prop_midstate_resume_md5 = prop_midstate_resume (module Md5) "md5"
-let prop_midstate_resume_sha1 = prop_midstate_resume (module Sha1) "sha1"
+      resume () = expected && resume () = expected)
 
 let prop_hash_copy_independent =
   QCheck.Test.make ~name:"Hash copy is an independent snapshot" ~count:100
@@ -831,29 +804,20 @@ let prop_mac_midstate =
 
 (* --- Hash kernel differential battery: fast kernels vs retained oracles ---
 
-   [Md5_ref]/[Sha1_ref] are the pre-rewrite streaming implementations,
-   retained verbatim as oracles (the [Des_ref] pattern).  The unrolled
-   kernels are pinned three ways: the oracles against the published
-   RFC 1321 / FIPS 180-1 vectors, the fast kernels against the oracles
-   over ragged lengths / split points / feed offsets, and the MAC
-   constructions on top against re-derivations built from the oracles
-   alone. *)
+   [Md5_ref] is the pre-rewrite streaming implementation, retained
+   verbatim as an oracle (the [Des_ref] pattern).  The unrolled kernel is
+   pinned three ways: the oracle against the published RFC 1321 vectors,
+   the fast kernel against the oracle over ragged lengths / split points /
+   feed offsets, and the MAC constructions on top against re-derivations
+   built from the oracle alone. *)
 
 module Md5_ref = Fbsr_oracles.Md5_ref
-module Sha1_ref = Fbsr_oracles.Sha1_ref
 
 let test_hash_ref_kats () =
   List.iter
     (fun (input, expected) ->
       check Alcotest.string ("ref " ^ input) expected (Md5_ref.hexdigest input))
-    md5_vectors;
-  check Alcotest.string "ref sha1 empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    (Sha1_ref.hexdigest "");
-  check Alcotest.string "ref sha1 abc" "a9993e364706816aba3e25717850c26c9cd0d89d"
-    (Sha1_ref.hexdigest "abc");
-  check Alcotest.string "ref sha1 two-block"
-    "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    (Sha1_ref.hexdigest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+    md5_vectors
 
 let ragged_msg rng =
   (* Lengths biased toward the 55..65 / 119..129 padding and block
@@ -867,37 +831,34 @@ let ragged_msg rng =
   in
   String.init n (fun _ -> Char.chr (Fbsr_util.Rng.int rng 256))
 
-let hash_diff_prop label (module F : Hash.S) (module R : Hash.S) =
-  QCheck.Test.make
-    ~name:(label ^ " kernel = retained oracle (ragged lengths, all entry points)")
+let prop_md5_vs_oracle =
+  QCheck.Test.make ~name:"md5 kernel = retained oracle (ragged lengths, all entry points)"
     ~count:300 QCheck.int
     (fun seed ->
       let rng = Fbsr_util.Rng.create seed in
       let msg = ragged_msg rng in
       let len = String.length msg in
-      let expected = R.digest msg in
+      let expected = Md5_ref.digest msg in
       (* One-shot. *)
-      F.digest msg = expected
+      Md5.digest msg = expected
       (* Streaming with a random split point. *)
       && (let cut = if len = 0 then 0 else Fbsr_util.Rng.int rng (len + 1) in
-          let ctx = F.init () in
-          F.update ctx (String.sub msg 0 cut);
-          F.update ctx (String.sub msg cut (len - cut));
-          F.final ctx = expected)
+          let ctx = Md5.init () in
+          Md5.update ctx (String.sub msg 0 cut);
+          Md5.update ctx (String.sub msg cut (len - cut));
+          Md5.final ctx = expected)
       (* [feed] from an offset inside a larger buffer, and slice feed. *)
       && (let pad = Fbsr_util.Rng.int rng 10 in
           let buf = String.make pad 'L' ^ msg ^ String.make pad 'R' in
-          let ctx = F.init () in
-          F.feed ctx buf pad len;
-          F.final ctx = expected
+          let ctx = Md5.init () in
+          Md5.feed ctx buf pad len;
+          Md5.final ctx = expected
           &&
-          let ctx2 = F.init () in
-          F.feed_slice ctx2 (Fbsr_util.Slice.v ~off:pad ~len buf);
-          F.final ctx2 = expected)
+          let ctx2 = Md5.init () in
+          Md5.feed_slice ctx2 (Fbsr_util.Slice.v ~off:pad ~len buf);
+          Md5.final ctx2 = expected)
       (* Multi-part convenience entry point. *)
-      && F.digest_list [ msg; "|"; msg ] = R.digest_list [ msg; "|"; msg ])
-
-let prop_md5_vs_oracle = hash_diff_prop "md5" (module Md5) (module Md5_ref)
+      && Md5.digest_list [ msg; "|"; msg ] = Md5_ref.digest_list [ msg; "|"; msg ])
 
 (* The step chain at every length up to four blocks: each tail length
    and both padding shapes, one-shot and fed a byte at a time. *)
@@ -910,15 +871,6 @@ let test_md5_every_length () =
     String.iter (fun c -> Md5.update ctx (String.make 1 c)) msg;
     check Alcotest.string (Printf.sprintf "%d bytes, bytewise" n) expected (hex (Md5.final ctx))
   done
-let prop_sha1_vs_oracle = hash_diff_prop "sha1" (module Sha1) (module Sha1_ref)
-
-let midstate_oracle_prop label (module H : Hash.S) (module R : Hash.S) =
-  QCheck.Test.make
-    ~name:(label ^ " midstate resume = oracle digest of prefix^msg") ~count:150
-    QCheck.(triple arbitrary_bytes arbitrary_bytes int)
-    (fun (prefix, msg, seed) ->
-      let rng = Fbsr_util.Rng.create seed in
-      resumes (module H) ~prefix (slices_of rng msg) 1 = [ R.digest (prefix ^ msg) ])
 
 (* The MAC's own midstate, against the oracle too. *)
 let prop_md5_midstate_vs_oracle =
@@ -929,30 +881,22 @@ let prop_md5_midstate_vs_oracle =
       let mid = Mac.prepare ~key:prefix in
       Mac.compute_midstate mid (slices_of rng msg) = Md5_ref.digest (prefix ^ msg))
 
-let prop_sha1_midstate_vs_oracle =
-  midstate_oracle_prop "sha1" (module Sha1) (module Sha1_ref)
-
-(* RFC 2104 HMAC re-derived from the oracle module alone. *)
-let hmac_ref (module R : Hash.S) ~key parts =
-  let block = R.block_size in
-  let key = if String.length key > block then R.digest key else key in
+(* RFC 2104 HMAC re-derived from the oracle alone. *)
+let hmac_ref ~key parts =
+  let block = Md5_ref.block_size in
+  let key = if String.length key > block then Md5_ref.digest key else key in
   let key = key ^ String.make (block - String.length key) '\000' in
   let xor_pad byte =
     String.init block (fun i -> Char.chr (Char.code key.[i] lxor byte))
   in
-  R.digest_list [ xor_pad 0x5c; R.digest_list (xor_pad 0x36 :: parts) ]
+  Md5_ref.digest_list [ xor_pad 0x5c; Md5_ref.digest_list (xor_pad 0x36 :: parts) ]
 
-let hmac_oracle_prop label hash rmod =
-  QCheck.Test.make ~name:("hmac-" ^ label ^ " = oracle-built HMAC") ~count:150
+let prop_hmac_md5_vs_oracle =
+  QCheck.Test.make ~name:"hmac-md5 = oracle-built HMAC" ~count:150
     QCheck.(pair arbitrary_bytes (small_list arbitrary_bytes))
     (fun (key, parts) ->
-      Mac.hmac hash ~key parts = hmac_ref rmod ~key parts
-      &&
-      let (module R : Hash.S) = rmod in
-      Mac.prefix hash ~key parts = R.digest (String.concat "" (key :: parts)))
-
-let prop_hmac_md5_vs_oracle = hmac_oracle_prop "md5" Hash.md5 (module Md5_ref : Hash.S)
-let prop_hmac_sha1_vs_oracle = hmac_oracle_prop "sha1" Hash.sha1 (module Sha1_ref : Hash.S)
+      Mac.hmac ~key parts = hmac_ref ~key parts
+      && Mac.prefix ~key parts = Md5_ref.digest (String.concat "" (key :: parts)))
 
 (* --- DES modes --- *)
 
@@ -1029,7 +973,7 @@ let one_pass_case (key, des_key, iv, prelude, payload) =
       (Fused.job ~md5 ~key:des_key ~iv ~src:payload ~src_pos:0 ~src_len:n ~dst:buf
          ~dst_pos:24 ~mac_dst:buf ~mac_pos:5)
   in
-  let mac = Mac.prefix Hash.md5 ~key [ prelude; payload ] in
+  let mac = Mac.prefix ~key [ prelude; payload ] in
   let outside_untouched =
     Bytes.sub buf 0 5 = Bytes.sub before 0 5
     && Bytes.sub buf 21 3 = Bytes.sub before 21 3
@@ -1103,29 +1047,14 @@ let test_hmac_md5_rfc2202 () =
   in
   List.iter
     (fun (key, data, expected) ->
-      check Alcotest.string data expected (hex (Mac.hmac Hash.md5 ~key [ data ])))
-    cases
-
-let test_hmac_sha1_rfc2202 () =
-  let cases =
-    [
-      (String.make 20 '\x0b', "Hi There", "b617318655057264e28bc0b6fb378c8ef146be00");
-      ("Jefe", "what do ya want for nothing?", "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
-      ( String.make 20 '\xaa',
-        String.make 50 '\xdd',
-        "125d7342b9ac11cd91a39af48aa17b4f63f175d3" );
-    ]
-  in
-  List.iter
-    (fun (key, data, expected) ->
-      check Alcotest.string data expected (hex (Mac.hmac Hash.sha1 ~key [ data ])))
+      check Alcotest.string data expected (hex (Mac.hmac ~key [ data ])))
     cases
 
 let test_prefix_mac_definition () =
   (* The paper's MAC is literally H(key | message). *)
   check Alcotest.string "prefix = digest of concat"
     (hex (Md5.digest ("secretkey" ^ "payload")))
-    (hex (Mac.prefix Hash.md5 ~key:"secretkey" [ "payload" ]))
+    (hex (Mac.prefix ~key:"secretkey" [ "payload" ]))
 
 let prop_mac_verify =
   QCheck.Test.make ~name:"mac verify accepts genuine, rejects tampered" ~count:200
@@ -1137,7 +1066,7 @@ let prop_mac_verify =
           [ Fbsr_util.Slice.of_string msg ]
           ~expected:(Fbsr_util.Slice.of_string expected)
       in
-      let mac = Mac.prefix Hash.md5 ~key [ msg ] in
+      let mac = Mac.prefix ~key [ msg ] in
       verify msg ~expected:mac
       &&
       if String.length msg = 0 then true
@@ -1166,16 +1095,6 @@ let prop_ct_equal =
   QCheck.Test.make ~name:"ct equal agrees with (=)" ~count:300
     QCheck.(pair arbitrary_bytes arbitrary_bytes)
     (fun (a, b) -> Ct.equal a b = (a = b))
-
-(* --- Hash registry --- *)
-
-let test_hash_registry () =
-  check Alcotest.string "md5 name" "md5" (Hash.name Hash.md5);
-  check Alcotest.int "md5 size" 16 (Hash.digest_size Hash.md5);
-  check Alcotest.int "sha1 size" 20 (Hash.digest_size Hash.sha1);
-  check Alcotest.string "of_name" "sha1" (Hash.name (Hash.of_name "sha1"));
-  Alcotest.check_raises "unknown" (Invalid_argument "Hash.of_name: unknown hash nope")
-    (fun () -> ignore (Hash.of_name "nope"))
 
 (* --- BBS --- *)
 
@@ -1267,28 +1186,26 @@ let test_rsa_sign_verify () =
   let rng = Fbsr_util.Rng.create 11 in
   let key = Rsa.generate rng ~bits:512 in
   let pub = Rsa.public_key key in
-  let s = Rsa.sign key ~hash:Hash.md5 "a signed message" in
+  let s = Rsa.sign key "a signed message" in
   check Alcotest.bool "verifies" true
-    (Rsa.verify pub ~hash:Hash.md5 "a signed message" ~signature:s);
+    (Rsa.verify pub "a signed message" ~signature:s);
   check Alcotest.bool "wrong message" false
-    (Rsa.verify pub ~hash:Hash.md5 "another message" ~signature:s);
-  check Alcotest.bool "wrong hash" false
-    (Rsa.verify pub ~hash:Hash.sha1 "a signed message" ~signature:s);
+    (Rsa.verify pub "another message" ~signature:s);
   let tampered = Bytes.of_string s in
   Bytes.set tampered 10 (Char.chr (Char.code s.[10] lxor 1));
   check Alcotest.bool "tampered signature" false
-    (Rsa.verify pub ~hash:Hash.md5 "a signed message" ~signature:(Bytes.to_string tampered));
+    (Rsa.verify pub "a signed message" ~signature:(Bytes.to_string tampered));
   check Alcotest.bool "truncated signature" false
-    (Rsa.verify pub ~hash:Hash.md5 "a signed message"
+    (Rsa.verify pub "a signed message"
        ~signature:(String.sub s 0 (String.length s - 1)))
 
 let test_rsa_wrong_key () =
   let rng = Fbsr_util.Rng.create 12 in
   let k1 = Rsa.generate rng ~bits:512 in
   let k2 = Rsa.generate rng ~bits:512 in
-  let s = Rsa.sign k1 ~hash:Hash.md5 "msg" in
+  let s = Rsa.sign k1 "msg" in
   check Alcotest.bool "other key rejects" false
-    (Rsa.verify (Rsa.public_key k2) ~hash:Hash.md5 "msg" ~signature:s)
+    (Rsa.verify (Rsa.public_key k2) "msg" ~signature:s)
 
 let prop_rsa_crt_consistent =
   (* public_op (private_op m) = m for m < n: validates the CRT path. *)
@@ -1316,10 +1233,10 @@ let test_pinned_rsa_generate () =
 
 let test_pinned_rsa_sign () =
   let key = Lazy.force pinned_key in
-  let s = Rsa.sign key ~hash:Hash.md5 "pinned message" in
+  let s = Rsa.sign key "pinned message" in
   check Alcotest.string "signature md5" "e4509eeb28833c3c4d46b8e014519604" (md5_hex s);
   check Alcotest.bool "verifies" true
-    (Rsa.verify (Rsa.public_key key) ~hash:Hash.md5 "pinned message" ~signature:s)
+    (Rsa.verify (Rsa.public_key key) "pinned message" ~signature:s)
 
 let test_pinned_testbed_ca () =
   let tb = Fbsr_fbs_ip.Testbed.create () in
@@ -1347,12 +1264,6 @@ let () =
           Alcotest.test_case "digest_list" `Quick test_md5_digest_list;
           Alcotest.test_case "block boundaries" `Quick test_md5_block_boundaries;
           qtest prop_md5_streaming;
-        ] );
-      ( "sha1",
-        [
-          Alcotest.test_case "FIPS vectors" `Quick test_sha1_vectors;
-          Alcotest.test_case "million a" `Slow test_sha1_million_a;
-          qtest prop_sha1_streaming;
         ] );
       ( "des",
         [
@@ -1406,22 +1317,18 @@ let () =
       ( "midstates",
         [
           qtest prop_midstate_resume_md5;
-          qtest prop_midstate_resume_sha1;
           qtest prop_hash_copy_independent;
           qtest prop_mac_midstate;
         ] );
       ( "hash-differential",
         [
-          Alcotest.test_case "oracle KATs (RFC 1321 / FIPS 180-1)" `Quick
+          Alcotest.test_case "oracle KATs (RFC 1321)" `Quick
             test_hash_ref_kats;
           qtest prop_md5_vs_oracle;
           Alcotest.test_case "md5 = oracle at every length 0..256" `Quick
             test_md5_every_length;
-          qtest prop_sha1_vs_oracle;
           qtest prop_md5_midstate_vs_oracle;
-          qtest prop_sha1_midstate_vs_oracle;
           qtest prop_hmac_md5_vs_oracle;
-          qtest prop_hmac_sha1_vs_oracle;
         ] );
       ( "fused",
         [
@@ -1441,13 +1348,11 @@ let () =
       ( "mac",
         [
           Alcotest.test_case "HMAC-MD5 RFC 2202" `Quick test_hmac_md5_rfc2202;
-          Alcotest.test_case "HMAC-SHA1 RFC 2202" `Quick test_hmac_sha1_rfc2202;
           Alcotest.test_case "prefix MAC definition" `Quick test_prefix_mac_definition;
           Alcotest.test_case "truncate" `Quick test_mac_truncate;
           qtest prop_mac_verify;
         ] );
       ("ct", [ qtest prop_ct_equal ]);
-      ("hash-registry", [ Alcotest.test_case "registry" `Quick test_hash_registry ]);
       ( "bbs",
         [
           Alcotest.test_case "deterministic" `Quick test_bbs_deterministic;

@@ -773,7 +773,7 @@ let make_world () =
   in
   let keying_for local priv =
     Keying.create ~local ~group ~private_value:priv
-      ~ca_public:(Fbsr_cert.Authority.public ca) ~ca_hash:(Fbsr_cert.Authority.hash ca)
+      ~ca_public:(Fbsr_cert.Authority.public ca)
       ~resolver
       ~clock:(fun () -> !clock)
       ()
@@ -904,7 +904,7 @@ let test_keying_coalesces () =
   in
   let ks =
     Keying.create ~local:s ~group ~private_value:s_priv
-      ~ca_public:(Fbsr_cert.Authority.public ca) ~ca_hash:(Fbsr_cert.Authority.hash ca)
+      ~ca_public:(Fbsr_cert.Authority.public ca)
       ~resolver
       ~clock:(fun () -> 0.0)
       ()
@@ -1578,7 +1578,7 @@ let test_engine_batch_resumed_seal_inline () =
   let fetch = ref None in
   let keying =
     Keying.create ~local:s ~group ~private_value:s_priv
-      ~ca_public:(Fbsr_cert.Authority.public ca) ~ca_hash:(Fbsr_cert.Authority.hash ca)
+      ~ca_public:(Fbsr_cert.Authority.public ca)
       ~resolver:(fun peer k -> fetch := Some (peer, k))
       ~clock:(fun () -> 0.0)
       ()
@@ -2311,7 +2311,7 @@ let test_engine_async_send () =
   let resolver peer k = pending := Some (peer, k) in
   let keying =
     Keying.create ~local:s ~group ~private_value:s_priv
-      ~ca_public:(Fbsr_cert.Authority.public ca) ~ca_hash:(Fbsr_cert.Authority.hash ca)
+      ~ca_public:(Fbsr_cert.Authority.public ca)
       ~resolver
       ~clock:(fun () -> 0.0)
       ()
@@ -2362,7 +2362,6 @@ let test_engine_async_receive () =
     let keying =
       Keying.create ~local:p ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
         ~resolver
         ~clock:(fun () -> 0.0)
         ()
@@ -2416,7 +2415,6 @@ let test_engine_cold_flow_derives_once () =
     let keying =
       Keying.create ~local:p ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
         ~resolver:(fun peer k -> fetches := (peer, k) :: !fetches)
         ~clock:(fun () -> 0.0)
         ()

@@ -30,7 +30,6 @@ let make_site () =
       ~local:(Fbsr_fbs.Principal.of_string name)
       ~group ~private_value
       ~ca_public:(Fbsr_cert.Authority.public authority)
-      ~ca_hash:(Fbsr_cert.Authority.hash authority)
       ~resolver:(Mkd.resolver mkd) ()
   in
   let alice = make_user h1 "alice@h1" 9000 in

@@ -376,7 +376,6 @@ let test_stack_mss_honored_before_and_after_publication () =
     Stack.install ~config ~private_value:n.Testbed.private_value
       ~group:(Testbed.group tb)
       ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
-      ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
       ~resolver:(Mkd.resolver n.Testbed.mkd) n.Testbed.host
   in
   let stack_a = reinstall a in
@@ -718,7 +717,6 @@ let test_reinstalled_stack_fresh_sfl () =
         (Stack.install ~config ~private_value:n.Testbed.private_value
            ~group:(Testbed.group tb)
            ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
-           ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
            ~resolver:(Mkd.resolver n.Testbed.mkd) n.Testbed.host
           : Stack.t))
     [ a; b ];
@@ -895,7 +893,6 @@ let test_cold_flow_resolver_failure () =
       Stack.install ~config ~spans ~private_value:a.Testbed.private_value
         ~group:(Testbed.group tb)
         ~ca_public:(Fbsr_cert.Authority.public (Testbed.authority tb))
-        ~ca_hash:(Fbsr_cert.Authority.hash (Testbed.authority tb))
         ~resolver a.Testbed.host
     in
     let got = ref 0 in
@@ -1100,7 +1097,6 @@ let test_fbs_across_router () =
     let stack =
       Stack.install ~config ~private_value ~group
         ~ca_public:(Fbsr_cert.Authority.public authority)
-        ~ca_hash:(Fbsr_cert.Authority.hash authority)
         ~resolver:(Mkd.resolver mkd) host
     in
     (host, stack)
@@ -1181,7 +1177,6 @@ let test_gateway_tunnel () =
     let (_ : Stack.t) =
       Stack.install ~config ~private_value ~group
         ~ca_public:(Fbsr_cert.Authority.public authority)
-        ~ca_hash:(Fbsr_cert.Authority.hash authority)
         ~resolver:(Mkd.resolver mkd) host
     in
     host

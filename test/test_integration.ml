@@ -205,7 +205,6 @@ and make_engines_for_skew () =
     let keying =
       Fbsr_fbs.Keying.create ~local ~group ~private_value:priv
         ~ca_public:(Fbsr_cert.Authority.public ca)
-        ~ca_hash:(Fbsr_cert.Authority.hash ca)
         ~resolver
         ~clock:(fun () -> 0.0)
         ()

@@ -2,8 +2,8 @@
 
    Every slice-based hot-path API is checked byte-for-byte against its
    retained string-based reference on fuzzed offsets and lengths:
-   [Slice] laws vs [String.sub]; [Hash.digest_slices] vs its string
-   flavour; [Des] sub-range CBC vs whole-string CBC;
+   [Slice] laws vs [String.sub]; [Md5.feed_slice] vs the string
+   digest; [Des] sub-range CBC vs whole-string CBC;
    [Header.decode_view] vs [decode]; and the engine's zero-copy seal/receive vs
    the pre-refactor reference datapath ([Fbsr_oracles.Reference]) —
    including empty and MTU-sized payloads, cross-acceptance in both
@@ -122,14 +122,12 @@ let slices_of_string ~cuts s =
     (pairs bounds)
 
 let prop_digest_slices =
-  QCheck.Test.make ~name:"Hash.digest_slices = digest of concat" ~count:300
+  QCheck.Test.make ~name:"Md5.feed_slice parts = digest of concat" ~count:300
     QCheck.(pair arbitrary_bytes (list small_nat))
     (fun (s, cuts) ->
-      let parts = slices_of_string ~cuts s in
-      Fbsr_crypto.Hash.digest_slices Fbsr_crypto.Hash.md5 parts
-      = Fbsr_crypto.Md5.digest s
-      && Fbsr_crypto.Hash.digest_slices Fbsr_crypto.Hash.sha1 parts
-         = Fbsr_crypto.Sha1.digest s)
+      let ctx = Fbsr_crypto.Md5.init () in
+      List.iter (Fbsr_crypto.Md5.feed_slice ctx) (slices_of_string ~cuts s);
+      Fbsr_crypto.Md5.final ctx = Fbsr_crypto.Md5.digest s)
 
 (* --- DES sub-range CBC vs whole-string CBC --- *)
 
